@@ -38,8 +38,28 @@ impl CostSummary {
     /// Total multiply-accumulate work, counting tensor MACs.
     pub fn total_macs(&self) -> f64 {
         // Arithmetic ops approximate 2 ops per MAC.
-        (self.scalar_ops + self.vector_ops) / 2.0 + self.tensor_macs.values().sum::<f64>()
+        let tensor: f64 = self.tensor_macs_sorted().iter().map(|(_, m)| m).sum();
+        (self.scalar_ops + self.vector_ops) / 2.0 + tensor
     }
+
+    /// [`CostSummary::tensor_macs`] in key order. Float sums over the map
+    /// must iterate this, not the map: `HashMap` order differs from one map
+    /// to the next, and addition order shows in the last bit.
+    pub fn tensor_macs_sorted(&self) -> Vec<(&String, f64)> {
+        sorted_entries(&self.tensor_macs)
+    }
+
+    /// [`CostSummary::traffic`] in key order (see
+    /// [`CostSummary::tensor_macs_sorted`]).
+    pub fn traffic_sorted(&self) -> Vec<(&MemScope, f64)> {
+        sorted_entries(&self.traffic)
+    }
+}
+
+fn sorted_entries<K: Ord>(map: &HashMap<K, f64>) -> Vec<(&K, f64)> {
+    let mut entries: Vec<(&K, f64)> = map.iter().map(|(k, v)| (k, *v)).collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    entries
 }
 
 struct Walker {
@@ -412,7 +432,7 @@ pub fn estimate_breakdown(summary: &CostSummary, machine: &Machine) -> TimeBreak
     let vector_rate = scalar_rate * machine.vector_lanes as f64;
 
     let mut compute_time = summary.scalar_ops / scalar_rate + summary.vector_ops / vector_rate;
-    for (intrin, macs) in &summary.tensor_macs {
+    for (intrin, macs) in summary.tensor_macs_sorted() {
         let per_core = machine
             .tensor_units
             .get(intrin)
@@ -424,7 +444,7 @@ pub fn estimate_breakdown(summary: &CostSummary, machine: &Machine) -> TimeBreak
     }
 
     let mut memory_time = 0.0;
-    for (scope, bytes) in &summary.traffic {
+    for (scope, bytes) in summary.traffic_sorted() {
         let bw = match scope {
             MemScope::Global => machine.global_bw_gbps * 1e9,
             MemScope::Shared | MemScope::Custom(_) => machine.shared_bw_gbps * 1e9,
