@@ -56,6 +56,62 @@ fn bench_split_fuse_reorder() {
     });
 }
 
+/// `SketchRule::apply` on the full bench-suite shapes: what one candidate
+/// of the search costs to build. Each row cycles through 16 seeded
+/// decision vectors that apply cleanly.
+fn bench_sketch_apply() {
+    use tir_autoschedule::{build_sketches, Decision, Strategy};
+    use tir_rand::rngs::StdRng;
+    use tir_rand::SeedableRng;
+    use tir_workloads::{bench_suite, OpKind};
+
+    let reg = builtin_registry();
+    let rows = [
+        (
+            "gpu_tensor_gmm",
+            "gpu-tensor",
+            Machine::sim_gpu(),
+            OpKind::GMM,
+        ),
+        (
+            "gpu_scalar_c2d",
+            "gpu-scalar",
+            Machine::sim_gpu(),
+            OpKind::C2D,
+        ),
+        (
+            "cpu_tensor_gmm",
+            "cpu-tensor",
+            Machine::sim_arm(),
+            OpKind::GMM,
+        ),
+    ];
+    for (row, sketch_name, machine, kind) in rows {
+        let dtype = match machine.kind {
+            tir_exec::machine::MachineKind::Gpu => DataType::float16(),
+            tir_exec::machine::MachineKind::Cpu => DataType::int8(),
+        };
+        let case = bench_suite(dtype)
+            .into_iter()
+            .find(|c| c.kind == kind)
+            .expect("operator in the suite");
+        let sketch = build_sketches(&case.func, &machine, &reg, Strategy::TensorIr)
+            .into_iter()
+            .find(|s| s.name().starts_with(sketch_name))
+            .expect("sketch for the row");
+        let decisions: Vec<Vec<Decision>> = (0..)
+            .map(|seed| sketch.sample(&mut StdRng::seed_from_u64(seed)))
+            .filter(|d| sketch.apply(d).is_ok())
+            .take(16)
+            .collect();
+        let mut next = 0usize;
+        bench_function(&format!("schedule/sketch_apply_{row}"), || {
+            next = (next + 1) % decisions.len();
+            sketch.apply(&decisions[next]).unwrap()
+        });
+    }
+}
+
 fn bench_validation() {
     let func = matmul_func("mm", 256, 256, 256, DataType::float32());
     bench_function("analysis/validate_matmul", || {
@@ -105,6 +161,7 @@ fn bench_print_parse() {
 
 fn main() {
     bench_split_fuse_reorder();
+    bench_sketch_apply();
     bench_validation();
     bench_auto_tensorize();
     bench_simulate();

@@ -1,0 +1,99 @@
+//! Golden `SketchRule::apply` outputs: the bit-identity gate for changes to
+//! how schedule primitives rewrite the program.
+//!
+//! For every sketch `build_sketches` yields on the bench-suite families
+//! (float16 on `sim_gpu`, int8 on `sim_arm`, `Strategy::TensorIr`) and 40
+//! seeded decision vectors each, `tests/golden/sketch_apply.txt` records
+//! what `apply` returned: the structural hash and a hash of the printed
+//! program, or the `ScheduleError` variant. The file was generated on the
+//! commit *before* the primitives were rewritten to work in place; a
+//! mismatch means a primitive now builds a different tree (a dropped
+//! `Seq` normalization shows here first, and would otherwise surface only
+//! as a drifting candidate-cache hit rate).
+//!
+//! Regenerate (only when an intended change alters sketch output) with
+//! `cargo test -p tir-autoschedule --test sketch_apply_golden -- --ignored`.
+
+use tir::DataType;
+use tir_autoschedule::{build_sketches, Strategy};
+use tir_exec::machine::Machine;
+use tir_rand::rngs::StdRng;
+use tir_rand::SeedableRng;
+use tir_schedule::ScheduleError;
+use tir_tensorize::builtin_registry;
+use tir_workloads::bench_suite;
+
+const VECTORS_PER_SKETCH: u64 = 40;
+const GOLDEN: &str = include_str!("golden/sketch_apply.txt");
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn outcomes() -> String {
+    let reg = builtin_registry();
+    let targets = [
+        ("sim_gpu", Machine::sim_gpu(), DataType::float16()),
+        ("sim_arm", Machine::sim_arm(), DataType::int8()),
+    ];
+    let mut out = String::new();
+    for (machine_name, machine, dtype) in &targets {
+        for case in bench_suite(*dtype) {
+            for sketch in build_sketches(&case.func, machine, &reg, Strategy::TensorIr) {
+                for seed in 0..VECTORS_PER_SKETCH {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let decisions = sketch.sample(&mut rng);
+                    let outcome = match sketch.apply(&decisions) {
+                        Ok(f) => format!(
+                            "ok {:016x} {:016x}",
+                            tir::structural::structural_hash(&f),
+                            fnv1a(&f.to_string())
+                        ),
+                        Err(ScheduleError::BlockNotFound(_)) => "err BlockNotFound".into(),
+                        Err(ScheduleError::LoopNotFound(_)) => "err LoopNotFound".into(),
+                        Err(ScheduleError::Precondition(_)) => "err Precondition".into(),
+                        Err(ScheduleError::Invalid(_)) => "err Invalid".into(),
+                    };
+                    out.push_str(&format!(
+                        "{machine_name} {} {} {seed} {outcome}\n",
+                        case.kind.label(),
+                        sketch.name()
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn apply_outputs_match_golden() {
+    let now = outcomes();
+    let mismatches: Vec<String> = GOLDEN
+        .lines()
+        .zip(now.lines())
+        .filter(|(want, got)| want != got)
+        .map(|(want, got)| format!("  want {want}\n   got {got}"))
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "{} of {} apply outcomes differ from the golden file:\n{}",
+        mismatches.len(),
+        GOLDEN.lines().count(),
+        mismatches[..mismatches.len().min(10)].join("\n")
+    );
+    assert_eq!(GOLDEN.lines().count(), now.lines().count());
+    assert!(
+        GOLDEN.lines().filter(|l| l.contains(" ok ")).count() > GOLDEN.lines().count() / 4,
+        "golden set is mostly failures; it would not notice a changed program"
+    );
+}
+
+#[test]
+#[ignore = "rewrites the golden file"]
+fn regenerate_golden() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sketch_apply.txt");
+    std::fs::write(path, outcomes()).expect("write golden file");
+}

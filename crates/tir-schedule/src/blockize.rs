@@ -8,7 +8,7 @@ use tir::visit::{collect_vars_expr, subst_expr};
 use tir::{Block, BlockRealize, Expr, IterKind, IterVar, Stmt, Var};
 
 use crate::compute_location::required_region;
-use crate::schedule::{BlockRef, LoopRef, Result, Schedule, ScheduleError};
+use crate::schedule::{stmt_kind, BlockRef, LoopRef, Result, Schedule, ScheduleError};
 use crate::trace::TraceStep;
 
 impl Schedule {
@@ -28,155 +28,130 @@ impl Schedule {
     /// Fails when the subtree shape or the bindings do not satisfy the
     /// conditions above.
     pub fn blockize(&mut self, loop_ref: &LoopRef) -> Result<BlockRef> {
-        let mut outer_name = String::new();
-        self.rewrite_loop(loop_ref, |f: tir::For| {
-            // Collect the inner loop chain and the single block realize.
-            let mut inner_loops: Vec<tir::For> = Vec::new();
-            let mut current = Stmt::For(Box::new(f));
-            let realize: BlockRealize = loop {
-                match current {
-                    Stmt::For(fr) => {
-                        let fr = *fr;
-                        let body = fr.body.clone();
-                        inner_loops.push(tir::For {
-                            body: Stmt::Seq(vec![]),
-                            ..fr
-                        });
-                        current = body;
-                    }
-                    Stmt::BlockRealize(br) => break *br,
-                    other => {
-                        return Err(ScheduleError::Precondition(format!(
-                            "blockize requires a perfect loop nest over a single \
-                             block, found {other:?}"
-                        )))
-                    }
+        // Check on a borrow: collect the inner loop chain and the single
+        // block realize, and derive the new bindings.
+        let mut inner_dom: Vec<(Var, i64)> = Vec::new();
+        let mut current = self.loop_node(loop_ref)?;
+        let realize: &BlockRealize = loop {
+            let extent = current.extent.as_int().ok_or_else(|| {
+                ScheduleError::Precondition("blockize requires constant loop extents".into())
+            })?;
+            inner_dom.push((current.var.clone(), extent));
+            match &current.body {
+                Stmt::For(f) => current = f,
+                Stmt::BlockRealize(br) => break br,
+                other => {
+                    return Err(ScheduleError::Precondition(format!(
+                        "blockize requires a perfect loop nest over a single \
+                         block, found {}",
+                        stmt_kind(other)
+                    )))
                 }
+            }
+        };
+        let inner_vars: Vec<Var> = inner_dom.iter().map(|(v, _)| v.clone()).collect();
+        if !realize.predicate.is_const_int(1) {
+            return Err(ScheduleError::Precondition(
+                "blockize of predicated blocks is not supported; pad first".into(),
+            ));
+        }
+        // Separate each binding into outer + inner parts.
+        let zero_inner: HashMap<Var, Expr> = inner_vars
+            .iter()
+            .map(|v| (v.clone(), Expr::int(0)))
+            .collect();
+        let mut outer_iter_vars: Vec<IterVar> = Vec::new();
+        let mut outer_bindings: Vec<Expr> = Vec::new();
+        let mut new_inner_bindings: Vec<Expr> = Vec::new();
+        for (iv, value) in realize.block.iter_vars.iter().zip(&realize.iter_values) {
+            let outer_part = simplify_expr(&subst_expr(value, &zero_inner));
+            let inner_part = {
+                // inner = value - outer_part, but computed by zeroing
+                // the outer variables instead (avoids symbolic subtraction).
+                let outer_vars: Vec<Var> = collect_vars_expr(value)
+                    .into_iter()
+                    .filter(|v| !inner_vars.contains(v))
+                    .collect();
+                let zero_outer: HashMap<Var, Expr> = outer_vars
+                    .iter()
+                    .map(|v| (v.clone(), Expr::int(0)))
+                    .collect();
+                simplify_expr(&subst_expr(value, &zero_outer))
             };
-            let inner_vars: Vec<Var> = inner_loops.iter().map(|l| l.var.clone()).collect();
-            let inner_dom: Vec<(Var, i64)> = inner_loops
-                .iter()
-                .map(|l| {
-                    l.extent
-                        .as_int()
-                        .map(|e| (l.var.clone(), e))
-                        .ok_or_else(|| {
-                            ScheduleError::Precondition(
-                                "blockize requires constant loop extents".into(),
-                            )
-                        })
-                })
-                .collect::<Result<_>>()?;
-            if !realize.predicate.is_const_int(1) {
-                return Err(ScheduleError::Precondition(
-                    "blockize of predicated blocks is not supported; pad first".into(),
-                ));
+            // Verify separability: value == outer_part + inner_part.
+            let recomposed = simplify_expr(&(outer_part.clone() + inner_part.clone()));
+            if !tir::structural::expr_structural_eq(&recomposed, &simplify_expr(value)) {
+                return Err(ScheduleError::Precondition(format!(
+                    "binding {value} is not separable into outer + inner parts"
+                )));
             }
-
-            // Separate each binding into outer + inner parts.
-            let zero_inner: HashMap<Var, Expr> = inner_vars
-                .iter()
-                .map(|v| (v.clone(), Expr::int(0)))
-                .collect();
-            let mut outer_iter_vars: Vec<IterVar> = Vec::new();
-            let mut outer_bindings: Vec<Expr> = Vec::new();
-            let mut new_inner_bindings: Vec<Expr> = Vec::new();
-            for (iv, value) in realize.block.iter_vars.iter().zip(&realize.iter_values) {
-                let outer_part = simplify_expr(&subst_expr(value, &zero_inner));
-                let inner_part = {
-                    // inner = value - outer_part, but computed by zeroing
-                    // the outer variables instead (avoids symbolic subtraction).
-                    let outer_vars: Vec<Var> = collect_vars_expr(value)
-                        .into_iter()
-                        .filter(|v| !inner_vars.contains(v))
-                        .collect();
-                    let zero_outer: HashMap<Var, Expr> = outer_vars
-                        .iter()
-                        .map(|v| (v.clone(), Expr::int(0)))
-                        .collect();
-                    simplify_expr(&subst_expr(value, &zero_outer))
-                };
-                // Verify separability: value == outer_part + inner_part.
-                let recomposed = simplify_expr(&(outer_part.clone() + inner_part.clone()));
-                if !tir::structural::expr_structural_eq(&recomposed, &simplify_expr(value)) {
-                    return Err(ScheduleError::Precondition(format!(
-                        "binding {value} is not separable into outer + inner parts"
-                    )));
-                }
-                // Inner extent via strict affine detection over inner loops.
-                let inner_extent = if inner_part.is_const_int(0) {
-                    1
-                } else {
-                    let dom_map: HashMap<Var, i64> = inner_dom.iter().cloned().collect();
-                    tir_arith::iter_map::normalize(&inner_part, &dom_map)
-                        .ok()
-                        .and_then(|s| s.strict_extent())
-                        .ok_or_else(|| {
-                            ScheduleError::Precondition(format!(
-                                "inner binding part {inner_part} is not a compact \
-                                 zero-based iterator combination"
-                            ))
-                        })?
-                };
-                if iv.extent % inner_extent != 0 {
-                    return Err(ScheduleError::Precondition(format!(
-                        "iterator {} extent {} not divisible by inner extent {}",
-                        iv.var.name(),
-                        iv.extent,
-                        inner_extent
-                    )));
-                }
-                let outer_extent = iv.extent / inner_extent;
-                let u = Var::int(format!("{}_o", iv.var.name()));
-                let outer_binding = if inner_extent == 1 {
-                    outer_part
-                } else {
-                    simplify_expr(&outer_part.floor_div(inner_extent))
-                };
-                outer_bindings.push(outer_binding);
-                new_inner_bindings
-                    .push(simplify_expr(&(Expr::from(&u) * inner_extent + inner_part)));
-                outer_iter_vars.push(match iv.kind {
-                    IterKind::Spatial => IterVar::spatial(u, outer_extent),
-                    IterKind::Reduce => IterVar::reduce(u, outer_extent),
-                });
+            // Inner extent via strict affine detection over inner loops.
+            let inner_extent = if inner_part.is_const_int(0) {
+                1
+            } else {
+                let dom_map: HashMap<Var, i64> = inner_dom.iter().cloned().collect();
+                tir_arith::iter_map::normalize(&inner_part, &dom_map)
+                    .ok()
+                    .and_then(|s| s.strict_extent())
+                    .ok_or_else(|| {
+                        ScheduleError::Precondition(format!(
+                            "inner binding part {inner_part} is not a compact \
+                             zero-based iterator combination"
+                        ))
+                    })?
+            };
+            if iv.extent % inner_extent != 0 {
+                return Err(ScheduleError::Precondition(format!(
+                    "iterator {} extent {} not divisible by inner extent {}",
+                    iv.var.name(),
+                    iv.extent,
+                    inner_extent
+                )));
             }
+            let outer_extent = iv.extent / inner_extent;
+            let u = Var::int(format!("{}_o", iv.var.name()));
+            let outer_binding = if inner_extent == 1 {
+                outer_part
+            } else {
+                simplify_expr(&outer_part.floor_div(inner_extent))
+            };
+            outer_bindings.push(outer_binding);
+            new_inner_bindings.push(simplify_expr(&(Expr::from(&u) * inner_extent + inner_part)));
+            outer_iter_vars.push(match iv.kind {
+                IterKind::Spatial => IterVar::spatial(u, outer_extent),
+                IterKind::Reduce => IterVar::reduce(u, outer_extent),
+            });
+        }
+        let outer_name = format!("{}_o", realize.block.name);
+        let (inner_reads, inner_writes) =
+            (realize.block.reads.clone(), realize.block.writes.clone());
 
-            // Rebuild the inner subtree with the rewritten bindings.
-            let inner_realize = BlockRealize::new(new_inner_bindings, realize.block.clone());
-            let mut inner_stmt = Stmt::BlockRealize(Box::new(inner_realize));
-            for l in inner_loops.into_iter().rev() {
-                inner_stmt = Stmt::For(Box::new(tir::For {
-                    body: inner_stmt,
-                    ..l
-                }));
+        let name = outer_name.clone();
+        self.rewrite_loop(loop_ref, |f: tir::For| {
+            // Swap the new bindings into the realize at the bottom of the
+            // nest; the loops above it stay as they are.
+            let mut inner_stmt = Stmt::For(Box::new(f));
+            let mut slot = &mut inner_stmt;
+            while let Stmt::For(fr) = slot {
+                slot = &mut fr.body;
             }
-
+            if let Stmt::BlockRealize(br) = slot {
+                br.iter_values = new_inner_bindings;
+            }
             // Outer block signature: relax the inner subtree's accesses.
-            let mut reads = Vec::new();
-            for r in &realize.block.reads {
-                if let Some(region) = required_region(&inner_stmt, &r.buffer, true, false) {
-                    reads.push(tir::BufferRegion::new(r.buffer.clone(), region));
-                }
-            }
-            let mut writes = Vec::new();
-            for w in &realize.block.writes {
-                if let Some(region) = required_region(&inner_stmt, &w.buffer, false, true) {
-                    writes.push(tir::BufferRegion::new(w.buffer.clone(), region));
-                }
-            }
-            outer_name = format!("{}_o", realize.block.name);
-            let outer_block = Block::new(
-                outer_name.clone(),
-                outer_iter_vars,
-                reads,
-                writes,
-                inner_stmt,
-            );
-            Ok(Stmt::BlockRealize(Box::new(BlockRealize::new(
-                outer_bindings,
-                outer_block,
-            ))))
+            let relax = |regions: Vec<tir::BufferRegion>, reads: bool| {
+                regions
+                    .into_iter()
+                    .filter_map(|r| {
+                        let region = required_region(&inner_stmt, &r.buffer, reads, !reads)?;
+                        Some(tir::BufferRegion::new(r.buffer, region))
+                    })
+                    .collect()
+            };
+            let reads = relax(inner_reads, true);
+            let writes = relax(inner_writes, false);
+            let outer_block = Block::new(name, outer_iter_vars, reads, writes, inner_stmt);
+            Stmt::BlockRealize(Box::new(BlockRealize::new(outer_bindings, outer_block)))
         })?;
         self.record(TraceStep::new(
             "blockize",

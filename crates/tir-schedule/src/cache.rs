@@ -12,7 +12,7 @@ use tir::{
 };
 
 use crate::compute_location::{refresh_nested_signatures, required_region};
-use crate::schedule::{BlockRef, LoopRef, Result, Schedule, ScheduleError};
+use crate::schedule::{stmt_kind, BlockRef, LoopRef, Result, Schedule, ScheduleError};
 use crate::trace::TraceStep;
 
 fn sanitize(scope: &MemScope) -> String {
@@ -72,17 +72,76 @@ fn copy_block_nest(
 }
 
 impl Schedule {
+    /// The root block, or the error every primitive that needs one reports.
+    /// Primitives call this before their first rewrite, so that a function
+    /// whose body is not a root block fails them whole.
+    fn root_block(&self) -> Result<&Block> {
+        match &self.func.body {
+            Stmt::BlockRealize(root) => Ok(&root.block),
+            other => Err(ScheduleError::Precondition(format!(
+                "function body is not a root block but {}",
+                stmt_kind(other)
+            ))),
+        }
+    }
+
+    /// Rewrites the root block in place.
+    fn rewrite_root(&mut self, f: impl FnOnce(&mut Block)) -> Result<()> {
+        self.root_block()?;
+        self.mutate_body(|body| {
+            if let Stmt::BlockRealize(root) = body {
+                f(&mut root.block);
+            }
+            true
+        });
+        Ok(())
+    }
+
     /// Registers a buffer in the root block's allocation list.
     pub(crate) fn alloc_at_root(&mut self, buffer: Buffer) -> Result<()> {
-        self.rewrite_body(|body| match body {
-            Stmt::BlockRealize(mut root) => {
-                root.block.alloc_buffers.push(buffer);
-                Ok(Stmt::BlockRealize(root))
-            }
-            other => Err(ScheduleError::Precondition(format!(
-                "function body is not a root block: {other:?}"
-            ))),
-        })
+        self.rewrite_root(|root| root.alloc_buffers.push(buffer))
+    }
+
+    /// Puts `nest` first (`front`) or last in the body of `at_loop`, or of
+    /// the root block when `None`.
+    fn insert_nest(&mut self, at_loop: Option<&LoopRef>, nest: Stmt, front: bool) -> Result<()> {
+        let join = |body: Stmt| {
+            Stmt::seq(if front {
+                vec![nest, body]
+            } else {
+                vec![body, nest]
+            })
+        };
+        match at_loop {
+            Some(l) => self.rewrite_loop(l, |f: tir::For| {
+                Stmt::For(Box::new(tir::For {
+                    body: join(f.body),
+                    ..f
+                }))
+            }),
+            None => self.rewrite_root(|root| {
+                let body = std::mem::replace(&mut *root.body, Stmt::Seq(Vec::new()));
+                *root.body = join(body);
+            }),
+        }
+    }
+
+    /// Points `block` at `to` wherever it used `from`, allocates `to` at the
+    /// root, and refreshes the signatures of the blocks enclosing `block`.
+    fn redirect_block(&mut self, block: &BlockRef, from: &Buffer, to: Buffer) -> Result<()> {
+        let mut map = std::collections::HashMap::new();
+        map.insert(from.clone(), to.clone());
+        self.rewrite_block(block, |br: BlockRealize| {
+            replace_buffers(&Stmt::BlockRealize(Box::new(br)), &map)
+        })?;
+        self.alloc_at_root(to)?;
+        // The rewritten block may be nested: refresh enclosing block
+        // signatures so they describe the new buffer.
+        self.mutate_body(|body| {
+            refresh_nested_signatures(body);
+            true
+        });
+        Ok(())
     }
 
     /// Creates a staging copy of `buffer` in `scope` for the reads of
@@ -104,13 +163,15 @@ impl Schedule {
         scope: MemScope,
         at_loop: Option<&LoopRef>,
     ) -> Result<BlockRef> {
-        // Check the consumer actually reads the buffer.
-        let reads_it = {
-            let br = tir::visit::find_block(&self.func.body, block.name())
-                .ok_or_else(|| ScheduleError::BlockNotFound(block.name().to_string()))?;
-            br.block.reads.iter().any(|r| &r.buffer == buffer)
-        };
-        if !reads_it {
+        // Every check comes before the first rewrite: a failing
+        // cache_read leaves the program as it found it.
+        if !self
+            .block_node(block)?
+            .block
+            .reads
+            .iter()
+            .any(|r| &r.buffer == buffer)
+        {
             return Err(ScheduleError::Precondition(format!(
                 "block {} does not read buffer {}",
                 block.name(),
@@ -119,51 +180,23 @@ impl Schedule {
         }
         let cache_name = format!("{}_{}", buffer.name(), sanitize(&scope));
         let cache = buffer.derive(cache_name.clone(), scope);
-
-        // Insert the copy nest.
-        match at_loop {
+        let region = match at_loop {
             Some(l) => {
-                let buffer_c = buffer.clone();
-                let cache_c = cache.clone();
-                let name_c = cache_name.clone();
-                self.rewrite_loop(l, |f: tir::For| {
-                    let region =
-                        required_region(&f.body, &buffer_c, true, false).ok_or_else(|| {
-                            ScheduleError::Precondition(format!(
-                                "no read of {} under the target loop",
-                                buffer_c.name()
-                            ))
-                        })?;
-                    let nest = copy_block_nest(&name_c, &buffer_c, &cache_c, &region, &[])?;
-                    Ok(Stmt::For(Box::new(tir::For {
-                        body: Stmt::seq(vec![nest, f.body]),
-                        ..f
-                    })))
-                })?;
+                required_region(&self.loop_node(l)?.body, buffer, true, false).ok_or_else(|| {
+                    ScheduleError::Precondition(format!(
+                        "no read of {} under the target loop",
+                        buffer.name()
+                    ))
+                })?
             }
-            None => {
-                let region = buffer.full_region().region;
-                let nest = copy_block_nest(&cache_name, buffer, &cache, &region, &[])?;
-                self.rewrite_body(|body| match body {
-                    Stmt::BlockRealize(mut root) => {
-                        root.block.body = Box::new(Stmt::seq(vec![nest, *root.block.body]));
-                        Ok(Stmt::BlockRealize(root))
-                    }
-                    other => Ok(Stmt::seq(vec![nest, other])),
-                })?;
-            }
-        }
-        // Redirect the consumer block's reads.
-        let mut map = std::collections::HashMap::new();
-        map.insert(buffer.clone(), cache.clone());
-        self.rewrite_block(block, |br: BlockRealize| {
-            Ok(replace_buffers(&Stmt::BlockRealize(Box::new(br)), &map))
-        })?;
+            None => buffer.full_region().region,
+        };
+        let nest = copy_block_nest(&cache_name, buffer, &cache, &region, &[])?;
+        self.root_block()?;
+
         let scope_str = cache.scope().as_str().to_string();
-        self.alloc_at_root(cache)?;
-        // The rewritten block may be nested: refresh enclosing block
-        // signatures so they describe the new buffer.
-        self.rewrite_body(|body| Ok(refresh_nested_signatures(body)))?;
+        self.insert_nest(at_loop, nest, true)?;
+        self.redirect_block(block, buffer, cache)?;
         self.record(TraceStep::new(
             "cache_read",
             vec![
@@ -195,72 +228,37 @@ impl Schedule {
         scope: MemScope,
         at_loop: Option<&LoopRef>,
     ) -> Result<BlockRef> {
-        let out_buffer = {
-            let br = tir::visit::find_block(&self.func.body, block.name())
-                .ok_or_else(|| ScheduleError::BlockNotFound(block.name().to_string()))?;
-            if br.block.writes.len() != 1 {
-                return Err(ScheduleError::Precondition(format!(
-                    "cache_write requires a single-output block, {} writes {}",
-                    block.name(),
-                    br.block.writes.len()
-                )));
-            }
-            br.block.writes[0].buffer.clone()
-        };
+        // Every check comes before the first rewrite (see cache_read).
+        let writes = &self.block_node(block)?.block.writes;
+        if writes.len() != 1 {
+            return Err(ScheduleError::Precondition(format!(
+                "cache_write requires a single-output block, {} writes {}",
+                block.name(),
+                writes.len()
+            )));
+        }
+        let out_buffer = writes[0].buffer.clone();
         let cache_name = format!("{}_{}", out_buffer.name(), sanitize(&scope));
         let wb_name = format!("{cache_name}_wb");
         let scope_str = scope.as_str().to_string();
         let cache = out_buffer.derive(cache_name, scope);
-
-        // Compute the written region under the attach loop *before*
-        // renaming (regions reference the original buffer).
+        // The written region under the attach loop, in terms of the
+        // original buffer (the block is redirected below).
         let region = match at_loop {
-            Some(l) => {
-                let mut region = None;
-                let out_c = out_buffer.clone();
-                crate::schedule::find_loop(&self.func.body, l.var(), &mut |f| {
-                    region = required_region(&f.body, &out_c, false, true);
-                });
-                region.ok_or_else(|| {
+            Some(l) => required_region(&self.loop_node(l)?.body, &out_buffer, false, true)
+                .ok_or_else(|| {
                     ScheduleError::Precondition(format!(
                         "no write of {} under the target loop",
                         out_buffer.name()
                     ))
-                })?
-            }
+                })?,
             None => out_buffer.full_region().region,
         };
-
-        // Redirect the producer block to the private accumulator.
-        let mut map = std::collections::HashMap::new();
-        map.insert(out_buffer.clone(), cache.clone());
-        self.rewrite_block(block, |br: BlockRealize| {
-            Ok(replace_buffers(&Stmt::BlockRealize(Box::new(br)), &map))
-        })?;
-
-        // Insert the write-back copy.
         let nest = copy_block_nest(&wb_name, &cache, &out_buffer, &region, &[])?;
-        match at_loop {
-            Some(l) => {
-                self.rewrite_loop(l, |f: tir::For| {
-                    Ok(Stmt::For(Box::new(tir::For {
-                        body: Stmt::seq(vec![f.body, nest]),
-                        ..f
-                    })))
-                })?;
-            }
-            None => {
-                self.rewrite_body(|body| match body {
-                    Stmt::BlockRealize(mut root) => {
-                        root.block.body = Box::new(Stmt::seq(vec![*root.block.body, nest]));
-                        Ok(Stmt::BlockRealize(root))
-                    }
-                    other => Ok(Stmt::seq(vec![other, nest])),
-                })?;
-            }
-        }
-        self.alloc_at_root(cache)?;
-        self.rewrite_body(|body| Ok(refresh_nested_signatures(body)))?;
+        self.root_block()?;
+
+        self.insert_nest(at_loop, nest, false)?;
+        self.redirect_block(block, &out_buffer, cache)?;
         self.record(TraceStep::new(
             "cache_write",
             vec![

@@ -12,11 +12,11 @@ use tir::visit::{collect_vars_expr, subst_expr};
 use tir::{Block, BlockRealize, Buffer, Expr, IterKind, RangeExpr, Stmt, Var};
 use tir_arith::bound::{bound_of, IntBound};
 
-use crate::schedule::{BlockRef, LoopRef, Result, Schedule, ScheduleError};
+use crate::schedule::{precondition, BlockRef, LoopRef, Result, Schedule, ScheduleError};
 use crate::trace::TraceStep;
 
 /// Removes loops whose bodies became empty and flattens empty sequences.
-pub(crate) fn prune_empty(s: Stmt) -> Stmt {
+fn prune_empty(s: Stmt) -> Stmt {
     match s {
         Stmt::For(f) => {
             let f = *f;
@@ -189,6 +189,14 @@ pub(crate) fn required_region(
                 }
             }
             Stmt::BlockRealize(br) => {
+                let signature = &br.block;
+                let touched: Vec<&tir::BufferRegion> = (signature.reads.iter().filter(|_| reads))
+                    .chain(signature.writes.iter().filter(|_| writes))
+                    .filter(|r| &r.buffer == buffer)
+                    .collect();
+                if touched.is_empty() {
+                    return;
+                }
                 let subst: HashMap<Var, Expr> = br
                     .block
                     .iter_vars
@@ -196,19 +204,8 @@ pub(crate) fn required_region(
                     .zip(&br.iter_values)
                     .map(|(iv, v)| (iv.var.clone(), v.clone()))
                     .collect();
-                if reads {
-                    for r in &br.block.reads {
-                        if &r.buffer == buffer {
-                            relax(&r.region, &subst, inner, req, buffer);
-                        }
-                    }
-                }
-                if writes {
-                    for w in &br.block.writes {
-                        if &w.buffer == buffer {
-                            relax(&w.region, &subst, inner, req, buffer);
-                        }
-                    }
+                for r in touched {
+                    relax(&r.region, &subst, inner, req, buffer);
                 }
                 // Nested blocks: their accesses are already summarized by
                 // this block's own signature, so no need to descend.
@@ -235,11 +232,11 @@ pub(crate) fn required_region(
     )
 }
 
-/// Recomputes the read/write signatures of every *non-leaf* block (one
-/// containing nested blocks) from its children, bottom-up. Needed after a
-/// transformation rewrites buffers inside a nested block: the enclosing
-/// blocks' signatures would otherwise go stale.
-pub(crate) fn refresh_nested_signatures(s: Stmt) -> Stmt {
+/// Recomputes, in place, the read/write signatures of every *non-leaf*
+/// block (one containing nested blocks) from its children, bottom-up.
+/// Needed after a transformation rewrites buffers inside a nested block:
+/// the enclosing blocks' signatures would otherwise go stale.
+pub(crate) fn refresh_nested_signatures(s: &mut Stmt) {
     fn buffers_accessed_below(s: &Stmt, reads: &mut Vec<Buffer>, writes: &mut Vec<Buffer>) {
         match s {
             Stmt::BlockRealize(br) => {
@@ -273,56 +270,56 @@ pub(crate) fn refresh_nested_signatures(s: Stmt) -> Stmt {
             _ => {}
         }
     }
-    fn has_nested_block(s: &Stmt) -> bool {
-        !tir::visit::block_names(s).is_empty()
+    fn contains_block(s: &Stmt) -> bool {
+        match s {
+            Stmt::BlockRealize(_) => true,
+            Stmt::For(f) => contains_block(&f.body),
+            Stmt::Seq(v) => v.iter().any(contains_block),
+            Stmt::IfThenElse {
+                then_branch,
+                else_branch,
+                ..
+            } => contains_block(then_branch) || else_branch.as_deref().is_some_and(contains_block),
+            _ => false,
+        }
     }
     match s {
-        Stmt::BlockRealize(mut br) => {
-            br.block.body = Box::new(refresh_nested_signatures(*br.block.body));
-            if has_nested_block(&br.block.body) && br.block.name != "root" {
+        Stmt::BlockRealize(br) => {
+            refresh_nested_signatures(&mut br.block.body);
+            if br.block.name != "root" && contains_block(&br.block.body) {
                 let mut read_bufs = Vec::new();
                 let mut write_bufs = Vec::new();
                 buffers_accessed_below(&br.block.body, &mut read_bufs, &mut write_bufs);
+                let body = &br.block.body;
                 let local = &br.block.alloc_buffers;
-                let mut reads = Vec::new();
-                for b in read_bufs {
-                    if local.contains(&b) {
-                        continue;
-                    }
-                    if let Some(region) = required_region(&br.block.body, &b, true, false) {
-                        reads.push(tir::BufferRegion::new(b, region));
-                    }
-                }
-                let mut writes = Vec::new();
-                for b in write_bufs {
-                    if local.contains(&b) {
-                        continue;
-                    }
-                    if let Some(region) = required_region(&br.block.body, &b, false, true) {
-                        writes.push(tir::BufferRegion::new(b, region));
-                    }
-                }
+                let signature = |bufs: Vec<Buffer>, reads: bool| -> Vec<tir::BufferRegion> {
+                    bufs.into_iter()
+                        .filter(|b| !local.contains(b))
+                        .filter_map(|b| {
+                            let region = required_region(body, &b, reads, !reads)?;
+                            Some(tir::BufferRegion::new(b, region))
+                        })
+                        .collect()
+                };
+                let reads = signature(read_bufs, true);
+                let writes = signature(write_bufs, false);
                 br.block.reads = reads;
                 br.block.writes = writes;
             }
-            Stmt::BlockRealize(br)
         }
-        Stmt::For(f) => {
-            let f = *f;
-            let body = refresh_nested_signatures(f.body);
-            Stmt::For(Box::new(tir::For { body, ..f }))
-        }
-        Stmt::Seq(v) => Stmt::Seq(v.into_iter().map(refresh_nested_signatures).collect()),
+        Stmt::For(f) => refresh_nested_signatures(&mut f.body),
+        Stmt::Seq(v) => v.iter_mut().for_each(refresh_nested_signatures),
         Stmt::IfThenElse {
-            cond,
             then_branch,
             else_branch,
-        } => Stmt::IfThenElse {
-            cond,
-            then_branch: Box::new(refresh_nested_signatures(*then_branch)),
-            else_branch: else_branch.map(|e| Box::new(refresh_nested_signatures(*e))),
-        },
-        other => other,
+            ..
+        } => {
+            refresh_nested_signatures(then_branch);
+            if let Some(e) = else_branch {
+                refresh_nested_signatures(e);
+            }
+        }
+        _ => {}
     }
 }
 
@@ -398,38 +395,14 @@ fn can_prove_within(min: &Expr, extent: i64, dim: i64) -> bool {
 }
 
 impl Schedule {
-    /// Removes the realize of `block` from the tree and returns it.
+    /// Removes the realize of `block` from the tree (pruning the loops it
+    /// leaves empty) and returns it. A missing block is reported before
+    /// anything is touched.
     pub(crate) fn take_block(&mut self, block: &BlockRef) -> Result<BlockRealize> {
+        self.block_node(block)?;
         let mut out = None;
-        let name = block.name().to_string();
-        self.rewrite_body(|body| Ok(prune_empty(extract_block(body, &name, &mut out))))?;
-        out.ok_or(ScheduleError::BlockNotFound(name))
-    }
-
-    /// Puts a previously extracted realize back at the end of the root
-    /// block's body (used by transformations that re-home a block).
-    #[allow(dead_code)]
-    pub(crate) fn restore_block_at_root(&mut self, br: BlockRealize) -> Result<()> {
-        let mut loops = Vec::new();
-        let mut bindings = Vec::new();
-        for iv in &br.block.iter_vars {
-            let fresh = Var::int(format!("r{}", loops.len()));
-            bindings.push(Expr::from(&fresh));
-            loops.push((fresh, iv.extent));
-        }
-        let nest = Stmt::BlockRealize(Box::new(BlockRealize::with_predicate(
-            bindings,
-            br.predicate.clone(),
-            br.block,
-        )))
-        .in_loops(loops);
-        self.rewrite_body(|body| match body {
-            Stmt::BlockRealize(mut root) => {
-                root.block.body = Box::new(Stmt::seq(vec![*root.block.body, nest]));
-                Ok(Stmt::BlockRealize(root))
-            }
-            other => Ok(Stmt::seq(vec![other, nest])),
-        })
+        self.rewrite_body(|body| prune_empty(extract_block(body, block.name(), &mut out)));
+        out.ok_or_else(|| ScheduleError::BlockNotFound(block.name().to_string()))
     }
 
     /// Moves producer `block` to the top of `loop_ref`'s body, shrinking it
@@ -440,13 +413,9 @@ impl Schedule {
     ///
     /// Fails when the block/loop is missing, the block writes more than one
     /// buffer, or no consumer under the loop reads its output; on failure
-    /// the schedule is left unchanged (modulo canonical loop regeneration).
+    /// the schedule is left unchanged.
     pub fn compute_at(&mut self, block: &BlockRef, loop_ref: &LoopRef) -> Result<()> {
-        self.transactional(|s| s.compute_at_impl(block, loop_ref))
-    }
-
-    fn compute_at_impl(&mut self, block: &BlockRef, loop_ref: &LoopRef) -> Result<()> {
-        let br = self.take_block(block)?;
+        let br = self.block_node(block)?;
         if br.block.writes.len() != 1 {
             return Err(ScheduleError::Precondition(format!(
                 "compute_at requires a single-output block, {} writes {} buffers",
@@ -454,25 +423,26 @@ impl Schedule {
                 br.block.writes.len()
             )));
         }
-        let buffer = br.block.writes[0].buffer.clone();
-        let guard_shape = buffer.shape().to_vec();
-        let block_data = br.block.clone();
-        let loop_var = loop_ref.var().clone();
-        let result = self.rewrite_loop(loop_ref, |f: tir::For| {
-            let region = required_region(&f.body, &buffer, true, false).ok_or_else(|| {
+        let buffer = &br.block.writes[0].buffer;
+        // A consumer under the loop keeps the loop alive when the producer
+        // is taken out below, so the attach point cannot be pruned away.
+        let region = required_region(&self.loop_node(loop_ref)?.body, buffer, true, false)
+            .ok_or_else(|| {
                 ScheduleError::Precondition(format!(
                     "no consumer of {} under loop {}",
                     buffer.name(),
-                    loop_var.name()
+                    loop_ref.var().name()
                 ))
             })?;
-            let nest = realize_over_region(&block_data, &region, &guard_shape)?;
-            Ok(Stmt::For(Box::new(tir::For {
+        let nest = realize_over_region(&br.block, &region, buffer.shape())?;
+
+        self.take_block(block)?;
+        self.rewrite_loop(loop_ref, |f: tir::For| {
+            Stmt::For(Box::new(tir::For {
                 body: Stmt::seq(vec![nest, f.body]),
                 ..f
-            })))
-        });
-        result?;
+            }))
+        })?;
         self.record(TraceStep::new(
             "compute_at",
             vec![
@@ -490,60 +460,56 @@ impl Schedule {
     ///
     /// Fails symmetrically to [`Schedule::compute_at`].
     pub fn reverse_compute_at(&mut self, block: &BlockRef, loop_ref: &LoopRef) -> Result<()> {
-        self.transactional(|s| s.reverse_compute_at_impl(block, loop_ref))
-    }
-
-    fn reverse_compute_at_impl(&mut self, block: &BlockRef, loop_ref: &LoopRef) -> Result<()> {
-        let br = self.take_block(block)?;
-        let block_data = br.block.clone();
-        let loop_var = loop_ref.var().clone();
-        let read_buffers: Vec<Buffer> = br.block.reads.iter().map(|r| r.buffer.clone()).collect();
-        let out_shape: Vec<i64> = br.block.writes[0].buffer.shape().to_vec();
-        let result = self.rewrite_loop(loop_ref, |f: tir::For| {
-            let mut produced_region = None;
-            for b in &read_buffers {
-                if let Some(r) = required_region(&f.body, b, false, true) {
-                    produced_region = Some((b.clone(), r));
-                    break;
-                }
-            }
-            let (pbuf, region) = produced_region.ok_or_else(|| {
+        let consumer = &self.block_node(block)?.block;
+        let under_loop = &self.loop_node(loop_ref)?.body;
+        let (pbuf, region) = consumer
+            .reads
+            .iter()
+            .find_map(|r| {
+                Some((
+                    &r.buffer,
+                    required_region(under_loop, &r.buffer, false, true)?,
+                ))
+            })
+            .ok_or_else(|| {
                 ScheduleError::Precondition(format!(
                     "no producer for any input of {} under loop {}",
-                    block_data.name,
-                    loop_var.name()
+                    consumer.name,
+                    loop_ref.var().name()
                 ))
             })?;
-            // The consumer must read pbuf at exactly its spatial iterators
-            // (identity mapping) so the produced region carries over.
-            let spatial_vars: Vec<&Var> = block_data
-                .iter_vars
-                .iter()
-                .filter(|iv| iv.kind == IterKind::Spatial)
-                .map(|iv| &iv.var)
-                .collect();
-            let reads_identity = block_data.reads.iter().any(|r| {
-                r.buffer == pbuf
-                    && r.region.len() == spatial_vars.len()
-                    && r.region
-                        .iter()
-                        .zip(&spatial_vars)
-                        .all(|(rr, v)| rr.min.as_var() == Some(v))
-            });
-            if !reads_identity {
-                return Err(ScheduleError::Precondition(format!(
-                    "reverse_compute_at requires {} to read {} at its spatial iterators",
-                    block_data.name,
-                    pbuf.name()
-                )));
-            }
-            let nest = realize_over_region(&block_data, &region, &out_shape)?;
-            Ok(Stmt::For(Box::new(tir::For {
+        // The consumer must read pbuf at exactly its spatial iterators
+        // (identity mapping) so the produced region carries over.
+        let spatial_vars: Vec<&Var> = consumer
+            .iter_vars
+            .iter()
+            .filter(|iv| iv.kind == IterKind::Spatial)
+            .map(|iv| &iv.var)
+            .collect();
+        let reads_identity = consumer.reads.iter().any(|r| {
+            &r.buffer == pbuf
+                && r.region.len() == spatial_vars.len()
+                && r.region
+                    .iter()
+                    .zip(&spatial_vars)
+                    .all(|(rr, v)| rr.min.as_var() == Some(v))
+        });
+        if !reads_identity {
+            return Err(ScheduleError::Precondition(format!(
+                "reverse_compute_at requires {} to read {} at its spatial iterators",
+                consumer.name,
+                pbuf.name()
+            )));
+        }
+        let nest = realize_over_region(consumer, &region, consumer.writes[0].buffer.shape())?;
+
+        self.take_block(block)?;
+        self.rewrite_loop(loop_ref, |f: tir::For| {
+            Stmt::For(Box::new(tir::For {
                 body: Stmt::seq(vec![f.body, nest]),
                 ..f
-            })))
-        });
-        result?;
+            }))
+        })?;
         self.record(TraceStep::new(
             "reverse_compute_at",
             vec![
@@ -561,11 +527,7 @@ impl Schedule {
     /// Fails when the block has reductions, multiple statements, or
     /// non-identity store indices.
     pub fn compute_inline(&mut self, block: &BlockRef) -> Result<()> {
-        self.transactional(|s| s.compute_inline_impl(block))
-    }
-
-    fn compute_inline_impl(&mut self, block: &BlockRef) -> Result<()> {
-        let br = self.take_block(block)?;
+        let br = self.block_node(block)?;
         if br.block.is_reduction() {
             return Err(ScheduleError::Precondition(
                 "compute_inline requires a spatial-only block".into(),
@@ -575,24 +537,20 @@ impl Schedule {
             buffer,
             indices,
             value,
-        } = (*br.block.body).clone()
+        } = &*br.block.body
         else {
             return Err(ScheduleError::Precondition(
                 "compute_inline requires a single-store body".into(),
             ));
         };
         let iter_vars = br.block.iter_var_handles();
-        let identity = indices.len() == iter_vars.len()
-            && indices
-                .iter()
-                .zip(&iter_vars)
-                .all(|(e, v)| e.as_var() == Some(v));
-        if !identity {
+        if !is_identity(indices, &iter_vars) {
             return Err(ScheduleError::Precondition(format!(
                 "compute_inline requires identity store indices in block {}",
                 block.name()
             )));
         }
+        let (buffer, value) = (buffer.clone(), value.clone());
         struct Inliner<'a> {
             buffer: &'a Buffer,
             iter_vars: &'a [Var],
@@ -636,11 +594,11 @@ impl Schedule {
             iter_vars: &iter_vars,
             template: &value,
         };
+        self.take_block(block)?;
         self.rewrite_body(|body| {
             use tir::visit::StmtMutator as _;
-            let new_body = inliner.mutate_stmt(body);
-            Ok(drop_alloc(new_body, &buffer))
-        })?;
+            drop_alloc(inliner.mutate_stmt(body), &buffer)
+        });
         self.record(TraceStep::new("compute_inline", vec![block.name().into()]))
     }
 
@@ -654,44 +612,28 @@ impl Schedule {
     /// Fails when the consumer is not a pure elementwise epilogue or the
     /// producer reduces (the epilogue would apply to partial values).
     pub fn reverse_compute_inline(&mut self, block: &BlockRef) -> Result<()> {
-        self.transactional(|s| s.reverse_compute_inline_impl(block))
-    }
-
-    fn reverse_compute_inline_impl(&mut self, block: &BlockRef) -> Result<()> {
-        let br = self.take_block(block)?;
-        macro_rules! bail {
-            ($br:expr, $msg:expr) => {{
-                let _ = $br;
-                return Err(ScheduleError::Precondition($msg.into()));
-            }};
-        }
+        let br = self.block_node(block)?;
         if br.block.is_reduction() {
-            bail!(br, "reverse_compute_inline requires a spatial block");
+            return precondition("reverse_compute_inline requires a spatial block");
         }
         let Stmt::Store {
             buffer: dst,
             indices,
             value,
-        } = (*br.block.body).clone()
+        } = &*br.block.body
         else {
-            bail!(br, "reverse_compute_inline requires a single store");
+            return precondition("reverse_compute_inline requires a single store");
         };
         let iter_vars = br.block.iter_var_handles();
-        let identity = indices.len() == iter_vars.len()
-            && indices
-                .iter()
-                .zip(&iter_vars)
-                .all(|(e, v)| e.as_var() == Some(v));
-        if !identity {
-            bail!(br, "consumer store indices must be identity");
+        if !is_identity(indices, &iter_vars) {
+            return precondition("consumer store indices must be identity");
         }
-        let read_bufs: Vec<Buffer> = br.block.reads.iter().map(|r| r.buffer.clone()).collect();
-        if read_bufs.len() != 1 {
-            bail!(br, "consumer must read exactly one buffer");
-        }
-        let src = read_bufs[0].clone();
+        let [read] = &br.block.reads[..] else {
+            return precondition("consumer must read exactly one buffer");
+        };
+        let src = read.buffer.clone();
         if src.shape() != dst.shape() {
-            bail!(br, "source and destination shapes must match");
+            return precondition("source and destination shapes must match");
         }
         // Reject reduction producers: the epilogue must only see the final
         // value (decompose the reduction first).
@@ -702,12 +644,12 @@ impl Schedule {
             }
         });
         if producer_reduces {
-            bail!(
-                br,
+            return precondition(
                 "reverse_compute_inline into a reduction producer is unsound; \
-                 use decompose_reduction first"
+                 use decompose_reduction first",
             );
         }
+        let (dst, value) = (dst.clone(), value.clone());
         struct Rewriter<'a> {
             src: &'a Buffer,
             dst: &'a Buffer,
@@ -785,16 +727,25 @@ impl Schedule {
             iter_vars: &iter_vars,
             template: &value,
         };
+        self.take_block(block)?;
         self.rewrite_body(|body| {
             use tir::visit::StmtMutator as _;
-            let new_body = rewriter.mutate_stmt(body);
-            Ok(drop_alloc(new_body, &src))
-        })?;
+            drop_alloc(rewriter.mutate_stmt(body), &src)
+        });
         self.record(TraceStep::new(
             "reverse_compute_inline",
             vec![block.name().into()],
         ))
     }
+}
+
+/// Whether a store's indices are exactly the block's iterators, in order.
+pub(crate) fn is_identity(indices: &[Expr], iter_vars: &[Var]) -> bool {
+    indices.len() == iter_vars.len()
+        && indices
+            .iter()
+            .zip(iter_vars)
+            .all(|(e, v)| e.as_var() == Some(v))
 }
 
 /// Removes `buffer` from every block's allocation list (after inlining).

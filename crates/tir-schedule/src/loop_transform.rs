@@ -123,7 +123,7 @@ impl Schedule {
                 let kind = if k == 0 { f.kind } else { ForKind::Serial };
                 stmt = Stmt::For(Box::new(For::with_kind(var.clone(), *factor, kind, stmt)));
             }
-            Ok(simplify_stmt(&stmt))
+            simplify_stmt(&stmt)
         })?;
         self.record(TraceStep::new(
             "split",
@@ -157,55 +157,58 @@ impl Schedule {
         let total: i64 = extents.iter().product();
         let vars: Vec<Var> = loops.iter().map(|l| l.var().clone()).collect();
 
-        self.rewrite_loop(&loops[0].clone(), |outer: For| {
-            // Verify the perfect nest and collect the innermost body.
-            let mut kinds = vec![outer.kind];
-            let mut current = outer.body;
-            let mut chain_vars = vec![outer.var.clone()];
-            for l in &loops[1..] {
-                match current {
-                    Stmt::For(f) if &f.var == l.var() => {
-                        kinds.push(f.kind);
-                        chain_vars.push(f.var.clone());
-                        current = f.body;
-                    }
-                    other => {
-                        return Err(ScheduleError::Precondition(format!(
-                            "loops are not perfectly nested at {}: found {}",
-                            l.var().name(),
-                            match &other {
-                                Stmt::For(f) => format!("loop {}", f.var.name()),
-                                _ => "non-loop statement".to_string(),
-                            }
-                        )))
-                    }
+        // Check the perfect nest on a borrow; nothing is touched on failure.
+        let mut current = self.loop_node(&loops[0])?;
+        let mut all_serial = current.kind == ForKind::Serial;
+        for l in &loops[1..] {
+            match &current.body {
+                Stmt::For(f) if &f.var == l.var() => current = f,
+                other => {
+                    return Err(ScheduleError::Precondition(format!(
+                        "loops are not perfectly nested at {}: found {}",
+                        l.var().name(),
+                        match other {
+                            Stmt::For(f) => format!("loop {}", f.var.name()),
+                            _ => "non-loop statement".to_string(),
+                        }
+                    )))
                 }
             }
-            if kinds.iter().any(|k| *k != ForKind::Serial) {
-                return Err(ScheduleError::Precondition(
-                    "fuse requires serial loops".into(),
-                ));
+            all_serial &= current.kind == ForKind::Serial;
+        }
+        if !all_serial {
+            return Err(ScheduleError::Precondition(
+                "fuse requires serial loops".into(),
+            ));
+        }
+        // l_k = (fused // prod_{j>k} E_j) % E_k  (outermost: no modulo).
+        let mut map = HashMap::new();
+        let mut div = 1i64;
+        for (k, var) in vars.iter().enumerate().rev() {
+            let mut e = Expr::from(&fused);
+            if div != 1 {
+                e = e.floor_div(div);
             }
-            // l_k = (fused // prod_{j>k} E_j) % E_k  (outermost: no modulo).
-            let mut map = HashMap::new();
-            let mut div = 1i64;
-            for (k, var) in chain_vars.iter().enumerate().rev() {
-                let mut e = Expr::from(&fused);
-                if div != 1 {
-                    e = e.floor_div(div);
-                }
-                if k != 0 {
-                    e = e.floor_mod(extents[k]);
-                }
-                map.insert(var.clone(), e);
-                div *= extents[k];
+            if k != 0 {
+                e = e.floor_mod(extents[k]);
             }
-            let body = subst_stmt(&current, &map);
-            Ok(simplify_stmt(&Stmt::For(Box::new(For::serial(
+            map.insert(var.clone(), e);
+            div *= extents[k];
+        }
+
+        self.rewrite_loop(&loops[0], |outer: For| {
+            let mut innermost = outer.body;
+            for _ in &loops[1..] {
+                if let Stmt::For(f) = innermost {
+                    innermost = f.body;
+                }
+            }
+            let body = subst_stmt(&innermost, &map);
+            simplify_stmt(&Stmt::For(Box::new(For::serial(
                 fused.clone(),
                 total,
                 body,
-            )))))
+            ))))
         })?;
         self.record(TraceStep::new(
             "fuse",
@@ -257,61 +260,58 @@ impl Schedule {
         let head = find_head(&self.func.body, &target_vars)
             .ok_or_else(|| ScheduleError::LoopNotFound(names.join(", ")))?;
 
-        self.rewrite_loop(&LoopRef(head), |outer: For| {
-            // Collect the chain until all targets are found.
-            let mut chain: Vec<For> = Vec::new();
-            let mut found = 0usize;
-            let mut current = Stmt::For(Box::new(outer));
-            loop {
-                match current {
-                    Stmt::For(f) => {
-                        let f = *f;
-                        if target_vars.contains(&f.var) {
-                            found += 1;
-                        }
-                        let body = f.body.clone();
-                        chain.push(f);
-                        if found == target_vars.len() {
-                            current = body;
-                            break;
-                        }
-                        current = body;
-                    }
-                    _ => {
-                        return Err(ScheduleError::Precondition(format!(
-                            "loops {names:?} are not on a single nesting chain"
-                        )))
-                    }
+        // Walk the chain on a borrow until every target is found.
+        let head = LoopRef(head);
+        let mut chain_vars: Vec<&Var> = Vec::new();
+        let mut found = 0usize;
+        let mut current = self.loop_node(&head)?;
+        loop {
+            found += usize::from(target_vars.contains(&current.var));
+            chain_vars.push(&current.var);
+            if found == target_vars.len() {
+                break;
+            }
+            match &current.body {
+                Stmt::For(f) => current = f,
+                _ => {
+                    return Err(ScheduleError::Precondition(format!(
+                        "loops {names:?} are not on a single nesting chain"
+                    )))
                 }
             }
-            let innermost_body = current;
-            // Permute: positions of targets get the new order.
-            let mut order_iter = target_vars.iter();
-            let new_chain: Vec<&For> = chain
-                .iter()
-                .map(|f| {
-                    if target_vars.contains(&f.var) {
-                        let next = order_iter.next().expect("counted above");
-                        chain
-                            .iter()
-                            .find(|c| &c.var == next)
-                            .expect("target on chain")
-                    } else {
-                        f
-                    }
-                })
-                .collect();
-            let mut stmt = innermost_body;
-            for f in new_chain.into_iter().rev() {
-                stmt = Stmt::For(Box::new(For {
-                    var: f.var.clone(),
-                    extent: f.extent.clone(),
-                    kind: f.kind,
-                    body: stmt,
-                    annotations: f.annotations.clone(),
-                }));
+        }
+        // Positions of targets get the new order; other loops stay put.
+        let mut order_iter = target_vars.iter();
+        let sources: Vec<usize> = chain_vars
+            .iter()
+            .map(|&v| {
+                let wanted = if target_vars.contains(v) {
+                    order_iter.next().expect("counted above")
+                } else {
+                    v
+                };
+                chain_vars
+                    .iter()
+                    .position(|&c| c == wanted)
+                    .expect("target on chain")
+            })
+            .collect();
+
+        self.rewrite_loop(&head, |outer: For| {
+            // Peel the chain off the innermost body, then re-nest it.
+            let mut chain: Vec<Option<For>> = Vec::with_capacity(sources.len());
+            let mut current = Stmt::For(Box::new(outer));
+            for _ in 0..sources.len() {
+                if let Stmt::For(mut f) = current {
+                    current = std::mem::replace(&mut f.body, Stmt::Seq(Vec::new()));
+                    chain.push(Some(*f));
+                }
             }
-            Ok(stmt)
+            for &from in sources.iter().rev() {
+                let f = chain[from].take().expect("each loop is placed once");
+                current = Stmt::For(Box::new(For { body: current, ..f }));
+            }
+            current
         })?;
         self.record(TraceStep::new(
             "reorder",
@@ -322,7 +322,7 @@ impl Schedule {
     fn set_loop_kind(&mut self, loop_ref: &LoopRef, kind: ForKind, prim: &str) -> Result<()> {
         self.rewrite_loop(loop_ref, |mut f: For| {
             f.kind = kind;
-            Ok(Stmt::For(Box::new(f)))
+            Stmt::For(Box::new(f))
         })?;
         self.record(TraceStep::new(
             prim,
@@ -365,7 +365,7 @@ impl Schedule {
     pub fn bind(&mut self, loop_ref: &LoopRef, tag: ThreadTag) -> Result<()> {
         self.rewrite_loop(loop_ref, |mut f: For| {
             f.kind = ForKind::ThreadBinding(tag);
-            Ok(Stmt::For(Box::new(f)))
+            Stmt::For(Box::new(f))
         })?;
         self.record(TraceStep::new(
             "bind",
@@ -386,7 +386,7 @@ impl Schedule {
         let value_copy = value.clone();
         self.rewrite_loop(loop_ref, |mut f: For| {
             f.annotations.insert(key_owned, value);
-            Ok(Stmt::For(Box::new(f)))
+            Stmt::For(Box::new(f))
         })?;
         self.record(TraceStep::new(
             "annotate",

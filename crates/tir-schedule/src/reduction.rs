@@ -8,7 +8,8 @@ use tir::simplify::simplify_expr;
 use tir::visit::{collect_vars_expr, subst_expr, subst_stmt};
 use tir::{Block, BlockRealize, Expr, IterKind, IterVar, Stmt, Var};
 
-use crate::schedule::{BlockRef, LoopRef, Result, Schedule, ScheduleError};
+use crate::compute_location::is_identity;
+use crate::schedule::{precondition, BlockRef, LoopRef, Result, Schedule, ScheduleError};
 use crate::trace::TraceStep;
 
 impl Schedule {
@@ -32,15 +33,13 @@ impl Schedule {
     ) -> Result<BlockRef> {
         // Gather info about the block realize and the loops between
         // loop_ref and the block.
-        let br = tir::visit::find_block(&self.func.body, block.name())
-            .ok_or_else(|| ScheduleError::BlockNotFound(block.name().to_string()))?
-            .clone();
-        if br.block.init.is_none() {
+        let br = self.block_node(block)?;
+        let Some(init) = br.block.init.as_deref() else {
             return Err(ScheduleError::Precondition(format!(
                 "block {} has no init statement",
                 block.name()
             )));
-        }
+        };
         let all_loops = self.loop_infos(block)?;
         let pivot = all_loops
             .iter()
@@ -93,10 +92,7 @@ impl Schedule {
                 init_bindings.push(simplify_expr(&subst_expr(value, &var_map)));
             }
         }
-        let init_body = subst_stmt(
-            br.block.init.as_deref().expect("checked above"),
-            &spatial_map,
-        );
+        let init_body = subst_stmt(init, &spatial_map);
         let init_writes = br
             .block
             .writes
@@ -146,11 +142,11 @@ impl Schedule {
         // Remove init from the original block.
         self.rewrite_block(block, |mut br: BlockRealize| {
             br.block.init = None;
-            Ok(Stmt::BlockRealize(Box::new(br)))
+            Stmt::BlockRealize(Box::new(br))
         })?;
         // Insert the init nest before the pivot loop.
         self.rewrite_loop(loop_ref, |f: tir::For| {
-            Ok(Stmt::seq(vec![init_nest, Stmt::For(Box::new(f))]))
+            Stmt::seq(vec![init_nest, Stmt::For(Box::new(f))])
         })?;
         self.record(TraceStep::new(
             "decompose_reduction",
@@ -255,84 +251,72 @@ impl Schedule {
         init_block: &BlockRef,
         update_block: &BlockRef,
     ) -> Result<()> {
-        let init_name = init_block.name().to_string();
-        let update_name = update_block.name().to_string();
-        self.transactional(|sch| {
-            let init_br = sch.take_block(&BlockRef(init_name.clone()))?;
-            if init_br.block.is_reduction() || init_br.block.init.is_some() {
-                return Err(ScheduleError::Precondition(
-                    "init block must be spatial-only without its own init".into(),
-                ));
-            }
-            let Stmt::Store {
-                buffer: init_buf,
-                indices: init_idx,
-                value: init_value,
-            } = (*init_br.block.body).clone()
-            else {
-                return Err(ScheduleError::Precondition(
-                    "init block body must be a single store".into(),
-                ));
-            };
-            let init_vars = init_br.block.iter_var_handles();
-            let identity = init_idx.len() == init_vars.len()
-                && init_idx
-                    .iter()
-                    .zip(&init_vars)
-                    .all(|(e, v)| e.as_var() == Some(v));
-            if !identity {
-                return Err(ScheduleError::Precondition(
-                    "init block must store at its own iterator variables".into(),
-                ));
-            }
-            sch.rewrite_block(&BlockRef(update_name.clone()), |mut br| {
-                if br.block.init.is_some() {
-                    return Err(ScheduleError::Precondition(format!(
-                        "update block {update_name} already has an init"
-                    )));
-                }
-                // The update block must reduce into the same buffer at its
-                // spatial iterators.
-                let Stmt::Store {
-                    buffer, indices, ..
-                } = &*br.block.body
-                else {
-                    return Err(ScheduleError::Precondition(
-                        "update block body must be a single store".into(),
-                    ));
-                };
-                if buffer != &init_buf {
-                    return Err(ScheduleError::Precondition(format!(
-                        "init writes {} but the update block reduces into {}",
-                        init_buf.name(),
-                        buffer.name()
-                    )));
-                }
-                // Map init iterator variables to the update block's store
-                // indices positionally.
-                if indices.len() != init_vars.len() {
-                    return Err(ScheduleError::Precondition(
-                        "init/update output ranks differ".into(),
-                    ));
-                }
-                let map: std::collections::HashMap<Var, Expr> = init_vars
-                    .iter()
-                    .cloned()
-                    .zip(indices.iter().cloned())
-                    .collect();
-                let init_stmt = Stmt::Store {
-                    buffer: init_buf.clone(),
-                    indices: indices.clone(),
-                    value: tir::visit::subst_expr(&init_value, &map),
-                };
-                br.block.init = Some(Box::new(init_stmt));
-                Ok(Stmt::BlockRealize(Box::new(br)))
-            })?;
-            sch.record(TraceStep::new(
-                "merge_reduction",
-                vec![init_name.clone().into(), update_name.clone().into()],
-            ))
-        })
+        let init_br = self.block_node(init_block)?;
+        if init_br.block.is_reduction() || init_br.block.init.is_some() {
+            return precondition("init block must be spatial-only without its own init");
+        }
+        let Stmt::Store {
+            buffer: init_buf,
+            indices: init_idx,
+            value: init_value,
+        } = &*init_br.block.body
+        else {
+            return precondition("init block body must be a single store");
+        };
+        let init_vars = init_br.block.iter_var_handles();
+        if !is_identity(init_idx, &init_vars) {
+            return precondition("init block must store at its own iterator variables");
+        }
+        let update_br = self.block_node(update_block)?;
+        if init_block == update_block {
+            return precondition("init and update must be two blocks");
+        }
+        if update_br.block.init.is_some() {
+            return precondition(format!(
+                "update block {} already has an init",
+                update_block.name()
+            ));
+        }
+        // The update block must reduce into the same buffer at its
+        // spatial iterators.
+        let Stmt::Store {
+            buffer, indices, ..
+        } = &*update_br.block.body
+        else {
+            return precondition("update block body must be a single store");
+        };
+        if buffer != init_buf {
+            return precondition(format!(
+                "init writes {} but the update block reduces into {}",
+                init_buf.name(),
+                buffer.name()
+            ));
+        }
+        // Map init iterator variables to the update block's store
+        // indices positionally.
+        if indices.len() != init_vars.len() {
+            return precondition("init/update output ranks differ");
+        }
+        let map: HashMap<Var, Expr> = init_vars
+            .iter()
+            .cloned()
+            .zip(indices.iter().cloned())
+            .collect();
+        let init_stmt = Stmt::Store {
+            buffer: init_buf.clone(),
+            indices: indices.clone(),
+            value: subst_expr(init_value, &map),
+        };
+
+        self.take_block(init_block)?;
+        self.rewrite_block(update_block, |mut br| {
+            br.block.init = Some(Box::new(init_stmt));
+            Stmt::BlockRealize(Box::new(br))
+        })?;
+        self.record(TraceStep::new(
+            "merge_reduction",
+            vec![init_block.name().into(), update_block.name().into()],
+        ))
     }
 }
 

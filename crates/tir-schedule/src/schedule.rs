@@ -75,6 +75,11 @@ impl std::error::Error for ScheduleError {}
 /// Schedule result type.
 pub type Result<T> = std::result::Result<T, ScheduleError>;
 
+/// `Err(ScheduleError::Precondition(msg))`, for early returns.
+pub(crate) fn precondition<T>(msg: impl Into<String>) -> Result<T> {
+    Err(ScheduleError::Precondition(msg.into()))
+}
+
 /// A schedulable program with its transformation trace.
 ///
 /// # Examples
@@ -101,8 +106,9 @@ pub struct Schedule {
     /// Defaults to on in debug builds (so the test suite exercises it) and
     /// off in release builds (opt in with [`Schedule::set_auto_verify`]).
     auto_verify: bool,
-    /// Body snapshot taken by the first structural rewrite since the last
-    /// committed primitive; used to roll back when auto-verify rejects.
+    /// Body snapshot taken before the first structural rewrite since the
+    /// last committed primitive, and only while auto-verify is on: its one
+    /// reader is the roll-back in [`Schedule::record`].
     undo: Option<Stmt>,
 }
 
@@ -148,12 +154,20 @@ impl Schedule {
         self.auto_verify = on;
     }
 
-    /// Remembers `backup` as the rollback point for the in-flight primitive
-    /// (first snapshot since the last commit wins).
-    fn stash_undo(&mut self, backup: Stmt) {
-        if self.auto_verify && self.undo.is_none() {
-            self.undo = Some(backup);
+    /// Runs one in-place rewrite of the body; `rewrite` reports whether it
+    /// changed anything (it must leave the body untouched when it reports
+    /// `false`). Primitives check every precondition on a borrow first and
+    /// only then commit through here, so there is nothing to restore on
+    /// their error paths. The one exception is an auto-verify rejection,
+    /// which is only known after the fact: with auto-verify on, the first
+    /// rewrite of a primitive snapshots the body for [`Schedule::record`].
+    pub(crate) fn mutate_body(&mut self, rewrite: impl FnOnce(&mut Stmt) -> bool) -> bool {
+        let snapshot = (self.auto_verify && self.undo.is_none()).then(|| self.func.body.clone());
+        let changed = rewrite(&mut self.func.body);
+        if changed && snapshot.is_some() {
+            self.undo = snapshot;
         }
+        changed
     }
 
     /// The current program.
@@ -189,23 +203,6 @@ impl Schedule {
         }
         self.undo = None;
         Ok(())
-    }
-
-    /// Runs `f`; on error, restores the program and trace to their prior
-    /// state so failed primitives leave the schedule untouched.
-    pub(crate) fn transactional<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
-        let backup = self.func.clone();
-        let trace_len = self.trace.len();
-        let result = f(self);
-        self.undo = None;
-        match result {
-            Ok(v) => Ok(v),
-            Err(e) => {
-                self.func = backup;
-                self.trace.truncate(trace_len);
-                Err(e)
-            }
-        }
     }
 
     /// Looks up a block by name.
@@ -301,65 +298,87 @@ impl Schedule {
     ///
     /// Returns [`ScheduleError::LoopNotFound`] if absent or non-constant.
     pub fn loop_extent(&self, loop_ref: &LoopRef) -> Result<i64> {
-        let mut found = None;
-        find_loop(&self.func.body, loop_ref.var(), &mut |f| {
-            found = f.extent.as_int();
-        });
-        found.ok_or_else(|| ScheduleError::LoopNotFound(loop_ref.var().name().to_string()))
+        self.loop_node(loop_ref)?
+            .extent
+            .as_int()
+            .ok_or_else(|| ScheduleError::LoopNotFound(loop_ref.var().name().to_string()))
     }
 
-    /// Rewrites the loop identified by `loop_ref` with `f`. Used by every
-    /// loop-level primitive.
+    /// The `For` node of a loop, for precondition checks on a borrow.
+    pub(crate) fn loop_node(&self, loop_ref: &LoopRef) -> Result<&tir::For> {
+        find_loop(&self.func.body, loop_ref.var())
+            .ok_or_else(|| ScheduleError::LoopNotFound(loop_ref.var().name().to_string()))
+    }
+
+    /// The realize of a block, for precondition checks on a borrow.
+    pub(crate) fn block_node(&self, block: &BlockRef) -> Result<&tir::BlockRealize> {
+        tir::visit::find_block(&self.func.body, block.name())
+            .ok_or_else(|| ScheduleError::BlockNotFound(block.name().to_string()))
+    }
+
+    /// Replaces the first statement `is_target` accepts with `f(statement)`,
+    /// in place; reports whether there was one.
+    fn rewrite_node(
+        &mut self,
+        is_target: impl Fn(&Stmt) -> bool,
+        f: impl FnOnce(Stmt) -> Stmt,
+    ) -> bool {
+        let mut f = Some(f);
+        self.mutate_body(|body| {
+            rewrite_first(body, &mut |slot| {
+                if !is_target(slot) {
+                    return false;
+                }
+                let f = f.take().expect("rewrite_first stops at the first match");
+                *slot = f(std::mem::replace(slot, Stmt::Seq(Vec::new())));
+                true
+            })
+        })
+    }
+
+    /// Replaces the loop identified by `loop_ref` with `f(loop)`, in place.
+    /// `f` cannot fail: callers check their preconditions first (on
+    /// [`Schedule::loop_node`]), so a missing loop is the only error and
+    /// leaves the program untouched.
     pub(crate) fn rewrite_loop(
         &mut self,
         loop_ref: &LoopRef,
-        f: impl FnOnce(tir::For) -> Result<Stmt>,
+        f: impl FnOnce(tir::For) -> Stmt,
     ) -> Result<()> {
-        let backup = self.func.body.clone();
-        let body = std::mem::replace(&mut self.func.body, Stmt::Seq(vec![]));
-        let mut f = Some(f);
-        match rewrite_loop_in(body, loop_ref.var(), &mut f) {
-            Ok((new_body, true)) => {
-                self.func.body = new_body;
-                self.stash_undo(backup);
-                Ok(())
-            }
-            Ok((_, false)) => {
-                self.func.body = backup;
-                Err(ScheduleError::LoopNotFound(
-                    loop_ref.var().name().to_string(),
-                ))
-            }
-            Err(e) => {
-                self.func.body = backup;
-                Err(e)
-            }
+        let var = loop_ref.var();
+        let found = self.rewrite_node(
+            |s| matches!(s, Stmt::For(fr) if &fr.var == var),
+            |s| match s {
+                Stmt::For(fr) => f(*fr),
+                other => other,
+            },
+        );
+        if found {
+            Ok(())
+        } else {
+            Err(ScheduleError::LoopNotFound(var.name().to_string()))
         }
     }
 
-    /// Rewrites the block realize identified by `block` with `f`.
+    /// Replaces the block realize identified by `block` with `f(realize)`,
+    /// in place; the contract of [`Schedule::rewrite_loop`] applies.
     pub(crate) fn rewrite_block(
         &mut self,
         block: &BlockRef,
-        f: impl FnOnce(tir::BlockRealize) -> Result<Stmt>,
+        f: impl FnOnce(tir::BlockRealize) -> Stmt,
     ) -> Result<()> {
-        let backup = self.func.body.clone();
-        let body = std::mem::replace(&mut self.func.body, Stmt::Seq(vec![]));
-        let mut f = Some(f);
-        match rewrite_block_in(body, block.name(), &mut f) {
-            Ok((new_body, true)) => {
-                self.func.body = new_body;
-                self.stash_undo(backup);
-                Ok(())
-            }
-            Ok((_, false)) => {
-                self.func.body = backup;
-                Err(ScheduleError::BlockNotFound(block.name().to_string()))
-            }
-            Err(e) => {
-                self.func.body = backup;
-                Err(e)
-            }
+        let name = block.name();
+        let found = self.rewrite_node(
+            |s| matches!(s, Stmt::BlockRealize(br) if br.block.name == name),
+            |s| match s {
+                Stmt::BlockRealize(br) => f(*br),
+                other => other,
+            },
+        );
+        if found {
+            Ok(())
+        } else {
+            Err(ScheduleError::BlockNotFound(name.to_string()))
         }
     }
 
@@ -371,7 +390,7 @@ impl Schedule {
     ///
     /// Fails when the loop is missing.
     pub fn replace_loop_subtree(&mut self, loop_ref: &LoopRef, stmt: Stmt) -> Result<()> {
-        self.rewrite_loop(loop_ref, |_| Ok(stmt))
+        self.rewrite_loop(loop_ref, |_| stmt)
     }
 
     /// Block names contained in the subtree rooted at `loop_ref`.
@@ -380,11 +399,7 @@ impl Schedule {
     ///
     /// Fails when the loop is missing.
     pub fn blocks_under_loop(&self, loop_ref: &LoopRef) -> Result<Vec<String>> {
-        let mut names = None;
-        find_loop(&self.func.body, loop_ref.var(), &mut |f| {
-            names = Some(tir::visit::block_names(&f.body));
-        });
-        names.ok_or_else(|| ScheduleError::LoopNotFound(loop_ref.var().name().to_string()))
+        Ok(tir::visit::block_names(&self.loop_node(loop_ref)?.body))
     }
 
     /// Finds a buffer by name among parameters, allocations and accessed
@@ -437,7 +452,7 @@ impl Schedule {
         let value_copy = value.clone();
         self.rewrite_block(block, |mut br: tir::BlockRealize| {
             br.block.annotations.insert(key_owned, value);
-            Ok(Stmt::BlockRealize(Box::new(br)))
+            Stmt::BlockRealize(Box::new(br))
         })?;
         self.record(TraceStep::new(
             "annotate_block",
@@ -492,200 +507,90 @@ impl Schedule {
     }
 
     /// Replaces the whole function body (used by global transformations).
-    pub(crate) fn rewrite_body(&mut self, f: impl FnOnce(Stmt) -> Result<Stmt>) -> Result<()> {
-        let backup = self.func.body.clone();
-        let body = std::mem::replace(&mut self.func.body, Stmt::Seq(vec![]));
-        match f(body) {
-            Ok(new_body) => {
-                self.func.body = new_body;
-                self.stash_undo(backup);
-                Ok(())
-            }
-            Err(e) => {
-                self.func.body = backup;
-                Err(e)
-            }
-        }
+    pub(crate) fn rewrite_body(&mut self, f: impl FnOnce(Stmt) -> Stmt) {
+        self.mutate_body(|body| {
+            *body = f(std::mem::replace(body, Stmt::Seq(Vec::new())));
+            true
+        });
     }
 }
 
-/// Calls `visit` on the `For` node with the given variable, if present.
-pub(crate) fn find_loop(s: &Stmt, var: &Var, visit: &mut impl FnMut(&tir::For)) {
+/// The `For` node with the given variable (first in a pre-order walk).
+fn find_loop<'a>(s: &'a Stmt, var: &Var) -> Option<&'a tir::For> {
     match s {
-        Stmt::For(f) => {
-            if &f.var == var {
-                visit(f);
-            } else {
-                find_loop(&f.body, var, visit);
-            }
+        Stmt::For(f) if &f.var == var => Some(f),
+        Stmt::For(f) => find_loop(&f.body, var),
+        Stmt::Seq(v) => v.iter().find_map(|st| find_loop(st, var)),
+        Stmt::IfThenElse {
+            then_branch,
+            else_branch,
+            ..
+        } => find_loop(then_branch, var)
+            .or_else(|| else_branch.as_deref().and_then(|e| find_loop(e, var))),
+        Stmt::BlockRealize(br) => {
+            let in_init = br.block.init.as_deref().and_then(|i| find_loop(i, var));
+            in_init.or_else(|| find_loop(&br.block.body, var))
         }
+        _ => None,
+    }
+}
+
+/// A short name for a statement's node kind, for error messages.
+pub(crate) fn stmt_kind(s: &Stmt) -> &'static str {
+    match s {
+        Stmt::Store { .. } => "a store",
+        Stmt::Eval(_) => "an evaluate",
+        Stmt::Seq(_) => "a statement sequence",
+        Stmt::IfThenElse { .. } => "an if",
+        Stmt::For(_) => "a loop",
+        Stmt::BlockRealize(_) => "a block",
+    }
+}
+
+/// Offers every statement slot to `try_rewrite` in pre-order (a block's
+/// init before its body) and stops at the first one it rewrites. The cost
+/// is the walk to the slot plus whatever `try_rewrite` does there; nothing
+/// beside the path is touched.
+///
+/// On the way back up, every `Seq` on the path is put back into the form
+/// [`Stmt::seq`] builds (nested sequences flattened, a singleton
+/// unwrapped): a rewrite may hand back a `Seq` or an empty one, and
+/// programs that differ only in `Seq` nesting hash differently.
+fn rewrite_first(s: &mut Stmt, try_rewrite: &mut impl FnMut(&mut Stmt) -> bool) -> bool {
+    if try_rewrite(s) {
+        return true;
+    }
+    match s {
+        Stmt::For(f) => rewrite_first(&mut f.body, try_rewrite),
         Stmt::Seq(v) => {
-            for st in v {
-                find_loop(st, var, visit);
+            if !v.iter_mut().any(|st| rewrite_first(st, try_rewrite)) {
+                return false;
             }
+            if v.len() == 1 || v.iter().any(|st| matches!(st, Stmt::Seq(_))) {
+                *s = Stmt::seq(std::mem::take(v));
+            }
+            true
         }
         Stmt::IfThenElse {
             then_branch,
             else_branch,
             ..
         } => {
-            find_loop(then_branch, var, visit);
-            if let Some(e) = else_branch {
-                find_loop(e, var, visit);
-            }
+            rewrite_first(then_branch, try_rewrite)
+                || else_branch
+                    .as_deref_mut()
+                    .is_some_and(|e| rewrite_first(e, try_rewrite))
         }
         Stmt::BlockRealize(br) => {
-            if let Some(init) = &br.block.init {
-                find_loop(init, var, visit);
-            }
-            find_loop(&br.block.body, var, visit);
+            br.block
+                .init
+                .as_deref_mut()
+                .is_some_and(|i| rewrite_first(i, try_rewrite))
+                || rewrite_first(&mut br.block.body, try_rewrite)
         }
-        _ => {}
+        _ => false,
     }
 }
-
-type LoopRewriter<'a> = &'a mut Option<Box<dyn FnOnce(tir::For) -> Result<Stmt> + 'a>>;
-
-fn rewrite_loop_in(
-    s: Stmt,
-    var: &Var,
-    f: &mut Option<impl FnOnce(tir::For) -> Result<Stmt>>,
-) -> Result<(Stmt, bool)> {
-    if f.is_none() {
-        return Ok((s, false));
-    }
-    match s {
-        Stmt::For(fr) => {
-            if &fr.var == var {
-                let func = f.take().expect("checked above");
-                return Ok((func(*fr)?, true));
-            }
-            let fr = *fr;
-            let (body, applied) = rewrite_loop_in(fr.body, var, f)?;
-            Ok((Stmt::For(Box::new(tir::For { body, ..fr })), applied))
-        }
-        Stmt::Seq(v) => {
-            let mut out = Vec::with_capacity(v.len());
-            let mut any = false;
-            for st in v {
-                let (st, applied) = rewrite_loop_in(st, var, f)?;
-                any |= applied;
-                out.push(st);
-            }
-            Ok((Stmt::seq(out), any))
-        }
-        Stmt::IfThenElse {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            let (t, mut any) = rewrite_loop_in(*then_branch, var, f)?;
-            let e = match else_branch {
-                Some(e) => {
-                    let (e, applied) = rewrite_loop_in(*e, var, f)?;
-                    any |= applied;
-                    Some(Box::new(e))
-                }
-                None => None,
-            };
-            Ok((
-                Stmt::IfThenElse {
-                    cond,
-                    then_branch: Box::new(t),
-                    else_branch: e,
-                },
-                any,
-            ))
-        }
-        Stmt::BlockRealize(br) => {
-            let mut br = *br;
-            let mut any = false;
-            if let Some(init) = br.block.init {
-                let (init, applied) = rewrite_loop_in(*init, var, f)?;
-                any |= applied;
-                br.block.init = Some(Box::new(init));
-            }
-            let (body, applied) = rewrite_loop_in(*br.block.body, var, f)?;
-            any |= applied;
-            br.block.body = Box::new(body);
-            Ok((Stmt::BlockRealize(Box::new(br)), any))
-        }
-        other => Ok((other, false)),
-    }
-}
-
-fn rewrite_block_in(
-    s: Stmt,
-    name: &str,
-    f: &mut Option<impl FnOnce(tir::BlockRealize) -> Result<Stmt>>,
-) -> Result<(Stmt, bool)> {
-    if f.is_none() {
-        return Ok((s, false));
-    }
-    match s {
-        Stmt::For(fr) => {
-            let fr = *fr;
-            let (body, applied) = rewrite_block_in(fr.body, name, f)?;
-            Ok((Stmt::For(Box::new(tir::For { body, ..fr })), applied))
-        }
-        Stmt::Seq(v) => {
-            let mut out = Vec::with_capacity(v.len());
-            let mut any = false;
-            for st in v {
-                let (st, applied) = rewrite_block_in(st, name, f)?;
-                any |= applied;
-                out.push(st);
-            }
-            Ok((Stmt::seq(out), any))
-        }
-        Stmt::IfThenElse {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            let (t, mut any) = rewrite_block_in(*then_branch, name, f)?;
-            let e = match else_branch {
-                Some(e) => {
-                    let (e, applied) = rewrite_block_in(*e, name, f)?;
-                    any |= applied;
-                    Some(Box::new(e))
-                }
-                None => None,
-            };
-            Ok((
-                Stmt::IfThenElse {
-                    cond,
-                    then_branch: Box::new(t),
-                    else_branch: e,
-                },
-                any,
-            ))
-        }
-        Stmt::BlockRealize(br) => {
-            if br.block.name == name {
-                let func = f.take().expect("checked above");
-                return Ok((func(*br)?, true));
-            }
-            let mut br = *br;
-            let mut any = false;
-            if let Some(init) = br.block.init {
-                let (init, applied) = rewrite_block_in(*init, name, f)?;
-                any |= applied;
-                br.block.init = Some(Box::new(init));
-            }
-            let (body, applied) = rewrite_block_in(*br.block.body, name, f)?;
-            any |= applied;
-            br.block.body = Box::new(body);
-            Ok((Stmt::BlockRealize(Box::new(br)), any))
-        }
-        other => Ok((other, false)),
-    }
-}
-
-// Silence the unused-alias lint on older toolchains where the helper alias
-// is only used in signatures.
-#[allow(dead_code)]
-fn _assert_alias(_: LoopRewriter<'_>) {}
 
 #[cfg(test)]
 mod tests {
@@ -721,9 +626,91 @@ mod tests {
         let loops = sch.get_loops(&block).expect("loops");
         // Replace the innermost loop with an empty sequence (nonsense, but
         // exercises the rewriter).
-        sch.rewrite_loop(&loops[2], |_| Ok(Stmt::Seq(vec![])))
+        sch.rewrite_loop(&loops[2], |_| Stmt::Seq(vec![]))
             .expect("rewrite");
         assert!(sch.get_loops(&block).is_err(), "block C should be gone");
+    }
+}
+
+#[cfg(test)]
+mod in_place_tests {
+    use super::*;
+    use tir::builder::compute;
+    use tir::{Buffer, DataType, Expr};
+
+    /// `n` independent one-loop nests in the root body, plus the loops.
+    fn nests(n: usize) -> (Vec<Stmt>, Vec<LoopRef>) {
+        let nests: Vec<Stmt> = (0..n)
+            .map(|k| {
+                let buf = Buffer::new(format!("T{k}"), DataType::float32(), vec![4]);
+                compute(&format!("b{k}"), &buf, |_| Expr::f32(k as f32))
+            })
+            .collect();
+        let loops = nests
+            .iter()
+            .map(|s| LoopRef(s.as_for().expect("loop nest").var.clone()))
+            .collect();
+        (nests, loops)
+    }
+
+    fn root_body(sch: &Schedule) -> &Stmt {
+        &sch.func().root_block().expect("root").body
+    }
+
+    /// A rewrite that hands back a `Seq` (or nothing) inside a `Seq` parent
+    /// leaves the tree `Stmt::seq` would have built: flat, and a lone
+    /// survivor unwrapped.
+    #[test]
+    fn rewrite_renormalizes_the_parent_seq() {
+        let (n, loops) = nests(3);
+        let (extra, _) = nests(2);
+        let mut sch = Schedule::new(PrimFunc::new("f", vec![], Stmt::seq(n.clone())));
+        let pair = extra.clone();
+        sch.rewrite_loop(&loops[1], |_| Stmt::seq(pair))
+            .expect("rewrite");
+        let want = Stmt::seq(vec![n[0].clone(), Stmt::seq(extra), n[2].clone()]);
+        assert!(matches!(&want, Stmt::Seq(v) if v.len() == 4));
+        assert!(tir::structural::stmt_structural_eq(root_body(&sch), &want));
+        assert_eq!(format!("{:?}", root_body(&sch)), format!("{want:?}"));
+
+        // Dropping statements: three become two, two become the survivor.
+        let mut sch = Schedule::new(PrimFunc::new("f", vec![], Stmt::seq(n.clone())));
+        sch.rewrite_loop(&loops[0], |_| Stmt::Seq(vec![]))
+            .expect("rewrite");
+        let want = Stmt::seq(vec![Stmt::Seq(vec![]), n[1].clone(), n[2].clone()]);
+        assert_eq!(format!("{:?}", root_body(&sch)), format!("{want:?}"));
+        sch.rewrite_loop(&loops[2], |_| Stmt::Seq(vec![]))
+            .expect("rewrite");
+        assert_eq!(format!("{:?}", root_body(&sch)), format!("{:?}", n[1]));
+    }
+
+    /// The undo snapshot exists only while auto-verify is on, is taken once
+    /// per primitive, and never for a rewrite that found nothing.
+    #[test]
+    fn undo_snapshot_only_under_auto_verify() {
+        let (n, loops) = nests(2);
+        let (_, ghost) = nests(1);
+        let mut sch = Schedule::new(PrimFunc::new("f", vec![], Stmt::seq(n)));
+
+        sch.set_auto_verify(false);
+        sch.rewrite_loop(&loops[0], |f| Stmt::For(Box::new(f)))
+            .expect("rewrite");
+        assert!(sch.undo.is_none(), "no snapshot with the gate off");
+
+        sch.set_auto_verify(true);
+        assert!(sch.rewrite_loop(&ghost[0], |_| Stmt::Seq(vec![])).is_err());
+        assert!(sch.undo.is_none(), "no snapshot for a missing target");
+        let before = sch.func().to_string();
+        sch.rewrite_loop(&loops[0], |f| Stmt::For(Box::new(f)))
+            .expect("rewrite");
+        sch.rewrite_loop(&loops[1], |_| Stmt::Seq(vec![]))
+            .expect("second rewrite of the same primitive");
+        let snapshot = sch.undo.as_ref().expect("snapshot under the gate");
+        let mut restored = sch.func().clone();
+        restored.body = snapshot.clone();
+        assert_eq!(restored.to_string(), before, "the first snapshot wins");
+        sch.record(TraceStep::new("test", vec![])).expect("record");
+        assert!(sch.undo.is_none(), "a committed primitive drops it");
     }
 }
 
