@@ -7,6 +7,7 @@
 
 use std::time::Instant;
 
+use tensorir_bench::alloc_count::{counted, CountingAlloc};
 use tir::builder::matmul_func;
 use tir::DataType;
 use tir_exec::cost::simulate;
@@ -14,10 +15,14 @@ use tir_exec::machine::Machine;
 use tir_schedule::Schedule;
 use tir_tensorize::{auto_tensorize, builtin_registry};
 
-/// Times `f` and prints a `name: median ns/iter` line.
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Times `f` and prints a `name: median ns/iter, allocations/iter` line.
 ///
 /// Runs a warmup, then picks an iteration count targeting ~20 ms per batch
-/// and reports the median of 7 batches.
+/// and reports the median of 7 batches, and the heap allocations of one
+/// more call (exact: a function of the input, not of the machine).
 fn bench_function<R>(name: &str, mut f: impl FnMut() -> R) {
     // Warmup + calibration.
     let start = Instant::now();
@@ -38,7 +43,8 @@ fn bench_function<R>(name: &str, mut f: impl FnMut() -> R) {
     }
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median = samples[samples.len() / 2];
-    println!("{name:<40} {median:>14.0} ns/iter  ({iters} iters x 7)");
+    let (_, allocs) = counted(|| std::hint::black_box(f()));
+    println!("{name:<40} {median:>14.0} ns/iter {allocs:>7} allocs/iter  ({iters} iters x 7)");
 }
 
 fn bench_split_fuse_reorder() {
@@ -53,6 +59,74 @@ fn bench_split_fuse_reorder() {
             .unwrap();
         sch.fuse(&[i[0].clone(), j[0].clone()]).unwrap();
         sch.into_func()
+    });
+}
+
+/// The IR passes a candidate is built and keyed with, on one finished GMM
+/// f16 GPU-tensor candidate (the program `schedule/sketch_apply_gpu_tensor_gmm`
+/// produces): a substitution that hits every loop variable and a `simplify`
+/// that finds nothing left to do (both on a fresh copy, whose own cost is
+/// the `clone` row), the candidate-cache key, and the validation every
+/// `apply` ends with.
+fn bench_ir_passes() {
+    use std::collections::HashMap;
+    use tir::{Expr, Stmt, Var};
+    use tir_autoschedule::{build_sketches, Strategy};
+    use tir_rand::rngs::StdRng;
+    use tir_rand::SeedableRng;
+    use tir_workloads::{bench_suite, OpKind};
+
+    let reg = builtin_registry();
+    let case = bench_suite(DataType::float16())
+        .into_iter()
+        .find(|c| c.kind == OpKind::GMM)
+        .expect("GMM in the suite");
+    let sketch = build_sketches(&case.func, &Machine::sim_gpu(), &reg, Strategy::TensorIr)
+        .into_iter()
+        .find(|s| s.name().starts_with("gpu-tensor"))
+        .expect("gpu-tensor sketch");
+    let func = (0..64)
+        .find_map(|seed| {
+            sketch
+                .apply(&sketch.sample(&mut StdRng::seed_from_u64(seed)))
+                .ok()
+        })
+        .expect("a decision vector that applies");
+
+    fn loop_vars(s: &Stmt, out: &mut Vec<Var>) {
+        if let Stmt::For(f) = s {
+            out.push(f.var.clone());
+        }
+        match s {
+            Stmt::For(f) => loop_vars(&f.body, out),
+            Stmt::Seq(v) => v.iter().for_each(|st| loop_vars(st, out)),
+            Stmt::BlockRealize(br) => loop_vars(&br.block.body, out),
+            _ => {}
+        }
+    }
+    let mut vars = Vec::new();
+    loop_vars(&func.body, &mut vars);
+    // Every loop variable becomes `v * 2 + 1`: what `split` does to one.
+    let map: HashMap<Var, Expr> = vars
+        .iter()
+        .map(|v| (v.clone(), Expr::from(v) * 2 + 1))
+        .collect();
+    bench_function("ir/subst_stmt_gmm", || {
+        let mut body = func.body.clone();
+        tir::visit::subst_stmt(&mut body, &map);
+        body
+    });
+    bench_function("ir/simplify_stmt_gmm", || {
+        let mut body = func.body.clone();
+        tir::simplify::simplify_stmt(&mut body);
+        body
+    });
+    bench_function("ir/clone_stmt_gmm", || func.body.clone());
+    bench_function("ir/structural_hash_gmm", || {
+        tir::structural::structural_hash(&func)
+    });
+    bench_function("analysis/validate_gpu_tensor_gmm", || {
+        tir_analysis::validate(&func).is_ok()
     });
 }
 
@@ -162,6 +236,7 @@ fn bench_print_parse() {
 fn main() {
     bench_split_fuse_reorder();
     bench_sketch_apply();
+    bench_ir_passes();
     bench_validation();
     bench_auto_tensorize();
     bench_simulate();

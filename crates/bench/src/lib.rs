@@ -7,6 +7,8 @@
 //! are the *relative* ones — who wins, by roughly what factor, and where
 //! the crossovers fall.
 
+pub mod alloc_count;
+
 use tir_autoschedule::{oracle_time, tune_workload, Strategy, TuneOptions, TuneResult};
 use tir_exec::machine::Machine;
 use tir_tensorize::{builtin_registry, IntrinRegistry};

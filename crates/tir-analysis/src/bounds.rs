@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use tir::simplify::{floor_div_i64, simplify_expr};
+use tir::simplify::{floor_div_i64, simplified};
 use tir::{Buffer, CmpOp, Expr, PrimFunc, Stmt, Var};
 use tir_arith::bound::{bound_of, IntBound};
 use tir_arith::iter_map::normalize;
@@ -89,7 +89,7 @@ impl BoundsChecker {
                 self.check_expr(&br.predicate);
                 let mut saved: Saved = Vec::new();
                 for (iv, value) in br.block.iter_vars.iter().zip(&br.iter_values) {
-                    let b = bound_of(&simplify_expr(value), &self.env);
+                    let b = bound_of(&simplified(value.clone()), &self.env);
                     let lo = b.min.max(0);
                     let hi = b.max.min(iv.extent - 1);
                     // An empty intersection means the predicate excludes
@@ -159,7 +159,7 @@ impl BoundsChecker {
     fn check_access(&mut self, buffer: &Buffer, indices: &[Expr]) {
         for (dim, idx) in indices.iter().enumerate() {
             let extent = buffer.shape()[dim];
-            let b = bound_of(&simplify_expr(idx), &self.env);
+            let b = bound_of(&simplified(idx.clone()), &self.env);
             if b.min < 0 || b.max >= extent {
                 self.errors.push(ValidationError::OutOfBounds {
                     buffer: buffer.name().to_string(),
@@ -181,11 +181,7 @@ impl BoundsChecker {
         let mut saved: Saved = Vec::new();
         for c in conjuncts {
             let Expr::Cmp(op, lhs, rhs) = c else { continue };
-            let diff = simplify_expr(&Expr::Bin(
-                tir::BinOp::Sub,
-                Box::new((**lhs).clone()),
-                Box::new((**rhs).clone()),
-            ));
+            let diff = simplified(Expr::Bin(tir::BinOp::Sub, lhs.clone(), rhs.clone()));
             let vars = tir::visit::collect_vars_expr(&diff);
             let [v] = vars.as_slice() else { continue };
             // Extract `diff = a*v + b` via iterator-map normalization over a

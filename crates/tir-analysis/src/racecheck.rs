@@ -64,8 +64,8 @@
 
 use std::collections::HashMap;
 
-use tir::simplify::simplify_expr;
-use tir::visit::subst_expr;
+use tir::simplify::simplified;
+use tir::visit::substituted;
 use tir::{Buffer, Expr, ForKind, MemScope, PrimFunc, Stmt, ThreadTag, Var, RELAXING_ANNOTATIONS};
 use tir_arith::iter_map::{normalize, IterSplit, IterSum};
 
@@ -97,7 +97,7 @@ impl Collector {
     fn record(&mut self, buffer: &Buffer, indices: &[Expr], write: bool) {
         let indices = indices
             .iter()
-            .map(|i| simplify_expr(&subst_expr(i, &self.bind_map)))
+            .map(|i| simplified(substituted(i.clone(), &self.bind_map)))
             .collect();
         self.sites.push(AccessSite {
             buffer: buffer.clone(),
@@ -164,7 +164,7 @@ impl Collector {
                 let composed: Vec<Expr> = br
                     .iter_values
                     .iter()
-                    .map(|v| simplify_expr(&subst_expr(v, &self.bind_map)))
+                    .map(|v| simplified(substituted(v.clone(), &self.bind_map)))
                     .collect();
                 let mut saved = Vec::new();
                 for (iv, value) in br.block.iter_vars.iter().zip(composed) {

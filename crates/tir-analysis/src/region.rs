@@ -8,8 +8,8 @@
 
 use std::collections::HashMap;
 
-use tir::simplify::simplify_expr;
-use tir::visit::{ExprVisitor, StmtVisitor};
+use tir::simplify::simplified;
+use tir::visit::{substituted, ExprVisitor, StmtVisitor};
 use tir::{Buffer, BufferRegion, Expr, RangeExpr, Stmt, Var};
 use tir_arith::bound::{bound_of, IntBound};
 
@@ -261,7 +261,7 @@ pub fn relaxed_region(
             .map(|(v, e)| (v.clone(), IntBound::new(0, (*e - 1).max(0))))
             .collect();
         for (d, idx) in indices.iter().enumerate() {
-            let min_expr = simplify_expr(&tir::visit::subst_expr(idx, &zero_map));
+            let min_expr = simplified(substituted(idx.clone(), &zero_map));
             // Width of the access along this dim, over inner vars only:
             // bound of (idx - min) with outer vars treated as exact symbols.
             // We get it by bounding idx with inner vars in range and all
@@ -355,7 +355,10 @@ mod tests {
         .in_loop(y, 4);
         let region = relaxed_region(&body, &c, false, true).expect("region");
         assert_eq!(region.region.len(), 1);
-        assert_eq!(simplify_expr(&region.region[0].min), Expr::from(&vy) * 4);
+        assert_eq!(
+            simplified(region.region[0].min.clone()),
+            Expr::from(&vy) * 4
+        );
         assert!(region.region[0].extent.is_const_int(4));
     }
 

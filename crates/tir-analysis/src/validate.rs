@@ -14,9 +14,9 @@
 
 use std::collections::HashMap;
 
-use tir::simplify::simplify_expr;
+use tir::simplify::simplified;
 use tir::structural::expr_structural_eq;
-use tir::visit::collect_vars_expr;
+use tir::visit::{expr_any_var, expr_uses_var};
 use tir::{
     BinOp, Block, BlockRealize, Buffer, Expr, ForKind, IterKind, MemScope, PrimFunc, Stmt,
     ThreadTag, Var,
@@ -300,7 +300,7 @@ impl Validator {
         let composed: Vec<Expr> = br
             .iter_values
             .iter()
-            .map(|v| simplify_expr(&tir::visit::subst_expr(v, &self.bind_map)))
+            .map(|v| simplified(tir::visit::substituted(v.clone(), &self.bind_map)))
             .collect();
         let dom: Vec<(Var, i64)> = self.loops.iter().map(|(v, e, _)| (v.clone(), *e)).collect();
         // Re-executing a block instance is sound (idempotent) unless it is
@@ -316,21 +316,15 @@ impl Validator {
         // consumed by the bindings must sit outside every loop a reduction
         // binding uses.
         if block.is_reduction() && block.init.is_some() {
-            let used: Vec<Var> = composed.iter().flat_map(collect_vars_expr).collect();
-            let reduce_used: Vec<Var> = block
-                .iter_vars
-                .iter()
-                .zip(&composed)
-                .filter(|(iv, _)| iv.kind == IterKind::Reduce)
-                .flat_map(|(_, v)| collect_vars_expr(v))
-                .collect();
-            let first_reduce_pos = self
-                .loops
-                .iter()
-                .position(|(v, _, _)| reduce_used.contains(v));
+            let used = |v: &Var| composed.iter().any(|e| expr_uses_var(e, v));
+            let reduce_used = |v: &Var| {
+                (block.iter_vars.iter().zip(&composed))
+                    .any(|(iv, e)| iv.kind == IterKind::Reduce && expr_uses_var(e, v))
+            };
+            let first_reduce_pos = self.loops.iter().position(|(v, _, _)| reduce_used(v));
             if let Some(rpos) = first_reduce_pos {
                 for (pos, (v, extent, _)) in self.loops.iter().enumerate() {
-                    if *extent > 1 && pos > rpos && !used.contains(v) {
+                    if *extent > 1 && pos > rpos && !used(v) {
                         self.errors.push(ValidationError::LoopNest {
                             block: block.name.clone(),
                             cause: IterMapError::NotIndependent(format!(
@@ -388,14 +382,14 @@ impl Validator {
             .map(|(v, _, _)| v)
             .collect();
         for (iv, value) in block.iter_vars.iter().zip(&composed) {
-            if iv.kind == IterKind::Reduce && !atomic {
-                let used = collect_vars_expr(value);
-                if used.iter().any(|v| parallel_vars.contains(&v)) {
-                    self.errors.push(ValidationError::ReductionOnParallelLoop {
-                        block: block.name.clone(),
-                        iter_var: iv.var.name().to_string(),
-                    });
-                }
+            if iv.kind == IterKind::Reduce
+                && !atomic
+                && expr_any_var(value, &mut |v| parallel_vars.contains(&v))
+            {
+                self.errors.push(ValidationError::ReductionOnParallelLoop {
+                    block: block.name.clone(),
+                    iter_var: iv.var.name().to_string(),
+                });
             }
         }
         self.check_exec_scope(block);
@@ -426,14 +420,14 @@ impl Validator {
             return;
         }
         // Thread loops consumed by the bindings are fine.
-        let used: Vec<Var> = composed.iter().flat_map(collect_vars_expr).collect();
+        let used = |v: &Var| composed.iter().any(|e| expr_uses_var(e, v));
         let thread_vars: Vec<&Var> = self
             .loops
             .iter()
             .filter(|(_, _, k)| matches!(k, ForKind::ThreadBinding(t) if t.is_thread_idx()))
             .map(|(v, _, _)| v)
             .collect();
-        if thread_vars.iter().all(|v| used.contains(v)) {
+        if thread_vars.iter().all(|v| used(v)) {
             return;
         }
         for b in writes_shared {
@@ -484,14 +478,14 @@ impl Validator {
     }
 }
 
-/// Whether the realize predicate contains a conjunct `value < limit`.
+/// Whether the realize predicate contains a conjunct `value < limit`, for
+/// a `value` that is already simplified.
 fn predicate_guards(predicate: &Expr, value: &Expr, limit: i64) -> bool {
     let mut conjuncts = Vec::new();
     split_and(predicate, &mut conjuncts);
-    let value = simplify_expr(value);
     conjuncts.iter().any(|c| {
         if let Expr::Cmp(tir::CmpOp::Lt, lhs, rhs) = c {
-            rhs.as_int() == Some(limit) && expr_structural_eq(&simplify_expr(lhs), &value)
+            rhs.as_int() == Some(limit) && expr_structural_eq(&simplified((**lhs).clone()), value)
         } else {
             false
         }

@@ -207,7 +207,7 @@ pub fn bound_of(expr: &Expr, vars: &HashMap<Var, IntBound>) -> IntBound {
 /// bounds. Returns `false` when the proof fails (which does not mean the
 /// property is false).
 pub fn can_prove(expr: &Expr, vars: &HashMap<Var, IntBound>) -> bool {
-    let e = tir::simplify::simplify_expr(expr);
+    let e = tir::simplify::simplified(expr.clone());
     bound_of(&e, vars) == IntBound::single(1)
 }
 

@@ -61,18 +61,22 @@ impl IterSum {
         }
     }
 
-    /// Merges equal pieces and drops zero-scale or extent-1 terms.
+    /// Merges equal pieces (into the first occurrence) and drops zero-scale
+    /// or extent-1 terms, within the term list it was given.
     fn canonicalize(mut self) -> Self {
-        let mut out: Vec<IterSplit> = Vec::with_capacity(self.terms.len());
-        for t in self.terms.drain(..) {
-            if let Some(existing) = out.iter_mut().find(|e| e.same_piece(&t)) {
-                existing.scale += t.scale;
-            } else {
-                out.push(t);
+        let mut kept = 0;
+        for i in 0..self.terms.len() {
+            let scale = self.terms[i].scale;
+            match (0..kept).find(|&k| self.terms[k].same_piece(&self.terms[i])) {
+                Some(k) => self.terms[k].scale += scale,
+                None => {
+                    self.terms.swap(kept, i);
+                    kept += 1;
+                }
             }
         }
-        out.retain(|t| t.scale != 0 && t.extent != 1);
-        self.terms = out;
+        self.terms.truncate(kept);
+        self.terms.retain(|t| t.scale != 0 && t.extent != 1);
         self
     }
 
@@ -361,7 +365,10 @@ pub struct IterMap {
 /// ).is_err());
 /// ```
 pub fn detect_iter_map(bindings: &[Expr], dom: &[(Var, i64)]) -> Result<IterMap> {
-    detect_iter_map_with(bindings, dom, CoverMode::Full)
+    let simplified: Vec<Expr> = (bindings.iter().cloned())
+        .map(tir::simplify::simplified)
+        .collect();
+    detect_iter_map_with(&simplified, dom, CoverMode::Full)
 }
 
 /// How strictly [`detect_iter_map_with`] checks loop-domain coverage.
@@ -375,7 +382,12 @@ pub enum CoverMode {
     OverlapOnly,
 }
 
-/// [`detect_iter_map`] with a configurable coverage requirement.
+/// [`detect_iter_map`] with a configurable coverage requirement, on
+/// bindings that are already simplified ([`tir::simplify`]): the normalizer
+/// reads `x * c + y` shapes as written, and the validator, its caller,
+/// composes and simplifies every binding once for all of its checks.
+/// Simplification is idempotent, so simplifying here again would only copy
+/// each binding to find nothing to do.
 ///
 /// # Errors
 ///
@@ -392,11 +404,10 @@ pub fn detect_iter_map_with(
     let mut pieces_by_var: HashMap<Var, Vec<(i64, i64)>> = HashMap::new();
 
     for b in bindings {
-        let simplified = tir::simplify::simplify_expr(b);
-        let sum = normalize(&simplified, &env)?;
+        let sum = normalize(b, &env)?;
         let extent = sum
             .strict_extent()
-            .ok_or_else(|| IterMapError::NotStrict(format!("{simplified}")))?;
+            .ok_or_else(|| IterMapError::NotStrict(format!("{b}")))?;
         for t in &sum.terms {
             pieces_by_var
                 .entry(t.var.clone())

@@ -187,7 +187,7 @@ fn simplify_preserves_value() {
                     ),
                 ];
                 for e in candidates {
-                    let simplified = tir::simplify::simplify_expr(&e);
+                    let simplified = tir::simplify::simplified(e.clone());
                     for x in (0i64..12).step_by(3) {
                         for y in (0i64..12).step_by(3) {
                             let env: HashMap<Var, i64> =

@@ -14,7 +14,8 @@
 //! Regenerate (only when an intended change alters sketch output) with
 //! `cargo test -p tir-autoschedule --test sketch_apply_golden -- --ignored`.
 
-use tir::DataType;
+use tir::structural::{func_structural_eq, structural_hash};
+use tir::{DataType, PrimFunc};
 use tir_autoschedule::{build_sketches, Strategy};
 use tir_exec::machine::Machine;
 use tir_rand::rngs::StdRng;
@@ -32,40 +33,75 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-fn outcomes() -> String {
+/// Calls `f` with every `apply` result of the corpus, sketch by sketch:
+/// the row label (`machine operator sketch`) and the 40 seeded results.
+fn for_each_sketch(mut f: impl FnMut(String, Vec<Result<PrimFunc, ScheduleError>>)) {
     let reg = builtin_registry();
     let targets = [
         ("sim_gpu", Machine::sim_gpu(), DataType::float16()),
         ("sim_arm", Machine::sim_arm(), DataType::int8()),
     ];
-    let mut out = String::new();
     for (machine_name, machine, dtype) in &targets {
         for case in bench_suite(*dtype) {
             for sketch in build_sketches(&case.func, machine, &reg, Strategy::TensorIr) {
-                for seed in 0..VECTORS_PER_SKETCH {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let decisions = sketch.sample(&mut rng);
-                    let outcome = match sketch.apply(&decisions) {
-                        Ok(f) => format!(
-                            "ok {:016x} {:016x}",
-                            tir::structural::structural_hash(&f),
-                            fnv1a(&f.to_string())
-                        ),
-                        Err(ScheduleError::BlockNotFound(_)) => "err BlockNotFound".into(),
-                        Err(ScheduleError::LoopNotFound(_)) => "err LoopNotFound".into(),
-                        Err(ScheduleError::Precondition(_)) => "err Precondition".into(),
-                        Err(ScheduleError::Invalid(_)) => "err Invalid".into(),
-                    };
-                    out.push_str(&format!(
-                        "{machine_name} {} {} {seed} {outcome}\n",
-                        case.kind.label(),
-                        sketch.name()
-                    ));
-                }
+                let results = (0..VECTORS_PER_SKETCH)
+                    .map(|seed| sketch.apply(&sketch.sample(&mut StdRng::seed_from_u64(seed))))
+                    .collect();
+                let label = format!("{machine_name} {} {}", case.kind.label(), sketch.name());
+                f(label, results);
             }
         }
     }
+}
+
+fn outcomes() -> String {
+    let mut out = String::new();
+    for_each_sketch(|label, results| {
+        for (seed, result) in results.into_iter().enumerate() {
+            let outcome = match result {
+                Ok(f) => format!(
+                    "ok {:016x} {:016x}",
+                    structural_hash(&f),
+                    fnv1a(&f.to_string())
+                ),
+                Err(ScheduleError::BlockNotFound(_)) => "err BlockNotFound".into(),
+                Err(ScheduleError::LoopNotFound(_)) => "err LoopNotFound".into(),
+                Err(ScheduleError::Precondition(_)) => "err Precondition".into(),
+                Err(ScheduleError::Invalid(_)) => "err Invalid".into(),
+            };
+            out.push_str(&format!("{label} {seed} {outcome}\n"));
+        }
+    });
     out
+}
+
+/// `func_structural_eq` implies equal `structural_hash` (and, on this
+/// corpus, the converse): checked on every pair of programs one sketch
+/// produced, where distinct decision vectors do build equal programs.
+#[test]
+fn structural_equality_implies_equal_hash() {
+    let (mut equal_pairs, mut pairs) = (0usize, 0usize);
+    for_each_sketch(|label, results| {
+        let programs: Vec<(u64, PrimFunc)> = (results.into_iter().flatten())
+            .map(|f| (structural_hash(&f), f))
+            .collect();
+        for (n, (hash_a, a)) in programs.iter().enumerate() {
+            for (hash_b, b) in &programs[n + 1..] {
+                let equal = func_structural_eq(a, b);
+                assert_eq!(
+                    equal,
+                    hash_a == hash_b,
+                    "{label}: equality and hash disagree on\n{a}\nvs\n{b}"
+                );
+                equal_pairs += usize::from(equal);
+                pairs += 1;
+            }
+        }
+    });
+    assert!(
+        equal_pairs > 0 && equal_pairs < pairs,
+        "{equal_pairs} of {pairs} pairs are equal: the check needs both kinds"
+    );
 }
 
 #[test]

@@ -3,8 +3,8 @@
 
 use std::collections::HashMap;
 
-use tir::simplify::simplify_expr;
-use tir::visit::{collect_vars_expr, subst_expr};
+use tir::simplify::simplified;
+use tir::visit::{collect_vars_expr, substituted};
 use tir::{Block, BlockRealize, Expr, IterKind, IterVar, Stmt, Var};
 
 use crate::compute_location::required_region;
@@ -60,11 +60,12 @@ impl Schedule {
             .iter()
             .map(|v| (v.clone(), Expr::int(0)))
             .collect();
+        let dom_map: HashMap<Var, i64> = inner_dom.iter().cloned().collect();
         let mut outer_iter_vars: Vec<IterVar> = Vec::new();
         let mut outer_bindings: Vec<Expr> = Vec::new();
         let mut new_inner_bindings: Vec<Expr> = Vec::new();
         for (iv, value) in realize.block.iter_vars.iter().zip(&realize.iter_values) {
-            let outer_part = simplify_expr(&subst_expr(value, &zero_inner));
+            let outer_part = simplified(substituted(value.clone(), &zero_inner));
             let inner_part = {
                 // inner = value - outer_part, but computed by zeroing
                 // the outer variables instead (avoids symbolic subtraction).
@@ -76,11 +77,11 @@ impl Schedule {
                     .iter()
                     .map(|v| (v.clone(), Expr::int(0)))
                     .collect();
-                simplify_expr(&subst_expr(value, &zero_outer))
+                simplified(substituted(value.clone(), &zero_outer))
             };
             // Verify separability: value == outer_part + inner_part.
-            let recomposed = simplify_expr(&(outer_part.clone() + inner_part.clone()));
-            if !tir::structural::expr_structural_eq(&recomposed, &simplify_expr(value)) {
+            let recomposed = simplified(outer_part.clone() + inner_part.clone());
+            if !tir::structural::expr_structural_eq(&recomposed, &simplified(value.clone())) {
                 return Err(ScheduleError::Precondition(format!(
                     "binding {value} is not separable into outer + inner parts"
                 )));
@@ -89,7 +90,6 @@ impl Schedule {
             let inner_extent = if inner_part.is_const_int(0) {
                 1
             } else {
-                let dom_map: HashMap<Var, i64> = inner_dom.iter().cloned().collect();
                 tir_arith::iter_map::normalize(&inner_part, &dom_map)
                     .ok()
                     .and_then(|s| s.strict_extent())
@@ -113,10 +113,10 @@ impl Schedule {
             let outer_binding = if inner_extent == 1 {
                 outer_part
             } else {
-                simplify_expr(&outer_part.floor_div(inner_extent))
+                simplified(outer_part.floor_div(inner_extent))
             };
             outer_bindings.push(outer_binding);
-            new_inner_bindings.push(simplify_expr(&(Expr::from(&u) * inner_extent + inner_part)));
+            new_inner_bindings.push(simplified(Expr::from(&u) * inner_extent + inner_part));
             outer_iter_vars.push(match iv.kind {
                 IterKind::Spatial => IterVar::spatial(u, outer_extent),
                 IterKind::Reduce => IterVar::reduce(u, outer_extent),

@@ -38,9 +38,7 @@ fn copy_block_nest(
             .as_int()
             .ok_or_else(|| ScheduleError::Precondition("non-constant region extent".into()))?;
         let ax = Var::int(format!("ax{d}"));
-        bindings.push(tir::simplify::simplify_expr(
-            &(r.min.clone() + Expr::from(&ax)),
-        ));
+        bindings.push(tir::simplify::simplified(r.min.clone() + Expr::from(&ax)));
         loops.push((ax, extent));
         block_vars.push(Var::int(format!("v{d}")));
     }
@@ -132,7 +130,9 @@ impl Schedule {
         let mut map = std::collections::HashMap::new();
         map.insert(from.clone(), to.clone());
         self.rewrite_block(block, |br: BlockRealize| {
-            replace_buffers(&Stmt::BlockRealize(Box::new(br)), &map)
+            let mut stmt = Stmt::BlockRealize(Box::new(br));
+            replace_buffers(&mut stmt, &map);
+            stmt
         })?;
         self.alloc_at_root(to)?;
         // The rewritten block may be nested: refresh enclosing block

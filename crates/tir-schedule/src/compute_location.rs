@@ -7,81 +7,71 @@
 
 use std::collections::HashMap;
 
-use tir::simplify::simplify_expr;
-use tir::visit::{collect_vars_expr, subst_expr};
+use tir::simplify::simplified;
+use tir::visit::{expr_any_var, substituted};
 use tir::{Block, BlockRealize, Buffer, Expr, IterKind, RangeExpr, Stmt, Var};
 use tir_arith::bound::{bound_of, IntBound};
 
 use crate::schedule::{precondition, BlockRef, LoopRef, Result, Schedule, ScheduleError};
 use crate::trace::TraceStep;
 
-/// Removes loops whose bodies became empty and flattens empty sequences.
-fn prune_empty(s: Stmt) -> Stmt {
+fn is_empty_seq(s: &Stmt) -> bool {
+    matches!(s, Stmt::Seq(v) if v.is_empty())
+}
+
+/// Removes loops whose bodies became empty and flattens empty sequences,
+/// in place.
+fn prune_empty(s: &mut Stmt) {
     match s {
         Stmt::For(f) => {
-            let f = *f;
-            let body = prune_empty(f.body);
-            if matches!(&body, Stmt::Seq(v) if v.is_empty()) {
-                Stmt::Seq(vec![])
-            } else {
-                Stmt::For(Box::new(tir::For { body, ..f }))
+            prune_empty(&mut f.body);
+            if is_empty_seq(&f.body) {
+                *s = Stmt::Seq(vec![]);
             }
         }
-        Stmt::Seq(v) => Stmt::seq(
-            v.into_iter()
-                .map(prune_empty)
-                .filter(|st| !matches!(st, Stmt::Seq(v) if v.is_empty()))
-                .collect(),
-        ),
+        Stmt::Seq(v) => {
+            v.iter_mut().for_each(prune_empty);
+            v.retain(|st| !is_empty_seq(st));
+            s.normalize_seq();
+        }
         Stmt::IfThenElse {
-            cond,
             then_branch,
             else_branch,
-        } => Stmt::IfThenElse {
-            cond,
-            then_branch: Box::new(prune_empty(*then_branch)),
-            else_branch: else_branch.map(|e| Box::new(prune_empty(*e))),
-        },
-        Stmt::BlockRealize(mut br) => {
-            br.block.body = Box::new(prune_empty(*br.block.body));
-            Stmt::BlockRealize(br)
+            ..
+        } => {
+            prune_empty(then_branch);
+            if let Some(e) = else_branch {
+                prune_empty(e);
+            }
         }
-        other => other,
+        Stmt::BlockRealize(br) => prune_empty(&mut br.block.body),
+        Stmt::Store { .. } | Stmt::Eval(_) => {}
     }
 }
 
-/// Extracts (removes and returns) the block realize with the given name.
-fn extract_block(s: Stmt, name: &str, out: &mut Option<BlockRealize>) -> Stmt {
+/// Extracts (removes and returns) the block realize with the given name,
+/// leaving an empty sequence in its place for [`prune_empty`].
+fn extract_block(s: &mut Stmt, name: &str) -> Option<BlockRealize> {
     match s {
-        Stmt::BlockRealize(br) => {
-            if br.block.name == name && out.is_none() {
-                *out = Some(*br);
-                return Stmt::Seq(vec![]);
+        Stmt::BlockRealize(br) if br.block.name == name => {
+            match std::mem::replace(s, Stmt::Seq(vec![])) {
+                Stmt::BlockRealize(br) => Some(*br),
+                _ => unreachable!("matched a block realize"),
             }
-            let mut br = *br;
-            br.block.body = Box::new(extract_block(*br.block.body, name, out));
-            Stmt::BlockRealize(Box::new(br))
         }
-        Stmt::For(f) => {
-            let f = *f;
-            let body = extract_block(f.body, name, out);
-            Stmt::For(Box::new(tir::For { body, ..f }))
-        }
-        Stmt::Seq(v) => Stmt::Seq(
-            v.into_iter()
-                .map(|st| extract_block(st, name, out))
-                .collect(),
-        ),
+        Stmt::BlockRealize(br) => extract_block(&mut br.block.body, name),
+        Stmt::For(f) => extract_block(&mut f.body, name),
+        Stmt::Seq(v) => v.iter_mut().find_map(|st| extract_block(st, name)),
         Stmt::IfThenElse {
-            cond,
             then_branch,
             else_branch,
-        } => Stmt::IfThenElse {
-            cond,
-            then_branch: Box::new(extract_block(*then_branch, name, out)),
-            else_branch: else_branch.map(|e| Box::new(extract_block(*e, name, out))),
-        },
-        other => other,
+            ..
+        } => extract_block(then_branch, name).or_else(|| {
+            else_branch
+                .as_deref_mut()
+                .and_then(|e| extract_block(e, name))
+        }),
+        Stmt::Store { .. } | Stmt::Eval(_) => None,
     }
 }
 
@@ -96,137 +86,152 @@ pub(crate) fn required_region(
     reads: bool,
     writes: bool,
 ) -> Option<Vec<RangeExpr>> {
-    struct Req {
+    /// The walk's state: the requirement gathered so far, and three views
+    /// of the loops entered inside `stmt`, kept up to date on the way down
+    /// and up instead of being rebuilt for every region dimension.
+    struct Relaxer<'a> {
+        buffer: &'a Buffer,
+        reads: bool,
+        writes: bool,
         mins: Vec<Option<Expr>>,
         extents: Vec<i64>,
         any: bool,
+        /// Inner loop variable → `0`.
+        zero_map: HashMap<Var, Expr>,
+        /// Inner loop variable → `[0, extent)`.
+        env: HashMap<Var, IntBound>,
+        /// Inner loop variable → `[0, 0]`.
+        env0: HashMap<Var, IntBound>,
+        /// Scratch: the outer variables `relax` pins for one dimension.
+        outer: Vec<Var>,
     }
-    fn relax(
-        region: &[RangeExpr],
-        subst: &HashMap<Var, Expr>,
-        inner: &[(Var, i64)],
-        req: &mut Req,
-        buffer: &Buffer,
-    ) {
-        let zero_map: HashMap<Var, Expr> = inner
-            .iter()
-            .map(|(v, _)| (v.clone(), Expr::int(0)))
-            .collect();
-        let inner_bounds: HashMap<Var, IntBound> = inner
-            .iter()
-            .map(|(v, e)| (v.clone(), IntBound::new(0, (*e - 1).max(0))))
-            .collect();
-        for (d, r) in region.iter().enumerate() {
-            let min = simplify_expr(&subst_expr(&r.min, subst));
-            let extent_c = r.extent.as_int().unwrap_or(buffer.shape()[d]);
-            let min_zeroed = simplify_expr(&subst_expr(&min, &zero_map));
-            // Width contributed by inner vars in the min expression.
-            let mut env = inner_bounds.clone();
-            for v in collect_vars_expr(&min) {
-                env.entry(v).or_insert(IntBound::single(0));
+    impl Relaxer<'_> {
+        fn relax(&mut self, region: &[RangeExpr], subst: &HashMap<Var, &Expr>) {
+            let shape = self.buffer.shape();
+            for (d, r) in region.iter().enumerate() {
+                let min = simplified(substituted(r.min.clone(), subst));
+                let extent_c = r.extent.as_int().unwrap_or(shape[d]);
+                let min_zeroed = simplified(substituted(min.clone(), &self.zero_map));
+                // Width contributed by inner vars in the min expression:
+                // bound it with the outer variables pinned to zero, against
+                // its value with every variable at zero.
+                expr_any_var(&min, &mut |v| {
+                    if !self.env.contains_key(v) {
+                        self.env.insert(v.clone(), IntBound::single(0));
+                        self.env0.insert(v.clone(), IntBound::single(0));
+                        self.outer.push(v.clone());
+                    }
+                    false // visit every occurrence
+                });
+                let full = bound_of(&min, &self.env);
+                let at_zero = bound_of(&min, &self.env0);
+                for v in self.outer.drain(..) {
+                    self.env.remove(&v);
+                    self.env0.remove(&v);
+                }
+                if full.min < at_zero.min {
+                    // Negative coefficient on an inner variable (e.g. a flipped
+                    // convolution kernel): zeroing the inner vars does not give
+                    // the region minimum, so fall back to the full dimension.
+                    self.mins[d] = Some(Expr::int(0));
+                    self.extents[d] = shape[d];
+                    self.any = true;
+                    continue;
+                }
+                let width = (full.max - at_zero.max) + extent_c;
+                match &mut self.mins[d] {
+                    Some(existing) if *existing == min_zeroed => {
+                        self.extents[d] = self.extents[d].max(width);
+                    }
+                    Some(_) => {
+                        self.mins[d] = Some(Expr::int(0));
+                        self.extents[d] = shape[d];
+                    }
+                    None => {
+                        self.mins[d] = Some(min_zeroed);
+                        self.extents[d] = width;
+                    }
+                }
             }
-            let full = bound_of(&min, &env);
-            let at_zero = {
-                let env0: HashMap<Var, IntBound> = env
-                    .keys()
-                    .map(|v| (v.clone(), IntBound::single(0)))
-                    .collect();
-                bound_of(&min, &env0)
-            };
-            if full.min < at_zero.min {
-                // Negative coefficient on an inner variable (e.g. a flipped
-                // convolution kernel): zeroing the inner vars does not give
-                // the region minimum, so fall back to the full dimension.
-                req.mins[d] = Some(Expr::int(0));
-                req.extents[d] = buffer.shape()[d];
-                req.any = true;
-                continue;
-            }
-            let width = (full.max - at_zero.max) + extent_c;
-            match &mut req.mins[d] {
-                Some(existing) if *existing == min_zeroed => {
-                    req.extents[d] = req.extents[d].max(width);
+            self.any = true;
+        }
+
+        fn walk(&mut self, s: &Stmt) {
+            match s {
+                Stmt::For(f) => {
+                    let extent = f.extent.as_int().unwrap_or(1);
+                    let range = IntBound::new(0, (extent - 1).max(0));
+                    self.zero_map.insert(f.var.clone(), Expr::int(0));
+                    self.env.insert(f.var.clone(), range);
+                    self.env0.insert(f.var.clone(), IntBound::single(0));
+                    self.walk(&f.body);
+                    self.zero_map.remove(&f.var);
+                    self.env.remove(&f.var);
+                    self.env0.remove(&f.var);
                 }
-                Some(_) => {
-                    req.mins[d] = Some(Expr::int(0));
-                    req.extents[d] = buffer.shape()[d];
+                Stmt::Seq(v) => {
+                    for st in v {
+                        self.walk(st);
+                    }
                 }
-                None => {
-                    req.mins[d] = Some(min_zeroed);
-                    req.extents[d] = width;
+                Stmt::IfThenElse {
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    self.walk(then_branch);
+                    if let Some(e) = else_branch {
+                        self.walk(e);
+                    }
                 }
+                Stmt::BlockRealize(br) => {
+                    let signature = &br.block;
+                    let (buffer, reads, writes) = (self.buffer, self.reads, self.writes);
+                    let mut touched = (signature.reads.iter().filter(|_| reads))
+                        .chain(signature.writes.iter().filter(|_| writes))
+                        .filter(|r| &r.buffer == buffer)
+                        .peekable();
+                    if touched.peek().is_none() {
+                        return;
+                    }
+                    let subst: HashMap<Var, &Expr> = br
+                        .block
+                        .iter_vars
+                        .iter()
+                        .zip(&br.iter_values)
+                        .map(|(iv, v)| (iv.var.clone(), v))
+                        .collect();
+                    for r in touched {
+                        self.relax(&r.region, &subst);
+                    }
+                    // Nested blocks: their accesses are already summarized by
+                    // this block's own signature, so no need to descend.
+                }
+                _ => {}
             }
         }
-        req.any = true;
     }
-    fn walk(
-        s: &Stmt,
-        buffer: &Buffer,
-        reads: bool,
-        writes: bool,
-        inner: &mut Vec<(Var, i64)>,
-        req: &mut Req,
-    ) {
-        match s {
-            Stmt::For(f) => {
-                inner.push((f.var.clone(), f.extent.as_int().unwrap_or(1)));
-                walk(&f.body, buffer, reads, writes, inner, req);
-                inner.pop();
-            }
-            Stmt::Seq(v) => {
-                for st in v {
-                    walk(st, buffer, reads, writes, inner, req);
-                }
-            }
-            Stmt::IfThenElse {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                walk(then_branch, buffer, reads, writes, inner, req);
-                if let Some(e) = else_branch {
-                    walk(e, buffer, reads, writes, inner, req);
-                }
-            }
-            Stmt::BlockRealize(br) => {
-                let signature = &br.block;
-                let touched: Vec<&tir::BufferRegion> = (signature.reads.iter().filter(|_| reads))
-                    .chain(signature.writes.iter().filter(|_| writes))
-                    .filter(|r| &r.buffer == buffer)
-                    .collect();
-                if touched.is_empty() {
-                    return;
-                }
-                let subst: HashMap<Var, Expr> = br
-                    .block
-                    .iter_vars
-                    .iter()
-                    .zip(&br.iter_values)
-                    .map(|(iv, v)| (iv.var.clone(), v.clone()))
-                    .collect();
-                for r in touched {
-                    relax(&r.region, &subst, inner, req, buffer);
-                }
-                // Nested blocks: their accesses are already summarized by
-                // this block's own signature, so no need to descend.
-            }
-            _ => {}
-        }
-    }
-    let mut req = Req {
+    let mut relaxer = Relaxer {
+        buffer,
+        reads,
+        writes,
         mins: vec![None; buffer.ndim()],
         extents: vec![0; buffer.ndim()],
         any: false,
+        zero_map: HashMap::new(),
+        env: HashMap::new(),
+        env0: HashMap::new(),
+        outer: Vec::new(),
     };
-    let mut inner = Vec::new();
-    walk(stmt, buffer, reads, writes, &mut inner, &mut req);
-    if !req.any {
+    relaxer.walk(stmt);
+    if !relaxer.any {
         return None;
     }
     Some(
-        req.mins
+        relaxer
+            .mins
             .into_iter()
-            .zip(req.extents)
+            .zip(relaxer.extents)
             .map(|(min, e)| RangeExpr::new(min.expect("dim visited"), e))
             .collect(),
     )
@@ -357,7 +362,7 @@ pub(crate) fn realize_over_region(
                     ScheduleError::Precondition("non-constant region extent".into())
                 })?;
                 let fresh = Var::int(format!("ax{spatial_idx}"));
-                let binding = simplify_expr(&(r.min.clone() + Expr::from(&fresh)));
+                let binding = simplified(r.min.clone() + Expr::from(&fresh));
                 let dim = guard_shape[spatial_idx];
                 if !can_prove_within(&r.min, extent, dim) {
                     predicate = and_pred(predicate, binding.clone().lt(dim));
@@ -401,7 +406,11 @@ impl Schedule {
     pub(crate) fn take_block(&mut self, block: &BlockRef) -> Result<BlockRealize> {
         self.block_node(block)?;
         let mut out = None;
-        self.rewrite_body(|body| prune_empty(extract_block(body, block.name(), &mut out)));
+        self.mutate_body(|body| {
+            out = extract_block(body, block.name());
+            prune_empty(body);
+            true
+        });
         out.ok_or_else(|| ScheduleError::BlockNotFound(block.name().to_string()))
     }
 
@@ -557,36 +566,34 @@ impl Schedule {
             template: &'a Expr,
         }
         impl tir::visit::ExprMutator for Inliner<'_> {
-            fn mutate_expr(&mut self, e: Expr) -> Expr {
-                if let Expr::Load { buffer, indices } = &e {
-                    if buffer == self.buffer {
-                        let indices: Vec<Expr> = indices
-                            .iter()
-                            .map(|i| self.mutate_expr(i.clone()))
+            fn mutate_expr(&mut self, e: &mut Expr) {
+                match e {
+                    Expr::Load { buffer, indices } if buffer == self.buffer => {
+                        for i in indices.iter_mut() {
+                            self.mutate_expr(i);
+                        }
+                        let map: HashMap<Var, Expr> = (self.iter_vars.iter().cloned())
+                            .zip(std::mem::take(indices))
                             .collect();
-                        let map: HashMap<Var, Expr> =
-                            self.iter_vars.iter().cloned().zip(indices).collect();
-                        return subst_expr(self.template, &map);
+                        *e = substituted(self.template.clone(), &map);
                     }
+                    _ => self.walk_expr(e),
                 }
-                self.walk_expr(e)
             }
         }
         impl tir::visit::StmtMutator for Inliner<'_> {
-            fn mutate_block(&mut self, mut b: Block) -> Block {
-                b.init = b.init.map(|i| Box::new(self.mutate_stmt(*i)));
-                b.body = Box::new(self.mutate_stmt(*b.body));
+            fn mutate_block(&mut self, b: &mut Block) {
+                if let Some(init) = &mut b.init {
+                    self.mutate_stmt(init);
+                }
+                self.mutate_stmt(&mut b.body);
                 // Re-derive reads for blocks that referenced the inlined
                 // buffer (the inlined expression brings new inputs).
                 if b.reads.iter().any(|r| &r.buffer == self.buffer) {
-                    let (reads, _) = tir::builder::derive_signature(&b.body, None);
-                    let writes: Vec<Buffer> = b.writes.iter().map(|w| w.buffer.clone()).collect();
-                    b.reads = reads
-                        .into_iter()
-                        .filter(|r| !writes.contains(&r.buffer))
-                        .collect();
+                    let (mut reads, _) = tir::builder::derive_signature(&b.body, None);
+                    reads.retain(|r| !b.writes.iter().any(|w| w.buffer == r.buffer));
+                    b.reads = reads;
                 }
-                b
             }
         }
         let mut inliner = Inliner {
@@ -595,9 +602,11 @@ impl Schedule {
             template: &value,
         };
         self.take_block(block)?;
-        self.rewrite_body(|body| {
+        self.mutate_body(|body| {
             use tir::visit::StmtMutator as _;
-            drop_alloc(inliner.mutate_stmt(body), &buffer)
+            inliner.mutate_stmt(body);
+            drop_alloc(body, &buffer);
+            true
         });
         self.record(TraceStep::new("compute_inline", vec![block.name().into()]))
     }
@@ -669,56 +678,54 @@ impl Schedule {
                     replacement: &'b Expr,
                 }
                 impl tir::visit::ExprMutator for LoadSwap<'_> {
-                    fn mutate_expr(&mut self, e: Expr) -> Expr {
-                        if let Expr::Load { buffer, .. } = &e {
-                            if buffer == self.src {
-                                return self.replacement.clone();
+                    fn mutate_expr(&mut self, e: &mut Expr) {
+                        match e {
+                            Expr::Load { buffer, .. } if buffer == self.src => {
+                                *e = self.replacement.clone();
                             }
+                            _ => self.walk_expr(e),
                         }
-                        self.walk_expr(e)
                     }
                 }
                 use tir::visit::ExprMutator as _;
-                let substituted = subst_expr(self.template, &map);
+                let mut out = substituted(self.template.clone(), &map);
                 LoadSwap {
                     src: self.src,
                     replacement: &inner_value,
                 }
-                .mutate_expr(substituted)
+                .mutate_expr(&mut out);
+                out
             }
         }
         use tir::visit::ExprMutator as _;
         impl tir::visit::ExprMutator for Rewriter<'_> {}
         impl tir::visit::StmtMutator for Rewriter<'_> {
-            fn mutate_stmt(&mut self, s: Stmt) -> Stmt {
-                if let Stmt::Store {
-                    buffer,
-                    indices,
-                    value,
-                } = &s
-                {
-                    if buffer == self.src {
-                        let value = self.mutate_expr(value.clone());
-                        let new_value = self.apply_epilogue(indices, value);
-                        return Stmt::Store {
-                            buffer: self.dst.clone(),
-                            indices: indices.clone(),
-                            value: new_value,
-                        };
+            fn mutate_stmt(&mut self, s: &mut Stmt) {
+                match s {
+                    Stmt::Store {
+                        buffer,
+                        indices,
+                        value,
+                    } if buffer == self.src => {
+                        self.mutate_expr(value);
+                        let inner = std::mem::replace(value, Expr::int(0));
+                        *value = self.apply_epilogue(indices, inner);
+                        *buffer = self.dst.clone();
                     }
+                    _ => self.walk_stmt(s),
                 }
-                self.walk_stmt(s)
             }
 
-            fn mutate_block(&mut self, mut b: Block) -> Block {
-                b.init = b.init.map(|i| Box::new(self.mutate_stmt(*i)));
-                b.body = Box::new(self.mutate_stmt(*b.body));
+            fn mutate_block(&mut self, b: &mut Block) {
+                if let Some(init) = &mut b.init {
+                    self.mutate_stmt(init);
+                }
+                self.mutate_stmt(&mut b.body);
                 for w in &mut b.writes {
                     if &w.buffer == self.src {
                         w.buffer = self.dst.clone();
                     }
                 }
-                b
             }
         }
         let mut rewriter = Rewriter {
@@ -728,9 +735,11 @@ impl Schedule {
             template: &value,
         };
         self.take_block(block)?;
-        self.rewrite_body(|body| {
+        self.mutate_body(|body| {
             use tir::visit::StmtMutator as _;
-            drop_alloc(rewriter.mutate_stmt(body), &src)
+            rewriter.mutate_stmt(body);
+            drop_alloc(body, &src);
+            true
         });
         self.record(TraceStep::new(
             "reverse_compute_inline",
@@ -749,20 +758,15 @@ pub(crate) fn is_identity(indices: &[Expr], iter_vars: &[Var]) -> bool {
 }
 
 /// Removes `buffer` from every block's allocation list (after inlining).
-fn drop_alloc(s: Stmt, buffer: &Buffer) -> Stmt {
+fn drop_alloc(s: &mut Stmt, buffer: &Buffer) {
     match s {
-        Stmt::BlockRealize(mut br) => {
+        Stmt::BlockRealize(br) => {
             br.block.alloc_buffers.retain(|b| b != buffer);
-            br.block.body = Box::new(drop_alloc(*br.block.body, buffer));
-            Stmt::BlockRealize(br)
+            drop_alloc(&mut br.block.body, buffer);
         }
-        Stmt::For(f) => {
-            let f = *f;
-            let body = drop_alloc(f.body, buffer);
-            Stmt::For(Box::new(tir::For { body, ..f }))
-        }
-        Stmt::Seq(v) => Stmt::Seq(v.into_iter().map(|st| drop_alloc(st, buffer)).collect()),
-        other => other,
+        Stmt::For(f) => drop_alloc(&mut f.body, buffer),
+        Stmt::Seq(v) => v.iter_mut().for_each(|st| drop_alloc(st, buffer)),
+        _ => {}
     }
 }
 

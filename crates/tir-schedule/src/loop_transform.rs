@@ -14,41 +14,38 @@ use tir::{Expr, For, ForKind, Stmt, ThreadTag, Var};
 use crate::schedule::{LoopRef, Result, Schedule, ScheduleError};
 use crate::trace::TraceStep;
 
-/// Adds `conjunct` to the predicate of every block realize in `s`, without
-/// descending into block bodies (loop variables cannot occur deeper).
-fn add_predicate(s: Stmt, conjunct: &Expr) -> Stmt {
+/// Adds `conjunct` to the predicate of every block realize in `s`, in
+/// place, without descending into block bodies (loop variables cannot occur
+/// deeper).
+fn add_predicate(s: &mut Stmt, conjunct: &Expr) {
     match s {
-        Stmt::BlockRealize(mut br) => {
+        Stmt::BlockRealize(br) => {
             br.predicate = if br.predicate.is_const_int(1) {
                 conjunct.clone()
             } else {
-                br.predicate.and(conjunct.clone())
+                std::mem::replace(&mut br.predicate, Expr::true_()).and(conjunct.clone())
             };
-            Stmt::BlockRealize(br)
         }
-        Stmt::For(mut f) => {
-            f.body = add_predicate(f.body, conjunct);
-            Stmt::For(f)
-        }
-        Stmt::Seq(v) => Stmt::Seq(
-            v.into_iter()
-                .map(|st| add_predicate(st, conjunct))
-                .collect(),
-        ),
+        Stmt::For(f) => add_predicate(&mut f.body, conjunct),
+        Stmt::Seq(v) => v.iter_mut().for_each(|st| add_predicate(st, conjunct)),
         Stmt::IfThenElse {
-            cond,
             then_branch,
             else_branch,
-        } => Stmt::IfThenElse {
-            cond,
-            then_branch: Box::new(add_predicate(*then_branch, conjunct)),
-            else_branch: else_branch.map(|e| Box::new(add_predicate(*e, conjunct))),
-        },
-        other => Stmt::IfThenElse {
-            cond: conjunct.clone(),
-            then_branch: Box::new(other),
-            else_branch: None,
-        },
+            ..
+        } => {
+            add_predicate(then_branch, conjunct);
+            if let Some(e) = else_branch {
+                add_predicate(e, conjunct);
+            }
+        }
+        Stmt::Store { .. } | Stmt::Eval(_) => {
+            let guarded = std::mem::replace(s, Stmt::Seq(Vec::new()));
+            *s = Stmt::IfThenElse {
+                cond: conjunct.clone(),
+                then_branch: Box::new(guarded),
+                else_branch: None,
+            };
+        }
     }
 }
 
@@ -113,17 +110,19 @@ impl Schedule {
 
         self.rewrite_loop(loop_ref, |f: For| {
             let mut map = HashMap::new();
-            map.insert(f.var.clone(), value.clone());
-            let mut body = subst_stmt(&f.body, &map);
+            map.insert(f.var, value.clone());
+            let mut body = f.body;
+            subst_stmt(&mut body, &map);
             if needs_guard {
-                body = add_predicate(body, &value.clone().lt(extent));
+                add_predicate(&mut body, &value.clone().lt(extent));
             }
             let mut stmt = body;
             for (k, (var, factor)) in new_vars.iter().zip(&factors).enumerate().rev() {
                 let kind = if k == 0 { f.kind } else { ForKind::Serial };
                 stmt = Stmt::For(Box::new(For::with_kind(var.clone(), *factor, kind, stmt)));
             }
-            simplify_stmt(&stmt)
+            simplify_stmt(&mut stmt);
+            stmt
         })?;
         self.record(TraceStep::new(
             "split",
@@ -203,12 +202,10 @@ impl Schedule {
                     innermost = f.body;
                 }
             }
-            let body = subst_stmt(&innermost, &map);
-            simplify_stmt(&Stmt::For(Box::new(For::serial(
-                fused.clone(),
-                total,
-                body,
-            ))))
+            subst_stmt(&mut innermost, &map);
+            let mut stmt = Stmt::For(Box::new(For::serial(fused.clone(), total, innermost)));
+            simplify_stmt(&mut stmt);
+            stmt
         })?;
         self.record(TraceStep::new(
             "fuse",

@@ -4,8 +4,8 @@
 
 use std::collections::HashMap;
 
-use tir::simplify::simplify_expr;
-use tir::visit::{collect_vars_expr, subst_expr, subst_stmt};
+use tir::simplify::simplified;
+use tir::visit::{expr_any_var, expr_uses_var, subst_stmt, substituted};
 use tir::{Block, BlockRealize, Expr, IterKind, IterVar, Stmt, Var};
 
 use crate::compute_location::is_identity;
@@ -59,15 +59,12 @@ impl Schedule {
 
         // Every reduction binding must live at or inside the pivot loop.
         for (iv, value) in br.block.iter_vars.iter().zip(&br.iter_values) {
-            if iv.kind == IterKind::Reduce {
-                let used = collect_vars_expr(value);
-                if used.iter().any(|v| outer_vars.contains(v)) {
-                    return Err(ScheduleError::Precondition(format!(
-                        "reduction iterator {} binds to a loop outside {}",
-                        iv.var.name(),
-                        loop_ref.var().name()
-                    )));
-                }
+            if iv.kind == IterKind::Reduce && expr_any_var(value, &mut |v| outer_vars.contains(v)) {
+                return Err(ScheduleError::Precondition(format!(
+                    "reduction iterator {} binds to a loop outside {}",
+                    iv.var.name(),
+                    loop_ref.var().name()
+                )));
             }
         }
 
@@ -89,10 +86,11 @@ impl Schedule {
                 let fresh = iv.var.fresh_copy();
                 spatial_map.insert(iv.var.clone(), Expr::from(&fresh));
                 init_iter_vars.push(IterVar::spatial(fresh, iv.extent));
-                init_bindings.push(simplify_expr(&subst_expr(value, &var_map)));
+                init_bindings.push(simplified(substituted(value.clone(), &var_map)));
             }
         }
-        let init_body = subst_stmt(init, &spatial_map);
+        let mut init_body = init.clone();
+        subst_stmt(&mut init_body, &spatial_map);
         let init_writes = br
             .block
             .writes
@@ -103,8 +101,8 @@ impl Schedule {
                     .region
                     .iter()
                     .map(|r| tir::RangeExpr {
-                        min: subst_expr(&r.min, &spatial_map),
-                        extent: subst_expr(&r.extent, &spatial_map),
+                        min: substituted(r.min.clone(), &spatial_map),
+                        extent: substituted(r.extent.clone(), &spatial_map),
                     })
                     .collect(),
             })
@@ -116,7 +114,7 @@ impl Schedule {
             for (v, _) in &inner {
                 zero_map.entry(v.clone()).or_insert_with(|| Expr::int(0));
             }
-            simplify_expr(&subst_expr(&br.predicate, &zero_map))
+            simplified(substituted(br.predicate.clone(), &zero_map))
         };
         let init_name = format!("{}_init", block.name());
         let init_block = Block::new(
@@ -127,10 +125,9 @@ impl Schedule {
             init_body,
         );
         // Only keep fresh loops actually used by the init bindings.
-        let used_vars: Vec<Var> = init_bindings.iter().flat_map(collect_vars_expr).collect();
         let kept_loops: Vec<(Var, i64)> = fresh_loops
             .into_iter()
-            .filter(|(v, _)| used_vars.contains(v))
+            .filter(|(v, _)| init_bindings.iter().any(|e| expr_uses_var(e, v)))
             .collect();
         let init_nest = Stmt::BlockRealize(Box::new(BlockRealize::with_predicate(
             init_bindings,
@@ -305,7 +302,7 @@ impl Schedule {
         let init_stmt = Stmt::Store {
             buffer: init_buf.clone(),
             indices: indices.clone(),
-            value: subst_expr(init_value, &map),
+            value: substituted(init_value.clone(), &map),
         };
 
         self.take_block(init_block)?;

@@ -505,14 +505,6 @@ impl Schedule {
         walk(&self.func.body, name, &mut out);
         out.map(LoopRef)
     }
-
-    /// Replaces the whole function body (used by global transformations).
-    pub(crate) fn rewrite_body(&mut self, f: impl FnOnce(Stmt) -> Stmt) {
-        self.mutate_body(|body| {
-            *body = f(std::mem::replace(body, Stmt::Seq(Vec::new())));
-            true
-        });
-    }
 }
 
 /// The `For` node with the given variable (first in a pre-order walk).
@@ -566,9 +558,7 @@ fn rewrite_first(s: &mut Stmt, try_rewrite: &mut impl FnMut(&mut Stmt) -> bool) 
             if !v.iter_mut().any(|st| rewrite_first(st, try_rewrite)) {
                 return false;
             }
-            if v.len() == 1 || v.iter().any(|st| matches!(st, Stmt::Seq(_))) {
-                *s = Stmt::seq(std::mem::take(v));
-            }
+            s.normalize_seq();
             true
         }
         Stmt::IfThenElse {

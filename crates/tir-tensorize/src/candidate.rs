@@ -21,7 +21,8 @@
 
 use std::collections::HashMap;
 
-use tir::visit::subst_expr;
+use tir::simplify::simplified;
+use tir::visit::substituted;
 use tir::{
     AnnValue, Block, BlockRealize, Buffer, BufferRegion, Expr, IterKind, IterVar, PrimFunc, Stmt,
     Var,
@@ -470,14 +471,11 @@ fn reindex_block(
                 subst.insert(v.clone(), Expr::from(&bv));
                 fresh_group.push(bv);
             }
-            fused_per_dim.push(tir::simplify::simplify_expr(&fuse_expr(
-                &fresh_group,
-                &g.extents,
-            )));
+            fused_per_dim.push(simplified(fuse_expr(&fresh_group, &g.extents)));
         }
         let orig_idx: Vec<Expr> = original_indices
             .iter()
-            .map(|e| subst_expr(e, &subst))
+            .map(|e| substituted(e.clone(), &subst))
             .collect();
         let body = Stmt::store(original.clone(), orig_idx, stage.load(fused_per_dim));
         let (reads, writes) = tir::builder::derive_signature(&body, None);
@@ -517,7 +515,7 @@ fn reindex_block(
                 decoded = decoded.floor_div(stride);
             }
             decoded = decoded.floor_mod(e);
-            subst.insert(v.clone(), tir::simplify::simplify_expr(&decoded));
+            subst.insert(v.clone(), simplified(decoded));
         }
         if g.padded_extent != g.fused_extent {
             let cond = Expr::from(&wv).lt(g.fused_extent);
@@ -529,7 +527,7 @@ fn reindex_block(
     }
     let orig_idx: Vec<Expr> = original_indices
         .iter()
-        .map(|e| tir::simplify::simplify_expr(&subst_expr(e, &subst)))
+        .map(|e| simplified(substituted(e.clone(), &subst)))
         .collect();
     let loaded = original.load(orig_idx);
     let zero = if original.dtype().is_float() {
@@ -593,7 +591,7 @@ pub fn tensorize(
             .filter(|v| !loop_dom.contains_key(v))
             .map(|v| (v, Expr::int(0)))
             .collect();
-        let inner = tir::simplify::simplify_expr(&subst_expr(value, &zero_outer));
+        let inner = simplified(substituted(value.clone(), &zero_outer));
         let tile_extent = if inner.is_const_int(0) {
             1
         } else {

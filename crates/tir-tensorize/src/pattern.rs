@@ -7,7 +7,7 @@
 //! comparing characteristic vectors, fusing workload iterators that share
 //! a vector.
 
-use tir::visit::collect_vars_expr;
+use tir::visit::expr_uses_var;
 use tir::{BinOp, Block, Buffer, Expr, IterKind, Var};
 use tir_analysis::reduction::{detect_block_reduction, ReduceOp};
 
@@ -108,7 +108,7 @@ pub fn extract_einsum(block: &Block) -> Result<Einsum, MatchError> {
 /// operand (output first), set when the iterator appears in that operand's
 /// index expressions.
 pub fn characteristic(einsum: &Einsum, var: &Var) -> Vec<bool> {
-    let appears = |indices: &[Expr]| indices.iter().any(|e| collect_vars_expr(e).contains(var));
+    let appears = |indices: &[Expr]| indices.iter().any(|e| expr_uses_var(e, var));
     let mut chi = vec![appears(&einsum.output.1)];
     for (_, idx) in &einsum.inputs {
         chi.push(appears(idx));

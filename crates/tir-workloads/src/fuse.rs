@@ -116,7 +116,7 @@ fn compose(anchor: &PrimFunc, steps: &[Epilogue], name: &str, fused: bool) -> Pr
             MemScope::Global
         }
     };
-    let (anchor_body, anchor_allocs) = match &anchor.body {
+    let (mut anchor_body, anchor_allocs) = match &anchor.body {
         Stmt::BlockRealize(br) => ((*br.block.body).clone(), br.block.alloc_buffers.clone()),
         other => panic!("anchor must follow the root-block convention, got {other:?}"),
     };
@@ -127,7 +127,8 @@ fn compose(anchor: &PrimFunc, steps: &[Epilogue], name: &str, fused: bool) -> Pr
     let stage0 = out.derive(format!("{}_s0", out.name()), scope_of());
     let mut map = HashMap::new();
     map.insert(out.clone(), stage0.clone());
-    let mut stmts = vec![replace_buffers(&anchor_body, &map)];
+    replace_buffers(&mut anchor_body, &map);
+    let mut stmts = vec![anchor_body];
     let mut allocs: Vec<Buffer> = anchor_allocs
         .into_iter()
         .map(|b| map.get(&b).cloned().unwrap_or(b))

@@ -13,7 +13,7 @@ use crate::buffer::{Buffer, BufferRegion, MemScope, RangeExpr};
 use crate::dtype::{parse_dtype, DataType};
 use crate::expr::{BinOp, CmpOp, Expr, Var};
 use crate::func::PrimFunc;
-use crate::simplify::simplify_expr;
+use crate::simplify::simplified;
 use crate::stmt::{
     AnnValue, Block, BlockRealize, For, ForKind, IterKind, IterVar, Stmt, ThreadTag,
 };
@@ -537,7 +537,7 @@ impl Parser {
                     pos += 1;
                     let (hi, used) = self.expr_at(&toks[pos..], lineno)?;
                     pos += used;
-                    let extent = simplify_expr(&(hi - lo.clone()));
+                    let extent = simplified(hi - lo.clone());
                     ranges.push(RangeExpr::new(lo, extent));
                 } else {
                     ranges.push(RangeExpr::point(lo));

@@ -67,9 +67,21 @@ fn fold_float(op: BinOp, a: f64, b: f64) -> Option<f64> {
     })
 }
 
-fn simplify_bin(op: BinOp, a: Expr, b: Expr) -> Expr {
+/// The operands of a binary node whose shape the caller has matched.
+fn operands(e: Expr) -> (Box<Expr>, Box<Expr>) {
+    match e {
+        Expr::Bin(_, x, y) => (x, y),
+        other => unreachable!("caller matched a binary node, found {other:?}"),
+    }
+}
+
+/// Applies the first matching rule to `a op b`, both already simplified.
+/// The operands come in their boxes and leave in them when no rule fires,
+/// so the common case allocates nothing; a rule that rebuilds a node
+/// reuses the boxes it took apart.
+fn simplify_bin(op: BinOp, a: Box<Expr>, mut b: Box<Expr>) -> Expr {
     // Constant folding.
-    if let (Expr::Int(x, dt), Expr::Int(y, _)) = (&a, &b) {
+    if let (Expr::Int(x, dt), Expr::Int(y, _)) = (&*a, &*b) {
         if let Some(v) = fold_int(op, *x, *y) {
             let dt = if matches!(op, BinOp::And | BinOp::Or) {
                 crate::DataType::bool()
@@ -79,47 +91,48 @@ fn simplify_bin(op: BinOp, a: Expr, b: Expr) -> Expr {
             return Expr::Int(v, dt);
         }
     }
-    if let (Expr::Float(x, dt), Expr::Float(y, _)) = (&a, &b) {
+    if let (Expr::Float(x, dt), Expr::Float(y, _)) = (&*a, &*b) {
         if let Some(v) = fold_float(op, *x, *y) {
             return Expr::Float(v, *dt);
         }
     }
     let a_int = a.as_int();
     let b_int = b.as_int();
-    let a_zero = a_int == Some(0) || matches!(a, Expr::Float(v, _) if v == 0.0);
-    let b_zero = b_int == Some(0) || matches!(b, Expr::Float(v, _) if v == 0.0);
-    let a_one = a_int == Some(1) || matches!(a, Expr::Float(v, _) if v == 1.0);
-    let b_one = b_int == Some(1) || matches!(b, Expr::Float(v, _) if v == 1.0);
+    let a_zero = a_int == Some(0) || matches!(*a, Expr::Float(v, _) if v == 0.0);
+    let b_zero = b_int == Some(0) || matches!(*b, Expr::Float(v, _) if v == 0.0);
+    let a_one = a_int == Some(1) || matches!(*a, Expr::Float(v, _) if v == 1.0);
+    let b_one = b_int == Some(1) || matches!(*b, Expr::Float(v, _) if v == 1.0);
     match op {
         BinOp::Add => {
             if a_zero {
-                return b;
+                return *b;
             }
             if b_zero {
-                return a;
+                return *a;
             }
             // (x + c1) + c2 => x + (c1+c2)
-            if let (Expr::Bin(BinOp::Add, x, c1), Some(c2)) = (&a, b_int) {
+            if let (Expr::Bin(BinOp::Add, _, c1), Some(c2)) = (&*a, b_int) {
                 if let Some(c1v) = c1.as_int() {
-                    return simplify_bin(BinOp::Add, (**x).clone(), Expr::int(c1v + c2));
+                    let (x, _) = operands(*a);
+                    *b = Expr::int(c1v + c2);
+                    return simplify_bin(BinOp::Add, x, b);
                 }
             }
         }
         BinOp::Sub => {
             if b_zero {
-                return a;
+                return *a;
             }
             if a == b && a_int.is_none() {
                 // symbolic x - x
                 return Expr::Int(0, a.dtype());
             }
             // (x + y) - x => y and (x + y) - y => x (slice extents).
-            if let Expr::Bin(BinOp::Add, x, y) = &a {
-                if **x == b {
-                    return (**y).clone();
-                }
-                if **y == b {
-                    return (**x).clone();
+            if let Expr::Bin(BinOp::Add, x, y) = &*a {
+                let x_is_b = **x == *b;
+                if x_is_b || **y == *b {
+                    let (x, y) = operands(*a);
+                    return if x_is_b { *y } else { *x };
                 }
             }
         }
@@ -132,43 +145,49 @@ fn simplify_bin(op: BinOp, a: Expr, b: Expr) -> Expr {
                 };
             }
             if a_one {
-                return b;
+                return *b;
             }
             if b_one {
-                return a;
+                return *a;
             }
             // (x * c1) * c2 => x * (c1*c2)
-            if let (Expr::Bin(BinOp::Mul, x, c1), Some(c2)) = (&a, b_int) {
+            if let (Expr::Bin(BinOp::Mul, _, c1), Some(c2)) = (&*a, b_int) {
                 if let Some(c1v) = c1.as_int() {
-                    return simplify_bin(BinOp::Mul, (**x).clone(), Expr::int(c1v * c2));
+                    let (x, _) = operands(*a);
+                    *b = Expr::int(c1v * c2);
+                    return simplify_bin(BinOp::Mul, x, b);
                 }
             }
         }
         BinOp::Div => {
             if b_one {
-                return a;
+                return *a;
             }
         }
         BinOp::FloorDiv => {
             if b_one {
-                return a;
+                return *a;
             }
             if let Some(c) = b_int {
                 if c > 0 {
                     // (x * c) // c => x ; (x * c1) // c2 with c1 % c2 == 0 => x * (c1/c2)
-                    if let Expr::Bin(BinOp::Mul, x, c1) = &a {
+                    if let Expr::Bin(BinOp::Mul, _, c1) = &*a {
                         if let Some(c1v) = c1.as_int() {
                             if c1v % c == 0 {
-                                return simplify_bin(BinOp::Mul, (**x).clone(), Expr::int(c1v / c));
+                                let (x, _) = operands(*a);
+                                *b = Expr::int(c1v / c);
+                                return simplify_bin(BinOp::Mul, x, b);
                             }
                         }
                     }
                     // (x * c + y) // c => x + y // c  (valid when 0 <= y — we
                     // only apply it when y is a non-negative constant < c).
-                    if let Expr::Bin(BinOp::Add, l, r) = &a {
-                        if let (Expr::Bin(BinOp::Mul, x, c1), Some(rv)) = (&**l, r.as_int()) {
+                    if let Expr::Bin(BinOp::Add, l, r) = &*a {
+                        if let (Expr::Bin(BinOp::Mul, _, c1), Some(rv)) = (&**l, r.as_int()) {
                             if c1.as_int() == Some(c) && (0..c).contains(&rv) {
-                                return (**x).clone();
+                                let (l, _) = operands(*a);
+                                let (x, _) = operands(*l);
+                                return *x;
                             }
                         }
                     }
@@ -182,7 +201,7 @@ fn simplify_bin(op: BinOp, a: Expr, b: Expr) -> Expr {
             if let Some(c) = b_int {
                 if c > 0 {
                     // (x * c1) % c2 == 0 when c1 % c2 == 0
-                    if let Expr::Bin(BinOp::Mul, _, c1) = &a {
+                    if let Expr::Bin(BinOp::Mul, _, c1) = &*a {
                         if let Some(c1v) = c1.as_int() {
                             if c1v % c == 0 {
                                 return Expr::Int(0, a.dtype());
@@ -190,10 +209,11 @@ fn simplify_bin(op: BinOp, a: Expr, b: Expr) -> Expr {
                         }
                     }
                     // (x * c + y) % c => y % c
-                    if let Expr::Bin(BinOp::Add, l, r) = &a {
+                    if let Expr::Bin(BinOp::Add, l, _) = &*a {
                         if let Expr::Bin(BinOp::Mul, _, c1) = &**l {
                             if c1.as_int() == Some(c) {
-                                return simplify_bin(BinOp::FloorMod, (**r).clone(), b);
+                                let (_, r) = operands(*a);
+                                return simplify_bin(BinOp::FloorMod, r, b);
                             }
                         }
                     }
@@ -202,15 +222,15 @@ fn simplify_bin(op: BinOp, a: Expr, b: Expr) -> Expr {
         }
         BinOp::Min | BinOp::Max => {
             if a == b {
-                return a;
+                return *a;
             }
         }
         BinOp::And => {
             if a_int == Some(1) {
-                return b;
+                return *b;
             }
             if b_int == Some(1) {
-                return a;
+                return *a;
             }
             if a_int == Some(0) || b_int == Some(0) {
                 return Expr::bool(false);
@@ -218,39 +238,48 @@ fn simplify_bin(op: BinOp, a: Expr, b: Expr) -> Expr {
         }
         BinOp::Or => {
             if a_int == Some(0) {
-                return b;
+                return *b;
             }
             if b_int == Some(0) {
-                return a;
+                return *a;
             }
             if a_int == Some(1) || b_int == Some(1) {
                 return Expr::bool(true);
             }
         }
     }
-    Expr::Bin(op, Box::new(a), Box::new(b))
+    Expr::Bin(op, a, b)
 }
 
-fn simplify_cmp(op: CmpOp, a: Expr, b: Expr) -> Expr {
+fn simplify_cmp(op: CmpOp, a: Box<Expr>, b: Box<Expr>) -> Expr {
     if let (Some(x), Some(y)) = (a.as_int(), b.as_int()) {
         return Expr::bool(op.apply(x, y));
     }
     if a == b {
         return Expr::bool(matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge));
     }
-    Expr::Cmp(op, Box::new(a), Box::new(b))
+    Expr::Cmp(op, a, b)
 }
 
 struct Simplifier;
 impl ExprMutator for Simplifier {
-    fn mutate_expr(&mut self, e: Expr) -> Expr {
-        let e = self.walk_expr(e);
-        match e {
-            Expr::Bin(op, a, b) => simplify_bin(op, *a, *b),
-            Expr::Cmp(op, a, b) => simplify_cmp(op, *a, *b),
-            Expr::Not(v) => match *v {
-                Expr::Int(x, dt) if dt.is_bool() => Expr::bool(x == 0),
-                inner => Expr::Not(Box::new(inner)),
+    fn mutate_expr(&mut self, e: &mut Expr) {
+        self.walk_expr(e);
+        let has_rules = matches!(
+            e,
+            Expr::Bin(..) | Expr::Cmp(..) | Expr::Not(_) | Expr::Select { .. } | Expr::Cast(..)
+        );
+        if !has_rules {
+            return;
+        }
+        // Take the node out to hand its boxes to the rules; the placeholder
+        // owns no heap memory.
+        *e = match std::mem::replace(e, Expr::Int(0, crate::DataType::bool())) {
+            Expr::Bin(op, a, b) => simplify_bin(op, a, b),
+            Expr::Cmp(op, a, b) => simplify_cmp(op, a, b),
+            Expr::Not(v) => match &*v {
+                Expr::Int(x, dt) if dt.is_bool() => Expr::bool(*x == 0),
+                _ => Expr::Not(v),
             },
             Expr::Select { cond, then, other } => match cond.as_int() {
                 Some(0) => *other,
@@ -265,29 +294,38 @@ impl ExprMutator for Simplifier {
                 }
             }
             other => other,
-        }
+        };
     }
 }
 impl StmtMutator for Simplifier {}
 
-/// Simplifies an expression bottom-up.
+/// Simplifies an expression bottom-up, in place. A tree no rule fires on is
+/// left as it is, without allocating.
 ///
 /// # Examples
 ///
 /// ```
 /// use tir::{Expr, Var, simplify::simplify_expr};
 /// let i = Var::int("i");
-/// let e = (Expr::from(&i) * 4 + 2).floor_div(4);
+/// let mut e = (Expr::from(&i) * 4 + 2).floor_div(4);
 /// // (i*4 + 2) // 4 => i
-/// assert_eq!(simplify_expr(&e), Expr::from(&i));
+/// simplify_expr(&mut e);
+/// assert_eq!(e, Expr::from(&i));
 /// ```
-pub fn simplify_expr(e: &Expr) -> Expr {
-    Simplifier.mutate_expr(e.clone())
+pub fn simplify_expr(e: &mut Expr) {
+    Simplifier.mutate_expr(e);
 }
 
-/// Simplifies every expression inside a statement.
-pub fn simplify_stmt(s: &Stmt) -> Stmt {
-    Simplifier.mutate_stmt(s.clone())
+/// [`simplify_expr`] on an expression the caller owns (or cloned to keep
+/// its input): `simplified(a + b)`.
+pub fn simplified(mut e: Expr) -> Expr {
+    simplify_expr(&mut e);
+    e
+}
+
+/// Simplifies every expression inside a statement, in place.
+pub fn simplify_stmt(s: &mut Stmt) {
+    Simplifier.mutate_stmt(s);
 }
 
 #[cfg(test)]
@@ -296,7 +334,7 @@ mod tests {
     use crate::expr::Var;
 
     fn s(e: Expr) -> Expr {
-        simplify_expr(&e)
+        simplified(e)
     }
 
     #[test]

@@ -421,6 +421,19 @@ impl Stmt {
         }
     }
 
+    /// Puts a `Seq` whose members were rewritten in place back into the
+    /// form [`Stmt::seq`] builds (nested sequences flattened, a singleton
+    /// unwrapped): programs that differ only in `Seq` nesting print and hash
+    /// differently. A `Seq` already in that form, and any other statement,
+    /// is left untouched.
+    pub fn normalize_seq(&mut self) {
+        if let Stmt::Seq(v) = self {
+            if v.len() == 1 || v.iter().any(|st| matches!(st, Stmt::Seq(_))) {
+                *self = Stmt::seq(std::mem::take(v));
+            }
+        }
+    }
+
     /// Wraps this statement in a serial loop.
     pub fn in_loop(self, var: Var, extent: impl Into<Expr>) -> Stmt {
         Stmt::For(Box::new(For::serial(var, extent, self)))

@@ -13,16 +13,44 @@
 //! re-measuring it.
 
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
+use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::buffer::{Buffer, BufferRegion};
-use crate::expr::{Expr, Var};
+use crate::buffer::{Buffer, BufferRegion, MemScope};
+use crate::dtype::{DataType, TypeCode};
+use crate::expr::{BinOp, CmpOp, Expr, Var};
 use crate::func::PrimFunc;
-use crate::stmt::{Block, BlockRealize, Stmt};
+use crate::stmt::{AnnValue, Annotations, Block, BlockRealize, ForKind, IterKind, Stmt, ThreadTag};
+
+/// Hasher for maps keyed by variable/buffer ids. The ids come from this
+/// process's own counters (unique, dense, never outside input), so one
+/// multiplication spreads them well enough and SipHash's collision
+/// resistance buys nothing.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn write_usize(&mut self, id: usize) {
+        self.0 = (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<V> = HashMap<usize, V, BuildHasherDefault<IdHasher>>;
 
 #[derive(Default)]
 struct Matcher {
-    vars: HashMap<usize, usize>,
-    bufs: HashMap<usize, usize>,
+    vars: IdMap<usize>,
+    bufs: IdMap<usize>,
 }
 
 impl Matcher {
@@ -91,12 +119,16 @@ impl Matcher {
             ) => self.buffer(bx, by) && self.exprs(ix, iy),
             (
                 Expr::Call {
-                    name: nx, args: ax, ..
+                    name: nx,
+                    args: ax,
+                    dtype: dx,
                 },
                 Expr::Call {
-                    name: ny, args: ay, ..
+                    name: ny,
+                    args: ay,
+                    dtype: dy,
                 },
-            ) => nx == ny && self.exprs(ax, ay),
+            ) => nx == ny && dx == dy && self.exprs(ax, ay),
             _ => false,
         }
     }
@@ -206,12 +238,119 @@ impl Matcher {
     }
 }
 
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// What feeding one fixed byte string does to any FNV-1a state, as a
+/// multiplication and a table lookup instead of a step per byte.
+///
+/// A step is `s' = (s ^ b) * P`. The xor reaches only the low byte of `s`,
+/// and whatever sits above it is multiplied through unchanged, so by
+/// induction the state after `n` bytes is
+/// `(s & !0xff) * P^n + run[s & 0xff]`, where `run[l]` is the plain
+/// byte-by-byte result started from state `l`. The hasher feeds the same
+/// few strings (a `Debug` rendering behind its length, the zero bytes of a
+/// small `u64`) thousands of times per program; their tables are built at
+/// compile time.
+struct Fixed {
+    pow: u64,
+    run: [u64; 256],
+}
+
+impl Fixed {
+    /// The table for `head` followed by `tail`.
+    const fn new(head: &[u8], tail: &[u8]) -> Fixed {
+        let mut run = [0; 256];
+        let mut low = 0;
+        while low < run.len() {
+            let mut state = low as u64;
+            let mut i = 0;
+            while i < head.len() + tail.len() {
+                let b = if i < head.len() {
+                    head[i]
+                } else {
+                    tail[i - head.len()]
+                };
+                state = (state ^ b as u64).wrapping_mul(FNV_PRIME);
+                i += 1;
+            }
+            run[low] = state;
+            low += 1;
+        }
+        let mut pow: u64 = 1;
+        let mut i = 0;
+        while i < head.len() + tail.len() {
+            pow = pow.wrapping_mul(FNV_PRIME);
+            i += 1;
+        }
+        Fixed { pow, run }
+    }
+
+    /// The table for what [`StructHasher::str`] feeds for `s`: its length
+    /// as a little-endian `u64`, then its bytes.
+    const fn str(s: &str) -> Fixed {
+        Fixed::new(&(s.len() as u64).to_le_bytes(), s.as_bytes())
+    }
+}
+
+/// The compile-time [`Fixed`] table of [`StructHasher::str`] of a literal.
+macro_rules! fixed_str {
+    ($text:literal) => {{
+        static TABLE: Fixed = Fixed::str($text);
+        &TABLE
+    }};
+}
+
+/// Decimal digits of `v`, as `{v}` prints them.
+fn decimal(v: i64, buf: &mut [u8; 20]) -> &str {
+    let mut rest = v.unsigned_abs();
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    std::str::from_utf8(&buf[at..]).expect("ascii digits")
+}
+
 /// FNV-1a accumulator with first-occurrence numbering of variables and
 /// buffers, so alpha-equivalent programs produce identical hashes.
+///
+/// The byte stream is part of the on-disk formats (hash values are stored
+/// in search checkpoints and pinned by golden files): data types,
+/// operators, scopes, iterator and loop kinds and annotation values go in
+/// as the text their derived `Debug` prints. Those texts come from a
+/// handful of distinct values, so the `debug_*` methods below feed them
+/// from static [`Fixed`] tables instead of running a formatter into a
+/// fresh `String` per node; `debug_renderings_match_derived_debug` holds
+/// them to what `{:?}` prints.
 struct StructHasher {
     state: u64,
-    vars: HashMap<usize, u64>,
-    bufs: HashMap<usize, u64>,
+    vars: IdMap<u64>,
+    bufs: IdMap<u64>,
+}
+
+/// Adapters that count, then feed, formatter output: the length prefix of
+/// [`StructHasher::str`] has to go in before the bytes.
+struct CountBytes(u64);
+impl fmt::Write for CountBytes {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len() as u64;
+        Ok(())
+    }
+}
+struct FeedBytes<'a>(&'a mut StructHasher);
+impl fmt::Write for FeedBytes<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.bytes(s);
+        Ok(())
+    }
 }
 
 impl StructHasher {
@@ -219,19 +358,39 @@ impl StructHasher {
         StructHasher {
             // FNV-1a 64-bit offset basis.
             state: 0xcbf2_9ce4_8422_2325,
-            vars: HashMap::new(),
-            bufs: HashMap::new(),
+            vars: IdMap::default(),
+            bufs: IdMap::default(),
         }
     }
 
     fn byte(&mut self, b: u8) {
         self.state ^= b as u64;
-        self.state = self.state.wrapping_mul(0x100_0000_01b3);
+        self.state = self.state.wrapping_mul(FNV_PRIME);
+    }
+
+    /// Feeds the bytes `table` was built from.
+    fn fixed(&mut self, table: &Fixed) {
+        let low = (self.state & 0xff) as usize;
+        self.state = (self.state & !0xff)
+            .wrapping_mul(table.pow)
+            .wrapping_add(table.run[low]);
+    }
+
+    fn bytes(&mut self, s: &str) {
+        for b in s.bytes() {
+            self.byte(b);
+        }
     }
 
     fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
+        static ZEROS: Fixed = Fixed::new(&[0; 7], &[]);
+        match u8::try_from(v) {
+            // Lengths, first-occurrence numbers, most constants.
+            Ok(low) => {
+                self.byte(low);
+                self.fixed(&ZEROS);
+            }
+            Err(_) => v.to_le_bytes().into_iter().for_each(|b| self.byte(b)),
         }
     }
 
@@ -240,9 +399,133 @@ impl StructHasher {
     }
 
     fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.bytes() {
-            self.byte(b);
+        self.str_parts(&[s]);
+    }
+
+    /// [`StructHasher::str`] of the concatenation of `parts`.
+    fn str_parts(&mut self, parts: &[&str]) {
+        self.u64(parts.iter().map(|p| p.len() as u64).sum());
+        for p in parts {
+            self.bytes(p);
+        }
+    }
+
+    /// `str(&format!("{v:?}"))` without the `String`: the formatter runs
+    /// twice, once to count. For the values that carry free text.
+    fn debug(&mut self, v: &dyn fmt::Debug) {
+        let mut len = CountBytes(0);
+        write!(len, "{v:?}").expect("counting cannot fail");
+        self.u64(len.0);
+        write!(FeedBytes(self), "{v:?}").expect("hashing cannot fail");
+    }
+
+    fn debug_dtype(&mut self, d: DataType) {
+        // The types programs are made of have a table each; any other is
+        // spelled out.
+        let table = match (d.code(), d.bits(), d.lanes()) {
+            (TypeCode::Int, 32, 1) => fixed_str!("DataType { code: Int, bits: 32, lanes: 1 }"),
+            (TypeCode::Int, 64, 1) => fixed_str!("DataType { code: Int, bits: 64, lanes: 1 }"),
+            (TypeCode::Int, 8, 1) => fixed_str!("DataType { code: Int, bits: 8, lanes: 1 }"),
+            (TypeCode::Float, 16, 1) => fixed_str!("DataType { code: Float, bits: 16, lanes: 1 }"),
+            (TypeCode::Float, 32, 1) => fixed_str!("DataType { code: Float, bits: 32, lanes: 1 }"),
+            (TypeCode::Bool, 1, 1) => fixed_str!("DataType { code: Bool, bits: 1, lanes: 1 }"),
+            _ => return self.spell_dtype(d),
+        };
+        self.fixed(table);
+    }
+
+    fn spell_dtype(&mut self, d: DataType) {
+        let code = match d.code() {
+            TypeCode::Int => "Int",
+            TypeCode::UInt => "UInt",
+            TypeCode::Float => "Float",
+            TypeCode::BFloat => "BFloat",
+            TypeCode::Bool => "Bool",
+            TypeCode::Handle => "Handle",
+        };
+        let (mut bits, mut lanes) = ([0; 20], [0; 20]);
+        self.str_parts(&[
+            "DataType { code: ",
+            code,
+            ", bits: ",
+            decimal(d.bits().into(), &mut bits),
+            ", lanes: ",
+            decimal(d.lanes().into(), &mut lanes),
+            " }",
+        ]);
+    }
+
+    fn debug_bin_op(&mut self, op: BinOp) {
+        self.fixed(match op {
+            BinOp::Add => fixed_str!("Add"),
+            BinOp::Sub => fixed_str!("Sub"),
+            BinOp::Mul => fixed_str!("Mul"),
+            BinOp::Div => fixed_str!("Div"),
+            BinOp::FloorDiv => fixed_str!("FloorDiv"),
+            BinOp::FloorMod => fixed_str!("FloorMod"),
+            BinOp::Min => fixed_str!("Min"),
+            BinOp::Max => fixed_str!("Max"),
+            BinOp::And => fixed_str!("And"),
+            BinOp::Or => fixed_str!("Or"),
+        });
+    }
+
+    fn debug_cmp_op(&mut self, op: CmpOp) {
+        self.fixed(match op {
+            CmpOp::Eq => fixed_str!("Eq"),
+            CmpOp::Ne => fixed_str!("Ne"),
+            CmpOp::Lt => fixed_str!("Lt"),
+            CmpOp::Le => fixed_str!("Le"),
+            CmpOp::Gt => fixed_str!("Gt"),
+            CmpOp::Ge => fixed_str!("Ge"),
+        });
+    }
+
+    fn debug_scope(&mut self, scope: &MemScope) {
+        self.fixed(match scope {
+            MemScope::Global => fixed_str!("Global"),
+            MemScope::Shared => fixed_str!("Shared"),
+            MemScope::Local => fixed_str!("Local"),
+            MemScope::Warp => fixed_str!("Warp"),
+            MemScope::WmmaMatrixA => fixed_str!("WmmaMatrixA"),
+            MemScope::WmmaMatrixB => fixed_str!("WmmaMatrixB"),
+            MemScope::WmmaAccumulator => fixed_str!("WmmaAccumulator"),
+            MemScope::Custom(_) => return self.debug(scope),
+        });
+    }
+
+    fn debug_iter_kind(&mut self, kind: IterKind) {
+        self.fixed(match kind {
+            IterKind::Spatial => fixed_str!("Spatial"),
+            IterKind::Reduce => fixed_str!("Reduce"),
+        });
+    }
+
+    fn debug_for_kind(&mut self, kind: ForKind) {
+        use ThreadTag::*;
+        self.fixed(match kind {
+            ForKind::Serial => fixed_str!("Serial"),
+            ForKind::Parallel => fixed_str!("Parallel"),
+            ForKind::Vectorized => fixed_str!("Vectorized"),
+            ForKind::Unrolled => fixed_str!("Unrolled"),
+            ForKind::ThreadBinding(BlockIdxX) => fixed_str!("ThreadBinding(BlockIdxX)"),
+            ForKind::ThreadBinding(BlockIdxY) => fixed_str!("ThreadBinding(BlockIdxY)"),
+            ForKind::ThreadBinding(BlockIdxZ) => fixed_str!("ThreadBinding(BlockIdxZ)"),
+            ForKind::ThreadBinding(ThreadIdxX) => fixed_str!("ThreadBinding(ThreadIdxX)"),
+            ForKind::ThreadBinding(ThreadIdxY) => fixed_str!("ThreadBinding(ThreadIdxY)"),
+            ForKind::ThreadBinding(ThreadIdxZ) => fixed_str!("ThreadBinding(ThreadIdxZ)"),
+            ForKind::ThreadBinding(Vthread) => fixed_str!("ThreadBinding(Vthread)"),
+        });
+    }
+
+    fn annotations(&mut self, annotations: &Annotations) {
+        self.u64(annotations.len() as u64);
+        for (k, v) in annotations {
+            self.str(k);
+            match v {
+                AnnValue::Int(i) => self.str_parts(&["Int(", decimal(*i, &mut [0; 20]), ")"]),
+                AnnValue::Str(_) => self.debug(v),
+            }
         }
     }
 
@@ -263,8 +546,8 @@ impl StructHasher {
         let idx = *self.bufs.entry(b.id()).or_insert(n);
         self.tag(2);
         self.u64(idx);
-        self.str(&format!("{:?}", b.dtype()));
-        self.str(&format!("{:?}", b.scope()));
+        self.debug_dtype(b.dtype());
+        self.debug_scope(b.scope());
         for &d in b.shape() {
             self.i64(d);
         }
@@ -275,12 +558,12 @@ impl StructHasher {
             Expr::Int(v, d) => {
                 self.tag(10);
                 self.i64(*v);
-                self.str(&format!("{d:?}"));
+                self.debug_dtype(*d);
             }
             Expr::Float(v, d) => {
                 self.tag(11);
                 self.u64(v.to_bits());
-                self.str(&format!("{d:?}"));
+                self.debug_dtype(*d);
             }
             Expr::Str(s) => {
                 self.tag(12);
@@ -292,18 +575,18 @@ impl StructHasher {
             }
             Expr::Cast(d, x) => {
                 self.tag(14);
-                self.str(&format!("{d:?}"));
+                self.debug_dtype(*d);
                 self.expr(x);
             }
             Expr::Bin(op, a, b) => {
                 self.tag(15);
-                self.str(&format!("{op:?}"));
+                self.debug_bin_op(*op);
                 self.expr(a);
                 self.expr(b);
             }
             Expr::Cmp(op, a, b) => {
                 self.tag(16);
-                self.str(&format!("{op:?}"));
+                self.debug_cmp_op(*op);
                 self.expr(a);
                 self.expr(b);
             }
@@ -328,7 +611,7 @@ impl StructHasher {
             Expr::Call { name, args, dtype } => {
                 self.tag(20);
                 self.str(name);
-                self.str(&format!("{dtype:?}"));
+                self.debug_dtype(*dtype);
                 self.u64(args.len() as u64);
                 for a in args {
                     self.expr(a);
@@ -354,7 +637,7 @@ impl StructHasher {
         for iv in &b.iter_vars {
             self.var(&iv.var);
             self.i64(iv.extent);
-            self.str(&format!("{:?}", iv.kind));
+            self.debug_iter_kind(iv.kind);
         }
         self.u64(b.alloc_buffers.len() as u64);
         for buf in &b.alloc_buffers {
@@ -368,11 +651,7 @@ impl StructHasher {
         for w in &b.writes {
             self.region(w);
         }
-        self.u64(b.annotations.len() as u64);
-        for (k, v) in &b.annotations {
-            self.str(k);
-            self.str(&format!("{v:?}"));
-        }
+        self.annotations(&b.annotations);
         match &b.init {
             Some(init) => {
                 self.tag(5);
@@ -427,14 +706,10 @@ impl StructHasher {
             }
             Stmt::For(f) => {
                 self.tag(34);
-                self.str(&format!("{:?}", f.kind));
+                self.debug_for_kind(f.kind);
                 self.var(&f.var);
                 self.expr(&f.extent);
-                self.u64(f.annotations.len() as u64);
-                for (k, v) in &f.annotations {
-                    self.str(k);
-                    self.str(&format!("{v:?}"));
-                }
+                self.annotations(&f.annotations);
                 self.stmt(&f.body);
             }
             Stmt::BlockRealize(br) => {
@@ -519,6 +794,166 @@ mod tests {
         let l = |b: &Buffer| b.load(vec![Expr::int(0)]);
         assert!(expr_structural_eq(&l(&a1), &l(&a2)));
         assert!(!expr_structural_eq(&l(&a1), &l(&a3)));
+    }
+
+    /// Regression: the matcher used to ignore a call's result type while
+    /// the hasher fed it, so programs it called equal hashed apart.
+    #[test]
+    fn calls_differing_only_in_dtype_are_not_equal() {
+        let a = Buffer::new("A", DataType::float32(), vec![4]);
+        let call = |dtype| Expr::Call {
+            name: "exp".into(),
+            args: vec![a.load(vec![Expr::int(0)])],
+            dtype,
+        };
+        let func = |dtype| PrimFunc::new("f", vec![a.clone()], Stmt::Eval(call(dtype)));
+        let (as_f32, as_f16) = (func(DataType::float32()), func(DataType::float16()));
+        assert!(func_structural_eq(&as_f32, &func(DataType::float32())));
+        assert_ne!(structural_hash(&as_f32), structural_hash(&as_f16));
+        assert!(!func_structural_eq(&as_f32, &as_f16));
+        assert!(!expr_structural_eq(
+            &call(DataType::float32()),
+            &call(DataType::float16())
+        ));
+    }
+
+    /// A `Fixed` table takes any state where the byte-by-byte loop takes it.
+    #[test]
+    fn fixed_tables_match_bytewise_fnv() {
+        static TEXT: Fixed = Fixed::str("DataType { code: Int, bits: 32, lanes: 1 }");
+        static EMPTY: Fixed = Fixed::str("");
+        static ZEROS: Fixed = Fixed::new(&[0; 7], &[]);
+        let mut state: u64 = 0xcbf2_9ce4_8422_2325;
+        for round in 0..2000u64 {
+            // Every low byte, under changing upper bits.
+            state = (state.wrapping_mul(0x9e37_79b9_7f4a_7c15) & !0xff) | (round & 0xff);
+            let start = || StructHasher {
+                state,
+                ..StructHasher::new()
+            };
+            let (mut a, mut b) = (start(), start());
+            a.fixed(&TEXT);
+            b.u64(42);
+            b.bytes("DataType { code: Int, bits: 32, lanes: 1 }");
+            assert_eq!(a.state, b.state);
+            let (mut a, mut b) = (start(), start());
+            a.fixed(&EMPTY);
+            a.fixed(&ZEROS);
+            (0..15).for_each(|_| b.byte(0));
+            assert_eq!(a.state, b.state);
+            // `u64` takes the table for small values and the loop for large.
+            for v in [0, 1, 255, 256, u64::MAX, round << 20] {
+                let (mut a, mut b) = (start(), start());
+                a.u64(v);
+                v.to_le_bytes().into_iter().for_each(|x| b.byte(x));
+                assert_eq!(a.state, b.state, "u64({v})");
+            }
+        }
+    }
+
+    /// The hasher feeds `Debug` renderings from static tables; every one
+    /// must feed exactly what `str(&format!("{v:?}"))` fed before.
+    #[test]
+    fn debug_renderings_match_derived_debug() {
+        fn same(fast: impl FnOnce(&mut StructHasher), v: &dyn fmt::Debug) {
+            let (mut a, mut b) = (StructHasher::new(), StructHasher::new());
+            fast(&mut a);
+            b.str(&format!("{v:?}"));
+            assert_eq!(a.state, b.state, "{v:?}");
+            let mut c = StructHasher::new();
+            c.debug(v);
+            assert_eq!(c.state, b.state, "two-pass formatter path, {v:?}");
+        }
+        let codes = [
+            TypeCode::Int,
+            TypeCode::UInt,
+            TypeCode::Float,
+            TypeCode::BFloat,
+            TypeCode::Bool,
+            TypeCode::Handle,
+        ];
+        for code in codes {
+            let widths = [
+                (1, 1),
+                (8, 1),
+                (8, 4),
+                (16, 1),
+                (32, 1),
+                (32, 16),
+                (64, 1),
+                (255, 65535),
+            ];
+            for (bits, lanes) in widths {
+                let d = DataType::new(code, bits, lanes);
+                same(|h| h.debug_dtype(d), &d);
+            }
+        }
+        use BinOp::*;
+        for op in [Add, Sub, Mul, Div, FloorDiv, FloorMod, Min, Max, And, Or] {
+            same(|h| h.debug_bin_op(op), &op);
+        }
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            same(|h| h.debug_cmp_op(op), &op);
+        }
+        for kind in [IterKind::Spatial, IterKind::Reduce] {
+            same(|h| h.debug_iter_kind(kind), &kind);
+        }
+        let tags = [
+            ThreadTag::BlockIdxX,
+            ThreadTag::BlockIdxY,
+            ThreadTag::BlockIdxZ,
+            ThreadTag::ThreadIdxX,
+            ThreadTag::ThreadIdxY,
+            ThreadTag::ThreadIdxZ,
+            ThreadTag::Vthread,
+        ];
+        let kinds = [
+            ForKind::Serial,
+            ForKind::Parallel,
+            ForKind::Vectorized,
+            ForKind::Unrolled,
+        ];
+        for kind in kinds.into_iter().chain(tags.map(ForKind::ThreadBinding)) {
+            same(|h| h.debug_for_kind(kind), &kind);
+        }
+        for name in [
+            "global",
+            "shared",
+            "local",
+            "warp",
+            "wmma.matrix_a",
+            "wmma.matrix_b",
+            "wmma.accumulator",
+            "arm.\"interleaved\"\n",
+        ] {
+            let scope = MemScope::from_name(name);
+            same(|h| h.debug_scope(&scope), &scope);
+        }
+        for value in [
+            AnnValue::Int(0),
+            AnnValue::Int(-17),
+            AnnValue::Int(i64::MIN),
+            AnnValue::Int(i64::MAX),
+            AnnValue::Str("warp".into()),
+            AnnValue::Str("a \"quoted\"\tvalue\\".into()),
+        ] {
+            let mut anns = Annotations::new();
+            anns.insert("k".into(), value.clone());
+            let mut a = StructHasher::new();
+            a.annotations(&anns);
+            let mut b = StructHasher::new();
+            b.u64(1);
+            b.str("k");
+            b.str(&format!("{value:?}"));
+            assert_eq!(a.state, b.state, "{value:?}");
+        }
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! Visitor and mutator infrastructure plus common traversal utilities.
 //!
-//! Transformations in this codebase are *functional*: a mutator consumes a
-//! statement tree and rebuilds it. The traits provide default `walk_*`
-//! methods that recurse into children, so implementations override only the
-//! cases they care about.
+//! A mutator rewrites a tree *in place* through `&mut`: a node it does not
+//! change is never moved, un-boxed or re-allocated, so a pass costs what it
+//! changes rather than what it visits. A caller that must keep its input
+//! clones it once, itself, and mutates the copy. The traits provide default
+//! `walk_*` methods that recurse into children, so implementations override
+//! only the cases they care about.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
-use crate::buffer::{Buffer, BufferRegion, RangeExpr};
+use crate::buffer::{Buffer, BufferRegion};
 use crate::expr::{Expr, Var};
-use crate::stmt::{Block, BlockRealize, For, Stmt};
+use crate::stmt::{Block, BlockRealize, Stmt};
 
 /// Read-only traversal over expressions.
 pub trait ExprVisitor {
@@ -103,181 +106,177 @@ pub trait StmtVisitor: ExprVisitor {
     }
 }
 
-/// Rebuilding traversal over expressions.
+/// In-place traversal over expressions.
 pub trait ExprMutator {
-    /// Transforms one expression; the default rebuilds children.
-    fn mutate_expr(&mut self, e: Expr) -> Expr {
-        self.walk_expr(e)
+    /// Transforms one expression in place; the default visits children.
+    fn mutate_expr(&mut self, e: &mut Expr) {
+        self.walk_expr(e);
     }
 
-    /// Rebuilds the children of `e` through `mutate_expr`.
-    fn walk_expr(&mut self, e: Expr) -> Expr {
+    /// Offers the children of `e` to `mutate_expr`.
+    fn walk_expr(&mut self, e: &mut Expr) {
         match e {
-            Expr::Int(..) | Expr::Float(..) | Expr::Str(_) | Expr::Var(_) => e,
-            Expr::Cast(dt, v) => Expr::Cast(dt, Box::new(self.mutate_expr(*v))),
-            Expr::Not(v) => Expr::Not(Box::new(self.mutate_expr(*v))),
-            Expr::Bin(op, a, b) => Expr::Bin(
-                op,
-                Box::new(self.mutate_expr(*a)),
-                Box::new(self.mutate_expr(*b)),
-            ),
-            Expr::Cmp(op, a, b) => Expr::Cmp(
-                op,
-                Box::new(self.mutate_expr(*a)),
-                Box::new(self.mutate_expr(*b)),
-            ),
-            Expr::Select { cond, then, other } => Expr::Select {
-                cond: Box::new(self.mutate_expr(*cond)),
-                then: Box::new(self.mutate_expr(*then)),
-                other: Box::new(self.mutate_expr(*other)),
-            },
-            Expr::Load { buffer, indices } => Expr::Load {
-                buffer: self.mutate_buffer(buffer),
-                indices: indices.into_iter().map(|i| self.mutate_expr(i)).collect(),
-            },
-            Expr::Call { name, args, dtype } => Expr::Call {
-                name,
-                args: args.into_iter().map(|a| self.mutate_expr(a)).collect(),
-                dtype,
-            },
+            Expr::Int(..) | Expr::Float(..) | Expr::Str(_) | Expr::Var(_) => {}
+            Expr::Cast(_, v) | Expr::Not(v) => self.mutate_expr(v),
+            Expr::Bin(_, a, b) | Expr::Cmp(_, a, b) => {
+                self.mutate_expr(a);
+                self.mutate_expr(b);
+            }
+            Expr::Select { cond, then, other } => {
+                self.mutate_expr(cond);
+                self.mutate_expr(then);
+                self.mutate_expr(other);
+            }
+            Expr::Load { buffer, indices } => {
+                self.mutate_buffer(buffer);
+                for i in indices {
+                    self.mutate_expr(i);
+                }
+            }
+            Expr::Call { args, .. } => {
+                for a in args {
+                    self.mutate_expr(a);
+                }
+            }
         }
     }
 
     /// Hook for replacing buffer handles; the default keeps them.
-    fn mutate_buffer(&mut self, b: Buffer) -> Buffer {
-        b
-    }
+    fn mutate_buffer(&mut self, _b: &mut Buffer) {}
 }
 
-/// Rebuilding traversal over statements.
+/// In-place traversal over statements.
 pub trait StmtMutator: ExprMutator {
-    /// Transforms one statement; the default rebuilds children.
-    fn mutate_stmt(&mut self, s: Stmt) -> Stmt {
-        self.walk_stmt(s)
+    /// Transforms one statement in place; the default visits children.
+    fn mutate_stmt(&mut self, s: &mut Stmt) {
+        self.walk_stmt(s);
     }
 
-    /// Transforms a block, rebuilding signature regions, init and body.
-    fn mutate_block(&mut self, mut b: Block) -> Block {
-        b.reads = b.reads.into_iter().map(|r| self.mutate_region(r)).collect();
-        b.writes = b
-            .writes
-            .into_iter()
-            .map(|r| self.mutate_region(r))
-            .collect();
-        b.alloc_buffers = b
-            .alloc_buffers
-            .into_iter()
-            .map(|buf| self.mutate_buffer(buf))
-            .collect();
-        b.init = b.init.map(|i| Box::new(self.mutate_stmt(*i)));
-        b.body = Box::new(self.mutate_stmt(*b.body));
-        b
+    /// Transforms a block: signature regions, allocations, init and body.
+    fn mutate_block(&mut self, b: &mut Block) {
+        for r in b.reads.iter_mut().chain(&mut b.writes) {
+            self.mutate_region(r);
+        }
+        for buf in &mut b.alloc_buffers {
+            self.mutate_buffer(buf);
+        }
+        if let Some(init) = &mut b.init {
+            self.mutate_stmt(init);
+        }
+        self.mutate_stmt(&mut b.body);
     }
 
-    /// Rebuilds a buffer region.
-    fn mutate_region(&mut self, r: BufferRegion) -> BufferRegion {
-        BufferRegion {
-            buffer: self.mutate_buffer(r.buffer),
-            region: r
-                .region
-                .into_iter()
-                .map(|rng| RangeExpr {
-                    min: self.mutate_expr(rng.min),
-                    extent: self.mutate_expr(rng.extent),
-                })
-                .collect(),
+    /// Transforms a buffer region.
+    fn mutate_region(&mut self, r: &mut BufferRegion) {
+        self.mutate_buffer(&mut r.buffer);
+        for rng in &mut r.region {
+            self.mutate_expr(&mut rng.min);
+            self.mutate_expr(&mut rng.extent);
         }
     }
 
-    /// Rebuilds the children of `s` through `mutate_stmt` / `mutate_expr`.
-    fn walk_stmt(&mut self, s: Stmt) -> Stmt {
+    /// Offers the children of `s` to `mutate_stmt` / `mutate_expr`. A `Seq`
+    /// whose members were mutated is put back into the form [`Stmt::seq`]
+    /// builds (see [`Stmt::normalize_seq`]).
+    fn walk_stmt(&mut self, s: &mut Stmt) {
         match s {
             Stmt::Store {
                 buffer,
                 indices,
                 value,
-            } => Stmt::Store {
-                buffer: self.mutate_buffer(buffer),
-                indices: indices.into_iter().map(|i| self.mutate_expr(i)).collect(),
-                value: self.mutate_expr(value),
-            },
-            Stmt::Eval(e) => Stmt::Eval(self.mutate_expr(e)),
-            Stmt::Seq(v) => Stmt::seq(v.into_iter().map(|st| self.mutate_stmt(st)).collect()),
+            } => {
+                self.mutate_buffer(buffer);
+                for i in indices {
+                    self.mutate_expr(i);
+                }
+                self.mutate_expr(value);
+            }
+            Stmt::Eval(e) => self.mutate_expr(e),
+            Stmt::Seq(v) => {
+                for st in v {
+                    self.mutate_stmt(st);
+                }
+                s.normalize_seq();
+            }
             Stmt::IfThenElse {
                 cond,
                 then_branch,
                 else_branch,
-            } => Stmt::IfThenElse {
-                cond: self.mutate_expr(cond),
-                then_branch: Box::new(self.mutate_stmt(*then_branch)),
-                else_branch: else_branch.map(|e| Box::new(self.mutate_stmt(*e))),
-            },
+            } => {
+                self.mutate_expr(cond);
+                self.mutate_stmt(then_branch);
+                if let Some(e) = else_branch {
+                    self.mutate_stmt(e);
+                }
+            }
             Stmt::For(f) => {
-                let f = *f;
-                Stmt::For(Box::new(For {
-                    var: f.var,
-                    extent: self.mutate_expr(f.extent),
-                    kind: f.kind,
-                    body: self.mutate_stmt(f.body),
-                    annotations: f.annotations,
-                }))
+                self.mutate_expr(&mut f.extent);
+                self.mutate_stmt(&mut f.body);
             }
             Stmt::BlockRealize(br) => {
-                let br = *br;
-                Stmt::BlockRealize(Box::new(BlockRealize {
-                    iter_values: br
-                        .iter_values
-                        .into_iter()
-                        .map(|v| self.mutate_expr(v))
-                        .collect(),
-                    predicate: self.mutate_expr(br.predicate),
-                    block: self.mutate_block(br.block),
-                }))
+                for v in &mut br.iter_values {
+                    self.mutate_expr(v);
+                }
+                self.mutate_expr(&mut br.predicate);
+                self.mutate_block(&mut br.block);
             }
         }
     }
 }
 
-struct Substituter<'a> {
-    map: &'a HashMap<Var, Expr>,
+struct Substituter<'a, E> {
+    map: &'a HashMap<Var, E>,
 }
-impl ExprMutator for Substituter<'_> {
-    fn mutate_expr(&mut self, e: Expr) -> Expr {
-        if let Expr::Var(v) = &e {
+impl<E: Borrow<Expr>> ExprMutator for Substituter<'_, E> {
+    fn mutate_expr(&mut self, e: &mut Expr) {
+        if let Expr::Var(v) = e {
             if let Some(r) = self.map.get(v) {
-                return r.clone();
+                *e = r.borrow().clone();
             }
+        } else {
+            self.walk_expr(e);
         }
-        self.walk_expr(e)
     }
 }
-impl StmtMutator for Substituter<'_> {}
+impl<E: Borrow<Expr>> StmtMutator for Substituter<'_, E> {}
 
-/// Substitutes variables inside an expression.
-pub fn subst_expr(e: &Expr, map: &HashMap<Var, Expr>) -> Expr {
-    Substituter { map }.mutate_expr(e.clone())
+/// Substitutes variables inside an expression, in place. The map may hold
+/// the replacements (`Expr`) or point at them (`&Expr`); only the ones
+/// that occur are copied.
+pub fn subst_expr<E: Borrow<Expr>>(e: &mut Expr, map: &HashMap<Var, E>) {
+    Substituter { map }.mutate_expr(e);
 }
 
-/// Substitutes variables inside a statement (including block signatures of
-/// nested blocks; the substituted variables are assumed free in the tree).
-pub fn subst_stmt(s: &Stmt, map: &HashMap<Var, Expr>) -> Stmt {
-    Substituter { map }.mutate_stmt(s.clone())
+/// [`subst_expr`] on an expression the caller owns (or cloned to keep its
+/// input): `substituted(value.clone(), &map)`.
+pub fn substituted<E: Borrow<Expr>>(mut e: Expr, map: &HashMap<Var, E>) -> Expr {
+    subst_expr(&mut e, map);
+    e
+}
+
+/// Substitutes variables inside a statement, in place (including block
+/// signatures of nested blocks; the substituted variables are assumed free
+/// in the tree).
+pub fn subst_stmt<E: Borrow<Expr>>(s: &mut Stmt, map: &HashMap<Var, E>) {
+    Substituter { map }.mutate_stmt(s);
 }
 
 struct BufferReplacer<'a> {
     map: &'a HashMap<Buffer, Buffer>,
 }
 impl ExprMutator for BufferReplacer<'_> {
-    fn mutate_buffer(&mut self, b: Buffer) -> Buffer {
-        self.map.get(&b).cloned().unwrap_or(b)
+    fn mutate_buffer(&mut self, b: &mut Buffer) {
+        if let Some(to) = self.map.get(b) {
+            *b = to.clone();
+        }
     }
 }
 impl StmtMutator for BufferReplacer<'_> {}
 
 /// Replaces buffer handles throughout a statement (loads, stores, regions,
-/// and allocations).
-pub fn replace_buffers(s: &Stmt, map: &HashMap<Buffer, Buffer>) -> Stmt {
-    BufferReplacer { map }.mutate_stmt(s.clone())
+/// and allocations), in place.
+pub fn replace_buffers(s: &mut Stmt, map: &HashMap<Buffer, Buffer>) {
+    BufferReplacer { map }.mutate_stmt(s);
 }
 
 struct VarCollector {
@@ -317,14 +316,65 @@ pub fn collect_vars_stmt(s: &Stmt) -> Vec<Var> {
     c.vars
 }
 
+/// Whether `pred` holds for some variable occurrence in the expression;
+/// stops at the first one.
+pub fn expr_any_var(e: &Expr, pred: &mut impl FnMut(&Var) -> bool) -> bool {
+    match e {
+        Expr::Var(v) => pred(v),
+        Expr::Int(..) | Expr::Float(..) | Expr::Str(_) => false,
+        Expr::Cast(_, v) | Expr::Not(v) => expr_any_var(v, pred),
+        Expr::Bin(_, a, b) | Expr::Cmp(_, a, b) => expr_any_var(a, pred) || expr_any_var(b, pred),
+        Expr::Select { cond, then, other } => {
+            expr_any_var(cond, pred) || expr_any_var(then, pred) || expr_any_var(other, pred)
+        }
+        Expr::Load { indices: es, .. } | Expr::Call { args: es, .. } => {
+            es.iter().any(|x| expr_any_var(x, pred))
+        }
+    }
+}
+
+/// Statement counterpart of [`expr_any_var`], over the expressions a
+/// [`StmtVisitor`] reaches (block signature regions are not among them).
+fn stmt_any_var(s: &Stmt, pred: &mut impl FnMut(&Var) -> bool) -> bool {
+    match s {
+        Stmt::Store { indices, value, .. } => {
+            indices.iter().any(|i| expr_any_var(i, pred)) || expr_any_var(value, pred)
+        }
+        Stmt::Eval(e) => expr_any_var(e, pred),
+        Stmt::Seq(v) => v.iter().any(|st| stmt_any_var(st, pred)),
+        Stmt::IfThenElse {
+            cond,
+            then_branch,
+            else_branch,
+        } => {
+            expr_any_var(cond, pred)
+                || stmt_any_var(then_branch, pred)
+                || else_branch
+                    .as_deref()
+                    .is_some_and(|e| stmt_any_var(e, pred))
+        }
+        Stmt::For(f) => expr_any_var(&f.extent, pred) || stmt_any_var(&f.body, pred),
+        Stmt::BlockRealize(br) => {
+            br.iter_values.iter().any(|v| expr_any_var(v, pred))
+                || expr_any_var(&br.predicate, pred)
+                || br
+                    .block
+                    .init
+                    .as_deref()
+                    .is_some_and(|i| stmt_any_var(i, pred))
+                || stmt_any_var(&br.block.body, pred)
+        }
+    }
+}
+
 /// Whether the variable occurs in the expression.
 pub fn expr_uses_var(e: &Expr, var: &Var) -> bool {
-    collect_vars_expr(e).contains(var)
+    expr_any_var(e, &mut |v| v == var)
 }
 
 /// Whether the variable occurs in the statement.
 pub fn stmt_uses_var(s: &Stmt, var: &Var) -> bool {
-    collect_vars_stmt(s).contains(var)
+    stmt_any_var(s, &mut |v| v == var)
 }
 
 struct BufferCollector {
@@ -418,7 +468,7 @@ pub fn block_names(s: &Stmt) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::dtype::DataType;
-    use crate::stmt::{Block, IterVar};
+    use crate::stmt::IterVar;
 
     fn sample() -> (Buffer, Buffer, Var, Var, Stmt) {
         let a = Buffer::new("A", DataType::float32(), vec![4, 4]);
@@ -459,7 +509,9 @@ mod tests {
         let (_, _, i, _, stmt) = sample();
         let mut map = HashMap::new();
         map.insert(i.clone(), Expr::int(3));
-        let out = subst_stmt(&stmt, &map);
+        assert!(stmt_uses_var(&stmt, &i));
+        let mut out = stmt.clone();
+        subst_stmt(&mut out, &map);
         assert!(!stmt_uses_var(&out, &i));
     }
 
@@ -469,11 +521,131 @@ mod tests {
         let a2 = a.derive("A_shared", crate::MemScope::Shared);
         let mut map = HashMap::new();
         map.insert(a.clone(), a2.clone());
-        let out = replace_buffers(&stmt, &map);
+        let mut out = stmt;
+        replace_buffers(&mut out, &map);
         let bufs = collect_accessed_buffers(&out);
         assert!(bufs.contains(&a2) && !bufs.contains(&a));
         let br = find_block(&out, "B").expect("block B");
         assert_eq!(br.block.reads[0].buffer, a2);
+    }
+
+    /// In-place mutators must leave every `Seq` in the form `Stmt::seq`
+    /// builds, as the rebuilding walk did: a statement replaced by a `Seq`
+    /// is flattened into its parent, an emptied member disappears, and a
+    /// lone survivor is unwrapped. Checked against a functional rebuild —
+    /// printed text and structural hash — two levels deep and in a block
+    /// `init`.
+    #[test]
+    fn in_place_mutators_keep_seq_normal_form() {
+        use crate::stmt::For;
+        use crate::structural::structural_hash;
+        use crate::PrimFunc;
+
+        struct ReplaceStores<'a> {
+            target: &'a Buffer,
+            replacement: &'a Stmt,
+        }
+        impl ExprMutator for ReplaceStores<'_> {}
+        impl StmtMutator for ReplaceStores<'_> {
+            fn mutate_stmt(&mut self, s: &mut Stmt) {
+                match s {
+                    Stmt::Store { buffer, .. } if buffer == self.target => {
+                        *s = self.replacement.clone();
+                    }
+                    _ => self.walk_stmt(s),
+                }
+            }
+        }
+        /// What the by-value walk built: every `Seq` through `Stmt::seq`.
+        fn rebuilt(s: &Stmt, target: &Buffer, replacement: &Stmt) -> Stmt {
+            let again = |st: &Stmt| rebuilt(st, target, replacement);
+            match s {
+                Stmt::Store { buffer, .. } if buffer == target => replacement.clone(),
+                Stmt::Seq(v) => Stmt::seq(v.iter().map(again).collect()),
+                Stmt::For(f) => Stmt::For(Box::new(For {
+                    body: again(&f.body),
+                    ..(**f).clone()
+                })),
+                Stmt::IfThenElse {
+                    cond,
+                    then_branch,
+                    else_branch,
+                } => Stmt::IfThenElse {
+                    cond: cond.clone(),
+                    then_branch: Box::new(again(then_branch)),
+                    else_branch: else_branch.as_deref().map(|e| Box::new(again(e))),
+                },
+                Stmt::BlockRealize(br) => {
+                    let mut br = (**br).clone();
+                    br.block.init = br.block.init.map(|i| Box::new(again(&i)));
+                    br.block.body = Box::new(again(&br.block.body));
+                    Stmt::BlockRealize(Box::new(br))
+                }
+                other => other.clone(),
+            }
+        }
+
+        let buf = |name: &str| Buffer::new(name, DataType::float32(), vec![8]);
+        let (t, u, v, w) = (buf("T"), buf("U"), buf("V"), buf("W"));
+        let store = |b: &Buffer, k: i64| Stmt::store(b.clone(), vec![Expr::int(k)], Expr::f32(1.0));
+        let (i, j, k) = (Var::int("i"), Var::int("j"), Var::int("k"));
+        let mut block = Block::new(
+            "b",
+            vec![],
+            vec![],
+            vec![],
+            Stmt::seq(vec![store(&v, 0), store(&t, 1)]),
+        );
+        block.init = Some(Box::new(Stmt::seq(vec![store(&t, 2), store(&u, 3)])));
+        let program = Stmt::seq(vec![
+            Stmt::seq(vec![store(&t, 4), store(&u, 5)]).in_loop(i, 8),
+            Stmt::seq(vec![
+                store(&u, 6),
+                Stmt::IfThenElse {
+                    cond: Expr::from(&k).lt(4),
+                    then_branch: Box::new(Stmt::seq(vec![store(&t, 7), store(&v, 8)])),
+                    else_branch: Some(Box::new(store(&t, 9))),
+                },
+                store(&t, 10),
+                store(&v, 11),
+            ])
+            .in_loop(k.clone(), 8)
+            .in_loop(j, 8),
+            Stmt::BlockRealize(Box::new(BlockRealize::new(vec![], block))),
+            store(&t, 12),
+        ]);
+        let replacements = [
+            Stmt::seq(vec![store(&w, 0), store(&w, 1)]),
+            Stmt::Seq(vec![]),
+            store(&w, 2),
+        ];
+        for replacement in &replacements {
+            let want = rebuilt(&program, &t, replacement);
+            let mut got = program.clone();
+            ReplaceStores {
+                target: &t,
+                replacement,
+            }
+            .mutate_stmt(&mut got);
+            let params = vec![t.clone(), u.clone(), v.clone(), w.clone()];
+            let want = PrimFunc::new("f", params.clone(), want);
+            let got = PrimFunc::new("f", params, got);
+            assert_eq!(got.to_string(), want.to_string());
+            assert_eq!(structural_hash(&got), structural_hash(&want));
+            assert_eq!(got, want, "replacement {replacement:?}");
+        }
+        // The emptied member took the loop's two-statement body to one.
+        let mut got = program.clone();
+        ReplaceStores {
+            target: &t,
+            replacement: &replacements[1],
+        }
+        .mutate_stmt(&mut got);
+        let Stmt::Seq(top) = &got else {
+            panic!("top level stays a sequence: {got:?}")
+        };
+        let first_loop = top[0].as_for().expect("loop i");
+        assert!(matches!(first_loop.body, Stmt::Store { .. }));
     }
 
     #[test]
