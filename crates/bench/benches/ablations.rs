@@ -63,7 +63,7 @@ fn main() {
     );
     print_table(
         "Ablation 2: validation filtering in evolutionary search (512^3 matmul)",
-        &["config", "best (ms)", "measured", "wasted", "filtered"],
+        &["config", "best (ms)", "measured", "wasted", "invalid built"],
         &[
             vec![
                 "with filter".into(),

@@ -186,6 +186,52 @@ fn bench_sketch_apply() {
     }
 }
 
+/// A whole cold tune of GMM f16 on the GPU (`tune_workload`'s body, every
+/// sketch behind a [`tir_autoschedule::CountingSketch`]): what the search
+/// costs end to end, and how many candidates it builds to get there — the
+/// `schedule/sketch_apply_*` rows above are the cost of *one* of them. 16
+/// trials is the budget `compile_model` gives a kernel (one generation per
+/// sketch, never a trained model), 64 the single-operator figures' budget.
+fn bench_search_tune() {
+    use tir_autoschedule::{
+        build_sketches, tune_multi, CountingSketch, SketchRule, Strategy, TuneOptions,
+    };
+    use tir_workloads::{bench_suite, OpKind};
+
+    let reg = builtin_registry();
+    let machine = Machine::sim_gpu();
+    let case = bench_suite(DataType::float16())
+        .into_iter()
+        .find(|c| c.kind == OpKind::GMM)
+        .expect("GMM in the suite");
+    let sketches = build_sketches(&case.func, &machine, &reg, Strategy::TensorIr);
+    for trials in [16usize, 64] {
+        let opts = TuneOptions {
+            trials,
+            num_threads: 1,
+            ..Default::default()
+        };
+        let tune = || {
+            let counting: Vec<CountingSketch<'_>> = sketches
+                .iter()
+                .map(|s| CountingSketch::new(s.as_ref()))
+                .collect();
+            let refs: Vec<&dyn SketchRule> = counting.iter().map(|s| s as _).collect();
+            let measured = tune_multi(&refs, &machine, &opts).trials_measured;
+            let applies: usize = counting.iter().map(CountingSketch::applies).sum();
+            (applies, measured)
+        };
+        let name = format!("search/tune_gmm_{trials}_trials");
+        bench_function(&name, tune);
+        let (applies, measured) = tune();
+        println!(
+            "{name:<40} {applies:>14} apply calls/tune, {measured} trials measured \
+             ({:.2} applies per trial)",
+            applies as f64 / measured.max(1) as f64
+        );
+    }
+}
+
 fn bench_validation() {
     let func = matmul_func("mm", 256, 256, 256, DataType::float32());
     bench_function("analysis/validate_matmul", || {
@@ -236,6 +282,7 @@ fn bench_print_parse() {
 fn main() {
     bench_split_fuse_reorder();
     bench_sketch_apply();
+    bench_search_tune();
     bench_ir_passes();
     bench_validation();
     bench_auto_tensorize();

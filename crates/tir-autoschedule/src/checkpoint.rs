@@ -49,7 +49,9 @@ pub struct TuneCheckpoint {
     pub generation: u64,
     /// `TuneResult::trials_measured` so far.
     pub trials_measured: usize,
-    /// `TuneResult::invalid_filtered` so far.
+    /// `TuneResult::invalid_filtered` so far: invalid candidates among
+    /// those the generations run so far materialized, not among all they
+    /// proposed.
     pub invalid_filtered: usize,
     /// `TuneResult::wasted_measurements` so far.
     pub wasted_measurements: usize,

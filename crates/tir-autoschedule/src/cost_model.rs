@@ -98,6 +98,12 @@ impl RegressionTree {
         node_pos
     }
 
+    /// Whether the tree reads its input at all. The root is node 0 (see
+    /// [`RegressionTree::predict`]), so a tree splits iff its root does.
+    fn has_split(&self) -> bool {
+        matches!(self.nodes.first(), Some(Node::Split { .. }))
+    }
+
     /// Predicts the value for one feature vector.
     pub fn predict(&self, features: &[f64]) -> f64 {
         if self.nodes.is_empty() {
@@ -223,6 +229,15 @@ impl CostModel {
                 .sum::<f64>()
     }
 
+    /// Whether [`CostModel::predict`] can tell two feature vectors apart:
+    /// some tree has a split. An untrained model, and one whose samples
+    /// all carry the same target (every candidate measured so far took the
+    /// same time), is a constant function — every candidate it scores
+    /// ties, and the search need not build candidates to learn that.
+    pub fn has_split(&self) -> bool {
+        self.trees.iter().any(RegressionTree::has_split)
+    }
+
     /// Mean squared error on the training set (for tests/diagnostics).
     pub fn training_mse(&self) -> f64 {
         if self.data.is_empty() {
@@ -284,6 +299,22 @@ mod tests {
     fn empty_model_predicts_base() {
         let m = CostModel::new();
         assert_eq!(m.predict(&[1.0, 2.0, 3.0]), 0.0);
+    }
+
+    #[test]
+    fn a_model_without_a_split_is_constant() {
+        let mut m = CostModel::new();
+        assert!(!m.has_split());
+        // Distinct features, one target: nothing to split on.
+        m.update((0..8).map(|i| (vec![f64::from(i), 1.0], 2.5)));
+        assert!(!m.has_split());
+        assert_eq!(m.predict(&[0.0, 1.0]), m.predict(&[7.0, -3.0]));
+        // Distinct targets but identical features: no threshold exists.
+        let mut same_x = CostModel::new();
+        same_x.update((0..8).map(|i| (vec![1.0, 1.0], f64::from(i))));
+        assert!(!same_x.has_split());
+        m.update(synthetic(30));
+        assert!(m.has_split());
     }
 
     #[test]

@@ -56,4 +56,4 @@ pub use parallel::{effective_threads, parallel_map, try_parallel_map};
 pub use search::{
     tune, tune_multi, tune_multi_with, tune_with, TuneOptions, TuneResult, WarmStart,
 };
-pub use sketch::{Decision, DecisionKind, SketchRule};
+pub use sketch::{CountingSketch, Decision, DecisionKind, SketchRule};

@@ -31,6 +31,32 @@
 //! pools), and `tuning_cost_s` accumulates the batch makespans. With one
 //! worker this reduces to the serial sum that Table 1 reports.
 //!
+//! # Selection pulls, materialization follows
+//!
+//! Building a candidate (`SketchRule::apply`, hash, summary, features) is
+//! most of a tune's wall-clock, and selection reads only as much of the
+//! population as it needs to fill one measurement batch. Whenever the
+//! scorer cannot tell valid candidates apart — fewer than four samples,
+//! `use_cost_model: false`, or an ensemble without a single split
+//! ([`CostModel::has_split`]; every measured time was equal) — all scores
+//! tie, the stable sort keeps slot order, and the batch is the first
+//! `measure_per_generation.min(budget_left)` valid, non-quarantined
+//! slots. Such a generation materializes the population in slot order only
+//! up to the slot that completes the batch; everything after it is
+//! proposed (and entered in the dedup set) but never built. The
+//! sequential scan defines the semantics: with several workers slots are
+//! built in waves, and whatever a wave evaluated past the sequential
+//! stopping slot is dropped without being counted or traced, so results,
+//! trace reports and checkpoints are identical at every thread count. A
+//! model with a split, and `validate_before_measure: false` (invalid
+//! candidates rank first, so every slot matters), build the whole
+//! population. The search trajectory is the same either way; only
+//! `invalid_filtered` — invalid candidates among those *materialized* —
+//! and the item counts of the `search.sketch_instantiate`,
+//! `search.feature_extract` and `search.model_rank` spans see the
+//! difference, and the trace counters `search.proposed`,
+//! `search.materialized` and `search.materialize_skipped` state it.
+//!
 //! # Candidate cache
 //!
 //! Different decision vectors frequently materialize *structurally
@@ -215,7 +241,11 @@ pub struct TuneResult {
     /// Measurements actually performed (cache hits included: a hit still
     /// consumes one unit of trial budget, it just costs nothing).
     pub trials_measured: usize,
-    /// Candidates rejected by construction/validation before measuring.
+    /// Candidates rejected by construction/validation before measuring,
+    /// among the candidates that were *materialized*. A generation whose
+    /// scorer cannot rank (see the module docs) builds slots only until
+    /// its batch is full, so invalid proposals past that slot are never
+    /// built and never counted.
     pub invalid_filtered: usize,
     /// Measurement budget wasted on invalid candidates (only when
     /// `validate_before_measure` is off).
@@ -499,6 +529,7 @@ pub fn tune_with(
         && opts.max_generations.is_none_or(|g| state.generation < g)
     {
         let generation = state.generation;
+        let budget_left = opts.trials - state.budget_used();
         let SearchState {
             result,
             model,
@@ -550,8 +581,29 @@ pub fn tune_with(
             break;
         }
 
+        // Coordinator: decide how much of the population selection can
+        // read. The batch is the `batch_size` best-scored candidates that
+        // are not quarantined, ties in slot order. When validation filters
+        // invalid candidates out and the scorer is feature-blind — no
+        // model yet, the cost model switched off, or an ensemble without
+        // a single split — every candidate ties, so the batch is the first
+        // `batch_size` valid, non-quarantined slots and nothing past the
+        // last of them is ever read.
+        let batch_size = opts.measure_per_generation.min(budget_left);
+        let model_ready = opts.use_cost_model && model.num_samples() >= 4;
+        let prefix_scan = opts.validate_before_measure && !(model_ready && model.has_split());
+        let stop_at = if prefix_scan { batch_size } else { usize::MAX };
+        // Quarantined candidates (deterministic failures, keyed by
+        // structural hash) are never selected.
+        let selectable = |e: &CandidateEval| e.hash == 0 || !quarantine.contains(&e.hash);
+
         // Fan-out 2: materialize + validate + summarize + extract features,
-        // with cache lookups against the frozen snapshot. A panic while
+        // with cache lookups against the frozen snapshot — in slot order,
+        // until `stop_at` selectable candidates exist or the population
+        // ends. A wave holds as many slots as are certainly still needed
+        // (at least one per worker); whatever a parallel wave evaluated
+        // past the slot a sequential scan stops at is dropped uncounted,
+        // so every thread count sees the same prefix. A panic while
         // materializing a candidate marks that candidate invalid instead
         // of aborting the run.
         let cache_ref: &HashMap<u64, CachedMeasurement> = cache;
@@ -563,35 +615,50 @@ pub fn tune_with(
             time: f64::NAN,
             cached: false,
         };
-        let evals: Vec<CandidateEval> =
-            try_parallel_map(&population, threads, |_, d| match sketch.apply(d) {
-                Err(_) => invalid(d),
-                Ok(f) => {
-                    let hash = structural_hash(&f);
-                    let (features, time, cached) = match cache_ref.get(&hash) {
-                        Some(m) if opts.use_candidate_cache => (m.features.clone(), m.time, true),
-                        _ => {
-                            let s = summarize(&f);
-                            // The actual measurement happens after batch
-                            // selection, through the fault-tolerant
-                            // harness; until then the time is unknown.
-                            (features_of_summary(&f, &s), f64::NAN, false)
-                        }
-                    };
-                    CandidateEval {
-                        decisions: d.clone(),
-                        func: Some(f),
-                        hash,
-                        features,
-                        time,
-                        cached,
+        let materialize = |_: usize, d: &Vec<Decision>| match sketch.apply(d) {
+            Err(_) => invalid(d),
+            Ok(f) => {
+                let hash = structural_hash(&f);
+                let (features, time, cached) = match cache_ref.get(&hash) {
+                    Some(m) if opts.use_candidate_cache => (m.features.clone(), m.time, true),
+                    _ => {
+                        let s = summarize(&f);
+                        // The actual measurement happens after batch
+                        // selection, through the fault-tolerant
+                        // harness; until then the time is unknown.
+                        (features_of_summary(&f, &s), f64::NAN, false)
                     }
+                };
+                CandidateEval {
+                    decisions: d.clone(),
+                    func: Some(f),
+                    hash,
+                    features,
+                    time,
+                    cached,
                 }
-            })
-            .into_iter()
-            .zip(&population)
-            .map(|(r, d)| r.unwrap_or_else(|_| invalid(d)))
-            .collect();
+            }
+        };
+        let mut evals: Vec<CandidateEval> = Vec::new();
+        let mut selectable_found = 0usize;
+        while selectable_found < stop_at && evals.len() < population.len() {
+            let wave = (stop_at - selectable_found)
+                .max(threads)
+                .min(population.len() - evals.len());
+            let slots = &population[evals.len()..][..wave];
+            for (r, d) in try_parallel_map(slots, threads, materialize)
+                .into_iter()
+                .zip(slots)
+            {
+                if selectable_found == stop_at {
+                    break;
+                }
+                let eval = r.unwrap_or_else(|_| invalid(d));
+                selectable_found += usize::from(eval.func.is_some() && selectable(&eval));
+                evals.push(eval);
+            }
+        }
+        let materialized = evals.len();
 
         // Coordinator: validation-filter accounting, in slot order.
         let mut candidates: Vec<CandidateEval> = Vec::new();
@@ -611,10 +678,9 @@ pub fn tune_with(
             candidates.push(eval);
         }
 
-        // Fan-out 3: batched cost-model ranking over the whole generation.
+        // Fan-out 3: batched cost-model ranking over what was materialized.
         // A panicking scorer ranks its candidate neutrally (score 0)
         // rather than aborting the run.
-        let model_ready = opts.use_cost_model && model.num_samples() >= 4;
         let model_ref: &CostModel = model;
         let mut scored: Vec<(f64, usize)> = try_parallel_map(&candidates, threads, |_, eval| {
             match &eval.func {
@@ -635,18 +701,12 @@ pub fn tune_with(
         scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
 
         // Coordinator: select the top-ranked batch. Quarantined
-        // candidates (deterministic failures, keyed by structural hash)
-        // are skipped without consuming any budget.
-        let budget_left = opts.trials
-            - (result.trials_measured + result.wasted_measurements + result.failed_measurements);
+        // candidates are skipped without consuming any budget.
         let batch: Vec<usize> = scored
             .into_iter()
             .map(|(_, i)| i)
-            .filter(|&i| {
-                let e = &candidates[i];
-                e.hash == 0 || !quarantine.contains(&e.hash)
-            })
-            .take(opts.measure_per_generation.min(budget_left))
+            .filter(|&i| selectable(&candidates[i]))
+            .take(batch_size)
             .collect();
 
         // Fan-out 4: measure the uncached members of the batch through
@@ -808,7 +868,7 @@ pub fn tune_with(
                 "search.sketch_instantiate",
                 Key::coord(stream, g, 1),
                 0.0,
-                population.len() as u64,
+                materialized as u64,
             );
             c.span(
                 "search.feature_extract",
@@ -843,6 +903,12 @@ pub fn tune_with(
                 (result.failed_measurements - fail0) as u64,
             );
             c.count("search.verify_rejections", verify_rejections);
+            c.count("search.proposed", population.len() as u64);
+            c.count("search.materialized", materialized as u64);
+            c.count(
+                "search.materialize_skipped",
+                (population.len() - materialized) as u64,
+            );
         }
         for (hash, record) in new_records {
             cache.insert(hash, record);

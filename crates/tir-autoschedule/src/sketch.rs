@@ -6,6 +6,8 @@
 //! mutates decision vectors and asks the sketch to materialize a concrete
 //! program for each.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use tir_rand::rngs::StdRng;
 use tir_rand::RngExt;
 
@@ -151,6 +153,61 @@ pub trait SketchRule: Send + Sync {
         }
         let cut = rng.random_range(0..a.len());
         a[..cut].iter().chain(b[cut..].iter()).cloned().collect()
+    }
+}
+
+/// A sketch that counts how many candidates it was asked to build — the
+/// instrument behind the search's "how many `apply` calls per measured
+/// trial" figure (`compiler_microbench` rows `search/*`) and the tests of
+/// demand-driven materialization. Everything is forwarded to the wrapped
+/// sketch unchanged, so a search over the wrapper is the search over the
+/// sketch.
+pub struct CountingSketch<'a> {
+    inner: &'a dyn SketchRule,
+    applies: AtomicUsize,
+}
+
+impl<'a> CountingSketch<'a> {
+    /// Wraps `inner` with the counter at zero.
+    pub fn new(inner: &'a dyn SketchRule) -> Self {
+        CountingSketch {
+            inner,
+            applies: AtomicUsize::new(0),
+        }
+    }
+
+    /// `apply` calls so far.
+    pub fn applies(&self) -> usize {
+        // `Relaxed`: a statistic, read after the search has joined its
+        // workers.
+        self.applies.load(Ordering::Relaxed)
+    }
+}
+
+impl SketchRule for CountingSketch<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn space(&self) -> Vec<DecisionKind> {
+        self.inner.space()
+    }
+
+    fn apply(&self, decisions: &[Decision]) -> Result<PrimFunc, ScheduleError> {
+        self.applies.fetch_add(1, Ordering::Relaxed);
+        self.inner.apply(decisions)
+    }
+
+    fn sample(&self, rng: &mut StdRng) -> Vec<Decision> {
+        self.inner.sample(rng)
+    }
+
+    fn mutate(&self, decisions: &[Decision], rng: &mut StdRng) -> Vec<Decision> {
+        self.inner.mutate(decisions, rng)
+    }
+
+    fn crossover(&self, a: &[Decision], b: &[Decision], rng: &mut StdRng) -> Vec<Decision> {
+        self.inner.crossover(a, b, rng)
     }
 }
 

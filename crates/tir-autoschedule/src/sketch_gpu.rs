@@ -168,17 +168,19 @@ impl SketchRule for GpuTensorSketch {
     }
 
     fn apply(&self, decisions: &[Decision]) -> Result<PrimFunc, ScheduleError> {
-        let mut sch = self.base.clone();
-        let loops = sch.get_loops(&self.outer_block)?;
-        let skip = usize::from(self.has_batch);
         let (xd, yd, kd) = (&decisions[0], &decisions[1], &decisions[2]);
-        // Warp count must stay within launch limits.
+        // Warp count must stay within launch limits. A function of the
+        // decisions alone, so it is checked before paying for a copy of
+        // the base schedule.
         let warps = xd[1] * yd[1];
         if warps > 32 {
             return Err(ScheduleError::Precondition(format!(
                 "{warps} warps exceed the launch budget"
             )));
         }
+        let mut sch = self.base.clone();
+        let loops = sch.get_loops(&self.outer_block)?;
+        let skip = usize::from(self.has_batch);
         let xs = sch.split(&loops[skip], xd)?;
         let ys = sch.split(&loops[skip + 1], yd)?;
         let ks = sch.split(&loops[skip + 2], kd)?;

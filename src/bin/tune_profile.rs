@@ -16,8 +16,9 @@
 //!
 //! With `--check` the emitted report is validated in-process (the CI
 //! gate): it must be well-formed JSON, carry every expected phase and
-//! counter, and its `search.*` phase times must sum to `tuning_cost_s`
-//! within 5%. Any violation exits with code 1.
+//! counter, its `search.*` phase times must sum to `tuning_cost_s`
+//! within 5%, and the candidates built and never built must add up to
+//! the candidates proposed. Any violation exits with code 1.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -214,6 +215,17 @@ fn render_report(
     out
 }
 
+/// The `search.{proposed, materialized, materialize_skipped}` counters:
+/// candidates proposed after dedup, built (`SketchRule::apply` calls), and
+/// proposed but never built because selection could not have read them.
+fn materialize_counters(report: &TraceReport) -> (u64, u64, u64) {
+    (
+        report.counter("search.proposed"),
+        report.counter("search.materialized"),
+        report.counter("search.materialize_skipped"),
+    )
+}
+
 /// The CI gate: structural and accounting invariants of the report.
 fn check_report(text: &str, result: &TuneResult, report: &TraceReport) -> Vec<String> {
     let mut errors = Vec::new();
@@ -248,6 +260,21 @@ fn check_report(text: &str, result: &TuneResult, report: &TraceReport) -> Vec<St
         if report.phase(phase).is_none() {
             errors.push(format!("missing phase {phase}"));
         }
+    }
+    // `search.materialize_skipped` is absent from a report whose every
+    // generation built its whole population (a zero counter is not
+    // emitted), so only the two that are always positive are required;
+    // the three must add up either way.
+    for counter in ["search.proposed", "search.materialized"] {
+        if report.counter(counter) == 0 {
+            errors.push(format!("missing counter {counter}"));
+        }
+    }
+    let (proposed, materialized, skipped) = materialize_counters(report);
+    if materialized + skipped != proposed {
+        errors.push(format!(
+            "materialized {materialized} + skipped {skipped} != proposed {proposed}"
+        ));
     }
     if result.best.is_none() {
         errors.push("tuning found no valid candidate".to_string());
@@ -329,6 +356,12 @@ fn main() -> ExitCode {
             println!("  {:<28} {:>12.6}s  items {}", p.name, p.sim_s, p.items);
         }
     }
+    let (proposed, materialized, skipped) = materialize_counters(&report);
+    println!(
+        "  candidates: {proposed} proposed, {materialized} built, {skipped} never built; \
+         {:.2} applies per measured trial",
+        materialized as f64 / result.trials_measured.max(1) as f64
+    );
     println!("  report written to {}", cfg.out);
 
     if cfg.check {
