@@ -1,0 +1,135 @@
+//! Golden bytes of the two on-disk database codecs: the snapshot
+//! (`TuningDatabase::encode`) and the write-ahead journal
+//! (`JournaledDb::publish`). Both store every `f64` as the hex of its
+//! bits and land on disk through the atomic write-temp + fsync + rename;
+//! the files under `tests/golden/` were recorded on the commit *before*
+//! those two helpers were merged into one implementation each, so a
+//! byte of drift in either codec fails here.
+//!
+//! Regenerate (only when a format is *meant* to change, together with its
+//! version header) with
+//! `cargo test -p tir-autoschedule --test codec_golden -- --ignored`.
+
+use std::path::PathBuf;
+
+use tir::DataType;
+use tir_autoschedule::{DiskIo, JournaledDb, Strategy, TuningDatabase, TuningRecord};
+
+const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+
+/// Three records that exercise every field of the record codec: all three
+/// strategies, two machines, a key with spaces, and floats whose bits
+/// matter (a subnormal, an infinity, a negative zero).
+fn records() -> Vec<(&'static str, Strategy, String, TuningRecord)> {
+    let mm = |n| tir::builder::matmul_func("mm", n, n, n, DataType::float16());
+    vec![
+        (
+            "SimGPU (RTX-3080-class)",
+            Strategy::TensorIr,
+            "mm 16x16x16 f16".to_string(),
+            TuningRecord {
+                best: mm(16),
+                best_time: 1.25e-4,
+                trials: 64,
+                budget: 64,
+                tuning_cost_s: 12.0625,
+            },
+        ),
+        (
+            "SimGPU (RTX-3080-class)",
+            Strategy::Ansor,
+            "mm-32".to_string(),
+            TuningRecord {
+                best: mm(32),
+                best_time: f64::from_bits(1),
+                trials: 0,
+                budget: 16,
+                tuning_cost_s: -0.0,
+            },
+        ),
+        (
+            "SimARM",
+            Strategy::Amos,
+            "k".to_string(),
+            TuningRecord {
+                best: mm(8),
+                best_time: f64::INFINITY,
+                trials: 7,
+                budget: 8,
+                tuning_cost_s: 0.1,
+            },
+        ),
+    ]
+}
+
+fn snapshot() -> String {
+    let mut db = TuningDatabase::new();
+    for (machine, strategy, key, record) in records() {
+        db.insert(machine, strategy, key, record);
+    }
+    db.encode()
+}
+
+/// Snapshot-less store with the three records published in order: the
+/// bytes of its journal, and the snapshot a compaction then writes (which
+/// goes through `DiskIo::replace`).
+fn journal_then_compacted_snapshot() -> (Vec<u8>, Vec<u8>) {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("codec-golden");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let db_path = dir.join("tuning.db");
+    let (mut store, _) = JournaledDb::open(Box::new(DiskIo::new()), &db_path).expect("open");
+    for (machine, strategy, key, record) in records() {
+        store
+            .publish(machine, strategy, key, record)
+            .expect("publish");
+    }
+    let journal = std::fs::read(store.journal_path()).expect("journal written");
+    store.compact().expect("compact");
+    let compacted = std::fs::read(&db_path).expect("snapshot written");
+    let _ = std::fs::remove_dir_all(&dir);
+    (journal, compacted)
+}
+
+#[test]
+fn db_snapshot_matches_golden_and_roundtrips() {
+    let golden = std::fs::read_to_string(format!("{GOLDEN_DIR}/db_snapshot.txt")).expect("golden");
+    assert_eq!(snapshot(), golden);
+    let decoded = TuningDatabase::decode(&golden).expect("golden decodes");
+    assert_eq!(decoded.encode(), golden, "decode → encode must be identity");
+}
+
+#[test]
+fn journal_of_three_entries_matches_golden() {
+    let golden = std::fs::read(format!("{GOLDEN_DIR}/journal_3_entries.bin")).expect("golden");
+    let (journal, compacted) = journal_then_compacted_snapshot();
+    assert_eq!(journal, golden);
+    // The compacted snapshot is the same database, written by the other
+    // door (`DiskIo::replace` instead of `TuningDatabase::save`).
+    assert_eq!(String::from_utf8(compacted).expect("utf-8"), snapshot());
+}
+
+#[test]
+fn saved_snapshot_is_the_encoded_bytes() {
+    // `TuningDatabase::save` goes through the shared atomic write.
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("codec-golden-save");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let path = dir.join("tuning.db");
+    let db = TuningDatabase::decode(&snapshot()).expect("decodes");
+    db.save(&path).expect("save");
+    assert_eq!(std::fs::read_to_string(&path).expect("read"), snapshot());
+    assert!(
+        !dir.join("tuning.db.tmp").exists(),
+        "temp file must be renamed"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+#[ignore = "rewrites the golden files"]
+fn regenerate_golden() {
+    std::fs::write(format!("{GOLDEN_DIR}/db_snapshot.txt"), snapshot()).expect("write snapshot");
+    let (journal, _) = journal_then_compacted_snapshot();
+    std::fs::write(format!("{GOLDEN_DIR}/journal_3_entries.bin"), journal).expect("write journal");
+}
