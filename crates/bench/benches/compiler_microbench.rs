@@ -18,12 +18,13 @@ use tir_tensorize::{auto_tensorize, builtin_registry};
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Times `f` and prints a `name: median ns/iter, allocations/iter` line.
+/// Times `f`, prints a `name: median ns/iter, allocations/iter` line and
+/// returns the median.
 ///
 /// Runs a warmup, then picks an iteration count targeting ~20 ms per batch
 /// and reports the median of 7 batches, and the heap allocations of one
 /// more call (exact: a function of the input, not of the machine).
-fn bench_function<R>(name: &str, mut f: impl FnMut() -> R) {
+fn bench_function<R>(name: &str, mut f: impl FnMut() -> R) -> f64 {
     // Warmup + calibration.
     let start = Instant::now();
     let mut calib_iters = 0u64;
@@ -45,6 +46,7 @@ fn bench_function<R>(name: &str, mut f: impl FnMut() -> R) {
     let median = samples[samples.len() / 2];
     let (_, allocs) = counted(|| std::hint::black_box(f()));
     println!("{name:<40} {median:>14.0} ns/iter {allocs:>7} allocs/iter  ({iters} iters x 7)");
+    median
 }
 
 fn bench_split_fuse_reorder() {
@@ -232,6 +234,90 @@ fn bench_search_tune() {
     }
 }
 
+/// What `TuneOptions::checkpoint_path` costs a tune of the GMM f16
+/// gpu-tensor sketch, and what a resume costs. A checkpointed tune rewrites
+/// and fsyncs its file after every generation; `search/resume_*` is a run
+/// killed at its last generation boundary and resumed — everything but the
+/// last generation comes from the checkpoint. The file lives in the
+/// bench's own target tmpdir.
+fn bench_search_checkpoint() {
+    use std::path::PathBuf;
+    use tir_autoschedule::{build_sketches, tune, Strategy, TuneOptions, TuneResult};
+    use tir_workloads::{bench_suite, OpKind};
+
+    let reg = builtin_registry();
+    let machine = Machine::sim_gpu();
+    let case = bench_suite(DataType::float16())
+        .into_iter()
+        .find(|c| c.kind == OpKind::GMM)
+        .expect("GMM in the suite");
+    let sketch = build_sketches(&case.func, &machine, &reg, Strategy::TensorIr)
+        .into_iter()
+        .find(|s| s.name().starts_with("gpu-tensor"))
+        .expect("gpu-tensor sketch");
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("checkpoint-bench");
+    std::fs::create_dir_all(&dir).expect("bench tmpdir");
+    let (live, killed) = (dir.join("gmm.ckpt"), dir.join("killed.ckpt"));
+    let used = |r: &TuneResult| r.trials_measured + r.wasted_measurements + r.failed_measurements;
+    for trials in [32usize, 64, 256] {
+        let plain = TuneOptions {
+            trials,
+            num_threads: 1,
+            ..Default::default()
+        };
+        let checkpointed = TuneOptions {
+            checkpoint_path: Some(live.clone()),
+            ..plain.clone()
+        };
+        let plain_ns = bench_function(&format!("search/tune_gmm_tensor_{trials}_plain"), || {
+            tune(sketch.as_ref(), &machine, &plain).trials_measured
+        });
+        let name = format!("search/tune_gmm_tensor_{trials}_checkpointed");
+        let checkpointed_ns = bench_function(&name, || {
+            let _ = std::fs::remove_file(&live);
+            tune(sketch.as_ref(), &machine, &checkpointed).trials_measured
+        });
+        println!(
+            "{:<40} {:>14.2} ms plain, {:.2} ms checkpointed ({:+.0}%), final checkpoint {} bytes",
+            format!("search/checkpoint_overhead_{trials}"),
+            plain_ns / 1e6,
+            checkpointed_ns / 1e6,
+            (checkpointed_ns / plain_ns - 1.0) * 100.0,
+            std::fs::metadata(&live).map_or(0, |m| m.len())
+        );
+
+        // The last generation boundary: the largest generation cap that
+        // still leaves budget unspent.
+        let capped = |g: u64, opts: &TuneOptions| {
+            let opts = TuneOptions {
+                max_generations: Some(g),
+                ..opts.clone()
+            };
+            used(&tune(sketch.as_ref(), &machine, &opts))
+        };
+        let full = used(&tune(sketch.as_ref(), &machine, &plain));
+        let generations = (1u64..)
+            .find(|&g| capped(g, &plain) == full)
+            .expect("the tune ends");
+        let _ = std::fs::remove_file(&live);
+        capped(generations - 1, &checkpointed);
+        std::fs::rename(&live, &killed).expect("the killed run left a checkpoint");
+        let resume_ns = bench_function(&format!("search/resume_gmm_tensor_{trials}"), || {
+            std::fs::copy(&killed, &live).expect("restore the killed run's checkpoint");
+            let r = tune(sketch.as_ref(), &machine, &checkpointed);
+            assert_eq!(r.resumed_from_generation, Some(generations - 1));
+            r.trials_measured
+        });
+        println!(
+            "{:<40} {:>14.2} ms to resume at generation {} of {generations} and finish",
+            format!("search/resume_ms_{trials}"),
+            resume_ns / 1e6,
+            generations - 1
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn bench_validation() {
     let func = matmul_func("mm", 256, 256, 256, DataType::float32());
     bench_function("analysis/validate_matmul", || {
@@ -283,6 +369,7 @@ fn main() {
     bench_split_fuse_reorder();
     bench_sketch_apply();
     bench_search_tune();
+    bench_search_checkpoint();
     bench_ir_passes();
     bench_validation();
     bench_auto_tensorize();

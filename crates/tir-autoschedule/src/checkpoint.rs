@@ -1,368 +1,228 @@
-//! Generation-granularity checkpoint/resume for tuning runs.
+//! Generation-granularity checkpoint/resume for tuning runs: the
+//! measurement log.
 //!
 //! Long tuning runs get killed — out-of-memory, preemption, operator
-//! Ctrl-C — and restarting from scratch wastes the whole measurement
-//! budget spent so far. [`crate::search::tune_with`] can persist its
-//! complete coordinator state after every generation and resume from it:
-//! a killed-and-resumed run produces the **bit-identical** best program,
-//! history, and accounting as an uninterrupted one, because everything
-//! the search trajectory depends on is either in the checkpoint or
-//! derived deterministically from `(seed, generation, slot)`.
+//! Ctrl-C — and restarting from scratch wastes the measurement budget
+//! spent so far. [`crate::search::tune_with`] is a pure function of its
+//! options and of what its measurements returned, so those returns are all
+//! a checkpoint holds: per generation, in batch-rank order, the structural
+//! hash of every candidate sent to the farm and its [`MeasureOutcome`]. A
+//! resumed run starts from nothing and runs the search itself, taking each
+//! outcome from the log for as long as the log names the candidate being
+//! asked about. Dedup set, elites, cache, quarantine, cost model, history
+//! and counters are rebuilt by the code an uninterrupted run executes, so
+//! the result is **bit-identical** by construction; a log that stops
+//! fitting (other `population`, changed sketch, edited file) is used up to
+//! its first mismatch — still true measurements — and dropped from there.
 //!
 //! # Format
 //!
-//! A hand-rolled, line-oriented text format (no serde dependency). Every
-//! `f64` is stored as the hex of its IEEE-754 bits so round-trips are
-//! bit-exact (including infinities). Decision vectors serialize as
-//! `a,b|c` (groups joined by `|`, values by `,`; `-` for an empty
-//! vector). The file starts with a magic+version line, carries a context
-//! line (`seed`, machine, sketch) that must match the resuming run, and
-//! ends with an `end` sentinel so truncated files are detected. Files
-//! are written atomically (temp file + rename), and any malformed or
-//! mismatched checkpoint is ignored — the run starts fresh rather than
-//! resuming from garbage.
+//! ```text
+//! tir-autoschedule-checkpoint v2
+//! context <seed> <len> <machine name> <len> <sketch name>
+//! generation <jobs>
+//! <hash> ok|reject|timeout|crash|corrupt <value> <cost_s> <retries>
+//! ...
+//! end
+//! ```
+//!
+//! `<hash>`, `<value>` and `<cost_s>` are 16 hex digits; `<value>` is the
+//! bits of the reading (`ok`) or of the runner's limit (`timeout`), the
+//! readings taken (`corrupt`), else zero. Error messages are not stored:
+//! the search never reads them. The context line must be the resuming
+//! run's own and `end` detects truncation; the file is rewritten
+//! atomically ([`atomic_write`]) after every generation, and anything
+//! malformed, mismatched or of another version means a fresh start.
 
 use std::collections::VecDeque;
-use std::io::Write;
-use std::path::Path;
+use std::fmt::Write as _;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 
-use crate::sketch::Decision;
+use crate::database::{hex_f64, parse_hex_f64};
+use crate::measure::{MeasureError, MeasureOutcome};
 
 /// Magic + version header; bump the version on any format change.
-const HEADER: &str = "tir-autoschedule-checkpoint v1";
+const HEADER: &str = "tir-autoschedule-checkpoint v2";
+/// Truncation sentinel, the file's last line.
+const END: &str = "end\n";
+/// Stands in for the error message of a replayed failure.
+const REPLAYED: &str = "replayed from the checkpoint";
 
-/// Complete coordinator state of a tuning run at a generation boundary.
-///
-/// Everything [`crate::search::tune_with`] needs to continue as if it had
-/// never stopped. The best program itself is not stored: its *decision
-/// vector* is, and the sketch deterministically re-materializes the
-/// bit-identical program on resume.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TuneCheckpoint {
-    /// Search seed — must match the resuming run's `TuneOptions::seed`.
-    pub seed: u64,
-    /// Machine name the run was tuning for.
-    pub machine: String,
-    /// Sketch name the run was tuning.
-    pub sketch: String,
-    /// Next generation to execute.
-    pub generation: u64,
-    /// `TuneResult::trials_measured` so far.
-    pub trials_measured: usize,
-    /// `TuneResult::invalid_filtered` so far: invalid candidates among
-    /// those the generations run so far materialized, not among all they
-    /// proposed.
-    pub invalid_filtered: usize,
-    /// `TuneResult::wasted_measurements` so far.
-    pub wasted_measurements: usize,
-    /// `TuneResult::failed_measurements` so far.
-    pub failed_measurements: usize,
-    /// `TuneResult::retries` so far.
-    pub retries: u64,
-    /// `TuneResult::cache_hits` so far.
-    pub cache_hits: usize,
-    /// `TuneResult::quarantined` so far.
-    pub quarantined: usize,
-    /// Best measured time (bit-exact; `inf` before any success).
-    pub best_time: f64,
-    /// Accumulated simulated tuning cost (bit-exact).
-    pub tuning_cost_s: f64,
-    /// Best-so-far after each measurement.
-    pub history: Vec<f64>,
-    /// Decision vector of the best program, if any.
-    pub best_decisions: Option<Vec<Decision>>,
-    /// Elite pool in coordinator order: `(decisions, measured time)`.
-    pub elites: Vec<(Vec<Decision>, f64)>,
-    /// Every decision vector ever proposed (dedup set).
-    pub seen: Vec<Vec<Decision>>,
-    /// Measurement cache: `(structural hash, features, time)`.
-    pub cache: Vec<(u64, Vec<f64>, f64)>,
-    /// Structural hashes of quarantined candidates.
-    pub quarantine: Vec<u64>,
-    /// Cost-model training set in insertion order: `(features, target)`.
-    /// Order matters — the GBDT refit is only deterministic if the
-    /// samples come back exactly as they were accumulated.
-    pub model_samples: Vec<(Vec<f64>, f64)>,
+/// The measurements of one generation, in batch-rank order.
+type Generation = Vec<(u64, MeasureOutcome)>;
+
+/// The measurement log of one tuning run: what a previous run left in the
+/// checkpoint file, handed back one generation at a time, and what this
+/// run has measured (or replayed) so far, written back after each.
+pub(crate) struct MeasureLog {
+    path: PathBuf,
+    /// The file's text as found, without the sentinel; empty when there
+    /// was no usable file.
+    found: String,
+    /// Generations of `found` not yet replayed.
+    pending: VecDeque<Generation>,
+    /// Generations answered entirely from the file.
+    replayed_generations: u64,
+    /// This run's log so far, without the sentinel.
+    text: String,
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    out.push_str(&format!("{:016x}", v.to_bits()));
-}
-
-fn push_decisions(out: &mut String, d: &[Decision]) {
-    if d.is_empty() {
-        out.push('-');
-        return;
-    }
-    for (i, group) in d.iter().enumerate() {
-        if i > 0 {
-            out.push('|');
-        }
-        if group.is_empty() {
-            out.push('_');
-            continue;
-        }
-        for (j, v) in group.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&v.to_string());
-        }
-    }
-}
-
-/// Encodes a checkpoint to its textual form.
-pub fn encode(ck: &TuneCheckpoint) -> String {
-    let mut out = String::new();
-    out.push_str(HEADER);
-    out.push('\n');
-    // Context line: identifies the run this state belongs to. Machine
-    // and sketch names are whitespace-escaped by their length prefix.
-    out.push_str(&format!(
-        "context {} {} {} {} {}\n",
-        ck.seed,
-        ck.machine.len(),
-        ck.machine,
-        ck.sketch.len(),
-        ck.sketch
-    ));
-    out.push_str(&format!(
-        "counts {} {} {} {} {} {} {} {}\n",
-        ck.generation,
-        ck.trials_measured,
-        ck.invalid_filtered,
-        ck.wasted_measurements,
-        ck.failed_measurements,
-        ck.retries,
-        ck.cache_hits,
-        ck.quarantined
-    ));
-    out.push_str("best_time ");
-    push_f64(&mut out, ck.best_time);
-    out.push_str("\ntuning_cost_s ");
-    push_f64(&mut out, ck.tuning_cost_s);
-    out.push_str(&format!("\nhistory {}", ck.history.len()));
-    for h in &ck.history {
-        out.push(' ');
-        push_f64(&mut out, *h);
-    }
-    out.push_str("\nbest ");
-    match &ck.best_decisions {
-        None => out.push('0'),
-        Some(d) => {
-            out.push_str("1 ");
-            push_decisions(&mut out, d);
-        }
-    }
-    out.push_str(&format!("\nelites {}\n", ck.elites.len()));
-    for (d, t) in &ck.elites {
-        out.push_str("e ");
-        push_f64(&mut out, *t);
-        out.push(' ');
-        push_decisions(&mut out, d);
-        out.push('\n');
-    }
-    out.push_str(&format!("seen {}\n", ck.seen.len()));
-    for d in &ck.seen {
-        out.push_str("s ");
-        push_decisions(&mut out, d);
-        out.push('\n');
-    }
-    out.push_str(&format!("cache {}\n", ck.cache.len()));
-    for (hash, features, t) in &ck.cache {
-        out.push_str(&format!("c {hash} "));
-        push_f64(&mut out, *t);
-        out.push_str(&format!(" {}", features.len()));
-        for f in features {
-            out.push(' ');
-            push_f64(&mut out, *f);
-        }
-        out.push('\n');
-    }
-    out.push_str(&format!("quarantine {}", ck.quarantine.len()));
-    for q in &ck.quarantine {
-        out.push_str(&format!(" {q}"));
-    }
-    out.push_str(&format!("\nmodel {}\n", ck.model_samples.len()));
-    for (features, target) in &ck.model_samples {
-        out.push_str("m ");
-        push_f64(&mut out, *target);
-        out.push_str(&format!(" {}", features.len()));
-        for f in features {
-            out.push(' ');
-            push_f64(&mut out, *f);
-        }
-        out.push('\n');
-    }
-    out.push_str("end\n");
-    out
-}
-
-/// Token stream over the encoded form; every reader returns `None` on
-/// any malformation so `decode` degrades to "no checkpoint".
-struct Tokens<'a> {
-    toks: VecDeque<&'a str>,
-}
-
-impl<'a> Tokens<'a> {
-    fn new(text: &'a str) -> Self {
-        Tokens {
-            toks: text.split_whitespace().collect(),
+impl MeasureLog {
+    /// Opens the log at `path` for the run identified by `seed`, `machine`
+    /// and `sketch`. A missing, malformed, truncated, older-version or
+    /// foreign-context file yields an empty log: the run starts fresh.
+    pub(crate) fn open(path: &Path, seed: u64, machine: &str, sketch: &str) -> MeasureLog {
+        // Names are length-prefixed; the whole line must match the file's
+        // byte for byte, so nothing in a name can forge a context.
+        let text = format!(
+            "{HEADER}\ncontext {seed} {} {machine} {} {sketch}\n",
+            machine.len(),
+            sketch.len()
+        );
+        let (found, pending) = std::fs::read_to_string(path)
+            .ok()
+            .and_then(|mut file| {
+                file.truncate(file.strip_suffix(END)?.len());
+                let pending = decode(file.strip_prefix(&text)?)?;
+                Some((file, pending))
+            })
+            .unwrap_or_default();
+        MeasureLog {
+            path: path.to_path_buf(),
+            found,
+            pending,
+            replayed_generations: 0,
+            text,
         }
     }
 
-    fn next(&mut self) -> Option<&'a str> {
-        self.toks.pop_front()
-    }
-
-    fn expect(&mut self, word: &str) -> Option<()> {
-        (self.next()? == word).then_some(())
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.next()?.parse().ok()
-    }
-
-    fn usize(&mut self) -> Option<usize> {
-        self.next()?.parse().ok()
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        let bits = u64::from_str_radix(self.next()?, 16).ok()?;
-        Some(f64::from_bits(bits))
-    }
-
-    fn sized_str(&mut self) -> Option<String> {
-        // Length-prefixed: tokens are consumed and rejoined with single
-        // spaces until the prefix is satisfied, so names with interior
-        // spaces (e.g. "SimGPU (RTX-3080-class)") round-trip. Runs of
-        // whitespace collapse to one space — fine for the machine/sketch
-        // names we store, which never contain them. An empty name emits
-        // no token at all (invisible to whitespace splitting), so
-        // consume nothing.
-        let len = self.usize()?;
-        let mut s = String::new();
-        while s.len() < len {
-            if !s.is_empty() {
-                s.push(' ');
-            }
-            s.push_str(self.next()?);
+    /// Outcomes the file holds for the next generation, whose jobs have
+    /// the structural hashes `jobs` in rank order: one per job up to the
+    /// first job the file does not name. The caller measures the rest. A
+    /// generation the file does not answer in full ends the replay — what
+    /// the file holds beyond it belongs to a different trajectory.
+    pub(crate) fn replay(&mut self, jobs: &[u64]) -> Vec<MeasureOutcome> {
+        let Some(recorded) = self.pending.pop_front() else {
+            return Vec::new();
+        };
+        let matching = recorded
+            .iter()
+            .zip(jobs)
+            .take_while(|((hash, _), job)| hash == *job)
+            .count();
+        if matching == jobs.len() && matching == recorded.len() {
+            self.replayed_generations += 1;
+        } else {
+            self.pending.clear();
         }
-        (s.len() == len).then_some(s)
+        recorded
+            .into_iter()
+            .take(matching)
+            .map(|(_, outcome)| outcome)
+            .collect()
     }
 
-    fn decisions(&mut self) -> Option<Vec<Decision>> {
-        let tok = self.next()?;
-        if tok == "-" {
-            return Some(Vec::new());
-        }
-        let mut out = Vec::new();
-        for group in tok.split('|') {
-            if group == "_" {
-                out.push(Vec::new());
-                continue;
-            }
-            let mut g = Vec::new();
-            for v in group.split(',') {
-                g.push(v.parse().ok()?);
-            }
-            out.push(g);
-        }
-        Some(out)
+    /// How many generations [`MeasureLog::replay`] answered in full.
+    pub(crate) fn replayed_generations(&self) -> u64 {
+        self.replayed_generations
     }
 
-    fn f64_vec(&mut self) -> Option<Vec<f64>> {
-        let n = self.usize()?;
-        (0..n).map(|_| self.f64()).collect()
+    /// Appends one generation — every job's hash and outcome in rank
+    /// order, replayed or measured — and rewrites the file, unless the
+    /// file already begins with everything recorded so far (a replay in
+    /// progress: the file still knows more than this run).
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors; the search treats a failed save as
+    /// "resumability lost", never as a tuning failure.
+    pub(crate) fn record(
+        &mut self,
+        jobs: &[u64],
+        outcomes: &[MeasureOutcome],
+    ) -> std::io::Result<()> {
+        let _ = writeln!(self.text, "generation {}", jobs.len());
+        for (hash, outcome) in jobs.iter().zip(outcomes) {
+            let (kind, value) = match &outcome.reading {
+                Ok(t) => ("ok", t.to_bits()),
+                Err(MeasureError::CompileReject(_)) => ("reject", 0),
+                Err(MeasureError::Timeout { limit_s }) => ("timeout", limit_s.to_bits()),
+                Err(MeasureError::RunnerCrash(_)) => ("crash", 0),
+                Err(MeasureError::CorruptReading { readings }) => ("corrupt", *readings as u64),
+            };
+            let _ = writeln!(
+                self.text,
+                "{hash:016x} {kind} {value:016x} {} {}",
+                hex_f64(outcome.cost_s),
+                outcome.retries
+            );
+        }
+        if self.found.starts_with(&self.text) {
+            return Ok(());
+        }
+        self.text.push_str(END);
+        let written = atomic_write(&self.path, self.text.as_bytes());
+        self.text.truncate(self.text.len() - END.len());
+        written
     }
 }
 
-/// Decodes a checkpoint from its textual form. Returns `None` on any
-/// malformation (wrong header, truncation, parse failure).
-pub fn decode(text: &str) -> Option<TuneCheckpoint> {
-    let mut ck = TuneCheckpoint::default();
-    let body = text.strip_prefix(HEADER)?;
-    let mut t = Tokens::new(body);
-    t.expect("context")?;
-    ck.seed = t.u64()?;
-    ck.machine = t.sized_str()?;
-    ck.sketch = t.sized_str()?;
-    t.expect("counts")?;
-    ck.generation = t.u64()?;
-    ck.trials_measured = t.usize()?;
-    ck.invalid_filtered = t.usize()?;
-    ck.wasted_measurements = t.usize()?;
-    ck.failed_measurements = t.usize()?;
-    ck.retries = t.u64()?;
-    ck.cache_hits = t.usize()?;
-    ck.quarantined = t.usize()?;
-    t.expect("best_time")?;
-    ck.best_time = t.f64()?;
-    t.expect("tuning_cost_s")?;
-    ck.tuning_cost_s = t.f64()?;
-    t.expect("history")?;
-    ck.history = t.f64_vec()?;
-    t.expect("best")?;
-    ck.best_decisions = match t.next()? {
-        "0" => None,
-        "1" => Some(t.decisions()?),
+/// Decodes the generations between the context line and the sentinel;
+/// `None` on any malformation.
+fn decode(body: &str) -> Option<VecDeque<Generation>> {
+    let mut lines = body.lines();
+    let mut generations = VecDeque::new();
+    while let Some(line) = lines.next() {
+        let jobs: usize = line.strip_prefix("generation ")?.parse().ok()?;
+        let generation: Option<Generation> =
+            (0..jobs).map(|_| decode_entry(lines.next()?)).collect();
+        generations.push_back(generation?);
+    }
+    Some(generations)
+}
+
+fn decode_entry(line: &str) -> Option<(u64, MeasureOutcome)> {
+    let fields: Vec<&str> = line.split(' ').collect();
+    let &[hash, kind, value, cost_s, retries] = fields.as_slice() else {
+        return None;
+    };
+    let value = u64::from_str_radix(value, 16).ok()?;
+    let reading = match kind {
+        "ok" => Ok(f64::from_bits(value)),
+        "reject" => Err(MeasureError::CompileReject(REPLAYED.to_string())),
+        "timeout" => Err(MeasureError::Timeout {
+            limit_s: f64::from_bits(value),
+        }),
+        "crash" => Err(MeasureError::RunnerCrash(REPLAYED.to_string())),
+        "corrupt" => Err(MeasureError::CorruptReading {
+            readings: usize::try_from(value).ok()?,
+        }),
         _ => return None,
     };
-    t.expect("elites")?;
-    let n = t.usize()?;
-    for _ in 0..n {
-        t.expect("e")?;
-        let time = t.f64()?;
-        let d = t.decisions()?;
-        ck.elites.push((d, time));
-    }
-    t.expect("seen")?;
-    let n = t.usize()?;
-    for _ in 0..n {
-        t.expect("s")?;
-        ck.seen.push(t.decisions()?);
-    }
-    t.expect("cache")?;
-    let n = t.usize()?;
-    for _ in 0..n {
-        t.expect("c")?;
-        let hash = t.u64()?;
-        let time = t.f64()?;
-        let features = t.f64_vec()?;
-        ck.cache.push((hash, features, time));
-    }
-    t.expect("quarantine")?;
-    let n = t.usize()?;
-    for _ in 0..n {
-        ck.quarantine.push(t.u64()?);
-    }
-    t.expect("model")?;
-    let n = t.usize()?;
-    for _ in 0..n {
-        t.expect("m")?;
-        let target = t.f64()?;
-        let features = t.f64_vec()?;
-        ck.model_samples.push((features, target));
-    }
-    // The sentinel detects truncation; trailing garbage is rejected too.
-    t.expect("end")?;
-    t.next().is_none().then_some(ck)
+    let outcome = MeasureOutcome {
+        reading,
+        cost_s: parse_hex_f64(cost_s)?,
+        retries: retries.parse().ok()?,
+    };
+    Some((u64::from_str_radix(hash, 16).ok()?, outcome))
 }
 
-/// Writes `text` to `path` atomically: the bytes land in a sibling
-/// temp file first (`<path>.<ext>.tmp`), are fsync'd, and only then
-/// renamed over the destination. On POSIX filesystems the rename is
-/// atomic, so readers — and a process killed at any instant — see
-/// either the complete old file or the complete new file, never a
-/// truncated mix. This is the shared persistence discipline of the
-/// checkpoint store and the on-disk [`crate::database::TuningDatabase`].
+/// Writes `bytes` to `path` atomically: they land in a sibling temp file
+/// first (`<path>.<ext>.tmp`), are fsync'd, and only then renamed over the
+/// destination. On POSIX filesystems the rename is atomic, so readers —
+/// and a process killed at any instant — see either the complete old file
+/// or the complete new file, never a truncated mix. This is the shared
+/// persistence discipline of the checkpoint, the on-disk
+/// [`crate::database::TuningDatabase`] and
+/// [`crate::fault_io::DiskIo`]'s snapshot replacement.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors (temp-file creation, write, fsync, or
 /// rename). The temp file may be left behind on failure; the
 /// destination is never touched until the rename.
-pub fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut ext = path
         .extension()
         .map(|e| e.to_os_string())
@@ -371,140 +231,178 @@ pub fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
     let tmp = path.with_extension(ext);
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
+        f.write_all(bytes)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)
-}
-
-/// Writes a checkpoint atomically (temp file + rename via
-/// [`atomic_write`]), so a crash mid-write can never leave a truncated
-/// checkpoint behind.
-///
-/// # Errors
-///
-/// Propagates filesystem errors; the search treats a failed save as
-/// "resumability lost", never as a tuning failure.
-pub fn save(path: &Path, ck: &TuneCheckpoint) -> std::io::Result<()> {
-    atomic_write(path, &encode(ck))
-}
-
-/// Loads a checkpoint if `path` holds a valid one matching the resuming
-/// run (`seed`, machine, sketch). Any mismatch, parse failure, or
-/// missing file yields `None` — the run starts fresh.
-pub fn load(path: &Path, seed: u64, machine: &str, sketch: &str) -> Option<TuneCheckpoint> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let ck = decode(&text)?;
-    (ck.seed == seed && ck.machine == machine && ck.sketch == sketch).then_some(ck)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> TuneCheckpoint {
-        TuneCheckpoint {
-            seed: 42,
-            machine: "SimGPU".into(),
-            sketch: "gpu-tensor[wmma_16x16x16_f16]".into(),
-            generation: 3,
-            trials_measured: 17,
-            invalid_filtered: 4,
-            wasted_measurements: 1,
-            failed_measurements: 2,
-            retries: 9,
-            cache_hits: 5,
-            quarantined: 2,
-            best_time: 1.25e-4,
-            tuning_cost_s: 12.0625,
-            history: vec![f64::INFINITY, 3.0e-4, 1.25e-4],
-            best_decisions: Some(vec![vec![4, 2, 16], vec![2]]),
-            elites: vec![
-                (vec![vec![4, 2, 16], vec![2]], 1.25e-4),
-                (vec![vec![8, 1, 16], vec![4]], 3.0e-4),
-            ],
-            seen: vec![vec![vec![4, 2, 16], vec![2]], vec![], vec![vec![-1]]],
-            cache: vec![(0xDEAD, vec![1.0, 0.5, -2.25], 1.25e-4)],
-            quarantine: vec![0xBEEF, 7],
-            model_samples: vec![(vec![1.0, 0.5], 8.99), (vec![0.0], -1.5)],
+    const MACHINE: &str = "SimGPU (RTX-3080-class)";
+    const SKETCH: &str = "gpu-tensor[wmma_16x16x16_f16]";
+
+    /// A file name in a fresh directory of the test's own.
+    fn tmp(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tir-ckpt-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir.join(name)
+    }
+
+    fn cleanup(path: &Path) {
+        let _ = std::fs::remove_dir_all(path.parent().expect("tmp() nests the file"));
+    }
+
+    /// Three generations covering every outcome kind and the floats whose
+    /// bits matter (an infinity, a negative zero); the last one is empty.
+    fn sample() -> Vec<(Vec<u64>, Vec<MeasureOutcome>)> {
+        let outcome = |reading, cost_s, retries| MeasureOutcome {
+            reading,
+            cost_s,
+            retries,
+        };
+        let reject = MeasureError::CompileReject(REPLAYED.to_string());
+        let crash = MeasureError::RunnerCrash(REPLAYED.to_string());
+        vec![
+            (
+                vec![0xDEAD, 7, u64::MAX],
+                vec![
+                    outcome(Ok(1.25e-4), 12.0625, 0),
+                    outcome(Err(reject), 0.5, 0),
+                    outcome(Err(MeasureError::Timeout { limit_s: 10.0 }), -0.0, 3),
+                ],
+            ),
+            (
+                vec![1, 2, 3],
+                vec![
+                    outcome(Err(crash), 1.0, 9),
+                    outcome(Err(MeasureError::CorruptReading { readings: 5 }), 2.0, 4),
+                    outcome(Ok(f64::INFINITY), 0.25, 1),
+                ],
+            ),
+            (vec![], vec![]),
+        ]
+    }
+
+    /// A file holding [`sample`], and its bytes.
+    fn written(name: &str) -> (PathBuf, Vec<u8>) {
+        let path = tmp(name);
+        let mut log = MeasureLog::open(&path, 42, MACHINE, SKETCH);
+        for (jobs, outcomes) in sample() {
+            log.record(&jobs, &outcomes).expect("save");
         }
+        let bytes = std::fs::read(&path).expect("written");
+        (path, bytes)
+    }
+
+    /// Every field of an outcome, floats as bits.
+    fn bits(o: &MeasureOutcome) -> (Result<u64, MeasureError>, u64, u64) {
+        let reading = o.reading.clone().map(f64::to_bits);
+        (reading, o.cost_s.to_bits(), o.retries)
     }
 
     #[test]
-    fn roundtrip_is_bit_exact() {
-        let ck = sample();
-        let decoded = decode(&encode(&ck)).expect("decodes");
-        assert_eq!(decoded, ck);
-        // Bit-exactness of the floats specifically (PartialEq on f64
-        // would also pass for -0.0 vs 0.0).
-        assert_eq!(decoded.best_time.to_bits(), ck.best_time.to_bits());
-        assert_eq!(
-            decoded.history[0].to_bits(),
-            f64::INFINITY.to_bits(),
-            "infinity must survive"
-        );
+    fn a_recorded_log_replays_bit_exactly() {
+        let (path, before) = written("roundtrip.ckpt");
+        let mut log = MeasureLog::open(&path, 42, MACHINE, SKETCH);
+        for (jobs, outcomes) in sample() {
+            let replayed = log.replay(&jobs);
+            assert_eq!(
+                replayed.iter().map(bits).collect::<Vec<_>>(),
+                outcomes.iter().map(bits).collect::<Vec<_>>()
+            );
+            log.record(&jobs, &replayed).expect("record");
+        }
+        assert_eq!(log.replayed_generations(), 3);
+        assert!(log.replay(&[1]).is_empty(), "the log is exhausted");
+        // Replaying re-encodes the same bytes and leaves the file alone.
+        assert_eq!(std::fs::read(&path).expect("still there"), before);
+        cleanup(&path);
     }
 
     #[test]
-    fn names_with_spaces_roundtrip() {
-        // The real SimGPU machine name contains spaces; the length
-        // prefix must span all of its tokens.
-        let ck = TuneCheckpoint {
-            machine: "SimGPU (RTX-3080-class)".into(),
-            sketch: "gpu-tensor[wmma_16x16x16_f16]".into(),
-            best_time: f64::INFINITY,
-            ..Default::default()
-        };
-        assert_eq!(decode(&encode(&ck)), Some(ck));
+    fn a_diverging_generation_keeps_its_matching_prefix_and_drops_the_rest() {
+        let (path, _) = written("diverge.ckpt");
+        // A different job, fewer jobs than recorded, more jobs than
+        // recorded: the matching prefix comes back, nothing afterwards.
+        for (jobs, matching) in [
+            (&[0xDEAD, 8, u64::MAX][..], 1),
+            (&[0xDEAD, 7][..], 2),
+            (&[0xDEAD, 7, u64::MAX, 9][..], 3),
+        ] {
+            let mut log = MeasureLog::open(&path, 42, MACHINE, SKETCH);
+            assert_eq!(log.replay(jobs).len(), matching);
+            assert!(log.replay(&[1, 2, 3]).is_empty());
+            assert_eq!(log.replayed_generations(), 0);
+        }
+        cleanup(&path);
     }
 
     #[test]
-    fn empty_checkpoint_roundtrips() {
-        let ck = TuneCheckpoint {
-            best_time: f64::INFINITY,
-            ..Default::default()
-        };
-        assert_eq!(decode(&encode(&ck)), Some(ck));
+    fn a_kill_during_replay_loses_nothing_and_a_divergence_rewrites() {
+        let (path, before) = written("mid-replay.ckpt");
+        let mut log = MeasureLog::open(&path, 42, MACHINE, SKETCH);
+        let (jobs, _) = &sample()[0];
+        let first = log.replay(jobs);
+        log.record(jobs, &first).expect("record");
+        assert_eq!(std::fs::read(&path).expect("untouched"), before);
+        // The next generation measures something the file never saw.
+        assert!(log.replay(&[99]).is_empty());
+        log.record(&[99], &first[..1]).expect("record");
+        let mut reopened = MeasureLog::open(&path, 42, MACHINE, SKETCH);
+        assert_eq!(reopened.replay(jobs).len(), 3);
+        assert_eq!(reopened.replay(&[99]).len(), 1);
+        assert!(reopened.replay(&[1, 2, 3]).is_empty());
+        cleanup(&path);
     }
 
     #[test]
-    fn truncated_or_corrupt_text_is_rejected() {
-        let full = encode(&sample());
-        // Drop the sentinel.
-        let truncated = &full[..full.len() - 4];
-        assert_eq!(decode(truncated), None);
-        // Chop mid-structure.
-        assert_eq!(decode(&full[..full.len() / 2]), None);
-        // Wrong header.
-        assert_eq!(decode("not a checkpoint"), None);
-        // Trailing garbage.
-        assert_eq!(decode(&format!("{full}\nextra")), None);
-        // Bit-flip a count into a non-number.
-        let corrupt = full.replacen("counts 3", "counts x", 1);
-        assert_eq!(decode(&corrupt), None);
+    fn truncated_corrupt_or_old_files_are_ignored() {
+        let (path, bytes) = written("corrupt.ckpt");
+        let full = String::from_utf8(bytes).expect("text");
+        let v1 = full.replacen(" v2\n", " v1\n", 1);
+        let extra = format!("{full}extra\n");
+        let bad_kind = full.replacen(" ok ", " fine ", 1);
+        let bad_count = full.replacen("generation 3", "generation x", 1);
+        let short_generation = full.replacen("generation 3", "generation 4", 1);
+        for (what, text) in [
+            ("sentinel dropped", &full[..full.len() - END.len()]),
+            ("chopped mid-structure", &full[..full.len() / 2]),
+            ("not a checkpoint", "not a checkpoint"),
+            ("older version", &v1),
+            ("trailing garbage", &extra),
+            ("unknown outcome kind", &bad_kind),
+            ("non-numeric count", &bad_count),
+            ("count past the entries", &short_generation),
+        ] {
+            std::fs::write(&path, text).expect("write");
+            let mut log = MeasureLog::open(&path, 42, MACHINE, SKETCH);
+            assert!(log.replay(&[0xDEAD, 7, u64::MAX]).is_empty(), "{what}");
+        }
+        cleanup(&path);
     }
 
     #[test]
     fn context_mismatch_refuses_to_resume() {
-        let dir = std::env::temp_dir().join(format!("tir-ckpt-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("run.ckpt");
-        let ck = sample();
-        save(&path, &ck).expect("save");
-        assert_eq!(
-            load(&path, 42, "SimGPU", "gpu-tensor[wmma_16x16x16_f16]"),
-            Some(ck)
-        );
-        assert_eq!(
-            load(&path, 43, "SimGPU", "gpu-tensor[wmma_16x16x16_f16]"),
-            None
-        );
-        assert_eq!(
-            load(&path, 42, "SimARM", "gpu-tensor[wmma_16x16x16_f16]"),
-            None
-        );
-        assert_eq!(load(&path, 42, "SimGPU", "other-sketch"), None);
-        assert_eq!(load(&dir.join("missing.ckpt"), 42, "SimGPU", "x"), None);
-        let _ = std::fs::remove_dir_all(&dir);
+        let (path, _) = written("context.ckpt");
+        let replays = |path: &Path, seed, machine, sketch| {
+            !MeasureLog::open(path, seed, machine, sketch)
+                .replay(&[0xDEAD, 7, u64::MAX])
+                .is_empty()
+        };
+        assert!(replays(&path, 42, MACHINE, SKETCH));
+        assert!(!replays(&path, 43, MACHINE, SKETCH));
+        assert!(!replays(&path, 42, "SimARM", SKETCH));
+        assert!(!replays(&path, 42, MACHINE, "other-sketch"));
+        assert!(!replays(
+            &path.with_file_name("missing.ckpt"),
+            42,
+            MACHINE,
+            SKETCH
+        ));
+        cleanup(&path);
     }
 }

@@ -167,21 +167,6 @@ impl CostModel {
         self.data.len()
     }
 
-    /// The accumulated training set, in insertion order (checkpointing
-    /// reads this; the order matters because [`CostModel::set_samples`]
-    /// restores the exact ensemble only for the exact sample sequence).
-    pub fn samples(&self) -> &[(Vec<f64>, f64)] {
-        &self.data
-    }
-
-    /// Replaces the training set and refits — the checkpoint-restore
-    /// path. The fit is a deterministic function of the sample sequence,
-    /// so restoring the samples restores the bit-identical ensemble.
-    pub fn set_samples(&mut self, samples: Vec<(Vec<f64>, f64)>) {
-        self.data = samples;
-        self.fit();
-    }
-
     /// Adds measured samples and refits the ensemble.
     pub fn update(&mut self, samples: impl IntoIterator<Item = (Vec<f64>, f64)>) {
         self.data.extend(samples);

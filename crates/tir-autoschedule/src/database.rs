@@ -305,11 +305,15 @@ pub(crate) fn decode_record(
     ))
 }
 
-fn hex_f64(v: f64) -> String {
+/// An `f64` as the 16 hex digits of its IEEE-754 bits: how every text
+/// format of the tuning stack (database, journal, checkpoint, wire
+/// protocol) stores floats, so round-trips are bit-exact.
+pub fn hex_f64(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
 
-fn parse_hex_f64(tok: &str) -> Option<f64> {
+/// Inverse of [`hex_f64`]; `None` when `tok` is not a hex `u64`.
+pub fn parse_hex_f64(tok: &str) -> Option<f64> {
     u64::from_str_radix(tok, 16).ok().map(f64::from_bits)
 }
 
@@ -539,7 +543,7 @@ impl TuningDatabase {
     /// # std::fs::remove_dir_all(&dir).ok();
     /// ```
     pub fn save(&self, path: &Path) -> Result<(), DbError> {
-        atomic_write(path, &self.encode())?;
+        atomic_write(path, self.encode().as_bytes())?;
         Ok(())
     }
 

@@ -112,18 +112,7 @@ impl JournalIo for DiskIo {
     }
 
     fn replace(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut ext = path
-            .extension()
-            .map(|e| e.to_os_string())
-            .unwrap_or_default();
-        ext.push(".tmp");
-        let tmp = path.with_extension(ext);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        crate::checkpoint::atomic_write(path, bytes)
     }
 
     fn truncate(&mut self, path: &Path, len: u64) -> io::Result<()> {

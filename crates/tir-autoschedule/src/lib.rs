@@ -14,7 +14,8 @@
 //!   backend trait, deterministic fault injection, and the
 //!   retry/backoff/outlier-rejection harness;
 //! * [`checkpoint`] — generation-granularity checkpoint/resume of tuning
-//!   runs, bit-identical to uninterrupted runs;
+//!   runs as a replayed measurement log, bit-identical to uninterrupted
+//!   runs;
 //! * [`journal`] / [`fault_io`] — the crash-consistent write-ahead journal
 //!   behind the tuning database, and the fault-injectable I/O layer that
 //!   lets a deterministic chaos harness prove its recovery guarantees;
@@ -42,15 +43,14 @@ pub mod sketch_cpu;
 pub mod sketch_gpu;
 
 pub use baseline::{build_sketches, oracle_time, tune_workload, tune_workload_with, Strategy};
-pub use checkpoint::{atomic_write, TuneCheckpoint};
+pub use checkpoint::atomic_write;
 pub use cost_model::CostModel;
 pub use database::{workload_key, DbError, TuningDatabase, TuningRecord};
 pub use fault_io::{DiskIo, FaultIo, FaultSpec, IoProfile, JournalIo};
 pub use journal::{journal_path_for, JournaledDb, PublishOutcome, RecoveryReport};
 pub use measure::{
-    measure_with_retries, measure_with_retries_traced, FaultInjector, FaultPlan, MeasureCtx,
-    MeasureError, MeasureOutcome, MeasureTrace, Measurer, RetryPolicy, SimMeasurer,
-    VerifyingMeasurer,
+    measure_with_retries, FaultInjector, FaultPlan, MeasureCtx, MeasureError, MeasureOutcome,
+    MeasureTrace, Measurer, RetryPolicy, SimMeasurer, VerifyingMeasurer,
 };
 pub use parallel::{effective_threads, parallel_map, try_parallel_map};
 pub use search::{

@@ -528,23 +528,12 @@ fn agreed_reading(readings: &[f64], need: usize) -> Option<f64> {
 /// and no faults this reduces to exactly one reading at
 /// `time * PROFILE_REPEATS + COMPILE_OVERHEAD_S` — bit-identical to the
 /// pre-abstraction accounting.
+///
+/// With `trace` set, every successful profile, compile, failure, and
+/// backoff delay also lands in the [`MeasureTrace`] as a `measure.*` span
+/// carrying its simulated farm seconds; the accounting and the returned
+/// outcome are unaffected by tracing.
 pub fn measure_with_retries(
-    measurer: &dyn Measurer,
-    func: &PrimFunc,
-    machine: &Machine,
-    candidate: u64,
-    retry: &RetryPolicy,
-) -> MeasureOutcome {
-    measure_with_retries_traced(measurer, func, machine, candidate, retry, None)
-}
-
-/// [`measure_with_retries`] with per-attempt trace events: every
-/// successful profile, compile, failure, and backoff delay lands in the
-/// supplied [`MeasureTrace`] as a `measure.*` span carrying its simulated
-/// farm seconds. With `trace: None` this is exactly
-/// [`measure_with_retries`] — the accounting and the returned outcome are
-/// unaffected by tracing.
-pub fn measure_with_retries_traced(
     measurer: &dyn Measurer,
     func: &PrimFunc,
     machine: &Machine,
@@ -658,7 +647,7 @@ mod tests {
         // pre-abstraction cost formula, zero retries.
         let f = mm();
         let m = Machine::sim_gpu();
-        let out = measure_with_retries(&SimMeasurer, &f, &m, 7, &RetryPolicy::default());
+        let out = measure_with_retries(&SimMeasurer, &f, &m, 7, &RetryPolicy::default(), None);
         let t = simulate(&f, &m);
         assert_eq!(out.reading, Ok(t));
         assert_eq!(out.cost_s, t * PROFILE_REPEATS + COMPILE_OVERHEAD_S);
@@ -695,7 +684,8 @@ mod tests {
         for rate in [0.1, 0.3, 0.5] {
             let inj = FaultInjector::sim(FaultPlan::transient(rate));
             for candidate in 0..24u64 {
-                let out = measure_with_retries(&inj, &f, &m, candidate, &RetryPolicy::default());
+                let out =
+                    measure_with_retries(&inj, &f, &m, candidate, &RetryPolicy::default(), None);
                 assert_eq!(
                     out.reading,
                     Ok(truth),
@@ -720,7 +710,7 @@ mod tests {
         assert_eq!(inj.min_agreeing_readings(), 2);
         let mut saw_extra_reading = false;
         for candidate in 0..24u64 {
-            let out = measure_with_retries(&inj, &f, &m, candidate, &RetryPolicy::default());
+            let out = measure_with_retries(&inj, &f, &m, candidate, &RetryPolicy::default(), None);
             assert_eq!(out.reading, Ok(truth), "candidate {candidate}");
             saw_extra_reading |= out.retries > 0;
         }
@@ -765,7 +755,7 @@ mod tests {
             ..Default::default()
         });
         for candidate in 0..12u64 {
-            let out = measure_with_retries(&inj, &f, &m, candidate, &RetryPolicy::default());
+            let out = measure_with_retries(&inj, &f, &m, candidate, &RetryPolicy::default(), None);
             assert_eq!(out.reading, Ok(truth), "candidate {candidate}");
         }
     }
@@ -782,7 +772,7 @@ mod tests {
             max_retries: 3,
             ..Default::default()
         };
-        let out = measure_with_retries(&inj, &f, &m, 1, &retry);
+        let out = measure_with_retries(&inj, &f, &m, 1, &retry, None);
         assert!(matches!(out.reading, Err(MeasureError::Timeout { .. })));
         assert_eq!(out.retries, 3);
         // 4 attempts x (compile + timeout budget) + 3 backoff delays.
@@ -828,7 +818,7 @@ mod tests {
             max_retries: 2,
             ..Default::default()
         };
-        let out = measure_with_retries(&NanMeasurer, &f, &m, 1, &retry);
+        let out = measure_with_retries(&NanMeasurer, &f, &m, 1, &retry, None);
         assert!(matches!(
             out.reading,
             Err(MeasureError::CorruptReading { .. })

@@ -85,13 +85,12 @@
 //!
 //! # Checkpoint/resume
 //!
-//! With `TuneOptions::checkpoint_path` set, the complete coordinator
-//! state is persisted after every generation ([`crate::checkpoint`]), and
-//! a later run with the same options resumes from it: a killed-and-
-//! resumed run returns the bit-identical result as an uninterrupted one,
-//! because fault draws and per-slot RNGs are pure functions of
-//! `(seed, candidate, attempt)` / `(seed, generation, slot)` — never of
-//! how many times the process restarted.
+//! With `TuneOptions::checkpoint_path` set, every generation logs what its
+//! measurements returned ([`crate::checkpoint`]), and a later run with the
+//! same options replays that log through this very loop instead of
+//! measuring: proposals are pure functions of `(seed, generation, slot)`,
+//! the log supplies the only input that is not, so the resumed run is the
+//! uninterrupted run.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -106,12 +105,12 @@ use tir_exec::cost::{estimate_breakdown, summarize, RooflineBound};
 use tir_exec::machine::Machine;
 use tir_trace::{Collector, Key};
 
-use crate::checkpoint::{self, TuneCheckpoint};
+use crate::checkpoint::MeasureLog;
 use crate::cost_model::CostModel;
 use crate::feature::features_of_summary;
 use crate::measure::{
-    measure_with_retries, measure_with_retries_traced, MeasureError, MeasureOutcome, MeasureTrace,
-    Measurer, RetryPolicy, SimMeasurer, COMPILE_OVERHEAD_S,
+    measure_with_retries, MeasureError, MeasureOutcome, MeasureTrace, Measurer, RetryPolicy,
+    SimMeasurer, COMPILE_OVERHEAD_S,
 };
 use crate::parallel::{effective_threads, parallel_map, try_parallel_map};
 use crate::sketch::{Decision, SketchRule};
@@ -158,11 +157,11 @@ pub struct TuneOptions {
     /// [`crate::measure`]). The defaults make transient-fault exhaustion
     /// astronomically unlikely, preserving the fault-rate invariant.
     pub retry: RetryPolicy,
-    /// When set, the complete coordinator state is checkpointed to this
-    /// file after every generation, and a run starting with a valid
-    /// matching checkpoint (same seed/machine/sketch) resumes from it
-    /// bit-identically. Save failures are ignored (resumability is lost,
-    /// the run is not).
+    /// When set, the outcome of every measurement is logged to this file
+    /// after every generation, and a run starting with a valid matching
+    /// log (same seed/machine/sketch) replays it instead of measuring,
+    /// resuming bit-identically. Save failures are ignored (resumability
+    /// is lost, the run is not).
     pub checkpoint_path: Option<PathBuf>,
     /// Stop after this many generations even if trial budget remains —
     /// the hook the kill-and-resume tests use to interrupt a run at a
@@ -177,17 +176,6 @@ pub struct TuneOptions {
     /// the tuning database and the serve daemon implement budget-upgrade
     /// re-tuning without ever regressing a stored record.
     pub warm_start: Option<WarmStart>,
-    /// Bytecode backend for any VM execution the tuning stack performs
-    /// on tuned programs — the post-tune instruction-mix profile of
-    /// `tune-profile`, and every search the serve daemon runs inherits
-    /// it from `ServeConfig`. The default optimized VM
-    /// ([`tir_exec::ExecBackend::Vm`]) is bit-identical to
-    /// [`tir_exec::ExecBackend::VmUnopt`]; switching backends is the
-    /// production escape hatch for bisecting a suspected bytecode-
-    /// optimizer regression without a rebuild (`--no-opt` on the
-    /// binaries). Never changes search results — candidates are
-    /// measured on the roofline simulator, not the VM.
-    pub exec_backend: tir_exec::ExecBackend,
     /// Observability sink ([`tir_trace::Collector`]). `None` (the
     /// default) records nothing and pays nothing beyond one branch per
     /// generation. When set and enabled, the search emits per-generation
@@ -215,7 +203,6 @@ impl Default for TuneOptions {
             checkpoint_path: None,
             max_generations: None,
             warm_start: None,
-            exec_backend: tir_exec::ExecBackend::default(),
             trace: None,
         }
     }
@@ -271,8 +258,8 @@ pub struct TuneResult {
     /// Candidates quarantined after a deterministic failure; structurally
     /// identical re-proposals are skipped without consuming budget.
     pub quarantined: usize,
-    /// The generation this run resumed from, when it started from a valid
-    /// checkpoint; `None` for an uninterrupted run.
+    /// The generation this run resumed from — how many generations a valid
+    /// checkpoint answered in full; `None` for an uninterrupted run.
     pub resumed_from_generation: Option<u64>,
 }
 
@@ -357,8 +344,8 @@ struct CandidateEval {
     cached: bool,
 }
 
-/// The complete mutable coordinator state of a tuning run — everything a
-/// checkpoint must capture for a resumed run to be bit-identical.
+/// The mutable coordinator state of a tuning run. A checkpoint stores none
+/// of it: a resumed run rebuilds it by replaying the logged measurements.
 struct SearchState {
     result: TuneResult,
     model: CostModel,
@@ -372,9 +359,6 @@ struct SearchState {
     cache: HashMap<u64, CachedMeasurement>,
     /// Structural hashes of deterministically failing candidates.
     quarantine: HashSet<u64>,
-    /// Decision vector of the current best (for checkpointing: the best
-    /// program itself is re-materialized from this on resume).
-    best_decisions: Option<Vec<Decision>>,
     /// Next generation to execute.
     generation: u64,
 }
@@ -388,7 +372,6 @@ impl SearchState {
             elites: Vec::new(),
             cache: HashMap::new(),
             quarantine: HashSet::new(),
-            best_decisions: None,
             generation: 0,
         }
     }
@@ -399,76 +382,6 @@ impl SearchState {
         self.result.trials_measured
             + self.result.wasted_measurements
             + self.result.failed_measurements
-    }
-
-    /// Rebuilds the run state recorded in a checkpoint. Returns `None` if
-    /// the checkpoint is internally inconsistent (its best decision
-    /// vector no longer materializes) — the run then starts fresh.
-    fn from_checkpoint(ck: TuneCheckpoint, sketch: &dyn SketchRule) -> Option<Self> {
-        let (best, best_decisions) = match ck.best_decisions {
-            None => (None, None),
-            Some(d) => (Some(sketch.apply(&d).ok()?), Some(d)),
-        };
-        let mut model = CostModel::new();
-        // The GBDT refit is a deterministic function of the sample
-        // sequence, so restoring the samples restores the exact ensemble.
-        model.set_samples(ck.model_samples);
-        Some(SearchState {
-            result: TuneResult {
-                best,
-                best_time: ck.best_time,
-                trials_measured: ck.trials_measured,
-                invalid_filtered: ck.invalid_filtered,
-                wasted_measurements: ck.wasted_measurements,
-                tuning_cost_s: ck.tuning_cost_s,
-                history: ck.history,
-                cache_hits: ck.cache_hits,
-                failed_measurements: ck.failed_measurements,
-                retries: ck.retries,
-                quarantined: ck.quarantined,
-                resumed_from_generation: Some(ck.generation),
-            },
-            model,
-            seen: ck.seen.into_iter().collect(),
-            elites: ck.elites,
-            cache: ck
-                .cache
-                .into_iter()
-                .map(|(h, features, time)| (h, CachedMeasurement { features, time }))
-                .collect(),
-            quarantine: ck.quarantine.into_iter().collect(),
-            best_decisions,
-            generation: ck.generation,
-        })
-    }
-
-    fn to_checkpoint(&self, seed: u64, machine: &str, sketch: &str) -> TuneCheckpoint {
-        TuneCheckpoint {
-            seed,
-            machine: machine.to_string(),
-            sketch: sketch.to_string(),
-            generation: self.generation,
-            trials_measured: self.result.trials_measured,
-            invalid_filtered: self.result.invalid_filtered,
-            wasted_measurements: self.result.wasted_measurements,
-            failed_measurements: self.result.failed_measurements,
-            retries: self.result.retries,
-            cache_hits: self.result.cache_hits,
-            quarantined: self.result.quarantined,
-            best_time: self.result.best_time,
-            tuning_cost_s: self.result.tuning_cost_s,
-            history: self.result.history.clone(),
-            best_decisions: self.best_decisions.clone(),
-            elites: self.elites.clone(),
-            seen: self.seen.iter().cloned().collect(),
-            cache: self
-                .cache
-                .iter()
-                .map(|(h, m)| (*h, m.features.clone(), m.time))
-                .collect(),
-            quarantine: self.quarantine.iter().copied().collect(),
-            model_samples: self.model.samples().to_vec(),
-        }
     }
 }
 
@@ -508,12 +421,11 @@ pub fn tune_with(
     // stream ids are deterministic regardless of thread count.
     let trace: Option<&Collector> = opts.trace.as_deref().filter(|c| c.is_enabled());
     let stream = trace.map_or(0, |c| c.stream(sketch.name()));
-    let mut state = opts
+    let mut state = SearchState::fresh();
+    let mut log = opts
         .checkpoint_path
         .as_ref()
-        .and_then(|p| checkpoint::load(p, opts.seed, &machine.name, sketch.name()))
-        .and_then(|ck| SearchState::from_checkpoint(ck, sketch))
-        .unwrap_or_else(SearchState::fresh);
+        .map(|p| MeasureLog::open(p, opts.seed, &machine.name, sketch.name()));
 
     // Seed the incumbent from a warm start (stored tuning record) when it
     // beats whatever the state holds. The trajectory below is untouched:
@@ -537,7 +449,6 @@ pub fn tune_with(
             elites,
             cache,
             quarantine,
-            best_decisions,
             ..
         } = &mut state;
         // Coordinator: fix each slot's derivation plan (half evolved from
@@ -709,54 +620,34 @@ pub fn tune_with(
             .take(batch_size)
             .collect();
 
-        // Fan-out 4: measure the uncached members of the batch through
-        // the fault-tolerant harness. The harness already converts panics
-        // into per-candidate RunnerCrash errors; `try_parallel_map` is
-        // the backstop for panics outside it.
-        let jobs: Vec<usize> = batch
+        // Fan-out 4: measure the uncached members of the batch (from rank
+        // `from` on) through the fault-tolerant harness. The harness
+        // already converts panics into per-candidate RunnerCrash errors;
+        // `try_parallel_map` is the backstop for panics outside it.
+        let jobs: Vec<(usize, &PrimFunc, u64)> = batch
             .iter()
-            .copied()
-            .filter(|&i| candidates[i].func.is_some() && !candidates[i].cached)
+            .filter_map(|&i| {
+                let eval = &candidates[i];
+                let func = eval.func.as_ref().filter(|_| !eval.cached)?;
+                Some((i, func, eval.hash))
+            })
             .collect();
-        let candidates_ref = &candidates;
-        let outcomes = try_parallel_map(&jobs, threads, |rank, &i| {
-            let eval = &candidates_ref[i];
-            match &eval.func {
+        let measure = |from: usize| -> Vec<MeasureOutcome> {
+            try_parallel_map(&jobs[from..], threads, |rank, &(_, f, hash)| {
                 // The trace key is the job's rank in the batch — a pure
                 // function of the (deterministic) batch order, so the
                 // merged report is byte-identical at any thread count.
-                Some(f) => match trace {
-                    Some(c) => {
-                        let mut buf = c.buffer();
-                        let mut mt = MeasureTrace {
-                            buf: &mut buf,
-                            stream,
-                            generation,
-                            slot: rank as u64,
-                        };
-                        measure_with_retries_traced(
-                            measurer,
-                            f,
-                            machine,
-                            eval.hash,
-                            &opts.retry,
-                            Some(&mut mt),
-                        )
-                    }
-                    None => measure_with_retries(measurer, f, machine, eval.hash, &opts.retry),
-                },
-                // Unreachable: `jobs` only holds valid candidates (the
-                // filter above); degrade to a crash, never panic.
-                None => MeasureOutcome {
-                    reading: Err(MeasureError::RunnerCrash("candidate vanished".to_string())),
-                    cost_s: COMPILE_OVERHEAD_S,
-                    retries: 0,
-                },
-            }
-        });
-        let mut outcome_of: HashMap<usize, MeasureOutcome> = jobs
+                let mut buf = trace.map(Collector::buffer);
+                let mut mt = buf.as_mut().map(|buf| MeasureTrace {
+                    buf,
+                    stream,
+                    generation,
+                    slot: (from + rank) as u64,
+                });
+                measure_with_retries(measurer, f, machine, hash, &opts.retry, mt.as_mut())
+            })
             .into_iter()
-            .zip(outcomes.into_iter().map(|r| {
+            .map(|r| {
                 r.unwrap_or_else(|msg| MeasureOutcome {
                     reading: Err(MeasureError::RunnerCrash(format!(
                         "measurement worker panicked: {msg}"
@@ -764,8 +655,25 @@ pub fn tune_with(
                     cost_s: COMPILE_OVERHEAD_S,
                     retries: 0,
                 })
-            }))
-            .collect();
+            })
+            .collect()
+        };
+        let outcomes = match &mut log {
+            None => measure(0),
+            // Checkpointed: what the log of an earlier run holds for these
+            // jobs, rank by rank, is not measured again; the farm takes
+            // over where the log stops, and the log gains the generation.
+            Some(log) => {
+                let hashes: Vec<u64> = jobs.iter().map(|&(_, _, hash)| hash).collect();
+                let mut outcomes = log.replay(&hashes);
+                outcomes.extend(measure(outcomes.len()));
+                // A failed save only loses resumability, never the run.
+                let _ = log.record(&hashes, &outcomes);
+                outcomes
+            }
+        };
+        let mut outcome_of: HashMap<usize, MeasureOutcome> =
+            jobs.iter().map(|&(i, ..)| i).zip(outcomes).collect();
 
         // Coordinator: accounting over the batch, in rank order.
         let counters_before = (
@@ -843,7 +751,6 @@ pub fn tune_with(
             if t < result.best_time {
                 result.best_time = t;
                 result.best = Some(f.clone());
-                *best_decisions = Some(eval.decisions.clone());
             }
             result.history.push(result.best_time);
             elites.push((eval.decisions.clone(), t));
@@ -919,14 +826,10 @@ pub fn tune_with(
         elites.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         elites.truncate(8);
         state.generation += 1;
-        if let Some(path) = &opts.checkpoint_path {
-            // A failed save only loses resumability, never the run.
-            let _ = checkpoint::save(
-                path,
-                &state.to_checkpoint(opts.seed, &machine.name, sketch.name()),
-            );
-        }
     }
+    state.result.resumed_from_generation = log
+        .map(|l| l.replayed_generations())
+        .filter(|&replayed| replayed > 0);
     state.result
 }
 

@@ -4,16 +4,25 @@
 //! including `tuning_cost_s` down to the last bit — as an uninterrupted
 //! run. Fault injection composes with resume because fault draws are
 //! keyed on `(seed, candidate, attempt)`, not on process lifetime.
+//!
+//! The checkpoint is the log of measurement outcomes and a resume replays
+//! it through the search (`checkpoint.rs`); nothing here reads the file's
+//! format — the tests state what a resume must return, what the file's
+//! bytes may depend on, and what happens to a file that does not fit.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use tir::DataType;
-use tir_autoschedule::sketch_gpu::GpuTensorSketch;
+use tir_autoschedule::sketch_gpu::{GpuScalarSketch, GpuTensorSketch};
 use tir_autoschedule::{
-    tune, tune_with, FaultInjector, FaultPlan, SimMeasurer, TuneOptions, TuneResult,
+    build_sketches, tune, tune_with, FaultInjector, FaultPlan, Measurer, SimMeasurer, SketchRule,
+    Strategy, TuneOptions, TuneResult,
 };
 use tir_exec::machine::Machine;
 use tir_tensorize::builtin_registry;
+use tir_trace::Collector;
+use tir_workloads::{bench_suite, OpKind};
 
 fn mm_sketch() -> GpuTensorSketch {
     let func = tir::builder::matmul_func("mm", 128, 128, 128, DataType::float16());
@@ -273,5 +282,288 @@ fn resume_crossing_fault_regimes_converges_to_the_same_best() {
         "crossing fault regimes must still find the fault-free best"
     );
     assert_eq!(resumed.history.len(), fault_free.history.len());
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Trial budget a result consumed.
+fn budget_used(r: &TuneResult) -> usize {
+    r.trials_measured + r.wasted_measurements + r.failed_measurements
+}
+
+/// `opts` with a checkpoint file, optionally killed after `k` generations.
+fn checkpointed(opts: &TuneOptions, path: &Path, kill_after: Option<u64>) -> TuneOptions {
+    TuneOptions {
+        checkpoint_path: Some(path.to_path_buf()),
+        max_generations: kill_after,
+        ..opts.clone()
+    }
+}
+
+/// One sketch of each kind, on a suite operator that gives it a space
+/// worth several generations.
+fn sketch_kinds() -> Vec<(Machine, Box<dyn SketchRule>)> {
+    let reg = builtin_registry();
+    let (gpu, arm) = (Machine::sim_gpu(), Machine::sim_arm());
+    let (f16, i8) = (DataType::float16(), DataType::int8());
+    [
+        ("gpu-tensor", &gpu, f16, OpKind::GMM),
+        ("gpu-scalar", &gpu, f16, OpKind::GMM),
+        ("cpu-tensor", &arm, i8, OpKind::C2D),
+        // The scalar CPU space of every other operator is three programs.
+        ("cpu-scalar", &arm, i8, OpKind::T2D),
+    ]
+    .into_iter()
+    .map(|(kind, machine, dtype, op)| {
+        let case = bench_suite(dtype)
+            .into_iter()
+            .find(|c| c.kind == op)
+            .expect("operator in the suite");
+        let sketch = build_sketches(&case.func, machine, &reg, Strategy::TensorIr)
+            .into_iter()
+            .find(|s| s.name().starts_with(kind))
+            .expect("sketch of the kind");
+        (machine.clone(), sketch)
+    })
+    .collect()
+}
+
+/// The property, for every sketch kind × threads {1, 4} × fault rate
+/// {0, 0.2}: whichever generation boundary the run is killed at —
+/// including the last, where nothing is left to do — the resumed run
+/// returns what the uninterrupted run returns, bit for bit.
+#[test]
+fn resume_at_every_generation_boundary_is_bit_identical_for_every_sketch_kind() {
+    let measurers: [(&str, Box<dyn Measurer>); 2] = [
+        ("fault-free", Box::new(SimMeasurer)),
+        (
+            "20% transient",
+            Box::new(FaultInjector::sim(FaultPlan::transient(0.2))),
+        ),
+    ];
+    for (machine, sketch) in sketch_kinds() {
+        for threads in [1usize, 4] {
+            for (regime, measurer) in &measurers {
+                let what = format!("{} / {threads} threads / {regime}", sketch.name());
+                let base = TuneOptions {
+                    trials: 24,
+                    num_threads: threads,
+                    ..Default::default()
+                };
+                let run = |opts: &TuneOptions| {
+                    tune_with(sketch.as_ref(), &machine, opts, measurer.as_ref())
+                };
+                let uninterrupted = run(&base);
+                assert!(uninterrupted.best.is_some(), "{what}");
+                let path = ckpt_path("every-boundary.ckpt");
+                let mut boundaries = 0;
+                for k in 1u64.. {
+                    let _ = std::fs::remove_file(&path);
+                    let killed = run(&checkpointed(&base, &path, Some(k)));
+                    let resumed = run(&checkpointed(&base, &path, None));
+                    assert_eq!(resumed.resumed_from_generation, Some(k), "{what}");
+                    assert_bit_identical(&uninterrupted, &resumed, &format!("{what}, gen {k}"));
+                    if budget_used(&killed) == budget_used(&uninterrupted) {
+                        break;
+                    }
+                    boundaries += 1;
+                }
+                assert!(boundaries >= 1, "{what}: the run was never interrupted");
+                let _ = std::fs::remove_file(&path);
+            }
+        }
+    }
+}
+
+/// Deterministic failures are logged too: a resumed run re-derives the
+/// quarantine from the recorded compile rejects instead of re-measuring.
+#[test]
+fn resume_rederives_the_quarantine_from_logged_rejects() {
+    let s = mm_sketch();
+    let machine = Machine::sim_gpu();
+    let inj = FaultInjector::sim(FaultPlan {
+        compile_reject_rate: 0.3,
+        ..Default::default()
+    });
+    let base = TuneOptions {
+        trials: 32,
+        num_threads: 2,
+        ..Default::default()
+    };
+    let uninterrupted = tune_with(&s, &machine, &base, &inj);
+    assert!(uninterrupted.quarantined > 0, "no candidate was rejected");
+    let path = ckpt_path("resume-quarantine.ckpt");
+    let _ = std::fs::remove_file(&path);
+    let killed = tune_with(&s, &machine, &checkpointed(&base, &path, Some(2)), &inj);
+    assert!(killed.quarantined > 0, "the kill should follow a reject");
+    // Resumed fault-free: a reject that comes back can only be the log's.
+    let resumed = tune_with(
+        &s,
+        &machine,
+        &checkpointed(&base, &path, Some(2)),
+        &SimMeasurer,
+    );
+    assert_eq!(resumed.resumed_from_generation, Some(2));
+    assert_bit_identical(&killed, &resumed, "replayed prefix");
+    let resumed = tune_with(&s, &machine, &checkpointed(&base, &path, None), &inj);
+    assert_bit_identical(&uninterrupted, &resumed, "resume across rejects");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The file is a function of the run, not of the process: identical runs,
+/// and runs at different thread counts, leave identical bytes — after
+/// every generation, not just the last.
+#[test]
+fn resume_file_bytes_are_identical_across_runs_and_thread_counts() {
+    let s = mm_sketch();
+    let machine = Machine::sim_gpu();
+    let inj = FaultInjector::sim(FaultPlan::transient(0.2));
+    let path = ckpt_path("bytes.ckpt");
+    let bytes_after = |threads: usize, generations: Option<u64>| {
+        let _ = std::fs::remove_file(&path);
+        let opts = TuneOptions {
+            trials: 32,
+            num_threads: threads,
+            ..Default::default()
+        };
+        tune_with(&s, &machine, &checkpointed(&opts, &path, generations), &inj);
+        std::fs::read(&path).expect("checkpoint written")
+    };
+    for generations in [Some(1), Some(3), None] {
+        let reference = bytes_after(1, generations);
+        for threads in [1usize, 1, 1, 2, 4] {
+            assert!(
+                bytes_after(threads, generations) == reference,
+                "{threads} threads, {generations:?} generations: checkpoint bytes differ"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A log that stops fitting the resuming options is used as far as it
+/// fits and dropped from there: written under `population: 32` and
+/// resumed under `population: 16`, the run equals a fresh `population: 16`
+/// run — it never continues from the other run's state.
+#[test]
+fn resume_under_a_different_population_equals_a_fresh_run() {
+    // Scalar matmul: measured times differ, so the model ranks and the
+    // population size decides what gets measured.
+    let s = GpuScalarSketch::new(&tir::builder::matmul_func(
+        "mm",
+        128,
+        128,
+        128,
+        DataType::float16(),
+    ));
+    let machine = Machine::sim_gpu();
+    let wide = TuneOptions {
+        trials: 32,
+        num_threads: 1,
+        population: 32,
+        ..Default::default()
+    };
+    let narrow = TuneOptions {
+        population: 16,
+        ..wide.clone()
+    };
+    let fresh = tune(&s, &machine, &narrow);
+    let path = ckpt_path("population.ckpt");
+    let _ = std::fs::remove_file(&path);
+    tune(&s, &machine, &checkpointed(&wide, &path, None));
+    let resumed = tune(&s, &machine, &checkpointed(&narrow, &path, None));
+    assert_bit_identical(&fresh, &resumed, "population 32 log, population 16 run");
+    // The file now holds the narrow run: resuming it again replays it all.
+    let again = tune(&s, &machine, &checkpointed(&narrow, &path, None));
+    assert_bit_identical(&fresh, &again, "second resume");
+    assert!(
+        again.resumed_from_generation > resumed.resumed_from_generation,
+        "the population-32 log should have stopped fitting before its end"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A replayed generation is traced like a measured one: at one thread the
+/// `search.measure` spans of a resumed run add up to its `tuning_cost_s`.
+#[test]
+fn resume_traces_the_replayed_generations_too() {
+    let s = mm_sketch();
+    let machine = Machine::sim_gpu();
+    let inj = FaultInjector::sim(FaultPlan::transient(0.2));
+    let base = TuneOptions {
+        trials: 32,
+        num_threads: 1,
+        ..Default::default()
+    };
+    let path = ckpt_path("resume-trace.ckpt");
+    let _ = std::fs::remove_file(&path);
+    tune_with(&s, &machine, &checkpointed(&base, &path, Some(3)), &inj);
+    let trace = Arc::new(Collector::new());
+    let traced = TuneOptions {
+        trace: Some(trace.clone()),
+        ..checkpointed(&base, &path, None)
+    };
+    let resumed = tune_with(&s, &machine, &traced, &inj);
+    assert_eq!(resumed.resumed_from_generation, Some(3));
+    let spans = trace.report().phase_sim_s("search.measure");
+    let cost = resumed.tuning_cost_s;
+    assert!(
+        (spans - cost).abs() <= 0.05 * cost,
+        "search.measure spans sum to {spans}, tuning_cost_s is {cost}"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A checkpoint of the previous format (golden bytes written by the last
+/// commit that produced it, for exactly this sketch, machine and seed) is
+/// ignored cleanly: the run starts fresh, equals the uninterrupted result
+/// and leaves a current-format file behind.
+#[test]
+fn resume_ignores_a_v1_checkpoint() {
+    let s = mm_sketch();
+    let machine = Machine::sim_gpu();
+    let base = TuneOptions {
+        trials: 32,
+        num_threads: 2,
+        ..Default::default()
+    };
+    let path = ckpt_path("v1.ckpt");
+    let v1 = include_bytes!("golden/checkpoint_v1.ckpt");
+    std::fs::write(&path, v1).expect("write");
+    let r = tune(&s, &machine, &checkpointed(&base, &path, None));
+    assert_eq!(r.resumed_from_generation, None, "v1 must not resume");
+    assert_bit_identical(&tune(&s, &machine, &base), &r, "fresh run over a v1 file");
+    assert_ne!(std::fs::read(&path).expect("rewritten"), v1);
+    let again = tune(&s, &machine, &checkpointed(&base, &path, None));
+    assert!(again.resumed_from_generation.is_some());
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A file cut short — at any of a few places, as a crash of a
+/// non-atomic writer would leave it — is ignored as a whole.
+#[test]
+fn resume_ignores_a_truncated_checkpoint() {
+    let s = mm_sketch();
+    let machine = Machine::sim_gpu();
+    let base = TuneOptions {
+        trials: 16,
+        num_threads: 1,
+        ..Default::default()
+    };
+    let clean = tune(&s, &machine, &base);
+    let path = ckpt_path("truncated.ckpt");
+    let _ = std::fs::remove_file(&path);
+    tune(&s, &machine, &checkpointed(&base, &path, Some(1)));
+    let full = std::fs::read(&path).expect("checkpoint written");
+    for keep in [full.len() - 1, full.len() - 4, full.len() / 2, 10, 0] {
+        std::fs::write(&path, &full[..keep]).expect("write");
+        let r = tune(&s, &machine, &checkpointed(&base, &path, None));
+        assert_eq!(
+            r.resumed_from_generation,
+            None,
+            "{keep} of {} bytes",
+            full.len()
+        );
+        assert_bit_identical(&clean, &r, "fresh run over a truncated checkpoint");
+    }
     let _ = std::fs::remove_file(&path);
 }

@@ -14,8 +14,8 @@ use tir::structural::structural_hash;
 use tir::{DataType, PrimFunc};
 use tir_autoschedule::sketch_gpu::{GpuScalarSketch, GpuTensorSketch};
 use tir_autoschedule::{
-    checkpoint, tune, tune_with, CostModel, CountingSketch, Decision, DecisionKind, FaultInjector,
-    FaultPlan, MeasureCtx, MeasureError, Measurer, SketchRule, TuneOptions, TuneResult,
+    tune, tune_with, CountingSketch, Decision, DecisionKind, FaultInjector, FaultPlan, MeasureCtx,
+    MeasureError, Measurer, SketchRule, TuneOptions, TuneResult,
 };
 use tir_exec::machine::Machine;
 use tir_rand::rngs::StdRng;
@@ -130,46 +130,37 @@ fn without_the_validation_filter_every_slot_is_built() {
 #[test]
 fn a_model_with_a_split_gets_the_whole_population() {
     // Generation by generation: a run stopped after `g` generations gives
-    // the cumulative counts, and its checkpoint the samples generation `g`
-    // will score with — so the test knows which generations can rank and
-    // checks each against its own rule.
+    // the cumulative counts, and its trace says whether generation `g`
+    // ranked — a generation that ranks materializes every slot it
+    // proposed — so the test checks each generation against its own rule.
     let sketch = scalar_sketch();
-    let machine = Machine::sim_gpu();
-    let path = tmp_path("split.ckpt");
     let (mut lazy, mut eager) = (0, 0);
-    let mut before = (0, 0, 0);
-    let mut ranks = false; // generation 0 has no samples
+    let mut before = [0usize; 4];
     for g in 0..5u64 {
-        let _ = std::fs::remove_file(&path);
         let opts = TuneOptions {
             trials: 40,
             num_threads: 1,
             max_generations: Some(g + 1),
-            checkpoint_path: Some(path.clone()),
             ..Default::default()
         };
         let (r, applies, report) = counted(&sketch, &opts);
-        let now = (
+        let now = [
             applies,
             selected(&r) + r.invalid_filtered,
             report.counter("search.proposed") as usize,
-        );
-        let (applies, read, proposed) = (now.0 - before.0, now.1 - before.1, now.2 - before.2);
-        if ranks {
+            report.counter("search.materialized") as usize,
+        ];
+        let [applies, read, proposed, materialized] = std::array::from_fn(|i| now[i] - before[i]);
+        before = now;
+        // Generation 0 has no samples, so it cannot rank whatever it built.
+        if g > 0 && materialized == proposed {
             assert_eq!(applies, proposed, "generation {g} ranks: build every slot");
             eager += usize::from(applies > read);
         } else {
             assert_eq!(applies, read, "generation {g} cannot rank: build the batch");
             lazy += usize::from(applies < proposed);
         }
-        before = now;
-        let ck = checkpoint::load(&path, opts.seed, &machine.name, sketch.name())
-            .expect("checkpoint written");
-        let mut model = CostModel::new();
-        model.set_samples(ck.model_samples);
-        ranks = model.num_samples() >= 4 && model.has_split();
     }
-    let _ = std::fs::remove_file(&path);
     assert!(
         lazy > 0 && eager > 0,
         "the tune should mix both kinds of generation ({lazy} lazy, {eager} eager)"

@@ -48,7 +48,7 @@ fn install_signal_handlers() {
 fn usage() -> ! {
     eprintln!(
         "usage: tir-serve --socket PATH --db PATH [--workers N] [--capacity N] \
-         [--threads N] [--max-payload BYTES] [--seed N] [--trace-out PATH] [--no-opt]"
+         [--threads N] [--max-payload BYTES] [--seed N] [--trace-out PATH]"
     );
     std::process::exit(2)
 }
@@ -62,7 +62,6 @@ fn main() -> ExitCode {
     let mut cfg_threads = None;
     let mut cfg_max_payload = None;
     let mut cfg_seed = None;
-    let mut no_opt = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -80,7 +79,6 @@ fn main() -> ExitCode {
             "--threads" => cfg_threads = Some(num(&mut args)),
             "--max-payload" => cfg_max_payload = Some(num(&mut args)),
             "--seed" => cfg_seed = Some(num(&mut args) as u64),
-            "--no-opt" => no_opt = true,
             _ => usage(),
         }
     }
@@ -103,9 +101,6 @@ fn main() -> ExitCode {
     }
     if let Some(v) = cfg_seed {
         cfg.seed = v;
-    }
-    if no_opt {
-        cfg.exec_backend = tir_exec::ExecBackend::VmUnopt;
     }
 
     install_signal_handlers();

@@ -80,6 +80,8 @@
 
 use std::io::{self, BufRead, Read, Write};
 
+use tir_autoschedule::database::{hex_f64, parse_hex_f64};
+
 /// Default cap on payload size (program text), in bytes. Requests whose
 /// payload exceeds the server's configured cap are rejected with
 /// [`RejectCode::PayloadTooLarge`] before the payload is read.
@@ -251,14 +253,6 @@ pub enum Response {
     },
     /// Shutdown acknowledged.
     Bye,
-}
-
-fn hex_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn parse_hex_f64(tok: &str) -> Option<f64> {
-    u64::from_str_radix(tok, 16).ok().map(f64::from_bits)
 }
 
 /// Reads one `\n`-terminated header line. `Ok(None)` on clean EOF.

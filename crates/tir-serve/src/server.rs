@@ -111,13 +111,6 @@ pub struct ServeConfig {
     /// Search seed. All tunes served by one daemon use one seed, so
     /// equal requests produce bit-identical results.
     pub seed: u64,
-    /// Bytecode backend threaded into every search's
-    /// `TuneOptions::exec_backend`. The default optimized VM and the
-    /// unoptimized VM are bit-identical; `--no-opt` on the daemon
-    /// switches to [`tir_exec::ExecBackend::VmUnopt`] so a suspected
-    /// optimizer regression can be bisected in production without a
-    /// rebuild. Never changes tuning results.
-    pub exec_backend: tir_exec::ExecBackend,
     /// Storage backend for the journaled database: [`IoProfile::Disk`]
     /// in production, [`IoProfile::Fault`] under the chaos harness.
     pub io_profile: IoProfile,
@@ -142,7 +135,6 @@ impl ServeConfig {
             max_payload: crate::protocol::DEFAULT_MAX_PAYLOAD,
             tune_threads: 1,
             seed: 42,
-            exec_backend: tir_exec::ExecBackend::default(),
             io_profile: IoProfile::Disk,
             journal_compact_bytes: JournaledDb::DEFAULT_COMPACT_THRESHOLD,
             save_retries: 3,
@@ -833,7 +825,6 @@ fn worker_loop(shared: &Arc<Shared>) {
             num_threads: shared.cfg.tune_threads,
             seed: shared.cfg.seed,
             warm_start: job.warm.clone(),
-            exec_backend: shared.cfg.exec_backend,
             ..TuneOptions::default()
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {

@@ -9,10 +9,9 @@
 //!
 //! After tuning, the best program is compiled to the bytecode VM —
 //! through the optimizer pipeline by default, or unoptimized with
-//! `--no-opt` (`TuneOptions::exec_backend`), the escape hatch for
-//! bisecting optimizer regressions — and executed under
-//! [`InstrMixProfile`], folding the instruction mix into the same
-//! report as `vm.op.*` counters.
+//! `--no-opt`, the escape hatch for bisecting optimizer regressions — and
+//! executed under [`InstrMixProfile`], folding the instruction mix into
+//! the same report as `vm.op.*` counters.
 //!
 //! With `--check` the emitted report is validated in-process (the CI
 //! gate): it must be well-formed JSON, carry every expected phase and
@@ -25,7 +24,7 @@ use std::sync::Arc;
 
 use tir::{DataType, PrimFunc};
 use tir_autoschedule::{tune_workload, Strategy, TuneOptions, TuneResult};
-use tir_exec::{compile, compile_optimized, ExecBackend, InstrMixProfile, Machine, Tensor};
+use tir_exec::{compile, compile_optimized, InstrMixProfile, Machine, Tensor};
 use tir_tensorize::builtin_registry;
 use tir_trace::{is_well_formed_json, Collector, TraceReport};
 use tir_workloads::ops;
@@ -106,15 +105,15 @@ fn build_machine(name: &str) -> Machine {
 
 /// Runs the best program through the bytecode VM under an
 /// instruction-mix profiler, folding the mix into the collector as
-/// `vm.op.*` counters. The backend picks the compilation pipeline:
-/// [`ExecBackend::Vm`] profiles the optimized bytecode (what production
-/// dispatches), anything else the plain compiler output. Returns whether
-/// the profile run completed within its fuel budget (`None` when the
-/// program does not compile to bytecode).
-fn profile_best(best: &PrimFunc, backend: ExecBackend, collector: &Collector) -> Option<bool> {
-    let prog = match backend {
-        ExecBackend::Vm => compile_optimized(best).ok()?,
-        _ => compile(best).ok()?,
+/// `vm.op.*` counters: the optimized bytecode (what production
+/// dispatches), or with `no_opt` the plain compiler output. Returns
+/// whether the profile run completed within its fuel budget (`None` when
+/// the program does not compile to bytecode).
+fn profile_best(best: &PrimFunc, no_opt: bool, collector: &Collector) -> Option<bool> {
+    let prog = if no_opt {
+        compile(best).ok()?
+    } else {
+        compile_optimized(best).ok()?
     };
     let args: Vec<Tensor> = best
         .params
@@ -316,11 +315,6 @@ fn main() -> ExitCode {
         // One worker: serial measurement sums == makespans, so the
         // trace's per-phase breakdown reconciles with tuning_cost_s.
         num_threads: 1,
-        exec_backend: if cfg.no_opt {
-            ExecBackend::VmUnopt
-        } else {
-            ExecBackend::Vm
-        },
         trace: Some(collector.clone()),
         ..TuneOptions::default()
     };
@@ -332,7 +326,7 @@ fn main() -> ExitCode {
     let vm_complete = result
         .best
         .as_ref()
-        .and_then(|best| profile_best(best, opts.exec_backend, &collector));
+        .and_then(|best| profile_best(best, cfg.no_opt, &collector));
 
     let report = collector.report();
     let text = render_report(&cfg, &result, &report, vm_complete);
