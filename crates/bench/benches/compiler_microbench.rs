@@ -114,16 +114,16 @@ fn bench_ir_passes() {
         .map(|v| (v.clone(), Expr::from(v) * 2 + 1))
         .collect();
     bench_function("ir/subst_stmt_gmm", || {
-        let mut body = func.body.clone();
+        let mut body = Stmt::clone(&func.body);
         tir::visit::subst_stmt(&mut body, &map);
         body
     });
     bench_function("ir/simplify_stmt_gmm", || {
-        let mut body = func.body.clone();
+        let mut body = Stmt::clone(&func.body);
         tir::simplify::simplify_stmt(&mut body);
         body
     });
-    bench_function("ir/clone_stmt_gmm", || func.body.clone());
+    bench_function("ir/clone_stmt_gmm", || Stmt::clone(&func.body));
     bench_function("ir/structural_hash_gmm", || {
         tir::structural::structural_hash(&func)
     });
@@ -318,6 +318,52 @@ fn bench_search_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The warm paths: what it costs to be told "already tuned". One
+/// `tune_cached` hit on gmm 128³ and on ResNet-50's conv + add + relu group,
+/// and one whole warm `compile_model_with` / `evaluate_model_with` of the two
+/// networks the repo benchmark's `compile_models` workload uses (same
+/// precision, machine and 16-trial budget; 200 of the first and 80 of the
+/// second make its phases B and C).
+fn bench_warm_paths() {
+    use tir_autoschedule::{Strategy, TuneOptions, TuningDatabase};
+    use tir_graph::{bert_large, compile_model_with, evaluate_model_with, fuse_graph, resnet50};
+
+    let reg = builtin_registry();
+    let machine = Machine::sim_gpu();
+    let dt = DataType::float16();
+    let opts = TuneOptions {
+        trials: 16,
+        num_threads: 1,
+        ..TuneOptions::default()
+    };
+    let strategy = Strategy::TensorIr;
+    let mut db = TuningDatabase::new();
+
+    let fused = fuse_graph(&resnet50(dt))
+        .into_iter()
+        .find(|g| g.name == "r50_s0_c3_add_relu")
+        .and_then(|g| g.func)
+        .expect("conv + add + relu group");
+    let gmm = tir_workloads::gmm(128, 128, 128, dt, DataType::float32());
+    for (row, func) in [("gmm", &gmm), ("fused", &fused)] {
+        db.tune_cached(func, &machine, &reg, strategy, &opts);
+        bench_function(&format!("db/tune_cached_hit_{row}"), || {
+            db.tune_cached(func, &machine, &reg, strategy, &opts)
+        });
+    }
+    for (row, model) in [("resnet50", resnet50(dt)), ("bert_large", bert_large(dt))] {
+        compile_model_with(&model, &machine, &reg, strategy, &opts, &mut db).expect("valid");
+        bench_function(&format!("graph/warm_compile_{row}"), || {
+            compile_model_with(&model, &machine, &reg, strategy, &opts, &mut db).expect("valid")
+        });
+        bench_function(&format!("graph/warm_evaluate_{row}"), || {
+            evaluate_model_with(&model, &machine, &reg, strategy, &opts, &mut db, true)
+                .expect("valid")
+        });
+        bench_function(&format!("graph/fuse_graph_{row}"), || fuse_graph(&model));
+    }
+}
+
 fn bench_validation() {
     let func = matmul_func("mm", 256, 256, 256, DataType::float32());
     bench_function("analysis/validate_matmul", || {
@@ -370,6 +416,7 @@ fn main() {
     bench_sketch_apply();
     bench_search_tune();
     bench_search_checkpoint();
+    bench_warm_paths();
     bench_ir_passes();
     bench_validation();
     bench_auto_tensorize();

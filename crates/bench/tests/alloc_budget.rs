@@ -19,11 +19,14 @@ use std::collections::HashMap;
 
 use tensorir_bench::alloc_count::{counted, CountingAlloc};
 use tir::simplify::{simplify_expr, simplify_stmt};
-use tir::structural::structural_hash;
+use tir::structural::{func_structural_eq, structural_hash};
 use tir::visit::{replace_buffers, subst_expr, subst_stmt};
-use tir::{Buffer, DataType, Expr, PrimFunc, Var};
-use tir_autoschedule::{build_sketches, Decision, SketchRule, Strategy};
+use tir::{Buffer, DataType, Expr, PrimFunc, Stmt, Var};
+use tir_autoschedule::{
+    build_sketches, Decision, SketchRule, Strategy, TuneOptions, TuningDatabase,
+};
 use tir_exec::machine::Machine;
+use tir_graph::{compile_model_with, fuse_graph, resnet50};
 use tir_rand::rngs::StdRng;
 use tir_rand::SeedableRng;
 use tir_tensorize::builtin_registry;
@@ -36,6 +39,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// work in place (2 047, 2 067 and 1 015 per `apply`; 8, 7 and 7 per
 /// `structural_hash`), plus 10%. On the commit before it `apply` made
 /// 8 416, 6 993 and 3 181 allocations and `structural_hash` 891, 505 and 577.
+/// Since function bodies became shared (`Arc<Stmt>`) `apply` makes 2 048,
+/// 2 072 and 1 016: cloning the base schedule no longer copies the tree,
+/// the first primitive after it does, into one more box — the `Arc` — per
+/// un-sharing: once per candidate, and once more after each of
+/// `gpu-scalar`'s four speculative backups.
 const APPLY_GMM_GPU: u64 = 2_251;
 const APPLY_C2D_GPU: u64 = 2_273;
 const APPLY_GMM_CPU: u64 = 1_116;
@@ -148,7 +156,7 @@ fn candidate_allocations_repeat_and_stay_in_budget() {
 #[test]
 fn passes_that_change_nothing_allocate_nothing() {
     let (sketch, decisions) = candidate(&gmm_gpu_tensor());
-    let mut body = sketch.apply(&decisions).expect("applies").body;
+    let mut body = Stmt::clone(&sketch.apply(&decisions).expect("applies").body);
     // A finished candidate is already simplified; make sure of it.
     simplify_stmt(&mut body);
     let before = body.clone();
@@ -169,4 +177,74 @@ fn passes_that_change_nothing_allocate_nothing() {
     let (_, subst) = counted(|| subst_expr(&mut index, &absent_var));
     assert_eq!((simplify, subst), (0, 0));
     assert_eq!(index, index_before);
+}
+
+/// What a warm `tune_cached` hit allocates of its own: the returned
+/// function's name and parameter list, and the one-element `history`.
+const WARM_HIT_OWN: u64 = 3;
+/// The whole hit on gmm 128³ and on ResNet-50's conv + residual add + relu
+/// group (the network's three-operator fused kernel): the three above plus
+/// the id maps of one `structural_hash` and one `func_structural_eq` walk
+/// (3 + 3 and 7 + 7), which grow with the logarithm of the number of
+/// distinct variables and buffers, not with the size of the tree. Before
+/// bodies were shared and the database indexed by fingerprint the same
+/// hits made 480 and 960 allocations.
+const WARM_HIT_GMM: u64 = 9;
+const WARM_HIT_FUSED: u64 = 17;
+/// One warm `compile_model_with` of ResNet-50 (22 kernels, no measurement):
+/// 2 198 of these are `fuse_graph` composing the kernels again. Was 19 457.
+const WARM_COMPILE_RESNET50: u64 = 2_588;
+
+/// A warm hit is a hash walk, a comparison walk, two probes and a
+/// reference-count increment: its allocation count is exact, repeats, and
+/// does not depend on the size of the stored program (build profile makes
+/// no difference either: nothing is scheduled).
+#[test]
+fn warm_hits_allocate_a_small_exact_constant() {
+    let reg = builtin_registry();
+    let machine = Machine::sim_gpu();
+    let dt = DataType::float16();
+    let opts = TuneOptions {
+        trials: 4,
+        num_threads: 1,
+        ..TuneOptions::default()
+    };
+    let model = resnet50(dt);
+    let fused = fuse_graph(&model)
+        .into_iter()
+        .find(|g| g.name == "r50_s0_c3_add_relu")
+        .and_then(|g| g.func)
+        .expect("conv + add + relu group");
+    let gmm = tir_workloads::gmm(128, 128, 128, dt, DataType::float32());
+
+    let mut db = TuningDatabase::new();
+    for (func, expected) in [(&gmm, WARM_HIT_GMM), (&fused, WARM_HIT_FUSED)] {
+        let mut hit = || db.tune_cached(func, &machine, &reg, Strategy::TensorIr, &opts);
+        assert!(hit().tuning_cost_s > 0.0, "{}: first call tunes", func.name);
+        let (first, allocs) = counted(&mut hit);
+        let (_, again) = counted(&mut hit);
+        assert_eq!(first.trials_measured, 0, "{}: warm", func.name);
+        let (_, hash) = counted(|| structural_hash(func));
+        let (_, eq) = counted(|| func_structural_eq(func, func));
+        println!(
+            "{:<22} warm hit {allocs} allocations ({hash} hash + {eq} equality + {WARM_HIT_OWN})",
+            func.name
+        );
+        assert_eq!((allocs, again), (expected, expected), "{}", func.name);
+        assert_eq!(allocs - hash - eq, WARM_HIT_OWN, "{}", func.name);
+    }
+
+    let mut compile = || {
+        compile_model_with(&model, &machine, &reg, Strategy::TensorIr, &opts, &mut db)
+            .expect("valid model")
+    };
+    compile();
+    let (warm, allocs) = counted(&mut compile);
+    let (_, again) = counted(&mut compile);
+    assert_eq!(warm.trials, 0, "second compile is warm");
+    println!("ResNet-50 warm compile  {allocs} allocations");
+    assert_eq!(
+        (allocs, again),
+        (WARM_COMPILE_RESNET50, WARM_COMPILE_RESNET50)
+    );
 }

@@ -927,7 +927,7 @@ mod atomic_tests {
                 _ => {}
             }
         }
-        parallelize_innermost(&mut func.body);
+        parallelize_innermost(&mut func.root_block_mut().expect("root block").body);
         let errors = check_loop_nests(&func);
         assert!(
             errors
@@ -951,7 +951,7 @@ mod atomic_tests {
                 _ => {}
             }
         }
-        annotate(&mut func.body);
+        annotate(&mut func.root_block_mut().expect("root block").body);
         let errors = check_loop_nests(&func);
         assert!(
             !errors

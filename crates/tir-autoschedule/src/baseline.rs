@@ -271,7 +271,7 @@ mod fused_epilogue_tests {
                 .max(Expr::Float(0.0, DataType::float16()))
         });
         let (a, b) = (base.params[0].clone(), base.params[1].clone());
-        let root_body = match &base.body {
+        let root_body = match &*base.body {
             Stmt::BlockRealize(br) => (*br.block.body).clone(),
             _ => unreachable!("root convention"),
         };

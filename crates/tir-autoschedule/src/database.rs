@@ -30,6 +30,25 @@
 //!   the printer/parser round-trip is byte-exact for every program the
 //!   tuner can produce (property-tested in `crates/tir`).
 //!
+//! # Identity and index
+//!
+//! A record's identity is `(machine, strategy, text key)`, the text key
+//! being [`workload_key`] of the workload: that is what the snapshot, the
+//! journal, the wire protocol and the `&str`-keyed API (`lookup`, `peek`,
+//! `insert`) carry. Building it prints the whole program, so the database
+//! keeps a *fingerprint index* in front of it:
+//! [`tir::structural::structural_hash`] of a program → the programs with
+//! that hash known to print to a stored key, each confirmed by
+//! [`tir::structural::func_structural_eq`] before it is believed (a 64-bit
+//! collision falls through to the text key; it can never serve another
+//! workload's record). [`TuningDatabase::key_of`] asks the index,
+//! [`TuningDatabase::remember_key`] teaches it, and
+//! [`TuningDatabase::tune_cached`] does both, so [`workload_key`] runs about
+//! once per distinct workload per process instead of once per request. The
+//! index only ever holds programs whose key has a stored record, so it
+//! cannot outgrow the database by more than the alpha-variants callers
+//! actually present; it is never persisted.
+//!
 //! ```
 //! use tir_autoschedule::database::TuningDatabase;
 //!
@@ -43,8 +62,10 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
+use std::sync::{Arc, OnceLock};
 
 use tir::parser::parse_func;
+use tir::structural::{func_structural_eq, structural_hash};
 use tir::PrimFunc;
 use tir_exec::machine::Machine;
 use tir_tensorize::IntrinRegistry;
@@ -231,16 +252,17 @@ impl<'a> Cursor<'a> {
 
 /// Encodes one record in the canonical `record …` block form: a header
 /// line with length prefixes and hex-bit floats, followed by four
-/// byte-length-prefixed blobs. Used verbatim by both the snapshot
-/// ([`TuningDatabase::encode`]) and the write-ahead journal
-/// ([`crate::journal`]) — one codec, two containers.
+/// byte-length-prefixed blobs, the last being `best` — the printed text of
+/// `rec.best`, which the caller has in hand or prints once. Used verbatim
+/// by both the snapshot ([`TuningDatabase::encode`]) and the write-ahead
+/// journal ([`crate::journal`]) — one codec, two containers.
 pub(crate) fn encode_record(
     machine: &str,
     strategy: &str,
     key: &str,
     rec: &TuningRecord,
+    best: &str,
 ) -> String {
-    let best = rec.best.to_string();
     let mut out = format!(
         "record {} {} {} {} {} {} {} {}\n",
         machine.len(),
@@ -252,18 +274,34 @@ pub(crate) fn encode_record(
         rec.budget,
         hex_f64(rec.tuning_cost_s),
     );
-    for blob in [machine, strategy, key, best.as_str()] {
+    for blob in [machine, strategy, key, best] {
         out.push_str(blob);
         out.push('\n');
     }
     out
 }
 
+/// One decoded `record …` block, borrowing its blobs from the input: the
+/// record plus the program text it was parsed from, which
+/// [`Decoded::insert_into`] keeps beside it.
+pub(crate) struct Decoded<'a> {
+    machine: &'a str,
+    strategy: Strategy,
+    key: &'a str,
+    record: TuningRecord,
+    best_text: &'a str,
+}
+
+impl Decoded<'_> {
+    pub(crate) fn insert_into(self, db: &mut TuningDatabase) {
+        let text = Some(self.best_text.into());
+        db.store(self.machine, self.strategy, self.key, self.record, text);
+    }
+}
+
 /// Decodes one `record …` block at the cursor (inverse of
 /// [`encode_record`]). Failures carry the cursor's byte offset.
-pub(crate) fn decode_record(
-    c: &mut Cursor,
-) -> Result<(String, Strategy, String, TuningRecord), DbError> {
+pub(crate) fn decode_record<'a>(c: &mut Cursor<'a>) -> Result<Decoded<'a>, DbError> {
     let header = c.line()?;
     let toks: Vec<&str> = header.split_whitespace().collect();
     if toks.len() != 9 || toks[0] != "record" {
@@ -283,26 +321,27 @@ pub(crate) fn decode_record(
     let budget = len_of(7, "budget")?;
     let tuning_cost_s =
         parse_hex_f64(toks[8]).ok_or_else(|| c.corrupt("bad tuning_cost_s bits"))?;
-    let machine = c.blob(machine_len)?.to_string();
+    let machine = c.blob(machine_len)?;
     let strategy_label = c.blob(strategy_len)?;
     let strategy = Strategy::from_label(strategy_label)
         .ok_or_else(|| c.corrupt(format!("unknown strategy label `{strategy_label}`")))?;
-    let key = c.blob(key_len)?.to_string();
+    let key = c.blob(key_len)?;
     let best_text = c.blob(best_len)?;
     let best = parse_func(best_text)
         .map_err(|e| c.corrupt(format!("stored program does not parse: {e}")))?;
-    Ok((
+    Ok(Decoded {
         machine,
         strategy,
         key,
-        TuningRecord {
+        record: TuningRecord {
             best,
             best_time,
             trials,
             budget,
             tuning_cost_s,
         },
-    ))
+        best_text,
+    })
 }
 
 /// An `f64` as the 16 hex digits of its IEEE-754 bits: how every text
@@ -317,14 +356,57 @@ pub fn parse_hex_f64(tok: &str) -> Option<f64> {
     u64::from_str_radix(tok, 16).ok().map(f64::from_bits)
 }
 
+/// One stored record: where it was tuned, what was found, and — once
+/// anyone needed it — the printed text of the best program. The text lives
+/// and dies with the record (replacing the record drops it), so a stored
+/// program is printed at most once however often it is served, journaled
+/// or compacted.
+#[derive(Debug)]
+struct Stored {
+    machine: String,
+    strategy: Strategy,
+    record: TuningRecord,
+    best_text: OnceLock<Arc<str>>,
+}
+
+impl Stored {
+    fn is_for(&self, machine: &str, strategy: Strategy) -> bool {
+        self.strategy == strategy && self.machine == machine
+    }
+
+    fn best_text(&self) -> &Arc<str> {
+        self.best_text
+            .get_or_init(|| self.record.best.to_string().into())
+    }
+}
+
 /// A database of tuning records keyed by
 /// `(machine, strategy, workload fingerprint)`, with optional on-disk
-/// persistence (see the module docs for the format guarantees).
+/// persistence (see the module docs for the format guarantees, and for
+/// how the text key and the fingerprint index relate).
 #[derive(Default, Debug)]
 pub struct TuningDatabase {
-    records: HashMap<(String, &'static str, String), TuningRecord>,
+    /// Text key → the records of that workload, one per (machine,
+    /// strategy) it was tuned for: a handful at most, scanned in place.
+    records: HashMap<Arc<str>, Vec<Stored>>,
+    /// Fingerprint index: structural hash → the programs with that hash
+    /// known to print to a key of `records` (which the `Arc` shares).
+    index: HashMap<u64, Vec<(PrimFunc, Arc<str>)>>,
+    len: usize,
     hits: usize,
     misses: usize,
+}
+
+fn find<'a>(
+    records: &'a HashMap<Arc<str>, Vec<Stored>>,
+    machine: &str,
+    strategy: Strategy,
+    key: &str,
+) -> Option<&'a Stored> {
+    records
+        .get(key)?
+        .iter()
+        .find(|s| s.is_for(machine, strategy))
 }
 
 impl TuningDatabase {
@@ -346,19 +428,18 @@ impl TuningDatabase {
 
     /// Number of stored records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// Whether the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// Looks up a record without touching the hit/miss counters — the
     /// read-only probe the server's `query` request uses.
     pub fn peek(&self, machine: &str, strategy: Strategy, key: &str) -> Option<&TuningRecord> {
-        self.records
-            .get(&(machine.to_string(), strategy.label(), key.to_string()))
+        find(&self.records, machine, strategy, key).map(|s| &s.record)
     }
 
     /// Looks up a record, counting a hit or a miss.
@@ -368,26 +449,112 @@ impl TuningDatabase {
         strategy: Strategy,
         key: &str,
     ) -> Option<&TuningRecord> {
-        let k = (machine.to_string(), strategy.label(), key.to_string());
-        if self.records.contains_key(&k) {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
+        let found = find(&self.records, machine, strategy, key);
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
-        self.records.get(&k)
+        found.map(|s| &s.record)
+    }
+
+    /// The printed text of a stored record's best program, if the database
+    /// has it in hand (it was decoded from, or already encoded to, a
+    /// snapshot or journal entry). Never prints: a caller holding the
+    /// database behind a lock prints a `None` itself, outside it.
+    pub fn best_text(&self, machine: &str, strategy: Strategy, key: &str) -> Option<Arc<str>> {
+        find(&self.records, machine, strategy, key)?
+            .best_text
+            .get()
+            .cloned()
     }
 
     /// Inserts (or replaces) a record.
     pub fn insert(&mut self, machine: &str, strategy: Strategy, key: String, record: TuningRecord) {
-        self.records
-            .insert((machine.to_string(), strategy.label(), key), record);
+        self.store(machine, strategy, &key, record, None);
     }
 
-    /// Iterates over all records as
-    /// `((machine, strategy label, fingerprint), record)`, in
-    /// unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&(String, &'static str, String), &TuningRecord)> {
-        self.records.iter()
+    /// [`TuningDatabase::insert`] for callers that already hold the printed
+    /// text of `record.best` (the decoder, the journal).
+    pub(crate) fn store(
+        &mut self,
+        machine: &str,
+        strategy: Strategy,
+        key: &str,
+        record: TuningRecord,
+        best_text: Option<Arc<str>>,
+    ) {
+        let stored = Stored {
+            machine: machine.to_string(),
+            strategy,
+            record,
+            best_text: best_text.map(OnceLock::from).unwrap_or_default(),
+        };
+        let Some(slots) = self.records.get_mut(key) else {
+            self.records.insert(key.into(), vec![stored]);
+            self.len += 1;
+            return;
+        };
+        match slots.iter_mut().find(|s| s.is_for(machine, strategy)) {
+            Some(slot) => *slot = stored,
+            None => {
+                slots.push(stored);
+                self.len += 1;
+            }
+        }
+    }
+
+    /// Iterates over all records as `(machine, strategy, text key, record)`,
+    /// in unspecified order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, Strategy, &str, &TuningRecord)> {
+        self.stored()
+            .map(|(key, s)| (s.machine.as_str(), s.strategy, key, &s.record))
+    }
+
+    fn stored(&self) -> impl Iterator<Item = (&str, &Stored)> {
+        self.records
+            .iter()
+            .flat_map(|(key, slots)| slots.iter().map(move |s| (&**key, s)))
+    }
+
+    /// The text key of `func` — [`workload_key`]`(func)` — if the
+    /// fingerprint index knows the program: one hash walk, one probe, one
+    /// structural comparison, no printing. `None` means only
+    /// that the index has not met this program; the caller computes the
+    /// key and offers it through [`TuningDatabase::remember_key`].
+    ///
+    /// # Precondition
+    ///
+    /// Structural equality implies equal text keys when, within each
+    /// program, distinct entities (the function, its variables, its
+    /// buffers) carry distinct names — the same precondition the
+    /// printer/parser round trip has, and one every program this workspace
+    /// builds or parses meets. Outside it (say, a buffer named like the
+    /// function in one program but not in the other) two structurally equal
+    /// programs can print to different keys, and the index then answers
+    /// with the key of whichever was met first. That is still a record for
+    /// the same computation — never a wrong program — but the request is
+    /// counted as a hit where text keying alone would have counted a miss.
+    pub fn key_of(&self, func: &PrimFunc) -> Option<Arc<str>> {
+        self.index
+            .get(&structural_hash(func))?
+            .iter()
+            .find(|(known, _)| func_structural_eq(known, func))
+            .map(|(_, key)| key.clone())
+    }
+
+    /// Teaches the index that `func` prints to `key`
+    /// (`key == workload_key(func)`). Kept only if a record is stored under
+    /// `key` — for any machine and strategy — so programs nobody tuned
+    /// leave nothing behind; a program the index already knows is not added
+    /// twice.
+    pub fn remember_key(&mut self, func: &PrimFunc, key: &str) {
+        let Some((key, _)) = self.records.get_key_value(key) else {
+            return;
+        };
+        let known = self.index.entry(structural_hash(func)).or_default();
+        if !known.iter().any(|(k, _)| func_structural_eq(k, func)) {
+            known.push((func.clone(), key.clone()));
+        }
     }
 
     /// Tunes `func` unless an alpha-equivalent workload was tuned before,
@@ -399,6 +566,10 @@ impl TuningDatabase {
     /// budget, warm-started from the stored best (so the record can only
     /// improve), and the record is replaced. Upgrades count as misses —
     /// a search ran.
+    ///
+    /// A warm hit on a program the index knows costs a hash walk, a
+    /// comparison walk, two probes and a reference-count increment: the
+    /// returned `best` shares its body with the stored record.
     pub fn tune_cached(
         &mut self,
         func: &PrimFunc,
@@ -407,7 +578,14 @@ impl TuningDatabase {
         strategy: Strategy,
         opts: &TuneOptions,
     ) -> TuneResult {
-        let key = workload_key(func);
+        let key = match self.key_of(func) {
+            Some(key) => key,
+            None => {
+                let key: Arc<str> = workload_key(func).into();
+                self.remember_key(func, &key);
+                key
+            }
+        };
         let hit = self
             .lookup(&machine.name, strategy, &key)
             .map(|rec| (rec.budget, rec.best.clone(), rec.best_time));
@@ -436,18 +614,15 @@ impl TuningDatabase {
         };
         let result = tune_workload(func, machine, intrins, strategy, &opts);
         if let Some(best) = &result.best {
-            self.insert(
-                &machine.name,
-                strategy,
-                key,
-                TuningRecord {
-                    best: best.clone(),
-                    best_time: result.best_time,
-                    trials: result.trials_measured,
-                    budget: opts.trials,
-                    tuning_cost_s: result.tuning_cost_s,
-                },
-            );
+            let record = TuningRecord {
+                best: best.clone(),
+                best_time: result.best_time,
+                trials: result.trials_measured,
+                budget: opts.trials,
+                tuning_cost_s: result.tuning_cost_s,
+            };
+            self.store(&machine.name, strategy, &key, record, None);
+            self.remember_key(func, &key);
         }
         result
     }
@@ -459,12 +634,20 @@ impl TuningDatabase {
         out.push_str(HEADER);
         out.push('\n');
         out.push_str(&format!("counters {} {}\n", self.hits, self.misses));
-        let mut keys: Vec<&(String, &'static str, String)> = self.records.keys().collect();
-        keys.sort();
-        out.push_str(&format!("records {}\n", keys.len()));
-        for k in keys {
-            let (machine, strategy, key) = k;
-            out.push_str(&encode_record(machine, strategy, key, &self.records[k]));
+        let mut rows: Vec<(&str, &str, &str, &Stored)> = self
+            .stored()
+            .map(|(key, s)| (s.machine.as_str(), s.strategy.label(), key, s))
+            .collect();
+        rows.sort_by_key(|&(machine, strategy, key, _)| (machine, strategy, key));
+        out.push_str(&format!("records {}\n", rows.len()));
+        for (machine, strategy, key, s) in rows {
+            out.push_str(&encode_record(
+                machine,
+                strategy,
+                key,
+                &s.record,
+                s.best_text(),
+            ));
         }
         out.push_str("end\n");
         out
@@ -509,8 +692,7 @@ impl TuningDatabase {
             .and_then(|t| t.parse().ok())
             .ok_or_else(|| c.corrupt("bad record count"))?;
         for _ in 0..n {
-            let (machine, strategy, key, record) = decode_record(&mut c)?;
-            db.insert(&machine, strategy, key, record);
+            decode_record(&mut c)?.insert_into(&mut db);
         }
         if c.line()? != "end" {
             return Err(c.corrupt("missing `end` sentinel (truncated file?)"));
@@ -608,6 +790,26 @@ mod tests {
         // Alpha-equivalence still holds for genuinely identical workloads.
         let again = tir_workloads::gmm(128, 128, 128, dt, acc);
         assert_eq!(workload_key(&small), workload_key(&again));
+        // The same against an index warmed on `small`.
+        let db = warmed_on(&small);
+        assert_eq!(db.key_of(&big), None);
+        assert_eq!(db.key_of(&again).as_deref(), Some(&*workload_key(&small)));
+    }
+
+    /// A database holding one (untuned) record for `func`, its index warm.
+    fn warmed_on(func: &PrimFunc) -> TuningDatabase {
+        let mut db = TuningDatabase::new();
+        let record = TuningRecord {
+            best: func.clone(),
+            best_time: 1e-5,
+            trials: 1,
+            budget: 1,
+            tuning_cost_s: 0.0,
+        };
+        db.insert("SimGPU", Strategy::TensorIr, workload_key(func), record);
+        db.remember_key(func, &workload_key(func));
+        assert!(db.key_of(func).is_some());
+        db
     }
 
     #[test]
@@ -634,6 +836,92 @@ mod tests {
             workload_key(&scale("f", "B", 2.5)),
             workload_key(&scale("f", "B", 0.5))
         );
+        // The same against an index warmed on the 2.5 variant.
+        let db = warmed_on(&scale("f", "B", 2.5));
+        assert_eq!(
+            db.key_of(&scale("g", "C", 2.5)).as_deref(),
+            Some(&*workload_key(&scale("f", "B", 2.5)))
+        );
+        assert_eq!(db.key_of(&scale("f", "B", 0.5)), None);
+    }
+
+    #[test]
+    fn forged_fingerprint_collision_is_rejected_by_the_equality_check() {
+        // Two different workloads forced into one index bucket, as a
+        // 64-bit collision of `structural_hash` would: the bucket holds
+        // `stored` under the hash of `forged`.
+        let dt = DataType::float16();
+        let stored = tir_workloads::gmm(32, 32, 32, dt, dt);
+        let forged = tir_workloads::gmm(32, 32, 64, dt, dt);
+        let mut db = warmed_on(&stored);
+        let bucket = db.index.remove(&structural_hash(&stored)).expect("warm");
+        db.index.insert(structural_hash(&forged), bucket);
+        assert_eq!(db.key_of(&forged), None, "equal hash, unequal program");
+
+        // End to end: `forged` is tuned on its own, not served `stored`'s
+        // record, and afterwards shares the bucket without confusion.
+        let machine = Machine::sim_gpu();
+        let opts = TuneOptions {
+            trials: 8,
+            ..Default::default()
+        };
+        let r = db.tune_cached(
+            &forged,
+            &machine,
+            &builtin_registry(),
+            Strategy::TensorIr,
+            &opts,
+        );
+        assert_eq!((db.hits(), db.misses(), db.len()), (0, 1, 2));
+        assert!(r.tuning_cost_s > 0.0);
+        assert_eq!(db.index[&structural_hash(&forged)].len(), 2);
+        assert_eq!(db.key_of(&forged).as_deref(), Some(&*workload_key(&forged)));
+    }
+
+    #[test]
+    fn warm_hit_shares_the_stored_body() {
+        let mut db = TuningDatabase::new();
+        let machine = Machine::sim_gpu();
+        let reg = builtin_registry();
+        let opts = TuneOptions {
+            trials: 8,
+            ..Default::default()
+        };
+        let f = tir_workloads::gmm(32, 32, 32, DataType::float16(), DataType::float32());
+        db.tune_cached(&f, &machine, &reg, Strategy::TensorIr, &opts);
+        let hit = db.tune_cached(&f, &machine, &reg, Strategy::TensorIr, &opts);
+        let stored = db
+            .peek(&machine.name, Strategy::TensorIr, &workload_key(&f))
+            .expect("stored");
+        let served = hit.best.expect("served");
+        assert!(Arc::ptr_eq(&served.body, &stored.best.body), "no copy");
+    }
+
+    #[test]
+    fn stored_text_lives_and_dies_with_the_record() {
+        let dt = DataType::float16();
+        let f = tir_workloads::gmm(32, 32, 32, dt, dt);
+        let key = workload_key(&f);
+        let db = warmed_on(&f);
+        let peek_text = |db: &TuningDatabase| db.best_text("SimGPU", Strategy::TensorIr, &key);
+        assert_eq!(peek_text(&db), None, "nothing printed yet");
+        let encoded = db.encode();
+        assert_eq!(peek_text(&db).as_deref(), Some(&*f.to_string()), "kept");
+        // A decoded database has every text in hand; a replaced record
+        // starts over.
+        let mut decoded = TuningDatabase::decode(&encoded).expect("decodes");
+        assert_eq!(peek_text(&decoded).as_deref(), Some(&*f.to_string()));
+        let other = tir_workloads::gmm(32, 32, 64, dt, dt);
+        let replacement = TuningRecord {
+            best: other.clone(),
+            ..decoded
+                .peek("SimGPU", Strategy::TensorIr, &key)
+                .unwrap()
+                .clone()
+        };
+        decoded.insert("SimGPU", Strategy::TensorIr, key.clone(), replacement);
+        assert_eq!(peek_text(&decoded), None, "dropped with the old record");
+        assert!(decoded.encode().contains(&other.to_string()));
     }
 
     #[test]

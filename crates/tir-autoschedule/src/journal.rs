@@ -57,6 +57,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::baseline::Strategy;
 use crate::database::{
@@ -136,6 +137,47 @@ enum EntryDamage {
     /// The entry is fully framed but its bytes are damaged (checksum
     /// mismatch, invalid UTF-8): `end` is its exclusive end offset.
     Framed(usize, String),
+}
+
+/// One record framed for the journal. Building it prints the program and
+/// checksums the payload — all of a publish that grows with the program —
+/// and needs nothing from the store, so a caller sharing the store behind
+/// a lock builds the entry first and holds the lock only for
+/// [`JournaledDb::try_publish`].
+pub struct JournalEntry {
+    machine: String,
+    strategy: Strategy,
+    key: String,
+    record: TuningRecord,
+    best_text: Arc<str>,
+    /// `entry <len> <fnv1a64>\n<record block>`: the bytes appended.
+    framed: String,
+}
+
+impl JournalEntry {
+    /// Frames `record` for `(machine, strategy, key)`.
+    pub fn new(machine: &str, strategy: Strategy, key: String, record: TuningRecord) -> Self {
+        let best_text: Arc<str> = record.best.to_string().into();
+        let payload = encode_record(machine, strategy.label(), &key, &record, &best_text);
+        let framed = format!(
+            "entry {} {:016x}\n{payload}",
+            payload.len(),
+            fnv1a(payload.as_bytes())
+        );
+        JournalEntry {
+            machine: machine.to_string(),
+            strategy,
+            key,
+            record,
+            best_text,
+            framed,
+        }
+    }
+
+    /// The printed text of the record's best program, as journaled.
+    pub fn best_text(&self) -> &Arc<str> {
+        &self.best_text
+    }
 }
 
 /// The persistent tuning database: an in-memory [`TuningDatabase`]
@@ -278,9 +320,9 @@ impl JournaledDb {
         self.unjournaled
     }
 
-    /// Publishes one record durably: inserts it in memory, appends one
-    /// journal entry, and fsyncs — O(1) in the database size. On `Ok`,
-    /// the record survives any crash. The append tripping
+    /// Publishes one record durably: appends one journal entry, fsyncs,
+    /// and inserts it in memory — O(1) in the database size. On `Ok`, the
+    /// record survives any crash. The append tripping
     /// [`JournaledDb::compact_threshold`] also folds the journal into
     /// the snapshot (a transient compaction failure is *not* a publish
     /// failure — the record is already durable; it is counted in
@@ -290,7 +332,11 @@ impl JournaledDb {
     /// durable**: the caller owns the retry policy (publish is
     /// idempotent — a duplicate entry replays as a keyed re-insert) and
     /// the store counts it in [`JournaledDb::unjournaled`] until a
-    /// compaction succeeds.
+    /// compaction succeeds. A caller that must not show a record before it
+    /// is durable — or that shares the store behind a lock and wants the
+    /// encoding done outside it — drives the same steps itself:
+    /// [`JournalEntry::new`], [`JournaledDb::try_publish`] per attempt,
+    /// [`JournaledDb::keep_unjournaled`] on giving up.
     ///
     /// # Errors
     ///
@@ -304,39 +350,63 @@ impl JournaledDb {
         key: String,
         record: TuningRecord,
     ) -> Result<PublishOutcome, DbError> {
-        let entry = {
-            let payload = encode_record(machine, strategy.label(), &key, &record);
-            format!(
-                "entry {} {:016x}\n{payload}",
-                payload.len(),
-                fnv1a(payload.as_bytes())
-            )
-        };
-        self.db.insert(machine, strategy, key, record);
-        match self.append_durably(&entry) {
-            Ok(appended_bytes) => {
-                // A previously degraded record becomes durable with the
-                // rest of the memory state once a compaction folds it
-                // into the snapshot; force one on the next opportunity.
-                let over_threshold = self.journal_bytes > self.compact_threshold;
-                let mut compacted = false;
-                if over_threshold || self.unjournaled > 0 {
-                    match self.compact() {
-                        Ok(()) => compacted = true,
-                        Err(_) if self.unjournaled == 0 => self.compact_failures += 1,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(PublishOutcome {
-                    appended_bytes,
-                    compacted,
-                })
-            }
-            Err(e) => {
-                self.unjournaled += 1;
-                Err(e)
+        let entry = JournalEntry::new(machine, strategy, key, record);
+        let outcome = self.try_publish(&entry);
+        if outcome.is_err() {
+            self.keep_unjournaled(&entry);
+        }
+        outcome
+    }
+
+    /// One attempt at making `entry` durable: append, fsync, and only then
+    /// insert the record in memory (and compact, as [`JournaledDb::publish`]
+    /// describes). A failed append leaves memory untouched, so nobody is
+    /// served a record that a crash could still lose; the attempt can be
+    /// repeated with the same entry.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Io`] when the append or fsync failed, or when the store
+    /// was degraded and the compaction that would have cleared it failed
+    /// too (this record is then journaled and in memory; older ones are
+    /// still memory-only).
+    pub fn try_publish(&mut self, entry: &JournalEntry) -> Result<PublishOutcome, DbError> {
+        let appended_bytes = self.append_durably(&entry.framed)?;
+        self.insert_entry(entry);
+        // A previously degraded record becomes durable with the rest of
+        // the memory state once a compaction folds it into the snapshot;
+        // force one on the next opportunity.
+        let over_threshold = self.journal_bytes > self.compact_threshold;
+        let mut compacted = false;
+        if over_threshold || self.unjournaled > 0 {
+            match self.compact() {
+                Ok(()) => compacted = true,
+                Err(_) if self.unjournaled == 0 => self.compact_failures += 1,
+                Err(e) => return Err(e),
             }
         }
+        Ok(PublishOutcome {
+            appended_bytes,
+            compacted,
+        })
+    }
+
+    /// Gives up on journaling `entry`: the record is kept in memory only
+    /// and counted in [`JournaledDb::unjournaled`] — the degraded state —
+    /// until a compaction folds it into the snapshot.
+    pub fn keep_unjournaled(&mut self, entry: &JournalEntry) {
+        self.insert_entry(entry);
+        self.unjournaled += 1;
+    }
+
+    fn insert_entry(&mut self, entry: &JournalEntry) {
+        self.db.store(
+            &entry.machine,
+            entry.strategy,
+            &entry.key,
+            entry.record.clone(),
+            Some(entry.best_text.clone()),
+        );
     }
 
     /// Appends `entry` (with the journal header first when the journal
@@ -521,7 +591,7 @@ fn parse_entry(db: &mut TuningDatabase, bytes: &[u8], pos: usize) -> Result<usiz
         EntryDamage::Framed(pos + end, "entry payload is not valid UTF-8".to_string())
     })?;
     let mut cursor = Cursor { text, pos: 0 };
-    let (machine, strategy, key, record) = decode_record(&mut cursor)
+    let decoded = decode_record(&mut cursor)
         .map_err(|e| EntryDamage::Framed(pos + end, format!("entry payload: {e}")))?;
     if !cursor.at_end() {
         return Err(EntryDamage::Framed(
@@ -529,7 +599,7 @@ fn parse_entry(db: &mut TuningDatabase, bytes: &[u8], pos: usize) -> Result<usiz
             "trailing bytes inside entry payload".to_string(),
         ));
     }
-    db.insert(&machine, strategy, key, record);
+    decoded.insert_into(db);
     Ok(pos + end)
 }
 

@@ -47,7 +47,7 @@ pub use checkpoint::atomic_write;
 pub use cost_model::CostModel;
 pub use database::{workload_key, DbError, TuningDatabase, TuningRecord};
 pub use fault_io::{DiskIo, FaultIo, FaultSpec, IoProfile, JournalIo};
-pub use journal::{journal_path_for, JournaledDb, PublishOutcome, RecoveryReport};
+pub use journal::{journal_path_for, JournalEntry, JournaledDb, PublishOutcome, RecoveryReport};
 pub use measure::{
     measure_with_retries, FaultInjector, FaultPlan, MeasureCtx, MeasureError, MeasureOutcome,
     MeasureTrace, Measurer, RetryPolicy, SimMeasurer, VerifyingMeasurer,

@@ -52,10 +52,10 @@ fn save_load_round_trip_is_bit_identical() {
 
     // Every record survives bit-for-bit: fingerprint keys, program
     // text, and the IEEE-754 bits of both floats.
-    for (key, rec) in db.iter() {
+    for (machine, strategy, key, rec) in db.iter() {
         let got = loaded
-            .peek(&key.0, Strategy::from_label(key.1).expect("label"), &key.2)
-            .unwrap_or_else(|| panic!("record {key:?} lost in round trip"));
+            .peek(machine, strategy, key)
+            .unwrap_or_else(|| panic!("record {machine}/{strategy:?}/{key} lost in round trip"));
         assert_eq!(got.best.to_string(), rec.best.to_string());
         assert_eq!(got.best_time.to_bits(), rec.best_time.to_bits());
         assert_eq!(got.trials, rec.trials);

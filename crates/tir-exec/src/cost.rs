@@ -552,10 +552,8 @@ mod tests {
         let serial = simulate(&f, &m);
         // Parallelize the outer loop.
         let mut sch_like = f.clone();
-        if let Stmt::BlockRealize(root) = &mut sch_like.body {
-            if let Stmt::For(fr) = root.block.body.as_mut() {
-                fr.kind = ForKind::Parallel;
-            }
+        if let Some(Stmt::For(fr)) = sch_like.root_block_mut().map(|root| &mut *root.body) {
+            fr.kind = ForKind::Parallel;
         }
         let parallel = simulate(&sch_like, &m);
         assert!(
@@ -666,7 +664,8 @@ mod annotation_tests {
             }
         }
         let mut done = false;
-        walk(&mut func.body, key, &value, &mut done);
+        let root = func.root_block_mut().expect("root block");
+        walk(&mut root.body, key, &value, &mut done);
     }
 
     #[test]

@@ -499,8 +499,21 @@ mod tests {
         };
         let machine = Machine::sim_gpu();
         let reg = builtin_registry();
-        let r = evaluate_model(&model, &machine, &reg, Strategy::TensorIr, &opts(12))
-            .expect("valid model");
+        let mut db = TuningDatabase::new();
+        let mut evaluate = || {
+            let o = opts(12);
+            evaluate_model_with(
+                &model,
+                &machine,
+                &reg,
+                Strategy::TensorIr,
+                &o,
+                &mut db,
+                true,
+            )
+            .expect("valid model")
+        };
+        let r = evaluate();
         let (small, big, big2) = (&r.per_group[0], &r.per_group[1], &r.per_group[2]);
         assert!(!small.cache_hit && small.trials > 0);
         assert!(
@@ -525,6 +538,12 @@ mod tests {
             "per-group costs sum to the model total"
         );
         assert_eq!(group_trials, r.trials);
+        // Again, now that the database's fingerprint index has met both
+        // shapes: all warm, and each shape still gets its own time.
+        let warm = evaluate();
+        assert!(warm.per_group.iter().all(|g| g.cache_hit && g.trials == 0));
+        let times = |r: &ModelResult| r.per_group.iter().map(|g| g.time_s).collect::<Vec<_>>();
+        assert_eq!(times(&warm), times(&r));
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl Schedule {
     /// Primitives call this before their first rewrite, so that a function
     /// whose body is not a root block fails them whole.
     fn root_block(&self) -> Result<&Block> {
-        match &self.func.body {
+        match &*self.func.body {
             Stmt::BlockRealize(root) => Ok(&root.block),
             other => Err(ScheduleError::Precondition(format!(
                 "function body is not a root block but {}",

@@ -807,7 +807,7 @@ mod tests {
         });
         let a = base.params[0].clone();
         let b = base.params[1].clone();
-        let root_body = match &base.body {
+        let root_body = match &*base.body {
             Stmt::BlockRealize(br) => (*br.block.body).clone(),
             _ => unreachable!("root convention"),
         };

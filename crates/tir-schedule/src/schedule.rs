@@ -8,6 +8,7 @@
 //! stable across rewrites that do not touch them.
 
 use std::fmt;
+use std::sync::Arc;
 
 use tir::{ForKind, PrimFunc, Stmt, Var};
 
@@ -108,8 +109,9 @@ pub struct Schedule {
     auto_verify: bool,
     /// Body snapshot taken before the first structural rewrite since the
     /// last committed primitive, and only while auto-verify is on: its one
-    /// reader is the roll-back in [`Schedule::record`].
-    undo: Option<Stmt>,
+    /// reader is the roll-back in [`Schedule::record`]. Holding it keeps
+    /// the pre-primitive tree shared, so the rewrite works on a copy.
+    undo: Option<Arc<Stmt>>,
 }
 
 impl Schedule {
@@ -161,9 +163,14 @@ impl Schedule {
     /// their error paths. The one exception is an auto-verify rejection,
     /// which is only known after the fact: with auto-verify on, the first
     /// rewrite of a primitive snapshots the body for [`Schedule::record`].
+    ///
+    /// Function bodies are shared between clones ([`PrimFunc::body`]); this
+    /// is where a schedule un-shares its own: the first rewrite after a
+    /// `clone` (or after a snapshot) copies the tree, later ones find it
+    /// unique and write in place.
     pub(crate) fn mutate_body(&mut self, rewrite: impl FnOnce(&mut Stmt) -> bool) -> bool {
         let snapshot = (self.auto_verify && self.undo.is_none()).then(|| self.func.body.clone());
-        let changed = rewrite(&mut self.func.body);
+        let changed = rewrite(Arc::make_mut(&mut self.func.body));
         if changed && snapshot.is_some() {
             self.undo = snapshot;
         }

@@ -8,6 +8,8 @@
 //! rejection by the analyzer is additionally rolled back from the one
 //! snapshot taken for it. The two are different code paths.
 
+use std::sync::Arc;
+
 use tir::builder::{compute, matmul_func};
 use tir::structural::structural_hash;
 use tir::{AnnValue, Buffer, DataType, Expr, MemScope, PrimFunc, Stmt, ThreadTag};
@@ -20,10 +22,9 @@ fn mm() -> PrimFunc {
 /// Matmul with the root block stripped: the body is the bare loop nest.
 fn mm_rootless() -> PrimFunc {
     let mut f = mm();
-    f.body = match f.body {
-        Stmt::BlockRealize(root) => *root.block.body,
-        other => other,
-    };
+    if let Stmt::BlockRealize(root) = &*f.body {
+        f.body = Arc::new((*root.block.body).clone());
+    }
     f
 }
 

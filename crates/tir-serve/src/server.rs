@@ -24,8 +24,15 @@
 //!
 //! * Lock order is `inflight` before `queue`; the database lock is
 //!   never held together with either.
-//! * A worker publishes a finished job in the order: database insert +
-//!   journal append + fsync → remove from `inflight` → set the job's
+//! * The database lock covers probes (the fingerprint index's hash and
+//!   comparison walks among them), reference-count clones and one journal
+//!   append at a time — never a pretty-print, a deep program copy or a
+//!   sleep: text keys and journal entries are built before it is taken,
+//!   replies are printed after it is released, and a publish that has to
+//!   retry re-acquires it per attempt, backing off outside it.
+//! * A worker publishes a finished job in the order: journal append +
+//!   fsync + database insert (one critical section; a failed attempt
+//!   inserts nothing) → remove from `inflight` → set the job's
 //!   result and notify. A request arriving between any two of those
 //!   steps therefore either sees the record in the database (warm hit)
 //!   or finds the job still in flight (dedup join) — it can never
@@ -60,8 +67,8 @@ use std::time::{Duration, Instant};
 use tir::parser::parse_func;
 use tir::PrimFunc;
 use tir_autoschedule::{
-    tune_workload, workload_key, DbError, FaultIo, IoProfile, JournaledDb, Strategy, TuneOptions,
-    TuningRecord, WarmStart,
+    tune_workload, workload_key, DbError, FaultIo, IoProfile, JournalEntry, JournaledDb, Strategy,
+    TuneOptions, TuningRecord, WarmStart,
 };
 use tir_exec::Machine;
 use tir_tensorize::builtin_registry;
@@ -167,7 +174,7 @@ impl std::error::Error for StartError {}
 
 /// Identifies one tunable unit: `(machine name, strategy label,
 /// workload fingerprint)` — the same triple the database is keyed by.
-type JobKey = (String, &'static str, String);
+type JobKey = (String, &'static str, Arc<str>);
 
 /// A finished tune's reply data, shared verbatim with every joiner.
 #[derive(Clone)]
@@ -183,7 +190,7 @@ struct Tuned {
 struct Job {
     machine: Machine,
     strategy: Strategy,
-    fingerprint: String,
+    fingerprint: Arc<str>,
     func: PrimFunc,
     trials: usize,
     rid: u64,
@@ -502,6 +509,19 @@ fn resolve_strategy(name: &str) -> Option<Strategy> {
     }
 }
 
+/// The text key of `func`: from the database's fingerprint index when it
+/// knows the program, else printed here — outside the database lock — and
+/// offered to the index, which keeps it once the key has a record.
+fn resolve_key(shared: &Shared, func: &PrimFunc) -> Arc<str> {
+    let known = shared.db.lock().expect("db lock").db().key_of(func);
+    known.unwrap_or_else(|| {
+        let key: Arc<str> = workload_key(func).into();
+        let mut db = shared.db.lock().expect("db lock");
+        db.db_mut().remember_key(func, &key);
+        key
+    })
+}
+
 /// Validation shared by tune and query: machine, strategy, program.
 /// Emits the `serve.admission` span whether or not admission succeeds.
 fn admit(
@@ -510,7 +530,7 @@ fn admit(
     machine: &str,
     strategy: &str,
     func_text: &str,
-) -> Result<(Machine, Strategy, PrimFunc, String), Response> {
+) -> Result<(Machine, Strategy, PrimFunc, Arc<str>), Response> {
     let t = Instant::now();
     let out = match (resolve_machine(machine), resolve_strategy(strategy)) {
         (None, _) => Err(Response::Rejected {
@@ -523,7 +543,7 @@ fn admit(
         }),
         (Some(m), Some(s)) => match parse_func(func_text) {
             Ok(f) => {
-                let key = workload_key(&f);
+                let key = resolve_key(shared, &f);
                 Ok((m, s, f, key))
             }
             Err(e) => Err(Response::Rejected {
@@ -541,6 +561,12 @@ fn admit(
     out
 }
 
+/// The reply text of a warm hit: the text the database had in hand under
+/// the lock, else printed now that the lock is released.
+fn reply_text(best: &PrimFunc, text: Option<Arc<str>>) -> String {
+    text.map_or_else(|| best.to_string(), |t| t.to_string())
+}
+
 fn handle_query(
     shared: &Arc<Shared>,
     rid: u64,
@@ -556,9 +582,10 @@ fn handle_query(
     let t = Instant::now();
     let hit = {
         let db = shared.db.lock().expect("db lock");
+        let text = db.db().best_text(&m.name, s, &key);
         db.db()
             .peek(&m.name, s, &key)
-            .map(|rec| (rec.best.to_string(), rec.best_time))
+            .map(|rec| (rec.best.clone(), rec.best_time, text))
     };
     shared.collector.span(
         "serve.db_lookup",
@@ -567,7 +594,8 @@ fn handle_query(
         1,
     );
     match hit {
-        Some((text, best_time)) => {
+        Some((best, best_time, text)) => {
+            let text = reply_text(&best, text);
             shared.collector.count("serve.warm_hits", 1);
             shared
                 .collector
@@ -610,9 +638,10 @@ fn handle_tune(
     let t = Instant::now();
     let hit = {
         let mut db = shared.db.lock().expect("db lock");
+        let text = db.db().best_text(&m.name, s, &key);
         db.db_mut()
             .lookup(&m.name, s, &key)
-            .map(|rec| (rec.budget, rec.best.clone(), rec.best_time))
+            .map(|rec| (rec.budget, rec.best.clone(), rec.best_time, text))
     };
     shared.collector.span(
         "serve.db_lookup",
@@ -621,8 +650,8 @@ fn handle_tune(
         1,
     );
 
-    if let Some((budget, best, best_time)) = hit {
-        let text = best.to_string();
+    if let Some((budget, best, best_time, text)) = hit {
+        let text = reply_text(&best, text);
         if trials > budget {
             // Budget upgrade: answer warm now, re-tune in the background
             // warm-started from the stored best (the record can only
@@ -750,16 +779,12 @@ fn enqueue_background(
     shared: &Arc<Shared>,
     machine: &Machine,
     strategy: Strategy,
-    fingerprint: &str,
+    fingerprint: &Arc<str>,
     func: &PrimFunc,
     trials: usize,
     warm: WarmStart,
 ) {
-    let key3: JobKey = (
-        machine.name.clone(),
-        strategy.label(),
-        fingerprint.to_string(),
-    );
+    let key3: JobKey = (machine.name.clone(), strategy.label(), fingerprint.clone());
     let mut inflight = shared.inflight.lock().expect("inflight lock");
     if inflight.contains_key(&key3) {
         shared.collector.count("serve.background_skipped", 1);
@@ -774,7 +799,7 @@ fn enqueue_background(
     let job = Arc::new(Job {
         machine: machine.clone(),
         strategy,
-        fingerprint: fingerprint.to_string(),
+        fingerprint: fingerprint.clone(),
         func: func.clone(),
         trials,
         rid,
@@ -843,11 +868,12 @@ fn worker_loop(shared: &Arc<Shared>) {
             Ok(result) => match result.best {
                 None => Err("search produced no valid program".to_string()),
                 Some(best) => {
-                    let func_text = best.to_string();
                     // Persist BEFORE removing from inflight (see the
                     // module docs' publication-order invariant), and
                     // BEFORE notifying the requester (the durability
                     // invariant: acknowledged ⇒ journaled + fsynced).
+                    // The entry is built — the program printed, once —
+                    // before the database lock is taken.
                     let record = TuningRecord {
                         best,
                         best_time: result.best_time,
@@ -855,15 +881,18 @@ fn worker_loop(shared: &Arc<Shared>) {
                         budget: job.trials,
                         tuning_cost_s: result.tuning_cost_s,
                     };
-                    match publish_with_retries(shared, &job, record) {
-                        Ok(()) => Ok(Tuned {
-                            best_time: result.best_time,
-                            trials: result.trials_measured,
-                            tuning_cost_s: result.tuning_cost_s,
-                            func_text,
-                        }),
-                        Err(message) => Err(message),
-                    }
+                    let entry = JournalEntry::new(
+                        &job.machine.name,
+                        job.strategy,
+                        job.fingerprint.to_string(),
+                        record,
+                    );
+                    publish_with_retries(shared, &entry).map(|()| Tuned {
+                        best_time: result.best_time,
+                        trials: result.trials_measured,
+                        tuning_cost_s: result.tuning_cost_s,
+                        func_text: entry.best_text().to_string(),
+                    })
                 }
             },
         };
@@ -900,42 +929,35 @@ const SAVE_RETRY_BACKOFF: Duration = Duration::from_millis(10);
 ///   crashed, fails the request, and initiates shutdown, so no client
 ///   ever gets an acknowledgement a real power loss would not have
 ///   produced.
-fn publish_with_retries(
-    shared: &Arc<Shared>,
-    job: &Job,
-    record: TuningRecord,
-) -> Result<(), String> {
-    let mut db = shared.db.lock().expect("db lock");
+fn publish_with_retries(shared: &Arc<Shared>, entry: &JournalEntry) -> Result<(), String> {
     let attempts = shared.cfg.save_retries.max(1);
     let mut backoff = SAVE_RETRY_BACKOFF;
     for attempt in 1..=attempts {
-        match db.publish(
-            &job.machine.name,
-            job.strategy,
-            job.fingerprint.clone(),
-            record.clone(),
-        ) {
-            Ok(_) => return Ok(()),
-            Err(e) => {
-                shared.collector.count("serve.db_save_failures", 1);
-                if let DbError::Io(io) = &e {
-                    if FaultIo::is_crash_error(io) {
-                        shared.shutdown.store(true, Ordering::SeqCst);
-                        shared.queue_cv.notify_all();
-                        return Err(format!("database crashed during publish: {e}"));
-                    }
-                }
-                if attempt == attempts {
-                    eprintln!(
-                        "tir-serve: database publish failed after {attempts} attempts: {e} \
-                         (record kept in memory; db degraded until the next compaction)"
-                    );
-                    return Ok(());
-                }
-                std::thread::sleep(backoff);
-                backoff *= 2;
+        // The lock is held for this one attempt only: requests for other
+        // fingerprints are served while a failing disk is backed off from,
+        // and requests for this one still find the job in flight (a failed
+        // attempt leaves the record out of memory).
+        let outcome = shared.db.lock().expect("db lock").try_publish(entry);
+        let Err(e) = outcome else { return Ok(()) };
+        shared.collector.count("serve.db_save_failures", 1);
+        if let DbError::Io(io) = &e {
+            if FaultIo::is_crash_error(io) {
+                shared.shutdown.store(true, Ordering::SeqCst);
+                shared.queue_cv.notify_all();
+                return Err(format!("database crashed during publish: {e}"));
             }
         }
+        if attempt == attempts {
+            eprintln!(
+                "tir-serve: database publish failed after {attempts} attempts: {e} \
+                 (record kept in memory; db degraded until the next compaction)"
+            );
+            let mut db = shared.db.lock().expect("db lock");
+            db.keep_unjournaled(entry);
+            return Ok(());
+        }
+        std::thread::sleep(backoff);
+        backoff *= 2;
     }
     unreachable!("loop returns on success, crash, or final attempt")
 }
@@ -990,7 +1012,7 @@ mod tests {
             job: Arc::new(Job {
                 machine: Machine::sim_gpu(),
                 strategy: Strategy::TensorIr,
-                fingerprint: String::new(),
+                fingerprint: "".into(),
                 func: tir::builder::matmul_func("m", 16, 16, 16, tir::DataType::float32()),
                 trials: 1,
                 rid: seq,

@@ -274,6 +274,75 @@ fn transient_save_failures_degrade_visibly_then_recover() {
     let _ = std::fs::remove_file(&db);
 }
 
+#[test]
+fn failing_publish_backs_off_without_holding_up_other_requests() {
+    let texts = workloads();
+    let (sock, db) = tmp_paths("backoff");
+    // Storage is down for the first 10 mutating ops: five publish attempts
+    // of the tune (one append + one repair-truncate each) fail and the
+    // sixth succeeds, the worker backing off 10 + 20 + 40 + 80 + 160 ms in
+    // between.
+    let mut cfg = chaos_cfg(
+        &sock,
+        &db,
+        FaultSpec {
+            fail_first_ops: 10,
+            ..FaultSpec::default()
+        },
+    );
+    cfg.save_retries = 6;
+    let server = Server::start(cfg).expect("start");
+    let tuner = {
+        let (sock, text) = (sock.clone(), texts[0].clone());
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&sock).expect("connect");
+            c.tune("gpu", "tensorir", TRIALS, 5, &text).expect("tune")
+        })
+    };
+
+    // Wait until the retry sequence has begun, then ask about another
+    // fingerprint. `stats` and `query` both take the database lock — the
+    // lock the worker used to hold, asleep, until its last attempt — so
+    // being answered at all while the tune is still in flight is the
+    // property. No deadline tighter than the backoff itself is involved.
+    let mut c = Client::connect(&sock).expect("connect");
+    while json_field(&c.stats().expect("stats"), "db_save_failures") == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let other = c.query("gpu", "tensorir", &texts[1]).expect("query");
+    assert!(other.is_none(), "nothing tuned for the other fingerprint");
+    let stats = c.stats().expect("stats");
+    assert_eq!(
+        (
+            json_field(&stats, "inflight"),
+            json_field(&stats, "cold_tunes")
+        ),
+        (1, 0),
+        "the query was held until the failing publish finished retrying: {stats}"
+    );
+    // Nor is the failing request's own record visible before it is durable.
+    let early = c.query("gpu", "tensorir", &texts[0]).expect("query");
+    let stats = c.stats().expect("stats");
+    assert!(
+        early.is_none() || json_field(&stats, "inflight") == 0,
+        "a record was served between two failed publish attempts: {stats}"
+    );
+
+    let reply = tuner.join().expect("tuner thread");
+    assert_eq!(reply.source, Source::Tuned);
+    let stats = c.stats().expect("stats");
+    assert_eq!(json_field(&stats, "db_save_failures"), 5, "{stats}");
+    assert_eq!(
+        json_field(&stats, "db_degraded"),
+        0,
+        "the sixth attempt made the record durable: {stats}"
+    );
+    c.shutdown().expect("shutdown");
+    server.join();
+    assert_recovered("publish-backoff", &sock, &db, &[(texts[0].clone(), reply)]);
+    let _ = std::fs::remove_file(&db);
+}
+
 // ---------------------------------------------------------------------
 // Socket-level chaos.
 // ---------------------------------------------------------------------

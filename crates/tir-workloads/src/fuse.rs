@@ -116,7 +116,7 @@ fn compose(anchor: &PrimFunc, steps: &[Epilogue], name: &str, fused: bool) -> Pr
             MemScope::Global
         }
     };
-    let (mut anchor_body, anchor_allocs) = match &anchor.body {
+    let (mut anchor_body, anchor_allocs) = match &*anchor.body {
         Stmt::BlockRealize(br) => ((*br.block.body).clone(), br.block.alloc_buffers.clone()),
         other => panic!("anchor must follow the root-block convention, got {other:?}"),
     };

@@ -1,6 +1,7 @@
 //! Functions and modules.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::buffer::Buffer;
 use crate::stmt::{Annotations, Block, BlockRealize, Stmt};
@@ -25,8 +26,12 @@ pub struct PrimFunc {
     pub name: String,
     /// Buffer parameters in call order.
     pub params: Vec<Buffer>,
-    /// Function body (conventionally a root block realize).
-    pub body: Stmt,
+    /// Function body (conventionally a root block realize). Shared and
+    /// immutable: cloning a function bumps a reference count, and the two
+    /// mutation funnels ([`PrimFunc::root_block_mut`] and the scheduler's
+    /// `Schedule::mutate_body`) copy the tree on their first write to a
+    /// body that is still shared.
+    pub body: Arc<Stmt>,
     /// Function attributes.
     pub attrs: Annotations,
 }
@@ -45,7 +50,7 @@ impl PrimFunc {
         PrimFunc {
             name: name.into(),
             params,
-            body,
+            body: Arc::new(body),
             attrs: Annotations::new(),
         }
     }
@@ -55,9 +60,11 @@ impl PrimFunc {
         self.body.as_block_realize().map(|br| &br.block)
     }
 
-    /// Mutable access to the root block.
+    /// Mutable access to the root block; un-shares the body first (a deep
+    /// copy if any clone of this function still holds it).
     pub fn root_block_mut(&mut self) -> Option<&mut Block> {
-        match &mut self.body {
+        self.root_block()?;
+        match Arc::make_mut(&mut self.body) {
             Stmt::BlockRealize(br) => Some(&mut br.block),
             _ => None,
         }

@@ -1249,13 +1249,11 @@ mod more_tests {
     fn loop_annotations_round_trip() {
         let mut f = matmul_func("mm", 8, 8, 8, DataType::float32());
         // Attach an annotation to the outermost loop.
-        if let Stmt::BlockRealize(root) = &mut f.body {
-            if let Stmt::For(fr) = root.block.body.as_mut() {
-                fr.annotations
-                    .insert("software_pipeline".into(), AnnValue::Int(2));
-                fr.annotations
-                    .insert("pragma".into(), AnnValue::Str("unroll_explicit".into()));
-            }
+        if let Some(Stmt::For(fr)) = f.root_block_mut().map(|root| &mut *root.body) {
+            fr.annotations
+                .insert("software_pipeline".into(), AnnValue::Int(2));
+            fr.annotations
+                .insert("pragma".into(), AnnValue::Str("unroll_explicit".into()));
         }
         let text = f.to_string();
         assert!(

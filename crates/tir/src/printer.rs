@@ -357,7 +357,7 @@ pub fn func_to_string(f: &PrimFunc) -> String {
     p.line(&format!("def {}({params}):", f.name));
     p.indent = 1;
     // Skip the implicit root block wrapper for readability when trivial.
-    match &f.body {
+    match &*f.body {
         Stmt::BlockRealize(br)
             if br.block.name == "root"
                 && br.block.iter_vars.is_empty()

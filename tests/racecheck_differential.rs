@@ -202,7 +202,8 @@ fn illegal_mutants_are_all_caught_statically() {
                 _ => {
                     // Off-by-one: C[i+1, j] walks past the last row.
                     let mut func = sch.into_func();
-                    assert!(shift_first_store_index(&mut func.body));
+                    let root = func.root_block_mut().expect("root block");
+                    assert!(shift_first_store_index(&mut root.body));
                     sch = Schedule::new(func);
                     sch.set_auto_verify(false);
                     label = format!("store-index-shift n={n}");
