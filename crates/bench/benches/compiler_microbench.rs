@@ -192,11 +192,13 @@ fn bench_sketch_apply() {
 /// sketch behind a [`tir_autoschedule::CountingSketch`]): what the search
 /// costs end to end, and how many candidates it builds to get there — the
 /// `schedule/sketch_apply_*` rows above are the cost of *one* of them. 16
-/// trials is the budget `compile_model` gives a kernel (one generation per
-/// sketch, never a trained model), 64 the single-operator figures' budget.
+/// trials is the budget `compile_model_with` gives a kernel (one generation
+/// per sketch, never a trained model), 64 the single-operator figures'
+/// budget.
 fn bench_search_tune() {
     use tir_autoschedule::{
-        build_sketches, tune_multi, CountingSketch, SketchRule, Strategy, TuneOptions,
+        build_sketches, tune_multi_with, CountingSketch, SimMeasurer, SketchRule, Strategy,
+        TuneOptions,
     };
     use tir_workloads::{bench_suite, OpKind};
 
@@ -219,7 +221,7 @@ fn bench_search_tune() {
                 .map(|s| CountingSketch::new(s.as_ref()))
                 .collect();
             let refs: Vec<&dyn SketchRule> = counting.iter().map(|s| s as _).collect();
-            let measured = tune_multi(&refs, &machine, &opts).trials_measured;
+            let measured = tune_multi_with(&refs, &machine, &opts, &SimMeasurer).trials_measured;
             let applies: usize = counting.iter().map(CountingSketch::applies).sum();
             (applies, measured)
         };

@@ -74,11 +74,6 @@ pub fn vendor_case_time(
     Some(oracle_time(case.macs as f64, min_bytes, peak, eff, machine))
 }
 
-/// Normalized throughput (GMACs/s) from a time.
-pub fn gmacs_per_s(macs: i64, time_s: f64) -> f64 {
-    macs as f64 / time_s / 1e9
-}
-
 /// Geometric mean of positive values.
 pub fn geomean(values: &[f64]) -> f64 {
     if values.is_empty() {

@@ -1,11 +1,7 @@
 //! # tir-analysis — block-signature analyses and validation
 //!
-//! Implements the analyses the paper's scheduling and validation machinery
-//! is built on:
+//! Implements the analyses the schedule primitives and the validator run:
 //!
-//! * [`region`] — concrete and symbolic buffer access-region computation;
-//! * [`dependency`] — producer/consumer structure derived purely from block
-//!   signatures (the buffer-mediated dependency model of §3.1);
 //! * [`reduction`] — reduction-pattern detection on block bodies;
 //! * [`mod@validate`] — the §3.3 validators: loop-nest validation via
 //!   quasi-affine iterator maps, threading validation, and
@@ -15,6 +11,15 @@
 //!   `select` guards;
 //! * [`racecheck`] — write-disjointness proofs for parallel loops and
 //!   memory-scope legality across the GPU thread hierarchy.
+//!
+//! Two things a reader might look for are deliberately elsewhere. Producer/
+//! consumer facts (§3.1: dependencies run through buffers) are read off the
+//! block signatures by each primitive that needs them, in `tir-schedule`;
+//! there is no dependency-graph type. Symbolic region relaxation is
+//! `tir-schedule`'s `required_region` (see `compute_location.rs`), the one
+//! implementation the cache and compute-location primitives run; the
+//! private `region` module here only bounds raw loads and stores to
+//! concrete boxes for the validator's cover check.
 //!
 //! [`analyze`] runs the full stack over a scheduled [`PrimFunc`];
 //! [`verify_scheduled`] is the same as a `Result` for gating.
@@ -33,14 +38,12 @@
 #![warn(missing_docs)]
 
 pub mod bounds;
-pub mod dependency;
 pub mod racecheck;
 pub mod reduction;
-pub mod region;
+mod region;
 pub mod validate;
 
 pub use bounds::check_bounds;
-pub use dependency::BlockScope;
 pub use racecheck::{check_races, check_scopes};
 pub use reduction::{detect_block_reduction, ReduceOp, ReductionInfo};
 pub use validate::{assert_valid, validate, ValidationError};

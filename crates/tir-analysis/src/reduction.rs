@@ -6,7 +6,7 @@
 //! cross-thread reduction lowering all need.
 
 use tir::structural::expr_structural_eq;
-use tir::{BinOp, Block, Buffer, DataType, Expr, Stmt};
+use tir::{BinOp, Block, Buffer, Expr, Stmt};
 
 /// A commutative reduction combiner.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -17,29 +17,6 @@ pub enum ReduceOp {
     Max,
     /// Min reduction, identity +inf / INT_MAX.
     Min,
-}
-
-impl ReduceOp {
-    /// The identity element of the combiner for a given type.
-    pub fn identity(self, dtype: DataType) -> Expr {
-        match (self, dtype.is_float()) {
-            (ReduceOp::Add, true) => Expr::Float(0.0, dtype),
-            (ReduceOp::Add, false) => Expr::Int(0, dtype),
-            (ReduceOp::Max, true) => Expr::Float(f64::NEG_INFINITY, dtype),
-            (ReduceOp::Max, false) => Expr::Int(i64::MIN / 2, dtype),
-            (ReduceOp::Min, true) => Expr::Float(f64::INFINITY, dtype),
-            (ReduceOp::Min, false) => Expr::Int(i64::MAX / 2, dtype),
-        }
-    }
-
-    /// Applies the combiner to two expressions.
-    pub fn combine(self, a: Expr, b: Expr) -> Expr {
-        match self {
-            ReduceOp::Add => a + b,
-            ReduceOp::Max => a.max(b),
-            ReduceOp::Min => a.min(b),
-        }
-    }
 }
 
 /// A detected reduction update.
@@ -56,7 +33,7 @@ pub struct ReductionInfo {
 }
 
 /// Detects the reduction pattern in a single store statement.
-pub fn detect_reduction_store(stmt: &Stmt) -> Option<ReductionInfo> {
+pub(crate) fn detect_reduction_store(stmt: &Stmt) -> Option<ReductionInfo> {
     let Stmt::Store {
         buffer,
         indices,
@@ -110,7 +87,7 @@ mod tests {
     use super::*;
     use tir::builder::matmul_func;
     use tir::visit::find_block;
-    use tir::Var;
+    use tir::{DataType, Var};
 
     #[test]
     fn detects_matmul_sum() {
@@ -151,21 +128,5 @@ mod tests {
             out.load(vec![Expr::from(&v) + 1]) + Expr::f32(1.0),
         );
         assert!(detect_reduction_store(&stmt).is_none());
-    }
-
-    #[test]
-    fn identities() {
-        assert_eq!(
-            ReduceOp::Add.identity(DataType::float32()),
-            Expr::Float(0.0, DataType::float32())
-        );
-        assert!(matches!(
-            ReduceOp::Max.identity(DataType::float32()),
-            Expr::Float(v, _) if v == f64::NEG_INFINITY
-        ));
-        assert_eq!(
-            ReduceOp::Min.identity(DataType::int32()),
-            Expr::Int(i64::MAX / 2, DataType::int32())
-        );
     }
 }

@@ -210,7 +210,7 @@ struct Validator {
     /// composed) binding expressions over loop variables. Nested block
     /// bindings are validated after substituting through this map, which is
     /// how the isolation boundary is crossed soundly.
-    bind_map: std::collections::HashMap<Var, Expr>,
+    bind_map: HashMap<Var, Expr>,
     errors: Vec<ValidationError>,
 }
 
@@ -505,7 +505,7 @@ pub(crate) fn split_and<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
 ///
 /// Function parameters are exempt (their contents come from the caller).
 pub fn check_region_cover(func: &PrimFunc) -> Vec<ValidationError> {
-    let set = collect_accesses(&func.body, &HashMap::new());
+    let set = collect_accesses(&func.body);
     let params: Vec<&Buffer> = func.params.iter().collect();
     let mut errors = Vec::new();
     for (buffer, read_box) in &set.reads {

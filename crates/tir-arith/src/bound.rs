@@ -50,11 +50,6 @@ impl IntBound {
         self.min == self.max
     }
 
-    /// Whether every value in this interval is non-negative.
-    pub fn is_non_negative(self) -> bool {
-        self.min >= 0
-    }
-
     /// Number of integer points covered.
     pub fn count(self) -> i64 {
         self.max - self.min + 1
@@ -203,14 +198,6 @@ pub fn bound_of(expr: &Expr, vars: &HashMap<Var, IntBound>) -> IntBound {
     }
 }
 
-/// Attempts to prove a boolean expression always true under the variable
-/// bounds. Returns `false` when the proof fails (which does not mean the
-/// property is false).
-pub fn can_prove(expr: &Expr, vars: &HashMap<Var, IntBound>) -> bool {
-    let e = tir::simplify::simplified(expr.clone());
-    bound_of(&e, vars) == IntBound::single(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,9 +252,10 @@ mod tests {
     fn proves_in_range_predicates() {
         let i = Var::int("i");
         let vars = env(&[(&i, (0, 15))]);
-        assert!(can_prove(&Expr::from(&i).lt(16), &vars));
-        assert!(!can_prove(&Expr::from(&i).lt(15), &vars));
-        assert!(can_prove(&(Expr::from(&i) * 4 + 3).lt(64), &vars));
+        let proved = IntBound::single(1);
+        assert_eq!(bound_of(&Expr::from(&i).lt(16), &vars), proved);
+        assert_ne!(bound_of(&Expr::from(&i).lt(15), &vars), proved);
+        assert_eq!(bound_of(&(Expr::from(&i) * 4 + 3).lt(64), &vars), proved);
     }
 
     #[test]
@@ -276,7 +264,10 @@ mod tests {
         let vars = env(&[(&i, (0, 3))]);
         let sel = Expr::select(Expr::from(&i).lt(2), Expr::int(10), Expr::int(20));
         assert_eq!(bound_of(&sel, &vars), IntBound::new(10, 20));
-        assert!(can_prove(&Expr::Not(Box::new(Expr::from(&i).lt(0))), &vars));
+        assert_eq!(
+            bound_of(&Expr::Not(Box::new(Expr::from(&i).lt(0))), &vars),
+            IntBound::single(1)
+        );
     }
 
     #[test]

@@ -28,5 +28,5 @@
 pub mod bound;
 pub mod iter_map;
 
-pub use bound::{bound_of, can_prove, IntBound};
+pub use bound::{bound_of, IntBound};
 pub use iter_map::{detect_iter_map, IterMap, IterMapError};

@@ -24,15 +24,15 @@ pub fn extract_features(func: &PrimFunc) -> Vec<f64> {
 pub fn features_of_summary(func: &PrimFunc, s: &CostSummary) -> Vec<f64> {
     let global = s.traffic.get(&MemScope::Global).copied().unwrap_or(0.0);
     let shared = s.traffic.get(&MemScope::Shared).copied().unwrap_or(0.0);
-    // Sorted, so the sums (and with them the model's inputs) repeat bit
-    // for bit; `HashMap` order does not.
+    // The maps are ordered, so the sums (and with them the model's
+    // inputs) repeat bit for bit.
     let local: f64 = s
-        .traffic_sorted()
+        .traffic
         .iter()
         .filter(|(k, _)| !matches!(k, MemScope::Global | MemScope::Shared))
         .map(|(_, v)| v)
         .sum();
-    let tensor_macs: f64 = s.tensor_macs_sorted().iter().map(|(_, m)| m).sum();
+    let tensor_macs: f64 = s.tensor_macs.values().sum();
     let total_ops = s.scalar_ops + s.vector_ops + 2.0 * tensor_macs;
     let mut num_blocks = 0.0;
     let mut num_tensorized = 0.0;

@@ -190,8 +190,6 @@ pub struct JournaledDb {
     journal_path: PathBuf,
     /// Current journal length in bytes (0 when absent/reset).
     journal_bytes: usize,
-    /// Entries appended since the last compaction.
-    journal_entries: usize,
     /// Journal size past which a publish folds into the snapshot.
     pub compact_threshold: usize,
     /// Compactions performed over this store's lifetime.
@@ -244,7 +242,6 @@ impl JournaledDb {
             snapshot_path,
             journal_path,
             journal_bytes: 0,
-            journal_entries: 0,
             compact_threshold: Self::DEFAULT_COMPACT_THRESHOLD,
             compactions: 0,
             compact_failures: 0,
@@ -265,7 +262,6 @@ impl JournaledDb {
                 store.io.truncate(&store.journal_path, valid_len as u64)?;
             }
             store.journal_bytes = valid_len;
-            store.journal_entries = replayed;
         }
         Ok((store, report))
     }
@@ -283,24 +279,9 @@ impl JournaledDb {
         &mut self.db
     }
 
-    /// The snapshot file path.
-    pub fn snapshot_path(&self) -> &Path {
-        &self.snapshot_path
-    }
-
-    /// The journal file path (`<snapshot>.journal`).
-    pub fn journal_path(&self) -> &Path {
-        &self.journal_path
-    }
-
     /// Current journal size in bytes.
     pub fn journal_bytes(&self) -> usize {
         self.journal_bytes
-    }
-
-    /// Journal entries appended since the last compaction.
-    pub fn journal_entries(&self) -> usize {
-        self.journal_entries
     }
 
     /// Compactions performed by this store instance.
@@ -431,7 +412,6 @@ impl JournaledDb {
         match run() {
             Ok(n) => {
                 self.journal_bytes += n;
-                self.journal_entries += 1;
                 Ok(n)
             }
             Err(e) => {
@@ -466,7 +446,6 @@ impl JournaledDb {
             self.io.truncate(&self.journal_path, 0)?;
         }
         self.journal_bytes = 0;
-        self.journal_entries = 0;
         self.compactions += 1;
         self.unjournaled = 0;
         self.io.crash_point("compact.end")?;
@@ -696,7 +675,7 @@ mod tests {
         let path = tmpdb("torn-tail");
         let (mut store, _) = JournaledDb::open(Box::new(DiskIo::new()), &path).unwrap();
         publish_n(&mut store, 3);
-        let jpath = store.journal_path().to_path_buf();
+        let jpath = journal_path_for(&path);
         let intact = store.journal_bytes();
         let (key, rec) = record(7);
         store
@@ -723,7 +702,7 @@ mod tests {
         let path = tmpdb("flip-tail");
         let (mut store, _) = JournaledDb::open(Box::new(DiskIo::new()), &path).unwrap();
         publish_n(&mut store, 2);
-        let jpath = store.journal_path().to_path_buf();
+        let jpath = journal_path_for(&path);
         let boundary = {
             // Reconstruct where entry 2 starts: publish once more and
             // note the growth.
@@ -760,7 +739,7 @@ mod tests {
             store.journal_bytes()
         };
         publish_n(&mut store, 3);
-        let jpath = store.journal_path().to_path_buf();
+        let jpath = journal_path_for(&path);
         drop(store);
         let mut bytes = std::fs::read(&jpath).unwrap();
         let header_len = JOURNAL_HEADER.len() + 1;

@@ -53,7 +53,5 @@ pub use measure::{
     MeasureTrace, Measurer, RetryPolicy, SimMeasurer, VerifyingMeasurer,
 };
 pub use parallel::{effective_threads, parallel_map, try_parallel_map};
-pub use search::{
-    tune, tune_multi, tune_multi_with, tune_with, TuneOptions, TuneResult, WarmStart,
-};
+pub use search::{tune, tune_multi_with, tune_with, TuneOptions, TuneResult, WarmStart};
 pub use sketch::{CountingSketch, Decision, DecisionKind, SketchRule};

@@ -158,8 +158,8 @@ pub trait Measurer: Send + Sync {
     }
 }
 
-/// The analytic-simulator measurement backend: `summarize` +
-/// `estimate_time`, behind the fallible [`Measurer`] interface.
+/// The analytic-simulator measurement backend: `tir_exec::try_simulate`
+/// behind the fallible [`Measurer`] interface.
 ///
 /// Deterministic and noise-free, so a single reading suffices and the
 /// fault-free search behaves bit-identically to the pre-abstraction code.
@@ -310,11 +310,6 @@ impl<M: Measurer> FaultInjector<M> {
     /// Wraps `inner` with the failure modes of `plan`.
     pub fn new(inner: M, plan: FaultPlan) -> Self {
         FaultInjector { inner, plan }
-    }
-
-    /// The active fault plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 }
 

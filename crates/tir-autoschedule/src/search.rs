@@ -135,7 +135,9 @@ pub struct TuneOptions {
     /// function of this seed and the other options.
     pub seed: u64,
     /// Rank candidates with the learned cost model (vs. measuring in
-    /// sample order). Ablation 3 of `benches/ablations.rs` turns this off.
+    /// sample order). No bench turns this off today — ablation 3 of
+    /// `benches/ablations.rs` scores the model's ranking directly; only
+    /// the `demand_driven_materialize` tests set it to `false`.
     pub use_cost_model: bool,
     /// Filter invalid candidates before measurement (§3.3 validation);
     /// when false, invalid candidates consume measurement budget (the
@@ -624,16 +626,16 @@ pub fn tune_with(
         // `from` on) through the fault-tolerant harness. The harness
         // already converts panics into per-candidate RunnerCrash errors;
         // `try_parallel_map` is the backstop for panics outside it.
-        let jobs: Vec<(usize, &PrimFunc, u64)> = batch
+        let jobs: Vec<(&PrimFunc, u64)> = batch
             .iter()
             .filter_map(|&i| {
                 let eval = &candidates[i];
                 let func = eval.func.as_ref().filter(|_| !eval.cached)?;
-                Some((i, func, eval.hash))
+                Some((func, eval.hash))
             })
             .collect();
         let measure = |from: usize| -> Vec<MeasureOutcome> {
-            try_parallel_map(&jobs[from..], threads, |rank, &(_, f, hash)| {
+            try_parallel_map(&jobs[from..], threads, |rank, &(f, hash)| {
                 // The trace key is the job's rank in the batch — a pure
                 // function of the (deterministic) batch order, so the
                 // merged report is byte-identical at any thread count.
@@ -664,7 +666,7 @@ pub fn tune_with(
             // jobs, rank by rank, is not measured again; the farm takes
             // over where the log stops, and the log gains the generation.
             Some(log) => {
-                let hashes: Vec<u64> = jobs.iter().map(|&(_, _, hash)| hash).collect();
+                let hashes: Vec<u64> = jobs.iter().map(|&(_, hash)| hash).collect();
                 let mut outcomes = log.replay(&hashes);
                 outcomes.extend(measure(outcomes.len()));
                 // A failed save only loses resumability, never the run.
@@ -672,10 +674,10 @@ pub fn tune_with(
                 outcomes
             }
         };
-        let mut outcome_of: HashMap<usize, MeasureOutcome> =
-            jobs.iter().map(|&(i, ..)| i).zip(outcomes).collect();
-
-        // Coordinator: accounting over the batch, in rank order.
+        // Coordinator: accounting over the batch, in rank order. Every
+        // uncached valid batch member is a job, in batch order, so the
+        // batch and the job outcomes are walked in lockstep.
+        let mut outcomes = outcomes.into_iter();
         let counters_before = (
             result.cache_hits,
             result.quarantined,
@@ -695,24 +697,26 @@ pub fn tune_with(
                 result.history.push(result.best_time);
                 continue;
             };
-            let (t, outcome) = if eval.cached {
+            let t = if eval.cached {
                 // Reused measurement: no profile repeats, no
                 // recompilation, and by construction a trusted reading.
                 result.cache_hits += 1;
-                (eval.time, None)
+                eval.time
             } else {
-                let outcome = outcome_of.remove(&i).unwrap_or_else(|| MeasureOutcome {
-                    // Unreachable by construction (every uncached valid
-                    // batch member was submitted as a job); degrade to a
-                    // failed measurement rather than panic.
-                    reading: Err(MeasureError::RunnerCrash("missing outcome".to_string())),
-                    cost_s: COMPILE_OVERHEAD_S,
-                    retries: 0,
-                });
+                let outcome = outcomes.next().expect("one outcome per job");
                 result.retries += outcome.retries;
                 batch_costs.push(outcome.cost_s);
                 match outcome.reading {
-                    Ok(t) => (t, Some(())),
+                    Ok(t) => {
+                        new_records.push((
+                            eval.hash,
+                            CachedMeasurement {
+                                features: eval.features.clone(),
+                                time: t,
+                            },
+                        ));
+                        t
+                    }
                     Err(e) => {
                         if matches!(e, MeasureError::CompileReject(_)) {
                             verify_rejections += 1;
@@ -726,15 +730,6 @@ pub fn tune_with(
                     }
                 }
             };
-            if outcome.is_some() {
-                new_records.push((
-                    eval.hash,
-                    CachedMeasurement {
-                        features: eval.features.clone(),
-                        time: t,
-                    },
-                ));
-            }
             if let Some(c) = trace {
                 // Roofline attribution of every measured candidate:
                 // compute-bound vs bandwidth-bound on this machine. Only
@@ -833,18 +828,9 @@ pub fn tune_with(
     state.result
 }
 
-/// Tunes several alternative sketches and returns the best result, merging
-/// the accounting (the paper's TensorIR searches tensorized and
-/// non-tensorized structures jointly).
-pub fn tune_multi(
-    sketches: &[&dyn SketchRule],
-    machine: &Machine,
-    opts: &TuneOptions,
-) -> TuneResult {
-    tune_multi_with(sketches, machine, opts, &SimMeasurer)
-}
-
-/// [`tune_multi`] against an arbitrary [`Measurer`] backend.
+/// Tunes several alternative sketches against `measurer` and returns the
+/// best result, merging the accounting (the paper's TensorIR searches
+/// tensorized and non-tensorized structures jointly).
 ///
 /// When `opts.checkpoint_path` is set, each sketch checkpoints to its own
 /// derived file (`<name>.sketch<i>`), so a killed multi-sketch run
@@ -989,7 +975,7 @@ mod tests {
             trials: 0,
             ..Default::default()
         };
-        let r = tune_multi(&[&s, &s], &machine, &opts);
+        let r = tune_multi_with(&[&s, &s], &machine, &opts, &SimMeasurer);
         assert!(r.best.is_none());
         assert_eq!(r.trials_measured, 0);
         assert_eq!(r.tuning_cost_s, 0.0);

@@ -13,7 +13,9 @@
 use std::path::PathBuf;
 
 use tir::DataType;
-use tir_autoschedule::{DiskIo, JournaledDb, Strategy, TuningDatabase, TuningRecord};
+use tir_autoschedule::{
+    journal_path_for, DiskIo, JournaledDb, Strategy, TuningDatabase, TuningRecord,
+};
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
 
@@ -84,7 +86,7 @@ fn journal_then_compacted_snapshot() -> (Vec<u8>, Vec<u8>) {
             .publish(machine, strategy, key, record)
             .expect("publish");
     }
-    let journal = std::fs::read(store.journal_path()).expect("journal written");
+    let journal = std::fs::read(journal_path_for(&db_path)).expect("journal written");
     store.compact().expect("compact");
     let compacted = std::fs::read(&db_path).expect("snapshot written");
     let _ = std::fs::remove_dir_all(&dir);

@@ -43,9 +43,10 @@ fn fused_scope_composition_tunes_end_to_end() {
 
 /// Simulated time is a pure function of the program: every fresh summary
 /// of a fused kernel (global + shared + `Custom("fused")` traffic, three
-/// finite memory terms) must estimate to the same bits. Each `summarize`
-/// builds new `HashMap`s with their own iteration order, so a sum taken in
-/// map order gives two different readings of this kernel.
+/// finite memory terms) must estimate to the same bits. The summary's
+/// maps are ordered (`BTreeMap`) for exactly this reason: when they were
+/// `HashMap`s, each with its own iteration order, a sum taken in map order
+/// gave two different readings of this kernel.
 #[test]
 fn fused_kernel_time_is_bit_reproducible() {
     let dt = DataType::float16();

@@ -4,7 +4,7 @@
 //! For every Fig. 10 operator (float16, `sim_gpu`) and Fig. 13 operator
 //! (int8 GMM and C2D, `sim_arm`), `tests/golden/tune_results.txt` records
 //! three seeds at 64 trials plus one 16-trial row (the budget
-//! `compile_model` gives each kernel: one generation per sketch, so no
+//! `compile_model_with` gives each kernel: one generation per sketch, so no
 //! generation ever has a trained model). A row holds everything of a
 //! `TuneResult` that must not depend on which candidates were built but
 //! never selected: the best program's structural hash, the bits of

@@ -3,12 +3,12 @@
 //! [`summarize`] statically walks a program, accumulating executed scalar
 //! and vector operations, tensor-intrinsic invocations (from opaque blocks
 //! annotated by `tensorize`), and per-scope memory traffic — every count
-//! scaled by the product of enclosing loop extents. [`estimate_time`]
+//! scaled by the product of enclosing loop extents. [`estimate_breakdown`]
 //! combines the summary with a [`Machine`] as a roofline:
 //! `max(compute_time, memory_time) + launch_overhead`, with compute
 //! throughput derated by the exposed parallelism.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use tir::visit::ExprVisitor;
 use tir::{AnnValue, Expr, ForKind, MemScope, PrimFunc, Stmt, ThreadTag};
@@ -22,44 +22,18 @@ pub struct CostSummary {
     pub scalar_ops: f64,
     /// Arithmetic operations executed inside vectorized loops.
     pub vector_ops: f64,
-    /// Tensor-intrinsic MACs by intrinsic name.
-    pub tensor_macs: HashMap<String, f64>,
+    /// Tensor-intrinsic MACs by intrinsic name. Ordered, like
+    /// [`CostSummary::traffic`], so that every float sum over the map adds
+    /// in key order: addition order shows in the last bit.
+    pub tensor_macs: BTreeMap<String, f64>,
     /// Bytes moved (loads + stores) per memory scope.
-    pub traffic: HashMap<MemScope, f64>,
+    pub traffic: BTreeMap<MemScope, f64>,
     /// Product of `blockIdx` extents (GPU grid size); 1 if none.
     pub grid_size: f64,
     /// Product of `threadIdx` extents (threads per block); 1 if none.
     pub block_threads: f64,
     /// Maximum extent product of CPU `parallel` loops; 1 if none.
     pub cpu_parallelism: f64,
-}
-
-impl CostSummary {
-    /// Total multiply-accumulate work, counting tensor MACs.
-    pub fn total_macs(&self) -> f64 {
-        // Arithmetic ops approximate 2 ops per MAC.
-        let tensor: f64 = self.tensor_macs_sorted().iter().map(|(_, m)| m).sum();
-        (self.scalar_ops + self.vector_ops) / 2.0 + tensor
-    }
-
-    /// [`CostSummary::tensor_macs`] in key order. Float sums over the map
-    /// must iterate this, not the map: `HashMap` order differs from one map
-    /// to the next, and addition order shows in the last bit.
-    pub fn tensor_macs_sorted(&self) -> Vec<(&String, f64)> {
-        sorted_entries(&self.tensor_macs)
-    }
-
-    /// [`CostSummary::traffic`] in key order (see
-    /// [`CostSummary::tensor_macs_sorted`]).
-    pub fn traffic_sorted(&self) -> Vec<(&MemScope, f64)> {
-        sorted_entries(&self.traffic)
-    }
-}
-
-fn sorted_entries<K: Ord>(map: &HashMap<K, f64>) -> Vec<(&K, f64)> {
-    let mut entries: Vec<(&K, f64)> = map.iter().map(|(k, v)| (k, *v)).collect();
-    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    entries
 }
 
 struct Walker {
@@ -80,7 +54,7 @@ struct Walker {
 /// traffic).
 struct ExprCost<'a> {
     ops: f64,
-    traffic: &'a mut HashMap<MemScope, f64>,
+    traffic: &'a mut BTreeMap<MemScope, f64>,
     mult: f64,
 }
 
@@ -375,7 +349,7 @@ impl RooflineBound {
     }
 }
 
-/// The roofline terms behind one [`estimate_time`] reading, kept separate
+/// The roofline terms behind one [`simulate`] reading, kept separate
 /// so profiling can attribute a candidate to its binding resource.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TimeBreakdown {
@@ -389,8 +363,7 @@ pub struct TimeBreakdown {
 }
 
 impl TimeBreakdown {
-    /// The roofline total: `max(compute, memory) + launch`. Bit-identical
-    /// to [`estimate_time`] on the same inputs.
+    /// The roofline total: `max(compute, memory) + launch`.
     pub fn total(&self) -> f64 {
         self.compute_s.max(self.memory_s) + self.launch_s
     }
@@ -406,8 +379,8 @@ impl TimeBreakdown {
     }
 }
 
-/// Per-term roofline estimate of a summarized program on a machine. The
-/// total of the returned breakdown is exactly [`estimate_time`].
+/// Per-term roofline estimate of a summarized program on a machine; its
+/// [`TimeBreakdown::total`] is the estimated execution time in seconds.
 pub fn estimate_breakdown(summary: &CostSummary, machine: &Machine) -> TimeBreakdown {
     // Effective parallelism.
     let (cores_used, rate_scale) = match machine.kind {
@@ -432,7 +405,7 @@ pub fn estimate_breakdown(summary: &CostSummary, machine: &Machine) -> TimeBreak
     let vector_rate = scalar_rate * machine.vector_lanes as f64;
 
     let mut compute_time = summary.scalar_ops / scalar_rate + summary.vector_ops / vector_rate;
-    for (intrin, macs) in summary.tensor_macs_sorted() {
+    for (intrin, macs) in &summary.tensor_macs {
         let per_core = machine
             .tensor_units
             .get(intrin)
@@ -444,7 +417,7 @@ pub fn estimate_breakdown(summary: &CostSummary, machine: &Machine) -> TimeBreak
     }
 
     let mut memory_time = 0.0;
-    for (scope, bytes) in summary.traffic_sorted() {
+    for (scope, bytes) in &summary.traffic {
         let bw = match scope {
             MemScope::Global => machine.global_bw_gbps * 1e9,
             MemScope::Shared | MemScope::Custom(_) => machine.shared_bw_gbps * 1e9,
@@ -461,24 +434,20 @@ pub fn estimate_breakdown(summary: &CostSummary, machine: &Machine) -> TimeBreak
     }
 }
 
-/// Estimated execution time (seconds) of a summarized program on a machine.
-pub fn estimate_time(summary: &CostSummary, machine: &Machine) -> f64 {
-    estimate_breakdown(summary, machine).total()
-}
-
-/// Convenience: summarize + estimate in one call.
+/// Estimated execution time (seconds) of a program on a machine:
+/// summarize + roofline total in one call.
 pub fn simulate(func: &PrimFunc, machine: &Machine) -> f64 {
-    estimate_time(&summarize(func), machine)
+    estimate_breakdown(&summarize(func), machine).total()
 }
 
 /// Why the analytic simulator could not produce a usable measurement.
 ///
-/// The fallible entry points ([`try_estimate_time`] / [`try_simulate`])
-/// exist for callers that must not let a degenerate roofline reading —
-/// `NaN` from a zero-rate machine model, or an infinite time — leak into
-/// downstream accounting. The auto-scheduler's measurement harness treats
-/// this error as a deterministic per-candidate failure (the candidate is
-/// quarantined, never retried).
+/// The fallible entry point ([`try_simulate`]) exists for callers that
+/// must not let a degenerate roofline reading — `NaN` from a zero-rate
+/// machine model, or an infinite time — leak into downstream accounting.
+/// The auto-scheduler's measurement harness treats this error as a
+/// deterministic per-candidate failure (the candidate is quarantined,
+/// never retried).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CostError {
     /// The roofline model produced a non-finite or negative time.
@@ -497,7 +466,7 @@ impl std::fmt::Display for CostError {
 
 impl std::error::Error for CostError {}
 
-/// Fallible variant of [`estimate_time`]: rejects non-finite or negative
+/// Fallible variant of [`simulate`]: rejects non-finite or negative
 /// readings instead of returning them.
 ///
 /// # Errors
@@ -505,22 +474,13 @@ impl std::error::Error for CostError {}
 /// Returns [`CostError::NonFiniteTime`] when the roofline evaluates to
 /// `NaN`, an infinity, or a negative number (possible with degenerate
 /// machine descriptions, e.g. a zero clock rate).
-pub fn try_estimate_time(summary: &CostSummary, machine: &Machine) -> Result<f64, CostError> {
-    let t = estimate_time(summary, machine);
+pub fn try_simulate(func: &PrimFunc, machine: &Machine) -> Result<f64, CostError> {
+    let t = simulate(func, machine);
     if t.is_finite() && t >= 0.0 {
         Ok(t)
     } else {
         Err(CostError::NonFiniteTime)
     }
-}
-
-/// Fallible variant of [`simulate`]: summarize + [`try_estimate_time`].
-///
-/// # Errors
-///
-/// See [`try_estimate_time`].
-pub fn try_simulate(func: &PrimFunc, machine: &Machine) -> Result<f64, CostError> {
-    try_estimate_time(&summarize(func), machine)
 }
 
 #[cfg(test)]
@@ -585,13 +545,13 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_total_is_bit_identical_to_estimate_time() {
+    fn breakdown_total_is_bit_identical_to_simulate() {
         for (m, n, k) in [(16, 16, 16), (64, 64, 64), (128, 32, 256)] {
             let f = matmul_func("mm", m, n, k, DataType::float32());
             let s = summarize(&f);
             for machine in [Machine::sim_gpu(), Machine::sim_arm()] {
                 let b = estimate_breakdown(&s, &machine);
-                assert_eq!(b.total().to_bits(), estimate_time(&s, &machine).to_bits());
+                assert_eq!(b.total().to_bits(), simulate(&f, &machine).to_bits());
                 assert!(b.compute_s >= 0.0 && b.memory_s >= 0.0 && b.launch_s > 0.0);
             }
         }
@@ -713,7 +673,7 @@ mod annotation_tests {
             tir::AnnValue::Str("nonexistent_unit".into()),
         );
         let m = Machine::sim_gpu();
-        let t = estimate_time(&summarize(&f), &m);
+        let t = simulate(&f, &m);
         assert!(t.is_finite() && t > 0.0);
     }
 }

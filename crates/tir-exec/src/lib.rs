@@ -30,14 +30,14 @@ pub mod vm;
 
 pub use compile::{compile, CompileError, Program};
 pub use cost::{
-    estimate_breakdown, estimate_time, simulate, summarize, try_estimate_time, try_simulate,
-    CostError, CostSummary, RooflineBound, TimeBreakdown,
+    estimate_breakdown, simulate, summarize, try_simulate, CostError, CostSummary, RooflineBound,
+    TimeBreakdown,
 };
 pub use interp::{
     assert_same_semantics, run_on_random_inputs, run_sanitized, run_with, ExecBackend, ExecError,
     Interpreter, RunOutcome,
 };
 pub use machine::{Machine, MachineKind};
-pub use opt::{compile_optimized, optimize, optimize_with, OptOptions};
+pub use opt::{compile_optimized, optimize};
 pub use tensor::Tensor;
 pub use vm::{InstrMixProfile, NoProfile, VmProfiler};

@@ -40,7 +40,7 @@
 use crate::compile::{
     LaneBody, LaneGuard, LaneSpec, MacSpec, Op, PoolRange, Program, LANE_WIDTH_MAX,
 };
-use crate::vm::{bin_eval, cast_val, InstrMixProfile};
+use crate::vm::{bin_eval, cast_val};
 
 /// Programs with more registers than this skip optimization (the liveness
 /// analysis packs the register set into one `u128` mask).
@@ -48,73 +48,9 @@ const MAX_REGS: usize = 128;
 
 type Mask = u128;
 
-/// Optimizer configuration, normally derived from a measured
-/// [`InstrMixProfile`] (profile-guided) or defaulted to everything-on.
-#[derive(Clone, Copy, Debug)]
-pub struct OptOptions {
-    /// Run the peephole fusion passes (MAC, load-cast, bin-store, acc).
-    pub fuse: bool,
-    /// Run the lane-batching pass (requires `fuse`).
-    pub lane_batch: bool,
-    /// Lanes per `Op::MacLanes` dispatch, clamped to `1..=8`.
-    pub lanes: u32,
-}
-
-impl Default for OptOptions {
-    fn default() -> Self {
-        OptOptions {
-            fuse: true,
-            lane_batch: true,
-            lanes: LANE_WIDTH_MAX,
-        }
-    }
-}
-
-impl OptOptions {
-    /// Profile-guided configuration: lane batching pays off only when the
-    /// program is dominated by data movement and arithmetic (the MAC
-    /// inner loops of gmm/conv); control-heavy programs keep scalar
-    /// dispatch, fusing only what the peepholes find.
-    pub fn from_profile(profile: &InstrMixProfile) -> Self {
-        let total = profile.total();
-        if total == 0 {
-            return OptOptions::default();
-        }
-        const DATA_OPS: [&str; 11] = [
-            "load",
-            "store",
-            "bin",
-            "cast",
-            "load_var",
-            "set_var",
-            "load_cast",
-            "bin_store",
-            "store_const",
-            "fused_acc",
-            "fused_mac",
-        ];
-        let data: u64 = profile
-            .mix()
-            .iter()
-            .filter(|(m, _)| DATA_OPS.contains(m))
-            .map(|(_, c)| c)
-            .sum();
-        OptOptions {
-            fuse: true,
-            lane_batch: data * 2 >= total,
-            lanes: LANE_WIDTH_MAX,
-        }
-    }
-}
-
-/// Runs the full optimizer pipeline with default options.
-pub fn optimize(prog: Program) -> Program {
-    optimize_with(prog, &OptOptions::default())
-}
-
-/// Runs the optimizer pipeline with explicit options. Idempotent: a
-/// program that has already been optimized is returned unchanged.
-pub fn optimize_with(mut prog: Program, opts: &OptOptions) -> Program {
+/// Runs the full optimizer pipeline. Idempotent: a program that has
+/// already been optimized is returned unchanged.
+pub fn optimize(mut prog: Program) -> Program {
     if prog.optimized {
         return prog;
     }
@@ -130,14 +66,10 @@ pub fn optimize_with(mut prog: Program, opts: &OptOptions) -> Program {
             break;
         }
     }
-    if opts.fuse {
-        fuse_macs(&mut prog);
-        fuse_small(&mut prog);
-        dead_code(&mut prog);
-        if opts.lane_batch {
-            batch_lanes(&mut prog, opts.lanes.clamp(1, LANE_WIDTH_MAX));
-        }
-    }
+    fuse_macs(&mut prog);
+    fuse_small(&mut prog);
+    dead_code(&mut prog);
+    batch_lanes(&mut prog);
     prog
 }
 
@@ -1309,8 +1241,9 @@ fn match_lane_body(prog: &Program, s: usize, t: usize) -> Option<(Option<LaneGua
 /// Collapses innermost `ForSetup`/`ForNext` loops whose entire body is
 /// one recognized lane shape into a single `Op::MacLanes`. The loop
 /// ops themselves stay (they own extent latching and the back edge); the
-/// body becomes one op executing up to `lanes` iterations per dispatch.
-fn batch_lanes(prog: &mut Program, lanes: u32) {
+/// body becomes one op executing up to `LANE_WIDTH_MAX` iterations per
+/// dispatch.
+fn batch_lanes(prog: &mut Program) {
     let n = prog.ops.len();
     let (live_in, _) = liveness(prog, &prog.ops);
     let mut dead = vec![false; n];
@@ -1357,7 +1290,7 @@ fn batch_lanes(prog: &mut Program, lanes: u32) {
             var,
             guard,
             body: lbody,
-            lanes,
+            lanes: LANE_WIDTH_MAX,
         });
         prog.ops[f + 1] = Op::MacLanes { spec: sid };
         for d in &mut dead[f + 2..e - 1] {
@@ -1375,11 +1308,10 @@ mod tests {
     use tir::builder::matmul_func;
     use tir::{Buffer, DataType, Expr, PrimFunc, Stmt, Var};
 
-    use super::{optimize, optimize_with, OptOptions};
+    use super::optimize;
     use crate::compile::{compile, Op};
     use crate::interp::{run_with, ExecBackend, ExecError};
     use crate::tensor::Tensor;
-    use crate::vm::InstrMixProfile;
 
     fn zeros_args(f: &PrimFunc) -> Vec<Tensor> {
         f.params
@@ -1504,59 +1436,5 @@ mod tests {
         let args = vec![Tensor::zeros(DataType::float32(), &[4])];
         let err = opt.run_sanitized(args, 1 << 20).unwrap_err();
         assert!(matches!(err, ExecError::OutOfBounds(_)), "{err}");
-    }
-
-    /// Profile-guided options: a data-dominated mix enables lane
-    /// batching, a control-dominated one disables it.
-    #[test]
-    fn profile_guides_lane_batching() {
-        let f = matmul_func("mm", 8, 8, 8, DataType::float32());
-        let prog = compile(&f).expect("compiles");
-        let mut mix = InstrMixProfile::new();
-        prog.run_profiled(
-            f.params
-                .iter()
-                .map(|p| Tensor::zeros(p.dtype(), p.shape()))
-                .collect(),
-            1 << 20,
-            &mut mix,
-        )
-        .expect("profiled");
-        let opts = OptOptions::from_profile(&mix);
-        assert!(
-            opts.lane_batch,
-            "matmul mix is data-dominated: {:?}",
-            mix.mix()
-        );
-        let empty = OptOptions::from_profile(&InstrMixProfile::new());
-        assert!(empty.fuse && empty.lane_batch);
-    }
-
-    /// Disabling fusion via options leaves plain (but strength-reduced,
-    /// constant-folded) bytecode with no fused opcodes.
-    #[test]
-    fn options_gate_fusion() {
-        let f = matmul_func("mm", 8, 8, 8, DataType::float32());
-        let opt = optimize_with(
-            compile(&f).expect("compiles"),
-            &OptOptions {
-                fuse: false,
-                lane_batch: false,
-                lanes: 8,
-            },
-        );
-        assert!(!opt.ops.iter().any(|o| matches!(
-            o,
-            Op::FusedMac { .. }
-                | Op::MacLanes { .. }
-                | Op::FusedAcc { .. }
-                | Op::BinStore { .. }
-                | Op::LoadCast { .. }
-                | Op::StoreConst { .. }
-        )));
-        let tw = run_with(&f, zeros_args(&f), ExecBackend::TreeWalk, None).expect("tw");
-        let got = opt.run_with_fuel(zeros_args(&f), 1 << 30).expect("run");
-        assert_eq!(tw.steps, got.steps);
-        assert_eq!(tw.outputs, got.outputs);
     }
 }

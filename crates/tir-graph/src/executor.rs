@@ -6,7 +6,7 @@
 //! tuning routes through a [`TuningDatabase`] keyed by the
 //! literal-preserving workload fingerprint, so structurally identical
 //! kernels are tuned once — by *shape*, not by name — and a later
-//! [`compile_model`] of the same model re-measures nothing.
+//! [`compile_model_with`] of the same model re-measures nothing.
 
 use tir_autoschedule::{Strategy, TuneOptions, TuningDatabase};
 use tir_exec::machine::Machine;
@@ -364,31 +364,6 @@ pub fn compile_model_with(
     })
 }
 
-/// Compiles a model into an [`tir::IrModule`] of tuned fused kernels —
-/// one optimized `PrimFunc` per distinct fused group, keyed by group
-/// name. Fresh tuning database; see [`compile_model_with`] for reuse.
-///
-/// # Errors
-///
-/// Same contract as [`evaluate_model`].
-pub fn compile_model(
-    model: &ModelSpec,
-    machine: &Machine,
-    intrins: &IntrinRegistry,
-    strategy: Strategy,
-    opts: &TuneOptions,
-) -> Result<tir::IrModule, ModelError> {
-    compile_model_with(
-        model,
-        machine,
-        intrins,
-        strategy,
-        opts,
-        &mut TuningDatabase::new(),
-    )
-    .map(|c| c.module)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,7 +569,16 @@ mod tests {
             }],
         };
         assert!(evaluate_model(&model2, &machine, &reg, Strategy::TensorIr, &opts(4)).is_err());
-        assert!(compile_model(&model, &machine, &reg, Strategy::TensorIr, &opts(4)).is_err());
+        let mut db = TuningDatabase::new();
+        assert!(compile_model_with(
+            &model,
+            &machine,
+            &reg,
+            Strategy::TensorIr,
+            &opts(4),
+            &mut db
+        )
+        .is_err());
     }
 
     #[test]
@@ -734,8 +718,17 @@ mod module_tests {
         let machine = Machine::sim_gpu();
         let reg = builtin_registry();
         let model = proj_model();
-        let module = compile_model(&model, &machine, &reg, Strategy::TensorIr, &opts(8))
-            .expect("valid model");
+        let mut db = TuningDatabase::new();
+        let module = compile_model_with(
+            &model,
+            &machine,
+            &reg,
+            Strategy::TensorIr,
+            &opts(8),
+            &mut db,
+        )
+        .expect("valid model")
+        .module;
         let f = module
             .get("proj_relu")
             .expect("fused tuned function present");
@@ -758,7 +751,7 @@ mod module_tests {
 
     #[test]
     fn second_compile_performs_zero_measurements() {
-        // Regression: compile_model used to re-tune every kernel from
+        // Regression: compiling a model used to re-tune every kernel from
         // scratch even when the identical workload was already tuned.
         let machine = Machine::sim_gpu();
         let reg = builtin_registry();

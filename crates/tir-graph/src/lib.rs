@@ -21,8 +21,8 @@ pub mod layer;
 pub mod models;
 
 pub use executor::{
-    compile_model, compile_model_with, evaluate_model, evaluate_model_unfused, evaluate_model_with,
-    CompiledModel, GroupResult, ModelError, ModelResult,
+    compile_model_with, evaluate_model, evaluate_model_unfused, evaluate_model_with, CompiledModel,
+    GroupResult, ModelError, ModelResult,
 };
 pub use frameworks::Framework;
 pub use fusion::{can_anchor, fuse_graph, singleton_groups, FusionGroup};

@@ -315,6 +315,49 @@ mod tests {
         // The staged copy should cover one row (i fixed) of A: extent 1 x 16.
         let copy = tir::visit::find_block(&sch.func().body, "A_shared").expect("copy");
         assert_eq!(copy.block.iter_vars.len(), 2);
+
+        // The relaxation behind that tile, asked directly: a block under a
+        // loop `k in 0..4` reading `X` at the given points, relaxed over `k`.
+        let x = Buffer::new("X", DataType::float32(), vec![64]);
+        let (y, k) = (Var::int("y"), Var::int("k"));
+        let (vy_var, vk_var) = (Var::int("vy"), Var::int("vk"));
+        let (vy, vk) = (Expr::from(&vy_var), Expr::from(&vk_var));
+        let relaxed = |points: Vec<Expr>| {
+            let reads = points
+                .into_iter()
+                .map(|p| BufferRegion::point(x.clone(), vec![p]))
+                .collect();
+            let block = Block::new(
+                "R",
+                vec![
+                    IterVar::spatial(vy_var.clone(), 16),
+                    IterVar::reduce(vk_var.clone(), 4),
+                ],
+                reads,
+                vec![],
+                Stmt::seq(vec![]),
+            );
+            let realize = BlockRealize::new(vec![Expr::from(&y), Expr::from(&k)], block);
+            let nest = Stmt::BlockRealize(Box::new(realize)).in_loop(k.clone(), 4);
+            let region = required_region(&nest, &x, true, false).expect("X is read");
+            (region[0].min.clone(), region[0].extent.as_int())
+        };
+        // Non-negative inner coefficient: symbolic minimum, constant width.
+        assert_eq!(
+            relaxed(vec![vy.clone() * 4 + vk.clone()]),
+            (Expr::from(&y) * 4, Some(4))
+        );
+        // Negative inner coefficient (T2D's flipped kernel): zeroing `k`
+        // does not give the minimum, so the whole dimension is required.
+        assert_eq!(
+            relaxed(vec![vy.clone() * 4 + 3 - vk.clone()]),
+            (Expr::int(0), Some(64))
+        );
+        // Two accesses whose symbolic minima differ: the whole dimension.
+        assert_eq!(
+            relaxed(vec![vy.clone(), vy.clone() + 32]),
+            (Expr::int(0), Some(64))
+        );
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   `decompose_reduction`.
 //!
 //! Every primitive records itself in the schedule [`trace::Trace`], which
-//! the auto-scheduler's evolutionary search replays and mutates.
+//! [`replay()`] can re-apply to a fresh build of the workload. (The
+//! auto-scheduler does neither: it re-applies sketches to decision vectors.)
 
 #![warn(missing_docs)]
 

@@ -4,9 +4,11 @@
 //! Loop variables are addressed by *name* during replay; split/fuse derive
 //! their new names deterministically from their inputs, so a trace
 //! recorded on one build of a workload applies to any alpha-equivalent
-//! build. This is the mechanism behind search-record reuse (§5.2) and is
-//! what lets the evolutionary search mutate a decision inside a trace and
-//! re-materialize the program.
+//! build. Nothing in the tuner calls it — the search re-applies a sketch
+//! with a mutated decision vector, and the tuning database stores the best
+//! program itself — so today replay is an independent second route to a
+//! scheduled program: replaying a schedule's trace on the original
+//! workload must reproduce its `structural_hash`.
 //!
 //! Replay covers every §3.2 primitive the [`Schedule`] records. Compound
 //! rewrites (`auto_tensorize`'s canonical-form replacement) are not single

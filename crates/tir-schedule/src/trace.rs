@@ -1,9 +1,9 @@
 //! Schedule traces: a replayable record of applied primitives.
 //!
-//! The evolutionary search (§4.4) mutates *decisions* (tile sizes,
-//! annotation values) inside a recorded trace and replays it on a fresh
-//! program; the trace also doubles as human-readable provenance for a
-//! scheduled function.
+//! A trace is human-readable provenance for a scheduled function (the
+//! examples print it) and the input of [`replay`](crate::replay::replay).
+//! The evolutionary search (§4.4) does not go through it: it mutates a
+//! sketch's decision vector and re-applies the sketch to the workload.
 
 use std::fmt;
 
@@ -56,27 +56,14 @@ pub struct TraceStep {
     pub primitive: String,
     /// Arguments in call order.
     pub args: Vec<TraceArg>,
-    /// Whether the arguments contain a *sampled decision* the search may
-    /// mutate (tile sizes, cache scopes, annotation values).
-    pub is_decision: bool,
 }
 
 impl TraceStep {
-    /// Creates a non-decision step.
+    /// Creates a step.
     pub fn new(primitive: &str, args: Vec<TraceArg>) -> Self {
         TraceStep {
             primitive: primitive.to_string(),
             args,
-            is_decision: false,
-        }
-    }
-
-    /// Creates a decision step (mutable by the search).
-    pub fn decision(primitive: &str, args: Vec<TraceArg>) -> Self {
-        TraceStep {
-            primitive: primitive.to_string(),
-            args,
-            is_decision: true,
         }
     }
 }
@@ -90,11 +77,7 @@ impl fmt::Display for TraceStep {
             }
             write!(f, "{a}")?;
         }
-        write!(f, ")")?;
-        if self.is_decision {
-            write!(f, "  # decision")?;
-        }
-        Ok(())
+        write!(f, ")")
     }
 }
 
@@ -126,18 +109,8 @@ impl Trace {
     }
 
     /// Drops steps beyond `len` (transaction rollback).
-    pub fn truncate(&mut self, len: usize) {
+    pub(crate) fn truncate(&mut self, len: usize) {
         self.steps.truncate(len);
-    }
-
-    /// Indices of the decision steps (the mutation points for search).
-    pub fn decision_points(&self) -> Vec<usize> {
-        self.steps
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_decision)
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -161,21 +134,15 @@ mod tests {
             "split",
             vec!["i".into(), vec![16i64, 4].into()],
         ));
-        t.push(TraceStep::decision(
-            "sample_tile",
-            vec![vec![4i64, 4].into()],
-        ));
+        t.push(TraceStep::new("vectorize", vec!["i_1".into()]));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.decision_points(), vec![1]);
-        let text = t.to_string();
-        assert!(text.contains("split(\"i\", [16, 4])"), "{text}");
-        assert!(text.contains("# decision"), "{text}");
+        assert_eq!(t.to_string(), "split(\"i\", [16, 4])\nvectorize(\"i_1\")\n");
     }
 
     #[test]
     fn empty_trace() {
         let t = Trace::default();
         assert!(t.is_empty());
-        assert!(t.decision_points().is_empty());
+        assert_eq!(t.to_string(), "");
     }
 }

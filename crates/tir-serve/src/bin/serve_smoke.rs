@@ -35,7 +35,7 @@ use tir_autoschedule::{
 use tir_serve::client::{Client, TuneReply};
 use tir_serve::protocol::Source;
 use tir_serve::server::{ServeConfig, Server};
-use tir_trace::{is_well_formed_json, TraceReport};
+use tir_trace::{is_well_formed_json, json_f64, TraceReport};
 use tir_workloads::ops;
 
 const WARM_QUERIES: usize = 50;
@@ -102,19 +102,6 @@ fn counter_in(json: &str, key: &str) -> u64 {
         .collect::<String>()
         .parse()
         .unwrap_or(0)
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
 }
 
 fn assert_warm(reply: &TuneReply, against: &TuneReply, what: &str) {

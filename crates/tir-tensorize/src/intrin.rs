@@ -88,11 +88,6 @@ impl TensorIntrin {
         }
         chi
     }
-
-    /// Number of multiply-accumulate operations one invocation performs.
-    pub fn macs_per_invocation(&self) -> i64 {
-        self.iters.iter().map(|i| i.extent).product()
-    }
 }
 
 /// A named collection of tensor intrinsics for a hardware target.
@@ -249,7 +244,6 @@ mod tests {
         let reg = builtin_registry();
         let wmma = reg.get("wmma_16x16x16_f16").unwrap();
         assert_eq!(wmma.exec_scope.as_deref(), Some("warp"));
-        assert_eq!(wmma.macs_per_invocation(), 16 * 16 * 16);
         assert_eq!(wmma.input_scopes[0], Some(MemScope::WmmaMatrixA));
         assert_eq!(wmma.output_scope, Some(MemScope::WmmaAccumulator));
     }

@@ -138,14 +138,6 @@ impl Histogram {
             *self.buckets.entry(b).or_default() += 1;
         }
     }
-
-    /// Folds another histogram into this one (bucketwise sum).
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        for (b, n) in &other.buckets {
-            *self.buckets.entry(*b).or_default() += n;
-        }
-    }
 }
 
 /// Everything a thread records before flushing: spans, counter deltas,
@@ -535,8 +527,9 @@ impl TraceReport {
 
 /// Formats an `f64` as a JSON number. Rust's `{}` formatting is the
 /// shortest round-trip representation — deterministic for identical bits.
-/// Non-finite values (not representable in JSON) become `null`.
-fn json_f64(v: f64) -> String {
+/// Non-finite values (not representable in JSON) become `null`. Shared
+/// with the report headers `tune-profile` and `serve-smoke` build by hand.
+pub fn json_f64(v: f64) -> String {
     if !v.is_finite() {
         return "null".to_string();
     }
@@ -544,7 +537,7 @@ fn json_f64(v: f64) -> String {
 }
 
 /// Appends a JSON string literal (with escaping) to `out`.
-fn json_string(out: &mut String, s: &str) {
+pub fn json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -52,14 +52,6 @@ impl Epilogue {
             Epilogue::Gelu => "gelu",
         }
     }
-
-    /// How many extra input tensors this step appends to the signature.
-    pub fn extra_inputs(self) -> usize {
-        match self {
-            Epilogue::AddInput | Epilogue::BiasAdd => 1,
-            Epilogue::Relu | Epilogue::Gelu => 0,
-        }
-    }
 }
 
 fn zero(dt: DataType) -> Expr {

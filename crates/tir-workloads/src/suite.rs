@@ -31,20 +31,6 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// All eight operator kinds, in the paper's figure order.
-    pub fn all() -> [OpKind; 8] {
-        [
-            OpKind::C1D,
-            OpKind::C2D,
-            OpKind::C3D,
-            OpKind::DEP,
-            OpKind::DIL,
-            OpKind::GMM,
-            OpKind::GRP,
-            OpKind::T2D,
-        ]
-    }
-
     /// Display label matching the paper's figures.
     pub fn label(self) -> &'static str {
         match self {
@@ -144,7 +130,9 @@ mod tests {
         let suite = bench_suite(DataType::float16());
         assert_eq!(suite.len(), 8);
         let kinds: Vec<OpKind> = suite.iter().map(|c| c.kind).collect();
-        assert_eq!(kinds, OpKind::all());
+        // The paper's figure order.
+        use OpKind::*;
+        assert_eq!(kinds, [C1D, C2D, C3D, DEP, DIL, GMM, GRP, T2D]);
         for case in &suite {
             assert!(case.macs > 0, "{:?}", case.kind);
             tir_analysis::assert_valid(&case.func);

@@ -62,14 +62,6 @@ impl MemScope {
             other => MemScope::Custom(other.to_string()),
         }
     }
-
-    /// Whether this scope lives inside the tensor-core register file.
-    pub fn is_wmma(&self) -> bool {
-        matches!(
-            self,
-            MemScope::WmmaMatrixA | MemScope::WmmaMatrixB | MemScope::WmmaAccumulator
-        )
-    }
 }
 
 impl fmt::Display for MemScope {
@@ -259,11 +251,6 @@ impl RangeExpr {
         }
     }
 
-    /// The range `[0, extent)`.
-    pub fn from_extent(extent: impl Into<Expr>) -> Self {
-        Self::new(0, extent)
-    }
-
     /// A range covering a single point.
     pub fn point(at: impl Into<Expr>) -> Self {
         Self::new(at, 1)
@@ -373,8 +360,6 @@ mod tests {
         ] {
             assert_eq!(MemScope::from_name(scope.as_str()), scope);
         }
-        assert!(MemScope::WmmaMatrixA.is_wmma());
-        assert!(!MemScope::Shared.is_wmma());
     }
 
     #[test]
@@ -398,7 +383,7 @@ mod tests {
 
     #[test]
     fn range_display() {
-        let r = RangeExpr::from_extent(8);
+        let r = RangeExpr::new(0, 8);
         assert_eq!(r.to_string(), "0:8");
         assert!(RangeExpr::point(3).is_point());
     }

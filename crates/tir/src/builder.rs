@@ -17,7 +17,8 @@ use crate::visit::{ExprVisitor, StmtVisitor};
 /// Every `Load` contributes a point read region and every `Store` a point
 /// write region, keyed by buffer; duplicate (buffer, indices) accesses are
 /// deduplicated. This matches TVM's default signature for scalar blocks;
-/// range-precise regions are computed by `tir-analysis` when needed.
+/// range-precise regions are computed where a primitive needs them
+/// (`required_region` in `tir-schedule`).
 pub fn derive_signature(
     body: &Stmt,
     init: Option<&Stmt>,

@@ -127,11 +127,6 @@ impl DataType {
         DataType { lanes, ..self }
     }
 
-    /// Returns the scalar element type (lanes = 1).
-    pub const fn element(self) -> Self {
-        self.with_lanes(1)
-    }
-
     /// Whether this is a (b)float type.
     pub const fn is_float(self) -> bool {
         matches!(self.code, TypeCode::Float | TypeCode::BFloat)
@@ -145,11 +140,6 @@ impl DataType {
     /// Whether this is the boolean type.
     pub const fn is_bool(self) -> bool {
         matches!(self.code, TypeCode::Bool)
-    }
-
-    /// Whether this is a vector type (more than one lane).
-    pub const fn is_vector(self) -> bool {
-        self.lanes > 1
     }
 
     /// Size in bytes of one element of this type (lanes included).
@@ -257,8 +247,6 @@ mod tests {
         assert!(DataType::uint8().is_int());
         assert!(DataType::bool().is_bool());
         assert!(!DataType::float32().is_int());
-        assert!(DataType::float32().with_lanes(4).is_vector());
-        assert!(!DataType::float32().is_vector());
     }
 
     #[test]
@@ -267,14 +255,6 @@ mod tests {
         assert_eq!(DataType::float16().bytes(), 2);
         assert_eq!(DataType::int8().with_lanes(4).bytes(), 4);
         assert_eq!(DataType::bool().bytes(), 1);
-    }
-
-    #[test]
-    fn element_strips_lanes() {
-        assert_eq!(
-            DataType::float16().with_lanes(8).element(),
-            DataType::float16()
-        );
     }
 
     #[test]

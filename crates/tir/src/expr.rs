@@ -439,16 +439,6 @@ impl fmt::Display for Expr {
     }
 }
 
-/// Convenience constructor: floor division of two expressions.
-pub fn floordiv(a: impl Into<Expr>, b: impl Into<Expr>) -> Expr {
-    a.into().floor_div(b)
-}
-
-/// Convenience constructor: floor modulo of two expressions.
-pub fn floormod(a: impl Into<Expr>, b: impl Into<Expr>) -> Expr {
-    a.into().floor_mod(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,17 +28,6 @@ pub enum ForKind {
 }
 
 impl ForKind {
-    /// The keyword used by the printer (`for`, `parallel`, ...).
-    pub fn keyword(self) -> &'static str {
-        match self {
-            ForKind::Serial => "serial",
-            ForKind::Parallel => "parallel",
-            ForKind::Vectorized => "vectorized",
-            ForKind::Unrolled => "unroll",
-            ForKind::ThreadBinding(_) => "thread_binding",
-        }
-    }
-
     /// Whether iterations of this loop may execute concurrently.
     pub fn is_parallel(self) -> bool {
         !matches!(self, ForKind::Serial | ForKind::Unrolled)

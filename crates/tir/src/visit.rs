@@ -293,7 +293,6 @@ impl ExprVisitor for VarCollector {
         self.walk_expr(e);
     }
 }
-impl StmtVisitor for VarCollector {}
 
 /// Collects the distinct variables appearing in an expression, in first-use
 /// order.
@@ -303,16 +302,6 @@ pub fn collect_vars_expr(e: &Expr) -> Vec<Var> {
         seen: Default::default(),
     };
     c.visit_expr(e);
-    c.vars
-}
-
-/// Collects the distinct variables appearing in a statement.
-pub fn collect_vars_stmt(s: &Stmt) -> Vec<Var> {
-    let mut c = VarCollector {
-        vars: Vec::new(),
-        seen: Default::default(),
-    };
-    c.visit_stmt(s);
     c.vars
 }
 
@@ -496,10 +485,8 @@ mod tests {
     }
 
     #[test]
-    fn collects_vars_and_buffers() {
-        let (a, b, i, j, stmt) = sample();
-        let vars = collect_vars_stmt(&stmt);
-        assert!(vars.contains(&i) && vars.contains(&j));
+    fn collects_buffers() {
+        let (a, b, _, _, stmt) = sample();
         let bufs = collect_accessed_buffers(&stmt);
         assert!(bufs.contains(&a) && bufs.contains(&b));
     }

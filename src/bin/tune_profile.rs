@@ -26,7 +26,7 @@ use tir::{DataType, PrimFunc};
 use tir_autoschedule::{tune_workload, Strategy, TuneOptions, TuneResult};
 use tir_exec::{compile, compile_optimized, InstrMixProfile, Machine, Tensor};
 use tir_tensorize::builtin_registry;
-use tir_trace::{is_well_formed_json, Collector, TraceReport};
+use tir_trace::{is_well_formed_json, json_f64, json_string, Collector, TraceReport};
 use tir_workloads::ops;
 
 /// Fuel cap for the post-tuning VM profile run. Large workloads (c2d)
@@ -131,33 +131,6 @@ fn profile_best(best: &PrimFunc, no_opt: bool, collector: &Collector) -> Option<
     Some(outcome.is_ok())
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
 /// The full report: run metadata plus the merged trace, all hand-rolled
 /// (the container has no network access, so no serde).
 fn render_report(
@@ -167,15 +140,11 @@ fn render_report(
     vm_complete: Option<bool>,
 ) -> String {
     let mut out = String::with_capacity(8192);
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"workload\": \"{}\",\n",
-        json_escape(&cfg.workload)
-    ));
-    out.push_str(&format!(
-        "  \"machine\": \"{}\",\n",
-        json_escape(&cfg.machine)
-    ));
+    out.push_str("{\n  \"workload\": ");
+    json_string(&mut out, &cfg.workload);
+    out.push_str(",\n  \"machine\": ");
+    json_string(&mut out, &cfg.machine);
+    out.push_str(",\n");
     out.push_str(&format!("  \"trials\": {},\n", cfg.trials));
     out.push_str(&format!(
         "  \"trials_measured\": {},\n",
