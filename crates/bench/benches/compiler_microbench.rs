@@ -71,8 +71,7 @@ fn bench_split_fuse_reorder() {
 /// the `clone` row), the candidate-cache key, and the validation every
 /// `apply` ends with.
 fn bench_ir_passes() {
-    use std::collections::HashMap;
-    use tir::{Expr, Stmt, Var};
+    use tir::{Expr, Stmt, Var, VarMap};
     use tir_autoschedule::{build_sketches, Strategy};
     use tir_rand::rngs::StdRng;
     use tir_rand::SeedableRng;
@@ -109,7 +108,7 @@ fn bench_ir_passes() {
     let mut vars = Vec::new();
     loop_vars(&func.body, &mut vars);
     // Every loop variable becomes `v * 2 + 1`: what `split` does to one.
-    let map: HashMap<Var, Expr> = vars
+    let map: VarMap<Expr> = vars
         .iter()
         .map(|v| (v.clone(), Expr::from(v) * 2 + 1))
         .collect();
@@ -373,6 +372,82 @@ fn bench_validation() {
     });
 }
 
+/// What a candidate saves by deriving each fact once, on the full
+/// bench-suite shapes: a validation whose loop-nest checks are all
+/// remembered (the second and later look of a `ValidationSession`) against
+/// a fresh one of the same finished C2D `gpu-scalar` candidate; one
+/// `cache_read` below GMM's blockized `gpu-tensor` tile, signature refresh
+/// of the outer block included (on a copy of the base schedule, whose own
+/// cost is the first primitive's un-sharing); and a cost-model refit at
+/// half a 64-trial tune.
+fn bench_derive_once() {
+    use tir::MemScope;
+    use tir_autoschedule::feature::extract_features;
+    use tir_autoschedule::{build_sketches, CostModel, Strategy};
+    use tir_rand::rngs::StdRng;
+    use tir_rand::SeedableRng;
+    use tir_workloads::{bench_suite, OpKind};
+
+    let reg = builtin_registry();
+    let machine = Machine::sim_gpu();
+    let case = |kind: OpKind| {
+        (bench_suite(DataType::float16()).into_iter())
+            .find(|c| c.kind == kind)
+            .expect("operator in the suite")
+    };
+    let c2d = case(OpKind::C2D);
+    let scalar = build_sketches(&c2d.func, &machine, &reg, Strategy::TensorIr)
+        .into_iter()
+        .find(|s| s.name() == "gpu-scalar")
+        .expect("gpu-scalar sketch");
+    let candidates: Vec<tir::PrimFunc> = (0..)
+        .filter_map(|seed| {
+            scalar
+                .apply(&scalar.sample(&mut StdRng::seed_from_u64(seed)))
+                .ok()
+        })
+        .take(32)
+        .collect();
+    let func = &candidates[0];
+    bench_function("analysis/validate_gpu_scalar_c2d", || {
+        tir_analysis::validate(func).is_ok()
+    });
+    let mut session = tir_analysis::ValidationSession::default();
+    assert!(session.validate(func).is_ok());
+    bench_function("analysis/validate_remembered_gpu_scalar_c2d", || {
+        session.validate(func).is_ok()
+    });
+
+    let wmma = reg.get("wmma_16x16x16_f16").expect("wmma intrinsic");
+    let tensorized = auto_tensorize(&case(OpKind::GMM).func, "C", wmma).expect("tensorizes");
+    let loops = (tensorized.schedule)
+        .get_loops(&tensorized.outer_block)
+        .expect("tile loops");
+    let operand = (tensorized.schedule)
+        .find_buffer(&tensorized.input_staging[0])
+        .expect("staging buffer");
+    bench_function("schedule/cache_read_refresh_gpu_tensor_gmm", || {
+        let mut sch = tensorized.schedule.clone();
+        sch.cache_read(
+            &tensorized.inner_block,
+            &operand,
+            MemScope::Shared,
+            loops.last(),
+        )
+        .expect("cache_read")
+    });
+
+    let samples: Vec<(Vec<f64>, f64)> = candidates
+        .iter()
+        .map(|f| (extract_features(f), -simulate(f, &machine).ln()))
+        .collect();
+    bench_function("search/gbdt_refit_32_samples", || {
+        let mut model = CostModel::new();
+        model.update(samples.iter().cloned());
+        model
+    });
+}
+
 fn bench_auto_tensorize() {
     let func = matmul_func("mm", 256, 256, 256, DataType::float16());
     let reg = builtin_registry();
@@ -421,6 +496,7 @@ fn main() {
     bench_warm_paths();
     bench_ir_passes();
     bench_validation();
+    bench_derive_once();
     bench_auto_tensorize();
     bench_simulate();
     bench_iter_map();

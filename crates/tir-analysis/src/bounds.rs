@@ -17,10 +17,8 @@
 //! dynamic semantics. `else` branches are walked unrefined (sound, possibly
 //! imprecise).
 
-use std::collections::HashMap;
-
 use tir::simplify::{floor_div_i64, simplified};
-use tir::{Buffer, CmpOp, Expr, PrimFunc, Stmt, Var};
+use tir::{Buffer, CmpOp, Expr, PrimFunc, Stmt, Var, VarMap};
 use tir_arith::bound::{bound_of, IntBound};
 use tir_arith::iter_map::normalize;
 
@@ -33,7 +31,7 @@ use crate::validate::{split_and, ValidationError};
 /// access is statically in bounds.
 pub fn check_bounds(func: &PrimFunc) -> Vec<ValidationError> {
     let mut c = BoundsChecker {
-        env: HashMap::new(),
+        env: VarMap::default(),
         blocks: Vec::new(),
         errors: Vec::new(),
     };
@@ -42,7 +40,7 @@ pub fn check_bounds(func: &PrimFunc) -> Vec<ValidationError> {
 }
 
 struct BoundsChecker {
-    env: HashMap<Var, IntBound>,
+    env: VarMap<IntBound>,
     blocks: Vec<String>,
     errors: Vec<ValidationError>,
 }
@@ -187,7 +185,7 @@ impl BoundsChecker {
             // Extract `diff = a*v + b` via iterator-map normalization over a
             // dummy full-range domain; partial splits (mod/div pieces) are
             // skipped.
-            let dom: HashMap<Var, i64> = [(v.clone(), i64::MAX / 8)].into_iter().collect();
+            let dom: VarMap<i64> = [(v.clone(), i64::MAX / 8)].into_iter().collect();
             let Ok(sum) = normalize(&diff, &dom) else {
                 continue;
             };

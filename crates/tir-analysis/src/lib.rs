@@ -5,7 +5,10 @@
 //! * [`reduction`] — reduction-pattern detection on block bodies;
 //! * [`mod@validate`] — the §3.3 validators: loop-nest validation via
 //!   quasi-affine iterator maps, threading validation, and
-//!   producer-covers-consumer region checks;
+//!   producer-covers-consumer region checks; [`ValidationSession`] is the
+//!   same validation for a caller that asks again while one program
+//!   evolves, remembering the loop-nest verdict of every block whose
+//!   inputs did not change;
 //! * [`mod@bounds`] — interval propagation proving every buffer access in
 //!   bounds, refining through loop binders, block predicates, `if` and
 //!   `select` guards;
@@ -46,7 +49,7 @@ pub mod validate;
 pub use bounds::check_bounds;
 pub use racecheck::{check_races, check_scopes};
 pub use reduction::{detect_block_reduction, ReduceOp, ReductionInfo};
-pub use validate::{assert_valid, validate, ValidationError};
+pub use validate::{assert_valid, validate, ValidationError, ValidationSession};
 
 use tir::PrimFunc;
 

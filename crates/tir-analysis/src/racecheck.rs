@@ -62,11 +62,11 @@
 //! `threadIdx.x` binding is in scope (implicit warp lanes, as in
 //! pre-lowering Tensor Core programs).
 
-use std::collections::HashMap;
-
 use tir::simplify::simplified;
 use tir::visit::substituted;
-use tir::{Buffer, Expr, ForKind, MemScope, PrimFunc, Stmt, ThreadTag, Var, RELAXING_ANNOTATIONS};
+use tir::{
+    Buffer, Expr, ForKind, MemScope, PrimFunc, Stmt, ThreadTag, Var, VarMap, RELAXING_ANNOTATIONS,
+};
 use tir_arith::iter_map::{normalize, IterSplit, IterSum};
 
 use crate::validate::ValidationError;
@@ -87,7 +87,7 @@ struct AccessSite {
 
 struct Collector {
     loops: Vec<(Var, Option<i64>, ForKind)>,
-    bind_map: HashMap<Var, Expr>,
+    bind_map: VarMap<Expr>,
     relax_depth: usize,
     blocks: Vec<String>,
     sites: Vec<AccessSite>,
@@ -215,7 +215,7 @@ impl Collector {
 fn collect_sites(func: &PrimFunc) -> Vec<AccessSite> {
     let mut c = Collector {
         loops: Vec::new(),
-        bind_map: HashMap::new(),
+        bind_map: VarMap::default(),
         relax_depth: 0,
         blocks: Vec::new(),
         sites: Vec::new(),
@@ -343,7 +343,7 @@ fn prove_disjoint(p: &Var, n: i64, sites: &[&AccessSite]) -> Result<(), String> 
             .iter()
             .map(|(v, _, _)| v.clone())
             .collect();
-        let mut dom: HashMap<Var, i64> = HashMap::new();
+        let mut dom: VarMap<i64> = VarMap::default();
         for (v, e, _) in &site.loops {
             let Some(e) = e else {
                 return Err(format!("non-constant extent of loop {}", v.name()));

@@ -12,10 +12,8 @@
 //! raw loads and stores, and only `cache_read`/`cache_write`/`compute_at`/
 //! `blockize` need it, so it lives beside them.
 
-use std::collections::HashMap;
-
 use tir::visit::{ExprVisitor, StmtVisitor};
-use tir::{Buffer, Expr, Stmt, Var};
+use tir::{Buffer, Expr, Stmt, VarMap};
 use tir_arith::bound::{bound_of, IntBound};
 
 /// A concrete rectangular region: one interval per dimension.
@@ -66,7 +64,7 @@ impl AccessSet {
 }
 
 struct AccessCollector {
-    vars: HashMap<Var, IntBound>,
+    vars: VarMap<IntBound>,
     set: AccessSet,
 }
 
@@ -150,7 +148,7 @@ impl StmtVisitor for AccessCollector {
 /// Computes concrete access boxes for every buffer touched by `stmt`.
 pub(crate) fn collect_accesses(stmt: &Stmt) -> AccessSet {
     let mut c = AccessCollector {
-        vars: HashMap::new(),
+        vars: VarMap::default(),
         set: AccessSet::default(),
     };
     c.visit_stmt(stmt);

@@ -12,21 +12,21 @@
 //! * **producer-consumer validation** — writes to every intermediate buffer
 //!   must cover downstream reads (checked on concrete region boxes).
 
-use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use tir::simplify::simplified;
 use tir::structural::expr_structural_eq;
-use tir::visit::{expr_any_var, expr_uses_var};
+use tir::visit::{expr_any_var, expr_uses_var, ExprVisitor};
 use tir::{
     BinOp, Block, BlockRealize, Buffer, Expr, ForKind, IterKind, MemScope, PrimFunc, Stmt,
-    ThreadTag, Var,
+    ThreadTag, Var, VarMap,
 };
 use tir_arith::iter_map::{detect_iter_map_with, CoverMode, IterMapError};
 
 use crate::region::{box_covers, collect_accesses};
 
 /// A validation failure.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum ValidationError {
     /// A loop extent is not a compile-time constant.
     NonConstantExtent {
@@ -201,20 +201,157 @@ impl std::error::Error for ValidationError {}
 /// Maximum threads per block enforced by threading validation.
 pub const MAX_THREADS_PER_BLOCK: i64 = 1024;
 
-struct Validator {
+/// An exact key: the bytes `Hash` implementations write, kept rather than
+/// mixed, so two keys are equal only if every hashed value is.
+#[derive(Default)]
+struct Key(Vec<u8>);
+
+impl Hasher for Key {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        0
+    }
+}
+
+impl ExprVisitor for Key {
+    fn visit_expr(&mut self, e: &Expr) {
+        std::mem::discriminant(e).hash(self);
+        match e {
+            Expr::Int(v, dtype) => (v, dtype).hash(self),
+            Expr::Float(v, dtype) => (v.to_bits(), dtype).hash(self),
+            Expr::Str(text) => text.hash(self),
+            Expr::Var(v) => v.hash(self),
+            Expr::Cast(dtype, _) => dtype.hash(self),
+            Expr::Bin(op, ..) => op.hash(self),
+            Expr::Cmp(op, ..) => op.hash(self),
+            Expr::Not(_) | Expr::Select { .. } => {}
+            Expr::Load { buffer, indices } => (buffer, indices.len()).hash(self),
+            Expr::Call { name, args, dtype } => (name, args.len(), dtype).hash(self),
+        }
+        self.walk_expr(e);
+    }
+}
+
+impl Key {
+    /// Rewrites the key to everything [`Validator::check_block_realize`]
+    /// reads of `br` under `loops`: identities (variable and buffer ids),
+    /// integers and the block's name, which its error texts carry. The
+    /// composed bindings of enclosing blocks enter as `parent`, the
+    /// remembered verdict they were taken from.
+    fn of_block(&mut self, parent: usize, loops: &[(Var, i64, ForKind)], br: &BlockRealize) {
+        let block = &br.block;
+        self.0.clear();
+        (parent, &block.name, loops, block.init.is_some()).hash(self);
+        (block.writes.len(), br.iter_values.len()).hash(self);
+        for key in ["tir.copy", "tir.atomic", "tir.cooperative"] {
+            block.annotations.contains_key(key).hash(self);
+        }
+        match block.annotations.get("tir.exec_scope") {
+            Some(tir::AnnValue::Str(scope)) => Some(scope),
+            _ => None,
+        }
+        .hash(self);
+        for w in &block.writes {
+            is_cooperative_scope(w.buffer.scope())
+                .then_some(&w.buffer)
+                .hash(self);
+        }
+        block.iter_vars.len().hash(self);
+        for iv in &block.iter_vars {
+            (&iv.var, iv.extent, iv.kind).hash(self);
+        }
+        for e in br.iter_values.iter().chain([&br.predicate]) {
+            self.visit_expr(e);
+        }
+    }
+}
+
+/// One remembered verdict of [`Validator::check_block_realize`].
+struct Remembered {
+    key: Box<[u8]>,
+    errors: Vec<ValidationError>,
+    /// The composed bindings, while no walk holds them (see
+    /// [`Validator::visit`]).
+    composed: Vec<Expr>,
+}
+
+/// Validation that remembers, for a caller that validates one program
+/// again and again while it evolves (a sketch speculating step by step).
+///
+/// [`ValidationSession::validate`] is [`validate`] — the same walk, the
+/// same per-loop checks and the same region-cover check on every call —
+/// except that a block whose loop-nest check would read exactly what it
+/// read in an earlier call of the session gets that call's errors
+/// replayed instead. What the check reads is written out as a key that
+/// is compared exactly: the loops above the block (variable, extent, kind — the
+/// thread stack derives from them), its name, bindings, predicate,
+/// iterators, whether it has an `init`, the four annotations the check
+/// looks at, the shared-scope buffers it writes, and which remembered
+/// verdict its enclosing block matched; a re-checked enclosing block is a
+/// new verdict, so everything nested in it is checked again. No primitive
+/// reports what it touched: a block is skipped because its inputs compare
+/// equal, and a program rolled back to an earlier state matches that
+/// state's verdicts again. Debug builds run the check on every match
+/// anyway and assert it says what was remembered. A session is meant to
+/// live as long as one candidate: nothing is shared between programs.
+#[derive(Default)]
+pub struct ValidationSession {
+    remembered: Vec<Remembered>,
+    key: Key,
+}
+
+impl ValidationSession {
+    /// [`validate`], skipping loop-nest checks whose inputs are unchanged
+    /// since an earlier call on this session.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors [`validate`] returns for `func`.
+    pub fn validate(&mut self, func: &PrimFunc) -> Result<(), Vec<ValidationError>> {
+        validate_with(func, Some(self))
+    }
+
+    /// The verdict remembered for what `check_block_realize` would read of
+    /// `br`, and whether it is new: pushed just now, still to be filled in.
+    fn verdict_of(
+        &mut self,
+        parent: usize,
+        loops: &[(Var, i64, ForKind)],
+        br: &BlockRealize,
+    ) -> (usize, bool) {
+        self.key.of_block(parent, loops, br);
+        if let Some(at) = (self.remembered.iter()).position(|r| *r.key == *self.key.0) {
+            return (at, false);
+        }
+        self.remembered.push(Remembered {
+            key: self.key.0.as_slice().into(),
+            errors: Vec::new(),
+            composed: Vec::new(),
+        });
+        (self.remembered.len() - 1, true)
+    }
+}
+
+struct Validator<'a> {
     /// All loops on the current path from the root: (var, extent, kind).
     loops: Vec<(Var, i64, ForKind)>,
     /// Full thread-binding stack: (tag, extent).
     threads: Vec<(ThreadTag, i64)>,
-    /// Enclosing-block iterator variables mapped to their (already
-    /// composed) binding expressions over loop variables. Nested block
-    /// bindings are validated after substituting through this map, which is
-    /// how the isolation boundary is crossed soundly.
-    bind_map: HashMap<Var, Expr>,
+    /// Iterator variables of the enclosing blocks with their (already
+    /// composed) binding expressions over loop variables, innermost last.
+    /// Nested block bindings are validated after substituting through
+    /// them, which is how the isolation boundary is crossed soundly.
+    binds: Vec<(Var, Expr)>,
     errors: Vec<ValidationError>,
+    memo: Option<&'a mut ValidationSession>,
+    /// The remembered verdict of the enclosing block, if there is one.
+    parent: usize,
 }
 
-impl Validator {
+impl Validator<'_> {
     fn visit(&mut self, s: &Stmt) {
         match s {
             Stmt::For(f) => {
@@ -266,25 +403,47 @@ impl Validator {
                 }
             }
             Stmt::BlockRealize(br) => {
-                let composed = self.check_block_realize(br);
-                // Record the composed bindings so nested blocks validate
-                // against real loop variables.
-                let mut saved = Vec::new();
-                for (iv, value) in br.block.iter_vars.iter().zip(composed) {
-                    saved.push((iv.var.clone(), self.bind_map.insert(iv.var.clone(), value)));
+                let first_error = self.errors.len();
+                let verdict = match self.memo.as_deref_mut() {
+                    Some(memo) => Some(memo.verdict_of(self.parent, &self.loops, br)),
+                    None => None,
+                };
+                let mut composed = match (verdict, self.memo.as_deref_mut()) {
+                    (Some((at, false)), Some(memo)) => {
+                        let replayed = &memo.remembered[at].errors;
+                        self.errors.extend(replayed.iter().cloned());
+                        std::mem::take(&mut memo.remembered[at].composed)
+                    }
+                    _ => self.check_block_realize(br),
+                };
+                if cfg!(debug_assertions) && matches!(verdict, Some((_, false))) {
+                    let replayed = self.errors.split_off(first_error);
+                    let fresh = self.check_block_realize(br);
+                    assert!(
+                        fresh == composed && self.errors[first_error..] == replayed[..],
+                        "the remembered verdict of block {} is stale",
+                        br.block.name
+                    );
                 }
+                let own_errors = first_error..self.errors.len();
+                // The composed bindings go on the stack so nested blocks
+                // validate against real loop variables, and come back off
+                // it into the remembered verdict: moved, never copied.
+                let nested_in = verdict.map_or(usize::MAX, |(at, _)| at);
+                let enclosing = std::mem::replace(&mut self.parent, nested_in);
+                let base = self.binds.len();
+                let vars = br.block.iter_vars.iter().map(|iv| iv.var.clone());
+                self.binds.extend(vars.zip(composed.drain(..)));
                 if let Some(init) = &br.block.init {
                     self.visit(init);
                 }
                 self.visit(&br.block.body);
-                for (var, prev) in saved {
-                    match prev {
-                        Some(v) => {
-                            self.bind_map.insert(var, v);
-                        }
-                        None => {
-                            self.bind_map.remove(&var);
-                        }
+                composed.extend(self.binds.drain(base..).map(|(_, value)| value));
+                self.parent = enclosing;
+                if let (Some((at, new)), Some(memo)) = (verdict, self.memo.as_deref_mut()) {
+                    memo.remembered[at].composed = composed;
+                    if new {
+                        memo.remembered[at].errors = self.errors[own_errors].to_vec();
                     }
                 }
             }
@@ -297,10 +456,11 @@ impl Validator {
     fn check_block_realize(&mut self, br: &BlockRealize) -> Vec<Expr> {
         let block = &br.block;
         // Compose bindings through enclosing block boundaries.
+        let bind_map: VarMap<&Expr> = self.binds.iter().map(|(v, e)| (v.clone(), e)).collect();
         let composed: Vec<Expr> = br
             .iter_values
             .iter()
-            .map(|v| simplified(tir::visit::substituted(v.clone(), &self.bind_map)))
+            .map(|v| simplified(tir::visit::substituted(v.clone(), &bind_map)))
             .collect();
         let dom: Vec<(Var, i64)> = self.loops.iter().map(|(v, e, _)| (v.clone(), *e)).collect();
         // Re-executing a block instance is sound (idempotent) unless it is
@@ -524,11 +684,17 @@ pub fn check_region_cover(func: &PrimFunc) -> Vec<ValidationError> {
 
 /// Runs loop-nest validation and threading validation on a function.
 pub fn check_loop_nests(func: &PrimFunc) -> Vec<ValidationError> {
+    loop_nest_errors(func, None)
+}
+
+fn loop_nest_errors(func: &PrimFunc, memo: Option<&mut ValidationSession>) -> Vec<ValidationError> {
     let mut v = Validator {
         loops: Vec::new(),
         threads: Vec::new(),
-        bind_map: Default::default(),
+        binds: Vec::new(),
         errors: Vec::new(),
+        memo,
+        parent: usize::MAX,
     };
     v.visit(&func.body);
     v.errors
@@ -541,7 +707,14 @@ pub fn check_loop_nests(func: &PrimFunc) -> Vec<ValidationError> {
 /// Returns every violation found; an empty `Ok(())` means the program
 /// passed loop-nest, threading, and region-cover validation.
 pub fn validate(func: &PrimFunc) -> Result<(), Vec<ValidationError>> {
-    let mut errors = check_loop_nests(func);
+    validate_with(func, None)
+}
+
+fn validate_with(
+    func: &PrimFunc,
+    memo: Option<&mut ValidationSession>,
+) -> Result<(), Vec<ValidationError>> {
+    let mut errors = loop_nest_errors(func, memo);
     errors.extend(check_region_cover(func));
     if errors.is_empty() {
         Ok(())
@@ -959,5 +1132,185 @@ mod atomic_tests {
                 .any(|e| matches!(e, ValidationError::ReductionOnParallelLoop { .. })),
             "{errors:?}"
         );
+    }
+}
+
+/// Remembered ≡ fresh on hand-built programs: each is valid at first and
+/// is then broken by one edit inside the same session, whose verdict must
+/// equal a fresh [`validate`] of the same program error for error. (Debug
+/// builds also re-run the check on every remembered block; these
+/// comparisons hold in release builds too, where nothing else does.)
+#[cfg(test)]
+mod session_tests {
+    use super::*;
+    use tir::builder::matmul_func;
+    use tir::{AnnValue, Buffer, DataType, IterVar};
+
+    /// Calls `f` on every statement below the root block, outermost first.
+    fn edit(func: &mut PrimFunc, f: &mut dyn FnMut(&mut Stmt)) {
+        fn walk(s: &mut Stmt, f: &mut dyn FnMut(&mut Stmt)) {
+            f(s);
+            match s {
+                Stmt::For(l) => walk(&mut l.body, f),
+                Stmt::Seq(v) => v.iter_mut().for_each(|st| walk(st, f)),
+                Stmt::BlockRealize(br) => walk(&mut br.block.body, f),
+                _ => {}
+            }
+        }
+        walk(&mut func.root_block_mut().expect("root block").body, f);
+    }
+
+    /// The session's verdict, after checking it against a fresh one.
+    fn agreed(session: &mut ValidationSession, func: &PrimFunc) -> Vec<ValidationError> {
+        let remembered = session.validate(func);
+        assert_eq!(remembered, validate(func), "remembered != fresh on\n{func}");
+        remembered.err().unwrap_or_default()
+    }
+
+    /// A block `name` storing `out[v] = 0` for one spatial iterator `v`.
+    fn store_block(name: &str, out: &Buffer, extent: i64) -> Block {
+        let v = Var::int("v");
+        let body = Stmt::store(out.clone(), vec![Expr::from(&v)], Expr::f32(0.0));
+        let iter_vars = vec![IterVar::spatial(v, extent)];
+        Block::new(name, iter_vars, vec![], vec![out.full_region()], body)
+    }
+
+    #[test]
+    fn reduction_bound_to_a_parallel_loop() {
+        let mut func = matmul_func("mm", 8, 8, 8, DataType::float32());
+        let mut session = ValidationSession::default();
+        assert!(agreed(&mut session, &func).is_empty());
+        let verdicts = session.remembered.len();
+        assert!(agreed(&mut session, &func).is_empty());
+        assert_eq!(
+            session.remembered.len(),
+            verdicts,
+            "a second look re-checks nothing"
+        );
+        let set_reduce_loop = |func: &mut PrimFunc, kind: ForKind| {
+            edit(func, &mut |s| match s {
+                Stmt::For(l) if matches!(l.body, Stmt::BlockRealize(_)) => l.kind = kind,
+                _ => {}
+            })
+        };
+        set_reduce_loop(&mut func, ForKind::Parallel);
+        let errors = agreed(&mut session, &func);
+        assert!(
+            matches!(
+                errors[..],
+                [ValidationError::ReductionOnParallelLoop { .. }]
+            ),
+            "{errors:?}"
+        );
+        // Back to the first state: its verdicts are still there.
+        set_reduce_loop(&mut func, ForKind::Serial);
+        let verdicts = session.remembered.len();
+        assert!(agreed(&mut session, &func).is_empty());
+        assert_eq!(session.remembered.len(), verdicts);
+    }
+
+    #[test]
+    fn binding_beyond_its_domain_once_the_guard_is_gone() {
+        // v = i0 * 8 + i1 sweeps 32 points of a 30-wide domain.
+        let out = Buffer::new("O", DataType::float32(), vec![30]);
+        let (i0, i1) = (Var::int("i0"), Var::int("i1"));
+        let block = store_block("b", &out, 30);
+        let binding = Expr::from(&i0) * 8 + Expr::from(&i1);
+        let realize = BlockRealize::with_predicate(vec![binding.clone()], binding.lt(30), block);
+        let nest = Stmt::BlockRealize(Box::new(realize)).in_loops(vec![(i0, 4), (i1, 8)]);
+        let mut func = PrimFunc::new("f", vec![out], nest);
+        let mut session = ValidationSession::default();
+        assert!(agreed(&mut session, &func).is_empty());
+        edit(&mut func, &mut |s| {
+            if let Stmt::BlockRealize(br) = s {
+                br.predicate = Expr::true_();
+            }
+        });
+        let errors = agreed(&mut session, &func);
+        assert!(
+            matches!(errors[..], [ValidationError::DomainMismatch { .. }]),
+            "{errors:?}"
+        );
+    }
+
+    #[test]
+    fn cooperative_fetch_once_the_annotation_is_gone() {
+        let shared = Buffer::with_scope("S", DataType::float32(), vec![8], MemScope::Shared);
+        let (t, ax) = (Var::int("t"), Var::int("ax"));
+        let mut block = store_block("S_copy", &shared, 8);
+        (block.annotations).insert("tir.cooperative".into(), AnnValue::Int(32));
+        // The copy loops over `ax` inside a threadIdx loop it does not consume.
+        let realize = BlockRealize::new(vec![Expr::from(&ax)], block);
+        let inner = Stmt::BlockRealize(Box::new(realize)).in_loop(ax, 8);
+        let kind = ForKind::ThreadBinding(ThreadTag::ThreadIdxX);
+        let nest = Stmt::For(Box::new(tir::For::with_kind(t, 32, kind, inner)));
+        let mut func = PrimFunc::new("f", vec![], nest);
+        let mut session = ValidationSession::default();
+        assert!(agreed(&mut session, &func).is_empty());
+        edit(&mut func, &mut |s| {
+            if let Stmt::BlockRealize(br) = s {
+                br.block.annotations.remove("tir.cooperative");
+            }
+        });
+        let errors = agreed(&mut session, &func);
+        assert!(
+            matches!(errors[..], [ValidationError::CooperativeFetch { .. }]),
+            "{errors:?}"
+        );
+    }
+
+    /// An inner block bound through its parent's iterator: the parent's
+    /// loop is re-split legally, then only the parent's binding is broken.
+    /// Nothing the inner block holds itself changes in the second edit, and
+    /// it must be checked again all the same.
+    #[test]
+    fn nested_block_under_a_re_split_parent() {
+        let out = Buffer::new("O", DataType::float32(), vec![16]);
+        let (i, j) = (Var::int("i"), Var::int("j"));
+        let inner = store_block("inner", &out, 16);
+        let vo = Var::int("vo");
+        let inner = BlockRealize::new(vec![Expr::from(&vo) * 4 + Expr::from(&j)], inner);
+        let outer = Block::new(
+            "outer",
+            vec![IterVar::spatial(vo, 4)],
+            vec![],
+            vec![out.full_region()],
+            Stmt::BlockRealize(Box::new(inner)).in_loop(j, 4),
+        );
+        let outer = BlockRealize::new(vec![Expr::from(&i)], outer);
+        let nest = Stmt::BlockRealize(Box::new(outer)).in_loop(i.clone(), 4);
+        let mut func = PrimFunc::new("f", vec![out], nest);
+        let mut session = ValidationSession::default();
+        assert!(agreed(&mut session, &func).is_empty());
+
+        let (i0, i1) = (Var::int("i0"), Var::int("i1"));
+        let resplit = Expr::from(&i0) * 2 + Expr::from(&i1);
+        edit(&mut func, &mut |s| match s {
+            Stmt::For(l) if l.var == i => {
+                let mut body = std::mem::replace(&mut l.body, Stmt::Seq(vec![]));
+                if let Stmt::BlockRealize(br) = &mut body {
+                    br.iter_values = vec![resplit.clone()];
+                }
+                *s = body.in_loops(vec![(i0.clone(), 2), (i1.clone(), 2)]);
+            }
+            _ => {}
+        });
+        assert!(agreed(&mut session, &func).is_empty());
+
+        edit(&mut func, &mut |s| match s {
+            Stmt::BlockRealize(br) if br.block.name == "outer" => {
+                br.iter_values = vec![Expr::from(&i0) * 2 + Expr::from(&i1) * 2];
+            }
+            _ => {}
+        });
+        let errors = agreed(&mut session, &func);
+        let blames = |name: &str| {
+            errors.iter().any(|e| match e {
+                ValidationError::LoopNest { block, .. }
+                | ValidationError::DomainMismatch { block, .. } => block == name,
+                _ => false,
+            })
+        };
+        assert!(blames("outer") && blames("inner"), "{errors:?}");
     }
 }

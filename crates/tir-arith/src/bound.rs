@@ -1,9 +1,7 @@
 //! Constant interval analysis over integer expressions.
 
-use std::collections::HashMap;
-
 use tir::simplify::{floor_div_i64, floor_mod_i64};
-use tir::{BinOp, CmpOp, Expr, Var};
+use tir::{BinOp, CmpOp, Expr, VarMap};
 
 /// An inclusive integer interval `[min, max]`.
 ///
@@ -138,7 +136,7 @@ fn bound_floormod(a: IntBound, b: IntBound) -> IntBound {
 ///
 /// Variables missing from `vars` are treated as unbounded. Boolean
 /// subexpressions evaluate to `[0, 1]`.
-pub fn bound_of(expr: &Expr, vars: &HashMap<Var, IntBound>) -> IntBound {
+pub fn bound_of(expr: &Expr, vars: &VarMap<IntBound>) -> IntBound {
     match expr {
         Expr::Int(v, _) => IntBound::single(*v),
         Expr::Float(..) | Expr::Str(_) => IntBound::everything(),
@@ -201,8 +199,9 @@ pub fn bound_of(expr: &Expr, vars: &HashMap<Var, IntBound>) -> IntBound {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tir::Var;
 
-    fn env(pairs: &[(&Var, (i64, i64))]) -> HashMap<Var, IntBound> {
+    fn env(pairs: &[(&Var, (i64, i64))]) -> VarMap<IntBound> {
         pairs
             .iter()
             .map(|(v, (lo, hi))| ((*v).clone(), IntBound::new(*lo, *hi)))

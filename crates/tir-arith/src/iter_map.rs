@@ -15,10 +15,9 @@
 //! encoding), which is how fuse-then-split expressions like
 //! `(i * 16 + j) // 4` are recognized.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use tir::{BinOp, Expr, Var};
+use tir::{BinOp, Expr, Var, VarMap};
 
 /// One split piece of a loop variable:
 /// `((var // lower_factor) % extent) * scale`.
@@ -259,7 +258,7 @@ fn split_at(sum: IterSum, c: i64, div: bool) -> Result<IterSum> {
 }
 
 /// Normalizes an expression into an [`IterSum`] over the given loop domains.
-pub fn normalize(expr: &Expr, dom: &HashMap<Var, i64>) -> Result<IterSum> {
+pub fn normalize(expr: &Expr, dom: &VarMap<i64>) -> Result<IterSum> {
     match expr {
         Expr::Int(v, _) => Ok(IterSum::constant(*v)),
         Expr::Var(v) => {
@@ -398,10 +397,10 @@ pub fn detect_iter_map_with(
     dom: &[(Var, i64)],
     mode: CoverMode,
 ) -> Result<IterMap> {
-    let env: HashMap<Var, i64> = dom.iter().cloned().collect();
+    let env: VarMap<i64> = dom.iter().cloned().collect();
     let mut sums = Vec::with_capacity(bindings.len());
     let mut extents = Vec::with_capacity(bindings.len());
-    let mut pieces_by_var: HashMap<Var, Vec<(i64, i64)>> = HashMap::new();
+    let mut pieces_by_var: VarMap<Vec<(i64, i64)>> = VarMap::default();
 
     for b in bindings {
         let sum = normalize(b, &env)?;
@@ -463,7 +462,7 @@ pub fn detect_iter_map_with(
 
 /// Evaluates an [`IterSum`] on concrete loop values — the reference
 /// semantics used by the property tests.
-pub fn eval_iter_sum(sum: &IterSum, values: &HashMap<Var, i64>) -> i64 {
+pub fn eval_iter_sum(sum: &IterSum, values: &VarMap<i64>) -> i64 {
     let mut acc = sum.base;
     for t in &sum.terms {
         let v = values[&t.var];
@@ -656,8 +655,7 @@ mod tests {
             detect_iter_map(&[fused.clone().floor_div(4), fused.floor_mod(4)], &dom).expect("map");
         for iv in 0..8 {
             for jv in 0..16 {
-                let values: HashMap<Var, i64> =
-                    [(i.clone(), iv), (j.clone(), jv)].into_iter().collect();
+                let values: VarMap<i64> = [(i.clone(), iv), (j.clone(), jv)].into_iter().collect();
                 let fused_v = iv * 16 + jv;
                 assert_eq!(eval_iter_sum(&map.sums[0], &values), fused_v / 4);
                 assert_eq!(eval_iter_sum(&map.sums[1], &values), fused_v % 4);
@@ -668,7 +666,7 @@ mod tests {
     #[test]
     fn normalize_display() {
         let i = v("i");
-        let dom: HashMap<Var, i64> = [(i.clone(), 16)].into_iter().collect();
+        let dom: VarMap<i64> = [(i.clone(), 16)].into_iter().collect();
         let s = normalize(&Expr::from(&i).floor_div(4), &dom).expect("normalize");
         assert!(s.to_string().contains("// 4"), "{s}");
     }

@@ -7,15 +7,13 @@
 //! dependencies (the ranges are small enough to enumerate completely,
 //! which is strictly stronger than sampling).
 
-use std::collections::HashMap;
-
 use tir::simplify::{floor_div_i64, floor_mod_i64};
-use tir::{BinOp, Expr, Var};
+use tir::{BinOp, Expr, Var, VarMap};
 use tir_arith::bound::{bound_of, IntBound};
 use tir_arith::iter_map::{detect_iter_map, eval_iter_sum};
 
 /// Little-int expression evaluator for soundness checks.
-fn eval(e: &Expr, env: &HashMap<Var, i64>) -> Option<i64> {
+fn eval(e: &Expr, env: &VarMap<i64>) -> Option<i64> {
     Some(match e {
         Expr::Int(v, _) => *v,
         Expr::Var(v) => *env.get(v)?,
@@ -97,7 +95,7 @@ fn fuse_split_detected_and_exact() {
                     for iv in 0..e1 {
                         for jv in 0..e2 {
                             for kv in 0..e3 {
-                                let env: HashMap<Var, i64> =
+                                let env: VarMap<i64> =
                                     [(i.clone(), iv), (j.clone(), jv), (k.clone(), kv)]
                                         .into_iter()
                                         .collect();
@@ -139,7 +137,7 @@ fn bound_of_is_sound() {
                     .floor_mod(c)
                     .max(Expr::from(&vy) - 3)
                     .min(Expr::from(&vx) + a);
-                let bounds: HashMap<Var, IntBound> = [
+                let bounds: VarMap<IntBound> = [
                     (vx.clone(), IntBound::new(0, 15)),
                     (vy.clone(), IntBound::new(0, 7)),
                 ]
@@ -148,7 +146,7 @@ fn bound_of_is_sound() {
                 let bound = bound_of(&e, &bounds);
                 for x in 0i64..16 {
                     for y in 0i64..8 {
-                        let env: HashMap<Var, i64> =
+                        let env: VarMap<i64> =
                             [(vx.clone(), x), (vy.clone(), y)].into_iter().collect();
                         let v = eval(&e, &env).expect("no division by zero here");
                         assert!(
@@ -190,7 +188,7 @@ fn simplify_preserves_value() {
                     let simplified = tir::simplify::simplified(e.clone());
                     for x in (0i64..12).step_by(3) {
                         for y in (0i64..12).step_by(3) {
-                            let env: HashMap<Var, i64> =
+                            let env: VarMap<i64> =
                                 [(vx.clone(), x), (vy.clone(), y)].into_iter().collect();
                             let before = eval(&e, &env);
                             let after = eval(&simplified, &env);

@@ -24,71 +24,100 @@ pub struct RegressionTree {
     nodes: Vec<Node>,
 }
 
+/// What the trees of one refit share: the samples, and per feature the
+/// sample indices by ascending value, equal values in index order — the
+/// order a stable sort of any ascending index list by that feature gives.
+/// Feature values never change within a refit, so each column is sorted
+/// once instead of at every node of every round.
+struct Columns<'a> {
+    data: &'a [(Vec<f64>, f64)],
+    order: Vec<Vec<usize>>,
+}
+
+impl<'a> Columns<'a> {
+    fn new(data: &'a [(Vec<f64>, f64)]) -> Self {
+        let width = data.first().map_or(0, |(x, _)| x.len());
+        let order = (0..width)
+            .map(|f| {
+                let mut sorted: Vec<usize> = (0..data.len()).collect();
+                sorted.sort_by(|&a, &b| {
+                    data[a].0[f]
+                        .partial_cmp(&data[b].0[f])
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+                sorted
+            })
+            .collect();
+        Columns { data, order }
+    }
+}
+
 impl RegressionTree {
-    fn fit(data: &[(&[f64], f64)], max_depth: usize, min_leaf: usize) -> Self {
+    fn fit(cols: &Columns, targets: &[f64], max_depth: usize, min_leaf: usize) -> Self {
         let mut tree = RegressionTree { nodes: Vec::new() };
-        let idx: Vec<usize> = (0..data.len()).collect();
-        tree.build(data, &idx, max_depth, min_leaf);
+        let idx: Vec<usize> = (0..targets.len()).collect();
+        let mut member = vec![false; targets.len()];
+        tree.build(cols, targets, &mut member, &idx, max_depth, min_leaf);
         tree
     }
 
+    /// Grows the subtree over the samples `idx` (ascending). A node reads
+    /// its samples in feature order by filtering the refit's sorted column
+    /// on `member`, so ties fall, and `left_sum` adds, exactly as in a
+    /// stable sort of `idx` itself.
     fn build(
         &mut self,
-        data: &[(&[f64], f64)],
+        cols: &Columns,
+        targets: &[f64],
+        member: &mut [bool],
         idx: &[usize],
         depth: usize,
         min_leaf: usize,
     ) -> usize {
-        let mean = idx.iter().map(|&i| data[i].1).sum::<f64>() / idx.len().max(1) as f64;
+        let mean = idx.iter().map(|&i| targets[i]).sum::<f64>() / idx.len().max(1) as f64;
         if depth == 0 || idx.len() < 2 * min_leaf {
             self.nodes.push(Node::Leaf(mean));
             return self.nodes.len() - 1;
         }
-        let num_features = data[idx[0]].0.len();
-        let total_sum: f64 = idx.iter().map(|&i| data[i].1).sum();
+        let total_sum: f64 = idx.iter().map(|&i| targets[i]).sum();
         let n = idx.len() as f64;
         let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
-        for f in 0..num_features {
-            let mut sorted: Vec<usize> = idx.to_vec();
-            sorted.sort_by(|&a, &b| {
-                data[a].0[f]
-                    .partial_cmp(&data[b].0[f])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+        idx.iter().for_each(|&i| member[i] = true);
+        for (f, order) in cols.order.iter().enumerate() {
+            let value = |i: usize| cols.data[i].0[f];
             let mut left_sum = 0.0;
-            for (pos, &i) in sorted.iter().enumerate() {
-                left_sum += data[i].1;
-                let nl = (pos + 1) as f64;
-                let nr = n - nl;
-                if (pos + 1) < min_leaf || (idx.len() - pos - 1) < min_leaf {
-                    continue;
+            let mut prev: Option<usize> = None;
+            for (seen, &ni) in order.iter().filter(|&&i| member[i]).enumerate() {
+                // A split between `i`, the last of the `seen` samples so
+                // far, and its successor `ni` in this node.
+                if let Some(i) = prev.filter(|&i| value(i) != value(ni)) {
+                    if seen >= min_leaf && idx.len() - seen >= min_leaf {
+                        let (nl, nr) = (seen as f64, n - seen as f64);
+                        // Variance-reduction gain (up to constants).
+                        let gain = left_sum * left_sum / nl + (total_sum - left_sum).powi(2) / nr
+                            - total_sum * total_sum / n;
+                        let threshold = 0.5 * (value(i) + value(ni));
+                        if best.map(|(g, _, _)| gain > g).unwrap_or(gain > 1e-12) {
+                            best = Some((gain, f, threshold));
+                        }
+                    }
                 }
-                let next = sorted.get(pos + 1);
-                let (Some(&ni), true) = (next, pos + 1 < sorted.len()) else {
-                    continue;
-                };
-                if data[i].0[f] == data[ni].0[f] {
-                    continue; // can't split between equal values
-                }
-                // Variance-reduction gain (up to constants).
-                let gain = left_sum * left_sum / nl + (total_sum - left_sum).powi(2) / nr
-                    - total_sum * total_sum / n;
-                let threshold = 0.5 * (data[i].0[f] + data[ni].0[f]);
-                if best.map(|(g, _, _)| gain > g).unwrap_or(gain > 1e-12) {
-                    best = Some((gain, f, threshold));
-                }
+                left_sum += targets[ni];
+                prev = Some(ni);
             }
         }
+        idx.iter().for_each(|&i| member[i] = false);
         let Some((_, feature, threshold)) = best else {
             self.nodes.push(Node::Leaf(mean));
             return self.nodes.len() - 1;
         };
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-            idx.iter().partition(|&&i| data[i].0[feature] <= threshold);
+        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = idx
+            .iter()
+            .partition(|&&i| cols.data[i].0[feature] <= threshold);
         let node_pos = self.nodes.len();
         self.nodes.push(Node::Leaf(0.0)); // placeholder
-        let left = self.build(data, &left_idx, depth - 1, min_leaf);
-        let right = self.build(data, &right_idx, depth - 1, min_leaf);
+        let left = self.build(cols, targets, member, &left_idx, depth - 1, min_leaf);
+        let right = self.build(cols, targets, member, &right_idx, depth - 1, min_leaf);
         self.nodes[node_pos] = Node::Split {
             feature,
             threshold,
@@ -168,8 +197,17 @@ impl CostModel {
     }
 
     /// Adds measured samples and refits the ensemble.
+    ///
+    /// The first sample the model ever sees fixes its feature width. Any
+    /// later vector is resized to it: a missing feature reads `0.0`, which
+    /// is what [`CostModel::predict`] assumes for a short vector, and the
+    /// model has no column for a feature beyond the width.
     pub fn update(&mut self, samples: impl IntoIterator<Item = (Vec<f64>, f64)>) {
-        self.data.extend(samples);
+        for (mut x, y) in samples {
+            let width = self.data.first().map_or(x.len(), |(first, _)| first.len());
+            x.resize(width, 0.0);
+            self.data.push((x, y));
+        }
         self.fit();
     }
 
@@ -181,14 +219,9 @@ impl CostModel {
         }
         self.base = self.data.iter().map(|(_, y)| *y).sum::<f64>() / self.data.len() as f64;
         let mut residuals: Vec<f64> = self.data.iter().map(|(_, y)| y - self.base).collect();
+        let cols = Columns::new(&self.data);
         for _ in 0..self.num_rounds {
-            let pairs: Vec<(&[f64], f64)> = self
-                .data
-                .iter()
-                .zip(&residuals)
-                .map(|((x, _), r)| (x.as_slice(), *r))
-                .collect();
-            let tree = RegressionTree::fit(&pairs, self.max_depth, 2);
+            let tree = RegressionTree::fit(&cols, &residuals, self.max_depth, 2);
             let mut improved = false;
             for (i, (x, _)) in self.data.iter().enumerate() {
                 let p = tree.predict(x) * self.learning_rate;
@@ -202,6 +235,8 @@ impl CostModel {
                 break;
             }
         }
+        #[cfg(test)]
+        tests::assert_same_as_per_node_sort(self);
     }
 
     /// Predicts the score of a feature vector (higher = faster).
@@ -245,6 +280,227 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Refits this thread compared against the oracle below.
+        static REFITS_CHECKED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The tree builder as it was before a refit sorted each feature
+    /// column once: every node copies and stable-sorts its own indices, per
+    /// feature. Kept only as the oracle of `build`.
+    fn build_per_node_sort(
+        tree: &mut RegressionTree,
+        data: &[(&[f64], f64)],
+        idx: &[usize],
+        depth: usize,
+        min_leaf: usize,
+    ) -> usize {
+        let mean = idx.iter().map(|&i| data[i].1).sum::<f64>() / idx.len().max(1) as f64;
+        if depth == 0 || idx.len() < 2 * min_leaf {
+            tree.nodes.push(Node::Leaf(mean));
+            return tree.nodes.len() - 1;
+        }
+        let num_features = data[idx[0]].0.len();
+        let total_sum: f64 = idx.iter().map(|&i| data[i].1).sum();
+        let n = idx.len() as f64;
+        let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
+        for f in 0..num_features {
+            let mut sorted: Vec<usize> = idx.to_vec();
+            sorted.sort_by(|&a, &b| {
+                data[a].0[f]
+                    .partial_cmp(&data[b].0[f])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            let mut left_sum = 0.0;
+            for (pos, &i) in sorted.iter().enumerate() {
+                left_sum += data[i].1;
+                let nl = (pos + 1) as f64;
+                let nr = n - nl;
+                if (pos + 1) < min_leaf || (idx.len() - pos - 1) < min_leaf {
+                    continue;
+                }
+                let next = sorted.get(pos + 1);
+                let (Some(&ni), true) = (next, pos + 1 < sorted.len()) else {
+                    continue;
+                };
+                if data[i].0[f] == data[ni].0[f] {
+                    continue; // can't split between equal values
+                }
+                // Variance-reduction gain (up to constants).
+                let gain = left_sum * left_sum / nl + (total_sum - left_sum).powi(2) / nr
+                    - total_sum * total_sum / n;
+                let threshold = 0.5 * (data[i].0[f] + data[ni].0[f]);
+                if best.map(|(g, _, _)| gain > g).unwrap_or(gain > 1e-12) {
+                    best = Some((gain, f, threshold));
+                }
+            }
+        }
+        let Some((_, feature, threshold)) = best else {
+            tree.nodes.push(Node::Leaf(mean));
+            return tree.nodes.len() - 1;
+        };
+        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
+            idx.iter().partition(|&&i| data[i].0[feature] <= threshold);
+        let node_pos = tree.nodes.len();
+        tree.nodes.push(Node::Leaf(0.0)); // placeholder
+        let left = build_per_node_sort(tree, data, &left_idx, depth - 1, min_leaf);
+        let right = build_per_node_sort(tree, data, &right_idx, depth - 1, min_leaf);
+        tree.nodes[node_pos] = Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        };
+        node_pos
+    }
+
+    /// The refit around it, likewise as it was: `model`'s samples and
+    /// hyperparameters, trees from the oracle builder.
+    fn fit_per_node_sort(model: &CostModel) -> CostModel {
+        let mut oracle = CostModel {
+            trees: Vec::new(),
+            ..model.clone()
+        };
+        let mut residuals: Vec<f64> = (oracle.data.iter()).map(|(_, y)| y - oracle.base).collect();
+        for _ in 0..oracle.num_rounds {
+            let pairs: Vec<(&[f64], f64)> = (oracle.data.iter().zip(&residuals))
+                .map(|((x, _), r)| (x.as_slice(), *r))
+                .collect();
+            let mut tree = RegressionTree { nodes: Vec::new() };
+            let idx: Vec<usize> = (0..pairs.len()).collect();
+            build_per_node_sort(&mut tree, &pairs, &idx, oracle.max_depth, 2);
+            let mut improved = false;
+            for (i, (x, _)) in oracle.data.iter().enumerate() {
+                let p = tree.predict(x) * oracle.learning_rate;
+                improved |= p != 0.0;
+                residuals[i] -= p;
+            }
+            oracle.trees.push(tree);
+            if !improved {
+                break;
+            }
+        }
+        oracle
+    }
+
+    /// Every number of a fitted model, as bits.
+    fn model_bits(model: &CostModel) -> Vec<Vec<u64>> {
+        let tree_bits = |tree: &RegressionTree| {
+            (tree.nodes.iter())
+                .flat_map(|node| match *node {
+                    Node::Leaf(v) => vec![0, v.to_bits()],
+                    Node::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                    } => vec![
+                        1,
+                        feature as u64,
+                        threshold.to_bits(),
+                        left as u64,
+                        right as u64,
+                    ],
+                })
+                .collect()
+        };
+        let mut bits = vec![vec![model.base.to_bits()]];
+        bits.extend(model.trees.iter().map(tree_bits));
+        bits
+    }
+
+    /// Called by every `CostModel::fit` of a test build: the model just
+    /// fitted equals, node for node and bit for bit, what the per-node-sort
+    /// builder makes of the same samples.
+    pub(super) fn assert_same_as_per_node_sort(model: &CostModel) {
+        if model.data.is_empty() {
+            return;
+        }
+        assert_eq!(model_bits(model), model_bits(&fit_per_node_sort(model)));
+        REFITS_CHECKED.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Equivalence (iii): the refits of the 40 golden tunes (the rows of
+    /// `tests/tune_golden.rs`), sample sequence by sample sequence, and a
+    /// synthetic set in which every column repeats values, where only the
+    /// tie order keeps the running sums equal.
+    #[test]
+    fn presorted_fit_equals_per_node_sort_fit() {
+        use crate::{tune_workload, Strategy, TuneOptions};
+        use tir::DataType;
+        use tir_exec::machine::Machine;
+        use tir_workloads::{bench_suite, OpKind};
+
+        let reg = tir_tensorize::builtin_registry();
+        let targets = [
+            (Machine::sim_gpu(), DataType::float16()),
+            (Machine::sim_arm(), DataType::int8()),
+        ];
+        let before = REFITS_CHECKED.with(Cell::get);
+        let mut tunes = 0;
+        for (machine, dtype) in &targets {
+            let cases = bench_suite(*dtype).into_iter().filter(|c| {
+                *dtype == DataType::float16() || matches!(c.kind, OpKind::GMM | OpKind::C2D)
+            });
+            for case in cases {
+                for (trials, seed) in [(64, 1), (64, 2), (64, 3), (16, 1)] {
+                    let opts = TuneOptions {
+                        trials,
+                        seed,
+                        num_threads: 1,
+                        ..Default::default()
+                    };
+                    tune_workload(&case.func, machine, &reg, Strategy::TensorIr, &opts);
+                    tunes += 1;
+                }
+            }
+        }
+        assert_eq!(tunes, 40);
+        let checked = REFITS_CHECKED.with(Cell::get) - before;
+        assert!(checked >= 40 * 2, "only {checked} refits were compared");
+
+        // Duplicated values in every column, 16 columns, growing sample set.
+        let mut model = CostModel::new();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |modulus: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % modulus) as f64
+        };
+        for _ in 0..8 {
+            let batch: Vec<(Vec<f64>, f64)> = (0..8)
+                .map(|_| {
+                    let x: Vec<f64> = (0..16).map(|_| next(4) * 0.25).collect();
+                    let y = x[0] * 3.0 - x[5] + next(1000) / 1000.0;
+                    (x, y)
+                })
+                .collect();
+            model.update(batch);
+            let oracle = fit_per_node_sort(&model);
+            assert_eq!(model_bits(&model), model_bits(&oracle));
+            for _ in 0..125 {
+                let x: Vec<f64> = (0..16).map(|_| next(9) * 0.125).collect();
+                assert_eq!(model.predict(&x).to_bits(), oracle.predict(&x).to_bits());
+            }
+        }
+        assert!(model.has_split());
+    }
+
+    #[test]
+    fn feature_width_is_fixed_by_the_first_sample() {
+        let mut m = CostModel::new();
+        m.update((0..8).map(|i| (vec![f64::from(i), 1.0], f64::from(i % 3))));
+        // A narrower sample deeper in a node used to index out of bounds,
+        // a wider one was ignored only if it was not the node's first.
+        m.update([(vec![9.0], 4.0), (vec![2.0, 1.0, 7.0], 0.5)]);
+        assert_eq!(m.num_samples(), 10);
+        assert!(m.data.iter().all(|(x, _)| x.len() == 2));
+        assert_eq!(m.data[8].0, [9.0, 0.0]);
+        assert_eq!(m.predict(&[9.0]), m.predict(&[9.0, 0.0]));
+    }
 
     fn synthetic(n: usize) -> Vec<(Vec<f64>, f64)> {
         // y = 3*x0 - 2*x1 + step(x2 > 0.5)
@@ -291,9 +547,9 @@ mod tests {
         let mut m = CostModel::new();
         assert!(!m.has_split());
         // Distinct features, one target: nothing to split on.
-        m.update((0..8).map(|i| (vec![f64::from(i), 1.0], 2.5)));
+        m.update((0..8).map(|i| (vec![f64::from(i), 1.0, 0.5], 2.5)));
         assert!(!m.has_split());
-        assert_eq!(m.predict(&[0.0, 1.0]), m.predict(&[7.0, -3.0]));
+        assert_eq!(m.predict(&[0.0, 1.0, 0.5]), m.predict(&[7.0, -3.0, 2.0]));
         // Distinct targets but identical features: no threshold exists.
         let mut same_x = CostModel::new();
         same_x.update((0..8).map(|i| (vec![1.0, 1.0], f64::from(i))));
@@ -319,8 +575,8 @@ mod tests {
             (vec![0.9], 5.0),
             (vec![1.0], 5.0),
         ];
-        let pairs: Vec<(&[f64], f64)> = data.iter().map(|(x, y)| (x.as_slice(), *y)).collect();
-        let t = RegressionTree::fit(&pairs, 2, 1);
+        let targets: Vec<f64> = data.iter().map(|(_, y)| *y).collect();
+        let t = RegressionTree::fit(&Columns::new(&data), &targets, 2, 1);
         assert!((t.predict(&[0.05]) - 1.0).abs() < 1e-9);
         assert!((t.predict(&[0.95]) - 5.0).abs() < 1e-9);
     }

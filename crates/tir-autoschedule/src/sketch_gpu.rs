@@ -34,13 +34,11 @@ pub(crate) fn aligned_cuts(extents: &[i64], cap: i64) -> Vec<i64> {
     let mut cuts = vec![1i64];
     let mut radix = 1i64;
     for &e in extents.iter().rev() {
+        // `radix * d` only grows with `d`: past the cap nothing is kept.
         let mut d = 1;
-        while d <= e {
-            if e % d == 0 {
-                let cut = radix * d;
-                if cut <= cap && !cuts.contains(&cut) {
-                    cuts.push(cut);
-                }
+        while d <= e && radix * d <= cap {
+            if e % d == 0 && !cuts.contains(&(radix * d)) {
+                cuts.push(radix * d);
             }
             d += 1;
         }
@@ -49,6 +47,8 @@ pub(crate) fn aligned_cuts(extents: &[i64], cap: i64) -> Vec<i64> {
             break;
         }
     }
+    #[cfg(test)]
+    tests::assert_every_divisor_scan_agrees(extents, cap, &cuts);
     cuts
 }
 
@@ -330,6 +330,15 @@ impl SketchRule for GpuScalarSketch {
 
     fn apply(&self, decisions: &[Decision]) -> Result<PrimFunc, ScheduleError> {
         let mut sch = self.base.clone();
+        // Every validation of this candidate, speculative and final, goes
+        // through one session: a step re-checks the blocks it changed.
+        let mut validation = tir_analysis::ValidationSession::default();
+        let mut validate = |func: &PrimFunc| {
+            let verdict = validation.validate(func);
+            #[cfg(test)]
+            tests::assert_fresh_verdict(func, &verdict);
+            verdict
+        };
         let per_block: Vec<&[Decision]> = decisions.chunks(3).collect();
         for ((name, n_spatial, n_reduce), d) in self.blocks.iter().zip(per_block) {
             let block = sch.get_block(name)?;
@@ -380,9 +389,9 @@ impl SketchRule for GpuScalarSketch {
                 // index coefficients (e.g. T2D's flipped kernel) cannot be
                 // staged soundly, so keep a step only if the program still
                 // validates.
-                let attempt = |sch: &mut Schedule, f: &dyn Fn(&mut Schedule) -> bool| {
+                let mut attempt = |sch: &mut Schedule, f: &dyn Fn(&mut Schedule) -> bool| {
                     let backup = sch.clone();
-                    if !f(sch) || tir_analysis::validate(sch.func()).is_err() {
+                    if !f(sch) || validate(sch.func()).is_err() {
                         *sch = backup;
                     }
                 };
@@ -415,8 +424,7 @@ impl SketchRule for GpuScalarSketch {
                 }
             }
         }
-        tir_analysis::validate(sch.func())
-            .map_err(|e| ScheduleError::Invalid(format!("{}", e[0])))?;
+        validate(sch.func()).map_err(|e| ScheduleError::Invalid(format!("{}", e[0])))?;
         Ok(sch.into_func())
     }
 }
@@ -430,6 +438,82 @@ mod tests {
     use tir_rand::rngs::StdRng;
     use tir_rand::SeedableRng;
     use tir_tensorize::builtin_registry;
+
+    thread_local! {
+        /// Session verdicts this thread compared against a fresh `validate`.
+        static VERDICTS_COMPARED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// `aligned_cuts` results this thread compared against the old scan.
+        static CUT_SCANS_COMPARED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Called at every validation `GpuScalarSketch::apply` issues in a
+    /// test build, speculative (kept or rolled back) and final.
+    pub(super) fn assert_fresh_verdict(
+        func: &PrimFunc,
+        remembered: &Result<(), Vec<tir_analysis::ValidationError>>,
+    ) {
+        assert_eq!(*remembered, tir_analysis::validate(func), "on\n{func}");
+        VERDICTS_COMPARED.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Equivalence (i) on the corpus of `tests/sketch_apply_golden.rs`
+    /// (every sketch of both targets, 40 seeded vectors each): whatever a
+    /// candidate's validation session answers, a fresh `validate` of the
+    /// same program answers, error for error.
+    #[test]
+    fn remembered_validation_equals_fresh_validation_on_the_golden_corpus() {
+        let reg = builtin_registry();
+        let targets = [
+            (Machine::sim_gpu(), DataType::float16()),
+            (Machine::sim_arm(), DataType::int8()),
+        ];
+        let (mut vectors, mut scalar_vectors) = (0, 0);
+        for (machine, dtype) in &targets {
+            for case in tir_workloads::bench_suite(*dtype) {
+                let sketches =
+                    crate::build_sketches(&case.func, machine, &reg, crate::Strategy::TensorIr);
+                for sketch in sketches {
+                    for seed in 0..40 {
+                        let _ = sketch.apply(&sketch.sample(&mut StdRng::seed_from_u64(seed)));
+                        vectors += 1;
+                        scalar_vectors += usize::from(sketch.name() == "gpu-scalar");
+                    }
+                }
+            }
+        }
+        assert_eq!((vectors, scalar_vectors), (1280, 320));
+        // The final validation of every vector and the speculative ones of
+        // every block that reduces (fewer in a debug build, where
+        // auto-verify fails some staging steps before they are validated).
+        let compared = VERDICTS_COMPARED.with(std::cell::Cell::get);
+        assert!(compared >= 320 * 3, "only {compared} verdicts compared");
+        // Two cut searches per scheduled scalar block, one per flat bind.
+        let scans = CUT_SCANS_COMPARED.with(std::cell::Cell::get);
+        assert!(scans >= 320 * 2, "only {scans} cut scans compared");
+    }
+
+    /// Called by every `aligned_cuts` of a test build: the bounded divisor
+    /// scan kept exactly the cuts the scan of every `d <= e` keeps. The
+    /// corpus test above makes it see every extent list and cap the golden
+    /// corpus asks for.
+    pub(super) fn assert_every_divisor_scan_agrees(extents: &[i64], cap: i64, cuts: &[i64]) {
+        let mut want = vec![1i64];
+        let mut radix = 1i64;
+        for &e in extents.iter().rev() {
+            for d in (1..=e).filter(|d| e % d == 0) {
+                let cut = radix * d;
+                if cut <= cap && !want.contains(&cut) {
+                    want.push(cut);
+                }
+            }
+            radix *= e;
+            if radix > cap {
+                break;
+            }
+        }
+        assert_eq!(cuts, want, "extents {extents:?}, cap {cap}");
+        CUT_SCANS_COMPARED.with(|c| c.set(c.get() + 1));
+    }
 
     fn mm16(n: i64) -> PrimFunc {
         tir::builder::matmul_func("mm", n, n, n, DataType::float16())

@@ -104,6 +104,38 @@ fn structural_equality_implies_equal_hash() {
     );
 }
 
+/// The recompute-everything signature refresh `cache_read`/`cache_write`
+/// ran before it was narrowed to the two redirected buffers.
+#[path = "../../tir-schedule/tests/support/full_refresh.rs"]
+mod full_refresh;
+
+/// Narrowed refresh ≡ full refresh, on the corpus: in every program a
+/// sketch returns, each non-leaf block's `reads`/`writes` are exactly what
+/// the full refresh derives from its body, order included — nothing a
+/// narrowed refresh copied instead of recomputing has gone stale. (The
+/// comparison after each single `cache_read`/`cache_write` runs inside
+/// `tir-schedule`'s unit tests, where the primitive can be observed.)
+#[test]
+fn non_leaf_signatures_are_what_a_full_refresh_derives() {
+    let (mut programs, mut non_leaf) = (0usize, 0usize);
+    for_each_sketch(|label, results| {
+        for f in results.into_iter().flatten() {
+            let mut refreshed = tir::Stmt::clone(&f.body);
+            full_refresh::refresh_all_signatures(&mut refreshed);
+            assert!(*f.body == refreshed, "{label}: stale signature in\n{f}");
+            programs += 1;
+            tir::visit::for_each_block_realize(&f.body, &mut |br| {
+                let nested = tir::visit::block_names(&br.block.body);
+                non_leaf += usize::from(br.block.name != "root" && !nested.is_empty());
+            });
+        }
+    });
+    assert!(
+        programs > 320 && non_leaf > 320,
+        "{programs} programs, {non_leaf} non-leaf blocks"
+    );
+}
+
 #[test]
 fn apply_outputs_match_golden() {
     let now = outcomes();

@@ -1,11 +1,9 @@
 //! Blockization: wrapping a loop subtree into a new (outer) block, the
 //! transformation that isolates a tensorizable sub-computation (Fig. 7).
 
-use std::collections::HashMap;
-
 use tir::simplify::simplified;
 use tir::visit::{collect_vars_expr, substituted};
-use tir::{Block, BlockRealize, Expr, IterKind, IterVar, Stmt, Var};
+use tir::{Block, BlockRealize, Expr, IterKind, IterVar, Stmt, Var, VarMap};
 
 use crate::compute_location::required_region;
 use crate::schedule::{stmt_kind, BlockRef, LoopRef, Result, Schedule, ScheduleError};
@@ -56,11 +54,11 @@ impl Schedule {
             ));
         }
         // Separate each binding into outer + inner parts.
-        let zero_inner: HashMap<Var, Expr> = inner_vars
+        let zero_inner: VarMap<Expr> = inner_vars
             .iter()
             .map(|v| (v.clone(), Expr::int(0)))
             .collect();
-        let dom_map: HashMap<Var, i64> = inner_dom.iter().cloned().collect();
+        let dom_map: VarMap<i64> = inner_dom.iter().cloned().collect();
         let mut outer_iter_vars: Vec<IterVar> = Vec::new();
         let mut outer_bindings: Vec<Expr> = Vec::new();
         let mut new_inner_bindings: Vec<Expr> = Vec::new();
@@ -73,7 +71,7 @@ impl Schedule {
                     .into_iter()
                     .filter(|v| !inner_vars.contains(v))
                     .collect();
-                let zero_outer: HashMap<Var, Expr> = outer_vars
+                let zero_outer: VarMap<Expr> = outer_vars
                     .iter()
                     .map(|v| (v.clone(), Expr::int(0)))
                     .collect();

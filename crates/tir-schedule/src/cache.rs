@@ -134,11 +134,15 @@ impl Schedule {
             replace_buffers(&mut stmt, &map);
             stmt
         })?;
-        self.alloc_at_root(to)?;
+        self.alloc_at_root(to.clone())?;
         // The rewritten block may be nested: refresh enclosing block
         // signatures so they describe the new buffer.
         self.mutate_body(|body| {
-            refresh_nested_signatures(body);
+            #[cfg(test)]
+            let fully_refreshed = tests::fully_refreshed(body);
+            refresh_nested_signatures(body, [from, &to]);
+            #[cfg(test)]
+            assert_eq!(*body, fully_refreshed, "narrowed refresh != full refresh");
             true
         });
         Ok(())
@@ -275,6 +279,10 @@ impl Schedule {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/full_refresh.rs"]
+mod full_refresh;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::schedule::Schedule;
@@ -282,8 +290,21 @@ mod tests {
     use tir::DataType;
     use tir_exec::assert_same_semantics;
 
+    /// What the recompute-everything refresh makes of `body`. Every
+    /// redirect a unit test of this crate performs is compared against it
+    /// (see `redirect_block`).
+    pub(super) fn fully_refreshed(body: &Stmt) -> Stmt {
+        let mut copy = body.clone();
+        super::full_refresh::refresh_all_signatures(&mut copy);
+        copy
+    }
+
     fn mm() -> tir::PrimFunc {
-        matmul_func("mm", 16, 16, 16, DataType::float32())
+        mm_n(16)
+    }
+
+    fn mm_n(n: i64) -> tir::PrimFunc {
+        matmul_func("mm", n, n, n, DataType::float32())
     }
 
     #[test]
@@ -396,6 +417,59 @@ mod tests {
             .expect("cache_write");
         assert_same_semantics(&mm(), sch.func(), 1, 0.0);
         tir_analysis::assert_valid(sch.func());
+    }
+
+    /// Narrowed refresh ≡ full refresh, step by step, on the nest the
+    /// tensorized sketches build: a blockized tile whose inner block gets an
+    /// accumulator write-back and both operands staged twice at loops
+    /// around the outer block, then once more at a loop inside it.
+    /// `redirect_block` compares the two refreshes after every redirect.
+    #[test]
+    fn narrowed_refresh_equals_full_refresh_under_a_blockized_tile() {
+        let mut sch = Schedule::new(mm_n(32));
+        let inner = sch.get_block("C").expect("C");
+        let loops = sch.get_loops(&inner).expect("loops");
+        let (i, j) = (
+            sch.split(&loops[0], &[-1, 4]).expect("split i"),
+            sch.split(&loops[1], &[-1, 4]).expect("split j"),
+        );
+        let k = sch.split(&loops[2], &[-1, 2, 4]).expect("split k");
+        let order = [&i[0], &j[0], &k[0], &k[1], &i[1], &j[1], &k[2]];
+        sch.reorder(&order.map(LoopRef::clone)).expect("reorder");
+        let outer = sch.blockize(&i[1]).expect("blockize");
+        sch.cache_write(&inner, MemScope::Local, Some(&j[0]))
+            .expect("accumulator");
+        for operand in ["A", "B"] {
+            let buf = sch.func().param(operand).expect("operand").clone();
+            sch.cache_read(&inner, &buf, MemScope::Shared, Some(&k[0]))
+                .expect("shared stage");
+            let shared = sch
+                .find_buffer(&format!("{operand}_shared"))
+                .expect("staged");
+            sch.cache_read(&inner, &shared, MemScope::Local, Some(&k[1]))
+                .expect("fragment stage");
+        }
+        let fragment = sch.find_buffer("B_shared_local").expect("fragment");
+        sch.cache_read(&inner, &fragment, MemScope::Warp, Some(&j[1]))
+            .expect("stage inside the outer block");
+        let outer = sch.block_node(&outer).expect("outer block");
+        let names = |regions: &[BufferRegion]| -> Vec<String> {
+            regions
+                .iter()
+                .map(|r| r.buffer.name().to_string())
+                .collect()
+        };
+        // First appearance below the outer block: the copy nest staged
+        // inside it comes before the compute block.
+        assert_eq!(
+            names(&outer.block.reads),
+            ["B_shared_local", "A_shared_local", "B_shared_local_warp"]
+        );
+        assert_eq!(
+            names(&outer.block.writes),
+            ["B_shared_local_warp", "C_local"]
+        );
+        assert_same_semantics(&mm_n(32), sch.func(), 1, 0.0);
     }
 
     #[test]

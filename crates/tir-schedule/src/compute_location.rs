@@ -5,11 +5,9 @@
 //! consumer invariant, using only block-signature information plus region
 //! arithmetic (Fig. 6 of the paper).
 
-use std::collections::HashMap;
-
 use tir::simplify::simplified;
 use tir::visit::{expr_any_var, substituted};
-use tir::{Block, BlockRealize, Buffer, Expr, IterKind, RangeExpr, Stmt, Var};
+use tir::{Block, BlockRealize, Buffer, Expr, IterKind, RangeExpr, Stmt, Var, VarMap};
 use tir_arith::bound::{bound_of, IntBound};
 
 use crate::schedule::{precondition, BlockRef, LoopRef, Result, Schedule, ScheduleError};
@@ -97,16 +95,16 @@ pub(crate) fn required_region(
         extents: Vec<i64>,
         any: bool,
         /// Inner loop variable → `0`.
-        zero_map: HashMap<Var, Expr>,
+        zero_map: VarMap<Expr>,
         /// Inner loop variable → `[0, extent)`.
-        env: HashMap<Var, IntBound>,
+        env: VarMap<IntBound>,
         /// Inner loop variable → `[0, 0]`.
-        env0: HashMap<Var, IntBound>,
+        env0: VarMap<IntBound>,
         /// Scratch: the outer variables `relax` pins for one dimension.
         outer: Vec<Var>,
     }
     impl Relaxer<'_> {
-        fn relax(&mut self, region: &[RangeExpr], subst: &HashMap<Var, &Expr>) {
+        fn relax(&mut self, region: &[RangeExpr], subst: &VarMap<&Expr>) {
             let shape = self.buffer.shape();
             for (d, r) in region.iter().enumerate() {
                 let min = simplified(substituted(r.min.clone(), subst));
@@ -194,7 +192,7 @@ pub(crate) fn required_region(
                     if touched.peek().is_none() {
                         return;
                     }
-                    let subst: HashMap<Var, &Expr> = br
+                    let subst: VarMap<&Expr> = br
                         .block
                         .iter_vars
                         .iter()
@@ -218,9 +216,9 @@ pub(crate) fn required_region(
         mins: vec![None; buffer.ndim()],
         extents: vec![0; buffer.ndim()],
         any: false,
-        zero_map: HashMap::new(),
-        env: HashMap::new(),
-        env0: HashMap::new(),
+        zero_map: VarMap::default(),
+        env: VarMap::default(),
+        env0: VarMap::default(),
         outer: Vec::new(),
     };
     relaxer.walk(stmt);
@@ -237,11 +235,19 @@ pub(crate) fn required_region(
     )
 }
 
-/// Recomputes, in place, the read/write signatures of every *non-leaf*
-/// block (one containing nested blocks) from its children, bottom-up.
-/// Needed after a transformation rewrites buffers inside a nested block:
-/// the enclosing blocks' signatures would otherwise go stale.
-pub(crate) fn refresh_nested_signatures(s: &mut Stmt) {
+/// Brings the read/write signatures of every *non-leaf* block (one
+/// containing nested blocks) up to date, bottom-up, after a nested block
+/// was redirected from one of the `redirected` buffers to the other.
+///
+/// The invariant this leans on: a non-leaf block's signature is what
+/// [`required_region`] gives over its body — `blockize` derives it that
+/// way and this function keeps it so — and below such a block only a
+/// buffer redirect changes that. A redirect (and the copy nest that comes
+/// with it) touches the two `redirected` buffers and nothing else, so the
+/// region of every other buffer is carried over from the signature as it
+/// stands and only those two are relaxed again; which buffers appear, and in
+/// what order, is still read off the children.
+pub(crate) fn refresh_nested_signatures(s: &mut Stmt, redirected: [&Buffer; 2]) {
     fn buffers_accessed_below(s: &Stmt, reads: &mut Vec<Buffer>, writes: &mut Vec<Buffer>) {
         match s {
             Stmt::BlockRealize(br) => {
@@ -290,38 +296,45 @@ pub(crate) fn refresh_nested_signatures(s: &mut Stmt) {
     }
     match s {
         Stmt::BlockRealize(br) => {
-            refresh_nested_signatures(&mut br.block.body);
+            refresh_nested_signatures(&mut br.block.body, redirected);
             if br.block.name != "root" && contains_block(&br.block.body) {
                 let mut read_bufs = Vec::new();
                 let mut write_bufs = Vec::new();
                 buffers_accessed_below(&br.block.body, &mut read_bufs, &mut write_bufs);
-                let body = &br.block.body;
-                let local = &br.block.alloc_buffers;
-                let signature = |bufs: Vec<Buffer>, reads: bool| -> Vec<tir::BufferRegion> {
+                let (old_reads, old_writes) = (
+                    std::mem::take(&mut br.block.reads),
+                    std::mem::take(&mut br.block.writes),
+                );
+                let block = &br.block;
+                let signature = |bufs: Vec<Buffer>, mut current: Vec<tir::BufferRegion>, reads| {
                     bufs.into_iter()
-                        .filter(|b| !local.contains(b))
+                        .filter(|b| !block.alloc_buffers.contains(b))
                         .filter_map(|b| {
-                            let region = required_region(body, &b, reads, !reads)?;
+                            let kept = current.iter().position(|r| r.buffer == b);
+                            if let (Some(kept), false) = (kept, redirected.contains(&&b)) {
+                                return Some(current.swap_remove(kept));
+                            }
+                            let region = required_region(&block.body, &b, reads, !reads)?;
                             Some(tir::BufferRegion::new(b, region))
                         })
                         .collect()
                 };
-                let reads = signature(read_bufs, true);
-                let writes = signature(write_bufs, false);
+                let reads = signature(read_bufs, old_reads, true);
+                let writes = signature(write_bufs, old_writes, false);
                 br.block.reads = reads;
                 br.block.writes = writes;
             }
         }
-        Stmt::For(f) => refresh_nested_signatures(&mut f.body),
-        Stmt::Seq(v) => v.iter_mut().for_each(refresh_nested_signatures),
+        Stmt::For(f) => refresh_nested_signatures(&mut f.body, redirected),
+        Stmt::Seq(v) => (v.iter_mut()).for_each(|st| refresh_nested_signatures(st, redirected)),
         Stmt::IfThenElse {
             then_branch,
             else_branch,
             ..
         } => {
-            refresh_nested_signatures(then_branch);
+            refresh_nested_signatures(then_branch, redirected);
             if let Some(e) = else_branch {
-                refresh_nested_signatures(e);
+                refresh_nested_signatures(e, redirected);
             }
         }
         _ => {}
@@ -572,7 +585,7 @@ impl Schedule {
                         for i in indices.iter_mut() {
                             self.mutate_expr(i);
                         }
-                        let map: HashMap<Var, Expr> = (self.iter_vars.iter().cloned())
+                        let map: VarMap<Expr> = (self.iter_vars.iter().cloned())
                             .zip(std::mem::take(indices))
                             .collect();
                         *e = substituted(self.template.clone(), &map);
@@ -667,7 +680,7 @@ impl Schedule {
         }
         impl Rewriter<'_> {
             fn apply_epilogue(&self, store_indices: &[Expr], inner_value: Expr) -> Expr {
-                let map: HashMap<Var, Expr> = self
+                let map: VarMap<Expr> = self
                     .iter_vars
                     .iter()
                     .cloned()

@@ -30,3 +30,12 @@ pub mod trace;
 pub use replay::replay;
 pub use schedule::{BlockRef, LoopInfo, LoopRef, Result, Schedule, ScheduleError};
 pub use trace::{Trace, TraceArg, TraceStep};
+
+/// `tests/failure_guarantee.rs` once more as unit tests, so that its
+/// `cache_read`/`cache_write` calls run with the narrowed-vs-full refresh
+/// comparison of `cache::redirect_block` compiled in.
+#[cfg(test)]
+#[path = "../tests/failure_guarantee.rs"]
+mod failure_guarantee;
+#[cfg(test)]
+extern crate self as tir_schedule;

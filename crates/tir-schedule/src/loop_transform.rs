@@ -5,11 +5,9 @@
 //! block body (Fig. 6 of the paper): bindings are rewritten through
 //! variable substitution and predicates are added for partial tiles.
 
-use std::collections::HashMap;
-
 use tir::simplify::simplify_stmt;
 use tir::visit::subst_stmt;
-use tir::{Expr, For, ForKind, Stmt, ThreadTag, Var};
+use tir::{Expr, For, ForKind, Stmt, ThreadTag, Var, VarMap};
 
 use crate::schedule::{LoopRef, Result, Schedule, ScheduleError};
 use crate::trace::TraceStep;
@@ -109,7 +107,7 @@ impl Schedule {
         let needs_guard = product != extent;
 
         self.rewrite_loop(loop_ref, |f: For| {
-            let mut map = HashMap::new();
+            let mut map = VarMap::default();
             map.insert(f.var, value.clone());
             let mut body = f.body;
             subst_stmt(&mut body, &map);
@@ -181,7 +179,7 @@ impl Schedule {
             ));
         }
         // l_k = (fused // prod_{j>k} E_j) % E_k  (outermost: no modulo).
-        let mut map = HashMap::new();
+        let mut map = VarMap::default();
         let mut div = 1i64;
         for (k, var) in vars.iter().enumerate().rev() {
             let mut e = Expr::from(&fused);
@@ -316,7 +314,12 @@ impl Schedule {
         ))
     }
 
-    fn set_loop_kind(&mut self, loop_ref: &LoopRef, kind: ForKind, prim: &str) -> Result<()> {
+    fn set_loop_kind(
+        &mut self,
+        loop_ref: &LoopRef,
+        kind: ForKind,
+        prim: &'static str,
+    ) -> Result<()> {
         self.rewrite_loop(loop_ref, |mut f: For| {
             f.kind = kind;
             Stmt::For(Box::new(f))

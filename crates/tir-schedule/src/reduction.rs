@@ -2,11 +2,9 @@
 //! two-block representations of a reduction (§3.1 "Reduction Block and
 //! Initialization").
 
-use std::collections::HashMap;
-
 use tir::simplify::simplified;
 use tir::visit::{expr_any_var, expr_uses_var, subst_stmt, substituted};
-use tir::{Block, BlockRealize, Expr, IterKind, IterVar, Stmt, Var};
+use tir::{Block, BlockRealize, Expr, IterKind, IterVar, Stmt, Var, VarMap};
 
 use crate::compute_location::is_identity;
 use crate::schedule::{precondition, BlockRef, LoopRef, Result, Schedule, ScheduleError};
@@ -71,7 +69,7 @@ impl Schedule {
         // Build the init block: spatial iterators only, with inner loop
         // variables in spatial bindings replaced by fresh init loops.
         let mut fresh_loops: Vec<(Var, i64)> = Vec::new();
-        let mut var_map: HashMap<Var, Expr> = HashMap::new();
+        let mut var_map: VarMap<Expr> = VarMap::default();
         for (v, extent) in &inner {
             let fresh = Var::int(format!("{}_init", v.name()));
             var_map.insert(v.clone(), Expr::from(&fresh));
@@ -80,7 +78,7 @@ impl Schedule {
         // Reduce bindings are irrelevant to the init block; spatial only.
         let mut init_iter_vars: Vec<IterVar> = Vec::new();
         let mut init_bindings: Vec<Expr> = Vec::new();
-        let mut spatial_map: HashMap<Var, Expr> = HashMap::new();
+        let mut spatial_map: VarMap<Expr> = VarMap::default();
         for (iv, value) in br.block.iter_vars.iter().zip(&br.iter_values) {
             if iv.kind == IterKind::Spatial {
                 let fresh = iv.var.fresh_copy();
@@ -294,7 +292,7 @@ impl Schedule {
         if indices.len() != init_vars.len() {
             return precondition("init/update output ranks differ");
         }
-        let map: HashMap<Var, Expr> = init_vars
+        let map: VarMap<Expr> = init_vars
             .iter()
             .cloned()
             .zip(indices.iter().cloned())

@@ -61,7 +61,7 @@ impl Schedule {
     /// Fails when the step references names that do not exist or the
     /// primitive's preconditions fail on this program.
     pub fn apply_trace_step(&mut self, step: &TraceStep) -> Result<()> {
-        match step.primitive.as_str() {
+        match step.primitive {
             "split" => {
                 let l = self.loop_by_name(arg_str(step, 0)?)?;
                 let factors = arg_ints(step, 1)?.to_vec();

@@ -53,18 +53,15 @@ impl From<Vec<i64>> for TraceArg {
 #[derive(Clone, PartialEq, Debug)]
 pub struct TraceStep {
     /// Primitive name (e.g. `"split"`).
-    pub primitive: String,
+    pub primitive: &'static str,
     /// Arguments in call order.
     pub args: Vec<TraceArg>,
 }
 
 impl TraceStep {
     /// Creates a step.
-    pub fn new(primitive: &str, args: Vec<TraceArg>) -> Self {
-        TraceStep {
-            primitive: primitive.to_string(),
-            args,
-        }
+    pub fn new(primitive: &'static str, args: Vec<TraceArg>) -> Self {
+        TraceStep { primitive, args }
     }
 }
 

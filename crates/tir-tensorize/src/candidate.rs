@@ -19,13 +19,11 @@
 //!    executable implementation; the simulator prices it at intrinsic
 //!    throughput).
 
-use std::collections::HashMap;
-
 use tir::simplify::simplified;
 use tir::visit::substituted;
 use tir::{
     AnnValue, Block, BlockRealize, Buffer, BufferRegion, Expr, IterKind, IterVar, PrimFunc, Stmt,
-    Var,
+    Var, VarMap,
 };
 use tir_schedule::{BlockRef, Schedule, ScheduleError};
 
@@ -136,7 +134,7 @@ pub fn auto_tensorize_with_order(
             .map_err(|e| ScheduleError::Precondition(format!("einsum extraction: {e}")))?;
         let mapping = propose_mapping(&br.block, &einsum, intrin)
             .map_err(|e| ScheduleError::Precondition(format!("iterator mapping: {e}")))?;
-        let extents: HashMap<Var, i64> = br
+        let extents: VarMap<i64> = br
             .block
             .iter_vars
             .iter()
@@ -454,7 +452,7 @@ fn reindex_block(
         let mut loops: Vec<(Var, i64)> = Vec::new();
         let mut iter_vars: Vec<IterVar> = Vec::new();
         let mut bindings: Vec<Expr> = Vec::new();
-        let mut subst: HashMap<Var, Expr> = HashMap::new();
+        let mut subst: VarMap<Expr> = VarMap::default();
         let mut fused_per_dim: Vec<Expr> = Vec::new();
         for g in operand_groups {
             if g.vars.is_empty() {
@@ -497,7 +495,7 @@ fn reindex_block(
     let mut iter_vars: Vec<IterVar> = Vec::new();
     let mut bindings: Vec<Expr> = Vec::new();
     let mut stage_idx: Vec<Expr> = Vec::new();
-    let mut subst: HashMap<Var, Expr> = HashMap::new();
+    let mut subst: VarMap<Expr> = VarMap::default();
     let mut guard: Option<Expr> = None;
     for (pos, g) in operand_groups.iter().enumerate() {
         let lv = Var::int(format!("c{pos}"));
@@ -577,7 +575,7 @@ pub fn tensorize(
     // iterator extent; kinds must match. After blockization, bindings have
     // the shape `u_outer * tile + inner(loops)`, so zeroing every non-loop
     // variable exposes the inner part.
-    let loop_dom: std::collections::HashMap<Var, i64> = tile_loops
+    let loop_dom: VarMap<i64> = tile_loops
         .iter()
         .map(|li| (li.var.clone(), li.extent))
         .collect();
@@ -586,7 +584,7 @@ pub fn tensorize(
     // (batch-like) and do not take part in the intrinsic invocation.
     let mut nontrivial: Vec<(&tir::IterVar, i64)> = Vec::new();
     for (iv, value) in br.block.iter_vars.iter().zip(&br.iter_values) {
-        let zero_outer: HashMap<Var, Expr> = tir::visit::collect_vars_expr(value)
+        let zero_outer: VarMap<Expr> = tir::visit::collect_vars_expr(value)
             .into_iter()
             .filter(|v| !loop_dom.contains_key(v))
             .map(|v| (v, Expr::int(0)))

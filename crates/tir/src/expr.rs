@@ -5,7 +5,9 @@
 //! variable can appear in many places of a program and still be recognized
 //! after the tree is cloned or rebuilt.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -105,6 +107,33 @@ impl fmt::Display for Var {
         write!(f, "{}", self.0.name)
     }
 }
+
+/// Hasher for maps keyed by variable/buffer ids. The ids come from this
+/// process's own counters (unique, dense, never outside input), so one
+/// multiplication spreads them well enough and SipHash's collision
+/// resistance buys nothing.
+#[derive(Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn write_usize(&mut self, id: usize) {
+        self.0 = (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by variable identity: a [`Var`] hashes its id, which
+/// [`IdHasher`] spreads with one multiplication.
+pub type VarMap<T> = HashMap<Var, T, BuildHasherDefault<IdHasher>>;
 
 /// Binary arithmetic and logical operators.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]

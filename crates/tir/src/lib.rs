@@ -41,7 +41,7 @@ pub mod visit;
 
 pub use buffer::{Buffer, BufferRegion, MemScope, RangeExpr};
 pub use dtype::{DataType, TypeCode};
-pub use expr::{BinOp, CmpOp, Expr, Var};
+pub use expr::{BinOp, CmpOp, Expr, Var, VarMap};
 pub use func::{IrModule, PrimFunc};
 pub use stmt::{
     AnnValue, Annotations, Block, BlockRealize, For, ForKind, IterKind, IterVar, Stmt, ThreadTag,

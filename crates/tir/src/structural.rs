@@ -14,36 +14,13 @@
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 use crate::buffer::{Buffer, BufferRegion, MemScope};
 use crate::dtype::{DataType, TypeCode};
-use crate::expr::{BinOp, CmpOp, Expr, Var};
+use crate::expr::{BinOp, CmpOp, Expr, IdHasher, Var};
 use crate::func::PrimFunc;
 use crate::stmt::{AnnValue, Annotations, Block, BlockRealize, ForKind, IterKind, Stmt, ThreadTag};
-
-/// Hasher for maps keyed by variable/buffer ids. The ids come from this
-/// process's own counters (unique, dense, never outside input), so one
-/// multiplication spreads them well enough and SipHash's collision
-/// resistance buys nothing.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_usize(&mut self, id: usize) {
-        self.0 = (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 type IdMap<V> = HashMap<usize, V, BuildHasherDefault<IdHasher>>;
 

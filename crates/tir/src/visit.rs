@@ -11,7 +11,7 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use crate::buffer::{Buffer, BufferRegion};
-use crate::expr::{Expr, Var};
+use crate::expr::{Expr, Var, VarMap};
 use crate::stmt::{Block, BlockRealize, Stmt};
 
 /// Read-only traversal over expressions.
@@ -225,7 +225,7 @@ pub trait StmtMutator: ExprMutator {
 }
 
 struct Substituter<'a, E> {
-    map: &'a HashMap<Var, E>,
+    map: &'a VarMap<E>,
 }
 impl<E: Borrow<Expr>> ExprMutator for Substituter<'_, E> {
     fn mutate_expr(&mut self, e: &mut Expr) {
@@ -243,13 +243,13 @@ impl<E: Borrow<Expr>> StmtMutator for Substituter<'_, E> {}
 /// Substitutes variables inside an expression, in place. The map may hold
 /// the replacements (`Expr`) or point at them (`&Expr`); only the ones
 /// that occur are copied.
-pub fn subst_expr<E: Borrow<Expr>>(e: &mut Expr, map: &HashMap<Var, E>) {
+pub fn subst_expr<E: Borrow<Expr>>(e: &mut Expr, map: &VarMap<E>) {
     Substituter { map }.mutate_expr(e);
 }
 
 /// [`subst_expr`] on an expression the caller owns (or cloned to keep its
 /// input): `substituted(value.clone(), &map)`.
-pub fn substituted<E: Borrow<Expr>>(mut e: Expr, map: &HashMap<Var, E>) -> Expr {
+pub fn substituted<E: Borrow<Expr>>(mut e: Expr, map: &VarMap<E>) -> Expr {
     subst_expr(&mut e, map);
     e
 }
@@ -257,7 +257,7 @@ pub fn substituted<E: Borrow<Expr>>(mut e: Expr, map: &HashMap<Var, E>) -> Expr 
 /// Substitutes variables inside a statement, in place (including block
 /// signatures of nested blocks; the substituted variables are assumed free
 /// in the tree).
-pub fn subst_stmt<E: Borrow<Expr>>(s: &mut Stmt, map: &HashMap<Var, E>) {
+pub fn subst_stmt<E: Borrow<Expr>>(s: &mut Stmt, map: &VarMap<E>) {
     Substituter { map }.mutate_stmt(s);
 }
 
@@ -494,7 +494,7 @@ mod tests {
     #[test]
     fn substitution_replaces_free_vars() {
         let (_, _, i, _, stmt) = sample();
-        let mut map = HashMap::new();
+        let mut map = VarMap::default();
         map.insert(i.clone(), Expr::int(3));
         assert!(stmt_uses_var(&stmt, &i));
         let mut out = stmt.clone();

@@ -17,11 +17,9 @@
 //! Regenerate (only when an intended change alters simplifier output) with
 //! `cargo test -p tir --test simplify_golden -- --ignored`.
 
-use std::collections::HashMap;
-
 use tir::simplify::{floor_div_i64, floor_mod_i64, simplified};
 use tir::visit::substituted;
-use tir::{BinOp, CmpOp, DataType, Expr, Var};
+use tir::{BinOp, CmpOp, DataType, Expr, Var, VarMap};
 use tir_rand::rngs::StdRng;
 use tir_rand::{RngExt, SeedableRng};
 
@@ -33,15 +31,17 @@ fn simplify(e: &Expr) -> Expr {
     simplified(e.clone())
 }
 
-fn subst(e: &Expr, map: &HashMap<Var, Expr>) -> Expr {
+fn subst(e: &Expr, map: &VarMap<Expr>) -> Expr {
     substituted(e.clone(), map)
 }
 
 /// What `split` and `blockize` substitute: `i` becomes `j * 4 + k`, `l`
 /// becomes zero (simultaneously: the `j`, `k` brought in stay).
-fn split_and_zero(vars: &[Var]) -> HashMap<Var, Expr> {
+fn split_and_zero(vars: &[Var]) -> VarMap<Expr> {
     let split = Expr::from(&vars[1]) * 4 + Expr::from(&vars[2]);
-    [(vars[0].clone(), split), (vars[3].clone(), Expr::int(0))].into()
+    [(vars[0].clone(), split), (vars[3].clone(), Expr::int(0))]
+        .into_iter()
+        .collect()
 }
 
 struct Gen {
@@ -235,7 +235,7 @@ fn simplify_outputs_match_golden() {
 
 /// Evaluates an integer/boolean expression; `None` where it is undefined
 /// (division by zero) or overflows. `select` evaluates only the arm taken.
-fn eval(e: &Expr, env: &HashMap<Var, i64>) -> Option<i64> {
+fn eval(e: &Expr, env: &VarMap<i64>) -> Option<i64> {
     Some(match e {
         Expr::Int(v, _) => *v,
         Expr::Var(v) => env[v],
@@ -279,7 +279,7 @@ fn simplify_and_subst_preserve_values() {
         let s = simplify(e);
         let substituted = subst(e, &map);
         for _ in 0..POINTS {
-            let env: HashMap<Var, i64> = vars
+            let env: VarMap<i64> = vars
                 .iter()
                 .map(|v| (v.clone(), rng.random_range(-9i64..40)))
                 .collect();

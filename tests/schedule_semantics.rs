@@ -6,10 +6,8 @@
 //! sweeps over the same parameter ranges so the workspace builds with no
 //! external dependencies.
 
-use std::collections::HashMap;
-
 use tir::builder::matmul_func;
-use tir::{DataType, Expr, ThreadTag, Var};
+use tir::{DataType, Expr, ThreadTag, Var, VarMap};
 use tir_arith::iter_map::{detect_iter_map, eval_iter_sum};
 use tir_exec::assert_same_semantics;
 use tir_rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -106,7 +104,7 @@ fn iter_map_matches_bruteforce() {
                 if let Ok(map) = detect_iter_map(&bindings, &dom) {
                     for iv in 0..e1 {
                         for jv in 0..e2 {
-                            let vals: HashMap<Var, i64> =
+                            let vals: VarMap<i64> =
                                 [(i.clone(), iv), (j.clone(), jv)].into_iter().collect();
                             let f = iv * e2 + jv;
                             assert_eq!(eval_iter_sum(&map.sums[0], &vals), f / c);
