@@ -530,13 +530,14 @@ pub fn run_with(
 /// a [`tir::RELAXING_ANNOTATIONS`] annotation.
 ///
 /// Sanitized execution always uses the bytecode VM (race tracking rides on
-/// its loop metadata) and always runs the *unoptimized* bytecode: the
-/// sanitizer's job is maximum shadow-memory fidelity, so fused ops are
-/// decomposed back to one instruction per access (running an optimized
-/// `Program` through `Program::run_sanitized` directly is still fully
-/// checked, with accesses observed in fused order). The rare programs the
-/// compiler rejects fall back to the checked tree-walker, which detects
-/// bounds violations only.
+/// its loop metadata) and runs the same *optimized* bytecode
+/// [`run_with`]`(ExecBackend::Vm)` does: every fused op and every lane of a
+/// batched loop replays its constituent accesses through the shadow-memory
+/// hooks in the unfused order, and the optimizer never adds or deletes a
+/// load or store, so the verdict is the one unoptimized bytecode gets —
+/// `tests/sanitizer_equivalence.rs` holds that on every differential
+/// corpus. The rare programs the compiler rejects fall back to the checked
+/// tree-walker, which detects bounds violations only.
 ///
 /// # Errors
 ///
@@ -545,7 +546,7 @@ pub fn run_with(
 /// propagates any other execution failure.
 pub fn run_sanitized(func: &PrimFunc, args: Vec<Tensor>, fuel: Option<u64>) -> Result<RunOutcome> {
     let fuel = fuel.unwrap_or(DEFAULT_FUEL);
-    match crate::compile::compile(func) {
+    match crate::opt::compile_optimized(func) {
         Ok(prog) => prog.run_sanitized(args, fuel),
         Err(_) => tree_walk_run_checked(func, args, fuel, true),
     }

@@ -9,10 +9,13 @@
 //!    folded into direct frame-slot terms (`Access::slots`), deleting
 //!    the `LoadVar` when it becomes dead. This is what makes per-lane
 //!    offsets incrementable.
-//! 2. **Copy aliasing** (`alias_copy_slots`): block-iterator bindings
-//!    that merely copy a loop variable (`SetVar s ← LoadVar t`) are
-//!    aliased to the loop variable's slot, turning opaque iterator reads
-//!    into loop-variable reads the lane batcher understands.
+//! 2. **Affine iterator forwarding** (`forward_iterators`): a block
+//!    iterator bound once to an affine form of loop variables
+//!    (`vi = i0*16 + i1`, what every schedule primitive leaves behind —
+//!    a copy `vi = i` is the one-term case) is substituted into the
+//!    access terms that read it, transitively through the iterators of
+//!    enclosing blocks, so accesses index by loop variables the fusions
+//!    and the lane batcher understand; the binding itself then dies.
 //! 3. **Constant folding + dead code** (`fold_constants` /
 //!    `dead_code`, to a fixpoint): `Const`-fed `Bin`/`Cast`/branches
 //!    fold; pure ops with dead destinations and `SetVar`s to never-read
@@ -29,7 +32,8 @@
 //!    (plus its `Tick` and optional reduction-init guard) becomes a
 //!    single `Op::MacLanes` executing up to `LANE_WIDTH_MAX`
 //!    iterations per dispatch with strength-reduced `off += stride`
-//!    addressing.
+//!    addressing; a last dead-code sweep collects the outer bindings
+//!    only the collapsed body read.
 //!
 //! Every rewrite preserves the tree-walker contract bit-for-bit: the same
 //! `f64` arithmetic in the same order, errors at the same points, fuel
@@ -59,17 +63,13 @@ pub fn optimize(mut prog: Program) -> Program {
         return prog;
     }
     fold_access_slots(&mut prog);
-    alias_copy_slots(&mut prog);
-    loop {
-        let changed = fold_constants(&mut prog) | dead_code(&mut prog);
-        if !changed {
-            break;
-        }
-    }
+    forward_iterators(&mut prog);
+    while fold_constants(&mut prog) | dead_code(&mut prog) {}
     fuse_macs(&mut prog);
     fuse_small(&mut prog);
     dead_code(&mut prog);
     batch_lanes(&mut prog);
+    while dead_code(&mut prog) {}
     prog
 }
 
@@ -125,9 +125,41 @@ fn access_reads_reg(prog: &Program, access: u32) -> bool {
     !prog.accesses[access as usize].regs.is_empty()
 }
 
+/// The access sites whose offsets an op computes (at most four: a
+/// guarded `MacLanes`).
+fn op_accesses(prog: &Program, op: &Op) -> impl Iterator<Item = u32> {
+    let mac = |spec: u32| {
+        let sp = &prog.mac_specs[spec as usize];
+        ([sp.acc, sp.a, sp.b, 0], 3)
+    };
+    let (accesses, n) = match *op {
+        Op::Load { access, .. }
+        | Op::Store { access, .. }
+        | Op::LoadCast { access, .. }
+        | Op::BinStore { access, .. }
+        | Op::StoreConst { access, .. }
+        | Op::FusedAcc { access, .. } => ([access, 0, 0, 0], 1),
+        Op::FusedMac { spec } => mac(spec),
+        Op::MacLanes { spec } => {
+            let sp = &prog.lane_specs[spec as usize];
+            let (mut accesses, mut n) = match sp.body {
+                LaneBody::Mac(m) => mac(m),
+                LaneBody::Fill(a, _) => ([a, 0, 0, 0], 1),
+            };
+            if let Some(g) = &sp.guard {
+                accesses[n] = g.access;
+                n += 1;
+            }
+            (accesses, n)
+        }
+        _ => ([0; 4], 0),
+    };
+    accesses.into_iter().take(n)
+}
+
 /// Registers an op reads.
 fn reads_mask(prog: &Program, op: &Op) -> Mask {
-    match op {
+    let direct = match op {
         Op::Const { .. }
         | Op::LoadVar { .. }
         | Op::ThrowUnboundVar { .. }
@@ -137,51 +169,27 @@ fn reads_mask(prog: &Program, op: &Op) -> Mask {
         | Op::ForNext { .. }
         | Op::ResetReduceFlag
         | Op::JumpIfReduceFlagFalse { .. }
-        | Op::AllocBuf { .. } => 0,
-        Op::SetVar { src, .. } => bit(*src),
-        Op::Cast { src, .. } | Op::Not { src, .. } => bit(*src),
-        Op::Bin { a, b, .. } | Op::Cmp { a, b, .. } => bit(*a) | bit(*b),
-        Op::Call { first, n, .. } => {
-            let mut m = 0;
-            for r in *first..*first + *n {
-                m |= bit(r);
-            }
-            m
+        | Op::AllocBuf { .. }
+        | Op::Load { .. }
+        | Op::LoadCast { .. }
+        | Op::StoreConst { .. }
+        | Op::FusedMac { .. }
+        | Op::MacLanes { .. } => 0,
+        Op::SetVar { src, .. }
+        | Op::Cast { src, .. }
+        | Op::Not { src, .. }
+        | Op::HoistSet { src, .. }
+        | Op::FusedAcc { src, .. } => bit(*src),
+        Op::Bin { a, b, .. } | Op::Cmp { a, b, .. } | Op::BinStore { a, b, .. } => {
+            bit(*a) | bit(*b)
         }
-        Op::Load { access, .. } => access_reg_mask(prog, *access),
-        Op::Store { access, val } => access_reg_mask(prog, *access) | bit(*val),
-        Op::JumpIfZero { reg, .. } => bit(*reg),
-        Op::ForSetup { extent, .. } => bit(*extent),
-        Op::UpdateReduceFlag { reg } => bit(*reg),
-        Op::HoistSet { src, .. } => bit(*src),
-        Op::LoadCast { access, .. } => access_reg_mask(prog, *access),
-        Op::BinStore { a, b, access, .. } => bit(*a) | bit(*b) | access_reg_mask(prog, *access),
-        Op::StoreConst { access, .. } => access_reg_mask(prog, *access),
-        Op::FusedAcc { access, src, .. } => access_reg_mask(prog, *access) | bit(*src),
-        Op::FusedMac { spec } => {
-            let sp = &prog.mac_specs[*spec as usize];
-            access_reg_mask(prog, sp.acc)
-                | access_reg_mask(prog, sp.a)
-                | access_reg_mask(prog, sp.b)
-        }
-        Op::MacLanes { spec } => {
-            let sp = &prog.lane_specs[*spec as usize];
-            let mut m = 0;
-            match sp.body {
-                LaneBody::Mac(ms) => {
-                    let s = &prog.mac_specs[ms as usize];
-                    m |= access_reg_mask(prog, s.acc)
-                        | access_reg_mask(prog, s.a)
-                        | access_reg_mask(prog, s.b);
-                }
-                LaneBody::Fill(a, _) => m |= access_reg_mask(prog, a),
-            }
-            if let Some(g) = &sp.guard {
-                m |= access_reg_mask(prog, g.access);
-            }
-            m
-        }
-    }
+        Op::Call { first, n, .. } => (*first..*first + *n).fold(0, |m, r| m | bit(r)),
+        Op::Store { val: reg, .. }
+        | Op::JumpIfZero { reg, .. }
+        | Op::ForSetup { extent: reg, .. }
+        | Op::UpdateReduceFlag { reg } => bit(*reg),
+    };
+    op_accesses(prog, op).fold(direct, |m, a| m | access_reg_mask(prog, a))
 }
 
 /// Registers an op writes.
@@ -223,11 +231,36 @@ fn successors(ops: &[Op], i: usize) -> ([usize; 2], usize) {
     }
 }
 
+/// Whether [`dead_code`] deletes `op`, given the registers live after it
+/// and the slots something reads: a pure op that cannot raise and whose
+/// destination is dead, or a `SetVar` binding an iterator nobody reads.
+fn is_dead(op: &Op, live_out: Mask, slot_read: &[bool]) -> bool {
+    match op {
+        Op::Const { dst, .. }
+        | Op::LoadVar { dst, .. }
+        | Op::Cmp { dst, .. }
+        | Op::Not { dst, .. }
+        | Op::Cast { dst, .. }
+        | Op::Call { dst, .. } => live_out & bit(*dst) == 0,
+        Op::Bin { kind, dst, .. } => bin_safe(*kind) && live_out & bit(*dst) == 0,
+        Op::SetVar { slot, .. } => !slot_read[*slot as usize],
+        _ => false,
+    }
+}
+
 /// Backward liveness over registers: `live_in[i]` / `live_out[i]` are the
 /// registers live before / after `ops[i]`. Conservative about nothing —
-/// registers are dead at program exit (only buffers escape).
-fn liveness(prog: &Program, ops: &[Op]) -> (Vec<Mask>, Vec<Mask>) {
+/// registers are dead at program exit (only buffers escape) — and an op
+/// that [`is_dead`] reads nothing, so a dead binding takes the whole chain
+/// that computed it along in one [`dead_code`] sweep, not a link per sweep.
+fn liveness(prog: &Program) -> (Vec<Mask>, Vec<Mask>) {
+    let ops = &prog.ops;
     let n = ops.len();
+    let slot_read = slot_read_mask(prog);
+    let masks: Vec<(Mask, Mask)> = ops
+        .iter()
+        .map(|op| (reads_mask(prog, op), writes_mask(op)))
+        .collect();
     let mut live_in = vec![0 as Mask; n];
     let mut live_out = vec![0 as Mask; n];
     let mut changed = true;
@@ -241,7 +274,12 @@ fn liveness(prog: &Program, ops: &[Op]) -> (Vec<Mask>, Vec<Mask>) {
                     out |= live_in[s];
                 }
             }
-            let inn = reads_mask(prog, &ops[i]) | (out & !writes_mask(&ops[i]));
+            let (reads, writes) = masks[i];
+            let inn = if is_dead(&ops[i], out, &slot_read) {
+                out
+            } else {
+                reads | (out & !writes)
+            };
             if out != live_out[i] || inn != live_in[i] {
                 live_out[i] = out;
                 live_in[i] = inn;
@@ -364,20 +402,7 @@ fn fold_access_slots(prog: &mut Program) {
             }
         }
         if keep.len() as u32 != acc.regs.len {
-            // Canonicalize: merge duplicate slots (e.g. `v + v`), drop
-            // zero multipliers, sort — structurally equal index
-            // expressions then produce identical pool contents, which is
-            // what `acc_eq` (and thus MAC fusion) compares.
-            slots.sort_unstable();
-            slots.dedup_by(|b, a| {
-                if a.0 == b.0 {
-                    a.1 += b.1;
-                    true
-                } else {
-                    false
-                }
-            });
-            slots.retain(|&(_, m)| m != 0);
+            canonicalize(&mut slots);
             rewrites.push(Rewrite {
                 access: access as usize,
                 keep,
@@ -394,9 +419,27 @@ fn fold_access_slots(prog: &mut Program) {
 }
 
 /// An affine combination of frame slots: `Σ round(frame[slot])·m + k`.
+#[derive(Clone)]
 struct Affine {
     terms: Vec<(u32, i64)>,
     k: i64,
+}
+
+/// Canonical form of a list of `(slot, multiplier)` terms: sorted,
+/// duplicate slots merged (e.g. `v + v`), zero multipliers dropped —
+/// structurally equal index expressions then produce identical pool
+/// contents, which is what [`acc_eq`] (and thus MAC fusion) compares.
+fn canonicalize(terms: &mut Vec<(u32, i64)>) {
+    terms.sort_unstable();
+    terms.dedup_by(|b, a| {
+        if a.0 == b.0 {
+            a.1 += b.1;
+            true
+        } else {
+            false
+        }
+    });
+    terms.retain(|&(_, m)| m != 0);
 }
 
 /// Resolves the value `r` holds at `ops[use_at]` to an [`Affine`] form,
@@ -494,106 +537,231 @@ fn affine_of_reg(
 }
 
 // ---------------------------------------------------------------------------
-// Pass 2: alias copy slots (block iterator bindings) to loop variables
+// Pass 2: forward affine iterator bindings into the accesses that read them
 // ---------------------------------------------------------------------------
 
-/// A block-realize binding `vi = i` compiles to `LoadVar r, slot_i;
-/// SetVar slot_vi, r`. When *every* write to `slot_vi` is such a copy
-/// from one common source slot `slot_t`, and `slot_t` is written only by
-/// loop ops (`ForSetup`/`ForNext`, which keep it equal to the loop
-/// counter), every read of `slot_vi` between binding and rebinding sees
-/// exactly `frame[slot_t]` — so reads can be redirected to `slot_t`.
-/// This exposes the loop variable to the lane batcher through iterator
-/// indirection. Iterates to a fixpoint to resolve copy chains.
+/// Who writes a frame slot.
+#[derive(Clone, Copy)]
+enum Writer {
+    /// Nothing: the slot keeps its initial zero.
+    Nobody,
+    /// One `SetVar`, at this op index: a block iterator.
+    Set(usize),
+    /// One `ForSetup`/`ForNext` pair, at these op indices, each naming the
+    /// other: a loop variable.
+    Loop(usize, usize),
+    /// Anything else.
+    Several,
+}
+
+/// What [`forward_iterators`] and [`batch_lanes`] know about the frame:
+/// who writes each slot, every jump, and the slots whose reads can be
+/// replaced by an affine form of *base terms*.
+struct Iterators {
+    writers: Vec<Writer>,
+    /// `(from, to)` op indices of every jump, loop edges included.
+    jumps: Vec<(usize, usize)>,
+    /// [`jump_targets`] of the same ops.
+    targets: Vec<bool>,
+    /// `expansion[s]`, when set, is what every read of slot `s` sees.
+    expansion: Vec<Option<Affine>>,
+}
+
+/// Finds the forwardable block iterators of a program.
 ///
-/// The redirect is safe precisely because the compiler rejects shadowed
-/// bindings: within one loop iteration the binding `SetVar` executes
-/// before any read of the iterator (the tree-walker would otherwise
-/// throw `UnboundVar`, which compilation of in-scope reads rules out).
-fn alias_copy_slots(prog: &mut Program) {
-    loop {
-        let nslots = prog.num_slots;
-        // writer[s]: Some(set) of source slots copied into s, or None
-        // when s has a non-copy writer (ForSetup/ForNext/lane ops count
-        // as non-copy).
-        let mut copy_src: Vec<Option<Vec<u32>>> = vec![Some(Vec::new()); nslots];
-        let mut loop_written = vec![false; nslots];
-        for (i, op) in prog.ops.iter().enumerate() {
-            match op {
-                Op::SetVar { slot, src } => {
-                    let from = match prev_loadvar(prog, i, *src) {
-                        Some(t) => t,
-                        None => {
-                            copy_src[*slot as usize] = None;
-                            continue;
-                        }
-                    };
-                    if let Some(list) = &mut copy_src[*slot as usize] {
-                        list.push(from);
-                    }
-                }
-                Op::ForSetup { var, .. } | Op::ForNext { var, .. } => {
-                    copy_src[*var as usize] = None;
-                    loop_written[*var as usize] = true;
-                }
-                Op::MacLanes { spec } => {
-                    let v = prog.lane_specs[*spec as usize].var;
-                    copy_src[v as usize] = None;
-                    loop_written[v as usize] = true;
-                }
-                _ => {}
+/// A slot with one writer, a `SetVar` at op `d` fed by a chain
+/// [`affine_of_reg`] decomposes, has the *definition* `Σ mᵢ·slotᵢ + k`.
+/// Its reads may be replaced by that sum when the sum still has, at the
+/// read, the value it had when the `SetVar` last ran:
+///
+/// * **The binding dominates its reads.** Take the smallest op range
+///   `(d, q]` that holds every read of the slot and every backward jump
+///   into itself (`region_end`). If no other jump enters it — no
+///   predicate, reduce guard or empty-extent skip passes over the
+///   `SetVar` and lands before a read — then execution can only get into
+///   `(d, q]` by falling out of the `SetVar`, and whatever reads the slot
+///   has run nothing but ops of `(d, q]` since. The compiler's block
+///   layout (predicate, bindings, body, with the predicate jumping past
+///   the body and every read lexically inside it) always has this shape;
+///   a read at or before `d`, or a second writer, is refused outright.
+/// * **No base term is written inside `(d, q]`.** A term is a *loop
+///   variable* — one `ForSetup`/`ForNext` pair whose range encloses
+///   `(d, q]`; outside its loop a loop variable holds whatever the last
+///   batch left — or an *opaque iterator* — another single-`SetVar` slot
+///   bound before `d`, whose own definition may be anything
+///   (`fused // 2`). A term that is itself forwardable is replaced by its
+///   expansion: a read of a slot counts as a read of every slot its
+///   definition mentions, so the enclosing block's region covers it.
+///
+/// Exactness is that of [`fold_access_slots`]: frame slots hold integers
+/// (loop counters, and bindings of integer iterator expressions — the only
+/// `SetVar` the compiler emits), so `round` distributes over the sum and
+/// the `i64` offset comes out the same.
+fn iterators(prog: &Program) -> Iterators {
+    let ops = &prog.ops;
+    let mut writers = vec![Writer::Nobody; prog.num_slots];
+    let mut jumps = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            Op::SetVar { slot, .. } => {
+                let w = &mut writers[slot as usize];
+                *w = match *w {
+                    Writer::Nobody => Writer::Set(i),
+                    _ => Writer::Several,
+                };
             }
-        }
-        let mut alias: Vec<Option<u32>> = vec![None; nslots];
-        for s in 0..nslots {
-            if let Some(list) = &copy_src[s] {
-                if !list.is_empty() && list.iter().all(|&t| t == list[0]) {
-                    let t = list[0] as usize;
-                    if loop_written[t] && t != s {
-                        alias[s] = Some(list[0]);
-                    }
+            Op::ForSetup {
+                loop_id, var, end, ..
+            } => {
+                jumps.push((i, end as usize));
+                let next = (end as usize).wrapping_sub(1);
+                let paired = next > i
+                    && matches!(ops.get(next), Some(&Op::ForNext { loop_id: l, var: v, body })
+                        if l == loop_id && v == var && body as usize == i + 1);
+                let w = &mut writers[var as usize];
+                *w = match *w {
+                    Writer::Nobody if paired => Writer::Loop(i, next),
+                    _ => Writer::Several,
+                };
+            }
+            Op::ForNext { var, body, .. } => {
+                jumps.push((i, body as usize));
+                let w = &mut writers[var as usize];
+                if !matches!(*w, Writer::Loop(_, next) if next == i) {
+                    *w = Writer::Several;
                 }
             }
+            Op::Jump { target }
+            | Op::JumpIfZero { target, .. }
+            | Op::JumpIfReduceFlagFalse { target } => jumps.push((i, target as usize)),
+            _ => {}
         }
-        if alias.iter().all(Option::is_none) {
-            return;
+    }
+    let mut first = vec![usize::MAX; prog.num_slots];
+    let mut last = vec![0; prog.num_slots];
+    slot_reads(prog, |at, slot| {
+        first[slot as usize] = first[slot as usize].min(at);
+        last[slot as usize] = last[slot as usize].max(at);
+    });
+    // `(SetVar index, slot, definition)` of every block iterator something
+    // reads, in program order.
+    let mut bindings: Vec<(usize, usize, Option<Affine>)> = writers
+        .iter()
+        .enumerate()
+        .filter_map(|(s, w)| match *w {
+            Writer::Set(d) if first[s] != usize::MAX => Some((d, s, None)),
+            _ => None,
+        })
+        .collect();
+    bindings.sort_unstable_by_key(|&(d, ..)| d);
+    // Later bindings first: a read of `s` reads what its definition reads.
+    let targets = jump_targets(ops);
+    for (d, s, def) in bindings.iter_mut().rev() {
+        let Op::SetVar { src, .. } = ops[*d] else {
+            unreachable!("Writer::Set points at a SetVar");
+        };
+        *def = affine_of_reg(prog, *d, src, &targets, 0);
+        for &(t, _) in def.iter().flat_map(|def| &def.terms) {
+            last[t as usize] = last[t as usize].max(last[*s]);
         }
-        // Redirect reads: LoadVar sites and slot_pool terms. Terminate
-        // when nothing actually moved (the aliases may recompute until
-        // dead_code collects the copy writers).
-        let mut moved = 0usize;
-        for op in &mut prog.ops {
-            if let Op::LoadVar { slot, .. } = op {
-                if let Some(t) = alias[*slot as usize] {
-                    *slot = t;
-                    moved += 1;
-                }
-            }
+    }
+    // Earlier bindings first: a definition expands through the ones before.
+    let mut expansion: Vec<Option<Affine>> = vec![None; prog.num_slots];
+    for (d, s, def) in bindings {
+        let Some(def) = def else { continue };
+        if first[s] < d {
+            continue;
         }
-        for (s, _) in prog.slot_pool.iter_mut() {
-            if let Some(t) = alias[*s as usize] {
-                *s = t;
-                moved += 1;
-            }
+        let Some(q) = region_end(&jumps, d, last[s]) else {
+            continue;
+        };
+        let based = def.terms.iter().all(|&(t, _)| match writers[t as usize] {
+            Writer::Loop(setup, next) => setup < d && q < next,
+            Writer::Set(dt) => dt < d,
+            _ => false,
+        });
+        if based {
+            expansion[s] = Some(expand(&expansion, &def.terms, def.k));
         }
-        if moved == 0 {
-            return;
-        }
-        // The binding SetVars (and their LoadVars) are now dead unless
-        // something else reads the slot; collect them before re-scanning
-        // for copy chains.
-        while fold_constants(prog) | dead_code(prog) {}
+    }
+    Iterators {
+        writers,
+        jumps,
+        targets,
+        expansion,
     }
 }
 
-/// When `ops[i - 1]` is `LoadVar { dst: src, slot }`, that slot.
-fn prev_loadvar(prog: &Program, i: usize, src: u32) -> Option<u32> {
-    if i == 0 {
-        return None;
+/// The end `q` of the smallest op range `(d, q]` that contains `(d, last]`
+/// and the source of every backward jump into itself, or `None` when some
+/// jump from at or before `d` lands inside it.
+fn region_end(jumps: &[(usize, usize)], d: usize, last: usize) -> Option<usize> {
+    let mut q = last;
+    loop {
+        let mut grown = false;
+        for &(from, to) in jumps {
+            if d < to && to <= q && !(d < from && from <= q) {
+                if from <= d {
+                    return None;
+                }
+                q = from;
+                grown = true;
+            }
+        }
+        if !grown {
+            return Some(q);
+        }
     }
-    match &prog.ops[i - 1] {
-        Op::LoadVar { dst, slot } if *dst == src => Some(*slot),
-        _ => None,
+}
+
+/// `Σ slot·m + k` with every slot that has an expansion replaced by it.
+fn expand(expansion: &[Option<Affine>], terms: &[(u32, i64)], k: i64) -> Affine {
+    let mut out = Affine {
+        terms: Vec::new(),
+        k,
+    };
+    for &(s, m) in terms {
+        match &expansion[s as usize] {
+            Some(e) => {
+                out.terms.extend(e.terms.iter().map(|&(b, mb)| (b, mb * m)));
+                out.k += e.k * m;
+            }
+            None => out.terms.push((s, m)),
+        }
+    }
+    canonicalize(&mut out.terms);
+    out
+}
+
+/// Substitutes every forwardable iterator ([`iterators`]) into the
+/// `Access::slots` terms that read it, canonicalised as
+/// [`fold_access_slots`] does, and redirects a `LoadVar` of a plain copy
+/// (`vi = i`: one base term, multiplier 1, no constant) to the slot it
+/// copies. The binding's `SetVar` and its chain are left for dead-code
+/// elimination, which removes them once nothing reads the slot.
+fn forward_iterators(prog: &mut Program) {
+    let it = iterators(prog);
+    for op in &mut prog.ops {
+        if let Op::LoadVar { slot, .. } = op {
+            if let Some(Affine { terms, k: 0 }) = &it.expansion[*slot as usize] {
+                if let [(base, 1)] = terms[..] {
+                    *slot = base;
+                }
+            }
+        }
+    }
+    for a in 0..prog.accesses.len() {
+        let acc = prog.accesses[a];
+        let terms = &prog.slot_pool[acc.slots.range()];
+        if terms
+            .iter()
+            .all(|&(s, _)| it.expansion[s as usize].is_none())
+        {
+            continue;
+        }
+        let forwarded = expand(&it.expansion, terms, 0);
+        prog.accesses[a].slots = append_pool(&mut prog.slot_pool, &forwarded.terms);
+        prog.accesses[a].base = acc.base + forwarded.k;
     }
 }
 
@@ -612,33 +780,25 @@ fn bin_safe(kind: crate::compile::BinKind) -> bool {
 /// branches. Only strictly-adjacent `Const; op` / `Const; Const; op`
 /// windows fold (with no jump target between them), so evaluation order
 /// and error points are untouched; division-family `Bin`s fold only when
-/// the evaluation cannot error (non-zero constant divisor).
+/// the evaluation cannot error (non-zero constant divisor). The `Const`s a
+/// fold leaves without a reader are [`dead_code`]'s to collect.
 fn fold_constants(prog: &mut Program) -> bool {
     let targets = jump_targets(&prog.ops);
     let n = prog.ops.len();
-    let (_, live_out) = liveness(prog, &prog.ops);
     let mut dead = vec![false; n];
     let mut changed = false;
     for i in 0..n {
-        if dead[i] {
-            continue;
-        }
         // Const c; JumpIfZero { reg: c } → Jump/fall-through.
         if i + 1 < n && !targets[i + 1] {
-            if let (Op::Const { dst, val }, Op::JumpIfZero { reg, target }) =
+            if let (&Op::Const { dst, val }, &Op::JumpIfZero { reg, target }) =
                 (&prog.ops[i], &prog.ops[i + 1])
             {
                 if dst == reg {
-                    let (dst, val, target) = (*dst, *val, *target);
-                    let keep_const = live_out[i + 1] & bit(dst) != 0;
                     if val == 0.0 {
                         prog.ops[i + 1] = Op::Jump { target };
                     } else {
                         // Never-taken branch: just drop it.
                         dead[i + 1] = true;
-                    }
-                    if !keep_const {
-                        dead[i] = true;
                     }
                     changed = true;
                     continue;
@@ -648,26 +808,16 @@ fn fold_constants(prog: &mut Program) -> bool {
         // Const a; Const b; Bin → Const (when the kinds cannot error).
         if i + 2 < n && !targets[i + 1] && !targets[i + 2] {
             if let (
-                Op::Const { dst: d1, val: v1 },
-                Op::Const { dst: d2, val: v2 },
-                Op::Bin { kind, dst, a, b },
+                &Op::Const { dst: d1, val: v1 },
+                &Op::Const { dst: d2, val: v2 },
+                &Op::Bin { kind, dst, a, b },
             ) = (&prog.ops[i], &prog.ops[i + 1], &prog.ops[i + 2])
             {
-                if a == d1 && b == d2 && d1 != d2 {
-                    let ok = bin_safe(*kind) || *v2 != 0.0;
-                    if ok {
-                        if let Ok(v) = bin_eval(*kind, *v1, *v2) {
-                            let (d1, d2, dst) = (*d1, *d2, *dst);
-                            prog.ops[i + 2] = Op::Const { dst, val: v };
-                            if live_out[i + 2] & bit(d1) == 0 && d1 != dst {
-                                dead[i] = true;
-                            }
-                            if live_out[i + 2] & bit(d2) == 0 && d2 != dst {
-                                dead[i + 1] = true;
-                            }
-                            changed = true;
-                            continue;
-                        }
+                if a == d1 && b == d2 && d1 != d2 && (bin_safe(kind) || v2 != 0.0) {
+                    if let Ok(val) = bin_eval(kind, v1, v2) {
+                        prog.ops[i + 2] = Op::Const { dst, val };
+                        changed = true;
+                        continue;
                     }
                 }
             }
@@ -675,8 +825,8 @@ fn fold_constants(prog: &mut Program) -> bool {
         // Const; Cast → Const.
         if i + 1 < n && !targets[i + 1] {
             if let (
-                Op::Const { dst: d1, val },
-                Op::Cast {
+                &Op::Const { dst: d1, val },
+                &Op::Cast {
                     dst,
                     src,
                     dtype,
@@ -685,19 +835,15 @@ fn fold_constants(prog: &mut Program) -> bool {
             ) = (&prog.ops[i], &prog.ops[i + 1])
             {
                 if src == d1 {
-                    let (d1, dst) = (*d1, *dst);
-                    let v = cast_val(*val, *dtype, *trunc);
-                    prog.ops[i + 1] = Op::Const { dst, val: v };
-                    if live_out[i + 1] & bit(d1) == 0 && d1 != dst {
-                        dead[i] = true;
-                    }
+                    let val = cast_val(val, dtype, trunc);
+                    prog.ops[i + 1] = Op::Const { dst, val };
                     changed = true;
                     continue;
                 }
             }
         }
     }
-    if changed {
+    if dead.contains(&true) {
         compact(prog, &dead);
     }
     changed
@@ -707,84 +853,49 @@ fn fold_constants(prog: &mut Program) -> bool {
 // Pass 4: dead code elimination
 // ---------------------------------------------------------------------------
 
-/// Frame slots with at least one read site: `LoadVar`, pooled slot
-/// terms reachable from any live access, and lane-spec metadata.
-fn slot_read_mask(prog: &Program) -> Vec<bool> {
-    let mut read = vec![false; prog.num_slots];
-    let mark_access = |read: &mut Vec<bool>, access: u32| {
-        let acc = &prog.accesses[access as usize];
-        for &(s, _) in &prog.slot_pool[acc.slots.range()] {
-            read[s as usize] = true;
-        }
-    };
-    for op in &prog.ops {
+/// Calls `visit(op index, slot)` for every read of a frame slot:
+/// `LoadVar`, the pooled slot terms of every access an op uses, and
+/// lane-spec metadata.
+fn slot_reads(prog: &Program, mut visit: impl FnMut(usize, u32)) {
+    for (at, op) in prog.ops.iter().enumerate() {
         match op {
-            Op::LoadVar { slot, .. } => read[*slot as usize] = true,
-            Op::Load { access, .. }
-            | Op::Store { access, .. }
-            | Op::LoadCast { access, .. }
-            | Op::BinStore { access, .. }
-            | Op::StoreConst { access, .. }
-            | Op::FusedAcc { access, .. } => mark_access(&mut read, *access),
-            Op::FusedMac { spec } => {
-                let sp = prog.mac_specs[*spec as usize];
-                mark_access(&mut read, sp.acc);
-                mark_access(&mut read, sp.a);
-                mark_access(&mut read, sp.b);
-            }
+            Op::LoadVar { slot, .. } => visit(at, *slot),
             Op::MacLanes { spec } => {
-                let sp = prog.lane_specs[*spec as usize].clone();
-                read[sp.var as usize] = true;
-                match sp.body {
-                    LaneBody::Mac(m) => {
-                        let ms = prog.mac_specs[m as usize];
-                        mark_access(&mut read, ms.acc);
-                        mark_access(&mut read, ms.a);
-                        mark_access(&mut read, ms.b);
-                    }
-                    LaneBody::Fill(a, _) => mark_access(&mut read, a),
-                }
-                if let Some(g) = &sp.guard {
-                    for &f in g.flags.iter() {
-                        read[f as usize] = true;
-                    }
-                    mark_access(&mut read, g.access);
+                let sp = &prog.lane_specs[*spec as usize];
+                visit(at, sp.var);
+                for &f in sp.guard.iter().flat_map(|g| g.flags.iter()) {
+                    visit(at, f);
                 }
             }
             _ => {}
         }
+        for a in op_accesses(prog, op) {
+            for &(s, _) in &prog.slot_pool[prog.accesses[a as usize].slots.range()] {
+                visit(at, s);
+            }
+        }
     }
+}
+
+/// Frame slots with at least one read site.
+fn slot_read_mask(prog: &Program) -> Vec<bool> {
+    let mut read = vec![false; prog.num_slots];
+    slot_reads(prog, |_, slot| read[slot as usize] = true);
     read
 }
 
 /// Deletes pure ops whose destination register is dead and `SetVar`s to
-/// slots that are never read. `ForSetup`/`ForNext` variable rebinding
-/// keeps its slot alive through the loop ops themselves (they are never
-/// deleted), but a `SetVar` binding an iterator nobody reads any more
-/// (after slot aliasing) goes away.
+/// slots that are never read ([`is_dead`]). `ForSetup`/`ForNext` variable
+/// rebinding keeps its slot alive through the loop ops themselves (they
+/// are never deleted), but a `SetVar` binding an iterator nobody reads any
+/// more (after forwarding) goes away.
 fn dead_code(prog: &mut Program) -> bool {
-    let n = prog.ops.len();
-    let (_, live_out) = liveness(prog, &prog.ops);
+    let (_, live_out) = liveness(prog);
     let slot_read = slot_read_mask(prog);
-    let mut dead = vec![false; n];
-    let mut changed = false;
-    for i in 0..n {
-        let kill = match &prog.ops[i] {
-            Op::Const { dst, .. }
-            | Op::LoadVar { dst, .. }
-            | Op::Cmp { dst, .. }
-            | Op::Not { dst, .. }
-            | Op::Cast { dst, .. }
-            | Op::Call { dst, .. } => live_out[i] & bit(*dst) == 0,
-            Op::Bin { kind, dst, .. } => bin_safe(*kind) && live_out[i] & bit(*dst) == 0,
-            Op::SetVar { slot, .. } => !slot_read[*slot as usize],
-            _ => false,
-        };
-        if kill {
-            dead[i] = true;
-            changed = true;
-        }
-    }
+    let dead: Vec<bool> = (prog.ops.iter().zip(&live_out))
+        .map(|(op, &out)| is_dead(op, out, &slot_read))
+        .collect();
+    let changed = dead.contains(&true);
     if changed {
         compact(prog, &dead);
     }
@@ -817,7 +928,7 @@ fn dead_code(prog: &mut Program) -> bool {
 fn fuse_macs(prog: &mut Program) {
     let targets = jump_targets(&prog.ops);
     let n = prog.ops.len();
-    let (_, live_out) = liveness(prog, &prog.ops);
+    let (_, live_out) = liveness(prog);
     let mut dead = vec![false; n];
     let mut changed = false;
     let mut i = 0;
@@ -1002,7 +1113,7 @@ fn fuse_small(prog: &mut Program) {
         changed = false;
         let targets = jump_targets(&prog.ops);
         let n = prog.ops.len();
-        let (_, live_out) = liveness(prog, &prog.ops);
+        let (_, live_out) = liveness(prog);
         let mut dead = vec![false; n];
         let mut any = false;
         for i in 0..n.saturating_sub(1) {
@@ -1072,7 +1183,7 @@ fn fuse_accumulates(prog: &mut Program) {
     const MAX_INTERIOR: usize = 16;
     let targets = jump_targets(&prog.ops);
     let n = prog.ops.len();
-    let (_, live_out) = liveness(prog, &prog.ops);
+    let (_, live_out) = liveness(prog);
     let mut dead = vec![false; n];
     let mut changed = false;
     for end in 0..n {
@@ -1143,41 +1254,29 @@ fn fuse_accumulates(prog: &mut Program) {
 // Pass 7: lane batching
 // ---------------------------------------------------------------------------
 
-/// Whether any op outside `[f, e)` jumps strictly inside `(f, e)`.
-fn external_jump_into(ops: &[Op], f: usize, e: usize) -> bool {
-    let inside = |t: u32| {
-        let t = t as usize;
-        t > f && t < e
-    };
-    for (i, op) in ops.iter().enumerate() {
-        if i >= f && i < e {
-            continue;
-        }
-        let hit = match op {
-            Op::Jump { target }
-            | Op::JumpIfZero { target, .. }
-            | Op::JumpIfReduceFlagFalse { target } => inside(*target),
-            Op::ForSetup { end, .. } => inside(*end),
-            Op::ForNext { body, .. } => inside(*body),
-            _ => false,
-        };
-        if hit {
-            return true;
-        }
-    }
-    false
-}
-
 /// Matches the body `ops[s..t]` of a candidate innermost loop. Accepted
 /// shapes (exactly, nothing else in the body):
 ///
 /// * `Tick; FusedMac` — an unguarded accumulate loop;
 /// * `Tick; StoreConst` — a fill loop;
-/// * `ResetReduceFlag; (LoadVar; UpdateReduceFlag)+;
+/// * `ResetReduceFlag; (chain; UpdateReduceFlag)+;
 ///    JumpIfReduceFlagFalse; Tick; StoreConst; Tick; FusedMac` — a
 ///   guarded reduction whose init store hits the same element as the
-///   accumulator ([`acc_eq`]), the matmul/conv inner loop.
-fn match_lane_body(prog: &Program, s: usize, t: usize) -> Option<(Option<LaneGuard>, LaneBody)> {
+///   accumulator ([`acc_eq`]), the matmul/conv inner loop. Each `chain`
+///   is the pure `LoadVar`/`Const`/safe-`Bin` computation of one reduce
+///   binding, and its forwarded expansion ([`iterators`]) must be one
+///   slot as it stands, or a sum of loop variables enclosing the body,
+///   every multiplier positive, no constant: loop counters never go
+///   negative, so the sum is zero iff every one of them is, and they
+///   become the [`LaneGuard::flags`]. A constant offset, a reversed loop
+///   (`7 - k`) or an opaque term in a sum keeps the flag ops and the
+///   loop unbatched.
+fn match_lane_body(
+    prog: &Program,
+    it: &Iterators,
+    s: usize,
+    t: usize,
+) -> Option<(Option<LaneGuard>, LaneBody)> {
     let ops = &prog.ops;
     if t - s == 2 {
         if let (Op::Tick, &Op::FusedMac { spec }) = (&ops[s], &ops[s + 1]) {
@@ -1189,25 +1288,31 @@ fn match_lane_body(prog: &Program, s: usize, t: usize) -> Option<(Option<LaneGua
         return None;
     }
     // Guarded form.
-    if t - s < 8 || !matches!(ops[s], Op::ResetReduceFlag) {
+    if !matches!(ops[s], Op::ResetReduceFlag) {
         return None;
     }
-    let mut k = s + 1;
     let mut flags: Vec<u32> = Vec::new();
-    while let (Some(&Op::LoadVar { dst, slot }), Some(&Op::UpdateReduceFlag { reg })) =
-        (ops.get(k), ops.get(k + 1))
-    {
-        if reg != dst {
-            return None;
+    let mut k = s + 1;
+    let target = loop {
+        match ops[k] {
+            Op::LoadVar { .. } | Op::Const { .. } => {}
+            Op::Bin { kind, .. } if bin_safe(kind) => {}
+            Op::UpdateReduceFlag { reg } => {
+                let bound = affine_of_reg(prog, k, reg, &it.targets, 0)?;
+                let sum = expand(&it.expansion, &bound.terms, bound.k);
+                let one_slot = matches!(sum.terms[..], [(_, 1)]);
+                let counter = |&(v, m): &(u32, i64)| {
+                    m > 0 && matches!(it.writers[v as usize], Writer::Loop(f, n) if f < s && t <= n)
+                };
+                if sum.k != 0 || !(one_slot || sum.terms.iter().all(counter)) {
+                    return None;
+                }
+                flags.extend(sum.terms.iter().map(|&(v, _)| v));
+            }
+            Op::JumpIfReduceFlagFalse { target } => break target,
+            _ => return None,
         }
-        flags.push(slot);
-        k += 2;
-    }
-    if flags.is_empty() {
-        return None;
-    }
-    let &Op::JumpIfReduceFlagFalse { target } = ops.get(k)? else {
-        return None;
+        k += 1;
     };
     if k + 5 != t || target as usize != t - 2 {
         return None;
@@ -1228,6 +1333,8 @@ fn match_lane_body(prog: &Program, s: usize, t: usize) -> Option<(Option<LaneGua
     if !acc_eq(prog, ga, mac.acc) {
         return None;
     }
+    flags.sort_unstable();
+    flags.dedup();
     Some((
         Some(LaneGuard {
             flags: flags.into(),
@@ -1245,7 +1352,8 @@ fn match_lane_body(prog: &Program, s: usize, t: usize) -> Option<(Option<LaneGua
 /// dispatch.
 fn batch_lanes(prog: &mut Program) {
     let n = prog.ops.len();
-    let (live_in, _) = liveness(prog, &prog.ops);
+    let (live_in, _) = liveness(prog);
+    let it = iterators(prog);
     let mut dead = vec![false; n];
     let mut changed = false;
     for f in 0..n {
@@ -1268,10 +1376,12 @@ fn batch_lanes(prog: &mut Program) {
         if l2 != loop_id || body as usize != f + 1 {
             continue;
         }
-        let Some((guard, lbody)) = match_lane_body(prog, f + 1, e - 1) else {
+        let Some((guard, lbody)) = match_lane_body(prog, &it, f + 1, e - 1) else {
             continue;
         };
-        if external_jump_into(&prog.ops, f, e) {
+        let jumped_into =
+            |&(from, to): &(usize, usize)| (from < f || from >= e) && f < to && to < e;
+        if it.jumps.iter().any(jumped_into) {
             continue;
         }
         // Registers the body writes vanish with it; they must not be
@@ -1306,10 +1416,10 @@ fn batch_lanes(prog: &mut Program) {
 #[cfg(test)]
 mod tests {
     use tir::builder::matmul_func;
-    use tir::{Buffer, DataType, Expr, PrimFunc, Stmt, Var};
+    use tir::{Block, BlockRealize, Buffer, DataType, Expr, IterVar, PrimFunc, Stmt, Var};
 
-    use super::optimize;
-    use crate::compile::{compile, Op};
+    use super::{append_pool, optimize};
+    use crate::compile::{compile, Access, BinKind, LaneBody, Op, PoolRange, Program};
     use crate::interp::{run_with, ExecBackend, ExecError};
     use crate::tensor::Tensor;
 
@@ -1367,26 +1477,349 @@ mod tests {
         }
     }
 
+    /// Scheduled shapes of a 4×4×8 matmul — what schedule primitives leave
+    /// behind, built by hand because `tir-schedule` sits above this crate —
+    /// each with what `optimize` must make of it: how many `SetVar`s
+    /// survive, how many flags the guard of the lane-batched reduction
+    /// loop reads (`None`: the loop stays scalar and keeps its flag ops),
+    /// and how many reduction nests the program has.
+    fn scheduled_matmuls() -> Vec<(&'static str, PrimFunc, usize, Option<usize>, usize)> {
+        let base = matmul_func("mm", 4, 4, 8, DataType::float32());
+        let block = &tir::visit::find_block(&base.body, "C").unwrap().block;
+        let v = |name: &str| Var::int(name);
+        let e = |var: &Var| Expr::from(var);
+        // The matmul block under `loops`, `(vi, vj, vk)` bound to `bind`.
+        let nest = |loops: Vec<(Var, i64)>, bind: [Expr; 3], predicate: Expr| {
+            let realize = BlockRealize::with_predicate(bind.to_vec(), predicate, block.clone());
+            Stmt::BlockRealize(Box::new(realize)).in_loops(loops)
+        };
+        // `tile` inside an outer block binding `(vio, vjo)` to `bind`.
+        let tiled =
+            |loops: Vec<(Var, i64)>, (vio, vjo): (Var, Var), bind: [Expr; 2], tile: Stmt| {
+                let iters = vec![IterVar::spatial(vio, 2), IterVar::spatial(vjo, 2)];
+                let outer = Block::new("C_o", iters, vec![], vec![], tile);
+                Stmt::BlockRealize(Box::new(BlockRealize::new(bind.to_vec(), outer)))
+                    .in_loops(loops)
+            };
+        let func = |body: Stmt| PrimFunc::new("mm", base.params.clone(), body);
+        let mut out = Vec::new();
+
+        // Both `i` and the reduction loop split: two flags in the guard.
+        let (i0, i1, j, k0, k1) = (v("i0"), v("i1"), v("j"), v("k0"), v("k1"));
+        let bind = [e(&i0) * 2 + e(&i1), e(&j), e(&k0) * 4 + e(&k1)];
+        let loops = vec![(i0, 2), (i1, 2), (j, 4), (k0, 2), (k1, 4)];
+        let body = nest(loops, bind, Expr::true_());
+        out.push(("doubly split", func(body), 0, Some(2), 1));
+
+        // A non-divisible split: the `T.where` predicate is evaluated in
+        // the reduction loop, ahead of the bindings, so the loop stays
+        // scalar — forwarded and MAC-fused all the same.
+        let (i0, i1, j, k) = (v("i0"), v("i1"), v("j"), v("k"));
+        let vi = e(&i0) * 3 + e(&i1);
+        let bind = [vi.clone(), e(&j), e(&k)];
+        let loops = vec![(i0, 2), (i1, 3), (j, 4), (k, 8)];
+        let body = nest(loops, bind, vi.lt(4));
+        out.push(("non-divisible split", func(body), 0, None, 1));
+
+        // A blockized tile: `vi = vio*2 + i1` with `vio = i0` one block up.
+        let (i0, j0, i1, j1, k) = (v("i0"), v("j0"), v("i1"), v("j1"), v("k"));
+        let (vio, vjo) = (v("vio"), v("vjo"));
+        let bind = [e(&vio) * 2 + e(&i1), e(&vjo) * 2 + e(&j1), e(&k)];
+        let tile = nest(vec![(i1, 2), (j1, 2), (k, 8)], bind, Expr::true_());
+        let outer = [e(&i0), e(&j0)];
+        let body = tiled(vec![(i0, 2), (j0, 2)], (vio, vjo), outer, tile);
+        out.push(("blockized tile", func(body), 0, Some(1), 1));
+
+        // The two tile loops fused: `vio = f // 2`, `vjo = f % 2` are opaque
+        // and stay bound; the inner bindings are affine over them.
+        let (f, i1, j1, k) = (v("f"), v("i1"), v("j1"), v("k"));
+        let (vio, vjo) = (v("vio"), v("vjo"));
+        let bind = [e(&vio) * 2 + e(&i1), e(&vjo) * 2 + e(&j1), e(&k)];
+        let tile = nest(vec![(i1, 2), (j1, 2), (k, 8)], bind, Expr::true_());
+        let outer = [e(&f).floor_div(2), e(&f).floor_mod(2)];
+        let body = tiled(vec![(f, 4)], (vio, vjo), outer, tile);
+        out.push(("fused then split", func(body), 2, Some(1), 1));
+
+        // One block realized twice, for the upper and the lower rows: every
+        // iterator has two `SetVar`s, so nothing is forwarded and the
+        // bindings stay inside both reduction loops.
+        let half = |row: i64| {
+            let (i, j, k) = (v("i"), v("j"), v("k"));
+            let bind = [e(&i) + row, e(&j), e(&k)];
+            nest(vec![(i, 2), (j, 4), (k, 8)], bind, Expr::true_())
+        };
+        let body = Stmt::seq(vec![half(0), half(2)]);
+        out.push(("sibling blocks", func(body), 6, None, 2));
+
+        // `vk = k + 1` over 7 iterations: zero for no `k`, so the init
+        // never fires — and the guard must not be read off the counter.
+        let (i, j, k) = (v("i"), v("j"), v("k"));
+        let bind = [e(&i), e(&j), e(&k) + 1];
+        let body = nest(vec![(i, 4), (j, 4), (k, 7)], bind, Expr::true_());
+        out.push(("offset reduce binding", func(body), 0, None, 1));
+
+        // `vk = 7 - k`: zero on the *last* iteration.
+        let (i, j, k) = (v("i"), v("j"), v("k"));
+        let bind = [e(&i), e(&j), 7 - e(&k)];
+        let body = nest(vec![(i, 4), (j, 4), (k, 8)], bind, Expr::true_());
+        out.push(("reversed reduce binding", func(body), 0, None, 1));
+        out
+    }
+
+    /// What `optimize` makes of every scheduled shape: bindings forwarded
+    /// and collected (or kept, where they must be), the reduction loop
+    /// batched exactly where its guard can be read off loop counters, the
+    /// flag ops kept where it cannot; and `optimize` stays idempotent.
+    #[test]
+    fn scheduled_matmuls_forward_and_batch_where_legal() {
+        for (name, f, set_vars, guard_flags, nests) in scheduled_matmuls() {
+            let opt = optimize(compile(&f).expect("compiles"));
+            let count = |pred: fn(&Op) -> bool| opt.ops.iter().filter(|o| pred(o)).count();
+            assert_eq!(
+                count(|o| matches!(o, Op::SetVar { .. })),
+                set_vars,
+                "{name}: surviving bindings in\n{opt}"
+            );
+            assert_eq!(
+                count(|o| matches!(o, Op::FusedMac { .. } | Op::MacLanes { .. })),
+                nests,
+                "{name}: the multiply-accumulate must fuse in\n{opt}"
+            );
+            let flags = opt.lane_specs.iter().find_map(|sp| match sp.body {
+                LaneBody::Mac(_) => Some(sp.guard.as_ref().expect("guarded").flags.len()),
+                LaneBody::Fill(..) => None,
+            });
+            assert_eq!(flags, guard_flags, "{name}: guard flags in\n{opt}");
+            assert_eq!(
+                count(|o| matches!(o, Op::UpdateReduceFlag { .. })),
+                if guard_flags.is_some() { 0 } else { nests },
+                "{name}: flag ops in\n{opt}"
+            );
+            let ops_once = opt.ops.clone();
+            assert_eq!(ops_once, optimize(opt).ops, "{name}: not idempotent");
+        }
+    }
+
     /// `OutOfFuel` fires at the identical step count even when the
-    /// boundary lands mid-batch (every fuel value from 0 to completion).
+    /// boundary lands mid-batch (every fuel value from 0 to completion),
+    /// on the plain matmul and on every scheduled shape; with exact fuel
+    /// the three backends agree bit for bit.
     #[test]
     fn fuel_boundary_mid_batch() {
-        let f = matmul_func("mm", 2, 13, 2, DataType::float32());
-        let total = run_with(&f, zeros_args(&f), ExecBackend::TreeWalk, None)
-            .expect("tw")
-            .steps;
-        for fuel in 0..total {
+        let plain = matmul_func("mm", 2, 13, 2, DataType::float32());
+        let shapes = scheduled_matmuls()
+            .into_iter()
+            .map(|(name, f, ..)| (name, f));
+        for (name, f) in [("plain", plain)].into_iter().chain(shapes) {
+            let args: Vec<Tensor> = (f.params.iter().zip(1..))
+                .map(|(p, seed)| Tensor::random(p.dtype(), p.shape(), seed))
+                .collect();
+            let reference =
+                run_with(&f, args.clone(), ExecBackend::TreeWalk, None).expect("tree-walker");
+            let total = reference.steps;
             for backend in [ExecBackend::TreeWalk, ExecBackend::VmUnopt, ExecBackend::Vm] {
-                let err = run_with(&f, zeros_args(&f), backend, Some(fuel)).unwrap_err();
-                assert!(
-                    matches!(err, ExecError::OutOfFuel),
-                    "{backend:?} fuel={fuel}: {err}"
-                );
+                for fuel in 0..total {
+                    let err = run_with(&f, args.clone(), backend, Some(fuel)).unwrap_err();
+                    assert!(
+                        matches!(err, ExecError::OutOfFuel),
+                        "{name} {backend:?} fuel={fuel}: {err}"
+                    );
+                }
+                let ok = run_with(&f, args.clone(), backend, Some(total)).expect("exact fuel");
+                assert_eq!(ok.steps, total, "{name} {backend:?}");
+                assert_eq!(ok.outputs, reference.outputs, "{name} {backend:?}");
             }
         }
-        for backend in [ExecBackend::VmUnopt, ExecBackend::Vm] {
-            let ok = run_with(&f, zeros_args(&f), backend, Some(total)).expect("exact fuel");
-            assert_eq!(ok.steps, total);
+    }
+
+    /// A hand-assembled program over one parameter `O: float32[16]`:
+    /// `accesses` are `(base, slot terms)` into it.
+    fn assemble(ops: Vec<Op>, accesses: &[(i64, &[(u32, i64)])], num_slots: usize) -> Program {
+        let o = Buffer::new("O", DataType::float32(), vec![16]);
+        let mut slot_pool = Vec::new();
+        let accesses = accesses
+            .iter()
+            .map(|&(base, slots)| Access {
+                buf: 0,
+                base,
+                hoists: PoolRange::default(),
+                regs: PoolRange::default(),
+                slots: append_pool(&mut slot_pool, slots),
+                race: PoolRange::default(),
+            })
+            .collect();
+        Program {
+            func_name: "hand".into(),
+            params: vec![o.clone()],
+            buffers: vec![o],
+            ops,
+            accesses,
+            names: Vec::new(),
+            relaxed: vec![false],
+            hoist_pool: Vec::new(),
+            reg_pool: Vec::new(),
+            slot_pool,
+            race_pool: Vec::new(),
+            mac_specs: Vec::new(),
+            lane_specs: Vec::new(),
+            optimized: false,
+            num_regs: 2,
+            num_slots,
+            num_loops: 1,
+            num_hoists: 0,
+        }
+    }
+
+    /// `for v0 in 0..extent { body }` with `body` placed at op 2.
+    fn in_loop(extent: f64, body: Vec<Op>) -> Vec<Op> {
+        let end = body.len() as u32 + 3;
+        let mut ops = vec![
+            Op::Const {
+                dst: 0,
+                val: extent,
+            },
+            Op::ForSetup {
+                loop_id: 0,
+                extent: 0,
+                var: 0,
+                end,
+            },
+        ];
+        ops.extend(body);
+        ops.push(Op::ForNext {
+            loop_id: 0,
+            var: 0,
+            body: 2,
+        });
+        ops
+    }
+
+    /// `v1 = v0 + add`, the binding every shape below is about.
+    fn bind_v1(add: f64) -> [Op; 4] {
+        [
+            Op::LoadVar { dst: 0, slot: 0 },
+            Op::Const { dst: 1, val: add },
+            Op::Bin {
+                kind: BinKind::Add,
+                dst: 0,
+                a: 0,
+                b: 1,
+            },
+            Op::SetVar { slot: 1, src: 0 },
+        ]
+    }
+
+    /// `O[access] = val`, one fuel step.
+    fn fill(access: u32, val: f64) -> [Op; 2] {
+        [Op::Tick, Op::StoreConst { access, val }]
+    }
+
+    /// Shapes `compile` never emits, where substituting the binding of `v1`
+    /// into the access that reads it would read a different value than the
+    /// frame holds: each must come out of `optimize` with the access still
+    /// reading `v1` and the `SetVar` in place, and run as it did before.
+    /// The first shape is the legal one, as the control.
+    #[test]
+    fn forwarding_refuses_what_the_compiler_never_emits() {
+        let via_v1: &[(i64, &[(u32, i64)])] = &[(0, &[(1, 1)])];
+        let skip = |target: u32| -> Vec<Op> {
+            vec![
+                Op::LoadVar { dst: 0, slot: 0 },
+                Op::Const { dst: 1, val: 2.0 },
+                Op::Cmp {
+                    op: tir::CmpOp::Lt,
+                    dst: 0,
+                    a: 0,
+                    b: 1,
+                },
+                Op::JumpIfZero { reg: 0, target },
+            ]
+        };
+        let cat = |parts: &[&[Op]]| -> Vec<Op> { parts.concat() };
+        let shapes: Vec<(&str, bool, Program)> = vec![
+            (
+                "binding then read",
+                true,
+                assemble(
+                    in_loop(4.0, cat(&[&bind_v1(1.0), &fill(0, 1.0)])),
+                    via_v1,
+                    2,
+                ),
+            ),
+            (
+                "a forward jump over the SetVar",
+                false,
+                assemble(
+                    in_loop(4.0, cat(&[&skip(10), &bind_v1(1.0), &fill(0, 1.0)])),
+                    via_v1,
+                    2,
+                ),
+            ),
+            (
+                "a read before its definition",
+                false,
+                assemble(
+                    in_loop(4.0, cat(&[&fill(0, 1.0), &bind_v1(1.0)])),
+                    via_v1,
+                    2,
+                ),
+            ),
+            (
+                "a slot with two SetVars",
+                false,
+                assemble(
+                    in_loop(
+                        4.0,
+                        cat(&[&bind_v1(1.0), &fill(0, 1.0), &bind_v1(9.0), &fill(0, 2.0)]),
+                    ),
+                    via_v1,
+                    2,
+                ),
+            ),
+            (
+                "a loop variable read after its loop ended",
+                false,
+                assemble(
+                    cat(&[
+                        &in_loop(4.0, vec![Op::Tick, Op::Load { dst: 1, access: 1 }]),
+                        &bind_v1(1.0),
+                        &fill(0, 1.0),
+                    ]),
+                    &[(0, &[(1, 1)]), (0, &[(0, 1)])],
+                    2,
+                ),
+            ),
+            (
+                "an empty-extent loop around the definition",
+                false,
+                assemble(
+                    cat(&[&in_loop(0.0, bind_v1(1.0).to_vec()), &fill(0, 1.0)]),
+                    via_v1,
+                    2,
+                ),
+            ),
+        ];
+        for (name, forwarded, prog) in shapes {
+            let args = vec![Tensor::zeros(DataType::float32(), &[16])];
+            let before = prog
+                .run_with_fuel(args.clone(), 1 << 10)
+                .expect("unoptimized");
+            let opt = optimize(prog);
+            let after = opt.run_with_fuel(args, 1 << 10).expect("optimized");
+            assert_eq!(before.outputs, after.outputs, "{name}:\n{opt}");
+            assert_eq!(before.steps, after.steps, "{name}");
+            let reads_v1 = opt.slot_pool[opt.accesses[0].slots.range()]
+                .iter()
+                .any(|&(s, _)| s == 1);
+            let binds_v1 = opt
+                .ops
+                .iter()
+                .any(|o| matches!(o, Op::SetVar { slot: 1, .. }));
+            assert_eq!(
+                (reads_v1, binds_v1),
+                (!forwarded, !forwarded),
+                "{name}:\n{opt}"
+            );
         }
     }
 

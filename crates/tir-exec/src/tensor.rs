@@ -17,25 +17,20 @@ pub fn quantize(value: f64, dtype: DataType) -> f64 {
             _ => value,
         },
         TypeCode::BFloat => bf16_round(value),
+        // Two's-complement wrap: sign-extend from bit `bits - 1`.
         TypeCode::Int => {
-            let bits = dtype.bits() as u32;
             let v = value.round() as i64;
-            if bits >= 64 {
-                v as f64
-            } else {
-                let m = 1i64 << bits;
-                let half = 1i64 << (bits - 1);
-                (((v % m + m) % m + half) % m - half) as f64
+            match dtype.bits() as u32 {
+                bits @ 1..=63 => ((v << (64 - bits)) >> (64 - bits)) as f64,
+                _ => v as f64,
             }
         }
+        // Modulo 2^bits: keep the low `bits`.
         TypeCode::UInt => {
-            let bits = dtype.bits() as u32;
             let v = value.round() as i64;
-            if bits >= 64 {
-                v as f64
-            } else {
-                let m = 1i64 << bits;
-                ((v % m + m) % m) as f64
+            match dtype.bits() as u32 {
+                bits @ 1..=63 => (v & (u64::MAX >> (64 - bits)) as i64) as f64,
+                _ => v as f64,
             }
         }
         TypeCode::Bool => {
@@ -355,6 +350,55 @@ mod tests {
         assert_eq!(quantize(2049.0, DataType::float16()), 2048.0);
         // Overflow saturates to infinity.
         assert_eq!(quantize(1e6, DataType::float16()), f64::INFINITY);
+    }
+
+    /// The modulo formulas `quantize` used before the shift and the mask,
+    /// in `i128` so that width 63 (where `1i64 << 63` is negative) has an
+    /// oracle too.
+    fn wrap_by_modulo(v: i64, dtype: DataType) -> i64 {
+        let (v, m) = (v as i128, 1i128 << dtype.bits());
+        let wrapped = match dtype.code() {
+            TypeCode::Int => ((v % m + m) % m + m / 2) % m - m / 2,
+            _ => (v % m + m) % m,
+        };
+        wrapped as i64
+    }
+
+    /// Every width a `DataType` can carry, signed and unsigned, on every
+    /// power of two and its neighbours plus seeded random values: the
+    /// shift/mask wrap equals the modulo formulas below 64 bits and is the
+    /// identity from 64 up.
+    #[test]
+    fn int_wrap_equals_modulo_formulas_at_every_width() {
+        let mut probes: Vec<i64> = vec![0, i64::MIN, i64::MAX];
+        for p in 0..63 {
+            for d in [-1, 0, 1] {
+                probes.extend([(1i64 << p) + d, -(1i64 << p) + d]);
+            }
+        }
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        probes.extend((0..2000).map(|i| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Mix magnitudes: full-width, and narrow values near the wraps.
+            (state as i64) >> (i % 64)
+        }));
+        for code in [TypeCode::Int, TypeCode::UInt] {
+            for bits in 1..=u8::MAX {
+                let dtype = DataType::new(code, bits, 1);
+                for &v in &probes {
+                    // Only integers an `f64` carries exactly reach `quantize`.
+                    let v = v as f64 as i64;
+                    let expected = if bits < 64 {
+                        wrap_by_modulo(v, dtype)
+                    } else {
+                        v
+                    };
+                    assert_eq!(quantize(v as f64, dtype), expected as f64, "{dtype} of {v}");
+                }
+            }
+        }
     }
 
     #[test]

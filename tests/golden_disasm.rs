@@ -8,7 +8,7 @@
 //! guard on the compiler's baseline lowering.
 
 use tir::builder::matmul_func;
-use tir::{Buffer, DataType, Expr, PrimFunc, Stmt, Var};
+use tir::{BlockRealize, Buffer, DataType, Expr, PrimFunc, Stmt, ThreadTag, Var};
 use tir_exec::{compile, optimize};
 use tir_schedule::Schedule;
 
@@ -114,10 +114,10 @@ program ew (14 ops, 3 regs, 1 slots, 1 loops, 0 hoists)
     );
 }
 
-/// A split matmul: the block-var recomputation (`v4 = v0*4 + v1`) lands
-/// inside the reduction loop, so lane batching is blocked — but MAC
-/// fusion still fires, with the reduce-at-start guard initialising the
-/// accumulator via a fused `StoreConst`.
+/// A split matmul: the binding `vi = i0*4 + i1` is forwarded into the
+/// three accesses, its `SetVar` and chain die, and the reduction loop is
+/// the same guarded `MacLanes` the unscheduled matmul gets — the listing
+/// differs from `golden_matmul_optimized` by one loop and the strides.
 #[test]
 fn golden_scheduled_matmul_optimized() {
     let mut sch = Schedule::new(matmul_func("mm", 8, 8, 8, DataType::float32()));
@@ -128,34 +128,116 @@ fn golden_scheduled_matmul_optimized() {
     assert_listing(
         &actual,
         r"
-program mm (26 ops, 6 regs, 7 slots, 4 loops, 0 hoists, optimized)
+program mm (13 ops, 6 regs, 7 slots, 4 loops, 0 hoists, optimized)
    0: const r0 = 2
-   1: for_setup L0 v0 extent=r0 end=26
+   1: for_setup L0 v0 extent=r0 end=13
    2: const r0 = 4
-   3: for_setup L1 v1 extent=r0 end=25
+   3: for_setup L1 v1 extent=r0 end=12
    4: const r0 = 8
-   5: for_setup L2 v2 extent=r0 end=24
+   5: for_setup L2 v2 extent=r0 end=11
    6: const r0 = 8
-   7: for_setup L3 v3 extent=r0 end=23
-   8: reset_reduce_flag
-   9: load_var r0 = v0
-  10: const r1 = 4
-  11: bin r0 = r0 Mul r1
-  12: load_var r1 = v1
-  13: bin r0 = r0 Add r1
-  14: set_var v4 = r0
-  15: load_var r0 = v3
-  16: update_reduce_flag r0
-  17: jump_if_reduce_flag_false -> 20
-  18: tick
-  19: store_const C[v4*8 + v2*1] = 0
-  20: tick
-  21: fused_mac mac0
-  22: for_next L3 v3 body=8
-  23: for_next L2 v2 body=6
-  24: for_next L1 v1 body=4
-  25: for_next L0 v0 body=2
-  mac0: C[v4*8 + v2*1] = C[v4*8 + v2*1] Add (A[v4*8 + v3*1] Mul B[v2*1 + v3*8])
+   7: for_setup L3 v3 extent=r0 end=10
+   8: mac_lanes L3 v3 x8 mac0 guard[v3] init C[v0*32 + v1*8 + v2*1] = 0
+   9: for_next L3 v3 body=8
+  10: for_next L2 v2 body=6
+  11: for_next L1 v1 body=4
+  12: for_next L0 v0 body=2
+  mac0: C[v0*32 + v1*8 + v2*1] = C[v0*32 + v1*8 + v2*1] Add (A[v0*32 + v1*8 + v3*1] Mul B[v2*1 + v3*8])
+",
+    );
+}
+
+/// A GPU-style nest: both spatial loops tiled, the two outer tiles fused
+/// into one `blockIdx.x` loop and the tile blockized. The outer block
+/// binds its iterators through `fused // 2` and `fused % 2`, which are
+/// not affine: forwarding stops there and keeps `v1`/`v2` as base terms.
+/// The inner block's `vi = vi_o*4 + i1` is affine over them, so the MAC
+/// nest still indexes by loop variables and collapses to `MacLanes`.
+#[test]
+fn golden_opaque_outer_iterator_optimized() {
+    let mut sch = Schedule::new(matmul_func("mm", 8, 8, 8, DataType::float32()));
+    let block = sch.get_block("C").unwrap();
+    let loops = sch.get_loops(&block).unwrap();
+    let i = sch.split(&loops[0], &[2, -1]).unwrap();
+    let j = sch.split(&loops[1], &[2, -1]).unwrap();
+    sch.reorder(&[i[0].clone(), j[0].clone(), i[1].clone(), j[1].clone()])
+        .unwrap();
+    let fused = sch.fuse(&[i[0].clone(), j[0].clone()]).unwrap();
+    sch.bind(&fused, ThreadTag::BlockIdxX).unwrap();
+    sch.blockize(&i[1]).unwrap();
+    assert_listing(
+        &listing(sch.func(), true),
+        r"
+program mm (21 ops, 6 regs, 10 slots, 4 loops, 0 hoists, optimized)
+   0: const r0 = 4
+   1: for_setup L0 v0 extent=r0 end=21
+   2: load_var r0 = v0
+   3: const r1 = 2
+   4: bin r0 = r0 FloorDivI r1
+   5: set_var v1 = r0
+   6: load_var r0 = v0
+   7: const r1 = 2
+   8: bin r0 = r0 FloorModI r1
+   9: set_var v2 = r0
+  10: const r0 = 4
+  11: for_setup L1 v4 extent=r0 end=20
+  12: const r0 = 4
+  13: for_setup L2 v5 extent=r0 end=19
+  14: const r0 = 8
+  15: for_setup L3 v6 extent=r0 end=18
+  16: mac_lanes L3 v6 x8 mac0 guard[v6] init C[v1*32 + v2*4 + v4*8 + v5*1] = 0
+  17: for_next L3 v6 body=16
+  18: for_next L2 v5 body=14
+  19: for_next L1 v4 body=12
+  20: for_next L0 v0 body=2
+  mac0: C[v1*32 + v2*4 + v4*8 + v5*1] = C[v1*32 + v2*4 + v4*8 + v5*1] Add (A[v1*32 + v4*8 + v6*1] Mul B[v2*4 + v5*1 + v6*8])
+",
+    );
+}
+
+/// The negative of the guard rule: a reduce iterator bound to `7 - k`
+/// (a reversed loop) is zero when the loop counter is 7, not 0, so the
+/// flag ops must survive and the loop stays scalar — forwarded and
+/// MAC-fused, but not lane-batched.
+#[test]
+fn golden_reversed_reduce_binding_optimized() {
+    let f = matmul_func("mm", 4, 4, 8, DataType::float32());
+    let realize = tir::visit::find_block(&f.body, "C").unwrap();
+    let loops: Vec<(Var, i64)> = (realize.iter_values.iter().zip([4, 4, 8]))
+        .map(|(value, extent)| match value {
+            Expr::Var(v) => (v.clone(), extent),
+            other => panic!("matmul_func binds loop variables, got {other}"),
+        })
+        .collect();
+    let mut values = realize.iter_values.clone();
+    values[2] = 7 - values[2].clone();
+    let reversed = BlockRealize::new(values, realize.block.clone());
+    let body = Stmt::BlockRealize(Box::new(reversed)).in_loops(loops);
+    let f = PrimFunc::new("mm", f.params.clone(), body);
+    assert_listing(
+        &listing(&f, true),
+        r"
+program mm (19 ops, 6 regs, 6 slots, 3 loops, 0 hoists, optimized)
+   0: const r0 = 4
+   1: for_setup L0 v0 extent=r0 end=19
+   2: const r0 = 4
+   3: for_setup L1 v1 extent=r0 end=18
+   4: const r0 = 8
+   5: for_setup L2 v2 extent=r0 end=17
+   6: reset_reduce_flag
+   7: const r0 = 7
+   8: load_var r1 = v2
+   9: bin r0 = r0 Sub r1
+  10: update_reduce_flag r0
+  11: jump_if_reduce_flag_false -> 14
+  12: tick
+  13: store_const C[v0*4 + v1*1] = 0
+  14: tick
+  15: fused_mac mac0
+  16: for_next L2 v2 body=6
+  17: for_next L1 v1 body=4
+  18: for_next L0 v0 body=2
+  mac0: C[v0*4 + v1*1] = C[v0*4 + v1*1] Add (A[7 + v0*8 + v2*-1] Mul B[28 + v1*1 + v2*-4])
 ",
     );
 }

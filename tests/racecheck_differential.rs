@@ -26,15 +26,14 @@
 //! whose every candidate races is quarantined through
 //! `MeasureError::CompileReject` without the simulator ever measuring it.
 
-use tir::builder::matmul_func;
-use tir::{Buffer, DataType, Expr, ForKind, PrimFunc, Stmt, ThreadTag, Var};
+mod corpus;
+
+use tir::{Buffer, DataType, Expr, ForKind, PrimFunc, Stmt, Var};
 use tir_autoschedule::{
     tune_with, Decision, DecisionKind, Measurer, SketchRule, TuneOptions, VerifyingMeasurer,
 };
 use tir_exec::machine::Machine;
-use tir_exec::{run_sanitized, ExecError, Tensor};
-use tir_rand::{rngs::StdRng, RngExt, SeedableRng};
-use tir_schedule::Schedule;
+use tir_exec::{run_sanitized, ExecError};
 
 /// Static verdict: the analyzer's diagnostics (empty = legal).
 fn static_diagnostics(func: &PrimFunc) -> Vec<String> {
@@ -48,20 +47,7 @@ fn static_diagnostics(func: &PrimFunc) -> Vec<String> {
 /// `Ok(())` means the run completed with no race and no out-of-bounds
 /// access; `Err` carries the first violation.
 fn sanitize(func: &PrimFunc, seed: u64) -> Result<(), ExecError> {
-    let n = func.params.len();
-    let args: Vec<Tensor> = func
-        .params
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            if i + 1 >= n {
-                Tensor::zeros(p.dtype(), p.shape())
-            } else {
-                Tensor::random(p.dtype(), p.shape(), seed.wrapping_add(i as u64))
-            }
-        })
-        .collect();
-    run_sanitized(func, args, None).map(|_| ())
+    run_sanitized(func, corpus::seeded_args(func, seed), None).map(|_| ())
 }
 
 /// Whether a dynamic failure is a sanitizer conviction (as opposed to an
@@ -75,50 +61,10 @@ fn is_conviction(e: &ExecError) -> bool {
 /// presupposed: the static and dynamic verdicts must both be "legal".
 #[test]
 fn legal_corpus_has_no_false_positives() {
-    let n = 8i64;
-    let mut rng = StdRng::seed_from_u64(0x5eed);
     let mut false_positives: Vec<(u64, String)> = Vec::new();
-    for case in 0..96u64 {
-        let dt = if case % 2 == 0 {
-            DataType::float32()
-        } else {
-            DataType::float16()
-        };
-        let mut sch = Schedule::new(matmul_func("mm", n, n, n, dt));
-        sch.set_auto_verify(false);
-        let block = sch.get_block("C").unwrap();
-        let len = rng.random_range(1usize..6);
-        let ops: Vec<u8> = (0..len).map(|_| rng.random_range(0u8..5)).collect();
-        for (step, op) in ops.iter().enumerate() {
-            let loops = sch.get_loops(&block).unwrap();
-            match op {
-                0 => {
-                    for l in &loops {
-                        let e = sch.loop_extent(l).unwrap_or(1);
-                        if e % 2 == 0 && e > 2 {
-                            let _ = sch.split(l, &[2, -1]);
-                            break;
-                        }
-                    }
-                }
-                1 if loops.len() >= 2 => {
-                    let _ = sch.fuse(&loops[..2]);
-                }
-                2 if loops.len() >= 2 => {
-                    let mut order = loops.clone();
-                    order.swap(0, 1);
-                    let _ = sch.reorder(&order[..2]);
-                }
-                3 if step == 0 => {
-                    let _ = sch.parallel(&loops[0]);
-                }
-                _ => {
-                    let _ = sch.unroll(loops.last().unwrap());
-                }
-            }
-        }
-        let diags = static_diagnostics(sch.func());
-        let dynamic = sanitize(sch.func(), 0xace + case);
+    for (case, func) in (0u64..).zip(corpus::random_pipelines(96, true)) {
+        let diags = static_diagnostics(&func);
+        let dynamic = sanitize(&func, 0xace + case);
         if let Err(e) = &dynamic {
             // Dynamic conviction of a legal pipeline would be a sanitizer
             // bug; any dynamic failure here also demands a static reject
@@ -144,34 +90,6 @@ fn legal_corpus_has_no_false_positives() {
     );
 }
 
-/// Rewrites the first `Store` reachable in `s`, shifting its first index
-/// by +1 — the classic off-by-one that walks off the end of the buffer.
-fn shift_first_store_index(s: &mut Stmt) -> bool {
-    match s {
-        Stmt::Store { indices, .. } => {
-            if let Some(first) = indices.first_mut() {
-                *first = first.clone() + Expr::int(1);
-                return true;
-            }
-            false
-        }
-        Stmt::For(f) => shift_first_store_index(&mut f.body),
-        Stmt::Seq(v) => v.iter_mut().any(shift_first_store_index),
-        Stmt::IfThenElse {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            shift_first_store_index(then_branch)
-                || else_branch
-                    .as_mut()
-                    .is_some_and(|e| shift_first_store_index(e))
-        }
-        Stmt::BlockRealize(br) => shift_first_store_index(&mut br.block.body),
-        _ => false,
-    }
-}
-
 /// Deliberately-illegal mutants: every one the sanitizer convicts must be
 /// statically rejected (the zero-false-negative direction), and every
 /// mutant in these families must in fact be rejected statically.
@@ -180,59 +98,29 @@ fn illegal_mutants_are_all_caught_statically() {
     let mut false_negatives: Vec<String> = Vec::new();
     let mut static_only: usize = 0;
     let mut checked = 0usize;
-    for (m, n) in [4i64, 8, 16].into_iter().enumerate() {
-        for family in 0..3u8 {
-            let mut sch = Schedule::new(matmul_func("mm", n, n, n, DataType::float32()));
-            sch.set_auto_verify(false);
-            let block = sch.get_block("C").unwrap();
-            let loops = sch.get_loops(&block).unwrap();
-            let label;
-            match family {
-                0 => {
-                    // Parallel reduction: every iteration of the k loop
-                    // read-modify-writes the same C[i, j] cell.
-                    sch.parallel(&loops[2]).unwrap();
-                    label = format!("parallel-reduction n={n}");
-                }
-                1 => {
-                    // Same race, spelled as a GPU thread binding.
-                    sch.bind(&loops[2], ThreadTag::ThreadIdxX).unwrap();
-                    label = format!("threadIdx-reduction n={n}");
-                }
-                _ => {
-                    // Off-by-one: C[i+1, j] walks past the last row.
-                    let mut func = sch.into_func();
-                    let root = func.root_block_mut().expect("root block");
-                    assert!(shift_first_store_index(&mut root.body));
-                    sch = Schedule::new(func);
-                    sch.set_auto_verify(false);
-                    label = format!("store-index-shift n={n}");
+    for (label, func, seed) in &corpus::illegal_mutants() {
+        let diags = static_diagnostics(func);
+        let dynamic = sanitize(func, *seed);
+        checked += 1;
+        match &dynamic {
+            Err(e) if is_conviction(e) => {
+                if diags.is_empty() {
+                    false_negatives.push(format!("{label}: sanitizer found {e}"));
                 }
             }
-            let func = sch.func();
-            let diags = static_diagnostics(func);
-            let dynamic = sanitize(func, 0xbad + m as u64);
-            checked += 1;
-            match &dynamic {
-                Err(e) if is_conviction(e) => {
-                    if diags.is_empty() {
-                        false_negatives.push(format!("{label}: sanitizer found {e}"));
-                    }
-                }
-                Err(e) => panic!("{label}: unexpected exec error {e}"),
-                Ok(()) => {
-                    // Statically rejected but this particular execution
-                    // didn't trip (e.g. an overlap the flat bounds check
-                    // can't see). Counted, not failed: the analyzer is
-                    // allowed to be stricter than one concrete run.
-                    static_only += 1;
-                }
+            Err(e) => panic!("{label}: unexpected exec error {e}"),
+            Ok(()) => {
+                // Statically rejected but this particular execution
+                // didn't trip (e.g. an overlap the flat bounds check
+                // can't see). Counted, not failed: the analyzer is
+                // allowed to be stricter than one concrete run.
+                static_only += 1;
             }
-            assert!(
-                !diags.is_empty(),
-                "{label}: the analyzer must reject this mutant (sanitizer said {dynamic:?})"
-            );
         }
+        assert!(
+            !diags.is_empty(),
+            "{label}: the analyzer must reject this mutant (sanitizer said {dynamic:?})"
+        );
     }
     assert!(
         false_negatives.is_empty(),

@@ -16,29 +16,16 @@
 //!   reorder / parallel / unroll pipelines plus GPU-style
 //!   bind + cache_read + cache_write pipelines) of a matmul.
 
-use tir::builder::matmul_func;
-use tir::{DataType, PrimFunc, ThreadTag};
+mod corpus;
+
+use tir::{DataType, PrimFunc};
 use tir_exec::{run_with, ExecBackend, ExecError, Tensor};
-use tir_rand::{rngs::StdRng, RngExt, SeedableRng};
-use tir_schedule::Schedule;
-use tir_workloads::{bench_suite, ops};
+use tir_workloads::bench_suite;
 
 /// Runs `func` on all three backends with identical inputs; asserts
 /// bit-exact outputs and identical step counts across every pair.
 fn backends_agree(func: &PrimFunc, seed: u64) {
-    let n = func.params.len();
-    let args: Vec<Tensor> = func
-        .params
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            if i + 1 >= n {
-                Tensor::zeros(p.dtype(), p.shape())
-            } else {
-                Tensor::random(p.dtype(), p.shape(), seed.wrapping_add(i as u64))
-            }
-        })
-        .collect();
+    let args = corpus::seeded_args(func, seed);
     let tw = run_with(func, args.clone(), ExecBackend::TreeWalk, None)
         .unwrap_or_else(|e| panic!("tree-walk failed on {}: {e}", func.name));
     for backend in [ExecBackend::VmUnopt, ExecBackend::Vm] {
@@ -63,21 +50,8 @@ fn backends_agree(func: &PrimFunc, seed: u64) {
 /// execute to completion, across representative dtypes.
 #[test]
 fn all_workload_families_bit_exact() {
-    for (i, dt) in [DataType::float32(), DataType::float16(), DataType::int8()]
-        .into_iter()
-        .enumerate()
-    {
-        let acc = ops::accumulator_of(dt);
-        let seed = 0xd1f5 + i as u64;
-        backends_agree(&ops::gmm(8, 7, 6, dt, acc), seed);
-        backends_agree(&ops::batch_matmul(2, 4, 5, 6, dt, acc), seed);
-        backends_agree(&ops::c1d(2, 18, 4, 5, 3, 2, dt), seed);
-        backends_agree(&ops::c2d(1, 10, 10, 4, 4, 3, 3, 1, dt), seed);
-        backends_agree(&ops::c3d(1, 6, 6, 6, 2, 2, 3, 1, dt), seed);
-        backends_agree(&ops::dep(1, 10, 10, 4, 3, 3, 2, dt), seed);
-        backends_agree(&ops::dil(1, 12, 12, 2, 2, 3, 3, 2, dt), seed);
-        backends_agree(&ops::grp(1, 8, 8, 2, 2, 2, 3, 3, 1, dt), seed);
-        backends_agree(&ops::t2d(1, 5, 5, 2, 2, 3, 3, 2, dt), seed);
+    for (func, seed) in corpus::workload_families() {
+        backends_agree(&func, seed);
     }
 }
 
@@ -114,48 +88,8 @@ fn bench_suite_fuel_parity() {
 /// f16), mirroring the transform mix of `schedule_semantics.rs`.
 #[test]
 fn random_scheduled_variants_bit_exact() {
-    let n = 8i64;
-    let mut rng = StdRng::seed_from_u64(0x5eed);
-    for case in 0..112u64 {
-        let dt = if case % 2 == 0 {
-            DataType::float32()
-        } else {
-            DataType::float16()
-        };
-        let reference = matmul_func("mm", n, n, n, dt);
-        let len = rng.random_range(1usize..6);
-        let ops: Vec<u8> = (0..len).map(|_| rng.random_range(0u8..5)).collect();
-        let mut sch = Schedule::new(reference);
-        let block = sch.get_block("C").unwrap();
-        for (step, op) in ops.iter().enumerate() {
-            let loops = sch.get_loops(&block).unwrap();
-            match op {
-                0 => {
-                    for l in &loops {
-                        let e = sch.loop_extent(l).unwrap_or(1);
-                        if e % 2 == 0 && e > 2 {
-                            let _ = sch.split(l, &[2, -1]);
-                            break;
-                        }
-                    }
-                }
-                1 if loops.len() >= 2 => {
-                    let _ = sch.fuse(&loops[..2]);
-                }
-                2 if loops.len() >= 2 => {
-                    let mut order = loops.clone();
-                    order.swap(0, 1);
-                    let _ = sch.reorder(&order[..2]);
-                }
-                3 if step == 0 => {
-                    let _ = sch.parallel(&loops[0]);
-                }
-                _ => {
-                    let _ = sch.unroll(loops.last().unwrap());
-                }
-            }
-        }
-        backends_agree(sch.func(), 0xace + case);
+    for (case, func) in corpus::random_pipelines(112, false).iter().enumerate() {
+        backends_agree(func, 0xace + case as u64);
     }
 }
 
@@ -163,25 +97,7 @@ fn random_scheduled_variants_bit_exact() {
 /// cache_read + cache_write) across a grid of tile factors.
 #[test]
 fn gpu_scheduled_variants_bit_exact() {
-    for (v, fi) in [2i64, 4, 8].into_iter().enumerate() {
-        for (w, fj) in [2i64, 4, 8, 16].into_iter().enumerate() {
-            let reference = matmul_func("mm", 16, 16, 16, DataType::float32());
-            let mut sch = Schedule::new(reference);
-            let block = sch.get_block("C").unwrap();
-            let loops = sch.get_loops(&block).unwrap();
-            let i = sch.split(&loops[0], &[fi, -1]).unwrap();
-            let j = sch.split(&loops[1], &[fj, -1]).unwrap();
-            sch.reorder(&[i[0].clone(), j[0].clone(), i[1].clone(), j[1].clone()])
-                .unwrap();
-            let bid = sch.fuse(&[i[0].clone(), j[0].clone()]).unwrap();
-            sch.bind(&bid, ThreadTag::BlockIdxX).unwrap();
-            sch.bind(&i[1], ThreadTag::ThreadIdxX).unwrap();
-            let a = sch.func().param("A").unwrap().clone();
-            sch.cache_read(&block, &a, tir::MemScope::Shared, Some(&j[1]))
-                .unwrap();
-            sch.cache_write(&block, tir::MemScope::Local, Some(&j[1]))
-                .unwrap();
-            backends_agree(sch.func(), 0xca0 + (v * 4 + w) as u64);
-        }
+    for (v, func) in corpus::gpu_pipelines().iter().enumerate() {
+        backends_agree(func, 0xca0 + v as u64);
     }
 }
