@@ -68,8 +68,9 @@ fn bench_split_fuse_reorder() {
 /// f16 GPU-tensor candidate (the program `schedule/sketch_apply_gpu_tensor_gmm`
 /// produces): a substitution that hits every loop variable and a `simplify`
 /// that finds nothing left to do (both on a fresh copy, whose own cost is
-/// the `clone` row), the candidate-cache key, and the validation every
-/// `apply` ends with.
+/// the `clone` row), the candidate-cache key, the validation every `apply`
+/// ends with, and the whole static verifier (what the measurement gate and
+/// a debug build's auto-verify run).
 fn bench_ir_passes() {
     use tir::{Expr, Stmt, Var, VarMap};
     use tir_autoschedule::{build_sketches, Strategy};
@@ -128,6 +129,9 @@ fn bench_ir_passes() {
     });
     bench_function("analysis/validate_gpu_tensor_gmm", || {
         tir_analysis::validate(&func).is_ok()
+    });
+    bench_function("analysis/analyze_gpu_tensor_gmm", || {
+        tir_analysis::analyze(&func).is_empty()
     });
 }
 
@@ -411,6 +415,9 @@ fn bench_derive_once() {
     let func = &candidates[0];
     bench_function("analysis/validate_gpu_scalar_c2d", || {
         tir_analysis::validate(func).is_ok()
+    });
+    bench_function("analysis/analyze_gpu_scalar_c2d", || {
+        tir_analysis::analyze(func).is_empty()
     });
     let mut session = tir_analysis::ValidationSession::default();
     assert!(session.validate(func).is_ok());

@@ -1,28 +1,34 @@
 //! Static bounds checking: proves every load/store index lies within its
 //! buffer's shape by interval propagation.
 //!
-//! The checker walks the function carrying an interval environment: loop
-//! variables range over `[0, extent)`, block iterators over the interval of
-//! their (enclosing-scope) binding value intersected with the declared
-//! domain — the intersection is sound because domain violations without a
-//! guarding predicate are reported separately by loop-nest validation, and
-//! the full analyzer ([`crate::analyze`]) always runs both checks.
+//! The walk of the crate (`walk.rs`) carries the interval environment this check
+//! reads: loop variables range over `[0, extent)`, block iterators over the
+//! interval of their (enclosing-scope) binding value intersected with the
+//! declared domain — the intersection is sound because domain violations
+//! without a guarding predicate are reported separately by loop-nest
+//! validation, and the full analyzer ([`crate::analyze`]) always runs both
+//! checks.
 //!
-//! Conditions refine the environment: descending into the `then` branch of
-//! an [`Expr::Select`] or [`Stmt::IfThenElse`], every conjunct of the form
-//! `a*v + b  cmp  0` (affine in a single variable) tightens `v`'s interval.
-//! This is what accepts guarded gather patterns like the T2D zero-padding
-//! block, whose raw load index is negative outside the guard. Both
-//! executors evaluate `Select` lazily, so the refinement matches the
-//! dynamic semantics. `else` branches are walked unrefined (sound, possibly
-//! imprecise).
+//! Conditions refine the environment (`refine`): under a block predicate
+//! and in the `then` branch of an [`Expr::Select`] or [`Stmt::IfThenElse`],
+//! every conjunct of the form `a*v + b  cmp  0` (affine in a single
+//! variable) tightens `v`'s interval. This is what accepts guarded gather
+//! patterns like the T2D zero-padding block, whose raw load index is
+//! negative outside the guard. Both executors evaluate `Select` lazily, so
+//! the refinement matches the dynamic semantics. `else` branches are walked
+//! unrefined (sound, possibly imprecise).
+//!
+//! [`Stmt::IfThenElse`]: tir::Stmt::IfThenElse
+
+use std::borrow::Cow;
 
 use tir::simplify::{floor_div_i64, simplified};
-use tir::{Buffer, CmpOp, Expr, PrimFunc, Stmt, Var, VarMap};
+use tir::{Buffer, CmpOp, Expr, PrimFunc, VarMap};
 use tir_arith::bound::{bound_of, IntBound};
 use tir_arith::iter_map::normalize;
 
 use crate::validate::{split_and, ValidationError};
+use crate::walk::{self, Check, Scope};
 
 /// Checks every buffer access of `func` for provable in-boundedness.
 ///
@@ -30,234 +36,96 @@ use crate::validate::{split_and, ValidationError};
 /// proven interval escapes `[0, shape[dim])`. An empty result means every
 /// access is statically in bounds.
 pub fn check_bounds(func: &PrimFunc) -> Vec<ValidationError> {
-    let mut c = BoundsChecker {
-        env: VarMap::default(),
-        blocks: Vec::new(),
-        errors: Vec::new(),
-    };
-    c.visit(&func.body);
-    c.errors
+    walk::run(func, &[Check::Bounds], None)
 }
 
-struct BoundsChecker {
-    env: VarMap<IntBound>,
-    blocks: Vec<String>,
-    errors: Vec<ValidationError>,
+/// Reports every index of one access that may leave the buffer's shape.
+pub(crate) fn check_access(
+    scope: &Scope,
+    buffer: &Buffer,
+    indices: &[Expr],
+    errors: &mut Vec<ValidationError>,
+) {
+    for (dim, idx) in indices.iter().enumerate() {
+        let extent = buffer.shape()[dim];
+        let b = bound_of(&simplified(idx.clone()), scope.ranges(Check::Bounds));
+        if b.min < 0 || b.max >= extent {
+            errors.push(ValidationError::OutOfBounds {
+                buffer: buffer.name().to_string(),
+                block: walk::name_of(scope.block()).to_string(),
+                dim,
+                index_min: b.min,
+                index_max: b.max,
+                extent,
+            });
+        }
+    }
 }
 
-/// Saved environment entries for scoped restoration.
-type Saved = Vec<(Var, Option<IntBound>)>;
-
-impl BoundsChecker {
-    fn visit(&mut self, s: &Stmt) {
-        match s {
-            Stmt::For(f) => {
-                let hi = match f.extent.as_int() {
-                    Some(e) => (e - 1).max(0),
-                    // Non-constant extents are reported by loop-nest
-                    // validation; bound soundly from the extent expression.
-                    None => (bound_of(&f.extent, &self.env).max - 1).max(0),
-                };
-                let prev = self.env.insert(f.var.clone(), IntBound::new(0, hi));
-                self.visit(&f.body);
-                self.restore(vec![(f.var.clone(), prev)]);
-            }
-            Stmt::Seq(v) => {
-                for st in v {
-                    self.visit(st);
-                }
-            }
-            Stmt::IfThenElse {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                self.check_expr(cond);
-                let saved = self.refine(cond);
-                self.visit(then_branch);
-                self.restore(saved);
-                if let Some(e) = else_branch {
-                    self.visit(e);
-                }
-            }
-            Stmt::BlockRealize(br) => {
-                for v in &br.iter_values {
-                    self.check_expr(v);
-                }
-                self.check_expr(&br.predicate);
-                let mut saved: Saved = Vec::new();
-                for (iv, value) in br.block.iter_vars.iter().zip(&br.iter_values) {
-                    let b = bound_of(&simplified(value.clone()), &self.env);
-                    let lo = b.min.max(0);
-                    let hi = b.max.min(iv.extent - 1);
-                    // An empty intersection means the predicate excludes
-                    // every in-domain instance; fall back to the domain.
-                    let bound = if lo <= hi {
-                        IntBound::new(lo, hi)
-                    } else {
-                        IntBound::new(0, (iv.extent - 1).max(0))
-                    };
-                    saved.push((iv.var.clone(), self.env.insert(iv.var.clone(), bound)));
-                }
-                let pred_saved = self.refine(&br.predicate);
-                self.blocks.push(br.block.name.clone());
-                if let Some(init) = &br.block.init {
-                    self.visit(init);
-                }
-                self.visit(&br.block.body);
-                self.blocks.pop();
-                self.restore(pred_saved);
-                self.restore(saved);
-            }
-            Stmt::Store {
-                buffer,
-                indices,
-                value,
-            } => {
-                self.check_access(buffer, indices);
-                for i in indices {
-                    self.check_expr(i);
-                }
-                self.check_expr(value);
-            }
-            Stmt::Eval(e) => self.check_expr(e),
+/// Tightens single-variable affine conjuncts of `cond` into the bounds
+/// ranges of `scope`; the caller undoes them when the guard ends.
+pub(crate) fn refine(scope: &mut Scope, cond: &Expr) {
+    let mut conjuncts = Vec::new();
+    split_and(cond, &mut conjuncts);
+    for c in conjuncts {
+        let Expr::Cmp(op, lhs, rhs) = c else { continue };
+        let diff = simplified(Expr::Bin(tir::BinOp::Sub, lhs.clone(), rhs.clone()));
+        let vars = tir::visit::collect_vars_expr(&diff);
+        let [v] = vars.as_slice() else { continue };
+        // Extract `diff = a*v + b` via iterator-map normalization over a
+        // dummy full-range domain; partial splits (mod/div pieces) are
+        // skipped.
+        let dom: VarMap<i64> = [(v.clone(), i64::MAX / 8)].into_iter().collect();
+        let Ok(sum) = normalize(&diff, &dom) else {
+            continue;
+        };
+        let [t] = sum.terms.as_slice() else { continue };
+        if t.lower_factor != 1 || t.extent != i64::MAX / 8 {
+            continue;
         }
-    }
-
-    /// Walks an expression looking for loads, refining through `Select`.
-    fn check_expr(&mut self, e: &Expr) {
-        match e {
-            Expr::Int(..) | Expr::Float(..) | Expr::Str(_) | Expr::Var(_) => {}
-            Expr::Cast(_, v) | Expr::Not(v) => self.check_expr(v),
-            Expr::Bin(_, a, b) | Expr::Cmp(_, a, b) => {
-                self.check_expr(a);
-                self.check_expr(b);
-            }
-            Expr::Select { cond, then, other } => {
-                self.check_expr(cond);
-                let saved = self.refine(cond);
-                self.check_expr(then);
-                self.restore(saved);
-                self.check_expr(other);
-            }
-            Expr::Load { buffer, indices } => {
-                self.check_access(buffer, indices);
-                for i in indices {
-                    self.check_expr(i);
-                }
-            }
-            Expr::Call { args, .. } => {
-                for a in args {
-                    self.check_expr(a);
-                }
-            }
+        let (a, b) = (t.scale, sum.base);
+        if a == 0 {
+            continue;
         }
-    }
-
-    fn check_access(&mut self, buffer: &Buffer, indices: &[Expr]) {
-        for (dim, idx) in indices.iter().enumerate() {
-            let extent = buffer.shape()[dim];
-            let b = bound_of(&simplified(idx.clone()), &self.env);
-            if b.min < 0 || b.max >= extent {
-                self.errors.push(ValidationError::OutOfBounds {
-                    buffer: buffer.name().to_string(),
-                    block: self.blocks.last().cloned().unwrap_or_default(),
-                    dim,
-                    index_min: b.min,
-                    index_max: b.max,
-                    extent,
-                });
-            }
-        }
-    }
-
-    /// Tightens single-variable affine conjuncts of `cond` into the
-    /// environment; returns the entries to restore afterwards.
-    fn refine(&mut self, cond: &Expr) -> Saved {
-        let mut conjuncts = Vec::new();
-        split_and(cond, &mut conjuncts);
-        let mut saved: Saved = Vec::new();
-        for c in conjuncts {
-            let Expr::Cmp(op, lhs, rhs) = c else { continue };
-            let diff = simplified(Expr::Bin(tir::BinOp::Sub, lhs.clone(), rhs.clone()));
-            let vars = tir::visit::collect_vars_expr(&diff);
-            let [v] = vars.as_slice() else { continue };
-            // Extract `diff = a*v + b` via iterator-map normalization over a
-            // dummy full-range domain; partial splits (mod/div pieces) are
-            // skipped.
-            let dom: VarMap<i64> = [(v.clone(), i64::MAX / 8)].into_iter().collect();
-            let Ok(sum) = normalize(&diff, &dom) else {
-                continue;
+        // Normalize to a positive coefficient, flipping the comparison.
+        let (a, b, op) = if a > 0 {
+            (a, b, *op)
+        } else {
+            let flipped = match *op {
+                CmpOp::Lt => CmpOp::Gt,
+                CmpOp::Le => CmpOp::Ge,
+                CmpOp::Gt => CmpOp::Lt,
+                CmpOp::Ge => CmpOp::Le,
+                other => other,
             };
-            let [t] = sum.terms.as_slice() else { continue };
-            if t.lower_factor != 1 || t.extent != i64::MAX / 8 {
-                continue;
+            (-a, -b, flipped)
+        };
+        // a*v + b  op  0  with a > 0.
+        let (lo, hi) = match op {
+            CmpOp::Lt => (None, Some(floor_div_i64(-b - 1, a))),
+            CmpOp::Le => (None, Some(floor_div_i64(-b, a))),
+            CmpOp::Gt => (Some(-floor_div_i64(b - 1, a)), None),
+            CmpOp::Ge => (Some(-floor_div_i64(b, a)), None),
+            CmpOp::Eq if b % a == 0 => {
+                let x = -b / a;
+                (Some(x), Some(x))
             }
-            let (a, b) = (t.scale, sum.base);
-            if a == 0 {
-                continue;
-            }
-            // Normalize to a positive coefficient, flipping the comparison.
-            let (a, b, op) = if a > 0 {
-                (a, b, *op)
-            } else {
-                let flipped = match *op {
-                    CmpOp::Lt => CmpOp::Gt,
-                    CmpOp::Le => CmpOp::Ge,
-                    CmpOp::Gt => CmpOp::Lt,
-                    CmpOp::Ge => CmpOp::Le,
-                    other => other,
-                };
-                (-a, -b, flipped)
-            };
-            // a*v + b  op  0  with a > 0.
-            let (lo, hi) = match op {
-                CmpOp::Lt => (None, Some(floor_div_i64(-b - 1, a))),
-                CmpOp::Le => (None, Some(floor_div_i64(-b, a))),
-                CmpOp::Gt => (Some(-floor_div_i64(b - 1, a)), None),
-                CmpOp::Ge => (Some(-floor_div_i64(b, a)), None),
-                CmpOp::Eq if b % a == 0 => {
-                    let x = -b / a;
-                    (Some(x), Some(x))
-                }
-                _ => (None, None),
-            };
-            if lo.is_none() && hi.is_none() {
-                continue;
-            }
-            let cur = self
-                .env
-                .get(v)
-                .copied()
-                .unwrap_or_else(IntBound::everything);
-            let new_lo = lo.map_or(cur.min, |l| l.max(cur.min));
-            let new_hi = hi.map_or(cur.max, |h| h.min(cur.max));
-            if new_lo > new_hi {
-                // Condition unsatisfiable under current bounds: the branch
-                // is dead; keep the old environment (sound, imprecise).
-                continue;
-            }
-            let prev = self.env.insert(v.clone(), IntBound::new(new_lo, new_hi));
-            // Keep only the first save per variable so restoration returns
-            // to the pre-refinement state.
-            if !saved.iter().any(|(sv, _)| sv == v) {
-                saved.push((v.clone(), prev));
-            }
+            _ => (None, None),
+        };
+        if lo.is_none() && hi.is_none() {
+            continue;
         }
-        saved
-    }
-
-    fn restore(&mut self, saved: Saved) {
-        for (var, prev) in saved.into_iter().rev() {
-            match prev {
-                Some(b) => {
-                    self.env.insert(var, b);
-                }
-                None => {
-                    self.env.remove(&var);
-                }
-            }
+        let ranges = scope.ranges(Check::Bounds);
+        let cur = ranges.get(v).copied().unwrap_or_else(IntBound::everything);
+        let new_lo = lo.map_or(cur.min, |l| l.max(cur.min));
+        let new_hi = hi.map_or(cur.max, |h| h.min(cur.max));
+        if new_lo > new_hi {
+            // Condition unsatisfiable under current bounds: the branch
+            // is dead; keep the old environment (sound, imprecise).
+            continue;
         }
+        let refined = IntBound::new(new_lo, new_hi);
+        scope.set_range(Check::Bounds, Cow::Owned(v.clone()), refined);
     }
 }
 
@@ -265,7 +133,7 @@ impl BoundsChecker {
 mod tests {
     use super::*;
     use tir::builder::matmul_func;
-    use tir::{DataType, IterVar};
+    use tir::{DataType, IterVar, Stmt, Var};
 
     #[test]
     fn matmul_in_bounds() {

@@ -4,9 +4,12 @@
 //!
 //! # Race analysis
 //!
-//! The analyzer collects every buffer access of the function with its
-//! enclosing loop nest, composing block-iterator bindings down to loop
-//! variables exactly as loop-nest validation does. For each buffer `B`
+//! The walk of the crate (`walk.rs`) records every buffer access of the
+//! function as a `Site`: its indices composed down to loop variables
+//! through the very bindings loop-nest validation composed, its innermost
+//! loop (which names its whole nest — a site holds no copy of it) and the
+//! block it stands in. Both analyses here read those sites after the walk;
+//! neither descends the program. For each buffer `B`
 //! written under a parallel loop `p` (extent `n`), it must prove that no
 //! two iterations of `p` touch a common element of `B` with at least one
 //! write — otherwise a [`ValidationError::WriteRace`] is reported.
@@ -62,225 +65,94 @@
 //! `threadIdx.x` binding is in scope (implicit warp lanes, as in
 //! pre-lowering Tensor Core programs).
 
-use tir::simplify::simplified;
-use tir::visit::substituted;
-use tir::{
-    Buffer, Expr, ForKind, MemScope, PrimFunc, Stmt, ThreadTag, Var, VarMap, RELAXING_ANNOTATIONS,
-};
+use tir::{Block, Buffer, Expr, ForKind, MemScope, PrimFunc, ThreadTag, Var, VarMap};
 use tir_arith::iter_map::{normalize, IterSplit, IterSum};
 
 use crate::validate::ValidationError;
+use crate::walk::{self, name_of, Check, Loop};
 
-/// One buffer access with its full static context.
-struct AccessSite {
-    buffer: Buffer,
-    /// Index expressions, composed down to loop variables and simplified.
-    indices: Vec<Expr>,
-    /// Enclosing loops, outermost first.
-    loops: Vec<(Var, Option<i64>, ForKind)>,
-    write: bool,
+/// One buffer access with its static context, as the walk recorded it.
+pub(crate) struct Site<'a> {
+    pub(crate) buffer: &'a Buffer,
+    /// Index expressions, composed down to loop variables and simplified
+    /// (empty when the race proof does not run).
+    pub(crate) indices: Vec<Expr>,
+    /// The innermost enclosing loop, which names the whole nest
+    /// ([`crate::walk::Scope::nests`]).
+    pub(crate) innermost: Option<usize>,
+    pub(crate) write: bool,
     /// Inside a block carrying a relaxing annotation.
-    relaxed: bool,
-    /// Innermost enclosing block name (diagnostics).
-    block: String,
+    pub(crate) relaxed: bool,
+    /// The innermost enclosing block.
+    pub(crate) block: Option<&'a Block>,
 }
 
-struct Collector {
-    loops: Vec<(Var, Option<i64>, ForKind)>,
-    bind_map: VarMap<Expr>,
-    relax_depth: usize,
-    blocks: Vec<String>,
-    sites: Vec<AccessSite>,
-}
+/// An access site with its enclosing loops, outermost first.
+type Nested<'s, 'a> = (&'s Site<'a>, &'s [Loop<'a>]);
 
-impl Collector {
-    fn record(&mut self, buffer: &Buffer, indices: &[Expr], write: bool) {
-        let indices = indices
-            .iter()
-            .map(|i| simplified(substituted(i.clone(), &self.bind_map)))
-            .collect();
-        self.sites.push(AccessSite {
-            buffer: buffer.clone(),
-            indices,
-            loops: self.loops.clone(),
-            write,
-            relaxed: self.relax_depth > 0,
-            block: self.blocks.last().cloned().unwrap_or_default(),
-        });
-    }
-
-    fn collect_expr(&mut self, e: &Expr) {
-        match e {
-            Expr::Int(..) | Expr::Float(..) | Expr::Str(_) | Expr::Var(_) => {}
-            Expr::Cast(_, v) | Expr::Not(v) => self.collect_expr(v),
-            Expr::Bin(_, a, b) | Expr::Cmp(_, a, b) => {
-                self.collect_expr(a);
-                self.collect_expr(b);
-            }
-            Expr::Select { cond, then, other } => {
-                self.collect_expr(cond);
-                self.collect_expr(then);
-                self.collect_expr(other);
-            }
-            Expr::Load { buffer, indices } => {
-                self.record(buffer, indices, false);
-                for i in indices {
-                    self.collect_expr(i);
-                }
-            }
-            Expr::Call { args, .. } => {
-                for a in args {
-                    self.collect_expr(a);
-                }
-            }
+/// The sites grouped by buffer, buffers in first-access order (which is
+/// the order diagnostics come in), each site beside the nest of its
+/// innermost loop (`nests` is [`crate::walk::Scope::nests`]).
+fn by_buffer<'s, 'a>(
+    nests: &'s [Vec<Loop<'a>>],
+    sites: &'s [Site<'a>],
+) -> Vec<(&'a Buffer, Vec<Nested<'s, 'a>>)> {
+    let mut groups: Vec<(&Buffer, Vec<Nested>)> = Vec::new();
+    for site in sites {
+        let nested = (site, site.innermost.map_or(&[][..], |at| &nests[at][..]));
+        match groups.iter_mut().find(|(b, _)| *b == site.buffer) {
+            Some((_, group)) => group.push(nested),
+            None => groups.push((site.buffer, vec![nested])),
         }
     }
-
-    fn visit(&mut self, s: &Stmt) {
-        match s {
-            Stmt::For(f) => {
-                self.loops.push((f.var.clone(), f.extent.as_int(), f.kind));
-                self.visit(&f.body);
-                self.loops.pop();
-            }
-            Stmt::Seq(v) => {
-                for st in v {
-                    self.visit(st);
-                }
-            }
-            Stmt::IfThenElse {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                self.collect_expr(cond);
-                self.visit(then_branch);
-                if let Some(e) = else_branch {
-                    self.visit(e);
-                }
-            }
-            Stmt::BlockRealize(br) => {
-                self.collect_expr(&br.predicate);
-                let composed: Vec<Expr> = br
-                    .iter_values
-                    .iter()
-                    .map(|v| simplified(substituted(v.clone(), &self.bind_map)))
-                    .collect();
-                let mut saved = Vec::new();
-                for (iv, value) in br.block.iter_vars.iter().zip(composed) {
-                    saved.push((iv.var.clone(), self.bind_map.insert(iv.var.clone(), value)));
-                }
-                let relaxing = RELAXING_ANNOTATIONS
-                    .iter()
-                    .any(|a| br.block.annotations.contains_key(*a));
-                if relaxing {
-                    self.relax_depth += 1;
-                }
-                self.blocks.push(br.block.name.clone());
-                if let Some(init) = &br.block.init {
-                    self.visit(init);
-                }
-                self.visit(&br.block.body);
-                self.blocks.pop();
-                if relaxing {
-                    self.relax_depth -= 1;
-                }
-                for (var, prev) in saved {
-                    match prev {
-                        Some(v) => {
-                            self.bind_map.insert(var, v);
-                        }
-                        None => {
-                            self.bind_map.remove(&var);
-                        }
-                    }
-                }
-            }
-            Stmt::Store {
-                buffer,
-                indices,
-                value,
-            } => {
-                self.record(buffer, indices, true);
-                for i in indices {
-                    self.collect_expr(i);
-                }
-                self.collect_expr(value);
-            }
-            Stmt::Eval(e) => self.collect_expr(e),
-        }
-    }
-}
-
-fn collect_sites(func: &PrimFunc) -> Vec<AccessSite> {
-    let mut c = Collector {
-        loops: Vec::new(),
-        bind_map: VarMap::default(),
-        relax_depth: 0,
-        blocks: Vec::new(),
-        sites: Vec::new(),
-    };
-    c.visit(&func.body);
-    c.sites
+    groups
 }
 
 /// Proves write-disjointness of every parallel loop, reporting a
 /// [`ValidationError::WriteRace`] per (loop, buffer) pair the proof fails
 /// on.
 pub fn check_races(func: &PrimFunc) -> Vec<ValidationError> {
-    let sites = collect_sites(func);
+    walk::run(func, &[Check::Races], None)
+}
+
+/// The race proof over the sites of one walk.
+pub(crate) fn races(nests: &[Vec<Loop>], sites: &[Site]) -> Vec<ValidationError> {
     let mut errors = Vec::new();
-    // Buffers in first-access order for deterministic reporting.
-    let mut buffer_order: Vec<Buffer> = Vec::new();
-    for s in &sites {
-        if !buffer_order.contains(&s.buffer) {
-            buffer_order.push(s.buffer.clone());
-        }
-    }
-    for buffer in &buffer_order {
-        let accesses: Vec<&AccessSite> = sites.iter().filter(|s| &s.buffer == buffer).collect();
-        if accesses.iter().any(|s| s.relaxed) || !accesses.iter().any(|s| s.write) {
+    for (buffer, accesses) in by_buffer(nests, sites) {
+        if accesses.iter().any(|(s, _)| s.relaxed) || !accesses.iter().any(|(s, _)| s.write) {
             continue;
         }
         // Every distinct parallel loop enclosing an access to this buffer.
-        let mut seen: Vec<Var> = Vec::new();
-        for site in &accesses {
-            for (p, extent, kind) in &site.loops {
+        let mut seen: Vec<&Var> = Vec::new();
+        for (site, nest) in &accesses {
+            for (p, extent, kind) in *nest {
                 if !kind.is_parallel() || seen.contains(p) {
                     continue;
                 }
-                seen.push(p.clone());
-                let under: Vec<&AccessSite> = accesses
+                seen.push(p);
+                let under: Vec<&Nested> = accesses
                     .iter()
-                    .filter(|s| s.loops.iter().any(|(v, _, _)| v == p))
-                    .copied()
+                    .filter(|(_, nest)| nest.iter().any(|(v, _, _)| v == p))
                     .collect();
-                if !under.iter().any(|s| s.write) {
+                if !under.iter().any(|(s, _)| s.write) {
                     continue;
                 }
-                let n = match extent {
-                    Some(n) => *n,
-                    None => {
-                        errors.push(race_error(p, buffer, site, "non-constant loop extent"));
-                        continue;
-                    }
+                let proof = match extent {
+                    Some(n) => prove_disjoint(p, *n, &under),
+                    None => Err("non-constant loop extent".to_string()),
                 };
-                if let Err(detail) = prove_disjoint(p, n, &under) {
-                    errors.push(race_error(p, buffer, site, &detail));
+                if let Err(detail) = proof {
+                    errors.push(ValidationError::WriteRace {
+                        loop_var: p.name().to_string(),
+                        buffer: buffer.name().to_string(),
+                        block: name_of(site.block).to_string(),
+                        detail,
+                    });
                 }
             }
         }
     }
     errors
-}
-
-fn race_error(p: &Var, buffer: &Buffer, site: &AccessSite, detail: &str) -> ValidationError {
-    ValidationError::WriteRace {
-        loop_var: p.name().to_string(),
-        buffer: buffer.name().to_string(),
-        block: site.block.clone(),
-        detail: detail.to_string(),
-    }
 }
 
 /// An access site's index, decomposed relative to a parallel loop `p`.
@@ -294,7 +166,7 @@ struct Decomp {
     base: i64,
 }
 
-fn decompose(sum: &IterSum, p: &Var, inner_vars: &[Var]) -> Decomp {
+fn decompose(sum: &IterSum, p: &Var, inner_vars: &[&Var]) -> Decomp {
     let mut d = Decomp {
         p_parts: Vec::new(),
         inner: Vec::new(),
@@ -304,7 +176,7 @@ fn decompose(sum: &IterSum, p: &Var, inner_vars: &[Var]) -> Decomp {
     for t in &sum.terms {
         if &t.var == p {
             d.p_parts.push(t.clone());
-        } else if inner_vars.contains(&t.var) {
+        } else if inner_vars.contains(&&t.var) {
             d.inner.push(t.clone());
         } else {
             d.outer.push(t.clone());
@@ -327,28 +199,21 @@ fn same_split(a: &IterSplit, b: &IterSplit) -> bool {
 /// Tries to prove that no two distinct iterations of `p` (extent `n`)
 /// touch a common element through the given access sites. Returns a short
 /// failure description on the first unprovable pair.
-fn prove_disjoint(p: &Var, n: i64, sites: &[&AccessSite]) -> Result<(), String> {
+fn prove_disjoint(p: &Var, n: i64, sites: &[&Nested]) -> Result<(), String> {
     if n <= 1 {
         return Ok(());
     }
     // Normalize every index of every site once.
     let mut decomps: Vec<Vec<Decomp>> = Vec::with_capacity(sites.len());
-    for site in sites {
-        let pos = site
-            .loops
-            .iter()
-            .position(|(v, _, _)| v == p)
-            .expect("p encloses site");
-        let inner_vars: Vec<Var> = site.loops[pos + 1..]
-            .iter()
-            .map(|(v, _, _)| v.clone())
-            .collect();
+    for (site, nest) in sites {
+        let pos = (nest.iter().position(|(v, _, _)| *v == p)).expect("p encloses site");
+        let inner_vars: Vec<&Var> = nest[pos + 1..].iter().map(|(v, _, _)| *v).collect();
         let mut dom: VarMap<i64> = VarMap::default();
-        for (v, e, _) in &site.loops {
+        for (v, e, _) in *nest {
             let Some(e) = e else {
                 return Err(format!("non-constant extent of loop {}", v.name()));
             };
-            dom.insert(v.clone(), *e);
+            dom.insert((*v).clone(), *e);
         }
         let mut per_dim = Vec::with_capacity(site.indices.len());
         for idx in &site.indices {
@@ -366,13 +231,15 @@ fn prove_disjoint(p: &Var, n: i64, sites: &[&AccessSite]) -> Result<(), String> 
     }
     // Pairwise disjointness, self-pairs included (two iterations execute
     // the same site with independent inner-loop values).
-    for (i, s) in sites.iter().enumerate() {
-        for (j, t) in sites.iter().enumerate() {
+    for (i, (s, _)) in sites.iter().enumerate() {
+        for (j, (t, _)) in sites.iter().enumerate() {
             if j < i || (!s.write && !t.write) {
                 continue;
             }
-            pair_disjoint(p, n, &decomps[i], &decomps[j])
-                .map_err(|d| format!("accesses in blocks {:?} and {:?} {d}", s.block, t.block))?;
+            pair_disjoint(p, n, &decomps[i], &decomps[j]).map_err(|d| {
+                let (s, t) = (name_of(s.block), name_of(t.block));
+                format!("accesses in blocks {s:?} and {t:?} {d}")
+            })?;
         }
     }
     Ok(())
@@ -470,63 +337,62 @@ fn pair_disjoint(p: &Var, n: i64, s: &[Decomp], t: &[Decomp]) -> Result<(), Stri
 
 /// Checks memory-scope legality of every scoped buffer.
 pub fn check_scopes(func: &PrimFunc) -> Vec<ValidationError> {
-    let sites = collect_sites(func);
+    walk::run(func, &[Check::Scopes], None)
+}
+
+/// The scope rules over the sites of one walk.
+pub(crate) fn scopes(nests: &[Vec<Loop>], sites: &[Site]) -> Vec<ValidationError> {
     let mut errors = Vec::new();
-    let mut buffer_order: Vec<Buffer> = Vec::new();
-    for s in &sites {
-        if !buffer_order.contains(&s.buffer) {
-            buffer_order.push(s.buffer.clone());
-        }
-    }
-    for buffer in &buffer_order {
-        let scope = buffer.scope().clone();
+    for (buffer, accesses) in by_buffer(nests, sites) {
+        let scope = buffer.scope();
         let check_threads = match scope {
             MemScope::Global | MemScope::Custom(_) => continue,
             MemScope::Shared => false,
             _ => true,
         };
-        let accesses: Vec<&AccessSite> = sites.iter().filter(|s| &s.buffer == buffer).collect();
+        let violation = |detail: String| ValidationError::ScopeViolation {
+            buffer: buffer.name().to_string(),
+            scope: scope.as_str().to_string(),
+            detail,
+        };
         // Rule 1: one consistent thread nest for every access.
-        let nest_of = |site: &AccessSite| -> Vec<Var> {
-            site.loops
-                .iter()
+        let thread_nest = |nest: &[Loop]| -> Vec<Var> {
+            nest.iter()
                 .filter(|(_, _, k)| match k {
                     ForKind::ThreadBinding(tag) => {
                         tag.is_block_idx() || (check_threads && tag.is_thread_idx())
                     }
                     _ => false,
                 })
-                .map(|(v, _, _)| v.clone())
+                .map(|(v, _, _)| (*v).clone())
                 .collect()
         };
-        let first_nest = nest_of(accesses[0]);
-        for site in &accesses[1..] {
-            if nest_of(site) != first_nest {
-                errors.push(ValidationError::ScopeViolation {
-                    buffer: buffer.name().to_string(),
-                    scope: scope.as_str().to_string(),
-                    detail: format!(
-                        "accessed across {} boundaries (blocks {:?} and {:?} run under \
-                         different thread nests)",
-                        if check_threads { "thread" } else { "blockIdx" },
-                        accesses[0].block,
-                        site.block
-                    ),
-                });
-                break;
-            }
+        let (first, first_nest) = (accesses[0].0, thread_nest(accesses[0].1));
+        if let Some((site, _)) = (accesses[1..].iter()).find(|(_, n)| thread_nest(n) != first_nest)
+        {
+            errors.push(violation(format!(
+                "accessed across {} boundaries (blocks {:?} and {:?} run under \
+                 different thread nests)",
+                if check_threads { "thread" } else { "blockIdx" },
+                name_of(first.block),
+                name_of(site.block)
+            )));
         }
         // Rule 2: cooperative shared writes must cover the declared group.
-        if scope != MemScope::Shared {
+        // The claim is read off the block the write stands in.
+        if *scope != MemScope::Shared {
             continue;
         }
-        for site in accesses.iter().filter(|s| s.write) {
-            let Some(claimed) = cooperative_claim(func, &site.block) else {
+        for (site, nest) in accesses.iter().filter(|(s, _)| s.write) {
+            let claim = site
+                .block
+                .and_then(|b| b.annotations.get("tir.cooperative"));
+            let Some(tir::AnnValue::Int(claimed)) = claim else {
                 continue;
             };
             let mut product = 1i64;
             let mut has_tx = false;
-            for (_, e, k) in &site.loops {
+            for (_, e, k) in *nest {
                 if let ForKind::ThreadBinding(tag) = k {
                     if tag.is_thread_idx() {
                         product *= e.unwrap_or(1);
@@ -534,37 +400,24 @@ pub fn check_scopes(func: &PrimFunc) -> Vec<ValidationError> {
                     }
                 }
             }
-            let ok = claimed == product || (!has_tx && claimed == product * 32);
+            let ok = *claimed == product || (!has_tx && *claimed == product * 32);
             if !ok {
-                errors.push(ValidationError::ScopeViolation {
-                    buffer: buffer.name().to_string(),
-                    scope: scope.as_str().to_string(),
-                    detail: format!(
-                        "block {:?} declares a cooperative group of {claimed} threads but \
-                         its loop nest provides {product}",
-                        site.block
-                    ),
-                });
+                errors.push(violation(format!(
+                    "block {:?} declares a cooperative group of {claimed} threads but \
+                     its loop nest provides {product}",
+                    name_of(site.block)
+                )));
             }
         }
     }
     errors
 }
 
-/// The `tir.cooperative` thread count declared by the named block, if any.
-fn cooperative_claim(func: &PrimFunc, block: &str) -> Option<i64> {
-    let br = tir::visit::find_block(&func.body, block)?;
-    match br.block.annotations.get("tir.cooperative") {
-        Some(tir::AnnValue::Int(v)) => Some(*v),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tir::builder::matmul_func;
-    use tir::{DataType, IterVar};
+    use tir::{DataType, IterVar, Stmt};
 
     fn store_loop(kind: ForKind, shift: i64) -> PrimFunc {
         let out = Buffer::new("O", DataType::float32(), vec![17]);
@@ -755,5 +608,44 @@ mod tests {
                 .any(|e| matches!(e, ValidationError::ScopeViolation { .. })),
             "{errors:?}"
         );
+    }
+
+    /// Two blocks share the name `S_copy`, each under its own `threadIdx.x`
+    /// loop (of 8 and of 32 threads), and one of them claims a cooperative
+    /// group. The claim must be read off the block the write stands in, not
+    /// off the first block of that name.
+    fn two_copies_named_alike(first_claims: Option<i64>, second_claims: Option<i64>) -> PrimFunc {
+        let s = Buffer::with_scope("S", DataType::float32(), vec![8], MemScope::Shared);
+        let copy = |threads: i64, claim: Option<i64>| {
+            let (t, ax, v) = (Var::int("t"), Var::int("ax"), Var::int("v"));
+            let body = Stmt::store(s.clone(), vec![Expr::from(&v)], Expr::f32(0.0));
+            let iters = vec![IterVar::spatial(v, 8)];
+            let mut block = tir::Block::new("S_copy", iters, vec![], vec![s.full_region()], body);
+            if let Some(claim) = claim {
+                let claim = tir::AnnValue::Int(claim);
+                block.annotations.insert("tir.cooperative".into(), claim);
+            }
+            let realize = tir::BlockRealize::new(vec![Expr::from(&ax)], block);
+            let inner = Stmt::BlockRealize(Box::new(realize)).in_loop(ax, 8);
+            let kind = ForKind::ThreadBinding(ThreadTag::ThreadIdxX);
+            Stmt::For(Box::new(tir::For::with_kind(t, threads, kind, inner)))
+        };
+        let body = Stmt::seq(vec![copy(8, first_claims), copy(32, second_claims)]);
+        let mut f = PrimFunc::new("f", vec![], body);
+        f.root_block_mut().expect("root").alloc_buffers.push(s);
+        f
+    }
+
+    #[test]
+    fn cooperative_claim_is_read_off_the_enclosing_block() {
+        // Only the second block claims, and claims too much.
+        let errors = check_scopes(&two_copies_named_alike(None, Some(64)));
+        let [ValidationError::ScopeViolation { detail, .. }] = &errors[..] else {
+            panic!("one violation, of the second block: {errors:?}");
+        };
+        assert!(detail.contains("64 threads") && detail.contains("provides 32"));
+        // Only the first claims, rightly: its claim is not the second's.
+        let errors = check_scopes(&two_copies_named_alike(Some(8), None));
+        assert!(errors.is_empty(), "{errors:?}");
     }
 }

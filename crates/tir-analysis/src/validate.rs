@@ -11,6 +11,11 @@
 //!   and execution-scope requirements for tensorized blocks;
 //! * **producer-consumer validation** — writes to every intermediate buffer
 //!   must cover downstream reads (checked on concrete region boxes).
+//!
+//! None of them walks the program: `Nests` is told of every loop and
+//! block the one traversal of the crate enters (`walk.rs`) and reads the
+//! loops, thread bindings and composed bindings off its scope; the cover
+//! check is handed access boxes. [`validate`] is that one walk feeding both.
 
 use std::hash::{Hash, Hasher};
 
@@ -18,12 +23,12 @@ use tir::simplify::simplified;
 use tir::structural::expr_structural_eq;
 use tir::visit::{expr_any_var, expr_uses_var, ExprVisitor};
 use tir::{
-    BinOp, Block, BlockRealize, Buffer, Expr, ForKind, IterKind, MemScope, PrimFunc, Stmt,
-    ThreadTag, Var, VarMap,
+    BinOp, Block, BlockRealize, Buffer, Expr, For, ForKind, IterKind, MemScope, PrimFunc,
+    ThreadTag, Var,
 };
 use tir_arith::iter_map::{detect_iter_map_with, CoverMode, IterMapError};
 
-use crate::region::{box_covers, collect_accesses};
+use crate::walk::{self, Check, Scope};
 
 /// A validation failure.
 #[derive(Clone, PartialEq, Debug)]
@@ -236,15 +241,19 @@ impl ExprVisitor for Key {
 }
 
 impl Key {
-    /// Rewrites the key to everything [`Validator::check_block_realize`]
-    /// reads of `br` under `loops`: identities (variable and buffer ids),
-    /// integers and the block's name, which its error texts carry. The
-    /// composed bindings of enclosing blocks enter as `parent`, the
+    /// Rewrites the key to everything [`Nests::check_block_realize`] reads
+    /// of `br` under the loops of `scope`: identities (variable and buffer
+    /// ids), integers and the block's name, which its error texts carry.
+    /// The composed bindings of enclosing blocks enter as `parent`, the
     /// remembered verdict they were taken from.
-    fn of_block(&mut self, parent: usize, loops: &[(Var, i64, ForKind)], br: &BlockRealize) {
+    fn of_block(&mut self, parent: Option<usize>, scope: &Scope, br: &BlockRealize) {
         let block = &br.block;
         self.0.clear();
-        (parent, &block.name, loops, block.init.is_some()).hash(self);
+        (parent, &block.name, block.init.is_some()).hash(self);
+        scope.nest().count().hash(self);
+        for l in scope.nest() {
+            l.hash(self);
+        }
         (block.writes.len(), br.iter_values.len()).hash(self);
         for key in ["tir.copy", "tir.atomic", "tir.cooperative"] {
             block.annotations.contains_key(key).hash(self);
@@ -269,12 +278,12 @@ impl Key {
     }
 }
 
-/// One remembered verdict of [`Validator::check_block_realize`].
+/// One remembered verdict of [`Nests::check_block_realize`].
 struct Remembered {
     key: Box<[u8]>,
     errors: Vec<ValidationError>,
     /// The composed bindings, while no walk holds them (see
-    /// [`Validator::visit`]).
+    /// [`Nests::enter_block`]).
     composed: Vec<Expr>,
 }
 
@@ -311,18 +320,18 @@ impl ValidationSession {
     ///
     /// Exactly the errors [`validate`] returns for `func`.
     pub fn validate(&mut self, func: &PrimFunc) -> Result<(), Vec<ValidationError>> {
-        validate_with(func, Some(self))
+        gate(walk::run(func, &VALIDATE, Some(self)))
     }
 
     /// The verdict remembered for what `check_block_realize` would read of
     /// `br`, and whether it is new: pushed just now, still to be filled in.
     fn verdict_of(
         &mut self,
-        parent: usize,
-        loops: &[(Var, i64, ForKind)],
+        parent: Option<usize>,
+        scope: &Scope,
         br: &BlockRealize,
     ) -> (usize, bool) {
-        self.key.of_block(parent, loops, br);
+        self.key.of_block(parent, scope, br);
         if let Some(at) = (self.remembered.iter()).position(|r| *r.key == *self.key.0) {
             return (at, false);
         }
@@ -335,134 +344,96 @@ impl ValidationSession {
     }
 }
 
-struct Validator<'a> {
-    /// All loops on the current path from the root: (var, extent, kind).
-    loops: Vec<(Var, i64, ForKind)>,
-    /// Full thread-binding stack: (tag, extent).
-    threads: Vec<(ThreadTag, i64)>,
-    /// Iterator variables of the enclosing blocks with their (already
-    /// composed) binding expressions over loop variables, innermost last.
-    /// Nested block bindings are validated after substituting through
-    /// them, which is how the isolation boundary is crossed soundly.
-    binds: Vec<(Var, Expr)>,
-    errors: Vec<ValidationError>,
-    memo: Option<&'a mut ValidationSession>,
-    /// The remembered verdict of the enclosing block, if there is one.
-    parent: usize,
+/// Loop-nest and threading validation, fed by the walk at every loop and
+/// block it enters (while no loop of non-constant extent is around it).
+#[derive(Default)]
+pub(crate) struct Nests<'m> {
+    pub(crate) errors: Vec<ValidationError>,
+    pub(crate) memo: Option<&'m mut ValidationSession>,
+    /// The remembered verdict, if there is one, of every block entered and
+    /// not yet left, innermost last.
+    open: Vec<Option<usize>>,
 }
 
-impl Validator<'_> {
-    fn visit(&mut self, s: &Stmt) {
-        match s {
-            Stmt::For(f) => {
-                let Some(extent) = f.extent.as_int() else {
-                    self.errors.push(ValidationError::NonConstantExtent {
-                        loop_var: f.var.name().to_string(),
-                    });
-                    return;
-                };
-                if let ForKind::ThreadBinding(tag) = f.kind {
-                    if tag != ThreadTag::Vthread && self.threads.iter().any(|(t, _)| *t == tag) {
-                        self.errors
-                            .push(ValidationError::NestedThreadBinding { tag });
-                    }
-                    self.threads.push((tag, extent));
-                    let total: i64 = self
-                        .threads
-                        .iter()
-                        .filter(|(t, _)| t.is_thread_idx())
-                        .map(|(_, e)| e)
-                        .product();
-                    if total > MAX_THREADS_PER_BLOCK {
-                        self.errors.push(ValidationError::LaunchLimit {
-                            threads: total,
-                            limit: MAX_THREADS_PER_BLOCK,
-                        });
-                    }
-                }
-                self.loops.push((f.var.clone(), extent, f.kind));
-                self.visit(&f.body);
-                self.loops.pop();
-                if matches!(f.kind, ForKind::ThreadBinding(_)) {
-                    self.threads.pop();
-                }
+impl Nests<'_> {
+    /// The per-loop checks, before `f` joins the loops of `scope`: a
+    /// constant extent, no thread tag bound twice, the launch limit.
+    pub(crate) fn enter_loop(&mut self, scope: &Scope, f: &For) {
+        let Some(extent) = f.extent.as_int() else {
+            self.errors.push(ValidationError::NonConstantExtent {
+                loop_var: f.var.name().to_string(),
+            });
+            return;
+        };
+        let ForKind::ThreadBinding(tag) = f.kind else {
+            return;
+        };
+        if tag != ThreadTag::Vthread && scope.threads().any(|(t, _)| t == tag) {
+            self.errors
+                .push(ValidationError::NestedThreadBinding { tag });
+        }
+        let total: i64 = (scope.threads().chain([(tag, extent)]))
+            .filter(|(t, _)| t.is_thread_idx())
+            .map(|(_, e)| e)
+            .product();
+        if total > MAX_THREADS_PER_BLOCK {
+            self.errors.push(ValidationError::LaunchLimit {
+                threads: total,
+                limit: MAX_THREADS_PER_BLOCK,
+            });
+        }
+    }
+
+    /// Validates `br` — or replays what the session remembers of it — and
+    /// returns its composed bindings for the walk to put on its stack.
+    pub(crate) fn enter_block(&mut self, scope: &Scope, br: &BlockRealize) -> Vec<Expr> {
+        let first_error = self.errors.len();
+        // A block is keyed by the verdict of the block around it.
+        let parent = self.open.last().copied().flatten();
+        let verdict = (self.memo.as_deref_mut()).map(|memo| memo.verdict_of(parent, scope, br));
+        let composed = match (verdict, self.memo.as_deref_mut()) {
+            (Some((at, false)), Some(memo)) => {
+                let replayed = &memo.remembered[at].errors;
+                self.errors.extend(replayed.iter().cloned());
+                std::mem::take(&mut memo.remembered[at].composed)
             }
-            Stmt::Seq(v) => {
-                for st in v {
-                    self.visit(st);
-                }
-            }
-            Stmt::IfThenElse {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                self.visit(then_branch);
-                if let Some(e) = else_branch {
-                    self.visit(e);
-                }
-            }
-            Stmt::BlockRealize(br) => {
-                let first_error = self.errors.len();
-                let verdict = match self.memo.as_deref_mut() {
-                    Some(memo) => Some(memo.verdict_of(self.parent, &self.loops, br)),
-                    None => None,
-                };
-                let mut composed = match (verdict, self.memo.as_deref_mut()) {
-                    (Some((at, false)), Some(memo)) => {
-                        let replayed = &memo.remembered[at].errors;
-                        self.errors.extend(replayed.iter().cloned());
-                        std::mem::take(&mut memo.remembered[at].composed)
-                    }
-                    _ => self.check_block_realize(br),
-                };
-                if cfg!(debug_assertions) && matches!(verdict, Some((_, false))) {
-                    let replayed = self.errors.split_off(first_error);
-                    let fresh = self.check_block_realize(br);
-                    assert!(
-                        fresh == composed && self.errors[first_error..] == replayed[..],
-                        "the remembered verdict of block {} is stale",
-                        br.block.name
-                    );
-                }
-                let own_errors = first_error..self.errors.len();
-                // The composed bindings go on the stack so nested blocks
-                // validate against real loop variables, and come back off
-                // it into the remembered verdict: moved, never copied.
-                let nested_in = verdict.map_or(usize::MAX, |(at, _)| at);
-                let enclosing = std::mem::replace(&mut self.parent, nested_in);
-                let base = self.binds.len();
-                let vars = br.block.iter_vars.iter().map(|iv| iv.var.clone());
-                self.binds.extend(vars.zip(composed.drain(..)));
-                if let Some(init) = &br.block.init {
-                    self.visit(init);
-                }
-                self.visit(&br.block.body);
-                composed.extend(self.binds.drain(base..).map(|(_, value)| value));
-                self.parent = enclosing;
-                if let (Some((at, new)), Some(memo)) = (verdict, self.memo.as_deref_mut()) {
-                    memo.remembered[at].composed = composed;
-                    if new {
-                        memo.remembered[at].errors = self.errors[own_errors].to_vec();
-                    }
-                }
-            }
-            Stmt::Store { .. } | Stmt::Eval(_) => {}
+            _ => self.check_block_realize(scope, br),
+        };
+        if cfg!(debug_assertions) && matches!(verdict, Some((_, false))) {
+            let replayed = self.errors.split_off(first_error);
+            let fresh = self.check_block_realize(scope, br);
+            assert!(
+                fresh == composed && self.errors[first_error..] == replayed[..],
+                "the remembered verdict of block {} is stale",
+                br.block.name
+            );
+        }
+        if let (Some((at, true)), Some(memo)) = (verdict, self.memo.as_deref_mut()) {
+            memo.remembered[at].errors = self.errors[first_error..].to_vec();
+        }
+        self.open.push(verdict.map(|(at, _)| at));
+        composed
+    }
+
+    /// Leaves the innermost block: its composed bindings, back off the
+    /// walk's stack, go into the remembered verdict — moved, never copied.
+    pub(crate) fn exit_block(&mut self, composed: Vec<Expr>) {
+        if let (Some(Some(at)), Some(memo)) = (self.open.pop(), self.memo.as_deref_mut()) {
+            memo.remembered[at].composed = composed;
         }
     }
 
     /// Validates one realize and returns the composed binding expressions
     /// (over loop variables only).
-    fn check_block_realize(&mut self, br: &BlockRealize) -> Vec<Expr> {
+    fn check_block_realize(&mut self, scope: &Scope, br: &BlockRealize) -> Vec<Expr> {
         let block = &br.block;
         // Compose bindings through enclosing block boundaries.
-        let bind_map: VarMap<&Expr> = self.binds.iter().map(|(v, e)| (v.clone(), e)).collect();
-        let composed: Vec<Expr> = br
-            .iter_values
-            .iter()
-            .map(|v| simplified(tir::visit::substituted(v.clone(), &bind_map)))
+        let composed: Vec<Expr> = (br.iter_values.iter().map(|v| scope.composed(v))).collect();
+        // Every extent is a constant here: validation is silent below a
+        // loop whose extent is not.
+        let dom: Vec<(Var, i64)> = (scope.nest())
+            .filter_map(|(v, e, _)| Some((v.clone(), e?)))
             .collect();
-        let dom: Vec<(Var, i64)> = self.loops.iter().map(|(v, e, _)| (v.clone(), *e)).collect();
         // Re-executing a block instance is sound (idempotent) unless it is
         // a reduction without an init to reset the accumulator — only then
         // do we demand the bindings fully consume every enclosing loop.
@@ -481,9 +452,9 @@ impl Validator<'_> {
                 (block.iter_vars.iter().zip(&composed))
                     .any(|(iv, e)| iv.kind == IterKind::Reduce && expr_uses_var(e, v))
             };
-            let first_reduce_pos = self.loops.iter().position(|(v, _, _)| reduce_used(v));
+            let first_reduce_pos = dom.iter().position(|(v, _)| reduce_used(v));
             if let Some(rpos) = first_reduce_pos {
-                for (pos, (v, extent, _)) in self.loops.iter().enumerate() {
+                for (pos, (v, extent)) in dom.iter().enumerate() {
                     if *extent > 1 && pos > rpos && !used(v) {
                         self.errors.push(ValidationError::LoopNest {
                             block: block.name.clone(),
@@ -504,15 +475,9 @@ impl Validator<'_> {
             Ok(map) => {
                 for ((iv, bound), value) in block.iter_vars.iter().zip(&map.extents).zip(&composed)
                 {
-                    if *bound > iv.extent && !predicate_guards(&br.predicate, value, iv.extent) {
-                        self.errors.push(ValidationError::DomainMismatch {
-                            block: block.name.clone(),
-                            iter_var: iv.var.name().to_string(),
-                            declared: iv.extent,
-                            bound: *bound,
-                        });
-                    }
-                    if *bound < iv.extent && mode == CoverMode::Full {
+                    let beyond =
+                        *bound > iv.extent && !predicate_guards(&br.predicate, value, iv.extent);
+                    if beyond || (*bound < iv.extent && mode == CoverMode::Full) {
                         self.errors.push(ValidationError::DomainMismatch {
                             block: block.name.clone(),
                             iter_var: iv.var.name().to_string(),
@@ -535,9 +500,7 @@ impl Validator<'_> {
         // would race — "unless the reduction is atomic" (§3.1), which a
         // block declares with the `tir.atomic` annotation.
         let atomic = block.annotations.contains_key("tir.atomic");
-        let parallel_vars: Vec<&Var> = self
-            .loops
-            .iter()
+        let parallel_vars: Vec<&Var> = (scope.nest())
             .filter(|(_, _, k)| k.is_parallel())
             .map(|(v, _, _)| v)
             .collect();
@@ -552,8 +515,8 @@ impl Validator<'_> {
                 });
             }
         }
-        self.check_exec_scope(block);
-        self.check_cooperative_fetch(block, &composed);
+        self.check_exec_scope(scope, block);
+        self.check_cooperative_fetch(scope, block, &composed);
         composed
     }
 
@@ -564,14 +527,14 @@ impl Validator<'_> {
     /// copy is replicated idempotently and modeled as distributed across
     /// the group). Otherwise threads race to produce the buffer without a
     /// coverage guarantee for downstream consumers.
-    fn check_cooperative_fetch(&mut self, block: &Block, composed: &[Expr]) {
+    fn check_cooperative_fetch(&mut self, scope: &Scope, block: &Block, composed: &[Expr]) {
         let writes_shared: Vec<&Buffer> = block
             .writes
             .iter()
             .map(|w| &w.buffer)
             .filter(|b| is_cooperative_scope(b.scope()))
             .collect();
-        if writes_shared.is_empty() || self.threads.is_empty() {
+        if writes_shared.is_empty() || scope.threads().next().is_none() {
             return;
         }
         if block.annotations.contains_key("tir.cooperative")
@@ -581,13 +544,9 @@ impl Validator<'_> {
         }
         // Thread loops consumed by the bindings are fine.
         let used = |v: &Var| composed.iter().any(|e| expr_uses_var(e, v));
-        let thread_vars: Vec<&Var> = self
-            .loops
-            .iter()
-            .filter(|(_, _, k)| matches!(k, ForKind::ThreadBinding(t) if t.is_thread_idx()))
-            .map(|(v, _, _)| v)
-            .collect();
-        if thread_vars.iter().all(|v| used(v)) {
+        let mut thread_vars = (scope.nest())
+            .filter(|(_, _, k)| matches!(k, ForKind::ThreadBinding(t) if t.is_thread_idx()));
+        if thread_vars.all(|(v, _, _)| used(v)) {
             return;
         }
         for b in writes_shared {
@@ -598,42 +557,27 @@ impl Validator<'_> {
         }
     }
 
-    fn check_exec_scope(&mut self, block: &Block) {
-        let Some(tir::AnnValue::Str(scope)) = block.annotations.get("tir.exec_scope") else {
+    fn check_exec_scope(&mut self, scope: &Scope, block: &Block) {
+        let Some(tir::AnnValue::Str(required)) = block.annotations.get("tir.exec_scope") else {
             return;
         };
-        match scope.as_str() {
-            "warp" => {
-                // Warp-level intrinsics (e.g. Tensor Core mma_sync) must run
-                // with a warp-aligned threadIdx.x binding in scope — or with
-                // no threadIdx.x at all, in which case the 32 lanes are
-                // implicit (warp-cooperative execution, as in pre-lowering
-                // TVM Tensor Core programs).
-                let tx = self
-                    .threads
-                    .iter()
-                    .find(|(t, _)| *t == ThreadTag::ThreadIdxX);
-                let ok = match tx {
-                    Some((_, e)) => *e % 32 == 0,
-                    None => true,
-                };
-                if !ok {
-                    self.errors.push(ValidationError::ExecScope {
-                        block: block.name.clone(),
-                        required: "warp".to_string(),
-                    });
-                }
-            }
-            "block" => {
-                let ok = self.threads.iter().any(|(t, _)| t.is_thread_idx());
-                if !ok {
-                    self.errors.push(ValidationError::ExecScope {
-                        block: block.name.clone(),
-                        required: "block".to_string(),
-                    });
-                }
-            }
-            _ => {}
+        let ok = match required.as_str() {
+            // Warp-level intrinsics (e.g. Tensor Core mma_sync) must run
+            // with a warp-aligned threadIdx.x binding in scope — or with
+            // no threadIdx.x at all, in which case the 32 lanes are
+            // implicit (warp-cooperative execution, as in pre-lowering
+            // TVM Tensor Core programs).
+            "warp" => (scope.threads())
+                .find(|(t, _)| *t == ThreadTag::ThreadIdxX)
+                .is_none_or(|(_, e)| e % 32 == 0),
+            "block" => scope.threads().any(|(t, _)| t.is_thread_idx()),
+            _ => true,
+        };
+        if !ok {
+            self.errors.push(ValidationError::ExecScope {
+                block: block.name.clone(),
+                required: required.clone(),
+            });
         }
     }
 }
@@ -665,39 +609,24 @@ pub(crate) fn split_and<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
 ///
 /// Function parameters are exempt (their contents come from the caller).
 pub fn check_region_cover(func: &PrimFunc) -> Vec<ValidationError> {
-    let set = collect_accesses(&func.body);
-    let params: Vec<&Buffer> = func.params.iter().collect();
-    let mut errors = Vec::new();
-    for (buffer, read_box) in &set.reads {
-        if params.contains(&buffer) {
-            continue;
-        }
-        match set.write_box(buffer) {
-            Some(write_box) if box_covers(write_box, read_box) => {}
-            _ => errors.push(ValidationError::RegionCover {
-                buffer: buffer.name().to_string(),
-            }),
-        }
-    }
-    errors
+    walk::run(func, &[Check::Cover], None)
 }
 
 /// Runs loop-nest validation and threading validation on a function.
 pub fn check_loop_nests(func: &PrimFunc) -> Vec<ValidationError> {
-    loop_nest_errors(func, None)
+    walk::run(func, &[Check::Nests], None)
 }
 
-fn loop_nest_errors(func: &PrimFunc, memo: Option<&mut ValidationSession>) -> Vec<ValidationError> {
-    let mut v = Validator {
-        loops: Vec::new(),
-        threads: Vec::new(),
-        binds: Vec::new(),
-        errors: Vec::new(),
-        memo,
-        parent: usize::MAX,
-    };
-    v.visit(&func.body);
-    v.errors
+/// What [`validate`] checks, in one walk.
+const VALIDATE: [Check; 2] = [Check::Nests, Check::Cover];
+
+/// Diagnostics as a gate: `Ok(())` when there are none.
+pub(crate) fn gate(errors: Vec<ValidationError>) -> Result<(), Vec<ValidationError>> {
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors)
+    }
 }
 
 /// Runs the full validation suite on a function.
@@ -707,20 +636,7 @@ fn loop_nest_errors(func: &PrimFunc, memo: Option<&mut ValidationSession>) -> Ve
 /// Returns every violation found; an empty `Ok(())` means the program
 /// passed loop-nest, threading, and region-cover validation.
 pub fn validate(func: &PrimFunc) -> Result<(), Vec<ValidationError>> {
-    validate_with(func, None)
-}
-
-fn validate_with(
-    func: &PrimFunc,
-    memo: Option<&mut ValidationSession>,
-) -> Result<(), Vec<ValidationError>> {
-    let mut errors = loop_nest_errors(func, memo);
-    errors.extend(check_region_cover(func));
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
+    gate(walk::run(func, &VALIDATE, None))
 }
 
 /// Convenience: validates and panics with a readable message on failure.
@@ -751,7 +667,7 @@ pub fn is_cooperative_scope(scope: &MemScope) -> bool {
 mod tests {
     use super::*;
     use tir::builder::matmul_func;
-    use tir::{Buffer, DataType, IterVar};
+    use tir::{DataType, IterVar, Stmt};
 
     #[test]
     fn matmul_validates() {
@@ -1016,7 +932,7 @@ mod tests {
 #[cfg(test)]
 mod cooperative_tests {
     use super::*;
-    use tir::{Buffer, DataType, IterVar};
+    use tir::{DataType, IterVar, Stmt};
 
     /// A shared-buffer producer racing under threadIdx without cooperative
     /// annotation is flagged; with the annotation it passes.
@@ -1080,7 +996,7 @@ mod cooperative_tests {
 mod atomic_tests {
     use super::*;
     use tir::builder::matmul_func;
-    use tir::DataType;
+    use tir::{DataType, Stmt};
 
     #[test]
     fn atomic_annotation_permits_parallel_reduction() {
@@ -1144,7 +1060,7 @@ mod atomic_tests {
 mod session_tests {
     use super::*;
     use tir::builder::matmul_func;
-    use tir::{AnnValue, Buffer, DataType, IterVar};
+    use tir::{AnnValue, DataType, IterVar, Stmt};
 
     /// Calls `f` on every statement below the root block, outermost first.
     fn edit(func: &mut PrimFunc, f: &mut dyn FnMut(&mut Stmt)) {

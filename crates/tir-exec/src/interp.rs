@@ -460,10 +460,11 @@ pub(crate) fn check_arg(buffer: &Buffer, t: &Tensor) -> Result<()> {
 
 /// Which execution engine runs a [`PrimFunc`].
 ///
-/// Both backends implement the exact same semantics — identical outputs
-/// bit-for-bit, identical [`ExecError`]s, identical step counts — which the
-/// `vm_differential` suite enforces. The VM is the fast default; the
-/// tree-walker is the simple reference the VM is checked against.
+/// All three backends implement the exact same semantics — identical
+/// outputs bit-for-bit, identical [`ExecError`]s, identical step counts —
+/// which the `vm_differential` suite enforces. The optimized VM is the fast
+/// default; the tree-walker is the simple reference the two bytecode
+/// backends are checked against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExecBackend {
     /// Compile once to register bytecode, run the optimizer pipeline
@@ -492,7 +493,7 @@ pub struct RunOutcome {
 /// (`None` = the default budget), returning outputs and the step count.
 ///
 /// This is the instrumented entry point behind [`Interpreter::run`]; the
-/// differential test harness and the microbenches use it to pit the two
+/// differential test harness and the microbenches use it to pit the three
 /// backends against each other.
 ///
 /// # Errors

@@ -481,7 +481,7 @@ fn seam_programs() -> Vec<(&'static str, PrimFunc)> {
         let iters = vec![IterVar::spatial(v, 8)];
         let block = Block::new("b", iters, vec![], vec![q.full_region()], body);
         let neighbour = q.load(vec![(Expr::from(&i) + 1).floor_mod(8)]);
-        let value = Expr::from(&i) + neighbour * 0;
+        let value = Expr::from(&i) + neighbour * Expr::int(0);
         let predicate = n.load(vec![Expr::from(&i) + 4]).cmp(CmpOp::Gt, 0);
         let br = BlockRealize::with_predicate(vec![value], predicate, block);
         let nest = parallel_loop(&i, 8, Stmt::BlockRealize(Box::new(br)));
