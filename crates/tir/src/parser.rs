@@ -556,6 +556,16 @@ impl Parser {
                     }
                 }
             }
+            if ranges.len() != buffer.ndim() {
+                return Err(ParseError {
+                    line: lineno,
+                    message: format!(
+                        "region of rank {} on buffer {name} of rank {}",
+                        ranges.len(),
+                        buffer.ndim()
+                    ),
+                });
+            }
             regions.push(BufferRegion::new(buffer, ranges));
             if toks.get(pos) == Some(&Tok::Sym(",")) {
                 pos += 1;

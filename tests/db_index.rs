@@ -91,6 +91,15 @@ fn resolved_key_is_the_text_key_cold_and_warm_in_both_orders() {
     let distinct: std::collections::HashSet<&String> = keys.iter().collect();
     println!("{} programs, {} distinct keys", funcs.len(), distinct.len());
     assert!(funcs.len() >= 250 && distinct.len() >= 100, "corpus shrank");
+    // The keys themselves, as the char-by-char `workload_key` with its
+    // `HashMap<String, String>` wrote them: they are the identity on disk.
+    let joined = keys.join("\n");
+    println!(
+        "keys: {} bytes, fnv1a {:#018x}",
+        joined.len(),
+        fnv1a(joined.as_bytes())
+    );
+    assert_eq!((joined.len(), fnv1a(joined.as_bytes())), EXPECTED_KEYS);
 
     let forward: Vec<usize> = (0..funcs.len()).collect();
     let backward: Vec<usize> = forward.iter().rev().copied().collect();
@@ -252,6 +261,10 @@ fn scripted_sequence_counts_and_encodes_as_the_text_keyed_database_did() {
     db.tune_cached(&renamed, &gpu, &reg, Strategy::TensorIr, &opts(16));
     assert_eq!(reloaded.encode(), db.encode());
 }
+
+/// Length and hash of the corpus's text keys joined by newlines, recorded
+/// on the commit before `workload_key` became one pass over bytes.
+const EXPECTED_KEYS: (usize, u64) = (933_575, 0xf6d8_986d_cf6a_9993);
 
 /// `(hits, misses, len)` after each step of the script.
 const EXPECTED_COUNTS: &[(usize, usize, usize)] = &[
