@@ -495,6 +495,60 @@ fn bench_print_parse() {
     });
 }
 
+/// The text a daemon lives on, at the sizes it meets: parsing a *tuned* GMM
+/// (what a journal replay and a database load parse, once per record), the
+/// text key of the untuned one (once per cold admission and per publish),
+/// and a whole warm `tune` round trip against an in-process daemon — request
+/// written, parsed, looked up, reply written and read — timed and counted on
+/// the client's thread.
+fn bench_text_and_serve() {
+    use tir_autoschedule::{tune_workload, workload_key, Strategy, TuneOptions};
+    use tir_serve::client::Client;
+    use tir_serve::server::{ServeConfig, Server};
+    use tir_workloads::{bench_suite, OpKind};
+
+    let case = bench_suite(DataType::float16())
+        .into_iter()
+        .find(|c| c.kind == OpKind::GMM)
+        .expect("GMM in the suite");
+    let opts = TuneOptions {
+        trials: 16,
+        num_threads: 1,
+        ..TuneOptions::default()
+    };
+    let reg = builtin_registry();
+    let tuned = tune_workload(
+        &case.func,
+        &Machine::sim_gpu(),
+        &reg,
+        Strategy::TensorIr,
+        &opts,
+    );
+    let tuned_text = tuned.best.expect("a tuned GMM").to_string();
+    bench_function("text/parse_gpu_tensor_gmm", || {
+        tir::parser::parse_func(&tuned_text).unwrap()
+    });
+    bench_function("text/workload_key_gmm", || workload_key(&case.func));
+
+    let dir = std::env::temp_dir().join(format!("tir-microbench-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let server = Server::start(ServeConfig::new(dir.join("s"), dir.join("db"))).expect("daemon");
+    let mut client = Client::connect(server.socket_path()).expect("client");
+    let gmm = tir_workloads::gmm(128, 128, 128, DataType::float16(), DataType::float32());
+    let request = gmm.to_string();
+    client
+        .tune("gpu", "tensorir", 16, 5, &request)
+        .expect("cold tune");
+    bench_function("serve/warm_roundtrip_gmm", || {
+        client
+            .tune("gpu", "tensorir", 16, 5, &request)
+            .expect("warm hit")
+    });
+    client.shutdown().expect("shutdown");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn main() {
     bench_split_fuse_reorder();
     bench_sketch_apply();
@@ -508,4 +562,5 @@ fn main() {
     bench_simulate();
     bench_iter_map();
     bench_print_parse();
+    bench_text_and_serve();
 }

@@ -60,7 +60,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -95,44 +95,50 @@ const HEADER: &str = "tir-tuning-database v1";
 /// assert_ne!(workload_key(&a), workload_key(&c));
 /// ```
 pub fn workload_key(func: &PrimFunc) -> String {
+    // Keep dialect keywords stable; rename everything else.
+    const KEYWORDS: &[&str] = &[
+        "def", "for", "in", "if", "else", "with", "range", "pass", "and", "or", "not", "thread",
+        "true", "false", "True", "False",
+    ];
+    let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b'.';
     let text = func.to_string();
-    // Tokenize identifiers and renumber them in order of first occurrence.
-    let mut map: HashMap<String, String> = HashMap::new();
+    let bytes = text.as_bytes();
+    // Identifiers in order of first occurrence: a program has a few dozen,
+    // and most uses are of a recent one.
+    let mut names: Vec<&str> = Vec::new();
     let mut out = String::with_capacity(text.len());
-    let mut ident = String::new();
-    let flush = |ident: &mut String, out: &mut String, map: &mut HashMap<String, String>| {
-        if ident.is_empty() {
-            return;
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = i;
+        while i < bytes.len() && word(bytes[i]) {
+            i += 1;
         }
-        // Keep dialect keywords stable; rename everything else.
-        const KEYWORDS: &[&str] = &[
-            "def", "for", "in", "if", "else", "with", "range", "pass", "and", "or", "not",
-            "thread", "true", "false", "True", "False",
-        ];
-        // Numeric literals (shapes, strides, constants) are semantic:
-        // renaming them would let `gmm(128,…)` and `gmm(256,…)` collide on
-        // one fingerprint. Anything starting with an ASCII digit is a
-        // literal — identifiers can't start with a digit.
-        let is_literal = ident.chars().next().is_some_and(|c| c.is_ascii_digit());
-        let is_dialect = ident.starts_with("T.") || KEYWORDS.contains(&ident.as_str());
-        if is_dialect || is_literal {
+        let ident = &text[start..i];
+        if ident.is_empty() {
+            // Everything up to the next identifier, as it is. Both ends are
+            // at ASCII bytes, so multi-byte characters stay whole.
+            while i < bytes.len() && !word(bytes[i]) {
+                i += 1;
+            }
+            out.push_str(&text[start..i]);
+        } else if bytes[start].is_ascii_digit()
+            || ident.starts_with("T.")
+            || KEYWORDS.contains(&ident)
+        {
+            // Numeric literals (shapes, strides, constants) are semantic:
+            // renaming them would let `gmm(128,…)` and `gmm(256,…)` collide
+            // on one fingerprint. Anything starting with an ASCII digit is
+            // a literal — identifiers can't start with a digit.
             out.push_str(ident);
         } else {
-            let n = map.len();
-            let id = map.entry(ident.clone()).or_insert_with(|| format!("x{n}"));
-            out.push_str(id);
-        }
-        ident.clear();
-    };
-    for c in text.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' || c == '.' {
-            ident.push(c);
-        } else {
-            flush(&mut ident, &mut out, &mut map);
-            out.push(c);
+            let n = names.iter().rposition(|&name| name == ident);
+            let n = n.unwrap_or_else(|| {
+                names.push(ident);
+                names.len() - 1
+            });
+            write!(out, "x{n}").expect("writing to a String");
         }
     }
-    flush(&mut ident, &mut out, &mut map);
     out
 }
 

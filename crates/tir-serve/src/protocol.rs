@@ -57,6 +57,20 @@
 //! operator-facing meaning of each is tabulated in
 //! `docs/OPERATIONS.md`.
 //!
+//! # Framing
+//!
+//! **One message is one write.** `write` assembles header, payload and
+//! terminating newline in one buffer and hands it to its writer in a single
+//! `write_all` — on the daemon's (unbuffered) Unix socket, one `write(2)`
+//! and one wake-up of the peer per message, where a header formatted piece
+//! by piece used to be up to 13. **Readers accept fragments.** Nothing on
+//! the read side assumes a message arrives whole: the header is read up to
+//! its newline and the payload up to its announced length through a
+//! `BufRead`, however many `read`s that takes — a peer that writes in
+//! pieces, or a payload larger than the socket buffer, decodes the same.
+//! The daemon bounds the wait *between* fragments of one message (two
+//! seconds), not the number of fragments.
+//!
 //! # Round-trip
 //!
 //! ```
@@ -78,6 +92,7 @@
 //! assert_eq!(back, req);
 //! ```
 
+use std::fmt;
 use std::io::{self, BufRead, Read, Write};
 
 use tir_autoschedule::database::{hex_f64, parse_hex_f64};
@@ -269,13 +284,16 @@ fn read_line(r: &mut impl BufRead) -> io::Result<Option<String>> {
 
 /// Reads a `len`-byte payload plus its terminating newline.
 ///
-/// The buffer grows with the bytes that actually arrive — the claimed
-/// length is never trusted up front, so a frame promising 2^40 bytes
-/// and then hanging up costs memory proportional to what the peer
-/// really sent, not what the header advertised.
+/// The claimed length is trusted up to `PRESIZED` bytes — one allocation
+/// for a program of ordinary size — and beyond that the buffer grows with
+/// the bytes that actually arrive, so a frame promising 2^40 bytes and then
+/// hanging up costs memory proportional to what the peer really sent, not
+/// what the header advertised. The payload may arrive in any number of
+/// fragments.
 fn read_blob(r: &mut impl BufRead, len: usize) -> io::Result<Result<String, Reject>> {
+    const PRESIZED: u64 = 16 << 10;
     let total = (len as u64).saturating_add(1); // payload + newline
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(total.min(PRESIZED) as usize);
     r.by_ref().take(total).read_to_end(&mut buf)?;
     if buf.len() as u64 != total {
         return Err(io::Error::new(
@@ -296,6 +314,17 @@ fn read_blob(r: &mut impl BufRead, len: usize) -> io::Result<Result<String, Reje
             "payload is not valid UTF-8".to_string(),
         ))),
     }
+}
+
+/// Assembles a message with a payload — `fields` and the payload's length
+/// as the header line, the payload, a newline — and hands it to `w` in one
+/// `write_all`: on a socket, one `write(2)`.
+fn write_frame(w: &mut impl Write, fields: fmt::Arguments<'_>, payload: &str) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(payload.len() + 96);
+    writeln!(frame, "{fields} {}", payload.len())?;
+    frame.extend_from_slice(payload.as_bytes());
+    frame.push(b'\n');
+    w.write_all(&frame)
 }
 
 /// Parses and bounds-checks a payload length token.
@@ -332,24 +361,16 @@ impl Request {
                 trials,
                 priority,
                 func_text,
-            } => {
-                writeln!(
-                    w,
-                    "tune {machine} {strategy} {trials} {priority} {}",
-                    func_text.len()
-                )?;
-                w.write_all(func_text.as_bytes())?;
-                w.write_all(b"\n")
-            }
+            } => write_frame(
+                w,
+                format_args!("tune {machine} {strategy} {trials} {priority}"),
+                func_text,
+            ),
             Request::Query {
                 machine,
                 strategy,
                 func_text,
-            } => {
-                writeln!(w, "query {machine} {strategy} {}", func_text.len())?;
-                w.write_all(func_text.as_bytes())?;
-                w.write_all(b"\n")
-            }
+            } => write_frame(w, format_args!("query {machine} {strategy}"), func_text),
         }
     }
 
@@ -452,27 +473,19 @@ impl Response {
                 trials,
                 tuning_cost_s,
                 func_text,
-            } => {
-                writeln!(
-                    w,
-                    "result {} {} {trials} {} {}",
+            } => write_frame(
+                w,
+                format_args!(
+                    "result {} {} {trials} {}",
                     source.as_str(),
                     hex_f64(*best_time),
-                    hex_f64(*tuning_cost_s),
-                    func_text.len()
-                )?;
-                w.write_all(func_text.as_bytes())?;
-                w.write_all(b"\n")
-            }
-            Response::Stats { json } => {
-                writeln!(w, "stats {}", json.len())?;
-                w.write_all(json.as_bytes())?;
-                w.write_all(b"\n")
-            }
+                    hex_f64(*tuning_cost_s)
+                ),
+                func_text,
+            ),
+            Response::Stats { json } => write_frame(w, format_args!("stats"), json),
             Response::Rejected { code, message } => {
-                writeln!(w, "err {} {}", code.as_str(), message.len())?;
-                w.write_all(message.as_bytes())?;
-                w.write_all(b"\n")
+                write_frame(w, format_args!("err {}", code.as_str()), message)
             }
         }
     }

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use tir::DataType;
 use tir_serve::client::{Client, ClientError, ReconnectPolicy};
-use tir_serve::protocol::Source;
+use tir_serve::protocol::{RejectCode, Source};
 use tir_serve::server::{ServeConfig, Server};
 use tir_workloads::ops;
 
@@ -121,4 +121,47 @@ fn no_reconnect_policy_fails_fast() {
         Err(ClientError::Io(_))
     ));
     assert!(matches!(Client::connect(&sock), Err(ClientError::Io(_))));
+}
+
+/// 100 000 open parentheses inside a store: 200 KB, well under the 1 MiB
+/// payload cap. The expression parser used to recurse once per parenthesis,
+/// overflow the connection thread's stack and take the whole process down —
+/// this test included, since the daemon runs inside it (`catch_unwind` does
+/// not catch a stack overflow). Now the text is a parse error like any
+/// other, and the connection that sent it goes on to be served.
+#[test]
+fn over_deep_nesting_is_a_parse_error_and_the_daemon_lives() {
+    let (sock, db) = tmp_paths("deep");
+    let server = Server::start(ServeConfig::new(&sock, &db)).expect("start");
+    let mut c = Client::connect_with(&sock, ReconnectPolicy::none()).expect("connect");
+    let text = gmm_text();
+    let cold = c.tune("gpu", "tensorir", 4, 5, &text).expect("tune");
+
+    let n = 100_000;
+    for hostile in [
+        format!("{}1.0{}", "(".repeat(n), ")".repeat(n)),
+        format!("{}1.0", "-".repeat(n)),
+        format!("1.0{}", " + 1.0".repeat(n)),
+    ] {
+        let payload = format!(
+            "@T.prim_func\ndef f(A: T.Buffer((8), \"float32\")):\n    for i in range(8):\n        A[i] = {hostile}\n"
+        );
+        match c.tune("gpu", "tensorir", 4, 5, &payload) {
+            Err(ClientError::Rejected { code, message }) => {
+                assert_eq!(code, RejectCode::ParseError);
+                assert!(message.contains("nested deeper than"), "{message}");
+            }
+            other => panic!("expected a parse_error rejection, got {other:?}"),
+        }
+    }
+    // Same daemon, same connection (no redial allowed): a pong and a warm
+    // hit.
+    c.ping().expect("the daemon is alive");
+    let warm = c.tune("gpu", "tensorir", 4, 5, &text).expect("warm hit");
+    assert_eq!(warm.source, Source::Warm);
+    assert_eq!(warm.func_text, cold.func_text);
+
+    c.shutdown().expect("shutdown");
+    server.join();
+    let _ = std::fs::remove_file(&db);
 }

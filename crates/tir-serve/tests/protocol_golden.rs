@@ -8,6 +8,8 @@
 //! Regenerate (only when the wire format is *meant* to change) with
 //! `cargo test -p tir-serve --test protocol_golden -- --ignored`.
 
+use std::io::{self, BufReader, Read, Write};
+
 use tir_serve::protocol::{RejectCode, Request, Response, Source, DEFAULT_MAX_PAYLOAD};
 
 const GOLDEN_PATH: &str = concat!(
@@ -76,14 +78,19 @@ fn responses() -> Vec<Response> {
     .collect()
 }
 
-fn wire() -> Vec<u8> {
-    let mut out = Vec::new();
+/// Every variant, requests first, written to `out`.
+fn write_every_variant(out: &mut impl Write) {
     for r in requests() {
-        r.write(&mut out).expect("write request");
+        r.write(out).expect("write request");
     }
     for r in responses() {
-        r.write(&mut out).expect("write response");
+        r.write(out).expect("write response");
     }
+}
+
+fn wire() -> Vec<u8> {
+    let mut out = Vec::new();
+    write_every_variant(&mut out);
     out
 }
 
@@ -121,6 +128,94 @@ fn the_golden_bytes_decode_to_every_variant_and_back() {
     }
     assert!(r.is_empty(), "golden file has trailing bytes");
     assert_eq!(back, golden, "decode → encode must be identity");
+}
+
+/// A writer that takes at most `limit` bytes per call and counts the calls.
+struct Trickle {
+    limit: usize,
+    calls: usize,
+    bytes: Vec<u8>,
+}
+
+impl Write for Trickle {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.calls += 1;
+        let n = buf.len().min(self.limit);
+        self.bytes.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A reader that hands out at most `limit` bytes per call.
+struct Fragments<'a>(&'a [u8], usize);
+
+impl Read for Fragments<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = buf.len().min(self.1).min(self.0.len());
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
+    }
+}
+
+/// One message is one `write` on the writer it is given — on a socket, one
+/// `write(2)`, where a header formatted piece by piece followed by payload
+/// and newline used to be 3 to 13.
+#[test]
+fn every_variant_is_written_with_one_call() {
+    let mut calls = Vec::new();
+    let mut sink = Trickle {
+        limit: usize::MAX,
+        calls: 0,
+        bytes: Vec::new(),
+    };
+    for r in requests() {
+        r.write(&mut sink).expect("write request");
+        calls.push(std::mem::take(&mut sink.calls));
+    }
+    for r in responses() {
+        r.write(&mut sink).expect("write response");
+        calls.push(std::mem::take(&mut sink.calls));
+    }
+    assert_eq!(calls, vec![1; requests().len() + responses().len()]);
+    assert_eq!(sink.bytes, std::fs::read(GOLDEN_PATH).expect("golden"));
+}
+
+/// A writer that accepts 7 bytes at a time still gets every byte, in order.
+#[test]
+fn a_writer_that_takes_seven_bytes_a_call_receives_the_golden_bytes() {
+    let mut sink = Trickle {
+        limit: 7,
+        calls: 0,
+        bytes: Vec::new(),
+    };
+    write_every_variant(&mut sink);
+    let golden = std::fs::read(GOLDEN_PATH).expect("golden");
+    assert_eq!(sink.bytes, golden);
+    assert!(sink.calls >= golden.len() / 7);
+}
+
+/// Readers never assumed one message per `read`: the golden bytes arriving
+/// one, three or 4 096 at a time decode to the same messages.
+#[test]
+fn frames_arriving_in_fragments_decode_alike() {
+    let golden = std::fs::read(GOLDEN_PATH).expect("golden");
+    for limit in [1, 3, 4096] {
+        let mut r = BufReader::with_capacity(5, Fragments(&golden, limit));
+        for want in requests() {
+            let got = Request::read(&mut r, DEFAULT_MAX_PAYLOAD).expect("no I/O error");
+            assert_eq!(got, Some(Ok(want)), "{limit} bytes a read");
+        }
+        for want in responses() {
+            let got = Response::read(&mut r).expect("no I/O error");
+            assert_eq!(got, Some(Ok(want)), "{limit} bytes a read");
+        }
+        assert!(matches!(Response::read(&mut r), Ok(None)));
+    }
 }
 
 #[test]

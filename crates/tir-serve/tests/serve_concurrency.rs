@@ -2,11 +2,14 @@
 //! N concurrent identical requests cost exactly one search, and a
 //! killed-and-restarted daemon answers from disk, warm and bit-identical.
 
+use std::io::{BufReader, Read, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use tir::DataType;
 use tir_serve::client::{Client, ClientError, ReconnectPolicy};
-use tir_serve::protocol::{RejectCode, Source};
+use tir_serve::protocol::{RejectCode, Request, Response, Source};
 use tir_serve::server::{ServeConfig, Server};
 use tir_workloads::ops;
 
@@ -184,6 +187,61 @@ fn oversized_payload_is_rejected() {
     }
     // Oversized payloads are protocol-level: the connection closed.
     let mut c = Client::connect(&sock).expect("reconnect");
+    c.shutdown().expect("shutdown");
+    server.join();
+    let _ = std::fs::remove_file(&db);
+}
+
+/// The daemon writes a message in one piece but never assumed it reads one
+/// that way: a request dribbling in byte by byte is answered like any other,
+/// and one that stops half way is dropped after the daemon's two-second
+/// mid-message stall bound instead of pinning its thread (and shutdown)
+/// forever.
+#[test]
+fn a_request_in_one_byte_writes_is_answered_and_a_stalled_one_is_dropped() {
+    let (sock, db) = tmp_paths("trickle");
+    let server = Server::start(ServeConfig::new(&sock, &db)).expect("start");
+    let mut wire = Vec::new();
+    Request::Query {
+        machine: "gpu".into(),
+        strategy: "tensorir".into(),
+        func_text: gmm_text(),
+    }
+    .write(&mut wire)
+    .expect("in-memory write");
+
+    let mut conn = UnixStream::connect(&sock).expect("connect");
+    for (i, byte) in wire.iter().enumerate() {
+        conn.write_all(std::slice::from_ref(byte)).expect("write");
+        if i % 8 == 0 {
+            std::thread::sleep(Duration::from_micros(300));
+        }
+    }
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let reply = Response::read(&mut reader).expect("no I/O error");
+    assert_eq!(reply, Some(Ok(Response::Miss)), "nothing was tuned");
+    // The same connection, whole messages again.
+    Request::Ping.write(&mut conn).expect("write");
+    let reply = Response::read(&mut reader).expect("no I/O error");
+    assert_eq!(reply, Some(Ok(Response::Pong)));
+
+    // Half a message, then silence.
+    conn.write_all(&wire[..wire.len() / 2]).expect("write");
+    let t = Instant::now();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut rest = Vec::new();
+    let n = reader
+        .read_to_end(&mut rest)
+        .expect("closed, not timed out");
+    let waited = t.elapsed();
+    assert_eq!(n, 0, "a stalled request is not answered: {rest:?}");
+    assert!(
+        waited >= Duration::from_millis(1500) && waited < Duration::from_secs(6),
+        "the connection was dropped after {waited:?}, not after the two-second stall bound"
+    );
+
+    let mut c = Client::connect(&sock).expect("connect");
     c.shutdown().expect("shutdown");
     server.join();
     let _ = std::fs::remove_file(&db);

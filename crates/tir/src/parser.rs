@@ -14,9 +14,7 @@ use crate::dtype::{parse_dtype, DataType};
 use crate::expr::{BinOp, CmpOp, Expr, Var};
 use crate::func::PrimFunc;
 use crate::simplify::simplified;
-use crate::stmt::{
-    AnnValue, Block, BlockRealize, For, ForKind, IterKind, IterVar, Stmt, ThreadTag,
-};
+use crate::stmt::{AnnValue, Block, BlockRealize, For, ForKind, IterVar, Stmt, ThreadTag};
 
 /// A parse failure with a line number and message.
 #[derive(Clone, Debug)]
@@ -37,191 +35,197 @@ impl std::error::Error for ParseError {}
 
 type Result<T> = std::result::Result<T, ParseError>;
 
+fn fail<T>(line: usize, message: impl Into<String>) -> Result<T> {
+    Err(ParseError {
+        line,
+        message: message.into(),
+    })
+}
+
 // ---------------------------------------------------------------------
-// Lexer (per line)
+// Lexer: one pass over the bytes of the input, tokens borrow from it
 // ---------------------------------------------------------------------
 
-#[derive(Clone, PartialEq, Debug)]
-enum Tok {
-    Name(String),
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Tok<'a> {
+    Name(&'a str),
     Int(i64),
     Float(f64),
-    Str(String),
+    Str(&'a str),
     Sym(&'static str),
 }
 
-fn lex(line: &str, lineno: usize) -> Result<Vec<Tok>> {
-    let mut toks = Vec::new();
-    let chars: Vec<char> = line.chars().collect();
+/// Appends the tokens of one line (indentation already stripped) to `toks`.
+fn lex<'a>(line: &'a str, lineno: usize, toks: &mut Vec<Tok<'a>>) -> Result<()> {
+    let b = line.as_bytes();
     let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        if c.is_whitespace() {
-            i += 1;
-            continue;
-        }
-        if c == '#' {
-            break; // comment
-        }
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < chars.len()
-                && (chars[i].is_ascii_alphanumeric() || chars[i] == '_' || chars[i] == '.')
-            {
-                i += 1;
+    while i < b.len() {
+        let start = i;
+        match b[i] {
+            b' ' => i += 1,
+            b'#' => break, // comment
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] == b'.')
+                {
+                    i += 1;
+                }
+                toks.push(Tok::Name(&line[start..i]));
             }
-            toks.push(Tok::Name(chars[start..i].iter().collect()));
-            continue;
-        }
-        if c.is_ascii_digit() {
-            let start = i;
-            let mut is_float = false;
-            while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '.') {
-                if chars[i] == '.' {
-                    // Don't swallow a trailing slice colon dot weirdness;
-                    // floats have digits after the dot.
-                    if i + 1 < chars.len() && chars[i + 1].is_ascii_digit() {
+            b'0'..=b'9' => {
+                let mut is_float = false;
+                while i < b.len() && (b[i].is_ascii_digit() || b[i] == b'.') {
+                    if b[i] == b'.' {
+                        // Floats have digits after the dot.
+                        if !b.get(i + 1).is_some_and(u8::is_ascii_digit) {
+                            break;
+                        }
                         is_float = true;
-                    } else {
-                        break;
+                    }
+                    i += 1;
+                }
+                // Exponent part.
+                if i < b.len() && (b[i] == b'e' || b[i] == b'E') {
+                    let signed = matches!(b.get(i + 1), Some(b'+' | b'-'));
+                    let digits = i + 1 + usize::from(signed);
+                    if b.get(digits).is_some_and(u8::is_ascii_digit) {
+                        is_float = true;
+                        i = digits;
+                        while i < b.len() && b[i].is_ascii_digit() {
+                            i += 1;
+                        }
                     }
                 }
-                i += 1;
-            }
-            // Exponent part.
-            if i < chars.len() && (chars[i] == 'e' || chars[i] == 'E') {
-                let mut j = i + 1;
-                if j < chars.len() && (chars[j] == '+' || chars[j] == '-') {
-                    j += 1;
-                }
-                if j < chars.len() && chars[j].is_ascii_digit() {
-                    is_float = true;
-                    i = j;
-                    while i < chars.len() && chars[i].is_ascii_digit() {
-                        i += 1;
+                let text = &line[start..i];
+                toks.push(if is_float {
+                    match text.parse() {
+                        Ok(v) => Tok::Float(v),
+                        Err(e) => return fail(lineno, format!("bad float {text}: {e}")),
                     }
-                }
-            }
-            let text: String = chars[start..i].iter().collect();
-            if is_float {
-                toks.push(Tok::Float(text.parse().map_err(|e| ParseError {
-                    line: lineno,
-                    message: format!("bad float {text}: {e}"),
-                })?));
-            } else {
-                toks.push(Tok::Int(text.parse().map_err(|e| ParseError {
-                    line: lineno,
-                    message: format!("bad int {text}: {e}"),
-                })?));
-            }
-            continue;
-        }
-        if c == '"' || c == '\'' {
-            let quote = c;
-            let start = i + 1;
-            i += 1;
-            while i < chars.len() && chars[i] != quote {
-                i += 1;
-            }
-            if i >= chars.len() {
-                return Err(ParseError {
-                    line: lineno,
-                    message: "unterminated string".into(),
+                } else {
+                    match text.parse() {
+                        Ok(v) => Tok::Int(v),
+                        Err(e) => return fail(lineno, format!("bad int {text}: {e}")),
+                    }
                 });
             }
-            toks.push(Tok::Str(chars[start..i].iter().collect()));
-            i += 1;
-            continue;
-        }
-        let two: String = chars[i..(i + 2).min(chars.len())].iter().collect();
-        let sym2 = match two.as_str() {
-            "//" => Some("//"),
-            "==" => Some("=="),
-            "!=" => Some("!="),
-            "<=" => Some("<="),
-            ">=" => Some(">="),
-            _ => None,
-        };
-        if let Some(s) = sym2 {
-            toks.push(Tok::Sym(s));
-            i += 2;
-            continue;
-        }
-        let sym1 = match c {
-            '+' => "+",
-            '-' => "-",
-            '*' => "*",
-            '/' => "/",
-            '%' => "%",
-            '(' => "(",
-            ')' => ")",
-            '[' => "[",
-            ']' => "]",
-            '{' => "{",
-            '}' => "}",
-            ',' => ",",
-            ':' => ":",
-            '=' => "=",
-            '<' => "<",
-            '>' => ">",
-            '@' => "@",
-            _ => {
-                return Err(ParseError {
-                    line: lineno,
-                    message: format!("unexpected character {c:?}"),
-                })
+            quote @ (b'"' | b'\'') => {
+                let Some(len) = b[i + 1..].iter().position(|&c| c == quote) else {
+                    return fail(lineno, "unterminated string");
+                };
+                toks.push(Tok::Str(&line[i + 1..i + 1 + len]));
+                i += len + 2;
             }
-        };
-        toks.push(Tok::Sym(sym1));
-        i += 1;
+            c => {
+                let sym = match (c, b.get(i + 1)) {
+                    (b'/', Some(b'/')) => "//",
+                    (b'=', Some(b'=')) => "==",
+                    (b'!', Some(b'=')) => "!=",
+                    (b'<', Some(b'=')) => "<=",
+                    (b'>', Some(b'=')) => ">=",
+                    (b'+', _) => "+",
+                    (b'-', _) => "-",
+                    (b'*', _) => "*",
+                    (b'/', _) => "/",
+                    (b'%', _) => "%",
+                    (b'(', _) => "(",
+                    (b')', _) => ")",
+                    (b'[', _) => "[",
+                    (b']', _) => "]",
+                    (b'{', _) => "{",
+                    (b'}', _) => "}",
+                    (b',', _) => ",",
+                    (b':', _) => ":",
+                    (b'=', _) => "=",
+                    (b'<', _) => "<",
+                    (b'>', _) => ">",
+                    (b'@', _) => "@",
+                    _ => {
+                        // Any other blank, ASCII or not, separates tokens;
+                        // anything else is no part of the dialect. `i` only
+                        // ever steps over whole characters.
+                        let Some(ch) = line[i..].chars().next() else {
+                            break;
+                        };
+                        if !ch.is_whitespace() {
+                            return fail(lineno, format!("unexpected character {ch:?}"));
+                        }
+                        i += ch.len_utf8();
+                        continue;
+                    }
+                };
+                toks.push(Tok::Sym(sym));
+                i += sym.len();
+            }
+        }
     }
-    Ok(toks)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
-// Expression parsing (Pratt-style, matching the printer's precedences)
+// Expression parsing (precedence climbing, matching the printer's
+// precedences)
 // ---------------------------------------------------------------------
 
-struct ExprParser<'a> {
-    toks: &'a [Tok],
-    pos: usize,
-    line: usize,
-    scope: &'a Scope,
-}
+/// How deep an expression may nest, in open parentheses, unary operators
+/// and argument lists while parsing and in the height of the tree built.
+/// Printed programs stay below a tenth of it; text that goes beyond is
+/// refused before the recursion here — or in any pass over the tree
+/// afterwards — can run a thread out of stack.
+const MAX_EXPR_DEPTH: usize = 128;
 
 #[derive(Default)]
-struct Scope {
-    vars: HashMap<String, Var>,
-    buffers: HashMap<String, Buffer>,
+struct Scope<'a> {
+    vars: HashMap<&'a str, Var>,
+    buffers: HashMap<&'a str, Buffer>,
 }
 
-impl<'a> ExprParser<'a> {
+struct ExprParser<'t, 'a> {
+    toks: &'t [Tok<'a>],
+    pos: usize,
+    line: usize,
+    scope: &'t Scope<'a>,
+    /// Unary operators, parentheses and argument lists open at `pos`.
+    depth: usize,
+    /// Height of the tree the last `parse_*` call returned.
+    height: usize,
+}
+
+type BuildBinary = fn(Expr, Expr) -> Expr;
+
+/// Precedence (1 binds loosest) and constructor of a binary operator.
+fn binary_op(tok: Tok<'_>) -> Option<(u8, BuildBinary)> {
+    Some(match tok {
+        Tok::Name("or") => (1, |a, b| a.or(b)),
+        Tok::Name("and") => (2, |a, b| a.and(b)),
+        Tok::Sym("==") => (3, |a, b| a.cmp(CmpOp::Eq, b)),
+        Tok::Sym("!=") => (3, |a, b| a.cmp(CmpOp::Ne, b)),
+        Tok::Sym("<") => (3, |a, b| a.cmp(CmpOp::Lt, b)),
+        Tok::Sym("<=") => (3, |a, b| a.cmp(CmpOp::Le, b)),
+        Tok::Sym(">") => (3, |a, b| a.cmp(CmpOp::Gt, b)),
+        Tok::Sym(">=") => (3, |a, b| a.cmp(CmpOp::Ge, b)),
+        Tok::Sym("+") => (4, |a, b| a + b),
+        Tok::Sym("-") => (4, |a, b| a - b),
+        Tok::Sym("*") => (5, |a, b| a * b),
+        Tok::Sym("//") => (5, |a, b| a.floor_div(b)),
+        Tok::Sym("%") => (5, |a, b| a.floor_mod(b)),
+        Tok::Sym("/") => (5, |a, b| Expr::Bin(BinOp::Div, Box::new(a), Box::new(b))),
+        _ => return None,
+    })
+}
+
+impl<'a> ExprParser<'_, 'a> {
     fn err<T>(&self, msg: impl Into<String>) -> Result<T> {
-        Err(ParseError {
-            line: self.line,
-            message: msg.into(),
-        })
+        fail(self.line, msg)
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
-    }
-
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).copied()
     }
 
     fn eat_sym(&mut self, s: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Sym(t)) if *t == s) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+        let found = matches!(self.peek(), Some(Tok::Sym(t)) if t == s);
+        self.pos += usize::from(found);
+        found
     }
 
     fn expect_sym(&mut self, s: &str) -> Result<()> {
@@ -232,230 +236,179 @@ impl<'a> ExprParser<'a> {
         }
     }
 
+    fn too_deep<T>(&self) -> Result<T> {
+        self.err(format!(
+            "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+        ))
+    }
+
+    /// One more unary operator, parenthesis or argument list is open.
+    fn enter(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_EXPR_DEPTH {
+            return self.too_deep();
+        }
+        Ok(())
+    }
+
+    /// The node being built stands on operands of heights `below` and
+    /// `self.height`.
+    fn grow(&mut self, below: usize) -> Result<()> {
+        self.height = self.height.max(below) + 1;
+        if self.height > MAX_EXPR_DEPTH {
+            return self.too_deep();
+        }
+        Ok(())
+    }
+
     fn parse(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.parse_binary(1)
     }
 
-    fn parse_or(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_and()?;
-        while matches!(self.peek(), Some(Tok::Name(n)) if n == "or") {
-            self.pos += 1;
-            let rhs = self.parse_and()?;
-            lhs = lhs.or(rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_and(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_cmp()?;
-        while matches!(self.peek(), Some(Tok::Name(n)) if n == "and") {
-            self.pos += 1;
-            let rhs = self.parse_cmp()?;
-            lhs = lhs.and(rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_cmp(&mut self) -> Result<Expr> {
-        let lhs = self.parse_add()?;
-        let op = match self.peek() {
-            Some(Tok::Sym("==")) => Some(CmpOp::Eq),
-            Some(Tok::Sym("!=")) => Some(CmpOp::Ne),
-            Some(Tok::Sym("<")) => Some(CmpOp::Lt),
-            Some(Tok::Sym("<=")) => Some(CmpOp::Le),
-            Some(Tok::Sym(">")) => Some(CmpOp::Gt),
-            Some(Tok::Sym(">=")) => Some(CmpOp::Ge),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.pos += 1;
-            let rhs = self.parse_add()?;
-            return Ok(lhs.cmp(op, rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_add(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_mul()?;
-        loop {
-            if self.eat_sym("+") {
-                let rhs = self.parse_mul()?;
-                lhs = lhs + rhs;
-            } else if self.eat_sym("-") {
-                let rhs = self.parse_mul()?;
-                lhs = lhs - rhs;
-            } else {
-                return Ok(lhs);
-            }
-        }
-    }
-
-    fn parse_mul(&mut self) -> Result<Expr> {
+    /// An operand and the binary operators of precedence `min` and above
+    /// that follow it, left-associative; a comparison does not chain.
+    fn parse_binary(&mut self, min: u8) -> Result<Expr> {
         let mut lhs = self.parse_unary()?;
-        loop {
-            if self.eat_sym("*") {
-                lhs = lhs * self.parse_unary()?;
-            } else if self.eat_sym("//") {
-                lhs = lhs.floor_div(self.parse_unary()?);
-            } else if self.eat_sym("%") {
-                lhs = lhs.floor_mod(self.parse_unary()?);
-            } else if self.eat_sym("/") {
-                let rhs = self.parse_unary()?;
-                lhs = Expr::Bin(BinOp::Div, Box::new(lhs), Box::new(rhs));
-            } else {
-                return Ok(lhs);
+        let mut max = u8::MAX;
+        while let Some((prec, build)) = self.peek().and_then(binary_op) {
+            if prec < min || prec > max {
+                break;
+            }
+            self.pos += 1;
+            let below = self.height;
+            let rhs = self.parse_binary(prec + 1)?;
+            self.grow(below)?;
+            lhs = build(lhs, rhs);
+            if prec == 3 {
+                max = 2;
             }
         }
+        Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr> {
-        if matches!(self.peek(), Some(Tok::Name(n)) if n == "not") {
-            self.pos += 1;
-            return Ok(Expr::Not(Box::new(self.parse_unary()?)));
+        let op = match self.peek() {
+            Some(op @ (Tok::Name("not") | Tok::Sym("-"))) => op,
+            _ => return self.parse_atom(),
+        };
+        self.pos += 1;
+        self.enter()?;
+        let inner = self.parse_unary()?;
+        self.depth -= 1;
+        self.grow(0)?;
+        Ok(match inner {
+            inner if op == Tok::Name("not") => Expr::Not(Box::new(inner)),
+            Expr::Int(v, dt) => Expr::Int(-v, dt),
+            Expr::Float(v, dt) => Expr::Float(-v, dt),
+            other => Expr::int(0) - other,
+        })
+    }
+
+    /// Expressions separated by commas up to `close`; the opening token is
+    /// consumed. Leaves the greatest height among them in `self.height`.
+    fn parse_list(&mut self, close: &str) -> Result<Vec<Expr>> {
+        self.enter()?;
+        let (mut items, mut tallest) = (Vec::new(), 0);
+        loop {
+            items.push(self.parse()?);
+            tallest = tallest.max(self.height);
+            if self.eat_sym(close) {
+                break;
+            }
+            self.expect_sym(",")?;
         }
-        if self.eat_sym("-") {
-            let inner = self.parse_unary()?;
-            return Ok(match inner {
-                Expr::Int(v, dt) => Expr::Int(-v, dt),
-                Expr::Float(v, dt) => Expr::Float(-v, dt),
-                other => Expr::int(0) - other,
-            });
-        }
-        self.parse_atom()
+        self.depth -= 1;
+        self.height = tallest;
+        Ok(items)
     }
 
     fn parse_args(&mut self) -> Result<Vec<Expr>> {
         self.expect_sym("(")?;
-        let mut args = Vec::new();
-        if !self.eat_sym(")") {
-            loop {
-                args.push(self.parse()?);
-                if self.eat_sym(")") {
-                    break;
-                }
-                self.expect_sym(",")?;
-            }
+        self.height = 0;
+        if self.eat_sym(")") {
+            return Ok(Vec::new());
         }
-        Ok(args)
+        self.parse_list(")")
     }
 
     fn parse_atom(&mut self) -> Result<Expr> {
-        match self.next() {
+        let tok = self.peek();
+        self.pos += usize::from(tok.is_some());
+        self.height = 0;
+        match tok {
             Some(Tok::Int(v)) => Ok(Expr::int(v)),
             Some(Tok::Float(v)) => {
                 // Optional dtype suffix: 1.0'float16'
-                if let Some(Tok::Str(dt)) = self.peek() {
-                    let dt = dt.clone();
-                    if let Some(dtype) = parse_dtype(&dt) {
-                        self.pos += 1;
-                        return Ok(Expr::Float(v, dtype));
-                    }
+                if let Some(dtype) = self.peek().and_then(|t| match t {
+                    Tok::Str(dt) => parse_dtype(dt),
+                    _ => None,
+                }) {
+                    self.pos += 1;
+                    return Ok(Expr::Float(v, dtype));
                 }
                 Ok(Expr::Float(v, DataType::float32()))
             }
-            Some(Tok::Str(s)) => Ok(Expr::Str(s)),
+            Some(Tok::Str(s)) => Ok(Expr::Str(s.to_string())),
             Some(Tok::Sym("(")) => {
+                self.enter()?;
                 let e = self.parse()?;
+                self.depth -= 1;
                 self.expect_sym(")")?;
                 Ok(e)
             }
+            Some(Tok::Name("true" | "True")) => Ok(Expr::bool(true)),
+            Some(Tok::Name("false" | "False")) => Ok(Expr::bool(false)),
             Some(Tok::Name(name)) => {
-                if name == "true" || name == "True" {
-                    return Ok(Expr::bool(true));
-                }
-                if name == "false" || name == "False" {
-                    return Ok(Expr::bool(false));
-                }
                 if let Some(rest) = name.strip_prefix("T.") {
                     return self.parse_t_call(rest);
                 }
-                if matches!(self.peek(), Some(Tok::Sym("["))) {
+                if self.eat_sym("[") {
                     // Buffer load.
-                    let buffer =
-                        self.scope
-                            .buffers
-                            .get(&name)
-                            .cloned()
-                            .ok_or_else(|| ParseError {
-                                line: self.line,
-                                message: format!("unknown buffer {name}"),
-                            })?;
-                    self.expect_sym("[")?;
-                    let mut indices = Vec::new();
-                    loop {
-                        indices.push(self.parse()?);
-                        if self.eat_sym("]") {
-                            break;
-                        }
-                        self.expect_sym(",")?;
-                    }
+                    let Some(buffer) = self.scope.buffers.get(name).cloned() else {
+                        return self.err(format!("unknown buffer {name}"));
+                    };
+                    let indices = self.parse_list("]")?;
+                    self.grow(0)?;
                     return Ok(Expr::Load { buffer, indices });
                 }
-                let var = self
-                    .scope
-                    .vars
-                    .get(&name)
-                    .cloned()
-                    .ok_or_else(|| ParseError {
-                        line: self.line,
-                        message: format!("unknown variable {name}"),
-                    })?;
-                Ok(Expr::Var(var))
+                match self.scope.vars.get(name) {
+                    Some(var) => Ok(Expr::Var(var.clone())),
+                    None => self.err(format!("unknown variable {name}")),
+                }
             }
             other => self.err(format!("unexpected token {other:?}")),
         }
     }
 
     fn parse_t_call(&mut self, func: &str) -> Result<Expr> {
-        match func {
-            "min" | "max" => {
-                let args = self.parse_args()?;
-                if args.len() != 2 {
-                    return self.err("T.min/T.max take two arguments");
+        let mut args = self.parse_args()?.into_iter();
+        self.grow(0)?;
+        let count = args.len();
+        let mut arg = || args.next().expect("len checked");
+        match (func, count) {
+            ("min", 2) => Ok(arg().min(arg())),
+            ("max", 2) => Ok(arg().max(arg())),
+            ("min" | "max", _) => self.err("T.min/T.max take two arguments"),
+            ("select", 3) => Ok(Expr::select(arg(), arg(), arg())),
+            ("select", _) => self.err("T.select takes three arguments"),
+            ("cast", 2) => {
+                let value = arg();
+                match arg() {
+                    Expr::Str(s) => match parse_dtype(&s) {
+                        Some(dt) => Ok(Expr::Cast(dt, Box::new(value))),
+                        None => self.err(format!("unknown dtype {s}")),
+                    },
+                    other => self.err(format!("expected dtype string, got {other}")),
                 }
-                let mut it = args.into_iter();
-                let a = it.next().expect("len checked");
-                let b = it.next().expect("len checked");
-                Ok(if func == "min" { a.min(b) } else { a.max(b) })
             }
-            "select" => {
-                let args = self.parse_args()?;
-                if args.len() != 3 {
-                    return self.err("T.select takes three arguments");
-                }
-                let mut it = args.into_iter();
-                Ok(Expr::select(
-                    it.next().expect("len checked"),
-                    it.next().expect("len checked"),
-                    it.next().expect("len checked"),
-                ))
-            }
-            "cast" => {
-                let args = self.parse_args()?;
-                if args.len() != 2 {
-                    return self.err("T.cast takes (value, \"dtype\")");
-                }
-                let mut it = args.into_iter();
-                let value = it.next().expect("len checked");
-                let dt = match it.next().expect("len checked") {
-                    Expr::Str(s) => parse_dtype(&s).ok_or_else(|| ParseError {
-                        line: self.line,
-                        message: format!("unknown dtype {s}"),
-                    })?,
-                    other => return self.err(format!("expected dtype string, got {other}")),
-                };
-                Ok(Expr::Cast(dt, Box::new(value)))
-            }
-            intrinsic => {
-                let args = self.parse_args()?;
-                // Intrinsic calls default to float32; the type is refined by
-                // context (stores quantize anyway).
-                Ok(Expr::Call {
-                    name: intrinsic.to_string(),
-                    args,
-                    dtype: DataType::float32(),
-                })
-            }
+            ("cast", _) => self.err("T.cast takes (value, \"dtype\")"),
+            // Intrinsic calls default to float32; the type is refined by
+            // context (stores quantize anyway).
+            (intrinsic, _) => Ok(Expr::Call {
+                name: intrinsic.to_string(),
+                args: args.collect(),
+                dtype: DataType::float32(),
+            }),
         }
     }
 }
@@ -464,69 +417,73 @@ impl<'a> ExprParser<'a> {
 // Statement / function parsing (indentation based)
 // ---------------------------------------------------------------------
 
-struct Line {
+/// One non-blank line: its tokens are `Parser::toks[start..end]`.
+struct Line<'a> {
     indent: usize,
-    toks: Vec<Tok>,
-    raw: String,
+    start: usize,
+    end: usize,
+    raw: &'a str,
     lineno: usize,
 }
 
-struct Parser {
-    lines: Vec<Line>,
+struct Parser<'t, 'a> {
+    toks: &'t [Tok<'a>],
+    lines: &'t [Line<'a>],
     pos: usize,
-    scope: Scope,
+    scope: Scope<'a>,
 }
 
-impl Parser {
+/// Whether `toks` starts `NAME = T.alloc_buffer`.
+fn is_alloc_buffer(toks: &[Tok<'_>]) -> bool {
+    matches!(toks, [_, Tok::Sym("="), Tok::Name("T.alloc_buffer"), ..])
+}
+
+impl<'t, 'a> Parser<'t, 'a> {
     fn err<T>(&self, msg: impl Into<String>) -> Result<T> {
-        let line = self.lines.get(self.pos).map(|l| l.lineno).unwrap_or(0);
-        Err(ParseError {
-            line,
-            message: msg.into(),
-        })
+        fail(self.peek().map_or(0, |l| l.lineno), msg)
     }
 
-    fn peek(&self) -> Option<&Line> {
+    fn peek(&self) -> Option<&'t Line<'a>> {
         self.lines.get(self.pos)
     }
 
-    fn expr_at(&self, toks: &[Tok], lineno: usize) -> Result<(Expr, usize)> {
+    fn toks_of(&self, line: &Line<'a>) -> &'t [Tok<'a>] {
+        &self.toks[line.start..line.end]
+    }
+
+    fn expr_at(&self, toks: &[Tok<'a>], lineno: usize) -> Result<(Expr, usize)> {
         let mut p = ExprParser {
             toks,
             pos: 0,
             line: lineno,
             scope: &self.scope,
+            depth: 0,
+            height: 0,
         };
         let e = p.parse()?;
         Ok((e, p.pos))
     }
 
+    /// The expression between `T.name(` and the line's last token; nothing
+    /// when the line is too short to hold one.
+    fn call_argument(toks: &'t [Tok<'a>], from: usize) -> &'t [Tok<'a>] {
+        toks.get(from..toks.len() - 1).unwrap_or(&[])
+    }
+
     /// Parses a comma-separated list of ranges/points for T.reads/T.writes.
-    fn parse_region_list(&self, toks: &[Tok], lineno: usize) -> Result<Vec<BufferRegion>> {
+    fn parse_region_list(&self, toks: &[Tok<'a>], lineno: usize) -> Result<Vec<BufferRegion>> {
         let mut regions = Vec::new();
         let mut pos = 0;
         while pos < toks.len() {
-            let Tok::Name(name) = &toks[pos] else {
-                return Err(ParseError {
-                    line: lineno,
-                    message: format!("expected buffer name, got {:?}", toks[pos]),
-                });
+            let Tok::Name(name) = toks[pos] else {
+                return fail(lineno, format!("expected buffer name, got {:?}", toks[pos]));
             };
-            let buffer = self
-                .scope
-                .buffers
-                .get(name)
-                .cloned()
-                .ok_or_else(|| ParseError {
-                    line: lineno,
-                    message: format!("unknown buffer {name} in region"),
-                })?;
+            let Some(buffer) = self.scope.buffers.get(name).cloned() else {
+                return fail(lineno, format!("unknown buffer {name} in region"));
+            };
             pos += 1;
             if toks.get(pos) != Some(&Tok::Sym("[")) {
-                return Err(ParseError {
-                    line: lineno,
-                    message: "expected [ after buffer name".into(),
-                });
+                return fail(lineno, "expected [ after buffer name");
             }
             pos += 1;
             let mut ranges = Vec::new();
@@ -549,22 +506,19 @@ impl Parser {
                         break;
                     }
                     other => {
-                        return Err(ParseError {
-                            line: lineno,
-                            message: format!("expected , or ] in region, got {other:?}"),
-                        })
+                        return fail(lineno, format!("expected , or ] in region, got {other:?}"))
                     }
                 }
             }
             if ranges.len() != buffer.ndim() {
-                return Err(ParseError {
-                    line: lineno,
-                    message: format!(
+                return fail(
+                    lineno,
+                    format!(
                         "region of rank {} on buffer {name} of rank {}",
                         ranges.len(),
                         buffer.ndim()
                     ),
-                });
+                );
             }
             regions.push(BufferRegion::new(buffer, ranges));
             if toks.get(pos) == Some(&Tok::Sym(",")) {
@@ -574,21 +528,15 @@ impl Parser {
         Ok(regions)
     }
 
-    fn parse_alloc_buffer(&mut self, toks: &[Tok], lineno: usize) -> Result<Buffer> {
+    fn parse_alloc_buffer(&mut self, toks: &[Tok<'a>], lineno: usize) -> Result<Buffer> {
         // NAME = T.alloc_buffer((shape), "dtype", scope="...")
-        let Tok::Name(name) = &toks[0] else {
-            return Err(ParseError {
-                line: lineno,
-                message: "expected buffer name".into(),
-            });
+        let Tok::Name(name) = toks[0] else {
+            return fail(lineno, "expected buffer name");
         };
         let mut shape = Vec::new();
         let mut pos = 3; // NAME = T.alloc_buffer
         if toks.get(pos) != Some(&Tok::Sym("(")) {
-            return Err(ParseError {
-                line: lineno,
-                message: "expected ( in alloc_buffer".into(),
-            });
+            return fail(lineno, "expected ( in alloc_buffer");
         }
         pos += 1;
         if toks.get(pos) == Some(&Tok::Sym("(")) {
@@ -608,15 +556,11 @@ impl Parser {
             pos += 1;
         }
         let Some(Tok::Str(dt)) = toks.get(pos) else {
-            return Err(ParseError {
-                line: lineno,
-                message: "expected dtype string in alloc_buffer".into(),
-            });
+            return fail(lineno, "expected dtype string in alloc_buffer");
         };
-        let dtype = parse_dtype(dt).ok_or_else(|| ParseError {
-            line: lineno,
-            message: format!("unknown dtype {dt}"),
-        })?;
+        let Some(dtype) = parse_dtype(dt) else {
+            return fail(lineno, format!("unknown dtype {dt}"));
+        };
         let mut scope = MemScope::Global;
         if toks.get(pos + 1) == Some(&Tok::Sym(",")) {
             // , scope="..."
@@ -624,8 +568,8 @@ impl Parser {
                 scope = MemScope::from_name(s);
             }
         }
-        let buffer = Buffer::with_scope(name.clone(), dtype, shape, scope);
-        self.scope.buffers.insert(name.clone(), buffer.clone());
+        let buffer = Buffer::with_scope(name, dtype, shape, scope);
+        self.scope.buffers.insert(name, buffer.clone());
         Ok(buffer)
     }
 
@@ -639,66 +583,42 @@ impl Parser {
             if line.indent > indent {
                 return self.err("unexpected indentation");
             }
-            let lineno = line.lineno;
-            let toks = line.toks.clone();
-            let raw = line.raw.clone();
-            if toks.is_empty() {
-                self.pos += 1;
-                continue;
+            let (toks, lineno) = (self.toks_of(line), line.lineno);
+            match toks {
+                [] => self.pos += 1,
+                [Tok::Name("pass"), ..] => {
+                    self.pos += 1;
+                    stmts.push(Stmt::Seq(vec![]));
+                }
+                [Tok::Name("for"), ..] => stmts.push(self.parse_for(indent, toks, lineno)?),
+                // with T.block("name"):
+                [Tok::Name("with"), Tok::Name("T.block"), ..] => {
+                    stmts.push(self.parse_block_realize(indent, toks, lineno)?);
+                }
+                [Tok::Name("if"), ..] => stmts.push(self.parse_if(indent, toks, lineno)?),
+                // Store: NAME [ ... ] = expr
+                [Tok::Name(_), Tok::Sym("["), ..] if line.raw.contains("] =") => {
+                    self.pos += 1;
+                    stmts.push(self.parse_store(toks, lineno)?);
+                }
+                // Bare expression (Eval).
+                _ => {
+                    self.pos += 1;
+                    let (e, _) = self.expr_at(toks, lineno)?;
+                    stmts.push(Stmt::Eval(e));
+                }
             }
-            // pass
-            if matches!(&toks[0], Tok::Name(n) if n == "pass") {
-                self.pos += 1;
-                stmts.push(Stmt::Seq(vec![]));
-                continue;
-            }
-            // for-loop forms.
-            if matches!(&toks[0], Tok::Name(n) if n == "for") {
-                stmts.push(self.parse_for(indent, &toks, lineno)?);
-                continue;
-            }
-            // with T.block("name"):
-            if matches!(&toks[0], Tok::Name(n) if n == "with")
-                && matches!(&toks[1], Tok::Name(n) if n == "T.block")
-            {
-                stmts.push(self.parse_block_realize(indent, &toks, lineno)?);
-                continue;
-            }
-            if matches!(&toks[0], Tok::Name(n) if n == "if") {
-                stmts.push(self.parse_if(indent, &toks, lineno)?);
-                continue;
-            }
-            // Store: NAME [ ... ] = expr
-            if toks.len() >= 2
-                && matches!(&toks[0], Tok::Name(_))
-                && toks[1] == Tok::Sym("[")
-                && raw.contains("] =")
-            {
-                self.pos += 1;
-                stmts.push(self.parse_store(&toks, lineno)?);
-                continue;
-            }
-            // Bare expression (Eval).
-            self.pos += 1;
-            let (e, _) = self.expr_at(&toks, lineno)?;
-            stmts.push(Stmt::Eval(e));
         }
         Ok(stmts)
     }
 
-    fn parse_store(&mut self, toks: &[Tok], lineno: usize) -> Result<Stmt> {
-        let Tok::Name(name) = &toks[0] else {
+    fn parse_store(&mut self, toks: &[Tok<'a>], lineno: usize) -> Result<Stmt> {
+        let Tok::Name(name) = toks[0] else {
             return self.err("expected buffer name");
         };
-        let buffer = self
-            .scope
-            .buffers
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ParseError {
-                line: lineno,
-                message: format!("unknown buffer {name}"),
-            })?;
+        let Some(buffer) = self.scope.buffers.get(name).cloned() else {
+            return fail(lineno, format!("unknown buffer {name}"));
+        };
         let mut pos = 2; // name [
         let mut indices = Vec::new();
         loop {
@@ -711,19 +631,11 @@ impl Parser {
                     pos += 1;
                     break;
                 }
-                other => {
-                    return Err(ParseError {
-                        line: lineno,
-                        message: format!("expected , or ] in store, got {other:?}"),
-                    })
-                }
+                other => return fail(lineno, format!("expected , or ] in store, got {other:?}")),
             }
         }
         if toks.get(pos) != Some(&Tok::Sym("=")) {
-            return Err(ParseError {
-                line: lineno,
-                message: "expected = in store".into(),
-            });
+            return fail(lineno, "expected = in store");
         }
         pos += 1;
         let (value, _) = self.expr_at(&toks[pos..], lineno)?;
@@ -734,94 +646,75 @@ impl Parser {
         })
     }
 
-    fn parse_for(&mut self, indent: usize, toks: &[Tok], lineno: usize) -> Result<Stmt> {
+    fn parse_for(&mut self, indent: usize, toks: &[Tok<'a>], lineno: usize) -> Result<Stmt> {
         // Collect loop variable names until "in".
         let mut names = Vec::new();
         let mut pos = 1;
         loop {
             match toks.get(pos) {
-                Some(Tok::Name(n)) if n == "in" => {
-                    pos += 1;
-                    break;
-                }
-                Some(Tok::Name(n)) => {
-                    names.push(n.clone());
-                    pos += 1;
-                }
-                Some(Tok::Sym(",")) => pos += 1,
-                other => {
-                    return Err(ParseError {
-                        line: lineno,
-                        message: format!("bad loop header near {other:?}"),
-                    })
-                }
+                Some(Tok::Name("in")) => break,
+                Some(Tok::Name(n)) => names.push(*n),
+                Some(Tok::Sym(",")) => {}
+                other => return fail(lineno, format!("bad loop header near {other:?}")),
             }
+            pos += 1;
         }
-        let Some(Tok::Name(kind_name)) = toks.get(pos) else {
+        let Some(Tok::Name(kind_name)) = toks.get(pos + 1) else {
             return self.err("expected loop kind");
         };
-        let kind_name = kind_name.clone();
-        pos += 1;
         // Parse extents between the parens.
-        if toks.get(pos) != Some(&Tok::Sym("(")) {
+        if toks.get(pos + 2) != Some(&Tok::Sym("(")) {
             return self.err("expected ( in loop header");
         }
-        pos += 1;
+        pos += 3;
         let mut extents = Vec::new();
         let mut thread: Option<ThreadTag> = None;
         loop {
             match toks.get(pos) {
-                Some(Tok::Sym(")")) => {
-                    break;
-                }
+                Some(Tok::Sym(")")) => break,
                 Some(Tok::Sym(",")) => pos += 1,
-                Some(Tok::Name(n)) if n == "thread" => {
+                Some(Tok::Name("thread")) => {
                     // thread="threadIdx.x"
-                    pos += 2;
-                    if let Some(Tok::Str(s)) = toks.get(pos) {
+                    if let Some(Tok::Str(s)) = toks.get(pos + 2) {
                         thread = ThreadTag::from_name(s);
                     }
-                    pos += 1;
+                    pos += 3;
                 }
                 _ => {
-                    let (e, used) = self.expr_at(&toks[pos..], lineno)?;
+                    let rest = toks.get(pos..).unwrap_or(&[]);
+                    let (e, used) = self.expr_at(rest, lineno)?;
                     pos += used;
                     extents.push(e);
                 }
             }
         }
         if extents.len() != names.len() {
-            return Err(ParseError {
-                line: lineno,
-                message: format!(
+            return fail(
+                lineno,
+                format!(
                     "{} loop variables but {} extents",
                     names.len(),
                     extents.len()
                 ),
-            });
+            );
         }
-        let kind = match kind_name.as_str() {
+        let kind = match *kind_name {
             "T.grid" | "range" => ForKind::Serial,
             "T.parallel" => ForKind::Parallel,
             "T.vectorized" => ForKind::Vectorized,
             "T.unroll" => ForKind::Unrolled,
-            "T.thread_binding" => ForKind::ThreadBinding(thread.ok_or_else(|| ParseError {
-                line: lineno,
-                message: "thread_binding without a thread tag".into(),
-            })?),
-            other => {
-                return Err(ParseError {
-                    line: lineno,
-                    message: format!("unknown loop kind {other}"),
-                })
-            }
+            "T.thread_binding" => match thread {
+                Some(tag) => ForKind::ThreadBinding(tag),
+                None => return fail(lineno, "thread_binding without a thread tag"),
+            },
+            other => return fail(lineno, format!("unknown loop kind {other}")),
         };
         // Register loop variables.
         let vars: Vec<Var> = names
             .iter()
             .map(|n| {
-                let v = Var::int(n.clone());
-                self.scope.vars.insert(n.clone(), v.clone());
+                let v = Var::int(*n);
+                self.scope.vars.insert(*n, v.clone());
                 v
             })
             .collect();
@@ -829,48 +722,42 @@ impl Parser {
         // Collect trailing annotation comments (printed inside the body).
         let mut annotations = crate::stmt::Annotations::new();
         while let Some(line) = self.peek() {
-            if line.indent == indent + 1 && line.raw.trim_start().starts_with("# annotation:") {
-                let text = line.raw.trim_start();
-                if let Some(rest) = text.strip_prefix("# annotation:") {
-                    if let Some((k, v)) = rest.split_once('=') {
-                        let key = k.trim().to_string();
-                        let value = v.trim();
-                        let ann = if let Ok(i) = value.parse::<i64>() {
-                            AnnValue::Int(i)
-                        } else {
-                            AnnValue::Str(value.trim_matches('"').to_string())
-                        };
-                        annotations.insert(key, ann);
-                    }
-                }
-                self.pos += 1;
-            } else {
+            let Some(rest) = line.raw.strip_prefix("# annotation:") else {
+                break;
+            };
+            if line.indent != indent + 1 {
                 break;
             }
+            if let Some((k, v)) = rest.split_once('=') {
+                let value = v.trim();
+                let ann = match value.parse::<i64>() {
+                    Ok(i) => AnnValue::Int(i),
+                    Err(_) => AnnValue::Str(value.trim_matches('"').to_string()),
+                };
+                annotations.insert(k.trim().to_string(), ann);
+            }
+            self.pos += 1;
         }
-        let body_stmts = self.parse_block_body(indent + 1)?;
-        let mut body = Stmt::seq(body_stmts);
+        let mut body = Stmt::seq(self.parse_block_body(indent + 1)?);
         for (i, (var, extent)) in vars.into_iter().zip(extents).enumerate().rev() {
             let k = if i == 0 { kind } else { ForKind::Serial };
             let mut f = For::with_kind(var, extent, k, body);
             if i == 0 {
-                f.annotations = annotations.clone();
+                f.annotations = std::mem::take(&mut annotations);
             }
             body = Stmt::For(Box::new(f));
         }
         Ok(body)
     }
 
-    fn parse_if(&mut self, indent: usize, toks: &[Tok], lineno: usize) -> Result<Stmt> {
+    fn parse_if(&mut self, indent: usize, toks: &[Tok<'a>], lineno: usize) -> Result<Stmt> {
         // if expr:
         let (cond, _) = self.expr_at(&toks[1..], lineno)?;
         self.pos += 1;
         let then_branch = Stmt::seq(self.parse_block_body(indent + 1)?);
         let mut else_branch = None;
         if let Some(line) = self.peek() {
-            if line.indent == indent
-                && matches!(line.toks.first(), Some(Tok::Name(n)) if n == "else")
-            {
+            if line.indent == indent && matches!(self.toks_of(line), [Tok::Name("else"), ..]) {
                 self.pos += 1;
                 else_branch = Some(Box::new(Stmt::seq(self.parse_block_body(indent + 1)?)));
             }
@@ -882,15 +769,16 @@ impl Parser {
         })
     }
 
-    fn parse_block_realize(&mut self, indent: usize, toks: &[Tok], lineno: usize) -> Result<Stmt> {
+    fn parse_block_realize(
+        &mut self,
+        indent: usize,
+        toks: &[Tok<'a>],
+        lineno: usize,
+    ) -> Result<Stmt> {
         // with T.block("name"):
         let Some(Tok::Str(name)) = toks.get(3) else {
-            return Err(ParseError {
-                line: lineno,
-                message: "expected block name string".into(),
-            });
+            return fail(lineno, "expected block name string");
         };
-        let name = name.clone();
         self.pos += 1;
         let inner = indent + 1;
 
@@ -906,91 +794,67 @@ impl Parser {
         // Header lines: axis decls, T.where, T.reads, T.writes,
         // alloc_buffer, T.block_attr, with T.init().
         while let Some(line) = self.peek() {
-            if line.indent != inner || line.toks.is_empty() {
+            let (toks, lineno) = (self.toks_of(line), line.lineno);
+            if line.indent != inner {
                 break;
             }
-            let lineno = line.lineno;
-            let toks = line.toks.clone();
-            let raw = line.raw.clone();
-            // vi = T.axis.spatial(64, i)
-            if toks.len() >= 3
-                && matches!(&toks[1], Tok::Sym("="))
-                && matches!(&toks[2], Tok::Name(n) if n.starts_with("T.axis."))
-            {
-                let Tok::Name(vname) = &toks[0] else {
-                    return self.err("expected axis variable name");
-                };
-                let Tok::Name(axis_fn) = &toks[2] else {
-                    unreachable!("matched above");
-                };
-                let kind = if axis_fn.ends_with("spatial") {
-                    IterKind::Spatial
-                } else {
-                    IterKind::Reduce
-                };
-                let Some(Tok::Int(extent)) = toks.get(4) else {
-                    return Err(ParseError {
-                        line: lineno,
-                        message: "expected axis extent".into(),
+            match toks {
+                // vi = T.axis.spatial(64, i)
+                [first, Tok::Sym("="), Tok::Name(axis_fn), ..]
+                    if axis_fn.starts_with("T.axis.") =>
+                {
+                    let Tok::Name(vname) = first else {
+                        return self.err("expected axis variable name");
+                    };
+                    let Some(Tok::Int(extent)) = toks.get(4) else {
+                        return fail(lineno, "expected axis extent");
+                    };
+                    let (value, _) = self.expr_at(Self::call_argument(toks, 6), lineno)?;
+                    let var = Var::int(*vname);
+                    self.scope.vars.insert(*vname, var.clone());
+                    iter_vars.push(if axis_fn.ends_with("spatial") {
+                        IterVar::spatial(var, *extent)
+                    } else {
+                        IterVar::reduce(var, *extent)
                     });
-                };
-                let extent = *extent;
-                let (value, _) = self.expr_at(&toks[6..toks.len() - 1], lineno)?;
-                let var = Var::int(vname.clone());
-                self.scope.vars.insert(vname.clone(), var.clone());
-                iter_vars.push(match kind {
-                    IterKind::Spatial => IterVar::spatial(var, extent),
-                    IterKind::Reduce => IterVar::reduce(var, extent),
-                });
-                iter_values.push(value);
-                self.pos += 1;
-                continue;
-            }
-            match &toks[0] {
-                Tok::Name(n) if n == "T.where" => {
-                    let (e, _) = self.expr_at(&toks[2..toks.len() - 1], lineno)?;
-                    predicate = e;
-                    self.pos += 1;
+                    iter_values.push(value);
                 }
-                Tok::Name(n) if n == "T.reads" => {
-                    reads = self.parse_region_list(&toks[2..toks.len() - 1], lineno)?;
-                    self.pos += 1;
+                [Tok::Name("T.where"), ..] => {
+                    predicate = self.expr_at(Self::call_argument(toks, 2), lineno)?.0;
                 }
-                Tok::Name(n) if n == "T.writes" => {
-                    writes = self.parse_region_list(&toks[2..toks.len() - 1], lineno)?;
-                    self.pos += 1;
+                [Tok::Name("T.reads"), ..] => {
+                    reads = self.parse_region_list(Self::call_argument(toks, 2), lineno)?;
                 }
-                Tok::Name(n) if n == "T.block_attr" => {
+                [Tok::Name("T.writes"), ..] => {
+                    writes = self.parse_region_list(Self::call_argument(toks, 2), lineno)?;
+                }
+                [Tok::Name("T.block_attr"), ..] => {
                     // T.block_attr({"key": value})
                     if let (Some(Tok::Str(k)), Some(v)) = (toks.get(3), toks.get(5)) {
                         let ann = match v {
                             Tok::Int(i) => AnnValue::Int(*i),
-                            Tok::Str(s) => AnnValue::Str(s.clone()),
+                            Tok::Str(s) => AnnValue::Str(s.to_string()),
                             Tok::Float(f) => AnnValue::Int(*f as i64),
                             _ => AnnValue::Int(0),
                         };
-                        annotations.insert(k.clone(), ann);
+                        annotations.insert(k.to_string(), ann);
                     }
-                    self.pos += 1;
                 }
-                Tok::Name(n) if n == "with" && raw.contains("T.init") => {
+                [Tok::Name("with"), ..] if line.raw.contains("T.init") => {
                     self.pos += 1;
                     init = Some(Stmt::seq(self.parse_block_body(inner + 1)?));
+                    continue;
                 }
-                _ if toks.len() >= 3
-                    && matches!(&toks[1], Tok::Sym("="))
-                    && matches!(&toks[2], Tok::Name(n) if n == "T.alloc_buffer") =>
-                {
-                    let b = self.parse_alloc_buffer(&toks, lineno)?;
-                    alloc_buffers.push(b);
-                    self.pos += 1;
+                _ if is_alloc_buffer(toks) => {
+                    alloc_buffers.push(self.parse_alloc_buffer(toks, lineno)?);
                 }
                 _ => break,
             }
+            self.pos += 1;
         }
 
         let body = Stmt::seq(self.parse_block_body(inner)?);
-        let mut block = Block::new(name, iter_vars, reads, writes, body);
+        let mut block = Block::new(*name, iter_vars, reads, writes, body);
         block.alloc_buffers = alloc_buffers;
         block.annotations = annotations;
         block.init = init.map(Box::new);
@@ -1007,7 +871,8 @@ impl Parser {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] with the offending line on malformed input.
+/// Returns a [`ParseError`] with the offending line on malformed input,
+/// including an expression nested deeper than any printed program's.
 ///
 /// # Examples
 ///
@@ -1023,125 +888,104 @@ impl Parser {
 /// # Ok::<(), tir::parser::ParseError>(())
 /// ```
 pub fn parse_func(text: &str) -> Result<PrimFunc> {
-    let mut lines = Vec::new();
+    // Every line is lexed before any is parsed, so a stray character on a
+    // later line is reported ahead of a grammar error on an earlier one.
+    let mut toks = Vec::with_capacity(text.len() / 6 + 8);
+    let mut lines = Vec::with_capacity(text.len() / 32 + 4);
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
-        let trimmed = raw.trim_end();
-        if trimmed.trim().is_empty() {
+        let rest = raw.trim_start();
+        let body = rest.trim_end();
+        if body.is_empty() {
             continue;
         }
-        let indent_spaces = trimmed.len() - trimmed.trim_start().len();
+        let indent_spaces = raw.len() - rest.len();
         if indent_spaces % 4 != 0 {
-            return Err(ParseError {
-                line: lineno,
-                message: "indentation must be a multiple of 4 spaces".into(),
-            });
+            return fail(lineno, "indentation must be a multiple of 4 spaces");
         }
-        let toks = lex(trimmed.trim_start(), lineno)?;
+        let start = toks.len();
+        lex(body, lineno, &mut toks)?;
         lines.push(Line {
             indent: indent_spaces / 4,
-            toks,
-            raw: trimmed.trim_start().to_string(),
+            start,
+            end: toks.len(),
+            raw: body,
             lineno,
         });
     }
     let mut p = Parser {
-        lines,
+        toks: &toks,
+        lines: &lines,
         pos: 0,
         scope: Scope::default(),
     };
     // Header: @T.prim_func / def name(params):
     let Some(first) = p.peek() else {
-        return Err(ParseError {
-            line: 0,
-            message: "empty input".into(),
-        });
+        return fail(0, "empty input");
     };
-    if first.raw.starts_with("@") {
+    if first.raw.starts_with('@') {
         p.pos += 1;
     }
     let Some(def_line) = p.peek() else {
-        return Err(ParseError {
-            line: 0,
-            message: "missing def line".into(),
-        });
+        return fail(0, "missing def line");
     };
-    let def_toks = def_line.toks.clone();
-    let def_lineno = def_line.lineno;
-    if !matches!(def_toks.first(), Some(Tok::Name(n)) if n == "def") {
-        return Err(ParseError {
-            line: def_lineno,
-            message: "expected `def`".into(),
-        });
+    let (def_toks, def_lineno) = (p.toks_of(def_line), def_line.lineno);
+    if def_toks.first() != Some(&Tok::Name("def")) {
+        return fail(def_lineno, "expected `def`");
     }
     let Some(Tok::Name(fname)) = def_toks.get(1) else {
-        return Err(ParseError {
-            line: def_lineno,
-            message: "expected function name".into(),
-        });
+        return fail(def_lineno, "expected function name");
     };
-    let fname = fname.clone();
     // Parameters: NAME : T.Buffer((shape), "dtype")
     let mut params = Vec::new();
     let mut pos = 3; // def name (
     while pos < def_toks.len() {
-        match &def_toks[pos] {
-            Tok::Name(pname) if def_toks.get(pos + 1) == Some(&Tok::Sym(":")) => {
-                let pname = pname.clone();
-                // Find the shape ints inside the nested parens.
-                pos += 3; // NAME : T.Buffer
-                let mut shape = Vec::new();
-                let mut depth = 0;
-                let mut dtype = DataType::float32();
-                while pos < def_toks.len() {
-                    match &def_toks[pos] {
-                        Tok::Sym("(") => depth += 1,
-                        Tok::Sym(")") => {
-                            depth -= 1;
-                            if depth == 0 {
-                                pos += 1;
-                                break;
-                            }
-                        }
-                        Tok::Int(v) if depth >= 1 => shape.push(*v),
-                        Tok::Str(s) => {
-                            dtype = parse_dtype(s).ok_or_else(|| ParseError {
-                                line: def_lineno,
-                                message: format!("unknown dtype {s}"),
-                            })?;
-                        }
-                        _ => {}
+        let (Tok::Name(pname), Some(Tok::Sym(":"))) = (def_toks[pos], def_toks.get(pos + 1)) else {
+            pos += 1;
+            continue;
+        };
+        // Find the shape ints inside the nested parens.
+        pos += 3; // NAME : T.Buffer
+        let mut shape = Vec::new();
+        let mut depth = 0;
+        let mut dtype = DataType::float32();
+        while pos < def_toks.len() {
+            match def_toks[pos] {
+                Tok::Sym("(") => depth += 1,
+                Tok::Sym(")") => {
+                    depth -= 1;
+                    if depth == 0 {
+                        pos += 1;
+                        break;
                     }
-                    pos += 1;
                 }
-                let buffer = Buffer::new(pname.clone(), dtype, shape);
-                p.scope.buffers.insert(pname, buffer.clone());
-                params.push(buffer);
+                Tok::Int(v) if depth >= 1 => shape.push(v),
+                Tok::Str(s) => match parse_dtype(s) {
+                    Some(dt) => dtype = dt,
+                    None => return fail(def_lineno, format!("unknown dtype {s}")),
+                },
+                _ => {}
             }
-            _ => pos += 1,
+            pos += 1;
         }
+        let buffer = Buffer::new(pname, dtype, shape);
+        p.scope.buffers.insert(pname, buffer.clone());
+        params.push(buffer);
     }
     p.pos += 1;
 
     // Root-level alloc_buffers (printed as part of the root block decl).
     let mut root_allocs = Vec::new();
     while let Some(line) = p.peek() {
-        let toks = line.toks.clone();
-        let lineno = line.lineno;
-        if line.indent == 1
-            && toks.len() >= 3
-            && matches!(&toks[1], Tok::Sym("="))
-            && matches!(&toks[2], Tok::Name(n) if n == "T.alloc_buffer")
-        {
-            let b = p.parse_alloc_buffer(&toks, lineno)?;
-            root_allocs.push(b);
-            p.pos += 1;
-        } else {
+        let toks = p.toks_of(line);
+        if line.indent != 1 || !is_alloc_buffer(toks) {
             break;
         }
+        root_allocs.push(p.parse_alloc_buffer(toks, line.lineno)?);
+        p.pos += 1;
     }
     let body = Stmt::seq(p.parse_block_body(1)?);
-    let mut func = PrimFunc::new(fname, params, body);
+    let mut func = PrimFunc::new(*fname, params, body);
     func.root_block_mut()
         .expect("root block by construction")
         .alloc_buffers
@@ -1294,6 +1138,66 @@ mod more_tests {
         assert!(func_structural_eq(&f, &parsed));
         let salloc = &parsed.root_block().unwrap().alloc_buffers[0];
         assert_eq!(salloc.scope(), &MemScope::Shared);
+    }
+
+    /// `A[i] = <value>` in a loop over `i`.
+    fn store_of(value: &str) -> String {
+        format!(
+            "@T.prim_func\ndef f(A: T.Buffer((8), \"float32\")):\n    for i in range(8):\n        A[i] = {value}\n"
+        )
+    }
+
+    /// A request of 100 000 open parentheses — 200 KB, well under a
+    /// daemon's payload cap — used to run a connection thread out of stack,
+    /// which no `catch_unwind` survives. Every way an expression nests is
+    /// refused at `MAX_EXPR_DEPTH`, on the way down or on the way up.
+    #[test]
+    fn over_deep_expressions_are_parse_errors_not_stack_overflows() {
+        let n = 100_000;
+        let chains = [
+            format!("{}1.0{}", "(".repeat(n), ")".repeat(n)),
+            "(".repeat(n),
+            format!("{}1.0", "-".repeat(n)),
+            format!("{}1.0", "- ".repeat(n)),
+            format!("{}True", "not ".repeat(n)),
+            format!("{}1.0{}", "T.cast(".repeat(n), ", \"float32\")".repeat(n)),
+            format!("{}1.0{}", "T.exp(".repeat(n), ")".repeat(n)),
+            format!("{}i{}", "A[".repeat(n), "]".repeat(n)),
+            // No recursion in the parser, but a left-deep tree of this
+            // height would overflow every pass that walks it — and `Drop`.
+            format!("1.0{}", " + 1.0".repeat(n)),
+            format!("1.0{}", " * i".repeat(n)),
+            format!("True{}", " and True".repeat(n)),
+            format!("(1.0{}{}", " + (1.0".repeat(n), ")".repeat(n + 1)),
+        ];
+        for value in chains {
+            let err = parse_func(&store_of(&value)).expect_err("too deep");
+            assert_eq!(err.line, 4);
+            assert_eq!(
+                err.message,
+                format!("expression nested deeper than {MAX_EXPR_DEPTH} levels"),
+                "{}…",
+                &value[..40]
+            );
+        }
+    }
+
+    #[test]
+    fn expressions_nest_up_to_the_cap() {
+        let n = MAX_EXPR_DEPTH;
+        for value in [
+            format!("{}1.0{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}i", "-".repeat(n)),
+            format!("{}1.0{}", "T.exp(".repeat(n), ")".repeat(n)),
+            format!("1.0{}", " + 1.0".repeat(n)),
+        ] {
+            let func = parse_func(&store_of(&value)).unwrap_or_else(|e| panic!("{e}"));
+            let again = parse_func(&func.to_string()).expect("reprints");
+            assert!(func_structural_eq(&func, &again));
+        }
+        // Statements are not expressions: a long program is not a deep one.
+        let lines = "        A[i] = A[i] + 1.0\n".repeat(2_000);
+        parse_func(&format!("{}{lines}", store_of("0.0"))).expect("long, not deep");
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! unterminated string, multi-byte UTF-8 in the middle of an expression —
 //! plus a handful of hand-written texts for the lexer's corners (CRLF,
 //! comments, exponents, integer overflow, `==` after a subscript).
+//! `byte_level_mutations_never_panic` covers what a fixed file cannot: 12 000
+//! seeded byte-level mutants, none of which may panic.
 //!
 //! Regenerate (only when the grammar or a message is *meant* to change)
 //! with `cargo test --test parse_golden -- --ignored`.
@@ -381,6 +383,53 @@ fn well_formed_texts_reprint_as_themselves() {
         let func = parse_func(text).unwrap_or_else(|e| panic!("{label}: {e}\n{text}"));
         assert_eq!(&func.to_string(), text, "{label}");
     }
+}
+
+/// Hostile text is answered, not died on: no byte-level damage to a
+/// well-formed text makes `parse_func` panic (a panic here fails the test).
+/// The per-line lexer's parser indexed token slices unchecked — `T.reads`
+/// alone on a line, a `thread` keyword at the end of a loop header — and
+/// trusted a region's rank.
+#[test]
+fn byte_level_mutations_never_panic() {
+    const MUTANTS: usize = 12_000;
+    // Bytes that matter to the lexer, the line splitter and UTF-8.
+    const SPICE: &[u8] = b" \t\n\r#\"'()[]{},:=<>!@+-*/%._019eETx\xc3\xa9\xe2\x80\x83\xff";
+    let good = well_formed();
+    let mut rng = StdRng::seed_from_u64(0xf022);
+    let (mut parsed, mut refused) = (0, 0);
+    for _ in 0..MUTANTS {
+        let mut bytes = good[rng.random_range(0..good.len())].1.clone().into_bytes();
+        for _ in 0..rng.random_range(1..4usize) {
+            let at = rng.random_range(0..bytes.len());
+            let spice = SPICE[rng.random_range(0..SPICE.len())];
+            match rng.random_range(0..5u8) {
+                0 => bytes[at] = spice,
+                1 => bytes.insert(at, spice),
+                2 => drop(bytes.remove(at)),
+                3 => {
+                    // Drop a span: often the tail of a line or a whole line.
+                    let end = (at + rng.random_range(1..40usize)).min(bytes.len());
+                    bytes.drain(at..end);
+                }
+                _ => {
+                    let end = (at + rng.random_range(1..40usize)).min(bytes.len());
+                    let span = bytes[at..end].to_vec();
+                    let to = rng.random_range(0..bytes.len());
+                    bytes.splice(to..to, span);
+                }
+            }
+            if bytes.is_empty() {
+                break;
+            }
+        }
+        match parse_func(&String::from_utf8_lossy(&bytes)) {
+            Ok(_) => parsed += 1,
+            Err(_) => refused += 1,
+        }
+    }
+    println!("{parsed} mutants parsed, {refused} refused");
+    assert!(parsed > MUTANTS / 20 && refused > MUTANTS / 4);
 }
 
 #[test]
