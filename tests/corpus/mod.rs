@@ -63,6 +63,14 @@ pub fn workload_families() -> Vec<(PrimFunc, u64)> {
 /// analyzer would reject is kept, so the analyzer — not the gate — is what
 /// a suite tests. Inputs of case `c` are seeded `0xace + c`.
 pub fn random_pipelines(count: u64, gate_off: bool) -> Vec<PrimFunc> {
+    (random_pipeline_schedules(count, gate_off).into_iter())
+        .map(Schedule::into_func)
+        .collect()
+}
+
+/// The schedules behind [`random_pipelines`], each with the trace of the
+/// steps that applied (a step the program refused left no mark).
+pub fn random_pipeline_schedules(count: u64, gate_off: bool) -> Vec<Schedule> {
     let n = 8i64;
     let mut rng = StdRng::seed_from_u64(0x5eed);
     (0..count)
@@ -107,7 +115,7 @@ pub fn random_pipelines(count: u64, gate_off: bool) -> Vec<PrimFunc> {
                     }
                 }
             }
-            sch.into_func()
+            sch
         })
         .collect()
 }
@@ -116,6 +124,13 @@ pub fn random_pipelines(count: u64, gate_off: bool) -> Vec<PrimFunc> {
 /// cache_read + cache_write) over a 16³ matmul across a grid of tile
 /// factors. Inputs of variant `v` are seeded `0xca0 + v`.
 pub fn gpu_pipelines() -> Vec<PrimFunc> {
+    (gpu_pipeline_schedules().into_iter())
+        .map(Schedule::into_func)
+        .collect()
+}
+
+/// The schedules behind [`gpu_pipelines`], with their eight-step traces.
+pub fn gpu_pipeline_schedules() -> Vec<Schedule> {
     let mut out = Vec::new();
     for fi in [2i64, 4, 8] {
         for fj in [2i64, 4, 8, 16] {
@@ -135,7 +150,7 @@ pub fn gpu_pipelines() -> Vec<PrimFunc> {
                 .unwrap();
             sch.cache_write(&block, tir::MemScope::Local, Some(&j[1]))
                 .unwrap();
-            out.push(sch.into_func());
+            out.push(sch);
         }
     }
     out
