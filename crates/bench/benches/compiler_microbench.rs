@@ -133,6 +133,21 @@ fn bench_ir_passes() {
     bench_function("analysis/analyze_gpu_tensor_gmm", || {
         tir_analysis::analyze(&func).is_empty()
     });
+
+    // What every primitive starts with: find the tensorized inner block
+    // (the deepest one, so a lookup that walks on after its match walks the
+    // most), its loops, and each loop's extent.
+    let inner = auto_tensorize(&case.func, "C", reg.get("wmma_16x16x16_f16").expect("wmma"))
+        .expect("tensorizes")
+        .inner_block;
+    let sch = Schedule::new(func);
+    bench_function("schedule/lookup_tuned_gmm", || {
+        let block = sch.get_block(inner.name()).expect("inner block");
+        let loops = sch.get_loops(&block).expect("its loops");
+        (loops.iter())
+            .map(|l| sch.loop_extent(l).expect("extent"))
+            .sum::<i64>()
+    });
 }
 
 /// `SketchRule::apply` on the full bench-suite shapes: what one candidate
@@ -382,8 +397,8 @@ fn bench_validation() {
 /// a fresh one of the same finished C2D `gpu-scalar` candidate; one
 /// `cache_read` below GMM's blockized `gpu-tensor` tile, signature refresh
 /// of the outer block included (on a copy of the base schedule, whose own
-/// cost is the first primitive's un-sharing); and a cost-model refit at
-/// half a 64-trial tune.
+/// cost is the first primitive's un-sharing), and one `required_region` of
+/// that tile by itself; and a cost-model refit at half a 64-trial tune.
 fn bench_derive_once() {
     use tir::MemScope;
     use tir_autoschedule::feature::extract_features;
@@ -442,6 +457,26 @@ fn bench_derive_once() {
             loops.last(),
         )
         .expect("cache_read")
+    });
+    // `required_region` alone, through the one public call that reaches it
+    // and then stops: with the operand staged as above, `reverse_compute_at`
+    // of the inner block relaxes the staged tile over the copy nest and then
+    // refuses (the block does not read it at its spatial iterators), having
+    // touched nothing — the row is that relaxation plus the error's text.
+    let mut staged = tensorized.schedule.clone();
+    (staged.cache_read(
+        &tensorized.inner_block,
+        &operand,
+        MemScope::Shared,
+        loops.last(),
+    ))
+    .expect("cache_read");
+    let attach = loops.last().expect("a tile loop");
+    bench_function("schedule/required_region_gmm", || {
+        (staged.reverse_compute_at(&tensorized.inner_block, attach))
+            .expect_err("refused after the region is known")
+            .to_string()
+            .len()
     });
 
     let samples: Vec<(Vec<f64>, f64)> = candidates

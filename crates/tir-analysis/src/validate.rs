@@ -1004,16 +1004,10 @@ mod atomic_tests {
         // Parallelize the reduction loop (k is innermost).
         fn parallelize_innermost(s: &mut Stmt) {
             match s {
-                Stmt::For(f) => {
-                    if matches!(&f.body, Stmt::BlockRealize(_)) {
-                        f.kind = ForKind::Parallel;
-                    } else {
-                        parallelize_innermost(&mut f.body);
-                    }
+                Stmt::For(f) if matches!(&f.body, Stmt::BlockRealize(_)) => {
+                    f.kind = ForKind::Parallel;
                 }
-                Stmt::BlockRealize(br) => parallelize_innermost(&mut br.block.body),
-                Stmt::Seq(v) => v.iter_mut().for_each(parallelize_innermost),
-                _ => {}
+                _ => s.children_mut().for_each(parallelize_innermost),
             }
         }
         parallelize_innermost(&mut func.root_block_mut().expect("root block").body);
@@ -1026,19 +1020,14 @@ mod atomic_tests {
         );
         // Mark the block atomic: the same program now validates.
         fn annotate(s: &mut Stmt) {
-            match s {
-                Stmt::BlockRealize(br) => {
-                    if br.block.name == "C" {
-                        br.block
-                            .annotations
-                            .insert("tir.atomic".into(), tir::AnnValue::Int(1));
-                    }
-                    annotate(&mut br.block.body);
+            if let Stmt::BlockRealize(br) = s {
+                if br.block.name == "C" {
+                    br.block
+                        .annotations
+                        .insert("tir.atomic".into(), tir::AnnValue::Int(1));
                 }
-                Stmt::For(f) => annotate(&mut f.body),
-                Stmt::Seq(v) => v.iter_mut().for_each(annotate),
-                _ => {}
             }
+            s.children_mut().for_each(annotate);
         }
         annotate(&mut func.root_block_mut().expect("root block").body);
         let errors = check_loop_nests(&func);
@@ -1066,12 +1055,7 @@ mod session_tests {
     fn edit(func: &mut PrimFunc, f: &mut dyn FnMut(&mut Stmt)) {
         fn walk(s: &mut Stmt, f: &mut dyn FnMut(&mut Stmt)) {
             f(s);
-            match s {
-                Stmt::For(l) => walk(&mut l.body, f),
-                Stmt::Seq(v) => v.iter_mut().for_each(|st| walk(st, f)),
-                Stmt::BlockRealize(br) => walk(&mut br.block.body, f),
-                _ => {}
-            }
+            s.children_mut().for_each(|child| walk(child, f));
         }
         walk(&mut func.root_block_mut().expect("root block").body, f);
     }

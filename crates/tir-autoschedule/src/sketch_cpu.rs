@@ -353,12 +353,7 @@ mod tests {
                 *v |= fr.kind == tir::ForKind::Vectorized;
                 *p |= fr.kind == tir::ForKind::Parallel;
             }
-            match s {
-                tir::Stmt::For(fr) => walk(&fr.body, v, p),
-                tir::Stmt::Seq(ss) => ss.iter().for_each(|st| walk(st, v, p)),
-                tir::Stmt::BlockRealize(br) => walk(&br.block.body, v, p),
-                _ => {}
-            }
+            s.children().for_each(|child| walk(child, v, p));
         }
         walk(&f.body, &mut has_vec, &mut has_par);
         assert!(has_par, "parallel loop expected");

@@ -605,27 +605,17 @@ mod annotation_tests {
 
     fn annotate_first_block(func: &mut tir::PrimFunc, key: &str, value: tir::AnnValue) {
         // Annotate the first non-root block.
-        fn walk(s: &mut Stmt, key: &str, value: &tir::AnnValue, done: &mut bool) {
-            if *done {
-                return;
-            }
+        fn walk(s: &mut Stmt, key: &str, value: &tir::AnnValue) -> bool {
             match s {
-                Stmt::BlockRealize(br) => {
-                    if br.block.name != "root" {
-                        br.block.annotations.insert(key.to_string(), value.clone());
-                        *done = true;
-                    } else {
-                        walk(&mut br.block.body, key, value, done);
-                    }
+                Stmt::BlockRealize(br) if br.block.name != "root" => {
+                    br.block.annotations.insert(key.to_string(), value.clone());
+                    true
                 }
-                Stmt::For(f) => walk(&mut f.body, key, value, done),
-                Stmt::Seq(v) => v.iter_mut().for_each(|st| walk(st, key, value, done)),
-                _ => {}
+                _ => s.children_mut().any(|child| walk(child, key, value)),
             }
         }
-        let mut done = false;
         let root = func.root_block_mut().expect("root block");
-        walk(&mut root.body, key, &value, &mut done);
+        assert!(walk(&mut root.body, key, &value));
     }
 
     #[test]

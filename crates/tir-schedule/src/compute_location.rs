@@ -4,6 +4,13 @@
 //! These move or dissolve whole blocks while preserving the producer-covers-
 //! consumer invariant, using only block-signature information plus region
 //! arithmetic (Fig. 6 of the paper).
+//!
+//! The descents of this module go over [`Stmt::children`]. The ones that
+//! rewrite (`prune_empty`, `extract_block`, `refresh_nested_signatures`,
+//! `drop_alloc`) reach every statement, an `init` and both branches of an
+//! `if` included; the ones that read accesses (`required_region`,
+//! `buffers_accessed_below`) stop at a block, whose signature already
+//! summarises what is nested in it (§3.1).
 
 use tir::simplify::simplified;
 use tir::visit::{expr_any_var, substituted};
@@ -18,59 +25,32 @@ fn is_empty_seq(s: &Stmt) -> bool {
 }
 
 /// Removes loops whose bodies became empty and flattens empty sequences,
-/// in place.
+/// in place, bottom-up over [`Stmt::children_mut`] — so also inside an
+/// `init`, where [`extract_block`] can leave an empty sequence too.
 fn prune_empty(s: &mut Stmt) {
+    s.children_mut().for_each(prune_empty);
     match s {
-        Stmt::For(f) => {
-            prune_empty(&mut f.body);
-            if is_empty_seq(&f.body) {
-                *s = Stmt::Seq(vec![]);
-            }
-        }
+        Stmt::For(f) if is_empty_seq(&f.body) => *s = Stmt::Seq(vec![]),
         Stmt::Seq(v) => {
-            v.iter_mut().for_each(prune_empty);
             v.retain(|st| !is_empty_seq(st));
             s.normalize_seq();
         }
-        Stmt::IfThenElse {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            prune_empty(then_branch);
-            if let Some(e) = else_branch {
-                prune_empty(e);
-            }
-        }
-        Stmt::BlockRealize(br) => prune_empty(&mut br.block.body),
-        Stmt::Store { .. } | Stmt::Eval(_) => {}
+        _ => {}
     }
 }
 
-/// Extracts (removes and returns) the block realize with the given name,
-/// leaving an empty sequence in its place for [`prune_empty`].
+/// Extracts (removes and returns) the first block realize with the given
+/// name, leaving an empty sequence in its place for [`prune_empty`]. It is
+/// the block `find_block` answers: both are pre-order over
+/// [`Stmt::children`], `init` included.
 fn extract_block(s: &mut Stmt, name: &str) -> Option<BlockRealize> {
-    match s {
-        Stmt::BlockRealize(br) if br.block.name == name => {
-            match std::mem::replace(s, Stmt::Seq(vec![])) {
-                Stmt::BlockRealize(br) => Some(*br),
-                _ => unreachable!("matched a block realize"),
-            }
-        }
-        Stmt::BlockRealize(br) => extract_block(&mut br.block.body, name),
-        Stmt::For(f) => extract_block(&mut f.body, name),
-        Stmt::Seq(v) => v.iter_mut().find_map(|st| extract_block(st, name)),
-        Stmt::IfThenElse {
-            then_branch,
-            else_branch,
-            ..
-        } => extract_block(then_branch, name).or_else(|| {
-            else_branch
-                .as_deref_mut()
-                .and_then(|e| extract_block(e, name))
-        }),
-        Stmt::Store { .. } | Stmt::Eval(_) => None,
+    if matches!(s, Stmt::BlockRealize(br) if br.block.name == name) {
+        return match std::mem::replace(s, Stmt::Seq(vec![])) {
+            Stmt::BlockRealize(br) => Some(*br),
+            _ => unreachable!("matched a block realize"),
+        };
     }
+    (s.children_mut()).find_map(|child| extract_block(child, name))
 }
 
 /// The region of `buffer` accessed by block realizes inside `stmt`,
@@ -84,9 +64,9 @@ pub(crate) fn required_region(
     reads: bool,
     writes: bool,
 ) -> Option<Vec<RangeExpr>> {
-    /// The walk's state: the requirement gathered so far, and three views
-    /// of the loops entered inside `stmt`, kept up to date on the way down
-    /// and up instead of being rebuilt for every region dimension.
+    /// The walk's state: the requirement gathered so far, and the loops of
+    /// `stmt` the walk is inside. What `relax` needs of them — every one at
+    /// `0`, every one over `[0, extent)` — it reads off that one record.
     struct Relaxer<'a> {
         buffer: &'a Buffer,
         reads: bool,
@@ -94,39 +74,46 @@ pub(crate) fn required_region(
         mins: Vec<Option<Expr>>,
         extents: Vec<i64>,
         any: bool,
-        /// Inner loop variable → `0`.
-        zero_map: VarMap<Expr>,
-        /// Inner loop variable → `[0, extent)`.
+        /// Inner loops, outermost first: variable and extent.
+        loops: Vec<(Var, i64)>,
+        /// Scratch: the variables of one region minimum, each with a bound.
         env: VarMap<IntBound>,
-        /// Inner loop variable → `[0, 0]`.
-        env0: VarMap<IntBound>,
-        /// Scratch: the outer variables `relax` pins for one dimension.
-        outer: Vec<Var>,
+    }
+    /// Puts `0` for every variable of `loops`.
+    struct ZeroLoops<'a>(&'a [(Var, i64)]);
+    impl tir::visit::ExprMutator for ZeroLoops<'_> {
+        fn mutate_expr(&mut self, e: &mut Expr) {
+            match e {
+                Expr::Var(v) if self.0.iter().any(|(l, _)| l == v) => *e = Expr::int(0),
+                _ => self.walk_expr(e),
+            }
+        }
     }
     impl Relaxer<'_> {
         fn relax(&mut self, region: &[RangeExpr], subst: &VarMap<&Expr>) {
+            use tir::visit::ExprMutator as _;
             let shape = self.buffer.shape();
             for (d, r) in region.iter().enumerate() {
                 let min = simplified(substituted(r.min.clone(), subst));
                 let extent_c = r.extent.as_int().unwrap_or(shape[d]);
-                let min_zeroed = simplified(substituted(min.clone(), &self.zero_map));
-                // Width contributed by inner vars in the min expression:
-                // bound it with the outer variables pinned to zero, against
-                // its value with every variable at zero.
+                let mut min_zeroed = min.clone();
+                ZeroLoops(&self.loops).mutate_expr(&mut min_zeroed);
+                let min_zeroed = simplified(min_zeroed);
+                // Width contributed by inner vars in the min expression: its
+                // value with every variable at zero, against its bound with
+                // only the outer variables pinned there.
+                self.env.clear();
                 expr_any_var(&min, &mut |v| {
-                    if !self.env.contains_key(v) {
-                        self.env.insert(v.clone(), IntBound::single(0));
-                        self.env0.insert(v.clone(), IntBound::single(0));
-                        self.outer.push(v.clone());
-                    }
+                    self.env.insert(v.clone(), IntBound::single(0));
                     false // visit every occurrence
                 });
-                let full = bound_of(&min, &self.env);
-                let at_zero = bound_of(&min, &self.env0);
-                for v in self.outer.drain(..) {
-                    self.env.remove(&v);
-                    self.env0.remove(&v);
+                let at_zero = bound_of(&min, &self.env);
+                for (v, extent) in &self.loops {
+                    if let Some(bound) = self.env.get_mut(v) {
+                        *bound = IntBound::new(0, (extent - 1).max(0));
+                    }
                 }
+                let full = bound_of(&min, &self.env);
                 if full.min < at_zero.min {
                     // Negative coefficient on an inner variable (e.g. a flipped
                     // convolution kernel): zeroing the inner vars does not give
@@ -154,58 +141,41 @@ pub(crate) fn required_region(
             self.any = true;
         }
 
+        /// Relaxes the regions of `buffer` in one block's signature.
+        fn block(&mut self, br: &BlockRealize) {
+            let (buffer, reads, writes) = (self.buffer, self.reads, self.writes);
+            let mut touched = (br.block.reads.iter().filter(|_| reads))
+                .chain(br.block.writes.iter().filter(|_| writes))
+                .filter(|r| &r.buffer == buffer)
+                .peekable();
+            if touched.peek().is_none() {
+                return;
+            }
+            let subst: VarMap<&Expr> = (br.block.iter_vars.iter())
+                .zip(&br.iter_values)
+                .map(|(iv, v)| (iv.var.clone(), v))
+                .collect();
+            for r in touched {
+                self.relax(&r.region, &subst);
+            }
+        }
+
         fn walk(&mut self, s: &Stmt) {
             match s {
+                // §3.1: the signature summarises everything nested in the
+                // block, `init` and body alike; read it and stop.
+                Stmt::BlockRealize(br) => return self.block(br),
                 Stmt::For(f) => {
                     let extent = f.extent.as_int().unwrap_or(1);
-                    let range = IntBound::new(0, (extent - 1).max(0));
-                    self.zero_map.insert(f.var.clone(), Expr::int(0));
-                    self.env.insert(f.var.clone(), range);
-                    self.env0.insert(f.var.clone(), IntBound::single(0));
-                    self.walk(&f.body);
-                    self.zero_map.remove(&f.var);
-                    self.env.remove(&f.var);
-                    self.env0.remove(&f.var);
-                }
-                Stmt::Seq(v) => {
-                    for st in v {
-                        self.walk(st);
-                    }
-                }
-                Stmt::IfThenElse {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    self.walk(then_branch);
-                    if let Some(e) = else_branch {
-                        self.walk(e);
-                    }
-                }
-                Stmt::BlockRealize(br) => {
-                    let signature = &br.block;
-                    let (buffer, reads, writes) = (self.buffer, self.reads, self.writes);
-                    let mut touched = (signature.reads.iter().filter(|_| reads))
-                        .chain(signature.writes.iter().filter(|_| writes))
-                        .filter(|r| &r.buffer == buffer)
-                        .peekable();
-                    if touched.peek().is_none() {
-                        return;
-                    }
-                    let subst: VarMap<&Expr> = br
-                        .block
-                        .iter_vars
-                        .iter()
-                        .zip(&br.iter_values)
-                        .map(|(iv, v)| (iv.var.clone(), v))
-                        .collect();
-                    for r in touched {
-                        self.relax(&r.region, &subst);
-                    }
-                    // Nested blocks: their accesses are already summarized by
-                    // this block's own signature, so no need to descend.
+                    self.loops.push((f.var.clone(), extent));
                 }
                 _ => {}
+            }
+            for child in s.children() {
+                self.walk(child);
+            }
+            if let Stmt::For(_) = s {
+                self.loops.pop();
             }
         }
     }
@@ -216,10 +186,8 @@ pub(crate) fn required_region(
         mins: vec![None; buffer.ndim()],
         extents: vec![0; buffer.ndim()],
         any: false,
-        zero_map: VarMap::default(),
+        loops: Vec::new(),
         env: VarMap::default(),
-        env0: VarMap::default(),
-        outer: Vec::new(),
     };
     relaxer.walk(stmt);
     if !relaxer.any {
@@ -248,97 +216,57 @@ pub(crate) fn required_region(
 /// stands and only those two are relaxed again; which buffers appear, and in
 /// what order, is still read off the children.
 pub(crate) fn refresh_nested_signatures(s: &mut Stmt, redirected: [&Buffer; 2]) {
+    /// The buffers read and written by the outermost blocks of `s`, in order.
     fn buffers_accessed_below(s: &Stmt, reads: &mut Vec<Buffer>, writes: &mut Vec<Buffer>) {
-        match s {
-            Stmt::BlockRealize(br) => {
-                for r in &br.block.reads {
-                    if !reads.contains(&r.buffer) {
-                        reads.push(r.buffer.clone());
-                    }
-                }
-                for w in &br.block.writes {
-                    if !writes.contains(&w.buffer) {
-                        writes.push(w.buffer.clone());
-                    }
+        // §3.1: a block's signature already covers what is nested in it.
+        if let Stmt::BlockRealize(br) = s {
+            for r in &br.block.reads {
+                if !reads.contains(&r.buffer) {
+                    reads.push(r.buffer.clone());
                 }
             }
-            Stmt::For(f) => buffers_accessed_below(&f.body, reads, writes),
-            Stmt::Seq(v) => {
-                for st in v {
-                    buffers_accessed_below(st, reads, writes);
+            for w in &br.block.writes {
+                if !writes.contains(&w.buffer) {
+                    writes.push(w.buffer.clone());
                 }
             }
-            Stmt::IfThenElse {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                buffers_accessed_below(then_branch, reads, writes);
-                if let Some(e) = else_branch {
-                    buffers_accessed_below(e, reads, writes);
-                }
-            }
-            _ => {}
+            return;
         }
+        (s.children()).for_each(|child| buffers_accessed_below(child, reads, writes));
     }
-    fn contains_block(s: &Stmt) -> bool {
-        match s {
-            Stmt::BlockRealize(_) => true,
-            Stmt::For(f) => contains_block(&f.body),
-            Stmt::Seq(v) => v.iter().any(contains_block),
-            Stmt::IfThenElse {
-                then_branch,
-                else_branch,
-                ..
-            } => contains_block(then_branch) || else_branch.as_deref().is_some_and(contains_block),
-            _ => false,
-        }
+    // Bottom-up, through `init` as well: a block nested there has a
+    // signature to keep like any other.
+    (s.children_mut()).for_each(|child| refresh_nested_signatures(child, redirected));
+    let Stmt::BlockRealize(br) = s else { return };
+    let is_block = &mut |st: &Stmt| matches!(st, Stmt::BlockRealize(_));
+    if br.block.name == "root" || br.block.body.find(is_block).is_none() {
+        return;
     }
-    match s {
-        Stmt::BlockRealize(br) => {
-            refresh_nested_signatures(&mut br.block.body, redirected);
-            if br.block.name != "root" && contains_block(&br.block.body) {
-                let mut read_bufs = Vec::new();
-                let mut write_bufs = Vec::new();
-                buffers_accessed_below(&br.block.body, &mut read_bufs, &mut write_bufs);
-                let (old_reads, old_writes) = (
-                    std::mem::take(&mut br.block.reads),
-                    std::mem::take(&mut br.block.writes),
-                );
-                let block = &br.block;
-                let signature = |bufs: Vec<Buffer>, mut current: Vec<tir::BufferRegion>, reads| {
-                    bufs.into_iter()
-                        .filter(|b| !block.alloc_buffers.contains(b))
-                        .filter_map(|b| {
-                            let kept = current.iter().position(|r| r.buffer == b);
-                            if let (Some(kept), false) = (kept, redirected.contains(&&b)) {
-                                return Some(current.swap_remove(kept));
-                            }
-                            let region = required_region(&block.body, &b, reads, !reads)?;
-                            Some(tir::BufferRegion::new(b, region))
-                        })
-                        .collect()
-                };
-                let reads = signature(read_bufs, old_reads, true);
-                let writes = signature(write_bufs, old_writes, false);
-                br.block.reads = reads;
-                br.block.writes = writes;
-            }
-        }
-        Stmt::For(f) => refresh_nested_signatures(&mut f.body, redirected),
-        Stmt::Seq(v) => (v.iter_mut()).for_each(|st| refresh_nested_signatures(st, redirected)),
-        Stmt::IfThenElse {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            refresh_nested_signatures(then_branch, redirected);
-            if let Some(e) = else_branch {
-                refresh_nested_signatures(e, redirected);
-            }
-        }
-        _ => {}
-    }
+    let mut read_bufs = Vec::new();
+    let mut write_bufs = Vec::new();
+    buffers_accessed_below(&br.block.body, &mut read_bufs, &mut write_bufs);
+    let (old_reads, old_writes) = (
+        std::mem::take(&mut br.block.reads),
+        std::mem::take(&mut br.block.writes),
+    );
+    let block = &br.block;
+    let signature = |bufs: Vec<Buffer>, mut current: Vec<tir::BufferRegion>, reads| {
+        bufs.into_iter()
+            .filter(|b| !block.alloc_buffers.contains(b))
+            .filter_map(|b| {
+                let kept = current.iter().position(|r| r.buffer == b);
+                if let (Some(kept), false) = (kept, redirected.contains(&&b)) {
+                    return Some(current.swap_remove(kept));
+                }
+                let region = required_region(&block.body, &b, reads, !reads)?;
+                Some(tir::BufferRegion::new(b, region))
+            })
+            .collect()
+    };
+    let reads = signature(read_bufs, old_reads, true);
+    let writes = signature(write_bufs, old_writes, false);
+    br.block.reads = reads;
+    br.block.writes = writes;
 }
 
 /// Builds a loop nest realizing `block` so that its spatial iterators sweep
@@ -414,17 +342,32 @@ fn can_prove_within(min: &Expr, extent: i64, dim: i64) -> bool {
 
 impl Schedule {
     /// Removes the realize of `block` from the tree (pruning the loops it
-    /// leaves empty) and returns it. A missing block is reported before
-    /// anything is touched.
+    /// leaves empty) and returns it. A block that is missing, or cannot be
+    /// taken, is reported with nothing touched.
     pub(crate) fn take_block(&mut self, block: &BlockRef) -> Result<BlockRealize> {
-        self.block_node(block)?;
+        let name = block.name();
+        // An `init` runs on the first step of its block's reduction only
+        // (§3.1): what is in it is not a statement of the loop nest, to be
+        // moved or dissolved like one.
+        let holds_it = &mut |s: &Stmt| {
+            let init = s.as_block_realize().and_then(|br| br.block.init.as_deref());
+            init.is_some_and(|init| tir::visit::find_block(init, name).is_some())
+        };
+        if let Some(Stmt::BlockRealize(outer)) = self.func.body.find(holds_it) {
+            return precondition(format!(
+                "block {name} is inside the init of {}; decompose_reduction lifts an init out",
+                outer.block.name
+            ));
+        }
         let mut out = None;
         self.mutate_body(|body| {
-            out = extract_block(body, block.name());
-            prune_empty(body);
-            true
+            out = extract_block(body, name);
+            if out.is_some() {
+                prune_empty(body);
+            }
+            out.is_some()
         });
-        out.ok_or_else(|| ScheduleError::BlockNotFound(block.name().to_string()))
+        out.ok_or_else(|| ScheduleError::BlockNotFound(name.to_string()))
     }
 
     /// Moves producer `block` to the top of `loop_ref`'s body, shrinking it
@@ -770,17 +713,14 @@ pub(crate) fn is_identity(indices: &[Expr], iter_vars: &[Var]) -> bool {
             .all(|(e, v)| e.as_var() == Some(v))
 }
 
-/// Removes `buffer` from every block's allocation list (after inlining).
+/// Removes `buffer` from every block's allocation list (after inlining):
+/// every block [`Stmt::children_mut`] reaches, since the one that allocates
+/// it may sit below an `if` or inside an `init`.
 fn drop_alloc(s: &mut Stmt, buffer: &Buffer) {
-    match s {
-        Stmt::BlockRealize(br) => {
-            br.block.alloc_buffers.retain(|b| b != buffer);
-            drop_alloc(&mut br.block.body, buffer);
-        }
-        Stmt::For(f) => drop_alloc(&mut f.body, buffer),
-        Stmt::Seq(v) => v.iter_mut().for_each(|st| drop_alloc(st, buffer)),
-        _ => {}
+    if let Stmt::BlockRealize(br) = s {
+        br.block.alloc_buffers.retain(|b| b != buffer);
     }
+    (s.children_mut()).for_each(|child| drop_alloc(child, buffer));
 }
 
 #[cfg(test)]
@@ -887,6 +827,73 @@ mod tests {
         assert!(text.contains("exp(A["), "inlined into consumer: {text}");
         // Inlining removes the f32 rounding of the intermediate buffer, so
         // allow a small tolerance (real fusing compilers do the same).
+        assert_same_semantics(&reference, sch.func(), 1, 1e-5);
+        tir_analysis::assert_valid(sch.func());
+    }
+
+    /// `for i: if i < 8: W`, where block `W` allocates `T` and holds both
+    /// its producer `P` and its consumer `Q`.
+    fn allocating_block_below_an_if() -> tir::PrimFunc {
+        use tir::{BufferRegion, IterVar};
+        let a = Buffer::new("A", DataType::float32(), vec![8, 8]);
+        let o = Buffer::new("O", DataType::float32(), vec![8, 8]);
+        let t = Buffer::new("T", DataType::float32(), vec![8]);
+        let (i, vi) = (Var::int("i"), Var::int("vi"));
+        let row = |v: &Var| vec![Expr::from(&vi), Expr::from(v)];
+        let p = compute("P", &t, |iv| a.load(row(&iv[0])) + Expr::f32(1.0));
+        let (vq, jq) = (Var::int("vq"), Var::int("jq"));
+        let exp = Expr::Call {
+            name: "exp".into(),
+            args: vec![t.load(vec![Expr::from(&vq)])],
+            dtype: DataType::float32(),
+        };
+        let q = Block::new(
+            "Q",
+            vec![IterVar::spatial(vq.clone(), 8)],
+            vec![BufferRegion::point(t.clone(), vec![Expr::from(&vq)])],
+            vec![BufferRegion::point(o.clone(), row(&vq))],
+            Stmt::store(o.clone(), row(&vq), exp),
+        );
+        let q = Stmt::BlockRealize(Box::new(BlockRealize::new(vec![Expr::from(&jq)], q)));
+        let row_of = |b: &Buffer| {
+            let mut r = b.full_region();
+            r.region[0] = RangeExpr::new(Expr::from(&vi), 1);
+            r
+        };
+        let mut w = Block::new(
+            "W",
+            vec![IterVar::spatial(vi.clone(), 8)],
+            vec![row_of(&a)],
+            vec![row_of(&o)],
+            Stmt::seq(vec![p, q.in_loop(jq, 8)]),
+        );
+        w.alloc_buffers.push(t);
+        let w = Stmt::BlockRealize(Box::new(BlockRealize::new(vec![Expr::from(&i)], w)));
+        let guarded = Stmt::IfThenElse {
+            cond: Expr::from(&i).lt(8),
+            then_branch: Box::new(w),
+            else_branch: None,
+        };
+        tir::PrimFunc::new("f", vec![a, o], guarded.in_loop(i, 8))
+    }
+
+    /// Regression: `drop_alloc` did not look below an `if`, so the inlined
+    /// buffer stayed in `W`'s allocations — printed, hashed and allocated by
+    /// every executor, read and written by nothing.
+    #[test]
+    fn inlining_drops_the_allocation_of_a_block_below_an_if() {
+        let reference = allocating_block_below_an_if();
+        let mut sch = Schedule::new(reference.clone());
+        let p = sch.get_block("P").expect("P");
+        sch.compute_inline(&p).expect("inline");
+        tir::visit::for_each_block_realize(&sch.func().body, &mut |br| {
+            let allocated: Vec<&str> = br.block.alloc_buffers.iter().map(|b| b.name()).collect();
+            assert!(
+                !allocated.contains(&"T"),
+                "{} allocates {allocated:?}",
+                br.block.name
+            );
+        });
         assert_same_semantics(&reference, sch.func(), 1, 1e-5);
         tir_analysis::assert_valid(sch.func());
     }

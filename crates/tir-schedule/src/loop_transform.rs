@@ -12,29 +12,19 @@ use tir::{Expr, For, ForKind, Stmt, ThreadTag, Var, VarMap};
 use crate::schedule::{LoopRef, Result, Schedule, ScheduleError};
 use crate::trace::TraceStep;
 
-/// Adds `conjunct` to the predicate of every block realize in `s`, in
-/// place, without descending into block bodies (loop variables cannot occur
-/// deeper).
+/// Guards everything in `s` with `conjunct`, in place: a block realize by
+/// conjoining it onto the predicate, a bare store or evaluate by wrapping it
+/// in an `if` — the one place a schedule builds one.
 fn add_predicate(s: &mut Stmt, conjunct: &Expr) {
     match s {
+        // The predicate guards the whole block, `init` included, and a loop
+        // variable cannot occur below the bindings (§3.1): stop here.
         Stmt::BlockRealize(br) => {
             br.predicate = if br.predicate.is_const_int(1) {
                 conjunct.clone()
             } else {
                 std::mem::replace(&mut br.predicate, Expr::true_()).and(conjunct.clone())
             };
-        }
-        Stmt::For(f) => add_predicate(&mut f.body, conjunct),
-        Stmt::Seq(v) => v.iter_mut().for_each(|st| add_predicate(st, conjunct)),
-        Stmt::IfThenElse {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            add_predicate(then_branch, conjunct);
-            if let Some(e) = else_branch {
-                add_predicate(e, conjunct);
-            }
         }
         Stmt::Store { .. } | Stmt::Eval(_) => {
             let guarded = std::mem::replace(s, Stmt::Seq(Vec::new()));
@@ -44,6 +34,7 @@ fn add_predicate(s: &mut Stmt, conjunct: &Expr) {
                 else_branch: None,
             };
         }
+        _ => (s.children_mut()).for_each(|child| add_predicate(child, conjunct)),
     }
 }
 
@@ -227,39 +218,17 @@ impl Schedule {
         // Find which of the referenced loops is outermost in the function.
         let target_vars: Vec<Var> = order.iter().map(|l| l.var().clone()).collect();
         let names: Vec<String> = target_vars.iter().map(|v| v.name().to_string()).collect();
-        // Locate the outermost: walk the body; the first For whose var is in
-        // target_vars is the chain head.
-        fn find_head(s: &Stmt, targets: &[Var]) -> Option<Var> {
-            match s {
-                Stmt::For(f) => {
-                    if targets.contains(&f.var) {
-                        Some(f.var.clone())
-                    } else {
-                        find_head(&f.body, targets)
-                    }
-                }
-                Stmt::Seq(v) => v.iter().find_map(|st| find_head(st, targets)),
-                Stmt::IfThenElse {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => find_head(then_branch, targets)
-                    .or_else(|| else_branch.as_ref().and_then(|e| find_head(e, targets))),
-                Stmt::BlockRealize(br) => {
-                    let from_init = br.block.init.as_ref().and_then(|i| find_head(i, targets));
-                    from_init.or_else(|| find_head(&br.block.body, targets))
-                }
-                _ => None,
-            }
-        }
-        let head = find_head(&self.func.body, &target_vars)
+        // The chain head: the first loop of the body, in pre-order, that is
+        // one of the targets.
+        let is_target = &mut |s: &Stmt| matches!(s, Stmt::For(f) if target_vars.contains(&f.var));
+        let mut current = (self.func.body.find(is_target))
+            .and_then(Stmt::as_for)
             .ok_or_else(|| ScheduleError::LoopNotFound(names.join(", ")))?;
 
         // Walk the chain on a borrow until every target is found.
-        let head = LoopRef(head);
+        let head = LoopRef(current.var.clone());
         let mut chain_vars: Vec<&Var> = Vec::new();
         let mut found = 0usize;
-        let mut current = self.loop_node(&head)?;
         loop {
             found += usize::from(target_vars.contains(&current.var));
             chain_vars.push(&current.var);

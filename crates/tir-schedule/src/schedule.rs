@@ -6,6 +6,12 @@
 //! trace of applied primitives, and lookup helpers. Blocks are addressed by
 //! name and loops by the identity of their loop variable, both of which are
 //! stable across rewrites that do not touch them.
+//!
+//! Every lookup here (`get_block`, `loop_node`, `find_loop_by_name`,
+//! `loop_infos`) and the slot rewrite behind `rewrite_loop`/`rewrite_block`
+//! is a pre-order walk over [`tir::Stmt::children`] that stops at its first
+//! match: outer before inner, a block's `init` before its body. None of
+//! them names the children of a node kind itself.
 
 use std::fmt;
 use std::sync::Arc;
@@ -250,53 +256,31 @@ impl Schedule {
     ///
     /// Returns [`ScheduleError::BlockNotFound`] if the block is absent.
     pub fn loop_infos(&self, block: &BlockRef) -> Result<Vec<LoopInfo>> {
-        fn walk(s: &Stmt, name: &str, stack: &mut Vec<LoopInfo>, out: &mut Option<Vec<LoopInfo>>) {
-            if out.is_some() {
-                return;
-            }
+        /// The loops above the first block called `name`, `stack` being the
+        /// loops above `s`.
+        fn walk(s: &Stmt, name: &str, stack: &mut Vec<LoopInfo>) -> Option<Vec<LoopInfo>> {
             match s {
-                Stmt::For(f) => {
-                    stack.push(LoopInfo {
-                        var: f.var.clone(),
-                        extent: f.extent.as_int().unwrap_or(-1),
-                        kind: f.kind,
-                    });
-                    walk(&f.body, name, stack, out);
-                    stack.pop();
+                Stmt::BlockRealize(br) if br.block.name == name => return Some(stack.clone()),
+                // Loops do not reach across a block boundary (§3.1): what is
+                // inside another block starts from an empty nest.
+                Stmt::BlockRealize(_) => {
+                    return (s.children()).find_map(|child| walk(child, name, &mut Vec::new()))
                 }
-                Stmt::Seq(v) => {
-                    for st in v {
-                        walk(st, name, stack, out);
-                    }
-                }
-                Stmt::IfThenElse {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    walk(then_branch, name, stack, out);
-                    if let Some(e) = else_branch {
-                        walk(e, name, stack, out);
-                    }
-                }
-                Stmt::BlockRealize(br) => {
-                    if br.block.name == name {
-                        *out = Some(stack.clone());
-                        return;
-                    }
-                    let mut fresh = Vec::new();
-                    if let Some(init) = &br.block.init {
-                        walk(init, name, &mut fresh, out);
-                    }
-                    walk(&br.block.body, name, &mut fresh, out);
-                }
+                Stmt::For(f) => stack.push(LoopInfo {
+                    var: f.var.clone(),
+                    extent: f.extent.as_int().unwrap_or(-1),
+                    kind: f.kind,
+                }),
                 _ => {}
             }
+            let found = (s.children()).find_map(|child| walk(child, name, stack));
+            if let Stmt::For(_) = s {
+                stack.pop();
+            }
+            found
         }
-        let mut stack = Vec::new();
-        let mut out = None;
-        walk(&self.func.body, block.name(), &mut stack, &mut out);
-        out.ok_or_else(|| ScheduleError::BlockNotFound(block.name().to_string()))
+        walk(&self.func.body, block.name(), &mut Vec::new())
+            .ok_or_else(|| ScheduleError::BlockNotFound(block.name().to_string()))
     }
 
     /// Extent of a loop.
@@ -476,62 +460,16 @@ impl Schedule {
     /// fuse derive them from their inputs), which makes recorded traces
     /// replayable on freshly built programs.
     pub fn find_loop_by_name(&self, name: &str) -> Option<LoopRef> {
-        fn walk(s: &Stmt, name: &str, out: &mut Option<Var>) {
-            if out.is_some() {
-                return;
-            }
-            match s {
-                Stmt::For(f) => {
-                    if f.var.name() == name {
-                        *out = Some(f.var.clone());
-                        return;
-                    }
-                    walk(&f.body, name, out);
-                }
-                Stmt::Seq(v) => v.iter().for_each(|st| walk(st, name, out)),
-                Stmt::IfThenElse {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    walk(then_branch, name, out);
-                    if let Some(e) = else_branch {
-                        walk(e, name, out);
-                    }
-                }
-                Stmt::BlockRealize(br) => {
-                    if let Some(init) = &br.block.init {
-                        walk(init, name, out);
-                    }
-                    walk(&br.block.body, name, out);
-                }
-                _ => {}
-            }
-        }
-        let mut out = None;
-        walk(&self.func.body, name, &mut out);
-        out.map(LoopRef)
+        let named = &mut |s: &Stmt| matches!(s, Stmt::For(f) if f.var.name() == name);
+        let found = self.func.body.find(named)?.as_for()?;
+        Some(LoopRef(found.var.clone()))
     }
 }
 
 /// The `For` node with the given variable (first in a pre-order walk).
 fn find_loop<'a>(s: &'a Stmt, var: &Var) -> Option<&'a tir::For> {
-    match s {
-        Stmt::For(f) if &f.var == var => Some(f),
-        Stmt::For(f) => find_loop(&f.body, var),
-        Stmt::Seq(v) => v.iter().find_map(|st| find_loop(st, var)),
-        Stmt::IfThenElse {
-            then_branch,
-            else_branch,
-            ..
-        } => find_loop(then_branch, var)
-            .or_else(|| else_branch.as_deref().and_then(|e| find_loop(e, var))),
-        Stmt::BlockRealize(br) => {
-            let in_init = br.block.init.as_deref().and_then(|i| find_loop(i, var));
-            in_init.or_else(|| find_loop(&br.block.body, var))
-        }
-        _ => None,
-    }
+    s.find(&mut |st| matches!(st, Stmt::For(f) if &f.var == var))
+        .and_then(Stmt::as_for)
 }
 
 /// A short name for a statement's node kind, for error messages.
@@ -540,16 +478,17 @@ pub(crate) fn stmt_kind(s: &Stmt) -> &'static str {
         Stmt::Store { .. } => "a store",
         Stmt::Eval(_) => "an evaluate",
         Stmt::Seq(_) => "a statement sequence",
-        Stmt::IfThenElse { .. } => "an if",
         Stmt::For(_) => "a loop",
         Stmt::BlockRealize(_) => "a block",
+        // The kind left over; only `add_predicate` names it in this crate.
+        _ => "an if",
     }
 }
 
-/// Offers every statement slot to `try_rewrite` in pre-order (a block's
-/// init before its body) and stops at the first one it rewrites. The cost
-/// is the walk to the slot plus whatever `try_rewrite` does there; nothing
-/// beside the path is touched.
+/// Offers every statement slot to `try_rewrite` in pre-order over
+/// [`Stmt::children_mut`] and stops at the first one it rewrites. The cost
+/// is the descent to the slot plus whatever `try_rewrite` does there;
+/// nothing beside the path is touched.
 ///
 /// On the way back up, every `Seq` on the path is put back into the form
 /// [`Stmt::seq`] builds (nested sequences flattened, a singleton
@@ -559,34 +498,11 @@ fn rewrite_first(s: &mut Stmt, try_rewrite: &mut impl FnMut(&mut Stmt) -> bool) 
     if try_rewrite(s) {
         return true;
     }
-    match s {
-        Stmt::For(f) => rewrite_first(&mut f.body, try_rewrite),
-        Stmt::Seq(v) => {
-            if !v.iter_mut().any(|st| rewrite_first(st, try_rewrite)) {
-                return false;
-            }
-            s.normalize_seq();
-            true
-        }
-        Stmt::IfThenElse {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            rewrite_first(then_branch, try_rewrite)
-                || else_branch
-                    .as_deref_mut()
-                    .is_some_and(|e| rewrite_first(e, try_rewrite))
-        }
-        Stmt::BlockRealize(br) => {
-            br.block
-                .init
-                .as_deref_mut()
-                .is_some_and(|i| rewrite_first(i, try_rewrite))
-                || rewrite_first(&mut br.block.body, try_rewrite)
-        }
-        _ => false,
+    let found = (s.children_mut()).any(|child| rewrite_first(child, try_rewrite));
+    if found {
+        s.normalize_seq();
     }
+    found
 }
 
 #[cfg(test)]

@@ -12,7 +12,10 @@ use std::sync::Arc;
 
 use tir::builder::{compute, matmul_func};
 use tir::structural::structural_hash;
-use tir::{AnnValue, Buffer, DataType, Expr, MemScope, PrimFunc, Stmt, ThreadTag};
+use tir::{
+    AnnValue, Block, BlockRealize, Buffer, BufferRegion, DataType, Expr, IterVar, MemScope,
+    PrimFunc, Stmt, ThreadTag, Var,
+};
 use tir_schedule::{BlockRef, LoopRef, Schedule, ScheduleError};
 
 fn mm() -> PrimFunc {
@@ -63,6 +66,39 @@ fn matmul_relu() -> PrimFunc {
     );
     f.root_block_mut().expect("root").alloc_buffers.push(c);
     f
+}
+
+/// `O[vi] += A[vi, vk]` whose `init` is a block of its own, `Z`, beside a
+/// loop that holds nothing (which a `prune_empty` that runs removes).
+fn init_block_beside_an_empty_loop() -> PrimFunc {
+    let a = Buffer::new("A", DataType::float32(), vec![4, 8]);
+    let o = Buffer::new("O", DataType::float32(), vec![4]);
+    let (i, k) = (Var::int("i"), Var::int("k"));
+    let (vi, vk, vz) = (Var::int("vi"), Var::int("vk"), Var::int("vz"));
+    let at = |v: &Var| vec![Expr::from(v)];
+    let z = Block::new(
+        "Z",
+        vec![IterVar::spatial(vz.clone(), 4)],
+        vec![],
+        vec![BufferRegion::point(o.clone(), at(&vz))],
+        Stmt::store(o.clone(), at(&vz), Expr::f32(0.0)),
+    );
+    let row = vec![Expr::from(&vi), Expr::from(&vk)];
+    let mut r = Block::new(
+        "R",
+        vec![
+            IterVar::spatial(vi.clone(), 4),
+            IterVar::reduce(vk.clone(), 8),
+        ],
+        vec![BufferRegion::point(a.clone(), row.clone())],
+        vec![BufferRegion::point(o.clone(), at(&vi))],
+        Stmt::store(o.clone(), at(&vi), o.load(at(&vi)) + a.load(row)),
+    );
+    let realize = |values, block| Stmt::BlockRealize(Box::new(BlockRealize::new(values, block)));
+    r.init = Some(Box::new(realize(at(&vi), z)));
+    let nest = realize(vec![Expr::from(&i), Expr::from(&k)], r).in_loops(vec![(i, 4), (k, 8)]);
+    let hollow = Stmt::Seq(vec![]).in_loop(Var::int("hollow"), 2);
+    PrimFunc::new("f", vec![a, o], Stmt::Seq(vec![hollow, nest]))
 }
 
 fn schedule(func: PrimFunc, auto_verify: bool) -> Schedule {
@@ -273,6 +309,23 @@ fn block_primitives_fail_whole() {
         must_fail_untouched(&mut sch, "blockize: imperfect nest", |s| {
             s.blockize(&loops[0])
         });
+    }
+}
+
+/// Regression: `get_block` looks inside an `init`, the extraction behind
+/// `take_block` did not — it found nothing, pruned the body all the same
+/// (the empty loop went) and then reported the block missing. Both walk
+/// `Stmt::children` now, and a block in an `init` is refused up front.
+#[test]
+fn a_block_inside_an_init_is_refused_whole() {
+    for auto_verify in [true, false] {
+        let mut sch = schedule(init_block_beside_an_empty_loop(), auto_verify);
+        let z = sch.get_block("Z").expect("Z, inside R's init");
+        let err = must_fail_untouched(&mut sch, "compute_inline: block in an init", |s| {
+            s.compute_inline(&z)
+        });
+        assert!(matches!(err, ScheduleError::Precondition(_)), "{err}");
+        sch.get_block("Z").expect("Z is where it was");
     }
 }
 

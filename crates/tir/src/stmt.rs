@@ -423,6 +423,66 @@ impl Stmt {
         }
     }
 
+    /// The statements directly below this one, in execution order: a loop's
+    /// body; a sequence's members; an `if`'s then-branch, then its
+    /// else-branch; a block's `init`, then its `body`; nothing for a store
+    /// or an evaluate. Allocates nothing.
+    ///
+    /// This is the one definition of "child statement". Every pre-order
+    /// lookup in the workspace ([`Stmt::find`], `visit::find_block`, the
+    /// schedule's loop and block lookups and rewrites) is written over it
+    /// and so inherits its order — in particular that **`init` precedes
+    /// `body`**: of two matches, the one in a block's `init` is found first.
+    /// A descent that must not look inside a block (§3.1: the signature
+    /// summarises the body) stops at the `BlockRealize` itself instead of
+    /// taking fewer children.
+    pub fn children(&self) -> impl Iterator<Item = &Stmt> {
+        match self {
+            Stmt::Store { .. } | Stmt::Eval(_) => Children::UpToTwo(None, None),
+            Stmt::Seq(v) => Children::Members(v.iter()),
+            Stmt::For(f) => Children::UpToTwo(Some(&f.body), None),
+            Stmt::IfThenElse {
+                then_branch,
+                else_branch,
+                ..
+            } => Children::UpToTwo(Some(&**then_branch), else_branch.as_deref()),
+            Stmt::BlockRealize(br) => {
+                Children::UpToTwo(br.block.init.as_deref(), Some(&*br.block.body))
+            }
+        }
+    }
+
+    /// [`Stmt::children`], mutably. A `Seq` whose members a caller rewrites
+    /// through this is *not* put back into [`Stmt::seq`] form here; callers
+    /// that can hand back a `Seq` call [`Stmt::normalize_seq`] on the way
+    /// back up.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut Stmt> {
+        match self {
+            Stmt::Store { .. } | Stmt::Eval(_) => Children::UpToTwo(None, None),
+            Stmt::Seq(v) => Children::Members(v.iter_mut()),
+            Stmt::For(f) => Children::UpToTwo(Some(&mut f.body), None),
+            Stmt::IfThenElse {
+                then_branch,
+                else_branch,
+                ..
+            } => Children::UpToTwo(Some(&mut **then_branch), else_branch.as_deref_mut()),
+            Stmt::BlockRealize(br) => {
+                let block = &mut br.block;
+                Children::UpToTwo(block.init.as_deref_mut(), Some(&mut *block.body))
+            }
+        }
+    }
+
+    /// The first statement `pred` accepts in a pre-order walk over
+    /// [`Stmt::children`], this statement included. The walk stops there:
+    /// `pred` is called on nothing after its first match.
+    pub fn find(&self, pred: &mut impl FnMut(&Stmt) -> bool) -> Option<&Stmt> {
+        if pred(self) {
+            return Some(self);
+        }
+        self.children().find_map(|child| child.find(pred))
+    }
+
     /// Wraps this statement in a serial loop.
     pub fn in_loop(self, var: Var, extent: impl Into<Expr>) -> Stmt {
         Stmt::For(Box::new(For::serial(var, extent, self)))
@@ -450,6 +510,25 @@ impl Stmt {
         match self {
             Stmt::For(f) => Some(f),
             _ => None,
+        }
+    }
+}
+
+/// What [`Stmt::children`] and [`Stmt::children_mut`] return: the members
+/// of a sequence, or up to two single statements in order.
+enum Children<I: Iterator> {
+    Members(I),
+    UpToTwo(Option<I::Item>, Option<I::Item>),
+}
+
+impl<I: Iterator> Iterator for Children<I> {
+    type Item = I::Item;
+
+    #[inline]
+    fn next(&mut self) -> Option<I::Item> {
+        match self {
+            Children::Members(members) => members.next(),
+            Children::UpToTwo(first, second) => first.take().or_else(|| second.take()),
         }
     }
 }

@@ -6,6 +6,14 @@
 //! clones it once, itself, and mutates the copy. The traits provide default
 //! `walk_*` methods that recurse into children, so implementations override
 //! only the cases they care about.
+//!
+//! Which statements are a statement's children is defined once, by
+//! [`Stmt::children`]; the lookups at the end of this module are written
+//! over it. The two `walk_stmt` defaults spell the same children out by
+//! hand because they interleave them with the node's expressions and route
+//! blocks through `visit_block`/`mutate_block`, which implementations
+//! override; a test pins that they and `children` visit the same statements
+//! in the same order.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -323,37 +331,28 @@ pub fn expr_any_var(e: &Expr, pred: &mut impl FnMut(&Var) -> bool) -> bool {
 }
 
 /// Statement counterpart of [`expr_any_var`], over the expressions a
-/// [`StmtVisitor`] reaches (block signature regions are not among them).
+/// [`StmtVisitor`] reaches (block signature regions are not among them);
+/// nothing is looked at after the first occurrence `pred` accepts.
 fn stmt_any_var(s: &Stmt, pred: &mut impl FnMut(&Var) -> bool) -> bool {
-    match s {
-        Stmt::Store { indices, value, .. } => {
-            indices.iter().any(|i| expr_any_var(i, pred)) || expr_any_var(value, pred)
-        }
-        Stmt::Eval(e) => expr_any_var(e, pred),
-        Stmt::Seq(v) => v.iter().any(|st| stmt_any_var(st, pred)),
-        Stmt::IfThenElse {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            expr_any_var(cond, pred)
-                || stmt_any_var(then_branch, pred)
-                || else_branch
-                    .as_deref()
-                    .is_some_and(|e| stmt_any_var(e, pred))
-        }
-        Stmt::For(f) => expr_any_var(&f.extent, pred) || stmt_any_var(&f.body, pred),
-        Stmt::BlockRealize(br) => {
-            br.iter_values.iter().any(|v| expr_any_var(v, pred))
-                || expr_any_var(&br.predicate, pred)
-                || br
-                    .block
-                    .init
-                    .as_deref()
-                    .is_some_and(|i| stmt_any_var(i, pred))
-                || stmt_any_var(&br.block.body, pred)
+    struct AnyVar<'a, P> {
+        pred: &'a mut P,
+        found: bool,
+    }
+    impl<P: FnMut(&Var) -> bool> ExprVisitor for AnyVar<'_, P> {
+        fn visit_expr(&mut self, e: &Expr) {
+            self.found = self.found || expr_any_var(e, self.pred);
         }
     }
+    impl<P: FnMut(&Var) -> bool> StmtVisitor for AnyVar<'_, P> {
+        fn visit_stmt(&mut self, s: &Stmt) {
+            if !self.found {
+                self.walk_stmt(s);
+            }
+        }
+    }
+    let mut any = AnyVar { pred, found: false };
+    any.visit_stmt(s);
+    any.found
 }
 
 /// Whether the variable occurs in the expression.
@@ -405,45 +404,22 @@ pub fn collect_accessed_buffers(s: &Stmt) -> Vec<Buffer> {
     c.bufs
 }
 
-/// Calls `f` on every block (realize) in the statement, outer blocks first.
+/// Calls `f` on every block (realize) in the statement, in pre-order over
+/// [`Stmt::children`]: outer blocks first, a block's `init` before its body.
 pub fn for_each_block_realize<'a>(s: &'a Stmt, f: &mut impl FnMut(&'a BlockRealize)) {
-    match s {
-        Stmt::Seq(v) => {
-            for st in v {
-                for_each_block_realize(st, f);
-            }
-        }
-        Stmt::IfThenElse {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            for_each_block_realize(then_branch, f);
-            if let Some(e) = else_branch {
-                for_each_block_realize(e, f);
-            }
-        }
-        Stmt::For(fr) => for_each_block_realize(&fr.body, f),
-        Stmt::BlockRealize(br) => {
-            f(br);
-            if let Some(init) = &br.block.init {
-                for_each_block_realize(init, f);
-            }
-            for_each_block_realize(&br.block.body, f);
-        }
-        Stmt::Store { .. } | Stmt::Eval(_) => {}
+    if let Stmt::BlockRealize(br) = s {
+        f(br);
+    }
+    for child in s.children() {
+        for_each_block_realize(child, f);
     }
 }
 
-/// Finds the (unique) block with the given name, if present.
+/// Finds the first block with the given name in pre-order ([`Stmt::find`]),
+/// if present; names are unique within a function by convention.
 pub fn find_block<'a>(s: &'a Stmt, name: &str) -> Option<&'a BlockRealize> {
-    let mut found = None;
-    for_each_block_realize(s, &mut |br| {
-        if br.block.name == name && found.is_none() {
-            found = Some(br);
-        }
-    });
-    found
+    s.find(&mut |st| matches!(st, Stmt::BlockRealize(br) if br.block.name == name))
+        .and_then(Stmt::as_block_realize)
 }
 
 /// Collects the names of all blocks in the statement, outer-first.
@@ -633,6 +609,84 @@ mod tests {
         };
         let first_loop = top[0].as_for().expect("loop i");
         assert!(matches!(first_loop.body, Stmt::Store { .. }));
+    }
+
+    /// `Stmt::children` is what the default walks visit, in their order;
+    /// `children_mut` yields the same statements; `find` is that pre-order
+    /// with an early exit; so `find_block` answers the outer-first block of
+    /// a name, and one in an `init` before one in the body. (The same
+    /// checks run over the whole test corpus in `tests/schedule_golden.rs`.)
+    #[test]
+    fn children_find_and_the_default_walks_agree() {
+        let t = Buffer::new("T", DataType::float32(), vec![8]);
+        let store = |k: i64| Stmt::store(t.clone(), vec![Expr::int(k)], Expr::f32(1.0));
+        let block = |name: &str, init: Option<Stmt>, body: Stmt| {
+            let mut b = Block::new(name, vec![], vec![], vec![], body);
+            b.init = init.map(Box::new);
+            Stmt::BlockRealize(Box::new(BlockRealize::new(vec![], b)))
+        };
+        let (i, j) = (Var::int("i"), Var::int("j"));
+        let branch = Stmt::IfThenElse {
+            cond: Expr::from(&i).lt(4),
+            then_branch: Box::new(Stmt::seq(vec![store(0), store(1)])),
+            else_branch: Some(Box::new(store(2))),
+        };
+        let inner = block("N", None, block("M", None, store(3)));
+        let outer = block("N", Some(block("M", None, store(4))), inner.in_loop(j, 8));
+        let mut program = Stmt::seq(vec![
+            Stmt::seq(vec![store(5), branch]).in_loop(i, 8),
+            outer,
+            Stmt::Eval(Expr::int(0)),
+        ]);
+
+        fn same_children(s: &mut Stmt) {
+            let shared: Vec<*const Stmt> = s.children().map(|c| c as *const Stmt).collect();
+            let unique: Vec<*const Stmt> = s.children_mut().map(|c| c as *const Stmt).collect();
+            assert_eq!(shared, unique);
+            s.children_mut().for_each(same_children);
+        }
+        same_children(&mut program);
+
+        fn pre_order<'a>(s: &'a Stmt, out: &mut Vec<&'a Stmt>) {
+            out.push(s);
+            s.children().for_each(|c| pre_order(c, out));
+        }
+        let mut order = Vec::new();
+        pre_order(&program, &mut order);
+        struct Visited(Vec<*const Stmt>);
+        impl ExprVisitor for Visited {}
+        impl StmtVisitor for Visited {
+            fn visit_stmt(&mut self, s: &Stmt) {
+                self.0.push(s);
+                self.walk_stmt(s);
+            }
+        }
+        let mut visited = Visited(Vec::new());
+        visited.visit_stmt(&program);
+        let addresses: Vec<*const Stmt> = order.iter().map(|s| *s as *const Stmt).collect();
+        assert_eq!(visited.0, addresses);
+        assert_eq!(order.len(), 17);
+
+        for (k, target) in order.iter().enumerate() {
+            let mut calls = 0;
+            let found = program.find(&mut |s| {
+                calls += 1;
+                std::ptr::eq(s, *target)
+            });
+            assert!(found.is_some_and(|f| std::ptr::eq(f, *target)));
+            assert_eq!(calls, k + 1, "find looked past its match");
+        }
+
+        let n = find_block(&program, "N").expect("N");
+        assert!(
+            n.block.init.is_some(),
+            "the outer N, not the one nested in it"
+        );
+        let m = find_block(&program, "M").expect("M");
+        assert!(
+            matches!(&*m.block.body, Stmt::Store { indices, .. } if indices[0].is_const_int(4))
+        );
+        assert_eq!(block_names(&program), ["N", "M", "N", "M"]);
     }
 
     #[test]

@@ -111,12 +111,7 @@ fn realize(values: Vec<Expr>, block: Block) -> Stmt {
 fn edit(func: &mut PrimFunc, f: &mut dyn FnMut(&mut Stmt)) {
     fn walk(s: &mut Stmt, f: &mut dyn FnMut(&mut Stmt)) {
         f(s);
-        match s {
-            Stmt::For(l) => walk(&mut l.body, f),
-            Stmt::Seq(v) => v.iter_mut().for_each(|st| walk(st, f)),
-            Stmt::BlockRealize(br) => walk(&mut br.block.body, f),
-            _ => {}
-        }
+        s.children_mut().for_each(|child| walk(child, f));
     }
     walk(&mut func.root_block_mut().expect("root block").body, f);
 }

@@ -467,6 +467,35 @@ fn ghosts() -> (LoopRef, BlockRef) {
     (l, block)
 }
 
+type OnLoop = fn(&mut Schedule, &LoopRef) -> Result<(), ScheduleError>;
+type OnBlock = fn(&mut Schedule, &BlockRef) -> Result<(), ScheduleError>;
+type OnBlockAtLoop = fn(&mut Schedule, &BlockRef, &LoopRef) -> Result<(), ScheduleError>;
+
+/// Primitive, what the label says after the loop, and the call.
+const ON_A_LOOP: [(&str, &str, OnLoop); 6] = [
+    ("parallel", "", |s, l| s.parallel(l)),
+    ("vectorize", "", |s, l| s.vectorize(l)),
+    ("unroll", "", |s, l| s.unroll(l)),
+    ("bind", " threadIdx.x", |s, l| {
+        s.bind(l, ThreadTag::ThreadIdxX)
+    }),
+    ("annotate", "", |s, l| {
+        s.annotate(l, "pragma", AnnValue::Int(1))
+    }),
+    ("blockize", "", |s, l| s.blockize(l).map(drop)),
+];
+const ON_A_BLOCK: [(&str, OnBlock); 3] = [
+    ("annotate_block", |s, b| {
+        s.annotate_block(b, "note", AnnValue::Str("x".into()))
+    }),
+    ("compute_inline", |s, b| s.compute_inline(b)),
+    ("reverse_compute_inline", |s, b| s.reverse_compute_inline(b)),
+];
+const ON_A_BLOCK_AT_A_LOOP: [(&str, OnBlockAtLoop); 2] = [
+    ("compute_at", |s, b, l| s.compute_at(b, l)),
+    ("reverse_compute_at", |s, b, l| s.reverse_compute_at(b, l)),
+];
+
 /// The calls that take one loop, one block, or a block and a loop, over
 /// the given sites. The root block is asked everything a block can be asked
 /// at the root, and left out of the block × loop products: it reads and
@@ -489,46 +518,24 @@ fn site_calls(
                 Box::new(move |s| s.split(&l, &factors).map(drop)),
             );
         }
-        let of = || l.clone();
-        let (l1, l2, l3, l4, l5, l6) = (of(), of(), of(), of(), of(), of());
-        push(
-            format!("parallel {name}"),
-            Box::new(move |s| s.parallel(&l1)),
-        );
-        push(
-            format!("vectorize {name}"),
-            Box::new(move |s| s.vectorize(&l2)),
-        );
-        push(format!("unroll {name}"), Box::new(move |s| s.unroll(&l3)));
-        push(
-            format!("bind {name} threadIdx.x"),
-            Box::new(move |s| s.bind(&l4, ThreadTag::ThreadIdxX)),
-        );
-        push(
-            format!("annotate {name}"),
-            Box::new(move |s| s.annotate(&l5, "pragma", AnnValue::Int(1))),
-        );
-        push(
-            format!("blockize {name}"),
-            Box::new(move |s| s.blockize(&l6).map(drop)),
-        );
+        for (primitive, argument, call) in ON_A_LOOP {
+            let l = l.clone();
+            push(
+                format!("{primitive} {name}{argument}"),
+                Box::new(move |s| call(s, &l)),
+            );
+        }
     }
     for b in blocks {
         let name = b.name().to_string();
         let of = || b.clone();
-        let (b1, b2, b3) = (of(), of(), of());
-        push(
-            format!("annotate_block {name}"),
-            Box::new(move |s| s.annotate_block(&b1, "note", AnnValue::Str("x".into()))),
-        );
-        push(
-            format!("compute_inline {name}"),
-            Box::new(move |s| s.compute_inline(&b2)),
-        );
-        push(
-            format!("reverse_compute_inline {name}"),
-            Box::new(move |s| s.reverse_compute_inline(&b3)),
-        );
+        for (primitive, call) in ON_A_BLOCK {
+            let b = of();
+            push(
+                format!("{primitive} {name}"),
+                Box::new(move |s| call(s, &b)),
+            );
+        }
         let below_root: &[(String, LoopRef)] = if name == "root" { &[] } else { loops };
         let attach_points = std::iter::once(("root", None)).chain(
             below_root
@@ -572,15 +579,13 @@ fn site_calls(
             );
         }
         for (at, l) in below_root {
-            let (b4, b5, l4, l5) = (of(), of(), l.clone(), l.clone());
-            push(
-                format!("compute_at {name} {at}"),
-                Box::new(move |s| s.compute_at(&b4, &l4)),
-            );
-            push(
-                format!("reverse_compute_at {name} {at}"),
-                Box::new(move |s| s.reverse_compute_at(&b5, &l5)),
-            );
+            for (primitive, call) in ON_A_BLOCK_AT_A_LOOP {
+                let (b, l) = (of(), l.clone());
+                push(
+                    format!("{primitive} {name} {at}"),
+                    Box::new(move |s| call(s, &b, &l)),
+                );
+            }
         }
     }
     for b in blocks.iter().filter(|b| b.name() != "root") {
@@ -688,23 +693,24 @@ fn nests_where_the_descents_disagreed(func: &PrimFunc) -> bool {
 
 /// Runs `call` on a copy of `base` with the analyzer gate off and, when it
 /// succeeds, once more with the gate on; returns the golden outcome and the
-/// scheduled copy. An `Err` must leave the copy as `base` was — asserted,
-/// except on a seam program, where the line says so instead.
-fn outcome(program: &Program, base: &Schedule, call: &Call) -> (String, Option<Schedule>) {
-    let before = state(base);
+/// scheduled copy. An `Err` must leave the copy as `base` was.
+fn outcome(
+    program: &Program,
+    base: &Schedule,
+    before: &(String, u64, usize),
+    call: &Call,
+) -> (String, Option<Schedule>) {
     let mut sch = base.clone();
     sch.set_auto_verify(false);
     let text = match call(&mut sch) {
         Err(e) => {
-            let touched = state(&sch) != before;
             assert!(
-                program.seam || !touched,
+                state(&sch) == *before,
                 "{}: failed with `{e}` but changed the schedule:\n{}",
                 program.label,
                 sch.func()
             );
-            let mark = if touched { " !TOUCHED" } else { "" };
-            return (format!("err {e}{mark}").replace('\n', "\\n"), None);
+            return (format!("err {e}").replace('\n', "\\n"), None);
         }
         Ok(()) => sch.func().to_string(),
     };
@@ -723,7 +729,7 @@ fn outcome(program: &Program, base: &Schedule, call: &Call) -> (String, Option<S
         }
         Err(e) => {
             assert!(
-                state(&gated) == before,
+                state(&gated) == *before,
                 "{}: rejected with `{e}` but not rolled back",
                 program.label
             );
@@ -760,11 +766,12 @@ fn golden_text() -> String {
             program.label
         );
         out.push_str(&format!("== {}\n", program.label));
+        let before = state(&program.base);
         for site in calls(&program.base, &sites(&program.base)) {
-            let (line, scheduled) = outcome(&program, &program.base, &site.run);
+            let (line, scheduled) = outcome(&program, &program.base, &before, &site.run);
             out.push_str(&format!("{} -> {line}\n", site.label));
             if let (Some(scheduled), Some((label, then))) = (scheduled, &site.then) {
-                let (line, _) = outcome(&program, &scheduled, then);
+                let (line, _) = outcome(&program, &scheduled, &state(&scheduled), then);
                 out.push_str(&format!("{label} -> {line}\n"));
             }
         }
@@ -854,6 +861,79 @@ fn only_seam_programs_nest_where_the_descents_disagreed() {
             "{label}:\n{func}"
         );
     }
+}
+
+/// `Stmt::children` against what already existed, on every program here
+/// and every pipeline and mutant of `tests/corpus`: `children_mut` yields
+/// the same statements; their pre-order is the order in which the default
+/// `StmtVisitor::walk_stmt` reaches statements, so the two cannot drift
+/// apart silently; `find` returns the first match in that order and calls
+/// its predicate on nothing after it.
+#[test]
+fn children_agree_with_the_default_walk_and_find_stops_at_its_match() {
+    fn same_children(s: &mut Stmt) {
+        let shared: Vec<*const Stmt> = s.children().map(|c| c as *const Stmt).collect();
+        let unique: Vec<*const Stmt> = s.children_mut().map(|c| c as *const Stmt).collect();
+        assert_eq!(shared, unique);
+        s.children_mut().for_each(same_children);
+    }
+    fn pre_order<'a>(s: &'a Stmt, out: &mut Vec<&'a Stmt>) {
+        out.push(s);
+        s.children().for_each(|c| pre_order(c, out));
+    }
+    struct Visited(Vec<*const Stmt>);
+    impl ExprVisitor for Visited {}
+    impl StmtVisitor for Visited {
+        fn visit_stmt(&mut self, s: &Stmt) {
+            self.0.push(s);
+            self.walk_stmt(s);
+        }
+    }
+    let mut funcs: Vec<PrimFunc> = (programs().into_iter())
+        .map(|p| p.base.into_func())
+        .collect();
+    funcs.extend(corpus::random_pipelines(112, false));
+    funcs.extend(corpus::gpu_pipelines());
+    funcs.extend(corpus::illegal_mutants().into_iter().map(|(_, f, _)| f));
+    let mut statements = 0;
+    for func in &funcs {
+        let mut copy = Stmt::clone(&func.body);
+        same_children(&mut copy);
+
+        let mut order = Vec::new();
+        pre_order(&func.body, &mut order);
+        let mut visited = Visited(Vec::new());
+        visited.visit_stmt(&func.body);
+        let addresses: Vec<*const Stmt> = order.iter().map(|s| *s as *const Stmt).collect();
+        assert_eq!(visited.0, addresses, "{func}");
+
+        for (k, target) in order.iter().enumerate() {
+            let mut calls = 0;
+            let found = func.body.find(&mut |s| {
+                calls += 1;
+                std::ptr::eq(s, *target)
+            });
+            assert!(found.is_some_and(|f| std::ptr::eq(f, *target)));
+            assert_eq!(calls, k + 1, "find looked past its match in\n{func}");
+        }
+        statements += order.len();
+    }
+    assert!(statements > 1_500, "{statements} statements");
+}
+
+/// Of two blocks of one name `find_block` answers the first in pre-order,
+/// as it did when it visited the rest of the tree as well.
+#[test]
+fn find_block_answers_the_first_of_two_blocks_of_one_name() {
+    let (_, func) = (seam_programs().into_iter())
+        .find(|(label, _)| *label == "two blocks of one name")
+        .expect("the seam program");
+    let x = find_block(&func.body, "X").expect("X");
+    assert_eq!(x.block.writes[0].buffer.name(), "T");
+    let sch = Schedule::new(func);
+    let loops = sch.get_loops(&sch.get_block("X").unwrap()).unwrap();
+    assert_eq!(sch.blocks_under_loop(&loops[0]).unwrap(), ["X"]);
+    assert_eq!(sch.block_names(), ["root", "X", "X"]);
 }
 
 #[test]
