@@ -16,8 +16,10 @@
 //!
 //! With `--check` the bench becomes a CI gate: the optimized VM must be
 //! ≥2x over the unoptimized VM on the gmm/c2d/c1d workloads and on the
-//! scheduled ones, ≥12x over the tree-walker on the former, and the
-//! emitted JSON must be well-formed. Exits non-zero on any violation.
+//! scheduled ones, the tree-walker must cost at most 3.5x the unoptimized
+//! VM per step on the former (the reference every differential check
+//! pays for; it read 5.2–5.9x before it keyed by id), and the emitted
+//! JSON must be well-formed. Exits non-zero on any violation.
 
 use std::time::Instant;
 
@@ -166,7 +168,7 @@ fn main() {
     println!("Interpreter backends: tree-walk vs VM vs optimized VM (release, per-step cost)");
     println!(
         "{:<32} {:>10} {:>14} {:>10} {:>10} {:>8} {:>8}",
-        "workload", "steps", "tree-walk ns", "vm ns", "vm_opt ns", "vm/opt", "tw/opt"
+        "workload", "steps", "tree-walk ns", "vm ns", "vm_opt ns", "vm/opt", "tw/vm"
     );
     let mut rows = Vec::new();
     for (name, func) in &cases {
@@ -179,7 +181,7 @@ fn main() {
             row.vm_ns_per_step,
             row.opt_ns_per_step,
             row.vm_ns_per_step / row.opt_ns_per_step,
-            row.tw_ns_per_step / row.opt_ns_per_step,
+            row.tw_ns_per_step / row.vm_ns_per_step,
         );
         rows.push(row);
     }
@@ -220,16 +222,16 @@ fn main() {
         let named = |r: &Row, prefixes: &[&str]| prefixes.iter().any(|p| r.name.starts_with(p));
         for r in &rows {
             let over_vm = r.vm_ns_per_step / r.opt_ns_per_step;
-            let over_tw = r.tw_ns_per_step / r.opt_ns_per_step;
+            let tw_over_vm = r.tw_ns_per_step / r.vm_ns_per_step;
             if named(r, &["gmm", "c2d", "c1d", "sched"]) && over_vm < 2.0 {
                 failures.push(format!(
                     "{}: vm_opt only {over_vm:.2}x over vm (need >= 2x)",
                     r.name
                 ));
             }
-            if named(r, &["gmm", "c2d", "c1d"]) && over_tw < 12.0 {
+            if named(r, &["gmm", "c2d", "c1d"]) && tw_over_vm > 3.5 {
                 failures.push(format!(
-                    "{}: vm_opt only {over_tw:.2}x over tree-walk (need >= 12x)",
+                    "{}: tree-walk costs {tw_over_vm:.2}x vm per step (need <= 3.5x)",
                     r.name
                 ));
             }
@@ -237,7 +239,7 @@ fn main() {
         if failures.is_empty() {
             println!(
                 "CHECK ok: vm_opt >= 2x vm on gmm/c2d/c1d and the scheduled programs, \
-                 >= 12x tree-walk on gmm/c2d/c1d"
+                 tree-walk <= 3.5x vm on gmm/c2d/c1d"
             );
         } else {
             for f in &failures {

@@ -18,6 +18,7 @@
 use std::collections::HashMap;
 
 use tensorir_bench::alloc_count::{counted, CountingAlloc};
+use tir::builder::matmul_func;
 use tir::simplify::{simplify_expr, simplify_stmt};
 use tir::structural::{func_structural_eq, structural_hash};
 use tir::visit::{replace_buffers, subst_expr, subst_stmt};
@@ -26,6 +27,7 @@ use tir_autoschedule::{
     build_sketches, Decision, SketchRule, Strategy, TuneOptions, TuningDatabase,
 };
 use tir_exec::machine::Machine;
+use tir_exec::{run_with, ExecBackend, Tensor};
 use tir_graph::{compile_model_with, fuse_graph, resnet50};
 use tir_rand::rngs::StdRng;
 use tir_rand::SeedableRng;
@@ -255,4 +257,37 @@ fn warm_hits_allocate_a_small_exact_constant() {
         (allocs, again),
         (WARM_COMPILE_RESNET50, WARM_COMPILE_RESNET50)
     );
+}
+
+/// The tree-walker allocates per run, never per step: its environment, the
+/// stack of bindings its blocks shadow and its buffer map grow with the
+/// loop nest and the buffer count, so a matmul and a c2d with 7.6x and 4x
+/// the steps make the same count as small ones (5 and 7). The walker that
+/// keyed a `HashMap<Var, f64>` allocated per block realize and per access.
+#[test]
+fn tree_walk_allocates_per_run_not_per_step() {
+    let f32_ = DataType::float32();
+    let count = |f: PrimFunc| {
+        let args: Vec<Tensor> = (f.params.iter())
+            .map(|p| Tensor::zeros(p.dtype(), p.shape()))
+            .collect();
+        let (out, allocs) = counted(|| run_with(&f, args, ExecBackend::TreeWalk, None));
+        (out.expect("runs").steps, allocs)
+    };
+    for (small, large) in [
+        (
+            matmul_func("mm", 8, 8, 8, f32_),
+            matmul_func("mm", 16, 16, 16, f32_),
+        ),
+        (
+            tir_workloads::ops::c2d(1, 6, 6, 4, 4, 3, 3, 1, f32_),
+            tir_workloads::ops::c2d(1, 10, 10, 4, 4, 3, 3, 1, f32_),
+        ),
+    ] {
+        let name = small.name.clone();
+        let ((small_steps, small), (large_steps, large)) = (count(small), count(large));
+        println!("{name}: {small} allocations for {small_steps} steps, {large} for {large_steps}");
+        assert!(large_steps >= 4 * small_steps, "{name}");
+        assert_eq!(small, large, "{name}: allocations grow with steps");
+    }
 }

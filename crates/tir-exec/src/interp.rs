@@ -6,10 +6,20 @@
 //! iteration, and stores quantize through the destination buffer's dtype.
 //! It is the correctness oracle of this repository: every scheduling
 //! transformation must leave interpreter output unchanged.
+//!
+//! The tree-walker reads `Stmt`/`Expr` directly, with no lowering and no
+//! pre-pass, so that it stays the one implementation independent of the
+//! bytecode compiler it checks. It keys what it holds by id — variables by
+//! [`Var::id`] in a short list, buffers by [`Buffer::id`] — folds each
+//! access into a row-major offset while it evaluates the indices, and keeps
+//! the bindings a block shadows on one reusable stack: a step allocates
+//! nothing.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 
+use tir::expr::IdHasher;
 use tir::simplify::{floor_div_i64, floor_mod_i64};
 use tir::{BinOp, BlockRealize, Buffer, Expr, IterKind, PrimFunc, Stmt, Var};
 
@@ -80,6 +90,9 @@ pub(crate) enum MathFn {
 }
 
 impl MathFn {
+    /// The most arguments any intrinsic reads.
+    const ARITY: usize = 3;
+
     /// Resolves an intrinsic name, `None` if unknown.
     pub(crate) fn from_name(name: &str) -> Option<MathFn> {
         Some(match name {
@@ -141,44 +154,60 @@ fn erf(x: f64) -> f64 {
 
 /// The interpreter state: buffer storage plus the variable environment.
 pub struct Interpreter {
-    /// Tensor storage, keyed by buffer identity.
-    pub buffers: HashMap<Buffer, Tensor>,
-    env: HashMap<Var, f64>,
+    /// Tensor storage, keyed by [`Buffer::id`].
+    buffers: HashMap<usize, Tensor, BuildHasherDefault<IdHasher>>,
+    /// The dynamic environment: one `(Var::id, value)` entry per bound
+    /// variable, the most recently bound last. A binder un-binds on exit,
+    /// so the list is as long as the loop and block nest is deep.
+    env: Vec<(usize, f64)>,
+    /// What the realizes being executed shadowed: `(Var::id, old value)`
+    /// per block iterator, restored when the realize exits.
+    saved: Vec<(usize, Option<f64>)>,
+    /// Step budget (one step per store/eval executed).
     fuel: u64,
     steps: u64,
+    /// Every load/store index is verified against its buffer's shape per
+    /// dimension, turning the debug-only assertions of
+    /// [`Tensor::get`]/[`Tensor::set`] into [`ExecError::OutOfBounds`] in
+    /// every build profile.
     checked: bool,
 }
 
 impl Interpreter {
-    /// Creates an interpreter with the default step budget.
-    pub fn new() -> Self {
+    fn new(fuel: u64, checked: bool) -> Self {
         Interpreter {
-            buffers: HashMap::new(),
-            env: HashMap::new(),
-            fuel: DEFAULT_FUEL,
+            buffers: HashMap::default(),
+            env: Vec::new(),
+            saved: Vec::new(),
+            fuel,
             steps: 0,
-            checked: false,
+            checked,
         }
     }
 
-    /// Sets the execution step budget (one step per store/eval executed).
-    pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.fuel = fuel;
-        self
+    fn lookup(&self, var: &Var) -> Result<f64> {
+        let id = var.id();
+        match self.env.iter().rev().find(|(bound, _)| *bound == id) {
+            Some(&(_, value)) => Ok(value),
+            None => Err(ExecError::UnboundVar(var.name().to_string())),
+        }
     }
 
-    /// Enables checked execution: every load/store index is verified
-    /// against its buffer's shape per dimension, turning the debug-only
-    /// assertions of [`Tensor::get`]/[`Tensor::set`] into
-    /// [`ExecError::OutOfBounds`] in every build profile.
-    pub fn with_checked(mut self, checked: bool) -> Self {
-        self.checked = checked;
-        self
+    /// Binds `id` to `value`, returning what it was bound to before.
+    fn bind(&mut self, id: usize, value: f64) -> Option<f64> {
+        match self.env.iter_mut().rev().find(|(bound, _)| *bound == id) {
+            Some(slot) => Some(std::mem::replace(&mut slot.1, value)),
+            None => {
+                self.env.push((id, value));
+                None
+            }
+        }
     }
 
-    /// Number of store/eval steps executed so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
+    fn unbind(&mut self, id: usize) {
+        if let Some(at) = self.env.iter().rposition(|(bound, _)| *bound == id) {
+            self.env.remove(at);
+        }
     }
 
     fn tick(&mut self) -> Result<()> {
@@ -195,10 +224,7 @@ impl Interpreter {
             Expr::Int(v, _) => *v as f64,
             Expr::Float(v, _) => *v,
             Expr::Str(_) => 0.0,
-            Expr::Var(v) => *self
-                .env
-                .get(v)
-                .ok_or_else(|| ExecError::UnboundVar(v.name().to_string()))?,
+            Expr::Var(v) => self.lookup(v)?,
             Expr::Cast(dt, v) => {
                 let x = self.eval(v)?;
                 if dt.is_int() || dt.is_bool() {
@@ -209,13 +235,13 @@ impl Interpreter {
             }
             Expr::Bin(op, a, b) => {
                 let (x, y) = (self.eval(a)?, self.eval(b)?);
-                let int_op = a.dtype().is_int() && b.dtype().is_int();
+                let int_op = || a.dtype().is_int() && b.dtype().is_int();
                 match op {
                     BinOp::Add => x + y,
                     BinOp::Sub => x - y,
                     BinOp::Mul => x * y,
                     BinOp::Div => {
-                        if int_op {
+                        if int_op() {
                             if y == 0.0 {
                                 return Err(ExecError::DivisionByZero);
                             }
@@ -228,7 +254,7 @@ impl Interpreter {
                         if y == 0.0 {
                             return Err(ExecError::DivisionByZero);
                         }
-                        if int_op {
+                        if int_op() {
                             floor_div_i64(x as i64, y as i64) as f64
                         } else {
                             (x / y).floor()
@@ -238,7 +264,7 @@ impl Interpreter {
                         if y == 0.0 {
                             return Err(ExecError::DivisionByZero);
                         }
-                        if int_op {
+                        if int_op() {
                             floor_mod_i64(x as i64, y as i64) as f64
                         } else {
                             x - (x / y).floor() * y
@@ -263,46 +289,68 @@ impl Interpreter {
                 }
             }
             Expr::Load { buffer, indices } => {
-                let idx = self.eval_indices(indices)?;
+                // Indices first: their errors come before `UnboundBuffer`.
+                let (off, in_bounds) = self.offset(buffer, indices)?;
                 let t = self
                     .buffers
-                    .get(buffer)
+                    .get(&buffer.id())
                     .ok_or_else(|| ExecError::UnboundBuffer(buffer.name().to_string()))?;
-                if self.checked {
-                    match t.try_offset(&idx) {
-                        Some(off) => t.get_flat(off),
-                        None => return Err(oob(buffer, &idx)),
-                    }
-                } else {
-                    t.get(&idx)
-                }
+                self.check_bounds(in_bounds, buffer, indices)?;
+                t.get_flat(off as usize)
             }
             Expr::Call { name, args, .. } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a)?);
+                // Every argument is evaluated, for its errors; missing ones
+                // read as zero, as `MathFn::eval` defaults them.
+                let mut vals = [0.0; MathFn::ARITY];
+                for (k, a) in args.iter().enumerate() {
+                    let x = self.eval(a)?;
+                    if let Some(slot) = vals.get_mut(k) {
+                        *slot = x;
+                    }
                 }
-                eval_math_intrinsic(name, &vals)
+                MathFn::from_name(name)
                     .ok_or_else(|| ExecError::UnknownIntrinsic(name.clone()))?
+                    .eval(&vals)
             }
         })
     }
 
-    fn eval_indices(&self, indices: &[Expr]) -> Result<Vec<i64>> {
-        indices
-            .iter()
-            .map(|i| Ok(self.eval(i)?.round() as i64))
-            .collect()
+    /// Evaluates `indices` in order, folding them into a row-major offset
+    /// of `buffer` as [`Tensor`] lays it out; the flag says whether every
+    /// index is inside its dimension and the rank is the buffer's.
+    fn offset(&self, buffer: &Buffer, indices: &[Expr]) -> Result<(i64, bool)> {
+        let shape = buffer.shape();
+        let (mut off, mut in_bounds) = (0i64, indices.len() == shape.len());
+        for (k, e) in indices.iter().enumerate() {
+            let idx = self.eval(e)?.round() as i64;
+            if let Some(&dim) = shape.get(k) {
+                off = off * dim + idx;
+                in_bounds &= (0..dim).contains(&idx);
+            }
+        }
+        Ok((off, in_bounds))
     }
 
-    fn ensure_alloc(&mut self, buffer: &Buffer) {
-        self.buffers
-            .entry(buffer.clone())
-            .or_insert_with(|| Tensor::zeros(buffer.dtype(), buffer.shape()));
+    /// Checked, an access outside its buffer fails with the index list;
+    /// unchecked, it is asserted in debug builds only, as [`Tensor::get`]
+    /// does, and the flat data bound still holds.
+    fn check_bounds(&self, in_bounds: bool, buffer: &Buffer, indices: &[Expr]) -> Result<()> {
+        if !in_bounds && self.checked {
+            let idx: Vec<i64> = (indices.iter())
+                .map(|e| Ok(self.eval(e)?.round() as i64))
+                .collect::<Result<_>>()?;
+            return Err(ExecError::OutOfBounds(format!(
+                "index {idx:?} of buffer {} (shape {:?})",
+                buffer.name(),
+                buffer.shape()
+            )));
+        }
+        debug_assert!(in_bounds, "index out of bounds of buffer {}", buffer.name());
+        Ok(())
     }
 
     /// Executes one statement.
-    pub fn exec(&mut self, s: &Stmt) -> Result<()> {
+    fn exec(&mut self, s: &Stmt) -> Result<()> {
         match s {
             Stmt::Store {
                 buffer,
@@ -310,18 +358,13 @@ impl Interpreter {
                 value,
             } => {
                 self.tick()?;
-                let idx = self.eval_indices(indices)?;
+                let (off, in_bounds) = self.offset(buffer, indices)?;
                 let v = self.eval(value)?;
-                self.ensure_alloc(buffer);
-                let t = self.buffers.get_mut(buffer).expect("just allocated");
-                if self.checked {
-                    match t.try_offset(&idx) {
-                        Some(off) => t.set_flat(off, v),
-                        None => return Err(oob(buffer, &idx)),
-                    }
-                } else {
-                    t.set(&idx, v);
-                }
+                self.check_bounds(in_bounds, buffer, indices)?;
+                self.buffers
+                    .entry(buffer.id())
+                    .or_insert_with(|| Tensor::zeros(buffer.dtype(), buffer.shape()))
+                    .set_flat(off as usize, v);
                 Ok(())
             }
             Stmt::Eval(e) => {
@@ -350,11 +393,14 @@ impl Interpreter {
             }
             Stmt::For(f) => {
                 let extent = self.eval(&f.extent)?.round() as i64;
+                let id = f.var.id();
                 for i in 0..extent {
-                    self.env.insert(f.var.clone(), i as f64);
+                    self.bind(id, i as f64);
                     self.exec(&f.body)?;
                 }
-                self.env.remove(&f.var);
+                // Dynamic scope: this also un-binds an outer binding of the
+                // same variable.
+                self.unbind(id);
                 Ok(())
             }
             Stmt::BlockRealize(br) => self.exec_block_realize(br),
@@ -367,34 +413,37 @@ impl Interpreter {
         }
         let block = &br.block;
         // Bind block iterators to their realized values.
-        let mut saved = Vec::with_capacity(block.iter_vars.len());
+        let base = self.saved.len();
         let mut reduce_at_start = true;
         for (iv, value) in block.iter_vars.iter().zip(&br.iter_values) {
             let v = self.eval(value)?;
             if iv.kind == IterKind::Reduce && v != 0.0 {
                 reduce_at_start = false;
             }
-            saved.push((iv.var.clone(), self.env.insert(iv.var.clone(), v)));
+            let id = iv.var.id();
+            let prev = self.bind(id, v);
+            self.saved.push((id, prev));
         }
         for b in &block.alloc_buffers {
             // A fresh allocation per entry of the allocating block.
             self.buffers
-                .insert(b.clone(), Tensor::zeros(b.dtype(), b.shape()));
+                .insert(b.id(), Tensor::zeros(b.dtype(), b.shape()));
         }
         if let (Some(init), true) = (&block.init, reduce_at_start) {
             self.exec(init)?;
         }
         self.exec(&block.body)?;
-        for (var, prev) in saved {
-            match prev {
-                Some(v) => {
-                    self.env.insert(var, v);
+        // Restored in binding order: an iterator bound twice by one block
+        // keeps its first value.
+        for k in base..self.saved.len() {
+            match self.saved[k] {
+                (id, Some(v)) => {
+                    self.bind(id, v);
                 }
-                None => {
-                    self.env.remove(&var);
-                }
+                (id, None) => self.unbind(id),
             }
         }
+        self.saved.truncate(base);
         Ok(())
     }
 
@@ -413,21 +462,6 @@ impl Interpreter {
     pub fn run(func: &PrimFunc, args: Vec<Tensor>) -> Result<Vec<Tensor>> {
         Ok(run_with(func, args, ExecBackend::default(), None)?.outputs)
     }
-}
-
-impl Default for Interpreter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Formats an out-of-bounds diagnostic for one access.
-fn oob(buffer: &Buffer, idx: &[i64]) -> ExecError {
-    ExecError::OutOfBounds(format!(
-        "index {idx:?} of buffer {} (shape {:?})",
-        buffer.name(),
-        buffer.shape()
-    ))
 }
 
 /// Validates argument count against the parameter list.
@@ -566,20 +600,20 @@ fn tree_walk_run_checked(
     checked: bool,
 ) -> Result<RunOutcome> {
     check_arity(&func.name, &func.params, &args)?;
-    let mut interp = Interpreter::new().with_fuel(fuel).with_checked(checked);
+    let mut interp = Interpreter::new(fuel, checked);
     for (p, t) in func.params.iter().zip(args) {
         check_arg(p, &t)?;
-        interp.buffers.insert(p.clone(), t);
+        interp.buffers.insert(p.id(), t);
     }
     interp.exec(&func.body)?;
     let outputs = func
         .params
         .iter()
-        .map(|p| interp.buffers.remove(p).expect("param bound"))
+        .map(|p| interp.buffers.remove(&p.id()).expect("param bound"))
         .collect();
     Ok(RunOutcome {
         outputs,
-        steps: interp.steps(),
+        steps: interp.steps,
     })
 }
 
@@ -749,11 +783,7 @@ mod tests {
             .iter()
             .map(|p| Tensor::zeros(p.dtype(), p.shape()))
             .collect();
-        let mut interp = Interpreter::new().with_fuel(10);
-        for (p, t) in f.params.iter().zip(args) {
-            interp.buffers.insert(p.clone(), t);
-        }
-        let err = interp.exec(&f.body).unwrap_err();
+        let err = run_with(&f, args, ExecBackend::TreeWalk, Some(10)).unwrap_err();
         assert!(matches!(err, ExecError::OutOfFuel));
     }
 

@@ -346,9 +346,22 @@ impl Schedule {
     /// taken, is reported with nothing touched.
     pub(crate) fn take_block(&mut self, block: &BlockRef) -> Result<BlockRealize> {
         let name = block.name();
-        // An `init` runs on the first step of its block's reduction only
-        // (§3.1): what is in it is not a statement of the loop nest, to be
-        // moved or dissolved like one.
+        self.refuse_block_in_init(name)?;
+        let mut out = None;
+        self.mutate_body(|body| {
+            out = extract_block(body, name);
+            if out.is_some() {
+                prune_empty(body);
+            }
+            out.is_some()
+        });
+        out.ok_or_else(|| ScheduleError::BlockNotFound(name.to_string()))
+    }
+
+    /// An `init` runs on the first step of its block's reduction only
+    /// (§3.1): what is in it is not a statement of the loop nest, to be
+    /// moved or dissolved like one.
+    fn refuse_block_in_init(&self, name: &str) -> Result<()> {
         let holds_it = &mut |s: &Stmt| {
             let init = s.as_block_realize().and_then(|br| br.block.init.as_deref());
             init.is_some_and(|init| tir::visit::find_block(init, name).is_some())
@@ -359,15 +372,7 @@ impl Schedule {
                 outer.block.name
             ));
         }
-        let mut out = None;
-        self.mutate_body(|body| {
-            out = extract_block(body, name);
-            if out.is_some() {
-                prune_empty(body);
-            }
-            out.is_some()
-        });
-        out.ok_or_else(|| ScheduleError::BlockNotFound(name.to_string()))
+        Ok(())
     }
 
     /// Moves producer `block` to the top of `loop_ref`'s body, shrinking it
@@ -485,12 +490,15 @@ impl Schedule {
     }
 
     /// Inlines an elementwise producer block into its consumers: the block
-    /// body must be a single store of the form `B[v0, .., vn] = f(v0..vn)`.
+    /// body must be a single store of the form `B[v0, .., vn] = f(v0..vn)`,
+    /// and that store must be the only one to `B`, which the function
+    /// allocates: inlining deletes every value `B` held.
     ///
     /// # Errors
     ///
     /// Fails when the block has reductions, multiple statements, or
-    /// non-identity store indices.
+    /// non-identity store indices, or writes a parameter or a buffer that
+    /// something else also stores to.
     pub fn compute_inline(&mut self, block: &BlockRef) -> Result<()> {
         let br = self.block_node(block)?;
         if br.block.is_reduction() {
@@ -514,6 +522,21 @@ impl Schedule {
                 "compute_inline requires identity store indices in block {}",
                 block.name()
             )));
+        }
+        // `take_block`'s refusal below comes first.
+        self.refuse_block_in_init(block.name())?;
+        self.refuse_to_eliminate_param("compute_inline", buffer)?;
+        let mut stores = 0;
+        let second_writer = self.func.body.find(&mut |s| {
+            stores += usize::from(matches!(s, Stmt::Store { buffer: b, .. } if b == buffer));
+            stores > 1
+        });
+        if second_writer.is_some() {
+            return precondition(format!(
+                "compute_inline requires block {} to be the only writer of {}",
+                block.name(),
+                buffer.name()
+            ));
         }
         let (buffer, value) = (buffer.clone(), value.clone());
         struct Inliner<'a> {
@@ -614,6 +637,9 @@ impl Schedule {
                  use decompose_reduction first",
             );
         }
+        // `take_block`'s refusal below comes first.
+        self.refuse_block_in_init(block.name())?;
+        self.refuse_to_eliminate_param("reverse_compute_inline", &src)?;
         let (dst, value) = (dst.clone(), value.clone());
         struct Rewriter<'a> {
             src: &'a Buffer,
@@ -701,6 +727,18 @@ impl Schedule {
             "reverse_compute_inline",
             vec![block.name().into()],
         ))
+    }
+
+    /// An inline deletes the buffer it eliminates; a parameter's final
+    /// value is what the caller gets back.
+    fn refuse_to_eliminate_param(&self, primitive: &str, buffer: &Buffer) -> Result<()> {
+        if self.func.params.contains(buffer) {
+            return precondition(format!(
+                "{primitive} cannot eliminate {}, a parameter of the function",
+                buffer.name()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -928,5 +966,72 @@ mod tests {
         assert!(matches!(err, ScheduleError::Precondition(_)), "{err}");
         sch.get_block("D").expect("D restored");
         assert_same_semantics(&matmul_relu(8), sch.func(), 1, 0.0);
+    }
+
+    /// Schedules `func` with `prepare`, then calls `inline`: an `Ok` must
+    /// compute what `func` computed in its last `outputs` parameters, and
+    /// the call must be refused. Each case here returned `Ok` and a wrong
+    /// answer, auto-verify on, before the refusals existed.
+    fn assert_inline_refused(
+        func: tir::PrimFunc,
+        outputs: usize,
+        prepare: impl FnOnce(&mut Schedule),
+        inline: impl FnOnce(&mut Schedule) -> Result<()>,
+    ) -> String {
+        let mut sch = Schedule::new(func.clone());
+        prepare(&mut sch);
+        let result = inline(&mut sch);
+        if result.is_ok() {
+            assert_same_semantics(&func, sch.func(), outputs, 1e-5);
+        }
+        match result {
+            Err(ScheduleError::Precondition(m)) => m,
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
+    /// `add_exp` with `B` a parameter instead of an allocation.
+    fn add_exp_returning_b() -> tir::PrimFunc {
+        let f = add_exp();
+        let root = f.root_block().expect("root");
+        let (b, body) = (root.alloc_buffers[0].clone(), Stmt::clone(&root.body));
+        let params = vec![f.params[0].clone(), b, f.params[1].clone()];
+        tir::PrimFunc::new("add_exp_b", params, body)
+    }
+
+    #[test]
+    fn inlining_never_eliminates_a_parameter() {
+        let nothing = |_: &mut Schedule| {};
+        // C is the output: inlining it leaves the caller's C unwritten.
+        let m = assert_inline_refused(add_exp(), 1, nothing, |s| {
+            s.compute_inline(&s.get_block("C")?)
+        });
+        assert!(m.contains("cannot eliminate C"), "{m}");
+        let m = assert_inline_refused(add_exp_returning_b(), 2, nothing, |s| {
+            s.compute_inline(&s.get_block("B")?)
+        });
+        assert!(m.contains("cannot eliminate B"), "{m}");
+        // Reverse-inlining C into B's block redirects B's stores to C.
+        let m = assert_inline_refused(add_exp_returning_b(), 2, nothing, |s| {
+            s.reverse_compute_inline(&s.get_block("C")?)
+        });
+        assert!(m.contains("cannot eliminate B"), "{m}");
+    }
+
+    #[test]
+    fn compute_inline_refuses_one_of_two_writers() {
+        // decompose_reduction(C, k) leaves C_init (C = 0) and C (C += A*B);
+        // inlining C_init turned the update into C = 0 + A*B of the last k.
+        let decompose = |s: &mut Schedule| {
+            let c = s.get_block("C").expect("C");
+            let k = s.get_loops(&c).expect("loops")[2].clone();
+            s.decompose_reduction(&c, &k).expect("decompose");
+        };
+        let inline_init = |s: &mut Schedule| s.compute_inline(&s.get_block("C_init")?);
+        let f32_ = DataType::float32();
+        let m = assert_inline_refused(matmul_func("mm", 8, 8, 8, f32_), 1, decompose, inline_init);
+        assert!(m.contains("cannot eliminate C"), "{m}");
+        let m = assert_inline_refused(matmul_relu(8), 1, decompose, inline_init);
+        assert!(m.contains("only writer of C"), "{m}");
     }
 }
