@@ -5,7 +5,8 @@
 //! (float16 on `sim_gpu`, int8 on `sim_arm`, `Strategy::TensorIr`) and 40
 //! seeded decision vectors each, `tests/golden/sketch_apply.txt` records
 //! what `apply` returned: the structural hash and a hash of the printed
-//! program, or the `ScheduleError` variant. The file was generated on the
+//! program, or the `ScheduleError` variant; every `Ok` program is asserted
+//! to be well-formed (`tir::well_formed`). The file was generated on the
 //! commit *before* the primitives were rewritten to work in place; a
 //! mismatch means a primitive now builds a different tree (a dropped
 //! `Seq` normalization shows here first, and would otherwise surface only
@@ -59,11 +60,14 @@ fn outcomes() -> String {
     for_each_sketch(|label, results| {
         for (seed, result) in results.into_iter().enumerate() {
             let outcome = match result {
-                Ok(f) => format!(
-                    "ok {:016x} {:016x}",
-                    structural_hash(&f),
-                    fnv1a(&f.to_string())
-                ),
+                Ok(f) => {
+                    assert_eq!(tir::well_formed(&f), Ok(()), "{label} {seed}:\n{f}");
+                    format!(
+                        "ok {:016x} {:016x}",
+                        structural_hash(&f),
+                        fnv1a(&f.to_string())
+                    )
+                }
                 Err(ScheduleError::BlockNotFound(_)) => "err BlockNotFound".into(),
                 Err(ScheduleError::LoopNotFound(_)) => "err LoopNotFound".into(),
                 Err(ScheduleError::Precondition(_)) => "err Precondition".into(),

@@ -38,6 +38,7 @@ pub mod simplify;
 pub mod stmt;
 pub mod structural;
 pub mod visit;
+pub mod well_formed;
 
 pub use buffer::{Buffer, BufferRegion, MemScope, RangeExpr};
 pub use dtype::{DataType, TypeCode};
@@ -47,3 +48,4 @@ pub use stmt::{
     AnnValue, Annotations, Block, BlockRealize, For, ForKind, IterKind, IterVar, Stmt, ThreadTag,
     RELAXING_ANNOTATIONS,
 };
+pub use well_formed::{well_formed, WellFormedError};

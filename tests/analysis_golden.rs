@@ -17,7 +17,8 @@
 //! programs of the `tir-analysis` unit tests, the `C_local` false reject
 //! recorded in EXPERIMENTS.md, and programs built for the places where the
 //! checks used to walk differently (a loop of non-constant extent, guards,
-//! accesses in bindings and predicates, a shadowed variable).
+//! accesses in bindings and predicates, a shadowed variable). All of them
+//! are well-formed (`tir::well_formed`) except the two in `MALFORMED`.
 //!
 //! In a debug build the walk also asserts at its end that its scope is
 //! empty again — every loop, binding, block and interval refinement undone
@@ -32,8 +33,8 @@ use std::sync::OnceLock;
 
 use tir::builder::{compute, matmul_func};
 use tir::{
-    AnnValue, Block, BlockRealize, Buffer, BufferRegion, CmpOp, DataType, Expr, For, ForKind,
-    IterVar, MemScope, PrimFunc, Stmt, ThreadTag, Var,
+    well_formed, AnnValue, Block, BlockRealize, Buffer, BufferRegion, CmpOp, DataType, Expr, For,
+    ForKind, IterVar, MemScope, PrimFunc, Stmt, ThreadTag, Var,
 };
 use tir_analysis::validate::check_loop_nests;
 use tir_analysis::{
@@ -605,12 +606,27 @@ fn programs() -> &'static [(String, PrimFunc)] {
     })
 }
 
+/// The programs that are not well-formed, and the rule each breaks (the
+/// `Debug` name of its `WellFormedError`). Every other program is.
+const MALFORMED: [(&str, &str); 2] = [
+    ("hand-built: binding to an unbound variable", "UnboundVar"),
+    ("hand-built: shadowed loop variable", "ShadowedBinding"),
+];
+
 fn golden_text() -> String {
     let mut out = String::new();
+    let mut malformed = 0;
     for (label, func) in programs() {
+        let rule = MALFORMED.iter().find(|(l, _)| l == label);
+        match (well_formed(func), rule) {
+            (Ok(()), None) => {}
+            (Err(e), Some((_, kind))) if format!("{e:?}").starts_with(kind) => malformed += 1,
+            (verdict, _) => panic!("{label}: well_formed says {verdict:?}"),
+        }
         out.push_str(&golden_line(label, func));
         out.push('\n');
     }
+    assert_eq!(malformed, MALFORMED.len());
     out
 }
 

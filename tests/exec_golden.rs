@@ -3,13 +3,15 @@
 //!
 //! The tree-walker is the reference the two bytecode executors answer to
 //! (`vm_differential`), so nothing else can tell when it moves. Every
-//! program below runs twice on seeded inputs: on
-//! `run_with(.., ExecBackend::TreeWalk, ..)`, and on the *checked* walker,
+//! program below runs three times on seeded inputs: on
+//! `run_with(.., ExecBackend::TreeWalk, ..)`, on the *checked* walker,
 //! reached through `run_sanitized`'s fallback by wrapping the body in two
 //! loops of one variable, which the compiler refuses (`ShadowedBinding`)
-//! and the walker runs once. A line is the label, the walker, then either
-//! `ok <FNV-1a of the output f64 bits> <steps>`, `err <the ExecError>`, or
-//! `panic <message>`.
+//! and the walker runs once, and on `run_sanitized` itself. A line is the
+//! label, the executor, then either `ok <FNV-1a of the output f64 bits>
+//! <steps>`, `err <the ExecError>`, or `panic <message>`. Every program is
+//! well-formed (`tir::well_formed`) except seven seams, each of which
+//! breaks the rule named in `MALFORMED`.
 //!
 //! The programs: every program of `tests/corpus` (operator families,
 //! random and GPU pipelines, the illegal mutants), the programs the
@@ -32,7 +34,9 @@ mod corpus;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tir::builder::{compute, matmul_func};
-use tir::{BinOp, Block, BlockRealize, Buffer, DataType, Expr, IterVar, PrimFunc, Stmt, Var};
+use tir::{
+    well_formed, BinOp, Block, BlockRealize, Buffer, DataType, Expr, IterVar, PrimFunc, Stmt, Var,
+};
 use tir_exec::{compile, run_sanitized, run_with, ExecBackend, RunOutcome, Tensor};
 
 const GOLDEN: &str = include_str!("golden/exec_outcomes.txt");
@@ -611,9 +615,40 @@ fn shadow_wrapped(func: &PrimFunc) -> PrimFunc {
     PrimFunc::new(func.name.clone(), func.params.clone(), body)
 }
 
+/// The programs that are not well-formed, and the rule each breaks (the
+/// `Debug` name of its `WellFormedError`). Every other program is.
+const MALFORMED: [(&str, &str); 7] = [
+    ("seam: shadowed binding", "ShadowedBinding"),
+    ("seam: duplicate param", "DuplicateParam"),
+    (
+        "seam: read after the shadowing inner loop",
+        "ShadowedBinding",
+    ),
+    (
+        "seam: block iterator shadows a loop variable",
+        "ShadowedBinding",
+    ),
+    (
+        "seam: one iterator bound twice by one block",
+        "RepeatedIterator",
+    ),
+    (
+        "expr: unknown intrinsic of an unbound variable",
+        "UnboundVar",
+    ),
+    ("loop: an extent of an unbound variable", "UnboundVar"),
+];
+
 fn golden_text() -> String {
     let mut out = String::new();
+    let mut malformed = 0;
     for c in cases() {
+        let rule = MALFORMED.iter().find(|(label, _)| *label == c.label);
+        match (well_formed(&c.func), rule) {
+            (Ok(()), None) => {}
+            (Err(e), Some((_, kind))) if format!("{e:?}").starts_with(kind) => malformed += 1,
+            (verdict, _) => panic!("{}: well_formed says {verdict:?}", c.label),
+        }
         let args = corpus::seeded_args(&c.func, c.seed);
         if !c.checked_only {
             let line = outcome(|| run_with(&c.func, args.clone(), ExecBackend::TreeWalk, c.fuel));
@@ -621,9 +656,12 @@ fn golden_text() -> String {
         }
         let wrapped = shadow_wrapped(&c.func);
         assert!(compile(&wrapped).is_err(), "{}: the wrap compiles", c.label);
-        let line = outcome(|| run_sanitized(&wrapped, args, c.fuel));
+        let line = outcome(|| run_sanitized(&wrapped, args.clone(), c.fuel));
         out.push_str(&format!("{} / checked -> {line}\n", c.label));
+        let line = outcome(|| run_sanitized(&c.func, args, c.fuel));
+        out.push_str(&format!("{} / sanitized -> {line}\n", c.label));
     }
+    assert_eq!(malformed, MALFORMED.len());
     out
 }
 

@@ -374,13 +374,14 @@ fn parse_outcomes_match_golden() {
     );
 }
 
-/// Every well-formed text of the corpus parses, and printing what was
-/// parsed gives the text back: the hash in the file is the hash of the
-/// input.
+/// Every well-formed text of the corpus parses to a well-formed program
+/// (`tir::well_formed`), and printing what was parsed gives the text back:
+/// the hash in the file is the hash of the input.
 #[test]
 fn well_formed_texts_reprint_as_themselves() {
     for (label, text) in well_formed() {
         let func = parse_func(text).unwrap_or_else(|e| panic!("{label}: {e}\n{text}"));
+        assert_eq!(tir::well_formed(&func), Ok(()), "{label}");
         assert_eq!(&func.to_string(), text, "{label}");
     }
 }

@@ -17,7 +17,9 @@
 //! what the analyzer makes of the result (`valid`, or `invalid` and the
 //! hash of the rejection), or `err <the ScheduleError>`. After every `err`
 //! the program text, its structural hash and the trace length are asserted
-//! to be what they were: the strong failure guarantee, per call.
+//! to be what they were: the strong failure guarantee, per call. Every
+//! program, every replayed step and every `ok` outcome is asserted to be
+//! well-formed (`tir::well_formed`).
 //!
 //! The programs: every family of `corpus::workload_families`, two-block
 //! pipelines and fused epilogue groups (for the compute-location
@@ -40,8 +42,8 @@ use tir::builder::{compute, matmul_func};
 use tir::structural::{func_structural_eq, structural_hash};
 use tir::visit::{find_block, ExprVisitor, StmtVisitor};
 use tir::{
-    AnnValue, Block, BlockRealize, Buffer, BufferRegion, DataType, Expr, IterVar, MemScope,
-    PrimFunc, Stmt, ThreadTag, Var,
+    well_formed, AnnValue, Block, BlockRealize, Buffer, BufferRegion, DataType, Expr, IterVar,
+    MemScope, PrimFunc, Stmt, ThreadTag, Var,
 };
 use tir_autoschedule::{build_sketches, Strategy};
 use tir_exec::machine::Machine;
@@ -714,6 +716,12 @@ fn outcome(
         }
         Ok(()) => sch.func().to_string(),
     };
+    assert_eq!(
+        well_formed(sch.func()),
+        Ok(()),
+        "{}:\n{text}",
+        program.label
+    );
     assert!(
         program.seam || !nests_where_the_descents_disagreed(sch.func()),
         "{}: a primitive built a loop or block inside an init, or a block below an if:\n{text}",
@@ -748,6 +756,7 @@ fn golden_text() -> String {
         sch.set_auto_verify(false);
         for step in recorded.trace().steps() {
             sch.apply_trace_step(step).expect("a recorded step replays");
+            assert_eq!(well_formed(sch.func()), Ok(()), "{label}: {step}");
             let hashes = (
                 fnv1a(&sch.func().to_string()),
                 fnv1a(&sch.trace().to_string()),
@@ -762,6 +771,12 @@ fn golden_text() -> String {
     for program in programs() {
         assert!(
             program.seam || !nests_where_the_descents_disagreed(program.base.func()),
+            "{}",
+            program.label
+        );
+        assert_eq!(
+            well_formed(program.base.func()),
+            Ok(()),
             "{}",
             program.label
         );
