@@ -54,6 +54,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Since `required_region` keeps one record of the loops it is inside (it
 /// kept three maps) `apply` makes 1 708, 1 517 and 817 (1 749, 1 530 and
 /// 835 on the commit before); the third budget follows, the caps stay.
+/// Since validation starts with `tir::well_formed` (one allocation per
+/// `validate`) `apply` makes 1 709, 1 521 and 818; the budgets stay.
 const APPLY_GMM_GPU: u64 = 1_860;
 const APPLY_C2D_GPU: u64 = 1_660;
 const APPLY_GMM_CPU: u64 = 898;
@@ -161,6 +163,28 @@ fn candidate_allocations_repeat_and_stay_in_budget() {
     }
 }
 
+/// `tir::well_formed`, which every program entering the parser, the
+/// verifier and the executors goes through, allocates its scope once per
+/// call (twice if the nest is deeper than its initial capacity), whatever
+/// the size of the program.
+#[test]
+fn well_formed_allocates_at_most_twice_per_call() {
+    let c2d_gpu_scalar = Row {
+        name: "C2D f16 gpu-scalar",
+        sketch_prefix: "gpu-scalar",
+        kind: OpKind::C2D,
+        ..gmm_gpu_tensor()
+    };
+    for row in [gmm_gpu_tensor(), c2d_gpu_scalar] {
+        let (sketch, decisions) = candidate(&row);
+        let func = sketch.apply(&decisions).expect("applies");
+        let (verdict, allocs) = counted(|| tir::well_formed(&func));
+        assert_eq!(verdict, Ok(()), "{}", func.name);
+        println!("{:<22} well_formed {allocs} allocations", row.name);
+        assert!(allocs <= 2, "{}: {allocs} allocations", func.name);
+    }
+}
+
 /// `simplify`, `subst` and `replace_buffers` cost what they change: on a
 /// tree they leave as it is they allocate nothing.
 #[test]
@@ -259,10 +283,10 @@ fn warm_hits_allocate_a_small_exact_constant() {
     );
 }
 
-/// The tree-walker allocates per run, never per step: its environment, the
-/// stack of bindings its blocks shadow and its buffer map grow with the
-/// loop nest and the buffer count, so a matmul and a c2d with 7.6x and 4x
-/// the steps make the same count as small ones (5 and 7). The walker that
+/// The tree-walker allocates per run, never per step: its entry check's
+/// scope, its lexical environment and its buffer map grow with the loop
+/// nest and the buffer count, so a matmul and a c2d with 7.6x and 4x the
+/// steps make the same count as small ones (5 and 6). The walker that
 /// keyed a `HashMap<Var, f64>` allocated per block realize and per access.
 #[test]
 fn tree_walk_allocates_per_run_not_per_step() {

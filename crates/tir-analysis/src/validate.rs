@@ -24,7 +24,7 @@ use tir::structural::expr_structural_eq;
 use tir::visit::{expr_any_var, expr_uses_var, ExprVisitor};
 use tir::{
     BinOp, Block, BlockRealize, Buffer, Expr, For, ForKind, IterKind, MemScope, PrimFunc,
-    ThreadTag, Var,
+    ThreadTag, Var, WellFormedError,
 };
 use tir_arith::iter_map::{detect_iter_map_with, CoverMode, IterMapError};
 
@@ -33,6 +33,9 @@ use crate::walk::{self, Check, Scope};
 /// A validation failure.
 #[derive(Clone, PartialEq, Debug)]
 pub enum ValidationError {
+    /// The program is not well-formed ([`tir::well_formed()`]); reported
+    /// first, before what the checks find in it.
+    Malformed(WellFormedError),
     /// A loop extent is not a compile-time constant.
     NonConstantExtent {
         /// The loop variable.
@@ -134,6 +137,7 @@ pub enum ValidationError {
 impl std::fmt::Display for ValidationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ValidationError::Malformed(e) => write!(f, "{e}"),
             ValidationError::NonConstantExtent { loop_var } => {
                 write!(f, "loop {loop_var} has a non-constant extent")
             }
@@ -675,8 +679,11 @@ mod tests {
         assert_valid(&f);
     }
 
-    fn block_with_bindings(bindings: Vec<Expr>, kinds: Vec<(i64, IterKind)>) -> PrimFunc {
-        // Builds: for i in 0..N: block with given bindings.
+    fn block_with_bindings(
+        bindings: impl FnOnce(&Var) -> Vec<Expr>,
+        kinds: Vec<(i64, IterKind)>,
+    ) -> PrimFunc {
+        // Builds: for i in 0..16: block with the bindings made of `i`.
         let out = Buffer::new("O", DataType::float32(), vec![16]);
         let vars: Vec<Var> = (0..kinds.len())
             .map(|k| Var::int(format!("v{k}")))
@@ -692,9 +699,8 @@ mod tests {
         let body = Stmt::store(out.clone(), vec![Expr::from(&vars[0])], Expr::f32(0.0));
         let block = Block::new("b", iter_vars, vec![], vec![out.full_region()], body);
         let i = Var::int("i");
-        let realize = tir::BlockRealize::new(bindings, block);
-        let stmt = Stmt::BlockRealize(Box::new(realize)).in_loop(i.clone(), 16);
-        // Substitute `i` placeholder: caller builds bindings over this var.
+        let realize = tir::BlockRealize::new(bindings(&i), block);
+        let stmt = Stmt::BlockRealize(Box::new(realize)).in_loop(i, 16);
         PrimFunc::new("f", vec![out], stmt)
     }
 
@@ -759,13 +765,20 @@ mod tests {
 
     #[test]
     fn domain_mismatch_without_predicate() {
-        let f = block_with_bindings(
-            vec![Expr::from(&Var::int("unbound"))],
-            vec![(16, IterKind::Spatial)],
-        );
-        // The binding references a var that is not the loop var.
+        // v0 in [0, 8) bound to i in [0, 16), and no predicate.
+        let f = block_with_bindings(|i| vec![Expr::from(i)], vec![(8, IterKind::Spatial)]);
         let errors = check_loop_nests(&f);
-        assert!(!errors.is_empty());
+        assert!(
+            matches!(
+                &errors[..],
+                [ValidationError::DomainMismatch {
+                    declared: 8,
+                    bound: 16,
+                    ..
+                }]
+            ),
+            "{errors:?}"
+        );
     }
 
     #[test]

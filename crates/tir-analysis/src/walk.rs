@@ -401,8 +401,10 @@ impl<'a> Walk<'a, '_> {
 }
 
 /// Walks `func` once, feeding `checks`, and returns their diagnostics in
-/// the order loop nests, region cover, bounds, races, scopes. `memo` lets
-/// loop-nest validation replay verdicts it remembers.
+/// the order loop nests, region cover, bounds, races, scopes. Loop-nest
+/// validation starts with [`ValidationError::Malformed`] if the program is
+/// not well-formed. `memo` lets loop-nest validation replay verdicts it
+/// remembers.
 pub(crate) fn run(
     func: &PrimFunc,
     checks: &[Check],
@@ -412,6 +414,9 @@ pub(crate) fn run(
     walk.nests.memo = memo;
     for check in checks {
         walk.scope.on[*check as usize] = true;
+    }
+    if walk.scope.on(Check::Nests) {
+        (walk.nests.errors).extend(tir::well_formed(func).err().map(ValidationError::Malformed));
     }
     walk.stmt(&func.body);
     let scope = &walk.scope;

@@ -16,45 +16,17 @@
 //!
 //! Semantics are bit-identical to the tree-walker by construction: the
 //! same `f64` arithmetic runs in the same order, errors
-//! ([`ExecError`](crate::ExecError)) fire at the same evaluation points,
-//! and the fuel counter ticks on exactly the same statements. The only
-//! programs rejected (see [`CompileError`]) are ones where lexical and
-//! dynamic variable scope could diverge; [`run_with`](crate::run_with)
-//! falls back to the tree-walker for those.
+//! ([`ExecError`]) fire at the same evaluation points, and the fuel counter
+//! ticks on exactly the same statements. Both bind variables lexically, and
+//! the compiler refuses, as every executor does, a program that is not
+//! well-formed ([`tir::well_formed()`]): every variable it reads has one
+//! binder around it, so every read is a frame slot.
 
 use std::collections::HashMap;
-use std::fmt;
 
 use tir::{BinOp, Block, BlockRealize, Buffer, CmpOp, DataType, Expr, IterKind, PrimFunc, Stmt};
 
-use crate::interp::MathFn;
-
-/// A program the compiler cannot lower; execution falls back to the
-/// tree-walking backend.
-#[derive(Clone, Debug)]
-pub enum CompileError {
-    /// A variable is bound by two nested binders (loop or block). The
-    /// tree-walker's dynamic environment un-binds the variable when the
-    /// inner binder exits, which lexical frame slots cannot reproduce.
-    ShadowedBinding(String),
-    /// The same buffer appears twice in the parameter list.
-    DuplicateParam(String),
-}
-
-impl fmt::Display for CompileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CompileError::ShadowedBinding(v) => {
-                write!(f, "variable {v} is bound by two nested binders")
-            }
-            CompileError::DuplicateParam(b) => {
-                write!(f, "buffer {b} appears twice in the parameter list")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
+use crate::interp::{ExecError, MathFn};
 
 /// A `(start, len)` window into one of the [`Program`]'s shared dense
 /// pools. Access sites used to own per-site `Box<[..]>` tables; pooling
@@ -207,8 +179,6 @@ pub(crate) enum Op {
     LoadVar { dst: u32, slot: u32 },
     /// `frame[slot] = regs[src]`
     SetVar { slot: u32, src: u32 },
-    /// Raise `UnboundVar(names[name])`.
-    ThrowUnboundVar { name: u32 },
     /// Raise `UnknownIntrinsic(names[name])`.
     ThrowUnknownIntrinsic { name: u32 },
     /// Cast with the tree-walker's quantization semantics.
@@ -306,14 +276,13 @@ pub(crate) enum Op {
 
 impl Op {
     /// Number of opcodes (the size of an instruction-mix table).
-    pub(crate) const COUNT: usize = 28;
+    pub(crate) const COUNT: usize = 27;
 
     /// Display names, indexed by [`Op::opcode`].
     pub(crate) const MNEMONICS: [&'static str; Op::COUNT] = [
         "const",
         "load_var",
         "set_var",
-        "throw_unbound_var",
         "throw_unknown_intrinsic",
         "cast",
         "bin",
@@ -346,31 +315,30 @@ impl Op {
             Op::Const { .. } => 0,
             Op::LoadVar { .. } => 1,
             Op::SetVar { .. } => 2,
-            Op::ThrowUnboundVar { .. } => 3,
-            Op::ThrowUnknownIntrinsic { .. } => 4,
-            Op::Cast { .. } => 5,
-            Op::Bin { .. } => 6,
-            Op::Cmp { .. } => 7,
-            Op::Not { .. } => 8,
-            Op::Call { .. } => 9,
-            Op::Load { .. } => 10,
-            Op::Store { .. } => 11,
-            Op::Tick => 12,
-            Op::Jump { .. } => 13,
-            Op::JumpIfZero { .. } => 14,
-            Op::ForSetup { .. } => 15,
-            Op::ForNext { .. } => 16,
-            Op::ResetReduceFlag => 17,
-            Op::UpdateReduceFlag { .. } => 18,
-            Op::JumpIfReduceFlagFalse { .. } => 19,
-            Op::AllocBuf { .. } => 20,
-            Op::HoistSet { .. } => 21,
-            Op::LoadCast { .. } => 22,
-            Op::BinStore { .. } => 23,
-            Op::StoreConst { .. } => 24,
-            Op::FusedAcc { .. } => 25,
-            Op::FusedMac { .. } => 26,
-            Op::MacLanes { .. } => 27,
+            Op::ThrowUnknownIntrinsic { .. } => 3,
+            Op::Cast { .. } => 4,
+            Op::Bin { .. } => 5,
+            Op::Cmp { .. } => 6,
+            Op::Not { .. } => 7,
+            Op::Call { .. } => 8,
+            Op::Load { .. } => 9,
+            Op::Store { .. } => 10,
+            Op::Tick => 11,
+            Op::Jump { .. } => 12,
+            Op::JumpIfZero { .. } => 13,
+            Op::ForSetup { .. } => 14,
+            Op::ForNext { .. } => 15,
+            Op::ResetReduceFlag => 16,
+            Op::UpdateReduceFlag { .. } => 17,
+            Op::JumpIfReduceFlagFalse { .. } => 18,
+            Op::AllocBuf { .. } => 19,
+            Op::HoistSet { .. } => 20,
+            Op::LoadCast { .. } => 21,
+            Op::BinStore { .. } => 22,
+            Op::StoreConst { .. } => 23,
+            Op::FusedAcc { .. } => 24,
+            Op::FusedMac { .. } => 25,
+            Op::MacLanes { .. } => 26,
         }
     }
 }
@@ -427,12 +395,12 @@ impl Program {
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] for programs whose dynamic-scoping corner
-/// cases the bytecode cannot represent; callers fall back to the
-/// tree-walking backend for those.
-pub fn compile(func: &PrimFunc) -> Result<Program, CompileError> {
-    let mut c = Compiler::new(func)?;
-    c.compile_stmt(&func.body)?;
+/// Returns [`ExecError::Malformed`] for a program that is not well-formed
+/// ([`tir::well_formed()`]); any other program compiles.
+pub fn compile(func: &PrimFunc) -> Result<Program, ExecError> {
+    tir::well_formed(func).map_err(ExecError::Malformed)?;
+    let mut c = Compiler::new(func);
+    c.compile_stmt(&func.body);
     Ok(c.finish(func))
 }
 
@@ -475,7 +443,7 @@ struct Compiler {
 }
 
 impl Compiler {
-    fn new(func: &PrimFunc) -> Result<Self, CompileError> {
+    fn new(func: &PrimFunc) -> Self {
         let mut c = Compiler {
             ops: Vec::new(),
             accesses: Vec::new(),
@@ -500,12 +468,9 @@ impl Compiler {
             num_hoists: 0,
         };
         for p in &func.params {
-            if c.buf_ids.contains_key(p) {
-                return Err(CompileError::DuplicateParam(p.name().to_string()));
-            }
             c.buf_id(p);
         }
-        Ok(c)
+        c
     }
 
     fn buf_id(&mut self, b: &Buffer) -> u32 {
@@ -544,22 +509,14 @@ impl Compiler {
     }
 
     /// Registers `var` as bound by the innermost binder.
-    fn bind(&mut self, var: &tir::Var) -> Result<u32, CompileError> {
-        if self.find_var(var).is_some() {
-            return Err(CompileError::ShadowedBinding(var.name().to_string()));
-        }
+    fn bind(&mut self, var: &tir::Var) -> u32 {
         let slot = self.slot(var);
         self.binders
             .last_mut()
             .expect("root binder")
             .vars
             .push(var.id());
-        Ok(slot)
-    }
-
-    fn unbind_all(&mut self, frame: BinderFrame) {
-        // Dropping the frame removes its vars from lexical scope.
-        drop(frame);
+        slot
     }
 
     /// Deepest binder level whose variable the expression references, if
@@ -598,7 +555,7 @@ impl Compiler {
 
     /// Compiles `e` so its value lands in register `base`; scratch
     /// registers `> base` may be clobbered.
-    fn compile_expr(&mut self, e: &Expr, base: u32) -> Result<(), CompileError> {
+    fn compile_expr(&mut self, e: &Expr, base: u32) {
         self.touch_reg(base);
         match e {
             Expr::Int(v, _) => self.ops.push(Op::Const {
@@ -610,18 +567,13 @@ impl Compiler {
                 dst: base,
                 val: 0.0,
             }),
-            Expr::Var(v) => match self.find_var(v) {
-                Some(_) => {
-                    let slot = self.slot(v);
-                    self.ops.push(Op::LoadVar { dst: base, slot });
-                }
-                None => {
-                    let name = self.name_id(v.name());
-                    self.ops.push(Op::ThrowUnboundVar { name });
-                }
-            },
+            Expr::Var(v) => {
+                let slot = *(self.slot_of.get(&v.id()))
+                    .expect("a well-formed program reads a variable only where it is bound");
+                self.ops.push(Op::LoadVar { dst: base, slot });
+            }
             Expr::Cast(dt, x) => {
-                self.compile_expr(x, base)?;
+                self.compile_expr(x, base);
                 self.ops.push(Op::Cast {
                     dst: base,
                     src: base,
@@ -630,8 +582,8 @@ impl Compiler {
                 });
             }
             Expr::Bin(op, a, b) => {
-                self.compile_expr(a, base)?;
-                self.compile_expr(b, base + 1)?;
+                self.compile_expr(a, base);
+                self.compile_expr(b, base + 1);
                 let int_op = a.dtype().is_int() && b.dtype().is_int();
                 let kind = match (op, int_op) {
                     (BinOp::Add, _) => BinKind::Add,
@@ -656,8 +608,8 @@ impl Compiler {
                 });
             }
             Expr::Cmp(op, a, b) => {
-                self.compile_expr(a, base)?;
-                self.compile_expr(b, base + 1)?;
+                self.compile_expr(a, base);
+                self.compile_expr(b, base + 1);
                 self.ops.push(Op::Cmp {
                     op: *op,
                     dst: base,
@@ -666,24 +618,24 @@ impl Compiler {
                 });
             }
             Expr::Not(x) => {
-                self.compile_expr(x, base)?;
+                self.compile_expr(x, base);
                 self.ops.push(Op::Not {
                     dst: base,
                     src: base,
                 });
             }
             Expr::Select { cond, then, other } => {
-                self.compile_expr(cond, base)?;
+                self.compile_expr(cond, base);
                 let jz = self.ops.len();
                 self.ops.push(Op::JumpIfZero {
                     reg: base,
                     target: 0,
                 });
-                self.compile_expr(then, base)?;
+                self.compile_expr(then, base);
                 let jmp = self.ops.len();
                 self.ops.push(Op::Jump { target: 0 });
                 let else_at = self.ops.len() as u32;
-                self.compile_expr(other, base)?;
+                self.compile_expr(other, base);
                 let end_at = self.ops.len() as u32;
                 if let Op::JumpIfZero { target, .. } = &mut self.ops[jz] {
                     *target = else_at;
@@ -693,12 +645,12 @@ impl Compiler {
                 }
             }
             Expr::Load { buffer, indices } => {
-                let access = self.compile_access(buffer, indices, base)?;
+                let access = self.compile_access(buffer, indices, base);
                 self.ops.push(Op::Load { dst: base, access });
             }
             Expr::Call { name, args, .. } => {
                 for (i, a) in args.iter().enumerate() {
-                    self.compile_expr(a, base + i as u32)?;
+                    self.compile_expr(a, base + i as u32);
                 }
                 match MathFn::from_name(name) {
                     Some(f) => self.ops.push(Op::Call {
@@ -714,19 +666,13 @@ impl Compiler {
                 }
             }
         }
-        Ok(())
     }
 
     /// Lowers one access site. Constant dims fold into `base`; pure
     /// loop-invariant dims hoist to the binder owning their deepest
     /// variable; the rest evaluate inline into registers starting at
     /// `first_reg` (in dimension order, preserving error order).
-    fn compile_access(
-        &mut self,
-        buffer: &Buffer,
-        indices: &[Expr],
-        first_reg: u32,
-    ) -> Result<u32, CompileError> {
+    fn compile_access(&mut self, buffer: &Buffer, indices: &[Expr], first_reg: u32) -> u32 {
         let buf = self.buf_id(buffer);
         let shape = buffer.shape();
         // Row-major strides.
@@ -751,7 +697,7 @@ impl Compiler {
                         // the owning binder's head (registers are free
                         // there: binder heads sit between statements).
                         let start = self.ops.len();
-                        self.compile_expr(e, 0)?;
+                        self.compile_expr(e, 0);
                         self.ops.push(Op::HoistSet {
                             slot,
                             src: 0,
@@ -762,7 +708,7 @@ impl Compiler {
                         hoists.push(slot);
                     }
                     _ => {
-                        self.compile_expr(e, next)?;
+                        self.compile_expr(e, next);
                         inline.push((next, stride));
                         next += 1;
                     }
@@ -803,10 +749,10 @@ impl Compiler {
             slots: PoolRange::default(),
             race,
         });
-        Ok(id)
+        id
     }
 
-    fn compile_stmt(&mut self, s: &Stmt) -> Result<(), CompileError> {
+    fn compile_stmt(&mut self, s: &Stmt) {
         match s {
             Stmt::Store {
                 buffer,
@@ -814,9 +760,9 @@ impl Compiler {
                 value,
             } => {
                 self.ops.push(Op::Tick);
-                let access = self.compile_access(buffer, indices, 0)?;
+                let access = self.compile_access(buffer, indices, 0);
                 let val_reg = self.accesses[access as usize].regs.len;
-                self.compile_expr(value, val_reg)?;
+                self.compile_expr(value, val_reg);
                 self.ops.push(Op::Store {
                     access,
                     val: val_reg,
@@ -824,11 +770,11 @@ impl Compiler {
             }
             Stmt::Eval(e) => {
                 self.ops.push(Op::Tick);
-                self.compile_expr(e, 0)?;
+                self.compile_expr(e, 0);
             }
             Stmt::Seq(v) => {
                 for st in v {
-                    self.compile_stmt(st)?;
+                    self.compile_stmt(st);
                 }
             }
             Stmt::IfThenElse {
@@ -836,10 +782,10 @@ impl Compiler {
                 then_branch,
                 else_branch,
             } => {
-                self.compile_expr(cond, 0)?;
+                self.compile_expr(cond, 0);
                 let jz = self.ops.len();
                 self.ops.push(Op::JumpIfZero { reg: 0, target: 0 });
-                self.compile_stmt(then_branch)?;
+                self.compile_stmt(then_branch);
                 let end = match else_branch {
                     Some(eb) => {
                         let jmp = self.ops.len();
@@ -848,7 +794,7 @@ impl Compiler {
                         if let Op::JumpIfZero { target, .. } = &mut self.ops[jz] {
                             *target = else_at;
                         }
-                        self.compile_stmt(eb)?;
+                        self.compile_stmt(eb);
                         let end = self.ops.len() as u32;
                         if let Op::Jump { target } = &mut self.ops[jmp] {
                             *target = end;
@@ -862,14 +808,14 @@ impl Compiler {
                 }
             }
             Stmt::For(f) => {
-                self.compile_expr(&f.extent, 0)?;
+                self.compile_expr(&f.extent, 0);
                 let loop_id = self.num_loops;
                 self.num_loops += 1;
                 self.binders.push(BinderFrame {
                     vars: Vec::new(),
                     insert_pos: 0,
                 });
-                let var_slot = self.bind(&f.var)?;
+                let var_slot = self.bind(&f.var);
                 let setup = self.ops.len();
                 self.ops.push(Op::ForSetup {
                     loop_id,
@@ -882,7 +828,7 @@ impl Compiler {
                 if f.kind.is_parallel() {
                     self.par_loops.push(loop_id);
                 }
-                self.compile_stmt(&f.body)?;
+                self.compile_stmt(&f.body);
                 if f.kind.is_parallel() {
                     self.par_loops.pop();
                 }
@@ -895,16 +841,14 @@ impl Compiler {
                 if let Op::ForSetup { end: e, .. } = &mut self.ops[setup] {
                     *e = end;
                 }
-                let frame = self.binders.pop().expect("frame");
-                self.unbind_all(frame);
+                self.binders.pop();
             }
-            Stmt::BlockRealize(br) => self.compile_block_realize(br)?,
+            Stmt::BlockRealize(br) => self.compile_block_realize(br),
         }
-        Ok(())
     }
 
-    fn compile_block_realize(&mut self, br: &BlockRealize) -> Result<(), CompileError> {
-        self.compile_expr(&br.predicate, 0)?;
+    fn compile_block_realize(&mut self, br: &BlockRealize) {
+        self.compile_expr(&br.predicate, 0);
         let jz = self.ops.len();
         self.ops.push(Op::JumpIfZero { reg: 0, target: 0 });
         let block: &Block = &br.block;
@@ -920,8 +864,8 @@ impl Compiler {
         // Bind iterators one at a time: the tree-walker inserts each into
         // the environment before evaluating the next binding value.
         for (iv, value) in block.iter_vars.iter().zip(&br.iter_values) {
-            self.compile_expr(value, 0)?;
-            let slot = self.bind(&iv.var)?;
+            self.compile_expr(value, 0);
+            let slot = self.bind(&iv.var);
             self.ops.push(Op::SetVar { slot, src: 0 });
             if has_init && has_reduce && iv.kind == IterKind::Reduce {
                 self.ops.push(Op::UpdateReduceFlag { reg: 0 });
@@ -947,7 +891,7 @@ impl Compiler {
             } else {
                 None
             };
-            self.compile_stmt(init)?;
+            self.compile_stmt(init);
             if let Some(at) = guard {
                 let target = self.ops.len() as u32;
                 if let Op::JumpIfReduceFlagFalse { target: t } = &mut self.ops[at] {
@@ -955,17 +899,15 @@ impl Compiler {
                 }
             }
         }
-        self.compile_stmt(&block.body)?;
+        self.compile_stmt(&block.body);
         if relaxing {
             self.relax_depth -= 1;
         }
-        let frame = self.binders.pop().expect("frame");
-        self.unbind_all(frame);
+        self.binders.pop();
         let end = self.ops.len() as u32;
         if let Op::JumpIfZero { target, .. } = &mut self.ops[jz] {
             *target = end;
         }
-        Ok(())
     }
 
     /// Deduplicates pending hoist sequences: two hoisted terms with the
@@ -1107,7 +1049,6 @@ mod tests {
             Op::Const { dst: 0, val: 0.0 },
             Op::LoadVar { dst: 0, slot: 0 },
             Op::SetVar { slot: 0, src: 0 },
-            Op::ThrowUnboundVar { name: 0 },
             Op::ThrowUnknownIntrinsic { name: 0 },
             Op::Cast {
                 dst: 0,

@@ -89,9 +89,6 @@ impl fmt::Display for Program {
                 Op::Const { dst, val } => writeln!(f, "const r{dst} = {val}")?,
                 Op::LoadVar { dst, slot } => writeln!(f, "load_var r{dst} = v{slot}")?,
                 Op::SetVar { slot, src } => writeln!(f, "set_var v{slot} = r{src}")?,
-                Op::ThrowUnboundVar { name } => {
-                    writeln!(f, "throw_unbound_var {}", self.names[*name as usize])?;
-                }
                 Op::ThrowUnknownIntrinsic { name } => {
                     writeln!(f, "throw_unknown_intrinsic {}", self.names[*name as usize])?;
                 }

@@ -8,12 +8,12 @@
 //! transformation must leave interpreter output unchanged.
 //!
 //! The tree-walker reads `Stmt`/`Expr` directly, with no lowering and no
-//! pre-pass, so that it stays the one implementation independent of the
+//! pre-pass beyond the [`tir::well_formed()`] check every executor makes at
+//! entry, so that it stays the one implementation independent of the
 //! bytecode compiler it checks. It keys what it holds by id — variables by
-//! [`Var::id`] in a short list, buffers by [`Buffer::id`] — folds each
-//! access into a row-major offset while it evaluates the indices, and keeps
-//! the bindings a block shadows on one reusable stack: a step allocates
-//! nothing.
+//! [`Var::id`] on a lexical stack, buffers by [`Buffer::id`] — and folds
+//! each access into a row-major offset while it evaluates the indices: a
+//! step allocates nothing.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -21,19 +21,20 @@ use std::hash::BuildHasherDefault;
 
 use tir::expr::IdHasher;
 use tir::simplify::{floor_div_i64, floor_mod_i64};
-use tir::{BinOp, BlockRealize, Buffer, Expr, IterKind, PrimFunc, Stmt, Var};
+use tir::{BinOp, BlockRealize, Buffer, Expr, IterKind, PrimFunc, Stmt, Var, WellFormedError};
 
 use crate::tensor::{quantize, Tensor};
 
 /// An execution failure.
 #[derive(Clone, Debug)]
 pub enum ExecError {
+    /// The program is not well-formed ([`tir::well_formed()`]); no executor
+    /// runs it.
+    Malformed(WellFormedError),
     /// Argument count or shape/dtype mismatch against the function params.
     BadArguments(String),
     /// A call to an intrinsic the interpreter does not know.
     UnknownIntrinsic(String),
-    /// An unbound variable was referenced.
-    UnboundVar(String),
     /// A load from a buffer that was never allocated (neither a parameter,
     /// nor in any `alloc_buffers`, nor previously stored to).
     UnboundBuffer(String),
@@ -41,7 +42,7 @@ pub enum ExecError {
     DivisionByZero,
     /// The step budget was exhausted (runaway program guard).
     OutOfFuel,
-    /// A buffer access fell outside the buffer's shape (checked mode).
+    /// A buffer access fell outside the buffer's storage (sanitizer mode).
     OutOfBounds(String),
     /// Two iterations of a parallel loop made conflicting accesses to the
     /// same element (sanitizer mode).
@@ -51,9 +52,9 @@ pub enum ExecError {
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ExecError::Malformed(e) => write!(f, "{e}"),
             ExecError::BadArguments(s) => write!(f, "bad arguments: {s}"),
             ExecError::UnknownIntrinsic(s) => write!(f, "unknown intrinsic: {s}"),
-            ExecError::UnboundVar(s) => write!(f, "unbound variable: {s}"),
             ExecError::UnboundBuffer(s) => write!(f, "load from unallocated buffer: {s}"),
             ExecError::DivisionByZero => write!(f, "division by zero"),
             ExecError::OutOfFuel => write!(f, "execution step budget exhausted"),
@@ -134,11 +135,6 @@ impl MathFn {
     }
 }
 
-/// Evaluates a pure math intrinsic by name.
-pub fn eval_math_intrinsic(name: &str, args: &[f64]) -> Option<f64> {
-    Some(MathFn::from_name(name)?.eval(args))
-}
-
 /// Abramowitz–Stegun rational approximation of erf (max error ~1.5e-7).
 fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
@@ -156,58 +152,30 @@ fn erf(x: f64) -> f64 {
 pub struct Interpreter {
     /// Tensor storage, keyed by [`Buffer::id`].
     buffers: HashMap<usize, Tensor, BuildHasherDefault<IdHasher>>,
-    /// The dynamic environment: one `(Var::id, value)` entry per bound
-    /// variable, the most recently bound last. A binder un-binds on exit,
-    /// so the list is as long as the loop and block nest is deep.
+    /// The lexical environment: one `(Var::id, value)` entry per enclosing
+    /// binder, innermost last. A loop pushes its entry once and updates it
+    /// in place; a block pushes its iterators and truncates on exit.
     env: Vec<(usize, f64)>,
-    /// What the realizes being executed shadowed: `(Var::id, old value)`
-    /// per block iterator, restored when the realize exits.
-    saved: Vec<(usize, Option<f64>)>,
     /// Step budget (one step per store/eval executed).
     fuel: u64,
     steps: u64,
-    /// Every load/store index is verified against its buffer's shape per
-    /// dimension, turning the debug-only assertions of
-    /// [`Tensor::get`]/[`Tensor::set`] into [`ExecError::OutOfBounds`] in
-    /// every build profile.
-    checked: bool,
 }
 
 impl Interpreter {
-    fn new(fuel: u64, checked: bool) -> Self {
+    fn new(fuel: u64) -> Self {
         Interpreter {
             buffers: HashMap::default(),
             env: Vec::new(),
-            saved: Vec::new(),
             fuel,
             steps: 0,
-            checked,
         }
     }
 
-    fn lookup(&self, var: &Var) -> Result<f64> {
+    fn lookup(&self, var: &Var) -> f64 {
         let id = var.id();
-        match self.env.iter().rev().find(|(bound, _)| *bound == id) {
-            Some(&(_, value)) => Ok(value),
-            None => Err(ExecError::UnboundVar(var.name().to_string())),
-        }
-    }
-
-    /// Binds `id` to `value`, returning what it was bound to before.
-    fn bind(&mut self, id: usize, value: f64) -> Option<f64> {
-        match self.env.iter_mut().rev().find(|(bound, _)| *bound == id) {
-            Some(slot) => Some(std::mem::replace(&mut slot.1, value)),
-            None => {
-                self.env.push((id, value));
-                None
-            }
-        }
-    }
-
-    fn unbind(&mut self, id: usize) {
-        if let Some(at) = self.env.iter().rposition(|(bound, _)| *bound == id) {
-            self.env.remove(at);
-        }
+        let (_, value) = (self.env.iter().rev().find(|(bound, _)| *bound == id))
+            .expect("a well-formed program reads a variable only where it is bound");
+        *value
     }
 
     fn tick(&mut self) -> Result<()> {
@@ -224,7 +192,7 @@ impl Interpreter {
             Expr::Int(v, _) => *v as f64,
             Expr::Float(v, _) => *v,
             Expr::Str(_) => 0.0,
-            Expr::Var(v) => self.lookup(v)?,
+            Expr::Var(v) => self.lookup(v),
             Expr::Cast(dt, v) => {
                 let x = self.eval(v)?;
                 if dt.is_int() || dt.is_bool() {
@@ -295,7 +263,7 @@ impl Interpreter {
                     .buffers
                     .get(&buffer.id())
                     .ok_or_else(|| ExecError::UnboundBuffer(buffer.name().to_string()))?;
-                self.check_bounds(in_bounds, buffer, indices)?;
+                debug_assert!(in_bounds, "index out of bounds of buffer {}", buffer.name());
                 t.get_flat(off as usize)
             }
             Expr::Call { name, args, .. } => {
@@ -317,7 +285,9 @@ impl Interpreter {
 
     /// Evaluates `indices` in order, folding them into a row-major offset
     /// of `buffer` as [`Tensor`] lays it out; the flag says whether every
-    /// index is inside its dimension and the rank is the buffer's.
+    /// index is inside its dimension and the rank is the buffer's. An access
+    /// outside is asserted in debug builds only, as [`Tensor::get`] does,
+    /// and the flat data bound still holds.
     fn offset(&self, buffer: &Buffer, indices: &[Expr]) -> Result<(i64, bool)> {
         let shape = buffer.shape();
         let (mut off, mut in_bounds) = (0i64, indices.len() == shape.len());
@@ -331,24 +301,6 @@ impl Interpreter {
         Ok((off, in_bounds))
     }
 
-    /// Checked, an access outside its buffer fails with the index list;
-    /// unchecked, it is asserted in debug builds only, as [`Tensor::get`]
-    /// does, and the flat data bound still holds.
-    fn check_bounds(&self, in_bounds: bool, buffer: &Buffer, indices: &[Expr]) -> Result<()> {
-        if !in_bounds && self.checked {
-            let idx: Vec<i64> = (indices.iter())
-                .map(|e| Ok(self.eval(e)?.round() as i64))
-                .collect::<Result<_>>()?;
-            return Err(ExecError::OutOfBounds(format!(
-                "index {idx:?} of buffer {} (shape {:?})",
-                buffer.name(),
-                buffer.shape()
-            )));
-        }
-        debug_assert!(in_bounds, "index out of bounds of buffer {}", buffer.name());
-        Ok(())
-    }
-
     /// Executes one statement.
     fn exec(&mut self, s: &Stmt) -> Result<()> {
         match s {
@@ -360,7 +312,7 @@ impl Interpreter {
                 self.tick()?;
                 let (off, in_bounds) = self.offset(buffer, indices)?;
                 let v = self.eval(value)?;
-                self.check_bounds(in_bounds, buffer, indices)?;
+                debug_assert!(in_bounds, "index out of bounds of buffer {}", buffer.name());
                 self.buffers
                     .entry(buffer.id())
                     .or_insert_with(|| Tensor::zeros(buffer.dtype(), buffer.shape()))
@@ -393,14 +345,13 @@ impl Interpreter {
             }
             Stmt::For(f) => {
                 let extent = self.eval(&f.extent)?.round() as i64;
-                let id = f.var.id();
+                let slot = self.env.len();
+                self.env.push((f.var.id(), 0.0));
                 for i in 0..extent {
-                    self.bind(id, i as f64);
+                    self.env[slot].1 = i as f64;
                     self.exec(&f.body)?;
                 }
-                // Dynamic scope: this also un-binds an outer binding of the
-                // same variable.
-                self.unbind(id);
+                self.env.truncate(slot);
                 Ok(())
             }
             Stmt::BlockRealize(br) => self.exec_block_realize(br),
@@ -412,17 +363,15 @@ impl Interpreter {
             return Ok(());
         }
         let block = &br.block;
-        // Bind block iterators to their realized values.
-        let base = self.saved.len();
+        // Bind block iterators to their realized values, one at a time.
+        let base = self.env.len();
         let mut reduce_at_start = true;
         for (iv, value) in block.iter_vars.iter().zip(&br.iter_values) {
             let v = self.eval(value)?;
             if iv.kind == IterKind::Reduce && v != 0.0 {
                 reduce_at_start = false;
             }
-            let id = iv.var.id();
-            let prev = self.bind(id, v);
-            self.saved.push((id, prev));
+            self.env.push((iv.var.id(), v));
         }
         for b in &block.alloc_buffers {
             // A fresh allocation per entry of the allocating block.
@@ -433,17 +382,7 @@ impl Interpreter {
             self.exec(init)?;
         }
         self.exec(&block.body)?;
-        // Restored in binding order: an iterator bound twice by one block
-        // keeps its first value.
-        for k in base..self.saved.len() {
-            match self.saved[k] {
-                (id, Some(v)) => {
-                    self.bind(id, v);
-                }
-                (id, None) => self.unbind(id),
-            }
-        }
-        self.saved.truncate(base);
+        self.env.truncate(base);
         Ok(())
     }
 
@@ -451,9 +390,8 @@ impl Interpreter {
     /// including outputs) and returns the final value of every parameter.
     ///
     /// Executes on the default backend: the program is compiled once into
-    /// register bytecode and run on the VM ([`ExecBackend::Vm`]), falling
-    /// back to the tree-walking evaluator for the rare programs the
-    /// compiler rejects. Semantics are bit-identical between backends.
+    /// register bytecode and run on the VM ([`ExecBackend::Vm`]). Semantics
+    /// are bit-identical between backends.
     ///
     /// # Errors
     ///
@@ -532,8 +470,9 @@ pub struct RunOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::BadArguments`] on arity/shape/dtype mismatch and
-/// propagates any execution failure.
+/// Returns [`ExecError::Malformed`] for a program that is not well-formed,
+/// on every backend; [`ExecError::BadArguments`] on arity/shape/dtype
+/// mismatch; and propagates any execution failure.
 pub fn run_with(
     func: &PrimFunc,
     args: Vec<Tensor>,
@@ -542,17 +481,8 @@ pub fn run_with(
 ) -> Result<RunOutcome> {
     let fuel = fuel.unwrap_or(DEFAULT_FUEL);
     match backend {
-        ExecBackend::Vm => match crate::opt::compile_optimized(func) {
-            Ok(prog) => prog.run_with_fuel(args, fuel),
-            // Programs the compiler rejects (e.g. a variable bound by two
-            // nested binders, where dynamic and lexical scope diverge) run
-            // on the reference backend instead.
-            Err(_) => tree_walk_run(func, args, fuel),
-        },
-        ExecBackend::VmUnopt => match crate::compile::compile(func) {
-            Ok(prog) => prog.run_with_fuel(args, fuel),
-            Err(_) => tree_walk_run(func, args, fuel),
-        },
+        ExecBackend::Vm => crate::opt::compile_optimized(func)?.run_with_fuel(args, fuel),
+        ExecBackend::VmUnopt => crate::compile::compile(func)?.run_with_fuel(args, fuel),
         ExecBackend::TreeWalk => tree_walk_run(func, args, fuel),
     }
 }
@@ -571,36 +501,24 @@ pub fn run_with(
 /// hooks in the unfused order, and the optimizer never adds or deletes a
 /// load or store, so the verdict is the one unoptimized bytecode gets —
 /// `tests/sanitizer_equivalence.rs` holds that on every differential
-/// corpus. The rare programs the compiler rejects fall back to the checked
-/// tree-walker, which detects bounds violations only.
+/// corpus.
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::BadArguments`] on arity/shape/dtype mismatch,
+/// Returns [`ExecError::Malformed`] for a program that is not well-formed,
+/// [`ExecError::BadArguments`] on arity/shape/dtype mismatch,
 /// [`ExecError::OutOfBounds`]/[`ExecError::DataRace`] on a violation, and
 /// propagates any other execution failure.
 pub fn run_sanitized(func: &PrimFunc, args: Vec<Tensor>, fuel: Option<u64>) -> Result<RunOutcome> {
     let fuel = fuel.unwrap_or(DEFAULT_FUEL);
-    match crate::opt::compile_optimized(func) {
-        Ok(prog) => prog.run_sanitized(args, fuel),
-        Err(_) => tree_walk_run_checked(func, args, fuel, true),
-    }
+    crate::opt::compile_optimized(func)?.run_sanitized(args, fuel)
 }
 
-/// The tree-walking execution path shared by [`run_with`] and the VM
-/// fallback.
+/// The tree-walking backend of [`run_with`].
 fn tree_walk_run(func: &PrimFunc, args: Vec<Tensor>, fuel: u64) -> Result<RunOutcome> {
-    tree_walk_run_checked(func, args, fuel, false)
-}
-
-fn tree_walk_run_checked(
-    func: &PrimFunc,
-    args: Vec<Tensor>,
-    fuel: u64,
-    checked: bool,
-) -> Result<RunOutcome> {
+    tir::well_formed(func).map_err(ExecError::Malformed)?;
     check_arity(&func.name, &func.params, &args)?;
-    let mut interp = Interpreter::new(fuel, checked);
+    let mut interp = Interpreter::new(fuel);
     for (p, t) in func.params.iter().zip(args) {
         check_arg(p, &t)?;
         interp.buffers.insert(p.id(), t);
@@ -609,7 +527,7 @@ fn tree_walk_run_checked(
     let outputs = func
         .params
         .iter()
-        .map(|p| interp.buffers.remove(&p.id()).expect("param bound"))
+        .map(|p| (interp.buffers.remove(&p.id())).expect("well-formed parameters are distinct"))
         .collect();
     Ok(RunOutcome {
         outputs,

@@ -7,8 +7,10 @@
 //!   The fast path compiles a `PrimFunc` once into register bytecode
 //!   ([`compile()`]) and runs it on a VM with zero per-step allocation
 //!   ([`vm`]); the tree-walking [`interp`] is the reference backend the VM
-//!   is differentially tested against (and the fallback for the rare
-//!   programs the compiler rejects);
+//!   is differentially tested against. Every executor runs only
+//!   well-formed programs ([`tir::well_formed()`]) and refuses the rest with
+//!   [`ExecError::Malformed`], so all three have one semantics and one
+//!   path each;
 //! * [`machine`] / [`cost`] — an analytic roofline simulator of the paper's
 //!   evaluation platforms (an RTX-3080-class GPU with Tensor Cores, a
 //!   Graviton2-class ARM CPU with `sdot`), used as the *performance oracle*
@@ -28,7 +30,7 @@ pub mod opt;
 pub mod tensor;
 pub mod vm;
 
-pub use compile::{compile, CompileError, Program};
+pub use compile::{compile, Program};
 pub use cost::{
     estimate_breakdown, simulate, summarize, try_simulate, CostError, CostSummary, RooflineBound,
     TimeBreakdown,

@@ -78,9 +78,10 @@ pub fn optimize(mut prog: Program) -> Program {
 ///
 /// # Errors
 ///
-/// Propagates [`CompileError`](crate::CompileError) from compilation;
+/// Returns [`ExecError::Malformed`](crate::ExecError::Malformed) for a
+/// program that is not well-formed, as [`compile`](crate::compile()) does;
 /// optimization itself cannot fail.
-pub fn compile_optimized(func: &tir::PrimFunc) -> Result<Program, crate::compile::CompileError> {
+pub fn compile_optimized(func: &tir::PrimFunc) -> Result<Program, crate::ExecError> {
     Ok(optimize(crate::compile::compile(func)?))
 }
 
@@ -162,7 +163,6 @@ fn reads_mask(prog: &Program, op: &Op) -> Mask {
     let direct = match op {
         Op::Const { .. }
         | Op::LoadVar { .. }
-        | Op::ThrowUnboundVar { .. }
         | Op::ThrowUnknownIntrinsic { .. }
         | Op::Tick
         | Op::Jump { .. }
@@ -220,7 +220,7 @@ fn writes_frame(op: &Op) -> bool {
 fn successors(ops: &[Op], i: usize) -> ([usize; 2], usize) {
     let next = i + 1;
     match &ops[i] {
-        Op::ThrowUnboundVar { .. } | Op::ThrowUnknownIntrinsic { .. } => ([0, 0], 0),
+        Op::ThrowUnknownIntrinsic { .. } => ([0, 0], 0),
         Op::Jump { target } => ([*target as usize, 0], 1),
         Op::JumpIfZero { target, .. } | Op::JumpIfReduceFlagFalse { target } => {
             ([next, *target as usize], 2)
@@ -525,7 +525,6 @@ fn affine_of_reg(
                     Op::Jump { .. }
                         | Op::JumpIfZero { .. }
                         | Op::JumpIfReduceFlagFalse { .. }
-                        | Op::ThrowUnboundVar { .. }
                         | Op::ThrowUnknownIntrinsic { .. }
                 ) {
                     return None;
@@ -1855,7 +1854,7 @@ mod tests {
         let args = vec![Tensor::zeros(DataType::float32(), &[1])];
         let err = opt.run_sanitized(args.clone(), 1 << 20).unwrap_err();
         assert!(matches!(err, ExecError::DataRace(_)), "{err}");
-        opt.run_with_fuel(args, 1 << 20).expect("unchecked run");
+        opt.run_with_fuel(args, 1 << 20).expect("plain run");
     }
 
     /// Optimized out-of-bounds detection is intact under lane batching.

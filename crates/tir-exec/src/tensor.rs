@@ -247,25 +247,6 @@ impl Tensor {
         self.data[off] = quantize(value, self.dtype);
     }
 
-    /// Collapses a multi-dimensional index to a row-major flat offset with
-    /// per-dimension bounds checking in every build profile — the checked
-    /// counterpart of the debug-only assertions in [`Tensor::get`] /
-    /// [`Tensor::set`]. Returns `None` on rank mismatch or when any index
-    /// falls outside its dimension.
-    pub fn try_offset(&self, indices: &[i64]) -> Option<usize> {
-        if indices.len() != self.shape.len() {
-            return None;
-        }
-        let mut off = 0i64;
-        for (&idx, &dim) in indices.iter().zip(&self.shape) {
-            if !(0..dim).contains(&idx) {
-                return None;
-            }
-            off = off * dim + idx;
-        }
-        Some(off as usize)
-    }
-
     /// Reads the element at a row-major flat offset, skipping the
     /// multi-dimensional offset computation of [`Tensor::get`].
     ///

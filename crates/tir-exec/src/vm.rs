@@ -583,7 +583,7 @@ impl Program {
         &self,
         args: Vec<Tensor>,
         fuel: u64,
-        checked: bool,
+        sanitize: bool,
         prof: &mut P,
     ) -> Result<RunOutcome> {
         check_arity(&self.func_name, &self.params, &args)?;
@@ -606,7 +606,7 @@ impl Program {
         let mut hoists = vec![0i64; self.num_hoists];
         let mut reduce_at_start = true;
         let mut steps: u64 = 0;
-        let mut san = checked.then(|| Sanitizer {
+        let mut san = sanitize.then(|| Sanitizer {
             shadow: store
                 .iter()
                 .map(|t| vec![Cell::default(); t.data().len()])
@@ -623,9 +623,6 @@ impl Program {
                 Op::Const { dst, val } => regs[*dst as usize] = *val,
                 Op::LoadVar { dst, slot } => regs[*dst as usize] = frame[*slot as usize],
                 Op::SetVar { slot, src } => frame[*slot as usize] = regs[*src as usize],
-                Op::ThrowUnboundVar { name } => {
-                    return Err(ExecError::UnboundVar(self.names[*name as usize].clone()));
-                }
                 Op::ThrowUnknownIntrinsic { name } => {
                     return Err(ExecError::UnknownIntrinsic(
                         self.names[*name as usize].clone(),
@@ -836,7 +833,7 @@ mod tests {
     use tir::builder::matmul_func;
     use tir::{Buffer, DataType, Expr, PrimFunc, Stmt, Var};
 
-    use crate::compile::{compile, CompileError};
+    use crate::compile::compile;
     use crate::interp::{run_with, ExecBackend, ExecError};
     use crate::tensor::Tensor;
     use crate::vm::InstrMixProfile;
@@ -920,21 +917,6 @@ mod tests {
     }
 
     #[test]
-    fn shadowed_binding_falls_back_to_tree_walk() {
-        // The same var bound by two nested loops: dynamic scope (the inner
-        // loop un-binds on exit) cannot map to lexical frame slots, so the
-        // compiler refuses and run_with silently uses the reference path.
-        let b = Buffer::new("B", DataType::float32(), vec![4]);
-        let i = Var::int("i");
-        let body = Stmt::store(b.clone(), vec![Expr::from(&i)], Expr::f32(1.0))
-            .in_loop(i.clone(), 4)
-            .in_loop(i.clone(), 4);
-        let f = PrimFunc::new("shadow", vec![b], body);
-        assert!(matches!(compile(&f), Err(CompileError::ShadowedBinding(_))));
-        backends_agree(&f, 1, 0);
-    }
-
-    #[test]
     fn unbound_buffer_errors_on_both_backends() {
         // Loading from a buffer that is neither a param nor allocated must
         // fail instead of yielding phantom zeros.
@@ -969,14 +951,10 @@ mod tests {
                 Stmt::store(b.clone(), vec![Expr::from(&i)], value).in_loop(i.clone(), 4),
             )
         };
-        let free = Var::int("free");
         type Check = fn(&ExecError) -> bool;
         let cases: Vec<(PrimFunc, Check)> = vec![
             (mk(Expr::int(1).floor_div(Expr::int(0))), |e| {
                 matches!(e, ExecError::DivisionByZero)
-            }),
-            (mk(Expr::from(&free)), |e| {
-                matches!(e, ExecError::UnboundVar(_))
             }),
             (
                 mk(Expr::Call {
@@ -1049,8 +1027,8 @@ mod tests {
         let args = vec![Tensor::zeros(DataType::float32(), &[1])];
         let err = prog.run_sanitized(args.clone(), 1 << 20).unwrap_err();
         assert!(matches!(err, ExecError::DataRace(_)), "{err}");
-        // Unchecked execution is unaffected.
-        prog.run_with_fuel(args, 1 << 20).expect("unchecked run");
+        // Plain execution is unaffected.
+        prog.run_with_fuel(args, 1 << 20).expect("plain run");
     }
 
     #[test]

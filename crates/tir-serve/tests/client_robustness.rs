@@ -165,3 +165,36 @@ fn over_deep_nesting_is_a_parse_error_and_the_daemon_lives() {
     server.join();
     let _ = std::fs::remove_file(&db);
 }
+
+/// Text that parses to a program that is not well-formed — here a loop
+/// variable read after its loop — has no meaning to tune: it is answered
+/// `parse_error` (the daemon used to accept it and tune it), and the
+/// connection that sent it goes on to be served.
+#[test]
+fn a_malformed_program_is_a_parse_error_and_the_connection_lives() {
+    let (sock, db) = tmp_paths("malformed");
+    let server = Server::start(ServeConfig::new(&sock, &db)).expect("start");
+    let mut c = Client::connect_with(&sock, ReconnectPolicy::none()).expect("connect");
+    let text = gmm_text();
+    let cold = c.tune("gpu", "tensorir", 4, 5, &text).expect("tune");
+
+    let payload = "@T.prim_func\ndef f(A: T.Buffer((8), \"float32\")):\n    for i in range(8):\n        A[i] = 1.0\n    A[i] = 2.0\n";
+    match c.tune("gpu", "tensorir", 4, 5, payload) {
+        Err(ClientError::Rejected { code, message }) => {
+            assert_eq!(code, RejectCode::ParseError);
+            assert!(
+                message.contains("variable i is read where it is not bound"),
+                "{message}"
+            );
+        }
+        other => panic!("expected a parse_error rejection, got {other:?}"),
+    }
+    c.ping().expect("the daemon is alive");
+    let warm = c.tune("gpu", "tensorir", 4, 5, &text).expect("warm hit");
+    assert_eq!(warm.source, Source::Warm);
+    assert_eq!(warm.func_text, cold.func_text);
+
+    c.shutdown().expect("shutdown");
+    server.join();
+    let _ = std::fs::remove_file(&db);
+}

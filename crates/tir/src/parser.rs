@@ -872,7 +872,9 @@ impl<'t, 'a> Parser<'t, 'a> {
 /// # Errors
 ///
 /// Returns a [`ParseError`] with the offending line on malformed input,
-/// including an expression nested deeper than any printed program's.
+/// including an expression nested deeper than any printed program's, and
+/// one at line 0 for text that parses to a program that is not
+/// well-formed ([`crate::well_formed()`]).
 ///
 /// # Examples
 ///
@@ -990,6 +992,7 @@ pub fn parse_func(text: &str) -> Result<PrimFunc> {
         .expect("root block by construction")
         .alloc_buffers
         .extend(root_allocs);
+    crate::well_formed(&func).or_else(|e| fail(0, e.to_string()))?;
     Ok(func)
 }
 

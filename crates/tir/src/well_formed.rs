@@ -17,10 +17,8 @@
 
 use std::fmt;
 
-use crate::expr::{Expr, Var};
-use crate::func::PrimFunc;
-use crate::stmt::Stmt;
 use crate::visit::{ExprVisitor, StmtVisitor};
+use crate::{Expr, PrimFunc, Stmt, Var};
 
 /// Why a program is not well-formed: the first violation in execution
 /// order, parameters first.
@@ -30,13 +28,8 @@ pub enum WellFormedError {
     DuplicateParam(String),
     /// A variable is bound by a binder nested in another binder of it.
     ShadowedBinding(String),
-    /// One block lists the same iterator twice.
-    RepeatedIterator {
-        /// The block.
-        block: String,
-        /// The iterator.
-        var: String,
-    },
+    /// One block (the first name) lists an iterator (the second) twice.
+    RepeatedIterator(String, String),
     /// A variable is evaluated where no binder encloses it.
     UnboundVar(String),
 }
@@ -45,16 +38,10 @@ impl fmt::Display for WellFormedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("malformed program: ")?;
         match self {
-            WellFormedError::DuplicateParam(b) => {
-                write!(f, "buffer {b} appears twice in the parameter list")
-            }
-            WellFormedError::ShadowedBinding(v) => {
-                write!(f, "variable {v} is bound by two nested binders")
-            }
-            WellFormedError::RepeatedIterator { block, var } => {
-                write!(f, "block {block} lists iterator {var} twice")
-            }
-            WellFormedError::UnboundVar(v) => write!(f, "variable {v} is read where it is unbound"),
+            Self::DuplicateParam(b) => write!(f, "buffer {b} appears twice in the parameter list"),
+            Self::ShadowedBinding(v) => write!(f, "variable {v} is bound by two nested binders"),
+            Self::RepeatedIterator(b, v) => write!(f, "block {b} lists iterator {v} twice"),
+            Self::UnboundVar(v) => write!(f, "variable {v} is read where it is not bound"),
         }
     }
 }
@@ -68,18 +55,19 @@ impl std::error::Error for WellFormedError {}
 /// Returns the first violation found.
 pub fn well_formed(func: &PrimFunc) -> Result<(), WellFormedError> {
     for (k, p) in func.params.iter().enumerate() {
-        if func.params[..k].iter().any(|q| q.id() == p.id()) {
+        if func.params[..k].contains(p) {
             return Err(WellFormedError::DuplicateParam(p.name().to_string()));
         }
     }
-    let mut scope = Scope {
-        vars: Vec::with_capacity(64),
-        error: None,
-    };
+    let mut scope = Scope::default();
+    scope.vars.reserve(64);
     scope.visit_stmt(&func.body);
     scope.error.map_or(Ok(()), Err)
 }
 
+/// The walk: what is in scope, and the first violation met. It walks on
+/// after a violation, which costs nothing on the programs that have none.
+#[derive(Default)]
 struct Scope {
     /// Ids of the variables in scope, innermost last.
     vars: Vec<usize>,
@@ -94,12 +82,12 @@ impl Scope {
     /// Brings `var` into scope for the binder whose variables start at
     /// `own` in the stack; `block` names that binder if it is a block.
     fn bind(&mut self, var: &Var, own: usize, block: &str) {
+        let name = || var.name().to_string();
         match self.vars.iter().rposition(|&id| id == var.id()) {
-            Some(at) if at >= own => self.fail(WellFormedError::RepeatedIterator {
-                block: block.to_string(),
-                var: var.name().to_string(),
-            }),
-            Some(_) => self.fail(WellFormedError::ShadowedBinding(var.name().to_string())),
+            Some(at) if at >= own => {
+                self.fail(WellFormedError::RepeatedIterator(block.to_string(), name()));
+            }
+            Some(_) => self.fail(WellFormedError::ShadowedBinding(name())),
             None => {}
         }
         self.vars.push(var.id());
@@ -119,9 +107,6 @@ impl ExprVisitor for Scope {
 
 impl StmtVisitor for Scope {
     fn visit_stmt(&mut self, s: &Stmt) {
-        if self.error.is_some() {
-            return;
-        }
         let own = self.vars.len();
         match s {
             Stmt::For(f) => {
@@ -273,10 +258,7 @@ mod tests {
         let repeated = realize(vec![at_i(), at_i()], Expr::true_(), block(twice));
         assert_eq!(
             check(repeated.in_loop(i.clone(), 8)),
-            Err(WellFormedError::RepeatedIterator {
-                block: "T".into(),
-                var: "v".into()
-            })
+            Err(WellFormedError::RepeatedIterator("T".into(), "v".into()))
         );
         // A loop inside a block may not rebind one of its iterators either.
         let once = vec![IterVar::spatial(v.clone(), 8)];

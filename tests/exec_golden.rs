@@ -3,31 +3,25 @@
 //!
 //! The tree-walker is the reference the two bytecode executors answer to
 //! (`vm_differential`), so nothing else can tell when it moves. Every
-//! program below runs three times on seeded inputs: on
-//! `run_with(.., ExecBackend::TreeWalk, ..)`, on the *checked* walker,
-//! reached through `run_sanitized`'s fallback by wrapping the body in two
-//! loops of one variable, which the compiler refuses (`ShadowedBinding`)
-//! and the walker runs once, and on `run_sanitized` itself. A line is the
-//! label, the executor, then either `ok <FNV-1a of the output f64 bits>
-//! <steps>`, `err <the ExecError>`, or `panic <message>`. Every program is
-//! well-formed (`tir::well_formed`) except seven seams, each of which
-//! breaks the rule named in `MALFORMED`.
+//! program below runs twice on seeded inputs: on
+//! `run_with(.., ExecBackend::TreeWalk, ..)` and on `run_sanitized`. A line
+//! is the label, the executor, then either `ok <FNV-1a of the output f64
+//! bits> <steps>` or `err <the ExecError>`; no program makes either panic.
 //!
 //! The programs: every program of `tests/corpus` (operator families,
-//! random and GPU pipelines, the illegal mutants), the programs the
-//! compiler rejects and only the walker runs (a shadowed binding, a
-//! duplicate parameter), and *seams*: a read of a variable after the inner
-//! loop that shadowed it, an iterator bound twice by one block, loads from
-//! never-stored buffers, integer `/`, `//` and `%` by zero in an index,
-//! fuel budgets that run out mid-block, checked out-of-bounds stores and
-//! loads, a rank-9 buffer, and one store per expression form and intrinsic.
-//! An out-of-bounds program runs on the checked walker only: unchecked, it
+//! random and GPU pipelines, the illegal mutants), programs that are not
+//! well-formed (`tir::well_formed`; each names in `MALFORMED` the rule it
+//! breaks, and every executor refuses it), and *seams*: loads from
+//! never-stored buffers, integer `/`, `//` and `%` by zero in an index, fuel
+//! budgets that run out mid-block, out-of-bounds stores and loads, a rank-9
+//! buffer, and one store per expression form and intrinsic. An
+//! out-of-bounds program runs on the sanitizer only: on the walker it
 //! panics with a message that differs between debug and release.
 //!
 //! The file was written by the walker that keyed its environment by
-//! `HashMap<Var, f64>`; it is the oracle the walker is held to. Regenerate
-//! (only when execution is *meant* to change) with
-//! `cargo test --test exec_golden -- --ignored`.
+//! `HashMap<Var, f64>` and bound variables dynamically; it is the oracle
+//! the walker is held to. Regenerate (only when execution is *meant* to
+//! change) with `cargo test --test exec_golden -- --ignored`.
 
 mod corpus;
 
@@ -37,7 +31,10 @@ use tir::builder::{compute, matmul_func};
 use tir::{
     well_formed, BinOp, Block, BlockRealize, Buffer, DataType, Expr, IterVar, PrimFunc, Stmt, Var,
 };
-use tir_exec::{compile, run_sanitized, run_with, ExecBackend, RunOutcome, Tensor};
+use tir_analysis::{validate, ValidationError};
+use tir_exec::{
+    compile, compile_optimized, run_sanitized, run_with, ExecBackend, ExecError, RunOutcome, Tensor,
+};
 
 const GOLDEN: &str = include_str!("golden/exec_outcomes.txt");
 
@@ -46,8 +43,8 @@ struct Case {
     func: PrimFunc,
     seed: u64,
     fuel: Option<u64>,
-    /// Out of bounds: unchecked, the walker panics (differently per build).
-    checked_only: bool,
+    /// Out of bounds: the walker panics (differently per build).
+    sanitizer_only: bool,
 }
 
 fn case(label: impl Into<String>, func: PrimFunc, seed: u64) -> Case {
@@ -56,7 +53,7 @@ fn case(label: impl Into<String>, func: PrimFunc, seed: u64) -> Case {
         func,
         seed,
         fuel: None,
-        checked_only: false,
+        sanitizer_only: false,
     }
 }
 
@@ -91,7 +88,7 @@ fn elementwise(name: &str, n: i64, value: impl Fn(&Buffer, &Var) -> Expr) -> Pri
     PrimFunc::new(name, vec![a, b], body)
 }
 
-/// The programs only the walker runs, and the corners of its semantics.
+/// Malformed programs, and the corners of the executors' semantics.
 fn seam_cases() -> Vec<Case> {
     let mut out = Vec::new();
     let f32_ = DataType::float32();
@@ -119,7 +116,8 @@ fn seam_cases() -> Vec<Case> {
         ));
     }
     {
-        // for i: { for i: B[i] = 1; B[i] = 2 } — the inner loop un-binds i.
+        // for i: { for i: B[i] = 1; B[i] = 2 } — the read after the inner
+        // loop is where a dynamic and a lexical scope disagree.
         let (b, i) = (f32_buffer("B", &[4]), Var::int("i"));
         let inner = Stmt::store(b.clone(), at(&[&i]), Expr::f32(1.0)).in_loop(i.clone(), 2);
         let after = Stmt::store(b.clone(), at(&[&i]), Expr::f32(2.0));
@@ -131,8 +129,7 @@ fn seam_cases() -> Vec<Case> {
         ));
     }
     {
-        // A block iterator named by the loop variable it shadows: inside
-        // the block i is 2*i, after it the loop's i again.
+        // A block iterator named by the loop variable it shadows.
         let (b, c, i) = (f32_buffer("B", &[8]), f32_buffer("C", &[4]), Var::int("i"));
         let inner = Block::new(
             "S",
@@ -150,7 +147,7 @@ fn seam_cases() -> Vec<Case> {
         ));
     }
     {
-        // One block binds v twice; after it, v keeps the first value.
+        // One block binds v twice, and v is read after the block.
         let (b, c, i, v) = (
             f32_buffer("B", &[8]),
             f32_buffer("C", &[4]),
@@ -246,7 +243,7 @@ fn seam_cases() -> Vec<Case> {
             let (a, b, i) = (f32_buffer("A", &[4]), f32_buffer("B", &[4]), Var::int("i"));
             let body = stmt(&a, &b, &i).in_loop(i, 4);
             out.push(Case {
-                checked_only: true,
+                sanitizer_only: true,
                 ..case(
                     format!("seam: checked {what}"),
                     PrimFunc::new("oob", vec![a, b], body),
@@ -273,7 +270,7 @@ fn seam_cases() -> Vec<Case> {
         idx[7] = Expr::from(&j) + 1;
         let body = Stmt::store(b.clone(), idx.clone(), a.load(idx)).in_loops(vec![(i, 3), (j, 2)]);
         out.push(Case {
-            checked_only: true,
+            sanitizer_only: true,
             ..case(
                 "seam: checked rank-9 store one past the end",
                 PrimFunc::new("rank9_oob", vec![a, b], body),
@@ -577,7 +574,7 @@ fn cases() -> Vec<Case> {
     }
     for (label, func, seed) in corpus::illegal_mutants() {
         out.push(Case {
-            checked_only: label.starts_with("store-index-shift"),
+            sanitizer_only: label.starts_with("store-index-shift"),
             ..case(format!("illegal {label}"), func, seed)
         });
     }
@@ -605,14 +602,6 @@ fn outcome(run: impl FnOnce() -> Result<RunOutcome, tir_exec::ExecError>) -> Str
             format!("panic {message}")
         }
     }
-}
-
-/// `func` with its body inside two loops of one variable, each of extent
-/// one: the compiler refuses it, so `run_sanitized` runs the checked walker.
-fn shadow_wrapped(func: &PrimFunc) -> PrimFunc {
-    let w = Var::int("w");
-    let body = Stmt::clone(&func.body).in_loop(w.clone(), 1).in_loop(w, 1);
-    PrimFunc::new(func.name.clone(), func.params.clone(), body)
 }
 
 /// The programs that are not well-formed, and the rule each breaks (the
@@ -650,14 +639,10 @@ fn golden_text() -> String {
             (verdict, _) => panic!("{}: well_formed says {verdict:?}", c.label),
         }
         let args = corpus::seeded_args(&c.func, c.seed);
-        if !c.checked_only {
+        if !c.sanitizer_only {
             let line = outcome(|| run_with(&c.func, args.clone(), ExecBackend::TreeWalk, c.fuel));
             out.push_str(&format!("{} / treewalk -> {line}\n", c.label));
         }
-        let wrapped = shadow_wrapped(&c.func);
-        assert!(compile(&wrapped).is_err(), "{}: the wrap compiles", c.label);
-        let line = outcome(|| run_sanitized(&wrapped, args.clone(), c.fuel));
-        out.push_str(&format!("{} / checked -> {line}\n", c.label));
         let line = outcome(|| run_sanitized(&c.func, args, c.fuel));
         out.push_str(&format!("{} / sanitized -> {line}\n", c.label));
     }
@@ -680,9 +665,44 @@ fn outcomes_match_golden() {
         mismatches[..mismatches.len().min(10)].join("\n")
     );
     assert_eq!(GOLDEN.lines().count(), now.lines().count());
-    for outcome in [" -> ok ", " -> err ", " -> panic "] {
+    for outcome in [" -> ok ", " -> err ", " -> err malformed program: "] {
         assert!(GOLDEN.contains(outcome), "no line{outcome}");
     }
+    assert!(!GOLDEN.contains(" -> panic "), "an executor panics");
+}
+
+/// A program that is not well-formed has no meaning, so every entry point
+/// refuses it with the same verdict before running or analysing anything:
+/// the three backends of `run_with`, `run_sanitized`, both compilers and
+/// the verifier. One program per rule it can break; the duplicate
+/// parameter used to make the tree-walker panic, and the shadowed bindings
+/// used to run on a fallback.
+#[test]
+fn malformed_programs_are_refused_everywhere() {
+    let mut kinds: Vec<&str> = MALFORMED.iter().map(|(_, kind)| *kind).collect();
+    kinds.sort_unstable();
+    kinds.dedup();
+    assert_eq!(kinds.len(), 4, "every rule is broken by some program");
+    let mut refused_programs = 0;
+    for c in seam_cases() {
+        if !MALFORMED.iter().any(|(label, _)| *label == c.label) {
+            continue;
+        }
+        let e = well_formed(&c.func).expect_err(&c.label);
+        let refused = |verdict: Result<RunOutcome, ExecError>| matches!(verdict, Err(ExecError::Malformed(got)) if got == e);
+        let args = corpus::seeded_args(&c.func, c.seed);
+        for backend in [ExecBackend::Vm, ExecBackend::VmUnopt, ExecBackend::TreeWalk] {
+            let verdict = run_with(&c.func, args.clone(), backend, None);
+            assert!(refused(verdict), "{} on {backend:?}", c.label);
+        }
+        assert!(refused(run_sanitized(&c.func, args, None)), "{}", c.label);
+        assert!(matches!(compile(&c.func), Err(ExecError::Malformed(got)) if got == e));
+        assert!(matches!(compile_optimized(&c.func), Err(ExecError::Malformed(got)) if got == e));
+        let errors = validate(&c.func).expect_err(&c.label);
+        assert_eq!(errors[0], ValidationError::Malformed(e), "{}", c.label);
+        refused_programs += 1;
+    }
+    assert_eq!(refused_programs, MALFORMED.len());
 }
 
 #[test]
