@@ -6,10 +6,11 @@
 //!   that fix program structure (auto-tensorization, multi-level tiling,
 //!   thread binding, AutoCopy data-movement blocks) while leaving decisions
 //!   (tile sizes, widths) to the search;
-//! * [`search`] — evolutionary search with validation filtering, a
-//!   deterministic parallel candidate-evaluation pipeline, and a
+//! * [`search`] — evolutionary search as six stages (propose, materialize,
+//!   score, select, measure, learn) with validation filtering, a
+//!   deterministic parallel candidate-evaluation pipeline (on the
+//!   crate-private fork-join helpers of `parallel.rs`), and a
 //!   structural-hash measurement cache;
-//! * [`parallel`] — the fork-join primitive backing that pipeline;
 //! * [`measure`] — the fallible measurement abstraction: the [`Measurer`]
 //!   backend trait, deterministic fault injection, and the
 //!   retry/backoff/outlier-rejection harness;
@@ -36,7 +37,7 @@ pub mod fault_io;
 pub mod feature;
 pub mod journal;
 pub mod measure;
-pub mod parallel;
+mod parallel;
 pub mod search;
 pub mod sketch;
 pub mod sketch_cpu;
@@ -52,6 +53,5 @@ pub use measure::{
     measure_with_retries, FaultInjector, FaultPlan, MeasureCtx, MeasureError, MeasureOutcome,
     MeasureTrace, Measurer, RetryPolicy, SimMeasurer, VerifyingMeasurer,
 };
-pub use parallel::{effective_threads, parallel_map, try_parallel_map};
 pub use search::{tune, tune_multi_with, tune_with, TuneOptions, TuneResult, WarmStart};
 pub use sketch::{CountingSketch, Decision, DecisionKind, SketchRule};

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use crate::measure::panic_message;
 
 /// Resolves a thread-count request: `0` means "all available cores".
-pub fn effective_threads(requested: usize) -> usize {
+pub(crate) fn effective_threads(requested: usize) -> usize {
     if requested == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -41,7 +41,7 @@ pub fn effective_threads(requested: usize) -> usize {
 /// interleaves across threads. Falls back to a serial loop when
 /// `num_threads <= 1` or there is at most one item — the serial and
 /// parallel paths produce identical results.
-pub fn parallel_map<T, R, F>(items: &[T], num_threads: usize, f: F) -> Vec<R>
+pub(crate) fn parallel_map<T, R, F>(items: &[T], num_threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -64,7 +64,11 @@ where
 /// The serial (`num_threads <= 1`) and parallel paths are behaviorally
 /// identical, including which items are `Err` — panics are a property of
 /// `(index, item)`, not of scheduling.
-pub fn try_parallel_map<T, R, F>(items: &[T], num_threads: usize, f: F) -> Vec<Result<R, String>>
+pub(crate) fn try_parallel_map<T, R, F>(
+    items: &[T],
+    num_threads: usize,
+    f: F,
+) -> Vec<Result<R, String>>
 where
     T: Sync,
     R: Send,

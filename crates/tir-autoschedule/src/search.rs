@@ -9,15 +9,35 @@
 //! `validate_before_measure` flag exists so the ablation benchmark can show
 //! what happens without the filter (wasted measurement budget).
 //!
+//! # Stages
+//!
+//! [`tune_with`] is a coordinator loop; each generation runs six stages in
+//! order, each a function of the search state plus its inputs:
+//!
+//! | Stage | Reads | Writes | Traces |
+//! |---|---|---|---|
+//! | `propose` | elites, dedup set | dedup set | `search.evolve`, `search.proposed` |
+//! | `materialize` | proposals, candidate cache, quarantine | `invalid_filtered` | `search.sketch_instantiate`, `search.feature_extract`, `search.materialized`, `search.materialize_skipped` |
+//! | `score` | candidates, cost model | — | `search.model_rank` |
+//! | `select` | scores, quarantine | — | — |
+//! | `measure` | batch, checkpoint log | `tuning_cost_s`, checkpoint log | `search.measure`, `measure.*` |
+//! | `learn` | batch, readings | result, elites, cache, quarantine, cost model | `search.refit`, the other `search.*` counters, `roofline.*`, `search.candidate_time_s` |
+//!
+//! `materialize` records two of the six [`SEARCH_PHASES`] because building
+//! a candidate and extracting its features are one per-candidate job;
+//! `select` records none: it sorts scores that `score` already traced.
+//! Every span is keyed `(stream, generation, COORD, phase index)`.
+//!
 //! # Parallel pipeline
 //!
 //! Candidate evaluation dominates tuning wall-clock, so every
-//! per-candidate stage fans out across a thread pool
-//! ([`crate::parallel`]): decision sampling/mutation/crossover, sketch
-//! instantiation + §3.3 validation, cost summarization, feature
-//! extraction, batched cost-model ranking, and simulated measurement. The
-//! coordinator keeps only the sequential steps: deduplication, batch
-//! selection, accounting, elite maintenance, and cost-model updates.
+//! per-candidate step fans out across a thread pool (`parallel.rs`):
+//! decision sampling/mutation/crossover (`propose`), sketch instantiation
+//! with §3.3 validation, cost summarization and feature extraction
+//! (`materialize`), batched cost-model ranking (`score`), and simulated
+//! measurement (`measure`). The coordinator keeps only the sequential
+//! steps: deduplication, batch selection, accounting, elite maintenance,
+//! and cost-model updates.
 //!
 //! Parallel runs are bit-for-bit deterministic: each population slot of
 //! each generation draws from its own generator seeded by
@@ -34,18 +54,19 @@
 //! # Selection pulls, materialization follows
 //!
 //! Building a candidate (`SketchRule::apply`, hash, summary, features) is
-//! most of a tune's wall-clock, and selection reads only as much of the
-//! population as it needs to fill one measurement batch. Whenever the
-//! scorer cannot tell valid candidates apart — fewer than four samples,
-//! `use_cost_model: false`, or an ensemble without a single split
-//! ([`CostModel::has_split`]; every measured time was equal) — all scores
-//! tie, the stable sort keeps slot order, and the batch is the first
-//! `measure_per_generation.min(budget_left)` valid, non-quarantined
-//! slots. Such a generation materializes the population in slot order only
-//! up to the slot that completes the batch; everything after it is
-//! proposed (and entered in the dedup set) but never built. The
-//! sequential scan defines the semantics: with several workers slots are
-//! built in waves, and whatever a wave evaluated past the sequential
+//! most of a tune's wall-clock, and `select` reads only as much of the
+//! population as it needs to fill one measurement batch. So the
+//! coordinator decides whether `score` can rank *before* `materialize`
+//! runs. Whenever the scorer cannot tell valid candidates apart — fewer
+//! than four samples, `use_cost_model: false`, or an ensemble without a
+//! single split ([`CostModel::has_split`]; every measured time was equal)
+//! — all scores tie, the stable sort keeps slot order, and the batch is
+//! the first `measure_per_generation.min(budget_left)` valid,
+//! non-quarantined slots. Such a generation materializes the population in
+//! slot order only up to the slot that completes the batch; everything
+//! after it is proposed (and entered in the dedup set) but never built.
+//! The sequential scan defines the semantics: with several workers slots
+//! are built in waves, and whatever a wave evaluated past the sequential
 //! stopping slot is dropped without being counted or traced, so results,
 //! trace reports and checkpoints are identical at every thread count. A
 //! model with a split, and `validate_before_measure: false` (invalid
@@ -87,11 +108,12 @@
 //!
 //! With `TuneOptions::checkpoint_path` set, every generation logs what its
 //! measurements returned ([`crate::checkpoint`]), and a later run with the
-//! same options replays that log through this very loop instead of
-//! measuring: proposals are pure functions of `(seed, generation, slot)`,
-//! the log supplies the only input that is not, so the resumed run is the
+//! same options replays that log through `measure` instead of measuring:
+//! proposals are pure functions of `(seed, generation, slot)`, the log
+//! supplies the only input that is not, so the resumed run is the
 //! uninterrupted run.
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -114,6 +136,33 @@ use crate::measure::{
 };
 use crate::parallel::{effective_threads, parallel_map, try_parallel_map};
 use crate::sketch::{Decision, SketchRule};
+
+/// The phase spans a traced generation records, in key order: the span of
+/// phase `i` is keyed `Key::coord(stream, generation, i)`. Only
+/// `search.measure` carries simulated seconds — the *serial* sum of the
+/// batch's costs, which is thread-invariant (the thread-dependent makespan
+/// stays in `tuning_cost_s`; at one worker the two coincide). The CPU-side
+/// phases carry item counts instead of wall-clock, which would break
+/// byte-identical reports across machines and runs.
+pub const SEARCH_PHASES: [&str; 6] = [
+    "search.evolve",
+    "search.sketch_instantiate",
+    "search.feature_extract",
+    "search.model_rank",
+    "search.measure",
+    "search.refit",
+];
+
+/// Indices into [`SEARCH_PHASES`].
+#[derive(Clone, Copy)]
+enum Phase {
+    Evolve,
+    SketchInstantiate,
+    FeatureExtract,
+    ModelRank,
+    Measure,
+    Refit,
+}
 
 /// Search configuration.
 ///
@@ -312,42 +361,54 @@ fn batch_makespan(costs: &[f64], workers: usize) -> f64 {
     load.into_iter().fold(0.0, f64::max)
 }
 
-/// How one population slot derives its decision vector (fixed by the
-/// coordinator before the generation fans out).
-enum Plan {
-    /// Crossover of two elite decision vectors, then one mutation.
-    Cross(usize, usize),
-    /// One mutation of an elite decision vector.
-    Mutate(usize),
-    /// A fresh random sample.
-    Sample,
-}
-
-/// A measurement recorded in the structural-hash candidate cache.
-struct CachedMeasurement {
-    features: Vec<f64>,
-    time: f64,
-}
-
-/// Per-candidate result of the parallel evaluation pipeline.
+/// A proposal after `materialize`.
 struct CandidateEval {
     decisions: Vec<Decision>,
-    /// Materialized program; `None` when construction/validation failed.
-    func: Option<PrimFunc>,
-    /// Structural hash of the program (0 when invalid).
+    /// `None` when construction or validation failed (or panicked).
+    built: Option<Built>,
+}
+
+/// A candidate program that was built and validated.
+struct Built {
+    func: PrimFunc,
     hash: u64,
-    /// Feature vector (empty when invalid).
     features: Vec<f64>,
-    /// Cached measurement time; `NaN` unless `cached` (measurement of
-    /// uncached candidates happens after batch selection, through the
-    /// fault-tolerant harness).
-    time: f64,
-    /// Whether features/time were served from the candidate cache.
-    cached: bool,
+    /// The time the candidate cache holds for `hash`, if it may be reused;
+    /// otherwise `measure` sends the program to the farm.
+    cached: Option<f64>,
+}
+
+/// What every stage of one tune reads and nothing changes.
+struct Ctx<'a> {
+    sketch: &'a dyn SketchRule,
+    machine: &'a Machine,
+    opts: &'a TuneOptions,
+    measurer: &'a dyn Measurer,
+    threads: usize,
+    trace: Option<&'a Collector>,
+    stream: u64,
+}
+
+impl Ctx<'_> {
+    /// Records `phase` of `generation`, when tracing.
+    fn span(&self, generation: u64, phase: Phase, sim_s: f64, items: usize) {
+        if let Some(c) = self.trace {
+            let key = Key::coord(self.stream, generation, phase as u64);
+            c.span(SEARCH_PHASES[phase as usize], key, sim_s, items as u64);
+        }
+    }
+
+    /// Adds `n` to a trace counter, when tracing.
+    fn count(&self, name: &str, n: u64) {
+        if let Some(c) = self.trace {
+            c.count(name, n);
+        }
+    }
 }
 
 /// The mutable coordinator state of a tuning run. A checkpoint stores none
 /// of it: a resumed run rebuilds it by replaying the logged measurements.
+#[derive(Default)]
 struct SearchState {
     result: TuneResult,
     model: CostModel,
@@ -355,10 +416,9 @@ struct SearchState {
     seen: HashSet<Vec<Decision>>,
     /// Elite pool of (decisions, measured time), in coordinator order.
     elites: Vec<(Vec<Decision>, f64)>,
-    /// Structural-hash cache of completed measurements. Owned by the
-    /// coordinator; each generation reads a frozen snapshot in parallel
-    /// and new measurements are folded in afterwards.
-    cache: HashMap<u64, CachedMeasurement>,
+    /// Structural-hash cache of completed measurements: features and
+    /// time. `materialize` reads it in parallel; `learn` adds to it.
+    cache: HashMap<u64, (Vec<f64>, f64)>,
     /// Structural hashes of deterministically failing candidates.
     quarantine: HashSet<u64>,
     /// Next generation to execute.
@@ -366,24 +426,18 @@ struct SearchState {
 }
 
 impl SearchState {
-    fn fresh() -> Self {
-        SearchState {
-            result: TuneResult::default(),
-            model: CostModel::new(),
-            seen: HashSet::new(),
-            elites: Vec::new(),
-            cache: HashMap::new(),
-            quarantine: HashSet::new(),
-            generation: 0,
-        }
-    }
-
     /// Trial budget consumed so far: successful, wasted, and failed
     /// measurements all count (a farm pays for failures too).
     fn budget_used(&self) -> usize {
         self.result.trials_measured
             + self.result.wasted_measurements
             + self.result.failed_measurements
+    }
+
+    /// Whether `candidate` built a program that failed deterministically
+    /// before: such a candidate is never selected.
+    fn quarantined(&self, candidate: &CandidateEval) -> bool {
+        (candidate.built.as_ref()).is_some_and(|b| self.quarantine.contains(&b.hash))
     }
 }
 
@@ -418,414 +472,338 @@ pub fn tune_with(
     if opts.trials == 0 || opts.population == 0 || opts.measure_per_generation == 0 {
         return TuneResult::default();
     }
-    let threads = effective_threads(opts.num_threads);
     // One trace stream per tune_with call, allocated by the coordinator so
     // stream ids are deterministic regardless of thread count.
-    let trace: Option<&Collector> = opts.trace.as_deref().filter(|c| c.is_enabled());
-    let stream = trace.map_or(0, |c| c.stream(sketch.name()));
-    let mut state = SearchState::fresh();
-    let mut log = opts
-        .checkpoint_path
-        .as_ref()
-        .map(|p| MeasureLog::open(p, opts.seed, &machine.name, sketch.name()));
-
+    let trace = opts.trace.as_deref().filter(|c| c.is_enabled());
+    let cx = Ctx {
+        sketch,
+        machine,
+        opts,
+        measurer,
+        threads: effective_threads(opts.num_threads),
+        trace,
+        stream: trace.map_or(0, |c| c.stream(sketch.name())),
+    };
+    let mut state = SearchState::default();
     // Seed the incumbent from a warm start (stored tuning record) when it
-    // beats whatever the state holds. The trajectory below is untouched:
-    // the incumbent only gates the `t < best_time` replacement test.
-    if let Some(w) = &opts.warm_start {
-        if w.best_time < state.result.best_time {
-            state.result.best = Some(w.best.clone());
-            state.result.best_time = w.best_time;
-        }
+    // beats whatever the state holds. The trajectory is untouched: the
+    // incumbent only gates the `t < best_time` replacement test in `learn`.
+    if let Some(w) = (opts.warm_start.as_ref()).filter(|w| w.best_time < state.result.best_time) {
+        state.result.best = Some(w.best.clone());
+        state.result.best_time = w.best_time;
     }
-
+    let mut log = (opts.checkpoint_path.as_ref())
+        .map(|p| MeasureLog::open(p, opts.seed, &machine.name, sketch.name()));
     while state.budget_used() < opts.trials
         && opts.max_generations.is_none_or(|g| state.generation < g)
     {
-        let generation = state.generation;
-        let budget_left = opts.trials - state.budget_used();
-        let SearchState {
-            result,
-            model,
-            seen,
-            elites,
-            cache,
-            quarantine,
-            ..
-        } = &mut state;
-        // Coordinator: fix each slot's derivation plan (half evolved from
-        // elites, half random).
-        let plans: Vec<Plan> = (0..opts.population)
-            .map(|i| {
-                if elites.len() >= 2 && i % 2 == 0 {
-                    Plan::Cross(i % elites.len(), (i + 1) % elites.len())
-                } else if !elites.is_empty() && i % 4 == 1 {
-                    Plan::Mutate(i % elites.len())
-                } else {
-                    Plan::Sample
-                }
-            })
-            .collect();
-
-        // Fan-out 1: sampling / mutation / crossover. Each slot owns a
-        // generator derived from (seed, generation, slot), so the outcome
-        // is independent of thread interleaving.
-        let elites_ref: &Vec<(Vec<Decision>, f64)> = elites;
-        let proposals: Vec<Vec<Decision>> = parallel_map(&plans, threads, |slot, plan| {
-            let mut rng = StdRng::seed_from_u64(derive_seed(opts.seed, &[generation, slot as u64]));
-            match *plan {
-                Plan::Cross(a, b) => {
-                    let crossed = sketch.crossover(&elites_ref[a].0, &elites_ref[b].0, &mut rng);
-                    sketch.mutate(&crossed, &mut rng)
-                }
-                Plan::Mutate(e) => sketch.mutate(&elites_ref[e].0, &mut rng),
-                Plan::Sample => sketch.sample(&mut rng),
-            }
-        });
-
-        // Coordinator: deduplicate in slot order against everything ever
-        // proposed (decision-vector level).
-        let population: Vec<Vec<Decision>> = proposals
-            .into_iter()
-            .filter(|d| seen.insert(d.clone()))
-            .collect();
+        let population = propose(&cx, &mut state);
         if population.is_empty() {
             // Search space exhausted.
             break;
         }
-
-        // Coordinator: decide how much of the population selection can
-        // read. The batch is the `batch_size` best-scored candidates that
-        // are not quarantined, ties in slot order. When validation filters
-        // invalid candidates out and the scorer is feature-blind — no
-        // model yet, the cost model switched off, or an ensemble without
-        // a single split — every candidate ties, so the batch is the first
-        // `batch_size` valid, non-quarantined slots and nothing past the
-        // last of them is ever read.
+        // Decided before anything is built: whether `score` can rank.
+        // When validation filters invalid candidates out and the scorer is
+        // feature-blind — no model yet, the cost model switched off, or an
+        // ensemble without a single split — every candidate ties, so the
+        // batch is the first `batch_size` valid, non-quarantined slots and
+        // `materialize` stops at the last of them.
+        let budget_left = opts.trials - state.budget_used();
         let batch_size = opts.measure_per_generation.min(budget_left);
-        let model_ready = opts.use_cost_model && model.num_samples() >= 4;
-        let prefix_scan = opts.validate_before_measure && !(model_ready && model.has_split());
+        let model_ready = opts.use_cost_model && state.model.num_samples() >= 4;
+        let ranks = model_ready && state.model.has_split();
+        let prefix_scan = opts.validate_before_measure && !ranks;
         let stop_at = if prefix_scan { batch_size } else { usize::MAX };
-        // Quarantined candidates (deterministic failures, keyed by
-        // structural hash) are never selected.
-        let selectable = |e: &CandidateEval| e.hash == 0 || !quarantine.contains(&e.hash);
-
-        // Fan-out 2: materialize + validate + summarize + extract features,
-        // with cache lookups against the frozen snapshot — in slot order,
-        // until `stop_at` selectable candidates exist or the population
-        // ends. A wave holds as many slots as are certainly still needed
-        // (at least one per worker); whatever a parallel wave evaluated
-        // past the slot a sequential scan stops at is dropped uncounted,
-        // so every thread count sees the same prefix. A panic while
-        // materializing a candidate marks that candidate invalid instead
-        // of aborting the run.
-        let cache_ref: &HashMap<u64, CachedMeasurement> = cache;
-        let invalid = |d: &Vec<Decision>| CandidateEval {
-            decisions: d.clone(),
-            func: None,
-            hash: 0,
-            features: Vec::new(),
-            time: f64::NAN,
-            cached: false,
-        };
-        let materialize = |_: usize, d: &Vec<Decision>| match sketch.apply(d) {
-            Err(_) => invalid(d),
-            Ok(f) => {
-                let hash = structural_hash(&f);
-                let (features, time, cached) = match cache_ref.get(&hash) {
-                    Some(m) if opts.use_candidate_cache => (m.features.clone(), m.time, true),
-                    _ => {
-                        let s = summarize(&f);
-                        // The actual measurement happens after batch
-                        // selection, through the fault-tolerant
-                        // harness; until then the time is unknown.
-                        (features_of_summary(&f, &s), f64::NAN, false)
-                    }
-                };
-                CandidateEval {
-                    decisions: d.clone(),
-                    func: Some(f),
-                    hash,
-                    features,
-                    time,
-                    cached,
-                }
-            }
-        };
-        let mut evals: Vec<CandidateEval> = Vec::new();
-        let mut selectable_found = 0usize;
-        while selectable_found < stop_at && evals.len() < population.len() {
-            let wave = (stop_at - selectable_found)
-                .max(threads)
-                .min(population.len() - evals.len());
-            let slots = &population[evals.len()..][..wave];
-            for (r, d) in try_parallel_map(slots, threads, materialize)
-                .into_iter()
-                .zip(slots)
-            {
-                if selectable_found == stop_at {
-                    break;
-                }
-                let eval = r.unwrap_or_else(|_| invalid(d));
-                selectable_found += usize::from(eval.func.is_some() && selectable(&eval));
-                evals.push(eval);
-            }
-        }
-        let materialized = evals.len();
-
-        // Coordinator: validation-filter accounting, in slot order.
-        let mut candidates: Vec<CandidateEval> = Vec::new();
-        let mut features_extracted: u64 = 0;
-        for eval in evals {
-            if eval.func.is_some() && !eval.cached {
-                features_extracted += 1;
-            }
-            if eval.func.is_none() {
-                result.invalid_filtered += 1;
-                if opts.validate_before_measure {
-                    continue;
-                }
-                // Without the filter this candidate would have been sent
-                // to the hardware and failed there.
-            }
-            candidates.push(eval);
-        }
-
-        // Fan-out 3: batched cost-model ranking over what was materialized.
-        // A panicking scorer ranks its candidate neutrally (score 0)
-        // rather than aborting the run.
-        let model_ref: &CostModel = model;
-        let mut scored: Vec<(f64, usize)> = try_parallel_map(&candidates, threads, |_, eval| {
-            match &eval.func {
-                Some(_) if model_ready => model_ref.predict(&eval.features),
-                // Without the validation filter, an invalid candidate is
-                // indistinguishable from a promising one until it fails
-                // on the device: rank it like any unscored candidate.
-                None => f64::MAX / 2.0,
-                _ => 0.0,
-            }
-        })
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| (r.unwrap_or(0.0), i))
-        .collect();
-        // Stable sort: equal scores keep slot order, preserving
-        // determinism.
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-
-        // Coordinator: select the top-ranked batch. Quarantined
-        // candidates are skipped without consuming any budget.
-        let batch: Vec<usize> = scored
-            .into_iter()
-            .map(|(_, i)| i)
-            .filter(|&i| selectable(&candidates[i]))
-            .take(batch_size)
-            .collect();
-
-        // Fan-out 4: measure the uncached members of the batch (from rank
-        // `from` on) through the fault-tolerant harness. The harness
-        // already converts panics into per-candidate RunnerCrash errors;
-        // `try_parallel_map` is the backstop for panics outside it.
-        let jobs: Vec<(&PrimFunc, u64)> = batch
-            .iter()
-            .filter_map(|&i| {
-                let eval = &candidates[i];
-                let func = eval.func.as_ref().filter(|_| !eval.cached)?;
-                Some((func, eval.hash))
-            })
-            .collect();
-        let measure = |from: usize| -> Vec<MeasureOutcome> {
-            try_parallel_map(&jobs[from..], threads, |rank, &(f, hash)| {
-                // The trace key is the job's rank in the batch — a pure
-                // function of the (deterministic) batch order, so the
-                // merged report is byte-identical at any thread count.
-                let mut buf = trace.map(Collector::buffer);
-                let mut mt = buf.as_mut().map(|buf| MeasureTrace {
-                    buf,
-                    stream,
-                    generation,
-                    slot: (from + rank) as u64,
-                });
-                measure_with_retries(measurer, f, machine, hash, &opts.retry, mt.as_mut())
-            })
-            .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|msg| MeasureOutcome {
-                    reading: Err(MeasureError::RunnerCrash(format!(
-                        "measurement worker panicked: {msg}"
-                    ))),
-                    cost_s: COMPILE_OVERHEAD_S,
-                    retries: 0,
-                })
-            })
-            .collect()
-        };
-        let outcomes = match &mut log {
-            None => measure(0),
-            // Checkpointed: what the log of an earlier run holds for these
-            // jobs, rank by rank, is not measured again; the farm takes
-            // over where the log stops, and the log gains the generation.
-            Some(log) => {
-                let hashes: Vec<u64> = jobs.iter().map(|&(_, hash)| hash).collect();
-                let mut outcomes = log.replay(&hashes);
-                outcomes.extend(measure(outcomes.len()));
-                // A failed save only loses resumability, never the run.
-                let _ = log.record(&hashes, &outcomes);
-                outcomes
-            }
-        };
-        // Coordinator: accounting over the batch, in rank order. Every
-        // uncached valid batch member is a job, in batch order, so the
-        // batch and the job outcomes are walked in lockstep.
-        let mut outcomes = outcomes.into_iter();
-        let counters_before = (
-            result.cache_hits,
-            result.quarantined,
-            result.retries,
-            result.failed_measurements,
-        );
-        let mut verify_rejections: u64 = 0;
-        let mut new_samples = Vec::new();
-        let mut new_records: Vec<(u64, CachedMeasurement)> = Vec::new();
-        let mut batch_costs: Vec<f64> = Vec::new();
-        for i in batch {
-            let eval = &candidates[i];
-            let Some(f) = &eval.func else {
-                // Sent to the farm unvalidated; failed at build time.
-                result.wasted_measurements += 1;
-                batch_costs.push(COMPILE_OVERHEAD_S);
-                result.history.push(result.best_time);
-                continue;
-            };
-            let t = if eval.cached {
-                // Reused measurement: no profile repeats, no
-                // recompilation, and by construction a trusted reading.
-                result.cache_hits += 1;
-                eval.time
-            } else {
-                let outcome = outcomes.next().expect("one outcome per job");
-                result.retries += outcome.retries;
-                batch_costs.push(outcome.cost_s);
-                match outcome.reading {
-                    Ok(t) => {
-                        new_records.push((
-                            eval.hash,
-                            CachedMeasurement {
-                                features: eval.features.clone(),
-                                time: t,
-                            },
-                        ));
-                        t
-                    }
-                    Err(e) => {
-                        if matches!(e, MeasureError::CompileReject(_)) {
-                            verify_rejections += 1;
-                        }
-                        result.failed_measurements += 1;
-                        if !e.is_transient() && eval.hash != 0 && quarantine.insert(eval.hash) {
-                            result.quarantined += 1;
-                        }
-                        result.history.push(result.best_time);
-                        continue;
-                    }
-                }
-            };
-            if let Some(c) = trace {
-                // Roofline attribution of every measured candidate:
-                // compute-bound vs bandwidth-bound on this machine. Only
-                // evaluated while tracing — the breakdown re-runs the
-                // summarizer, which the disabled path must not pay for.
-                match estimate_breakdown(&summarize(f), machine).bound() {
-                    RooflineBound::Compute => c.count("roofline.compute_bound", 1),
-                    RooflineBound::Memory => c.count("roofline.memory_bound", 1),
-                }
-                c.observe("search.candidate_time_s", t);
-            }
-            result.trials_measured += 1;
-            new_samples.push((eval.features.clone(), -(t.max(1e-12)).ln()));
-            if t < result.best_time {
-                result.best_time = t;
-                result.best = Some(f.clone());
-            }
-            result.history.push(result.best_time);
-            elites.push((eval.decisions.clone(), t));
-        }
-        result.tuning_cost_s += batch_makespan(&batch_costs, threads);
-        if let Some(c) = trace {
-            // One span per pipeline phase, keyed by (stream, generation,
-            // COORD, phase index). Only `search.measure` carries simulated
-            // seconds — the *serial* sum of batch costs, which is
-            // thread-invariant (the thread-dependent makespan stays in
-            // `tuning_cost_s`; at one worker the two coincide). CPU-side
-            // phases carry item counts instead of wall-clock, which would
-            // break byte-identical reports across machines and runs.
-            let g = generation;
-            c.span(
-                "search.evolve",
-                Key::coord(stream, g, 0),
-                0.0,
-                plans.len() as u64,
-            );
-            c.span(
-                "search.sketch_instantiate",
-                Key::coord(stream, g, 1),
-                0.0,
-                materialized as u64,
-            );
-            c.span(
-                "search.feature_extract",
-                Key::coord(stream, g, 2),
-                0.0,
-                features_extracted,
-            );
-            c.span(
-                "search.model_rank",
-                Key::coord(stream, g, 3),
-                0.0,
-                candidates.len() as u64,
-            );
-            c.span(
-                "search.measure",
-                Key::coord(stream, g, 4),
-                batch_makespan(&batch_costs, 1),
-                batch_costs.len() as u64,
-            );
-            c.span(
-                "search.refit",
-                Key::coord(stream, g, 5),
-                0.0,
-                new_samples.len() as u64,
-            );
-            let (hits0, quar0, retr0, fail0) = counters_before;
-            c.count("search.cache_hits", (result.cache_hits - hits0) as u64);
-            c.count("search.quarantined", (result.quarantined - quar0) as u64);
-            c.count("search.retries", result.retries - retr0);
-            c.count(
-                "search.failed_measurements",
-                (result.failed_measurements - fail0) as u64,
-            );
-            c.count("search.verify_rejections", verify_rejections);
-            c.count("search.proposed", population.len() as u64);
-            c.count("search.materialized", materialized as u64);
-            c.count(
-                "search.materialize_skipped",
-                (population.len() - materialized) as u64,
-            );
-        }
-        for (hash, record) in new_records {
-            cache.insert(hash, record);
-        }
-        if opts.use_cost_model && !new_samples.is_empty() {
-            model.update(new_samples);
-        }
-        elites.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        elites.truncate(8);
+        let candidates = materialize(&cx, &mut state, &population, stop_at);
+        let scores = score(&cx, &state, &candidates, model_ready);
+        let batch = select(&state, &candidates, &scores, batch_size);
+        let readings = measure(&cx, &mut state, &batch, log.as_mut());
+        learn(&cx, &mut state, &batch, readings);
         state.generation += 1;
     }
     state.result.resumed_from_generation = log
         .map(|l| l.replayed_generations())
         .filter(|&replayed| replayed > 0);
     state.result
+}
+
+/// Propose: one decision vector per population slot — a crossover of two
+/// elites then a mutation, a mutation of one elite, or a fresh sample —
+/// each from the generator of `(seed, generation, slot)`, so the outcome is
+/// independent of thread interleaving. Deduplicated in slot order against
+/// everything ever proposed; empty once the space is exhausted.
+fn propose(cx: &Ctx, state: &mut SearchState) -> Vec<Vec<Decision>> {
+    let (elites, generation) = (&state.elites, state.generation);
+    let slots: Vec<usize> = (0..cx.opts.population).collect();
+    let proposals = parallel_map(&slots, cx.threads, |_, &slot| {
+        let mut rng = StdRng::seed_from_u64(derive_seed(cx.opts.seed, &[generation, slot as u64]));
+        let elite = |i: usize| &elites[i % elites.len()].0;
+        if elites.len() >= 2 && slot % 2 == 0 {
+            let crossed = cx.sketch.crossover(elite(slot), elite(slot + 1), &mut rng);
+            cx.sketch.mutate(&crossed, &mut rng)
+        } else if !elites.is_empty() && slot % 4 == 1 {
+            cx.sketch.mutate(elite(slot), &mut rng)
+        } else {
+            cx.sketch.sample(&mut rng)
+        }
+    });
+    let population: Vec<Vec<Decision>> = (proposals.into_iter())
+        .filter(|d| state.seen.insert(d.clone()))
+        .collect();
+    if !population.is_empty() {
+        cx.span(generation, Phase::Evolve, 0.0, slots.len());
+        cx.count("search.proposed", population.len() as u64);
+    }
+    population
+}
+
+/// Materialize: build, validate, hash and — unless the cache may answer —
+/// summarize and extract features, in slot order until `stop_at`
+/// selectable candidates exist or the population ends. A wave holds as
+/// many slots as are certainly still needed (at least one per worker);
+/// whatever a parallel wave evaluated past the slot a sequential scan stops
+/// at is dropped uncounted, so every thread count sees the same prefix. A
+/// panic while building a candidate makes it invalid. Returns what was
+/// built, without the invalid candidates when validation filters them.
+fn materialize(
+    cx: &Ctx,
+    state: &mut SearchState,
+    population: &[Vec<Decision>],
+    stop_at: usize,
+) -> Vec<CandidateEval> {
+    let build = |_: usize, decisions: &Vec<Decision>| {
+        let func = cx.sketch.apply(decisions).ok()?;
+        let hash = structural_hash(&func);
+        let (features, cached) = match state.cache.get(&hash) {
+            Some((features, t)) if cx.opts.use_candidate_cache => (features.clone(), Some(*t)),
+            _ => (features_of_summary(&func, &summarize(&func)), None),
+        };
+        Some(Built {
+            func,
+            hash,
+            features,
+            cached,
+        })
+    };
+    let mut evals: Vec<CandidateEval> = Vec::new();
+    let mut selectable = 0usize;
+    while selectable < stop_at && evals.len() < population.len() {
+        let wave = (stop_at - selectable)
+            .max(cx.threads)
+            .min(population.len() - evals.len());
+        let slots = &population[evals.len()..][..wave];
+        let built = try_parallel_map(slots, cx.threads, build);
+        for (r, decisions) in built.into_iter().zip(slots) {
+            if selectable == stop_at {
+                break;
+            }
+            let (decisions, built) = (decisions.clone(), r.ok().flatten());
+            let eval = CandidateEval { decisions, built };
+            selectable += usize::from(eval.built.is_some() && !state.quarantined(&eval));
+            evals.push(eval);
+        }
+    }
+    let built = evals.iter().filter_map(|e| e.built.as_ref());
+    let featurized = built.clone().filter(|b| b.cached.is_none()).count();
+    state.result.invalid_filtered += evals.len() - built.count();
+    cx.span(state.generation, Phase::SketchInstantiate, 0.0, evals.len());
+    cx.span(state.generation, Phase::FeatureExtract, 0.0, featurized);
+    let skipped = population.len() - evals.len();
+    cx.count("search.materialized", evals.len() as u64);
+    cx.count("search.materialize_skipped", skipped as u64);
+    if cx.opts.validate_before_measure {
+        evals.retain(|e| e.built.is_some());
+    }
+    evals
+}
+
+/// Score: the cost model's prediction for every candidate, in parallel;
+/// 0 for all while the model is not ready. Without the validation filter
+/// an invalid candidate is indistinguishable from a promising one until it
+/// fails on the device, so it scores `f64::MAX / 2` and ranks first. A
+/// panicking scorer ranks its candidate neutrally (0).
+fn score(cx: &Ctx, state: &SearchState, candidates: &[CandidateEval], ready: bool) -> Vec<f64> {
+    let scores = try_parallel_map(candidates, cx.threads, |_, c| match &c.built {
+        Some(b) if ready => state.model.predict(&b.features),
+        Some(_) => 0.0,
+        None => f64::MAX / 2.0,
+    });
+    cx.span(state.generation, Phase::ModelRank, 0.0, candidates.len());
+    scores.into_iter().map(|r| r.unwrap_or(0.0)).collect()
+}
+
+/// Select: the `batch_size` best-scored candidates, skipping quarantined
+/// ones without consuming budget. The sort is stable: equal scores keep
+/// slot order, preserving determinism.
+fn select<'c>(
+    state: &SearchState,
+    candidates: &'c [CandidateEval],
+    scores: &[f64],
+    batch_size: usize,
+) -> Vec<&'c CandidateEval> {
+    let mut ranked: Vec<usize> = (0..candidates.len()).collect();
+    ranked.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap_or(Ordering::Equal));
+    (ranked.into_iter().map(|i| &candidates[i]))
+        .filter(|c| !state.quarantined(c))
+        .take(batch_size)
+        .collect()
+}
+
+/// Measure: every uncached valid member of the batch, in rank order,
+/// through the fault-tolerant harness on the worker farm. With a checkpoint
+/// log, what an earlier run logged for these jobs is replayed rank by rank,
+/// the farm takes over where the log stops, and the log gains the
+/// generation. Returns one reading per batch member: `None` for a cached or
+/// invalid one. Charges the batch makespan to `tuning_cost_s`.
+fn measure(
+    cx: &Ctx,
+    state: &mut SearchState,
+    batch: &[&CandidateEval],
+    log: Option<&mut MeasureLog>,
+) -> Vec<Option<MeasureOutcome>> {
+    let jobs: Vec<&Built> = (batch.iter())
+        .filter_map(|c| c.built.as_ref().filter(|b| b.cached.is_none()))
+        .collect();
+    let generation = state.generation;
+    // The harness already converts panics into per-candidate RunnerCrash
+    // errors; `try_parallel_map` is the backstop for panics outside it.
+    let farm = |from: usize| -> Vec<MeasureOutcome> {
+        try_parallel_map(&jobs[from..], cx.threads, |rank, b| {
+            // The trace key is the job's rank in the batch — a pure
+            // function of the (deterministic) batch order, so the merged
+            // report is byte-identical at any thread count.
+            let mut buf = cx.trace.map(Collector::buffer);
+            let mut mt = buf.as_mut().map(|buf| MeasureTrace {
+                buf,
+                stream: cx.stream,
+                generation,
+                slot: (from + rank) as u64,
+            });
+            let retry = &cx.opts.retry;
+            measure_with_retries(cx.measurer, &b.func, cx.machine, b.hash, retry, mt.as_mut())
+        })
+        .into_iter()
+        .map(|r| {
+            r.unwrap_or_else(|msg| MeasureOutcome {
+                reading: Err(MeasureError::RunnerCrash(format!(
+                    "measurement worker panicked: {msg}"
+                ))),
+                cost_s: COMPILE_OVERHEAD_S,
+                retries: 0,
+            })
+        })
+        .collect()
+    };
+    let outcomes = match log {
+        None => farm(0),
+        Some(log) => {
+            let hashes: Vec<u64> = jobs.iter().map(|b| b.hash).collect();
+            let mut outcomes = log.replay(&hashes);
+            outcomes.extend(farm(outcomes.len()));
+            // A failed save only loses resumability, never the run.
+            let _ = log.record(&hashes, &outcomes);
+            outcomes
+        }
+    };
+    let mut outcomes = outcomes.into_iter();
+    let readings: Vec<Option<MeasureOutcome>> = (batch.iter())
+        .map(|c| match &c.built {
+            Some(b) if b.cached.is_none() => outcomes.next(),
+            _ => None,
+        })
+        .collect();
+    // An invalid candidate sent unvalidated fails at build time and costs
+    // the compile overhead; a reused measurement costs nothing.
+    let costs: Vec<f64> = (batch.iter().zip(&readings))
+        .filter_map(|(c, reading)| match reading {
+            Some(outcome) => Some(outcome.cost_s),
+            None => c.built.is_none().then_some(COMPILE_OVERHEAD_S),
+        })
+        .collect();
+    state.result.tuning_cost_s += batch_makespan(&costs, cx.threads);
+    let serial_s = batch_makespan(&costs, 1);
+    cx.span(generation, Phase::Measure, serial_s, costs.len());
+    readings
+}
+
+/// Learn: fold the batch's readings into the result in rank order — every
+/// member appends one `history` entry — quarantine deterministic
+/// failures, cache new measurements, refit the cost model on them and
+/// keep the eight best elites.
+fn learn(
+    cx: &Ctx,
+    state: &mut SearchState,
+    batch: &[&CandidateEval],
+    readings: Vec<Option<MeasureOutcome>>,
+) {
+    let r = &mut state.result;
+    let mut samples = Vec::new();
+    for (candidate, reading) in batch.iter().zip(readings) {
+        let time = match (&candidate.built, reading) {
+            // Sent to the farm unvalidated; failed at build time.
+            (None, _) => {
+                r.wasted_measurements += 1;
+                None
+            }
+            // Reused measurement: no profile repeats, no recompilation,
+            // and by construction a trusted reading.
+            (Some(b), None) => {
+                r.cache_hits += 1;
+                cx.count("search.cache_hits", 1);
+                b.cached
+            }
+            (Some(b), Some(outcome)) => {
+                r.retries += outcome.retries;
+                cx.count("search.retries", outcome.retries);
+                match outcome.reading {
+                    Ok(t) => Some(t),
+                    Err(e) => {
+                        r.failed_measurements += 1;
+                        cx.count("search.failed_measurements", 1);
+                        let rejected = matches!(e, MeasureError::CompileReject(_));
+                        cx.count("search.verify_rejections", u64::from(rejected));
+                        if !e.is_transient() && state.quarantine.insert(b.hash) {
+                            r.quarantined += 1;
+                            cx.count("search.quarantined", 1);
+                        }
+                        None
+                    }
+                }
+            }
+        };
+        if let (Some(b), Some(t)) = (&candidate.built, time) {
+            if let Some(c) = cx.trace {
+                // Roofline attribution of every measured candidate:
+                // compute-bound vs bandwidth-bound on this machine. Only
+                // evaluated while tracing — the breakdown re-runs the
+                // summarizer, which the disabled path must not pay for.
+                match estimate_breakdown(&summarize(&b.func), cx.machine).bound() {
+                    RooflineBound::Compute => c.count("roofline.compute_bound", 1),
+                    RooflineBound::Memory => c.count("roofline.memory_bound", 1),
+                }
+                c.observe("search.candidate_time_s", t);
+            }
+            if b.cached.is_none() {
+                state.cache.insert(b.hash, (b.features.clone(), t));
+            }
+            r.trials_measured += 1;
+            samples.push((b.features.clone(), -(t.max(1e-12)).ln()));
+            if t < r.best_time {
+                r.best_time = t;
+                r.best = Some(b.func.clone());
+            }
+            state.elites.push((candidate.decisions.clone(), t));
+        }
+        r.history.push(r.best_time);
+    }
+    cx.span(state.generation, Phase::Refit, 0.0, samples.len());
+    if cx.opts.use_cost_model && !samples.is_empty() {
+        state.model.update(samples);
+    }
+    state
+        .elites
+        .sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal));
+    state.elites.truncate(8);
 }
 
 /// Tunes several alternative sketches against `measurer` and returns the
@@ -841,7 +819,7 @@ pub fn tune_multi_with(
     opts: &TuneOptions,
     measurer: &dyn Measurer,
 ) -> TuneResult {
-    let mut merged: Option<TuneResult> = None;
+    let mut m = TuneResult::default();
     // Budget split across sketches. Each sketch gets at least one trial so
     // small budgets still cover every structure, but a zero budget stays
     // zero: `trials: 0` must not search at all.
@@ -860,28 +838,22 @@ pub fn tune_multi_with(
             ..per_sketch.clone()
         };
         let r = tune_with(*sketch, machine, &o, measurer);
-        merged = Some(match merged.take() {
-            None => r,
-            Some(mut m) => {
-                if r.best_time < m.best_time {
-                    m.best = r.best;
-                    m.best_time = r.best_time;
-                }
-                m.trials_measured += r.trials_measured;
-                m.invalid_filtered += r.invalid_filtered;
-                m.wasted_measurements += r.wasted_measurements;
-                m.tuning_cost_s += r.tuning_cost_s;
-                m.history.extend(r.history);
-                m.cache_hits += r.cache_hits;
-                m.failed_measurements += r.failed_measurements;
-                m.retries += r.retries;
-                m.quarantined += r.quarantined;
-                m.resumed_from_generation = m.resumed_from_generation.or(r.resumed_from_generation);
-                m
-            }
-        });
+        if r.best_time < m.best_time {
+            m.best = r.best;
+            m.best_time = r.best_time;
+        }
+        m.trials_measured += r.trials_measured;
+        m.invalid_filtered += r.invalid_filtered;
+        m.wasted_measurements += r.wasted_measurements;
+        m.tuning_cost_s += r.tuning_cost_s;
+        m.history.extend(r.history);
+        m.cache_hits += r.cache_hits;
+        m.failed_measurements += r.failed_measurements;
+        m.retries += r.retries;
+        m.quarantined += r.quarantined;
+        m.resumed_from_generation = m.resumed_from_generation.or(r.resumed_from_generation);
     }
-    merged.unwrap_or_default()
+    m
 }
 
 #[cfg(test)]

@@ -112,7 +112,7 @@ pub fn sample_perfect_tile(extent: i64, parts: usize, rng: &mut StdRng) -> Decis
 /// A parameterized schedule generator.
 ///
 /// `Send + Sync` so the evolutionary search can share one sketch across
-/// its candidate-evaluation worker threads (see [`crate::parallel`]);
+/// its candidate-evaluation worker threads (see [`crate::search`]);
 /// implementations hold immutable structure, so this is free in practice.
 pub trait SketchRule: Send + Sync {
     /// Human-readable sketch name.

@@ -15,6 +15,10 @@
 //! Regenerate (only when an intended change alters sketch output) with
 //! `cargo test -p tir-autoschedule --test sketch_apply_golden -- --ignored`.
 
+#[path = "../../../tests/corpus/golden.rs"]
+mod golden;
+
+use golden::fnv1a;
 use tir::structural::{func_structural_eq, structural_hash};
 use tir::{DataType, PrimFunc};
 use tir_autoschedule::{build_sketches, Strategy};
@@ -27,12 +31,6 @@ use tir_workloads::bench_suite;
 
 const VECTORS_PER_SKETCH: u64 = 40;
 const GOLDEN: &str = include_str!("golden/sketch_apply.txt");
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// Calls `f` with every `apply` result of the corpus, sketch by sketch:
 /// the row label (`machine operator sketch`) and the 40 seeded results.
@@ -65,7 +63,7 @@ fn outcomes() -> String {
                     format!(
                         "ok {:016x} {:016x}",
                         structural_hash(&f),
-                        fnv1a(&f.to_string())
+                        fnv1a(f.to_string().bytes())
                     )
                 }
                 Err(ScheduleError::BlockNotFound(_)) => "err BlockNotFound".into(),
@@ -142,21 +140,7 @@ fn non_leaf_signatures_are_what_a_full_refresh_derives() {
 
 #[test]
 fn apply_outputs_match_golden() {
-    let now = outcomes();
-    let mismatches: Vec<String> = GOLDEN
-        .lines()
-        .zip(now.lines())
-        .filter(|(want, got)| want != got)
-        .map(|(want, got)| format!("  want {want}\n   got {got}"))
-        .collect();
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} apply outcomes differ from the golden file:\n{}",
-        mismatches.len(),
-        GOLDEN.lines().count(),
-        mismatches[..mismatches.len().min(10)].join("\n")
-    );
-    assert_eq!(GOLDEN.lines().count(), now.lines().count());
+    golden::assert_matches_golden(GOLDEN, &outcomes(), "apply outcomes");
     assert!(
         GOLDEN.lines().filter(|l| l.contains(" ok ")).count() > GOLDEN.lines().count() / 4,
         "golden set is mostly failures; it would not notice a changed program"
@@ -167,5 +151,5 @@ fn apply_outputs_match_golden() {
 #[ignore = "rewrites the golden file"]
 fn regenerate_golden() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sketch_apply.txt");
-    std::fs::write(path, outcomes()).expect("write golden file");
+    golden::rewrite(path, &outcomes());
 }

@@ -18,6 +18,10 @@
 //! intended change alters the search trajectory) with
 //! `cargo test -p tir-autoschedule --test tune_golden -- --ignored`.
 
+#[path = "../../../tests/corpus/golden.rs"]
+mod golden;
+
+use golden::fnv1a;
 use tir::structural::structural_hash;
 use tir::DataType;
 use tir_autoschedule::{tune_workload, Strategy, TuneOptions};
@@ -28,12 +32,6 @@ use tir_workloads::{bench_suite, OpKind};
 const GOLDEN: &str = include_str!("golden/tune_results.txt");
 /// (trials, seed) of each row an operator gets.
 const ROWS: [(usize, u64); 4] = [(64, 1), (64, 2), (64, 3), (16, 1)];
-
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 fn outcomes() -> String {
     let reg = builtin_registry();
@@ -76,21 +74,7 @@ fn outcomes() -> String {
 
 #[test]
 fn tune_results_match_golden() {
-    let now = outcomes();
-    let mismatches: Vec<String> = GOLDEN
-        .lines()
-        .zip(now.lines())
-        .filter(|(want, got)| want != got)
-        .map(|(want, got)| format!("  want {want}\n   got {got}"))
-        .collect();
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} tune results differ from the golden file:\n{}",
-        mismatches.len(),
-        GOLDEN.lines().count(),
-        mismatches.join("\n")
-    );
-    assert_eq!(GOLDEN.lines().count(), now.lines().count());
+    golden::assert_matches_golden(GOLDEN, &outcomes(), "tune results");
     assert_eq!(GOLDEN.lines().count(), 10 * ROWS.len());
 }
 
@@ -98,5 +82,5 @@ fn tune_results_match_golden() {
 #[ignore = "rewrites the golden file"]
 fn regenerate_golden() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/tune_results.txt");
-    std::fs::write(path, outcomes()).expect("write golden file");
+    golden::rewrite(path, &outcomes());
 }

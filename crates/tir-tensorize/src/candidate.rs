@@ -80,24 +80,6 @@ struct GroupInfo {
     kind: IterKind,
 }
 
-/// The order in which workload iterators sharing a characteristic vector
-/// are fused onto one intrinsic iterator (§4.2).
-///
-/// The paper: "Our implementation now uses a default order for all the
-/// workloads and can generalize to different fusion orders in the
-/// future." — this reproduction implements that generalization: the order
-/// changes how operands are laid out in the staging buffers (and hence
-/// data-movement locality), never the computed values.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum FusionOrder {
-    /// Block-declaration order (the paper's default).
-    #[default]
-    Declaration,
-    /// Reversed declaration order (innermost workload iterator becomes the
-    /// highest-stride digit of the fused coordinate).
-    Reversed,
-}
-
 /// Performs the full auto-tensorization pipeline on the named block.
 ///
 /// # Errors
@@ -108,20 +90,6 @@ pub fn auto_tensorize(
     func: &PrimFunc,
     block_name: &str,
     intrin: &TensorIntrin,
-) -> Result<Tensorized> {
-    auto_tensorize_with_order(func, block_name, intrin, FusionOrder::Declaration)
-}
-
-/// [`auto_tensorize`] with an explicit iterator fusion order.
-///
-/// # Errors
-///
-/// As [`auto_tensorize`].
-pub fn auto_tensorize_with_order(
-    func: &PrimFunc,
-    block_name: &str,
-    intrin: &TensorIntrin,
-    order: FusionOrder,
 ) -> Result<Tensorized> {
     let mut sch = Schedule::new(func.clone());
     let block_ref = sch.get_block(block_name)?;
@@ -143,33 +111,26 @@ pub fn auto_tensorize_with_order(
         (einsum, mapping, extents)
     };
 
-    let ordered = |vars: &[Var]| -> Vec<Var> {
-        let mut v = vars.to_vec();
-        if order == FusionOrder::Reversed {
-            v.reverse();
-        }
-        v
-    };
+    // Iterators sharing a characteristic vector fuse in block-declaration
+    // order, the paper's default fusion order.
     let groups: Vec<GroupInfo> = mapping
         .groups
         .iter()
         .zip(&mapping.group_extents)
         .zip(&intrin.iters)
-        .map(|((vars, &fused_extent), ii)| {
-            let vars = ordered(vars);
-            GroupInfo {
-                extents: vars.iter().map(|v| block_iter_extents[v]).collect(),
-                vars,
-                fused_extent,
-                padded_extent: round_up(fused_extent, ii.extent),
-                kind: ii.kind,
-            }
+        .map(|((vars, &fused_extent), ii)| GroupInfo {
+            extents: vars.iter().map(|v| block_iter_extents[v]).collect(),
+            vars: vars.clone(),
+            fused_extent,
+            padded_extent: round_up(fused_extent, ii.extent),
+            kind: ii.kind,
         })
         .collect();
-    let batch_vars = ordered(&mapping.batch);
     let batch = GroupInfo {
-        extents: batch_vars.iter().map(|v| block_iter_extents[v]).collect(),
-        vars: batch_vars,
+        extents: (mapping.batch.iter())
+            .map(|v| block_iter_extents[v])
+            .collect(),
+        vars: mapping.batch.clone(),
         fused_extent: mapping.batch_extent,
         padded_extent: mapping.batch_extent,
         kind: IterKind::Spatial,
@@ -966,37 +927,5 @@ mod batch_tests {
         assert_eq!(t.padded_extents, vec![16, 4, 4]);
         assert_same_semantics(&func, t.schedule.func(), 1, 0.0);
         tir_analysis::assert_valid(t.schedule.func());
-    }
-}
-
-#[cfg(test)]
-mod fusion_order_tests {
-    use super::*;
-    use crate::intrin::builtin_registry;
-    use tir::DataType;
-    use tir_exec::assert_same_semantics;
-
-    /// Both fusion orders produce bit-exact programs; the staged layouts
-    /// differ (different decode expressions), which is the knob's point.
-    #[test]
-    fn reversed_fusion_order_is_bit_exact() {
-        let reg = builtin_registry();
-        let intrin = reg.get("dot_4x4x4_f32").unwrap();
-        let func = tir_workloads::c1d(2, 14, 4, 6, 3, 1, DataType::float32());
-        let default = auto_tensorize_with_order(&func, "C", intrin, FusionOrder::Declaration)
-            .expect("default order");
-        let reversed = auto_tensorize_with_order(&func, "C", intrin, FusionOrder::Reversed)
-            .expect("reversed order");
-        assert_same_semantics(&func, default.schedule.func(), 1, 0.0);
-        // Reversing the reduce-group fusion order permutes the summation
-        // order: bit-exactness is not expected for floats, equality within
-        // rounding is.
-        assert_same_semantics(&func, reversed.schedule.func(), 1, 1e-5);
-        // Same canonical extents either way (fusion is a bijection).
-        assert_eq!(default.fused_extents, reversed.fused_extents);
-        // But the staging programs differ in how coordinates decode.
-        let a = default.schedule.func().to_string();
-        let b = reversed.schedule.func().to_string();
-        assert_ne!(a, b, "orders should change the staged layout");
     }
 }

@@ -33,9 +33,6 @@ pub mod candidate;
 pub mod intrin;
 pub mod pattern;
 
-pub use candidate::{
-    auto_tensorize, auto_tensorize_with_order, find_tensorizable_block, tensorize, FusionOrder,
-    Tensorized,
-};
+pub use candidate::{auto_tensorize, find_tensorizable_block, tensorize, Tensorized};
 pub use intrin::{builtin_registry, IntrinRegistry, TensorIntrin};
 pub use pattern::{extract_einsum, propose_mapping, Einsum, MatchError};

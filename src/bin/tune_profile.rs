@@ -14,8 +14,9 @@
 //! the same report as `vm.op.*` counters.
 //!
 //! With `--check` the emitted report is validated in-process (the CI
-//! gate): it must be well-formed JSON, carry every expected phase and
-//! counter, its `search.*` phase times must sum to `tuning_cost_s`
+//! gate): it must be well-formed JSON, carry every phase the search
+//! declares (`tir_autoschedule::search::SEARCH_PHASES`) and the expected
+//! counters, its `search.*` phase times must sum to `tuning_cost_s`
 //! within 5%, and the candidates built and never built must add up to
 //! the candidates proposed. Any violation exits with code 1.
 
@@ -23,6 +24,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use tir::{DataType, PrimFunc};
+use tir_autoschedule::search::SEARCH_PHASES;
 use tir_autoschedule::{tune_workload, Strategy, TuneOptions, TuneResult};
 use tir_exec::{compile, compile_optimized, InstrMixProfile, Machine, Tensor};
 use tir_tensorize::builtin_registry;
@@ -217,14 +219,7 @@ fn check_report(text: &str, result: &TuneResult, report: &TraceReport) -> Vec<St
             errors.push(format!("missing required key {key}"));
         }
     }
-    for phase in [
-        "search.sketch_instantiate",
-        "search.evolve",
-        "search.feature_extract",
-        "search.model_rank",
-        "search.measure",
-        "search.refit",
-    ] {
+    for phase in SEARCH_PHASES {
         if report.phase(phase).is_none() {
             errors.push(format!("missing phase {phase}"));
         }

@@ -31,6 +31,8 @@ mod corpus;
 
 use std::sync::OnceLock;
 
+use corpus::golden::{self, fnv1a};
+
 use tir::builder::{compute, matmul_func};
 use tir::{
     well_formed, AnnValue, Block, BlockRealize, Buffer, BufferRegion, CmpOp, DataType, Expr, For,
@@ -50,12 +52,6 @@ use tir_workloads::bench_suite;
 
 const GOLDEN: &str = include_str!("golden/analysis_diagnostics.txt");
 
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// The five diagnostics lists of one program, in the order of a golden line.
 fn diagnostics(func: &PrimFunc) -> [Vec<ValidationError>; 5] {
     [
@@ -72,7 +68,7 @@ fn golden_line(label: &str, func: &PrimFunc) -> String {
     let names = ["validate", "bounds", "races", "scopes", "analyze"];
     for (name, errors) in names.iter().zip(diagnostics(func)) {
         let texts: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
-        let hash = fnv1a(&texts.join("\n"));
+        let hash = fnv1a(texts.join("\n").bytes());
         line.push_str(&format!(" | {name} {} {hash:016x}", errors.len()));
     }
     line
@@ -632,21 +628,7 @@ fn golden_text() -> String {
 
 #[test]
 fn diagnostics_match_golden() {
-    let now = golden_text();
-    let mismatches: Vec<String> = GOLDEN
-        .lines()
-        .zip(now.lines())
-        .filter(|(want, got)| want != got)
-        .map(|(want, got)| format!("  want {want}\n   got {got}"))
-        .collect();
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} programs are diagnosed differently from the golden file:\n{}",
-        mismatches.len(),
-        GOLDEN.lines().count(),
-        mismatches[..mismatches.len().min(10)].join("\n")
-    );
-    assert_eq!(GOLDEN.lines().count(), now.lines().count());
+    golden::assert_matches_golden(GOLDEN, &golden_text(), "programs' diagnostics");
     let rejected = |line: &&str| !line.contains("analyze 0 ");
     let (lines, rejects) = (
         GOLDEN.lines().count(),
@@ -725,5 +707,5 @@ fn regenerate_golden() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/analysis_diagnostics.txt"
     );
-    std::fs::write(path, golden_text()).expect("write golden file");
+    golden::rewrite(path, &golden_text());
 }

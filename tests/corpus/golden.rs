@@ -4,7 +4,10 @@
 //! file from an `#[ignore]`d test run with `-- --ignored`.
 //!
 //! The root suites reach this file as `corpus::golden`; the suites of
-//! `crates/tir-autoschedule` include it with `#[path]`.
+//! `crates/tir-autoschedule` and `db_index` include it with `#[path]`.
+
+// `db_index` pins hashes, not a golden file.
+#![allow(dead_code)]
 
 /// 64-bit FNV-1a of a byte stream.
 pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {

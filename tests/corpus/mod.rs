@@ -5,6 +5,8 @@
 // Each suite uses its own subset.
 #![allow(dead_code)]
 
+pub mod golden;
+
 use tir::builder::matmul_func;
 use tir::{DataType, Expr, PrimFunc, Stmt, ThreadTag};
 use tir_exec::Tensor;

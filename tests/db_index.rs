@@ -3,6 +3,10 @@
 //! database driven through it counts, stores and encodes exactly what one
 //! keyed by the printed text alone did.
 
+#[path = "corpus/golden.rs"]
+mod golden;
+
+use golden::fnv1a;
 use tir::{DataType, PrimFunc};
 use tir_autoschedule::{
     build_sketches, workload_key, Strategy, TuneOptions, TuningDatabase, TuningRecord,
@@ -14,12 +18,6 @@ use tir_rand::rngs::StdRng;
 use tir_rand::SeedableRng;
 use tir_tensorize::builtin_registry;
 use tir_workloads::{bench_suite, ops};
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}
 
 fn opts(trials: usize) -> TuneOptions {
     TuneOptions {
@@ -97,9 +95,9 @@ fn resolved_key_is_the_text_key_cold_and_warm_in_both_orders() {
     println!(
         "keys: {} bytes, fnv1a {:#018x}",
         joined.len(),
-        fnv1a(joined.as_bytes())
+        fnv1a(joined.bytes())
     );
-    assert_eq!((joined.len(), fnv1a(joined.as_bytes())), EXPECTED_KEYS);
+    assert_eq!((joined.len(), fnv1a(joined.bytes())), EXPECTED_KEYS);
 
     let forward: Vec<usize> = (0..funcs.len()).collect();
     let backward: Vec<usize> = forward.iter().rev().copied().collect();
@@ -248,13 +246,10 @@ fn scripted_sequence_counts_and_encodes_as_the_text_keyed_database_did() {
     println!(
         "counts {counts:?}\nencode {} bytes, fnv1a {:#018x}",
         encoded.len(),
-        fnv1a(encoded.as_bytes())
+        fnv1a(encoded.bytes())
     );
     assert_eq!(counts, EXPECTED_COUNTS);
-    assert_eq!(
-        (encoded.len(), fnv1a(encoded.as_bytes())),
-        EXPECTED_SNAPSHOT
-    );
+    assert_eq!((encoded.len(), fnv1a(encoded.bytes())), EXPECTED_SNAPSHOT);
     // And a decoded copy, whose index starts cold, carries on identically.
     let mut reloaded = TuningDatabase::decode(&encoded).expect("decodes");
     reloaded.tune_cached(&renamed, &gpu, &reg, Strategy::TensorIr, &opts(16));

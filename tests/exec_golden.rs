@@ -27,6 +27,8 @@ mod corpus;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use corpus::golden::{self, fnv1a};
+
 use tir::builder::{compute, matmul_func};
 use tir::{
     well_formed, BinOp, Block, BlockRealize, Buffer, DataType, Expr, IterVar, PrimFunc, Stmt, Var,
@@ -584,11 +586,7 @@ fn cases() -> Vec<Case> {
 
 /// FNV-1a over the bits of every output element, in parameter order.
 fn fnv_bits(outputs: &[Tensor]) -> u64 {
-    (outputs.iter().flat_map(Tensor::data)).fold(0xcbf2_9ce4_8422_2325, |h, v| {
-        (v.to_bits().to_le_bytes().iter()).fold(h, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    })
+    fnv1a((outputs.iter().flat_map(Tensor::data)).flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
 fn outcome(run: impl FnOnce() -> Result<RunOutcome, tir_exec::ExecError>) -> String {
@@ -652,19 +650,7 @@ fn golden_text() -> String {
 
 #[test]
 fn outcomes_match_golden() {
-    let now = golden_text();
-    let mismatches: Vec<String> = (GOLDEN.lines().zip(now.lines()))
-        .filter(|(want, got)| want != got)
-        .map(|(want, got)| format!("  want {want}\n   got {got}"))
-        .collect();
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} outcomes differ from the golden file:\n{}",
-        mismatches.len(),
-        GOLDEN.lines().count(),
-        mismatches[..mismatches.len().min(10)].join("\n")
-    );
-    assert_eq!(GOLDEN.lines().count(), now.lines().count());
+    golden::assert_matches_golden(GOLDEN, &golden_text(), "run outcomes");
     for outcome in [" -> ok ", " -> err ", " -> err malformed program: "] {
         assert!(GOLDEN.contains(outcome), "no line{outcome}");
     }
@@ -712,5 +698,5 @@ fn regenerate_golden() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/exec_outcomes.txt"
     );
-    std::fs::write(path, golden_text()).expect("write golden file");
+    golden::rewrite(path, &golden_text());
 }

@@ -26,6 +26,8 @@ mod corpus;
 
 use std::sync::OnceLock;
 
+use corpus::golden::{self, fnv1a};
+
 use tir::parser::parse_func;
 use tir::DataType;
 use tir_autoschedule::{build_sketches, tune_workload, Strategy, TuneOptions};
@@ -38,16 +40,10 @@ use tir_workloads::{bench_suite, OpKind};
 
 const GOLDEN: &str = include_str!("golden/parse_outcomes.txt");
 
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// What a golden line says after its label.
 fn outcome(text: &str) -> String {
     match parse_func(text) {
-        Ok(func) => format!("{:016x}", fnv1a(&func.to_string())),
+        Ok(func) => format!("{:016x}", fnv1a(func.to_string().bytes())),
         Err(e) => format!("err {} {}", e.line, e.message.replace('\n', "\\n")),
     }
 }
@@ -339,21 +335,7 @@ fn golden_text() -> String {
 
 #[test]
 fn parse_outcomes_match_golden() {
-    let now = golden_text();
-    let mismatches: Vec<String> = GOLDEN
-        .lines()
-        .zip(now.lines())
-        .filter(|(want, got)| want != got)
-        .map(|(want, got)| format!("  want {want}\n   got {got}"))
-        .collect();
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} texts parse differently from the golden file:\n{}",
-        mismatches.len(),
-        GOLDEN.lines().count(),
-        mismatches[..mismatches.len().min(10)].join("\n")
-    );
-    assert_eq!(GOLDEN.lines().count(), now.lines().count());
+    golden::assert_matches_golden(GOLDEN, &golden_text(), "texts' parse outcomes");
     let errors = GOLDEN.lines().filter(|l| l.contains(" | err ")).count();
     let parsed = GOLDEN.lines().count() - errors;
     let messages: std::collections::HashSet<&str> = GOLDEN
@@ -440,5 +422,5 @@ fn regenerate_golden() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/parse_outcomes.txt"
     );
-    std::fs::write(path, golden_text()).expect("write golden file");
+    golden::rewrite(path, &golden_text());
 }

@@ -38,6 +38,8 @@
 
 mod corpus;
 
+use corpus::golden::{self, fnv1a};
+
 use tir::builder::{compute, matmul_func};
 use tir::structural::{func_structural_eq, structural_hash};
 use tir::visit::{find_block, ExprVisitor, StmtVisitor};
@@ -76,12 +78,6 @@ const PRIMITIVES: [&str; 18] = [
     "decompose_reduction",
     "merge_reduction",
 ];
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 fn f32_buffer(name: &str, shape: &[i64]) -> Buffer {
     Buffer::new(name, DataType::float32(), shape.to_vec())
@@ -727,7 +723,7 @@ fn outcome(
         "{}: a primitive built a loop or block inside an init, or a block below an if:\n{text}",
         program.label
     );
-    let hashes = (fnv1a(&text), fnv1a(&sch.trace().to_string()));
+    let hashes = (fnv1a(text.bytes()), fnv1a(sch.trace().to_string().bytes()));
     let mut gated = base.clone();
     gated.set_auto_verify(true);
     let verdict = match call(&mut gated) {
@@ -741,7 +737,7 @@ fn outcome(
                 "{}: rejected with `{e}` but not rolled back",
                 program.label
             );
-            format!("invalid {:016x}", fnv1a(&e.to_string()))
+            format!("invalid {:016x}", fnv1a(e.to_string().bytes()))
         }
     };
     let line = format!("ok {:016x} {:016x} {verdict}", hashes.0, hashes.1);
@@ -758,8 +754,8 @@ fn golden_text() -> String {
             sch.apply_trace_step(step).expect("a recorded step replays");
             assert_eq!(well_formed(sch.func()), Ok(()), "{label}: {step}");
             let hashes = (
-                fnv1a(&sch.func().to_string()),
-                fnv1a(&sch.trace().to_string()),
+                fnv1a(sch.func().to_string().bytes()),
+                fnv1a(sch.trace().to_string().bytes()),
             );
             out.push_str(&format!(
                 "{step} -> ok {:016x} {:016x}\n",
@@ -796,25 +792,7 @@ fn golden_text() -> String {
 
 #[test]
 fn outcomes_match_golden() {
-    let now = golden_text();
-    let mut program = "";
-    let mut mismatches = Vec::new();
-    for (want, got) in GOLDEN.lines().zip(now.lines()) {
-        if want.starts_with("== ") {
-            program = want;
-        }
-        if want != got {
-            mismatches.push(format!("  {program}\n  want {want}\n   got {got}"));
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} outcomes differ from the golden file:\n{}",
-        mismatches.len(),
-        GOLDEN.lines().count(),
-        mismatches[..mismatches.len().min(10)].join("\n")
-    );
-    assert_eq!(GOLDEN.lines().count(), now.lines().count());
+    golden::assert_matches_golden(GOLDEN, &golden_text(), "primitive outcomes");
     for primitive in PRIMITIVES {
         let seen = |outcome: &str| {
             let prefix = format!("{primitive} ");
@@ -958,5 +936,5 @@ fn regenerate_golden() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/schedule_outcomes.txt"
     );
-    std::fs::write(path, golden_text()).expect("write golden file");
+    golden::rewrite(path, &golden_text());
 }
