@@ -218,16 +218,18 @@ fn passes_that_change_nothing_allocate_nothing() {
 const WARM_HIT_OWN: u64 = 3;
 /// The whole hit on gmm 128³ and on ResNet-50's conv + residual add + relu
 /// group (the network's three-operator fused kernel): the three above plus
-/// the id maps of one `structural_hash` and one `func_structural_eq` walk
-/// (3 + 3 and 7 + 7), which grow with the logarithm of the number of
-/// distinct variables and buffers, not with the size of the tree. Before
-/// bodies were shared and the database indexed by fingerprint the same
-/// hits made 480 and 960 allocations.
-const WARM_HIT_GMM: u64 = 9;
-const WARM_HIT_FUSED: u64 = 17;
+/// the id maps of one `structural_hash` walk (3 and 7), which grow with the
+/// logarithm of the number of distinct variables and buffers, not with the
+/// size of the tree, and the two of one `func_structural_eq` walk, sized up
+/// front. Before bodies were shared and the database indexed by
+/// fingerprint the same hits made 480 and 960 allocations; while the
+/// comparison grew one map per kind as it went, 9 and 17.
+const WARM_HIT_GMM: u64 = 8;
+const WARM_HIT_FUSED: u64 = 12;
 /// One warm `compile_model_with` of ResNet-50 (22 kernels, no measurement):
-/// 2 198 of these are `fuse_graph` composing the kernels again. Was 19 457.
-const WARM_COMPILE_RESNET50: u64 = 2_588;
+/// 2 198 of these are `fuse_graph` composing the kernels again. Was 19 457,
+/// and 2 588 while the comparison of each hit grew its maps.
+const WARM_COMPILE_RESNET50: u64 = 2_507;
 
 /// A warm hit is a hash walk, a comparison walk, two probes and a
 /// reference-count increment: its allocation count is exact, repeats, and

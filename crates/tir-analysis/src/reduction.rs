@@ -5,7 +5,6 @@
 //! what `decompose_reduction`, tensorization matching (§4.2) and
 //! cross-thread reduction lowering all need.
 
-use tir::structural::expr_structural_eq;
 use tir::{BinOp, Block, Buffer, Expr, Stmt};
 
 /// A commutative reduction combiner.
@@ -43,9 +42,7 @@ pub(crate) fn detect_reduction_store(stmt: &Stmt) -> Option<ReductionInfo> {
         return None;
     };
     let self_load = |e: &Expr| -> bool {
-        matches!(e, Expr::Load { buffer: b, indices: i } if b == buffer
-            && i.len() == indices.len()
-            && i.iter().zip(indices).all(|(x, y)| expr_structural_eq(x, y)))
+        matches!(e, Expr::Load { buffer: b, indices: i } if b == buffer && i == indices)
     };
     if let Expr::Bin(op, a, b) = value {
         let rop = match op {
@@ -126,6 +123,22 @@ mod tests {
             out.clone(),
             vec![Expr::from(&v)],
             out.load(vec![Expr::from(&v) + 1]) + Expr::f32(1.0),
+        );
+        assert!(detect_reduction_store(&stmt).is_none());
+    }
+
+    /// `O[v] = O[k] + I[v, k]` reads another element of `O`: two distinct
+    /// variables of one program are not the same index, however alike
+    /// they look up to renaming.
+    #[test]
+    fn rejects_a_load_indexed_by_another_variable() {
+        let out = Buffer::new("O", DataType::float32(), vec![4]);
+        let input = Buffer::new("I", DataType::float32(), vec![4, 4]);
+        let (v, k) = (Var::int("v"), Var::int("k"));
+        let stmt = Stmt::store(
+            out.clone(),
+            vec![Expr::from(&v)],
+            out.load(vec![Expr::from(&k)]) + input.load(vec![Expr::from(&v), Expr::from(&k)]),
         );
         assert!(detect_reduction_store(&stmt).is_none());
     }

@@ -20,7 +20,6 @@
 use std::hash::{Hash, Hasher};
 
 use tir::simplify::simplified;
-use tir::structural::expr_structural_eq;
 use tir::visit::{expr_any_var, expr_uses_var, ExprVisitor};
 use tir::{
     BinOp, Block, BlockRealize, Buffer, Expr, For, ForKind, IterKind, MemScope, PrimFunc,
@@ -593,7 +592,7 @@ fn predicate_guards(predicate: &Expr, value: &Expr, limit: i64) -> bool {
     split_and(predicate, &mut conjuncts);
     conjuncts.iter().any(|c| {
         if let Expr::Cmp(tir::CmpOp::Lt, lhs, rhs) = c {
-            rhs.as_int() == Some(limit) && expr_structural_eq(&simplified((**lhs).clone()), value)
+            rhs.as_int() == Some(limit) && simplified((**lhs).clone()) == *value
         } else {
             false
         }
@@ -905,6 +904,42 @@ mod tests {
             Stmt::BlockRealize(Box::new(realize)).in_loops(vec![(i0, 4), (i1, 8)]),
         );
         assert!(check_loop_nests(&f).is_empty());
+    }
+
+    /// A predicate guards a binding only when it bounds that binding: with
+    /// `v = i` over `i < 20` and a declared extent of 16, `j < 16` guards
+    /// nothing, so `v` escapes its domain.
+    #[test]
+    fn predicate_on_another_variable_does_not_guard() {
+        let out = Buffer::new("O", DataType::float32(), vec![20]);
+        let (i, j, v) = (Var::int("i"), Var::int("j"), Var::int("v"));
+        let body = Stmt::store(out.clone(), vec![Expr::from(&v)], Expr::f32(0.0));
+        let block = Block::new(
+            "b",
+            vec![IterVar::spatial(v, 16)],
+            vec![],
+            vec![out.full_region()],
+            body,
+        );
+        let realize =
+            tir::BlockRealize::with_predicate(vec![Expr::from(&i)], Expr::from(&j).lt(16), block);
+        let f = PrimFunc::new(
+            "f",
+            vec![out],
+            Stmt::BlockRealize(Box::new(realize)).in_loops(vec![(i, 20), (j, 16)]),
+        );
+        let errors = check_loop_nests(&f);
+        assert!(
+            errors.iter().any(|e| matches!(
+                e,
+                ValidationError::DomainMismatch {
+                    declared: 16,
+                    bound: 20,
+                    ..
+                }
+            )),
+            "{errors:?}"
+        );
     }
 
     #[test]

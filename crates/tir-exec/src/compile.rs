@@ -8,9 +8,7 @@
 //! * buffers become dense ids into a flat storage table,
 //! * every load/store is lowered to precomputed row-major stride
 //!   arithmetic — constant index dimensions fold into a static base
-//!   offset, and loop-invariant index subterms are hoisted out of inner
-//!   loops into dedicated accumulator slots recomputed only when the
-//!   outermost variable they depend on changes,
+//!   offset, the rest evaluate into registers at the access,
 //! * control flow (loops, block predicates, reduction-init guards,
 //!   `select`) becomes jumps over a flat `Op` array.
 //!
@@ -21,6 +19,13 @@
 //! the compiler refuses, as every executor does, a program that is not
 //! well-formed ([`tir::well_formed()`]): every variable it reads has one
 //! binder around it, so every read is a frame slot.
+//!
+//! Nothing is moved out of a loop. An index term invariant in an inner
+//! loop would have to be invariant below the innermost binder of its
+//! access, and in a block program that binder is the block itself: every
+//! store sits in a block whose iterators index it. The optimizer's
+//! strength reduction (`opt.rs`) turns the index registers that remain
+//! into frame reads instead.
 
 use std::collections::HashMap;
 
@@ -68,7 +73,7 @@ pub(crate) enum BinKind {
     Or,
 }
 
-/// One lowered buffer access site: `offset = base + Σ hoist_slots +
+/// One lowered buffer access site: `offset = base +
 /// Σ round(reg) * stride + Σ round(frame_slot) * stride`.
 ///
 /// All variable-length tables live in the [`Program`]'s shared dense
@@ -81,9 +86,6 @@ pub(crate) struct Access {
     pub buf: u32,
     /// Compile-time-folded part of the offset (constant index dims).
     pub base: i64,
-    /// Range in [`Program::hoist_pool`]: hoist slots whose current values
-    /// are added to the offset.
-    pub hoists: PoolRange,
     /// Range in [`Program::reg_pool`]: `(register, stride)` index terms.
     pub regs: PoolRange,
     /// Range in [`Program::slot_pool`]: `(frame slot, stride)` index
@@ -168,9 +170,8 @@ pub(crate) struct LaneSpec {
 /// Upper bound on lanes per [`LaneSpec`] dispatch.
 pub(crate) const LANE_WIDTH_MAX: u32 = 8;
 
-/// One bytecode instruction. Registers, frame slots, loop states, hoist
-/// slots and access sites are all dense `u32` indices into per-program
-/// tables.
+/// One bytecode instruction. Registers, frame slots, loop states and
+/// access sites are all dense `u32` indices into per-program tables.
 #[derive(Clone, PartialEq, Debug)]
 pub(crate) enum Op {
     /// `regs[dst] = val`
@@ -237,16 +238,6 @@ pub(crate) enum Op {
     JumpIfReduceFlagFalse { target: u32 },
     /// Zero-fill and (re)allocate a block-local buffer.
     AllocBuf { buf: u32 },
-    /// `hoist[slot] = round(regs[src]) * stride` — a loop-invariant index
-    /// term recomputed at the binder that owns its outermost variable.
-    HoistSet { slot: u32, src: u32, stride: i64 },
-    /// Fused `Load; Cast`: `regs[dst] = quantize(load(access))`.
-    LoadCast {
-        dst: u32,
-        access: u32,
-        dtype: DataType,
-        trunc: bool,
-    },
     /// Fused `Bin; Store`: `store(access, regs[a] <kind> regs[b])`.
     BinStore {
         kind: BinKind,
@@ -256,15 +247,6 @@ pub(crate) enum Op {
     },
     /// Fused `Const; Store`: `store(access, val)`.
     StoreConst { access: u32, val: f64 },
-    /// Fused `Load; Bin; Store` accumulate:
-    /// `store(access, load(access) <kind> regs[src])` (or with the
-    /// operands swapped when `acc_left` is false).
-    FusedAcc {
-        kind: BinKind,
-        access: u32,
-        src: u32,
-        acc_left: bool,
-    },
     /// Fused `Load; Load; [Cast]; Load; [Cast]; Bin; Bin; Store`
     /// multiply-accumulate ([`MacSpec`] id).
     FusedMac { spec: u32 },
@@ -276,7 +258,7 @@ pub(crate) enum Op {
 
 impl Op {
     /// Number of opcodes (the size of an instruction-mix table).
-    pub(crate) const COUNT: usize = 27;
+    pub(crate) const COUNT: usize = 24;
 
     /// Display names, indexed by [`Op::opcode`].
     pub(crate) const MNEMONICS: [&'static str; Op::COUNT] = [
@@ -300,11 +282,8 @@ impl Op {
         "update_reduce_flag",
         "jump_if_reduce_flag_false",
         "alloc_buf",
-        "hoist_set",
-        "load_cast",
         "bin_store",
         "store_const",
-        "fused_acc",
         "fused_mac",
         "mac_lanes",
     ];
@@ -332,13 +311,10 @@ impl Op {
             Op::UpdateReduceFlag { .. } => 17,
             Op::JumpIfReduceFlagFalse { .. } => 18,
             Op::AllocBuf { .. } => 19,
-            Op::HoistSet { .. } => 20,
-            Op::LoadCast { .. } => 21,
-            Op::BinStore { .. } => 22,
-            Op::StoreConst { .. } => 23,
-            Op::FusedAcc { .. } => 24,
-            Op::FusedMac { .. } => 25,
-            Op::MacLanes { .. } => 26,
+            Op::BinStore { .. } => 20,
+            Op::StoreConst { .. } => 21,
+            Op::FusedMac { .. } => 22,
+            Op::MacLanes { .. } => 23,
         }
     }
 }
@@ -359,8 +335,6 @@ pub struct Program {
     /// [`tir::RELAXING_ANNOTATIONS`] annotation, exempting the buffer from
     /// race tracking (mirrors the static analyzer's exemption).
     pub(crate) relaxed: Vec<bool>,
-    /// Shared pool behind [`Access::hoists`].
-    pub(crate) hoist_pool: Vec<u32>,
     /// Shared pool behind [`Access::regs`].
     pub(crate) reg_pool: Vec<(u32, i64)>,
     /// Shared pool behind [`Access::slots`] (filled by the optimizer).
@@ -376,7 +350,6 @@ pub struct Program {
     pub(crate) num_regs: usize,
     pub(crate) num_slots: usize,
     pub(crate) num_loops: usize,
-    pub(crate) num_hoists: usize,
 }
 
 impl Program {
@@ -404,18 +377,6 @@ pub fn compile(func: &PrimFunc) -> Result<Program, ExecError> {
     Ok(c.finish(func))
 }
 
-/// One lexical binder (the function root, a `for`, or a block) and the
-/// variables it currently has in scope.
-struct BinderFrame {
-    /// Variable ids bound by this binder (filled incrementally, matching
-    /// the tree-walker's one-at-a-time environment inserts).
-    vars: Vec<usize>,
-    /// Op index where hoisted terms for this binder are spliced in. For a
-    /// loop this is the body head (re-run every iteration); for the root it is
-    /// the program prologue.
-    insert_pos: usize,
-}
-
 struct Compiler {
     ops: Vec<Op>,
     accesses: Vec<Access>,
@@ -423,14 +384,10 @@ struct Compiler {
     buf_ids: HashMap<Buffer, u32>,
     buffers: Vec<Buffer>,
     slot_of: HashMap<usize, u32>,
-    hoist_pool: Vec<u32>,
     reg_pool: Vec<(u32, i64)>,
     race_pool: Vec<u32>,
     /// Dedup table for race signatures (many accesses share one).
     race_ranges: HashMap<Vec<u32>, PoolRange>,
-    binders: Vec<BinderFrame>,
-    /// Hoisted op sequences pending insertion: `(position, ops)`.
-    insertions: Vec<(usize, Vec<Op>)>,
     /// Loop ids of the currently-open parallel loops, outermost first.
     par_loops: Vec<u32>,
     /// Depth of enclosing blocks with a relaxing annotation.
@@ -439,7 +396,6 @@ struct Compiler {
     relaxed_bufs: std::collections::HashSet<u32>,
     num_regs: u32,
     num_loops: u32,
-    num_hoists: u32,
 }
 
 impl Compiler {
@@ -451,21 +407,14 @@ impl Compiler {
             buf_ids: HashMap::new(),
             buffers: Vec::new(),
             slot_of: HashMap::new(),
-            hoist_pool: Vec::new(),
             reg_pool: Vec::new(),
             race_pool: Vec::new(),
             race_ranges: HashMap::new(),
-            binders: vec![BinderFrame {
-                vars: Vec::new(),
-                insert_pos: 0,
-            }],
-            insertions: Vec::new(),
             par_loops: Vec::new(),
             relax_depth: 0,
             relaxed_bufs: std::collections::HashSet::new(),
             num_regs: 0,
             num_loops: 0,
-            num_hoists: 0,
         };
         for p in &func.params {
             c.buf_id(p);
@@ -499,58 +448,6 @@ impl Compiler {
     fn slot(&mut self, var: &tir::Var) -> u32 {
         let next = self.slot_of.len() as u32;
         *self.slot_of.entry(var.id()).or_insert(next)
-    }
-
-    /// The binder-stack level where `var` is currently bound, if any.
-    fn find_var(&self, var: &tir::Var) -> Option<usize> {
-        self.binders
-            .iter()
-            .rposition(|f| f.vars.contains(&var.id()))
-    }
-
-    /// Registers `var` as bound by the innermost binder.
-    fn bind(&mut self, var: &tir::Var) -> u32 {
-        let slot = self.slot(var);
-        self.binders
-            .last_mut()
-            .expect("root binder")
-            .vars
-            .push(var.id());
-        slot
-    }
-
-    /// Deepest binder level whose variable the expression references, if
-    /// the expression is pure arithmetic (cannot error, cannot tick) with
-    /// every variable in scope — the conditions for hoisting.
-    fn hoist_level(&self, e: &Expr) -> Option<usize> {
-        let both = |a: &Expr, b: &Expr| Some(self.hoist_level(a)?.max(self.hoist_level(b)?));
-        match e {
-            Expr::Int(..) | Expr::Float(..) => Some(0),
-            Expr::Str(_) => None,
-            Expr::Var(v) => self.find_var(v),
-            Expr::Cast(_, x) | Expr::Not(x) => self.hoist_level(x),
-            Expr::Bin(op, a, b) => match op {
-                BinOp::Add
-                | BinOp::Sub
-                | BinOp::Mul
-                | BinOp::Min
-                | BinOp::Max
-                | BinOp::And
-                | BinOp::Or => both(a, b),
-                BinOp::FloorDiv | BinOp::FloorMod => {
-                    let nonzero_const = matches!(**b, Expr::Int(v, _) if v != 0)
-                        || matches!(**b, Expr::Float(v, _) if v != 0.0);
-                    if nonzero_const {
-                        self.hoist_level(a)
-                    } else {
-                        None
-                    }
-                }
-                BinOp::Div => None,
-            },
-            Expr::Cmp(_, a, b) => both(a, b),
-            Expr::Select { .. } | Expr::Load { .. } | Expr::Call { .. } => None,
-        }
     }
 
     /// Compiles `e` so its value lands in register `base`; scratch
@@ -668,10 +565,9 @@ impl Compiler {
         }
     }
 
-    /// Lowers one access site. Constant dims fold into `base`; pure
-    /// loop-invariant dims hoist to the binder owning their deepest
-    /// variable; the rest evaluate inline into registers starting at
-    /// `first_reg` (in dimension order, preserving error order).
+    /// Lowers one access site. Constant dims fold into `base`; the rest
+    /// evaluate inline into registers starting at `first_reg` (in
+    /// dimension order, preserving error order).
     fn compile_access(&mut self, buffer: &Buffer, indices: &[Expr], first_reg: u32) -> u32 {
         let buf = self.buf_id(buffer);
         let shape = buffer.shape();
@@ -681,48 +577,22 @@ impl Compiler {
             strides[d] = strides[d + 1] * shape[d + 1];
         }
         let mut base = 0i64;
-        let mut hoists = Vec::new();
         let mut inline = Vec::new();
         let mut next = first_reg;
-        let depth = self.binders.len() - 1;
         for (e, &stride) in indices.iter().zip(&strides) {
             match e {
                 Expr::Int(v, _) => base += v * stride,
                 Expr::Float(v, _) => base += (v.round() as i64) * stride,
-                _ => match self.hoist_level(e) {
-                    Some(level) if level < depth => {
-                        let slot = self.num_hoists;
-                        self.num_hoists += 1;
-                        // Compile the term into a side sequence executed at
-                        // the owning binder's head (registers are free
-                        // there: binder heads sit between statements).
-                        let start = self.ops.len();
-                        self.compile_expr(e, 0);
-                        self.ops.push(Op::HoistSet {
-                            slot,
-                            src: 0,
-                            stride,
-                        });
-                        let seq: Vec<Op> = self.ops.drain(start..).collect();
-                        self.insertions.push((self.binders[level].insert_pos, seq));
-                        hoists.push(slot);
-                    }
-                    _ => {
-                        self.compile_expr(e, next);
-                        inline.push((next, stride));
-                        next += 1;
-                    }
-                },
+                _ => {
+                    self.compile_expr(e, next);
+                    inline.push((next, stride));
+                    next += 1;
+                }
             }
         }
         if self.relax_depth > 0 {
             self.relaxed_bufs.insert(buf);
         }
-        let hoist_range = PoolRange {
-            start: self.hoist_pool.len() as u32,
-            len: hoists.len() as u32,
-        };
-        self.hoist_pool.extend(hoists);
         let regs = PoolRange {
             start: self.reg_pool.len() as u32,
             len: inline.len() as u32,
@@ -744,7 +614,6 @@ impl Compiler {
         self.accesses.push(Access {
             buf,
             base,
-            hoists: hoist_range,
             regs,
             slots: PoolRange::default(),
             race,
@@ -811,11 +680,7 @@ impl Compiler {
                 self.compile_expr(&f.extent, 0);
                 let loop_id = self.num_loops;
                 self.num_loops += 1;
-                self.binders.push(BinderFrame {
-                    vars: Vec::new(),
-                    insert_pos: 0,
-                });
-                let var_slot = self.bind(&f.var);
+                let var_slot = self.slot(&f.var);
                 let setup = self.ops.len();
                 self.ops.push(Op::ForSetup {
                     loop_id,
@@ -824,7 +689,6 @@ impl Compiler {
                     end: 0,
                 });
                 let body_at = self.ops.len();
-                self.binders.last_mut().expect("frame").insert_pos = body_at;
                 if f.kind.is_parallel() {
                     self.par_loops.push(loop_id);
                 }
@@ -841,7 +705,6 @@ impl Compiler {
                 if let Op::ForSetup { end: e, .. } = &mut self.ops[setup] {
                     *e = end;
                 }
-                self.binders.pop();
             }
             Stmt::BlockRealize(br) => self.compile_block_realize(br),
         }
@@ -857,22 +720,16 @@ impl Compiler {
         if has_init && has_reduce {
             self.ops.push(Op::ResetReduceFlag);
         }
-        self.binders.push(BinderFrame {
-            vars: Vec::new(),
-            insert_pos: 0,
-        });
         // Bind iterators one at a time: the tree-walker inserts each into
         // the environment before evaluating the next binding value.
         for (iv, value) in block.iter_vars.iter().zip(&br.iter_values) {
             self.compile_expr(value, 0);
-            let slot = self.bind(&iv.var);
+            let slot = self.slot(&iv.var);
             self.ops.push(Op::SetVar { slot, src: 0 });
             if has_init && has_reduce && iv.kind == IterKind::Reduce {
                 self.ops.push(Op::UpdateReduceFlag { reg: 0 });
             }
         }
-        let head = self.ops.len();
-        self.binders.last_mut().expect("frame").insert_pos = head;
         let relaxing = tir::RELAXING_ANNOTATIONS
             .iter()
             .any(|a| block.annotations.contains_key(*a));
@@ -903,111 +760,13 @@ impl Compiler {
         if relaxing {
             self.relax_depth -= 1;
         }
-        self.binders.pop();
         let end = self.ops.len() as u32;
         if let Op::JumpIfZero { target, .. } = &mut self.ops[jz] {
             *target = end;
         }
     }
 
-    /// Deduplicates pending hoist sequences: two hoisted terms with the
-    /// same insertion point, the same stride, and the same computing ops
-    /// produce the same value, so the later one can reuse the earlier
-    /// slot. This both removes redundant per-iteration `HoistSet` work
-    /// and makes structurally-equal accesses (e.g. a store and a load of
-    /// the same element in one statement) reference *equal* hoist slots,
-    /// which the optimizer's fusion matcher relies on.
-    fn dedup_hoists(&mut self) {
-        let mut canon: Vec<(usize, Vec<Op>)> = Vec::new();
-        let mut slot_map: HashMap<u32, u32> = HashMap::new();
-        let mut kept: Vec<(usize, Vec<Op>)> = Vec::new();
-        for (pos, seq) in self.insertions.drain(..) {
-            let Some(&Op::HoistSet { slot, src, stride }) = seq.last() else {
-                kept.push((pos, seq));
-                continue;
-            };
-            let dup = canon.iter().find_map(|(cpos, cseq)| {
-                let Some(&Op::HoistSet {
-                    slot: cslot,
-                    src: csrc,
-                    stride: cstride,
-                }) = cseq.last()
-                else {
-                    return None;
-                };
-                let same = *cpos == pos
-                    && csrc == src
-                    && cstride == stride
-                    && cseq[..cseq.len() - 1] == seq[..seq.len() - 1];
-                same.then_some(cslot)
-            });
-            match dup {
-                Some(cslot) => {
-                    slot_map.insert(slot, cslot);
-                }
-                None => {
-                    canon.push((pos, seq.clone()));
-                    kept.push((pos, seq));
-                }
-            }
-        }
-        self.insertions = kept;
-        if !slot_map.is_empty() {
-            for h in &mut self.hoist_pool {
-                if let Some(&c) = slot_map.get(h) {
-                    *h = c;
-                }
-            }
-        }
-    }
-
-    /// Splices pending hoisted sequences into the op stream and remaps
-    /// every jump target across the insertions.
-    fn finish(mut self, func: &PrimFunc) -> Program {
-        self.dedup_hoists();
-        if !self.insertions.is_empty() {
-            self.insertions.sort_by_key(|(pos, _)| *pos);
-            // Prefix sums: inserted(t) = ops inserted at positions < t. A
-            // jump to position t lands on the first op inserted *at* t, so
-            // only strictly-earlier insertions shift it.
-            let positions: Vec<usize> = self.insertions.iter().map(|(p, _)| *p).collect();
-            let lens: Vec<usize> = self.insertions.iter().map(|(_, ops)| ops.len()).collect();
-            let remap = |t: u32| -> u32 {
-                let t = t as usize;
-                let mut shift = 0usize;
-                for (p, l) in positions.iter().zip(&lens) {
-                    if *p < t {
-                        shift += l;
-                    } else {
-                        break;
-                    }
-                }
-                (t + shift) as u32
-            };
-            let old = std::mem::take(&mut self.ops);
-            let mut new_ops = Vec::with_capacity(old.len() + lens.iter().sum::<usize>());
-            let mut ins = self.insertions.drain(..).peekable();
-            for (i, op) in old.into_iter().enumerate() {
-                while ins.peek().is_some_and(|(p, _)| *p == i) {
-                    new_ops.extend(ins.next().expect("peeked").1);
-                }
-                new_ops.push(op);
-            }
-            for (_, seq) in ins {
-                new_ops.extend(seq);
-            }
-            for op in &mut new_ops {
-                match op {
-                    Op::Jump { target }
-                    | Op::JumpIfZero { target, .. }
-                    | Op::JumpIfReduceFlagFalse { target } => *target = remap(*target),
-                    Op::ForSetup { end, .. } => *end = remap(*end),
-                    Op::ForNext { body, .. } => *body = remap(*body),
-                    _ => {}
-                }
-            }
-            self.ops = new_ops;
-        }
+    fn finish(self, func: &PrimFunc) -> Program {
         let relaxed = (0..self.buffers.len() as u32)
             .map(|id| self.relaxed_bufs.contains(&id))
             .collect();
@@ -1019,7 +778,6 @@ impl Compiler {
             accesses: self.accesses,
             names: self.names,
             relaxed,
-            hoist_pool: self.hoist_pool,
             reg_pool: self.reg_pool,
             slot_pool: Vec::new(),
             race_pool: self.race_pool,
@@ -1029,7 +787,6 @@ impl Compiler {
             num_regs: self.num_regs as usize,
             num_slots: self.slot_of.len(),
             num_loops: self.num_loops as usize,
-            num_hoists: self.num_hoists as usize,
         }
     }
 }
@@ -1095,17 +852,6 @@ mod tests {
             Op::UpdateReduceFlag { reg: 0 },
             Op::JumpIfReduceFlagFalse { target: 0 },
             Op::AllocBuf { buf: 0 },
-            Op::HoistSet {
-                slot: 0,
-                src: 0,
-                stride: 1,
-            },
-            Op::LoadCast {
-                dst: 0,
-                access: 0,
-                dtype: dt,
-                trunc: false,
-            },
             Op::BinStore {
                 kind: BinKind::Add,
                 a: 0,
@@ -1115,12 +861,6 @@ mod tests {
             Op::StoreConst {
                 access: 0,
                 val: 0.0,
-            },
-            Op::FusedAcc {
-                kind: BinKind::Add,
-                access: 0,
-                src: 0,
-                acc_left: true,
             },
             Op::FusedMac { spec: 0 },
             Op::MacLanes { spec: 0 },

@@ -8,7 +8,7 @@ use std::fmt;
 
 use crate::compile::{Access, LaneBody, MacSpec, Op, Program};
 
-/// Renders one access site as `buf[base + h0 + h3 + r2*4 + s1*8]`.
+/// Renders one access site as `buf[base + r2*4 + v1*8]`.
 struct Acc<'a>(&'a Program, u32);
 
 impl fmt::Display for Acc<'_> {
@@ -28,10 +28,6 @@ impl fmt::Display for Acc<'_> {
         if acc.base != 0 {
             sep(f)?;
             write!(f, "{}", acc.base)?;
-        }
-        for &h in &prog.hoist_pool[acc.hoists.range()] {
-            sep(f)?;
-            write!(f, "h{h}")?;
         }
         for &(r, stride) in &prog.reg_pool[acc.regs.range()] {
             sep(f)?;
@@ -74,13 +70,12 @@ impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "program {} ({} ops, {} regs, {} slots, {} loops, {} hoists{})",
+            "program {} ({} ops, {} regs, {} slots, {} loops{})",
             self.func_name,
             self.ops.len(),
             self.num_regs,
             self.num_slots,
             self.num_loops,
-            self.num_hoists,
             if self.optimized { ", optimized" } else { "" },
         )?;
         for (pc, op) in self.ops.iter().enumerate() {
@@ -138,32 +133,11 @@ impl fmt::Display for Program {
                 Op::AllocBuf { buf } => {
                     writeln!(f, "alloc_buf {}", self.buffers[*buf as usize].name())?;
                 }
-                Op::HoistSet { slot, src, stride } => {
-                    writeln!(f, "hoist_set h{slot} = r{src}*{stride}")?;
-                }
-                Op::LoadCast {
-                    dst, access, dtype, ..
-                } => {
-                    writeln!(f, "load_cast r{dst} = {} as {dtype}", Acc(self, *access))?;
-                }
                 Op::BinStore { kind, a, b, access } => {
                     writeln!(f, "bin_store {} = r{a} {kind:?} r{b}", Acc(self, *access))?;
                 }
                 Op::StoreConst { access, val } => {
                     writeln!(f, "store_const {} = {val}", Acc(self, *access))?;
-                }
-                Op::FusedAcc {
-                    kind,
-                    access,
-                    src,
-                    acc_left,
-                } => {
-                    let a = Acc(self, *access);
-                    if *acc_left {
-                        writeln!(f, "fused_acc {a} = {a} {kind:?} r{src}")?;
-                    } else {
-                        writeln!(f, "fused_acc {a} = r{src} {kind:?} {a}")?;
-                    }
                 }
                 Op::FusedMac { spec } => writeln!(f, "fused_mac mac{spec}")?,
                 Op::MacLanes { spec } => {

@@ -23,10 +23,9 @@
 //! 4. **MAC fusion** (`fuse_macs`): the eight-op
 //!    `Load; Load; [Cast]; Load; [Cast]; Bin; Bin; Store` inner-product
 //!    idiom collapses to one `Op::FusedMac`.
-//! 5. **Small fusions** (`fuse_small`): `Load+Cast`, `Bin+Store`,
-//!    `Const+Store`, and `Load ... Bin+Store` accumulate idioms collapse
-//!    to `Op::LoadCast` / `Op::BinStore` / `Op::StoreConst` /
-//!    `Op::FusedAcc`.
+//! 5. **Small fusions** (`fuse_small`): adjacent `Bin; Store` and
+//!    `Const; Store` pairs collapse to `Op::BinStore` / `Op::StoreConst`
+//!    (the latter is the fill the lane batcher reads).
 //! 6. **Lane batching** (`batch_lanes`): an innermost
 //!    `ForSetup/ForNext` loop whose whole body is one fused statement
 //!    (plus its `Tick` and optional reduction-init guard) becomes a
@@ -136,10 +135,8 @@ fn op_accesses(prog: &Program, op: &Op) -> impl Iterator<Item = u32> {
     let (accesses, n) = match *op {
         Op::Load { access, .. }
         | Op::Store { access, .. }
-        | Op::LoadCast { access, .. }
         | Op::BinStore { access, .. }
-        | Op::StoreConst { access, .. }
-        | Op::FusedAcc { access, .. } => ([access, 0, 0, 0], 1),
+        | Op::StoreConst { access, .. } => ([access, 0, 0, 0], 1),
         Op::FusedMac { spec } => mac(spec),
         Op::MacLanes { spec } => {
             let sp = &prog.lane_specs[spec as usize];
@@ -171,15 +168,10 @@ fn reads_mask(prog: &Program, op: &Op) -> Mask {
         | Op::JumpIfReduceFlagFalse { .. }
         | Op::AllocBuf { .. }
         | Op::Load { .. }
-        | Op::LoadCast { .. }
         | Op::StoreConst { .. }
         | Op::FusedMac { .. }
         | Op::MacLanes { .. } => 0,
-        Op::SetVar { src, .. }
-        | Op::Cast { src, .. }
-        | Op::Not { src, .. }
-        | Op::HoistSet { src, .. }
-        | Op::FusedAcc { src, .. } => bit(*src),
+        Op::SetVar { src, .. } | Op::Cast { src, .. } | Op::Not { src, .. } => bit(*src),
         Op::Bin { a, b, .. } | Op::Cmp { a, b, .. } | Op::BinStore { a, b, .. } => {
             bit(*a) | bit(*b)
         }
@@ -202,8 +194,7 @@ fn writes_mask(op: &Op) -> Mask {
         | Op::Cmp { dst, .. }
         | Op::Not { dst, .. }
         | Op::Call { dst, .. }
-        | Op::Load { dst, .. }
-        | Op::LoadCast { dst, .. } => bit(*dst),
+        | Op::Load { dst, .. } => bit(*dst),
         _ => 0,
     }
 }
@@ -331,7 +322,6 @@ fn acc_eq(prog: &Program, a: u32, b: u32) -> bool {
     let (x, y) = (&prog.accesses[a as usize], &prog.accesses[b as usize]);
     x.buf == y.buf
         && x.base == y.base
-        && prog.hoist_pool[x.hoists.range()] == prog.hoist_pool[y.hoists.range()]
         && prog.reg_pool[x.regs.range()] == prog.reg_pool[y.regs.range()]
         && prog.slot_pool[x.slots.range()] == prog.slot_pool[y.slots.range()]
 }
@@ -377,10 +367,8 @@ fn fold_access_slots(prog: &mut Program) {
         let access = match &prog.ops[i] {
             Op::Load { access, .. }
             | Op::Store { access, .. }
-            | Op::LoadCast { access, .. }
             | Op::BinStore { access, .. }
-            | Op::StoreConst { access, .. }
-            | Op::FusedAcc { access, .. } => *access,
+            | Op::StoreConst { access, .. } => *access,
             _ => continue,
         };
         let acc = prog.accesses[access as usize];
@@ -920,7 +908,7 @@ fn dead_code(prog: &mut Program) -> bool {
 /// * no access in the window uses register index terms — pattern ops
 ///   would clobber each other's index registers if offsets were
 ///   recomputed at fused-op time, so fusion requires the strength-
-///   reduced (hoist/slot/base-only) form.
+///   reduced (slot/base-only) form.
 ///
 /// The deleted ops are replaced by the fused op at the `Store` position;
 /// the preceding `Tick` stays, so fuel is untouched.
@@ -1081,67 +1069,20 @@ fn match_mac(prog: &Program, i: usize, targets: &[bool]) -> Option<MacMatch> {
 // Pass 6: small fusions
 // ---------------------------------------------------------------------------
 
-/// Ops safe to sit between a `Load x` and the `BinStore` consuming `x`
-/// in the `acc_left` accumulate pattern: pure, cannot error, cannot
-/// tick, cannot write buffers or the frame.
-fn interior_ok(prog: &Program, op: &Op, x: u32) -> bool {
-    let pure = match op {
-        Op::Const { .. }
-        | Op::LoadVar { .. }
-        | Op::Cmp { .. }
-        | Op::Not { .. }
-        | Op::Cast { .. } => true,
-        Op::Bin { kind, .. } => bin_safe(*kind),
-        // A load from a live-for-sure buffer cannot throw UnboundBuffer
-        // here only if the buffer is a param; block-locals may not be
-        // allocated yet on some paths, so restrict to params.
-        Op::Load { access, .. } => {
-            (prog.accesses[*access as usize].buf as usize) < prog.params.len()
-        }
-        _ => false,
-    };
-    pure && writes_mask(op) & bit(x) == 0 && reads_mask(prog, op) & bit(x) == 0
-}
-
-/// Peephole fusions over adjacent pairs plus the two-sided accumulate
-/// (`Load x ... BinStore` on a structurally equal access → `FusedAcc`).
+/// Peephole fusions over adjacent pairs: `Bin; Store` → `BinStore` and
+/// `Const; Store` → `StoreConst`, each when the fused-away register dies
+/// at the store and the store's offset does not read it.
 fn fuse_small(prog: &mut Program) {
-    // Round 1: adjacent pairs.
-    let mut changed = true;
-    while changed {
-        changed = false;
+    loop {
         let targets = jump_targets(&prog.ops);
         let n = prog.ops.len();
         let (_, live_out) = liveness(prog);
         let mut dead = vec![false; n];
-        let mut any = false;
         for i in 0..n.saturating_sub(1) {
             if dead[i] || dead[i + 1] || targets[i + 1] {
                 continue;
             }
             match (&prog.ops[i], &prog.ops[i + 1]) {
-                // Load; Cast (same reg) → LoadCast.
-                (
-                    &Op::Load { dst, access },
-                    &Op::Cast {
-                        dst: cd,
-                        src,
-                        dtype,
-                        trunc,
-                    },
-                ) if cd == dst && src == dst => {
-                    prog.ops[i + 1] = Op::LoadCast {
-                        dst,
-                        access,
-                        dtype,
-                        trunc,
-                    };
-                    dead[i] = true;
-                    any = true;
-                }
-                // Bin; Store (of the result) → BinStore, provided the
-                // result register dies and the store's offset does not
-                // depend on it.
                 (&Op::Bin { kind, dst, a, b }, &Op::Store { access, val })
                     if val == dst
                         && bin_safe(kind)
@@ -1150,9 +1091,7 @@ fn fuse_small(prog: &mut Program) {
                 {
                     prog.ops[i + 1] = Op::BinStore { kind, a, b, access };
                     dead[i] = true;
-                    any = true;
                 }
-                // Const; Store (of the constant) → StoreConst.
                 (&Op::Const { dst, val: v }, &Op::Store { access, val })
                     if val == dst
                         && live_out[i + 1] & bit(dst) == 0
@@ -1160,91 +1099,13 @@ fn fuse_small(prog: &mut Program) {
                 {
                     prog.ops[i + 1] = Op::StoreConst { access, val: v };
                     dead[i] = true;
-                    any = true;
                 }
                 _ => {}
             }
         }
-        if any {
-            compact(prog, &dead);
-            changed = true;
+        if !dead.contains(&true) {
+            return;
         }
-    }
-    // Round 2: accumulate idioms around BinStore.
-    fuse_accumulates(prog);
-}
-
-/// Fuses `Load x, A; [interior ops]; BinStore k, a, b, A'` (with
-/// `acc_eq(A, A')` and `x` one of the operands) into `FusedAcc`. The
-/// accumulator side may be the left (`a == x`, interior ops compute the
-/// right operand) or the right (`b == x`, adjacent) operand.
-fn fuse_accumulates(prog: &mut Program) {
-    const MAX_INTERIOR: usize = 16;
-    let targets = jump_targets(&prog.ops);
-    let n = prog.ops.len();
-    let (_, live_out) = liveness(prog);
-    let mut dead = vec![false; n];
-    let mut changed = false;
-    for end in 0..n {
-        let &Op::BinStore { kind, a, b, access } = &prog.ops[end] else {
-            continue;
-        };
-        if a == b || access_reads_reg(prog, access) {
-            continue;
-        }
-        // `(load index, other-operand register, acc_left)`.
-        let found: Option<(usize, u32, bool)> = 'search: {
-            // Right form: `Load b` immediately before (interior ops would
-            // evaluate before the accumulator load in the fused order,
-            // so only adjacency is sound).
-            if end > 0 && !dead[end - 1] && !targets[end] {
-                if let &Op::Load { dst, access: lacc } = &prog.ops[end - 1] {
-                    if dst == b && acc_eq(prog, lacc, access) {
-                        break 'search Some((end - 1, a, false));
-                    }
-                }
-            }
-            // Left form: `Load a`, scanning back over interior ops that
-            // neither touch `a` nor can error, tick, or write state.
-            let mut k = end;
-            while k > 0 && end - k < MAX_INTERIOR {
-                k -= 1;
-                if dead[k] || targets[k + 1] {
-                    break;
-                }
-                if let &Op::Load { dst, access: lacc } = &prog.ops[k] {
-                    if dst == a {
-                        if acc_eq(prog, lacc, access) {
-                            break 'search Some((k, b, true));
-                        }
-                        break;
-                    }
-                }
-                if !interior_ok(prog, &prog.ops[k], a) {
-                    break;
-                }
-            }
-            None
-        };
-        let Some((load_at, src, acc_left)) = found else {
-            continue;
-        };
-        // The fused op does not write the accumulator register, so it
-        // must die at the store.
-        let x = if acc_left { a } else { b };
-        if live_out[end] & bit(x) != 0 {
-            continue;
-        }
-        dead[load_at] = true;
-        prog.ops[end] = Op::FusedAcc {
-            kind,
-            access,
-            src,
-            acc_left,
-        };
-        changed = true;
-    }
-    if changed {
         compact(prog, &dead);
     }
 }
@@ -1641,7 +1502,6 @@ mod tests {
             .map(|&(base, slots)| Access {
                 buf: 0,
                 base,
-                hoists: PoolRange::default(),
                 regs: PoolRange::default(),
                 slots: append_pool(&mut slot_pool, slots),
                 race: PoolRange::default(),
@@ -1655,7 +1515,6 @@ mod tests {
             accesses,
             names: Vec::new(),
             relaxed: vec![false],
-            hoist_pool: Vec::new(),
             reg_pool: Vec::new(),
             slot_pool,
             race_pool: Vec::new(),
@@ -1665,7 +1524,6 @@ mod tests {
             num_regs: 2,
             num_slots,
             num_loops: 1,
-            num_hoists: 0,
         }
     }
 
@@ -1823,7 +1681,7 @@ mod tests {
     }
 
     /// A sanitized run of an *optimized* program keeps full per-access
-    /// shadow fidelity: the fused/lane-batched parallel reduction still
+    /// shadow fidelity: the parallel reduction's fused `BinStore` still
     /// reports the race.
     #[test]
     fn sanitizer_sees_through_fused_ops() {
@@ -1846,10 +1704,8 @@ mod tests {
         );
         let opt = optimize(compile(&f).expect("compiles"));
         assert!(
-            opt.ops
-                .iter()
-                .any(|o| matches!(o, Op::FusedAcc { .. } | Op::MacLanes { .. })),
-            "expected a fused accumulate in:\n{opt}"
+            opt.ops.iter().any(|o| matches!(o, Op::BinStore { .. })),
+            "expected a fused store in:\n{opt}"
         );
         let args = vec![Tensor::zeros(DataType::float32(), &[1])];
         let err = opt.run_sanitized(args.clone(), 1 << 20).unwrap_err();

@@ -2,8 +2,8 @@
 //!
 //! Executes a [`Program`] produced by [`compile`](crate::compile::compile)
 //! with **zero per-step allocation**: every table the dispatch loop touches
-//! — registers, the variable frame, loop counters, hoist accumulators, and
-//! tensor storage — is sized from the program header and allocated once
+//! — registers, the variable frame, loop counters and tensor storage — is
+//! sized from the program header and allocated once
 //! before the first instruction runs. The loop itself is a flat `match`
 //! over `Op`s driven by a program counter.
 //!
@@ -85,11 +85,8 @@ impl VmProfiler for InstrMixProfile {
 /// strength reduction) read the variable frame directly, skipping the
 /// `LoadVar` round trip through a register.
 #[inline]
-fn offset(prog: &Program, acc: &Access, regs: &[f64], frame: &[f64], hoists: &[i64]) -> i64 {
+fn offset(prog: &Program, acc: &Access, regs: &[f64], frame: &[f64]) -> i64 {
     let mut off = acc.base;
-    for &h in &prog.hoist_pool[acc.hoists.range()] {
-        off += hoists[h as usize];
-    }
     for &(r, stride) in &prog.reg_pool[acc.regs.range()] {
         off += (regs[r as usize].round() as i64) * stride;
     }
@@ -146,8 +143,8 @@ pub(crate) fn bin_eval(kind: BinKind, x: f64, y: f64) -> Result<f64> {
     })
 }
 
-/// The tree-walker's cast/quantization semantics ([`Op::Cast`],
-/// [`Op::LoadCast`], [`MacSpec`] operand casts).
+/// The tree-walker's cast/quantization semantics ([`Op::Cast`] and
+/// [`MacSpec`] operand casts).
 #[inline]
 pub(crate) fn cast_val(x: f64, dtype: DataType, trunc: bool) -> f64 {
     if trunc {
@@ -361,7 +358,6 @@ fn exec_mac(
     sp: &MacSpec,
     regs: &[f64],
     frame: &[f64],
-    hoists: &[i64],
     alive: &mut [bool],
     san: &mut Option<Sanitizer>,
     counters: &[i64],
@@ -370,12 +366,12 @@ fn exec_mac(
     let acc = &prog.accesses[sp.acc as usize];
     let a = &prog.accesses[sp.a as usize];
     let b = &prog.accesses[sp.b as usize];
-    let off_acc = offset(prog, acc, regs, frame, hoists);
+    let off_acc = offset(prog, acc, regs, frame);
     let x = load_at(prog, acc, off_acc, alive, san, counters, store)?;
     let mut y = load_at(
         prog,
         a,
-        offset(prog, a, regs, frame, hoists),
+        offset(prog, a, regs, frame),
         alive,
         san,
         counters,
@@ -387,7 +383,7 @@ fn exec_mac(
     let mut z = load_at(
         prog,
         b,
-        offset(prog, b, regs, frame, hoists),
+        offset(prog, b, regs, frame),
         alive,
         san,
         counters,
@@ -404,15 +400,8 @@ fn exec_mac(
 /// iteration of the loop variable in `var` (the sum of the strides of
 /// `var`'s slot terms — every other term is invariant in the batched
 /// loop because the lane body contains no register or frame writes).
-fn off_delta(
-    prog: &Program,
-    acc: &Access,
-    var: u32,
-    regs: &[f64],
-    frame: &[f64],
-    hoists: &[i64],
-) -> (i64, i64) {
-    let off = offset(prog, acc, regs, frame, hoists);
+fn off_delta(prog: &Program, acc: &Access, var: u32, regs: &[f64], frame: &[f64]) -> (i64, i64) {
+    let off = offset(prog, acc, regs, frame);
     let delta = prog.slot_pool[acc.slots.range()]
         .iter()
         .filter(|&&(s, _)| s == var)
@@ -433,7 +422,6 @@ fn exec_lanes(
     sp: &LaneSpec,
     regs: &[f64],
     frame: &[f64],
-    hoists: &[i64],
     alive: &mut [bool],
     san: &mut Option<Sanitizer>,
     counters: &mut [i64],
@@ -475,9 +463,9 @@ fn exec_lanes(
             let acc = &prog.accesses[ms.acc as usize];
             let a = &prog.accesses[ms.a as usize];
             let b = &prog.accesses[ms.b as usize];
-            let (mut off_acc, d_acc) = off_delta(prog, acc, sp.var, regs, frame, hoists);
-            let (mut off_a, d_a) = off_delta(prog, a, sp.var, regs, frame, hoists);
-            let (mut off_b, d_b) = off_delta(prog, b, sp.var, regs, frame, hoists);
+            let (mut off_acc, d_acc) = off_delta(prog, acc, sp.var, regs, frame);
+            let (mut off_a, d_a) = off_delta(prog, a, sp.var, regs, frame);
+            let (mut off_b, d_b) = off_delta(prog, b, sp.var, regs, frame);
             for i in 0..lanes {
                 counters[l] = n0 + i;
                 if let Some(g) = &sp.guard {
@@ -506,7 +494,7 @@ fn exec_lanes(
         }
         LaneBody::Fill(aid, val) => {
             let acc = &prog.accesses[aid as usize];
-            let (mut off, d) = off_delta(prog, acc, sp.var, regs, frame, hoists);
+            let (mut off, d) = off_delta(prog, acc, sp.var, regs, frame);
             for i in 0..lanes {
                 counters[l] = n0 + i;
                 tick(steps)?;
@@ -603,7 +591,6 @@ impl Program {
         let mut frame = vec![0.0f64; self.num_slots];
         let mut counters = vec![0i64; self.num_loops];
         let mut extents = vec![0i64; self.num_loops];
-        let mut hoists = vec![0i64; self.num_hoists];
         let mut reduce_at_start = true;
         let mut steps: u64 = 0;
         let mut san = sanitize.then(|| Sanitizer {
@@ -654,13 +641,13 @@ impl Program {
                 }
                 Op::Load { dst, access } => {
                     let acc = &self.accesses[*access as usize];
-                    let off = offset(self, acc, &regs, &frame, &hoists);
+                    let off = offset(self, acc, &regs, &frame);
                     regs[*dst as usize] =
                         load_at(self, acc, off, &alive, &mut san, &counters, &store)?;
                 }
                 Op::Store { access, val } => {
                     let acc = &self.accesses[*access as usize];
-                    let off = offset(self, acc, &regs, &frame, &hoists);
+                    let off = offset(self, acc, &regs, &frame);
                     // First store allocates (the storage is pre-zeroed, so
                     // marking it live is the whole allocation).
                     store_at(
@@ -739,52 +726,19 @@ impl Program {
                         san.shadow[b].fill(Cell::default());
                     }
                 }
-                Op::HoistSet { slot, src, stride } => {
-                    hoists[*slot as usize] = (regs[*src as usize].round() as i64) * stride;
-                }
-                Op::LoadCast {
-                    dst,
-                    access,
-                    dtype,
-                    trunc,
-                } => {
-                    let acc = &self.accesses[*access as usize];
-                    let off = offset(self, acc, &regs, &frame, &hoists);
-                    let v = load_at(self, acc, off, &alive, &mut san, &counters, &store)?;
-                    regs[*dst as usize] = cast_val(v, *dtype, *trunc);
-                }
                 Op::BinStore { kind, a, b, access } => {
                     let v = bin_eval(*kind, regs[*a as usize], regs[*b as usize])?;
                     let acc = &self.accesses[*access as usize];
-                    let off = offset(self, acc, &regs, &frame, &hoists);
+                    let off = offset(self, acc, &regs, &frame);
                     store_at(
                         self, acc, off, v, &mut alive, &mut san, &counters, &mut store,
                     )?;
                 }
                 Op::StoreConst { access, val } => {
                     let acc = &self.accesses[*access as usize];
-                    let off = offset(self, acc, &regs, &frame, &hoists);
+                    let off = offset(self, acc, &regs, &frame);
                     store_at(
                         self, acc, off, *val, &mut alive, &mut san, &counters, &mut store,
-                    )?;
-                }
-                Op::FusedAcc {
-                    kind,
-                    access,
-                    src,
-                    acc_left,
-                } => {
-                    let acc = &self.accesses[*access as usize];
-                    let off = offset(self, acc, &regs, &frame, &hoists);
-                    let x = load_at(self, acc, off, &alive, &mut san, &counters, &store)?;
-                    let s = regs[*src as usize];
-                    let v = if *acc_left {
-                        bin_eval(*kind, x, s)?
-                    } else {
-                        bin_eval(*kind, s, x)?
-                    };
-                    store_at(
-                        self, acc, off, v, &mut alive, &mut san, &counters, &mut store,
                     )?;
                 }
                 Op::FusedMac { spec } => {
@@ -793,7 +747,6 @@ impl Program {
                         &self.mac_specs[*spec as usize],
                         &regs,
                         &frame,
-                        &hoists,
                         &mut alive,
                         &mut san,
                         &counters,
@@ -806,7 +759,6 @@ impl Program {
                         &self.lane_specs[*spec as usize],
                         &regs,
                         &frame,
-                        &hoists,
                         &mut alive,
                         &mut san,
                         &mut counters,
@@ -838,7 +790,7 @@ mod tests {
     use crate::tensor::Tensor;
     use crate::vm::InstrMixProfile;
 
-    /// Runs `func` on both backends with identical inputs and asserts
+    /// Runs `func` on every backend with identical inputs and asserts
     /// bit-exact outputs and identical step counts; returns the steps.
     fn backends_agree(func: &PrimFunc, num_outputs: usize, seed: u64) -> u64 {
         let n = func.params.len();
@@ -855,9 +807,18 @@ mod tests {
             })
             .collect();
         let tw = run_with(func, args.clone(), ExecBackend::TreeWalk, None).expect("tree-walk");
-        let vm = run_with(func, args, ExecBackend::Vm, None).expect("vm");
-        assert_eq!(tw.outputs, vm.outputs, "outputs diverge on {}", func.name);
-        assert_eq!(tw.steps, vm.steps, "step counts diverge on {}", func.name);
+        for backend in [ExecBackend::VmUnopt, ExecBackend::Vm] {
+            let vm = run_with(func, args.clone(), backend, None).expect("vm");
+            let name = &func.name;
+            assert_eq!(
+                tw.outputs, vm.outputs,
+                "{backend:?} outputs diverge on {name}"
+            );
+            assert_eq!(
+                tw.steps, vm.steps,
+                "{backend:?} step counts diverge on {name}"
+            );
+        }
         tw.steps
     }
 
@@ -892,9 +853,9 @@ mod tests {
     }
 
     #[test]
-    fn loop_invariant_index_terms_are_hoisted() {
-        // B[i] += A[i] inside a j-loop: the A/B index is invariant in j,
-        // so it must compile to hoist slots, and still match the walker.
+    fn loop_invariant_index_terms_agree_on_every_backend() {
+        // B[i] += A[i] inside a j-loop and outside any block: the A/B index
+        // is invariant in j and is evaluated afresh on every iteration.
         let a = Buffer::new("A", DataType::float32(), vec![8]);
         let b = Buffer::new("B", DataType::float32(), vec![8]);
         let i = Var::int("i");
@@ -907,12 +868,6 @@ mod tests {
         .in_loop(j.clone(), 4)
         .in_loop(i.clone(), 8);
         let f = PrimFunc::new("accum", vec![a, b], body);
-        let prog = compile(&f).expect("compiles");
-        assert!(
-            prog.num_hoists >= 3,
-            "expected hoisted index terms, got {}",
-            prog.num_hoists
-        );
         backends_agree(&f, 1, 11);
     }
 

@@ -79,7 +79,7 @@ impl Schedule {
             };
             // Verify separability: value == outer_part + inner_part.
             let recomposed = simplified(outer_part.clone() + inner_part.clone());
-            if !tir::structural::expr_structural_eq(&recomposed, &simplified(value.clone())) {
+            if recomposed != simplified(value.clone()) {
                 return Err(ScheduleError::Precondition(format!(
                     "binding {value} is not separable into outer + inner parts"
                 )));

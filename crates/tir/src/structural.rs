@@ -1,7 +1,7 @@
 //! Alpha-equivalence (structural equality and hashing) of programs.
 //!
 //! Two programs are structurally equal when they are identical up to a
-//! consistent renaming of variables and buffers. Used heavily by schedule
+//! one-to-one renaming of variables and buffers. Used heavily by schedule
 //! tests: a transformation and its hand-written expected output never share
 //! variable identities, so plain `==` would always fail.
 //!
@@ -12,6 +12,7 @@
 //! two distinct decision vectors materialized the same program and to skip
 //! re-measuring it.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::hash::BuildHasherDefault;
@@ -24,34 +25,66 @@ use crate::stmt::{AnnValue, Annotations, Block, BlockRealize, ForKind, IterKind,
 
 type IdMap<V> = HashMap<usize, V, BuildHasherDefault<IdHasher>>;
 
-#[derive(Default)]
-struct Matcher {
-    vars: IdMap<usize>,
-    bufs: IdMap<usize>,
-}
+/// A one-to-one pairing of the ids met on the two sides of a comparison,
+/// in one map: key `2a` holds the partner of left id `a`, key `2b + 1`
+/// the partner of right id `b`.
+struct Pairing(IdMap<usize>);
 
-impl Matcher {
-    fn var(&mut self, a: &Var, b: &Var) -> bool {
-        match self.vars.get(&a.id()) {
-            Some(&mapped) => mapped == b.id(),
-            None => {
-                self.vars.insert(a.id(), b.id());
+impl Pairing {
+    /// An empty pairing with room for `pairs` pairs.
+    fn with_room(pairs: usize) -> Self {
+        Pairing(IdMap::with_capacity_and_hasher(
+            2 * pairs,
+            Default::default(),
+        ))
+    }
+
+    /// Whether `a` (left) and `b` (right) are partners, pairing them when
+    /// neither has one yet.
+    fn pair(&mut self, a: usize, b: usize) -> bool {
+        if let Some(&partner) = self.0.get(&(2 * a)) {
+            return partner == b;
+        }
+        match self.0.entry(2 * b + 1) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(a);
+                self.0.insert(2 * a, b);
                 true
             }
         }
+    }
+}
+
+/// Compares two trees in one walk. Variables and buffers must pair one to
+/// one — what numbering each side by first occurrence, as [`StructHasher`]
+/// does, and comparing the numbers decides — so the comparison is
+/// symmetric, and it looks at exactly what the hash feeds (float literals
+/// by their bits).
+struct Matcher {
+    vars: Pairing,
+    bufs: Pairing,
+}
+
+impl Matcher {
+    /// Room for 32 variables and 8 buffers a side, more than most kernels
+    /// have: growing the maps mid-walk costs more than the walk.
+    fn new() -> Self {
+        Matcher {
+            vars: Pairing::with_room(32),
+            bufs: Pairing::with_room(8),
+        }
+    }
+
+    fn var(&mut self, a: &Var, b: &Var) -> bool {
+        self.vars.pair(a.id(), b.id())
     }
 
     fn buffer(&mut self, a: &Buffer, b: &Buffer) -> bool {
         if a.dtype() != b.dtype() || a.shape() != b.shape() || a.scope() != b.scope() {
             return false;
         }
-        match self.bufs.get(&a.id()) {
-            Some(&mapped) => mapped == b.id(),
-            None => {
-                self.bufs.insert(a.id(), b.id());
-                true
-            }
-        }
+        self.bufs.pair(a.id(), b.id())
     }
 
     fn exprs(&mut self, a: &[Expr], b: &[Expr]) -> bool {
@@ -61,7 +94,7 @@ impl Matcher {
     fn expr(&mut self, a: &Expr, b: &Expr) -> bool {
         match (a, b) {
             (Expr::Int(x, dx), Expr::Int(y, dy)) => x == y && dx == dy,
-            (Expr::Float(x, dx), Expr::Float(y, dy)) => x == y && dx == dy,
+            (Expr::Float(x, dx), Expr::Float(y, dy)) => x.to_bits() == y.to_bits() && dx == dy,
             (Expr::Str(x), Expr::Str(y)) => x == y,
             (Expr::Var(x), Expr::Var(y)) => self.var(x, y),
             (Expr::Cast(dx, x), Expr::Cast(dy, y)) => dx == dy && self.expr(x, y),
@@ -705,9 +738,9 @@ impl StructHasher {
 /// Alpha-invariant structural hash of a function.
 ///
 /// Guarantees `func_structural_eq(a, b)` implies
-/// `structural_hash(a) == structural_hash(b)` for functions whose
-/// parameters map positionally (variables and buffers are numbered by
-/// first occurrence rather than identity or name). Collisions between
+/// `structural_hash(a) == structural_hash(b)`: both number variables and
+/// buffers by first occurrence rather than identity or name, and compare
+/// or feed float literals by their bits. Collisions between
 /// structurally different programs are possible but 2^-64-unlikely; the
 /// auto-scheduler uses the hash to key its candidate-evaluation cache.
 pub fn structural_hash(func: &PrimFunc) -> u64 {
@@ -720,14 +753,9 @@ pub fn structural_hash(func: &PrimFunc) -> u64 {
     h.state
 }
 
-/// Structural (alpha) equality of two expressions.
-pub fn expr_structural_eq(a: &Expr, b: &Expr) -> bool {
-    Matcher::default().expr(a, b)
-}
-
 /// Structural (alpha) equality of two statements.
 pub fn stmt_structural_eq(a: &Stmt, b: &Stmt) -> bool {
-    Matcher::default().stmt(a, b)
+    Matcher::new().stmt(a, b)
 }
 
 /// Structural (alpha) equality of two functions, mapping parameter buffers
@@ -736,7 +764,7 @@ pub fn func_structural_eq(a: &PrimFunc, b: &PrimFunc) -> bool {
     if a.params.len() != b.params.len() {
         return false;
     }
-    let mut m = Matcher::default();
+    let mut m = Matcher::new();
     for (x, y) in a.params.iter().zip(&b.params) {
         if !m.buffer(x, y) {
             return false;
@@ -749,6 +777,10 @@ pub fn func_structural_eq(a: &PrimFunc, b: &PrimFunc) -> bool {
 mod tests {
     use super::*;
     use crate::dtype::DataType;
+
+    fn expr_structural_eq(a: &Expr, b: &Expr) -> bool {
+        stmt_structural_eq(&Stmt::Eval(a.clone()), &Stmt::Eval(b.clone()))
+    }
 
     #[test]
     fn alpha_equivalent_exprs() {
@@ -966,6 +998,55 @@ mod tests {
         let fa = PrimFunc::new("f", vec![a.clone()], same);
         let fb = PrimFunc::new("f", vec![a.clone()], diff);
         assert_ne!(structural_hash(&fa), structural_hash(&fb));
+    }
+
+    /// Pairs a one-way, `==`-on-floats matcher got wrong: sibling loops over
+    /// two variables against the same loops reusing one (equal left to
+    /// right only), a NaN literal (not equal to itself), and `0.0` against
+    /// `-0.0` (equal, but hashed apart).
+    fn matcher_seams() -> Vec<(&'static str, PrimFunc, PrimFunc)> {
+        let a = Buffer::new("A", DataType::float32(), vec![4]);
+        let store = |i: &Var, value: f32| {
+            Stmt::store(a.clone(), vec![Expr::from(i)], Expr::f32(value)).in_loop(i.clone(), 4)
+        };
+        let func = |body: Stmt| PrimFunc::new("f", vec![a.clone()], body);
+        let (i, j, k) = (Var::int("i"), Var::int("j"), Var::int("k"));
+        let two_vars = func(Stmt::seq(vec![store(&i, 0.0), store(&j, 1.0)]));
+        let one_var = func(Stmt::seq(vec![store(&k, 0.0), store(&k, 1.0)]));
+        let fill = |value: f32| func(store(&Var::int("i"), value));
+        vec![
+            ("sibling loops", two_vars, one_var),
+            ("NaN", fill(f32::NAN), fill(f32::NAN)),
+            ("signed zero", fill(0.0), fill(-0.0)),
+        ]
+    }
+
+    #[test]
+    fn structural_equality_is_symmetric() {
+        for (name, a, b) in matcher_seams() {
+            assert_eq!(
+                func_structural_eq(&a, &b),
+                func_structural_eq(&b, &a),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn structural_equality_is_reflexive() {
+        for (name, a, b) in matcher_seams() {
+            assert!(func_structural_eq(&a, &a), "{name}: left");
+            assert!(func_structural_eq(&b, &b), "{name}: right");
+        }
+    }
+
+    #[test]
+    fn structural_equality_implies_equal_hash() {
+        for (name, a, b) in matcher_seams() {
+            if func_structural_eq(&a, &b) {
+                assert_eq!(structural_hash(&a), structural_hash(&b), "{name}");
+            }
+        }
     }
 
     #[test]

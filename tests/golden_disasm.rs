@@ -35,7 +35,7 @@ fn golden_matmul_optimized() {
     assert_listing(
         &listing(&f, true),
         r"
-program gmm (10 ops, 6 regs, 6 slots, 3 loops, 0 hoists, optimized)
+program gmm (10 ops, 6 regs, 6 slots, 3 loops, optimized)
    0: const r0 = 4
    1: for_setup L0 v0 extent=r0 end=10
    2: const r0 = 4
@@ -73,7 +73,7 @@ fn golden_elementwise_optimized() {
     assert_listing(
         &listing(&elementwise(), true),
         r"
-program ew (9 ops, 3 regs, 1 slots, 1 loops, 0 hoists, optimized)
+program ew (9 ops, 3 regs, 1 slots, 1 loops, optimized)
    0: const r0 = 8
    1: for_setup L0 v0 extent=r0 end=9
    2: tick
@@ -95,7 +95,7 @@ fn golden_elementwise_unoptimized() {
     assert_listing(
         &listing(&elementwise(), false),
         r"
-program ew (14 ops, 3 regs, 1 slots, 1 loops, 0 hoists)
+program ew (14 ops, 3 regs, 1 slots, 1 loops)
    0: const r0 = 1
    1: jump_if_zero r0 -> 14
    2: const r0 = 8
@@ -128,7 +128,7 @@ fn golden_scheduled_matmul_optimized() {
     assert_listing(
         &actual,
         r"
-program mm (13 ops, 6 regs, 7 slots, 4 loops, 0 hoists, optimized)
+program mm (13 ops, 6 regs, 7 slots, 4 loops, optimized)
    0: const r0 = 2
    1: for_setup L0 v0 extent=r0 end=13
    2: const r0 = 4
@@ -168,7 +168,7 @@ fn golden_opaque_outer_iterator_optimized() {
     assert_listing(
         &listing(sch.func(), true),
         r"
-program mm (21 ops, 6 regs, 10 slots, 4 loops, 0 hoists, optimized)
+program mm (21 ops, 6 regs, 10 slots, 4 loops, optimized)
    0: const r0 = 4
    1: for_setup L0 v0 extent=r0 end=21
    2: load_var r0 = v0
@@ -217,7 +217,7 @@ fn golden_reversed_reduce_binding_optimized() {
     assert_listing(
         &listing(&f, true),
         r"
-program mm (19 ops, 6 regs, 6 slots, 3 loops, 0 hoists, optimized)
+program mm (19 ops, 6 regs, 6 slots, 3 loops, optimized)
    0: const r0 = 4
    1: for_setup L0 v0 extent=r0 end=19
    2: const r0 = 4
