@@ -7,8 +7,11 @@
 //! * variables become dense slots in a flat frame (`Vec<f64>`),
 //! * buffers become dense ids into a flat storage table,
 //! * every load/store is lowered to precomputed row-major stride
-//!   arithmetic — constant index dimensions fold into a static base
-//!   offset, the rest evaluate into registers at the access,
+//!   arithmetic — an index dimension affine over the variables in scope
+//!   becomes `(frame slot, stride)` terms plus a static base offset, the
+//!   rest evaluate into registers at the access,
+//! * literal-only subtrees fold to one constant, and a literal predicate
+//!   or condition emits no test,
 //! * control flow (loops, block predicates, reduction-init guards,
 //!   `select`) becomes jumps over a flat `Op` array.
 //!
@@ -20,18 +23,31 @@
 //! well-formed ([`tir::well_formed()`]): every variable it reads has one
 //! binder around it, so every read is a frame slot.
 //!
+//! **Addressing.** Every variable in scope has a *form*: what a read of it
+//! sees, as `Σ round(frame[slot])·m + k`. A loop variable is its own slot;
+//! a block iterator bound to an affine expression (`vi = i0*16 + i1`,
+//! what schedule primitives leave behind) is that expression over the
+//! forms of the variables it reads, so substitution goes through enclosing
+//! blocks; an integer iterator bound to anything else (`f // 2`) is its
+//! own slot. Reading a form is legal by lexical scope alone: a well-formed
+//! program reads an iterator only inside its block, after its binding, and
+//! no variable a form mentions is rebound there. Frame slots hold integers
+//! (loop counters and integer bindings), so `round` distributes over the
+//! sum and the `i64` offset is the one the tree-walker computes. The
+//! binding's `SetVar` stays; the optimizer deletes it when nothing reads
+//! the slot any more.
+//!
 //! Nothing is moved out of a loop. An index term invariant in an inner
 //! loop would have to be invariant below the innermost binder of its
 //! access, and in a block program that binder is the block itself: every
-//! store sits in a block whose iterators index it. The optimizer's
-//! strength reduction (`opt.rs`) turns the index registers that remain
-//! into frame reads instead.
+//! store sits in a block whose iterators index it.
 
 use std::collections::HashMap;
 
 use tir::{BinOp, Block, BlockRealize, Buffer, CmpOp, DataType, Expr, IterKind, PrimFunc, Stmt};
 
 use crate::interp::{ExecError, MathFn};
+use crate::vm::{bin_eval, cast_val};
 
 /// A `(start, len)` window into one of the [`Program`]'s shared dense
 /// pools. Access sites used to own per-site `Box<[..]>` tables; pooling
@@ -77,9 +93,10 @@ pub(crate) enum BinKind {
 /// Σ round(reg) * stride + Σ round(frame_slot) * stride`.
 ///
 /// All variable-length tables live in the [`Program`]'s shared dense
-/// pools; the access itself is a small `Copy` record. Slot terms are
-/// never produced by the compiler — the optimizer's strength-reduction
-/// pass folds `LoadVar`-fed register terms into direct frame reads.
+/// pools; the access itself is a small `Copy` record. The compiler writes
+/// an affine index dimension as slot terms (canonical: sorted by slot, one
+/// term per slot, no zero stride), so structurally equal accesses have
+/// equal pool contents; only the other dimensions are register terms.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct Access {
     /// Dense buffer id.
@@ -337,10 +354,16 @@ pub struct Program {
     pub(crate) relaxed: Vec<bool>,
     /// Shared pool behind [`Access::regs`].
     pub(crate) reg_pool: Vec<(u32, i64)>,
-    /// Shared pool behind [`Access::slots`] (filled by the optimizer).
+    /// Shared pool behind [`Access::slots`].
     pub(crate) slot_pool: Vec<(u32, i64)>,
     /// Shared pool behind [`Access::race`].
     pub(crate) race_pool: Vec<u32>,
+    /// One entry per [`Op::ResetReduceFlag`], in program order: the frame
+    /// slots whose values are all zero exactly when the reduction's init
+    /// fires ([`LaneGuard::flags`]), when the compiler could name them.
+    /// No optimizer pass adds, deletes or reorders a `ResetReduceFlag`
+    /// before lane batching reads this.
+    pub(crate) guard_flags: Vec<Option<Box<[u32]>>>,
     /// Side table for [`Op::FusedMac`] (filled by the optimizer).
     pub(crate) mac_specs: Vec<MacSpec>,
     /// Side table for [`Op::MacLanes`] (filled by the optimizer).
@@ -377,6 +400,92 @@ pub fn compile(func: &PrimFunc) -> Result<Program, ExecError> {
     Ok(c.finish(func))
 }
 
+/// An affine combination of frame slots: `Σ round(frame[slot])·m + k`.
+#[derive(Clone, Default)]
+struct Affine {
+    terms: Vec<(u32, i64)>,
+    k: i64,
+}
+
+impl Affine {
+    /// One slot read as it stands.
+    fn slot(slot: u32) -> Self {
+        Affine {
+            terms: vec![(slot, 1)],
+            k: 0,
+        }
+    }
+}
+
+/// Canonical form of a list of `(slot, multiplier)` terms: sorted,
+/// duplicate slots merged (`v + v`), zero multipliers dropped.
+fn canonicalize(terms: &mut Vec<(u32, i64)>) {
+    terms.sort_unstable();
+    terms.dedup_by(|b, a| {
+        if a.0 == b.0 {
+            a.1 += b.1;
+            true
+        } else {
+            false
+        }
+    });
+    terms.retain(|&(_, m)| m != 0);
+}
+
+/// Appends `items` to a pool, returning the new range.
+fn append_pool<T: Copy>(pool: &mut Vec<T>, items: &[T]) -> PoolRange {
+    let start = pool.len() as u32;
+    pool.extend_from_slice(items);
+    PoolRange {
+        start,
+        len: items.len() as u32,
+    }
+}
+
+/// The value of a literal-only subtree (literals, `Bin` and `Cast`),
+/// computed with the VM's own arithmetic; `None` when `e` reads anything
+/// or raises (an integer or floor division by a literal zero is left to
+/// raise `DivisionByZero` at run time).
+fn fold(e: &Expr) -> Option<f64> {
+    match e {
+        Expr::Int(v, _) => Some(*v as f64),
+        Expr::Float(v, _) => Some(*v),
+        Expr::Str(_) => Some(0.0),
+        Expr::Cast(dt, x) => Some(cast_val(fold(x)?, *dt, truncates(*dt))),
+        Expr::Bin(op, a, b) => bin_eval(bin_kind(*op, a, b), fold(a)?, fold(b)?).ok(),
+        _ => None,
+    }
+}
+
+/// A folded constant that distributes through `round`: integral and exact.
+fn integral(v: f64) -> Option<i64> {
+    (v.fract() == 0.0 && v.abs() < (1i64 << 52) as f64).then_some(v as i64)
+}
+
+fn truncates(dt: DataType) -> bool {
+    dt.is_int() || dt.is_bool()
+}
+
+/// The arithmetic flavor of `a <op> b`, from the operands' static dtypes.
+fn bin_kind(op: BinOp, a: &Expr, b: &Expr) -> BinKind {
+    let int_op = a.dtype().is_int() && b.dtype().is_int();
+    match (op, int_op) {
+        (BinOp::Add, _) => BinKind::Add,
+        (BinOp::Sub, _) => BinKind::Sub,
+        (BinOp::Mul, _) => BinKind::Mul,
+        (BinOp::Div, true) => BinKind::DivI,
+        (BinOp::Div, false) => BinKind::DivF,
+        (BinOp::FloorDiv, true) => BinKind::FloorDivI,
+        (BinOp::FloorDiv, false) => BinKind::FloorDivF,
+        (BinOp::FloorMod, true) => BinKind::FloorModI,
+        (BinOp::FloorMod, false) => BinKind::FloorModF,
+        (BinOp::Min, _) => BinKind::Min,
+        (BinOp::Max, _) => BinKind::Max,
+        (BinOp::And, _) => BinKind::And,
+        (BinOp::Or, _) => BinKind::Or,
+    }
+}
+
 struct Compiler {
     ops: Vec<Op>,
     accesses: Vec<Access>,
@@ -384,7 +493,15 @@ struct Compiler {
     buf_ids: HashMap<Buffer, u32>,
     buffers: Vec<Buffer>,
     slot_of: HashMap<usize, u32>,
+    /// The form of every variable in scope that has one (module docs):
+    /// what a read of it sees. A variable without one is read through a
+    /// register.
+    forms: HashMap<usize, Affine>,
+    /// Frame slots of the enclosing loops.
+    loop_slots: Vec<u32>,
+    guard_flags: Vec<Option<Box<[u32]>>>,
     reg_pool: Vec<(u32, i64)>,
+    slot_pool: Vec<(u32, i64)>,
     race_pool: Vec<u32>,
     /// Dedup table for race signatures (many accesses share one).
     race_ranges: HashMap<Vec<u32>, PoolRange>,
@@ -407,7 +524,11 @@ impl Compiler {
             buf_ids: HashMap::new(),
             buffers: Vec::new(),
             slot_of: HashMap::new(),
+            forms: HashMap::new(),
+            loop_slots: Vec::new(),
+            guard_flags: Vec::new(),
             reg_pool: Vec::new(),
+            slot_pool: Vec::new(),
             race_pool: Vec::new(),
             race_ranges: HashMap::new(),
             par_loops: Vec::new(),
@@ -450,23 +571,103 @@ impl Compiler {
         *self.slot_of.entry(var.id()).or_insert(next)
     }
 
+    /// Adds `scale · e` to `acc` and returns true when `e` is affine over
+    /// the forms in scope: integral literal subtrees, variables with a
+    /// form, and `+`, `-` and `*` by a literal of such.
+    fn add_affine(&self, e: &Expr, scale: i64, acc: &mut Affine) -> bool {
+        if let Some(c) = fold(e).and_then(integral) {
+            acc.k += scale * c;
+            return true;
+        }
+        let constant = |x: &Expr| fold(x).and_then(integral);
+        match e {
+            Expr::Var(v) => match self.forms.get(&v.id()) {
+                Some(form) => {
+                    let scaled = form.terms.iter().map(|&(s, m)| (s, m * scale));
+                    acc.terms.extend(scaled);
+                    acc.k += form.k * scale;
+                    true
+                }
+                None => false,
+            },
+            Expr::Bin(BinOp::Add, a, b) => {
+                self.add_affine(a, scale, acc) && self.add_affine(b, scale, acc)
+            }
+            Expr::Bin(BinOp::Sub, a, b) => {
+                self.add_affine(a, scale, acc) && self.add_affine(b, -scale, acc)
+            }
+            Expr::Bin(BinOp::Mul, a, b) => match (constant(b), constant(a)) {
+                (Some(c), _) => self.add_affine(a, scale * c, acc),
+                (None, Some(c)) => self.add_affine(b, scale * c, acc),
+                (None, None) => false,
+            },
+            _ => false,
+        }
+    }
+
+    /// `e` as a canonical [`Affine`], if it is one.
+    fn affine(&self, e: &Expr) -> Option<Affine> {
+        let mut acc = Affine::default();
+        if !self.add_affine(e, 1, &mut acc) {
+            return None;
+        }
+        canonicalize(&mut acc.terms);
+        Some(acc)
+    }
+
+    /// Emits the test of a branch taken when `cond` is zero and returns the
+    /// jump to patch: none for a literal non-zero condition, an
+    /// unconditional jump for a literal zero.
+    fn branch_if_zero(&mut self, cond: &Expr, reg: u32) -> Option<usize> {
+        let op = match fold(cond) {
+            Some(v) if v != 0.0 => return None,
+            Some(_) => Op::Jump { target: 0 },
+            None => {
+                self.compile_expr(cond, reg);
+                Op::JumpIfZero { reg, target: 0 }
+            }
+        };
+        Some(self.emit(op))
+    }
+
+    /// Appends `op` and returns its index.
+    fn emit(&mut self, op: Op) -> usize {
+        self.ops.push(op);
+        self.ops.len() - 1
+    }
+
+    /// Points the jump at `at` (if any) to the next op to be emitted.
+    fn land(&mut self, at: Option<usize>) {
+        let here = self.ops.len() as u32;
+        match at.map(|at| &mut self.ops[at]) {
+            Some(
+                Op::Jump { target }
+                | Op::JumpIfZero { target, .. }
+                | Op::JumpIfReduceFlagFalse { target },
+            ) => *target = here,
+            Some(Op::ForSetup { end, .. }) => *end = here,
+            Some(op) => unreachable!("{op:?} does not jump"),
+            None => {}
+        }
+    }
+
     /// Compiles `e` so its value lands in register `base`; scratch
     /// registers `> base` may be clobbered.
     fn compile_expr(&mut self, e: &Expr, base: u32) {
         self.touch_reg(base);
+        if let Some(val) = fold(e) {
+            self.ops.push(Op::Const { dst: base, val });
+            return;
+        }
         match e {
-            Expr::Int(v, _) => self.ops.push(Op::Const {
-                dst: base,
-                val: *v as f64,
-            }),
-            Expr::Float(v, _) => self.ops.push(Op::Const { dst: base, val: *v }),
-            Expr::Str(_) => self.ops.push(Op::Const {
-                dst: base,
-                val: 0.0,
-            }),
+            Expr::Int(..) | Expr::Float(..) | Expr::Str(_) => unreachable!("literals fold"),
             Expr::Var(v) => {
-                let slot = *(self.slot_of.get(&v.id()))
-                    .expect("a well-formed program reads a variable only where it is bound");
+                // A copy `vi = i` reads `i`'s slot.
+                let slot = match self.forms.get(&v.id()) {
+                    Some(Affine { terms, k: 0 }) if matches!(terms[..], [(_, 1)]) => terms[0].0,
+                    _ => *(self.slot_of.get(&v.id()))
+                        .expect("a well-formed program reads a variable only where it is bound"),
+                };
                 self.ops.push(Op::LoadVar { dst: base, slot });
             }
             Expr::Cast(dt, x) => {
@@ -475,30 +676,14 @@ impl Compiler {
                     dst: base,
                     src: base,
                     dtype: *dt,
-                    trunc: dt.is_int() || dt.is_bool(),
+                    trunc: truncates(*dt),
                 });
             }
             Expr::Bin(op, a, b) => {
                 self.compile_expr(a, base);
                 self.compile_expr(b, base + 1);
-                let int_op = a.dtype().is_int() && b.dtype().is_int();
-                let kind = match (op, int_op) {
-                    (BinOp::Add, _) => BinKind::Add,
-                    (BinOp::Sub, _) => BinKind::Sub,
-                    (BinOp::Mul, _) => BinKind::Mul,
-                    (BinOp::Div, true) => BinKind::DivI,
-                    (BinOp::Div, false) => BinKind::DivF,
-                    (BinOp::FloorDiv, true) => BinKind::FloorDivI,
-                    (BinOp::FloorDiv, false) => BinKind::FloorDivF,
-                    (BinOp::FloorMod, true) => BinKind::FloorModI,
-                    (BinOp::FloorMod, false) => BinKind::FloorModF,
-                    (BinOp::Min, _) => BinKind::Min,
-                    (BinOp::Max, _) => BinKind::Max,
-                    (BinOp::And, _) => BinKind::And,
-                    (BinOp::Or, _) => BinKind::Or,
-                };
                 self.ops.push(Op::Bin {
-                    kind,
+                    kind: bin_kind(*op, a, b),
                     dst: base,
                     a: base,
                     b: base + 1,
@@ -522,24 +707,12 @@ impl Compiler {
                 });
             }
             Expr::Select { cond, then, other } => {
-                self.compile_expr(cond, base);
-                let jz = self.ops.len();
-                self.ops.push(Op::JumpIfZero {
-                    reg: base,
-                    target: 0,
-                });
+                let jz = self.branch_if_zero(cond, base);
                 self.compile_expr(then, base);
-                let jmp = self.ops.len();
-                self.ops.push(Op::Jump { target: 0 });
-                let else_at = self.ops.len() as u32;
+                let jmp = self.emit(Op::Jump { target: 0 });
+                self.land(jz);
                 self.compile_expr(other, base);
-                let end_at = self.ops.len() as u32;
-                if let Op::JumpIfZero { target, .. } = &mut self.ops[jz] {
-                    *target = else_at;
-                }
-                if let Op::Jump { target } = &mut self.ops[jmp] {
-                    *target = end_at;
-                }
+                self.land(Some(jmp));
             }
             Expr::Load { buffer, indices } => {
                 let access = self.compile_access(buffer, indices, base);
@@ -565,9 +738,10 @@ impl Compiler {
         }
     }
 
-    /// Lowers one access site. Constant dims fold into `base`; the rest
-    /// evaluate inline into registers starting at `first_reg` (in
-    /// dimension order, preserving error order).
+    /// Lowers one access site. Literal dims fold into `base` and affine
+    /// dims into slot terms and `base`; the rest evaluate inline into
+    /// registers starting at `first_reg` (in dimension order, preserving
+    /// error order — an affine dim cannot raise).
     fn compile_access(&mut self, buffer: &Buffer, indices: &[Expr], first_reg: u32) -> u32 {
         let buf = self.buf_id(buffer);
         let shape = buffer.shape();
@@ -577,27 +751,26 @@ impl Compiler {
             strides[d] = strides[d + 1] * shape[d + 1];
         }
         let mut base = 0i64;
-        let mut inline = Vec::new();
+        let (mut inline, mut slots) = (Vec::new(), Vec::new());
         let mut next = first_reg;
         for (e, &stride) in indices.iter().zip(&strides) {
-            match e {
-                Expr::Int(v, _) => base += v * stride,
-                Expr::Float(v, _) => base += (v.round() as i64) * stride,
-                _ => {
-                    self.compile_expr(e, next);
-                    inline.push((next, stride));
-                    next += 1;
-                }
+            if let Some(v) = fold(e) {
+                base += (v.round() as i64) * stride;
+            } else if let Some(form) = self.affine(e) {
+                slots.extend(form.terms.iter().map(|&(s, m)| (s, m * stride)));
+                base += form.k * stride;
+            } else {
+                self.compile_expr(e, next);
+                inline.push((next, stride));
+                next += 1;
             }
         }
+        canonicalize(&mut slots);
         if self.relax_depth > 0 {
             self.relaxed_bufs.insert(buf);
         }
-        let regs = PoolRange {
-            start: self.reg_pool.len() as u32,
-            len: inline.len() as u32,
-        };
-        self.reg_pool.extend(inline);
+        let regs = append_pool(&mut self.reg_pool, &inline);
+        let slots = append_pool(&mut self.slot_pool, &slots);
         let race = match self.race_ranges.get(&self.par_loops) {
             Some(&r) => r,
             None => {
@@ -615,7 +788,7 @@ impl Compiler {
             buf,
             base,
             regs,
-            slots: PoolRange::default(),
+            slots,
             race,
         });
         id
@@ -651,29 +824,16 @@ impl Compiler {
                 then_branch,
                 else_branch,
             } => {
-                self.compile_expr(cond, 0);
-                let jz = self.ops.len();
-                self.ops.push(Op::JumpIfZero { reg: 0, target: 0 });
+                let jz = self.branch_if_zero(cond, 0);
                 self.compile_stmt(then_branch);
-                let end = match else_branch {
+                match else_branch {
                     Some(eb) => {
-                        let jmp = self.ops.len();
-                        self.ops.push(Op::Jump { target: 0 });
-                        let else_at = self.ops.len() as u32;
-                        if let Op::JumpIfZero { target, .. } = &mut self.ops[jz] {
-                            *target = else_at;
-                        }
+                        let jmp = self.emit(Op::Jump { target: 0 });
+                        self.land(jz);
                         self.compile_stmt(eb);
-                        let end = self.ops.len() as u32;
-                        if let Op::Jump { target } = &mut self.ops[jmp] {
-                            *target = end;
-                        }
-                        None
+                        self.land(Some(jmp));
                     }
-                    None => Some(self.ops.len() as u32),
-                };
-                if let (Some(end), Op::JumpIfZero { target, .. }) = (end, &mut self.ops[jz]) {
-                    *target = end;
+                    None => self.land(jz),
                 }
             }
             Stmt::For(f) => {
@@ -681,8 +841,8 @@ impl Compiler {
                 let loop_id = self.num_loops;
                 self.num_loops += 1;
                 let var_slot = self.slot(&f.var);
-                let setup = self.ops.len();
-                self.ops.push(Op::ForSetup {
+                self.forms.insert(f.var.id(), Affine::slot(var_slot));
+                let setup = self.emit(Op::ForSetup {
                     loop_id,
                     extent: 0,
                     var: var_slot,
@@ -692,7 +852,9 @@ impl Compiler {
                 if f.kind.is_parallel() {
                     self.par_loops.push(loop_id);
                 }
+                self.loop_slots.push(var_slot);
                 self.compile_stmt(&f.body);
+                self.loop_slots.pop();
                 if f.kind.is_parallel() {
                     self.par_loops.pop();
                 }
@@ -701,34 +863,57 @@ impl Compiler {
                     var: var_slot,
                     body: body_at as u32,
                 });
-                let end = self.ops.len() as u32;
-                if let Op::ForSetup { end: e, .. } = &mut self.ops[setup] {
-                    *e = end;
-                }
+                self.land(Some(setup));
             }
             Stmt::BlockRealize(br) => self.compile_block_realize(br),
         }
     }
 
     fn compile_block_realize(&mut self, br: &BlockRealize) {
-        self.compile_expr(&br.predicate, 0);
-        let jz = self.ops.len();
-        self.ops.push(Op::JumpIfZero { reg: 0, target: 0 });
+        let jz = self.branch_if_zero(&br.predicate, 0);
         let block: &Block = &br.block;
-        let has_init = block.init.is_some();
-        let has_reduce = block.is_reduction();
-        if has_init && has_reduce {
+        let guarded = block.init.is_some() && block.is_reduction();
+        if guarded {
             self.ops.push(Op::ResetReduceFlag);
         }
+        // The guard's flag slots: each reduce binding must be one slot, or a
+        // sum of enclosing loop counters with positive multipliers and no
+        // constant — counters never go negative, so the sum is zero iff
+        // every one of them is.
+        let mut flags = Some(Vec::new());
         // Bind iterators one at a time: the tree-walker inserts each into
         // the environment before evaluating the next binding value.
         for (iv, value) in block.iter_vars.iter().zip(&br.iter_values) {
             self.compile_expr(value, 0);
             let slot = self.slot(&iv.var);
             self.ops.push(Op::SetVar { slot, src: 0 });
-            if has_init && has_reduce && iv.kind == IterKind::Reduce {
+            let form = self.affine(value);
+            if guarded && iv.kind == IterKind::Reduce {
                 self.ops.push(Op::UpdateReduceFlag { reg: 0 });
+                let counter = |&(s, m): &(u32, i64)| m > 0 && self.loop_slots.contains(&s);
+                flags = match (flags, &form) {
+                    (Some(mut f), Some(Affine { terms, k: 0 }))
+                        if matches!(terms[..], [(_, 1)]) || terms.iter().all(counter) =>
+                    {
+                        f.extend(terms.iter().map(|&(s, _)| s));
+                        Some(f)
+                    }
+                    _ => None,
+                };
             }
+            let integer = iv.var.dtype().is_int() && value.dtype().is_int();
+            match form {
+                Some(form) => self.forms.insert(iv.var.id(), form),
+                None if integer => self.forms.insert(iv.var.id(), Affine::slot(slot)),
+                None => self.forms.remove(&iv.var.id()),
+            };
+        }
+        if guarded {
+            self.guard_flags.push(flags.map(|mut f| {
+                f.sort_unstable();
+                f.dedup();
+                f.into()
+            }));
         }
         let relaxing = tir::RELAXING_ANNOTATIONS
             .iter()
@@ -741,29 +926,15 @@ impl Compiler {
             self.ops.push(Op::AllocBuf { buf });
         }
         if let Some(init) = &block.init {
-            let guard = if has_reduce {
-                let at = self.ops.len();
-                self.ops.push(Op::JumpIfReduceFlagFalse { target: 0 });
-                Some(at)
-            } else {
-                None
-            };
+            let skip = guarded.then(|| self.emit(Op::JumpIfReduceFlagFalse { target: 0 }));
             self.compile_stmt(init);
-            if let Some(at) = guard {
-                let target = self.ops.len() as u32;
-                if let Op::JumpIfReduceFlagFalse { target: t } = &mut self.ops[at] {
-                    *t = target;
-                }
-            }
+            self.land(skip);
         }
         self.compile_stmt(&block.body);
         if relaxing {
             self.relax_depth -= 1;
         }
-        let end = self.ops.len() as u32;
-        if let Op::JumpIfZero { target, .. } = &mut self.ops[jz] {
-            *target = end;
-        }
+        self.land(jz);
     }
 
     fn finish(self, func: &PrimFunc) -> Program {
@@ -779,8 +950,9 @@ impl Compiler {
             names: self.names,
             relaxed,
             reg_pool: self.reg_pool,
-            slot_pool: Vec::new(),
+            slot_pool: self.slot_pool,
             race_pool: self.race_pool,
+            guard_flags: self.guard_flags,
             mac_specs: Vec::new(),
             lane_specs: Vec::new(),
             optimized: false,
@@ -792,8 +964,227 @@ impl Compiler {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use tir::builder::matmul_func;
+    use tir::{IterVar, Var};
+
     use super::*;
+    use crate::interp::{run_with, ExecBackend};
+    use crate::tensor::Tensor;
+
+    /// Scheduled shapes of a 4×4×8 matmul — what schedule primitives leave
+    /// behind, built by hand because `tir-schedule` sits above this crate —
+    /// each with what `optimize` must make of it: how many `SetVar`s
+    /// survive, how many flags the guard of the lane-batched reduction
+    /// loop reads (`None`: the loop stays scalar and keeps its flag ops),
+    /// and how many reduction nests the program has.
+    pub(crate) fn scheduled_matmuls() -> Vec<(&'static str, PrimFunc, usize, Option<usize>, usize)>
+    {
+        let base = matmul_func("mm", 4, 4, 8, DataType::float32());
+        let block = &tir::visit::find_block(&base.body, "C").unwrap().block;
+        let v = |name: &str| Var::int(name);
+        let e = |var: &Var| Expr::from(var);
+        // The matmul block under `loops`, `(vi, vj, vk)` bound to `bind`.
+        let nest = |loops: Vec<(Var, i64)>, bind: [Expr; 3], predicate: Expr| {
+            let realize = BlockRealize::with_predicate(bind.to_vec(), predicate, block.clone());
+            Stmt::BlockRealize(Box::new(realize)).in_loops(loops)
+        };
+        // `tile` inside an outer block binding `(vio, vjo)` to `bind`.
+        let tiled =
+            |loops: Vec<(Var, i64)>, (vio, vjo): (Var, Var), bind: [Expr; 2], tile: Stmt| {
+                let iters = vec![IterVar::spatial(vio, 2), IterVar::spatial(vjo, 2)];
+                let outer = Block::new("C_o", iters, vec![], vec![], tile);
+                Stmt::BlockRealize(Box::new(BlockRealize::new(bind.to_vec(), outer)))
+                    .in_loops(loops)
+            };
+        let func = |body: Stmt| PrimFunc::new("mm", base.params.clone(), body);
+        let mut out = Vec::new();
+
+        // Both `i` and the reduction loop split: two flags in the guard.
+        let (i0, i1, j, k0, k1) = (v("i0"), v("i1"), v("j"), v("k0"), v("k1"));
+        let bind = [e(&i0) * 2 + e(&i1), e(&j), e(&k0) * 4 + e(&k1)];
+        let loops = vec![(i0, 2), (i1, 2), (j, 4), (k0, 2), (k1, 4)];
+        let body = nest(loops, bind, Expr::true_());
+        out.push(("doubly split", func(body), 0, Some(2), 1));
+
+        // A non-divisible split: the `T.where` predicate is evaluated in
+        // the reduction loop, ahead of the bindings, so the loop stays
+        // scalar — forwarded and MAC-fused all the same.
+        let (i0, i1, j, k) = (v("i0"), v("i1"), v("j"), v("k"));
+        let vi = e(&i0) * 3 + e(&i1);
+        let bind = [vi.clone(), e(&j), e(&k)];
+        let loops = vec![(i0, 2), (i1, 3), (j, 4), (k, 8)];
+        let body = nest(loops, bind, vi.lt(4));
+        out.push(("non-divisible split", func(body), 0, None, 1));
+
+        // A blockized tile: `vi = vio*2 + i1` with `vio = i0` one block up.
+        let (i0, j0, i1, j1, k) = (v("i0"), v("j0"), v("i1"), v("j1"), v("k"));
+        let (vio, vjo) = (v("vio"), v("vjo"));
+        let bind = [e(&vio) * 2 + e(&i1), e(&vjo) * 2 + e(&j1), e(&k)];
+        let tile = nest(vec![(i1, 2), (j1, 2), (k, 8)], bind, Expr::true_());
+        let outer = [e(&i0), e(&j0)];
+        let body = tiled(vec![(i0, 2), (j0, 2)], (vio, vjo), outer, tile);
+        out.push(("blockized tile", func(body), 0, Some(1), 1));
+
+        // The two tile loops fused: `vio = f // 2`, `vjo = f % 2` are opaque
+        // and stay bound; the inner bindings are affine over them.
+        let (f, i1, j1, k) = (v("f"), v("i1"), v("j1"), v("k"));
+        let (vio, vjo) = (v("vio"), v("vjo"));
+        let bind = [e(&vio) * 2 + e(&i1), e(&vjo) * 2 + e(&j1), e(&k)];
+        let tile = nest(vec![(i1, 2), (j1, 2), (k, 8)], bind, Expr::true_());
+        let outer = [e(&f).floor_div(2), e(&f).floor_mod(2)];
+        let body = tiled(vec![(f, 4)], (vio, vjo), outer, tile);
+        out.push(("fused then split", func(body), 2, Some(1), 1));
+
+        // One block realized twice, for the upper and the lower rows: every
+        // iterator has two `SetVar`s. Each realization is substituted into
+        // its own block, where lexical scope says that binding is the one
+        // in force, so both nests lose their bindings and batch.
+        let half = |row: i64| {
+            let (i, j, k) = (v("i"), v("j"), v("k"));
+            let bind = [e(&i) + row, e(&j), e(&k)];
+            nest(vec![(i, 2), (j, 4), (k, 8)], bind, Expr::true_())
+        };
+        let body = Stmt::seq(vec![half(0), half(2)]);
+        out.push(("sibling blocks", func(body), 0, Some(1), 2));
+
+        // `vk = k + 1` over 7 iterations: zero for no `k`, so the init
+        // never fires — and the guard must not be read off the counter.
+        let (i, j, k) = (v("i"), v("j"), v("k"));
+        let bind = [e(&i), e(&j), e(&k) + 1];
+        let body = nest(vec![(i, 4), (j, 4), (k, 7)], bind, Expr::true_());
+        out.push(("offset reduce binding", func(body), 0, None, 1));
+
+        // `vk = 7 - k`: zero on the *last* iteration.
+        let (i, j, k) = (v("i"), v("j"), v("k"));
+        let bind = [e(&i), e(&j), 7 - e(&k)];
+        let body = nest(vec![(i, 4), (j, 4), (k, 8)], bind, Expr::true_());
+        out.push(("reversed reduce binding", func(body), 0, None, 1));
+        out
+    }
+
+    /// Every index of `prog` is slot-addressed: no access has a register
+    /// term, so no `load_var` feeds an index.
+    fn slot_addressed(prog: &Program) -> bool {
+        prog.accesses.iter().all(|a| a.regs.is_empty())
+    }
+
+    /// On unoptimized bytecode, the split matmul and the blockized tile
+    /// whose outer block binds `f // 2` and `f % 2` index every access by
+    /// frame slots; the opaque bindings stay and are read as base terms.
+    #[test]
+    fn affine_accesses_are_slot_addressed_before_optimization() {
+        for (name, f, ..) in scheduled_matmuls() {
+            let prog = compile(&f).expect("compiles");
+            assert!(slot_addressed(&prog), "{name}:\n{prog}");
+            let reads_opaque = prog.slot_pool.iter().any(|&(s, _)| {
+                prog.ops
+                    .iter()
+                    .any(|op| matches!(op, Op::SetVar { slot, .. } if *slot == s))
+            });
+            assert_eq!(reads_opaque, name == "fused then split", "{name}:\n{prog}");
+        }
+    }
+
+    /// `A[i // 2]` is not affine: the index keeps its register term, fed by
+    /// a `load_var` of `i`.
+    #[test]
+    fn a_non_affine_index_keeps_its_register_term() {
+        let (a, b) = (
+            Buffer::new("A", DataType::float32(), vec![4]),
+            Buffer::new("B", DataType::float32(), vec![8]),
+        );
+        let i = Var::int("i");
+        let value = a.load(vec![Expr::from(&i).floor_div(2)]);
+        let body = Stmt::store(b.clone(), vec![Expr::from(&i)], value).in_loop(i, 8);
+        let prog = compile(&PrimFunc::new("half", vec![a, b], body)).expect("compiles");
+        let load = prog.ops.iter().find_map(|op| match op {
+            Op::Load { access, .. } => Some(&prog.accesses[*access as usize]),
+            _ => None,
+        });
+        let load = load.expect("a load");
+        assert_eq!(load.regs.len, 1, "{prog}");
+        assert!(load.slots.is_empty(), "{prog}");
+        assert!(prog.ops.iter().any(|op| matches!(op, Op::LoadVar { .. })));
+    }
+
+    /// A literal `true` predicate (every realize `matmul_func` builds) and a
+    /// literal condition emit no test; a literal `false` one jumps.
+    #[test]
+    fn literal_predicates_emit_no_test() {
+        let f = matmul_func("mm", 4, 4, 4, DataType::float32());
+        let prog = compile(&f).expect("compiles");
+        let tests = |prog: &Program| {
+            let count = |m: fn(&Op) -> bool| prog.ops.iter().filter(|o| m(o)).count();
+            (
+                count(|o| matches!(o, Op::JumpIfZero { .. })),
+                count(|o| matches!(o, Op::Jump { .. })),
+            )
+        };
+        assert_eq!(tests(&prog), (0, 0), "{prog}");
+        let b = Buffer::new("B", DataType::float32(), vec![1]);
+        let fill = |cond: Expr| {
+            let then = Stmt::store(b.clone(), vec![Expr::int(0)], Expr::f32(1.0));
+            let body = Stmt::IfThenElse {
+                cond,
+                then_branch: Box::new(then),
+                else_branch: None,
+            };
+            compile(&PrimFunc::new("fill", vec![b.clone()], body)).expect("compiles")
+        };
+        assert_eq!(tests(&fill(Expr::true_())), (0, 0));
+        assert_eq!(tests(&fill(Expr::bool(false))), (0, 1));
+    }
+
+    /// A division by a literal zero is never folded: on every backend it
+    /// raises `DivisionByZero` at the same step, whether the dividend is a
+    /// variable or a literal.
+    #[test]
+    fn division_by_a_literal_zero_raises_at_the_same_step_everywhere() {
+        let b = Buffer::new("B", DataType::float32(), vec![4]);
+        for literal in [false, true] {
+            let i = Var::int("i");
+            let dividend = if literal {
+                Expr::int(7)
+            } else {
+                Expr::from(&i)
+            };
+            let quotient = Expr::Bin(BinOp::Div, Box::new(dividend), Box::new(Expr::int(0)));
+            let late = Stmt::IfThenElse {
+                cond: Expr::int(1).lt(Expr::from(&i)),
+                then_branch: Box::new(Stmt::store(
+                    b.clone(),
+                    vec![Expr::from(&i)],
+                    Expr::Cast(DataType::float32(), Box::new(quotient)),
+                )),
+                else_branch: None,
+            };
+            let early = Stmt::store(b.clone(), vec![Expr::from(&i)], Expr::f32(1.0));
+            let f = PrimFunc::new(
+                "div0",
+                vec![b.clone()],
+                Stmt::seq(vec![early, late]).in_loop(i, 4),
+            );
+            let args = vec![Tensor::zeros(DataType::float32(), &[4])];
+            let unopt = compile(&f).expect("compiles");
+            let opt = crate::opt::optimize(unopt.clone());
+            // The first fuel budget at which each backend gets as far as the
+            // division rather than running out: the fourth store, at i = 2.
+            let first_raise = |run: &dyn Fn(u64) -> Result<_, ExecError>| {
+                (0..16)
+                    .find(|&fuel| matches!(run(fuel), Err(ExecError::DivisionByZero)))
+                    .expect("raises")
+            };
+            let runs: [&dyn Fn(u64) -> Result<_, ExecError>; 3] = [
+                &|fuel| run_with(&f, args.clone(), ExecBackend::TreeWalk, Some(fuel)),
+                &|fuel| unopt.run_with_fuel(args.clone(), fuel),
+                &|fuel| opt.run_with_fuel(args.clone(), fuel),
+            ];
+            for run in runs {
+                assert_eq!(first_raise(run), 4, "literal dividend: {literal}");
+            }
+        }
+    }
 
     /// One instance of every `Op` variant. Adding an enum variant without
     /// extending this list is caught by `opcode_table_is_consistent`

@@ -81,9 +81,9 @@ impl VmProfiler for InstrMixProfile {
 }
 
 /// Flat runtime offset of one access site. Index tables live in the
-/// program's shared pools; slot terms (produced by the optimizer's
-/// strength reduction) read the variable frame directly, skipping the
-/// `LoadVar` round trip through a register.
+/// program's shared pools; slot terms (the compiler's affine index
+/// dimensions) read the variable frame directly, skipping the `LoadVar`
+/// round trip through a register.
 #[inline]
 fn offset(prog: &Program, acc: &Access, regs: &[f64], frame: &[f64]) -> i64 {
     let mut off = acc.base;
@@ -786,7 +786,7 @@ mod tests {
     use tir::{Buffer, DataType, Expr, PrimFunc, Stmt, Var};
 
     use crate::compile::compile;
-    use crate::interp::{run_with, ExecBackend, ExecError};
+    use crate::interp::{run_with, ExecBackend, ExecError, DEFAULT_FUEL};
     use crate::tensor::Tensor;
     use crate::vm::InstrMixProfile;
 
@@ -807,16 +807,24 @@ mod tests {
             })
             .collect();
         let tw = run_with(func, args.clone(), ExecBackend::TreeWalk, None).expect("tree-walk");
-        for backend in [ExecBackend::VmUnopt, ExecBackend::Vm] {
-            let vm = run_with(func, args.clone(), backend, None).expect("vm");
+        let unopt = compile(func).expect("compiles");
+        let runs = [
+            (
+                "unoptimized",
+                unopt.run_with_fuel(args.clone(), DEFAULT_FUEL),
+            ),
+            ("optimized", run_with(func, args, ExecBackend::Vm, None)),
+        ];
+        for (backend, vm) in runs {
+            let vm = vm.expect("vm");
             let name = &func.name;
             assert_eq!(
                 tw.outputs, vm.outputs,
-                "{backend:?} outputs diverge on {name}"
+                "{backend} outputs diverge on {name}"
             );
             assert_eq!(
                 tw.steps, vm.steps,
-                "{backend:?} step counts diverge on {name}"
+                "{backend} step counts diverge on {name}"
             );
         }
         tw.steps

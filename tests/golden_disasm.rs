@@ -35,7 +35,7 @@ fn golden_matmul_optimized() {
     assert_listing(
         &listing(&f, true),
         r"
-program gmm (10 ops, 6 regs, 6 slots, 3 loops, optimized)
+program gmm (10 ops, 3 regs, 6 slots, 3 loops, optimized)
    0: const r0 = 4
    1: for_setup L0 v0 extent=r0 end=10
    2: const r0 = 4
@@ -65,7 +65,7 @@ fn elementwise() -> PrimFunc {
     PrimFunc::new("ew", vec![a, b], body)
 }
 
-/// An elementwise loop: strength reduction turns the index into a direct
+/// An elementwise loop: the compiler addresses both accesses by a direct
 /// frame read and the final `Bin; Store` fuses, but the loop stays
 /// scalar (its body is not a single fused statement).
 #[test]
@@ -73,49 +73,46 @@ fn golden_elementwise_optimized() {
     assert_listing(
         &listing(&elementwise(), true),
         r"
-program ew (9 ops, 3 regs, 1 slots, 1 loops, optimized)
+program ew (9 ops, 2 regs, 1 slots, 1 loops, optimized)
    0: const r0 = 8
    1: for_setup L0 v0 extent=r0 end=9
    2: tick
-   3: load r1 = A[v0*1]
-   4: const r2 = 2
-   5: bin r1 = r1 Mul r2
-   6: const r2 = 1
-   7: bin_store B[v0*1] = r1 Add r2
+   3: load r0 = A[v0*1]
+   4: const r1 = 2
+   5: bin r0 = r0 Mul r1
+   6: const r1 = 1
+   7: bin_store B[v0*1] = r0 Add r1
    8: for_next L0 v0 body=2
 ",
     );
 }
 
 /// The same fixture before optimization — pins the compiler's baseline
-/// lowering: a trivially-true block predicate, duplicate `LoadVar`s,
-/// and separate Bin / Store, all of which the optimizer removes.
+/// lowering: slot-addressed accesses, no test for the root block's literal
+/// `true` predicate, and the separate Bin / Store the optimizer fuses.
 #[test]
 fn golden_elementwise_unoptimized() {
     assert_listing(
         &listing(&elementwise(), false),
         r"
-program ew (14 ops, 3 regs, 1 slots, 1 loops)
-   0: const r0 = 1
-   1: jump_if_zero r0 -> 14
-   2: const r0 = 8
-   3: for_setup L0 v0 extent=r0 end=14
-   4: tick
-   5: load_var r0 = v0
-   6: load_var r1 = v0
-   7: load r1 = A[r1*1]
-   8: const r2 = 2
-   9: bin r1 = r1 Mul r2
-  10: const r2 = 1
-  11: bin r1 = r1 Add r2
-  12: store B[r0*1] = r1
-  13: for_next L0 v0 body=4
+program ew (10 ops, 2 regs, 1 slots, 1 loops)
+   0: const r0 = 8
+   1: for_setup L0 v0 extent=r0 end=10
+   2: tick
+   3: load r0 = A[v0*1]
+   4: const r1 = 2
+   5: bin r0 = r0 Mul r1
+   6: const r1 = 1
+   7: bin r0 = r0 Add r1
+   8: store B[v0*1] = r0
+   9: for_next L0 v0 body=2
 ",
     );
 }
 
-/// A split matmul: the binding `vi = i0*4 + i1` is forwarded into the
-/// three accesses, its `SetVar` and chain die, and the reduction loop is
+/// A split matmul: the compiler substitutes the binding `vi = i0*4 + i1`
+/// into the three accesses, the optimizer deletes its unread `SetVar` and
+/// chain, and the reduction loop is
 /// the same guarded `MacLanes` the unscheduled matmul gets — the listing
 /// differs from `golden_matmul_optimized` by one loop and the strides.
 #[test]
@@ -128,7 +125,7 @@ fn golden_scheduled_matmul_optimized() {
     assert_listing(
         &actual,
         r"
-program mm (13 ops, 6 regs, 7 slots, 4 loops, optimized)
+program mm (13 ops, 3 regs, 7 slots, 4 loops, optimized)
    0: const r0 = 2
    1: for_setup L0 v0 extent=r0 end=13
    2: const r0 = 4
@@ -150,7 +147,7 @@ program mm (13 ops, 6 regs, 7 slots, 4 loops, optimized)
 /// A GPU-style nest: both spatial loops tiled, the two outer tiles fused
 /// into one `blockIdx.x` loop and the tile blockized. The outer block
 /// binds its iterators through `fused // 2` and `fused % 2`, which are
-/// not affine: forwarding stops there and keeps `v1`/`v2` as base terms.
+/// not affine: substitution stops there and keeps `v1`/`v2` as base terms.
 /// The inner block's `vi = vi_o*4 + i1` is affine over them, so the MAC
 /// nest still indexes by loop variables and collapses to `MacLanes`.
 #[test]
@@ -168,7 +165,7 @@ fn golden_opaque_outer_iterator_optimized() {
     assert_listing(
         &listing(sch.func(), true),
         r"
-program mm (21 ops, 6 regs, 10 slots, 4 loops, optimized)
+program mm (21 ops, 3 regs, 10 slots, 4 loops, optimized)
    0: const r0 = 4
    1: for_setup L0 v0 extent=r0 end=21
    2: load_var r0 = v0
@@ -197,7 +194,7 @@ program mm (21 ops, 6 regs, 10 slots, 4 loops, optimized)
 
 /// The negative of the guard rule: a reduce iterator bound to `7 - k`
 /// (a reversed loop) is zero when the loop counter is 7, not 0, so the
-/// flag ops must survive and the loop stays scalar — forwarded and
+/// flag ops must survive and the loop stays scalar — substituted and
 /// MAC-fused, but not lane-batched.
 #[test]
 fn golden_reversed_reduce_binding_optimized() {
@@ -217,7 +214,7 @@ fn golden_reversed_reduce_binding_optimized() {
     assert_listing(
         &listing(&f, true),
         r"
-program mm (19 ops, 6 regs, 6 slots, 3 loops, optimized)
+program mm (19 ops, 3 regs, 6 slots, 3 loops, optimized)
    0: const r0 = 4
    1: for_setup L0 v0 extent=r0 end=19
    2: const r0 = 4

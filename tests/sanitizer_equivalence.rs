@@ -7,8 +7,8 @@
 //! hooks, and no pass adds or deletes a `Load`/`Store`. This suite is the
 //! check behind that claim: on every program of `vm_differential`, every
 //! legal pipeline and every illegal mutant of `racecheck_differential`,
-//! and a racy *scheduled* program (so iterator forwarding and the race sit
-//! in one nest), the sanitizer over unoptimized bytecode — the reference —
+//! and a racy *scheduled* program (so the compiler's iterator forwarding
+//! and the race sit in one nest), the sanitizer over unoptimized bytecode — the reference —
 //! and over optimized bytecode return the same outputs and step count, or
 //! the same `ExecError` variant.
 
@@ -76,9 +76,9 @@ fn optimizer_never_changes_a_sanitizer_verdict() {
 }
 
 /// A matmul whose reduction loop is split and whose *outer* half is made
-/// parallel: the block binds `vk = k0*4 + k1`, which the optimizer forwards
-/// into the accesses and batches over `k1`, while every iteration of `k0`
-/// read-modify-writes the same `C[i, j]`.
+/// parallel: the block binds `vk = k0*4 + k1`, which the compiler forwards
+/// into the accesses and the optimizer batches over `k1`, while every
+/// iteration of `k0` read-modify-writes the same `C[i, j]`.
 #[test]
 fn race_in_a_forwarded_nest_is_convicted_on_both() {
     let mut sch = Schedule::new(matmul_func("mm", 8, 8, 8, DataType::float32()));
