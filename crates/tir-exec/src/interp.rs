@@ -432,11 +432,11 @@ pub(crate) fn check_arg(buffer: &Buffer, t: &Tensor) -> Result<()> {
 
 /// Which execution engine runs a [`PrimFunc`].
 ///
-/// All three backends implement the exact same semantics — identical
-/// outputs bit-for-bit, identical [`ExecError`]s, identical step counts —
-/// which the `vm_differential` suite enforces. The optimized VM is the fast
-/// default; the tree-walker is the simple reference the two bytecode
-/// backends are checked against.
+/// Both backends implement the exact same semantics — identical outputs
+/// bit-for-bit, identical [`ExecError`]s, identical step counts — which the
+/// `vm_differential` suite enforces (on the compiler's unoptimized output
+/// too). The optimized VM is the fast default; the tree-walker is the
+/// simple reference the bytecode is checked against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExecBackend {
     /// Compile once to register bytecode, run the optimizer pipeline
@@ -444,9 +444,6 @@ pub enum ExecBackend {
     /// execute on the VM.
     #[default]
     Vm,
-    /// Compile to bytecode but skip the optimizer — the escape hatch for
-    /// bisecting optimizer regressions without a rebuild.
-    VmUnopt,
     /// The original tree-walking evaluator (reference semantics).
     TreeWalk,
 }
@@ -465,7 +462,7 @@ pub struct RunOutcome {
 /// (`None` = the default budget), returning outputs and the step count.
 ///
 /// This is the instrumented entry point behind [`Interpreter::run`]; the
-/// differential test harness and the microbenches use it to pit the three
+/// differential test harness and the microbenches use it to pit the two
 /// backends against each other.
 ///
 /// # Errors
@@ -482,7 +479,6 @@ pub fn run_with(
     let fuel = fuel.unwrap_or(DEFAULT_FUEL);
     match backend {
         ExecBackend::Vm => crate::opt::compile_optimized(func)?.run_with_fuel(args, fuel),
-        ExecBackend::VmUnopt => crate::compile::compile(func)?.run_with_fuel(args, fuel),
         ExecBackend::TreeWalk => tree_walk_run(func, args, fuel),
     }
 }

@@ -7,11 +7,9 @@
 //! the `tuning_cost_s` makespan accounting — the report's per-phase
 //! breakdown then reconciles with the tuner's own cost figure.
 //!
-//! After tuning, the best program is compiled to the bytecode VM —
-//! through the optimizer pipeline by default, or unoptimized with
-//! `--no-opt`, the escape hatch for bisecting optimizer regressions — and
-//! executed under [`InstrMixProfile`], folding the instruction mix into
-//! the same report as `vm.op.*` counters.
+//! After tuning, the best program is compiled to the bytecode VM through
+//! the optimizer pipeline and executed under [`InstrMixProfile`], folding
+//! the instruction mix into the same report as `vm.op.*` counters.
 //!
 //! With `--check` the emitted report is validated in-process (the CI
 //! gate): it must be well-formed JSON, carry every phase the search
@@ -26,7 +24,7 @@ use std::sync::Arc;
 use tir::{DataType, PrimFunc};
 use tir_autoschedule::search::SEARCH_PHASES;
 use tir_autoschedule::{tune_workload, Strategy, TuneOptions, TuneResult};
-use tir_exec::{compile, compile_optimized, InstrMixProfile, Machine, Tensor};
+use tir_exec::{compile_optimized, InstrMixProfile, Machine, Tensor};
 use tir_tensorize::builtin_registry;
 use tir_trace::{is_well_formed_json, json_f64, json_string, Collector, TraceReport};
 use tir_workloads::ops;
@@ -42,13 +40,12 @@ struct Config {
     trials: usize,
     out: String,
     check: bool,
-    no_opt: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: tune-profile [--workload gmm|c2d] [--machine gpu|arm] \
-         [--trials N] [--out PATH] [--check] [--no-opt]"
+         [--trials N] [--out PATH] [--check]"
     );
     std::process::exit(2)
 }
@@ -60,7 +57,6 @@ fn parse_args() -> Config {
         trials: 32,
         out: "BENCH_trace.json".to_string(),
         check: false,
-        no_opt: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -75,7 +71,6 @@ fn parse_args() -> Config {
             }
             "--out" => cfg.out = args.next().unwrap_or_else(|| usage()),
             "--check" => cfg.check = true,
-            "--no-opt" => cfg.no_opt = true,
             _ => usage(),
         }
     }
@@ -107,16 +102,11 @@ fn build_machine(name: &str) -> Machine {
 
 /// Runs the best program through the bytecode VM under an
 /// instruction-mix profiler, folding the mix into the collector as
-/// `vm.op.*` counters: the optimized bytecode (what production
-/// dispatches), or with `no_opt` the plain compiler output. Returns
-/// whether the profile run completed within its fuel budget (`None` when
-/// the program does not compile to bytecode).
-fn profile_best(best: &PrimFunc, no_opt: bool, collector: &Collector) -> Option<bool> {
-    let prog = if no_opt {
-        compile(best).ok()?
-    } else {
-        compile_optimized(best).ok()?
-    };
+/// `vm.op.*` counters of the optimized bytecode (what production
+/// dispatches). Returns whether the profile run completed within its fuel
+/// budget (`None` when the program does not compile to bytecode).
+fn profile_best(best: &PrimFunc, collector: &Collector) -> Option<bool> {
+    let prog = compile_optimized(best).ok()?;
     let args: Vec<Tensor> = best
         .params
         .iter()
@@ -290,7 +280,7 @@ fn main() -> ExitCode {
     let vm_complete = result
         .best
         .as_ref()
-        .and_then(|best| profile_best(best, cfg.no_opt, &collector));
+        .and_then(|best| profile_best(best, &collector));
 
     let report = collector.report();
     let text = render_report(&cfg, &result, &report, vm_complete);

@@ -659,7 +659,7 @@ fn outcomes_match_golden() {
 
 /// A program that is not well-formed has no meaning, so every entry point
 /// refuses it with the same verdict before running or analysing anything:
-/// the three backends of `run_with`, `run_sanitized`, both compilers and
+/// both backends of `run_with`, `run_sanitized`, both compilers and
 /// the verifier. One program per rule it can break; the duplicate
 /// parameter used to make the tree-walker panic, and the shadowed bindings
 /// used to run on a fallback.
@@ -677,7 +677,7 @@ fn malformed_programs_are_refused_everywhere() {
         let e = well_formed(&c.func).expect_err(&c.label);
         let refused = |verdict: Result<RunOutcome, ExecError>| matches!(verdict, Err(ExecError::Malformed(got)) if got == e);
         let args = corpus::seeded_args(&c.func, c.seed);
-        for backend in [ExecBackend::Vm, ExecBackend::VmUnopt, ExecBackend::TreeWalk] {
+        for backend in [ExecBackend::Vm, ExecBackend::TreeWalk] {
             let verdict = run_with(&c.func, args.clone(), backend, None);
             assert!(refused(verdict), "{} on {backend:?}", c.label);
         }

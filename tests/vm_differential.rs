@@ -1,8 +1,9 @@
 //! Differential testing of the three execution backends.
 //!
-//! The optimized bytecode VM (`ExecBackend::Vm`), the unoptimized VM
-//! (`ExecBackend::VmUnopt`), and the tree-walking interpreter
-//! (`ExecBackend::TreeWalk`) must be observationally identical: bit-exact
+//! The optimized bytecode VM (`ExecBackend::Vm`), the compiler's
+//! unoptimized bytecode (`compile(f)?.run_with_fuel(..)`), and the
+//! tree-walking interpreter (`ExecBackend::TreeWalk`) must be
+//! observationally identical: bit-exact
 //! output tensors (`==`, not allclose) and identical step counts on every
 //! run. This suite drives all three backends over
 //!
@@ -19,27 +20,43 @@
 mod corpus;
 
 use tir::{DataType, PrimFunc};
-use tir_exec::{run_with, ExecBackend, ExecError, Tensor};
+use tir_exec::{compile, run_with, ExecBackend, ExecError, RunOutcome, Tensor};
 use tir_workloads::bench_suite;
 
-/// Runs `func` on all three backends with identical inputs; asserts
+/// The three executors, by name: each runs `func` on `args` under `fuel`.
+const EXECUTORS: [&str; 3] = ["tree-walk", "unoptimized", "optimized"];
+
+fn execute(
+    executor: &str,
+    func: &PrimFunc,
+    args: Vec<Tensor>,
+    fuel: Option<u64>,
+) -> Result<RunOutcome, ExecError> {
+    match executor {
+        "tree-walk" => run_with(func, args, ExecBackend::TreeWalk, fuel),
+        "unoptimized" => compile(func)?.run_with_fuel(args, fuel.unwrap_or(u64::MAX)),
+        _ => run_with(func, args, ExecBackend::Vm, fuel),
+    }
+}
+
+/// Runs `func` on all three executors with identical inputs; asserts
 /// bit-exact outputs and identical step counts across every pair.
 fn backends_agree(func: &PrimFunc, seed: u64) {
     let args = corpus::seeded_args(func, seed);
     let tw = run_with(func, args.clone(), ExecBackend::TreeWalk, None)
         .unwrap_or_else(|e| panic!("tree-walk failed on {}: {e}", func.name));
-    for backend in [ExecBackend::VmUnopt, ExecBackend::Vm] {
-        let vm = run_with(func, args.clone(), backend, None)
-            .unwrap_or_else(|e| panic!("{backend:?} failed on {}: {e}", func.name));
+    for executor in &EXECUTORS[1..] {
+        let vm = execute(executor, func, args.clone(), None)
+            .unwrap_or_else(|e| panic!("{executor} failed on {}: {e}", func.name));
         assert_eq!(
             tw.steps, vm.steps,
-            "step counts diverge on {}: tree-walk {} vs {backend:?} {}",
+            "step counts diverge on {}: tree-walk {} vs {executor} {}",
             func.name, tw.steps, vm.steps
         );
         for (i, (a, b)) in tw.outputs.iter().zip(&vm.outputs).enumerate() {
             assert_eq!(
                 a, b,
-                "output {i} of {} is not bit-identical on {backend:?}",
+                "output {i} of {} is not bit-identical on {executor}",
                 func.name
             );
         }
@@ -67,16 +84,15 @@ fn bench_suite_fuel_parity() {
                 .iter()
                 .map(|p| Tensor::zeros(p.dtype(), p.shape()))
                 .collect();
-            for backend in [ExecBackend::TreeWalk, ExecBackend::VmUnopt, ExecBackend::Vm] {
-                let err = run_with(&case.func, args.clone(), backend, Some(4096))
+            for executor in EXECUTORS {
+                let err = execute(executor, &case.func, args.clone(), Some(4096))
                     .err()
                     .unwrap_or_else(|| {
-                        panic!("{:?} finished {} under tiny fuel", backend, case.func.name)
+                        panic!("{executor} finished {} under tiny fuel", case.func.name)
                     });
                 assert!(
                     matches!(err, ExecError::OutOfFuel),
-                    "{:?} on {}: expected OutOfFuel, got {err}",
-                    backend,
+                    "{executor} on {}: expected OutOfFuel, got {err}",
                     case.func.name
                 );
             }
