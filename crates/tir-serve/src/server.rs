@@ -60,7 +60,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -172,6 +172,18 @@ impl std::fmt::Display for StartError {
 
 impl std::error::Error for StartError {}
 
+/// A lock guard, whether or not a thread panicked while holding the lock:
+/// the one way this module takes a lock or wakes from a condvar wait.
+/// `std` marks a mutex poisoned when a holder panics, and refusing the
+/// guard from then on would turn one panic into a daemon that fails every
+/// later request. The queue, the in-flight table and a job's result slot
+/// are each changed by one push, pop, insert, remove or store, so a panic
+/// cannot leave them half-changed; the database's durable state is its
+/// journal, which a restart replays.
+fn unpoisoned<G>(acquired: LockResult<G>) -> G {
+    acquired.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Identifies one tunable unit: `(machine name, strategy label,
 /// workload fingerprint)` — the same triple the database is keyed by.
 type JobKey = (String, &'static str, Arc<str>);
@@ -212,9 +224,9 @@ impl Job {
 
     /// Blocks until the worker publishes this job's result.
     fn wait(&self) -> Result<Tuned, String> {
-        let mut g = self.done.lock().expect("job lock");
+        let mut g = unpoisoned(self.done.lock());
         while g.is_none() {
-            g = self.cv.wait(g).expect("job lock");
+            g = unpoisoned(self.cv.wait(g));
         }
         g.clone().expect("checked above")
     }
@@ -368,7 +380,7 @@ impl Server {
         {
             // Fold the journal (and any degraded memory-only records)
             // into the snapshot; also persists the hit/miss counters.
-            let mut db = self.shared.db.lock().expect("db lock");
+            let mut db = unpoisoned(self.shared.db.lock());
             if let Err(e) = db.compact() {
                 eprintln!("tir-serve: final database compaction failed: {e}");
             }
@@ -513,10 +525,10 @@ fn resolve_strategy(name: &str) -> Option<Strategy> {
 /// knows the program, else printed here — outside the database lock — and
 /// offered to the index, which keeps it once the key has a record.
 fn resolve_key(shared: &Shared, func: &PrimFunc) -> Arc<str> {
-    let known = shared.db.lock().expect("db lock").db().key_of(func);
+    let known = unpoisoned(shared.db.lock()).db().key_of(func);
     known.unwrap_or_else(|| {
         let key: Arc<str> = workload_key(func).into();
-        let mut db = shared.db.lock().expect("db lock");
+        let mut db = unpoisoned(shared.db.lock());
         db.db_mut().remember_key(func, &key);
         key
     })
@@ -581,7 +593,7 @@ fn handle_query(
     };
     let t = Instant::now();
     let hit = {
-        let db = shared.db.lock().expect("db lock");
+        let db = unpoisoned(shared.db.lock());
         let text = db.db().best_text(&m.name, s, &key);
         db.db()
             .peek(&m.name, s, &key)
@@ -637,7 +649,7 @@ fn handle_tune(
     // Database lookup (counts a hit or a miss on the shared counters).
     let t = Instant::now();
     let hit = {
-        let mut db = shared.db.lock().expect("db lock");
+        let mut db = unpoisoned(shared.db.lock());
         let text = db.db().best_text(&m.name, s, &key);
         db.db_mut()
             .lookup(&m.name, s, &key)
@@ -687,11 +699,11 @@ fn handle_tune(
     }
     let key3: JobKey = (m.name.clone(), s.label(), key.clone());
     let path = {
-        let mut inflight = shared.inflight.lock().expect("inflight lock");
+        let mut inflight = unpoisoned(shared.inflight.lock());
         if let Some(job) = inflight.get(&key3) {
             Path::Joiner(job.clone())
         } else {
-            let mut queue = shared.queue.lock().expect("queue lock");
+            let mut queue = unpoisoned(shared.queue.lock());
             if shared.shutdown.load(Ordering::SeqCst) {
                 Path::Reject(Response::Rejected {
                     code: RejectCode::ShuttingDown,
@@ -785,12 +797,12 @@ fn enqueue_background(
     warm: WarmStart,
 ) {
     let key3: JobKey = (machine.name.clone(), strategy.label(), fingerprint.clone());
-    let mut inflight = shared.inflight.lock().expect("inflight lock");
+    let mut inflight = unpoisoned(shared.inflight.lock());
     if inflight.contains_key(&key3) {
         shared.collector.count("serve.background_skipped", 1);
         return;
     }
-    let mut queue = shared.queue.lock().expect("queue lock");
+    let mut queue = unpoisoned(shared.queue.lock());
     if shared.shutdown.load(Ordering::SeqCst) || queue.len() >= shared.cfg.queue_capacity {
         shared.collector.count("serve.background_dropped", 1);
         return;
@@ -824,7 +836,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // Pop the highest-priority job; on shutdown, drain the queue
         // completely before exiting so no admitted requester is stranded.
         let job = {
-            let mut queue = shared.queue.lock().expect("queue lock");
+            let mut queue = unpoisoned(shared.queue.lock());
             loop {
                 if let Some(entry) = queue.pop() {
                     break Some(entry.job);
@@ -832,7 +844,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                queue = shared.queue_cv.wait(queue).expect("queue lock");
+                queue = unpoisoned(shared.queue_cv.wait(queue));
             }
         };
         let Some(job) = job else { return };
@@ -899,12 +911,8 @@ fn worker_loop(shared: &Arc<Shared>) {
         if job.background {
             shared.collector.count("serve.background_done", 1);
         }
-        shared
-            .inflight
-            .lock()
-            .expect("inflight lock")
-            .remove(&job.key());
-        *job.done.lock().expect("job lock") = Some(done);
+        unpoisoned(shared.inflight.lock()).remove(&job.key());
+        *unpoisoned(job.done.lock()) = Some(done);
         job.cv.notify_all();
     }
 }
@@ -937,7 +945,7 @@ fn publish_with_retries(shared: &Arc<Shared>, entry: &JournalEntry) -> Result<()
         // fingerprints are served while a failing disk is backed off from,
         // and requests for this one still find the job in flight (a failed
         // attempt leaves the record out of memory).
-        let outcome = shared.db.lock().expect("db lock").try_publish(entry);
+        let outcome = unpoisoned(shared.db.lock()).try_publish(entry);
         let Err(e) = outcome else { return Ok(()) };
         shared.collector.count("serve.db_save_failures", 1);
         if let DbError::Io(io) = &e {
@@ -952,7 +960,7 @@ fn publish_with_retries(shared: &Arc<Shared>, entry: &JournalEntry) -> Result<()
                 "tir-serve: database publish failed after {attempts} attempts: {e} \
                  (record kept in memory; db degraded until the next compaction)"
             );
-            let mut db = shared.db.lock().expect("db lock");
+            let mut db = unpoisoned(shared.db.lock());
             db.keep_unjournaled(entry);
             return Ok(());
         }
@@ -965,7 +973,7 @@ fn publish_with_retries(shared: &Arc<Shared>, entry: &JournalEntry) -> Result<()
 /// Counters snapshot as a small hand-rolled JSON object.
 fn stats_json(shared: &Shared) -> String {
     let (records, db_hits, db_misses, journal_bytes, compactions, degraded) = {
-        let db = shared.db.lock().expect("db lock");
+        let db = unpoisoned(shared.db.lock());
         (
             db.db().len(),
             db.db().hits(),
@@ -975,8 +983,8 @@ fn stats_json(shared: &Shared) -> String {
             db.unjournaled() > 0,
         )
     };
-    let queue_depth = shared.queue.lock().expect("queue lock").len();
-    let inflight = shared.inflight.lock().expect("inflight lock").len();
+    let queue_depth = unpoisoned(shared.queue.lock()).len();
+    let inflight = unpoisoned(shared.inflight.lock()).len();
     let report = shared.collector.report();
     let rejected: u64 = report
         .counters
@@ -1023,6 +1031,59 @@ mod tests {
                 cv: Condvar::new(),
             }),
         }
+    }
+
+    /// A panic while holding the database lock poisons it. The daemon keeps
+    /// answering: `stats`, `query` and a warm `tune` on a live connection,
+    /// then a clean shutdown that compacts the database.
+    #[test]
+    fn a_panic_under_the_database_lock_does_not_stop_the_daemon() {
+        use crate::client::{Client, ReconnectPolicy};
+        use crate::protocol::Source;
+
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let sock = dir.join(format!("tir-serve-poison-{pid}.sock"));
+        let db = dir.join(format!("tir-serve-poison-{pid}.db"));
+        let _ = std::fs::remove_file(&db);
+        let server = Server::start(ServeConfig::new(&sock, &db)).expect("start");
+        let text = tir_workloads::ops::gmm(
+            16,
+            16,
+            16,
+            tir::DataType::float16(),
+            tir::DataType::float32(),
+        )
+        .to_string();
+        let mut client = Client::connect_with(&sock, ReconnectPolicy::none()).expect("connect");
+        let cold = client
+            .tune("gpu", "tensorir", 2, 5, &text)
+            .expect("cold tune");
+        assert_eq!(cold.source, Source::Tuned);
+
+        let shared = server.shared.clone();
+        let panicked = std::thread::spawn(move || {
+            let _db = shared.db.lock().expect("not yet poisoned");
+            panic!("a request panics while it holds the database lock");
+        })
+        .join();
+        assert!(panicked.is_err() && server.shared.db.is_poisoned());
+
+        let stats = client.stats().expect("stats after the panic");
+        assert!(stats.contains("\"records\": 1"), "{stats}");
+        let hit = client
+            .query("gpu", "tensorir", &text)
+            .expect("query after the panic");
+        assert_eq!(hit.expect("a stored record").func_text, cold.func_text);
+        let warm = client
+            .tune("gpu", "tensorir", 2, 5, &text)
+            .expect("warm tune after the panic");
+        assert_eq!((warm.source, warm.trials), (Source::Warm, 0));
+        assert_eq!(warm.best_time.to_bits(), cold.best_time.to_bits());
+        client.shutdown().expect("shutdown");
+        server.join();
+        let _ = std::fs::remove_file(tir_autoschedule::journal_path_for(&db));
+        let _ = std::fs::remove_file(&db);
     }
 
     #[test]
