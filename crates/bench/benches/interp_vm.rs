@@ -1,12 +1,13 @@
-//! Tree-walk interpreter vs the compiler's bytecode vs optimized bytecode:
-//! execution throughput per workload.
+//! Tree-walk interpreter vs the compiler's bytecode vs optimized bytecode
+//! vs the sanitizer: execution throughput per workload.
 //!
-//! Runs each workload to completion on all three executors (VM times
-//! include bytecode compilation — and optimization, for `vm_opt` —
-//! matching what `Interpreter::run` pays per call), reports ns per
-//! interpreter step (one store/eval), and emits `BENCH_interp.json`
-//! with the per-workload numbers plus the dispatched instruction mix
-//! before/after optimization, so CI can track both speedups.
+//! Runs each workload to completion on all four executors (VM times
+//! include bytecode compilation — and optimization, for `vm_opt` and
+//! `vm_sanitized` — matching what `Interpreter::run` pays per call),
+//! reports ns per interpreter step (one store/eval), and emits
+//! `BENCH_interp.json` with the per-workload numbers plus the dispatched
+//! instruction mix before/after optimization, so CI can track both
+//! speedups.
 //!
 //! Five rows are unscheduled operators; three are *scheduled* programs —
 //! the first candidate a tensorized sketch materializes from a fixed seed,
@@ -21,7 +22,9 @@
 //! faster per step than the tree-walker, and on gmm/c2d/c1d the
 //! tree-walker must cost at most 3.5x the compiler's bytecode per step
 //! (the reference every differential check pays for; it read 5.2–5.9x
-//! before it keyed by id). The emitted JSON must be well-formed. Exits
+//! before it keyed by id). On the same rows `run_sanitized` must cost at
+//! most 1.5x `vm_opt` per step (it read 1.3–2.9x when every access
+//! updated shadow memory). The emitted JSON must be well-formed. Exits
 //! non-zero on any violation.
 
 use std::time::Instant;
@@ -29,7 +32,9 @@ use std::time::Instant;
 use tir::DataType;
 use tir_autoschedule::{build_sketches, Strategy};
 use tir_exec::machine::Machine;
-use tir_exec::{compile, compile_optimized, run_with, ExecBackend, InstrMixProfile, Tensor};
+use tir_exec::{
+    compile, compile_optimized, run_sanitized, run_with, ExecBackend, InstrMixProfile, Tensor,
+};
 
 /// Runs the compiler's bytecode, unoptimized, as `run_with` runs a backend.
 fn run_unoptimized(func: &tir::PrimFunc, args: Vec<Tensor>) -> tir_exec::RunOutcome {
@@ -47,22 +52,29 @@ struct Row {
     tw_ns_per_step: f64,
     vm_ns_per_step: f64,
     opt_ns_per_step: f64,
+    san_ns_per_step: f64,
     /// Dispatched `(mnemonic, count)` histogram of the unoptimized program.
     mix_before: Vec<(&'static str, u64)>,
     /// Same histogram after the optimizer pipeline.
     mix_after: Vec<(&'static str, u64)>,
 }
 
-/// Median wall-time (ns) of `reps` runs of `f`.
-fn median_ns(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples = Vec::with_capacity(reps);
+/// Median wall-time (ns) of `reps` runs of each executor, run round-robin
+/// so a drift in the machine's speed reaches all of them alike (the gates
+/// compare them within one row).
+fn median_ns<const N: usize>(reps: usize, mut runs: [&mut dyn FnMut(); N]) -> [f64; N] {
+    let mut samples = [(); N].map(|_| Vec::with_capacity(reps));
     for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed().as_nanos() as f64);
+        for (run, samples) in runs.iter_mut().zip(&mut samples) {
+            let t = Instant::now();
+            run();
+            samples.push(t.elapsed().as_nanos() as f64);
+        }
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
+    samples.map(|mut s| {
+        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        s[s.len() / 2]
+    })
 }
 
 fn bench_case(name: &'static str, func: &tir::PrimFunc) -> Row {
@@ -78,15 +90,18 @@ fn bench_case(name: &'static str, func: &tir::PrimFunc) -> Row {
             }
         })
         .collect();
-    // One verification pass: bit-exact outputs across all three
-    // backends, and the step count that normalizes the timings.
+    // One verification pass: bit-exact outputs across all four
+    // executors, and the step count that normalizes the timings.
     let tw = run_with(func, args.clone(), ExecBackend::TreeWalk, None).expect("tree-walk");
     let vm = run_unoptimized(func, args.clone());
     let opt = run_with(func, args.clone(), ExecBackend::Vm, None).expect("vm_opt");
+    let san = run_sanitized(func, args.clone(), None).expect("vm_sanitized");
     assert_eq!(tw.outputs, vm.outputs, "vm diverges on {name}");
     assert_eq!(tw.outputs, opt.outputs, "vm_opt diverges on {name}");
+    assert_eq!(tw.outputs, san.outputs, "vm_sanitized diverges on {name}");
     assert_eq!(tw.steps, vm.steps, "vm step count diverges on {name}");
     assert_eq!(tw.steps, opt.steps, "vm_opt step count diverges on {name}");
+    assert_eq!(tw.steps, san.steps, "vm_sanitized steps diverge on {name}");
     let steps = tw.steps;
 
     // Dispatched-instruction mix before/after optimization (one profiled
@@ -102,25 +117,33 @@ fn bench_case(name: &'static str, func: &tir::PrimFunc) -> Row {
         .run_profiled(args.clone(), u64::MAX, &mut mix_after)
         .expect("profiled opt run");
 
-    let reps = 5;
-    let tw_ns = median_ns(reps, || {
-        let out = run_with(func, args.clone(), ExecBackend::TreeWalk, None).expect("tree-walk");
-        std::hint::black_box(out);
-    });
-    let vm_ns = median_ns(reps, || {
-        let out = run_unoptimized(func, args.clone());
-        std::hint::black_box(out);
-    });
-    let opt_ns = median_ns(reps, || {
-        let out = run_with(func, args.clone(), ExecBackend::Vm, None).expect("vm_opt");
-        std::hint::black_box(out);
-    });
+    let [tw_ns, vm_ns, opt_ns, san_ns] = median_ns(
+        5,
+        [
+            &mut || {
+                let out = run_with(func, args.clone(), ExecBackend::TreeWalk, None);
+                std::hint::black_box(out.expect("tree-walk"));
+            },
+            &mut || {
+                std::hint::black_box(run_unoptimized(func, args.clone()));
+            },
+            &mut || {
+                let out = run_with(func, args.clone(), ExecBackend::Vm, None);
+                std::hint::black_box(out.expect("vm_opt"));
+            },
+            &mut || {
+                let out = run_sanitized(func, args.clone(), None);
+                std::hint::black_box(out.expect("vm_sanitized"));
+            },
+        ],
+    );
     Row {
         name,
         steps,
         tw_ns_per_step: tw_ns / steps as f64,
         vm_ns_per_step: vm_ns / steps as f64,
         opt_ns_per_step: opt_ns / steps as f64,
+        san_ns_per_step: san_ns / steps as f64,
         mix_before: mix_before.mix(),
         mix_after: mix_after.mix(),
     }
@@ -174,23 +197,35 @@ fn main() {
         ),
     ];
 
-    println!("Interpreter backends: tree-walk vs VM vs optimized VM (release, per-step cost)");
     println!(
-        "{:<32} {:>10} {:>14} {:>10} {:>10} {:>8} {:>8}",
-        "workload", "steps", "tree-walk ns", "vm ns", "vm_opt ns", "vm/opt", "tw/vm"
+        "Interpreter backends: tree-walk vs VM vs optimized VM vs sanitizer (release, per-step cost)"
+    );
+    println!(
+        "{:<32} {:>10} {:>14} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8}",
+        "workload",
+        "steps",
+        "tree-walk ns",
+        "vm ns",
+        "vm_opt ns",
+        "san ns",
+        "vm/opt",
+        "tw/vm",
+        "san/opt"
     );
     let mut rows = Vec::new();
     for (name, func) in &cases {
         let row = bench_case(name, func);
         println!(
-            "{:<32} {:>10} {:>14.1} {:>10.1} {:>10.1} {:>7.2}x {:>7.2}x",
+            "{:<32} {:>10} {:>14.1} {:>10.1} {:>10.1} {:>10.1} {:>7.2}x {:>7.2}x {:>7.2}x",
             row.name,
             row.steps,
             row.tw_ns_per_step,
             row.vm_ns_per_step,
             row.opt_ns_per_step,
+            row.san_ns_per_step,
             row.vm_ns_per_step / row.opt_ns_per_step,
             row.tw_ns_per_step / row.vm_ns_per_step,
+            row.san_ns_per_step / row.opt_ns_per_step,
         );
         rows.push(row);
     }
@@ -201,12 +236,13 @@ fn main() {
     );
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"steps\": {}, \"tree_walk\": {:.2}, \"vm\": {:.2}, \"vm_opt\": {:.2}, \"speedup\": {:.2}, \"speedup_opt\": {:.2}, \"opt_over_vm\": {:.2},\n     \"mix_before\": {},\n     \"mix_after\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"steps\": {}, \"tree_walk\": {:.2}, \"vm\": {:.2}, \"vm_opt\": {:.2}, \"vm_sanitized\": {:.2}, \"speedup\": {:.2}, \"speedup_opt\": {:.2}, \"opt_over_vm\": {:.2},\n     \"mix_before\": {},\n     \"mix_after\": {}}}{}\n",
             r.name,
             r.steps,
             r.tw_ns_per_step,
             r.vm_ns_per_step,
             r.opt_ns_per_step,
+            r.san_ns_per_step,
             r.tw_ns_per_step / r.vm_ns_per_step,
             r.tw_ns_per_step / r.opt_ns_per_step,
             r.vm_ns_per_step / r.opt_ns_per_step,
@@ -246,6 +282,13 @@ fn main() {
                     r.name
                 ));
             }
+            let san_over_opt = r.san_ns_per_step / r.opt_ns_per_step;
+            if named(r, &["gmm", "c2d", "c1d", "sched"]) && san_over_opt > 1.5 {
+                failures.push(format!(
+                    "{}: the sanitizer costs {san_over_opt:.2}x vm_opt per step (need <= 1.5x)",
+                    r.name
+                ));
+            }
             if named(r, &["gmm", "c2d", "c1d"]) && tw_over_vm > 3.5 {
                 failures.push(format!(
                     "{}: tree-walk costs {tw_over_vm:.2}x vm per step (need <= 3.5x)",
@@ -256,8 +299,8 @@ fn main() {
         if failures.is_empty() {
             println!(
                 "CHECK ok: on gmm/c2d/c1d and the scheduled programs the optimizer at \
-                 least halves dispatches and vm_opt >= 2x tree-walk; tree-walk <= 3.5x vm \
-                 on gmm/c2d/c1d"
+                 least halves dispatches, vm_opt >= 2x tree-walk and the sanitizer <= 1.5x \
+                 vm_opt; tree-walk <= 3.5x vm on gmm/c2d/c1d"
             );
         } else {
             for f in &failures {

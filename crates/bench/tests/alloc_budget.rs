@@ -27,7 +27,7 @@ use tir_autoschedule::{
     build_sketches, Decision, SketchRule, Strategy, TuneOptions, TuningDatabase,
 };
 use tir_exec::machine::Machine;
-use tir_exec::{run_with, ExecBackend, Tensor};
+use tir_exec::{run_sanitized, run_with, ExecBackend, Tensor};
 use tir_graph::{compile_model_with, fuse_graph, resnet50};
 use tir_rand::rngs::StdRng;
 use tir_rand::SeedableRng;
@@ -315,5 +315,38 @@ fn tree_walk_allocates_per_run_not_per_step() {
         println!("{name}: {small} allocations for {small_steps} steps, {large} for {large_steps}");
         assert!(large_steps >= 4 * small_steps, "{name}");
         assert_eq!(small, large, "{name}: allocations grow with steps");
+    }
+}
+
+/// A sanitized run keeps shadow cells only for buffers a parallel loop
+/// touches. On programs without one it makes at most two allocations more
+/// than `run_with(Vm)` (the empty shadow table and the loop generations),
+/// whatever the buffer count; when every buffer had its own shadow it made
+/// one more per buffer (+5 on both programs).
+#[test]
+fn sanitizer_allocates_no_shadow_outside_parallel_loops() {
+    let f32_ = DataType::float32();
+    for f in [
+        matmul_func("mm", 64, 64, 64, f32_),
+        tir_workloads::ops::c2d(1, 10, 10, 4, 4, 3, 3, 1, f32_),
+    ] {
+        let args: Vec<Tensor> = (f.params.iter())
+            .map(|p| Tensor::zeros(p.dtype(), p.shape()))
+            .collect();
+        let copy = args.clone();
+        let (plain, plain_allocs) = counted(|| run_with(&f, args, ExecBackend::Vm, None));
+        let (sanitized, sanitized_allocs) = counted(|| run_sanitized(&f, copy, None));
+        let (plain, sanitized) = (plain.expect("runs"), sanitized.expect("clean"));
+        assert_eq!(plain.outputs, sanitized.outputs, "{}", f.name);
+        assert_eq!(plain.steps, sanitized.steps, "{}", f.name);
+        println!(
+            "{}: {plain_allocs} allocations plain, {sanitized_allocs} sanitized",
+            f.name
+        );
+        assert!(
+            sanitized_allocs <= plain_allocs + 2,
+            "{}: the sanitizer makes {sanitized_allocs} allocations against {plain_allocs}",
+            f.name
+        );
     }
 }

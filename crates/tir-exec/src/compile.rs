@@ -110,7 +110,8 @@ pub(crate) struct Access {
     pub slots: PoolRange,
     /// Range in [`Program::race_pool`]: loop ids of every enclosing
     /// parallel loop (outermost first) — the iteration signature the
-    /// sanitizer tracks races over.
+    /// sanitizer tracks races over. Empty outside every parallel loop and
+    /// for a relaxed buffer: the sanitizer tracks only a non-empty one.
     pub race: PoolRange,
 }
 
@@ -348,10 +349,9 @@ pub struct Program {
     pub(crate) ops: Vec<Op>,
     pub(crate) accesses: Vec<Access>,
     pub(crate) names: Vec<String>,
-    /// Per buffer id: some access to it sits inside a block carrying a
-    /// [`tir::RELAXING_ANNOTATIONS`] annotation, exempting the buffer from
-    /// race tracking (mirrors the static analyzer's exemption).
-    pub(crate) relaxed: Vec<bool>,
+    /// Per buffer id: at least one access to it has a non-empty race
+    /// range, so a sanitized run keeps shadow cells for it.
+    pub(crate) tracked: Vec<bool>,
     /// Shared pool behind [`Access::regs`].
     pub(crate) reg_pool: Vec<(u32, i64)>,
     /// Shared pool behind [`Access::slots`].
@@ -937,10 +937,16 @@ impl Compiler {
         self.land(jz);
     }
 
-    fn finish(self, func: &PrimFunc) -> Program {
-        let relaxed = (0..self.buffers.len() as u32)
-            .map(|id| self.relaxed_bufs.contains(&id))
-            .collect();
+    fn finish(mut self, func: &PrimFunc) -> Program {
+        // A buffer touched under a relaxing annotation is exempt from race
+        // tracking everywhere (the static analyzer's exemption).
+        let mut tracked = vec![false; self.buffers.len()];
+        for acc in &mut self.accesses {
+            if self.relaxed_bufs.contains(&acc.buf) {
+                acc.race = PoolRange::default();
+            }
+            tracked[acc.buf as usize] |= !acc.race.is_empty();
+        }
         Program {
             func_name: func.name.clone(),
             params: func.params.clone(),
@@ -948,7 +954,7 @@ impl Compiler {
             ops: self.ops,
             accesses: self.accesses,
             names: self.names,
-            relaxed,
+            tracked,
             reg_pool: self.reg_pool,
             slot_pool: self.slot_pool,
             race_pool: self.race_pool,

@@ -7,6 +7,12 @@
 //! before the first instruction runs. The loop itself is a flat `match`
 //! over `Op`s driven by a program counter.
 //!
+//! A sanitized run is the same loop monomorphized over a `Sanitizer`
+//! instead of the plain path's no-op hooks: every access is bounds
+//! checked, and only a *tracked* access (one inside a parallel loop)
+//! touches shadow memory. Its signature is the one per-step allocation,
+//! and a program without a parallel loop has none.
+//!
 //! Semantics are bit-identical to the tree-walking
 //! [`Interpreter`](crate::Interpreter): the same `f64` arithmetic in the
 //! same order, the same quantization on casts and stores, the same
@@ -169,9 +175,51 @@ struct Cell {
     read: Option<Sig>,
 }
 
-/// Race-tracking state of a sanitized run.
-struct Sanitizer {
-    /// Per buffer id: one [`Cell`] per element (empty for relaxed buffers).
+/// Per-access work of one run, monomorphized into the dispatch loop like
+/// [`VmProfiler`]: with [`NoShadow`] every hook inlines to nothing, so the
+/// plain VM compiles no sanitizer branch.
+trait Shadow {
+    /// Before the load of element `off` through `acc`.
+    fn read(&mut self, acc: &Access, off: i64, store: &[Tensor], counters: &[i64]) -> Result<()>;
+    /// Before the store to element `off` through `acc`.
+    fn write(&mut self, acc: &Access, off: i64, store: &[Tensor], counters: &[i64]) -> Result<()>;
+    /// A `ForSetup` starts a new dynamic instance of loop `l`.
+    fn for_setup(&mut self, l: usize);
+    /// An `AllocBuf` starts a fresh allocation of buffer `b`.
+    fn alloc_buf(&mut self, b: usize);
+}
+
+/// The plain VM: no checks, no shadow.
+struct NoShadow;
+
+impl Shadow for NoShadow {
+    #[inline(always)]
+    fn read(&mut self, _: &Access, _: i64, _: &[Tensor], _: &[i64]) -> Result<()> {
+        Ok(())
+    }
+    #[inline(always)]
+    fn write(&mut self, _: &Access, _: i64, _: &[Tensor], _: &[i64]) -> Result<()> {
+        Ok(())
+    }
+    #[inline(always)]
+    fn for_setup(&mut self, _: usize) {}
+    #[inline(always)]
+    fn alloc_buf(&mut self, _: usize) {}
+}
+
+/// Bounds checking and race tracking of a sanitized run.
+///
+/// An access is *tracked* iff its race range is non-empty. An untracked
+/// access to a buffer that is not relaxed is lexically outside every
+/// parallel loop, so no parallel instance is live when it runs and every
+/// later tracked signature starts with a newer generation than any stored
+/// one: skipping its shadow update changes no later `conflicts` answer and
+/// no `merge_read` result, and its own empty signature conflicts with
+/// nothing.
+struct Sanitizer<'p> {
+    prog: &'p Program,
+    /// Per buffer id: one [`Cell`] per element if the buffer is
+    /// [`tracked`](Program::tracked), else empty.
     shadow: Vec<Vec<Cell>>,
     /// Per loop id: dynamic-instance generation, bumped at every
     /// `ForSetup` — accesses from different instances of a loop are
@@ -205,22 +253,21 @@ fn conflicts(a: &[(u32, u64, i64)], b: &[(u32, u64, i64)]) -> Option<(i64, i64)>
 /// whose iterations differ collapse to the `-1` marker (a later write in
 /// that instance must then differ from one of the merged reads, whatever
 /// its iteration); entries of dead instances are dropped.
-fn merge_read(stored: &mut Option<Sig>, new: &Sig) {
-    let Some(s) = stored else {
-        *stored = Some(new.clone());
-        return;
-    };
-    let mut out: Vec<(u32, u64, i64)> = Vec::with_capacity(new.len());
-    for (x, y) in s.iter().zip(new.iter()) {
-        if x.0 != y.0 || x.1 != y.1 {
-            break;
+fn merge_read(stored: &mut Option<Sig>, mut new: Sig) {
+    if let Some(s) = stored {
+        for (x, y) in s.iter().zip(new.iter_mut()) {
+            if x.0 != y.0 || x.1 != y.1 {
+                break;
+            }
+            if x.2 != y.2 {
+                y.2 = -1;
+            }
         }
-        out.push((x.0, x.1, if x.2 == y.2 { x.2 } else { -1 }));
     }
-    out.extend_from_slice(&new[out.len()..]);
-    *stored = Some(out.into());
+    *stored = Some(new);
 }
 
+#[cold]
 fn race_err(buffer: &str, off: i64, iters: (i64, i64)) -> ExecError {
     let show = |i: i64| {
         if i < 0 {
@@ -236,6 +283,7 @@ fn race_err(buffer: &str, off: i64, iters: (i64, i64)) -> ExecError {
     ))
 }
 
+#[cold]
 fn bounds_err(prog: &Program, buf: usize, off: i64, len: usize) -> ExecError {
     ExecError::OutOfBounds(format!(
         "buffer {}: flat offset {off} outside length {len}",
@@ -243,74 +291,94 @@ fn bounds_err(prog: &Program, buf: usize, off: i64, len: usize) -> ExecError {
     ))
 }
 
-/// Sanitizer work for one read: bounds check plus race tracking against
-/// the element's last write.
-fn san_read(
-    prog: &Program,
-    san: &mut Sanitizer,
-    store: &[Tensor],
-    counters: &[i64],
-    acc: &Access,
-    buf: usize,
-    off: i64,
-) -> Result<()> {
-    let len = store[buf].data().len();
-    if off < 0 || off as usize >= len {
-        return Err(bounds_err(prog, buf, off, len));
-    }
-    if !prog.relaxed[buf] {
-        let race = &prog.race_pool[acc.race.range()];
-        let sig = sig_of(race, &san.gens, counters);
-        let cell = &mut san.shadow[buf][off as usize];
-        if let Some(w) = &cell.write {
-            if let Some(iters) = conflicts(w, &sig) {
-                return Err(race_err(prog.buffers[buf].name(), off, iters));
-            }
+impl<'p> Sanitizer<'p> {
+    fn new(prog: &'p Program) -> Self {
+        let cells = |b: &tir::Buffer| {
+            vec![Cell::default(); b.shape().iter().product::<i64>().max(0) as usize]
+        };
+        Sanitizer {
+            prog,
+            shadow: (prog.buffers.iter().zip(&prog.tracked))
+                .map(|(b, &t)| if t { cells(b) } else { Vec::new() })
+                .collect(),
+            gens: vec![0u64; prog.num_loops],
         }
-        merge_read(&mut cell.read, &sig);
     }
-    Ok(())
-}
 
-/// Sanitizer work for one write: bounds check plus race tracking against
-/// the element's last write and merged reads.
-fn san_write(
-    prog: &Program,
-    san: &mut Sanitizer,
-    store: &[Tensor],
-    counters: &[i64],
-    acc: &Access,
-    buf: usize,
-    off: i64,
-) -> Result<()> {
-    let len = store[buf].data().len();
-    if off < 0 || off as usize >= len {
-        return Err(bounds_err(prog, buf, off, len));
+    /// Bounds check of every access; race tracking of a tracked one.
+    #[inline(always)]
+    fn access(
+        &mut self,
+        acc: &Access,
+        off: i64,
+        store: &[Tensor],
+        counters: &[i64],
+        write: bool,
+    ) -> Result<()> {
+        let len = store[acc.buf as usize].data().len();
+        // A negative offset wraps past every length.
+        if off as usize >= len {
+            return Err(bounds_err(self.prog, acc.buf as usize, off, len));
+        }
+        if acc.race.is_empty() {
+            return Ok(());
+        }
+        self.track(acc, off, counters, write)
     }
-    if !prog.relaxed[buf] {
-        let race = &prog.race_pool[acc.race.range()];
-        let sig = sig_of(race, &san.gens, counters);
-        let cell = &mut san.shadow[buf][off as usize];
-        for prev in [&cell.write, &cell.read].into_iter().flatten() {
+
+    /// Checks a tracked access against the element's last write and, for
+    /// a write, the reads merged since; then records it.
+    #[inline(never)]
+    fn track(&mut self, acc: &Access, off: i64, counters: &[i64], write: bool) -> Result<()> {
+        let prog = self.prog;
+        let sig = sig_of(&prog.race_pool[acc.race.range()], &self.gens, counters);
+        let cell = &mut self.shadow[acc.buf as usize][off as usize];
+        let reads = if write { cell.read.as_ref() } else { None };
+        for prev in cell.write.iter().chain(reads) {
             if let Some(iters) = conflicts(prev, &sig) {
-                return Err(race_err(prog.buffers[buf].name(), off, iters));
+                return Err(race_err(prog.buffers[acc.buf as usize].name(), off, iters));
             }
         }
-        cell.write = Some(sig);
+        if write {
+            cell.write = Some(sig);
+        } else {
+            merge_read(&mut cell.read, sig);
+        }
+        Ok(())
     }
-    Ok(())
 }
 
-/// One buffer read at a precomputed offset: aliveness check, sanitizer
-/// work, then the load (the unfused `Op::Load` semantics exactly).
-#[allow(clippy::too_many_arguments)]
+impl Shadow for Sanitizer<'_> {
+    #[inline(always)]
+    fn read(&mut self, acc: &Access, off: i64, store: &[Tensor], counters: &[i64]) -> Result<()> {
+        self.access(acc, off, store, counters, false)
+    }
+
+    #[inline(always)]
+    fn write(&mut self, acc: &Access, off: i64, store: &[Tensor], counters: &[i64]) -> Result<()> {
+        self.access(acc, off, store, counters, true)
+    }
+
+    fn for_setup(&mut self, l: usize) {
+        self.gens[l] += 1;
+    }
+
+    /// A fresh allocation: accesses to the previous one cannot race with
+    /// accesses to this one.
+    fn alloc_buf(&mut self, b: usize) {
+        self.shadow[b].fill(Cell::default());
+    }
+}
+
+/// One buffer read at a precomputed offset: aliveness check, shadow work,
+/// then the load (the unfused `Op::Load` semantics exactly).
 #[inline]
-fn load_at(
+fn load_at<S: Shadow>(
     prog: &Program,
     acc: &Access,
     off: i64,
     alive: &[bool],
-    san: &mut Option<Sanitizer>,
+    sh: &mut S,
     counters: &[i64],
     store: &[Tensor],
 ) -> Result<f64> {
@@ -320,30 +388,24 @@ fn load_at(
             prog.buffers[buf].name().to_string(),
         ));
     }
-    if let Some(san) = san {
-        san_read(prog, san, store, counters, acc, buf, off)?;
-    }
+    sh.read(acc, off, store, counters)?;
     Ok(store[buf].get_flat(off as usize))
 }
 
-/// One buffer write at a precomputed offset: sanitizer work, first-store
+/// One buffer write at a precomputed offset: shadow work, first-store
 /// allocation, quantizing store (the unfused `Op::Store` semantics).
-#[allow(clippy::too_many_arguments)]
 #[inline]
-fn store_at(
-    prog: &Program,
+fn store_at<S: Shadow>(
     acc: &Access,
     off: i64,
     val: f64,
     alive: &mut [bool],
-    san: &mut Option<Sanitizer>,
+    sh: &mut S,
     counters: &[i64],
     store: &mut [Tensor],
 ) -> Result<()> {
     let buf = acc.buf as usize;
-    if let Some(san) = san {
-        san_write(prog, san, store, counters, acc, buf, off)?;
-    }
+    sh.write(acc, off, store, counters)?;
     alive[buf] = true;
     store[buf].set_flat(off as usize, val);
     Ok(())
@@ -353,13 +415,13 @@ fn store_at(
 /// (`acc, a, b`), casts, combines, stores back.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn exec_mac(
+fn exec_mac<S: Shadow>(
     prog: &Program,
     sp: &MacSpec,
     regs: &[f64],
     frame: &[f64],
     alive: &mut [bool],
-    san: &mut Option<Sanitizer>,
+    sh: &mut S,
     counters: &[i64],
     store: &mut [Tensor],
 ) -> Result<()> {
@@ -367,13 +429,13 @@ fn exec_mac(
     let a = &prog.accesses[sp.a as usize];
     let b = &prog.accesses[sp.b as usize];
     let off_acc = offset(prog, acc, regs, frame);
-    let x = load_at(prog, acc, off_acc, alive, san, counters, store)?;
+    let x = load_at(prog, acc, off_acc, alive, sh, counters, store)?;
     let mut y = load_at(
         prog,
         a,
         offset(prog, a, regs, frame),
         alive,
-        san,
+        sh,
         counters,
         store,
     )?;
@@ -385,7 +447,7 @@ fn exec_mac(
         b,
         offset(prog, b, regs, frame),
         alive,
-        san,
+        sh,
         counters,
         store,
     )?;
@@ -393,7 +455,7 @@ fn exec_mac(
         z = cast_val(z, dt, trunc);
     }
     let v = bin_eval(sp.k2, x, bin_eval(sp.k1, y, z)?)?;
-    store_at(prog, acc, off_acc, v, alive, san, counters, store)
+    store_at(acc, off_acc, v, alive, sh, counters, store)
 }
 
 /// Offset of `acc` at the current frame, plus how much it advances per
@@ -417,13 +479,13 @@ fn off_delta(prog: &Program, acc: &Access, var: u32, regs: &[f64], frame: &[f64]
 /// `off += stride` per lane. Leaves `counters` so the following
 /// `ForNext` advances to the first unexecuted iteration.
 #[allow(clippy::too_many_arguments)]
-fn exec_lanes(
+fn exec_lanes<S: Shadow>(
     prog: &Program,
     sp: &LaneSpec,
     regs: &[f64],
     frame: &[f64],
     alive: &mut [bool],
-    san: &mut Option<Sanitizer>,
+    sh: &mut S,
     counters: &mut [i64],
     extents: &[i64],
     store: &mut [Tensor],
@@ -472,21 +534,21 @@ fn exec_lanes(
                     if others_zero && (!var_in_flags || n0 + i == 0) {
                         tick(steps)?;
                         let ga = &prog.accesses[g.access as usize];
-                        store_at(prog, ga, off_acc, g.val, alive, san, counters, store)?;
+                        store_at(ga, off_acc, g.val, alive, sh, counters, store)?;
                     }
                 }
                 tick(steps)?;
-                let x = load_at(prog, acc, off_acc, alive, san, counters, store)?;
-                let mut y = load_at(prog, a, off_a, alive, san, counters, store)?;
+                let x = load_at(prog, acc, off_acc, alive, sh, counters, store)?;
+                let mut y = load_at(prog, a, off_a, alive, sh, counters, store)?;
                 if let Some((dt, trunc)) = ms.a_cast {
                     y = cast_val(y, dt, trunc);
                 }
-                let mut z = load_at(prog, b, off_b, alive, san, counters, store)?;
+                let mut z = load_at(prog, b, off_b, alive, sh, counters, store)?;
                 if let Some((dt, trunc)) = ms.b_cast {
                     z = cast_val(z, dt, trunc);
                 }
                 let v = bin_eval(ms.k2, x, bin_eval(ms.k1, y, z)?)?;
-                store_at(prog, acc, off_acc, v, alive, san, counters, store)?;
+                store_at(acc, off_acc, v, alive, sh, counters, store)?;
                 off_acc += d_acc;
                 off_a += d_a;
                 off_b += d_b;
@@ -498,7 +560,7 @@ fn exec_lanes(
             for i in 0..lanes {
                 counters[l] = n0 + i;
                 tick(steps)?;
-                store_at(prog, acc, off, val, alive, san, counters, store)?;
+                store_at(acc, off, val, alive, sh, counters, store)?;
                 off += d;
             }
         }
@@ -530,7 +592,7 @@ impl Program {
     /// the budget is exhausted, at the exact step count the tree-walker
     /// would report).
     pub fn run_with_fuel(&self, args: Vec<Tensor>, fuel: u64) -> Result<RunOutcome> {
-        self.run_impl(args, fuel, false, &mut NoProfile)
+        self.run_impl(args, fuel, &mut NoProfile, &mut NoShadow)
     }
 
     /// Runs the program while feeding every dispatched instruction to a
@@ -547,7 +609,7 @@ impl Program {
         fuel: u64,
         prof: &mut impl VmProfiler,
     ) -> Result<RunOutcome> {
-        self.run_impl(args, fuel, false, prof)
+        self.run_impl(args, fuel, prof, &mut NoShadow)
     }
 
     /// Runs the program under the dynamic sanitizer: every access is
@@ -564,15 +626,15 @@ impl Program {
     /// [`ExecError::OutOfBounds`]/[`ExecError::DataRace`] on the first
     /// violation, and propagates any other execution failure.
     pub fn run_sanitized(&self, args: Vec<Tensor>, fuel: u64) -> Result<RunOutcome> {
-        self.run_impl(args, fuel, true, &mut NoProfile)
+        self.run_impl(args, fuel, &mut NoProfile, &mut Sanitizer::new(self))
     }
 
-    fn run_impl<P: VmProfiler>(
+    fn run_impl<P: VmProfiler, S: Shadow>(
         &self,
         args: Vec<Tensor>,
         fuel: u64,
-        sanitize: bool,
         prof: &mut P,
+        sh: &mut S,
     ) -> Result<RunOutcome> {
         check_arity(&self.func_name, &self.params, &args)?;
         for (p, t) in self.params.iter().zip(&args) {
@@ -593,13 +655,6 @@ impl Program {
         let mut extents = vec![0i64; self.num_loops];
         let mut reduce_at_start = true;
         let mut steps: u64 = 0;
-        let mut san = sanitize.then(|| Sanitizer {
-            shadow: store
-                .iter()
-                .map(|t| vec![Cell::default(); t.data().len()])
-                .collect(),
-            gens: vec![0u64; self.num_loops],
-        });
 
         let ops = &self.ops;
         let mut pc = 0usize;
@@ -642,8 +697,7 @@ impl Program {
                 Op::Load { dst, access } => {
                     let acc = &self.accesses[*access as usize];
                     let off = offset(self, acc, &regs, &frame);
-                    regs[*dst as usize] =
-                        load_at(self, acc, off, &alive, &mut san, &counters, &store)?;
+                    regs[*dst as usize] = load_at(self, acc, off, &alive, sh, &counters, &store)?;
                 }
                 Op::Store { access, val } => {
                     let acc = &self.accesses[*access as usize];
@@ -651,12 +705,11 @@ impl Program {
                     // First store allocates (the storage is pre-zeroed, so
                     // marking it live is the whole allocation).
                     store_at(
-                        self,
                         acc,
                         off,
                         regs[*val as usize],
                         &mut alive,
-                        &mut san,
+                        sh,
                         &counters,
                         &mut store,
                     )?;
@@ -684,9 +737,7 @@ impl Program {
                     end,
                 } => {
                     let l = *loop_id as usize;
-                    if let Some(san) = &mut san {
-                        san.gens[l] += 1;
-                    }
+                    sh.for_setup(l);
                     extents[l] = regs[*extent as usize].round() as i64;
                     counters[l] = 0;
                     if extents[l] <= 0 {
@@ -720,26 +771,18 @@ impl Program {
                     let b = *buf as usize;
                     store[b].fill_zero();
                     alive[b] = true;
-                    if let Some(san) = &mut san {
-                        // A fresh allocation: accesses to the previous one
-                        // cannot race with accesses to this one.
-                        san.shadow[b].fill(Cell::default());
-                    }
+                    sh.alloc_buf(b);
                 }
                 Op::BinStore { kind, a, b, access } => {
                     let v = bin_eval(*kind, regs[*a as usize], regs[*b as usize])?;
                     let acc = &self.accesses[*access as usize];
                     let off = offset(self, acc, &regs, &frame);
-                    store_at(
-                        self, acc, off, v, &mut alive, &mut san, &counters, &mut store,
-                    )?;
+                    store_at(acc, off, v, &mut alive, sh, &counters, &mut store)?;
                 }
                 Op::StoreConst { access, val } => {
                     let acc = &self.accesses[*access as usize];
                     let off = offset(self, acc, &regs, &frame);
-                    store_at(
-                        self, acc, off, *val, &mut alive, &mut san, &counters, &mut store,
-                    )?;
+                    store_at(acc, off, *val, &mut alive, sh, &counters, &mut store)?;
                 }
                 Op::FusedMac { spec } => {
                     exec_mac(
@@ -748,7 +791,7 @@ impl Program {
                         &regs,
                         &frame,
                         &mut alive,
-                        &mut san,
+                        sh,
                         &counters,
                         &mut store,
                     )?;
@@ -760,7 +803,7 @@ impl Program {
                         &regs,
                         &frame,
                         &mut alive,
-                        &mut san,
+                        sh,
                         &mut counters,
                         &extents,
                         &mut store,
@@ -787,6 +830,7 @@ mod tests {
 
     use crate::compile::compile;
     use crate::interp::{run_with, ExecBackend, ExecError, DEFAULT_FUEL};
+    use crate::opt::compile_optimized;
     use crate::tensor::Tensor;
     use crate::vm::InstrMixProfile;
 
@@ -1093,6 +1137,120 @@ mod tests {
         let prog = compile(&f).expect("compiles");
         let args = vec![Tensor::zeros(DataType::float32(), &[1])];
         prog.run_sanitized(args, 1 << 20).expect("relaxed buffer");
+    }
+
+    fn parallel(var: &Var, extent: i64, body: Stmt) -> Stmt {
+        Stmt::For(Box::new(tir::For::with_kind(
+            var.clone(),
+            extent,
+            tir::ForKind::Parallel,
+            body,
+        )))
+    }
+
+    /// `B[idx] = B[idx] + 1`.
+    fn bump(b: &Buffer, idx: Expr) -> Stmt {
+        Stmt::store(
+            b.clone(),
+            vec![idx.clone()],
+            b.load(vec![idx]) + Expr::f32(1.0),
+        )
+    }
+
+    /// `run_sanitized` on zeroed inputs, on the compiler's bytecode and on
+    /// optimized bytecode; asserts the two agree and returns the verdict.
+    fn sanitized(f: &PrimFunc) -> Result<u64, String> {
+        let args: Vec<Tensor> = (f.params.iter())
+            .map(|p| Tensor::zeros(p.dtype(), p.shape()))
+            .collect();
+        let [plain, opt] = [compile(f), compile_optimized(f)].map(|p| {
+            let out = p.expect("compiles").run_sanitized(args.clone(), 1 << 20);
+            out.map(|o| (o.steps, o.outputs)).map_err(|e| e.to_string())
+        });
+        assert_eq!(plain, opt, "optimized bytecode changes the verdict");
+        plain.map(|(steps, _)| steps)
+    }
+
+    #[test]
+    fn a_serial_access_between_parallel_instances_stays_clean() {
+        // parallel i { B[i] = 1 }; B[0] = 2; parallel i { C[i] = B[i] } —
+        // the serial write is ordered after the first instance and before
+        // the second, so nothing races.
+        let b = Buffer::new("B", DataType::float32(), vec![8]);
+        let c = Buffer::new("C", DataType::float32(), vec![8]);
+        let (i, j) = (Var::int("i"), Var::int("j"));
+        let body = Stmt::seq(vec![
+            parallel(
+                &i,
+                8,
+                Stmt::store(b.clone(), vec![Expr::from(&i)], Expr::f32(1.0)),
+            ),
+            Stmt::store(b.clone(), vec![Expr::int(0)], Expr::f32(2.0)),
+            parallel(
+                &j,
+                8,
+                Stmt::store(
+                    c.clone(),
+                    vec![Expr::from(&j)],
+                    b.load(vec![Expr::from(&j)]),
+                ),
+            ),
+        ]);
+        let f = PrimFunc::new("ordered", vec![b, c], body);
+        assert_eq!(sanitized(&f), Ok(17));
+    }
+
+    #[test]
+    fn a_serial_write_before_a_racy_parallel_loop_keeps_the_race() {
+        // B[0] = 2; parallel i { B[0] += 1 }.
+        let b = Buffer::new("B", DataType::float32(), vec![1]);
+        let i = Var::int("i");
+        let body = Stmt::seq(vec![
+            Stmt::store(b.clone(), vec![Expr::int(0)], Expr::f32(2.0)),
+            parallel(&i, 8, bump(&b, Expr::int(0))),
+        ]);
+        let f = PrimFunc::new("race_after_serial", vec![b], body);
+        assert_eq!(
+            sanitized(&f),
+            Err(
+                "data race: buffer B: iterations 0 and 1 of a parallel loop both touch \
+                 element 0"
+                    .to_string()
+            )
+        );
+    }
+
+    #[test]
+    fn a_relaxing_annotation_exempts_the_buffer_everywhere() {
+        // parallel i { atomic block: B[0] += 1 }; parallel j { B[0] = 1 } —
+        // the second loop races, and alone it is convicted; the annotation
+        // in the first exempts B in both, as the static analyzer does.
+        let b = Buffer::new("B", DataType::float32(), vec![1]);
+        let (i, j, vk) = (Var::int("i"), Var::int("j"), Var::int("vk"));
+        let mut block = tir::Block::new(
+            "atomic_add",
+            vec![tir::IterVar::reduce(vk, 8)],
+            vec![b.full_region()],
+            vec![b.full_region()],
+            bump(&b, Expr::int(0)),
+        );
+        block
+            .annotations
+            .insert("tir.atomic".into(), tir::AnnValue::Int(1));
+        let realize = tir::BlockRealize::new(vec![Expr::from(&i)], block);
+        let racy = parallel(
+            &j,
+            8,
+            Stmt::store(b.clone(), vec![Expr::int(0)], Expr::f32(1.0)),
+        );
+        let alone = PrimFunc::new("racy", vec![b.clone()], racy.clone());
+        assert!(sanitized(&alone).unwrap_err().starts_with("data race"));
+        let body = Stmt::seq(vec![
+            parallel(&i, 8, Stmt::BlockRealize(Box::new(realize))),
+            racy,
+        ]);
+        let f = PrimFunc::new("relaxed_twice", vec![b], body);
+        assert_eq!(sanitized(&f), Ok(16));
     }
 
     #[test]
