@@ -18,7 +18,11 @@
 //! With `--check` the bench becomes a CI gate on the gmm/c2d/c1d workloads
 //! and the scheduled ones: the optimizer must at least halve the
 //! instructions dispatched (`mix_after` total ≤ half the `mix_before`
-//! total, a count that repeats exactly), the optimized VM must be ≥2x
+//! total, a count that repeats exactly), no row's `mix_after` total may
+//! rise above its `MIX_AFTER_CEILING`, the three scheduled rows together
+//! must dispatch at most 60% of their ceilings (the compiler proves `//`
+//! and `%` from loop extents and copy nests run as lanes), the optimized
+//! VM must be ≥2x
 //! faster per step than the tree-walker, and on gmm/c2d/c1d the
 //! tree-walker must cost at most 3.5x the compiler's bytecode per step
 //! (the reference every differential check pays for; it read 5.2–5.9x
@@ -45,6 +49,20 @@ use tir_rand::{rngs::StdRng, SeedableRng};
 use tir_tensorize::builtin_registry;
 use tir_trace::is_well_formed_json;
 use tir_workloads::ops;
+
+/// Every row's `mix_after` total before the compiler proved `//` and `%`
+/// from loop extents and copy nests ran as lanes; a count that repeats
+/// exactly, so none may rise.
+const MIX_AFTER_CEILING: [(&str, u64); 8] = [
+    ("gmm_64x64x64_f32", 78_018),
+    ("gmm_64x64x64_f16", 78_018),
+    ("c2d_18x18x32_f32", 910_133),
+    ("dep_32x32x16_f32", 261_995),
+    ("c1d_64x64_f32", 983_822),
+    ("sched_gpu_wmma_gmm_64_f16", 960_260),
+    ("sched_gpu_wmma_c2d_10x10x16_f16", 688_579),
+    ("sched_arm_sdot_gmm_64_i8", 567_754),
+];
 
 struct Row {
     name: &'static str,
@@ -266,7 +284,29 @@ fn main() {
         // the scheduled programs; `dep` rides along in the report unchecked.
         let named = |r: &Row, prefixes: &[&str]| prefixes.iter().any(|p| r.name.starts_with(p));
         let total = |mix: &[(&str, u64)]| mix.iter().map(|(_, c)| c).sum::<u64>();
+        let ceiling = |name: &str| {
+            let row = MIX_AFTER_CEILING.iter().find(|(n, _)| *n == name);
+            row.map(|&(_, c)| c).expect("every row has a ceiling")
+        };
+        let sched = rows.iter().filter(|r| named(r, &["sched"]));
+        let (sched_after, sched_ceiling) = sched.fold((0, 0), |(a, c), r| {
+            (a + total(&r.mix_after), c + ceiling(r.name))
+        });
+        if 10 * sched_after > 6 * sched_ceiling {
+            failures.push(format!(
+                "the scheduled rows dispatch {sched_after} instructions (need <= 60% of \
+                 {sched_ceiling})"
+            ));
+        }
         for r in &rows {
+            if total(&r.mix_after) > ceiling(r.name) {
+                failures.push(format!(
+                    "{}: the optimizer dispatches {} instructions, above {}",
+                    r.name,
+                    total(&r.mix_after),
+                    ceiling(r.name)
+                ));
+            }
             let tw_over_opt = r.tw_ns_per_step / r.opt_ns_per_step;
             let tw_over_vm = r.tw_ns_per_step / r.vm_ns_per_step;
             let (before, after) = (total(&r.mix_before), total(&r.mix_after));
@@ -300,7 +340,8 @@ fn main() {
             println!(
                 "CHECK ok: on gmm/c2d/c1d and the scheduled programs the optimizer at \
                  least halves dispatches, vm_opt >= 2x tree-walk and the sanitizer <= 1.5x \
-                 vm_opt; tree-walk <= 3.5x vm on gmm/c2d/c1d"
+                 vm_opt; tree-walk <= 3.5x vm on gmm/c2d/c1d; no row dispatches more than \
+                 its ceiling, the scheduled rows {sched_after} <= 60% of {sched_ceiling}"
             );
         } else {
             for f in &failures {

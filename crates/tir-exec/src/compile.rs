@@ -10,8 +10,9 @@
 //!   arithmetic — an index dimension affine over the variables in scope
 //!   becomes `(frame slot, stride)` terms plus a static base offset, the
 //!   rest evaluate into registers at the access,
-//! * literal-only subtrees fold to one constant, and a literal predicate
-//!   or condition emits no test,
+//! * literal-only subtrees fold to one constant, a literal predicate or
+//!   condition emits no test, and a literal loop extent rides in its
+//!   `ForSetup` (`Extent::Lit`),
 //! * control flow (loops, block predicates, reduction-init guards,
 //!   `select`) becomes jumps over a flat `Op` array.
 //!
@@ -28,8 +29,14 @@
 //! a block iterator bound to an affine expression (`vi = i0*16 + i1`,
 //! what schedule primitives leave behind) is that expression over the
 //! forms of the variables it reads, so substitution goes through enclosing
-//! blocks; an integer iterator bound to anything else (`f // 2`) is its
-//! own slot. Reading a form is legal by lexical scope alone: a well-formed
+//! blocks; an integer iterator bound to anything else is its own slot.
+//! An integer `e // c` or `e % c` by a literal `c > 0` is a form too when
+//! the literal extents of the enclosing loops prove it
+//! (`Compiler::div_mod`): `e = c·q + r` with `0 ≤ r < c` on every
+//! iteration makes `q` and `r` the floor quotient and remainder, over the
+//! integers. Only loop extents count, never a block iterator's declared
+//! domain, so the bytecode stays exact on programs the verifier rejects.
+//! Reading a form is legal by lexical scope alone: a well-formed
 //! program reads an iterator only inside its block, after its binding, and
 //! no variable a form mentions is rebound there. Frame slots hold integers
 //! (loop counters and integer bindings), so `round` distributes over the
@@ -44,7 +51,9 @@
 
 use std::collections::HashMap;
 
+use tir::simplify::{floor_div_i64, floor_mod_i64};
 use tir::{BinOp, Block, BlockRealize, Buffer, CmpOp, DataType, Expr, IterKind, PrimFunc, Stmt};
+use tir_arith::bound::IntBound;
 
 use crate::interp::{ExecError, MathFn};
 use crate::vm::{bin_eval, cast_val};
@@ -164,6 +173,8 @@ pub(crate) enum LaneBody {
     Mac(u32),
     /// A constant fill store: `(access, value)`.
     Fill(u32, f64),
+    /// A copy `dst = src` of one element: `(src, dst)` accesses.
+    Copy(u32, u32),
 }
 
 /// One lane-batched innermost loop: the whole `ForSetup`/`ForNext` body
@@ -187,6 +198,14 @@ pub(crate) struct LaneSpec {
 
 /// Upper bound on lanes per [`LaneSpec`] dispatch.
 pub(crate) const LANE_WIDTH_MAX: u32 = 8;
+
+/// The trip count [`Op::ForSetup`] latches: a literal the compiler
+/// rounded and clamped at zero, or a register evaluated at run time.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Extent {
+    Lit(u32),
+    Reg(u32),
+}
 
 /// One bytecode instruction. Registers, frame slots, loop states and
 /// access sites are all dense `u32` indices into per-program tables.
@@ -237,11 +256,12 @@ pub(crate) enum Op {
     Jump { target: u32 },
     /// Jump if `regs[reg] == 0.0`.
     JumpIfZero { reg: u32, target: u32 },
-    /// Enter a loop: latch `round(regs[extent])`, reset the counter, bind
-    /// the loop variable to 0, or jump to `end` when the extent is empty.
+    /// Enter a loop: latch the extent (`round(regs[r])` for a register),
+    /// reset the counter, bind the loop variable to 0, or jump to `end`
+    /// when the extent is empty.
     ForSetup {
         loop_id: u32,
-        extent: u32,
+        extent: Extent,
         var: u32,
         end: u32,
     },
@@ -497,8 +517,8 @@ struct Compiler {
     /// what a read of it sees. A variable without one is read through a
     /// register.
     forms: HashMap<usize, Affine>,
-    /// Frame slots of the enclosing loops.
-    loop_slots: Vec<u32>,
+    /// Frame slots and extents of the enclosing loops, outermost first.
+    loop_slots: Vec<(u32, Extent)>,
     guard_flags: Vec<Option<Box<[u32]>>>,
     reg_pool: Vec<(u32, i64)>,
     slot_pool: Vec<(u32, i64)>,
@@ -573,7 +593,8 @@ impl Compiler {
 
     /// Adds `scale · e` to `acc` and returns true when `e` is affine over
     /// the forms in scope: integral literal subtrees, variables with a
-    /// form, and `+`, `-` and `*` by a literal of such.
+    /// form, `+`, `-` and `*` by a literal of such, and an integer `//` or
+    /// `%` by a positive literal that [`Compiler::div_mod`] proves.
     fn add_affine(&self, e: &Expr, scale: i64, acc: &mut Affine) -> bool {
         if let Some(c) = fold(e).and_then(integral) {
             acc.k += scale * c;
@@ -601,8 +622,54 @@ impl Compiler {
                 (None, Some(c)) => self.add_affine(b, scale * c, acc),
                 (None, None) => false,
             },
+            Expr::Bin(op @ (BinOp::FloorDiv | BinOp::FloorMod), a, b)
+                if a.dtype().is_int() && b.dtype().is_int() =>
+            {
+                let proof = (constant(b).filter(|&c| c > 0))
+                    .zip(self.affine(a))
+                    .and_then(|(c, form)| self.div_mod(form, c));
+                let Some((q, r)) = proof else {
+                    return false;
+                };
+                let part = if *op == BinOp::FloorDiv { q } else { r };
+                acc.terms
+                    .extend(part.terms.iter().map(|&(s, m)| (s, m * scale)));
+                acc.k += part.k * scale;
+                true
+            }
             _ => false,
         }
+    }
+
+    /// `(e // c, e % c)` as forms, when the literal extents of the enclosing
+    /// loops prove them: `e = c·q + r` with `q` the terms and the part of
+    /// the constant that `c` divides, and `r` the rest. A loop slot lies in
+    /// `[0, extent − 1]`; if `0 ≤ r < c` there, `e // c = q` and `e % c = r`
+    /// over the integers. A slot of any other kind is unbounded.
+    fn div_mod(&self, e: Affine, c: i64) -> Option<(Affine, Affine)> {
+        let mut q = Affine {
+            terms: Vec::new(),
+            k: floor_div_i64(e.k, c),
+        };
+        let mut r = Affine {
+            terms: Vec::new(),
+            k: floor_mod_i64(e.k, c),
+        };
+        let mut range = IntBound::single(r.k);
+        for (slot, m) in e.terms {
+            if m % c == 0 {
+                q.terms.push((slot, m / c));
+                continue;
+            }
+            let extent = self.loop_slots.iter().rev().find(|&&(s, _)| s == slot);
+            let n = match extent {
+                Some(&(_, Extent::Lit(n))) if n > 0 => i64::from(n),
+                _ => return None,
+            };
+            range = range + IntBound::new(0, n - 1) * IntBound::single(m);
+            r.terms.push((slot, m));
+        }
+        (range.min >= 0 && range.max < c).then_some((q, r))
     }
 
     /// `e` as a canonical [`Affine`], if it is one.
@@ -837,14 +904,23 @@ impl Compiler {
                 }
             }
             Stmt::For(f) => {
-                self.compile_expr(&f.extent, 0);
+                // `ForSetup` latches `round(extent)`; a literal one rounds
+                // here, and anything at or below zero runs no iteration.
+                let literal = fold(&f.extent).map(|v| (v.round() as i64).max(0));
+                let extent = match literal.and_then(|n| u32::try_from(n).ok()) {
+                    Some(n) => Extent::Lit(n),
+                    None => {
+                        self.compile_expr(&f.extent, 0);
+                        Extent::Reg(0)
+                    }
+                };
                 let loop_id = self.num_loops;
                 self.num_loops += 1;
                 let var_slot = self.slot(&f.var);
                 self.forms.insert(f.var.id(), Affine::slot(var_slot));
                 let setup = self.emit(Op::ForSetup {
                     loop_id,
-                    extent: 0,
+                    extent,
                     var: var_slot,
                     end: 0,
                 });
@@ -852,7 +928,7 @@ impl Compiler {
                 if f.kind.is_parallel() {
                     self.par_loops.push(loop_id);
                 }
-                self.loop_slots.push(var_slot);
+                self.loop_slots.push((var_slot, extent));
                 self.compile_stmt(&f.body);
                 self.loop_slots.pop();
                 if f.kind.is_parallel() {
@@ -890,7 +966,8 @@ impl Compiler {
             let form = self.affine(value);
             if guarded && iv.kind == IterKind::Reduce {
                 self.ops.push(Op::UpdateReduceFlag { reg: 0 });
-                let counter = |&(s, m): &(u32, i64)| m > 0 && self.loop_slots.contains(&s);
+                let counter =
+                    |&(s, m): &(u32, i64)| m > 0 && self.loop_slots.iter().any(|l| l.0 == s);
                 flags = match (flags, &form) {
                     (Some(mut f), Some(Affine { terms, k: 0 }))
                         if matches!(terms[..], [(_, 1)]) || terms.iter().all(counter) =>
@@ -1192,6 +1269,207 @@ pub(crate) mod tests {
         }
     }
 
+    /// `T[x] = x` for `x < n`.
+    fn arange(n: i64) -> Tensor {
+        Tensor::from_fn(DataType::float32(), &[n], |x| x as f64)
+    }
+
+    /// Runs `f` on the tree-walker, on the compiler's bytecode and on the
+    /// optimized bytecode, and asserts they agree bit for bit and step for
+    /// step.
+    fn agree(f: &PrimFunc, args: &[Tensor]) {
+        let walk = run_with(f, args.to_vec(), ExecBackend::TreeWalk, None).expect("walks");
+        let prog = compile(f).expect("compiles");
+        let opt = crate::opt::optimize(prog.clone());
+        for (label, prog) in [("compile", prog), ("optimize", opt)] {
+            let vm = prog.run_with_fuel(args.to_vec(), 1 << 40).expect("runs");
+            assert_eq!(vm.steps, walk.steps, "{}: {label} steps", f.name);
+            assert_eq!(vm.outputs, walk.outputs, "{}: {label} outputs", f.name);
+        }
+    }
+
+    /// The register-term count of every access to buffer `T`.
+    fn t_register_terms(prog: &Program) -> Vec<u32> {
+        let t = prog
+            .buffers
+            .iter()
+            .position(|b| b.name() == "T")
+            .expect("T") as u32;
+        (prog.accesses.iter())
+            .filter(|a| a.buf == t)
+            .map(|a| a.regs.len)
+            .collect()
+    }
+
+    /// The loop-extent rule, exhaustively: every `a·i + b·j + k` with
+    /// `a, b ∈ −3..=3` and `k ∈ −4..=4`, over loops `i`, `j` of literal
+    /// extents 1–6, indexes an `arange` buffer as `T[form // c + 34]` and
+    /// `T[form % c]` for every `c ∈ 1..=7`, one store per case at every
+    /// point `(i, j)`. Both bytecodes agree with the tree-walker, and the
+    /// rule proves some of the cases.
+    #[test]
+    fn div_mod_by_loop_extents_is_exact_on_every_small_form() {
+        let t = Buffer::new("T", DataType::float32(), vec![69]);
+        let cases: Vec<(i64, i64, i64, i64)> = (-3..=3)
+            .flat_map(|a| (-3..=3).map(move |b| (a, b)))
+            .flat_map(|(a, b)| (-4..=4).map(move |k| (a, b, k)))
+            .flat_map(|(a, b, k)| (1..=7).map(move |c| (a, b, k, c)))
+            .collect();
+        let n = cases.len() as i64;
+        let mut proved = 0;
+        for (ei, ej) in (1..=6).flat_map(|ei| (1..=6).map(move |ej| (ei, ej))) {
+            let (i, j) = (Var::int("i"), Var::int("j"));
+            let out = Buffer::new("O", DataType::float32(), vec![n, ei, ej]);
+            let stores = (cases.iter().zip(0..)).map(|(&(a, b, k, c), case)| {
+                let form = || Expr::from(&i) * a + Expr::from(&j) * b + k;
+                let q = t.load(vec![form().floor_div(c) + 34]);
+                let r = t.load(vec![form().floor_mod(c)]);
+                let at = vec![Expr::int(case), Expr::from(&i), Expr::from(&j)];
+                Stmt::store(out.clone(), at, q * Expr::f32(8.0) + r)
+            });
+            let body = Stmt::seq(stores.collect()).in_loops(vec![(i, ei), (j, ej)]);
+            let f = PrimFunc::new("forms", vec![t.clone(), out], body);
+            let terms = t_register_terms(&compile(&f).expect("compiles"));
+            proved += terms.iter().filter(|&&regs| regs == 0).count();
+            let args = [arange(69), Tensor::zeros(DataType::float32(), &[n, ei, ej])];
+            agree(&f, &args);
+        }
+        assert!(proved > 0, "the rule proved nothing");
+    }
+
+    /// A tuned wmma GMM's staged copy, cut down: `v0 = k0*16 + ax0` and
+    /// `v1 = f % 2 * 32 + ax1` read `B[v0 % 64, v1 % 64]`, and
+    /// `v2 = f // 2` indexes the stage, with `f` of extent 2.
+    fn staged_copy() -> PrimFunc {
+        let dt = DataType::float16();
+        let (b, s) = (
+            Buffer::new("B", dt, vec![64, 64]),
+            Buffer::new("S", dt, vec![1, 64, 64]),
+        );
+        let (f, k0, ax0, ax1) = (v("f"), v("k0"), v("ax0"), v("ax1"));
+        let (v0, v1, v2) = (v("v0"), v("v1"), v("v2"));
+        let e = |var: &Var| Expr::from(var);
+        let load = b.load(vec![e(&v0).floor_mod(64), e(&v1).floor_mod(64)]);
+        let body = Stmt::store(s.clone(), vec![e(&v2), e(&v0), e(&v1)], load);
+        let iters = [(v2, 1), (v0, 64), (v1, 64)].map(|(var, n)| IterVar::spatial(var, n));
+        let block = Block::new("S", iters.to_vec(), vec![], vec![], body);
+        let bind = vec![
+            e(&f).floor_div(2),
+            e(&k0) * 16 + e(&ax0),
+            e(&f).floor_mod(2) * 32 + e(&ax1),
+        ];
+        let realize = Stmt::BlockRealize(Box::new(BlockRealize::new(bind, block)));
+        let body = realize.in_loops(vec![(f, 2), (k0, 4), (ax0, 16), (ax1, 32)]);
+        PrimFunc::new("stage", vec![b, s], body)
+    }
+
+    fn v(name: &str) -> Var {
+        Var::int(name)
+    }
+
+    /// Every `//` and `%` of the staged copy is proven from the loop
+    /// extents, so it optimizes to one copy lane with no division left.
+    #[test]
+    fn a_staged_copy_optimizes_to_one_copy_lane() {
+        let f = staged_copy();
+        let opt = crate::opt::optimize(compile(&f).expect("compiles"));
+        let divisions = (opt.ops.iter())
+            .filter(|op| {
+                let div = |k| matches!(k, BinKind::FloorDivI | BinKind::FloorModI);
+                matches!(op, Op::Bin { kind, .. } if div(*kind))
+            })
+            .count();
+        assert_eq!(divisions, 0, "{opt}");
+        let lanes: Vec<LaneBody> = opt.lane_specs.iter().map(|sp| sp.body).collect();
+        assert!(matches!(lanes[..], [LaneBody::Copy(..)]), "{opt}");
+        let args = [
+            Tensor::random(DataType::float16(), &[64, 64], 5),
+            Tensor::zeros(DataType::float16(), &[1, 64, 64]),
+        ];
+        agree(&f, &args);
+    }
+
+    /// What the rule must not prove keeps its register term, exactly: a
+    /// remainder that can go negative, one that reaches `c`, a loop of
+    /// non-literal extent, and float operands.
+    #[test]
+    fn unproven_divisions_keep_their_register_term() {
+        let t = Buffer::new("T", DataType::float32(), vec![8]);
+        let o = Buffer::new("O", DataType::float32(), vec![256]);
+        let (i, j) = (v("i"), v("j"));
+        let (ie, je) = (Expr::from(&i), Expr::from(&j));
+        let copy = |from: Expr, to: Expr| Stmt::store(o.clone(), vec![to], t.load(vec![from]));
+        let negative = copy((ie.clone() - 1).floor_mod(4), ie.clone()).in_loop(i.clone(), 4);
+        let fused = ie.clone() * 128 + je.clone();
+        let reaches_c = copy(fused.clone().floor_div(64), fused)
+            .in_loops(vec![(i.clone(), 2), (j.clone(), 128)]);
+        let non_literal = copy(je.clone().floor_mod(8), ie.clone() * 4 + je.clone())
+            .in_loop(j, ie.clone() + 1)
+            .in_loop(i.clone(), 4);
+        let vf = Var::new("vf", DataType::float32());
+        let float_body = copy(Expr::from(&vf).floor_div(2), ie.clone());
+        let block = Block::new(
+            "F",
+            vec![IterVar::spatial(vf, 8)],
+            vec![],
+            vec![],
+            float_body,
+        );
+        let float = Stmt::BlockRealize(Box::new(BlockRealize::new(vec![ie], block))).in_loop(i, 8);
+        let args = [arange(8), Tensor::zeros(DataType::float32(), &[256])];
+        for (name, body) in [
+            ("negative", negative),
+            ("reaches_c", reaches_c),
+            ("non_literal", non_literal),
+            ("float", float),
+        ] {
+            let f = PrimFunc::new(name, vec![t.clone(), o.clone()], body);
+            let prog = compile(&f).expect("compiles");
+            assert_eq!(t_register_terms(&prog), [1], "{name}:\n{prog}");
+            agree(&f, &args);
+        }
+    }
+
+    /// A binding `v = i // 0` or `v = i % 0` that nothing reads is not dead
+    /// code: it raises `DivisionByZero` at the same step on the
+    /// tree-walker, both bytecodes and the sanitizer.
+    #[test]
+    fn an_unread_division_by_zero_still_raises_at_the_same_step() {
+        let b = Buffer::new("B", DataType::float32(), vec![4]);
+        for op in [BinOp::FloorDiv, BinOp::FloorMod] {
+            let (i, vz) = (v("i"), v("vz"));
+            let ie = Expr::from(&i);
+            let zero = Expr::Bin(op, Box::new(ie.clone()), Box::new(Expr::int(0)));
+            let inner = Stmt::store(b.clone(), vec![ie.clone()], Expr::f32(2.0));
+            let block = Block::new("Z", vec![IterVar::spatial(vz, 4)], vec![], vec![], inner);
+            let late = Stmt::IfThenElse {
+                cond: Expr::int(1).lt(ie.clone()),
+                then_branch: Box::new(Stmt::BlockRealize(Box::new(BlockRealize::new(
+                    vec![zero],
+                    block,
+                )))),
+                else_branch: None,
+            };
+            let early = Stmt::store(b.clone(), vec![ie], Expr::f32(1.0));
+            let body = Stmt::seq(vec![early, late]).in_loop(i, 4);
+            let f = PrimFunc::new("unread", vec![b.clone()], body);
+            let args = vec![Tensor::zeros(DataType::float32(), &[4])];
+            let unopt = compile(&f).expect("compiles");
+            let opt = crate::opt::optimize(unopt.clone());
+            let runs: [&dyn Fn(u64) -> Result<_, ExecError>; 4] = [
+                &|fuel| run_with(&f, args.clone(), ExecBackend::TreeWalk, Some(fuel)),
+                &|fuel| unopt.run_with_fuel(args.clone(), fuel),
+                &|fuel| opt.run_with_fuel(args.clone(), fuel),
+                &|fuel| opt.run_sanitized(args.clone(), fuel),
+            ];
+            for run in runs {
+                let first =
+                    (0..16).find(|&fuel| matches!(run(fuel), Err(ExecError::DivisionByZero)));
+                assert_eq!(first, Some(3), "{op:?}");
+            }
+        }
+    }
+
     /// One instance of every `Op` variant. Adding an enum variant without
     /// extending this list is caught by `opcode_table_is_consistent`
     /// (the coverage set will miss an index); extending the enum without
@@ -1236,7 +1514,7 @@ pub(crate) mod tests {
             Op::JumpIfZero { reg: 0, target: 0 },
             Op::ForSetup {
                 loop_id: 0,
-                extent: 0,
+                extent: Extent::Reg(0),
                 var: 0,
                 end: 0,
             },

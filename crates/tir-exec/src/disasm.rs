@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use crate::compile::{Access, LaneBody, MacSpec, Op, Program};
+use crate::compile::{Access, Extent, LaneBody, MacSpec, Op, Program};
 
 /// Renders one access site as `buf[base + r2*4 + v1*8]`.
 struct Acc<'a>(&'a Program, u32);
@@ -120,7 +120,11 @@ impl fmt::Display for Program {
                     var,
                     end,
                 } => {
-                    writeln!(f, "for_setup L{loop_id} v{var} extent=r{extent} end={end}")?;
+                    let extent = match extent {
+                        Extent::Lit(n) => n.to_string(),
+                        Extent::Reg(r) => format!("r{r}"),
+                    };
+                    writeln!(f, "for_setup L{loop_id} v{var} extent={extent} end={end}")?;
                 }
                 Op::ForNext { loop_id, var, body } => {
                     writeln!(f, "for_next L{loop_id} v{var} body={body}")?;
@@ -146,6 +150,9 @@ impl fmt::Display for Program {
                     match sp.body {
                         LaneBody::Mac(m) => write!(f, " mac{m}")?,
                         LaneBody::Fill(a, v) => write!(f, " fill {} = {v}", Acc(self, a))?,
+                        LaneBody::Copy(src, dst) => {
+                            write!(f, " copy {} = {}", Acc(self, dst), Acc(self, src))?;
+                        }
                     }
                     match &sp.guard {
                         Some(g) => {

@@ -10,7 +10,8 @@
 //!
 //! 1. **Dead code** (`dead_code`, to a fixpoint): pure ops with dead
 //!    destinations and `SetVar`s to never-read slots — the bindings the
-//!    compiler substituted into every read — are deleted.
+//!    compiler substituted into every read — are deleted; a division is
+//!    pure when the op before it sets its divisor to a non-zero constant.
 //! 2. **MAC fusion** (`fuse_macs`): the eight-op
 //!    `Load; Load; [Cast]; Load; [Cast]; Bin; Bin; Store` inner-product
 //!    idiom collapses to one `Op::FusedMac`.
@@ -18,9 +19,9 @@
 //!    `Const; Store` pairs collapse to `Op::BinStore` / `Op::StoreConst`
 //!    (the latter is the fill the lane batcher reads).
 //! 4. **Lane batching** (`batch_lanes`): an innermost
-//!    `ForSetup/ForNext` loop whose whole body is one fused statement
-//!    (plus its `Tick` and optional reduction-init guard) becomes a
-//!    single `Op::MacLanes` executing up to `LANE_WIDTH_MAX`
+//!    `ForSetup/ForNext` loop whose whole body is one fused statement or
+//!    a slot-addressed copy (plus its `Tick` and optional reduction-init
+//!    guard) becomes a single `Op::MacLanes` executing up to `LANE_WIDTH_MAX`
 //!    iterations per dispatch with strength-reduced `off += stride`
 //!    addressing; a last dead-code sweep collects the outer bindings
 //!    only the collapsed body read.
@@ -31,7 +32,7 @@
 //! per lane), and full per-access sanitizer fidelity (fused ops replay
 //! their constituent accesses in the unfused order).
 
-use crate::compile::{LaneBody, LaneGuard, LaneSpec, MacSpec, Op, Program, LANE_WIDTH_MAX};
+use crate::compile::{Extent, LaneBody, LaneGuard, LaneSpec, MacSpec, Op, Program, LANE_WIDTH_MAX};
 
 /// Programs with more registers than this skip optimization (the liveness
 /// analysis packs the register set into one `u128` mask).
@@ -134,6 +135,7 @@ fn op_accesses(prog: &Program, op: &Op) -> impl Iterator<Item = u32> {
             let (mut accesses, mut n) = match sp.body {
                 LaneBody::Mac(m) => mac(m),
                 LaneBody::Fill(a, _) => ([a, 0, 0, 0], 1),
+                LaneBody::Copy(src, dst) => ([src, dst, 0, 0], 2),
             };
             if let Some(g) = &sp.guard {
                 accesses[n] = g.access;
@@ -169,8 +171,12 @@ fn reads_mask(prog: &Program, op: &Op) -> Mask {
         Op::Call { first, n, .. } => (*first..*first + *n).fold(0, |m, r| m | bit(r)),
         Op::Store { val: reg, .. }
         | Op::JumpIfZero { reg, .. }
-        | Op::ForSetup { extent: reg, .. }
+        | Op::ForSetup {
+            extent: Extent::Reg(reg),
+            ..
+        }
         | Op::UpdateReduceFlag { reg } => bit(*reg),
+        Op::ForSetup { .. } => 0,
     };
     op_accesses(prog, op).fold(direct, |m, a| m | access_reg_mask(prog, a))
 }
@@ -205,18 +211,25 @@ fn successors(ops: &[Op], i: usize) -> ([usize; 2], usize) {
     }
 }
 
-/// Whether [`dead_code`] deletes `op`, given the registers live after it
-/// and the slots something reads: a pure op that cannot raise and whose
-/// destination is dead, or a `SetVar` binding an iterator nobody reads.
-fn is_dead(op: &Op, live_out: Mask, slot_read: &[bool]) -> bool {
-    match op {
+/// Whether [`dead_code`] deletes `ops[i]`, given the registers live after
+/// it, the slots something reads and the jump targets: a pure op that
+/// cannot raise and whose destination is dead, or a `SetVar` binding an
+/// iterator nobody reads. A division cannot raise when the op before it,
+/// on the only path in, sets its divisor to a non-zero constant.
+fn is_dead(ops: &[Op], i: usize, live_out: Mask, slot_read: &[bool], targets: &[bool]) -> bool {
+    match &ops[i] {
         Op::Const { dst, .. }
         | Op::LoadVar { dst, .. }
         | Op::Cmp { dst, .. }
         | Op::Not { dst, .. }
         | Op::Cast { dst, .. }
         | Op::Call { dst, .. } => live_out & bit(*dst) == 0,
-        Op::Bin { kind, dst, .. } => bin_safe(*kind) && live_out & bit(*dst) == 0,
+        Op::Bin { kind, dst, b, .. } => {
+            let nonzero_divisor = i > 0
+                && !targets[i]
+                && matches!(ops[i - 1], Op::Const { dst, val } if dst == *b && val != 0.0);
+            (bin_safe(*kind) || nonzero_divisor) && live_out & bit(*dst) == 0
+        }
         Op::SetVar { slot, .. } => !slot_read[*slot as usize],
         _ => false,
     }
@@ -231,6 +244,7 @@ fn liveness(prog: &Program) -> (Vec<Mask>, Vec<Mask>) {
     let ops = &prog.ops;
     let n = ops.len();
     let slot_read = slot_read_mask(prog);
+    let targets = jump_targets(ops);
     let masks: Vec<(Mask, Mask)> = ops
         .iter()
         .map(|op| (reads_mask(prog, op), writes_mask(op)))
@@ -249,7 +263,7 @@ fn liveness(prog: &Program) -> (Vec<Mask>, Vec<Mask>) {
                 }
             }
             let (reads, writes) = masks[i];
-            let inn = if is_dead(&ops[i], out, &slot_read) {
+            let inn = if is_dead(ops, i, out, &slot_read, &targets) {
                 out
             } else {
                 reads | (out & !writes)
@@ -353,8 +367,9 @@ fn slot_read_mask(prog: &Program) -> Vec<bool> {
 fn dead_code(prog: &mut Program) -> bool {
     let (_, live_out) = liveness(prog);
     let slot_read = slot_read_mask(prog);
-    let dead: Vec<bool> = (prog.ops.iter().zip(&live_out))
-        .map(|(op, &out)| is_dead(op, out, &slot_read))
+    let targets = jump_targets(&prog.ops);
+    let dead: Vec<bool> = (0..prog.ops.len())
+        .map(|i| is_dead(&prog.ops, i, live_out[i], &slot_read, &targets))
         .collect();
     let changed = dead.contains(&true);
     if changed {
@@ -593,6 +608,8 @@ fn fuse_small(prog: &mut Program) {
 ///
 /// * `Tick; FusedMac` — an unguarded accumulate loop;
 /// * `Tick; StoreConst` — a fill loop;
+/// * `Tick; Load; Store` of the loaded register — a copy loop, when
+///   neither access has a register term;
 /// * `ResetReduceFlag; (chain; UpdateReduceFlag)+;
 ///    JumpIfReduceFlagFalse; Tick; StoreConst; Tick; FusedMac` — a
 ///   guarded reduction whose init store hits the same element as the
@@ -617,6 +634,15 @@ fn match_lane_body(
             return Some((None, LaneBody::Fill(access, val)));
         }
         return None;
+    }
+    if t - s == 3 {
+        let (Op::Tick, &Op::Load { dst, access: src }, &Op::Store { access, val }) =
+            (&ops[s], &ops[s + 1], &ops[s + 2])
+        else {
+            return None;
+        };
+        let slot_only = !access_reads_reg(prog, src) && !access_reads_reg(prog, access);
+        return (val == dst && slot_only).then_some((None, LaneBody::Copy(src, access)));
     }
     // Guarded form.
     let flags = flags?;
@@ -822,7 +848,7 @@ mod tests {
             );
             let flags = opt.lane_specs.iter().find_map(|sp| match sp.body {
                 LaneBody::Mac(_) => Some(sp.guard.as_ref().expect("guarded").flags.len()),
-                LaneBody::Fill(..) => None,
+                LaneBody::Fill(..) | LaneBody::Copy(..) => None,
             });
             assert_eq!(flags, guard_flags, "{name}: guard flags in\n{opt}");
             assert_eq!(
@@ -904,6 +930,93 @@ mod tests {
         let err = opt.run_sanitized(args.clone(), 1 << 20).unwrap_err();
         assert!(matches!(err, ExecError::DataRace(_)), "{err}");
         opt.run_with_fuel(args, 1 << 20).expect("plain run");
+    }
+
+    /// How many copy lanes `opt` has.
+    fn copy_lanes(opt: &crate::compile::Program) -> usize {
+        let copy = |sp: &&crate::compile::LaneSpec| matches!(sp.body, LaneBody::Copy(..));
+        opt.lane_specs.iter().filter(copy).count()
+    }
+
+    /// A copy lane that reads a buffer nothing has stored raises
+    /// `UnboundBuffer` at the tree-walker's step: eight fill stores run
+    /// first, so the ninth step is the first that fails.
+    #[test]
+    fn a_copy_lane_from_a_never_stored_buffer_raises_at_the_walkers_step() {
+        let (p, b) = (
+            Buffer::new("P", DataType::float32(), vec![8]),
+            Buffer::new("B", DataType::float32(), vec![8]),
+        );
+        let (i, j) = (Var::int("i"), Var::int("j"));
+        let fill = Stmt::store(b.clone(), vec![Expr::from(&i)], Expr::f32(1.0)).in_loop(i, 8);
+        let copy = Stmt::store(
+            b.clone(),
+            vec![Expr::from(&j)],
+            p.load(vec![Expr::from(&j)]),
+        );
+        let f = PrimFunc::new(
+            "phantom",
+            vec![b],
+            Stmt::seq(vec![fill, copy.in_loop(j, 8)]),
+        );
+        let opt = optimize(compile(&f).expect("compiles"));
+        assert_eq!(copy_lanes(&opt), 1, "{opt}");
+        let args = zeros_args(&f);
+        let first_unbound = |run: &dyn Fn(u64) -> Result<_, ExecError>| {
+            (0..16)
+                .find(|&fuel| matches!(run(fuel), Err(ExecError::UnboundBuffer(ref n)) if n == "P"))
+        };
+        let runs: [&dyn Fn(u64) -> Result<_, ExecError>; 3] = [
+            &|fuel| run_with(&f, args.clone(), ExecBackend::TreeWalk, Some(fuel)),
+            &|fuel| opt.run_with_fuel(args.clone(), fuel),
+            &|fuel| opt.run_sanitized(args.clone(), fuel),
+        ];
+        for run in runs {
+            assert_eq!(first_unbound(run), Some(9));
+        }
+    }
+
+    /// An in-place shift through one buffer, both ways: each lane reads
+    /// and writes in scalar order, so `A[i + 1] = A[i]` smears `A[0]` over
+    /// the buffer and `A[i] = A[i + 1]` moves it down by one.
+    #[test]
+    fn an_overlapping_in_place_copy_is_exact() {
+        let a = Buffer::new("A", DataType::float32(), vec![13]);
+        let args = vec![Tensor::random(DataType::float32(), &[13], 3)];
+        for (to, from) in [(1, 0), (0, 1)] {
+            let i = Var::int("i");
+            let at = |k: i64| vec![Expr::from(&i) + k];
+            let body = Stmt::store(a.clone(), at(to), a.load(at(from))).in_loop(i.clone(), 12);
+            let f = PrimFunc::new("shift", vec![a.clone()], body);
+            let opt = optimize(compile(&f).expect("compiles"));
+            assert_eq!(copy_lanes(&opt), 1, "{opt}");
+            let walk = run_with(&f, args.clone(), ExecBackend::TreeWalk, None).expect("walks");
+            let vm = opt.run_with_fuel(args.clone(), 1 << 20).expect("runs");
+            assert_eq!((vm.steps, &vm.outputs), (walk.steps, &walk.outputs));
+        }
+    }
+
+    /// A racy parallel copy draws, through its copy lane, the sanitizer's
+    /// exact message from the scalar path.
+    #[test]
+    fn a_racy_parallel_copy_lane_reports_the_scalar_race() {
+        let (a, b) = (
+            Buffer::new("A", DataType::float32(), vec![8]),
+            Buffer::new("B", DataType::float32(), vec![4]),
+        );
+        let i = Var::int("i");
+        let body = Stmt::store(b.clone(), vec![Expr::int(3)], a.load(vec![Expr::from(&i)]));
+        let par = tir::For::with_kind(i, 8, tir::ForKind::Parallel, body);
+        let f = PrimFunc::new("racy_copy", vec![a, b], Stmt::For(Box::new(par)));
+        let plain = compile(&f).expect("compiles");
+        let opt = optimize(plain.clone());
+        assert_eq!(copy_lanes(&opt), 1, "{opt}");
+        let args = zeros_args(&f);
+        let [scalar, lanes] = [plain, opt].map(|p| p.run_sanitized(args.clone(), 1 << 20));
+        let message = "data race: buffer B: iterations 0 and 1 of a parallel loop both touch \
+                       element 3";
+        assert_eq!(scalar.unwrap_err().to_string(), message);
+        assert_eq!(lanes.unwrap_err().to_string(), message);
     }
 
     /// Optimized out-of-bounds detection is intact under lane batching.

@@ -11,7 +11,10 @@
 //! instead of the plain path's no-op hooks: every access is bounds
 //! checked, and only a *tracked* access (one inside a parallel loop)
 //! touches shadow memory. Its signature is the one per-step allocation,
-//! and a program without a parallel loop has none.
+//! and a program without a parallel loop has none. A lane-batched loop
+//! (`exec_lanes`) is one loop per lane body — multiply-accumulate, fill,
+//! copy — for both: each lane does its aliveness check, shadow hook and
+//! element access inline, in the scalar loop's order.
 //!
 //! Semantics are bit-identical to the tree-walking
 //! [`Interpreter`](crate::Interpreter): the same `f64` arithmetic in the
@@ -24,7 +27,7 @@
 use tir::simplify::{floor_div_i64, floor_mod_i64};
 use tir::DataType;
 
-use crate::compile::{Access, BinKind, LaneBody, LaneSpec, MacSpec, Op, Program};
+use crate::compile::{Access, BinKind, Extent, LaneBody, LaneSpec, MacSpec, Op, Program};
 use crate::interp::{check_arg, check_arity, ExecError, RunOutcome, DEFAULT_FUEL};
 use crate::tensor::Tensor;
 
@@ -370,6 +373,11 @@ impl Shadow for Sanitizer<'_> {
     }
 }
 
+#[cold]
+fn unbound(prog: &Program, buf: usize) -> ExecError {
+    ExecError::UnboundBuffer(prog.buffers[buf].name().to_string())
+}
+
 /// One buffer read at a precomputed offset: aliveness check, shadow work,
 /// then the load (the unfused `Op::Load` semantics exactly).
 #[inline]
@@ -384,9 +392,7 @@ fn load_at<S: Shadow>(
 ) -> Result<f64> {
     let buf = acc.buf as usize;
     if !alive[buf] {
-        return Err(ExecError::UnboundBuffer(
-            prog.buffers[buf].name().to_string(),
-        ));
+        return Err(unbound(prog, buf));
     }
     sh.read(acc, off, store, counters)?;
     Ok(store[buf].get_flat(off as usize))
@@ -476,8 +482,10 @@ fn off_delta(prog: &Program, acc: &Access, var: u32, regs: &[f64], frame: &[f64]
 /// in one dispatch. Per-lane semantics — fuel ticks, guarded init fire,
 /// load/store order, quantization, errors, sanitizer shadow updates — are
 /// exactly the scalar loop body's; offsets are strength reduced to
-/// `off += stride` per lane. Leaves `counters` so the following
-/// `ForNext` advances to the first unexecuted iteration.
+/// `off += stride` per lane. Every lane does its own aliveness check,
+/// shadow hook and element access inline, one loop per body shape for
+/// the plain and the sanitized run alike. Leaves `counters` so the
+/// following `ForNext` advances to the first unexecuted iteration.
 #[allow(clippy::too_many_arguments)]
 fn exec_lanes<S: Shadow>(
     prog: &Program,
@@ -495,73 +503,102 @@ fn exec_lanes<S: Shadow>(
     let l = sp.loop_id as usize;
     let n0 = counters[l];
     let lanes = (sp.lanes as i64).min(extents[l] - n0);
-    // Flag slots other than the loop variable are invariant across the
-    // batch; fold them once.
-    let (others_zero, var_in_flags) = match &sp.guard {
-        Some(g) => {
-            let mut others = true;
-            let mut var_in = false;
-            for &f in g.flags.iter() {
-                if f == sp.var {
-                    var_in = true;
-                } else if frame[f as usize] != 0.0 {
-                    others = false;
-                }
+    // The scalar `Op::Tick`, `Op::Load` and `Op::Store` of one lane.
+    macro_rules! tick {
+        () => {
+            *steps += 1;
+            if *steps > fuel {
+                return Err(ExecError::OutOfFuel);
             }
-            (others, var_in)
-        }
-        None => (false, false),
-    };
-    let tick = |steps: &mut u64| {
-        *steps += 1;
-        if *steps > fuel {
-            return Err(ExecError::OutOfFuel);
-        }
-        Ok(())
+        };
+    }
+    macro_rules! load {
+        ($acc:expr, $off:expr) => {{
+            let buf = $acc.buf as usize;
+            if !alive[buf] {
+                return Err(unbound(prog, buf));
+            }
+            sh.read($acc, $off, store, counters)?;
+            store[buf].get_flat($off as usize)
+        }};
+    }
+    macro_rules! store {
+        ($acc:expr, $off:expr, $val:expr) => {{
+            let buf = $acc.buf as usize;
+            sh.write($acc, $off, store, counters)?;
+            alive[buf] = true;
+            store[buf].set_flat($off as usize, $val);
+        }};
+    }
+    // An access site with its offset at the first lane and its delta.
+    let site = |id: u32| {
+        let acc = &prog.accesses[id as usize];
+        let (off, delta) = off_delta(prog, acc, sp.var, regs, frame);
+        (acc, off, delta)
     };
     match sp.body {
         LaneBody::Mac(m) => {
             let ms = &prog.mac_specs[m as usize];
-            let acc = &prog.accesses[ms.acc as usize];
-            let a = &prog.accesses[ms.a as usize];
-            let b = &prog.accesses[ms.b as usize];
-            let (mut off_acc, d_acc) = off_delta(prog, acc, sp.var, regs, frame);
-            let (mut off_a, d_a) = off_delta(prog, a, sp.var, regs, frame);
-            let (mut off_b, d_b) = off_delta(prog, b, sp.var, regs, frame);
+            let (acc, mut off_acc, d_acc) = site(ms.acc);
+            let (a, mut off_a, d_a) = site(ms.a);
+            let (b, mut off_b, d_b) = site(ms.b);
+            // The init fires on a lane iff every flag slot is zero; slots
+            // other than the loop variable are invariant across the batch.
+            let init = sp.guard.as_ref().map(|g| {
+                let others_zero =
+                    (g.flags.iter()).all(|&f| f == sp.var || frame[f as usize] == 0.0);
+                let first_only = g.flags.contains(&sp.var);
+                (
+                    &prog.accesses[g.access as usize],
+                    g.val,
+                    others_zero,
+                    first_only,
+                )
+            });
             for i in 0..lanes {
                 counters[l] = n0 + i;
-                if let Some(g) = &sp.guard {
-                    if others_zero && (!var_in_flags || n0 + i == 0) {
-                        tick(steps)?;
-                        let ga = &prog.accesses[g.access as usize];
-                        store_at(ga, off_acc, g.val, alive, sh, counters, store)?;
+                if let Some((ga, val, others_zero, first_only)) = init {
+                    if others_zero && (!first_only || n0 + i == 0) {
+                        tick!();
+                        store!(ga, off_acc, val);
                     }
                 }
-                tick(steps)?;
-                let x = load_at(prog, acc, off_acc, alive, sh, counters, store)?;
-                let mut y = load_at(prog, a, off_a, alive, sh, counters, store)?;
+                tick!();
+                let x = load!(acc, off_acc);
+                let mut y = load!(a, off_a);
                 if let Some((dt, trunc)) = ms.a_cast {
                     y = cast_val(y, dt, trunc);
                 }
-                let mut z = load_at(prog, b, off_b, alive, sh, counters, store)?;
+                let mut z = load!(b, off_b);
                 if let Some((dt, trunc)) = ms.b_cast {
                     z = cast_val(z, dt, trunc);
                 }
                 let v = bin_eval(ms.k2, x, bin_eval(ms.k1, y, z)?)?;
-                store_at(acc, off_acc, v, alive, sh, counters, store)?;
+                store!(acc, off_acc, v);
                 off_acc += d_acc;
                 off_a += d_a;
                 off_b += d_b;
             }
         }
-        LaneBody::Fill(aid, val) => {
-            let acc = &prog.accesses[aid as usize];
-            let (mut off, d) = off_delta(prog, acc, sp.var, regs, frame);
+        LaneBody::Fill(id, val) => {
+            let (acc, mut off, d) = site(id);
             for i in 0..lanes {
                 counters[l] = n0 + i;
-                tick(steps)?;
-                store_at(acc, off, val, alive, sh, counters, store)?;
+                tick!();
+                store!(acc, off, val);
                 off += d;
+            }
+        }
+        LaneBody::Copy(src_id, dst_id) => {
+            let (src, mut off_src, d_src) = site(src_id);
+            let (dst, mut off_dst, d_dst) = site(dst_id);
+            for i in 0..lanes {
+                counters[l] = n0 + i;
+                tick!();
+                let v = load!(src, off_src);
+                store!(dst, off_dst, v);
+                off_src += d_src;
+                off_dst += d_dst;
             }
         }
     }
@@ -738,7 +775,10 @@ impl Program {
                 } => {
                     let l = *loop_id as usize;
                     sh.for_setup(l);
-                    extents[l] = regs[*extent as usize].round() as i64;
+                    extents[l] = match *extent {
+                        Extent::Lit(n) => i64::from(n),
+                        Extent::Reg(r) => regs[r as usize].round() as i64,
+                    };
                     counters[l] = 0;
                     if extents[l] <= 0 {
                         pc = *end as usize;

@@ -152,6 +152,16 @@ fn mnemonics(body: &str) -> impl Iterator<Item = &str> {
     })
 }
 
+/// The body kind (`mac`, `fill` or `copy`) of every `mac_lanes` line of
+/// a listing body.
+fn lane_bodies(body: &str) -> impl Iterator<Item = &str> {
+    body.lines().filter_map(|line| {
+        let (_, lanes) = line.split_once(": mac_lanes ")?;
+        let kind = lanes.split_whitespace().nth(3)?;
+        Some(kind.trim_end_matches(|c: char| c.is_ascii_digit()))
+    })
+}
+
 /// What `compile` and `optimize` make of one program: the op count and
 /// the listing body of each.
 struct Listing {
@@ -203,13 +213,22 @@ fn listings_match_golden() {
 }
 
 /// The ops `compile` and `optimize` never emit on this corpus, and per
-/// mnemonic how many programs emit it before and after optimization.
+/// mnemonic how many programs emit it before and after optimization;
+/// `mac_lanes` is counted per lane body as well (`mac_lanes copy`).
 #[test]
 fn census() {
     let mut emitted: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
     for l in listings() {
         let plain: BTreeSet<&str> = mnemonics(&l.compiled.1).collect();
         let opt: BTreeSet<&str> = mnemonics(&l.optimized.1).collect();
+        let lanes: BTreeSet<&str> = lane_bodies(&l.optimized.1).collect();
+        for kind in lanes {
+            let m = ["mac_lanes mac", "mac_lanes fill", "mac_lanes copy"]
+                .into_iter()
+                .find(|m| m.ends_with(kind))
+                .unwrap_or_else(|| panic!("{}: lane body {kind}", l.label));
+            emitted.entry(m).or_default().1 += 1;
+        }
         assert!(
             !plain.contains("hoist_set"),
             "{}: compile emits hoist_set",
@@ -225,6 +244,8 @@ fn census() {
             emitted.entry(m).or_default().1 += 1;
         }
     }
+    let copies = emitted.get("mac_lanes copy").map_or(0, |c| c.1);
+    assert!(copies > 0, "no program optimizes to a copy lane");
     println!("{} programs", listings().len());
     println!("{:<28} {:>8} {:>9}", "op", "compile", "optimize");
     for (m, (plain, opt)) in &emitted {

@@ -8,7 +8,7 @@
 //! guard on the compiler's baseline lowering.
 
 use tir::builder::matmul_func;
-use tir::{BlockRealize, Buffer, DataType, Expr, PrimFunc, Stmt, ThreadTag, Var};
+use tir::{Block, BlockRealize, Buffer, DataType, Expr, IterVar, PrimFunc, Stmt, ThreadTag, Var};
 use tir_exec::{compile, optimize};
 use tir_schedule::Schedule;
 
@@ -27,25 +27,23 @@ fn assert_listing(actual: &str, expected: &str) {
     );
 }
 
-/// The canonical matmul: three loops collapse to a guarded `MacLanes`
-/// over one fused multiply-accumulate — ten ops total.
+/// The canonical matmul: three loops of literal extent collapse to a
+/// guarded `MacLanes` over one fused multiply-accumulate — seven ops
+/// total.
 #[test]
 fn golden_matmul_optimized() {
     let f = matmul_func("gmm", 4, 4, 4, DataType::float32());
     assert_listing(
         &listing(&f, true),
         r"
-program gmm (10 ops, 3 regs, 6 slots, 3 loops, optimized)
-   0: const r0 = 4
-   1: for_setup L0 v0 extent=r0 end=10
-   2: const r0 = 4
-   3: for_setup L1 v1 extent=r0 end=9
-   4: const r0 = 4
-   5: for_setup L2 v2 extent=r0 end=8
-   6: mac_lanes L2 v2 x8 mac0 guard[v2] init C[v0*4 + v1*1] = 0
-   7: for_next L2 v2 body=6
-   8: for_next L1 v1 body=4
-   9: for_next L0 v0 body=2
+program gmm (7 ops, 3 regs, 6 slots, 3 loops, optimized)
+   0: for_setup L0 v0 extent=4 end=7
+   1: for_setup L1 v1 extent=4 end=6
+   2: for_setup L2 v2 extent=4 end=5
+   3: mac_lanes L2 v2 x8 mac0 guard[v2] init C[v0*4 + v1*1] = 0
+   4: for_next L2 v2 body=3
+   5: for_next L1 v1 body=2
+   6: for_next L0 v0 body=1
   mac0: C[v0*4 + v1*1] = C[v0*4 + v1*1] Add (A[v0*4 + v2*1] Mul B[v1*1 + v2*4])
 ",
     );
@@ -73,16 +71,15 @@ fn golden_elementwise_optimized() {
     assert_listing(
         &listing(&elementwise(), true),
         r"
-program ew (9 ops, 2 regs, 1 slots, 1 loops, optimized)
-   0: const r0 = 8
-   1: for_setup L0 v0 extent=r0 end=9
-   2: tick
-   3: load r0 = A[v0*1]
-   4: const r1 = 2
-   5: bin r0 = r0 Mul r1
-   6: const r1 = 1
-   7: bin_store B[v0*1] = r0 Add r1
-   8: for_next L0 v0 body=2
+program ew (8 ops, 2 regs, 1 slots, 1 loops, optimized)
+   0: for_setup L0 v0 extent=8 end=8
+   1: tick
+   2: load r0 = A[v0*1]
+   3: const r1 = 2
+   4: bin r0 = r0 Mul r1
+   5: const r1 = 1
+   6: bin_store B[v0*1] = r0 Add r1
+   7: for_next L0 v0 body=1
 ",
     );
 }
@@ -95,17 +92,16 @@ fn golden_elementwise_unoptimized() {
     assert_listing(
         &listing(&elementwise(), false),
         r"
-program ew (10 ops, 2 regs, 1 slots, 1 loops)
-   0: const r0 = 8
-   1: for_setup L0 v0 extent=r0 end=10
-   2: tick
-   3: load r0 = A[v0*1]
-   4: const r1 = 2
-   5: bin r0 = r0 Mul r1
-   6: const r1 = 1
-   7: bin r0 = r0 Add r1
-   8: store B[v0*1] = r0
-   9: for_next L0 v0 body=2
+program ew (9 ops, 2 regs, 1 slots, 1 loops)
+   0: for_setup L0 v0 extent=8 end=9
+   1: tick
+   2: load r0 = A[v0*1]
+   3: const r1 = 2
+   4: bin r0 = r0 Mul r1
+   5: const r1 = 1
+   6: bin r0 = r0 Add r1
+   7: store B[v0*1] = r0
+   8: for_next L0 v0 body=1
 ",
     );
 }
@@ -125,20 +121,16 @@ fn golden_scheduled_matmul_optimized() {
     assert_listing(
         &actual,
         r"
-program mm (13 ops, 3 regs, 7 slots, 4 loops, optimized)
-   0: const r0 = 2
-   1: for_setup L0 v0 extent=r0 end=13
-   2: const r0 = 4
-   3: for_setup L1 v1 extent=r0 end=12
-   4: const r0 = 8
-   5: for_setup L2 v2 extent=r0 end=11
-   6: const r0 = 8
-   7: for_setup L3 v3 extent=r0 end=10
-   8: mac_lanes L3 v3 x8 mac0 guard[v3] init C[v0*32 + v1*8 + v2*1] = 0
-   9: for_next L3 v3 body=8
-  10: for_next L2 v2 body=6
-  11: for_next L1 v1 body=4
-  12: for_next L0 v0 body=2
+program mm (9 ops, 3 regs, 7 slots, 4 loops, optimized)
+   0: for_setup L0 v0 extent=2 end=9
+   1: for_setup L1 v1 extent=4 end=8
+   2: for_setup L2 v2 extent=8 end=7
+   3: for_setup L3 v3 extent=8 end=6
+   4: mac_lanes L3 v3 x8 mac0 guard[v3] init C[v0*32 + v1*8 + v2*1] = 0
+   5: for_next L3 v3 body=4
+   6: for_next L2 v2 body=3
+   7: for_next L1 v1 body=2
+   8: for_next L0 v0 body=1
   mac0: C[v0*32 + v1*8 + v2*1] = C[v0*32 + v1*8 + v2*1] Add (A[v0*32 + v1*8 + v3*1] Mul B[v2*1 + v3*8])
 ",
     );
@@ -146,8 +138,9 @@ program mm (13 ops, 3 regs, 7 slots, 4 loops, optimized)
 
 /// A GPU-style nest: both spatial loops tiled, the two outer tiles fused
 /// into one `blockIdx.x` loop and the tile blockized. The outer block
-/// binds its iterators through `fused // 2` and `fused % 2`, which are
-/// not affine: substitution stops there and keeps `v1`/`v2` as base terms.
+/// binds its iterators through `fused // 2` and `fused % 2`, which the
+/// loop's extent of 4 does not make affine: substitution stops there and
+/// keeps `v1`/`v2` as base terms.
 /// The inner block's `vi = vi_o*4 + i1` is affine over them, so the MAC
 /// nest still indexes by loop variables and collapses to `MacLanes`.
 #[test]
@@ -165,28 +158,24 @@ fn golden_opaque_outer_iterator_optimized() {
     assert_listing(
         &listing(sch.func(), true),
         r"
-program mm (21 ops, 3 regs, 10 slots, 4 loops, optimized)
-   0: const r0 = 4
-   1: for_setup L0 v0 extent=r0 end=21
-   2: load_var r0 = v0
-   3: const r1 = 2
-   4: bin r0 = r0 FloorDivI r1
-   5: set_var v1 = r0
-   6: load_var r0 = v0
-   7: const r1 = 2
-   8: bin r0 = r0 FloorModI r1
-   9: set_var v2 = r0
-  10: const r0 = 4
-  11: for_setup L1 v4 extent=r0 end=20
-  12: const r0 = 4
-  13: for_setup L2 v5 extent=r0 end=19
-  14: const r0 = 8
-  15: for_setup L3 v6 extent=r0 end=18
-  16: mac_lanes L3 v6 x8 mac0 guard[v6] init C[v1*32 + v2*4 + v4*8 + v5*1] = 0
-  17: for_next L3 v6 body=16
-  18: for_next L2 v5 body=14
-  19: for_next L1 v4 body=12
-  20: for_next L0 v0 body=2
+program mm (17 ops, 3 regs, 10 slots, 4 loops, optimized)
+   0: for_setup L0 v0 extent=4 end=17
+   1: load_var r0 = v0
+   2: const r1 = 2
+   3: bin r0 = r0 FloorDivI r1
+   4: set_var v1 = r0
+   5: load_var r0 = v0
+   6: const r1 = 2
+   7: bin r0 = r0 FloorModI r1
+   8: set_var v2 = r0
+   9: for_setup L1 v4 extent=4 end=16
+  10: for_setup L2 v5 extent=4 end=15
+  11: for_setup L3 v6 extent=8 end=14
+  12: mac_lanes L3 v6 x8 mac0 guard[v6] init C[v1*32 + v2*4 + v4*8 + v5*1] = 0
+  13: for_next L3 v6 body=12
+  14: for_next L2 v5 body=11
+  15: for_next L1 v4 body=10
+  16: for_next L0 v0 body=1
   mac0: C[v1*32 + v2*4 + v4*8 + v5*1] = C[v1*32 + v2*4 + v4*8 + v5*1] Add (A[v1*32 + v4*8 + v6*1] Mul B[v2*4 + v5*1 + v6*8])
 ",
     );
@@ -214,27 +203,68 @@ fn golden_reversed_reduce_binding_optimized() {
     assert_listing(
         &listing(&f, true),
         r"
-program mm (19 ops, 3 regs, 6 slots, 3 loops, optimized)
-   0: const r0 = 4
-   1: for_setup L0 v0 extent=r0 end=19
-   2: const r0 = 4
-   3: for_setup L1 v1 extent=r0 end=18
-   4: const r0 = 8
-   5: for_setup L2 v2 extent=r0 end=17
-   6: reset_reduce_flag
-   7: const r0 = 7
-   8: load_var r1 = v2
-   9: bin r0 = r0 Sub r1
-  10: update_reduce_flag r0
-  11: jump_if_reduce_flag_false -> 14
-  12: tick
-  13: store_const C[v0*4 + v1*1] = 0
-  14: tick
-  15: fused_mac mac0
-  16: for_next L2 v2 body=6
-  17: for_next L1 v1 body=4
-  18: for_next L0 v0 body=2
+program mm (16 ops, 3 regs, 6 slots, 3 loops, optimized)
+   0: for_setup L0 v0 extent=4 end=16
+   1: for_setup L1 v1 extent=4 end=15
+   2: for_setup L2 v2 extent=8 end=14
+   3: reset_reduce_flag
+   4: const r0 = 7
+   5: load_var r1 = v2
+   6: bin r0 = r0 Sub r1
+   7: update_reduce_flag r0
+   8: jump_if_reduce_flag_false -> 11
+   9: tick
+  10: store_const C[v0*4 + v1*1] = 0
+  11: tick
+  12: fused_mac mac0
+  13: for_next L2 v2 body=3
+  14: for_next L1 v1 body=2
+  15: for_next L0 v0 body=1
   mac0: C[v0*4 + v1*1] = C[v0*4 + v1*1] Add (A[7 + v0*8 + v2*-1] Mul B[28 + v1*1 + v2*-4])
+",
+    );
+}
+
+/// A staged copy as a tensorized sketch leaves it: `v0 = k0*16 + ax0`
+/// and `v1 = f % 2 * 32 + ax1` read `B[v0 % 64, v1 % 64]`, and
+/// `v2 = f // 2` indexes the stage, under loops of extents 2, 4, 16
+/// and 32. The extents prove every `//` and `%`: the three bindings
+/// become slot terms, their `SetVar`s and divisions are dead code, and
+/// the innermost loop is one copy lane.
+#[test]
+fn golden_staged_copy_optimized() {
+    let dt = DataType::float16();
+    let (b, s) = (
+        Buffer::new("B", dt, vec![64, 64]),
+        Buffer::new("S", dt, vec![1, 64, 64]),
+    );
+    let [f, k0, ax0, ax1, v0, v1, v2] = ["f", "k0", "ax0", "ax1", "v0", "v1", "v2"].map(Var::int);
+    let e = |var: &Var| Expr::from(var);
+    let load = b.load(vec![e(&v0).floor_mod(64), e(&v1).floor_mod(64)]);
+    let body = Stmt::store(s.clone(), vec![e(&v2), e(&v0), e(&v1)], load);
+    let iters = [(v2, 1), (v0, 64), (v1, 64)].map(|(var, n)| IterVar::spatial(var, n));
+    let block = Block::new("S", iters.to_vec(), vec![], vec![], body);
+    let bind = vec![
+        e(&f).floor_div(2),
+        e(&k0) * 16 + e(&ax0),
+        e(&f).floor_mod(2) * 32 + e(&ax1),
+    ];
+    let realize = Stmt::BlockRealize(Box::new(BlockRealize::new(bind, block)));
+    let body = realize.in_loops(vec![(f, 2), (k0, 4), (ax0, 16), (ax1, 32)]);
+    let func = PrimFunc::new("stage", vec![b, s], body);
+    assert_listing(
+        &listing(&func, true),
+        r"
+program stage (9 ops, 2 regs, 7 slots, 4 loops, optimized)
+   0: for_setup L0 v0 extent=2 end=9
+   1: for_setup L1 v1 extent=4 end=8
+   2: for_setup L2 v2 extent=16 end=7
+   3: for_setup L3 v3 extent=32 end=6
+   4: mac_lanes L3 v3 x8 copy S[v0*32 + v1*1024 + v2*64 + v3*1] = B[v0*32 + v1*1024 + v2*64 + v3*1]
+   5: for_next L3 v3 body=4
+   6: for_next L2 v2 body=3
+   7: for_next L1 v1 body=2
+   8: for_next L0 v0 body=1
 ",
     );
 }
