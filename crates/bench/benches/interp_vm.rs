@@ -19,9 +19,10 @@
 //! and the scheduled ones: the optimizer must at least halve the
 //! instructions dispatched (`mix_after` total ≤ half the `mix_before`
 //! total, a count that repeats exactly), no row's `mix_after` total may
-//! rise above its `MIX_AFTER_CEILING`, the three scheduled rows together
-//! must dispatch at most 60% of their ceilings (the compiler proves `//`
-//! and `%` from loop extents and copy nests run as lanes), the optimized
+//! rise above its `MIX_AFTER_CEILING` (recorded once a lane loop ran to
+//! its end in one dispatch), the three scheduled rows together must
+//! dispatch at most 60% of what they did before the compiler proved `//`
+//! and `%` from loop extents and copy nests ran as lanes, the optimized
 //! VM must be ≥2x
 //! faster per step than the tree-walker, and on gmm/c2d/c1d the
 //! tree-walker must cost at most 3.5x the compiler's bytecode per step
@@ -50,19 +51,22 @@ use tir_tensorize::builtin_registry;
 use tir_trace::is_well_formed_json;
 use tir_workloads::ops;
 
-/// Every row's `mix_after` total before the compiler proved `//` and `%`
-/// from loop extents and copy nests ran as lanes; a count that repeats
-/// exactly, so none may rise.
+/// Every row's `mix_after` total once every lane loop ran to its end in
+/// one dispatch; a count that repeats exactly, so none may rise.
 const MIX_AFTER_CEILING: [(&str, u64); 8] = [
-    ("gmm_64x64x64_f32", 78_018),
-    ("gmm_64x64x64_f16", 78_018),
-    ("c2d_18x18x32_f32", 910_133),
-    ("dep_32x32x16_f32", 261_995),
-    ("c1d_64x64_f32", 983_822),
-    ("sched_gpu_wmma_gmm_64_f16", 960_260),
-    ("sched_gpu_wmma_c2d_10x10x16_f16", 688_579),
-    ("sched_arm_sdot_gmm_64_i8", 567_754),
+    ("gmm_64x64x64_f32", 16_513),
+    ("gmm_64x64x64_f16", 16_513),
+    ("c2d_18x18x32_f32", 360_995),
+    ("dep_32x32x16_f32", 203_463),
+    ("c1d_64x64_f32", 229_897),
+    ("sched_gpu_wmma_gmm_64_f16", 156_568),
+    ("sched_gpu_wmma_c2d_10x10x16_f16", 527_104),
+    ("sched_arm_sdot_gmm_64_i8", 310_615),
 ];
+
+/// The three scheduled rows' `mix_after` total before the compiler proved
+/// `//` and `%` from loop extents and copy nests ran as lanes.
+const SCHED_MIX_BEFORE_PROOFS: u64 = 2_216_593;
 
 struct Row {
     name: &'static str,
@@ -289,13 +293,11 @@ fn main() {
             row.map(|&(_, c)| c).expect("every row has a ceiling")
         };
         let sched = rows.iter().filter(|r| named(r, &["sched"]));
-        let (sched_after, sched_ceiling) = sched.fold((0, 0), |(a, c), r| {
-            (a + total(&r.mix_after), c + ceiling(r.name))
-        });
-        if 10 * sched_after > 6 * sched_ceiling {
+        let sched_after: u64 = sched.map(|r| total(&r.mix_after)).sum();
+        if 10 * sched_after > 6 * SCHED_MIX_BEFORE_PROOFS {
             failures.push(format!(
                 "the scheduled rows dispatch {sched_after} instructions (need <= 60% of \
-                 {sched_ceiling})"
+                 {SCHED_MIX_BEFORE_PROOFS})"
             ));
         }
         for r in &rows {
@@ -341,7 +343,8 @@ fn main() {
                 "CHECK ok: on gmm/c2d/c1d and the scheduled programs the optimizer at \
                  least halves dispatches, vm_opt >= 2x tree-walk and the sanitizer <= 1.5x \
                  vm_opt; tree-walk <= 3.5x vm on gmm/c2d/c1d; no row dispatches more than \
-                 its ceiling, the scheduled rows {sched_after} <= 60% of {sched_ceiling}"
+                 its ceiling, the scheduled rows {sched_after} <= 60% of \
+                 {SCHED_MIX_BEFORE_PROOFS}"
             );
         } else {
             for f in &failures {

@@ -178,10 +178,10 @@ pub(crate) enum LaneBody {
 }
 
 /// One lane-batched innermost loop: the whole `ForSetup`/`ForNext` body
-/// collapsed into a single op that executes up to [`LANE_WIDTH_MAX`]
-/// iterations ("lanes") per dispatch. Per-lane offsets are strength
-/// reduced to `off += stride`; fuel ticks once per lane (plus once per
-/// firing init), exactly as the scalar loop would.
+/// collapsed into a single op that executes every iteration ("lane") of
+/// the loop in one dispatch. Per-lane offsets are strength reduced to
+/// `off += stride`; fuel ticks once per lane (plus once per firing init),
+/// exactly as the scalar loop would.
 #[derive(Clone, PartialEq, Debug)]
 pub(crate) struct LaneSpec {
     /// The batched loop.
@@ -192,12 +192,13 @@ pub(crate) struct LaneSpec {
     pub guard: Option<LaneGuard>,
     /// The per-lane statement.
     pub body: LaneBody,
-    /// Lanes executed per dispatch (clamped to the remaining extent).
-    pub lanes: u32,
+    /// How far each body access's offset moves per lane, in [`LaneBody`]
+    /// order (`acc, a, b` of the MAC; the fill's store; `src, dst` of the
+    /// copy): the sum of the strides of the loop variable's slot terms.
+    /// Every other index term is invariant in the loop, whose body writes
+    /// no register and no frame slot.
+    pub strides: [i64; 3],
 }
-
-/// Upper bound on lanes per [`LaneSpec`] dispatch.
-pub(crate) const LANE_WIDTH_MAX: u32 = 8;
 
 /// The trip count [`Op::ForSetup`] latches: a literal the compiler
 /// rounded and clamped at zero, or a register evaluated at run time.
@@ -288,9 +289,9 @@ pub(crate) enum Op {
     /// Fused `Load; Load; [Cast]; Load; [Cast]; Bin; Bin; Store`
     /// multiply-accumulate ([`MacSpec`] id).
     FusedMac { spec: u32 },
-    /// A lane-batched innermost loop body ([`LaneSpec`] id): executes up
-    /// to `lanes` iterations per dispatch, then falls through to the
-    /// loop's `ForNext`.
+    /// A lane-batched innermost loop body ([`LaneSpec`] id): executes
+    /// every remaining iteration, then falls through to the loop's
+    /// `ForNext`, which exits.
     MacLanes { spec: u32 },
 }
 

@@ -146,7 +146,7 @@ impl fmt::Display for Program {
                 Op::FusedMac { spec } => writeln!(f, "fused_mac mac{spec}")?,
                 Op::MacLanes { spec } => {
                     let sp = &self.lane_specs[*spec as usize];
-                    write!(f, "mac_lanes L{} v{} x{}", sp.loop_id, sp.var, sp.lanes)?;
+                    write!(f, "mac_lanes L{} v{}", sp.loop_id, sp.var)?;
                     match sp.body {
                         LaneBody::Mac(m) => write!(f, " mac{m}")?,
                         LaneBody::Fill(a, v) => write!(f, " fill {} = {v}", Acc(self, a))?,

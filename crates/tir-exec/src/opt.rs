@@ -21,10 +21,11 @@
 //! 4. **Lane batching** (`batch_lanes`): an innermost
 //!    `ForSetup/ForNext` loop whose whole body is one fused statement or
 //!    a slot-addressed copy (plus its `Tick` and optional reduction-init
-//!    guard) becomes a single `Op::MacLanes` executing up to `LANE_WIDTH_MAX`
-//!    iterations per dispatch with strength-reduced `off += stride`
-//!    addressing; a last dead-code sweep collects the outer bindings
-//!    only the collapsed body read.
+//!    guard) becomes a single `Op::MacLanes` executing the whole loop in
+//!    one dispatch with strength-reduced `off += stride` addressing (the
+//!    per-lane strides are recorded here, once, in the `LaneSpec`); a
+//!    last dead-code sweep collects the outer bindings only the collapsed
+//!    body read.
 //!
 //! Every rewrite preserves the tree-walker contract bit-for-bit: the same
 //! `f64` arithmetic in the same order, errors at the same points, fuel
@@ -32,7 +33,7 @@
 //! per lane), and full per-access sanitizer fidelity (fused ops replay
 //! their constituent accesses in the unfused order).
 
-use crate::compile::{Extent, LaneBody, LaneGuard, LaneSpec, MacSpec, Op, Program, LANE_WIDTH_MAX};
+use crate::compile::{Extent, LaneBody, LaneGuard, LaneSpec, MacSpec, Op, Program};
 
 /// Programs with more registers than this skip optimization (the liveness
 /// analysis packs the register set into one `u128` mask).
@@ -117,26 +118,31 @@ fn access_reads_reg(prog: &Program, access: u32) -> bool {
     !prog.accesses[access as usize].regs.is_empty()
 }
 
+/// The access sites of a lane body, in [`LaneSpec::strides`] order, and
+/// how many there are; the fourth entry is free for a guard's.
+fn body_accesses(prog: &Program, body: LaneBody) -> ([u32; 4], usize) {
+    match body {
+        LaneBody::Mac(m) => {
+            let sp = &prog.mac_specs[m as usize];
+            ([sp.acc, sp.a, sp.b, 0], 3)
+        }
+        LaneBody::Fill(a, _) => ([a, 0, 0, 0], 1),
+        LaneBody::Copy(src, dst) => ([src, dst, 0, 0], 2),
+    }
+}
+
 /// The access sites whose offsets an op computes (at most four: a
 /// guarded `MacLanes`).
 fn op_accesses(prog: &Program, op: &Op) -> impl Iterator<Item = u32> {
-    let mac = |spec: u32| {
-        let sp = &prog.mac_specs[spec as usize];
-        ([sp.acc, sp.a, sp.b, 0], 3)
-    };
     let (accesses, n) = match *op {
         Op::Load { access, .. }
         | Op::Store { access, .. }
         | Op::BinStore { access, .. }
         | Op::StoreConst { access, .. } => ([access, 0, 0, 0], 1),
-        Op::FusedMac { spec } => mac(spec),
+        Op::FusedMac { spec } => body_accesses(prog, LaneBody::Mac(spec)),
         Op::MacLanes { spec } => {
             let sp = &prog.lane_specs[spec as usize];
-            let (mut accesses, mut n) = match sp.body {
-                LaneBody::Mac(m) => mac(m),
-                LaneBody::Fill(a, _) => ([a, 0, 0, 0], 1),
-                LaneBody::Copy(src, dst) => ([src, dst, 0, 0], 2),
-            };
+            let (mut accesses, mut n) = body_accesses(prog, sp.body);
             if let Some(g) = &sp.guard {
                 accesses[n] = g.access;
                 n += 1;
@@ -687,9 +693,9 @@ fn match_lane_body(
 
 /// Collapses innermost `ForSetup`/`ForNext` loops whose entire body is
 /// one recognized lane shape into a single `Op::MacLanes`. The loop
-/// ops themselves stay (they own extent latching and the back edge); the
-/// body becomes one op executing up to `LANE_WIDTH_MAX` iterations per
-/// dispatch.
+/// ops themselves stay (they own extent latching and the exit); the
+/// body becomes one op executing every iteration in one dispatch, with
+/// each access's per-lane stride recorded in its [`LaneSpec`].
 fn batch_lanes(prog: &mut Program) {
     let n = prog.ops.len();
     let (live_in, _) = liveness(prog);
@@ -743,13 +749,19 @@ fn batch_lanes(prog: &mut Program) {
         if w & exit_live != 0 {
             continue;
         }
+        let (ids, n_ids) = body_accesses(prog, lbody);
+        let mut strides = [0; 3];
+        for (d, &id) in strides.iter_mut().zip(&ids[..n_ids]) {
+            let terms = &prog.slot_pool[prog.accesses[id as usize].slots.range()];
+            *d = terms.iter().filter(|t| t.0 == var).map(|t| t.1).sum();
+        }
         let sid = prog.lane_specs.len() as u32;
         prog.lane_specs.push(LaneSpec {
             loop_id,
             var,
             guard,
             body: lbody,
-            lanes: LANE_WIDTH_MAX,
+            strides,
         });
         prog.ops[f + 1] = Op::MacLanes { spec: sid };
         for d in &mut dead[f + 2..e - 1] {
@@ -765,13 +777,14 @@ fn batch_lanes(prog: &mut Program) {
 #[cfg(test)]
 mod tests {
     use tir::builder::matmul_func;
-    use tir::{Buffer, DataType, Expr, PrimFunc, Stmt, Var};
+    use tir::{Buffer, DataType, Expr, ForKind, PrimFunc, Stmt, Var};
 
-    use super::optimize;
+    use super::{compile_optimized, optimize};
     use crate::compile::tests::scheduled_matmuls;
-    use crate::compile::{compile, LaneBody, Op};
+    use crate::compile::{compile, Extent, LaneBody, Op};
     use crate::interp::{run_with, ExecBackend, ExecError};
     use crate::tensor::Tensor;
+    use crate::vm::InstrMixProfile;
 
     fn zeros_args(f: &PrimFunc) -> Vec<Tensor> {
         f.params
@@ -813,8 +826,7 @@ mod tests {
         assert!(twice.optimized);
     }
 
-    /// Lane batching with every extent-vs-width relationship: shorter
-    /// than one batch, exact multiples, and ragged tails. Outputs and
+    /// Lane loops of short and long extents, even and odd. Outputs and
     /// step counts must match the tree-walker on each.
     #[test]
     fn lane_tails_are_exact() {
@@ -862,7 +874,7 @@ mod tests {
     }
 
     /// `OutOfFuel` fires at the identical step count even when the
-    /// boundary lands mid-batch (every fuel value from 0 to completion),
+    /// boundary lands mid-loop (every fuel value from 0 to completion),
     /// on the plain matmul and on every scheduled shape; with exact fuel
     /// the three backends agree bit for bit.
     #[test]
@@ -1017,6 +1029,130 @@ mod tests {
                        element 3";
         assert_eq!(scalar.unwrap_err().to_string(), message);
         assert_eq!(lanes.unwrap_err().to_string(), message);
+    }
+
+    /// `C[c(k)] += A[k] * B[k]` over `k` in `0..extent` (a lane loop),
+    /// under `outer`; `A` and `B` hold 1000 elements, `C` holds `c_len`.
+    fn dot(
+        outer: Option<(&Var, i64, ForKind)>,
+        c: impl Fn(&Var) -> Expr,
+        extent: Expr,
+        c_len: i64,
+    ) -> PrimFunc {
+        let [a, b] = ["A", "B"].map(|n| Buffer::new(n, DataType::float32(), vec![1000]));
+        let c_buf = Buffer::new("C", DataType::float32(), vec![c_len]);
+        let k = Var::int("k");
+        let prod = a.load(vec![Expr::from(&k)]) * b.load(vec![Expr::from(&k)]);
+        let c = c(&k);
+        let body = Stmt::store(c_buf.clone(), vec![c.clone()], c_buf.load(vec![c]) + prod);
+        let mut body = body.in_loop(k, extent);
+        if let Some((o, n, kind)) = outer {
+            body = Stmt::For(Box::new(tir::For::with_kind(o.clone(), n, kind, body)));
+        }
+        PrimFunc::new("dot", vec![a, b, c_buf], body)
+    }
+
+    /// The outcome of one run, comparable across backends.
+    type Outcome = Result<(u64, Vec<Tensor>), String>;
+
+    /// `f` on seeded inputs through the walker, the compiler's bytecode,
+    /// optimized bytecode and the sanitizer (on optimized bytecode).
+    fn four_ways(f: &PrimFunc, fuel: u64) -> [Outcome; 4] {
+        let args: Vec<Tensor> = (f.params.iter().zip(1..))
+            .map(|(p, seed)| Tensor::random(p.dtype(), p.shape(), seed))
+            .collect();
+        let (plain, opt) = (compile(f).expect("compiles"), compile_optimized(f).unwrap());
+        [
+            run_with(f, args.clone(), ExecBackend::TreeWalk, Some(fuel)),
+            plain.run_with_fuel(args.clone(), fuel),
+            opt.run_with_fuel(args.clone(), fuel),
+            opt.run_sanitized(args, fuel),
+        ]
+        .map(|r| r.map(|o| (o.steps, o.outputs)).map_err(|e| e.to_string()))
+    }
+
+    /// A MAC loop of extent 1000 is one `mac_lanes` dispatch per entry.
+    #[test]
+    fn a_long_mac_loop_is_one_dispatch_per_entry() {
+        let o = Var::int("o");
+        let f = dot(
+            Some((&o, 3, ForKind::Serial)),
+            |_| Expr::from(&o),
+            Expr::int(1000),
+            3,
+        );
+        let opt = compile_optimized(&f).unwrap();
+        let mut prof = InstrMixProfile::new();
+        let out = opt
+            .run_profiled(zeros_args(&f), 1 << 20, &mut prof)
+            .expect("runs");
+        assert_eq!(out.steps, 3000);
+        let mac_lanes = prof.mix().into_iter().find(|m| m.0 == "mac_lanes");
+        assert_eq!(mac_lanes, Some(("mac_lanes", 3)), "{opt}");
+    }
+
+    /// Fuel running out before, inside and at the end of a 1000-lane loop
+    /// stops every backend at the same step.
+    #[test]
+    fn fuel_runs_out_step_exactly_inside_a_long_lane_loop() {
+        let f = dot(None, |_| Expr::int(0), Expr::int(1000), 1);
+        for fuel in [1, 517, 999, 1000, 1001] {
+            let [walk, rest @ ..] = four_ways(&f, fuel);
+            for other in rest {
+                assert_eq!(other, walk, "fuel {fuel}");
+            }
+            match walk {
+                Ok((steps, _)) => assert!(fuel >= 1000 && steps == 1000, "fuel {fuel}"),
+                Err(e) => assert!(
+                    fuel < 1000 && e == ExecError::OutOfFuel.to_string(),
+                    "fuel {fuel}: {e}"
+                ),
+            }
+        }
+    }
+
+    /// A lane loop whose extent is a register runs 0, 1 and 1000 lanes.
+    #[test]
+    fn a_register_extent_runs_zero_one_and_many_lanes() {
+        let o = Var::int("o");
+        for n in [0, 1, 1000] {
+            let outer = Some((&o, 1, ForKind::Serial));
+            let f = dot(outer, |_| Expr::int(0), Expr::from(&o) + n, 1);
+            let opt = compile_optimized(&f).unwrap();
+            let reg = (opt.ops.iter()).any(|op| {
+                matches!(
+                    op,
+                    Op::ForSetup {
+                        extent: Extent::Reg(_),
+                        ..
+                    }
+                )
+            });
+            assert!(reg && opt.lane_specs.len() == 1, "{opt}");
+            let [walk, rest @ ..] = four_ways(&f, 1 << 20);
+            assert_eq!(walk.as_ref().map(|o| o.0), Ok(n as u64));
+            for other in rest {
+                assert_eq!(other, walk, "extent {n}");
+            }
+        }
+    }
+
+    /// A parallel loop around a 1000-lane body whose two instances first
+    /// collide at lane 517 draws the scalar path's exact race message.
+    #[test]
+    fn a_race_deep_inside_a_long_lane_body_reports_the_scalar_race() {
+        let i = Var::int("i");
+        let c = |k: &Var| Expr::from(k) + 517 - Expr::from(&i) * 517;
+        let f = dot(Some((&i, 2, ForKind::Parallel)), c, Expr::int(1000), 1517);
+        let opt = compile_optimized(&f).unwrap();
+        assert_eq!(opt.lane_specs.len(), 1, "{opt}");
+        let [plain, opt] = [compile(&f).expect("compiles"), opt].map(|p| {
+            let err = p.run_sanitized(zeros_args(&f), 1 << 20).unwrap_err();
+            err.to_string()
+        });
+        let message = "data race: buffer C: iterations 0 and 1 of a parallel loop both touch \
+                       element 517";
+        assert_eq!((plain.as_str(), opt.as_str()), (message, message));
     }
 
     /// Optimized out-of-bounds detection is intact under lane batching.

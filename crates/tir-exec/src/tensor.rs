@@ -5,6 +5,13 @@
 //! wrapping), so reduced-precision behaviour — e.g. the paper's float16
 //! Tensor Core pipelines — is observable without a separate storage type
 //! per dtype.
+//!
+//! The two roundings a store pays for nearly always have nothing to do,
+//! and skip the work then: `round_i64` takes an integral value as it is
+//! (libm `round` only sees the rest), and a normal f16 rounds in place
+//! on the f32 bits (the general routine only sees subnormals, overflow,
+//! infinities and NaN). Both equal the general routine on every input;
+//! the unit tests prove it.
 
 use tir::{DataType, TypeCode};
 
@@ -19,7 +26,7 @@ pub fn quantize(value: f64, dtype: DataType) -> f64 {
         TypeCode::BFloat => bf16_round(value),
         // Two's-complement wrap: sign-extend from bit `bits - 1`.
         TypeCode::Int => {
-            let v = value.round() as i64;
+            let v = round_i64(value);
             match dtype.bits() as u32 {
                 bits @ 1..=63 => ((v << (64 - bits)) >> (64 - bits)) as f64,
                 _ => v as f64,
@@ -27,7 +34,7 @@ pub fn quantize(value: f64, dtype: DataType) -> f64 {
         }
         // Modulo 2^bits: keep the low `bits`.
         TypeCode::UInt => {
-            let v = value.round() as i64;
+            let v = round_i64(value);
             match dtype.bits() as u32 {
                 bits @ 1..=63 => (v & (u64::MAX >> (64 - bits)) as i64) as f64,
                 _ => v as f64,
@@ -44,10 +51,39 @@ pub fn quantize(value: f64, dtype: DataType) -> f64 {
     }
 }
 
+/// `v.round() as i64` for every `f64`, without the libm call when `v` is
+/// already integral: a value the `as i64` round trip keeps is its own
+/// rounding, and every value it does not keep (a fraction, NaN, ±∞, a
+/// magnitude past 2^63) takes `round` and saturates as before.
+#[inline]
+pub(crate) fn round_i64(v: f64) -> i64 {
+    let i = v as i64;
+    if i as f64 == v {
+        i
+    } else {
+        v.round() as i64
+    }
+}
+
 /// Rounds through IEEE binary16.
+///
+/// A value whose f32 exponent field is 113..=142 is a normal f16 before
+/// rounding, so round-to-nearest-even at mantissa bit 13 happens in place
+/// on the f32 bits: a carry into the exponent is exact, and a result still
+/// at or below 142 is a normal f16. Everything else takes [`f16_round_bits`].
 fn f16_round(v: f64) -> f64 {
-    let f = v as f32;
-    let bits = f.to_bits();
+    let bits = (v as f32).to_bits();
+    if (113..=142).contains(&((bits >> 23) & 0xff)) {
+        let r = (bits + 0xfff + ((bits >> 13) & 1)) & !0x1fff;
+        if (r >> 23) & 0xff <= 142 {
+            return f32::from_bits(r) as f64;
+        }
+    }
+    f16_round_bits(bits)
+}
+
+/// Rounds the f32 with these bits through IEEE binary16, field by field.
+fn f16_round_bits(bits: u32) -> f64 {
     let sign = (bits >> 16) & 0x8000;
     let mut exp = ((bits >> 23) & 0xff) as i32;
     let mut frac = bits & 0x7f_ffff;
@@ -331,6 +367,70 @@ mod tests {
         assert_eq!(quantize(2049.0, DataType::float16()), 2048.0);
         // Overflow saturates to infinity.
         assert_eq!(quantize(1e6, DataType::float16()), f64::INFINITY);
+    }
+
+    /// Every f32 whose exponent field is 112..=143 — the in-place band and
+    /// one exponent either side — rounds through `f16_round` exactly as
+    /// through the field-by-field routine; outside that band `f16_round`
+    /// is that routine. A release build checks all 2^29 patterns, a debug
+    /// build a strided sample plus every rounding corner of each exponent.
+    #[test]
+    fn f16_in_place_rounding_equals_the_field_routine() {
+        let same = |bits: u32| {
+            let fast = f16_round(f32::from_bits(bits) as f64);
+            assert!(
+                fast.to_bits() == f16_round_bits(bits).to_bits(),
+                "{bits:#010x}: {fast}"
+            );
+        };
+        let step = if cfg!(debug_assertions) { 4099 } else { 1 };
+        for sign in [0, 1u32 << 31] {
+            for bits in (sign | 112 << 23..sign | 144 << 23).step_by(step) {
+                same(bits);
+            }
+            for exp in 112..=143u32 {
+                for frac in [0, 1, 0xfff, 0x1000, 0x1001, 0x2fff, 0x3000, 0x3001] {
+                    for top in [0, 0x7f_e000] {
+                        same(sign | exp << 23 | top | frac);
+                    }
+                }
+                same(sign | exp << 23 | 0x7f_ffff);
+            }
+        }
+    }
+
+    /// `round_i64` and `cast_val`'s truncation skip libm only on values
+    /// that are their own rounding: on the edges of the `as i64` round
+    /// trip, halves, and a million random bit patterns they equal
+    /// `round() as i64` and `trunc()` (to the bit).
+    #[test]
+    fn integral_fast_paths_equal_round_and_trunc() {
+        let p = |e: i32| 2f64.powi(e);
+        let mut probes = vec![
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            p(63),
+            p(63) - 1024.0,
+        ];
+        for e in [52, 53] {
+            probes.extend([p(e) - 1.0, p(e), p(e) + 1.0]);
+        }
+        probes.extend((-20..20).map(|k| f64::from(k) + 0.5));
+        probes.extend([p(51) + 0.5, p(52) - 0.5]);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        probes.extend((0..1_000_000).map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            f64::from_bits(state)
+        }));
+        for v in probes.iter().flat_map(|&v| [v, -v]) {
+            assert_eq!(round_i64(v), v.round() as i64, "{v:e}");
+            let cast = crate::vm::cast_val(v, DataType::float64(), true);
+            assert_eq!(cast.to_bits(), v.trunc().to_bits(), "{v:e}");
+        }
     }
 
     /// The modulo formulas `quantize` used before the shift and the mask,

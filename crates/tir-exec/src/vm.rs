@@ -12,9 +12,13 @@
 //! checked, and only a *tracked* access (one inside a parallel loop)
 //! touches shadow memory. Its signature is the one per-step allocation,
 //! and a program without a parallel loop has none. A lane-batched loop
-//! (`exec_lanes`) is one loop per lane body — multiply-accumulate, fill,
-//! copy — for both: each lane does its aliveness check, shadow hook and
-//! element access inline, in the scalar loop's order.
+//! (`exec_lanes`) runs to its end in one dispatch, one loop per lane body
+//! — multiply-accumulate, fill, copy — for both: each lane does its
+//! aliveness check, shadow hook and element access inline, in the scalar
+//! loop's order, and moves each offset by the stride the optimizer
+//! recorded. Index terms and integer stores round through `round_i64`,
+//! which leaves an integral value as it is, so the loop calls no libm
+//! routine on integral data.
 //!
 //! Semantics are bit-identical to the tree-walking
 //! [`Interpreter`](crate::Interpreter): the same `f64` arithmetic in the
@@ -29,7 +33,7 @@ use tir::DataType;
 
 use crate::compile::{Access, BinKind, Extent, LaneBody, LaneSpec, MacSpec, Op, Program};
 use crate::interp::{check_arg, check_arity, ExecError, RunOutcome, DEFAULT_FUEL};
-use crate::tensor::Tensor;
+use crate::tensor::{round_i64, Tensor};
 
 type Result<T> = std::result::Result<T, ExecError>;
 
@@ -97,10 +101,10 @@ impl VmProfiler for InstrMixProfile {
 fn offset(prog: &Program, acc: &Access, regs: &[f64], frame: &[f64]) -> i64 {
     let mut off = acc.base;
     for &(r, stride) in &prog.reg_pool[acc.regs.range()] {
-        off += (regs[r as usize].round() as i64) * stride;
+        off += round_i64(regs[r as usize]) * stride;
     }
     for &(s, stride) in &prog.slot_pool[acc.slots.range()] {
-        off += (frame[s as usize].round() as i64) * stride;
+        off += round_i64(frame[s as usize]) * stride;
     }
     off
 }
@@ -153,14 +157,17 @@ pub(crate) fn bin_eval(kind: BinKind, x: f64, y: f64) -> Result<f64> {
 }
 
 /// The tree-walker's cast/quantization semantics ([`Op::Cast`] and
-/// [`MacSpec`] operand casts).
+/// [`MacSpec`] operand casts). An integral `x` is its own truncation (the
+/// `as i64` round trip keeps exactly the integral values below 2^63 in
+/// magnitude, and ±2^63, whose truncation is themselves too).
 #[inline]
 pub(crate) fn cast_val(x: f64, dtype: DataType, trunc: bool) -> f64 {
-    if trunc {
-        crate::tensor::quantize(x.trunc(), dtype)
+    let x = if trunc && (x as i64) as f64 != x {
+        x.trunc()
     } else {
-        crate::tensor::quantize(x, dtype)
-    }
+        x
+    };
+    crate::tensor::quantize(x, dtype)
 }
 
 /// An access's position in the parallel iteration space: for every
@@ -464,28 +471,17 @@ fn exec_mac<S: Shadow>(
     store_at(acc, off_acc, v, alive, sh, counters, store)
 }
 
-/// Offset of `acc` at the current frame, plus how much it advances per
-/// iteration of the loop variable in `var` (the sum of the strides of
-/// `var`'s slot terms — every other term is invariant in the batched
-/// loop because the lane body contains no register or frame writes).
-fn off_delta(prog: &Program, acc: &Access, var: u32, regs: &[f64], frame: &[f64]) -> (i64, i64) {
-    let off = offset(prog, acc, regs, frame);
-    let delta = prog.slot_pool[acc.slots.range()]
-        .iter()
-        .filter(|&&(s, _)| s == var)
-        .map(|&(_, stride)| stride)
-        .sum();
-    (off, delta)
-}
-
-/// Executes up to `sp.lanes` iterations of a lane-batched innermost loop
-/// in one dispatch. Per-lane semantics — fuel ticks, guarded init fire,
-/// load/store order, quantization, errors, sanitizer shadow updates — are
-/// exactly the scalar loop body's; offsets are strength reduced to
-/// `off += stride` per lane. Every lane does its own aliveness check,
-/// shadow hook and element access inline, one loop per body shape for
-/// the plain and the sanitized run alike. Leaves `counters` so the
-/// following `ForNext` advances to the first unexecuted iteration.
+/// Executes a lane-batched innermost loop in one dispatch, one lane per
+/// iteration. The op sits right after its loop's `ForSetup`, which skips
+/// an empty loop, and nothing jumps into the loop: the counter is 0 here
+/// and the extent at least 1, so the last lane leaves the counter where
+/// the following `ForNext` exits. Per-lane semantics — fuel ticks,
+/// guarded init fire, load/store order, quantization, errors, sanitizer
+/// shadow updates — are exactly the scalar loop body's. Offsets are
+/// computed for the first lane only; each later lane adds the access's
+/// stride ([`LaneSpec::strides`]). Every lane does its own aliveness
+/// check, shadow hook and element access inline, one loop per body shape
+/// for the plain and the sanitized run alike.
 #[allow(clippy::too_many_arguments)]
 fn exec_lanes<S: Shadow>(
     prog: &Program,
@@ -501,8 +497,7 @@ fn exec_lanes<S: Shadow>(
     fuel: u64,
 ) -> Result<()> {
     let l = sp.loop_id as usize;
-    let n0 = counters[l];
-    let lanes = (sp.lanes as i64).min(extents[l] - n0);
+    debug_assert_eq!(counters[l], 0);
     // The scalar `Op::Tick`, `Op::Load` and `Op::Store` of one lane.
     macro_rules! tick {
         () => {
@@ -530,20 +525,20 @@ fn exec_lanes<S: Shadow>(
             store[buf].set_flat($off as usize, $val);
         }};
     }
-    // An access site with its offset at the first lane and its delta.
+    // An access site with its offset at the first lane.
     let site = |id: u32| {
         let acc = &prog.accesses[id as usize];
-        let (off, delta) = off_delta(prog, acc, sp.var, regs, frame);
-        (acc, off, delta)
+        (acc, offset(prog, acc, regs, frame))
     };
     match sp.body {
         LaneBody::Mac(m) => {
             let ms = &prog.mac_specs[m as usize];
-            let (acc, mut off_acc, d_acc) = site(ms.acc);
-            let (a, mut off_a, d_a) = site(ms.a);
-            let (b, mut off_b, d_b) = site(ms.b);
+            let [d_acc, d_a, d_b] = sp.strides;
+            let (acc, mut off_acc) = site(ms.acc);
+            let (a, mut off_a) = site(ms.a);
+            let (b, mut off_b) = site(ms.b);
             // The init fires on a lane iff every flag slot is zero; slots
-            // other than the loop variable are invariant across the batch.
+            // other than the loop variable are invariant across the loop.
             let init = sp.guard.as_ref().map(|g| {
                 let others_zero =
                     (g.flags.iter()).all(|&f| f == sp.var || frame[f as usize] == 0.0);
@@ -555,10 +550,10 @@ fn exec_lanes<S: Shadow>(
                     first_only,
                 )
             });
-            for i in 0..lanes {
-                counters[l] = n0 + i;
+            for i in 0..extents[l] {
+                counters[l] = i;
                 if let Some((ga, val, others_zero, first_only)) = init {
-                    if others_zero && (!first_only || n0 + i == 0) {
+                    if others_zero && (!first_only || i == 0) {
                         tick!();
                         store!(ga, off_acc, val);
                     }
@@ -581,19 +576,21 @@ fn exec_lanes<S: Shadow>(
             }
         }
         LaneBody::Fill(id, val) => {
-            let (acc, mut off, d) = site(id);
-            for i in 0..lanes {
-                counters[l] = n0 + i;
+            let d = sp.strides[0];
+            let (acc, mut off) = site(id);
+            for i in 0..extents[l] {
+                counters[l] = i;
                 tick!();
                 store!(acc, off, val);
                 off += d;
             }
         }
         LaneBody::Copy(src_id, dst_id) => {
-            let (src, mut off_src, d_src) = site(src_id);
-            let (dst, mut off_dst, d_dst) = site(dst_id);
-            for i in 0..lanes {
-                counters[l] = n0 + i;
+            let [d_src, d_dst, _] = sp.strides;
+            let (src, mut off_src) = site(src_id);
+            let (dst, mut off_dst) = site(dst_id);
+            for i in 0..extents[l] {
+                counters[l] = i;
                 tick!();
                 let v = load!(src, off_src);
                 store!(dst, off_dst, v);
@@ -602,8 +599,6 @@ fn exec_lanes<S: Shadow>(
             }
         }
     }
-    // The loop's ForNext runs next and advances to `n0 + lanes`.
-    counters[l] = n0 + lanes - 1;
     Ok(())
 }
 
@@ -777,7 +772,7 @@ impl Program {
                     sh.for_setup(l);
                     extents[l] = match *extent {
                         Extent::Lit(n) => i64::from(n),
-                        Extent::Reg(r) => regs[r as usize].round() as i64,
+                        Extent::Reg(r) => round_i64(regs[r as usize]),
                     };
                     counters[l] = 0;
                     if extents[l] <= 0 {

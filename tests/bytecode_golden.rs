@@ -157,7 +157,7 @@ fn mnemonics(body: &str) -> impl Iterator<Item = &str> {
 fn lane_bodies(body: &str) -> impl Iterator<Item = &str> {
     body.lines().filter_map(|line| {
         let (_, lanes) = line.split_once(": mac_lanes ")?;
-        let kind = lanes.split_whitespace().nth(3)?;
+        let kind = lanes.split_whitespace().nth(2)?;
         Some(kind.trim_end_matches(|c: char| c.is_ascii_digit()))
     })
 }

@@ -40,7 +40,7 @@ program gmm (7 ops, 3 regs, 6 slots, 3 loops, optimized)
    0: for_setup L0 v0 extent=4 end=7
    1: for_setup L1 v1 extent=4 end=6
    2: for_setup L2 v2 extent=4 end=5
-   3: mac_lanes L2 v2 x8 mac0 guard[v2] init C[v0*4 + v1*1] = 0
+   3: mac_lanes L2 v2 mac0 guard[v2] init C[v0*4 + v1*1] = 0
    4: for_next L2 v2 body=3
    5: for_next L1 v1 body=2
    6: for_next L0 v0 body=1
@@ -126,7 +126,7 @@ program mm (9 ops, 3 regs, 7 slots, 4 loops, optimized)
    1: for_setup L1 v1 extent=4 end=8
    2: for_setup L2 v2 extent=8 end=7
    3: for_setup L3 v3 extent=8 end=6
-   4: mac_lanes L3 v3 x8 mac0 guard[v3] init C[v0*32 + v1*8 + v2*1] = 0
+   4: mac_lanes L3 v3 mac0 guard[v3] init C[v0*32 + v1*8 + v2*1] = 0
    5: for_next L3 v3 body=4
    6: for_next L2 v2 body=3
    7: for_next L1 v1 body=2
@@ -171,7 +171,7 @@ program mm (17 ops, 3 regs, 10 slots, 4 loops, optimized)
    9: for_setup L1 v4 extent=4 end=16
   10: for_setup L2 v5 extent=4 end=15
   11: for_setup L3 v6 extent=8 end=14
-  12: mac_lanes L3 v6 x8 mac0 guard[v6] init C[v1*32 + v2*4 + v4*8 + v5*1] = 0
+  12: mac_lanes L3 v6 mac0 guard[v6] init C[v1*32 + v2*4 + v4*8 + v5*1] = 0
   13: for_next L3 v6 body=12
   14: for_next L2 v5 body=11
   15: for_next L1 v4 body=10
@@ -260,7 +260,7 @@ program stage (9 ops, 2 regs, 7 slots, 4 loops, optimized)
    1: for_setup L1 v1 extent=4 end=8
    2: for_setup L2 v2 extent=16 end=7
    3: for_setup L3 v3 extent=32 end=6
-   4: mac_lanes L3 v3 x8 copy S[v0*32 + v1*1024 + v2*64 + v3*1] = B[v0*32 + v1*1024 + v2*64 + v3*1]
+   4: mac_lanes L3 v3 copy S[v0*32 + v1*1024 + v2*64 + v3*1] = B[v0*32 + v1*1024 + v2*64 + v3*1]
    5: for_next L3 v3 body=4
    6: for_next L2 v2 body=3
    7: for_next L1 v1 body=2
