@@ -212,11 +212,20 @@ fn bench_sketch_apply() {
 /// `schedule/sketch_apply_*` rows above are the cost of *one* of them. 16
 /// trials is the budget `compile_model_with` gives a kernel (one generation
 /// per sketch, never a trained model), 64 the single-operator figures'
-/// budget.
+/// budget, 256 a budget where the cost model's refits, which grow with the
+/// samples, carry a real share.
+///
+/// `search/gbdt_refit_128_samples` is one refit on the first 128 samples
+/// the 256-trial tune measured. They are the `gpu-tensor` sketch's (its
+/// search comes first and measures 134; the `gpu-scalar` space runs out
+/// after 30), the samples of that tune's largest refits. Every one
+/// simulates to the same time (`sim_census.txt`), so the refit finds no
+/// split: the row prices the column sort and the root scans.
 fn bench_search_tune() {
+    use tir_autoschedule::feature::extract_features;
     use tir_autoschedule::{
-        build_sketches, tune_multi_with, CountingSketch, SimMeasurer, SketchRule, Strategy,
-        TuneOptions,
+        build_sketches, tune_multi_with, CostModel, CountingSketch, MeasureCtx, MeasureError,
+        Measurer, SimMeasurer, SketchRule, Strategy, TuneOptions,
     };
     use tir_workloads::{bench_suite, OpKind};
 
@@ -227,7 +236,7 @@ fn bench_search_tune() {
         .find(|c| c.kind == OpKind::GMM)
         .expect("GMM in the suite");
     let sketches = build_sketches(&case.func, &machine, &reg, Strategy::TensorIr);
-    for trials in [16usize, 64] {
+    for trials in [16usize, 64, 256] {
         let opts = TuneOptions {
             trials,
             num_threads: 1,
@@ -252,6 +261,42 @@ fn bench_search_tune() {
             applies as f64 / measured.max(1) as f64
         );
     }
+
+    /// The simulator, keeping every reading as the sample the search
+    /// learns from it: `(features, -ln time)`.
+    struct Recorder(std::sync::Mutex<Vec<(Vec<f64>, f64)>>);
+    impl Measurer for Recorder {
+        fn measure(
+            &self,
+            func: &tir::PrimFunc,
+            machine: &Machine,
+            ctx: &MeasureCtx,
+        ) -> Result<f64, MeasureError> {
+            let t = SimMeasurer.measure(func, machine, ctx)?;
+            let sample = (extract_features(func), -(t.max(1e-12)).ln());
+            self.0.lock().expect("recorder").push(sample);
+            Ok(t)
+        }
+    }
+    let recorder = Recorder(Default::default());
+    // Without the candidate cache every sample the model learns is a
+    // reading the recorder sees; the cache never changes the trajectory.
+    let opts = TuneOptions {
+        trials: 256,
+        num_threads: 1,
+        use_candidate_cache: false,
+        ..Default::default()
+    };
+    let refs: Vec<&dyn SketchRule> = sketches.iter().map(|s| s.as_ref()).collect();
+    tune_multi_with(&refs, &machine, &opts, &recorder);
+    let mut samples = recorder.0.into_inner().expect("recorder");
+    assert!(samples.len() >= 128, "{} measured", samples.len());
+    samples.truncate(128);
+    bench_function("search/gbdt_refit_128_samples", || {
+        let mut model = CostModel::new();
+        model.update(samples.iter().cloned());
+        model
+    });
 }
 
 /// What `TuneOptions::checkpoint_path` costs a tune of the GMM f16

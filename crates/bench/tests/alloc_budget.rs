@@ -350,3 +350,52 @@ fn sanitizer_allocates_no_shadow_outside_parallel_loops() {
         );
     }
 }
+
+/// Budget of one cost-model refit: `CostModel::update` of a fresh model
+/// with the 32 samples of `compiler_microbench`'s
+/// `search/gbdt_refit_32_samples` row (the first 32 valid `gpu-scalar`
+/// C2D f16 candidates, seeds from 0). The count is exact and repeats; the
+/// budget is the count measured once a refit sorted only the feature
+/// columns that can split (1 470; 1 477 when it sorted all 16), plus 10%.
+/// Only asserted in release, like the candidate budgets.
+const REFIT_32_SAMPLES: u64 = 1_617;
+
+#[test]
+fn cost_model_refit_stays_in_budget() {
+    use tir_autoschedule::feature::extract_features;
+    use tir_autoschedule::CostModel;
+    use tir_exec::cost::simulate;
+
+    let machine = Machine::sim_gpu();
+    let c2d = (bench_suite(DataType::float16()).into_iter())
+        .find(|c| c.kind == OpKind::C2D)
+        .expect("C2D in the suite");
+    let scalar = build_sketches(&c2d.func, &machine, &builtin_registry(), Strategy::TensorIr)
+        .into_iter()
+        .find(|s| s.name() == "gpu-scalar")
+        .expect("gpu-scalar sketch");
+    let samples: Vec<(Vec<f64>, f64)> = (0..)
+        .filter_map(|seed| {
+            (scalar
+                .apply(&scalar.sample(&mut StdRng::seed_from_u64(seed)))
+                .ok())
+            .map(|f| (extract_features(&f), -simulate(&f, &machine).ln()))
+        })
+        .take(32)
+        .collect();
+    let refit = || {
+        let (batch, mut model) = (samples.clone(), CostModel::new());
+        let ((), allocs) = counted(|| model.update(batch));
+        assert!(model.has_split());
+        allocs
+    };
+    let (allocs, again) = (refit(), refit());
+    println!("CostModel::update of 32 samples: {allocs} allocations");
+    assert_eq!(allocs, again, "allocation counts do not repeat");
+    if !cfg!(debug_assertions) {
+        assert!(
+            allocs <= REFIT_32_SAMPLES,
+            "a 32-sample refit made {allocs} allocations, budget {REFIT_32_SAMPLES}"
+        );
+    }
+}

@@ -5,6 +5,12 @@
 //! from-scratch implementation of the same model family: least-squares
 //! gradient boosting over depth-limited regression trees with exact greedy
 //! splits.
+//!
+//! [`CostModel::update`] appends samples and refits every tree from
+//! scratch, so a refit costs more the more samples the model holds. A
+//! refit sorts each feature column once and scans only the columns on
+//! which two samples differ; the search calls `update` only when it is
+//! about to read the model (`search.rs`, "Stages").
 
 /// One node of a regression tree (stored as an implicit array).
 #[derive(Clone, Debug)]
@@ -24,31 +30,35 @@ pub struct RegressionTree {
     nodes: Vec<Node>,
 }
 
-/// What the trees of one refit share: the samples, and per feature the
-/// sample indices by ascending value, equal values in index order — the
-/// order a stable sort of any ascending index list by that feature gives.
-/// Feature values never change within a refit, so each column is sorted
-/// once instead of at every node of every round.
+/// What the trees of one refit share: the samples, and for every feature
+/// that can split — two samples compare `!=` on it (a NaN always does;
+/// `0.0` and `-0.0` do not) — its `(value, sample)` pairs by ascending
+/// value, equal values in index order: the order a stable sort of any
+/// ascending index list by that feature gives. Feature values never change
+/// within a refit, so each column is sorted once instead of at every node
+/// of every round, and a constant column, which no subset of the samples
+/// can split, is never sorted or scanned.
 struct Columns<'a> {
     data: &'a [(Vec<f64>, f64)],
-    order: Vec<Vec<usize>>,
+    sorted: Vec<(usize, Vec<(f64, usize)>)>,
 }
 
 impl<'a> Columns<'a> {
     fn new(data: &'a [(Vec<f64>, f64)]) -> Self {
         let width = data.first().map_or(0, |(x, _)| x.len());
-        let order = (0..width)
+        let sorted = (0..width)
+            .filter(|&f| data.iter().any(|(x, _)| x[f] != data[0].0[f]))
             .map(|f| {
-                let mut sorted: Vec<usize> = (0..data.len()).collect();
-                sorted.sort_by(|&a, &b| {
-                    data[a].0[f]
-                        .partial_cmp(&data[b].0[f])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                sorted
+                let mut col: Vec<(f64, usize)> = data
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (x, _))| (x[f], i))
+                    .collect();
+                col.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+                (f, col)
             })
             .collect();
-        Columns { data, order }
+        Columns { data, sorted }
     }
 }
 
@@ -74,36 +84,35 @@ impl RegressionTree {
         depth: usize,
         min_leaf: usize,
     ) -> usize {
-        let mean = idx.iter().map(|&i| targets[i]).sum::<f64>() / idx.len().max(1) as f64;
+        let total_sum: f64 = idx.iter().map(|&i| targets[i]).sum();
+        let mean = total_sum / idx.len().max(1) as f64;
         if depth == 0 || idx.len() < 2 * min_leaf {
             self.nodes.push(Node::Leaf(mean));
             return self.nodes.len() - 1;
         }
-        let total_sum: f64 = idx.iter().map(|&i| targets[i]).sum();
         let n = idx.len() as f64;
         let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
         idx.iter().for_each(|&i| member[i] = true);
-        for (f, order) in cols.order.iter().enumerate() {
-            let value = |i: usize| cols.data[i].0[f];
+        for (f, col) in &cols.sorted {
             let mut left_sum = 0.0;
-            let mut prev: Option<usize> = None;
-            for (seen, &ni) in order.iter().filter(|&&i| member[i]).enumerate() {
-                // A split between `i`, the last of the `seen` samples so
-                // far, and its successor `ni` in this node.
-                if let Some(i) = prev.filter(|&i| value(i) != value(ni)) {
+            let mut prev: Option<f64> = None;
+            for (seen, &(v, ni)) in col.iter().filter(|&&(_, i)| member[i]).enumerate() {
+                // A split between `pv`, the value of the last of the `seen`
+                // samples so far, and `v`, its successor's in this node.
+                if let Some(pv) = prev.filter(|&pv| pv != v) {
                     if seen >= min_leaf && idx.len() - seen >= min_leaf {
                         let (nl, nr) = (seen as f64, n - seen as f64);
                         // Variance-reduction gain (up to constants).
                         let gain = left_sum * left_sum / nl + (total_sum - left_sum).powi(2) / nr
                             - total_sum * total_sum / n;
-                        let threshold = 0.5 * (value(i) + value(ni));
+                        let threshold = 0.5 * (pv + v);
                         if best.map(|(g, _, _)| gain > g).unwrap_or(gain > 1e-12) {
-                            best = Some((gain, f, threshold));
+                            best = Some((gain, *f, threshold));
                         }
                     }
                 }
                 left_sum += targets[ni];
-                prev = Some(ni);
+                prev = Some(v);
             }
         }
         idx.iter().for_each(|&i| member[i] = false);
@@ -278,13 +287,19 @@ impl Default for CostModel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::cell::Cell;
+    use std::cell::RefCell;
 
     thread_local! {
-        /// Refits this thread compared against the oracle below.
-        static REFITS_CHECKED: Cell<usize> = const { Cell::new(0) };
+        /// The sample count of every refit of this thread, in order: each
+        /// one was compared against the oracle below.
+        static REFITS_CHECKED: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// The sample counts of this thread's refits since the last call.
+    pub(crate) fn take_refit_sizes() -> Vec<usize> {
+        REFITS_CHECKED.with(|r| std::mem::take(&mut *r.borrow_mut()))
     }
 
     /// The tree builder as it was before a refit sorted each feature
@@ -419,7 +434,7 @@ mod tests {
             return;
         }
         assert_eq!(model_bits(model), model_bits(&fit_per_node_sort(model)));
-        REFITS_CHECKED.with(|c| c.set(c.get() + 1));
+        REFITS_CHECKED.with(|r| r.borrow_mut().push(model.data.len()));
     }
 
     /// Equivalence (iii): the refits of the 40 golden tunes (the rows of
@@ -438,7 +453,7 @@ mod tests {
             (Machine::sim_gpu(), DataType::float16()),
             (Machine::sim_arm(), DataType::int8()),
         ];
-        let before = REFITS_CHECKED.with(Cell::get);
+        take_refit_sizes();
         let mut tunes = 0;
         for (machine, dtype) in &targets {
             let cases = bench_suite(*dtype).into_iter().filter(|c| {
@@ -458,18 +473,12 @@ mod tests {
             }
         }
         assert_eq!(tunes, 40);
-        let checked = REFITS_CHECKED.with(Cell::get) - before;
+        let checked = take_refit_sizes().len();
         assert!(checked >= 40 * 2, "only {checked} refits were compared");
 
         // Duplicated values in every column, 16 columns, growing sample set.
         let mut model = CostModel::new();
-        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move |modulus: u64| {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            (rng % modulus) as f64
-        };
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
         for _ in 0..8 {
             let batch: Vec<(Vec<f64>, f64)> = (0..8)
                 .map(|_| {
@@ -487,6 +496,64 @@ mod tests {
             }
         }
         assert!(model.has_split());
+    }
+
+    /// A 64-bit xorshift stream of integers below `modulus`, as `f64`.
+    fn xorshift(mut state: u64) -> impl FnMut(u64) -> f64 {
+        move |modulus| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % modulus) as f64
+        }
+    }
+
+    /// A refit scans only the columns that can split, and that changes no
+    /// model: here against the per-node-sort oracle, bit for bit in the
+    /// model and in 1 000 predictions, on the edges of `!=`. Constant
+    /// columns and one of `0.0`/`-0.0` (equal, so constant) are dropped;
+    /// an all-NaN column and a constant one with NaNs are kept, since a
+    /// NaN compares `!=` to everything. Then every target is equal.
+    #[test]
+    fn column_pruning_equals_per_node_sort_fit() {
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        let mut row = |i: u64| {
+            let zero = if i.is_multiple_of(2) { 0.0 } else { -0.0 };
+            let nan_or_two = if i % 5 == 3 { f64::NAN } else { 2.0 };
+            let x = [1.5, zero, next(4) * 0.25, f64::NAN, nan_or_two, -7.0];
+            let mut x = x.to_vec();
+            x.push(next(3));
+            x
+        };
+        let rows: Vec<Vec<f64>> = (0..64).map(&mut row).collect();
+        let columns = |data: &[(Vec<f64>, f64)]| -> Vec<usize> {
+            Columns::new(data).sorted.iter().map(|(f, _)| *f).collect()
+        };
+        let probes: Vec<Vec<f64>> = (0..1000).map(|i| row(i + 64)).collect();
+        let assert_same = |model: &CostModel| {
+            let oracle = fit_per_node_sort(model);
+            assert_eq!(model_bits(model), model_bits(&oracle));
+            for x in &probes {
+                assert_eq!(model.predict(x).to_bits(), oracle.predict(x).to_bits());
+            }
+        };
+
+        let mut model = CostModel::new();
+        for batch in rows.chunks(8) {
+            model.update(batch.iter().map(|x| {
+                let noise = (x[2] * 1000.0).sin() / 8.0;
+                (x.clone(), x[2] * 3.0 - x[6] + noise)
+            }));
+            assert_same(&model);
+        }
+        assert_eq!(columns(&model.data), [2, 3, 4, 6]);
+        assert!(model.has_split());
+
+        let mut flat = CostModel::new();
+        flat.update(rows.iter().map(|x| (x.clone(), 0.75)));
+        assert_same(&flat);
+        assert!(!flat.has_split());
+        assert_eq!(flat.predict(&probes[0]), flat.predict(&probes[1]));
     }
 
     #[test]

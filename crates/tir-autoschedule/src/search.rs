@@ -21,12 +21,20 @@
 //! | `score` | candidates, cost model | — | `search.model_rank` |
 //! | `select` | scores, quarantine | — | — |
 //! | `measure` | batch, checkpoint log | `tuning_cost_s`, checkpoint log | `search.measure`, `measure.*` |
-//! | `learn` | batch, readings | result, elites, cache, quarantine, cost model | `search.refit`, the other `search.*` counters, `roofline.*`, `search.candidate_time_s` |
+//! | `learn` | batch, readings | result, elites, cache, quarantine, unfitted samples | `search.refit`, the other `search.*` counters, `roofline.*`, `search.candidate_time_s` |
 //!
 //! `materialize` records two of the six [`SEARCH_PHASES`] because building
 //! a candidate and extracting its features are one per-candidate job;
 //! `select` records none: it sorts scores that `score` already traced.
 //! Every span is keyed `(stream, generation, COORD, phase index)`.
+//!
+//! `learn` only buffers its samples; the coordinator refits the cost model
+//! on them (`CostModel::update`) when it next reads the model, before
+//! `materialize`. At every read the model holds the same samples, in the
+//! same order, as if `learn` had refitted, so every fitted model is the
+//! same; the samples of a search's last generation, which nothing reads,
+//! are never fitted. The `search.refit` span stays with `learn`, counting
+//! the samples it buffers.
 //!
 //! # Parallel pipeline
 //!
@@ -37,7 +45,7 @@
 //! (`materialize`), batched cost-model ranking (`score`), and simulated
 //! measurement (`measure`). The coordinator keeps only the sequential
 //! steps: deduplication, batch selection, accounting, elite maintenance,
-//! and cost-model updates.
+//! and cost-model refits.
 //!
 //! Parallel runs are bit-for-bit deterministic: each population slot of
 //! each generation draws from its own generator seeded by
@@ -412,6 +420,9 @@ impl Ctx<'_> {
 struct SearchState {
     result: TuneResult,
     model: CostModel,
+    /// Samples `learn` measured since the model was last fitted; the
+    /// coordinator fits them before it next reads the model.
+    unfitted: Vec<(Vec<f64>, f64)>,
     /// Every decision vector ever proposed (dedup set).
     seen: HashSet<Vec<Decision>>,
     /// Elite pool of (decisions, measured time), in coordinator order.
@@ -510,6 +521,11 @@ pub fn tune_with(
         // `materialize` stops at the last of them.
         let budget_left = opts.trials - state.budget_used();
         let batch_size = opts.measure_per_generation.min(budget_left);
+        // The model is read from here on: fit what `learn` buffered. The
+        // last generation's samples are never read, so never fitted.
+        if !state.unfitted.is_empty() {
+            state.model.update(std::mem::take(&mut state.unfitted));
+        }
         let model_ready = opts.use_cost_model && state.model.num_samples() >= 4;
         let ranks = model_ready && state.model.has_split();
         let prefix_scan = opts.validate_before_measure && !ranks;
@@ -728,8 +744,8 @@ fn measure(
 
 /// Learn: fold the batch's readings into the result in rank order — every
 /// member appends one `history` entry — quarantine deterministic
-/// failures, cache new measurements, refit the cost model on them and
-/// keep the eight best elites.
+/// failures, cache new measurements, buffer them as the cost model's next
+/// samples and keep the eight best elites.
 fn learn(
     cx: &Ctx,
     state: &mut SearchState,
@@ -797,8 +813,8 @@ fn learn(
         r.history.push(r.best_time);
     }
     cx.span(state.generation, Phase::Refit, 0.0, samples.len());
-    if cx.opts.use_cost_model && !samples.is_empty() {
-        state.model.update(samples);
+    if cx.opts.use_cost_model {
+        state.unfitted.extend(samples);
     }
     state
         .elites
@@ -974,6 +990,40 @@ mod tests {
         // Searching longer cannot be worse.
         let r_long = tune(&s, &machine, &TuneOptions { trials: 48, ..opts });
         assert!(r_long.best_time <= r.best_time * 1.0001);
+    }
+
+    /// A search of G generations refits its model G − 1 times: before
+    /// generation g reads it, on every sample of generations 0..g. The
+    /// last generation's samples are never fitted. A sample is a measured
+    /// trial, so `trials_measured` after g generations is the count the
+    /// model must hold when generation g reads it. Runs that end on their
+    /// generation cap and on their budget.
+    #[test]
+    fn the_model_is_refitted_only_where_it_is_read() {
+        use crate::cost_model::tests::take_refit_sizes;
+        let s = sketch();
+        let machine = Machine::sim_gpu();
+        // (budget, generations, whether the run is capped there): 24 trials
+        // are three full batches of eight.
+        for (trials, generations, capped) in [(64, 5u64, true), (24, 3, false)] {
+            let opts = |cap: Option<u64>| TuneOptions {
+                trials,
+                num_threads: 1,
+                max_generations: cap,
+                ..Default::default()
+            };
+            let samples_after: Vec<usize> = (1..=generations)
+                .map(|g| tune(&s, &machine, &opts(Some(g))).trials_measured)
+                .collect();
+            take_refit_sizes();
+            let r = tune(&s, &machine, &opts(capped.then_some(generations)));
+            assert_eq!(r.trials_measured, samples_after[generations as usize - 1]);
+            assert_eq!(
+                take_refit_sizes(),
+                samples_after[..generations as usize - 1]
+            );
+            assert!(samples_after.windows(2).all(|w| w[0] < w[1]));
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use tir::expr::IdHasher;
 use tir::simplify::{floor_div_i64, floor_mod_i64};
 use tir::{BinOp, BlockRealize, Buffer, Expr, IterKind, PrimFunc, Stmt, Var, WellFormedError};
 
-use crate::tensor::{quantize, Tensor};
+use crate::tensor::{quantize, round_i64, Tensor};
 
 /// An execution failure.
 #[derive(Clone, Debug)]
@@ -292,7 +292,7 @@ impl Interpreter {
         let shape = buffer.shape();
         let (mut off, mut in_bounds) = (0i64, indices.len() == shape.len());
         for (k, e) in indices.iter().enumerate() {
-            let idx = self.eval(e)?.round() as i64;
+            let idx = round_i64(self.eval(e)?);
             if let Some(&dim) = shape.get(k) {
                 off = off * dim + idx;
                 in_bounds &= (0..dim).contains(&idx);
@@ -344,7 +344,7 @@ impl Interpreter {
                 }
             }
             Stmt::For(f) => {
-                let extent = self.eval(&f.extent)?.round() as i64;
+                let extent = round_i64(self.eval(&f.extent)?);
                 let slot = self.env.len();
                 self.env.push((f.var.id(), 0.0));
                 for i in 0..extent {
