@@ -18,7 +18,7 @@
 //! # Format
 //!
 //! ```text
-//! tir-autoschedule-checkpoint v2
+//! tir-autoschedule-checkpoint v3
 //! context <seed> <len> <machine name> <len> <sketch name>
 //! generation <jobs>
 //! <hash> ok|reject|timeout|crash|corrupt <value> <cost_s> <retries>
@@ -43,7 +43,7 @@ use crate::database::{hex_f64, parse_hex_f64};
 use crate::measure::{MeasureError, MeasureOutcome};
 
 /// Magic + version header; bump the version on any format change.
-const HEADER: &str = "tir-autoschedule-checkpoint v2";
+const HEADER: &str = "tir-autoschedule-checkpoint v3";
 /// Truncation sentinel, the file's last line.
 const END: &str = "end\n";
 /// Stands in for the error message of a replayed failure.
@@ -363,7 +363,7 @@ mod tests {
     fn truncated_corrupt_or_old_files_are_ignored() {
         let (path, bytes) = written("corrupt.ckpt");
         let full = String::from_utf8(bytes).expect("text");
-        let v1 = full.replacen(" v2\n", " v1\n", 1);
+        let older = full.replacen(" v3\n", " v2\n", 1);
         let extra = format!("{full}extra\n");
         let bad_kind = full.replacen(" ok ", " fine ", 1);
         let bad_count = full.replacen("generation 3", "generation x", 1);
@@ -372,7 +372,7 @@ mod tests {
             ("sentinel dropped", &full[..full.len() - END.len()]),
             ("chopped mid-structure", &full[..full.len() / 2]),
             ("not a checkpoint", "not a checkpoint"),
-            ("older version", &v1),
+            ("older version", &older),
             ("trailing garbage", &extra),
             ("unknown outcome kind", &bad_kind),
             ("non-numeric count", &bad_count),

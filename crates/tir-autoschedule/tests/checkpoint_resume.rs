@@ -513,12 +513,11 @@ fn resume_traces_the_replayed_generations_too() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A checkpoint of the previous format (golden bytes written by the last
+/// A checkpoint of an older format (golden bytes written by the last
 /// commit that produced it, for exactly this sketch, machine and seed) is
 /// ignored cleanly: the run starts fresh, equals the uninterrupted result
 /// and leaves a current-format file behind.
-#[test]
-fn resume_ignores_a_v1_checkpoint() {
+fn assert_older_format_is_ignored(old: &[u8], name: &str) {
     let s = mm_sketch();
     let machine = Machine::sim_gpu();
     let base = TuneOptions {
@@ -526,16 +525,30 @@ fn resume_ignores_a_v1_checkpoint() {
         num_threads: 2,
         ..Default::default()
     };
-    let path = ckpt_path("v1.ckpt");
-    let v1 = include_bytes!("golden/checkpoint_v1.ckpt");
-    std::fs::write(&path, v1).expect("write");
+    let path = ckpt_path(&format!("{name}.ckpt"));
+    std::fs::write(&path, old).expect("write");
     let r = tune(&s, &machine, &checkpointed(&base, &path, None));
-    assert_eq!(r.resumed_from_generation, None, "v1 must not resume");
-    assert_bit_identical(&tune(&s, &machine, &base), &r, "fresh run over a v1 file");
-    assert_ne!(std::fs::read(&path).expect("rewritten"), v1);
+    assert_eq!(r.resumed_from_generation, None, "{name} must not resume");
+    let fresh = tune(&s, &machine, &base);
+    assert_bit_identical(&fresh, &r, &format!("fresh run over a {name} file"));
+    assert_ne!(std::fs::read(&path).expect("rewritten"), old);
     let again = tune(&s, &machine, &checkpointed(&base, &path, None));
     assert!(again.resumed_from_generation.is_some());
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn resume_ignores_a_v1_checkpoint() {
+    assert_older_format_is_ignored(include_bytes!("golden/checkpoint_v1.ckpt"), "v1");
+}
+
+/// A v2 file's context line is this run's own, but its hashes are of the
+/// structural hash's earlier encoding.
+#[test]
+fn resume_ignores_a_v2_checkpoint() {
+    let v2 = include_bytes!("golden/checkpoint_v2.ckpt");
+    assert!(v2.starts_with(b"tir-autoschedule-checkpoint v2\n"));
+    assert_older_format_is_ignored(v2, "v2");
 }
 
 /// A file cut short — at any of a few places, as a crash of a

@@ -11,17 +11,21 @@
 //! auto-scheduler's candidate-evaluation cache uses it to recognize that
 //! two distinct decision vectors materialized the same program and to skip
 //! re-measuring it.
+//!
+//! The hash is FNV-1a over an explicit, prefix-free encoding of the tree
+//! (`StructHasher`). Its values are the same across runs, threads and
+//! builds, but free to change between commits: a file that stores them
+//! carries a format version, as the search checkpoint does.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::fmt::{self, Write as _};
 use std::hash::BuildHasherDefault;
 
 use crate::buffer::{Buffer, BufferRegion, MemScope};
-use crate::dtype::{DataType, TypeCode};
-use crate::expr::{BinOp, CmpOp, Expr, IdHasher, Var};
+use crate::dtype::DataType;
+use crate::expr::{Expr, IdHasher, Var};
 use crate::func::PrimFunc;
-use crate::stmt::{AnnValue, Annotations, Block, BlockRealize, ForKind, IterKind, Stmt, ThreadTag};
+use crate::stmt::{AnnValue, Annotations, Block, BlockRealize, ForKind, Stmt};
 
 type IdMap<V> = HashMap<usize, V, BuildHasherDefault<IdHasher>>;
 
@@ -248,119 +252,22 @@ impl Matcher {
     }
 }
 
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// What feeding one fixed byte string does to any FNV-1a state, as a
-/// multiplication and a table lookup instead of a step per byte.
+/// FNV-1a over a prefix-free encoding of the program, with variables and
+/// buffers numbered by first occurrence so that alpha-equivalent programs
+/// produce identical hashes.
 ///
-/// A step is `s' = (s ^ b) * P`. The xor reaches only the low byte of `s`,
-/// and whatever sits above it is multiplied through unchanged, so by
-/// induction the state after `n` bytes is
-/// `(s & !0xff) * P^n + run[s & 0xff]`, where `run[l]` is the plain
-/// byte-by-byte result started from state `l`. The hasher feeds the same
-/// few strings (a `Debug` rendering behind its length, the zero bytes of a
-/// small `u64`) thousands of times per program; their tables are built at
-/// compile time.
-struct Fixed {
-    pow: u64,
-    run: [u64; 256],
-}
-
-impl Fixed {
-    /// The table for `head` followed by `tail`.
-    const fn new(head: &[u8], tail: &[u8]) -> Fixed {
-        let mut run = [0; 256];
-        let mut low = 0;
-        while low < run.len() {
-            let mut state = low as u64;
-            let mut i = 0;
-            while i < head.len() + tail.len() {
-                let b = if i < head.len() {
-                    head[i]
-                } else {
-                    tail[i - head.len()]
-                };
-                state = (state ^ b as u64).wrapping_mul(FNV_PRIME);
-                i += 1;
-            }
-            run[low] = state;
-            low += 1;
-        }
-        let mut pow: u64 = 1;
-        let mut i = 0;
-        while i < head.len() + tail.len() {
-            pow = pow.wrapping_mul(FNV_PRIME);
-            i += 1;
-        }
-        Fixed { pow, run }
-    }
-
-    /// The table for what [`StructHasher::str`] feeds for `s`: its length
-    /// as a little-endian `u64`, then its bytes.
-    const fn str(s: &str) -> Fixed {
-        Fixed::new(&(s.len() as u64).to_le_bytes(), s.as_bytes())
-    }
-}
-
-/// The compile-time [`Fixed`] table of [`StructHasher::str`] of a literal.
-macro_rules! fixed_str {
-    ($text:literal) => {{
-        static TABLE: Fixed = Fixed::str($text);
-        &TABLE
-    }};
-}
-
-/// Decimal digits of `v`, as `{v}` prints them.
-fn decimal(v: i64, buf: &mut [u8; 20]) -> &str {
-    let mut rest = v.unsigned_abs();
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
-    }
-    if v < 0 {
-        at -= 1;
-        buf[at] = b'-';
-    }
-    std::str::from_utf8(&buf[at..]).expect("ascii digits")
-}
-
-/// FNV-1a accumulator with first-occurrence numbering of variables and
-/// buffers, so alpha-equivalent programs produce identical hashes.
-///
-/// The byte stream is part of the on-disk formats (hash values are stored
-/// in search checkpoints and pinned by golden files): data types,
-/// operators, scopes, iterator and loop kinds and annotation values go in
-/// as the text their derived `Debug` prints. Those texts come from a
-/// handful of distinct values, so the `debug_*` methods below feed them
-/// from static [`Fixed`] tables instead of running a formatter into a
-/// fresh `String` per node; `debug_renderings_match_derived_debug` holds
-/// them to what `{:?}` prints.
+/// Every value is self-delimiting, so two different trees never feed the
+/// same byte stream: a tree node or an enum value is one tag byte (a
+/// `ThreadBinding` loop kind is followed by its
+/// [`ThreadTag`](crate::stmt::ThreadTag), a `Custom` scope and a string
+/// annotation by their text), text goes in behind its length, a data type
+/// as its code, bits and lanes, an integer as LEB128 (an `i64` zig-zagged
+/// first), a float literal as its 8 raw bytes, and every list — a buffer's
+/// shape too — behind its length.
 struct StructHasher {
     state: u64,
     vars: IdMap<u64>,
     bufs: IdMap<u64>,
-}
-
-/// Adapters that count, then feed, formatter output: the length prefix of
-/// [`StructHasher::str`] has to go in before the bytes.
-struct CountBytes(u64);
-impl fmt::Write for CountBytes {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 += s.len() as u64;
-        Ok(())
-    }
-}
-struct FeedBytes<'a>(&'a mut StructHasher);
-impl fmt::Write for FeedBytes<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0.bytes(s);
-        Ok(())
-    }
 }
 
 impl StructHasher {
@@ -375,157 +282,65 @@ impl StructHasher {
 
     fn byte(&mut self, b: u8) {
         self.state ^= b as u64;
-        self.state = self.state.wrapping_mul(FNV_PRIME);
+        self.state = self.state.wrapping_mul(0x100_0000_01b3);
     }
 
-    /// Feeds the bytes `table` was built from.
-    fn fixed(&mut self, table: &Fixed) {
-        let low = (self.state & 0xff) as usize;
-        self.state = (self.state & !0xff)
-            .wrapping_mul(table.pow)
-            .wrapping_add(table.run[low]);
+    /// LEB128: seven bits a byte, low bits first, the high bit set on every
+    /// byte but the last.
+    fn u64(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.byte(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.byte(v as u8);
     }
 
-    fn bytes(&mut self, s: &str) {
+    /// Zig-zagged, so that small negative values stay short too.
+    fn i64(&mut self, v: i64) {
+        self.u64(((v << 1) ^ (v >> 63)) as u64);
+    }
+
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
         for b in s.bytes() {
             self.byte(b);
         }
     }
 
-    fn u64(&mut self, v: u64) {
-        static ZEROS: Fixed = Fixed::new(&[0; 7], &[]);
-        match u8::try_from(v) {
-            // Lengths, first-occurrence numbers, most constants.
-            Ok(low) => {
-                self.byte(low);
-                self.fixed(&ZEROS);
+    fn dtype(&mut self, d: DataType) {
+        self.byte(d.code() as u8);
+        self.byte(d.bits());
+        self.u64(d.lanes().into());
+    }
+
+    fn scope(&mut self, scope: &MemScope) {
+        let tag = match scope {
+            MemScope::Global => 0,
+            MemScope::Shared => 1,
+            MemScope::Local => 2,
+            MemScope::Warp => 3,
+            MemScope::WmmaMatrixA => 4,
+            MemScope::WmmaMatrixB => 5,
+            MemScope::WmmaAccumulator => 6,
+            MemScope::Custom(_) => 7,
+        };
+        self.byte(tag);
+        if let MemScope::Custom(name) = scope {
+            self.str(name);
+        }
+    }
+
+    fn for_kind(&mut self, kind: ForKind) {
+        match kind {
+            ForKind::Serial => self.byte(0),
+            ForKind::Parallel => self.byte(1),
+            ForKind::Vectorized => self.byte(2),
+            ForKind::Unrolled => self.byte(3),
+            ForKind::ThreadBinding(thread) => {
+                self.byte(4);
+                self.byte(thread as u8);
             }
-            Err(_) => v.to_le_bytes().into_iter().for_each(|b| self.byte(b)),
         }
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.u64(v as u64);
-    }
-
-    fn str(&mut self, s: &str) {
-        self.str_parts(&[s]);
-    }
-
-    /// [`StructHasher::str`] of the concatenation of `parts`.
-    fn str_parts(&mut self, parts: &[&str]) {
-        self.u64(parts.iter().map(|p| p.len() as u64).sum());
-        for p in parts {
-            self.bytes(p);
-        }
-    }
-
-    /// `str(&format!("{v:?}"))` without the `String`: the formatter runs
-    /// twice, once to count. For the values that carry free text.
-    fn debug(&mut self, v: &dyn fmt::Debug) {
-        let mut len = CountBytes(0);
-        write!(len, "{v:?}").expect("counting cannot fail");
-        self.u64(len.0);
-        write!(FeedBytes(self), "{v:?}").expect("hashing cannot fail");
-    }
-
-    fn debug_dtype(&mut self, d: DataType) {
-        // The types programs are made of have a table each; any other is
-        // spelled out.
-        let table = match (d.code(), d.bits(), d.lanes()) {
-            (TypeCode::Int, 32, 1) => fixed_str!("DataType { code: Int, bits: 32, lanes: 1 }"),
-            (TypeCode::Int, 64, 1) => fixed_str!("DataType { code: Int, bits: 64, lanes: 1 }"),
-            (TypeCode::Int, 8, 1) => fixed_str!("DataType { code: Int, bits: 8, lanes: 1 }"),
-            (TypeCode::Float, 16, 1) => fixed_str!("DataType { code: Float, bits: 16, lanes: 1 }"),
-            (TypeCode::Float, 32, 1) => fixed_str!("DataType { code: Float, bits: 32, lanes: 1 }"),
-            (TypeCode::Bool, 1, 1) => fixed_str!("DataType { code: Bool, bits: 1, lanes: 1 }"),
-            _ => return self.spell_dtype(d),
-        };
-        self.fixed(table);
-    }
-
-    fn spell_dtype(&mut self, d: DataType) {
-        let code = match d.code() {
-            TypeCode::Int => "Int",
-            TypeCode::UInt => "UInt",
-            TypeCode::Float => "Float",
-            TypeCode::BFloat => "BFloat",
-            TypeCode::Bool => "Bool",
-            TypeCode::Handle => "Handle",
-        };
-        let (mut bits, mut lanes) = ([0; 20], [0; 20]);
-        self.str_parts(&[
-            "DataType { code: ",
-            code,
-            ", bits: ",
-            decimal(d.bits().into(), &mut bits),
-            ", lanes: ",
-            decimal(d.lanes().into(), &mut lanes),
-            " }",
-        ]);
-    }
-
-    fn debug_bin_op(&mut self, op: BinOp) {
-        self.fixed(match op {
-            BinOp::Add => fixed_str!("Add"),
-            BinOp::Sub => fixed_str!("Sub"),
-            BinOp::Mul => fixed_str!("Mul"),
-            BinOp::Div => fixed_str!("Div"),
-            BinOp::FloorDiv => fixed_str!("FloorDiv"),
-            BinOp::FloorMod => fixed_str!("FloorMod"),
-            BinOp::Min => fixed_str!("Min"),
-            BinOp::Max => fixed_str!("Max"),
-            BinOp::And => fixed_str!("And"),
-            BinOp::Or => fixed_str!("Or"),
-        });
-    }
-
-    fn debug_cmp_op(&mut self, op: CmpOp) {
-        self.fixed(match op {
-            CmpOp::Eq => fixed_str!("Eq"),
-            CmpOp::Ne => fixed_str!("Ne"),
-            CmpOp::Lt => fixed_str!("Lt"),
-            CmpOp::Le => fixed_str!("Le"),
-            CmpOp::Gt => fixed_str!("Gt"),
-            CmpOp::Ge => fixed_str!("Ge"),
-        });
-    }
-
-    fn debug_scope(&mut self, scope: &MemScope) {
-        self.fixed(match scope {
-            MemScope::Global => fixed_str!("Global"),
-            MemScope::Shared => fixed_str!("Shared"),
-            MemScope::Local => fixed_str!("Local"),
-            MemScope::Warp => fixed_str!("Warp"),
-            MemScope::WmmaMatrixA => fixed_str!("WmmaMatrixA"),
-            MemScope::WmmaMatrixB => fixed_str!("WmmaMatrixB"),
-            MemScope::WmmaAccumulator => fixed_str!("WmmaAccumulator"),
-            MemScope::Custom(_) => return self.debug(scope),
-        });
-    }
-
-    fn debug_iter_kind(&mut self, kind: IterKind) {
-        self.fixed(match kind {
-            IterKind::Spatial => fixed_str!("Spatial"),
-            IterKind::Reduce => fixed_str!("Reduce"),
-        });
-    }
-
-    fn debug_for_kind(&mut self, kind: ForKind) {
-        use ThreadTag::*;
-        self.fixed(match kind {
-            ForKind::Serial => fixed_str!("Serial"),
-            ForKind::Parallel => fixed_str!("Parallel"),
-            ForKind::Vectorized => fixed_str!("Vectorized"),
-            ForKind::Unrolled => fixed_str!("Unrolled"),
-            ForKind::ThreadBinding(BlockIdxX) => fixed_str!("ThreadBinding(BlockIdxX)"),
-            ForKind::ThreadBinding(BlockIdxY) => fixed_str!("ThreadBinding(BlockIdxY)"),
-            ForKind::ThreadBinding(BlockIdxZ) => fixed_str!("ThreadBinding(BlockIdxZ)"),
-            ForKind::ThreadBinding(ThreadIdxX) => fixed_str!("ThreadBinding(ThreadIdxX)"),
-            ForKind::ThreadBinding(ThreadIdxY) => fixed_str!("ThreadBinding(ThreadIdxY)"),
-            ForKind::ThreadBinding(ThreadIdxZ) => fixed_str!("ThreadBinding(ThreadIdxZ)"),
-            ForKind::ThreadBinding(Vthread) => fixed_str!("ThreadBinding(Vthread)"),
-        });
     }
 
     fn annotations(&mut self, annotations: &Annotations) {
@@ -533,8 +348,14 @@ impl StructHasher {
         for (k, v) in annotations {
             self.str(k);
             match v {
-                AnnValue::Int(i) => self.str_parts(&["Int(", decimal(*i, &mut [0; 20]), ")"]),
-                AnnValue::Str(_) => self.debug(v),
+                AnnValue::Int(i) => {
+                    self.byte(0);
+                    self.i64(*i);
+                }
+                AnnValue::Str(s) => {
+                    self.byte(1);
+                    self.str(s);
+                }
             }
         }
     }
@@ -556,8 +377,9 @@ impl StructHasher {
         let idx = *self.bufs.entry(b.id()).or_insert(n);
         self.tag(2);
         self.u64(idx);
-        self.debug_dtype(b.dtype());
-        self.debug_scope(b.scope());
+        self.dtype(b.dtype());
+        self.scope(b.scope());
+        self.u64(b.shape().len() as u64);
         for &d in b.shape() {
             self.i64(d);
         }
@@ -568,12 +390,14 @@ impl StructHasher {
             Expr::Int(v, d) => {
                 self.tag(10);
                 self.i64(*v);
-                self.debug_dtype(*d);
+                self.dtype(*d);
             }
             Expr::Float(v, d) => {
                 self.tag(11);
-                self.u64(v.to_bits());
-                self.debug_dtype(*d);
+                for b in v.to_bits().to_le_bytes() {
+                    self.byte(b);
+                }
+                self.dtype(*d);
             }
             Expr::Str(s) => {
                 self.tag(12);
@@ -585,18 +409,18 @@ impl StructHasher {
             }
             Expr::Cast(d, x) => {
                 self.tag(14);
-                self.debug_dtype(*d);
+                self.dtype(*d);
                 self.expr(x);
             }
             Expr::Bin(op, a, b) => {
                 self.tag(15);
-                self.debug_bin_op(*op);
+                self.byte(*op as u8);
                 self.expr(a);
                 self.expr(b);
             }
             Expr::Cmp(op, a, b) => {
                 self.tag(16);
-                self.debug_cmp_op(*op);
+                self.byte(*op as u8);
                 self.expr(a);
                 self.expr(b);
             }
@@ -621,7 +445,7 @@ impl StructHasher {
             Expr::Call { name, args, dtype } => {
                 self.tag(20);
                 self.str(name);
-                self.debug_dtype(*dtype);
+                self.dtype(*dtype);
                 self.u64(args.len() as u64);
                 for a in args {
                     self.expr(a);
@@ -647,7 +471,7 @@ impl StructHasher {
         for iv in &b.iter_vars {
             self.var(&iv.var);
             self.i64(iv.extent);
-            self.debug_iter_kind(iv.kind);
+            self.byte(iv.kind as u8);
         }
         self.u64(b.alloc_buffers.len() as u64);
         for buf in &b.alloc_buffers {
@@ -716,7 +540,7 @@ impl StructHasher {
             }
             Stmt::For(f) => {
                 self.tag(34);
-                self.debug_for_kind(f.kind);
+                self.for_kind(f.kind);
                 self.var(&f.var);
                 self.expr(&f.extent);
                 self.annotations(&f.annotations);
@@ -795,173 +619,213 @@ mod tests {
         assert!(!expr_structural_eq(&e1, &e3));
     }
 
-    #[test]
-    fn buffers_compare_by_shape_dtype_scope() {
-        let a1 = Buffer::new("A", DataType::float32(), vec![4]);
-        let a2 = Buffer::new("Z", DataType::float32(), vec![4]);
-        let a3 = Buffer::new("A", DataType::float16(), vec![4]);
-        let l = |b: &Buffer| b.load(vec![Expr::int(0)]);
-        assert!(expr_structural_eq(&l(&a1), &l(&a2)));
-        assert!(!expr_structural_eq(&l(&a1), &l(&a3)));
+    /// The best program of a 16-trial Ansor-strategy tune, on `sim_gpu`, of
+    /// a 32³ GMM (float16 operands, float32 accumulator) fused with a GELU
+    /// epilogue, as printed: thread bindings, block annotations,
+    /// allocations (one in the `Custom` scope `fused`), an `init`, casts,
+    /// an `erf` call, int and float literals.
+    const TUNED: &str = r#"@T.prim_func
+def gmm_gelu(A: T.Buffer((32, 32), "float16"), B: T.Buffer((32, 32), "float16"), D: T.Buffer((32, 32), "float32")):
+    C_s0 = T.alloc_buffer((32, 32), "float32", scope="fused")
+    A_shared = T.alloc_buffer((32, 32), "float16", scope="shared")
+    B_shared = T.alloc_buffer((32, 32), "float16", scope="shared")
+    for i0_i1_fused_0 in T.thread_binding(2, thread="blockIdx.x"):
+        for i0_i1_fused_1 in T.thread_binding(256, thread="threadIdx.x"):
+            for i0_i1_fused_2, k0_0, k0_1 in T.grid(2, 8, 4):
+                for ax0, ax1 in T.grid(1, 1):
+                    with T.block("B_shared"):
+                        v0 = T.axis.spatial(32, k0_0 * 4 + k0_1 + ax0)
+                        v1 = T.axis.spatial(32, ((i0_i1_fused_0 * 256 + i0_i1_fused_1) * 2 + i0_i1_fused_2) % 32 + ax1)
+                        T.reads(B[v0, v1])
+                        T.writes(B_shared[v0, v1])
+                        T.block_attr({"auto_copy": 1})
+                        T.block_attr({"tir.cooperative": 256})
+                        T.block_attr({"tir.copy": 1})
+                        B_shared[v0, v1] = B[v0, v1]
+                for ax0, ax1 in T.grid(1, 1):
+                    with T.block("A_shared"):
+                        v0 = T.axis.spatial(32, ((i0_i1_fused_0 * 256 + i0_i1_fused_1) * 2 + i0_i1_fused_2) // 32 + ax0)
+                        v1 = T.axis.spatial(32, k0_0 * 4 + k0_1 + ax1)
+                        T.reads(A[v0, v1])
+                        T.writes(A_shared[v0, v1])
+                        T.block_attr({"auto_copy": 1})
+                        T.block_attr({"tir.cooperative": 256})
+                        T.block_attr({"tir.copy": 1})
+                        A_shared[v0, v1] = A[v0, v1]
+                with T.block("C"):
+                    v0 = T.axis.spatial(32, ((i0_i1_fused_0 * 256 + i0_i1_fused_1) * 2 + i0_i1_fused_2) // 32)
+                    v1 = T.axis.spatial(32, ((i0_i1_fused_0 * 256 + i0_i1_fused_1) * 2 + i0_i1_fused_2) % 32)
+                    vk0 = T.axis.reduce(32, k0_0 * 4 + k0_1)
+                    T.reads(A_shared[v0, vk0], B_shared[vk0, v1])
+                    T.writes(C_s0[v0, v1])
+                    with T.init():
+                        C_s0[v0, v1] = 0.0
+                    C_s0[v0, v1] = C_s0[v0, v1] + T.cast(A_shared[v0, vk0], "float32") * T.cast(B_shared[vk0, v1], "float32")
+    for i0_i1_fused_0 in T.thread_binding(8, thread="blockIdx.x"):
+        for i0_i1_fused_1 in T.thread_binding(32, thread="threadIdx.x"):
+            for i0_i1_fused_2 in range(4):
+                with T.block("gelu0"):
+                    v0 = T.axis.spatial(32, ((i0_i1_fused_0 * 32 + i0_i1_fused_1) * 4 + i0_i1_fused_2) // 32)
+                    v1 = T.axis.spatial(32, ((i0_i1_fused_0 * 32 + i0_i1_fused_1) * 4 + i0_i1_fused_2) % 32)
+                    T.reads(C_s0[v0, v1])
+                    T.writes(D[v0, v1])
+                    D[v0, v1] = 0.5 * C_s0[v0, v1] * (1.0 + T.erf(C_s0[v0, v1] * 0.7071067811865476))
+"#;
+
+    fn parse(text: &str) -> PrimFunc {
+        crate::parser::parse_func(text).unwrap_or_else(|e| panic!("{e}\n{text}"))
     }
 
-    /// Regression: the matcher used to ignore a call's result type while
-    /// the hasher fed it, so programs it called equal hashed apart.
+    /// [`TUNED`] with the first `from` replaced by `to`.
+    fn edited(from: &str, to: &str) -> PrimFunc {
+        assert!(TUNED.contains(from), "{from}");
+        parse(&TUNED.replacen(from, to, 1))
+    }
+
+    /// `func` with `edit` applied to its expressions in walk order until
+    /// the first one it changes (it returns whether it did).
+    fn with_first_expr(func: &PrimFunc, edit: impl FnMut(&mut Expr) -> bool) -> PrimFunc {
+        use crate::visit::{ExprMutator, StmtMutator};
+        struct First<F>(F, bool);
+        impl<F: FnMut(&mut Expr) -> bool> ExprMutator for First<F> {
+            fn mutate_expr(&mut self, e: &mut Expr) {
+                if !self.1 {
+                    self.1 = (self.0)(e);
+                    self.walk_expr(e);
+                }
+            }
+        }
+        impl<F: FnMut(&mut Expr) -> bool> StmtMutator for First<F> {}
+        let mut body = Stmt::clone(&func.body);
+        let mut first = First(edit, false);
+        first.mutate_stmt(&mut body);
+        assert!(first.1, "no expression to edit");
+        PrimFunc::new(func.name.clone(), func.params.clone(), body)
+    }
+
+    /// Every field the matcher compares, changed alone in a tuned program,
+    /// separates it from the original under both `func_structural_eq` and
+    /// `structural_hash`; an alpha-renamed copy does not.
     #[test]
-    fn calls_differing_only_in_dtype_are_not_equal() {
-        let a = Buffer::new("A", DataType::float32(), vec![4]);
-        let call = |dtype| Expr::Call {
-            name: "exp".into(),
-            args: vec![a.load(vec![Expr::int(0)])],
-            dtype,
+    fn every_compared_field_separates_a_tuned_program() {
+        let tuned = parse(TUNED);
+        let renamed = [
+            ("vk0", "r"),
+            ("k0_", "kk"),
+            ("i0_i1_fused_", "t"),
+            // Buffers, not the blocks that share their names.
+            ("_shared[", "_smem["),
+            ("_shared = ", "_smem = "),
+            ("C_s0", "acc"),
+            ("D[", "Out["),
+            ("D: ", "Out: "),
+            ("gmm_gelu", "other"),
+        ]
+        .iter()
+        .fold(TUNED.to_string(), |text, (from, to)| {
+            assert!(text.contains(from), "{from}");
+            text.replace(from, to)
+        });
+        assert_ne!(renamed, TUNED);
+        let renamed = parse(&renamed);
+        assert!(func_structural_eq(&tuned, &renamed));
+        assert!(func_structural_eq(&renamed, &tuned));
+        assert_eq!(structural_hash(&tuned), structural_hash(&renamed));
+
+        let retyped = |pick: fn(&mut Expr) -> Option<&mut DataType>, to| {
+            with_first_expr(&tuned, move |e| pick(e).map(|d| *d = to).is_some())
         };
-        let func = |dtype| PrimFunc::new("f", vec![a.clone()], Stmt::Eval(call(dtype)));
-        let (as_f32, as_f16) = (func(DataType::float32()), func(DataType::float16()));
-        assert!(func_structural_eq(&as_f32, &func(DataType::float32())));
-        assert_ne!(structural_hash(&as_f32), structural_hash(&as_f16));
-        assert!(!func_structural_eq(&as_f32, &as_f16));
-        assert!(!expr_structural_eq(
-            &call(DataType::float32()),
-            &call(DataType::float16())
-        ));
-    }
-
-    /// A `Fixed` table takes any state where the byte-by-byte loop takes it.
-    #[test]
-    fn fixed_tables_match_bytewise_fnv() {
-        static TEXT: Fixed = Fixed::str("DataType { code: Int, bits: 32, lanes: 1 }");
-        static EMPTY: Fixed = Fixed::str("");
-        static ZEROS: Fixed = Fixed::new(&[0; 7], &[]);
-        let mut state: u64 = 0xcbf2_9ce4_8422_2325;
-        for round in 0..2000u64 {
-            // Every low byte, under changing upper bits.
-            state = (state.wrapping_mul(0x9e37_79b9_7f4a_7c15) & !0xff) | (round & 0xff);
-            let start = || StructHasher {
-                state,
-                ..StructHasher::new()
-            };
-            let (mut a, mut b) = (start(), start());
-            a.fixed(&TEXT);
-            b.u64(42);
-            b.bytes("DataType { code: Int, bits: 32, lanes: 1 }");
-            assert_eq!(a.state, b.state);
-            let (mut a, mut b) = (start(), start());
-            a.fixed(&EMPTY);
-            a.fixed(&ZEROS);
-            (0..15).for_each(|_| b.byte(0));
-            assert_eq!(a.state, b.state);
-            // `u64` takes the table for small values and the loop for large.
-            for v in [0, 1, 255, 256, u64::MAX, round << 20] {
-                let (mut a, mut b) = (start(), start());
-                a.u64(v);
-                v.to_le_bytes().into_iter().for_each(|x| b.byte(x));
-                assert_eq!(a.state, b.state, "u64({v})");
+        // The parser refuses a region of another rank than its buffer's.
+        let rank_three = {
+            let root = tuned.root_block().expect("a root block");
+            let old = root.alloc_buffers.iter().find(|b| b.name() == "A_shared");
+            let old = old.expect("A_shared").clone();
+            let new = Buffer::with_scope(
+                "A_shared",
+                old.dtype(),
+                vec![32, 32, 1],
+                old.scope().clone(),
+            );
+            let mut body = Stmt::clone(&tuned.body);
+            crate::visit::replace_buffers(&mut body, &HashMap::from([(old, new)]));
+            PrimFunc::new(tuned.name.clone(), tuned.params.clone(), body)
+        };
+        fn int(e: &mut Expr) -> Option<&mut DataType> {
+            match e {
+                // Not a predicate's `true`.
+                Expr::Int(_, d) if *d == DataType::int32() => Some(d),
+                _ => None,
             }
         }
-    }
-
-    /// The hasher feeds `Debug` renderings from static tables; every one
-    /// must feed exactly what `str(&format!("{v:?}"))` fed before.
-    #[test]
-    fn debug_renderings_match_derived_debug() {
-        fn same(fast: impl FnOnce(&mut StructHasher), v: &dyn fmt::Debug) {
-            let (mut a, mut b) = (StructHasher::new(), StructHasher::new());
-            fast(&mut a);
-            b.str(&format!("{v:?}"));
-            assert_eq!(a.state, b.state, "{v:?}");
-            let mut c = StructHasher::new();
-            c.debug(v);
-            assert_eq!(c.state, b.state, "two-pass formatter path, {v:?}");
-        }
-        let codes = [
-            TypeCode::Int,
-            TypeCode::UInt,
-            TypeCode::Float,
-            TypeCode::BFloat,
-            TypeCode::Bool,
-            TypeCode::Handle,
-        ];
-        for code in codes {
-            let widths = [
-                (1, 1),
-                (8, 1),
-                (8, 4),
-                (16, 1),
-                (32, 1),
-                (32, 16),
-                (64, 1),
-                (255, 65535),
-            ];
-            for (bits, lanes) in widths {
-                let d = DataType::new(code, bits, lanes);
-                same(|h| h.debug_dtype(d), &d);
+        fn float(e: &mut Expr) -> Option<&mut DataType> {
+            match e {
+                Expr::Float(_, d) => Some(d),
+                _ => None,
             }
         }
-        use BinOp::*;
-        for op in [Add, Sub, Mul, Div, FloorDiv, FloorMod, Min, Max, And, Or] {
-            same(|h| h.debug_bin_op(op), &op);
+        fn call(e: &mut Expr) -> Option<&mut DataType> {
+            match e {
+                Expr::Call { dtype, .. } => Some(dtype),
+                _ => None,
+            }
         }
-        for op in [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ] {
-            same(|h| h.debug_cmp_op(op), &op);
-        }
-        for kind in [IterKind::Spatial, IterKind::Reduce] {
-            same(|h| h.debug_iter_kind(kind), &kind);
-        }
-        let tags = [
-            ThreadTag::BlockIdxX,
-            ThreadTag::BlockIdxY,
-            ThreadTag::BlockIdxZ,
-            ThreadTag::ThreadIdxX,
-            ThreadTag::ThreadIdxY,
-            ThreadTag::ThreadIdxZ,
-            ThreadTag::Vthread,
+        let init =
+            "with T.init():\n                        C_s0[v0, v1] = 0.0\n                    ";
+        let variants = [
+            ("int literal dtype", retyped(int, DataType::int64())),
+            ("float literal dtype", retyped(float, DataType::float16())),
+            ("call dtype", retyped(call, DataType::float16())),
+            // The first allocation in `shared` is `A_shared`.
+            (
+                "buffer dtype",
+                edited(r#""float16", scope="s"#, r#""float32", scope="s"#),
+            ),
+            (
+                "buffer scope",
+                edited(r#"scope="shared""#, r#"scope="local""#),
+            ),
+            (
+                "buffer dims",
+                edited(r#"32), "float16", scope"#, r#"64), "float16", scope"#),
+            ),
+            ("buffer rank", rank_three),
+            (
+                "custom scope text",
+                edited(r#"scope="fused""#, r#"scope="fusex""#),
+            ),
+            ("for kind", edited("in range(4):", "in T.unroll(4):")),
+            ("thread tag", edited("threadIdx.x", "threadIdx.y")),
+            (
+                "annotation key",
+                edited("tir.cooperative", "tir.cooperating"),
+            ),
+            (
+                "annotation value",
+                edited(r#"cooperative": 256"#, r#"cooperative": 128"#),
+            ),
+            (
+                "annotation value kind",
+                edited(r#"copy": 1"#, r#"copy": "1""#),
+            ),
+            ("iter kind", edited("T.axis.reduce(", "T.axis.spatial(")),
+            (
+                "iter extent",
+                edited("T.axis.reduce(32,", "T.axis.reduce(64,"),
+            ),
+            ("block name", edited(r#""gelu0""#, r#""gelu1""#)),
+            ("init present", edited(init, "")),
         ];
-        let kinds = [
-            ForKind::Serial,
-            ForKind::Parallel,
-            ForKind::Vectorized,
-            ForKind::Unrolled,
-        ];
-        for kind in kinds.into_iter().chain(tags.map(ForKind::ThreadBinding)) {
-            same(|h| h.debug_for_kind(kind), &kind);
-        }
-        for name in [
-            "global",
-            "shared",
-            "local",
-            "warp",
-            "wmma.matrix_a",
-            "wmma.matrix_b",
-            "wmma.accumulator",
-            "arm.\"interleaved\"\n",
-        ] {
-            let scope = MemScope::from_name(name);
-            same(|h| h.debug_scope(&scope), &scope);
-        }
-        for value in [
-            AnnValue::Int(0),
-            AnnValue::Int(-17),
-            AnnValue::Int(i64::MIN),
-            AnnValue::Int(i64::MAX),
-            AnnValue::Str("warp".into()),
-            AnnValue::Str("a \"quoted\"\tvalue\\".into()),
-        ] {
-            let mut anns = Annotations::new();
-            anns.insert("k".into(), value.clone());
-            let mut a = StructHasher::new();
-            a.annotations(&anns);
-            let mut b = StructHasher::new();
-            b.u64(1);
-            b.str("k");
-            b.str(&format!("{value:?}"));
-            assert_eq!(a.state, b.state, "{value:?}");
+        for (field, variant) in &variants {
+            assert!(!func_structural_eq(&tuned, variant), "{field}: equal");
+            assert!(
+                !func_structural_eq(variant, &tuned),
+                "{field}: equal reversed"
+            );
+            assert_ne!(
+                structural_hash(&tuned),
+                structural_hash(variant),
+                "{field}: same hash"
+            );
         }
     }
 

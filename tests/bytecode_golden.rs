@@ -17,17 +17,20 @@
 //! `census` asserts what the compiler and the optimizer never emit on
 //! this corpus and prints, per mnemonic, how many programs emit it
 //! (`cargo test --test bytecode_golden -- --nocapture`).
+//! `equal_hashes_are_equal_programs` holds `structural_hash` to
+//! `func_structural_eq` on the same programs.
 //!
 //! Regenerate (only when lowering or optimization is *meant* to change)
 //! with `cargo test --test bytecode_golden -- --ignored`.
 
 mod corpus;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::OnceLock;
 
 use corpus::golden::{self, fnv1a};
 
+use tir::structural::{func_structural_eq, structural_hash};
 use tir::{DataType, PrimFunc};
 use tir_autoschedule::{build_sketches, Strategy};
 use tir_exec::machine::Machine;
@@ -187,6 +190,34 @@ fn listings() -> &'static [Listing] {
             })
             .collect()
     })
+}
+
+/// `structural_hash` against `func_structural_eq` on every program, in
+/// one pass: programs of one hash are equal to the first of them (and so,
+/// equality being an equivalence, to each other), and programs that print
+/// alike hash alike.
+#[test]
+fn equal_hashes_are_equal_programs() {
+    let mut by_hash: HashMap<u64, &PrimFunc> = HashMap::new();
+    let mut by_text: HashMap<String, u64> = HashMap::new();
+    for (label, func) in programs() {
+        let hash = structural_hash(func);
+        let first = *by_hash.entry(hash).or_insert(func);
+        assert!(
+            func_structural_eq(first, func),
+            "{label}: {hash:016x} is the hash of a different program"
+        );
+        let printed = *by_text.entry(func.to_string()).or_insert(hash);
+        assert_eq!(
+            printed, hash,
+            "{label}: printed like a program hashed apart"
+        );
+    }
+    let (n, distinct) = (programs().len(), by_hash.len());
+    assert!(
+        distinct < n,
+        "{distinct} hashes of {n} programs: none repeats"
+    );
 }
 
 fn golden_text() -> String {
