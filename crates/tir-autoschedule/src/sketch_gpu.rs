@@ -272,30 +272,60 @@ impl SketchRule for GpuTensorSketch {
 pub struct GpuScalarSketch {
     name: String,
     base: Schedule,
-    /// Leaf blocks to schedule: (name, spatial loops, reduce loops).
-    blocks: Vec<(String, usize, usize)>,
+    /// Leaf blocks to schedule, in apply order.
+    blocks: Vec<ScalarBlock>,
+}
+
+/// A block of [`GpuScalarSketch`] and the loop extents its decisions are
+/// cut against, read once from the unscheduled function.
+struct ScalarBlock {
+    name: String,
+    /// Its leading spatial loops: the nest `apply` fuses and binds.
+    n_spatial: usize,
+    /// Its reduction loops, which follow the spatial ones.
+    n_reduce: usize,
+    /// Extents of the spatial loops and of the first reduction loop (when
+    /// there is one), or the error reading them raised.
+    extents: Result<(Vec<i64>, Option<i64>), ScheduleError>,
 }
 
 impl GpuScalarSketch {
     /// Builds the sketch for every leaf block of `func`.
     pub fn new(func: &PrimFunc) -> Self {
+        let base = Schedule::new(func.clone());
         let mut blocks = Vec::new();
         tir::visit::for_each_block_realize(&func.body, &mut |br| {
             if br.block.name == "root" {
                 return;
             }
-            let spatial = br
+            let n_spatial = br
                 .block
                 .iter_vars
                 .iter()
                 .filter(|iv| iv.kind == tir::IterKind::Spatial)
                 .count();
-            let reduce = br.block.iter_vars.len() - spatial;
-            blocks.push((br.block.name.clone(), spatial, reduce));
+            let n_reduce = br.block.iter_vars.len() - n_spatial;
+            let extents = || -> Result<_, ScheduleError> {
+                let loops = base.get_loops(&base.get_block(&br.block.name)?)?;
+                let spatial: Vec<i64> = (loops[..n_spatial.min(loops.len())].iter())
+                    .map(|l| base.loop_extent(l))
+                    .collect::<Result<_, _>>()?;
+                let reduce = match loops.get(n_spatial) {
+                    Some(l) if n_reduce > 0 && !spatial.is_empty() => Some(base.loop_extent(l)?),
+                    _ => None,
+                };
+                Ok((spatial, reduce))
+            };
+            blocks.push(ScalarBlock {
+                name: br.block.name.clone(),
+                n_spatial,
+                n_reduce,
+                extents: extents(),
+            });
         });
         GpuScalarSketch {
             name: "gpu-scalar".to_string(),
-            base: Schedule::new(func.clone()),
+            base,
             blocks,
         }
     }
@@ -328,7 +358,50 @@ impl SketchRule for GpuScalarSketch {
             .collect()
     }
 
+    /// Per block, `[threads] [step] [k]` as `apply` uses them: the thread
+    /// count and serial step after both cuts of the fused spatial loop are
+    /// radix-aligned, and the reduction split factor, or 1 where it does
+    /// not divide the first reduction loop. A block `apply` skips (no
+    /// spatial loop, or extents that could not be read) reads nothing and
+    /// is `[1] [1] [1]`. `None` for a vector not shaped like the space.
+    fn effective(&self, decisions: &[Decision]) -> Option<Vec<Decision>> {
+        if decisions.len() != 3 * self.blocks.len() || decisions.iter().any(Vec::is_empty) {
+            return None;
+        }
+        let per_block = self.blocks.iter().zip(decisions.chunks(3));
+        let forms = per_block.flat_map(|(block, d)| {
+            let (threads, step, k) = match &block.extents {
+                Ok((spatial, reduce)) if !spatial.is_empty() => {
+                    // Serial register-tiling step below the thread loop:
+                    // both cut points of the three-way split must be
+                    // radix-aligned.
+                    let step = aligned_cut(spatial, d[1][0]);
+                    let outer_cut = aligned_cuts(spatial, step * d[0][0])
+                        .into_iter()
+                        .filter(|c| c % step == 0)
+                        .max()
+                        .unwrap_or(step);
+                    let k = match *reduce {
+                        Some(e) if d[2][0] > 1 && e % d[2][0] == 0 && e > d[2][0] => d[2][0],
+                        _ => 1,
+                    };
+                    ((outer_cut / step).max(1), step, k)
+                }
+                _ => (1, 1, 1),
+            };
+            [vec![threads], vec![step], vec![k]]
+        });
+        Some(forms.collect())
+    }
+
     fn apply(&self, decisions: &[Decision]) -> Result<PrimFunc, ScheduleError> {
+        let form = self.effective(decisions).ok_or_else(|| {
+            ScheduleError::Precondition(format!(
+                "{} decisions for {} blocks",
+                decisions.len(),
+                self.blocks.len()
+            ))
+        })?;
         let mut sch = self.base.clone();
         // Every validation of this candidate, speculative and final, goes
         // through one session: a step re-checks the blocks it changed.
@@ -339,36 +412,30 @@ impl SketchRule for GpuScalarSketch {
             tests::assert_fresh_verdict(func, &verdict);
             verdict
         };
-        let per_block: Vec<&[Decision]> = decisions.chunks(3).collect();
-        for ((name, n_spatial, n_reduce), d) in self.blocks.iter().zip(per_block) {
+        for (b, f) in self.blocks.iter().zip(form.chunks(3)) {
+            let (threads, step, k_factor) = (f[0][0], f[1][0], f[2][0]);
+            let (name, n_spatial) = (&b.name, b.n_spatial);
             let block = sch.get_block(name)?;
             let loops = sch.get_loops(&block)?;
-            let spatial: Vec<LoopRef> = loops[..(*n_spatial).min(loops.len())].to_vec();
+            let spatial: Vec<LoopRef> = loops[..n_spatial.min(loops.len())].to_vec();
             if spatial.is_empty() {
                 continue;
             }
+            let (extents, _) = b.extents.as_ref().map_err(Clone::clone)?;
+            debug_assert!(
+                (spatial.iter().map(|l| sch.loop_extent(l).ok()))
+                    .eq(extents.iter().map(|&e| Some(e))),
+                "block {name}: loops moved since the sketch read them"
+            );
             let reduce_loops: Vec<LoopRef> = loops
-                .get(*n_spatial..(*n_spatial + *n_reduce).min(loops.len()))
+                .get(n_spatial..(n_spatial + b.n_reduce).min(loops.len()))
                 .map(<[LoopRef]>::to_vec)
                 .unwrap_or_default();
-            let extents: Vec<i64> = spatial
-                .iter()
-                .map(|l| sch.loop_extent(l))
-                .collect::<Result<_, _>>()?;
             let fused = if spatial.len() > 1 {
                 sch.fuse(&spatial)?
             } else {
                 spatial[0].clone()
             };
-            // Serial register-tiling step below the thread loop: both cut
-            // points of the three-way split must be radix-aligned.
-            let step = aligned_cut(&extents, d[1][0]);
-            let outer_cut = aligned_cuts(&extents, step * d[0][0])
-                .into_iter()
-                .filter(|c| c % step == 0)
-                .max()
-                .unwrap_or(step);
-            let threads = (outer_cut / step).max(1);
             let parts = if step > 1 {
                 let p = sch.split(&fused, &[-1, threads, step])?;
                 vec![p[0].clone(), p[1].clone()]
@@ -417,9 +484,7 @@ impl SketchRule for GpuScalarSketch {
                 }
                 // Optional serial two-level reduction split (after staging
                 // so the staging loop reference stays valid).
-                let k_factor = d[2][0];
-                let extent = sch.loop_extent(&reduce_loops[0])?;
-                if k_factor > 1 && extent % k_factor == 0 && extent > k_factor {
+                if k_factor > 1 {
                     let _ = sch.split(&reduce_loops[0], &[-1, k_factor]);
                 }
             }
