@@ -38,6 +38,7 @@ use tensorir_bench::{print_table, registry};
 use tir::DataType;
 use tir_autoschedule::{tune_workload, Strategy, TuneOptions};
 use tir_exec::machine::Machine;
+use tir_exec::TimeBreakdown;
 use tir_tensorize::IntrinRegistry;
 use tir_trace::{is_well_formed_json, json_f64};
 use tir_workloads::{bench_suite, BenchCase, OpKind};
@@ -50,7 +51,7 @@ const CENSUS: &str = include_str!("../../tir-autoschedule/tests/golden/sim_censu
 
 /// The census's best total time per `(machine, operator)`, over every
 /// sketch: a candidate line is `seed compute memory launch ...` in f64 bits,
-/// priced `max(compute, memory) + launch` as `TimeBreakdown::total` adds.
+/// priced by [`TimeBreakdown::total`].
 fn census_ceilings() -> BTreeMap<(String, String), f64> {
     let mut best = BTreeMap::new();
     let mut key = None;
@@ -67,7 +68,12 @@ fn census_ceilings() -> BTreeMap<(String, String), f64> {
         let bits: Vec<f64> = (line.split(' ').skip(1).take(3))
             .map(|h| f64::from_bits(u64::from_str_radix(h, 16).expect("census bits")))
             .collect();
-        let total = bits[0].max(bits[1]) + bits[2];
+        let total = TimeBreakdown {
+            compute_s: bits[0],
+            memory_s: bits[1],
+            launch_s: bits[2],
+        }
+        .total();
         let slot = best
             .entry(key.clone().expect("a census header"))
             .or_insert(f64::INFINITY);

@@ -17,7 +17,7 @@
 //! | Stage | Reads | Writes | Traces |
 //! |---|---|---|---|
 //! | `propose` | elites, dedup set | dedup set | `search.evolve`, `search.proposed` |
-//! | `materialize` | proposals, build memo, candidate cache, quarantine | build memo, `invalid_filtered` | `search.sketch_instantiate`, `search.feature_extract`, `search.materialized`, `search.materialize_skipped`, `search.build_reused` |
+//! | `materialize` | proposals, candidate cache, quarantine | `invalid_filtered` | `search.sketch_instantiate`, `search.feature_extract`, `search.materialized`, `search.materialize_skipped` |
 //! | `score` | candidates, cost model | — | `search.model_rank` |
 //! | `select` | scores, quarantine | — | — |
 //! | `measure` | batch, checkpoint log | `tuning_cost_s`, checkpoint log | `search.measure`, `measure.*` |
@@ -86,39 +86,23 @@
 //! difference, and the trace counters `search.proposed`,
 //! `search.materialized` and `search.materialize_skipped` state it.
 //!
-//! # Effective decisions
-//!
-//! A sketch may read less of a decision vector than the vector holds: the
-//! scalar GPU sketch cuts its thread count and serial step to radix-aligned
-//! factors of the fused extents and drops a reduction split that does not
-//! divide, so many of its vectors denote one schedule.
-//! [`SketchRule::effective`] names what `apply` reads, and `apply` builds
-//! from that form alone, so two vectors with one form build one program.
-//! `materialize` keeps a memo from form to build (the program, its hash
-//! and features, or `None` for a failed build) for the whole tune. Before
-//! a wave fans out, the coordinator resolves in slot order which slots the
-//! memo holds or an earlier slot of the wave carries; only the first slot
-//! of a new form is built. A slot enters the memo only when the sequential
-//! scan consumes it, and the trace counter `search.build_reused` counts
-//! the consumed slots the memo answered, so counters and reports are the
-//! same at every thread count, and `apply` calls plus `build_reused` equal
-//! `search.materialized` at one thread. The dedup set stays keyed by the
-//! raw vectors: proposals, and with them the whole trajectory, do not
-//! change. A sketch that keeps the default (`None`) is built slot by slot.
-//!
 //! # Candidate cache
 //!
 //! Different decision vectors frequently materialize *structurally
-//! identical* programs (e.g. permuted tile factors of 1) that their
-//! effective forms do not reveal. A cache keyed by
+//! identical* programs (e.g. permuted tile factors of 1). A cache keyed by
 //! [`tir::structural::structural_hash`] recognizes them: on a hit,
 //! summarization, feature extraction, and the simulated hardware
 //! measurement are all skipped and the recorded measurement is reused.
 //! Because the simulator is deterministic, the reused value equals what
 //! re-measurement would produce, so the cache changes *only* the cost of
 //! tuning (wall-clock and simulated `tuning_cost_s`), never the result.
-//! The build memo sits in front of it: a reused build still asks the cache
-//! whether its measurement may be reused.
+//!
+//! A sketch may keep its own memo in front of this one: the scalar GPU
+//! sketch builds each schedule its decisions denote once and answers a
+//! repeated one from memory
+//! ([`GpuScalarSketch::effective`](crate::sketch_gpu::GpuScalarSketch::effective)).
+//! The search sees an `apply` call either way; the program it gets back is
+//! still hashed and looked up here.
 //!
 //! # Fault tolerance
 //!
@@ -403,7 +387,6 @@ struct CandidateEval {
 }
 
 /// A candidate program that was built and validated.
-#[derive(Clone)]
 struct Built {
     func: PrimFunc,
     hash: u64,
@@ -459,11 +442,6 @@ struct SearchState {
     cache: HashMap<u64, (Vec<f64>, f64)>,
     /// Structural hashes of deterministically failing candidates.
     quarantine: HashSet<u64>,
-    /// What `materialize` built for each effective decision vector
-    /// ([`SketchRule::effective`]) a consumed slot carried, `None` where the
-    /// build failed; a later slot with the same form is not built again.
-    /// The `cached` field of an entry is re-read on reuse.
-    built: HashMap<Vec<Decision>, Option<Built>>,
     /// Next generation to execute.
     generation: u64,
 }
@@ -611,28 +589,20 @@ fn propose(cx: &Ctx, state: &mut SearchState) -> Vec<Vec<Decision>> {
 /// many slots as are certainly still needed (at least one per worker);
 /// whatever a parallel wave evaluated past the slot a sequential scan stops
 /// at is dropped uncounted, so every thread count sees the same prefix. A
-/// slot whose effective form was built before, by a consumed slot of this
-/// tune or earlier in the wave, reuses that build instead. A panic while
-/// building a candidate makes it invalid. Returns what was built, without
-/// the invalid candidates when validation filters them.
+/// panic while building a candidate makes it invalid. Returns what was
+/// built, without the invalid candidates when validation filters them.
 fn materialize(
     cx: &Ctx,
     state: &mut SearchState,
     population: &[Vec<Decision>],
     stop_at: usize,
 ) -> Vec<CandidateEval> {
-    let cache = &state.cache;
-    let cached = |hash: u64| {
-        (cache.get(&hash))
-            .filter(|_| cx.opts.use_candidate_cache)
-            .map(|(features, t)| (features.clone(), *t))
-    };
-    let build = |_: usize, decisions: &&Vec<Decision>| {
+    let build = |_: usize, decisions: &Vec<Decision>| {
         let func = cx.sketch.apply(decisions).ok()?;
         let hash = structural_hash(&func);
-        let (features, cached) = match cached(hash) {
-            Some((features, t)) => (features, Some(t)),
-            None => (features_of_summary(&func, &summarize(&func)), None),
+        let (features, cached) = match state.cache.get(&hash) {
+            Some((features, t)) if cx.opts.use_candidate_cache => (features.clone(), Some(*t)),
+            _ => (features_of_summary(&func, &summarize(&func)), None),
         };
         Some(Built {
             func,
@@ -642,55 +612,19 @@ fn materialize(
         })
     };
     let mut evals: Vec<CandidateEval> = Vec::new();
-    let (mut selectable, mut reused) = (0usize, 0u64);
+    let mut selectable = 0usize;
     while selectable < stop_at && evals.len() < population.len() {
         let wave = (stop_at - selectable)
             .max(cx.threads)
             .min(population.len() - evals.len());
         let slots = &population[evals.len()..][..wave];
-        // Resolved here, before the fan-out: a form the memo holds, or one
-        // an earlier slot of the wave carries, is not built.
-        let forms: Vec<Option<Vec<Decision>>> =
-            slots.iter().map(|d| cx.sketch.effective(d)).collect();
-        let mut firsts = HashSet::new();
-        let jobs: Vec<&Vec<Decision>> = (slots.iter().zip(&forms))
-            .filter(|(_, form)| match form {
-                Some(form) => !state.built.contains_key(form) && firsts.insert(form),
-                None => true,
-            })
-            .map(|(decisions, _)| decisions)
-            .collect();
-        let mut fresh =
-            (try_parallel_map(&jobs, cx.threads, build).into_iter()).map(|r| r.ok().flatten());
-        for (decisions, form) in slots.iter().zip(forms) {
+        let built = try_parallel_map(slots, cx.threads, build);
+        for (r, decisions) in built.into_iter().zip(slots) {
             if selectable == stop_at {
                 break;
             }
-            let built = match form {
-                None => fresh.next().flatten(),
-                Some(form) => match state.built.get(&form) {
-                    Some(b) => {
-                        reused += 1;
-                        b.clone().map(|b| match cached(b.hash) {
-                            Some((features, t)) => Built {
-                                features,
-                                cached: Some(t),
-                                ..b
-                            },
-                            None => Built { cached: None, ..b },
-                        })
-                    }
-                    None => {
-                        let b = fresh.next().flatten();
-                        state.built.insert(form, b.clone());
-                        b
-                    }
-                },
-            };
-            let eval = CandidateEval {
-                decisions: decisions.clone(),
-                built,
-            };
+            let (decisions, built) = (decisions.clone(), r.ok().flatten());
+            let eval = CandidateEval { decisions, built };
             selectable += usize::from(eval.built.is_some() && !state.quarantined(&eval));
             evals.push(eval);
         }
@@ -703,7 +637,6 @@ fn materialize(
     let skipped = population.len() - evals.len();
     cx.count("search.materialized", evals.len() as u64);
     cx.count("search.materialize_skipped", skipped as u64);
-    cx.count("search.build_reused", reused);
     if cx.opts.validate_before_measure {
         evals.retain(|e| e.built.is_some());
     }

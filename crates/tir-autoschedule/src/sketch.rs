@@ -129,18 +129,6 @@ pub trait SketchRule: Send + Sync {
     /// search treats this as a filtered candidate.
     fn apply(&self, decisions: &[Decision]) -> Result<PrimFunc, ScheduleError>;
 
-    /// The decisions `apply` actually reads from `decisions`: two vectors
-    /// with the same effective form build the same program, or fail with
-    /// the same error. The search builds each form once per tune. `None`
-    /// (the default) means every vector is its own schedule.
-    ///
-    /// An implementation keeps `effective` idempotent and makes `apply`
-    /// read only the effective form, so that `apply(d)` and
-    /// `apply(effective(d))` agree by construction.
-    fn effective(&self, _decisions: &[Decision]) -> Option<Vec<Decision>> {
-        None
-    }
-
     /// Samples a full random decision vector.
     fn sample(&self, rng: &mut StdRng) -> Vec<Decision> {
         self.space().iter().map(|k| k.sample(rng)).collect()
@@ -172,8 +160,8 @@ pub trait SketchRule: Send + Sync {
 /// instrument behind the search's "how many `apply` calls per measured
 /// trial" figure (`compiler_microbench` rows `search/*`) and the tests of
 /// demand-driven materialization. Everything is forwarded to the wrapped
-/// sketch unchanged, `effective` included, so a search over the wrapper is
-/// the search over the sketch: it builds each effective form once.
+/// sketch unchanged, so a search over the wrapper is the search over the
+/// sketch.
 pub struct CountingSketch<'a> {
     inner: &'a dyn SketchRule,
     applies: AtomicUsize,
@@ -208,10 +196,6 @@ impl SketchRule for CountingSketch<'_> {
     fn apply(&self, decisions: &[Decision]) -> Result<PrimFunc, ScheduleError> {
         self.applies.fetch_add(1, Ordering::Relaxed);
         self.inner.apply(decisions)
-    }
-
-    fn effective(&self, decisions: &[Decision]) -> Option<Vec<Decision>> {
-        self.inner.effective(decisions)
     }
 
     fn sample(&self, rng: &mut StdRng) -> Vec<Decision> {

@@ -13,6 +13,9 @@
 //!   loops and bind them flat to the grid, leaving reductions serial; no
 //!   tensor intrinsics.
 
+use std::collections::HashMap;
+use std::sync::Mutex;
+
 use tir::{AnnValue, MemScope, PrimFunc, ThreadTag};
 use tir_schedule::{BlockRef, LoopRef, Schedule, ScheduleError};
 use tir_tensorize::{auto_tensorize, TensorIntrin};
@@ -269,11 +272,26 @@ impl SketchRule for GpuTensorSketch {
 }
 
 /// The scalar (Ansor/TVM-like) GPU sketch.
+///
+/// Many of its decision vectors denote one schedule: the thread count and
+/// serial step are cut to radix-aligned factors of the fused extents, and
+/// a reduction split that does not divide is dropped.
+/// [`GpuScalarSketch::effective`] names what a vector denotes, and `apply`
+/// builds from that form alone and keeps the build, so a repeated form is
+/// answered from memory with what a fresh build would return: the same
+/// program or the same error. The memo lives as long as the sketch (one
+/// tune, when [`crate::build_sketches`] made it) and holds one entry per
+/// distinct form asked for. Callers cannot tell it is there, so a wrapper
+/// that forwards `apply` keeps it.
 pub struct GpuScalarSketch {
     name: String,
     base: Schedule,
     /// Leaf blocks to schedule, in apply order.
     blocks: Vec<ScalarBlock>,
+    /// What `apply` built for each effective form it was asked for. Two
+    /// workers asking for a new form at once may both build it; the first
+    /// to finish is kept, and the two builds are equal by construction.
+    built: Mutex<HashMap<Vec<Decision>, Result<PrimFunc, ScheduleError>>>,
 }
 
 /// A block of [`GpuScalarSketch`] and the loop extents its decisions are
@@ -327,35 +345,8 @@ impl GpuScalarSketch {
             name: "gpu-scalar".to_string(),
             base,
             blocks,
+            built: Mutex::default(),
         }
-    }
-}
-
-impl SketchRule for GpuScalarSketch {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn space(&self) -> Vec<DecisionKind> {
-        // Per block: thread count, serial step, and reduction split — the
-        // flat scalar space is much larger than the tensorized one, which
-        // is exactly the paper's divide-and-conquer argument (§5.2).
-        self.blocks
-            .iter()
-            .flat_map(|_| {
-                [
-                    DecisionKind::Choice {
-                        options: vec![32, 64, 128, 256],
-                    },
-                    DecisionKind::Choice {
-                        options: vec![1, 2, 4, 8],
-                    },
-                    DecisionKind::Choice {
-                        options: vec![1, 2, 4, 8],
-                    },
-                ]
-            })
-            .collect()
     }
 
     /// Per block, `[threads] [step] [k]` as `apply` uses them: the thread
@@ -364,7 +355,7 @@ impl SketchRule for GpuScalarSketch {
     /// not divide the first reduction loop. A block `apply` skips (no
     /// spatial loop, or extents that could not be read) reads nothing and
     /// is `[1] [1] [1]`. `None` for a vector not shaped like the space.
-    fn effective(&self, decisions: &[Decision]) -> Option<Vec<Decision>> {
+    pub fn effective(&self, decisions: &[Decision]) -> Option<Vec<Decision>> {
         if decisions.len() != 3 * self.blocks.len() || decisions.iter().any(Vec::is_empty) {
             return None;
         }
@@ -394,14 +385,8 @@ impl SketchRule for GpuScalarSketch {
         Some(forms.collect())
     }
 
-    fn apply(&self, decisions: &[Decision]) -> Result<PrimFunc, ScheduleError> {
-        let form = self.effective(decisions).ok_or_else(|| {
-            ScheduleError::Precondition(format!(
-                "{} decisions for {} blocks",
-                decisions.len(),
-                self.blocks.len()
-            ))
-        })?;
+    /// Builds the program of an effective form; reads nothing else.
+    fn build(&self, form: &[Decision]) -> Result<PrimFunc, ScheduleError> {
         let mut sch = self.base.clone();
         // Every validation of this candidate, speculative and final, goes
         // through one session: a step re-checks the blocks it changed.
@@ -494,6 +479,51 @@ impl SketchRule for GpuScalarSketch {
     }
 }
 
+impl SketchRule for GpuScalarSketch {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn space(&self) -> Vec<DecisionKind> {
+        // Per block: thread count, serial step, and reduction split — the
+        // flat scalar space is much larger than the tensorized one, which
+        // is exactly the paper's divide-and-conquer argument (§5.2).
+        self.blocks
+            .iter()
+            .flat_map(|_| {
+                [
+                    DecisionKind::Choice {
+                        options: vec![32, 64, 128, 256],
+                    },
+                    DecisionKind::Choice {
+                        options: vec![1, 2, 4, 8],
+                    },
+                    DecisionKind::Choice {
+                        options: vec![1, 2, 4, 8],
+                    },
+                ]
+            })
+            .collect()
+    }
+
+    /// Builds `decisions`' effective form, once per form (see the type).
+    fn apply(&self, decisions: &[Decision]) -> Result<PrimFunc, ScheduleError> {
+        let form = self.effective(decisions).ok_or_else(|| {
+            ScheduleError::Precondition(format!(
+                "{} decisions for {} blocks",
+                decisions.len(),
+                self.blocks.len()
+            ))
+        })?;
+        let memo = || self.built.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(built) = memo().get(&form) {
+            return built.clone();
+        }
+        let built = self.build(&form);
+        memo().entry(form).or_insert(built).clone()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,7 +569,13 @@ mod tests {
                     crate::build_sketches(&case.func, machine, &reg, crate::Strategy::TensorIr);
                 for sketch in sketches {
                     for seed in 0..40 {
-                        let _ = sketch.apply(&sketch.sample(&mut StdRng::seed_from_u64(seed)));
+                        let d = sketch.sample(&mut StdRng::seed_from_u64(seed));
+                        // A fresh scalar sketch per vector: a shared one
+                        // answers a repeated form from its memo, unvalidated.
+                        let _ = match sketch.name() {
+                            "gpu-scalar" => GpuScalarSketch::new(&case.func).apply(&d),
+                            _ => sketch.apply(&d),
+                        };
                         vectors += 1;
                         scalar_vectors += usize::from(sketch.name() == "gpu-scalar");
                     }
@@ -665,6 +701,29 @@ mod tests {
             t_staged < t_unstaged,
             "staged {t_staged} should beat unstaged {t_unstaged}"
         );
+    }
+
+    #[test]
+    fn a_repeated_form_is_answered_from_the_memo() {
+        // A 16x16 spatial nest holds no more than 32 threads of 8 steps:
+        // 256 and 128 requested threads are cut to the same schedule.
+        let sketch = GpuScalarSketch::new(&mm16(16));
+        let a = vec![vec![256], vec![8], vec![1]];
+        let b = vec![vec![128], vec![8], vec![1]];
+        let c = vec![vec![32], vec![1], vec![1]];
+        let form = sketch.effective(&a);
+        assert_eq!(form, Some(vec![vec![32], vec![8], vec![1]]));
+        assert_eq!(sketch.effective(&b), form);
+        assert_ne!(sketch.effective(&c), form);
+        let (fa, fb) = (sketch.apply(&a).expect("a"), sketch.apply(&b).expect("b"));
+        assert!(
+            std::sync::Arc::ptr_eq(&fa.body, &fb.body),
+            "b was built again"
+        );
+        assert_eq!(sketch.built.lock().unwrap().len(), 1);
+        let fc = sketch.apply(&c).expect("c");
+        assert!(!std::sync::Arc::ptr_eq(&fa.body, &fc.body));
+        assert_eq!(sketch.built.lock().unwrap().len(), 2);
     }
 
     #[test]

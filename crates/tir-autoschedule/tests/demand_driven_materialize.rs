@@ -71,12 +71,6 @@ fn selected(r: &TuneResult) -> usize {
     r.trials_measured + r.wasted_measurements + r.failed_measurements
 }
 
-/// Candidates the search's memo of effective forms answered without a
-/// build.
-fn reused(report: &TraceReport) -> usize {
-    report.counter("search.build_reused") as usize
-}
-
 fn assert_counters_add_up(report: &TraceReport) {
     assert_eq!(
         report.counter("search.materialized") + report.counter("search.materialize_skipped"),
@@ -150,25 +144,21 @@ fn a_model_with_a_split_gets_the_whole_population() {
             ..Default::default()
         };
         let (r, applies, report) = counted(&sketch, &opts);
-        // A slot is answered by an `apply` call or by the memo, never both.
         let now = [
-            applies + reused(&report),
+            applies,
             selected(&r) + r.invalid_filtered,
             report.counter("search.proposed") as usize,
             report.counter("search.materialized") as usize,
         ];
-        let [answered, read, proposed, materialized] = std::array::from_fn(|i| now[i] - before[i]);
+        let [applies, read, proposed, materialized] = std::array::from_fn(|i| now[i] - before[i]);
         before = now;
         // Generation 0 has no samples, so it cannot rank whatever it built.
         if g > 0 && materialized == proposed {
-            assert_eq!(answered, proposed, "generation {g} ranks: build every slot");
-            eager += usize::from(answered > read);
+            assert_eq!(applies, proposed, "generation {g} ranks: build every slot");
+            eager += usize::from(applies > read);
         } else {
-            assert_eq!(
-                answered, read,
-                "generation {g} cannot rank: build the batch"
-            );
-            lazy += usize::from(answered < proposed);
+            assert_eq!(applies, read, "generation {g} cannot rank: build the batch");
+            lazy += usize::from(applies < proposed);
         }
     }
     assert!(
@@ -190,10 +180,10 @@ fn thread_count_changes_neither_result_nor_trace() {
         counted(&sketch, &opts)
     };
     let (serial, serial_applies, serial_report) = run(1);
-    let materialized = serial_report.counter("search.materialized") as usize;
-    assert_eq!(serial_applies + reused(&serial_report), materialized);
+    let materialized = serial_report.counter("search.materialized");
+    assert_eq!(serial_applies as u64, materialized);
     assert!(serial_report.counter("search.materialize_skipped") > 0);
-    assert!(materialized > selected(&serial) + serial.invalid_filtered);
+    assert!(materialized > (selected(&serial) + serial.invalid_filtered) as u64);
     for threads in [2usize, 4] {
         let (r, applies, report) = run(threads);
         assert_eq!(
@@ -212,8 +202,8 @@ fn thread_count_changes_neither_result_nor_trace() {
             "{threads} threads"
         );
         // A parallel wave may build slots past the sequential stopping
-        // slot; they are dropped, never counted, and never memoized.
-        assert!(applies + reused(&report) >= materialized);
+        // slot; they are dropped, never counted.
+        assert!(applies as u64 >= materialized);
     }
 }
 
@@ -272,9 +262,9 @@ enum Event {
     Rejected(u64),
 }
 
-/// Logs every `apply` call. It keeps `SketchRule::effective`'s default,
-/// so the search has no effective forms to memoize and builds every slot
-/// it consumes: the log sees each build, repeated programs included.
+/// Logs every `apply` call: the search makes one per slot it builds, and
+/// the scalar sketch answering a repeated form from its memo is still a
+/// call.
 struct LoggingSketch<'a> {
     inner: &'a dyn SketchRule,
     log: &'a Mutex<Vec<Event>>,
@@ -371,66 +361,4 @@ fn a_quarantined_prefix_candidate_pulls_one_slot_further() {
     // The scan never stalls on them: the whole budget is spent.
     assert_eq!(selected(&r), opts.trials);
     assert!(r.best.is_some());
-}
-
-#[test]
-fn a_repeated_effective_form_is_built_once_and_nothing_else_moves() {
-    // Many scalar C2D decision vectors collapse onto one schedule (the cuts
-    // must be radix-aligned on the fused extents), so the memo answers
-    // slots; without effective forms the same tune builds every one.
-    let c2d = bench_suite(DataType::float16())
-        .into_iter()
-        .find(|c| c.kind == OpKind::C2D)
-        .expect("suite case");
-    let sketch = GpuScalarSketch::new(&c2d.func);
-    // The logging wrapper keeps the default `effective`.
-    let log = Mutex::new(Vec::new());
-    let plain_sketch = LoggingSketch {
-        inner: &sketch,
-        log: &log,
-    };
-    let mut serial_json = String::new();
-    for num_threads in [1usize, 2, 16] {
-        let opts = TuneOptions {
-            trials: 40,
-            num_threads,
-            ..Default::default()
-        };
-        let (r, applies, report) = counted(&sketch, &opts);
-        // A wave holds at least one slot per worker, so sixteen build past
-        // a lazy generation's stopping slot. Those builds never enter the
-        // memo: it answers the same slots at every thread count.
-        if num_threads == 1 {
-            serial_json = report.to_json();
-        }
-        assert_eq!(report.to_json(), serial_json, "{num_threads} threads");
-        let (plain, plain_applies, plain_report) = counted(&plain_sketch, &opts);
-        let materialized = report.counter("search.materialized") as usize;
-        assert!(
-            reused(&report) > 0,
-            "{num_threads} threads: no form repeated"
-        );
-        assert_eq!(reused(&plain_report), 0);
-        if num_threads == 1 {
-            assert_eq!(applies + reused(&report), materialized);
-            assert_eq!(plain_applies, materialized);
-        }
-        assert!(applies < plain_applies);
-        assert_eq!(
-            r.best.as_ref().map(ToString::to_string),
-            plain.best.as_ref().map(ToString::to_string)
-        );
-        assert_eq!(r.best_time.to_bits(), plain.best_time.to_bits());
-        assert_eq!(r.tuning_cost_s.to_bits(), plain.tuning_cost_s.to_bits());
-        assert_eq!(r.history, plain.history);
-        assert_eq!(r.trials_measured, plain.trials_measured);
-        assert_eq!(r.invalid_filtered, plain.invalid_filtered);
-        assert_eq!(r.cache_hits, plain.cache_hits);
-        // The reports differ in `search.build_reused` alone.
-        let mut without = report.clone();
-        without
-            .counters
-            .retain(|(name, _)| name != "search.build_reused");
-        assert_eq!(without.to_json(), plain_report.to_json());
-    }
 }

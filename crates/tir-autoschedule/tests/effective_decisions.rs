@@ -1,16 +1,17 @@
-//! `SketchRule::effective` against `apply`, on the corpus of
-//! `sketch_apply_golden.rs`: every sketch `build_sketches` yields on the
-//! bench-suite families (float16 on `sim_gpu`, int8 on `sim_arm`,
-//! `Strategy::TensorIr`), 40 seeded decision vectors each, and for every
-//! one of them a mutation and a crossover with the next seed's vector —
-//! the two ways the search derives vectors it did not sample.
+//! `GpuScalarSketch::effective` against `apply`, on the scalar GPU part of
+//! the corpus of `sketch_apply_golden.rs`: the sketch `build_sketches`
+//! makes for each of the eight bench-suite float16 operators on `sim_gpu`,
+//! 40 seeded decision vectors each, and for every one of them a mutation
+//! and a crossover with the next seed's vector — the two ways the search
+//! derives vectors it did not sample.
 //!
-//! The search builds one program per effective form and hands it to every
-//! slot with that form, so the form must be *sound*: `apply(d)` and
-//! `apply(effective(d))` are structurally equal programs with equal hashes,
-//! or fail with the same error text; and `effective` is idempotent. It
-//! should also be *complete*, or the memo saves less than it could: on the
-//! scalar GPU sketch, distinct forms among the `Ok` candidates of an
+//! The sketch builds one program per effective form and answers every later
+//! vector with that form from memory, so the form must be *sound*: on fresh
+//! sketches, `apply(d)` and `apply(effective(d))` are structurally equal
+//! programs with equal hashes, or fail with the same error text; one sketch
+//! asked for every vector in turn (memo hits included) answers the same;
+//! and `effective` is idempotent. It should also be *complete*, or the memo
+//! saves less than it could: distinct forms among the `Ok` candidates of an
 //! operator are exactly its distinct programs. The table prints with
 //! `-- --nocapture`.
 
@@ -18,12 +19,11 @@ use std::collections::HashSet;
 
 use tir::structural::{func_structural_eq, structural_hash};
 use tir::{DataType, PrimFunc};
-use tir_autoschedule::{build_sketches, Decision, SketchRule, Strategy};
-use tir_exec::machine::Machine;
+use tir_autoschedule::sketch_gpu::GpuScalarSketch;
+use tir_autoschedule::{Decision, SketchRule};
 use tir_rand::rngs::StdRng;
 use tir_rand::SeedableRng;
 use tir_schedule::ScheduleError;
-use tir_tensorize::builtin_registry;
 use tir_workloads::bench_suite;
 
 const VECTORS_PER_SKETCH: u64 = 40;
@@ -52,52 +52,44 @@ fn outcome(r: &Result<PrimFunc, ScheduleError>) -> Result<u64, String> {
 
 #[test]
 fn effective_forms_build_what_their_vectors_build() {
-    let reg = builtin_registry();
-    let targets = [
-        ("sim_gpu", Machine::sim_gpu(), DataType::float16()),
-        ("sim_arm", Machine::sim_arm(), DataType::int8()),
-    ];
-    let (mut sketches, mut vectors, mut with_forms) = (0usize, 0usize, 0usize);
     let mut table = Vec::new();
-    for (machine_name, machine, dtype) in &targets {
-        for case in bench_suite(*dtype) {
-            for sketch in build_sketches(&case.func, machine, &reg, Strategy::TensorIr) {
-                let label = format!("{machine_name} {} {}", case.kind.label(), sketch.name());
-                let (mut forms, mut hashes) = (HashSet::new(), HashSet::new());
-                let mut ok = 0usize;
-                sketches += 1;
-                for d in corpus(sketch.as_ref()) {
-                    vectors += 1;
-                    let Some(form) = sketch.effective(&d) else {
-                        continue;
-                    };
-                    with_forms += 1;
-                    assert_eq!(
-                        sketch.effective(&form).as_ref(),
-                        Some(&form),
-                        "{label}: effective is not idempotent on {d:?}"
+    for case in bench_suite(DataType::float16()) {
+        let label = format!("sim_gpu {} gpu-scalar", case.kind.label());
+        let fresh = || GpuScalarSketch::new(&case.func);
+        let memoized = fresh();
+        let (mut forms, mut hashes) = (HashSet::new(), HashSet::new());
+        let (mut vectors, mut ok) = (0usize, 0usize);
+        for d in corpus(&memoized) {
+            vectors += 1;
+            let form = (memoized.effective(&d)).unwrap_or_else(|| panic!("{label}: no form"));
+            assert_eq!(
+                memoized.effective(&form).as_ref(),
+                Some(&form),
+                "{label}: effective is not idempotent on {d:?}"
+            );
+            let built = fresh().apply(&d);
+            let (from_form, answered) = (fresh().apply(&form), memoized.apply(&d));
+            for (other, what) in [(&from_form, "its form"), (&answered, "the memo")] {
+                assert_eq!(
+                    outcome(&built),
+                    outcome(other),
+                    "{label}: {d:?} (form {form:?}) and {what} disagree"
+                );
+                if let (Ok(a), Ok(b)) = (&built, other) {
+                    assert!(
+                        func_structural_eq(a, b),
+                        "{label}: {d:?} (form {form:?}) and {what} build different programs"
                     );
-                    let (built, from_form) = (sketch.apply(&d), sketch.apply(&form));
-                    assert_eq!(
-                        outcome(&built),
-                        outcome(&from_form),
-                        "{label}: {d:?} and its form {form:?} disagree"
-                    );
-                    if let (Ok(a), Ok(b)) = (&built, &from_form) {
-                        assert!(
-                            func_structural_eq(a, b),
-                            "{label}: {d:?} and {form:?} build different programs"
-                        );
-                        ok += 1;
-                        forms.insert(form);
-                        hashes.insert(structural_hash(a));
-                    }
-                }
-                if sketch.name() == "gpu-scalar" {
-                    table.push((label, ok, forms.len(), hashes.len()));
                 }
             }
+            if let Ok(func) = &built {
+                ok += 1;
+                forms.insert(form);
+                hashes.insert(structural_hash(func));
+            }
         }
+        assert_eq!(vectors, 3 * VECTORS_PER_SKETCH as usize);
+        table.push((label, ok, forms.len(), hashes.len()));
     }
     println!(
         "{:<22} {:>4} {:>6} {:>8}",
@@ -106,11 +98,7 @@ fn effective_forms_build_what_their_vectors_build() {
     for (label, ok, forms, programs) in &table {
         println!("{label:<22} {ok:>4} {forms:>6} {programs:>8}");
     }
-    // 32 sketches (16 per target), three vectors per seed.
-    assert_eq!((sketches, vectors), (32, 3_840));
-    // Every gpu-scalar vector has a form; no other sketch declares one.
     assert_eq!(table.len(), 8);
-    assert_eq!(with_forms, 8 * 3 * VECTORS_PER_SKETCH as usize);
     for (label, ok, forms, programs) in &table {
         assert!(*ok > 0, "{label}: no candidate built");
         assert_eq!(

@@ -19,9 +19,7 @@
 //! threads, which must agree on everything but the farm's makespan.
 //!
 //! The file was written by the single-function `tune_with` that the staged
-//! search replaced. The `trace=` hashes of the `gpu-scalar` and multi-sketch
-//! C2D runs moved once since, when the `search.build_reused` counter joined
-//! the report; no other field moved. Regenerate (only when the search is *meant* to change)
+//! search replaced. Regenerate (only when the search is *meant* to change)
 //! with `cargo test -p tir-autoschedule --test search_golden -- --ignored`.
 
 #[path = "../../../tests/corpus/golden.rs"]

@@ -176,10 +176,8 @@ fn render_report(
 }
 
 /// The `search.{proposed, materialized, materialize_skipped}` counters:
-/// candidates proposed after dedup, materialized (an `SketchRule::apply`
-/// call, or a build of the same effective form reused, which
-/// `search.build_reused` counts), and proposed but never built because
-/// selection could not have read them.
+/// candidates proposed after dedup, built (`SketchRule::apply` calls), and
+/// proposed but never built because selection could not have read them.
 fn materialize_counters(report: &TraceReport) -> (u64, u64, u64) {
     (
         report.counter("search.proposed"),
@@ -307,11 +305,10 @@ fn main() -> ExitCode {
         }
     }
     let (proposed, materialized, skipped) = materialize_counters(&report);
-    let applies = materialized - report.counter("search.build_reused");
     println!(
-        "  candidates: {proposed} proposed, {materialized} built ({applies} applies, the rest \
-         reused), {skipped} never built; {:.2} applies per measured trial",
-        applies as f64 / result.trials_measured.max(1) as f64
+        "  candidates: {proposed} proposed, {materialized} built, {skipped} never built; \
+         {:.2} applies per measured trial",
+        materialized as f64 / result.trials_measured.max(1) as f64
     );
     println!("  report written to {}", cfg.out);
 
