@@ -152,9 +152,13 @@ fn bench_ir_passes() {
 
 /// `SketchRule::apply` on the full bench-suite shapes: what one candidate
 /// of the search costs to build. Each row cycles through 16 seeded
-/// decision vectors that apply cleanly.
+/// decision vectors that apply cleanly. `gpu-scalar` keeps what its
+/// `apply` built, so its row calls a fresh `GpuScalarSketch` each time and
+/// times a build: the sketch's construction (a schedule over the
+/// unscheduled program and the loop extents it reads) plus one `apply`.
 fn bench_sketch_apply() {
-    use tir_autoschedule::{build_sketches, Decision, Strategy};
+    use tir_autoschedule::sketch_gpu::GpuScalarSketch;
+    use tir_autoschedule::{build_sketches, Decision, SketchRule, Strategy};
     use tir_rand::rngs::StdRng;
     use tir_rand::SeedableRng;
     use tir_workloads::{bench_suite, OpKind};
@@ -201,7 +205,11 @@ fn bench_sketch_apply() {
         let mut next = 0usize;
         bench_function(&format!("schedule/sketch_apply_{row}"), || {
             next = (next + 1) % decisions.len();
-            sketch.apply(&decisions[next]).unwrap()
+            match sketch_name {
+                "gpu-scalar" => GpuScalarSketch::new(&case.func).apply(&decisions[next]),
+                _ => sketch.apply(&decisions[next]),
+            }
+            .unwrap()
         });
     }
 }

@@ -37,17 +37,19 @@
 //! journal, the wire protocol and the `&str`-keyed API (`lookup`, `peek`,
 //! `insert`) carry. Building it prints the whole program, so the database
 //! keeps a *fingerprint index* in front of it:
-//! [`tir::structural::structural_hash`] of a program → the programs with
-//! that hash known to print to a stored key, each confirmed by
-//! [`tir::structural::func_structural_eq`] before it is believed (a 64-bit
-//! collision falls through to the text key; it can never serve another
-//! workload's record). [`TuningDatabase::key_of`] asks the index,
+//! [`tir::structural::structural_hash`] of a program → the structural
+//! streams ([`tir::structural::structural_stream`]) of the programs with
+//! that hash known to print to a stored key. A bucket entry is believed
+//! only after [`tir::structural::matches_stream`] confirms the program
+//! against its stream, which is structural equality (a 64-bit collision
+//! falls through to the text key; it can never serve another workload's
+//! record). [`TuningDatabase::key_of`] asks the index,
 //! [`TuningDatabase::remember_key`] teaches it, and
 //! [`TuningDatabase::tune_cached`] does both, so [`workload_key`] runs about
 //! once per distinct workload per process instead of once per request. The
-//! index only ever holds programs whose key has a stored record, so it
-//! cannot outgrow the database by more than the alpha-variants callers
-//! actually present; it is never persisted.
+//! index only ever holds streams of programs whose key has a stored record,
+//! so it cannot outgrow the database by more than the alpha-variants
+//! callers actually present; it is never persisted.
 //!
 //! ```
 //! use tir_autoschedule::database::TuningDatabase;
@@ -65,7 +67,7 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use tir::parser::parse_func;
-use tir::structural::{func_structural_eq, structural_hash};
+use tir::structural::{matches_stream, structural_hash, structural_stream};
 use tir::PrimFunc;
 use tir_exec::machine::Machine;
 use tir_tensorize::IntrinRegistry;
@@ -386,6 +388,9 @@ impl Stored {
     }
 }
 
+/// A program's [`structural_stream`], as the fingerprint index keeps it.
+type Stream = Box<[u8]>;
+
 /// A database of tuning records keyed by
 /// `(machine, strategy, workload fingerprint)`, with optional on-disk
 /// persistence (see the module docs for the format guarantees, and for
@@ -395,9 +400,10 @@ pub struct TuningDatabase {
     /// Text key → the records of that workload, one per (machine,
     /// strategy) it was tuned for: a handful at most, scanned in place.
     records: HashMap<Arc<str>, Vec<Stored>>,
-    /// Fingerprint index: structural hash → the programs with that hash
-    /// known to print to a key of `records` (which the `Arc` shares).
-    index: HashMap<u64, Vec<(PrimFunc, Arc<str>)>>,
+    /// Fingerprint index: structural hash → the structural streams of the
+    /// programs with that hash known to print to a key of `records` (which
+    /// the `Arc` shares).
+    index: HashMap<u64, Vec<(Stream, Arc<str>)>>,
     len: usize,
     hits: usize,
     misses: usize,
@@ -524,7 +530,7 @@ impl TuningDatabase {
 
     /// The text key of `func` — [`workload_key`]`(func)` — if the
     /// fingerprint index knows the program: one hash walk, one probe, one
-    /// structural comparison, no printing. `None` means only
+    /// compare walk against a stored stream, no printing. `None` means only
     /// that the index has not met this program; the caller computes the
     /// key and offers it through [`TuningDatabase::remember_key`].
     ///
@@ -544,7 +550,7 @@ impl TuningDatabase {
         self.index
             .get(&structural_hash(func))?
             .iter()
-            .find(|(known, _)| func_structural_eq(known, func))
+            .find(|(known, _)| matches_stream(func, known))
             .map(|(_, key)| key.clone())
     }
 
@@ -558,8 +564,8 @@ impl TuningDatabase {
             return;
         };
         let known = self.index.entry(structural_hash(func)).or_default();
-        if !known.iter().any(|(k, _)| func_structural_eq(k, func)) {
-            known.push((func.clone(), key.clone()));
+        if !known.iter().any(|(k, _)| matches_stream(func, k)) {
+            known.push((structural_stream(func).into(), key.clone()));
         }
     }
 
@@ -574,7 +580,7 @@ impl TuningDatabase {
     /// a search ran.
     ///
     /// A warm hit on a program the index knows costs a hash walk, a
-    /// comparison walk, two probes and a reference-count increment: the
+    /// compare walk, two probes and a reference-count increment: the
     /// returned `best` shares its body with the stored record.
     pub fn tune_cached(
         &mut self,

@@ -24,9 +24,9 @@
 //!
 //! * Lock order is `inflight` before `queue`; the database lock is
 //!   never held together with either.
-//! * The database lock covers probes (the fingerprint index's hash and
-//!   comparison walks among them), reference-count clones and one journal
-//!   append at a time — never a pretty-print, a deep program copy or a
+//! * The database lock covers probes (the fingerprint index's hash,
+//!   compare and stream walks among them), reference-count clones and one
+//!   journal append at a time — never a pretty-print, a deep program copy or a
 //!   sleep: text keys and journal entries are built before it is taken,
 //!   replies are printed after it is released, and a publish that has to
 //!   retry re-acquires it per attempt, backing off outside it.

@@ -5,19 +5,27 @@
 //! tests: a transformation and its hand-written expected output never share
 //! variable identities, so plain `==` would always fail.
 //!
-//! [`structural_hash`] is the companion hash: alpha-equivalent programs
-//! hash identically (variables and buffers are numbered by first
-//! occurrence), so it can key caches of per-program results. The
-//! auto-scheduler's candidate-evaluation cache uses it to recognize that
-//! two distinct decision vectors materialized the same program and to skip
-//! re-measuring it.
+//! One encoder defines that identity: it writes a program as an explicit,
+//! prefix-free byte stream, variables and buffers numbered by first
+//! occurrence (`Encoder`). Two programs are structurally equal exactly
+//! when their streams are equal — equal streams number their variables and
+//! buffers alike, which pairs them one to one. The encoder feeds three
+//! consumers, so they cannot disagree:
 //!
-//! The hash is FNV-1a over an explicit, prefix-free encoding of the tree
-//! (`StructHasher`). Its values are the same across runs, threads and
-//! builds, but free to change between commits: a file that stores them
-//! carries a format version, as the search checkpoint does.
+//! * an FNV-1a fold, [`structural_hash`], which keys caches of per-program
+//!   results (the auto-scheduler's candidate-evaluation cache recognizes
+//!   that two decision vectors materialized the same program, the tuning
+//!   database that a workload was tuned before);
+//! * a byte vector, [`structural_stream`], the stream itself;
+//! * a comparison against a recorded stream, [`matches_stream`], which
+//!   builds no stream of its own.
+//!
+//! [`func_structural_eq`] and [`stmt_structural_eq`] record one side and
+//! compare the other against it. The stream and its hash are the same
+//! across runs, threads and builds, but free to change between commits: a
+//! file that stores hashes carries a format version, as the search
+//! checkpoint does.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
@@ -25,236 +33,61 @@ use crate::buffer::{Buffer, BufferRegion, MemScope};
 use crate::dtype::DataType;
 use crate::expr::{Expr, IdHasher, Var};
 use crate::func::PrimFunc;
-use crate::stmt::{AnnValue, Annotations, Block, BlockRealize, ForKind, Stmt};
+use crate::stmt::{AnnValue, Annotations, Block, ForKind, Stmt};
 
 type IdMap<V> = HashMap<usize, V, BuildHasherDefault<IdHasher>>;
 
-/// A one-to-one pairing of the ids met on the two sides of a comparison,
-/// in one map: key `2a` holds the partner of left id `a`, key `2b + 1`
-/// the partner of right id `b`.
-struct Pairing(IdMap<usize>);
-
-impl Pairing {
-    /// An empty pairing with room for `pairs` pairs.
-    fn with_room(pairs: usize) -> Self {
-        Pairing(IdMap::with_capacity_and_hasher(
-            2 * pairs,
-            Default::default(),
-        ))
-    }
-
-    /// Whether `a` (left) and `b` (right) are partners, pairing them when
-    /// neither has one yet.
-    fn pair(&mut self, a: usize, b: usize) -> bool {
-        if let Some(&partner) = self.0.get(&(2 * a)) {
-            return partner == b;
-        }
-        match self.0.entry(2 * b + 1) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(slot) => {
-                slot.insert(a);
-                self.0.insert(2 * a, b);
-                true
-            }
-        }
-    }
+/// Where the encoder's bytes go.
+trait Sink {
+    fn byte(&mut self, b: u8);
 }
 
-/// Compares two trees in one walk. Variables and buffers must pair one to
-/// one — what numbering each side by first occurrence, as [`StructHasher`]
-/// does, and comparing the numbers decides — so the comparison is
-/// symmetric, and it looks at exactly what the hash feeds (float literals
-/// by their bits).
-struct Matcher {
-    vars: Pairing,
-    bufs: Pairing,
-}
+/// FNV-1a, 64-bit.
+struct Fnv(u64);
 
-impl Matcher {
-    /// Room for 32 variables and 8 buffers a side, more than most kernels
-    /// have: growing the maps mid-walk costs more than the walk.
+impl Fnv {
     fn new() -> Self {
-        Matcher {
-            vars: Pairing::with_room(32),
-            bufs: Pairing::with_room(8),
-        }
-    }
-
-    fn var(&mut self, a: &Var, b: &Var) -> bool {
-        self.vars.pair(a.id(), b.id())
-    }
-
-    fn buffer(&mut self, a: &Buffer, b: &Buffer) -> bool {
-        if a.dtype() != b.dtype() || a.shape() != b.shape() || a.scope() != b.scope() {
-            return false;
-        }
-        self.bufs.pair(a.id(), b.id())
-    }
-
-    fn exprs(&mut self, a: &[Expr], b: &[Expr]) -> bool {
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| self.expr(x, y))
-    }
-
-    fn expr(&mut self, a: &Expr, b: &Expr) -> bool {
-        match (a, b) {
-            (Expr::Int(x, dx), Expr::Int(y, dy)) => x == y && dx == dy,
-            (Expr::Float(x, dx), Expr::Float(y, dy)) => x.to_bits() == y.to_bits() && dx == dy,
-            (Expr::Str(x), Expr::Str(y)) => x == y,
-            (Expr::Var(x), Expr::Var(y)) => self.var(x, y),
-            (Expr::Cast(dx, x), Expr::Cast(dy, y)) => dx == dy && self.expr(x, y),
-            (Expr::Bin(ox, ax, bx), Expr::Bin(oy, ay, by)) => {
-                ox == oy && self.expr(ax, ay) && self.expr(bx, by)
-            }
-            (Expr::Cmp(ox, ax, bx), Expr::Cmp(oy, ay, by)) => {
-                ox == oy && self.expr(ax, ay) && self.expr(bx, by)
-            }
-            (Expr::Not(x), Expr::Not(y)) => self.expr(x, y),
-            (
-                Expr::Select {
-                    cond: cx,
-                    then: tx,
-                    other: ox,
-                },
-                Expr::Select {
-                    cond: cy,
-                    then: ty,
-                    other: oy,
-                },
-            ) => self.expr(cx, cy) && self.expr(tx, ty) && self.expr(ox, oy),
-            (
-                Expr::Load {
-                    buffer: bx,
-                    indices: ix,
-                },
-                Expr::Load {
-                    buffer: by,
-                    indices: iy,
-                },
-            ) => self.buffer(bx, by) && self.exprs(ix, iy),
-            (
-                Expr::Call {
-                    name: nx,
-                    args: ax,
-                    dtype: dx,
-                },
-                Expr::Call {
-                    name: ny,
-                    args: ay,
-                    dtype: dy,
-                },
-            ) => nx == ny && dx == dy && self.exprs(ax, ay),
-            _ => false,
-        }
-    }
-
-    fn region(&mut self, a: &BufferRegion, b: &BufferRegion) -> bool {
-        self.buffer(&a.buffer, &b.buffer)
-            && a.region.len() == b.region.len()
-            && a.region
-                .iter()
-                .zip(&b.region)
-                .all(|(x, y)| self.expr(&x.min, &y.min) && self.expr(&x.extent, &y.extent))
-    }
-
-    fn block(&mut self, a: &Block, b: &Block) -> bool {
-        if a.name != b.name
-            || a.iter_vars.len() != b.iter_vars.len()
-            || a.reads.len() != b.reads.len()
-            || a.writes.len() != b.writes.len()
-            || a.alloc_buffers.len() != b.alloc_buffers.len()
-            || a.init.is_some() != b.init.is_some()
-            || a.annotations != b.annotations
-        {
-            return false;
-        }
-        for (x, y) in a.iter_vars.iter().zip(&b.iter_vars) {
-            if x.extent != y.extent || x.kind != y.kind || !self.var(&x.var, &y.var) {
-                return false;
-            }
-        }
-        for (x, y) in a.alloc_buffers.iter().zip(&b.alloc_buffers) {
-            if !self.buffer(x, y) {
-                return false;
-            }
-        }
-        for (x, y) in a.reads.iter().zip(&b.reads) {
-            if !self.region(x, y) {
-                return false;
-            }
-        }
-        for (x, y) in a.writes.iter().zip(&b.writes) {
-            if !self.region(x, y) {
-                return false;
-            }
-        }
-        if let (Some(ix), Some(iy)) = (&a.init, &b.init) {
-            if !self.stmt(ix, iy) {
-                return false;
-            }
-        }
-        self.stmt(&a.body, &b.body)
-    }
-
-    fn realize(&mut self, a: &BlockRealize, b: &BlockRealize) -> bool {
-        self.exprs(&a.iter_values, &b.iter_values)
-            && self.expr(&a.predicate, &b.predicate)
-            && self.block(&a.block, &b.block)
-    }
-
-    fn stmt(&mut self, a: &Stmt, b: &Stmt) -> bool {
-        match (a, b) {
-            (
-                Stmt::Store {
-                    buffer: bx,
-                    indices: ix,
-                    value: vx,
-                },
-                Stmt::Store {
-                    buffer: by,
-                    indices: iy,
-                    value: vy,
-                },
-            ) => self.buffer(bx, by) && self.exprs(ix, iy) && self.expr(vx, vy),
-            (Stmt::Eval(x), Stmt::Eval(y)) => self.expr(x, y),
-            (Stmt::Seq(x), Stmt::Seq(y)) => {
-                x.len() == y.len() && x.iter().zip(y).all(|(sx, sy)| self.stmt(sx, sy))
-            }
-            (
-                Stmt::IfThenElse {
-                    cond: cx,
-                    then_branch: tx,
-                    else_branch: ex,
-                },
-                Stmt::IfThenElse {
-                    cond: cy,
-                    then_branch: ty,
-                    else_branch: ey,
-                },
-            ) => {
-                self.expr(cx, cy)
-                    && self.stmt(tx, ty)
-                    && match (ex, ey) {
-                        (Some(x), Some(y)) => self.stmt(x, y),
-                        (None, None) => true,
-                        _ => false,
-                    }
-            }
-            (Stmt::For(x), Stmt::For(y)) => {
-                x.kind == y.kind
-                    && x.annotations == y.annotations
-                    && self.var(&x.var, &y.var)
-                    && self.expr(&x.extent, &y.extent)
-                    && self.stmt(&x.body, &y.body)
-            }
-            (Stmt::BlockRealize(x), Stmt::BlockRealize(y)) => self.realize(x, y),
-            _ => false,
-        }
+        // The offset basis.
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
 }
 
-/// FNV-1a over a prefix-free encoding of the program, with variables and
-/// buffers numbered by first occurrence so that alpha-equivalent programs
-/// produce identical hashes.
+impl Sink for Fnv {
+    fn byte(&mut self, b: u8) {
+        self.0 ^= b as u64;
+        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn byte(&mut self, b: u8) {
+        self.push(b);
+    }
+}
+
+/// A comparison against a recorded stream: the bytes still to be met,
+/// `None` once one differed.
+struct Expect<'a>(Option<&'a [u8]>);
+
+impl Expect<'_> {
+    /// Whether the walk fed exactly the recorded stream.
+    fn matched(&self) -> bool {
+        self.0 == Some(&[])
+    }
+}
+
+impl Sink for Expect<'_> {
+    fn byte(&mut self, b: u8) {
+        self.0 = match self.0 {
+            Some([first, rest @ ..]) if *first == b => Some(rest),
+            _ => None,
+        };
+    }
+}
+
+/// Writes a prefix-free encoding of a program to a [`Sink`], with
+/// variables and buffers numbered by first occurrence so that
+/// alpha-equivalent programs produce identical streams.
 ///
 /// Every value is self-delimiting, so two different trees never feed the
 /// same byte stream: a tree node or an enum value is one tag byte (a
@@ -263,26 +96,26 @@ impl Matcher {
 /// annotation by their text), text goes in behind its length, a data type
 /// as its code, bits and lanes, an integer as LEB128 (an `i64` zig-zagged
 /// first), a float literal as its 8 raw bytes, and every list — a buffer's
-/// shape too — behind its length.
-struct StructHasher {
-    state: u64,
+/// shape too — behind its length. Names are not encoded.
+struct Encoder<S> {
+    sink: S,
     vars: IdMap<u64>,
     bufs: IdMap<u64>,
 }
 
-impl StructHasher {
-    fn new() -> Self {
-        StructHasher {
-            // FNV-1a 64-bit offset basis.
-            state: 0xcbf2_9ce4_8422_2325,
-            vars: IdMap::default(),
-            bufs: IdMap::default(),
+impl<S: Sink> Encoder<S> {
+    /// Room for 32 variables and 8 buffers, more than most kernels have:
+    /// growing the maps mid-walk costs more than the walk.
+    fn new(sink: S) -> Self {
+        Encoder {
+            sink,
+            vars: IdMap::with_capacity_and_hasher(32, Default::default()),
+            bufs: IdMap::with_capacity_and_hasher(8, Default::default()),
         }
     }
 
     fn byte(&mut self, b: u8) {
-        self.state ^= b as u64;
-        self.state = self.state.wrapping_mul(0x100_0000_01b3);
+        self.sink.byte(b);
     }
 
     /// LEB128: seven bits a byte, low bits first, the high bit set on every
@@ -557,44 +390,58 @@ impl StructHasher {
             }
         }
     }
-}
 
-/// Alpha-invariant structural hash of a function.
-///
-/// Guarantees `func_structural_eq(a, b)` implies
-/// `structural_hash(a) == structural_hash(b)`: both number variables and
-/// buffers by first occurrence rather than identity or name, and compare
-/// or feed float literals by their bits. Collisions between
-/// structurally different programs are possible but 2^-64-unlikely; the
-/// auto-scheduler uses the hash to key its candidate-evaluation cache.
-pub fn structural_hash(func: &PrimFunc) -> u64 {
-    let mut h = StructHasher::new();
-    h.u64(func.params.len() as u64);
-    for p in &func.params {
-        h.buffer(p);
-    }
-    h.stmt(&func.body);
-    h.state
-}
-
-/// Structural (alpha) equality of two statements.
-pub fn stmt_structural_eq(a: &Stmt, b: &Stmt) -> bool {
-    Matcher::new().stmt(a, b)
-}
-
-/// Structural (alpha) equality of two functions, mapping parameter buffers
-/// positionally.
-pub fn func_structural_eq(a: &PrimFunc, b: &PrimFunc) -> bool {
-    if a.params.len() != b.params.len() {
-        return false;
-    }
-    let mut m = Matcher::new();
-    for (x, y) in a.params.iter().zip(&b.params) {
-        if !m.buffer(x, y) {
-            return false;
+    /// A function is its parameter buffers, in order, and its body; its
+    /// name is not encoded.
+    fn func(&mut self, func: &PrimFunc) {
+        self.u64(func.params.len() as u64);
+        for p in &func.params {
+            self.buffer(p);
         }
+        self.stmt(&func.body);
     }
-    m.stmt(&a.body, &b.body)
+}
+
+/// What `sink` holds after `root` fed it one program.
+fn encode<S: Sink>(sink: S, root: impl FnOnce(&mut Encoder<S>)) -> S {
+    let mut encoder = Encoder::new(sink);
+    root(&mut encoder);
+    encoder.sink
+}
+
+/// Alpha-invariant structural hash of a function: FNV-1a over its
+/// [`structural_stream`], folded as the encoder walks (the stream is never
+/// built). Structurally equal functions hash equally by construction;
+/// structurally different ones collide with 2^-64 likelihood.
+pub fn structural_hash(func: &PrimFunc) -> u64 {
+    encode(Fnv::new(), |e| e.func(func)).0
+}
+
+/// The byte stream that is `func`'s structural identity: two functions
+/// have equal streams exactly when [`func_structural_eq`] holds. A caller
+/// that meets many programs keeps a known program's stream instead of the
+/// program and asks [`matches_stream`].
+pub fn structural_stream(func: &PrimFunc) -> Vec<u8> {
+    encode(Vec::new(), |e| e.func(func))
+}
+
+/// Whether `func`'s stream is `stream` — whether `func` is structurally
+/// equal to the function `stream` was taken from — compared as the
+/// encoder walks, without building `func`'s stream.
+pub fn matches_stream(func: &PrimFunc, stream: &[u8]) -> bool {
+    encode(Expect(Some(stream)), |e| e.func(func)).matched()
+}
+
+/// Structural (alpha) equality of two statements: equal streams.
+pub fn stmt_structural_eq(a: &Stmt, b: &Stmt) -> bool {
+    let stream = encode(Vec::new(), |e| e.stmt(a));
+    encode(Expect(Some(&stream)), |e| e.stmt(b)).matched()
+}
+
+/// Structural (alpha) equality of two functions, parameter buffers mapped
+/// positionally: equal streams.
+pub fn func_structural_eq(a: &PrimFunc, b: &PrimFunc) -> bool {
+    matches_stream(b, &structural_stream(a))
 }
 
 #[cfg(test)]
@@ -703,11 +550,9 @@ def gmm_gelu(A: T.Buffer((32, 32), "float16"), B: T.Buffer((32, 32), "float16"),
         PrimFunc::new(func.name.clone(), func.params.clone(), body)
     }
 
-    /// Every field the matcher compares, changed alone in a tuned program,
-    /// separates it from the original under both `func_structural_eq` and
-    /// `structural_hash`; an alpha-renamed copy does not.
-    #[test]
-    fn every_compared_field_separates_a_tuned_program() {
+    /// [`TUNED`], an alpha-renamed copy of it, and copies of it with one
+    /// field the stream encodes changed, each named by that field.
+    fn tuned_variants() -> (PrimFunc, PrimFunc, Vec<(&'static str, PrimFunc)>) {
         let tuned = parse(TUNED);
         let renamed = [
             ("vk0", "r"),
@@ -728,9 +573,6 @@ def gmm_gelu(A: T.Buffer((32, 32), "float16"), B: T.Buffer((32, 32), "float16"),
         });
         assert_ne!(renamed, TUNED);
         let renamed = parse(&renamed);
-        assert!(func_structural_eq(&tuned, &renamed));
-        assert!(func_structural_eq(&renamed, &tuned));
-        assert_eq!(structural_hash(&tuned), structural_hash(&renamed));
 
         let retyped = |pick: fn(&mut Expr) -> Option<&mut DataType>, to| {
             with_first_expr(&tuned, move |e| pick(e).map(|d| *d = to).is_some())
@@ -771,7 +613,7 @@ def gmm_gelu(A: T.Buffer((32, 32), "float16"), B: T.Buffer((32, 32), "float16"),
         }
         let init =
             "with T.init():\n                        C_s0[v0, v1] = 0.0\n                    ";
-        let variants = [
+        let variants = vec![
             ("int literal dtype", retyped(int, DataType::int64())),
             ("float literal dtype", retyped(float, DataType::float16())),
             ("call dtype", retyped(call, DataType::float16())),
@@ -815,6 +657,19 @@ def gmm_gelu(A: T.Buffer((32, 32), "float16"), B: T.Buffer((32, 32), "float16"),
             ("block name", edited(r#""gelu0""#, r#""gelu1""#)),
             ("init present", edited(init, "")),
         ];
+        (tuned, renamed, variants)
+    }
+
+    /// Every field the stream encodes, changed alone in a tuned program,
+    /// changes its stream, so it separates the program from the original
+    /// under both `func_structural_eq` and `structural_hash`; an
+    /// alpha-renamed copy has the original's stream.
+    #[test]
+    fn every_compared_field_separates_a_tuned_program() {
+        let (tuned, renamed, variants) = tuned_variants();
+        assert!(func_structural_eq(&tuned, &renamed));
+        assert!(func_structural_eq(&renamed, &tuned));
+        assert_eq!(structural_hash(&tuned), structural_hash(&renamed));
         for (field, variant) in &variants {
             assert!(!func_structural_eq(&tuned, variant), "{field}: equal");
             assert!(
@@ -864,11 +719,11 @@ def gmm_gelu(A: T.Buffer((32, 32), "float16"), B: T.Buffer((32, 32), "float16"),
         assert_ne!(structural_hash(&fa), structural_hash(&fb));
     }
 
-    /// Pairs a one-way, `==`-on-floats matcher got wrong: sibling loops over
-    /// two variables against the same loops reusing one (equal left to
-    /// right only), a NaN literal (not equal to itself), and `0.0` against
-    /// `-0.0` (equal, but hashed apart).
-    fn matcher_seams() -> Vec<(&'static str, PrimFunc, PrimFunc)> {
+    /// Pairs a one-way, `==`-on-floats equality got wrong: sibling loops
+    /// over two variables against the same loops reusing one (equal left
+    /// to right only), a NaN literal (not equal to itself), and `0.0`
+    /// against `-0.0` (equal, but hashed apart).
+    fn equality_seams() -> Vec<(&'static str, PrimFunc, PrimFunc)> {
         let a = Buffer::new("A", DataType::float32(), vec![4]);
         let store = |i: &Var, value: f32| {
             Stmt::store(a.clone(), vec![Expr::from(i)], Expr::f32(value)).in_loop(i.clone(), 4)
@@ -887,7 +742,7 @@ def gmm_gelu(A: T.Buffer((32, 32), "float16"), B: T.Buffer((32, 32), "float16"),
 
     #[test]
     fn structural_equality_is_symmetric() {
-        for (name, a, b) in matcher_seams() {
+        for (name, a, b) in equality_seams() {
             assert_eq!(
                 func_structural_eq(&a, &b),
                 func_structural_eq(&b, &a),
@@ -898,7 +753,7 @@ def gmm_gelu(A: T.Buffer((32, 32), "float16"), B: T.Buffer((32, 32), "float16"),
 
     #[test]
     fn structural_equality_is_reflexive() {
-        for (name, a, b) in matcher_seams() {
+        for (name, a, b) in equality_seams() {
             assert!(func_structural_eq(&a, &a), "{name}: left");
             assert!(func_structural_eq(&b, &b), "{name}: right");
         }
@@ -906,11 +761,39 @@ def gmm_gelu(A: T.Buffer((32, 32), "float16"), B: T.Buffer((32, 32), "float16"),
 
     #[test]
     fn structural_equality_implies_equal_hash() {
-        for (name, a, b) in matcher_seams() {
+        for (name, a, b) in equality_seams() {
             if func_structural_eq(&a, &b) {
                 assert_eq!(structural_hash(&a), structural_hash(&b), "{name}");
             }
         }
+    }
+
+    /// One stream, three consumers: on the seam pairs and the tuned
+    /// variants, `structural_hash` is FNV-1a over the stream, and the
+    /// compare walk (so equality) answers what byte equality of the two
+    /// streams answers, in both directions.
+    #[test]
+    fn hash_and_equality_are_functions_of_the_stream() {
+        let (tuned, renamed, variants) = tuned_variants();
+        let mut funcs = vec![tuned, renamed];
+        funcs.extend(variants.into_iter().map(|(_, f)| f));
+        funcs.extend(equality_seams().into_iter().flat_map(|(_, a, b)| [a, b]));
+        let streams: Vec<Vec<u8>> = funcs.iter().map(structural_stream).collect();
+        let mut equal_pairs = 0;
+        for (f, stream) in funcs.iter().zip(&streams) {
+            let mut fnv = Fnv::new();
+            stream.iter().for_each(|&b| fnv.byte(b));
+            assert_eq!(structural_hash(f), fnv.0, "{}", f.name);
+            for (g, other) in funcs.iter().zip(&streams) {
+                let same = stream == other;
+                equal_pairs += usize::from(same);
+                assert_eq!(matches_stream(g, stream), same, "{} / {}", f.name, g.name);
+                assert_eq!(func_structural_eq(f, g), same, "{} / {}", f.name, g.name);
+            }
+        }
+        // Each program with itself, and both ways round the renamed copy
+        // with the original and the two NaN fills.
+        assert_eq!(equal_pairs, funcs.len() + 4);
     }
 
     #[test]

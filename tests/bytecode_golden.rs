@@ -17,8 +17,8 @@
 //! `census` asserts what the compiler and the optimizer never emit on
 //! this corpus and prints, per mnemonic, how many programs emit it
 //! (`cargo test --test bytecode_golden -- --nocapture`).
-//! `equal_hashes_are_equal_programs` holds `structural_hash` to
-//! `func_structural_eq` on the same programs.
+//! `equal_hashes_are_equal_programs` is a collision census of
+//! `structural_hash` on the same programs.
 //!
 //! Regenerate (only when lowering or optimization is *meant* to change)
 //! with `cargo test --test bytecode_golden -- --ignored`.
@@ -192,10 +192,11 @@ fn listings() -> &'static [Listing] {
     })
 }
 
-/// `structural_hash` against `func_structural_eq` on every program, in
-/// one pass: programs of one hash are equal to the first of them (and so,
-/// equality being an equivalence, to each other), and programs that print
-/// alike hash alike.
+/// Collision census of `structural_hash`, the FNV-1a fold of a program's
+/// structural stream, on every program in one pass: programs of one hash
+/// have the stream of the first of them (`func_structural_eq` compares
+/// streams), so no two different programs of the corpus collide; and
+/// programs that print alike have one stream, so hash alike.
 #[test]
 fn equal_hashes_are_equal_programs() {
     let mut by_hash: HashMap<u64, &PrimFunc> = HashMap::new();
