@@ -9,7 +9,7 @@
 use tensorir_bench::{fmt_ms, print_table, registry};
 use tir::DataType;
 use tir_autoschedule::sketch_gpu::GpuTensorSketch;
-use tir_autoschedule::{tune, Strategy, TuneOptions};
+use tir_autoschedule::{tune_with, SimMeasurer, Strategy, TuneOptions};
 use tir_exec::machine::Machine;
 use tir_workloads::{bench_suite, OpKind};
 
@@ -43,23 +43,25 @@ fn main() {
     let func = tir::builder::matmul_func("mm", 512, 512, 512, DataType::float16());
     let wmma = intrins.get("wmma_16x16x16_f16").unwrap();
     let sketch = GpuTensorSketch::new(&func, "C", wmma, true).expect("sketch");
-    let with = tune(
-        &sketch,
+    let with = tune_with(
+        &[&sketch],
         &machine,
         &TuneOptions {
             trials: 48,
             validate_before_measure: true,
             ..Default::default()
         },
+        &SimMeasurer,
     );
-    let without = tune(
-        &sketch,
+    let without = tune_with(
+        &[&sketch],
         &machine,
         &TuneOptions {
             trials: 48,
             validate_before_measure: false,
             ..Default::default()
         },
+        &SimMeasurer,
     );
     print_table(
         "Ablation 2: validation filtering in evolutionary search (512^3 matmul)",

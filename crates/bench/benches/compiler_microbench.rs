@@ -23,8 +23,18 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 ///
 /// Runs a warmup, then picks an iteration count targeting ~20 ms per batch
 /// and reports the median of 7 batches, and the heap allocations of one
-/// more call (exact: a function of the input, not of the machine).
+/// more call (exact: a function of the input, not of the machine). A row
+/// whose calls differ from one another counts a fixed call itself, with
+/// [`time_batches`] and [`report`].
 fn bench_function<R>(name: &str, mut f: impl FnMut() -> R) -> f64 {
+    let (median, iters) = time_batches(&mut f);
+    let (_, allocs) = counted(|| std::hint::black_box(f()));
+    report(name, median, allocs, iters)
+}
+
+/// The timing of [`bench_function`]: the median ns of 7 batches after a
+/// warmup, and the iterations per batch.
+fn time_batches<R>(mut f: impl FnMut() -> R) -> (f64, u64) {
     // Warmup + calibration.
     let start = Instant::now();
     let mut calib_iters = 0u64;
@@ -43,8 +53,11 @@ fn bench_function<R>(name: &str, mut f: impl FnMut() -> R) -> f64 {
         samples.push(t.elapsed().as_nanos() as f64 / iters as f64);
     }
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = samples[samples.len() / 2];
-    let (_, allocs) = counted(|| std::hint::black_box(f()));
+    (samples[samples.len() / 2], iters)
+}
+
+/// Prints one row and returns its median.
+fn report(name: &str, median: f64, allocs: u64, iters: u64) -> f64 {
     println!("{name:<40} {median:>14.0} ns/iter {allocs:>7} allocs/iter  ({iters} iters x 7)");
     median
 }
@@ -151,11 +164,13 @@ fn bench_ir_passes() {
 }
 
 /// `SketchRule::apply` on the full bench-suite shapes: what one candidate
-/// of the search costs to build. Each row cycles through 16 seeded
-/// decision vectors that apply cleanly. `gpu-scalar` keeps what its
-/// `apply` built, so its row calls a fresh `GpuScalarSketch` each time and
-/// times a build: the sketch's construction (a schedule over the
-/// unscheduled program and the loop extents it reads) plus one `apply`.
+/// of the search costs to build. Each row times a cycle through 16 seeded
+/// decision vectors that apply cleanly, and counts the allocations of the
+/// first of them, so the count is the same on every run. `gpu-scalar`
+/// keeps what its `apply` built, so its row calls a fresh
+/// `GpuScalarSketch` each time and times a build: the sketch's
+/// construction (a schedule over the unscheduled program and the loop
+/// extents it reads) plus one `apply`.
 fn bench_sketch_apply() {
     use tir_autoschedule::sketch_gpu::GpuScalarSketch;
     use tir_autoschedule::{build_sketches, Decision, SketchRule, Strategy};
@@ -202,15 +217,25 @@ fn bench_sketch_apply() {
             .filter(|d| sketch.apply(d).is_ok())
             .take(16)
             .collect();
-        let mut next = 0usize;
-        bench_function(&format!("schedule/sketch_apply_{row}"), || {
-            next = (next + 1) % decisions.len();
+        let apply = |d: &[Decision]| {
             match sketch_name {
-                "gpu-scalar" => GpuScalarSketch::new(&case.func).apply(&decisions[next]),
-                _ => sketch.apply(&decisions[next]),
+                "gpu-scalar" => GpuScalarSketch::new(&case.func).apply(d),
+                _ => sketch.apply(d),
             }
             .unwrap()
+        };
+        let mut next = 0usize;
+        let (median, iters) = time_batches(|| {
+            next = (next + 1) % decisions.len();
+            apply(&decisions[next])
         });
+        let (_, allocs) = counted(|| std::hint::black_box(apply(&decisions[0])));
+        report(
+            &format!("schedule/sketch_apply_{row}"),
+            median,
+            allocs,
+            iters,
+        );
     }
 }
 
@@ -232,8 +257,8 @@ fn bench_sketch_apply() {
 fn bench_search_tune() {
     use tir_autoschedule::feature::extract_features;
     use tir_autoschedule::{
-        build_sketches, tune_multi_with, CostModel, CountingSketch, MeasureCtx, MeasureError,
-        Measurer, SimMeasurer, SketchRule, Strategy, TuneOptions,
+        build_sketches, tune_with, CostModel, CountingSketch, MeasureCtx, MeasureError, Measurer,
+        SimMeasurer, SketchRule, Strategy, TuneOptions,
     };
     use tir_workloads::{bench_suite, OpKind};
 
@@ -256,7 +281,7 @@ fn bench_search_tune() {
                 .map(|s| CountingSketch::new(s.as_ref()))
                 .collect();
             let refs: Vec<&dyn SketchRule> = counting.iter().map(|s| s as _).collect();
-            let measured = tune_multi_with(&refs, &machine, &opts, &SimMeasurer).trials_measured;
+            let measured = tune_with(&refs, &machine, &opts, &SimMeasurer).trials_measured;
             let applies: usize = counting.iter().map(CountingSketch::applies).sum();
             (applies, measured)
         };
@@ -296,7 +321,7 @@ fn bench_search_tune() {
         ..Default::default()
     };
     let refs: Vec<&dyn SketchRule> = sketches.iter().map(|s| s.as_ref()).collect();
-    tune_multi_with(&refs, &machine, &opts, &recorder);
+    tune_with(&refs, &machine, &opts, &recorder);
     let mut samples = recorder.0.into_inner().expect("recorder");
     assert!(samples.len() >= 128, "{} measured", samples.len());
     samples.truncate(128);
@@ -315,7 +340,9 @@ fn bench_search_tune() {
 /// bench's own target tmpdir.
 fn bench_search_checkpoint() {
     use std::path::PathBuf;
-    use tir_autoschedule::{build_sketches, tune, Strategy, TuneOptions, TuneResult};
+    use tir_autoschedule::{
+        build_sketches, tune_with, SimMeasurer, Strategy, TuneOptions, TuneResult,
+    };
     use tir_workloads::{bench_suite, OpKind};
 
     let reg = builtin_registry();
@@ -343,12 +370,12 @@ fn bench_search_checkpoint() {
             ..plain.clone()
         };
         let plain_ns = bench_function(&format!("search/tune_gmm_tensor_{trials}_plain"), || {
-            tune(sketch.as_ref(), &machine, &plain).trials_measured
+            tune_with(&[sketch.as_ref()], &machine, &plain, &SimMeasurer).trials_measured
         });
         let name = format!("search/tune_gmm_tensor_{trials}_checkpointed");
         let checkpointed_ns = bench_function(&name, || {
             let _ = std::fs::remove_file(&live);
-            tune(sketch.as_ref(), &machine, &checkpointed).trials_measured
+            tune_with(&[sketch.as_ref()], &machine, &checkpointed, &SimMeasurer).trials_measured
         });
         println!(
             "{:<40} {:>14.2} ms plain, {:.2} ms checkpointed ({:+.0}%), final checkpoint {} bytes",
@@ -366,9 +393,19 @@ fn bench_search_checkpoint() {
                 max_generations: Some(g),
                 ..opts.clone()
             };
-            used(&tune(sketch.as_ref(), &machine, &opts))
+            used(&tune_with(
+                &[sketch.as_ref()],
+                &machine,
+                &opts,
+                &SimMeasurer,
+            ))
         };
-        let full = used(&tune(sketch.as_ref(), &machine, &plain));
+        let full = used(&tune_with(
+            &[sketch.as_ref()],
+            &machine,
+            &plain,
+            &SimMeasurer,
+        ));
         let generations = (1u64..)
             .find(|&g| capped(g, &plain) == full)
             .expect("the tune ends");
@@ -377,7 +414,7 @@ fn bench_search_checkpoint() {
         std::fs::rename(&live, &killed).expect("the killed run left a checkpoint");
         let resume_ns = bench_function(&format!("search/resume_gmm_tensor_{trials}"), || {
             std::fs::copy(&killed, &live).expect("restore the killed run's checkpoint");
-            let r = tune(sketch.as_ref(), &machine, &checkpointed);
+            let r = tune_with(&[sketch.as_ref()], &machine, &checkpointed, &SimMeasurer);
             assert_eq!(r.resumed_from_generation, Some(generations - 1));
             r.trials_measured
         });

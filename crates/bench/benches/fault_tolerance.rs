@@ -14,7 +14,8 @@
 
 use tensorir_bench::{print_table, registry};
 use tir_autoschedule::{
-    tune_workload, tune_workload_with, FaultInjector, FaultPlan, Strategy, TuneOptions,
+    build_sketches, tune_with, tune_workload, FaultInjector, FaultPlan, SketchRule, Strategy,
+    TuneOptions,
 };
 use tir_exec::machine::Machine;
 use tir_workloads::{bench_suite, OpKind};
@@ -37,6 +38,8 @@ fn main() {
     for kind in [OpKind::GMM, OpKind::C2D] {
         let case = suite.iter().find(|c| c.kind == kind).expect("suite case");
         let clean = tune_workload(&case.func, &machine, &intrins, Strategy::TensorIr, &opts);
+        let sketches = build_sketches(&case.func, &machine, &intrins, Strategy::TensorIr);
+        let sketches: Vec<&dyn SketchRule> = sketches.iter().map(|s| s.as_ref()).collect();
         let clean_best = clean
             .best
             .as_ref()
@@ -49,14 +52,7 @@ fn main() {
                 clean.clone()
             } else {
                 let inj = FaultInjector::sim(FaultPlan::transient(rate));
-                tune_workload_with(
-                    &case.func,
-                    &machine,
-                    &intrins,
-                    Strategy::TensorIr,
-                    &opts,
-                    &inj,
-                )
+                tune_with(&sketches, &machine, &opts, &inj)
             };
             all_identical &= r.best.as_ref().map(|b| b.to_string()) == Some(clean_best.clone());
             rows.push(vec![
@@ -98,20 +94,15 @@ fn main() {
         .iter()
         .find(|c| c.kind == OpKind::GMM)
         .expect("suite case");
+    let sketches = build_sketches(&case.func, &machine, &intrins, Strategy::TensorIr);
+    let sketches: Vec<&dyn SketchRule> = sketches.iter().map(|s| s.as_ref()).collect();
     let mut rows = Vec::new();
     for reject_rate in [0.1, 0.2, 0.3] {
         let inj = FaultInjector::sim(FaultPlan {
             compile_reject_rate: reject_rate,
             ..Default::default()
         });
-        let r = tune_workload_with(
-            &case.func,
-            &machine,
-            &intrins,
-            Strategy::TensorIr,
-            &opts,
-            &inj,
-        );
+        let r = tune_with(&sketches, &machine, &opts, &inj);
         rows.push(vec![
             format!("{:.0}%", reject_rate * 100.0),
             format!("{}", r.trials_measured),

@@ -6,9 +6,8 @@
 //! operators on `sim_gpu` and GMM and C2D int8 on `sim_arm` — seeds 1–3,
 //! and both arms of `use_cost_model`, one `tune_workload`
 //! (`Strategy::TensorIr`, 128 trials, one worker) records its best-so-far
-//! curve. `TuneResult::history` of a multi-sketch tune is the sketches'
-//! histories one after another, each the best of its own sketch, so the
-//! curve is its running minimum. Each row of `BENCH_search.json` gives,
+//! curve, `TuneResult::history`: the best of the whole tune over all its
+//! sketches after each trial. Each row of `BENCH_search.json` gives,
 //! in simulated microseconds:
 //!
 //! * `ceiling_us` — the best time `tests/golden/sim_census.txt` records
@@ -116,25 +115,20 @@ impl Curve {
         ceiling: f64,
         history: &[f64],
     ) -> Curve {
-        let curve: Vec<f64> = (history.iter())
-            .scan(f64::INFINITY, |best, &t| {
-                *best = best.min(t);
-                Some(*best)
-            })
-            .collect();
         // Best-so-far after `trial` trials, or after all of them.
-        let at =
-            |trial: usize| (curve[..trial.min(curve.len())].last()).map_or(f64::INFINITY, |b| *b);
+        let at = |trial: usize| {
+            (history[..trial.min(history.len())].last()).map_or(f64::INFINITY, |b| *b)
+        };
         let quality = |b: f64| if b.is_finite() { ceiling / b } else { 0.0 };
         Curve {
             machine,
             op,
             seed,
             cost_model,
-            spent: curve.len(),
+            spent: history.len(),
             ceiling,
             best: CHECKPOINTS.iter().map(|&t| at(t)).collect(),
-            trials_to_5pct: curve
+            trials_to_5pct: history
                 .iter()
                 .position(|&b| b <= ceiling * WITHIN)
                 .map(|i| i + 1),

@@ -18,8 +18,7 @@ use tir::PrimFunc;
 use tir_exec::machine::{Machine, MachineKind};
 use tir_tensorize::{find_tensorizable_block, IntrinRegistry};
 
-use crate::measure::Measurer;
-use crate::search::{tune_multi_with, TuneOptions, TuneResult};
+use crate::search::{tune_with, TuneOptions, TuneResult};
 use crate::sketch::SketchRule;
 use crate::sketch_cpu::{CpuScalarSketch, CpuTensorSketch};
 use crate::sketch_gpu::{GpuScalarSketch, GpuTensorSketch};
@@ -106,8 +105,8 @@ pub fn build_sketches(
     sketches
 }
 
-/// Tunes one workload under a strategy on the default fault-free
-/// simulator backend.
+/// Tunes one workload under a strategy: [`build_sketches`], then one
+/// [`tune_with`] over them on the default fault-free simulator backend.
 pub fn tune_workload(
     func: &PrimFunc,
     machine: &Machine,
@@ -115,23 +114,9 @@ pub fn tune_workload(
     strategy: Strategy,
     opts: &TuneOptions,
 ) -> TuneResult {
-    tune_workload_with(func, machine, intrins, strategy, opts, &crate::SimMeasurer)
-}
-
-/// Tunes one workload under a strategy against an arbitrary [`Measurer`]
-/// backend — how the fault-tolerance benches drive a whole-workload
-/// search through a [`crate::FaultInjector`].
-pub fn tune_workload_with(
-    func: &PrimFunc,
-    machine: &Machine,
-    intrins: &IntrinRegistry,
-    strategy: Strategy,
-    opts: &TuneOptions,
-    measurer: &dyn Measurer,
-) -> TuneResult {
     let sketches = build_sketches(func, machine, intrins, strategy);
     let refs: Vec<&dyn SketchRule> = sketches.iter().map(|s| s.as_ref()).collect();
-    tune_multi_with(&refs, machine, opts, measurer)
+    tune_with(&refs, machine, opts, &crate::SimMeasurer)
 }
 
 /// Roofline oracle for a vendor library kernel: the kernel reaches

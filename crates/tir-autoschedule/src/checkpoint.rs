@@ -5,7 +5,9 @@
 //! Ctrl-C — and restarting from scratch wastes the measurement budget
 //! spent so far. [`crate::search::tune_with`] is a pure function of its
 //! options and of what its measurements returned, so those returns are all
-//! a checkpoint holds: per generation, in batch-rank order, the structural
+//! a checkpoint holds: one file per tune, and per generation of each of
+//! its sketches, in the order the tune ran them and in batch-rank order
+//! within one, the structural
 //! hash of every candidate sent to the farm and its [`MeasureOutcome`]. A
 //! resumed run starts from nothing and runs the search itself, taking each
 //! outcome from the log for as long as the log names the candidate being
@@ -19,7 +21,7 @@
 //!
 //! ```text
 //! tir-autoschedule-checkpoint v3
-//! context <seed> <len> <machine name> <len> <sketch name>
+//! context <seed> <len> <machine name> <len> <sketch name> [<len> <sketch name> ...]
 //! generation <jobs>
 //! <hash> ok|reject|timeout|crash|corrupt <value> <cost_s> <retries>
 //! ...
@@ -29,8 +31,9 @@
 //! `<hash>`, `<value>` and `<cost_s>` are 16 hex digits; `<value>` is the
 //! bits of the reading (`ok`) or of the runner's limit (`timeout`), the
 //! readings taken (`corrupt`), else zero. Error messages are not stored:
-//! the search never reads them. The context line must be the resuming
-//! run's own and `end` detects truncation; the file is rewritten
+//! the search never reads them. The context line names the tune's seed,
+//! its machine and every sketch it searches, in order, and must be the
+//! resuming run's own; `end` detects truncation; the file is rewritten
 //! atomically ([`atomic_write`]) after every generation, and anything
 //! malformed, mismatched or of another version means a fresh start.
 
@@ -69,17 +72,18 @@ pub(crate) struct MeasureLog {
 }
 
 impl MeasureLog {
-    /// Opens the log at `path` for the run identified by `seed`, `machine`
-    /// and `sketch`. A missing, malformed, truncated, older-version or
-    /// foreign-context file yields an empty log: the run starts fresh.
-    pub(crate) fn open(path: &Path, seed: u64, machine: &str, sketch: &str) -> MeasureLog {
+    /// Opens the log at `path` for the tune identified by `seed`,
+    /// `machine` and `sketches`. A missing, malformed, truncated,
+    /// older-version or foreign-context file yields an empty log: the run
+    /// starts fresh.
+    pub(crate) fn open(path: &Path, seed: u64, machine: &str, sketches: &[&str]) -> MeasureLog {
         // Names are length-prefixed; the whole line must match the file's
         // byte for byte, so nothing in a name can forge a context.
-        let text = format!(
-            "{HEADER}\ncontext {seed} {} {machine} {} {sketch}\n",
-            machine.len(),
-            sketch.len()
-        );
+        let mut text = format!("{HEADER}\ncontext {seed} {} {machine}", machine.len());
+        for sketch in sketches {
+            let _ = write!(text, " {} {sketch}", sketch.len());
+        }
+        text.push('\n');
         let (found, pending) = std::fs::read_to_string(path)
             .ok()
             .and_then(|mut file| {
@@ -290,7 +294,7 @@ mod tests {
     /// A file holding [`sample`], and its bytes.
     fn written(name: &str) -> (PathBuf, Vec<u8>) {
         let path = tmp(name);
-        let mut log = MeasureLog::open(&path, 42, MACHINE, SKETCH);
+        let mut log = MeasureLog::open(&path, 42, MACHINE, &[SKETCH]);
         for (jobs, outcomes) in sample() {
             log.record(&jobs, &outcomes).expect("save");
         }
@@ -307,7 +311,7 @@ mod tests {
     #[test]
     fn a_recorded_log_replays_bit_exactly() {
         let (path, before) = written("roundtrip.ckpt");
-        let mut log = MeasureLog::open(&path, 42, MACHINE, SKETCH);
+        let mut log = MeasureLog::open(&path, 42, MACHINE, &[SKETCH]);
         for (jobs, outcomes) in sample() {
             let replayed = log.replay(&jobs);
             assert_eq!(
@@ -333,7 +337,7 @@ mod tests {
             (&[0xDEAD, 7][..], 2),
             (&[0xDEAD, 7, u64::MAX, 9][..], 3),
         ] {
-            let mut log = MeasureLog::open(&path, 42, MACHINE, SKETCH);
+            let mut log = MeasureLog::open(&path, 42, MACHINE, &[SKETCH]);
             assert_eq!(log.replay(jobs).len(), matching);
             assert!(log.replay(&[1, 2, 3]).is_empty());
             assert_eq!(log.replayed_generations(), 0);
@@ -344,7 +348,7 @@ mod tests {
     #[test]
     fn a_kill_during_replay_loses_nothing_and_a_divergence_rewrites() {
         let (path, before) = written("mid-replay.ckpt");
-        let mut log = MeasureLog::open(&path, 42, MACHINE, SKETCH);
+        let mut log = MeasureLog::open(&path, 42, MACHINE, &[SKETCH]);
         let (jobs, _) = &sample()[0];
         let first = log.replay(jobs);
         log.record(jobs, &first).expect("record");
@@ -352,7 +356,7 @@ mod tests {
         // The next generation measures something the file never saw.
         assert!(log.replay(&[99]).is_empty());
         log.record(&[99], &first[..1]).expect("record");
-        let mut reopened = MeasureLog::open(&path, 42, MACHINE, SKETCH);
+        let mut reopened = MeasureLog::open(&path, 42, MACHINE, &[SKETCH]);
         assert_eq!(reopened.replay(jobs).len(), 3);
         assert_eq!(reopened.replay(&[99]).len(), 1);
         assert!(reopened.replay(&[1, 2, 3]).is_empty());
@@ -379,7 +383,7 @@ mod tests {
             ("count past the entries", &short_generation),
         ] {
             std::fs::write(&path, text).expect("write");
-            let mut log = MeasureLog::open(&path, 42, MACHINE, SKETCH);
+            let mut log = MeasureLog::open(&path, 42, MACHINE, &[SKETCH]);
             assert!(log.replay(&[0xDEAD, 7, u64::MAX]).is_empty(), "{what}");
         }
         cleanup(&path);
@@ -388,21 +392,22 @@ mod tests {
     #[test]
     fn context_mismatch_refuses_to_resume() {
         let (path, _) = written("context.ckpt");
-        let replays = |path: &Path, seed, machine, sketch| {
-            !MeasureLog::open(path, seed, machine, sketch)
+        let replays = |path: &Path, seed, machine, sketches: &[&str]| {
+            !MeasureLog::open(path, seed, machine, sketches)
                 .replay(&[0xDEAD, 7, u64::MAX])
                 .is_empty()
         };
-        assert!(replays(&path, 42, MACHINE, SKETCH));
-        assert!(!replays(&path, 43, MACHINE, SKETCH));
-        assert!(!replays(&path, 42, "SimARM", SKETCH));
-        assert!(!replays(&path, 42, MACHINE, "other-sketch"));
-        assert!(!replays(
-            &path.with_file_name("missing.ckpt"),
-            42,
-            MACHINE,
-            SKETCH
-        ));
+        assert!(replays(&path, 42, MACHINE, &[SKETCH]));
+        assert!(!replays(&path, 43, MACHINE, &[SKETCH]));
+        assert!(!replays(&path, 42, "SimARM", &[SKETCH]));
+        assert!(!replays(&path, 42, MACHINE, &["other-sketch"]));
+        // A tune over more sketches, or the same ones in another order,
+        // is another tune.
+        assert!(!replays(&path, 42, MACHINE, &[SKETCH, "gpu-scalar"]));
+        assert!(!replays(&path, 42, MACHINE, &["gpu-scalar", SKETCH]));
+        assert!(!replays(&path, 42, MACHINE, &[]));
+        let missing = path.with_file_name("missing.ckpt");
+        assert!(!replays(&missing, 42, MACHINE, &[SKETCH]));
         cleanup(&path);
     }
 }

@@ -6,8 +6,9 @@
 //!   that fix program structure (auto-tensorization, multi-level tiling,
 //!   thread binding, AutoCopy data-movement blocks) while leaving decisions
 //!   (tile sizes, widths) to the search;
-//! * [`search`] — evolutionary search as six stages (propose, materialize,
-//!   score, select, measure, learn) with validation filtering, a
+//! * [`search`] — one tune over a workload's sketches, an evolutionary
+//!   search of six stages (propose, materialize, score, select, measure,
+//!   learn) per sketch, with validation filtering, a
 //!   deterministic parallel candidate-evaluation pipeline (on the
 //!   crate-private fork-join helpers of `parallel.rs`), and a
 //!   structural-hash measurement cache;
@@ -43,7 +44,7 @@ pub mod sketch;
 pub mod sketch_cpu;
 pub mod sketch_gpu;
 
-pub use baseline::{build_sketches, oracle_time, tune_workload, tune_workload_with, Strategy};
+pub use baseline::{build_sketches, oracle_time, tune_workload, Strategy};
 pub use checkpoint::atomic_write;
 pub use cost_model::CostModel;
 pub use database::{workload_key, DbError, TuningDatabase, TuningRecord};
@@ -53,5 +54,8 @@ pub use measure::{
     measure_with_retries, FaultInjector, FaultPlan, MeasureCtx, MeasureError, MeasureOutcome,
     MeasureTrace, Measurer, RetryPolicy, SimMeasurer, VerifyingMeasurer,
 };
-pub use search::{tune, tune_multi_with, tune_with, TuneOptions, TuneResult, WarmStart};
+/// The old name of [`tune_with`], kept only for its one caller outside
+/// this workspace, `benchmark/src/wrappers.rs`.
+pub use search::tune_with as tune_multi_with;
+pub use search::{tune_with, TuneOptions, TuneResult, WarmStart};
 pub use sketch::{CountingSketch, Decision, DecisionKind, SketchRule};

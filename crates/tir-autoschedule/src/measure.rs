@@ -186,6 +186,12 @@ impl Measurer for SimMeasurer {
 /// build. The reject is deterministic, so the search quarantines the
 /// candidate by structural hash: an illegal sketch family costs one build
 /// attempt, never a simulated measurement.
+///
+/// `tune_workload`, the benches and the daemon do not use it: they measure
+/// with [`SimMeasurer`] after the search's own §3.3 validation. The gate
+/// runs in `tests/racecheck_differential.rs`, which tunes a sketch whose
+/// every candidate races and checks that the inner backend never sees
+/// one.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct VerifyingMeasurer<M> {
     inner: M,
@@ -200,14 +206,6 @@ impl<M: Measurer> VerifyingMeasurer<M> {
     /// The wrapped measurement backend.
     pub fn inner(&self) -> &M {
         &self.inner
-    }
-}
-
-impl VerifyingMeasurer<SimMeasurer> {
-    /// The analyzer gate over the analytic simulator — the default
-    /// verified tuning backend.
-    pub fn sim() -> Self {
-        VerifyingMeasurer::new(SimMeasurer)
     }
 }
 
@@ -825,7 +823,7 @@ mod tests {
     fn verifying_measurer_passes_legal_candidates() {
         let f = mm();
         let m = Machine::sim_gpu();
-        let t = VerifyingMeasurer::sim()
+        let t = VerifyingMeasurer::new(SimMeasurer)
             .measure(&f, &m, &ctx(1, 0))
             .expect("legal candidate must reach the simulator");
         assert_eq!(t, simulate(&f, &m));

@@ -9,10 +9,25 @@
 //! `validate_before_measure` flag exists so the ablation benchmark can show
 //! what happens without the filter (wasted measurement budget).
 //!
+//! # One tune over several sketches
+//!
+//! [`tune_with`] tunes a workload over every sketch it is given, one
+//! sketch after another. What decides a trajectory belongs to the sketch:
+//! sketch `i` has its own search state (dedup set, elites, candidate cache,
+//! quarantine, cost model, generation counter), its own trace stream, the
+//! seed `opts.seed + 101·i` and an equal share of the budget, `trials / n`
+//! but at least one trial. Its search ends when the share is spent or a
+//! generation proposes nothing new. What belongs to the tune is shared:
+//! one [`TuneResult`], whose `history` is the best-so-far of the whole
+//! tune, one checkpoint file, and one count of generations against
+//! `max_generations`. A sketch's `tuning_cost_s` is summed on its own and
+//! then added to the tune's: float addition does not associate, and this
+//! order keeps the bits a tune of each sketch on its own gives.
+//!
 //! # Stages
 //!
-//! [`tune_with`] is a coordinator loop; each generation runs six stages in
-//! order, each a function of the search state plus its inputs:
+//! The coordinator's loop over one sketch runs six stages per generation,
+//! in order, each a function of the search state plus its inputs:
 //!
 //! | Stage | Reads | Writes | Traces |
 //! |---|---|---|---|
@@ -49,9 +64,10 @@
 //!
 //! Parallel runs are bit-for-bit deterministic: each population slot of
 //! each generation draws from its own generator seeded by
-//! `derive_seed(opts.seed, [generation, slot])`, and all fan-out results
-//! are consumed in slot order, so the search trajectory is a pure function
-//! of `TuneOptions` — any thread count, including 1, replays it exactly.
+//! `derive_seed(seed, [generation, slot])`, with the sketch's seed and
+//! generation, and all fan-out results are consumed in slot order, so the
+//! search trajectory is a pure function of `TuneOptions` — any thread
+//! count, including 1, replays it exactly.
 //!
 //! `num_threads` also sets the width of the *simulated* measurement farm:
 //! each generation's batch of compile+profile jobs is spread over that
@@ -121,12 +137,13 @@
 //!
 //! # Checkpoint/resume
 //!
-//! With `TuneOptions::checkpoint_path` set, every generation logs what its
-//! measurements returned ([`crate::checkpoint`]), and a later run with the
-//! same options replays that log through `measure` instead of measuring:
-//! proposals are pure functions of `(seed, generation, slot)`, the log
-//! supplies the only input that is not, so the resumed run is the
-//! uninterrupted run.
+//! With `TuneOptions::checkpoint_path` set, every generation of every
+//! sketch appends what its measurements returned to the one file
+//! ([`crate::checkpoint`]), and a later run with the same options replays
+//! that log through `measure` instead of measuring: proposals are pure
+//! functions of `(sketch, seed, generation, slot)`, the log supplies the
+//! only input that is not, so the resumed run is the uninterrupted run,
+//! wherever among the sketches it was stopped.
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -147,7 +164,7 @@ use crate::cost_model::CostModel;
 use crate::feature::features_of_summary;
 use crate::measure::{
     measure_with_retries, MeasureError, MeasureOutcome, MeasureTrace, Measurer, RetryPolicy,
-    SimMeasurer, COMPILE_OVERHEAD_S,
+    COMPILE_OVERHEAD_S,
 };
 use crate::parallel::{effective_threads, parallel_map, try_parallel_map};
 use crate::sketch::{Decision, SketchRule};
@@ -223,15 +240,16 @@ pub struct TuneOptions {
     /// [`crate::measure`]). The defaults make transient-fault exhaustion
     /// astronomically unlikely, preserving the fault-rate invariant.
     pub retry: RetryPolicy,
-    /// When set, the outcome of every measurement is logged to this file
-    /// after every generation, and a run starting with a valid matching
-    /// log (same seed/machine/sketch) replays it instead of measuring,
-    /// resuming bit-identically. Save failures are ignored (resumability
-    /// is lost, the run is not).
+    /// When set, the outcome of every measurement is logged to this one
+    /// file after every generation of every sketch, and a run starting
+    /// with a valid matching log (same seed, machine and sketches) replays
+    /// it instead of measuring, resuming bit-identically. Save failures are
+    /// ignored (resumability is lost, the run is not).
     pub checkpoint_path: Option<PathBuf>,
-    /// Stop after this many generations even if trial budget remains —
-    /// the hook the kill-and-resume tests use to interrupt a run at a
-    /// generation boundary. `None` (the default) runs to budget.
+    /// Stop after this many generations of the whole tune, counted over
+    /// all its sketches, even if trial budget remains — the hook the
+    /// kill-and-resume tests use to interrupt a run at a generation
+    /// boundary. `None` (the default) runs to budget.
     pub max_generations: Option<u64>,
     /// Warm start from a previously tuned record: the search begins with
     /// this program as the incumbent best instead of nothing, so a
@@ -310,10 +328,8 @@ pub struct TuneResult {
     /// serial sum. Cache hits contribute nothing — the measurement is
     /// reused, not repeated.
     pub tuning_cost_s: f64,
-    /// Best-so-far after each unit of trial budget spent. From
-    /// [`tune_multi_with`] it is the sketches' histories one after
-    /// another, each the best-so-far of its own sketch only; the running
-    /// minimum over the whole vector is the best-so-far of the tune.
+    /// Best-so-far of the whole tune after each unit of trial budget
+    /// spent, over all its sketches: monotone non-increasing.
     pub history: Vec<f64>,
     /// Measurements served from the structural-hash candidate cache.
     pub cache_hits: usize,
@@ -327,8 +343,9 @@ pub struct TuneResult {
     /// Candidates quarantined after a deterministic failure; structurally
     /// identical re-proposals are skipped without consuming budget.
     pub quarantined: usize,
-    /// The generation this run resumed from — how many generations a valid
-    /// checkpoint answered in full; `None` for an uninterrupted run.
+    /// The generation this run resumed from — how many generations, over
+    /// all sketches, a valid checkpoint answered in full; `None` for an
+    /// uninterrupted run.
     pub resumed_from_generation: Option<u64>,
 }
 
@@ -396,9 +413,11 @@ struct Built {
     cached: Option<f64>,
 }
 
-/// What every stage of one tune reads and nothing changes.
+/// What every stage of one sketch's search reads and nothing changes.
 struct Ctx<'a> {
     sketch: &'a dyn SketchRule,
+    /// The sketch's seed: `opts.seed + 101·i` for sketch `i`.
+    seed: u64,
     machine: &'a Machine,
     opts: &'a TuneOptions,
     measurer: &'a dyn Measurer,
@@ -424,11 +443,17 @@ impl Ctx<'_> {
     }
 }
 
-/// The mutable coordinator state of a tuning run. A checkpoint stores none
-/// of it: a resumed run rebuilds it by replaying the logged measurements.
+/// The mutable coordinator state of one sketch's search; the tune's
+/// [`TuneResult`] is shared by all of them. A checkpoint stores none of
+/// it: a resumed run rebuilds it by replaying the logged measurements.
 #[derive(Default)]
 struct SearchState {
-    result: TuneResult,
+    /// Trial budget consumed so far: one unit per batch member, measured,
+    /// wasted or failed alike (a farm pays for failures too).
+    budget_used: usize,
+    /// Simulated tuning cost of this sketch's batches, added to the
+    /// tune's `tuning_cost_s` when the sketch's search ends.
+    tuning_cost_s: f64,
     model: CostModel,
     /// Samples `learn` measured since the model was last fitted; the
     /// coordinator fits them before it next reads the model.
@@ -447,14 +472,6 @@ struct SearchState {
 }
 
 impl SearchState {
-    /// Trial budget consumed so far: successful, wasted, and failed
-    /// measurements all count (a farm pays for failures too).
-    fn budget_used(&self) -> usize {
-        self.result.trials_measured
-            + self.result.wasted_measurements
-            + self.result.failed_measurements
-    }
-
     /// Whether `candidate` built a program that failed deterministically
     /// before: such a candidate is never selected.
     fn quarantined(&self, candidate: &CandidateEval) -> bool {
@@ -462,26 +479,20 @@ impl SearchState {
     }
 }
 
-/// Runs evolutionary search over one sketch on the default (fault-free,
-/// noise-free) simulator backend.
+/// Tunes a workload over `sketches` against `measurer` and returns the
+/// tune's one result (see the module docs for what each sketch owns and
+/// what the tune shares). An empty slice, and a zero `trials`,
+/// `population` or `measure_per_generation`, search nothing and return
+/// [`TuneResult::default`].
 ///
-/// Deterministic for a given `opts` (including across `num_threads`
-/// values); see the module docs for how the parallel pipeline and the
-/// candidate cache preserve that.
-pub fn tune(sketch: &dyn SketchRule, machine: &Machine, opts: &TuneOptions) -> TuneResult {
-    tune_with(sketch, machine, opts, &SimMeasurer)
-}
-
-/// Runs evolutionary search over one sketch against an arbitrary
-/// [`Measurer`] backend — the entry point the fault-tolerance tests and
-/// benches drive with a [`crate::measure::FaultInjector`].
-///
-/// Measurement failures are retried (transient), quarantined
+/// Deterministic for a given `opts`, including across `num_threads`
+/// values. Measurement failures are retried (transient), quarantined
 /// (deterministic), or counted as failed after exhaustion; all simulated
 /// delay lands in `tuning_cost_s`. Under a purely transient fault plan
-/// the returned `best`/`history` are bit-identical to the fault-free run.
+/// (a [`crate::measure::FaultInjector`]) the returned `best`/`history` are
+/// bit-identical to the fault-free run.
 pub fn tune_with(
-    sketch: &dyn SketchRule,
+    sketches: &[&dyn SketchRule],
     machine: &Machine,
     opts: &TuneOptions,
     measurer: &dyn Measurer,
@@ -490,67 +501,86 @@ pub fn tune_with(
     // `measure_per_generation` would otherwise loop forever without ever
     // consuming budget, and a zero `population` would spin proposing
     // nothing.
-    if opts.trials == 0 || opts.population == 0 || opts.measure_per_generation == 0 {
+    if sketches.is_empty()
+        || opts.trials == 0
+        || opts.population == 0
+        || opts.measure_per_generation == 0
+    {
         return TuneResult::default();
     }
-    // One trace stream per tune_with call, allocated by the coordinator so
-    // stream ids are deterministic regardless of thread count.
     let trace = opts.trace.as_deref().filter(|c| c.is_enabled());
-    let cx = Ctx {
-        sketch,
-        machine,
-        opts,
-        measurer,
-        threads: effective_threads(opts.num_threads),
-        trace,
-        stream: trace.map_or(0, |c| c.stream(sketch.name())),
-    };
-    let mut state = SearchState::default();
-    // Seed the incumbent from a warm start (stored tuning record) when it
-    // beats whatever the state holds. The trajectory is untouched: the
-    // incumbent only gates the `t < best_time` replacement test in `learn`.
-    if let Some(w) = (opts.warm_start.as_ref()).filter(|w| w.best_time < state.result.best_time) {
-        state.result.best = Some(w.best.clone());
-        state.result.best_time = w.best_time;
+    let threads = effective_threads(opts.num_threads);
+    let mut result = TuneResult::default();
+    // Seed the incumbent from a warm start (stored tuning record). The
+    // trajectory is untouched: the incumbent only gates the
+    // `t < best_time` replacement test in `learn`.
+    if let Some(w) = (opts.warm_start.as_ref()).filter(|w| w.best_time < result.best_time) {
+        result.best = Some(w.best.clone());
+        result.best_time = w.best_time;
     }
+    let names: Vec<&str> = sketches.iter().map(|s| s.name()).collect();
     let mut log = (opts.checkpoint_path.as_ref())
-        .map(|p| MeasureLog::open(p, opts.seed, &machine.name, sketch.name()));
-    while state.budget_used() < opts.trials
-        && opts.max_generations.is_none_or(|g| state.generation < g)
-    {
-        let population = propose(&cx, &mut state);
-        if population.is_empty() {
-            // Search space exhausted.
+        .map(|p| MeasureLog::open(p, opts.seed, &machine.name, &names));
+    // Every sketch gets an equal share, at least one trial, so a small
+    // budget still covers every structure.
+    let share = (opts.trials / sketches.len()).max(1);
+    let capped = |generations: u64| opts.max_generations.is_some_and(|g| generations >= g);
+    let mut generations = 0u64;
+    for (i, &sketch) in sketches.iter().enumerate() {
+        if capped(generations) {
             break;
         }
-        // Decided before anything is built: whether `score` can rank.
-        // When validation filters invalid candidates out and the scorer is
-        // feature-blind — no model yet, the cost model switched off, or an
-        // ensemble without a single split — every candidate ties, so the
-        // batch is the first `batch_size` valid, non-quarantined slots and
-        // `materialize` stops at the last of them.
-        let budget_left = opts.trials - state.budget_used();
-        let batch_size = opts.measure_per_generation.min(budget_left);
-        // The model is read from here on: fit what `learn` buffered. The
-        // last generation's samples are never read, so never fitted.
-        if !state.unfitted.is_empty() {
-            state.model.update(std::mem::take(&mut state.unfitted));
+        // One trace stream per sketch, allocated by the coordinator so
+        // stream ids are deterministic regardless of thread count.
+        let cx = Ctx {
+            sketch,
+            seed: opts.seed.wrapping_add(i as u64 * 101),
+            machine,
+            opts,
+            measurer,
+            threads,
+            trace,
+            stream: trace.map_or(0, |c| c.stream(sketch.name())),
+        };
+        let mut state = SearchState::default();
+        while state.budget_used < share && !capped(generations) {
+            let population = propose(&cx, &mut state);
+            if population.is_empty() {
+                // This sketch's space is exhausted.
+                break;
+            }
+            // Decided before anything is built: whether `score` can rank.
+            // When validation filters invalid candidates out and the
+            // scorer is feature-blind — no model yet, the cost model
+            // switched off, or an ensemble without a single split — every
+            // candidate ties, so the batch is the first `batch_size` valid,
+            // non-quarantined slots and `materialize` stops at the last of
+            // them.
+            let batch_size = opts.measure_per_generation.min(share - state.budget_used);
+            // The model is read from here on: fit what `learn` buffered.
+            // The last generation's samples are never read, so never
+            // fitted.
+            if !state.unfitted.is_empty() {
+                state.model.update(std::mem::take(&mut state.unfitted));
+            }
+            let model_ready = opts.use_cost_model && state.model.num_samples() >= 4;
+            let ranks = model_ready && state.model.has_split();
+            let prefix_scan = opts.validate_before_measure && !ranks;
+            let stop_at = if prefix_scan { batch_size } else { usize::MAX };
+            let candidates = materialize(&cx, &mut state, &mut result, &population, stop_at);
+            let scores = score(&cx, &state, &candidates, model_ready);
+            let batch = select(&state, &candidates, &scores, batch_size);
+            let readings = measure(&cx, &mut state, &batch, log.as_mut());
+            learn(&cx, &mut state, &mut result, &batch, readings);
+            state.generation += 1;
+            generations += 1;
         }
-        let model_ready = opts.use_cost_model && state.model.num_samples() >= 4;
-        let ranks = model_ready && state.model.has_split();
-        let prefix_scan = opts.validate_before_measure && !ranks;
-        let stop_at = if prefix_scan { batch_size } else { usize::MAX };
-        let candidates = materialize(&cx, &mut state, &population, stop_at);
-        let scores = score(&cx, &state, &candidates, model_ready);
-        let batch = select(&state, &candidates, &scores, batch_size);
-        let readings = measure(&cx, &mut state, &batch, log.as_mut());
-        learn(&cx, &mut state, &batch, readings);
-        state.generation += 1;
+        result.tuning_cost_s += state.tuning_cost_s;
     }
-    state.result.resumed_from_generation = log
+    result.resumed_from_generation = log
         .map(|l| l.replayed_generations())
         .filter(|&replayed| replayed > 0);
-    state.result
+    result
 }
 
 /// Propose: one decision vector per population slot — a crossover of two
@@ -562,7 +592,7 @@ fn propose(cx: &Ctx, state: &mut SearchState) -> Vec<Vec<Decision>> {
     let (elites, generation) = (&state.elites, state.generation);
     let slots: Vec<usize> = (0..cx.opts.population).collect();
     let proposals = parallel_map(&slots, cx.threads, |_, &slot| {
-        let mut rng = StdRng::seed_from_u64(derive_seed(cx.opts.seed, &[generation, slot as u64]));
+        let mut rng = StdRng::seed_from_u64(derive_seed(cx.seed, &[generation, slot as u64]));
         let elite = |i: usize| &elites[i % elites.len()].0;
         if elites.len() >= 2 && slot % 2 == 0 {
             let crossed = cx.sketch.crossover(elite(slot), elite(slot + 1), &mut rng);
@@ -594,6 +624,7 @@ fn propose(cx: &Ctx, state: &mut SearchState) -> Vec<Vec<Decision>> {
 fn materialize(
     cx: &Ctx,
     state: &mut SearchState,
+    result: &mut TuneResult,
     population: &[Vec<Decision>],
     stop_at: usize,
 ) -> Vec<CandidateEval> {
@@ -631,7 +662,7 @@ fn materialize(
     }
     let built = evals.iter().filter_map(|e| e.built.as_ref());
     let featurized = built.clone().filter(|b| b.cached.is_none()).count();
-    state.result.invalid_filtered += evals.len() - built.count();
+    result.invalid_filtered += evals.len() - built.count();
     cx.span(state.generation, Phase::SketchInstantiate, 0.0, evals.len());
     cx.span(state.generation, Phase::FeatureExtract, 0.0, featurized);
     let skipped = population.len() - evals.len();
@@ -680,7 +711,7 @@ fn select<'c>(
 /// log, what an earlier run logged for these jobs is replayed rank by rank,
 /// the farm takes over where the log stops, and the log gains the
 /// generation. Returns one reading per batch member: `None` for a cached or
-/// invalid one. Charges the batch makespan to `tuning_cost_s`.
+/// invalid one. Charges the batch makespan to the sketch's `tuning_cost_s`.
 fn measure(
     cx: &Ctx,
     state: &mut SearchState,
@@ -746,23 +777,25 @@ fn measure(
             None => c.built.is_none().then_some(COMPILE_OVERHEAD_S),
         })
         .collect();
-    state.result.tuning_cost_s += batch_makespan(&costs, cx.threads);
+    state.tuning_cost_s += batch_makespan(&costs, cx.threads);
     let serial_s = batch_makespan(&costs, 1);
     cx.span(generation, Phase::Measure, serial_s, costs.len());
     readings
 }
 
 /// Learn: fold the batch's readings into the result in rank order — every
-/// member appends one `history` entry — quarantine deterministic
-/// failures, cache new measurements, buffer them as the cost model's next
-/// samples and keep the eight best elites.
+/// member spends one unit of the sketch's budget and appends one `history`
+/// entry — quarantine deterministic failures, cache new measurements,
+/// buffer them as the cost model's next samples and keep the eight best
+/// elites.
 fn learn(
     cx: &Ctx,
     state: &mut SearchState,
+    r: &mut TuneResult,
     batch: &[&CandidateEval],
     readings: Vec<Option<MeasureOutcome>>,
 ) {
-    let r = &mut state.result;
+    state.budget_used += batch.len();
     let mut samples = Vec::new();
     for (candidate, reading) in batch.iter().zip(readings) {
         let time = match (&candidate.built, reading) {
@@ -832,64 +865,10 @@ fn learn(
     state.elites.truncate(8);
 }
 
-/// Tunes several alternative sketches against `measurer` and returns the
-/// best result, merging the accounting (the paper's TensorIR searches
-/// tensorized and non-tensorized structures jointly).
-///
-/// When `opts.checkpoint_path` is set, each sketch checkpoints to its own
-/// derived file (`<name>.sketch<i>`), so a killed multi-sketch run
-/// resumes every sub-search from wherever it got to.
-///
-/// The merged `history` is the per-sketch histories concatenated in sketch
-/// order, each restarting from its own first measurement: it is not
-/// monotone across a sketch boundary. Fold its running minimum for the
-/// best-so-far of the whole tune.
-pub fn tune_multi_with(
-    sketches: &[&dyn SketchRule],
-    machine: &Machine,
-    opts: &TuneOptions,
-    measurer: &dyn Measurer,
-) -> TuneResult {
-    let mut m = TuneResult::default();
-    // Budget split across sketches. Each sketch gets at least one trial so
-    // small budgets still cover every structure, but a zero budget stays
-    // zero: `trials: 0` must not search at all.
-    let per_sketch = TuneOptions {
-        trials: (opts.trials / sketches.len().max(1)).max(opts.trials.min(1)),
-        ..opts.clone()
-    };
-    for (i, sketch) in sketches.iter().enumerate() {
-        let o = TuneOptions {
-            seed: opts.seed.wrapping_add(i as u64 * 101),
-            checkpoint_path: opts.checkpoint_path.as_ref().map(|p| {
-                let mut name = p.file_name().unwrap_or_default().to_os_string();
-                name.push(format!(".sketch{i}"));
-                p.with_file_name(name)
-            }),
-            ..per_sketch.clone()
-        };
-        let r = tune_with(*sketch, machine, &o, measurer);
-        if r.best_time < m.best_time {
-            m.best = r.best;
-            m.best_time = r.best_time;
-        }
-        m.trials_measured += r.trials_measured;
-        m.invalid_filtered += r.invalid_filtered;
-        m.wasted_measurements += r.wasted_measurements;
-        m.tuning_cost_s += r.tuning_cost_s;
-        m.history.extend(r.history);
-        m.cache_hits += r.cache_hits;
-        m.failed_measurements += r.failed_measurements;
-        m.retries += r.retries;
-        m.quarantined += r.quarantined;
-        m.resumed_from_generation = m.resumed_from_generation.or(r.resumed_from_generation);
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::SimMeasurer;
     use crate::sketch_gpu::GpuTensorSketch;
     use tir::DataType;
     use tir_tensorize::builtin_registry;
@@ -899,6 +878,11 @@ mod tests {
         let reg = builtin_registry();
         let wmma = reg.get("wmma_16x16x16_f16").unwrap();
         GpuTensorSketch::new(&func, "C", wmma, true).expect("sketch")
+    }
+
+    /// A one-sketch tune on the simulator.
+    fn tune(s: &GpuTensorSketch, machine: &Machine, opts: &TuneOptions) -> TuneResult {
+        tune_with(&[s], machine, opts, &SimMeasurer)
     }
 
     #[test]
@@ -978,7 +962,7 @@ mod tests {
             trials: 0,
             ..Default::default()
         };
-        let r = tune_multi_with(&[&s, &s], &machine, &opts, &SimMeasurer);
+        let r = tune_with(&[&s, &s], &machine, &opts, &SimMeasurer);
         assert!(r.best.is_none());
         assert_eq!(r.trials_measured, 0);
         assert_eq!(r.tuning_cost_s, 0.0);

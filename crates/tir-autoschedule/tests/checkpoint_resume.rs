@@ -16,7 +16,7 @@ use std::sync::Arc;
 use tir::DataType;
 use tir_autoschedule::sketch_gpu::{GpuScalarSketch, GpuTensorSketch};
 use tir_autoschedule::{
-    build_sketches, tune, tune_with, FaultInjector, FaultPlan, Measurer, SimMeasurer, SketchRule,
+    build_sketches, tune_with, FaultInjector, FaultPlan, Measurer, SimMeasurer, SketchRule,
     Strategy, TuneOptions, TuneResult,
 };
 use tir_exec::machine::Machine;
@@ -86,33 +86,35 @@ fn kill_and_resume_is_bit_identical_to_uninterrupted() {
         num_threads: 2,
         ..Default::default()
     };
-    let uninterrupted = tune(&s, &machine, &base);
+    let uninterrupted = tune_with(&[&s], &machine, &base, &SimMeasurer);
     assert!(uninterrupted.best.is_some());
     for k in [1u64, 2, 3] {
         let path = ckpt_path(&format!("kill-after-{k}.ckpt"));
         let _ = std::fs::remove_file(&path);
         // Phase 1: run exactly k generations, then "die".
-        let killed = tune(
-            &s,
+        let killed = tune_with(
+            &[&s],
             &machine,
             &TuneOptions {
                 checkpoint_path: Some(path.clone()),
                 max_generations: Some(k),
                 ..base.clone()
             },
+            &SimMeasurer,
         );
         assert!(
             killed.trials_measured < uninterrupted.trials_measured,
             "kill at generation {k} must interrupt mid-search"
         );
         // Phase 2: a fresh search picks the checkpoint up and finishes.
-        let resumed = tune(
-            &s,
+        let resumed = tune_with(
+            &[&s],
             &machine,
             &TuneOptions {
                 checkpoint_path: Some(path.clone()),
                 ..base.clone()
             },
+            &SimMeasurer,
         );
         assert_eq!(resumed.resumed_from_generation, Some(k), "resume point");
         assert_bit_identical(&uninterrupted, &resumed, &format!("resume after gen {k}"));
@@ -133,8 +135,8 @@ fn resume_under_transient_faults_is_bit_identical() {
         num_threads: 1,
         ..Default::default()
     };
-    let fault_free = tune(&s, &machine, &base);
-    let uninterrupted = tune_with(&s, &machine, &base, &inj);
+    let fault_free = tune_with(&[&s], &machine, &base, &SimMeasurer);
+    let uninterrupted = tune_with(&[&s], &machine, &base, &inj);
     assert_eq!(
         uninterrupted.best.as_ref().map(|f| f.to_string()),
         fault_free.best.as_ref().map(|f| f.to_string()),
@@ -143,7 +145,7 @@ fn resume_under_transient_faults_is_bit_identical() {
     let path = ckpt_path("resume-under-faults.ckpt");
     let _ = std::fs::remove_file(&path);
     let _killed = tune_with(
-        &s,
+        &[&s],
         &machine,
         &TuneOptions {
             checkpoint_path: Some(path.clone()),
@@ -153,7 +155,7 @@ fn resume_under_transient_faults_is_bit_identical() {
         &inj,
     );
     let resumed = tune_with(
-        &s,
+        &[&s],
         &machine,
         &TuneOptions {
             checkpoint_path: Some(path.clone()),
@@ -178,16 +180,17 @@ fn corrupt_checkpoint_starts_fresh_on_resume() {
         num_threads: 1,
         ..Default::default()
     };
-    let clean = tune(&s, &machine, &base);
+    let clean = tune_with(&[&s], &machine, &base, &SimMeasurer);
     let path = ckpt_path("corrupt.ckpt");
     std::fs::write(&path, "tir-autoschedule-checkpoint v1\ncounts garbage\n").expect("write");
-    let r = tune(
-        &s,
+    let r = tune_with(
+        &[&s],
         &machine,
         &TuneOptions {
             checkpoint_path: Some(path.clone()),
             ..base.clone()
         },
+        &SimMeasurer,
     );
     assert_eq!(r.resumed_from_generation, None, "garbage must not resume");
     assert_bit_identical(&clean, &r, "fresh run over corrupt checkpoint");
@@ -202,8 +205,8 @@ fn mismatched_seed_checkpoint_is_not_resumed() {
     let machine = Machine::sim_gpu();
     let path = ckpt_path("mismatch.ckpt");
     let _ = std::fs::remove_file(&path);
-    let _partial = tune(
-        &s,
+    let _partial = tune_with(
+        &[&s],
         &machine,
         &TuneOptions {
             trials: 24,
@@ -212,10 +215,11 @@ fn mismatched_seed_checkpoint_is_not_resumed() {
             max_generations: Some(1),
             ..Default::default()
         },
+        &SimMeasurer,
     );
     assert!(path.exists(), "checkpoint must have been written");
-    let other_seed = tune(
-        &s,
+    let other_seed = tune_with(
+        &[&s],
         &machine,
         &TuneOptions {
             trials: 24,
@@ -224,10 +228,11 @@ fn mismatched_seed_checkpoint_is_not_resumed() {
             checkpoint_path: Some(path.clone()),
             ..Default::default()
         },
+        &SimMeasurer,
     );
     assert_eq!(other_seed.resumed_from_generation, None);
-    let reference = tune(
-        &s,
+    let reference = tune_with(
+        &[&s],
         &machine,
         &TuneOptions {
             trials: 24,
@@ -235,6 +240,7 @@ fn mismatched_seed_checkpoint_is_not_resumed() {
             num_threads: 1,
             ..Default::default()
         },
+        &SimMeasurer,
     );
     assert_bit_identical(&reference, &other_seed, "seed-43 fresh run");
     let _ = std::fs::remove_file(&path);
@@ -253,11 +259,11 @@ fn resume_crossing_fault_regimes_converges_to_the_same_best() {
         num_threads: 1,
         ..Default::default()
     };
-    let fault_free = tune(&s, &machine, &base);
+    let fault_free = tune_with(&[&s], &machine, &base, &SimMeasurer);
     let path = ckpt_path("cross-regime.ckpt");
     let _ = std::fs::remove_file(&path);
     let _killed = tune_with(
-        &s,
+        &[&s],
         &machine,
         &TuneOptions {
             checkpoint_path: Some(path.clone()),
@@ -267,7 +273,7 @@ fn resume_crossing_fault_regimes_converges_to_the_same_best() {
         &SimMeasurer,
     );
     let resumed = tune_with(
-        &s,
+        &[&s],
         &machine,
         &TuneOptions {
             checkpoint_path: Some(path.clone()),
@@ -350,7 +356,7 @@ fn resume_at_every_generation_boundary_is_bit_identical_for_every_sketch_kind() 
                     ..Default::default()
                 };
                 let run = |opts: &TuneOptions| {
-                    tune_with(sketch.as_ref(), &machine, opts, measurer.as_ref())
+                    tune_with(&[sketch.as_ref()], &machine, opts, measurer.as_ref())
                 };
                 let uninterrupted = run(&base);
                 assert!(uninterrupted.best.is_some(), "{what}");
@@ -374,6 +380,86 @@ fn resume_at_every_generation_boundary_is_bit_identical_for_every_sketch_kind() 
     }
 }
 
+/// A tune over two sketches keeps one checkpoint file. Killed at any
+/// generation boundary — in its first sketch, at the boundary between the
+/// sketches, or inside its second — it resumes from that one file bit for
+/// bit, and `resumed_from_generation` counts the generations replayed over
+/// both sketches. A `<path>.sketch0` file next to it, where sketch 0's own
+/// log used to live, is never read nor touched.
+#[test]
+fn resume_across_a_sketch_boundary_is_bit_identical() {
+    let machine = Machine::sim_gpu();
+    let case = bench_suite(DataType::float16())
+        .into_iter()
+        .find(|c| c.kind == OpKind::GMM)
+        .expect("GMM in the suite");
+    let sketches = build_sketches(
+        &case.func,
+        &machine,
+        &builtin_registry(),
+        Strategy::TensorIr,
+    );
+    let sketches: Vec<&dyn SketchRule> = sketches.iter().map(|s| s.as_ref()).collect();
+    assert_eq!(sketches.len(), 2, "a tensor and a scalar sketch");
+    let inj = FaultInjector::sim(FaultPlan::transient(0.2));
+    let base = TuneOptions {
+        trials: 64,
+        num_threads: 2,
+        ..Default::default()
+    };
+    let uninterrupted = tune_with(&sketches, &machine, &base, &inj);
+    assert!(uninterrupted.retries > 0, "the faults never fired");
+    // The first sketch's search alone: its share of the budget, its seed.
+    let first = TuneOptions {
+        trials: base.trials / 2,
+        ..base.clone()
+    };
+    let first_spent = budget_used(&tune_with(&sketches[..1], &machine, &first, &inj));
+
+    let path = ckpt_path("two-sketches.ckpt");
+    let mut stale = path.clone().into_os_string();
+    stale.push(".sketch0");
+    let stale = PathBuf::from(stale);
+    // A log that would replay the first sketch's search, were it read.
+    let _ = std::fs::remove_file(&path);
+    tune_with(
+        &sketches[..1],
+        &machine,
+        &checkpointed(&first, &path, None),
+        &inj,
+    );
+    std::fs::rename(&path, &stale).expect("stale log in place");
+    let stale_bytes = std::fs::read(&stale).expect("stale log");
+    let fresh = tune_with(&sketches, &machine, &checkpointed(&base, &path, None), &inj);
+    assert_eq!(
+        fresh.resumed_from_generation, None,
+        "the stale log was read"
+    );
+    assert_bit_identical(&uninterrupted, &fresh, "fresh beside a stale log");
+
+    let mut inside_second = 0;
+    for k in 1u64.. {
+        let _ = std::fs::remove_file(&path);
+        let killed = tune_with(
+            &sketches,
+            &machine,
+            &checkpointed(&base, &path, Some(k)),
+            &inj,
+        );
+        let resumed = tune_with(&sketches, &machine, &checkpointed(&base, &path, None), &inj);
+        assert_eq!(resumed.resumed_from_generation, Some(k), "kill at {k}");
+        assert_bit_identical(&uninterrupted, &resumed, &format!("kill at {k}"));
+        if budget_used(&killed) == budget_used(&uninterrupted) {
+            break;
+        }
+        inside_second += usize::from(budget_used(&killed) > first_spent);
+    }
+    assert!(inside_second >= 1, "no kill fell inside the second sketch");
+    assert_eq!(std::fs::read(&stale).expect("stale log kept"), stale_bytes);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&stale);
+}
+
 /// Deterministic failures are logged too: a resumed run re-derives the
 /// quarantine from the recorded compile rejects instead of re-measuring.
 #[test]
@@ -389,22 +475,22 @@ fn resume_rederives_the_quarantine_from_logged_rejects() {
         num_threads: 2,
         ..Default::default()
     };
-    let uninterrupted = tune_with(&s, &machine, &base, &inj);
+    let uninterrupted = tune_with(&[&s], &machine, &base, &inj);
     assert!(uninterrupted.quarantined > 0, "no candidate was rejected");
     let path = ckpt_path("resume-quarantine.ckpt");
     let _ = std::fs::remove_file(&path);
-    let killed = tune_with(&s, &machine, &checkpointed(&base, &path, Some(2)), &inj);
+    let killed = tune_with(&[&s], &machine, &checkpointed(&base, &path, Some(2)), &inj);
     assert!(killed.quarantined > 0, "the kill should follow a reject");
     // Resumed fault-free: a reject that comes back can only be the log's.
     let resumed = tune_with(
-        &s,
+        &[&s],
         &machine,
         &checkpointed(&base, &path, Some(2)),
         &SimMeasurer,
     );
     assert_eq!(resumed.resumed_from_generation, Some(2));
     assert_bit_identical(&killed, &resumed, "replayed prefix");
-    let resumed = tune_with(&s, &machine, &checkpointed(&base, &path, None), &inj);
+    let resumed = tune_with(&[&s], &machine, &checkpointed(&base, &path, None), &inj);
     assert_bit_identical(&uninterrupted, &resumed, "resume across rejects");
     let _ = std::fs::remove_file(&path);
 }
@@ -425,7 +511,12 @@ fn resume_file_bytes_are_identical_across_runs_and_thread_counts() {
             num_threads: threads,
             ..Default::default()
         };
-        tune_with(&s, &machine, &checkpointed(&opts, &path, generations), &inj);
+        tune_with(
+            &[&s],
+            &machine,
+            &checkpointed(&opts, &path, generations),
+            &inj,
+        );
         std::fs::read(&path).expect("checkpoint written")
     };
     for generations in [Some(1), Some(3), None] {
@@ -466,14 +557,29 @@ fn resume_under_a_different_population_equals_a_fresh_run() {
         population: 16,
         ..wide.clone()
     };
-    let fresh = tune(&s, &machine, &narrow);
+    let fresh = tune_with(&[&s], &machine, &narrow, &SimMeasurer);
     let path = ckpt_path("population.ckpt");
     let _ = std::fs::remove_file(&path);
-    tune(&s, &machine, &checkpointed(&wide, &path, None));
-    let resumed = tune(&s, &machine, &checkpointed(&narrow, &path, None));
+    tune_with(
+        &[&s],
+        &machine,
+        &checkpointed(&wide, &path, None),
+        &SimMeasurer,
+    );
+    let resumed = tune_with(
+        &[&s],
+        &machine,
+        &checkpointed(&narrow, &path, None),
+        &SimMeasurer,
+    );
     assert_bit_identical(&fresh, &resumed, "population 32 log, population 16 run");
     // The file now holds the narrow run: resuming it again replays it all.
-    let again = tune(&s, &machine, &checkpointed(&narrow, &path, None));
+    let again = tune_with(
+        &[&s],
+        &machine,
+        &checkpointed(&narrow, &path, None),
+        &SimMeasurer,
+    );
     assert_bit_identical(&fresh, &again, "second resume");
     assert!(
         again.resumed_from_generation > resumed.resumed_from_generation,
@@ -496,13 +602,13 @@ fn resume_traces_the_replayed_generations_too() {
     };
     let path = ckpt_path("resume-trace.ckpt");
     let _ = std::fs::remove_file(&path);
-    tune_with(&s, &machine, &checkpointed(&base, &path, Some(3)), &inj);
+    tune_with(&[&s], &machine, &checkpointed(&base, &path, Some(3)), &inj);
     let trace = Arc::new(Collector::new());
     let traced = TuneOptions {
         trace: Some(trace.clone()),
         ..checkpointed(&base, &path, None)
     };
-    let resumed = tune_with(&s, &machine, &traced, &inj);
+    let resumed = tune_with(&[&s], &machine, &traced, &inj);
     assert_eq!(resumed.resumed_from_generation, Some(3));
     let spans = trace.report().phase_sim_s("search.measure");
     let cost = resumed.tuning_cost_s;
@@ -527,12 +633,22 @@ fn assert_older_format_is_ignored(old: &[u8], name: &str) {
     };
     let path = ckpt_path(&format!("{name}.ckpt"));
     std::fs::write(&path, old).expect("write");
-    let r = tune(&s, &machine, &checkpointed(&base, &path, None));
+    let r = tune_with(
+        &[&s],
+        &machine,
+        &checkpointed(&base, &path, None),
+        &SimMeasurer,
+    );
     assert_eq!(r.resumed_from_generation, None, "{name} must not resume");
-    let fresh = tune(&s, &machine, &base);
+    let fresh = tune_with(&[&s], &machine, &base, &SimMeasurer);
     assert_bit_identical(&fresh, &r, &format!("fresh run over a {name} file"));
     assert_ne!(std::fs::read(&path).expect("rewritten"), old);
-    let again = tune(&s, &machine, &checkpointed(&base, &path, None));
+    let again = tune_with(
+        &[&s],
+        &machine,
+        &checkpointed(&base, &path, None),
+        &SimMeasurer,
+    );
     assert!(again.resumed_from_generation.is_some());
     let _ = std::fs::remove_file(&path);
 }
@@ -562,14 +678,24 @@ fn resume_ignores_a_truncated_checkpoint() {
         num_threads: 1,
         ..Default::default()
     };
-    let clean = tune(&s, &machine, &base);
+    let clean = tune_with(&[&s], &machine, &base, &SimMeasurer);
     let path = ckpt_path("truncated.ckpt");
     let _ = std::fs::remove_file(&path);
-    tune(&s, &machine, &checkpointed(&base, &path, Some(1)));
+    tune_with(
+        &[&s],
+        &machine,
+        &checkpointed(&base, &path, Some(1)),
+        &SimMeasurer,
+    );
     let full = std::fs::read(&path).expect("checkpoint written");
     for keep in [full.len() - 1, full.len() - 4, full.len() / 2, 10, 0] {
         std::fs::write(&path, &full[..keep]).expect("write");
-        let r = tune(&s, &machine, &checkpointed(&base, &path, None));
+        let r = tune_with(
+            &[&s],
+            &machine,
+            &checkpointed(&base, &path, None),
+            &SimMeasurer,
+        );
         assert_eq!(
             r.resumed_from_generation,
             None,

@@ -14,8 +14,8 @@ use tir::structural::structural_hash;
 use tir::{DataType, PrimFunc};
 use tir_autoschedule::sketch_gpu::{GpuScalarSketch, GpuTensorSketch};
 use tir_autoschedule::{
-    tune, tune_with, CountingSketch, Decision, DecisionKind, FaultInjector, FaultPlan, MeasureCtx,
-    MeasureError, Measurer, SketchRule, TuneOptions, TuneResult,
+    tune_with, CountingSketch, Decision, DecisionKind, FaultInjector, FaultPlan, MeasureCtx,
+    MeasureError, Measurer, SimMeasurer, SketchRule, TuneOptions, TuneResult,
 };
 use tir_exec::machine::Machine;
 use tir_rand::rngs::StdRng;
@@ -62,7 +62,7 @@ fn counted(sketch: &dyn SketchRule, opts: &TuneOptions) -> (TuneResult, usize, T
         trace: Some(trace.clone()),
         ..opts.clone()
     };
-    let r = tune(&counting, &Machine::sim_gpu(), &opts);
+    let r = tune_with(&[&counting], &Machine::sim_gpu(), &opts, &SimMeasurer);
     (r, counting.applies(), trace.report())
 }
 
@@ -216,7 +216,7 @@ fn a_run_killed_after_a_lazy_generation_resumes_identically() {
         num_threads: 2,
         ..Default::default()
     };
-    let uninterrupted = tune(&sketch, &machine, &base);
+    let uninterrupted = tune_with(&[&sketch], &machine, &base, &SimMeasurer);
     assert!(uninterrupted.invalid_filtered > 0);
     let path = tmp_path("lazy-resume.ckpt");
     // Generation 0 is always lazy.
@@ -225,14 +225,18 @@ fn a_run_killed_after_a_lazy_generation_resumes_identically() {
         max_generations: Some(1),
         ..base.clone()
     };
-    assert!(tune(&sketch, &machine, &killed).trials_measured < uninterrupted.trials_measured);
-    let resumed = tune(
-        &sketch,
+    assert!(
+        tune_with(&[&sketch], &machine, &killed, &SimMeasurer).trials_measured
+            < uninterrupted.trials_measured
+    );
+    let resumed = tune_with(
+        &[&sketch],
         &machine,
         &TuneOptions {
             checkpoint_path: Some(path.clone()),
             ..base
         },
+        &SimMeasurer,
     );
     let _ = std::fs::remove_file(&path);
     assert_eq!(resumed.resumed_from_generation, Some(1));
@@ -336,7 +340,7 @@ fn a_quarantined_prefix_candidate_pulls_one_slot_further() {
         num_threads: 1,
         ..Default::default()
     };
-    let r = tune_with(&logging, &Machine::sim_gpu(), &opts, &measurer);
+    let r = tune_with(&[&logging], &Machine::sim_gpu(), &opts, &measurer);
 
     // Replay the log: a built program that was already quarantined cannot
     // fill a batch slot, so the scan had to build one more.

@@ -11,8 +11,8 @@
 use tir::{DataType, PrimFunc};
 use tir_autoschedule::sketch_gpu::GpuTensorSketch;
 use tir_autoschedule::{
-    tune, tune_with, tune_workload, tune_workload_with, FaultInjector, FaultPlan, MeasureCtx,
-    MeasureError, Measurer, RetryPolicy, SimMeasurer, Strategy, TuneOptions, TuneResult,
+    build_sketches, tune_with, tune_workload, FaultInjector, FaultPlan, MeasureCtx, MeasureError,
+    Measurer, RetryPolicy, SimMeasurer, SketchRule, Strategy, TuneOptions, TuneResult,
 };
 use tir_exec::machine::Machine;
 use tir_tensorize::builtin_registry;
@@ -75,13 +75,15 @@ fn fault_matrix_preserves_the_search_result() {
     for kind in [OpKind::GMM, OpKind::C2D] {
         let func = suite_func(kind);
         let fault_free = tune_workload(&func, &machine, &reg, Strategy::TensorIr, &opts);
+        let sketches = build_sketches(&func, &machine, &reg, Strategy::TensorIr);
+        let sketches: Vec<&dyn SketchRule> = sketches.iter().map(|s| s.as_ref()).collect();
         assert!(fault_free.best.is_some(), "{kind:?}: no baseline best");
         assert_eq!(fault_free.retries, 0);
         assert_eq!(fault_free.failed_measurements, 0);
         let mut prev_cost = fault_free.tuning_cost_s;
         for rate in [0.1, 0.3] {
             let inj = FaultInjector::sim(FaultPlan::transient(rate));
-            let faulty = tune_workload_with(&func, &machine, &reg, Strategy::TensorIr, &opts, &inj);
+            let faulty = tune_with(&sketches, &machine, &opts, &inj);
             assert_same_trajectory(&fault_free, &faulty, &format!("{kind:?} at {rate}"));
             assert!(
                 faulty.retries > 0,
@@ -115,7 +117,7 @@ fn fault_injection_is_thread_invariant() {
         ..Default::default()
     };
     let serial = tune_with(
-        &s,
+        &[&s],
         &machine,
         &TuneOptions {
             num_threads: 1,
@@ -123,18 +125,19 @@ fn fault_injection_is_thread_invariant() {
         },
         &inj,
     );
-    let fault_free = tune(
-        &s,
+    let fault_free = tune_with(
+        &[&s],
         &machine,
         &TuneOptions {
             num_threads: 1,
             ..base.clone()
         },
+        &SimMeasurer,
     );
     assert_same_trajectory(&fault_free, &serial, "serial faulty vs fault-free");
     for threads in [2usize, 4] {
         let parallel = tune_with(
-            &s,
+            &[&s],
             &machine,
             &TuneOptions {
                 num_threads: threads,
@@ -159,7 +162,7 @@ fn deterministic_faults_quarantine_candidates() {
         ..Default::default()
     });
     let r = tune_with(
-        &s,
+        &[&s],
         &machine,
         &TuneOptions {
             trials: 24,
@@ -211,7 +214,7 @@ fn injected_panic_fault_fails_one_candidate_not_the_run() {
     let s = mm_sketch();
     let machine = Machine::sim_gpu();
     let r = tune_with(
-        &s,
+        &[&s],
         &machine,
         &TuneOptions {
             trials: 24,
@@ -249,7 +252,7 @@ fn total_fault_exhaustion_terminates_with_finite_accounting() {
         ..Default::default()
     });
     let r = tune_with(
-        &s,
+        &[&s],
         &machine,
         &TuneOptions {
             trials: 8,

@@ -1,5 +1,5 @@
 //! Golden search runs: the byte-identity gate for any change to
-//! `tune_with`.
+//! `tune_with`, the one search entry point.
 //!
 //! `tune_golden.rs` pins what a tune finds; this file pins everything a
 //! tune leaves behind. A line of `tests/golden/search_runs.txt` is one
@@ -15,11 +15,14 @@
 //! default options and under transient faults plus compile rejects; then
 //! the cost model, the validation filter and the candidate cache each
 //! switched off, a warm start, a run stopped after two generations and its
-//! resume, and one `tune_multi_with`. All of it at one and at four
-//! threads, which must agree on everything but the farm's makespan.
+//! resume, and one tune over both TensorIR sketches of C2D. All of it at
+//! one and at four threads, which must agree on everything but the farm's
+//! makespan.
 //!
 //! The file was written by the single-function `tune_with` that the staged
-//! search replaced. Regenerate (only when the search is *meant* to change)
+//! search replaced. The two `multi C2D` lines moved once since, in
+//! `history=` and `ckpt=` only, when a tune over several sketches became
+//! one tune with one best-so-far history and one checkpoint file. Regenerate (only when the search is *meant* to change)
 //! with `cargo test -p tir-autoschedule --test search_golden -- --ignored`.
 
 #[path = "../../../tests/corpus/golden.rs"]
@@ -31,8 +34,8 @@ use std::sync::Arc;
 use golden::fnv1a;
 use tir::{DataType, PrimFunc};
 use tir_autoschedule::{
-    build_sketches, tune_multi_with, tune_with, FaultInjector, FaultPlan, Measurer, SimMeasurer,
-    SketchRule, Strategy, TuneOptions, TuneResult, WarmStart,
+    build_sketches, tune_with, FaultInjector, FaultPlan, Measurer, SimMeasurer, SketchRule,
+    Strategy, TuneOptions, TuneResult, WarmStart,
 };
 use tir_exec::machine::Machine;
 use tir_tensorize::builtin_registry;
@@ -54,24 +57,10 @@ fn sketch(
         .unwrap_or_else(|| panic!("no {name} sketch"))
 }
 
-/// Reads and removes the checkpoint files of a run: `path` itself, or
-/// `path.sketch<i>` for each of the `sketches` of a multi-sketch run.
-fn take_checkpoint(path: &Path, sketches: Option<usize>) -> Vec<u8> {
-    let files: Vec<PathBuf> = match sketches {
-        None => vec![path.to_path_buf()],
-        Some(n) => (0..n)
-            .map(|i| {
-                let mut name = path.file_name().unwrap_or_default().to_os_string();
-                name.push(format!(".sketch{i}"));
-                path.with_file_name(name)
-            })
-            .collect(),
-    };
-    let mut bytes = Vec::new();
-    for file in files {
-        bytes.extend(std::fs::read(&file).unwrap_or_default());
-        let _ = std::fs::remove_file(&file);
-    }
+/// Reads and removes the checkpoint file of a run.
+fn take_checkpoint(path: &Path) -> Vec<u8> {
+    let bytes = std::fs::read(path).unwrap_or_default();
+    let _ = std::fs::remove_file(path);
     bytes
 }
 
@@ -133,9 +122,9 @@ impl Runner {
         base: TuneOptions,
     ) -> TuneResult {
         let (opts, trace, path) = self.opts(label, base);
-        take_checkpoint(&path, None);
-        let r = tune_with(sketch, machine, &opts, measurer);
-        let checkpoint = take_checkpoint(&path, None);
+        take_checkpoint(&path);
+        let r = tune_with(&[sketch], machine, &opts, measurer);
+        let checkpoint = take_checkpoint(&path);
         self.record(label, &r, &trace, &checkpoint);
         r
     }
@@ -248,13 +237,13 @@ fn outcomes(threads: usize) -> String {
         ..Default::default()
     };
     let (opts, trace, path) = runner.opts(&stopped, two);
-    take_checkpoint(&path, None);
-    let r = tune_with(wmma, &gpu, &opts, &faults);
+    take_checkpoint(&path);
+    let r = tune_with(&[wmma], &gpu, &opts, &faults);
     let checkpoint = std::fs::read(&path).expect("a checkpoint after two generations");
     runner.record(&stopped, &r, &trace, &checkpoint);
     let (opts, trace, _) = runner.opts(&stopped, TuneOptions::default());
-    let r = tune_with(wmma, &gpu, &opts, &faults);
-    let checkpoint = take_checkpoint(&path, None);
+    let r = tune_with(&[wmma], &gpu, &opts, &faults);
+    let checkpoint = take_checkpoint(&path);
     runner.record(&format!("{stopped} resumed"), &r, &trace, &checkpoint);
 
     // Every TensorIR sketch of one operator, jointly.
@@ -263,9 +252,9 @@ fn outcomes(threads: usize) -> String {
     let names: Vec<&str> = sketches.iter().map(|s| s.name()).collect();
     let multi = format!("multi C2D {}", names.join(" + "));
     let (opts, trace, path) = runner.opts("multi C2D", TuneOptions::default());
-    take_checkpoint(&path, Some(sketches.len()));
-    let r = tune_multi_with(&sketches, &gpu, &opts, &SimMeasurer);
-    let checkpoint = take_checkpoint(&path, Some(sketches.len()));
+    take_checkpoint(&path);
+    let r = tune_with(&sketches, &gpu, &opts, &SimMeasurer);
+    let checkpoint = take_checkpoint(&path);
     runner.record(&multi, &r, &trace, &checkpoint);
     runner.out
 }

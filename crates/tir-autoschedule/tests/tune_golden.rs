@@ -14,8 +14,11 @@
 //! demand-driven materialization changes.
 //!
 //! The file was generated on the commit *before* `tune_with` stopped
-//! building candidates selection cannot reach. Regenerate (only when an
-//! intended change alters the search trajectory) with
+//! building candidates selection cannot reach. Its `history=` fields were
+//! rewritten once since, when a tune over several sketches began to return
+//! the best-so-far of the whole tune instead of the sketches' histories
+//! one after another; every other field is as generated. Regenerate (only
+//! when an intended change alters the search trajectory) with
 //! `cargo test -p tir-autoschedule --test tune_golden -- --ignored`.
 
 #[path = "../../../tests/corpus/golden.rs"]

@@ -201,7 +201,7 @@ fn tune_quarantines_illegal_family_without_simulating() {
         num_threads: 1,
         ..TuneOptions::default()
     };
-    let result = tune_with(&RacySketch, &Machine::sim_gpu(), &opts, &gate);
+    let result = tune_with(&[&RacySketch], &Machine::sim_gpu(), &opts, &gate);
     assert!(result.best.is_none(), "no racy candidate may win");
     assert_eq!(result.trials_measured, 0, "nothing legal to measure");
     assert!(
