@@ -429,8 +429,9 @@ fn bench_search_checkpoint() {
 }
 
 /// The warm paths: what it costs to be told "already tuned". One
-/// `tune_cached` hit on gmm 128³ and on ResNet-50's conv + add + relu group,
-/// and one whole warm `compile_model_with` / `evaluate_model_with` of the two
+/// `tune_cached` hit (one walk writing the workload key, one probe, one
+/// reference-count increment) on gmm 128³ and on ResNet-50's conv + add +
+/// relu group, and one whole warm `compile_model_with` / `evaluate_model_with` of the two
 /// networks the repo benchmark's `compile_models` workload uses (same
 /// precision, machine and 16-trial budget; 200 of the first and 80 of the
 /// second make its phases B and C).
@@ -622,8 +623,8 @@ fn bench_print_parse() {
 
 /// The text a daemon lives on, at the sizes it meets: parsing a *tuned* GMM
 /// (what a journal replay and a database load parse, once per record), the
-/// text key of the untuned one (once per cold admission and per publish),
-/// and a whole warm `tune` round trip against an in-process daemon — request
+/// workload key of the untuned one (one encoder walk, no printing: once per
+/// admission, warm or cold), and a whole warm `tune` round trip against an in-process daemon — request
 /// written, parsed, looked up, reply written and read — timed and counted on
 /// the client's thread.
 fn bench_text_and_serve() {

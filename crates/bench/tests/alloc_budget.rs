@@ -20,11 +20,11 @@ use std::collections::HashMap;
 use tensorir_bench::alloc_count::{counted, CountingAlloc};
 use tir::builder::matmul_func;
 use tir::simplify::{simplify_expr, simplify_stmt};
-use tir::structural::{matches_stream, structural_hash, structural_stream};
+use tir::structural::structural_hash;
 use tir::visit::{replace_buffers, subst_expr, subst_stmt};
 use tir::{Buffer, DataType, Expr, PrimFunc, Stmt, Var, VarMap};
 use tir_autoschedule::{
-    build_sketches, Decision, SketchRule, Strategy, TuneOptions, TuningDatabase,
+    build_sketches, workload_key, Decision, SketchRule, Strategy, TuneOptions, TuningDatabase,
 };
 use tir_exec::machine::Machine;
 use tir_exec::{run_sanitized, run_with, ExecBackend, Tensor};
@@ -234,25 +234,26 @@ fn passes_that_change_nothing_allocate_nothing() {
 /// function's name and parameter list, and the one-element `history`.
 const WARM_HIT_OWN: u64 = 3;
 /// The whole hit on gmm 128³ and on ResNet-50's conv + residual add + relu
-/// group (the network's three-operator fused kernel): own + hash walk +
-/// compare walk, the three above plus the two id maps of the
-/// `structural_hash` walk and the two of the walk that compares the
-/// program against the stream the index stored, all sized up front.
-/// Before bodies were shared and the database indexed by fingerprint the
-/// same hits made 480 and 960 allocations; while the comparison grew one
-/// map per kind as it went, 9 and 17; while the hash walk grew its maps
-/// (3 and 7) and a second, tree-against-tree walk confirmed the hit, 8
-/// and 12.
-const WARM_HIT_GMM: u64 = 7;
-const WARM_HIT_FUSED: u64 = 7;
+/// group (the network's three-operator fused kernel): own + key walk, the
+/// three above plus the two id maps of the walk that writes the workload
+/// key and the key's string, all sized up front. Before bodies were shared
+/// and the database indexed by fingerprint the same hits made 480 and 960
+/// allocations; while the comparison grew one map per kind as it went, 9
+/// and 17; while the hash walk grew its maps (3 and 7) and a second,
+/// tree-against-tree walk confirmed the hit, 8 and 12; while a fingerprint
+/// index (a hash walk and a compare walk, two id maps each) stood in front
+/// of a printed text key, 7 and 7.
+const WARM_HIT_GMM: u64 = 6;
+const WARM_HIT_FUSED: u64 = 6;
 /// One warm `compile_model_with` of ResNet-50 (22 kernels, no measurement):
 /// 2 198 of these are `fuse_graph` composing the kernels again. Was 19 457,
-/// 2 588 while the comparison of each hit grew its maps, and 2 507 while
-/// the hash walk grew its maps.
-const WARM_COMPILE_RESNET50: u64 = 2_426;
+/// 2 588 while the comparison of each hit grew its maps, 2 507 while the
+/// hash walk grew its maps, and 2 426 while a fingerprint index stood in
+/// front of the key (one allocation more per kernel).
+const WARM_COMPILE_RESNET50: u64 = 2_404;
 
-/// A warm hit is a hash walk, a compare walk, two probes and a
-/// reference-count increment: its allocation count is exact, repeats, and
+/// A warm hit is a key walk, a probe and a reference-count increment: its
+/// allocation count is exact, repeats, and
 /// does not depend on the size of the stored program (build profile makes
 /// no difference either: nothing is scheduled).
 #[test]
@@ -280,17 +281,13 @@ fn warm_hits_allocate_a_small_exact_constant() {
         let (first, allocs) = counted(&mut hit);
         let (_, again) = counted(&mut hit);
         assert_eq!(first.trials_measured, 0, "{}: warm", func.name);
-        let (_, hash) = counted(|| structural_hash(func));
-        let stream = structural_stream(func);
-        let (same, compare) = counted(|| matches_stream(func, &stream));
-        assert!(same, "{}", func.name);
+        let (_, key) = counted(|| workload_key(func));
         println!(
-            "{:<22} warm hit {allocs} allocations \
-             ({hash} hash walk + {compare} compare walk + {WARM_HIT_OWN} own)",
+            "{:<22} warm hit {allocs} allocations ({key} key walk + {WARM_HIT_OWN} own)",
             func.name
         );
         assert_eq!((allocs, again), (expected, expected), "{}", func.name);
-        assert_eq!(allocs - hash - compare, WARM_HIT_OWN, "{}", func.name);
+        assert_eq!(allocs - key, WARM_HIT_OWN, "{}", func.name);
     }
 
     let mut compile = || {

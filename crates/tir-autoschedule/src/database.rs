@@ -1,5 +1,4 @@
-//! Tuning database: persistent cached search records keyed by workload
-//! fingerprint.
+//! Tuning database: persistent cached search records keyed by workload.
 //!
 //! §5.2 of the paper: "TensorIR can eliminate search time further by
 //! caching historical cost models and search records. So no search is
@@ -12,9 +11,9 @@
 //! hand-rolled, line-oriented text format that reuses the discipline of
 //! [`crate::checkpoint`]: every `f64` is stored as the hex of its
 //! IEEE-754 bits (round-trips are bit-exact, including infinities),
-//! variable-length payloads (machine names, workload fingerprints,
-//! program text) are byte-length-prefixed, the file ends with an `end`
-//! sentinel so truncation is detected, and writes go through
+//! variable-length payloads (machine names, workload keys, program text)
+//! are byte-length-prefixed, the file ends with an `end` sentinel so
+//! truncation is detected, and writes go through
 //! [`crate::checkpoint::atomic_write`] (temp file + rename) so a crash
 //! mid-save can never leave a torn file behind. Any corruption is
 //! reported as a typed [`DbError`] — never a panic, never a silently
@@ -22,7 +21,7 @@
 //!
 //! # Wire-level guarantees
 //!
-//! * `decode(encode(db))` reproduces records, counters, and fingerprints
+//! * `decode(encode(db))` reproduces records, counters, and keys
 //!   bit-identically ([`TuningDatabase::encode`] sorts records, so the
 //!   encoded form itself is canonical: equal databases encode to equal
 //!   bytes).
@@ -30,26 +29,24 @@
 //!   the printer/parser round-trip is byte-exact for every program the
 //!   tuner can produce (property-tested in `crates/tir`).
 //!
-//! # Identity and index
+//! # Identity
 //!
-//! A record's identity is `(machine, strategy, text key)`, the text key
-//! being [`workload_key`] of the workload: that is what the snapshot, the
-//! journal, the wire protocol and the `&str`-keyed API (`lookup`, `peek`,
-//! `insert`) carry. Building it prints the whole program, so the database
-//! keeps a *fingerprint index* in front of it:
-//! [`tir::structural::structural_hash`] of a program → the structural
-//! streams ([`tir::structural::structural_stream`]) of the programs with
-//! that hash known to print to a stored key. A bucket entry is believed
-//! only after [`tir::structural::matches_stream`] confirms the program
-//! against its stream, which is structural equality (a 64-bit collision
-//! falls through to the text key; it can never serve another workload's
-//! record). [`TuningDatabase::key_of`] asks the index,
-//! [`TuningDatabase::remember_key`] teaches it, and
-//! [`TuningDatabase::tune_cached`] does both, so [`workload_key`] runs about
-//! once per distinct workload per process instead of once per request. The
-//! index only ever holds streams of programs whose key has a stored record,
-//! so it cannot outgrow the database by more than the alpha-variants
-//! callers actually present; it is never persisted.
+//! A record's identity is `(machine, strategy, workload key)`, the key
+//! being [`workload_key`] of the workload: the lowercase hex of its
+//! structural stream ([`tir::structural::structural_hex`]), one encoder
+//! walk. Two workloads share a record exactly when
+//! [`tir::structural::func_structural_eq`] holds, so no workload can be
+//! served another's record: there is nothing to collide. The key is what
+//! the snapshot, the journal, the wire protocol and the `&str`-keyed API
+//! (`lookup`, `peek`, `insert`) carry, and its meaning is part of the
+//! format: the headers say `v2`. A `v1` file was keyed by the printed
+//! program with every word renamed, dtypes included, so its records cannot
+//! be re-keyed; it is refused with both headers named.
+//!
+//! The printer drops an integer literal's type, so a program holding, say,
+//! an `int8` literal parses back with an `int32` one and a new key: the
+//! same workload keyed in process and keyed from its text misses once and
+//! is tuned again — never served a wrong program.
 //!
 //! ```
 //! use tir_autoschedule::database::TuningDatabase;
@@ -62,12 +59,12 @@
 //! ```
 
 use std::collections::HashMap;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use tir::parser::parse_func;
-use tir::structural::{matches_stream, structural_hash, structural_stream};
+use tir::structural::structural_hex;
 use tir::PrimFunc;
 use tir_exec::machine::Machine;
 use tir_tensorize::IntrinRegistry;
@@ -77,71 +74,29 @@ use crate::checkpoint::atomic_write;
 use crate::search::{TuneOptions, TuneResult, WarmStart};
 
 /// Magic + version header of the on-disk format; bump on any change.
-const HEADER: &str = "tir-tuning-database v1";
+const HEADER: &str = "tir-tuning-database v2";
 
-/// Computes a structural fingerprint of a workload: the printed program
-/// with variable/buffer *names* replaced by first-occurrence indices, so
-/// alpha-equivalent workloads share a key. Numeric literals are kept
-/// verbatim — shapes, strides, and constants distinguish workloads.
+/// The key a workload's records are stored under: the lowercase hex of its
+/// structural stream, so two workloads share a key exactly when
+/// [`tir::structural::func_structural_eq`] holds — names and variable
+/// identities ignored; shapes, dtypes, literals and structure kept.
 ///
 /// ```
 /// use tir::DataType;
 /// use tir_autoschedule::workload_key;
 ///
 /// // Alpha-equivalent workloads (different names, same computation)
-/// // share a fingerprint; a different shape must not.
+/// // share a key; a different shape or dtype must not.
 /// let a = tir::builder::matmul_func("mm", 64, 64, 64, DataType::float16());
 /// let b = tir::builder::matmul_func("renamed", 64, 64, 64, DataType::float16());
 /// let c = tir::builder::matmul_func("mm", 64, 64, 32, DataType::float16());
+/// let d = tir::builder::matmul_func("mm", 64, 64, 64, DataType::float32());
 /// assert_eq!(workload_key(&a), workload_key(&b));
 /// assert_ne!(workload_key(&a), workload_key(&c));
+/// assert_ne!(workload_key(&a), workload_key(&d));
 /// ```
 pub fn workload_key(func: &PrimFunc) -> String {
-    // Keep dialect keywords stable; rename everything else.
-    const KEYWORDS: &[&str] = &[
-        "def", "for", "in", "if", "else", "with", "range", "pass", "and", "or", "not", "thread",
-        "true", "false", "True", "False",
-    ];
-    let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b'.';
-    let text = func.to_string();
-    let bytes = text.as_bytes();
-    // Identifiers in order of first occurrence: a program has a few dozen,
-    // and most uses are of a recent one.
-    let mut names: Vec<&str> = Vec::new();
-    let mut out = String::with_capacity(text.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        let start = i;
-        while i < bytes.len() && word(bytes[i]) {
-            i += 1;
-        }
-        let ident = &text[start..i];
-        if ident.is_empty() {
-            // Everything up to the next identifier, as it is. Both ends are
-            // at ASCII bytes, so multi-byte characters stay whole.
-            while i < bytes.len() && !word(bytes[i]) {
-                i += 1;
-            }
-            out.push_str(&text[start..i]);
-        } else if bytes[start].is_ascii_digit()
-            || ident.starts_with("T.")
-            || KEYWORDS.contains(&ident)
-        {
-            // Numeric literals (shapes, strides, constants) are semantic:
-            // renaming them would let `gmm(128,…)` and `gmm(256,…)` collide
-            // on one fingerprint. Anything starting with an ASCII digit is
-            // a literal — identifiers can't start with a digit.
-            out.push_str(ident);
-        } else {
-            let n = names.iter().rposition(|&name| name == ident);
-            let n = n.unwrap_or_else(|| {
-                names.push(ident);
-                names.len() - 1
-            });
-            write!(out, "x{n}").expect("writing to a String");
-        }
-    }
-    out
+    structural_hex(func)
 }
 
 /// One cached tuning outcome.
@@ -159,6 +114,20 @@ pub struct TuningRecord {
     pub budget: usize,
     /// Tuning cost paid when it was first tuned (seconds).
     pub tuning_cost_s: f64,
+}
+
+impl TuningRecord {
+    /// The record of a tune run with a trial budget of `budget`; `None`
+    /// when the search found no valid program.
+    pub fn of_tune(result: &TuneResult, budget: usize) -> Option<TuningRecord> {
+        Some(TuningRecord {
+            best: result.best.clone()?,
+            best_time: result.best_time,
+            trials: result.trials_measured,
+            budget,
+            tuning_cost_s: result.tuning_cost_s,
+        })
+    }
 }
 
 /// Why a database file could not be loaded.
@@ -204,6 +173,19 @@ impl std::error::Error for DbError {
 impl From<std::io::Error> for DbError {
     fn from(e: std::io::Error) -> DbError {
         DbError::Io(e)
+    }
+}
+
+/// The error for a database file whose first line is `found`, not
+/// `expected`: a file of another format version (whose keys cannot be
+/// re-keyed) or not a database file at all.
+pub(crate) fn bad_header(file: &str, found: &str, expected: &str) -> DbError {
+    DbError::Corrupt {
+        offset: 0,
+        reason: format!(
+            "{file} header is `{found:.64}`, expected `{expected}`; \
+             its records cannot be read: move the file aside to start empty"
+        ),
     }
 }
 
@@ -388,29 +370,21 @@ impl Stored {
     }
 }
 
-/// A program's [`structural_stream`], as the fingerprint index keeps it.
-type Stream = Box<[u8]>;
-
 /// A database of tuning records keyed by
-/// `(machine, strategy, workload fingerprint)`, with optional on-disk
-/// persistence (see the module docs for the format guarantees, and for
-/// how the text key and the fingerprint index relate).
+/// `(machine, strategy, workload key)`, with optional on-disk persistence
+/// (see the module docs for the format guarantees and the identity).
 #[derive(Default, Debug)]
 pub struct TuningDatabase {
-    /// Text key → the records of that workload, one per (machine,
+    /// Workload key → the records of that workload, one per (machine,
     /// strategy) it was tuned for: a handful at most, scanned in place.
-    records: HashMap<Arc<str>, Vec<Stored>>,
-    /// Fingerprint index: structural hash → the structural streams of the
-    /// programs with that hash known to print to a key of `records` (which
-    /// the `Arc` shares).
-    index: HashMap<u64, Vec<(Stream, Arc<str>)>>,
+    records: HashMap<Box<str>, Vec<Stored>>,
     len: usize,
     hits: usize,
     misses: usize,
 }
 
 fn find<'a>(
-    records: &'a HashMap<Arc<str>, Vec<Stored>>,
+    records: &'a HashMap<Box<str>, Vec<Stored>>,
     machine: &str,
     strategy: Strategy,
     key: &str,
@@ -528,47 +502,6 @@ impl TuningDatabase {
             .flat_map(|(key, slots)| slots.iter().map(move |s| (&**key, s)))
     }
 
-    /// The text key of `func` — [`workload_key`]`(func)` — if the
-    /// fingerprint index knows the program: one hash walk, one probe, one
-    /// compare walk against a stored stream, no printing. `None` means only
-    /// that the index has not met this program; the caller computes the
-    /// key and offers it through [`TuningDatabase::remember_key`].
-    ///
-    /// # Precondition
-    ///
-    /// Structural equality implies equal text keys when, within each
-    /// program, distinct entities (the function, its variables, its
-    /// buffers) carry distinct names — the same precondition the
-    /// printer/parser round trip has, and one every program this workspace
-    /// builds or parses meets. Outside it (say, a buffer named like the
-    /// function in one program but not in the other) two structurally equal
-    /// programs can print to different keys, and the index then answers
-    /// with the key of whichever was met first. That is still a record for
-    /// the same computation — never a wrong program — but the request is
-    /// counted as a hit where text keying alone would have counted a miss.
-    pub fn key_of(&self, func: &PrimFunc) -> Option<Arc<str>> {
-        self.index
-            .get(&structural_hash(func))?
-            .iter()
-            .find(|(known, _)| matches_stream(func, known))
-            .map(|(_, key)| key.clone())
-    }
-
-    /// Teaches the index that `func` prints to `key`
-    /// (`key == workload_key(func)`). Kept only if a record is stored under
-    /// `key` — for any machine and strategy — so programs nobody tuned
-    /// leave nothing behind; a program the index already knows is not added
-    /// twice.
-    pub fn remember_key(&mut self, func: &PrimFunc, key: &str) {
-        let Some((key, _)) = self.records.get_key_value(key) else {
-            return;
-        };
-        let known = self.index.entry(structural_hash(func)).or_default();
-        if !known.iter().any(|(k, _)| matches_stream(func, k)) {
-            known.push((structural_stream(func).into(), key.clone()));
-        }
-    }
-
     /// Tunes `func` unless an alpha-equivalent workload was tuned before,
     /// in which case the cached record is returned with zero tuning cost
     /// (the paper's "no search is needed for an operator already tuned").
@@ -579,9 +512,9 @@ impl TuningDatabase {
     /// improve), and the record is replaced. Upgrades count as misses —
     /// a search ran.
     ///
-    /// A warm hit on a program the index knows costs a hash walk, a
-    /// compare walk, two probes and a reference-count increment: the
-    /// returned `best` shares its body with the stored record.
+    /// A warm hit costs one key walk ([`workload_key`]), one probe and a
+    /// reference-count increment: the returned `best` shares its body with
+    /// the stored record.
     pub fn tune_cached(
         &mut self,
         func: &PrimFunc,
@@ -590,14 +523,7 @@ impl TuningDatabase {
         strategy: Strategy,
         opts: &TuneOptions,
     ) -> TuneResult {
-        let key = match self.key_of(func) {
-            Some(key) => key,
-            None => {
-                let key: Arc<str> = workload_key(func).into();
-                self.remember_key(func, &key);
-                key
-            }
-        };
+        let key = workload_key(func);
         let hit = self
             .lookup(&machine.name, strategy, &key)
             .map(|rec| (rec.budget, rec.best.clone(), rec.best_time));
@@ -625,16 +551,8 @@ impl TuningDatabase {
             ..opts.clone()
         };
         let result = tune_workload(func, machine, intrins, strategy, &opts);
-        if let Some(best) = &result.best {
-            let record = TuningRecord {
-                best: best.clone(),
-                best_time: result.best_time,
-                trials: result.trials_measured,
-                budget: opts.trials,
-                tuning_cost_s: result.tuning_cost_s,
-            };
+        if let Some(record) = TuningRecord::of_tune(&result, opts.trials) {
             self.store(&machine.name, strategy, &key, record, None);
-            self.remember_key(func, &key);
         }
         result
     }
@@ -674,11 +592,9 @@ impl TuningDatabase {
     /// garbage, or a stored program that fails to parse.
     pub fn decode(text: &str) -> Result<Self, DbError> {
         let mut c = Cursor { text, pos: 0 };
-        if c.line()? != HEADER {
-            return Err(DbError::Corrupt {
-                offset: 0,
-                reason: format!("bad header (expected `{HEADER}`)"),
-            });
+        let header = c.line()?;
+        if header != HEADER {
+            return Err(bad_header("snapshot", header, HEADER));
         }
         let mut db = TuningDatabase::new();
         let counters = c.line()?;
@@ -802,14 +718,10 @@ mod tests {
         // Alpha-equivalence still holds for genuinely identical workloads.
         let again = tir_workloads::gmm(128, 128, 128, dt, acc);
         assert_eq!(workload_key(&small), workload_key(&again));
-        // The same against an index warmed on `small`.
-        let db = warmed_on(&small);
-        assert_eq!(db.key_of(&big), None);
-        assert_eq!(db.key_of(&again).as_deref(), Some(&*workload_key(&small)));
     }
 
-    /// A database holding one (untuned) record for `func`, its index warm.
-    fn warmed_on(func: &PrimFunc) -> TuningDatabase {
+    /// A database holding one (untuned) record for `func`.
+    fn holding(func: &PrimFunc) -> TuningDatabase {
         let mut db = TuningDatabase::new();
         let record = TuningRecord {
             best: func.clone(),
@@ -819,8 +731,6 @@ mod tests {
             tuning_cost_s: 0.0,
         };
         db.insert("SimGPU", Strategy::TensorIr, workload_key(func), record);
-        db.remember_key(func, &workload_key(func));
-        assert!(db.key_of(func).is_some());
         db
     }
 
@@ -848,46 +758,55 @@ mod tests {
             workload_key(&scale("f", "B", 2.5)),
             workload_key(&scale("f", "B", 0.5))
         );
-        // The same against an index warmed on the 2.5 variant.
-        let db = warmed_on(&scale("f", "B", 2.5));
-        assert_eq!(
-            db.key_of(&scale("g", "C", 2.5)).as_deref(),
-            Some(&*workload_key(&scale("f", "B", 2.5)))
-        );
-        assert_eq!(db.key_of(&scale("f", "B", 0.5)), None);
     }
 
-    #[test]
-    fn forged_fingerprint_collision_is_rejected_by_the_equality_check() {
-        // Two different workloads forced into one index bucket, as a
-        // 64-bit collision of `structural_hash` would: the bucket holds
-        // `stored` under the hash of `forged`.
-        let dt = DataType::float16();
-        let stored = tir_workloads::gmm(32, 32, 32, dt, dt);
-        let forged = tir_workloads::gmm(32, 32, 64, dt, dt);
-        let mut db = warmed_on(&stored);
-        let bucket = db.index.remove(&structural_hash(&stored)).expect("warm");
-        db.index.insert(structural_hash(&forged), bucket);
-        assert_eq!(db.key_of(&forged), None, "equal hash, unequal program");
+    /// `C = A + B` over 64 × 64 elements of `dtype`.
+    fn add(dtype: DataType) -> PrimFunc {
+        let [a, b, c] = ["A", "B", "C"].map(|n| tir::Buffer::new(n, dtype, vec![64, 64]));
+        let body = tir::builder::compute("C", &c, |v| {
+            let at = || v.iter().map(tir::Expr::from).collect();
+            a.load(at()) + b.load(at())
+        });
+        PrimFunc::new("add", vec![a, b, c], body)
+    }
 
-        // End to end: `forged` is tuned on its own, not served `stored`'s
-        // record, and afterwards shares the bucket without confusion.
-        let machine = Machine::sim_gpu();
+    /// Regression: the printed key renamed dtype strings like names, so a
+    /// workload that differed from a tuned one only in its dtype was served
+    /// the tuned one's program at zero trials.
+    #[test]
+    fn workloads_that_differ_only_in_dtype_are_each_tuned() {
+        let reg = builtin_registry();
         let opts = TuneOptions {
             trials: 8,
             ..Default::default()
         };
-        let r = db.tune_cached(
-            &forged,
-            &machine,
-            &builtin_registry(),
-            Strategy::TensorIr,
-            &opts,
-        );
-        assert_eq!((db.hits(), db.misses(), db.len()), (0, 1, 2));
-        assert!(r.tuning_cost_s > 0.0);
-        assert_eq!(db.index[&structural_hash(&forged)].len(), 2);
-        assert_eq!(db.key_of(&forged).as_deref(), Some(&*workload_key(&forged)));
+        let mm = |dt| tir::builder::matmul_func("mm", 64, 64, 64, dt);
+        let pairs = [
+            (
+                Machine::sim_arm(),
+                mm(DataType::int8()),
+                mm(DataType::int32()),
+            ),
+            (
+                Machine::sim_gpu(),
+                add(DataType::float16()),
+                add(DataType::float32()),
+            ),
+        ];
+        for (machine, first, second) in pairs {
+            let mut db = TuningDatabase::new();
+            db.tune_cached(&first, &machine, &reg, Strategy::TensorIr, &opts);
+            let r = db.tune_cached(&second, &machine, &reg, Strategy::TensorIr, &opts);
+            let dtype = second.params[2].dtype();
+            assert!(
+                r.trials_measured > 0,
+                "{} {dtype:?}: served warm",
+                second.name
+            );
+            assert_eq!((db.hits(), db.misses(), db.len()), (0, 2, 2));
+            let best = r.best.expect("tuned");
+            assert_eq!(best.params[2].dtype(), dtype);
+        }
     }
 
     #[test]
@@ -914,7 +833,7 @@ mod tests {
         let dt = DataType::float16();
         let f = tir_workloads::gmm(32, 32, 32, dt, dt);
         let key = workload_key(&f);
-        let db = warmed_on(&f);
+        let db = holding(&f);
         let peek_text = |db: &TuningDatabase| db.best_text("SimGPU", Strategy::TensorIr, &key);
         assert_eq!(peek_text(&db), None, "nothing printed yet");
         let encoded = db.encode();

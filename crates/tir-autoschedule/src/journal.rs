@@ -6,10 +6,10 @@
 //! damage used to be a fatal [`DbError::Corrupt`]. This module replaces
 //! rewrite-per-publish with the classic write-ahead-journal shape:
 //!
-//! * the **snapshot** (`tir-tuning-database v1`, the existing format)
+//! * the **snapshot** (`tir-tuning-database v2`, the existing format)
 //!   holds the database as of the last compaction, written atomically;
 //! * the **journal** (`<db path>.journal`, format
-//!   `tir-tuning-db-journal v1`) is append-only: each published record
+//!   `tir-tuning-db-journal v2`) is append-only: each published record
 //!   becomes one length-prefixed, checksummed entry reusing the
 //!   snapshot's hex-bit `record` encoding — an O(1) append + fsync per
 //!   publish, regardless of database size;
@@ -44,7 +44,7 @@
 //! # Journal entry framing
 //!
 //! ```text
-//! tir-tuning-db-journal v1\n
+//! tir-tuning-db-journal v2\n
 //! entry <payload-bytes> <fnv1a64-hex>\n
 //! record <machine_len> <strategy_len> <key_len> <best_len> <best_time> <trials> <budget> <cost>\n
 //! <machine>\n<strategy>\n<key>\n<best program>\n
@@ -61,12 +61,12 @@ use std::sync::Arc;
 
 use crate::baseline::Strategy;
 use crate::database::{
-    decode_record, encode_record, Cursor, DbError, TuningDatabase, TuningRecord,
+    bad_header, decode_record, encode_record, Cursor, DbError, TuningDatabase, TuningRecord,
 };
 use crate::fault_io::JournalIo;
 
 /// Magic + version header of the journal file; bump on any change.
-pub const JOURNAL_HEADER: &str = "tir-tuning-db-journal v1";
+pub const JOURNAL_HEADER: &str = "tir-tuning-db-journal v2";
 
 /// Named crash points in the publish path, in order. The chaos harness
 /// enumerates these; [`crate::fault_io::FaultIo`] can crash at any of
@@ -468,10 +468,12 @@ fn replay(db: &mut TuningDatabase, bytes: &[u8]) -> Result<(usize, usize), DbErr
         if header_line.as_bytes().starts_with(bytes) {
             return Ok((0, 0));
         }
-        return Err(DbError::Corrupt {
-            offset: 0,
-            reason: format!("journal: bad header (expected `{JOURNAL_HEADER}`)"),
-        });
+        let found = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+        return Err(bad_header(
+            "journal",
+            &String::from_utf8_lossy(found),
+            JOURNAL_HEADER,
+        ));
     }
     let mut pos = header_line.len();
     let mut replayed = 0usize;

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 
 use tir::DataType;
 use tir_autoschedule::{
-    journal_path_for, DiskIo, JournaledDb, Strategy, TuningDatabase, TuningRecord,
+    journal_path_for, DbError, DiskIo, JournaledDb, Strategy, TuningDatabase, TuningRecord,
 };
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
@@ -125,6 +125,48 @@ fn saved_snapshot_is_the_encoded_bytes() {
         !dir.join("tuning.db.tmp").exists(),
         "temp file must be renamed"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `v1` file keyed its records by the printed program with every word
+/// renamed, dtypes included, so they cannot be re-keyed: `JournaledDb::open`
+/// refuses a `v1` snapshot and a `v1` journal, naming the header it found
+/// and the one it expected, and says what to do.
+#[test]
+fn v1_snapshots_and_journals_are_refused_by_name() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("codec-golden-v1");
+    let db_path = dir.join("tuning.db");
+    let v1 = |golden: &str, header: &str| {
+        let bytes = std::fs::read(format!("{GOLDEN_DIR}/{golden}")).expect("golden");
+        let (first, rest) = bytes.split_at(header.len());
+        assert_eq!(first, header.as_bytes());
+        [&header.as_bytes()[..header.len() - 1], b"1", rest].concat()
+    };
+    let cases = [
+        (
+            db_path.clone(),
+            v1("db_snapshot.txt", "tir-tuning-database v2"),
+            "snapshot header is `tir-tuning-database v1`, expected `tir-tuning-database v2`",
+        ),
+        (
+            journal_path_for(&db_path),
+            v1("journal_3_entries.bin", "tir-tuning-db-journal v2"),
+            "journal header is `tir-tuning-db-journal v1`, expected `tir-tuning-db-journal v2`",
+        ),
+    ];
+    for (path, bytes, names) in cases {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        std::fs::write(&path, bytes).expect("write v1 file");
+        match JournaledDb::open(Box::new(DiskIo::new()), &db_path) {
+            Err(DbError::Corrupt { offset: 0, reason }) => {
+                assert!(reason.contains(names), "{reason}");
+                assert!(reason.contains("move the file aside"), "{reason}");
+            }
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a v1 file was opened: {}", path.display()),
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -105,7 +105,7 @@ fn corrupted_fields_are_typed_errors_with_offsets() {
     // A wrong header, a garbled counter, and a record count that
     // overstates the payload.
     let cases = [
-        text.replacen("tir-tuning-database v1", "tir-tuning-database v9", 1),
+        text.replacen("tir-tuning-database v2", "tir-tuning-database v9", 1),
         text.replacen("counters", "confetti", 1),
         text.replacen("records 2", "records 7", 1),
     ];

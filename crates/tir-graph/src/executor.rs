@@ -189,7 +189,7 @@ pub fn evaluate_model_unfused(
 }
 
 /// Evaluates a model against a caller-owned [`TuningDatabase`]. Every
-/// kernel is keyed by its workload fingerprint
+/// kernel is keyed by its workload key
 /// ([`tir_autoschedule::workload_key`]): two same-named nodes with
 /// different shapes tune separately, identical shapes are served warm
 /// regardless of name, and the database can be reused across models,
@@ -513,8 +513,8 @@ mod tests {
             "per-group costs sum to the model total"
         );
         assert_eq!(group_trials, r.trials);
-        // Again, now that the database's fingerprint index has met both
-        // shapes: all warm, and each shape still gets its own time.
+        // Again, now that the database holds both shapes: all warm, and
+        // each shape still gets its own time.
         let warm = evaluate();
         assert!(warm.per_group.iter().all(|g| g.cache_hit && g.trials == 0));
         let times = |r: &ModelResult| r.per_group.iter().map(|g| g.time_s).collect::<Vec<_>>();

@@ -24,12 +24,12 @@
 //!
 //! * Lock order is `inflight` before `queue`; the database lock is
 //!   never held together with either.
-//! * The database lock covers probes (the fingerprint index's hash,
-//!   compare and stream walks among them), reference-count clones and one
-//!   journal append at a time — never a pretty-print, a deep program copy or a
-//!   sleep: text keys and journal entries are built before it is taken,
-//!   replies are printed after it is released, and a publish that has to
-//!   retry re-acquires it per attempt, backing off outside it.
+//! * The database lock covers map probes, reference-count clones and one
+//!   journal append at a time — never a walk of a program, a pretty-print,
+//!   a deep program copy or a sleep: workload keys and journal entries are
+//!   built before it is taken, replies are printed after it is released,
+//!   and a publish that has to retry re-acquires it per attempt, backing
+//!   off outside it.
 //! * A worker publishes a finished job in the order: journal append +
 //!   fsync + database insert (one critical section; a failed attempt
 //!   inserts nothing) → remove from `inflight` → set the job's
@@ -185,8 +185,8 @@ fn unpoisoned<G>(acquired: LockResult<G>) -> G {
 }
 
 /// Identifies one tunable unit: `(machine name, strategy label,
-/// workload fingerprint)` — the same triple the database is keyed by.
-type JobKey = (String, &'static str, Arc<str>);
+/// workload key)` — the same triple the database is keyed by.
+type JobKey = (String, &'static str, String);
 
 /// A finished tune's reply data, shared verbatim with every joiner.
 #[derive(Clone)]
@@ -202,7 +202,7 @@ struct Tuned {
 struct Job {
     machine: Machine,
     strategy: Strategy,
-    fingerprint: Arc<str>,
+    fingerprint: String,
     func: PrimFunc,
     trials: usize,
     rid: u64,
@@ -521,20 +521,8 @@ fn resolve_strategy(name: &str) -> Option<Strategy> {
     }
 }
 
-/// The text key of `func`: from the database's fingerprint index when it
-/// knows the program, else printed here — outside the database lock — and
-/// offered to the index, which keeps it once the key has a record.
-fn resolve_key(shared: &Shared, func: &PrimFunc) -> Arc<str> {
-    let known = unpoisoned(shared.db.lock()).db().key_of(func);
-    known.unwrap_or_else(|| {
-        let key: Arc<str> = workload_key(func).into();
-        let mut db = unpoisoned(shared.db.lock());
-        db.db_mut().remember_key(func, &key);
-        key
-    })
-}
-
-/// Validation shared by tune and query: machine, strategy, program.
+/// Validation shared by tune and query: machine, strategy, program; then
+/// the program's workload key, computed here, outside the database lock.
 /// Emits the `serve.admission` span whether or not admission succeeds.
 fn admit(
     shared: &Shared,
@@ -542,7 +530,7 @@ fn admit(
     machine: &str,
     strategy: &str,
     func_text: &str,
-) -> Result<(Machine, Strategy, PrimFunc, Arc<str>), Response> {
+) -> Result<(Machine, Strategy, PrimFunc, String), Response> {
     let t = Instant::now();
     let out = match (resolve_machine(machine), resolve_strategy(strategy)) {
         (None, _) => Err(Response::Rejected {
@@ -555,7 +543,7 @@ fn admit(
         }),
         (Some(m), Some(s)) => match parse_func(func_text) {
             Ok(f) => {
-                let key = resolve_key(shared, &f);
+                let key = workload_key(&f);
                 Ok((m, s, f, key))
             }
             Err(e) => Err(Response::Rejected {
@@ -791,12 +779,16 @@ fn enqueue_background(
     shared: &Arc<Shared>,
     machine: &Machine,
     strategy: Strategy,
-    fingerprint: &Arc<str>,
+    fingerprint: &str,
     func: &PrimFunc,
     trials: usize,
     warm: WarmStart,
 ) {
-    let key3: JobKey = (machine.name.clone(), strategy.label(), fingerprint.clone());
+    let key3: JobKey = (
+        machine.name.clone(),
+        strategy.label(),
+        fingerprint.to_string(),
+    );
     let mut inflight = unpoisoned(shared.inflight.lock());
     if inflight.contains_key(&key3) {
         shared.collector.count("serve.background_skipped", 1);
@@ -811,7 +803,7 @@ fn enqueue_background(
     let job = Arc::new(Job {
         machine: machine.clone(),
         strategy,
-        fingerprint: fingerprint.clone(),
+        fingerprint: fingerprint.to_string(),
         func: func.clone(),
         trials,
         rid,
@@ -877,26 +869,19 @@ fn worker_loop(shared: &Arc<Shared>) {
 
         let done = match outcome {
             Err(_) => Err("tuning worker panicked; the request was not retried".to_string()),
-            Ok(result) => match result.best {
+            Ok(result) => match TuningRecord::of_tune(&result, job.trials) {
                 None => Err("search produced no valid program".to_string()),
-                Some(best) => {
+                Some(record) => {
                     // Persist BEFORE removing from inflight (see the
                     // module docs' publication-order invariant), and
                     // BEFORE notifying the requester (the durability
                     // invariant: acknowledged ⇒ journaled + fsynced).
                     // The entry is built — the program printed, once —
                     // before the database lock is taken.
-                    let record = TuningRecord {
-                        best,
-                        best_time: result.best_time,
-                        trials: result.trials_measured,
-                        budget: job.trials,
-                        tuning_cost_s: result.tuning_cost_s,
-                    };
                     let entry = JournalEntry::new(
                         &job.machine.name,
                         job.strategy,
-                        job.fingerprint.to_string(),
+                        job.fingerprint.clone(),
                         record,
                     );
                     publish_with_retries(shared, &entry).map(|()| Tuned {
@@ -1020,7 +1005,7 @@ mod tests {
             job: Arc::new(Job {
                 machine: Machine::sim_gpu(),
                 strategy: Strategy::TensorIr,
-                fingerprint: "".into(),
+                fingerprint: String::new(),
                 func: tir::builder::matmul_func("m", 16, 16, 16, tir::DataType::float32()),
                 trials: 1,
                 rid: seq,

@@ -76,6 +76,69 @@ fn concurrent_same_fingerprint_tunes_once() {
     let _ = std::fs::remove_file(&db);
 }
 
+/// `C = A + B` over 64 × 64 elements of `dtype`, as a client sends it.
+fn add_text(dtype: DataType) -> String {
+    let [a, b, c] = ["A", "B", "C"].map(|n| tir::Buffer::new(n, dtype, vec![64, 64]));
+    let body = tir::builder::compute("C", &c, |v| {
+        let at = || v.iter().map(tir::Expr::from).collect();
+        a.load(at()) + b.load(at())
+    });
+    tir::PrimFunc::new("add", vec![a, b, c], body).to_string()
+}
+
+/// Regression: two programs that differ only in a dtype are two
+/// workloads. The key used to rename dtype strings like names, so the
+/// second joined the first's search (or was served its record).
+#[test]
+fn concurrent_tunes_that_differ_only_in_dtype_run_two_searches() {
+    let (sock, db) = tmp_paths("dtype-dedup");
+    let server = Server::start(ServeConfig::new(&sock, &db)).expect("start");
+    let texts = [add_text(DataType::float16()), add_text(DataType::float32())];
+    let replies: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = texts
+            .iter()
+            .map(|text| {
+                let sock = &sock;
+                scope.spawn(move || {
+                    let mut c = Client::connect(sock).expect("connect");
+                    c.tune("gpu", "tensorir", 8, 5, text).expect("tune")
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("thread"))
+            .collect()
+    });
+    for (reply, dtype) in replies.iter().zip(["float16", "float32"]) {
+        assert_eq!(reply.source, Source::Tuned, "{dtype}: no search of its own");
+        assert!(reply.func_text.contains(dtype), "{dtype}: another program");
+    }
+
+    let mut c = Client::connect(&sock).expect("connect");
+    c.shutdown().expect("shutdown");
+    server.join();
+    let _ = std::fs::remove_file(&db);
+}
+
+/// Regression: a query for a workload that differs from a tuned one only
+/// in its dtype misses instead of answering with the tuned program.
+#[test]
+fn a_query_for_another_dtype_misses() {
+    let (sock, db) = tmp_paths("dtype-query");
+    let server = Server::start(ServeConfig::new(&sock, &db)).expect("start");
+    let mut c = Client::connect(&sock).expect("connect");
+    let f16 = add_text(DataType::float16());
+    let cold = c.tune("gpu", "tensorir", 8, 5, &f16).expect("tune");
+    assert_eq!(cold.source, Source::Tuned);
+    assert!(c.query("gpu", "tensorir", &f16).expect("query").is_some());
+    let f32 = add_text(DataType::float32());
+    assert!(c.query("gpu", "tensorir", &f32).expect("query").is_none());
+    c.shutdown().expect("shutdown");
+    server.join();
+    let _ = std::fs::remove_file(&db);
+}
+
 #[test]
 fn restart_serves_warm_from_disk() {
     let (sock, db) = tmp_paths("restart");

@@ -9,14 +9,14 @@
 //! prefix-free byte stream, variables and buffers numbered by first
 //! occurrence (`Encoder`). Two programs are structurally equal exactly
 //! when their streams are equal — equal streams number their variables and
-//! buffers alike, which pairs them one to one. The encoder feeds three
+//! buffers alike, which pairs them one to one. The encoder feeds four
 //! consumers, so they cannot disagree:
 //!
 //! * an FNV-1a fold, [`structural_hash`], which keys caches of per-program
 //!   results (the auto-scheduler's candidate-evaluation cache recognizes
-//!   that two decision vectors materialized the same program, the tuning
-//!   database that a workload was tuned before);
+//!   that two decision vectors materialized the same program);
 //! * a byte vector, [`structural_stream`], the stream itself;
+//! * its lowercase hex, [`structural_hex`], the tuning database's key;
 //! * a comparison against a recorded stream, [`matches_stream`], which
 //!   builds no stream of its own.
 //!
@@ -62,6 +62,15 @@ impl Sink for Fnv {
 impl Sink for Vec<u8> {
     fn byte(&mut self, b: u8) {
         self.push(b);
+    }
+}
+
+/// A `String` takes the stream as lowercase hex, two digits a byte.
+impl Sink for String {
+    fn byte(&mut self, b: u8) {
+        let digit = |d: u8| char::from(b"0123456789abcdef"[usize::from(d)]);
+        self.push(digit(b >> 4));
+        self.push(digit(b & 15));
     }
 }
 
@@ -423,6 +432,12 @@ pub fn structural_hash(func: &PrimFunc) -> u64 {
 /// program and asks [`matches_stream`].
 pub fn structural_stream(func: &PrimFunc) -> Vec<u8> {
     encode(Vec::new(), |e| e.func(func))
+}
+
+/// [`structural_stream`] as lowercase hex, written as the encoder walks
+/// into room for a 2 KiB stream, more than any untuned workload needs.
+pub fn structural_hex(func: &PrimFunc) -> String {
+    encode(String::with_capacity(4096), |e| e.func(func))
 }
 
 /// Whether `func`'s stream is `stream` — whether `func` is structurally
