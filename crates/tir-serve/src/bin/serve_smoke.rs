@@ -32,7 +32,7 @@ use tir::DataType;
 use tir_autoschedule::{
     journal_path_for, DiskIo, JournaledDb, Strategy, TuningDatabase, TuningRecord,
 };
-use tir_serve::client::{Client, TuneReply};
+use tir_serve::client::{stats_field, Client, TuneReply};
 use tir_serve::protocol::Source;
 use tir_serve::server::{ServeConfig, Server};
 use tir_trace::{is_well_formed_json, json_f64, TraceReport};
@@ -88,20 +88,6 @@ fn parse_args() -> Config {
 fn fail(msg: &str) -> ! {
     eprintln!("serve-smoke: FAILED: {msg}");
     std::process::exit(1)
-}
-
-/// Extracts `"key": N` from the server's flat stats JSON.
-fn counter_in(json: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\": ");
-    let Some(at) = json.find(&needle) else {
-        return 0;
-    };
-    json[at + needle.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap_or(0)
 }
 
 fn assert_warm(reply: &TuneReply, against: &TuneReply, what: &str) {
@@ -237,7 +223,8 @@ fn main() -> ExitCode {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let stats = c.stats().unwrap_or_else(|e| fail(&e.to_string()));
-        if counter_in(&stats, "background_done") >= 1 {
+        let done = stats_field(&stats, "background_done");
+        if done.unwrap_or_else(|| fail(&format!("stats has no background_done: {stats}"))) >= 1 {
             break;
         }
         if Instant::now() > deadline {

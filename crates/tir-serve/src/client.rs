@@ -29,6 +29,16 @@ use std::time::Duration;
 
 use crate::protocol::{RejectCode, Request, Response, Source};
 
+/// The integer `key` of a `stats` reply (the daemon's flat JSON object of
+/// counters, keyed as `docs/OPERATIONS.md` tabulates them), or `None`
+/// when the reply has no such key.
+pub fn stats_field(json: &str, key: &str) -> Option<u64> {
+    let needle = format!("\"{key}\": ");
+    let at = json.find(&needle)? + needle.len();
+    let digits = json[at..].bytes().take_while(u8::is_ascii_digit).count();
+    json[at..at + digits].parse().ok()
+}
+
 /// Why a client call failed.
 #[derive(Debug)]
 pub enum ClientError {

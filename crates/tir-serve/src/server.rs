@@ -1055,7 +1055,11 @@ mod tests {
         assert!(panicked.is_err() && server.shared.db.is_poisoned());
 
         let stats = client.stats().expect("stats after the panic");
-        assert!(stats.contains("\"records\": 1"), "{stats}");
+        assert_eq!(
+            crate::client::stats_field(&stats, "records"),
+            Some(1),
+            "{stats}"
+        );
         let hit = client
             .query("gpu", "tensorir", &text)
             .expect("query after the panic");

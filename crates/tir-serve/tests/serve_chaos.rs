@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use tir::DataType;
 use tir_autoschedule::journal::{COMPACT_CRASH_POINTS, PUBLISH_CRASH_POINTS};
 use tir_autoschedule::{FaultSpec, IoProfile};
-use tir_serve::client::{Client, TuneReply};
+use tir_serve::client::{stats_field, Client, TuneReply};
 use tir_serve::protocol::Source;
 use tir_serve::server::{ServeConfig, Server};
 use tir_workloads::ops;
@@ -110,14 +110,14 @@ fn assert_recovered(scenario: &str, sock: &PathBuf, db: &PathBuf, acked: &[(Stri
     // but the crash hit before the client heard back — a real power
     // loss produces exactly the same window).
     let stats = c.stats().expect("stats");
-    let records = json_field(&stats, "records");
+    let records = stats_field(&stats, "records").expect("records");
     assert!(
         records == acked.len() as u64 || records == acked.len() as u64 + 1,
         "{scenario}: expected {} (+0/+1) records after recovery, found {records} in {stats}",
         acked.len()
     );
     assert_eq!(
-        json_field(&stats, "db_degraded"),
+        stats_field(&stats, "db_degraded").expect("db_degraded"),
         0,
         "{scenario}: recovered daemon must not be degraded"
     );
@@ -125,20 +125,6 @@ fn assert_recovered(scenario: &str, sock: &PathBuf, db: &PathBuf, acked: &[(Stri
     let mut c = Client::connect(sock).expect("connect");
     c.shutdown().expect("shutdown");
     server.join();
-}
-
-/// Pulls an integer field out of the daemon's flat stats JSON.
-fn json_field(json: &str, name: &str) -> u64 {
-    let pat = format!("\"{name}\": ");
-    let at = json
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {name} in {json}"));
-    json[at + pat.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .expect("numeric stats field")
 }
 
 fn chaos_cfg(sock: &PathBuf, db: &PathBuf, spec: FaultSpec) -> ServeConfig {
@@ -237,12 +223,12 @@ fn transient_save_failures_degrade_visibly_then_recover() {
     assert_eq!(first.source, Source::Tuned);
     let stats = c.stats().expect("stats");
     assert_eq!(
-        json_field(&stats, "db_degraded"),
+        stats_field(&stats, "db_degraded").expect("db_degraded"),
         1,
         "degradation must be visible: {stats}"
     );
     assert_eq!(
-        json_field(&stats, "db_save_failures"),
+        stats_field(&stats, "db_save_failures").expect("db_save_failures"),
         3,
         "every failed attempt counted"
     );
@@ -255,7 +241,7 @@ fn transient_save_failures_degrade_visibly_then_recover() {
     assert_eq!(second.source, Source::Tuned);
     let stats = c.stats().expect("stats");
     assert_eq!(
-        json_field(&stats, "db_degraded"),
+        stats_field(&stats, "db_degraded").expect("db_degraded"),
         0,
         "compaction clears degradation: {stats}"
     );
@@ -306,7 +292,9 @@ fn failing_publish_backs_off_without_holding_up_other_requests() {
     // being answered at all while the tune is still in flight is the
     // property. No deadline tighter than the backoff itself is involved.
     let mut c = Client::connect(&sock).expect("connect");
-    while json_field(&c.stats().expect("stats"), "db_save_failures") == 0 {
+    while stats_field(&c.stats().expect("stats"), "db_save_failures").expect("db_save_failures")
+        == 0
+    {
         std::thread::sleep(Duration::from_millis(1));
     }
     let other = c.query("gpu", "tensorir", &texts[1]).expect("query");
@@ -314,8 +302,8 @@ fn failing_publish_backs_off_without_holding_up_other_requests() {
     let stats = c.stats().expect("stats");
     assert_eq!(
         (
-            json_field(&stats, "inflight"),
-            json_field(&stats, "cold_tunes")
+            stats_field(&stats, "inflight").expect("inflight"),
+            stats_field(&stats, "cold_tunes").expect("cold_tunes")
         ),
         (1, 0),
         "the query was held until the failing publish finished retrying: {stats}"
@@ -324,16 +312,20 @@ fn failing_publish_backs_off_without_holding_up_other_requests() {
     let early = c.query("gpu", "tensorir", &texts[0]).expect("query");
     let stats = c.stats().expect("stats");
     assert!(
-        early.is_none() || json_field(&stats, "inflight") == 0,
+        early.is_none() || stats_field(&stats, "inflight").expect("inflight") == 0,
         "a record was served between two failed publish attempts: {stats}"
     );
 
     let reply = tuner.join().expect("tuner thread");
     assert_eq!(reply.source, Source::Tuned);
     let stats = c.stats().expect("stats");
-    assert_eq!(json_field(&stats, "db_save_failures"), 5, "{stats}");
     assert_eq!(
-        json_field(&stats, "db_degraded"),
+        stats_field(&stats, "db_save_failures").expect("db_save_failures"),
+        5,
+        "{stats}"
+    );
+    assert_eq!(
+        stats_field(&stats, "db_degraded").expect("db_degraded"),
         0,
         "the sixth attempt made the record durable: {stats}"
     );
@@ -447,7 +439,7 @@ fn socket_chaos_never_wedges_the_daemon() {
     // The daemon survived all of it and still shuts down cleanly.
     let mut c = Client::connect(&sock).expect("connect");
     let stats = c.stats().expect("stats");
-    assert_eq!(json_field(&stats, "db_degraded"), 0);
+    assert_eq!(stats_field(&stats, "db_degraded").expect("db_degraded"), 0);
     c.shutdown().expect("shutdown");
     server.join();
     let _ = std::fs::remove_file(&db);
