@@ -691,31 +691,39 @@ impl JsonParser<'_> {
                         _ => return false,
                     }
                 }
+                // A control byte must be escaped.
+                0..=0x1f => return false,
                 _ => {}
             }
         }
         false
     }
 
+    /// RFC 8259: `-`? then `0` or `[1-9][0-9]*`, then an optional
+    /// fraction and an optional exponent, each with at least one digit.
     fn number(&mut self) -> bool {
-        let start = self.pos;
         self.eat(b'-');
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        if !self.eat(b'0') && !self.digits() {
+            return false;
         }
-        if self.eat(b'.') {
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+        if self.eat(b'.') && !self.digits() {
+            return false;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            return self.digits();
+        }
+        true
+    }
+
+    /// Consumes a run of digits; false when there is none.
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
         }
         self.pos > start
     }
@@ -856,17 +864,57 @@ mod tests {
             "{\"a\": 1} trailing",
             "\"unterminated",
             "{\"bad\\escape\": 1}",
+            "{\"a\": -}",
+            "[-]",
+            "[1., 01, 1e]",
+            "[1.]",
+            "[01]",
+            "[1e]",
+            "[1e+]",
+            "[-01]",
+            "\"raw\nnewline\"",
+            "\"raw\ttab\"",
         ] {
             assert!(!is_well_formed_json(bad), "accepted: {bad:?}");
         }
         for good in [
             "null",
             "-1.5e-3",
+            "[0, -0, 0.5, 10, 1E+2, 2.5e-10, 18446744073709551615]",
+            "\"escaped\\nnewline\"",
             "[]",
             "{}",
             "{\"a\": [1, {\"b\": \"\\u00e9\"}], \"c\": true}",
         ] {
             assert!(is_well_formed_json(good), "rejected: {good:?}");
+        }
+    }
+
+    #[test]
+    fn committed_artifacts_are_well_formed() {
+        for (name, text) in [
+            (
+                "BENCH_trace.json",
+                include_str!("../../../BENCH_trace.json"),
+            ),
+            (
+                "BENCH_serve.json",
+                include_str!("../../../BENCH_serve.json"),
+            ),
+            (
+                "BENCH_search.json",
+                include_str!("../../../BENCH_search.json"),
+            ),
+            (
+                "BENCH_fusion.json",
+                include_str!("../../../BENCH_fusion.json"),
+            ),
+            (
+                "BENCH_interp.json",
+                include_str!("../../../BENCH_interp.json"),
+            ),
+        ] {
+            assert!(is_well_formed_json(text), "{name} is not well-formed");
         }
     }
 
