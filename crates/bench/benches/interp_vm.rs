@@ -32,6 +32,7 @@
 //! updated shadow memory). The emitted JSON must be well-formed. Exits
 //! non-zero on any violation.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use tir::DataType;
@@ -48,7 +49,7 @@ fn run_unoptimized(func: &tir::PrimFunc, args: Vec<Tensor>) -> tir_exec::RunOutc
 }
 use tir_rand::{rngs::StdRng, SeedableRng};
 use tir_tensorize::builtin_registry;
-use tir_trace::is_well_formed_json;
+use tir_trace::json::{self, JsonWriter, Layout};
 use tir_workloads::ops;
 
 /// Every row's `mix_after` total once every lane loop ran to its end in
@@ -183,12 +184,16 @@ fn scheduled(func: &tir::PrimFunc, machine: &Machine) -> tir::PrimFunc {
         .expect("no sampled candidate materializes")
 }
 
-fn mix_json(mix: &[(&'static str, u64)]) -> String {
-    let fields: Vec<String> = mix.iter().map(|(m, c)| format!("\"{m}\": {c}")).collect();
-    format!("{{{}}}", fields.join(", "))
+/// A dispatched-instruction mix as one inline JSON object.
+fn write_mix(w: &mut JsonWriter, mix: &[(&'static str, u64)]) {
+    w.object(Layout::Inline, |w| {
+        for (mnemonic, count) in mix {
+            w.field(mnemonic, *count);
+        }
+    });
 }
 
-fn main() {
+fn main() -> ExitCode {
     let check = std::env::args().any(|a| a == "--check");
     let f32_ = DataType::float32();
     let f16 = DataType::float16();
@@ -252,105 +257,93 @@ fn main() {
         rows.push(row);
     }
 
-    // Hand-rolled JSON (the workspace has no serde dependency).
-    let mut json = String::from(
-        "{\n  \"benchmark\": \"interp_vm\",\n  \"unit\": \"ns_per_step\",\n  \"workloads\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"steps\": {}, \"tree_walk\": {:.2}, \"vm\": {:.2}, \"vm_opt\": {:.2}, \"vm_sanitized\": {:.2}, \"speedup\": {:.2}, \"speedup_opt\": {:.2}, \"opt_over_vm\": {:.2},\n     \"mix_before\": {},\n     \"mix_after\": {}}}{}\n",
-            r.name,
-            r.steps,
-            r.tw_ns_per_step,
-            r.vm_ns_per_step,
-            r.opt_ns_per_step,
-            r.san_ns_per_step,
-            r.tw_ns_per_step / r.vm_ns_per_step,
-            r.tw_ns_per_step / r.opt_ns_per_step,
-            r.vm_ns_per_step / r.opt_ns_per_step,
-            mix_json(&r.mix_before),
-            mix_json(&r.mix_after),
-            if i + 1 == rows.len() { "" } else { "," }
+    let text = json::document(|w| {
+        w.object(Layout::Lines, |w| {
+            w.field("benchmark", "interp_vm")
+                .field("unit", "ns_per_step");
+            w.key("workloads").array(Layout::Lines, |w| {
+                for r in &rows {
+                    w.object(Layout::Inline, |w| {
+                        w.field("name", r.name)
+                            .field("steps", r.steps)
+                            .field("tree_walk", r.tw_ns_per_step)
+                            .field("vm", r.vm_ns_per_step)
+                            .field("vm_opt", r.opt_ns_per_step)
+                            .field("vm_sanitized", r.san_ns_per_step)
+                            .field("speedup", r.tw_ns_per_step / r.vm_ns_per_step)
+                            .field("speedup_opt", r.tw_ns_per_step / r.opt_ns_per_step)
+                            .field("opt_over_vm", r.vm_ns_per_step / r.opt_ns_per_step)
+                            .key("mix_before");
+                        write_mix(w, &r.mix_before);
+                        w.key("mix_after");
+                        write_mix(w, &r.mix_after);
+                    });
+                }
+            });
+        });
+    });
+
+    let failures = check.then(|| check_rows(&rows));
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interp.json");
+    json::gate("interp_vm", path, &text, failures)
+}
+
+/// The `--check` gate's conditions, one failure per violated one.
+fn check_rows(rows: &[Row]) -> Vec<String> {
+    let mut failures = Vec::new();
+    // The acceptance gate covers the named MAC-shaped workloads and
+    // the scheduled programs; `dep` rides along in the report unchecked.
+    let named = |r: &Row, prefixes: &[&str]| prefixes.iter().any(|p| r.name.starts_with(p));
+    let total = |mix: &[(&str, u64)]| mix.iter().map(|(_, c)| c).sum::<u64>();
+    let ceiling = |name: &str| {
+        let row = MIX_AFTER_CEILING.iter().find(|(n, _)| *n == name);
+        row.map(|&(_, c)| c).expect("every row has a ceiling")
+    };
+    let sched = rows.iter().filter(|r| named(r, &["sched"]));
+    let sched_after: u64 = sched.map(|r| total(&r.mix_after)).sum();
+    if 10 * sched_after > 6 * SCHED_MIX_BEFORE_PROOFS {
+        failures.push(format!(
+            "the scheduled rows dispatch {sched_after} instructions (need <= 60% of \
+             {SCHED_MIX_BEFORE_PROOFS})"
         ));
     }
-    json.push_str("  ]\n}\n");
-    // Emit at the workspace root regardless of the bench's cwd.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interp.json");
-    std::fs::write(path, &json).expect("write BENCH_interp.json");
-    println!("wrote {path}");
-
-    if check {
-        let mut failures = Vec::new();
-        if !is_well_formed_json(&std::fs::read_to_string(path).expect("re-read json")) {
-            failures.push("BENCH_interp.json is not well-formed JSON".to_string());
-        }
-        // The acceptance gate covers the named MAC-shaped workloads and
-        // the scheduled programs; `dep` rides along in the report unchecked.
-        let named = |r: &Row, prefixes: &[&str]| prefixes.iter().any(|p| r.name.starts_with(p));
-        let total = |mix: &[(&str, u64)]| mix.iter().map(|(_, c)| c).sum::<u64>();
-        let ceiling = |name: &str| {
-            let row = MIX_AFTER_CEILING.iter().find(|(n, _)| *n == name);
-            row.map(|&(_, c)| c).expect("every row has a ceiling")
-        };
-        let sched = rows.iter().filter(|r| named(r, &["sched"]));
-        let sched_after: u64 = sched.map(|r| total(&r.mix_after)).sum();
-        if 10 * sched_after > 6 * SCHED_MIX_BEFORE_PROOFS {
+    for r in rows {
+        if total(&r.mix_after) > ceiling(r.name) {
             failures.push(format!(
-                "the scheduled rows dispatch {sched_after} instructions (need <= 60% of \
-                 {SCHED_MIX_BEFORE_PROOFS})"
+                "{}: the optimizer dispatches {} instructions, above {}",
+                r.name,
+                total(&r.mix_after),
+                ceiling(r.name)
             ));
         }
-        for r in &rows {
-            if total(&r.mix_after) > ceiling(r.name) {
-                failures.push(format!(
-                    "{}: the optimizer dispatches {} instructions, above {}",
-                    r.name,
-                    total(&r.mix_after),
-                    ceiling(r.name)
-                ));
-            }
-            let tw_over_opt = r.tw_ns_per_step / r.opt_ns_per_step;
-            let tw_over_vm = r.tw_ns_per_step / r.vm_ns_per_step;
-            let (before, after) = (total(&r.mix_before), total(&r.mix_after));
-            if named(r, &["gmm", "c2d", "c1d", "sched"]) && 2 * after > before {
-                failures.push(format!(
-                    "{}: the optimizer dispatches {after} of {before} instructions (need <= half)",
-                    r.name
-                ));
-            }
-            if named(r, &["gmm", "c2d", "c1d", "sched"]) && tw_over_opt < 2.0 {
-                failures.push(format!(
-                    "{}: vm_opt only {tw_over_opt:.2}x over tree-walk (need >= 2x)",
-                    r.name
-                ));
-            }
-            let san_over_opt = r.san_ns_per_step / r.opt_ns_per_step;
-            if named(r, &["gmm", "c2d", "c1d", "sched"]) && san_over_opt > 1.5 {
-                failures.push(format!(
-                    "{}: the sanitizer costs {san_over_opt:.2}x vm_opt per step (need <= 1.5x)",
-                    r.name
-                ));
-            }
-            if named(r, &["gmm", "c2d", "c1d"]) && tw_over_vm > 3.5 {
-                failures.push(format!(
-                    "{}: tree-walk costs {tw_over_vm:.2}x vm per step (need <= 3.5x)",
-                    r.name
-                ));
-            }
+        let tw_over_opt = r.tw_ns_per_step / r.opt_ns_per_step;
+        let tw_over_vm = r.tw_ns_per_step / r.vm_ns_per_step;
+        let (before, after) = (total(&r.mix_before), total(&r.mix_after));
+        if named(r, &["gmm", "c2d", "c1d", "sched"]) && 2 * after > before {
+            failures.push(format!(
+                "{}: the optimizer dispatches {after} of {before} instructions (need <= half)",
+                r.name
+            ));
         }
-        if failures.is_empty() {
-            println!(
-                "CHECK ok: on gmm/c2d/c1d and the scheduled programs the optimizer at \
-                 least halves dispatches, vm_opt >= 2x tree-walk and the sanitizer <= 1.5x \
-                 vm_opt; tree-walk <= 3.5x vm on gmm/c2d/c1d; no row dispatches more than \
-                 its ceiling, the scheduled rows {sched_after} <= 60% of \
-                 {SCHED_MIX_BEFORE_PROOFS}"
-            );
-        } else {
-            for f in &failures {
-                eprintln!("CHECK FAILED: {f}");
-            }
-            std::process::exit(1);
+        if named(r, &["gmm", "c2d", "c1d", "sched"]) && tw_over_opt < 2.0 {
+            failures.push(format!(
+                "{}: vm_opt only {tw_over_opt:.2}x over tree-walk (need >= 2x)",
+                r.name
+            ));
+        }
+        let san_over_opt = r.san_ns_per_step / r.opt_ns_per_step;
+        if named(r, &["gmm", "c2d", "c1d", "sched"]) && san_over_opt > 1.5 {
+            failures.push(format!(
+                "{}: the sanitizer costs {san_over_opt:.2}x vm_opt per step (need <= 1.5x)",
+                r.name
+            ));
+        }
+        if named(r, &["gmm", "c2d", "c1d"]) && tw_over_vm > 3.5 {
+            failures.push(format!(
+                "{}: tree-walk costs {tw_over_vm:.2}x vm per step (need <= 3.5x)",
+                r.name
+            ));
         }
     }
+    failures
 }

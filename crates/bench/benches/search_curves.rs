@@ -39,7 +39,7 @@ use tir_autoschedule::{tune_workload, Strategy, TuneOptions};
 use tir_exec::machine::Machine;
 use tir_exec::TimeBreakdown;
 use tir_tensorize::IntrinRegistry;
-use tir_trace::{is_well_formed_json, json_f64};
+use tir_trace::json::{self, JsonWriter, Layout};
 use tir_workloads::{bench_suite, BenchCase, OpKind};
 
 const TRIALS: usize = 128;
@@ -136,24 +136,24 @@ impl Curve {
         }
     }
 
-    /// The curve as one line of JSON, times in simulated microseconds.
-    fn json(&self) -> String {
-        let best_us: Vec<String> = self.best.iter().map(|b| json_f64(b * 1e6)).collect();
-        format!(
-            "{{\"machine\": \"{}\", \"op\": \"{}\", \"seed\": {}, \"cost_model\": {}, \
-             \"spent\": {}, \"ceiling_us\": {}, \"best_us\": [{}], \"trials_to_5pct\": {}, \
-             \"auc\": {}}}",
-            self.machine,
-            self.op,
-            self.seed,
-            self.cost_model,
-            self.spent,
-            json_f64(self.ceiling * 1e6),
-            best_us.join(", "),
-            self.trials_to_5pct
-                .map_or("null".to_string(), |t| t.to_string()),
-            json_f64(self.auc)
-        )
+    /// The curve as one inline JSON object, times in simulated
+    /// microseconds.
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(Layout::Inline, |w| {
+            w.field("machine", self.machine)
+                .field("op", self.op)
+                .field("seed", self.seed)
+                .field("cost_model", self.cost_model)
+                .field("spent", self.spent)
+                .field("ceiling_us", self.ceiling * 1e6);
+            w.key("best_us").array(Layout::Inline, |w| {
+                for b in &self.best {
+                    w.value(b * 1e6);
+                }
+            });
+            w.field("trials_to_5pct", self.trials_to_5pct)
+                .field("auc", self.auc);
+        });
     }
 
     /// The curve as a table row: best-so-far over the ceiling.
@@ -201,12 +201,21 @@ fn curves(intrins: &IntrinRegistry, num_threads: usize) -> Vec<Curve> {
 
 /// The `BENCH_search.json` document.
 fn document(curves: &[Curve]) -> String {
-    let rows: Vec<String> = curves.iter().map(Curve::json).collect();
-    format!(
-        "{{\n  \"version\": 1,\n  \"trials\": {TRIALS},\n  \"checkpoints\": {CHECKPOINTS:?},\n  \
-         \"rows\": [\n    {}\n  ]\n}}\n",
-        rows.join(",\n    ")
-    )
+    json::document(|w| {
+        w.object(Layout::Lines, |w| {
+            w.field("version", 1u64).field("trials", TRIALS);
+            w.key("checkpoints").array(Layout::Inline, |w| {
+                for c in CHECKPOINTS {
+                    w.value(c);
+                }
+            });
+            w.key("rows").array(Layout::Lines, |w| {
+                for c in curves {
+                    c.write_json(w);
+                }
+            });
+        });
+    })
 }
 
 fn main() -> ExitCode {
@@ -221,35 +230,22 @@ fn main() -> ExitCode {
         ],
         &rows,
     );
-    let json = document(&measured);
+    let text = document(&measured);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_search.json");
-    std::fs::write(path, &json).expect("write BENCH_search.json");
-    println!("\nwrote BENCH_search.json");
-    if !check {
-        return ExitCode::SUCCESS;
-    }
-    let mut failures = Vec::new();
-    if !is_well_formed_json(&json) {
-        failures.push("BENCH_search.json is not well-formed JSON".to_string());
-    }
-    let expected = operators().len() * 2 * SEEDS.len();
-    let rows = json.matches("\"machine\": ").count();
-    if rows != expected {
-        failures.push(format!("{rows} rows, expected {expected}"));
-    }
-    if document(&curves(&intrins, 1)) != json {
-        failures.push("a second run at one thread wrote different bytes".to_string());
-    }
-    if document(&curves(&intrins, 2)) != json {
-        failures.push("two threads wrote different bytes than one".to_string());
-    }
-    if failures.is_empty() {
-        println!("check passed: {rows} rows, well-formed, identical across runs and thread counts");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("search_curves: CHECK FAILED: {f}");
+    let failures = check.then(|| {
+        let mut failures = Vec::new();
+        let expected = operators().len() * 2 * SEEDS.len();
+        let rows = text.matches("{\"machine\"").count();
+        if rows != expected {
+            failures.push(format!("{rows} rows, expected {expected}"));
         }
-        ExitCode::FAILURE
-    }
+        if document(&curves(&intrins, 1)) != text {
+            failures.push("a second run at one thread wrote different bytes".to_string());
+        }
+        if document(&curves(&intrins, 2)) != text {
+            failures.push("two threads wrote different bytes than one".to_string());
+        }
+        failures
+    });
+    json::gate("search_curves", path, &text, failures)
 }

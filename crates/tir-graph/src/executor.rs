@@ -618,7 +618,7 @@ mod tests {
         assert_eq!(rep.counter("graph.fused_ops"), 2);
         // The per-group tunings' own spans share the report.
         assert!(rep.phase("search.measure").is_some());
-        assert!(tir_trace::is_well_formed_json(&rep.to_json()));
+        assert!(tir_trace::json::is_well_formed_json(&rep.to_json()));
     }
 
     #[test]

@@ -35,7 +35,8 @@ use tir_autoschedule::{
 use tir_serve::client::{stats_field, Client, TuneReply};
 use tir_serve::protocol::Source;
 use tir_serve::server::{ServeConfig, Server};
-use tir_trace::{is_well_formed_json, json_f64, TraceReport};
+use tir_trace::json::{self, Layout};
+use tir_trace::TraceReport;
 use tir_workloads::ops;
 
 const WARM_QUERIES: usize = 50;
@@ -149,8 +150,7 @@ fn main() -> ExitCode {
     }
     println!(
         "serve-smoke: cold tune in {cold_latency_s:.3}s wall ({} trials, best {} s)",
-        cold.trials,
-        json_f64(cold.best_time)
+        cold.trials, cold.best_time
     );
 
     // 3. Warm burst: queries and a same-budget tune, all free and
@@ -173,9 +173,9 @@ fn main() -> ExitCode {
     assert_warm(&warm_tune, &cold, "same-budget re-tune");
     println!(
         "serve-smoke: {WARM_QUERIES} warm queries, latency min/p50/max {}/{}/{} s",
-        json_f64(warm_lat[0]),
-        json_f64(warm_lat[WARM_QUERIES / 2]),
-        json_f64(warm_lat[WARM_QUERIES - 1]),
+        warm_lat[0],
+        warm_lat[WARM_QUERIES / 2],
+        warm_lat[WARM_QUERIES - 1],
     );
 
     // 4. Concurrent dedup on a fresh fingerprint: exactly one search.
@@ -243,7 +243,7 @@ fn main() -> ExitCode {
     }
     println!(
         "serve-smoke: budget upgrade re-tuned in background, best {} s",
-        json_f64(upgraded.best_time)
+        upgraded.best_time
     );
 
     // 6. Shutdown, restart on the same database, warm from disk.
@@ -271,41 +271,39 @@ fn main() -> ExitCode {
     // pre-journal full-snapshot rewrite, both on a 1k-record database.
     let (journal_p50_s, rewrite_p50_s, publish_speedup) = publish_latency_bench();
     println!(
-        "serve-smoke: publish on {PUBLISH_DB_RECORDS} records: journal append p50 {}s, \
-         full rewrite p50 {}s ({publish_speedup:.1}x)",
-        json_f64(journal_p50_s),
-        json_f64(rewrite_p50_s),
+        "serve-smoke: publish on {PUBLISH_DB_RECORDS} records: journal append p50 \
+         {journal_p50_s}s, full rewrite p50 {rewrite_p50_s}s ({publish_speedup:.1}x)"
     );
 
-    // Report.
-    let text_out = render_report(
-        &cfg,
-        cold_latency_s,
-        &warm_lat,
-        tuned,
-        dedup,
-        warm,
-        restart_latency_s,
-        (journal_p50_s, rewrite_p50_s, publish_speedup),
-        &report,
-    );
-    if let Err(e) = std::fs::write(&cfg.out, &text_out) {
-        fail(&format!("cannot write {}: {e}", cfg.out));
-    }
-    println!("serve-smoke: report written to {}", cfg.out);
-
+    // The report: the session's numbers, then the daemon's trace.
+    let text_out = json::document(|w| {
+        w.object(Layout::Lines, |w| {
+            w.field("trials", cfg.trials)
+                .field("cold_latency_s", cold_latency_s)
+                .field("warm_queries", warm_lat.len())
+                .field("warm_latency_s_min", warm_lat[0])
+                .field("warm_latency_s_p50", warm_lat[warm_lat.len() / 2])
+                .field("warm_latency_s_max", warm_lat[warm_lat.len() - 1])
+                .field("dedup_clients", DEDUP_CLIENTS)
+                .field("dedup_tuned", tuned)
+                .field("dedup_joined", dedup)
+                .field("dedup_warm", warm)
+                .field("dedup_searches_saved", DEDUP_CLIENTS - tuned)
+                .field("restart_warm_latency_s", restart_latency_s)
+                .field("publish_db_records", PUBLISH_DB_RECORDS)
+                .field("publish_samples", PUBLISH_SAMPLES)
+                .field("publish_journal_p50_s", journal_p50_s)
+                .field("publish_rewrite_p50_s", rewrite_p50_s)
+                .field("publish_speedup", publish_speedup)
+                .key("trace");
+            report.write_json(w);
+        });
+    });
     let _ = std::fs::remove_file(&db);
-    if cfg.check {
-        let errors = check_report(&text_out, publish_speedup, &report);
-        if !errors.is_empty() {
-            for e in &errors {
-                eprintln!("serve-smoke: CHECK FAILED: {e}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("serve-smoke: check passed: JSON well-formed, all lifecycle phases traced");
-    }
-    ExitCode::SUCCESS
+    let failures = cfg
+        .check
+        .then(|| check_report(&text_out, publish_speedup, &report));
+    json::gate("serve-smoke", &cfg.out, &text_out, failures)
 }
 
 /// Times [`PUBLISH_SAMPLES`] publishes against a pre-seeded
@@ -384,85 +382,11 @@ fn publish_latency_bench() -> (f64, f64, f64) {
     (journal_p50, rewrite_p50, rewrite_p50 / journal_p50)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_report(
-    cfg: &Config,
-    cold_latency_s: f64,
-    warm_lat: &[f64],
-    tuned: usize,
-    dedup: usize,
-    warm: usize,
-    restart_latency_s: f64,
-    publish: (f64, f64, f64),
-    report: &TraceReport,
-) -> String {
-    let mut out = String::with_capacity(8192);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"trials\": {},\n", cfg.trials));
-    out.push_str(&format!(
-        "  \"cold_latency_s\": {},\n",
-        json_f64(cold_latency_s)
-    ));
-    out.push_str(&format!("  \"warm_queries\": {},\n", warm_lat.len()));
-    out.push_str(&format!(
-        "  \"warm_latency_s_min\": {},\n",
-        json_f64(warm_lat[0])
-    ));
-    out.push_str(&format!(
-        "  \"warm_latency_s_p50\": {},\n",
-        json_f64(warm_lat[warm_lat.len() / 2])
-    ));
-    out.push_str(&format!(
-        "  \"warm_latency_s_max\": {},\n",
-        json_f64(warm_lat[warm_lat.len() - 1])
-    ));
-    out.push_str(&format!("  \"dedup_clients\": {DEDUP_CLIENTS},\n"));
-    out.push_str(&format!("  \"dedup_tuned\": {tuned},\n"));
-    out.push_str(&format!("  \"dedup_joined\": {dedup},\n"));
-    out.push_str(&format!("  \"dedup_warm\": {warm},\n"));
-    out.push_str(&format!(
-        "  \"dedup_searches_saved\": {},\n",
-        DEDUP_CLIENTS - tuned
-    ));
-    out.push_str(&format!(
-        "  \"restart_warm_latency_s\": {},\n",
-        json_f64(restart_latency_s)
-    ));
-    let (journal_p50_s, rewrite_p50_s, speedup) = publish;
-    out.push_str(&format!(
-        "  \"publish_db_records\": {PUBLISH_DB_RECORDS},\n"
-    ));
-    out.push_str(&format!("  \"publish_samples\": {PUBLISH_SAMPLES},\n"));
-    out.push_str(&format!(
-        "  \"publish_journal_p50_s\": {},\n",
-        json_f64(journal_p50_s)
-    ));
-    out.push_str(&format!(
-        "  \"publish_rewrite_p50_s\": {},\n",
-        json_f64(rewrite_p50_s)
-    ));
-    out.push_str(&format!("  \"publish_speedup\": {},\n", json_f64(speedup)));
-    // Indent the embedded trace one level so the file stays readable.
-    let trace = report.to_json();
-    out.push_str("  \"trace\": ");
-    for (i, line) in trace.lines().enumerate() {
-        if i > 0 {
-            out.push_str("\n  ");
-        }
-        out.push_str(line);
-    }
-    out.push_str("\n}\n");
-    out
-}
-
-/// The CI gate: the report must be well-formed, the trace must carry
-/// every request-lifecycle phase and headline counter, and a journal
+/// The CI gate (well-formedness is [`json::gate`]'s): the trace must
+/// carry every request-lifecycle phase and headline counter, and a journal
 /// publish must beat the full-rewrite publish by the gate factor.
 fn check_report(text: &str, publish_speedup: f64, report: &TraceReport) -> Vec<String> {
     let mut errors = Vec::new();
-    if !is_well_formed_json(text) {
-        errors.push("report is not well-formed JSON".to_string());
-    }
     for key in [
         "\"cold_latency_s\"",
         "\"warm_latency_s_p50\"",

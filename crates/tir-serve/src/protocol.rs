@@ -256,7 +256,8 @@ pub enum Response {
     Miss,
     /// Counters snapshot.
     Stats {
-        /// Hand-rolled JSON object.
+        /// One inline JSON object of integer counters, keyed as
+        /// `docs/OPERATIONS.md` tabulates them.
         json: String,
     },
     /// The request was refused.

@@ -72,6 +72,7 @@ use tir_autoschedule::{
 };
 use tir_exec::Machine;
 use tir_tensorize::builtin_registry;
+use tir_trace::json::{JsonWriter, Layout};
 use tir_trace::{Collector, Key, TraceReport};
 
 use crate::protocol::{RejectCode, Request, Response, Source};
@@ -955,7 +956,8 @@ fn publish_with_retries(shared: &Arc<Shared>, entry: &JournalEntry) -> Result<()
     unreachable!("loop returns on success, crash, or final attempt")
 }
 
-/// Counters snapshot as a small hand-rolled JSON object.
+/// The `stats` reply: one inline JSON object of live counters, keyed and
+/// ordered as the metrics table of `docs/OPERATIONS.md`.
 fn stats_json(shared: &Shared) -> String {
     let (records, db_hits, db_misses, journal_bytes, compactions, degraded) = {
         let db = unpoisoned(shared.db.lock());
@@ -977,21 +979,28 @@ fn stats_json(shared: &Shared) -> String {
         .filter(|(name, _)| name.starts_with("serve.reject."))
         .map(|(_, v)| v)
         .sum();
-    format!(
-        "{{\"records\": {records}, \"db_hits\": {db_hits}, \"db_misses\": {db_misses}, \
-         \"queue_depth\": {queue_depth}, \"inflight\": {inflight}, \
-         \"warm_hits\": {}, \"cold_tunes\": {}, \"dedup_joins\": {}, \
-         \"background_retunes\": {}, \"background_done\": {}, \"rejected\": {rejected}, \
-         \"journal_bytes\": {journal_bytes}, \"compactions\": {compactions}, \
-         \"db_degraded\": {}, \"db_save_failures\": {}}}",
-        report.counter("serve.warm_hits"),
-        report.counter("serve.cold_tunes"),
-        report.counter("serve.dedup_joins"),
-        report.counter("serve.background_retunes"),
-        report.counter("serve.background_done"),
-        degraded as u8,
-        report.counter("serve.db_save_failures"),
-    )
+    let mut w = JsonWriter::default();
+    w.object(Layout::Inline, |w| {
+        w.field("records", records)
+            .field("db_hits", db_hits)
+            .field("db_misses", db_misses)
+            .field("queue_depth", queue_depth)
+            .field("inflight", inflight)
+            .field("warm_hits", report.counter("serve.warm_hits"))
+            .field("cold_tunes", report.counter("serve.cold_tunes"))
+            .field("dedup_joins", report.counter("serve.dedup_joins"))
+            .field(
+                "background_retunes",
+                report.counter("serve.background_retunes"),
+            )
+            .field("background_done", report.counter("serve.background_done"))
+            .field("rejected", rejected)
+            .field("journal_bytes", journal_bytes)
+            .field("compactions", compactions)
+            .field("db_degraded", u64::from(degraded))
+            .field("db_save_failures", report.counter("serve.db_save_failures"));
+    });
+    w.finish()
 }
 
 #[cfg(test)]

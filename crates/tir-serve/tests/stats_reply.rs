@@ -5,7 +5,7 @@
 use tir::DataType;
 use tir_serve::client::{stats_field, Client};
 use tir_serve::server::{ServeConfig, Server};
-use tir_trace::is_well_formed_json;
+use tir_trace::json::is_well_formed_json;
 use tir_workloads::ops;
 
 /// The keys of the metrics table in `docs/OPERATIONS.md`, in order; a row

@@ -20,8 +20,9 @@
 //!   and [`Collector::report`] merges everything deterministically by
 //!   sorting spans on their keys — reports are **byte-identical at any
 //!   thread count**;
-//! * [`TraceReport`] / [`TraceReport::to_json`] — a hand-rolled JSON
-//!   export (crates.io is unreachable offline, so no serde).
+//! * [`TraceReport`] / [`TraceReport::write_json`] — the merged report,
+//!   written by the workspace's one JSON writer ([`json`], which also
+//!   holds the well-formedness checker and the artifacts' `--check` gate).
 //!
 //! # Determinism contract
 //!
@@ -46,9 +47,13 @@
 
 #![warn(missing_docs)]
 
+pub mod json;
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+use json::{JsonWriter, Layout};
 
 /// Total order of a span within a run.
 ///
@@ -446,291 +451,77 @@ impl TraceReport {
         self.phases.iter().find(|p| p.name == name)
     }
 
-    /// Renders the report as JSON (hand-rolled: the build is offline, so
-    /// no serde). Output is deterministic: every collection is sorted and
-    /// floats use Rust's shortest-roundtrip formatting.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"version\": 1,\n  \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": ");
-            json_string(&mut out, &p.name);
-            out.push_str(&format!(
-                ", \"sim_s\": {}, \"items\": {}, \"spans\": {}}}",
-                json_f64(p.sim_s),
-                p.items,
-                p.spans
-            ));
-        }
-        out.push_str("\n  ],\n  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            json_string(&mut out, name);
-            out.push_str(&format!(": {v}"));
-        }
-        out.push_str("\n  },\n  \"histograms\": [");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": ");
-            json_string(&mut out, name);
-            out.push_str(&format!(", \"count\": {}, \"buckets\": [", h.count));
-            for (j, (e, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
+    /// Writes the report as one [`Layout::Lines`] object: `version`, then
+    /// `phases`, `counters`, `histograms`, `streams` and `spans`, one entry
+    /// per line, each entry inline.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        use Layout::{Inline, Lines};
+        w.object(Lines, |w| {
+            w.field("version", 1u64);
+            w.key("phases").array(Lines, |w| {
+                for p in &self.phases {
+                    w.object(Inline, |w| {
+                        w.field("name", &p.name)
+                            .field("sim_s", p.sim_s)
+                            .field("items", p.items)
+                            .field("spans", p.spans);
+                    });
                 }
-                if *e == i32::MIN {
-                    out.push_str(&format!("{{\"exp2\": null, \"count\": {n}}}"));
-                } else {
-                    out.push_str(&format!("{{\"exp2\": {e}, \"count\": {n}}}"));
+            });
+            w.key("counters").object(Lines, |w| {
+                for (name, v) in &self.counters {
+                    w.field(name, *v);
                 }
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  ],\n  \"streams\": [");
-        for (i, (id, label)) in self.streams.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {{\"id\": {id}, \"label\": "));
-            json_string(&mut out, label);
-            out.push('}');
-        }
-        out.push_str("\n  ],\n  \"spans\": [");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": ");
-            json_string(&mut out, &s.name);
-            out.push_str(&format!(
-                ", \"stream\": {}, \"gen\": {}, \"slot\": {}, \"seq\": {}, \"sim_s\": {}, \"items\": {}}}",
-                s.key.stream,
-                s.key.generation,
-                s.key.slot,
-                s.key.seq,
-                json_f64(s.sim_s),
-                s.items
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-}
-
-/// Formats an `f64` as a JSON number. Rust's `{}` formatting is the
-/// shortest round-trip representation — deterministic for identical bits.
-/// Non-finite values (not representable in JSON) become `null`. Shared
-/// with the report headers `tune-profile` and `serve-smoke` build by hand.
-pub fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    format!("{v}")
-}
-
-/// Appends a JSON string literal (with escaping) to `out`.
-pub fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Minimal JSON well-formedness check (syntax only, no schema): used by
-/// the `tune_profile` CI gate to validate emitted reports without a JSON
-/// dependency.
-pub fn is_well_formed_json(text: &str) -> bool {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    if !p.value() {
-        return false;
-    }
-    p.skip_ws();
-    p.pos == p.bytes.len()
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn lit(&mut self, s: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(s.as_bytes()) {
-            self.pos += s.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> bool {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.lit("true"),
-            Some(b'f') => self.lit("false"),
-            Some(b'n') => self.lit("null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => false,
-        }
-    }
-
-    fn object(&mut self) -> bool {
-        if !self.eat(b'{') {
-            return false;
-        }
-        self.skip_ws();
-        if self.eat(b'}') {
-            return true;
-        }
-        loop {
-            self.skip_ws();
-            if !self.string() {
-                return false;
-            }
-            self.skip_ws();
-            if !self.eat(b':') || !self.value() {
-                return false;
-            }
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            return self.eat(b'}');
-        }
-    }
-
-    fn array(&mut self) -> bool {
-        if !self.eat(b'[') {
-            return false;
-        }
-        self.skip_ws();
-        if self.eat(b']') {
-            return true;
-        }
-        loop {
-            if !self.value() {
-                return false;
-            }
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            return self.eat(b']');
-        }
-    }
-
-    fn string(&mut self) -> bool {
-        if !self.eat(b'"') {
-            return false;
-        }
-        while let Some(b) = self.peek() {
-            self.pos += 1;
-            match b {
-                b'"' => return true,
-                b'\\' => {
-                    // Accept any escape head; \uXXXX needs 4 hex digits.
-                    match self.peek() {
-                        Some(b'u') => {
-                            self.pos += 1;
-                            for _ in 0..4 {
-                                if !matches!(
-                                    self.peek(),
-                                    Some(b'0'..=b'9' | b'a'..=b'f' | b'A'..=b'F')
-                                ) {
-                                    return false;
-                                }
-                                self.pos += 1;
+            });
+            w.key("histograms").array(Lines, |w| {
+                for (name, h) in &self.histograms {
+                    w.object(Inline, |w| {
+                        w.field("name", name).field("count", h.count);
+                        w.key("buckets").array(Inline, |w| {
+                            for (&e, &n) in &h.buckets {
+                                w.object(Inline, |w| {
+                                    // The zero/subnormal bucket has no exponent.
+                                    w.field("exp2", (e != i32::MIN).then_some(e));
+                                    w.field("count", n);
+                                });
                             }
-                        }
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.pos += 1;
-                        }
-                        _ => return false,
-                    }
+                        });
+                    });
                 }
-                // A control byte must be escaped.
-                0..=0x1f => return false,
-                _ => {}
-            }
-        }
-        false
+            });
+            w.key("streams").array(Lines, |w| {
+                for (id, label) in &self.streams {
+                    w.object(Inline, |w| {
+                        w.field("id", *id).field("label", label);
+                    });
+                }
+            });
+            w.key("spans").array(Lines, |w| {
+                for s in &self.spans {
+                    w.object(Inline, |w| {
+                        w.field("name", &s.name)
+                            .field("stream", s.key.stream)
+                            .field("gen", s.key.generation)
+                            .field("slot", s.key.slot)
+                            .field("seq", s.key.seq)
+                            .field("sim_s", s.sim_s)
+                            .field("items", s.items);
+                    });
+                }
+            });
+        });
     }
 
-    /// RFC 8259: `-`? then `0` or `[1-9][0-9]*`, then an optional
-    /// fraction and an optional exponent, each with at least one digit.
-    fn number(&mut self) -> bool {
-        self.eat(b'-');
-        if !self.eat(b'0') && !self.digits() {
-            return false;
-        }
-        if self.eat(b'.') && !self.digits() {
-            return false;
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            return self.digits();
-        }
-        true
-    }
-
-    /// Consumes a run of digits; false when there is none.
-    fn digits(&mut self) -> bool {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        self.pos > start
+    /// The report as a JSON file's text ([`TraceReport::write_json`] and a
+    /// final newline). Deterministic: every collection is sorted.
+    pub fn to_json(&self) -> String {
+        json::document(|w| self.write_json(w))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::json::is_well_formed_json;
     use super::*;
 
     #[test]
@@ -850,72 +641,6 @@ mod tests {
         assert!(is_well_formed_json(&json), "{json}");
         // Empty report too.
         assert!(is_well_formed_json(&Collector::new().report().to_json()));
-    }
-
-    #[test]
-    fn json_checker_rejects_garbage() {
-        for bad in [
-            "",
-            "{",
-            "{\"a\": }",
-            "[1, 2,]",
-            "{\"a\" 1}",
-            "nulll",
-            "{\"a\": 1} trailing",
-            "\"unterminated",
-            "{\"bad\\escape\": 1}",
-            "{\"a\": -}",
-            "[-]",
-            "[1., 01, 1e]",
-            "[1.]",
-            "[01]",
-            "[1e]",
-            "[1e+]",
-            "[-01]",
-            "\"raw\nnewline\"",
-            "\"raw\ttab\"",
-        ] {
-            assert!(!is_well_formed_json(bad), "accepted: {bad:?}");
-        }
-        for good in [
-            "null",
-            "-1.5e-3",
-            "[0, -0, 0.5, 10, 1E+2, 2.5e-10, 18446744073709551615]",
-            "\"escaped\\nnewline\"",
-            "[]",
-            "{}",
-            "{\"a\": [1, {\"b\": \"\\u00e9\"}], \"c\": true}",
-        ] {
-            assert!(is_well_formed_json(good), "rejected: {good:?}");
-        }
-    }
-
-    #[test]
-    fn committed_artifacts_are_well_formed() {
-        for (name, text) in [
-            (
-                "BENCH_trace.json",
-                include_str!("../../../BENCH_trace.json"),
-            ),
-            (
-                "BENCH_serve.json",
-                include_str!("../../../BENCH_serve.json"),
-            ),
-            (
-                "BENCH_search.json",
-                include_str!("../../../BENCH_search.json"),
-            ),
-            (
-                "BENCH_fusion.json",
-                include_str!("../../../BENCH_fusion.json"),
-            ),
-            (
-                "BENCH_interp.json",
-                include_str!("../../../BENCH_interp.json"),
-            ),
-        ] {
-            assert!(is_well_formed_json(text), "{name} is not well-formed");
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! the instruction mix into the same report as `vm.op.*` counters.
 //!
 //! With `--check` the emitted report is validated in-process (the CI
-//! gate): it must be well-formed JSON, carry every phase the search
+//! gate, [`tir_trace::json::gate`]): it must be well-formed JSON, carry every phase the search
 //! declares (`tir_autoschedule::search::SEARCH_PHASES`) and the expected
 //! counters, its `search.*` phase times must sum to `tuning_cost_s`
 //! within 5%, and the candidates built and never built must add up to
@@ -26,7 +26,8 @@ use tir_autoschedule::search::SEARCH_PHASES;
 use tir_autoschedule::{tune_workload, Strategy, TuneOptions, TuneResult};
 use tir_exec::{compile_optimized, InstrMixProfile, Machine, Tensor};
 use tir_tensorize::builtin_registry;
-use tir_trace::{is_well_formed_json, json_f64, json_string, Collector, TraceReport};
+use tir_trace::json::{self, Layout};
+use tir_trace::{Collector, TraceReport};
 use tir_workloads::ops;
 
 /// Fuel cap for the post-tuning VM profile run. Large workloads (c2d)
@@ -123,58 +124,6 @@ fn profile_best(best: &PrimFunc, collector: &Collector) -> Option<bool> {
     Some(outcome.is_ok())
 }
 
-/// The full report: run metadata plus the merged trace, all hand-rolled
-/// (the container has no network access, so no serde).
-fn render_report(
-    cfg: &Config,
-    result: &TuneResult,
-    report: &TraceReport,
-    vm_complete: Option<bool>,
-) -> String {
-    let mut out = String::with_capacity(8192);
-    out.push_str("{\n  \"workload\": ");
-    json_string(&mut out, &cfg.workload);
-    out.push_str(",\n  \"machine\": ");
-    json_string(&mut out, &cfg.machine);
-    out.push_str(",\n");
-    out.push_str(&format!("  \"trials\": {},\n", cfg.trials));
-    out.push_str(&format!(
-        "  \"trials_measured\": {},\n",
-        result.trials_measured
-    ));
-    out.push_str(&format!(
-        "  \"best_time_s\": {},\n",
-        json_f64(result.best_time)
-    ));
-    out.push_str(&format!(
-        "  \"tuning_cost_s\": {},\n",
-        json_f64(result.tuning_cost_s)
-    ));
-    out.push_str(&format!(
-        "  \"phase_sum_s\": {},\n",
-        json_f64(report.phase_sim_s("search."))
-    ));
-    out.push_str(&format!(
-        "  \"vm_profile_complete\": {},\n",
-        match vm_complete {
-            Some(true) => "true",
-            Some(false) => "false",
-            None => "null",
-        }
-    ));
-    // Indent the embedded trace one level so the file stays readable.
-    let trace = report.to_json();
-    out.push_str("  \"trace\": ");
-    for (i, line) in trace.lines().enumerate() {
-        if i > 0 {
-            out.push_str("\n  ");
-        }
-        out.push_str(line);
-    }
-    out.push_str("\n}\n");
-    out
-}
-
 /// The `search.{proposed, materialized, materialize_skipped}` counters:
 /// candidates proposed after dedup, built (`SketchRule::apply` calls), and
 /// proposed but never built because selection could not have read them.
@@ -189,9 +138,6 @@ fn materialize_counters(report: &TraceReport) -> (u64, u64, u64) {
 /// The CI gate: structural and accounting invariants of the report.
 fn check_report(text: &str, result: &TuneResult, report: &TraceReport) -> Vec<String> {
     let mut errors = Vec::new();
-    if !is_well_formed_json(text) {
-        errors.push("report is not well-formed JSON".to_string());
-    }
     for key in [
         "\"workload\"",
         "\"machine\"",
@@ -283,21 +229,30 @@ fn main() -> ExitCode {
         .and_then(|best| profile_best(best, &collector));
 
     let report = collector.report();
-    let text = render_report(&cfg, &result, &report, vm_complete);
-    if let Err(e) = std::fs::write(&cfg.out, &text) {
-        eprintln!("tune-profile: cannot write {}: {e}", cfg.out);
-        return ExitCode::FAILURE;
-    }
-
+    // The report: run metadata, then the merged trace.
+    let text = json::document(|w| {
+        w.object(Layout::Lines, |w| {
+            w.field("workload", &cfg.workload)
+                .field("machine", &cfg.machine)
+                .field("trials", cfg.trials)
+                .field("trials_measured", result.trials_measured)
+                .field("best_time_s", result.best_time)
+                .field("tuning_cost_s", result.tuning_cost_s)
+                .field("phase_sum_s", report.phase_sim_s("search."))
+                .field("vm_profile_complete", vm_complete)
+                .key("trace");
+            report.write_json(w);
+        });
+    });
     println!(
         "tune-profile: {} on {} ({} trials, {} measured) in {wall_s:.1}s wall",
         cfg.workload, cfg.machine, cfg.trials, result.trials_measured
     );
     println!(
         "  best_time_s {}  tuning_cost_s {}  search.* phase sum {}",
-        json_f64(result.best_time),
-        json_f64(result.tuning_cost_s),
-        json_f64(report.phase_sim_s("search."))
+        result.best_time,
+        result.tuning_cost_s,
+        report.phase_sim_s("search.")
     );
     for p in &report.phases {
         if p.name.starts_with("search.") || p.name.starts_with("measure.") {
@@ -310,17 +265,6 @@ fn main() -> ExitCode {
          {:.2} applies per measured trial",
         materialized as f64 / result.trials_measured.max(1) as f64
     );
-    println!("  report written to {}", cfg.out);
-
-    if cfg.check {
-        let errors = check_report(&text, &result, &report);
-        if !errors.is_empty() {
-            for e in &errors {
-                eprintln!("tune-profile: CHECK FAILED: {e}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("  check passed: JSON well-formed, phases reconcile with tuning_cost_s");
-    }
-    ExitCode::SUCCESS
+    let failures = cfg.check.then(|| check_report(&text, &result, &report));
+    json::gate("tune-profile", &cfg.out, &text, failures)
 }
