@@ -283,67 +283,64 @@ fn main() -> ExitCode {
         });
     });
 
-    let failures = check.then(|| check_rows(&rows));
+    let failures = check.then(|| {
+        let mut failures = Vec::new();
+        // The acceptance gate covers the named MAC-shaped workloads and
+        // the scheduled programs; `dep` rides along in the report unchecked.
+        let named = |r: &Row, prefixes: &[&str]| prefixes.iter().any(|p| r.name.starts_with(p));
+        let total = |mix: &[(&str, u64)]| mix.iter().map(|(_, c)| c).sum::<u64>();
+        let ceiling = |name: &str| {
+            let row = MIX_AFTER_CEILING.iter().find(|(n, _)| *n == name);
+            row.map(|&(_, c)| c).expect("every row has a ceiling")
+        };
+        let sched = rows.iter().filter(|r| named(r, &["sched"]));
+        let sched_after: u64 = sched.map(|r| total(&r.mix_after)).sum();
+        if 10 * sched_after > 6 * SCHED_MIX_BEFORE_PROOFS {
+            failures.push(format!(
+                "the scheduled rows dispatch {sched_after} instructions (need <= 60% of \
+                 {SCHED_MIX_BEFORE_PROOFS})"
+            ));
+        }
+        for r in &rows {
+            if total(&r.mix_after) > ceiling(r.name) {
+                failures.push(format!(
+                    "{}: the optimizer dispatches {} instructions, above {}",
+                    r.name,
+                    total(&r.mix_after),
+                    ceiling(r.name)
+                ));
+            }
+            let tw_over_opt = r.tw_ns_per_step / r.opt_ns_per_step;
+            let tw_over_vm = r.tw_ns_per_step / r.vm_ns_per_step;
+            let (before, after) = (total(&r.mix_before), total(&r.mix_after));
+            if named(r, &["gmm", "c2d", "c1d", "sched"]) && 2 * after > before {
+                failures.push(format!(
+                    "{}: the optimizer dispatches {after} of {before} instructions (need <= half)",
+                    r.name
+                ));
+            }
+            if named(r, &["gmm", "c2d", "c1d", "sched"]) && tw_over_opt < 2.0 {
+                failures.push(format!(
+                    "{}: vm_opt only {tw_over_opt:.2}x over tree-walk (need >= 2x)",
+                    r.name
+                ));
+            }
+            let san_over_opt = r.san_ns_per_step / r.opt_ns_per_step;
+            if named(r, &["gmm", "c2d", "c1d", "sched"]) && san_over_opt > 1.5 {
+                failures.push(format!(
+                    "{}: the sanitizer costs {san_over_opt:.2}x vm_opt per step (need <= 1.5x)",
+                    r.name
+                ));
+            }
+            if named(r, &["gmm", "c2d", "c1d"]) && tw_over_vm > 3.5 {
+                failures.push(format!(
+                    "{}: tree-walk costs {tw_over_vm:.2}x vm per step (need <= 3.5x)",
+                    r.name
+                ));
+            }
+        }
+        failures
+    });
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interp.json");
     json::gate("interp_vm", path, &text, failures)
-}
-
-/// The `--check` gate's conditions, one failure per violated one.
-fn check_rows(rows: &[Row]) -> Vec<String> {
-    let mut failures = Vec::new();
-    // The acceptance gate covers the named MAC-shaped workloads and
-    // the scheduled programs; `dep` rides along in the report unchecked.
-    let named = |r: &Row, prefixes: &[&str]| prefixes.iter().any(|p| r.name.starts_with(p));
-    let total = |mix: &[(&str, u64)]| mix.iter().map(|(_, c)| c).sum::<u64>();
-    let ceiling = |name: &str| {
-        let row = MIX_AFTER_CEILING.iter().find(|(n, _)| *n == name);
-        row.map(|&(_, c)| c).expect("every row has a ceiling")
-    };
-    let sched = rows.iter().filter(|r| named(r, &["sched"]));
-    let sched_after: u64 = sched.map(|r| total(&r.mix_after)).sum();
-    if 10 * sched_after > 6 * SCHED_MIX_BEFORE_PROOFS {
-        failures.push(format!(
-            "the scheduled rows dispatch {sched_after} instructions (need <= 60% of \
-             {SCHED_MIX_BEFORE_PROOFS})"
-        ));
-    }
-    for r in rows {
-        if total(&r.mix_after) > ceiling(r.name) {
-            failures.push(format!(
-                "{}: the optimizer dispatches {} instructions, above {}",
-                r.name,
-                total(&r.mix_after),
-                ceiling(r.name)
-            ));
-        }
-        let tw_over_opt = r.tw_ns_per_step / r.opt_ns_per_step;
-        let tw_over_vm = r.tw_ns_per_step / r.vm_ns_per_step;
-        let (before, after) = (total(&r.mix_before), total(&r.mix_after));
-        if named(r, &["gmm", "c2d", "c1d", "sched"]) && 2 * after > before {
-            failures.push(format!(
-                "{}: the optimizer dispatches {after} of {before} instructions (need <= half)",
-                r.name
-            ));
-        }
-        if named(r, &["gmm", "c2d", "c1d", "sched"]) && tw_over_opt < 2.0 {
-            failures.push(format!(
-                "{}: vm_opt only {tw_over_opt:.2}x over tree-walk (need >= 2x)",
-                r.name
-            ));
-        }
-        let san_over_opt = r.san_ns_per_step / r.opt_ns_per_step;
-        if named(r, &["gmm", "c2d", "c1d", "sched"]) && san_over_opt > 1.5 {
-            failures.push(format!(
-                "{}: the sanitizer costs {san_over_opt:.2}x vm_opt per step (need <= 1.5x)",
-                r.name
-            ));
-        }
-        if named(r, &["gmm", "c2d", "c1d"]) && tw_over_vm > 3.5 {
-            failures.push(format!(
-                "{}: tree-walk costs {tw_over_vm:.2}x vm per step (need <= 3.5x)",
-                r.name
-            ));
-        }
-    }
-    failures
 }

@@ -12,11 +12,12 @@
 //! the instruction mix into the same report as `vm.op.*` counters.
 //!
 //! With `--check` the emitted report is validated in-process (the CI
-//! gate, [`tir_trace::json::gate`]): it must be well-formed JSON, carry every phase the search
-//! declares (`tir_autoschedule::search::SEARCH_PHASES`) and the expected
-//! counters, its `search.*` phase times must sum to `tuning_cost_s`
-//! within 5%, and the candidates built and never built must add up to
-//! the candidates proposed. Any violation exits with code 1.
+//! gate, which ends in [`tir_trace::json::gate`]): it must be well-formed
+//! JSON, carry every phase the search declares
+//! (`tir_autoschedule::search::SEARCH_PHASES`) and the expected counters,
+//! its `search.*` phase times must sum to `tuning_cost_s` within 5%, and
+//! the candidates built and never built must add up to the candidates
+//! proposed. Any violation exits with code 1.
 
 use std::process::ExitCode;
 use std::sync::Arc;
