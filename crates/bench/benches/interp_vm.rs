@@ -29,8 +29,11 @@
 //! (the reference every differential check pays for; it read 5.2–5.9x
 //! before it keyed by id). On the same rows `run_sanitized` must cost at
 //! most 1.5x `vm_opt` per step (it read 1.3–2.9x when every access
-//! updated shadow memory). The emitted JSON must be well-formed. Exits
-//! non-zero on any violation.
+//! updated shadow memory). Each of these three ratios is gated on the
+//! median of its per-round ratios ([`median_ratio`]), not on the ratio of
+//! two medians, so a round the machine ran slow weighs on both executors
+//! it compares. The emitted JSON must be well-formed. Exits non-zero on
+//! any violation.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -76,16 +79,22 @@ struct Row {
     vm_ns_per_step: f64,
     opt_ns_per_step: f64,
     san_ns_per_step: f64,
+    /// The gated ratios, each the median of its per-round ratios:
+    /// tree-walk over `vm`, tree-walk over `vm_opt`, sanitizer over
+    /// `vm_opt`.
+    tw_over_vm: f64,
+    tw_over_opt: f64,
+    san_over_opt: f64,
     /// Dispatched `(mnemonic, count)` histogram of the unoptimized program.
     mix_before: Vec<(&'static str, u64)>,
     /// Same histogram after the optimizer pipeline.
     mix_after: Vec<(&'static str, u64)>,
 }
 
-/// Median wall-time (ns) of `reps` runs of each executor, run round-robin
-/// so a drift in the machine's speed reaches all of them alike (the gates
-/// compare them within one row).
-fn median_ns<const N: usize>(reps: usize, mut runs: [&mut dyn FnMut(); N]) -> [f64; N] {
+/// Wall-time (ns) of `reps` rounds of each executor, `[executor][round]`,
+/// run round-robin so a drift in the machine's speed reaches all of them
+/// alike (the gates compare them within one row).
+fn rounds_ns<const N: usize>(reps: usize, mut runs: [&mut dyn FnMut(); N]) -> [Vec<f64>; N] {
     let mut samples = [(); N].map(|_| Vec::with_capacity(reps));
     for _ in 0..reps {
         for (run, samples) in runs.iter_mut().zip(&mut samples) {
@@ -94,10 +103,18 @@ fn median_ns<const N: usize>(reps: usize, mut runs: [&mut dyn FnMut(); N]) -> [f
             samples.push(t.elapsed().as_nanos() as f64);
         }
     }
-    samples.map(|mut s| {
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        s[s.len() / 2]
-    })
+    samples
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    samples[samples.len() / 2]
+}
+
+/// The median over rounds of `num[round] / den[round]`: two executors are
+/// compared within each round, which the machine ran at one speed.
+fn median_ratio(num: &[f64], den: &[f64]) -> f64 {
+    median(num.iter().zip(den).map(|(n, d)| n / d).collect())
 }
 
 fn bench_case(name: &'static str, func: &tir::PrimFunc) -> Row {
@@ -140,7 +157,7 @@ fn bench_case(name: &'static str, func: &tir::PrimFunc) -> Row {
         .run_profiled(args.clone(), u64::MAX, &mut mix_after)
         .expect("profiled opt run");
 
-    let [tw_ns, vm_ns, opt_ns, san_ns] = median_ns(
+    let [tw_ns, vm_ns, opt_ns, san_ns] = rounds_ns(
         5,
         [
             &mut || {
@@ -163,10 +180,13 @@ fn bench_case(name: &'static str, func: &tir::PrimFunc) -> Row {
     Row {
         name,
         steps,
-        tw_ns_per_step: tw_ns / steps as f64,
-        vm_ns_per_step: vm_ns / steps as f64,
-        opt_ns_per_step: opt_ns / steps as f64,
-        san_ns_per_step: san_ns / steps as f64,
+        tw_over_vm: median_ratio(&tw_ns, &vm_ns),
+        tw_over_opt: median_ratio(&tw_ns, &opt_ns),
+        san_over_opt: median_ratio(&san_ns, &opt_ns),
+        tw_ns_per_step: median(tw_ns) / steps as f64,
+        vm_ns_per_step: median(vm_ns) / steps as f64,
+        opt_ns_per_step: median(opt_ns) / steps as f64,
+        san_ns_per_step: median(san_ns) / steps as f64,
         mix_before: mix_before.mix(),
         mix_after: mix_after.mix(),
     }
@@ -251,8 +271,8 @@ fn main() -> ExitCode {
             row.opt_ns_per_step,
             row.san_ns_per_step,
             row.vm_ns_per_step / row.opt_ns_per_step,
-            row.tw_ns_per_step / row.vm_ns_per_step,
-            row.san_ns_per_step / row.opt_ns_per_step,
+            row.tw_over_vm,
+            row.san_over_opt,
         );
         rows.push(row);
     }
@@ -310,8 +330,7 @@ fn main() -> ExitCode {
                     ceiling(r.name)
                 ));
             }
-            let tw_over_opt = r.tw_ns_per_step / r.opt_ns_per_step;
-            let tw_over_vm = r.tw_ns_per_step / r.vm_ns_per_step;
+            let (tw_over_opt, tw_over_vm) = (r.tw_over_opt, r.tw_over_vm);
             let (before, after) = (total(&r.mix_before), total(&r.mix_after));
             if named(r, &["gmm", "c2d", "c1d", "sched"]) && 2 * after > before {
                 failures.push(format!(
@@ -325,7 +344,7 @@ fn main() -> ExitCode {
                     r.name
                 ));
             }
-            let san_over_opt = r.san_ns_per_step / r.opt_ns_per_step;
+            let san_over_opt = r.san_over_opt;
             if named(r, &["gmm", "c2d", "c1d", "sched"]) && san_over_opt > 1.5 {
                 failures.push(format!(
                     "{}: the sanitizer costs {san_over_opt:.2}x vm_opt per step (need <= 1.5x)",

@@ -65,6 +65,8 @@
 //! `threadIdx.x` binding is in scope (implicit warp lanes, as in
 //! pre-lowering Tensor Core programs).
 
+use std::borrow::Cow;
+
 use tir::{Block, Buffer, Expr, ForKind, MemScope, PrimFunc, ThreadTag, Var, VarMap};
 use tir_arith::iter_map::{normalize, IterSplit, IterSum};
 
@@ -76,7 +78,7 @@ pub(crate) struct Site<'a> {
     pub(crate) buffer: &'a Buffer,
     /// Index expressions, composed down to loop variables and simplified
     /// (empty when the race proof does not run).
-    pub(crate) indices: Vec<Expr>,
+    pub(crate) indices: Vec<Cow<'a, Expr>>,
     /// The innermost enclosing loop, which names the whole nest
     /// ([`crate::walk::Scope::nests`]).
     pub(crate) innermost: Option<usize>,

@@ -281,13 +281,18 @@ impl Key {
     }
 }
 
+/// A block's bindings composed down to loop variables, one per binding:
+/// `None` where that is the binding as written ([`Scope::composed`]).
+pub(crate) type Composed = Vec<Option<Expr>>;
+
 /// One remembered verdict of [`Nests::check_block_realize`].
 struct Remembered {
     key: Box<[u8]>,
     errors: Vec<ValidationError>,
     /// The composed bindings, while no walk holds them (see
-    /// [`Nests::enter_block`]).
-    composed: Vec<Expr>,
+    /// [`Nests::enter_block`]). A `None` stands for the binding as written,
+    /// which the key pins.
+    composed: Composed,
 }
 
 /// Validation that remembers, for a caller that validates one program
@@ -389,7 +394,7 @@ impl Nests<'_> {
 
     /// Validates `br` — or replays what the session remembers of it — and
     /// returns its composed bindings for the walk to put on its stack.
-    pub(crate) fn enter_block(&mut self, scope: &Scope, br: &BlockRealize) -> Vec<Expr> {
+    pub(crate) fn enter_block(&mut self, scope: &Scope, br: &BlockRealize) -> Composed {
         let first_error = self.errors.len();
         // A block is keyed by the verdict of the block around it.
         let parent = self.open.last().copied().flatten();
@@ -420,7 +425,7 @@ impl Nests<'_> {
 
     /// Leaves the innermost block: its composed bindings, back off the
     /// walk's stack, go into the remembered verdict — moved, never copied.
-    pub(crate) fn exit_block(&mut self, composed: Vec<Expr>) {
+    pub(crate) fn exit_block(&mut self, composed: Composed) {
         if let (Some(Some(at)), Some(memo)) = (self.open.pop(), self.memo.as_deref_mut()) {
             memo.remembered[at].composed = composed;
         }
@@ -428,10 +433,14 @@ impl Nests<'_> {
 
     /// Validates one realize and returns the composed binding expressions
     /// (over loop variables only).
-    fn check_block_realize(&mut self, scope: &Scope, br: &BlockRealize) -> Vec<Expr> {
+    fn check_block_realize(&mut self, scope: &Scope, br: &BlockRealize) -> Composed {
         let block = &br.block;
         // Compose bindings through enclosing block boundaries.
-        let composed: Vec<Expr> = (br.iter_values.iter().map(|v| scope.composed(v))).collect();
+        let composed: Composed = (br.iter_values.iter().map(|v| scope.composed(v))).collect();
+        let values = || {
+            (composed.iter().zip(&br.iter_values))
+                .map(|(value, written)| value.as_ref().unwrap_or(written))
+        };
         // Every extent is a constant here: validation is silent below a
         // loop whose extent is not.
         let dom: Vec<(Var, i64)> = (scope.nest())
@@ -450,9 +459,9 @@ impl Nests<'_> {
         // consumed by the bindings must sit outside every loop a reduction
         // binding uses.
         if block.is_reduction() && block.init.is_some() {
-            let used = |v: &Var| composed.iter().any(|e| expr_uses_var(e, v));
+            let used = |v: &Var| values().any(|e| expr_uses_var(e, v));
             let reduce_used = |v: &Var| {
-                (block.iter_vars.iter().zip(&composed))
+                (block.iter_vars.iter().zip(values()))
                     .any(|(iv, e)| iv.kind == IterKind::Reduce && expr_uses_var(e, v))
             };
             let first_reduce_pos = dom.iter().position(|(v, _)| reduce_used(v));
@@ -474,10 +483,9 @@ impl Nests<'_> {
         // construction and may carry overlapping halo bindings; only the
         // region-cover and threading checks apply to them.
         let relaxed_copy = block.annotations.contains_key("tir.copy");
-        match detect_iter_map_with(&composed, &dom, mode) {
-            Ok(map) => {
-                for ((iv, bound), value) in block.iter_vars.iter().zip(&map.extents).zip(&composed)
-                {
+        match detect_iter_map_with(values(), &dom, mode) {
+            Ok(extents) => {
+                for ((iv, bound), value) in block.iter_vars.iter().zip(&extents).zip(values()) {
                     let beyond =
                         *bound > iv.extent && !predicate_guards(&br.predicate, value, iv.extent);
                     if beyond || (*bound < iv.extent && mode == CoverMode::Full) {
@@ -503,15 +511,9 @@ impl Nests<'_> {
         // would race — "unless the reduction is atomic" (§3.1), which a
         // block declares with the `tir.atomic` annotation.
         let atomic = block.annotations.contains_key("tir.atomic");
-        let parallel_vars: Vec<&Var> = (scope.nest())
-            .filter(|(_, _, k)| k.is_parallel())
-            .map(|(v, _, _)| v)
-            .collect();
-        for (iv, value) in block.iter_vars.iter().zip(&composed) {
-            if iv.kind == IterKind::Reduce
-                && !atomic
-                && expr_any_var(value, &mut |v| parallel_vars.contains(&v))
-            {
+        let mut parallel = |v: &Var| (scope.nest()).any(|(l, _, k)| k.is_parallel() && l == v);
+        for (iv, value) in block.iter_vars.iter().zip(values()) {
+            if iv.kind == IterKind::Reduce && !atomic && expr_any_var(value, &mut parallel) {
                 self.errors.push(ValidationError::ReductionOnParallelLoop {
                     block: block.name.clone(),
                     iter_var: iv.var.name().to_string(),
@@ -519,7 +521,7 @@ impl Nests<'_> {
             }
         }
         self.check_exec_scope(scope, block);
-        self.check_cooperative_fetch(scope, block, &composed);
+        self.check_cooperative_fetch(scope, block, values());
         composed
     }
 
@@ -530,7 +532,12 @@ impl Nests<'_> {
     /// copy is replicated idempotently and modeled as distributed across
     /// the group). Otherwise threads race to produce the buffer without a
     /// coverage guarantee for downstream consumers.
-    fn check_cooperative_fetch(&mut self, scope: &Scope, block: &Block, composed: &[Expr]) {
+    fn check_cooperative_fetch<'e>(
+        &mut self,
+        scope: &Scope,
+        block: &Block,
+        composed: impl Iterator<Item = &'e Expr> + Clone,
+    ) {
         let writes_shared: Vec<&Buffer> = block
             .writes
             .iter()
@@ -546,7 +553,7 @@ impl Nests<'_> {
             return;
         }
         // Thread loops consumed by the bindings are fine.
-        let used = |v: &Var| composed.iter().any(|e| expr_uses_var(e, v));
+        let used = |v: &Var| composed.clone().any(|e| expr_uses_var(e, v));
         let mut thread_vars = (scope.nest())
             .filter(|(_, _, k)| matches!(k, ForKind::ThreadBinding(t) if t.is_thread_idx()));
         if thread_vars.all(|(v, _, _)| used(v)) {

@@ -11,8 +11,8 @@
 
 use std::borrow::Cow;
 
-use tir::simplify::simplified;
-use tir::visit::ExprMutator;
+use tir::simplify::{is_simplified, simplified};
+use tir::visit::{expr_any_var, ExprMutator};
 use tir::{
     Block, BlockRealize, Buffer, Expr, For, ForKind, PrimFunc, Stmt, ThreadTag, Var, VarMap,
     RELAXING_ANNOTATIONS,
@@ -73,8 +73,9 @@ pub(crate) struct Scope<'a> {
     /// Iterator variables of the enclosing blocks with their binding
     /// expressions composed down to loop variables, innermost last. Nested
     /// bindings and indices are read through them, which is how a block's
-    /// isolation boundary is crossed soundly.
-    binds: Vec<(Var, Expr)>,
+    /// isolation boundary is crossed soundly. A binding that composing
+    /// leaves as written is borrowed from the program.
+    binds: Vec<(Var, Cow<'a, Expr>)>,
     /// The enclosing blocks, innermost last.
     blocks: Vec<&'a Block>,
     /// How many of them carry a relaxing annotation.
@@ -88,14 +89,14 @@ pub(crate) struct Scope<'a> {
 /// Replaces block iterators by their composed bindings, innermost first:
 /// `tir::visit::substituted` over the binding stack itself, which it cannot
 /// read (it wants a map, and one would have to be built per block).
-struct Compose<'s>(&'s [(Var, Expr)]);
+struct Compose<'s, 'a>(&'s [(Var, Cow<'a, Expr>)]);
 
-impl ExprMutator for Compose<'_> {
+impl ExprMutator for Compose<'_, '_> {
     fn mutate_expr(&mut self, e: &mut Expr) {
         match e {
             Expr::Var(v) => {
                 if let Some((_, value)) = self.0.iter().rev().find(|(bound, _)| bound == v) {
-                    *e = value.clone();
+                    *e = Expr::clone(value);
                 }
             }
             _ => self.walk_expr(e),
@@ -145,11 +146,17 @@ impl<'a> Scope<'a> {
     }
 
     /// `e` over loop variables only: composed through the bindings of the
-    /// enclosing blocks, then simplified.
-    pub(crate) fn composed(&self, e: &Expr) -> Expr {
+    /// enclosing blocks, then simplified. `None` when that is `e` as
+    /// written — it names no iterator of an enclosing block and no
+    /// simplification rule fires on it — so nothing is copied.
+    pub(crate) fn composed(&self, e: &Expr) -> Option<Expr> {
+        let mut bound = |v: &Var| self.binds.iter().any(|(b, _)| b == v);
+        if !expr_any_var(e, &mut bound) && is_simplified(e) {
+            return None;
+        }
         let mut e = e.clone();
         Compose(&self.binds).mutate_expr(&mut e);
-        simplified(e)
+        Some(simplified(e))
     }
 
     /// The interval environment of `check`, [`Check::Cover`] or
@@ -218,7 +225,12 @@ impl<'a> Scope<'a> {
                 self.set_range(Check::Cover, Cow::Borrowed(&iv.var), range);
             }
             if self.on(Check::Bounds) {
-                let b = bound_of(&simplified(value.clone()), self.ranges(Check::Bounds));
+                let value = if is_simplified(value) {
+                    Cow::Borrowed(value)
+                } else {
+                    Cow::Owned(simplified(value.clone()))
+                };
+                let b = bound_of(&value, self.ranges(Check::Bounds));
                 let (lo, hi) = (b.min.max(0), b.max.min(iv.extent - 1));
                 let domain = IntBound::new(0, (iv.extent - 1).max(0));
                 let range = if lo <= hi {
@@ -302,9 +314,12 @@ impl<'a> Walk<'a, '_> {
                 };
                 // They go on the stack for everything nested and come back
                 // off it into the remembered verdict: moved, never copied.
+                // One that composing left as written is borrowed.
                 let base = self.scope.binds.len();
                 let vars = block.iter_vars.iter().map(|iv| iv.var.clone());
-                self.scope.binds.extend(vars.zip(composed.drain(..)));
+                let values = (composed.drain(..).zip(&br.iter_values))
+                    .map(|(value, written)| value.map_or(Cow::Borrowed(written), Cow::Owned));
+                self.scope.binds.extend(vars.zip(values));
                 let mark = self.scope.trail.len();
                 self.scope.bind_iterators(br);
                 let relaxing =
@@ -318,7 +333,12 @@ impl<'a> Walk<'a, '_> {
                 self.scope.blocks.pop();
                 self.scope.relax_depth -= usize::from(relaxing);
                 self.scope.undo(mark);
-                composed.extend(self.scope.binds.drain(base..).map(|(_, value)| value));
+                composed.extend(
+                    (self.scope.binds.drain(base..)).map(|(_, value)| match value {
+                        Cow::Borrowed(_) => None,
+                        Cow::Owned(value) => Some(value),
+                    }),
+                );
                 if nests_on {
                     self.nests.exit_block(composed);
                 }
@@ -371,7 +391,7 @@ impl<'a> Walk<'a, '_> {
     }
 
     /// One buffer access, offered to every check that reads accesses.
-    fn access(&mut self, buffer: &'a Buffer, indices: &[Expr], write: bool, place: Place) {
+    fn access(&mut self, buffer: &'a Buffer, indices: &'a [Expr], write: bool, place: Place) {
         let scope = &self.scope;
         if scope.on(Check::Cover) && place != Place::Predicate {
             let cover = scope.ranges(Check::Cover);
@@ -384,7 +404,9 @@ impl<'a> Walk<'a, '_> {
         if (scope.on(Check::Races) || scope.on(Check::Scopes)) && place != Place::Binding {
             // Only the race proof reads the indices.
             let indices = if scope.on(Check::Races) {
-                indices.iter().map(|i| scope.composed(i)).collect()
+                (indices.iter())
+                    .map(|i| scope.composed(i).map_or(Cow::Borrowed(i), Cow::Owned))
+                    .collect()
             } else {
                 Vec::new()
             };

@@ -1,7 +1,7 @@
 //! Constant interval analysis over integer expressions.
 
 use tir::simplify::{floor_div_i64, floor_mod_i64};
-use tir::{BinOp, CmpOp, Expr, VarMap};
+use tir::{BinOp, CmpOp, Expr, Var, VarMap};
 
 /// An inclusive integer interval `[min, max]`.
 ///
@@ -137,13 +137,20 @@ fn bound_floormod(a: IntBound, b: IntBound) -> IntBound {
 /// Variables missing from `vars` are treated as unbounded. Boolean
 /// subexpressions evaluate to `[0, 1]`.
 pub fn bound_of(expr: &Expr, vars: &VarMap<IntBound>) -> IntBound {
+    bound_with(expr, &|v| vars.get(v).copied())
+}
+
+/// [`bound_of`] with the interval of each free variable given by a
+/// function, `None` for an unbounded one: for a caller whose intervals
+/// follow a rule, so that no map of them is built.
+pub fn bound_with(expr: &Expr, vars: &impl Fn(&Var) -> Option<IntBound>) -> IntBound {
     match expr {
         Expr::Int(v, _) => IntBound::single(*v),
         Expr::Float(..) | Expr::Str(_) => IntBound::everything(),
-        Expr::Var(v) => vars.get(v).copied().unwrap_or_else(IntBound::everything),
-        Expr::Cast(_, v) => bound_of(v, vars),
+        Expr::Var(v) => vars(v).unwrap_or_else(IntBound::everything),
+        Expr::Cast(_, v) => bound_with(v, vars),
         Expr::Bin(op, a, b) => {
-            let (ba, bb) = (bound_of(a, vars), bound_of(b, vars));
+            let (ba, bb) = (bound_with(a, vars), bound_with(b, vars));
             match op {
                 BinOp::Add => ba + bb,
                 BinOp::Sub => ba - bb,
@@ -157,7 +164,7 @@ pub fn bound_of(expr: &Expr, vars: &VarMap<IntBound>) -> IntBound {
             }
         }
         Expr::Cmp(op, a, b) => {
-            let (ba, bb) = (bound_of(a, vars), bound_of(b, vars));
+            let (ba, bb) = (bound_with(a, vars), bound_with(b, vars));
             // Definitely-true / definitely-false cases tighten to a point.
             let (t, f) = match op {
                 CmpOp::Lt => (ba.max < bb.min, ba.min >= bb.max),
@@ -182,7 +189,7 @@ pub fn bound_of(expr: &Expr, vars: &VarMap<IntBound>) -> IntBound {
             }
         }
         Expr::Not(v) => {
-            let b = bound_of(v, vars);
+            let b = bound_with(v, vars);
             if b == IntBound::single(0) {
                 IntBound::single(1)
             } else if b.min >= 1 {
@@ -191,7 +198,7 @@ pub fn bound_of(expr: &Expr, vars: &VarMap<IntBound>) -> IntBound {
                 IntBound::new(0, 1)
             }
         }
-        Expr::Select { then, other, .. } => bound_of(then, vars).union(bound_of(other, vars)),
+        Expr::Select { then, other, .. } => bound_with(then, vars).union(bound_with(other, vars)),
         Expr::Load { .. } | Expr::Call { .. } => IntBound::everything(),
     }
 }
@@ -199,7 +206,6 @@ pub fn bound_of(expr: &Expr, vars: &VarMap<IntBound>) -> IntBound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tir::Var;
 
     fn env(pairs: &[(&Var, (i64, i64))]) -> VarMap<IntBound> {
         pairs

@@ -53,46 +53,15 @@ pub struct IterSum {
 }
 
 impl IterSum {
-    fn constant(base: i64) -> Self {
-        IterSum {
-            terms: Vec::new(),
-            base,
-        }
-    }
-
-    /// Merges equal pieces (into the first occurrence) and drops zero-scale
-    /// or extent-1 terms, within the term list it was given.
-    fn canonicalize(mut self) -> Self {
-        let mut kept = 0;
-        for i in 0..self.terms.len() {
-            let scale = self.terms[i].scale;
-            match (0..kept).find(|&k| self.terms[k].same_piece(&self.terms[i])) {
-                Some(k) => self.terms[k].scale += scale,
-                None => {
-                    self.terms.swap(kept, i);
-                    kept += 1;
-                }
-            }
-        }
-        self.terms.truncate(kept);
-        self.terms.retain(|t| t.scale != 0 && t.extent != 1);
-        self
-    }
-
     /// Sorts the terms into compact positional order (highest scale first)
     /// and verifies `scale[k] == scale[k+1] * extent[k+1]`. Returns `None`
     /// when the sum is not compact or a scale is non-positive.
     pub fn sorted_compact(&self) -> Option<Vec<IterSplit>> {
-        if self.terms.iter().any(|t| t.scale <= 0) {
+        if !is_compact(&self.terms) {
             return None;
         }
         let mut sorted = self.terms.clone();
-        sorted.sort_by_key(|t| std::cmp::Reverse(t.scale));
-        for w in sorted.windows(2) {
-            if w[0].scale != w[1].scale * w[1].extent {
-                return None;
-            }
-        }
+        sort_by_scale(&mut sorted);
         Some(sorted)
     }
 
@@ -100,19 +69,94 @@ impl IterSum {
     /// number of distinct values: the sum then bijectively covers
     /// `[0, extent)`.
     pub fn strict_extent(&self) -> Option<i64> {
-        if self.base != 0 {
-            return None;
+        strict_extent(&self.terms, self.base)
+    }
+}
+
+/// Sorts `terms` by descending scale, stably, in place (an insertion sort:
+/// a sum has a handful of terms, and it allocates nothing).
+fn sort_by_scale(terms: &mut [IterSplit]) {
+    for at in 1..terms.len() {
+        let mut k = at;
+        while k > 0 && terms[k - 1].scale < terms[k].scale {
+            terms.swap(k - 1, k);
+            k -= 1;
         }
-        if self.terms.is_empty() {
-            return Some(1);
+    }
+}
+
+/// The term that follows `terms[at]` once the terms are sorted by
+/// [`sort_by_scale`]: the next one of equal scale, else the first of the
+/// largest scale below it.
+fn next_by_scale(terms: &[IterSplit], at: usize) -> Option<&IterSplit> {
+    let scale = terms[at].scale;
+    (terms[at + 1..].iter().find(|t| t.scale == scale)).or_else(|| {
+        (terms.iter().filter(|t| t.scale < scale)).fold(None, |best: Option<&IterSplit>, t| {
+            match best {
+                Some(b) if b.scale >= t.scale => Some(b),
+                _ => Some(t),
+            }
+        })
+    })
+}
+
+/// Whether the terms, in descending scale order, form a mixed-radix chain:
+/// every scale positive and `scale[k] == scale[k+1] * extent[k+1]`. Reads
+/// the order off the terms where they stand, so nothing is copied to sort.
+fn is_compact(terms: &[IterSplit]) -> bool {
+    terms.iter().all(|t| t.scale > 0)
+        && (0..terms.len()).all(|at| {
+            next_by_scale(terms, at).is_none_or(|next| terms[at].scale == next.scale * next.extent)
+        })
+}
+
+/// [`IterSum::strict_extent`] of the sum `terms + base`.
+fn strict_extent(terms: &[IterSplit], base: i64) -> Option<i64> {
+    if base != 0 {
+        return None;
+    }
+    if terms.is_empty() {
+        return Some(1);
+    }
+    if !is_compact(terms) {
+        return None;
+    }
+    // The last and the first term in descending scale order.
+    let last = terms
+        .iter()
+        .rev()
+        .min_by_key(|t| t.scale)
+        .expect("nonempty");
+    if last.scale != 1 {
+        return None;
+    }
+    let first = terms
+        .iter()
+        .rev()
+        .max_by_key(|t| t.scale)
+        .expect("nonempty");
+    Some(first.scale * first.extent)
+}
+
+/// The sum `terms + base`, written as [`IterSum`] writes itself.
+struct Shown<'t>(&'t [IterSplit], i64);
+
+impl fmt::Display for Shown<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Shown(terms, base) = *self;
+        for (i, t) in terms.iter().enumerate() {
+            if i > 0 {
+                write!(f, " + ")?;
+            }
+            write!(f, "{t}")?;
         }
-        let sorted = self.sorted_compact()?;
-        let last = sorted.last().expect("nonempty");
-        if last.scale != 1 {
-            return None;
+        if base != 0 || terms.is_empty() {
+            if !terms.is_empty() {
+                write!(f, " + ")?;
+            }
+            write!(f, "{base}")?;
         }
-        let first = sorted.first().expect("nonempty");
-        Some(first.scale * first.extent)
+        Ok(())
     }
 }
 
@@ -131,19 +175,7 @@ impl fmt::Display for IterSplit {
 
 impl fmt::Display for IterSum {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, t) in self.terms.iter().enumerate() {
-            if i > 0 {
-                write!(f, " + ")?;
-            }
-            write!(f, "{t}")?;
-        }
-        if self.base != 0 || self.terms.is_empty() {
-            if !self.terms.is_empty() {
-                write!(f, " + ")?;
-            }
-            write!(f, "{}", self.base)?;
-        }
-        Ok(())
+        Shown(&self.terms, self.base).fmt(f)
     }
 }
 
@@ -180,150 +212,207 @@ impl std::error::Error for IterMapError {}
 
 type Result<T> = std::result::Result<T, IterMapError>;
 
-/// Distributes `sum // c` (when `div` is true) or `sum % c` over a compact
-/// sum by walking its mixed-radix parts from the lowest scale upward.
-///
-/// Each part either falls entirely below the cut (`scale * extent <= c`,
-/// goes to the modulo side), entirely above it (`scale % c == 0`, goes to
-/// the quotient side with scale divided by `c`), or straddles the cut and
-/// is split into two sub-pieces at `d = c / scale` (requiring
-/// `d | extent`).
-fn split_at(sum: IterSum, c: i64, div: bool) -> Result<IterSum> {
-    if c <= 0 {
-        return Err(IterMapError::NonAffine(format!(
-            "division by non-positive constant {c}"
-        )));
-    }
-    if sum.base % c != 0 {
-        return Err(IterMapError::NonAffine(format!(
-            "division base {} not divisible by {c}",
-            sum.base
-        )));
-    }
-    if sum.terms.is_empty() {
-        return Ok(IterSum::constant(if div { sum.base / c } else { 0 }));
-    }
-    let sorted = sum
-        .sorted_compact()
-        .ok_or_else(|| IterMapError::NonAffine(format!("division of non-compact sum: {sum}")))?;
-    let mut quot: Vec<IterSplit> = Vec::new();
-    let mut rem: Vec<IterSplit> = Vec::new();
-    for part in sorted {
-        if part.scale % c == 0 {
-            quot.push(IterSplit {
-                scale: part.scale / c,
-                ..part
-            });
-        } else if part.scale * part.extent <= c {
-            // Compactness guarantees the joint value of all below-cut parts
-            // stays under `c`, so the part contributes only to the modulo.
-            rem.push(part);
-        } else if c % part.scale == 0 {
-            let d = c / part.scale;
-            if part.extent % d != 0 {
-                return Err(IterMapError::NonAffine(format!(
-                    "cannot split extent {} at {d}",
-                    part.extent
-                )));
+/// Merges equal pieces (into the first occurrence) and drops zero-scale or
+/// extent-1 terms, within `terms[start..]` and keeping their order.
+fn canonicalize(terms: &mut Vec<IterSplit>, start: usize) {
+    let mut kept = start;
+    for at in start..terms.len() {
+        let scale = terms[at].scale;
+        match (start..kept).find(|&k| terms[k].same_piece(&terms[at])) {
+            Some(k) => terms[k].scale += scale,
+            None => {
+                terms.swap(kept, at);
+                kept += 1;
             }
-            rem.push(IterSplit {
-                extent: d,
-                ..part.clone()
-            });
-            quot.push(IterSplit {
-                lower_factor: part.lower_factor * d,
-                extent: part.extent / d,
-                scale: 1,
-                ..part
-            });
-        } else {
-            return Err(IterMapError::NonAffine(format!(
-                "part {part} misaligned with divisor {c}"
-            )));
         }
     }
-    let result = IterSum {
-        terms: if div { quot } else { rem },
-        base: if div { sum.base / c } else { 0 },
+    terms.truncate(kept);
+    let mut kept = start;
+    for at in start..terms.len() {
+        if terms[at].scale != 0 && terms[at].extent != 1 {
+            terms.swap(kept, at);
+            kept += 1;
+        }
     }
-    .canonicalize();
-    // The result must itself be compact, otherwise the decomposition above
-    // is unsound (parts could carry into each other).
-    if !result.terms.is_empty() && result.sorted_compact().is_none() {
-        return Err(IterMapError::NonAffine(format!(
-            "division result is non-compact: {result}"
-        )));
-    }
-    Ok(result)
+    terms.truncate(kept);
 }
 
-/// Normalizes an expression into an [`IterSum`] over the given loop domains.
-pub fn normalize(expr: &Expr, dom: &VarMap<i64>) -> Result<IterSum> {
-    match expr {
-        Expr::Int(v, _) => Ok(IterSum::constant(*v)),
-        Expr::Var(v) => {
-            let extent = *dom
-                .get(v)
-                .ok_or_else(|| IterMapError::UnknownVar(v.name().to_string()))?;
-            Ok(IterSum {
-                terms: vec![IterSplit {
+/// Normalizes expressions into one term buffer. The sum of an expression
+/// is the run of terms its visit appended, plus the base the visit
+/// returns; an operator combines the runs of its operands where they lie,
+/// so a visited node allocates nothing.
+struct Normalizer<F> {
+    /// The extent of a loop variable, `None` for a variable without one.
+    extent_of: F,
+    terms: Vec<IterSplit>,
+}
+
+impl<F: Fn(&Var) -> Option<i64>> Normalizer<F> {
+    /// Appends the terms of `expr`'s normal form and returns its base.
+    fn sum(&mut self, expr: &Expr) -> Result<i64> {
+        let start = self.terms.len();
+        match expr {
+            Expr::Int(v, _) => Ok(*v),
+            Expr::Var(v) => {
+                let extent = (self.extent_of)(v)
+                    .ok_or_else(|| IterMapError::UnknownVar(v.name().to_string()))?;
+                self.terms.push(IterSplit {
                     var: v.clone(),
                     var_extent: extent,
                     lower_factor: 1,
                     extent,
                     scale: 1,
-                }],
-                base: 0,
+                });
+                canonicalize(&mut self.terms, start);
+                Ok(0)
             }
-            .canonicalize())
+            Expr::Cast(_, v) => self.sum(v),
+            Expr::Bin(op, a, b) => match op {
+                BinOp::Add => {
+                    let (x, y) = (self.sum(a)?, self.sum(b)?);
+                    canonicalize(&mut self.terms, start);
+                    Ok(x + y)
+                }
+                BinOp::Sub => {
+                    let x = self.sum(a)?;
+                    let mid = self.terms.len();
+                    let y = self.sum(b)?;
+                    for t in &mut self.terms[mid..] {
+                        t.scale = -t.scale;
+                    }
+                    canonicalize(&mut self.terms, start);
+                    Ok(x - y)
+                }
+                BinOp::Mul => {
+                    let x = self.sum(a)?;
+                    let mid = self.terms.len();
+                    let y = self.sum(b)?;
+                    let c = if mid == start {
+                        x
+                    } else if self.terms.len() == mid {
+                        y
+                    } else {
+                        return Err(IterMapError::NonAffine(format!(
+                            "product of two iterators: {expr}"
+                        )));
+                    };
+                    for t in &mut self.terms[start..] {
+                        t.scale *= c;
+                    }
+                    canonicalize(&mut self.terms, start);
+                    Ok(x * y)
+                }
+                BinOp::FloorDiv | BinOp::FloorMod => {
+                    let c = self.sum(b)?;
+                    if self.terms.len() > start {
+                        return Err(IterMapError::NonAffine(format!(
+                            "division by non-constant: {expr}"
+                        )));
+                    }
+                    let base = self.sum(a)?;
+                    self.split_at(start, base, c, *op == BinOp::FloorDiv)
+                }
+                _ => Err(IterMapError::NonAffine(format!("{expr}"))),
+            },
+            other => Err(IterMapError::NonAffine(format!("{other}"))),
         }
-        Expr::Cast(_, v) => normalize(v, dom),
-        Expr::Bin(op, a, b) => match op {
-            BinOp::Add => {
-                let (mut x, y) = (normalize(a, dom)?, normalize(b, dom)?);
-                x.terms.extend(y.terms);
-                x.base += y.base;
-                Ok(x.canonicalize())
-            }
-            BinOp::Sub => {
-                let (mut x, mut y) = (normalize(a, dom)?, normalize(b, dom)?);
-                for t in &mut y.terms {
-                    t.scale = -t.scale;
-                }
-                x.terms.extend(y.terms);
-                x.base -= y.base;
-                Ok(x.canonicalize())
-            }
-            BinOp::Mul => {
-                let (x, y) = (normalize(a, dom)?, normalize(b, dom)?);
-                let (mut sum, c) = if x.terms.is_empty() {
-                    (y, x.base)
-                } else if y.terms.is_empty() {
-                    (x, y.base)
-                } else {
-                    return Err(IterMapError::NonAffine(format!(
-                        "product of two iterators: {expr}"
-                    )));
-                };
-                for t in &mut sum.terms {
-                    t.scale *= c;
-                }
-                sum.base *= c;
-                Ok(sum.canonicalize())
-            }
-            BinOp::FloorDiv | BinOp::FloorMod => {
-                let rhs = normalize(b, dom)?;
-                if !rhs.terms.is_empty() {
-                    return Err(IterMapError::NonAffine(format!(
-                        "division by non-constant: {expr}"
-                    )));
-                }
-                split_at(normalize(a, dom)?, rhs.base, *op == BinOp::FloorDiv)
-            }
-            _ => Err(IterMapError::NonAffine(format!("{expr}"))),
-        },
-        other => Err(IterMapError::NonAffine(format!("{other}"))),
     }
+
+    /// Distributes `sum // c` (when `div` is true) or `sum % c` over the
+    /// compact sum `terms[start..] + base`, in place, by walking its
+    /// mixed-radix parts from the highest scale down, and returns the base
+    /// of the result.
+    ///
+    /// Each part either falls entirely below the cut (`scale * extent <= c`,
+    /// goes to the modulo side), entirely above it (`scale % c == 0`, goes
+    /// to the quotient side with scale divided by `c`), or straddles the cut
+    /// and is split into two sub-pieces at `d = c / scale` (requiring
+    /// `d | extent`). Only the side asked for is kept.
+    fn split_at(&mut self, start: usize, base: i64, c: i64, div: bool) -> Result<i64> {
+        if c <= 0 {
+            return Err(IterMapError::NonAffine(format!(
+                "division by non-positive constant {c}"
+            )));
+        }
+        if base % c != 0 {
+            return Err(IterMapError::NonAffine(format!(
+                "division base {base} not divisible by {c}"
+            )));
+        }
+        let terms = &mut self.terms;
+        if terms.len() == start {
+            return Ok(if div { base / c } else { 0 });
+        }
+        if !is_compact(&terms[start..]) {
+            return Err(IterMapError::NonAffine(format!(
+                "division of non-compact sum: {}",
+                Shown(&terms[start..], base)
+            )));
+        }
+        sort_by_scale(&mut terms[start..]);
+        let mut kept = start;
+        for at in start..terms.len() {
+            let part = &mut terms[at];
+            let keep = if part.scale % c == 0 {
+                part.scale /= c;
+                div
+            } else if part.scale * part.extent <= c {
+                // Compactness guarantees the joint value of all below-cut
+                // parts stays under `c`, so the part contributes only to
+                // the modulo.
+                !div
+            } else if c % part.scale == 0 {
+                let d = c / part.scale;
+                if part.extent % d != 0 {
+                    return Err(IterMapError::NonAffine(format!(
+                        "cannot split extent {} at {d}",
+                        part.extent
+                    )));
+                }
+                if div {
+                    part.lower_factor *= d;
+                    part.extent /= d;
+                    part.scale = 1;
+                } else {
+                    part.extent = d;
+                }
+                true
+            } else {
+                return Err(IterMapError::NonAffine(format!(
+                    "part {part} misaligned with divisor {c}"
+                )));
+            };
+            if keep {
+                terms.swap(kept, at);
+                kept += 1;
+            }
+        }
+        terms.truncate(kept);
+        canonicalize(terms, start);
+        let base = if div { base / c } else { 0 };
+        // The result must itself be compact, otherwise the decomposition
+        // above is unsound (parts could carry into each other).
+        if terms.len() > start && !is_compact(&terms[start..]) {
+            return Err(IterMapError::NonAffine(format!(
+                "division result is non-compact: {}",
+                Shown(&terms[start..], base)
+            )));
+        }
+        Ok(base)
+    }
+}
+
+/// Normalizes an expression into an [`IterSum`] over the given loop domains.
+pub fn normalize(expr: &Expr, dom: &VarMap<i64>) -> Result<IterSum> {
+    let mut normalizer = Normalizer {
+        extent_of: |v: &Var| dom.get(v).copied(),
+        terms: Vec::new(),
+    };
+    let base = normalizer.sum(expr)?;
+    Ok(IterSum {
+        terms: normalizer.terms,
+        base,
+    })
 }
 
 /// A successfully detected iterator map.
@@ -367,7 +456,11 @@ pub fn detect_iter_map(bindings: &[Expr], dom: &[(Var, i64)]) -> Result<IterMap>
     let simplified: Vec<Expr> = (bindings.iter().cloned())
         .map(tir::simplify::simplified)
         .collect();
-    detect_iter_map_with(&simplified, dom, CoverMode::Full)
+    let extents = detect_iter_map_with(&simplified, dom, CoverMode::Full)?;
+    // Detection keeps no sums; the bindings it accepted normalize again.
+    let env: VarMap<i64> = dom.iter().cloned().collect();
+    let sums = (simplified.iter().map(|b| normalize(b, &env))).collect::<Result<_>>()?;
+    Ok(IterMap { sums, extents })
 }
 
 /// How strictly [`detect_iter_map_with`] checks loop-domain coverage.
@@ -382,46 +475,55 @@ pub enum CoverMode {
 }
 
 /// [`detect_iter_map`] with a configurable coverage requirement, on
-/// bindings that are already simplified ([`tir::simplify`]): the normalizer
-/// reads `x * c + y` shapes as written, and the validator, its caller,
-/// composes and simplifies every binding once for all of its checks.
+/// bindings that are already simplified ([`tir::simplify`]), returning only
+/// the extents: binding `i` covers `[0, extents[i])`. The normalizer reads
+/// `x * c + y` shapes as written, and the validator, its caller, composes
+/// and simplifies every binding once for all of its checks.
 /// Simplification is idempotent, so simplifying here again would only copy
-/// each binding to find nothing to do.
+/// each binding to find nothing to do. Besides the extents, a call
+/// allocates one buffer that every binding's terms share.
 ///
 /// # Errors
 ///
 /// As [`detect_iter_map`]; with [`CoverMode::OverlapOnly`] the
 /// `IncompleteCover` family of errors is suppressed.
-pub fn detect_iter_map_with(
-    bindings: &[Expr],
+pub fn detect_iter_map_with<'e>(
+    bindings: impl IntoIterator<Item = &'e Expr>,
     dom: &[(Var, i64)],
     mode: CoverMode,
-) -> Result<IterMap> {
-    let env: VarMap<i64> = dom.iter().cloned().collect();
-    let mut sums = Vec::with_capacity(bindings.len());
-    let mut extents = Vec::with_capacity(bindings.len());
-    let mut pieces_by_var: VarMap<Vec<(i64, i64)>> = VarMap::default();
-
+) -> Result<Vec<i64>> {
+    let bindings = bindings.into_iter();
+    // A variable listed twice has its last extent, as in a map built
+    // from `dom`.
+    let mut normalizer = Normalizer {
+        extent_of: |v: &Var| (dom.iter().rev()).find(|(d, _)| d == v).map(|(_, e)| *e),
+        terms: Vec::with_capacity(2 * dom.len()),
+    };
+    let mut extents = Vec::with_capacity(bindings.size_hint().0);
     for b in bindings {
-        let sum = normalize(b, &env)?;
-        let extent = sum
-            .strict_extent()
+        let start = normalizer.terms.len();
+        let base = normalizer.sum(b)?;
+        let extent = strict_extent(&normalizer.terms[start..], base)
             .ok_or_else(|| IterMapError::NotStrict(format!("{b}")))?;
-        for t in &sum.terms {
-            pieces_by_var
-                .entry(t.var.clone())
-                .or_default()
-                .push((t.lower_factor, t.extent));
-        }
-        sums.push(sum);
         extents.push(extent);
     }
 
     // Independence + coverage: the pieces of each loop variable must tile
-    // its domain [1, extent) in digit space exactly once.
+    // its domain [1, extent) in digit space exactly once. Each variable's
+    // pieces are gathered at the front of what is left of the buffer.
+    let pieces = &mut normalizer.terms;
+    let mut done = 0;
     for (v, extent) in dom {
-        let mut pieces = pieces_by_var.remove(v).unwrap_or_default();
-        if pieces.is_empty() {
+        let mut end = done;
+        for at in done..pieces.len() {
+            if pieces[at].var == *v {
+                pieces.swap(end, at);
+                end += 1;
+            }
+        }
+        let mine = &mut pieces[done..end];
+        done = end;
+        if mine.is_empty() {
             if *extent > 1 && mode == CoverMode::Full {
                 return Err(IterMapError::IncompleteCover(format!(
                     "loop {} (extent {extent}) is unused",
@@ -430,23 +532,24 @@ pub fn detect_iter_map_with(
             }
             continue;
         }
-        pieces.sort_unstable();
+        mine.sort_unstable_by_key(|t| (t.lower_factor, t.extent));
         let mut expected = 1i64;
-        for (lf, ext) in &pieces {
-            if *lf < expected {
+        for t in mine.iter() {
+            let (lf, ext) = (t.lower_factor, t.extent);
+            if lf < expected {
                 return Err(IterMapError::NotIndependent(format!(
                     "loop {} split at factor {lf} overlaps a previous split",
                     v.name()
                 )));
             }
-            if *lf > expected && mode == CoverMode::Full {
+            if lf > expected && mode == CoverMode::Full {
                 return Err(IterMapError::IncompleteCover(format!(
                     "loop {} digits [{expected}, {lf}) are unused",
                     v.name()
                 )));
             }
             expected = lf
-                .checked_mul(*ext)
+                .checked_mul(ext)
                 .ok_or_else(|| IterMapError::NonAffine("extent overflow".into()))?;
         }
         if expected != *extent && mode == CoverMode::Full {
@@ -457,7 +560,7 @@ pub fn detect_iter_map_with(
         }
     }
 
-    Ok(IterMap { sums, extents })
+    Ok(extents)
 }
 
 /// Evaluates an [`IterSum`] on concrete loop values — the reference

@@ -10,7 +10,7 @@
 use tir::simplify::{floor_div_i64, floor_mod_i64};
 use tir::{BinOp, Expr, Var, VarMap};
 use tir_arith::bound::{bound_of, IntBound};
-use tir_arith::iter_map::{detect_iter_map, eval_iter_sum};
+use tir_arith::iter_map::{detect_iter_map, detect_iter_map_with, eval_iter_sum, CoverMode};
 
 /// Little-int expression evaluator for soundness checks.
 fn eval(e: &Expr, env: &VarMap<i64>) -> Option<i64> {
@@ -199,4 +199,144 @@ fn simplify_preserves_value() {
             }
         }
     }
+}
+
+/// What the sweep below hands the detector over one domain: every loop
+/// variable `v`, `v // c` and `v % c`, affine forms `a·v + b`, each fuse
+/// `x · e_y + y` and `x · 2 + y` of two loops, and `//` and `%` of every
+/// fuse, for `c` in {2, 3, 4, 8}. Each is simplified, as the validator
+/// simplifies every binding before detection.
+fn binding_pool(dom: &[(Var, i64)]) -> Vec<Expr> {
+    let mut pool = Vec::new();
+    for (v, _) in dom {
+        let v = Expr::from(v);
+        pool.push(v.clone());
+        for c in [2, 3, 4] {
+            pool.push(v.clone().floor_div(c));
+            pool.push(v.clone().floor_mod(c));
+        }
+        for (a, b) in [(1, 1), (2, 0), (2, 1)] {
+            pool.push(v.clone() * a + b);
+        }
+    }
+    for (x, _) in dom {
+        for (y, ey) in dom {
+            if x == y {
+                continue;
+            }
+            for m in [*ey, 2] {
+                let fused = Expr::from(x) * m + Expr::from(y);
+                for c in [2, 4, 8] {
+                    pool.push(fused.clone().floor_div(c));
+                    pool.push(fused.clone().floor_mod(c));
+                }
+                pool.push(fused);
+            }
+        }
+    }
+    (pool.into_iter()).map(tir::simplify::simplified).collect()
+}
+
+/// Every assignment of the loop variables of `dom`.
+fn domain_points(dom: &[(Var, i64)]) -> Vec<VarMap<i64>> {
+    let mut points = vec![VarMap::default()];
+    for (v, extent) in dom {
+        points = (points.into_iter())
+            .flat_map(|p| {
+                (0..*extent).map(move |x| {
+                    let mut p = p.clone();
+                    p.insert(v.clone(), x);
+                    p
+                })
+            })
+            .collect();
+    }
+    points
+}
+
+/// What an `Ok` from the detector promises, checked by evaluating the
+/// bindings at every point of the domain: binding `i` takes exactly the
+/// values `[0, extents[i])`, and under [`CoverMode::Full`] the bindings
+/// map the domain one to one onto the box of those extents.
+fn assert_promise_holds(bindings: &[Expr], dom: &[(Var, i64)], extents: &[i64], mode: CoverMode) {
+    let points = domain_points(dom);
+    let tuples: Vec<Vec<i64>> = (points.iter())
+        .map(|p| (bindings.iter().map(|b| eval(b, p).expect("evaluates"))).collect())
+        .collect();
+    let shown = || format!("{bindings:?} over {dom:?} ({mode:?})");
+    for (at, extent) in extents.iter().enumerate() {
+        let mut image: Vec<i64> = tuples.iter().map(|t| t[at]).collect();
+        image.sort_unstable();
+        image.dedup();
+        assert_eq!(
+            image,
+            (0..*extent).collect::<Vec<_>>(),
+            "image of binding {at}: {}",
+            shown()
+        );
+    }
+    if mode == CoverMode::Full {
+        let mut distinct = tuples.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), tuples.len(), "not injective: {}", shown());
+        assert_eq!(
+            extents.iter().product::<i64>(),
+            tuples.len() as i64,
+            "{}",
+            shown()
+        );
+    }
+}
+
+/// Number of detections the sweep makes and the FNV-1a of their outcomes,
+/// one line each (`ok <extents>` or `err <message>`), recorded on the
+/// detector that built a vector per visited node.
+const SWEEP_GOLDEN: (usize, u64) = (80_664, 0x2b67_1db8_d990_fa94);
+
+/// Brute-force oracle for iterator-map detection: on two and three loops
+/// of extent at most 8, every binding of [`binding_pool`] alone and every
+/// ordered pair of them, in both cover modes. An `Ok` must keep the promise
+/// [`assert_promise_holds`] checks, and every outcome, extents or error
+/// text, must be the one recorded in [`SWEEP_GOLDEN`].
+#[test]
+fn detection_keeps_its_promise_on_a_brute_force_sweep() {
+    let (i, j, k) = (Var::int("i"), Var::int("j"), Var::int("k"));
+    let domains: [&[i64]; 8] = [
+        &[4, 4],
+        &[8, 2],
+        &[2, 8],
+        &[6, 4],
+        &[1, 4],
+        &[3, 8],
+        &[2, 4, 2],
+        &[4, 1, 3],
+    ];
+    let (mut count, mut hash) = (0usize, 0xcbf2_9ce4_8422_2325u64);
+    for extents in domains {
+        let dom: Vec<(Var, i64)> = [&i, &j, &k]
+            .into_iter()
+            .cloned()
+            .zip(extents.iter().copied())
+            .collect();
+        let pool = binding_pool(&dom);
+        let singles = pool.iter().map(|b| vec![b.clone()]);
+        let pairs = (pool.iter()).flat_map(|a| pool.iter().map(|b| vec![a.clone(), b.clone()]));
+        for bindings in singles.chain(pairs) {
+            for mode in [CoverMode::Full, CoverMode::OverlapOnly] {
+                let outcome = match detect_iter_map_with(&bindings, &dom, mode) {
+                    Ok(extents) => {
+                        assert_promise_holds(&bindings, &dom, &extents, mode);
+                        format!("ok {extents:?}\n")
+                    }
+                    Err(e) => format!("err {e}\n"),
+                };
+                for byte in outcome.bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+                count += 1;
+            }
+        }
+    }
+    assert_eq!((count, hash), SWEEP_GOLDEN, "the detector's outcomes moved");
 }

@@ -12,10 +12,10 @@
 //! `buffers_accessed_below`) stop at a block, whose signature already
 //! summarises what is nested in it (§3.1).
 
-use tir::simplify::simplified;
-use tir::visit::{expr_any_var, substituted};
+use tir::simplify::{simplified, simplify_expr};
+use tir::visit::substituted;
 use tir::{Block, BlockRealize, Buffer, Expr, IterKind, RangeExpr, Stmt, Var, VarMap};
-use tir_arith::bound::{bound_of, IntBound};
+use tir_arith::bound::{bound_with, IntBound};
 
 use crate::schedule::{precondition, BlockRef, LoopRef, Result, Schedule, ScheduleError};
 use crate::trace::TraceStep;
@@ -71,71 +71,79 @@ pub(crate) fn required_region(
         buffer: &'a Buffer,
         reads: bool,
         writes: bool,
-        mins: Vec<Option<Expr>>,
-        extents: Vec<i64>,
+        /// Per dimension, the minimum and extent required so far.
+        dims: Vec<Option<(Expr, i64)>>,
         any: bool,
         /// Inner loops, outermost first: variable and extent.
-        loops: Vec<(Var, i64)>,
-        /// Scratch: the variables of one region minimum, each with a bound.
-        env: VarMap<IntBound>,
+        loops: Vec<(&'a Var, i64)>,
     }
-    /// Puts `0` for every variable of `loops`.
-    struct ZeroLoops<'a>(&'a [(Var, i64)]);
-    impl tir::visit::ExprMutator for ZeroLoops<'_> {
+    /// Puts each block iterator's binding for it (the last binding of an
+    /// iterator listed twice).
+    struct Bind<'b>(&'b BlockRealize);
+    impl tir::visit::ExprMutator for Bind<'_> {
         fn mutate_expr(&mut self, e: &mut Expr) {
             match e {
-                Expr::Var(v) if self.0.iter().any(|(l, _)| l == v) => *e = Expr::int(0),
+                Expr::Var(v) => {
+                    let br = self.0;
+                    let mut bindings = br.block.iter_vars.iter().zip(&br.iter_values).rev();
+                    if let Some((_, value)) = bindings.find(|(iv, _)| iv.var == *v) {
+                        *e = value.clone();
+                    }
+                }
                 _ => self.walk_expr(e),
             }
         }
     }
-    impl Relaxer<'_> {
-        fn relax(&mut self, region: &[RangeExpr], subst: &VarMap<&Expr>) {
+    /// Puts `0` for every variable of `loops`.
+    struct ZeroLoops<'l, 'a>(&'l [(&'a Var, i64)]);
+    impl tir::visit::ExprMutator for ZeroLoops<'_, '_> {
+        fn mutate_expr(&mut self, e: &mut Expr) {
+            match e {
+                Expr::Var(v) if self.0.iter().any(|(l, _)| *l == v) => *e = Expr::int(0),
+                _ => self.walk_expr(e),
+            }
+        }
+    }
+    impl<'a> Relaxer<'a> {
+        /// Relaxes one region of the block `br`. Each minimum is built once:
+        /// the region's, with the block's bindings put in and simplified,
+        /// is bounded where it stands and then has the inner loops zeroed in
+        /// place.
+        fn relax(&mut self, region: &[RangeExpr], br: &BlockRealize) {
             use tir::visit::ExprMutator as _;
             let shape = self.buffer.shape();
             for (d, r) in region.iter().enumerate() {
-                let min = simplified(substituted(r.min.clone(), subst));
+                let mut min = r.min.clone();
+                Bind(br).mutate_expr(&mut min);
+                simplify_expr(&mut min);
                 let extent_c = r.extent.as_int().unwrap_or(shape[d]);
-                let mut min_zeroed = min.clone();
-                ZeroLoops(&self.loops).mutate_expr(&mut min_zeroed);
-                let min_zeroed = simplified(min_zeroed);
                 // Width contributed by inner vars in the min expression: its
                 // value with every variable at zero, against its bound with
                 // only the outer variables pinned there.
-                self.env.clear();
-                expr_any_var(&min, &mut |v| {
-                    self.env.insert(v.clone(), IntBound::single(0));
-                    false // visit every occurrence
+                let at_zero = bound_with(&min, &|_| Some(IntBound::single(0)));
+                let full = bound_with(&min, &|v| {
+                    let inner = self.loops.iter().rev().find(|(l, _)| *l == v);
+                    Some(inner.map_or(IntBound::single(0), |(_, extent)| {
+                        IntBound::new(0, (extent - 1).max(0))
+                    }))
                 });
-                let at_zero = bound_of(&min, &self.env);
-                for (v, extent) in &self.loops {
-                    if let Some(bound) = self.env.get_mut(v) {
-                        *bound = IntBound::new(0, (extent - 1).max(0));
-                    }
-                }
-                let full = bound_of(&min, &self.env);
                 if full.min < at_zero.min {
                     // Negative coefficient on an inner variable (e.g. a flipped
                     // convolution kernel): zeroing the inner vars does not give
                     // the region minimum, so fall back to the full dimension.
-                    self.mins[d] = Some(Expr::int(0));
-                    self.extents[d] = shape[d];
-                    self.any = true;
+                    self.dims[d] = Some((Expr::int(0), shape[d]));
                     continue;
                 }
                 let width = (full.max - at_zero.max) + extent_c;
-                match &mut self.mins[d] {
-                    Some(existing) if *existing == min_zeroed => {
-                        self.extents[d] = self.extents[d].max(width);
+                ZeroLoops(&self.loops).mutate_expr(&mut min);
+                simplify_expr(&mut min);
+                let dim = &mut self.dims[d];
+                match dim {
+                    Some((existing, extent)) if *existing == min => {
+                        *extent = (*extent).max(width);
                     }
-                    Some(_) => {
-                        self.mins[d] = Some(Expr::int(0));
-                        self.extents[d] = shape[d];
-                    }
-                    None => {
-                        self.mins[d] = Some(min_zeroed);
-                        self.extents[d] = width;
-                    }
+                    Some(_) => *dim = Some((Expr::int(0), shape[d])),
+                    None => *dim = Some((min, width)),
                 }
             }
             self.any = true;
@@ -144,30 +152,22 @@ pub(crate) fn required_region(
         /// Relaxes the regions of `buffer` in one block's signature.
         fn block(&mut self, br: &BlockRealize) {
             let (buffer, reads, writes) = (self.buffer, self.reads, self.writes);
-            let mut touched = (br.block.reads.iter().filter(|_| reads))
+            let touched = (br.block.reads.iter().filter(|_| reads))
                 .chain(br.block.writes.iter().filter(|_| writes))
-                .filter(|r| &r.buffer == buffer)
-                .peekable();
-            if touched.peek().is_none() {
-                return;
-            }
-            let subst: VarMap<&Expr> = (br.block.iter_vars.iter())
-                .zip(&br.iter_values)
-                .map(|(iv, v)| (iv.var.clone(), v))
-                .collect();
+                .filter(|r| &r.buffer == buffer);
             for r in touched {
-                self.relax(&r.region, &subst);
+                self.relax(&r.region, br);
             }
         }
 
-        fn walk(&mut self, s: &Stmt) {
+        fn walk(&mut self, s: &'a Stmt) {
             match s {
                 // §3.1: the signature summarises everything nested in the
                 // block, `init` and body alike; read it and stop.
                 Stmt::BlockRealize(br) => return self.block(br),
                 Stmt::For(f) => {
                     let extent = f.extent.as_int().unwrap_or(1);
-                    self.loops.push((f.var.clone(), extent));
+                    self.loops.push((&f.var, extent));
                 }
                 _ => {}
             }
@@ -183,23 +183,21 @@ pub(crate) fn required_region(
         buffer,
         reads,
         writes,
-        mins: vec![None; buffer.ndim()],
-        extents: vec![0; buffer.ndim()],
+        dims: vec![None; buffer.ndim()],
         any: false,
         loops: Vec::new(),
-        env: VarMap::default(),
     };
     relaxer.walk(stmt);
     if !relaxer.any {
         return None;
     }
+    let dims = relaxer.dims.into_iter();
     Some(
-        relaxer
-            .mins
-            .into_iter()
-            .zip(relaxer.extents)
-            .map(|(min, e)| RangeExpr::new(min.expect("dim visited"), e))
-            .collect(),
+        dims.map(|dim| {
+            let (min, extent) = dim.expect("dim visited");
+            RangeExpr::new(min, extent)
+        })
+        .collect(),
     )
 }
 

@@ -5,7 +5,7 @@
 //! primitives; bound-aware simplification lives in `tir-arith`.
 
 use crate::expr::{BinOp, CmpOp, Expr};
-use crate::visit::{ExprMutator, StmtMutator};
+use crate::visit::{ExprMutator, ExprVisitor, StmtMutator};
 use crate::Stmt;
 
 /// Floor division matching Python `//` semantics.
@@ -75,25 +75,47 @@ fn operands(e: Expr) -> (Box<Expr>, Box<Expr>) {
     }
 }
 
-/// Applies the first matching rule to `a op b`, both already simplified.
-/// The operands come in their boxes and leave in them when no rule fires,
-/// so the common case allocates nothing; a rule that rebuilds a node
-/// reuses the boxes it took apart.
-fn simplify_bin(op: BinOp, a: Box<Expr>, mut b: Box<Expr>) -> Expr {
+/// What the first rule that matches `a op b` makes of it: the rewrite
+/// [`simplify_bin`] applies, named here so that [`is_simplified`] can ask
+/// whether a rule fires without taking the node apart. Every rewrite yields
+/// a tree different from `a op b`: a constant, or one of its proper parts
+/// (simplified further).
+enum BinRule {
+    /// A constant.
+    Leaf(Expr),
+    /// `a`.
+    Left,
+    /// `b`.
+    Right,
+    /// `x` of `a = x ⊕ y`.
+    LeftOfLeft,
+    /// `y` of `a = x ⊕ y`.
+    RightOfLeft,
+    /// `x` of `a = (x ⊕ c) ⊕ y`.
+    LeftOfLeftOfLeft,
+    /// `x op2 c`, simplified, for `a = x ⊕ _`.
+    Regroup(BinOp, i64),
+    /// `y % b`, simplified, for `a = _ + y`.
+    ModOfRightOfLeft,
+}
+
+/// The first rule that matches `a op b`, both already simplified, if any.
+fn bin_rule(op: BinOp, a: &Expr, b: &Expr) -> Option<BinRule> {
+    use BinRule::*;
     // Constant folding.
-    if let (Expr::Int(x, dt), Expr::Int(y, _)) = (&*a, &*b) {
+    if let (Expr::Int(x, dt), Expr::Int(y, _)) = (a, b) {
         if let Some(v) = fold_int(op, *x, *y) {
             let dt = if matches!(op, BinOp::And | BinOp::Or) {
                 crate::DataType::bool()
             } else {
                 *dt
             };
-            return Expr::Int(v, dt);
+            return Some(Leaf(Expr::Int(v, dt)));
         }
     }
-    if let (Expr::Float(x, dt), Expr::Float(y, _)) = (&*a, &*b) {
+    if let (Expr::Float(x, dt), Expr::Float(y, _)) = (a, b) {
         if let Some(v) = fold_float(op, *x, *y) {
-            return Expr::Float(v, *dt);
+            return Some(Leaf(Expr::Float(v, *dt)));
         }
     }
     let a_int = a.as_int();
@@ -105,89 +127,82 @@ fn simplify_bin(op: BinOp, a: Box<Expr>, mut b: Box<Expr>) -> Expr {
     match op {
         BinOp::Add => {
             if a_zero {
-                return *b;
+                return Some(Right);
             }
             if b_zero {
-                return *a;
+                return Some(Left);
             }
             // (x + c1) + c2 => x + (c1+c2)
-            if let (Expr::Bin(BinOp::Add, _, c1), Some(c2)) = (&*a, b_int) {
+            if let (Expr::Bin(BinOp::Add, _, c1), Some(c2)) = (a, b_int) {
                 if let Some(c1v) = c1.as_int() {
-                    let (x, _) = operands(*a);
-                    *b = Expr::int(c1v + c2);
-                    return simplify_bin(BinOp::Add, x, b);
+                    return Some(Regroup(BinOp::Add, c1v + c2));
                 }
             }
         }
         BinOp::Sub => {
             if b_zero {
-                return *a;
+                return Some(Left);
             }
             if a == b && a_int.is_none() {
                 // symbolic x - x
-                return Expr::Int(0, a.dtype());
+                return Some(Leaf(Expr::Int(0, a.dtype())));
             }
             // (x + y) - x => y and (x + y) - y => x (slice extents).
-            if let Expr::Bin(BinOp::Add, x, y) = &*a {
-                let x_is_b = **x == *b;
-                if x_is_b || **y == *b {
-                    let (x, y) = operands(*a);
-                    return if x_is_b { *y } else { *x };
+            if let Expr::Bin(BinOp::Add, x, y) = a {
+                if **x == *b {
+                    return Some(RightOfLeft);
+                }
+                if **y == *b {
+                    return Some(LeftOfLeft);
                 }
             }
         }
         BinOp::Mul => {
             if a_zero || b_zero {
-                return if a.dtype().is_float() || b.dtype().is_float() {
+                return Some(Leaf(if a.dtype().is_float() || b.dtype().is_float() {
                     Expr::Float(0.0, a.dtype())
                 } else {
                     Expr::Int(0, a.dtype())
-                };
+                }));
             }
             if a_one {
-                return *b;
+                return Some(Right);
             }
             if b_one {
-                return *a;
+                return Some(Left);
             }
             // (x * c1) * c2 => x * (c1*c2)
-            if let (Expr::Bin(BinOp::Mul, _, c1), Some(c2)) = (&*a, b_int) {
+            if let (Expr::Bin(BinOp::Mul, _, c1), Some(c2)) = (a, b_int) {
                 if let Some(c1v) = c1.as_int() {
-                    let (x, _) = operands(*a);
-                    *b = Expr::int(c1v * c2);
-                    return simplify_bin(BinOp::Mul, x, b);
+                    return Some(Regroup(BinOp::Mul, c1v * c2));
                 }
             }
         }
         BinOp::Div => {
             if b_one {
-                return *a;
+                return Some(Left);
             }
         }
         BinOp::FloorDiv => {
             if b_one {
-                return *a;
+                return Some(Left);
             }
             if let Some(c) = b_int {
                 if c > 0 {
                     // (x * c) // c => x ; (x * c1) // c2 with c1 % c2 == 0 => x * (c1/c2)
-                    if let Expr::Bin(BinOp::Mul, _, c1) = &*a {
+                    if let Expr::Bin(BinOp::Mul, _, c1) = a {
                         if let Some(c1v) = c1.as_int() {
                             if c1v % c == 0 {
-                                let (x, _) = operands(*a);
-                                *b = Expr::int(c1v / c);
-                                return simplify_bin(BinOp::Mul, x, b);
+                                return Some(Regroup(BinOp::Mul, c1v / c));
                             }
                         }
                     }
                     // (x * c + y) // c => x + y // c  (valid when 0 <= y — we
                     // only apply it when y is a non-negative constant < c).
-                    if let Expr::Bin(BinOp::Add, l, r) = &*a {
+                    if let Expr::Bin(BinOp::Add, l, r) = a {
                         if let (Expr::Bin(BinOp::Mul, _, c1), Some(rv)) = (&**l, r.as_int()) {
                             if c1.as_int() == Some(c) && (0..c).contains(&rv) {
-                                let (l, _) = operands(*a);
-                                let (x, _) = operands(*l);
-                                return *x;
+                                return Some(LeftOfLeftOfLeft);
                             }
                         }
                     }
@@ -196,24 +211,23 @@ fn simplify_bin(op: BinOp, a: Box<Expr>, mut b: Box<Expr>) -> Expr {
         }
         BinOp::FloorMod => {
             if b_one {
-                return Expr::Int(0, a.dtype());
+                return Some(Leaf(Expr::Int(0, a.dtype())));
             }
             if let Some(c) = b_int {
                 if c > 0 {
                     // (x * c1) % c2 == 0 when c1 % c2 == 0
-                    if let Expr::Bin(BinOp::Mul, _, c1) = &*a {
+                    if let Expr::Bin(BinOp::Mul, _, c1) = a {
                         if let Some(c1v) = c1.as_int() {
                             if c1v % c == 0 {
-                                return Expr::Int(0, a.dtype());
+                                return Some(Leaf(Expr::Int(0, a.dtype())));
                             }
                         }
                     }
                     // (x * c + y) % c => y % c
-                    if let Expr::Bin(BinOp::Add, l, _) = &*a {
+                    if let Expr::Bin(BinOp::Add, l, _) = a {
                         if let Expr::Bin(BinOp::Mul, _, c1) = &**l {
                             if c1.as_int() == Some(c) {
-                                let (_, r) = operands(*a);
-                                return simplify_bin(BinOp::FloorMod, r, b);
+                                return Some(ModOfRightOfLeft);
                             }
                         }
                     }
@@ -222,78 +236,102 @@ fn simplify_bin(op: BinOp, a: Box<Expr>, mut b: Box<Expr>) -> Expr {
         }
         BinOp::Min | BinOp::Max => {
             if a == b {
-                return *a;
+                return Some(Left);
             }
         }
         BinOp::And => {
             if a_int == Some(1) {
-                return *b;
+                return Some(Right);
             }
             if b_int == Some(1) {
-                return *a;
+                return Some(Left);
             }
             if a_int == Some(0) || b_int == Some(0) {
-                return Expr::bool(false);
+                return Some(Leaf(Expr::bool(false)));
             }
         }
         BinOp::Or => {
             if a_int == Some(0) {
-                return *b;
+                return Some(Right);
             }
             if b_int == Some(0) {
-                return *a;
+                return Some(Left);
             }
             if a_int == Some(1) || b_int == Some(1) {
-                return Expr::bool(true);
+                return Some(Leaf(Expr::bool(true)));
             }
         }
     }
-    Expr::Bin(op, a, b)
+    None
 }
 
-fn simplify_cmp(op: CmpOp, a: Box<Expr>, b: Box<Expr>) -> Expr {
-    if let (Some(x), Some(y)) = (a.as_int(), b.as_int()) {
-        return Expr::bool(op.apply(x, y));
+/// Applies the first matching rule to `a op b`, both already simplified.
+/// The operands come in their boxes and leave in them when no rule fires,
+/// so the common case allocates nothing; a rule that rebuilds a node
+/// reuses the boxes it took apart.
+fn simplify_bin(op: BinOp, a: Box<Expr>, mut b: Box<Expr>) -> Expr {
+    let Some(rule) = bin_rule(op, &a, &b) else {
+        return Expr::Bin(op, a, b);
+    };
+    match rule {
+        BinRule::Leaf(e) => e,
+        BinRule::Left => *a,
+        BinRule::Right => *b,
+        BinRule::LeftOfLeft => *operands(*a).0,
+        BinRule::RightOfLeft => *operands(*a).1,
+        BinRule::LeftOfLeftOfLeft => *operands(*operands(*a).0).0,
+        BinRule::Regroup(op, c) => {
+            let (x, _) = operands(*a);
+            *b = Expr::int(c);
+            simplify_bin(op, x, b)
+        }
+        BinRule::ModOfRightOfLeft => {
+            let (_, y) = operands(*a);
+            simplify_bin(BinOp::FloorMod, y, b)
+        }
     }
-    if a == b {
-        return Expr::bool(matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge));
+}
+
+/// Whether a rule rewrites the node `e`, whose operands are simplified
+/// already: the guards of every rule, read without taking `e` apart.
+fn fires(e: &Expr) -> bool {
+    match e {
+        Expr::Bin(op, a, b) => bin_rule(*op, a, b).is_some(),
+        Expr::Cmp(_, a, b) => (a.as_int().is_some() && b.as_int().is_some()) || a == b,
+        Expr::Not(v) => matches!(**v, Expr::Int(_, dt) if dt.is_bool()),
+        Expr::Select { cond, .. } => cond.as_int().is_some(),
+        Expr::Cast(dt, v) => v.dtype() == *dt,
+        _ => false,
     }
-    Expr::Cmp(op, a, b)
 }
 
 struct Simplifier;
 impl ExprMutator for Simplifier {
     fn mutate_expr(&mut self, e: &mut Expr) {
         self.walk_expr(e);
-        let has_rules = matches!(
-            e,
-            Expr::Bin(..) | Expr::Cmp(..) | Expr::Not(_) | Expr::Select { .. } | Expr::Cast(..)
-        );
-        if !has_rules {
+        // A binary node's rule is found once, by `simplify_bin`.
+        if !matches!(e, Expr::Bin(..)) && !fires(e) {
             return;
         }
         // Take the node out to hand its boxes to the rules; the placeholder
         // owns no heap memory.
         *e = match std::mem::replace(e, Expr::Int(0, crate::DataType::bool())) {
             Expr::Bin(op, a, b) => simplify_bin(op, a, b),
-            Expr::Cmp(op, a, b) => simplify_cmp(op, a, b),
-            Expr::Not(v) => match &*v {
-                Expr::Int(x, dt) if dt.is_bool() => Expr::bool(*x == 0),
-                _ => Expr::Not(v),
-            },
-            Expr::Select { cond, then, other } => match cond.as_int() {
-                Some(0) => *other,
-                Some(_) => *then,
-                None => Expr::Select { cond, then, other },
-            },
-            Expr::Cast(dt, v) => {
-                if v.dtype() == dt {
-                    *v
+            Expr::Cmp(op, a, b) => Expr::bool(match (a.as_int(), b.as_int()) {
+                (Some(x), Some(y)) => op.apply(x, y),
+                // `a == b`, symbolic.
+                _ => matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge),
+            }),
+            Expr::Not(v) => Expr::bool(v.as_int() == Some(0)),
+            Expr::Select { cond, then, other } => {
+                if cond.as_int() == Some(0) {
+                    *other
                 } else {
-                    Expr::Cast(dt, v)
+                    *then
                 }
             }
-            other => other,
+            Expr::Cast(_, v) => *v,
+            other => unreachable!("no rule rewrites {other:?}"),
         };
     }
 }
@@ -321,6 +359,36 @@ pub fn simplify_expr(e: &mut Expr) {
 pub fn simplified(mut e: Expr) -> Expr {
     simplify_expr(&mut e);
     e
+}
+
+/// Whether [`simplify_expr`] would leave `e` as it is: no rule fires on any
+/// of its nodes. It reads the tree and allocates nothing, so a caller that
+/// only reads the simplified form can borrow `e` when this holds instead of
+/// simplifying a copy.
+///
+/// # Examples
+///
+/// ```
+/// use tir::{Expr, Var, simplify::is_simplified};
+/// let i = Var::int("i");
+/// assert!(is_simplified(&(Expr::from(&i) * 4 + 2)));
+/// assert!(!is_simplified(&(Expr::from(&i) * 4 + 2).floor_div(4)));
+/// ```
+pub fn is_simplified(e: &Expr) -> bool {
+    /// Cleared at the first node a rule fires on; children first, as the
+    /// simplifier goes.
+    struct Settled(bool);
+    impl ExprVisitor for Settled {
+        fn visit_expr(&mut self, e: &Expr) {
+            if self.0 {
+                self.walk_expr(e);
+                self.0 = self.0 && !fires(e);
+            }
+        }
+    }
+    let mut settled = Settled(true);
+    settled.visit_expr(e);
+    settled.0
 }
 
 /// Simplifies every expression inside a statement, in place.

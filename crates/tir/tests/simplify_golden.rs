@@ -17,7 +17,7 @@
 //! Regenerate (only when an intended change alters simplifier output) with
 //! `cargo test -p tir --test simplify_golden -- --ignored`.
 
-use tir::simplify::{floor_div_i64, floor_mod_i64, simplified};
+use tir::simplify::{floor_div_i64, floor_mod_i64, is_simplified, simplified};
 use tir::visit::substituted;
 use tir::{BinOp, CmpOp, DataType, Expr, Var, VarMap};
 use tir_rand::rngs::StdRng;
@@ -321,6 +321,26 @@ fn simplify_is_idempotent() {
         let once = simplify(e);
         assert_eq!(simplify(&once), once, "#{n}: `{e}`");
     }
+}
+
+/// `is_simplified` is exactly "simplification changes nothing": callers
+/// borrow an expression it accepts instead of simplifying a copy, so a
+/// false "yes" would hand them an unsimplified expression.
+#[test]
+fn is_simplified_answers_whether_simplify_changes_anything() {
+    let (_, exprs) = corpus();
+    let mut settled = 0;
+    for (n, e) in exprs.iter().enumerate() {
+        let once = simplify(e);
+        assert_eq!(is_simplified(e), once == *e, "#{n}: `{e}`");
+        assert!(is_simplified(&once), "#{n}: `{e}` simplified to `{once}`");
+        settled += usize::from(once == *e);
+    }
+    assert!(
+        settled > 0 && settled < exprs.len(),
+        "{settled} of {}",
+        exprs.len()
+    );
 }
 
 #[test]

@@ -15,9 +15,11 @@
 //! gate, which ends in [`tir_trace::json::gate`]): it must be well-formed
 //! JSON, carry every phase the search declares
 //! (`tir_autoschedule::search::SEARCH_PHASES`) and the expected counters,
-//! its `search.*` phase times must sum to `tuning_cost_s` within 5%, and
-//! the candidates built and never built must add up to the candidates
-//! proposed. Any violation exits with code 1.
+//! its `search.*` phase times must sum to `tuning_cost_s` within 5%, the
+//! candidates built and never built must add up to the candidates
+//! proposed, and a stream must have traced the tensorized sketch with the
+//! machine's intrinsic ([`expected_stream`]). Any violation exits with
+//! code 1.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -137,8 +139,32 @@ fn materialize_counters(report: &TraceReport) -> (u64, u64, u64) {
     )
 }
 
+/// The stream a run on `machine` must trace: the tensorized sketch over
+/// the intrinsic the bench dtypes match ([`build_workload`]). A run whose
+/// dtypes match another intrinsic, or none, traces a different sketch and
+/// does not profile what the report is for.
+fn expected_stream(machine: &str) -> &'static str {
+    match machine {
+        "gpu" => "gpu-tensor[wmma_16x16x16_f16]",
+        "arm" => "cpu-tensor[sdot_4x4x4_i8]",
+        _ => usage(),
+    }
+}
+
+/// Whether a stream of `report` traced [`expected_stream`] of `machine`.
+fn check_streams(machine: &str, report: &TraceReport) -> Option<String> {
+    let want = expected_stream(machine);
+    let labels: Vec<&str> = report.streams.iter().map(|(_, l)| l.as_str()).collect();
+    (!labels.contains(&want)).then(|| format!("no stream traced {want}: streams {labels:?}"))
+}
+
 /// The CI gate: structural and accounting invariants of the report.
-fn check_report(text: &str, result: &TuneResult, report: &TraceReport) -> Vec<String> {
+fn check_report(
+    text: &str,
+    machine: &str,
+    result: &TuneResult,
+    report: &TraceReport,
+) -> Vec<String> {
     let mut errors = Vec::new();
     for key in [
         "\"workload\"",
@@ -177,6 +203,7 @@ fn check_report(text: &str, result: &TuneResult, report: &TraceReport) -> Vec<St
             "materialized {materialized} + skipped {skipped} != proposed {proposed}"
         ));
     }
+    errors.extend(check_streams(machine, report));
     if result.best.is_none() {
         errors.push("tuning found no valid candidate".to_string());
     }
@@ -267,6 +294,43 @@ fn main() -> ExitCode {
          {:.2} applies per measured trial",
         materialized as f64 / result.trials_measured.max(1) as f64
     );
-    let failures = cfg.check.then(|| check_report(&text, &result, &report));
+    let failures = cfg
+        .check
+        .then(|| check_report(&text, &cfg.machine, &result, &report));
     json::gate("tune-profile", &cfg.out, &text, failures)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn traced(labels: &[&str]) -> TraceReport {
+        let collector = Collector::new();
+        for label in labels {
+            collector.stream(label);
+        }
+        collector.report()
+    }
+
+    /// The f32-accumulator GMM tunes with `dot_4x4x4_f32`, not wmma: its
+    /// report must not pass as the wmma trace, nor as the ARM one.
+    #[test]
+    fn a_trace_of_the_wrong_intrinsic_fails_the_check() {
+        let f32_dot = traced(&["gpu-tensor[dot_4x4x4_f32]", "gpu-scalar"]);
+        let failure = check_streams("gpu", &f32_dot).expect("must fail");
+        assert!(
+            failure.contains("gpu-tensor[wmma_16x16x16_f16]"),
+            "{failure}"
+        );
+        assert!(check_streams("arm", &f32_dot).is_some());
+        assert!(check_streams("gpu", &TraceReport::default()).is_some());
+    }
+
+    #[test]
+    fn a_trace_of_the_expected_intrinsic_passes() {
+        let wmma = traced(&["gpu-tensor[wmma_16x16x16_f16]", "gpu-scalar"]);
+        assert_eq!(check_streams("gpu", &wmma), None);
+        let sdot = traced(&["cpu-tensor[sdot_4x4x4_i8]"]);
+        assert_eq!(check_streams("arm", &sdot), None);
+    }
 }
