@@ -204,11 +204,13 @@ fn well_formed_allocates_at_most_twice_per_call() {
 
 /// Budgets of one `tir_analysis::validate` of a finished candidate, the
 /// check every `gpu-tensor` candidate ends with: the counts measured once
-/// the read-only analyses copied only what they change (123 and 51; 487 and
-/// 266 before), plus 10%. Validation does the same work in both profiles,
-/// so the budgets hold in debug too.
-const VALIDATE_GMM_GPU: u64 = 136;
-const VALIDATE_C2D_GPU: u64 = 57;
+/// the loop-nest check passed the enclosing loops to iterator-map detection
+/// without collecting them per block (108 and 45), plus 10%. They were 123
+/// and 51 while it collected them, 487 and 266 before the read-only
+/// analyses copied only what they change. Validation does the same work in
+/// both profiles, so the budgets hold in debug too.
+const VALIDATE_GMM_GPU: u64 = 119;
+const VALIDATE_C2D_GPU: u64 = 50;
 
 #[test]
 fn validation_allocations_repeat_and_stay_in_budget() {
@@ -230,6 +232,41 @@ fn validation_allocations_repeat_and_stay_in_budget() {
         assert!(
             allocs <= budget,
             "{}: validate made {allocs} allocations, budget {budget}",
+            row.name
+        );
+    }
+}
+
+/// Budgets of one `tir_analysis::analyze` of a finished candidate, all five
+/// checks in one walk, the one `verify_scheduled` gates on: the counts
+/// measured once the race proof composed and normalized only the accesses
+/// it proves, once each (264 and 354), plus 10%. While the walk composed
+/// every index of every access, and the proof normalized a site again for
+/// every parallel loop around it, `analyze` made 652 and 549. The analyses
+/// do the same work in both profiles, so the budgets hold in debug too.
+const ANALYZE_GMM_GPU: u64 = 291;
+const ANALYZE_C2D_GPU: u64 = 390;
+
+#[test]
+fn analyze_allocations_repeat_and_stay_in_budget() {
+    for (row, budget) in [
+        (gmm_gpu_tensor(), ANALYZE_GMM_GPU),
+        (c2d_gpu_scalar(), ANALYZE_C2D_GPU),
+    ] {
+        let (sketch, decisions) = candidate(&row);
+        let func = sketch.apply(&decisions).expect("applies");
+        let (errors, allocs) = counted(|| tir_analysis::analyze(&func));
+        let (_, again) = counted(|| tir_analysis::analyze(&func));
+        assert_eq!(errors, [], "{}", row.name);
+        println!("{:<22} analyze {allocs} allocations", row.name);
+        assert_eq!(
+            allocs, again,
+            "{}: allocation counts do not repeat",
+            row.name
+        );
+        assert!(
+            allocs <= budget,
+            "{}: analyze made {allocs} allocations, budget {budget}",
             row.name
         );
     }

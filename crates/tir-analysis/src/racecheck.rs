@@ -5,11 +5,16 @@
 //! # Race analysis
 //!
 //! The walk of the crate (`walk.rs`) records every buffer access of the
-//! function as a `Site`: its indices composed down to loop variables
-//! through the very bindings loop-nest validation composed, its innermost
-//! loop (which names its whole nest — a site holds no copy of it) and the
-//! block it stands in. Both analyses here read those sites after the walk;
-//! neither descends the program. For each buffer `B`
+//! function as a `Site`: its indices as written, the frame of the block it
+//! stands in (which names every binding around it), its innermost loop
+//! (which names its whole nest — a site holds no copy of either) and the
+//! block itself. Both analyses here read those sites after the walk;
+//! neither descends the program. The race proof composes a site's indices
+//! down to loop variables, through the very bindings loop-nest validation
+//! composed, and normalizes them only when a proof first reads the site
+//! (relaxed and read-only buffers, and sites under no parallel loop, are
+//! never read), then reuses them for every parallel loop around it. For
+//! each buffer `B`
 //! written under a parallel loop `p` (extent `n`), it must prove that no
 //! two iterations of `p` touch a common element of `B` with at least one
 //! write — otherwise a [`ValidationError::WriteRace`] is reported.
@@ -65,20 +70,27 @@
 //! `threadIdx.x` binding is in scope (implicit warp lanes, as in
 //! pre-lowering Tensor Core programs).
 
-use std::borrow::Cow;
+use std::cell::OnceCell;
 
 use tir::{Block, Buffer, Expr, ForKind, MemScope, PrimFunc, ThreadTag, Var, VarMap};
 use tir_arith::iter_map::{normalize, IterSplit, IterSum};
 
 use crate::validate::ValidationError;
-use crate::walk::{self, name_of, Check, Loop};
+use crate::walk::{self, name_of, Check, Loop, Scope};
 
 /// One buffer access with its static context, as the walk recorded it.
 pub(crate) struct Site<'a> {
     pub(crate) buffer: &'a Buffer,
-    /// Index expressions, composed down to loop variables and simplified
-    /// (empty when the race proof does not run).
-    pub(crate) indices: Vec<Cow<'a, Expr>>,
+    /// Index expressions, as written: the race proof composes them down to
+    /// loop variables only when it reads the site ([`sums`]).
+    pub(crate) indices: &'a [Expr],
+    /// The frame of the innermost enclosing block, through which the
+    /// indices are composed when the race proof runs
+    /// ([`crate::walk::Scope::composed_in`]).
+    pub(crate) frame: Option<usize>,
+    /// The indices composed, simplified and normalized, or why they cannot
+    /// be: filled the first time a proof reads the site ([`sums`]).
+    pub(crate) sums: OnceCell<Result<Vec<IterSum>, String>>,
     /// The innermost enclosing loop, which names the whole nest
     /// ([`crate::walk::Scope::nests`]).
     pub(crate) innermost: Option<usize>,
@@ -118,7 +130,7 @@ pub fn check_races(func: &PrimFunc) -> Vec<ValidationError> {
 }
 
 /// The race proof over the sites of one walk.
-pub(crate) fn races(nests: &[Vec<Loop>], sites: &[Site]) -> Vec<ValidationError> {
+pub(crate) fn races(scope: &Scope, nests: &[Vec<Loop>], sites: &[Site]) -> Vec<ValidationError> {
     let mut errors = Vec::new();
     for (buffer, accesses) in by_buffer(nests, sites) {
         if accesses.iter().any(|(s, _)| s.relaxed) || !accesses.iter().any(|(s, _)| s.write) {
@@ -140,7 +152,7 @@ pub(crate) fn races(nests: &[Vec<Loop>], sites: &[Site]) -> Vec<ValidationError>
                     continue;
                 }
                 let proof = match extent {
-                    Some(n) => prove_disjoint(p, *n, &under),
+                    Some(n) => prove_disjoint(scope, p, *n, &under),
                     None => Err("non-constant loop extent".to_string()),
                 };
                 if let Err(detail) = proof {
@@ -168,7 +180,8 @@ struct Decomp {
     base: i64,
 }
 
-fn decompose(sum: &IterSum, p: &Var, inner_vars: &[&Var]) -> Decomp {
+/// Decomposes `sum` relative to `p`, whose nested loops are `inner`.
+fn decompose(sum: &IterSum, p: &Var, inner: &[Loop]) -> Decomp {
     let mut d = Decomp {
         p_parts: Vec::new(),
         inner: Vec::new(),
@@ -178,7 +191,7 @@ fn decompose(sum: &IterSum, p: &Var, inner_vars: &[&Var]) -> Decomp {
     for t in &sum.terms {
         if &t.var == p {
             d.p_parts.push(t.clone());
-        } else if inner_vars.contains(&&t.var) {
+        } else if inner.iter().any(|(v, _, _)| **v == t.var) {
             d.inner.push(t.clone());
         } else {
             d.outer.push(t.clone());
@@ -198,18 +211,12 @@ fn same_split(a: &IterSplit, b: &IterSplit) -> bool {
     a.var == b.var && a.lower_factor == b.lower_factor && a.extent == b.extent && a.scale == b.scale
 }
 
-/// Tries to prove that no two distinct iterations of `p` (extent `n`)
-/// touch a common element through the given access sites. Returns a short
-/// failure description on the first unprovable pair.
-fn prove_disjoint(p: &Var, n: i64, sites: &[&Nested]) -> Result<(), String> {
-    if n <= 1 {
-        return Ok(());
-    }
-    // Normalize every index of every site once.
-    let mut decomps: Vec<Vec<Decomp>> = Vec::with_capacity(sites.len());
-    for (site, nest) in sites {
-        let pos = (nest.iter().position(|(v, _, _)| *v == p)).expect("p encloses site");
-        let inner_vars: Vec<&Var> = nest[pos + 1..].iter().map(|(v, _, _)| *v).collect();
+/// The normal forms of a site's indices, composed down to loop variables
+/// through the bindings around it: built the first time a proof asks, then
+/// read by the proof of every parallel loop around the site. The error is
+/// the proof's failure description.
+fn sums<'s>(scope: &Scope, (site, nest): &Nested<'s, '_>) -> &'s Result<Vec<IterSum>, String> {
+    site.sums.get_or_init(|| {
         let mut dom: VarMap<i64> = VarMap::default();
         for (v, e, _) in *nest {
             let Some(e) = e else {
@@ -217,19 +224,35 @@ fn prove_disjoint(p: &Var, n: i64, sites: &[&Nested]) -> Result<(), String> {
             };
             dom.insert((*v).clone(), *e);
         }
-        let mut per_dim = Vec::with_capacity(site.indices.len());
-        for idx in &site.indices {
-            match normalize(idx, &dom) {
-                Ok(sum) => per_dim.push(decompose(&sum, p, &inner_vars)),
-                Err(e) => {
-                    return Err(format!(
-                        "index {idx} of buffer {} is not quasi-affine: {e}",
-                        site.buffer.name()
-                    ))
-                }
-            }
-        }
-        decomps.push(per_dim);
+        let sum = |idx: &Expr| {
+            let composed = scope.composed_in(site.frame, idx);
+            let idx = composed.as_ref().unwrap_or(idx);
+            normalize(idx, &dom).map_err(|e| {
+                let buffer = site.buffer.name();
+                format!("index {idx} of buffer {buffer} is not quasi-affine: {e}")
+            })
+        };
+        site.indices.iter().map(sum).collect()
+    })
+}
+
+/// Tries to prove that no two distinct iterations of `p` (extent `n`)
+/// touch a common element through the given access sites. Returns a short
+/// failure description on the first unprovable pair.
+fn prove_disjoint(scope: &Scope, p: &Var, n: i64, sites: &[&Nested]) -> Result<(), String> {
+    if n <= 1 {
+        return Ok(());
+    }
+    let mut decomps: Vec<Vec<Decomp>> = Vec::with_capacity(sites.len());
+    for nested in sites {
+        let nest = nested.1;
+        let pos = (nest.iter().position(|(v, _, _)| *v == p)).expect("p encloses site");
+        let sums = sums(scope, nested).as_ref().map_err(String::clone)?;
+        decomps.push(
+            sums.iter()
+                .map(|sum| decompose(sum, p, &nest[pos + 1..]))
+                .collect(),
+        );
     }
     // Pairwise disjointness, self-pairs included (two iterations execute
     // the same site with independent inner-loop values).
@@ -547,6 +570,92 @@ mod tests {
                 .any(|e| matches!(e, ValidationError::WriteRace { .. })),
             "{errors:?}"
         );
+    }
+
+    /// Under `parallel io (4)`, `parallel j (8)` and `for ii (4)`, block
+    /// `outer` binds `v = io * 4 + ii, w = j`, and block `inner` inside it
+    /// binds `v` again, to `v // 2`, and `u = w`. `inner` stores
+    /// `O[v] = A[v * u]` and `P[v * u]`, and an atomic block inside it adds
+    /// to `R[v * u]`. With `inlined`, the same blocks bind the same values,
+    /// but the accesses name the loops: `v` and `u` written out by hand.
+    fn shadowed_two_blocks_deep(inlined: bool) -> PrimFunc {
+        let f32_ = DataType::float32();
+        let o = Buffer::new("O", f32_, vec![8]);
+        let (a, p, r) = (
+            Buffer::new("A", f32_, vec![64]),
+            Buffer::new("P", f32_, vec![64]),
+            Buffer::new("R", f32_, vec![64]),
+        );
+        let (io, j, ii) = (Var::int("io"), Var::int("j"), Var::int("ii"));
+        let (v, w, u) = (Var::int("v"), Var::int("w"), Var::int("u"));
+        let outer_v = Expr::from(&io) * 4 + Expr::from(&ii);
+        let (v_at, u_at) = if inlined {
+            (outer_v.clone().floor_div(2), Expr::from(&j))
+        } else {
+            (Expr::from(&v), Expr::from(&u))
+        };
+        let product = v_at.clone() * u_at;
+        let atomic = {
+            let add = r.load(vec![product.clone()]) + Expr::f32(1.0);
+            let body = Stmt::store(r.clone(), vec![product.clone()], add);
+            let mut block = tir::Block::new("acc", vec![], vec![], vec![r.full_region()], body);
+            block
+                .annotations
+                .insert("tir.atomic".into(), tir::AnnValue::Int(1));
+            Stmt::BlockRealize(Box::new(tir::BlockRealize::new(vec![], block)))
+        };
+        let body = Stmt::seq(vec![
+            Stmt::store(o.clone(), vec![v_at], a.load(vec![product.clone()])),
+            Stmt::store(p.clone(), vec![product], Expr::f32(0.0)),
+            atomic,
+        ]);
+        let inner_iters = vec![IterVar::spatial(v.clone(), 8), IterVar::spatial(u, 8)];
+        let inner = tir::Block::new("inner", inner_iters, vec![], vec![], body);
+        let inner_values = vec![Expr::from(&v).floor_div(2), Expr::from(&w)];
+        let inner = Stmt::BlockRealize(Box::new(tir::BlockRealize::new(inner_values, inner)));
+        let outer_iters = vec![IterVar::spatial(v, 16), IterVar::spatial(w, 8)];
+        let outer = tir::Block::new("outer", outer_iters, vec![], vec![], inner);
+        let outer_values = vec![outer_v, Expr::from(&j)];
+        let outer = Stmt::BlockRealize(Box::new(tir::BlockRealize::new(outer_values, outer)));
+        let nest = outer.in_loop(ii, 4);
+        let nest = Stmt::For(Box::new(tir::For::with_kind(j, 8, ForKind::Parallel, nest)));
+        let nest = Stmt::For(Box::new(tir::For::with_kind(
+            io,
+            4,
+            ForKind::Parallel,
+            nest,
+        )));
+        PrimFunc::new("f", vec![o, a, p, r], nest)
+    }
+
+    #[test]
+    fn indices_are_composed_as_the_bindings_read_when_they_were_recorded() {
+        let errors = check_races(&shadowed_two_blocks_deep(false));
+        assert_eq!(errors, check_races(&shadowed_two_blocks_deep(true)));
+        // `O` races on `j`, which its index does not read, and `P`'s index
+        // is not quasi-affine, a failure the proofs of both loops report.
+        // The read-only `A` and the relaxed `R` report nothing.
+        let races: Vec<(&str, &str, &str)> = (errors.iter())
+            .map(|e| match e {
+                ValidationError::WriteRace {
+                    loop_var,
+                    buffer,
+                    block,
+                    ..
+                } => (loop_var.as_str(), buffer.as_str(), block.as_str()),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        let expected = [
+            ("j", "O", "inner"),
+            ("io", "P", "inner"),
+            ("j", "P", "inner"),
+        ];
+        assert_eq!(races, expected, "{errors:?}");
+        let [_, ValidationError::WriteRace { detail, .. }, _] = &errors[..] else {
+            unreachable!()
+        };
+        assert!(detail.contains("is not quasi-affine"), "{detail}");
     }
 
     #[test]

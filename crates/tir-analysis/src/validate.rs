@@ -443,9 +443,7 @@ impl Nests<'_> {
         };
         // Every extent is a constant here: validation is silent below a
         // loop whose extent is not.
-        let dom: Vec<(Var, i64)> = (scope.nest())
-            .filter_map(|(v, e, _)| Some((v.clone(), e?)))
-            .collect();
+        let dom = scope.nest().filter_map(|(v, e, _)| Some((v, e?)));
         // Re-executing a block instance is sound (idempotent) unless it is
         // a reduction without an init to reset the accumulator — only then
         // do we demand the bindings fully consume every enclosing loop.
@@ -464,10 +462,10 @@ impl Nests<'_> {
                 (block.iter_vars.iter().zip(values()))
                     .any(|(iv, e)| iv.kind == IterKind::Reduce && expr_uses_var(e, v))
             };
-            let first_reduce_pos = dom.iter().position(|(v, _)| reduce_used(v));
+            let first_reduce_pos = dom.clone().position(|(v, _)| reduce_used(v));
             if let Some(rpos) = first_reduce_pos {
-                for (pos, (v, extent)) in dom.iter().enumerate() {
-                    if *extent > 1 && pos > rpos && !used(v) {
+                for (pos, (v, extent)) in dom.clone().enumerate() {
+                    if extent > 1 && pos > rpos && !used(v) {
                         self.errors.push(ValidationError::LoopNest {
                             block: block.name.clone(),
                             cause: IterMapError::NotIndependent(format!(
@@ -483,7 +481,7 @@ impl Nests<'_> {
         // construction and may carry overlapping halo bindings; only the
         // region-cover and threading checks apply to them.
         let relaxed_copy = block.annotations.contains_key("tir.copy");
-        match detect_iter_map_with(values(), &dom, mode) {
+        match detect_iter_map_with(values(), dom, mode) {
             Ok(extents) => {
                 for ((iv, bound), value) in block.iter_vars.iter().zip(&extents).zip(values()) {
                     let beyond =

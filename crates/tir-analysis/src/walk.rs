@@ -10,6 +10,7 @@
 //! entry point's choice ([`Check`]); the walk is the same for all of them.
 
 use std::borrow::Cow;
+use std::cell::OnceCell;
 
 use tir::simplify::{is_simplified, simplified};
 use tir::visit::{expr_any_var, ExprMutator};
@@ -72,10 +73,19 @@ pub(crate) struct Scope<'a> {
     path: Vec<usize>,
     /// Iterator variables of the enclosing blocks with their binding
     /// expressions composed down to loop variables, innermost last. Nested
-    /// bindings and indices are read through them, which is how a block's
-    /// isolation boundary is crossed soundly. A binding that composing
-    /// leaves as written is borrowed from the program.
+    /// bindings are read through them, which is how a block's isolation
+    /// boundary is crossed soundly. A binding that composing leaves as
+    /// written is borrowed from the program.
     binds: Vec<(Var, Cow<'a, Expr>)>,
+    /// Every block entered so far, when the race proof runs: the same
+    /// composed bindings, kept after the block is left. Like `loops` it
+    /// only grows, so an access site names every binding around it by the
+    /// index of its innermost block's frame ([`Scope::composed_in`]), and
+    /// its indices are composed only if the proof reads them.
+    frames: Vec<Frame<'a>>,
+    /// The frame of the innermost enclosing block, as an index into
+    /// `frames`.
+    frame: Option<usize>,
     /// The enclosing blocks, innermost last.
     blocks: Vec<&'a Block>,
     /// How many of them carry a relaxing annotation.
@@ -86,16 +96,27 @@ pub(crate) struct Scope<'a> {
     trail: Vec<(Check, Cow<'a, Var>, Option<IntBound>)>,
 }
 
-/// Replaces block iterators by their composed bindings, innermost first:
-/// `tir::visit::substituted` over the binding stack itself, which it cannot
-/// read (it wants a map, and one would have to be built per block).
-struct Compose<'s, 'a>(&'s [(Var, Cow<'a, Expr>)]);
+/// A block the walk entered, when the race proof runs: its realize, the
+/// frame of the block around it, and, once the block is left, its bindings
+/// composed down to loop variables (`None` where that is the binding as
+/// written), moved off the walk's stack.
+struct Frame<'a> {
+    parent: Option<usize>,
+    realize: &'a BlockRealize,
+    composed: Vec<Option<Expr>>,
+}
 
-impl ExprMutator for Compose<'_, '_> {
+/// Replaces block iterators by what `bound` gives for them:
+/// `tir::visit::substituted` over a lookup of the walk's bindings, which
+/// it cannot read (it wants a map, and one would have to be built per
+/// block).
+struct Compose<F>(F);
+
+impl<'s, F: FnMut(&Var) -> Option<&'s Expr>> ExprMutator for Compose<F> {
     fn mutate_expr(&mut self, e: &mut Expr) {
         match e {
             Expr::Var(v) => {
-                if let Some((_, value)) = self.0.iter().rev().find(|(bound, _)| bound == v) {
+                if let Some(value) = (self.0)(v) {
                     *e = Expr::clone(value);
                 }
             }
@@ -104,13 +125,25 @@ impl ExprMutator for Compose<'_, '_> {
     }
 }
 
+/// `e` composed through `bound` and simplified; `None` when that is `e` as
+/// written — it names no variable `bound` knows and no simplification rule
+/// fires on it — so nothing is copied.
+fn compose<'s>(e: &Expr, mut bound: impl FnMut(&Var) -> Option<&'s Expr>) -> Option<Expr> {
+    if !expr_any_var(e, &mut |v| bound(v).is_some()) && is_simplified(e) {
+        return None;
+    }
+    let mut e = e.clone();
+    Compose(bound).mutate_expr(&mut e);
+    Some(simplified(e))
+}
+
 impl<'a> Scope<'a> {
     fn on(&self, check: Check) -> bool {
         self.on[check as usize]
     }
 
     /// The loops around the walk, outermost first.
-    pub(crate) fn nest(&self) -> impl Iterator<Item = Loop<'a>> + '_ {
+    pub(crate) fn nest(&self) -> impl DoubleEndedIterator<Item = Loop<'a>> + Clone + '_ {
         self.path.iter().map(|&at| {
             let f = self.loops[at].0;
             (&f.var, f.extent.as_int(), f.kind)
@@ -146,17 +179,36 @@ impl<'a> Scope<'a> {
     }
 
     /// `e` over loop variables only: composed through the bindings of the
-    /// enclosing blocks, then simplified. `None` when that is `e` as
-    /// written — it names no iterator of an enclosing block and no
-    /// simplification rule fires on it — so nothing is copied.
+    /// enclosing blocks, innermost first, then simplified. `None` when that
+    /// is `e` as written — it names no iterator of an enclosing block and
+    /// no simplification rule fires on it — so nothing is copied.
     pub(crate) fn composed(&self, e: &Expr) -> Option<Expr> {
-        let mut bound = |v: &Var| self.binds.iter().any(|(b, _)| b == v);
-        if !expr_any_var(e, &mut bound) && is_simplified(e) {
-            return None;
-        }
-        let mut e = e.clone();
-        Compose(&self.binds).mutate_expr(&mut e);
-        Some(simplified(e))
+        let binds = self.binds.iter().rev();
+        compose(e, |v| {
+            binds
+                .clone()
+                .find(|(b, _)| b == v)
+                .map(|(_, value)| &**value)
+        })
+    }
+
+    /// [`Scope::composed`] after the walk, for an expression that stood in
+    /// `frame`: the same bindings in the same order, read off the frames
+    /// instead of the stack they have left.
+    pub(crate) fn composed_in(&self, frame: Option<usize>, e: &Expr) -> Option<Expr> {
+        compose(e, |v| {
+            let mut at = frame;
+            while let Some(f) = at.map(|at| &self.frames[at]) {
+                let (realize, composed) = (f.realize, &f.composed);
+                let binds =
+                    (realize.block.iter_vars.iter()).zip(composed.iter().zip(&realize.iter_values));
+                if let Some((_, (value, written))) = binds.rev().find(|(iv, _)| iv.var == *v) {
+                    return Some(value.as_ref().unwrap_or(written));
+                }
+                at = f.parent;
+            }
+            None
+        })
     }
 
     /// The interval environment of `check`, [`Check::Cover`] or
@@ -190,6 +242,25 @@ impl<'a> Scope<'a> {
                 None => self.ranges[check as usize].remove(&*var),
             };
         }
+    }
+
+    /// Opens the frame of `br`, inside the innermost open one.
+    fn enter_frame(&mut self, br: &'a BlockRealize) -> usize {
+        self.frames.push(Frame {
+            parent: self.frame,
+            realize: br,
+            composed: Vec::new(),
+        });
+        self.frame = Some(self.frames.len() - 1);
+        self.frames.len() - 1
+    }
+
+    /// Closes the frame `at`, the innermost open one, keeping in it the
+    /// bindings that leave the stack.
+    fn leave_frame(&mut self, at: usize, composed: Vec<Option<Expr>>) {
+        let frame = &mut self.frames[at];
+        self.frame = frame.parent;
+        frame.composed = composed;
     }
 
     /// Enters a loop: `[0, extent)` in both environments, the extent itself
@@ -320,6 +391,10 @@ impl<'a> Walk<'a, '_> {
                 let values = (composed.drain(..).zip(&br.iter_values))
                     .map(|(value, written)| value.map_or(Cow::Borrowed(written), Cow::Owned));
                 self.scope.binds.extend(vars.zip(values));
+                let frame = self
+                    .scope
+                    .on(Check::Races)
+                    .then(|| self.scope.enter_frame(br));
                 let mark = self.scope.trail.len();
                 self.scope.bind_iterators(br);
                 let relaxing =
@@ -339,6 +414,11 @@ impl<'a> Walk<'a, '_> {
                         Cow::Owned(value) => Some(value),
                     }),
                 );
+                // The frame keeps them for the race proof; no session
+                // remembers verdicts while it runs ([`run`]).
+                if let Some(at) = frame {
+                    self.scope.leave_frame(at, std::mem::take(&mut composed));
+                }
                 if nests_on {
                     self.nests.exit_block(composed);
                 }
@@ -402,17 +482,11 @@ impl<'a> Walk<'a, '_> {
             bounds::check_access(scope, buffer, indices, &mut self.bounds);
         }
         if (scope.on(Check::Races) || scope.on(Check::Scopes)) && place != Place::Binding {
-            // Only the race proof reads the indices.
-            let indices = if scope.on(Check::Races) {
-                (indices.iter())
-                    .map(|i| scope.composed(i).map_or(Cow::Borrowed(i), Cow::Owned))
-                    .collect()
-            } else {
-                Vec::new()
-            };
             self.sites.push(Site {
                 buffer,
                 indices,
+                frame: scope.frame,
+                sums: OnceCell::new(),
                 innermost: scope.path.last().copied(),
                 write,
                 relaxed: scope.relax_depth > 0,
@@ -437,6 +511,10 @@ pub(crate) fn run(
     for check in checks {
         walk.scope.on[*check as usize] = true;
     }
+    debug_assert!(
+        walk.nests.memo.is_none() || !walk.scope.on(Check::Races),
+        "the race proof's frames take the composed bindings a session remembers"
+    );
     if walk.scope.on(Check::Nests) {
         (walk.nests.errors).extend(tir::well_formed(func).err().map(ValidationError::Malformed));
     }
@@ -445,6 +523,7 @@ pub(crate) fn run(
     debug_assert!(
         scope.path.is_empty()
             && scope.binds.is_empty()
+            && scope.frame.is_none()
             && scope.blocks.is_empty()
             && scope.relax_depth == 0
             && scope.trail.is_empty()
@@ -458,7 +537,7 @@ pub(crate) fn run(
     if !walk.sites.is_empty() {
         let nests = scope.nests();
         if scope.on(Check::Races) {
-            errors.extend(racecheck::races(&nests, &walk.sites));
+            errors.extend(racecheck::races(scope, &nests, &walk.sites));
         }
         if scope.on(Check::Scopes) {
             errors.extend(racecheck::scopes(&nests, &walk.sites));

@@ -456,7 +456,8 @@ pub fn detect_iter_map(bindings: &[Expr], dom: &[(Var, i64)]) -> Result<IterMap>
     let simplified: Vec<Expr> = (bindings.iter().cloned())
         .map(tir::simplify::simplified)
         .collect();
-    let extents = detect_iter_map_with(&simplified, dom, CoverMode::Full)?;
+    let loops = dom.iter().map(|(v, extent)| (v, *extent));
+    let extents = detect_iter_map_with(&simplified, loops, CoverMode::Full)?;
     // Detection keeps no sums; the bindings it accepted normalize again.
     let env: VarMap<i64> = dom.iter().cloned().collect();
     let sums = (simplified.iter().map(|b| normalize(b, &env))).collect::<Result<_>>()?;
@@ -480,24 +481,26 @@ pub enum CoverMode {
 /// `x * c + y` shapes as written, and the validator, its caller, composes
 /// and simplifies every binding once for all of its checks.
 /// Simplification is idempotent, so simplifying here again would only copy
-/// each binding to find nothing to do. Besides the extents, a call
-/// allocates one buffer that every binding's terms share.
+/// each binding to find nothing to do. `dom` is the loops as an iterator
+/// (variable, extent), so a caller that holds them in another shape need
+/// not collect them. Besides the extents, a call allocates one buffer that
+/// every binding's terms share.
 ///
 /// # Errors
 ///
 /// As [`detect_iter_map`]; with [`CoverMode::OverlapOnly`] the
 /// `IncompleteCover` family of errors is suppressed.
-pub fn detect_iter_map_with<'e>(
+pub fn detect_iter_map_with<'e, 'd>(
     bindings: impl IntoIterator<Item = &'e Expr>,
-    dom: &[(Var, i64)],
+    dom: impl DoubleEndedIterator<Item = (&'d Var, i64)> + Clone,
     mode: CoverMode,
 ) -> Result<Vec<i64>> {
     let bindings = bindings.into_iter();
     // A variable listed twice has its last extent, as in a map built
     // from `dom`.
     let mut normalizer = Normalizer {
-        extent_of: |v: &Var| (dom.iter().rev()).find(|(d, _)| d == v).map(|(_, e)| *e),
-        terms: Vec::with_capacity(2 * dom.len()),
+        extent_of: |v: &Var| (dom.clone().rev()).find(|(d, _)| *d == v).map(|(_, e)| e),
+        terms: Vec::with_capacity(2 * dom.clone().count()),
     };
     let mut extents = Vec::with_capacity(bindings.size_hint().0);
     for b in bindings {
@@ -513,7 +516,7 @@ pub fn detect_iter_map_with<'e>(
     // pieces are gathered at the front of what is left of the buffer.
     let pieces = &mut normalizer.terms;
     let mut done = 0;
-    for (v, extent) in dom {
+    for (v, extent) in dom.clone() {
         let mut end = done;
         for at in done..pieces.len() {
             if pieces[at].var == *v {
@@ -524,7 +527,7 @@ pub fn detect_iter_map_with<'e>(
         let mine = &mut pieces[done..end];
         done = end;
         if mine.is_empty() {
-            if *extent > 1 && mode == CoverMode::Full {
+            if extent > 1 && mode == CoverMode::Full {
                 return Err(IterMapError::IncompleteCover(format!(
                     "loop {} (extent {extent}) is unused",
                     v.name()
@@ -552,7 +555,7 @@ pub fn detect_iter_map_with<'e>(
                 .checked_mul(ext)
                 .ok_or_else(|| IterMapError::NonAffine("extent overflow".into()))?;
         }
-        if expected != *extent && mode == CoverMode::Full {
+        if expected != extent && mode == CoverMode::Full {
             return Err(IterMapError::IncompleteCover(format!(
                 "loop {} covered up to {expected} of extent {extent}",
                 v.name()

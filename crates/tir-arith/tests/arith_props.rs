@@ -324,7 +324,8 @@ fn detection_keeps_its_promise_on_a_brute_force_sweep() {
         let pairs = (pool.iter()).flat_map(|a| pool.iter().map(|b| vec![a.clone(), b.clone()]));
         for bindings in singles.chain(pairs) {
             for mode in [CoverMode::Full, CoverMode::OverlapOnly] {
-                let outcome = match detect_iter_map_with(&bindings, &dom, mode) {
+                let loops = dom.iter().map(|(v, extent)| (v, *extent));
+                let outcome = match detect_iter_map_with(&bindings, loops, mode) {
                     Ok(extents) => {
                         assert_promise_holds(&bindings, &dom, &extents, mode);
                         format!("ok {extents:?}\n")
