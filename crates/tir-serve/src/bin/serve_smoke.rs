@@ -13,9 +13,11 @@
 //!    after completion (`warm`), all bit-identical;
 //! 5. a budget upgrade — answered warm immediately, re-tuned in the
 //!    background (completion observed via `stats`);
-//! 6. graceful shutdown, then a **restart on the same database file** —
-//!    the previously tuned fingerprint must answer warm from disk,
-//!    bit-identical, with zero trials and zero cost;
+//! 6. graceful shutdown (timed from the `shutdown` request to `join`
+//!    returning), then a **restart on the same database file** — the
+//!    previously tuned fingerprint must answer warm from disk,
+//!    bit-identical, with zero trials and zero cost (timed from
+//!    `Server::start` to the answer);
 //! 7. a publish-latency microbenchmark on a 4000-record database:
 //!    the journal's O(1) append vs the pre-journal full-snapshot
 //!    rewrite, p50 of each.
@@ -249,13 +251,17 @@ fn main() -> ExitCode {
     // 6. Shutdown, restart on the same database, warm from disk.
     let stats = c.stats().unwrap_or_else(|e| fail(&e.to_string()));
     println!("serve-smoke: stats {stats}");
+    let t = Instant::now();
     c.shutdown().unwrap_or_else(|e| fail(&e.to_string()));
     let report = server.join();
+    let shutdown_join_s = t.elapsed().as_secs_f64();
+    println!("serve-smoke: shutdown + join in {shutdown_join_s:.6}s");
 
+    // What an operator waits for after a restart: start, connect, answer.
+    let t = Instant::now();
     let server2 =
         Server::start(ServeConfig::new(&sock, &db)).unwrap_or_else(|e| fail(&e.to_string()));
     let mut c2 = Client::connect(&sock).unwrap_or_else(|e| fail(&e.to_string()));
-    let t = Instant::now();
     let restart_reply = c2
         .tune("gpu", "tensorir", cfg.trials, 5, &text)
         .unwrap_or_else(|e| fail(&e.to_string()));
@@ -289,6 +295,7 @@ fn main() -> ExitCode {
                 .field("dedup_joined", dedup)
                 .field("dedup_warm", warm)
                 .field("dedup_searches_saved", DEDUP_CLIENTS - tuned)
+                .field("shutdown_join_s", shutdown_join_s)
                 .field("restart_warm_latency_s", restart_latency_s)
                 .field("publish_db_records", PUBLISH_DB_RECORDS)
                 .field("publish_samples", PUBLISH_SAMPLES)
@@ -300,6 +307,7 @@ fn main() -> ExitCode {
         });
     });
     let _ = std::fs::remove_file(&db);
+    let _ = std::fs::remove_file(journal_path_for(&db));
     let failures = cfg
         .check
         .then(|| check_report(&text_out, publish_speedup, &report));
@@ -391,6 +399,7 @@ fn check_report(text: &str, publish_speedup: f64, report: &TraceReport) -> Vec<S
         "\"cold_latency_s\"",
         "\"warm_latency_s_p50\"",
         "\"dedup_searches_saved\"",
+        "\"shutdown_join_s\"",
         "\"restart_warm_latency_s\"",
         "\"publish_journal_p50_s\"",
         "\"publish_rewrite_p50_s\"",

@@ -186,8 +186,10 @@ struct Conn {
 }
 
 impl Conn {
-    fn dial(socket_path: &Path) -> std::io::Result<Conn> {
+    /// Connects, with `deadline` as the socket's read timeout.
+    fn dial(socket_path: &Path, deadline: Option<Duration>) -> std::io::Result<Conn> {
         let stream = UnixStream::connect(socket_path)?;
+        stream.set_read_timeout(deadline)?;
         let writer = stream.try_clone()?;
         Ok(Conn {
             reader: BufReader::new(stream),
@@ -227,7 +229,7 @@ impl Client {
         policy: ReconnectPolicy,
     ) -> Result<Client, ClientError> {
         let socket_path = socket_path.as_ref().to_path_buf();
-        let conn = Conn::dial(&socket_path)?;
+        let conn = Conn::dial(&socket_path, None)?;
         Ok(Client {
             socket_path,
             conn: Some(conn),
@@ -242,6 +244,13 @@ impl Client {
     /// indefinitely — cold tunes legitimately take a while.
     pub fn set_deadline(&mut self, deadline: Option<Duration>) {
         self.deadline = deadline;
+        // A connection that refuses the new timeout is dropped; the next
+        // call redials with it.
+        if let Some(conn) = &self.conn {
+            if conn.reader.get_ref().set_read_timeout(deadline).is_err() {
+                self.conn = None;
+            }
+        }
     }
 
     /// Sends one request and reads one response, redialing dropped
@@ -273,12 +282,11 @@ impl Client {
     fn try_roundtrip(&mut self, req: &Request) -> Result<Response, ClientError> {
         let out = (|| {
             if self.conn.is_none() {
-                self.conn = Some(Conn::dial(&self.socket_path)?);
+                self.conn = Some(Conn::dial(&self.socket_path, self.deadline)?);
             }
             let conn = self.conn.as_mut().expect("dialed above");
             req.write(&mut conn.writer)?;
             conn.writer.flush()?;
-            conn.reader.get_ref().set_read_timeout(self.deadline)?;
             match Response::read(&mut conn.reader) {
                 Err(e) => match self.deadline {
                     Some(after) if is_timeout(&e) => Err(ClientError::Timeout { after }),

@@ -23,7 +23,8 @@
 //! # Concurrency invariants
 //!
 //! * Lock order is `inflight` before `queue`; the database lock is
-//!   never held together with either.
+//!   never held together with either, the socket registry lock with
+//!   none.
 //! * The database lock covers map probes, reference-count clones and one
 //!   journal append at a time — never a walk of a program, a pretty-print,
 //!   a deep program copy or a sleep: workload keys and journal entries are
@@ -39,6 +40,34 @@
 //!   re-tune a finished fingerprint.
 //! * Workers drain the queue completely before exiting on shutdown, so
 //!   every admitted request is answered.
+//!
+//! # Connections and shutdown
+//!
+//! No thread polls. The accept loop blocks in `accept`, each connection's
+//! thread blocks in `read`, each idle worker on the queue's condvar. A
+//! connection's socket has one read timeout for its life, the two-second
+//! bound on a stall between fragments of one message (`MSG_STALL`);
+//! between messages that timeout only makes the idle wait wait again.
+//!
+//! `begin_shutdown` is the one way shutdown starts (a client's
+//! `shutdown`, [`Server::request_shutdown`], a simulated storage crash)
+//! and the only writer of the flag. It sets the flag, wakes the idle
+//! workers, and closes the *read* side of the listener and of every open
+//! connection: the blocked `accept` fails, later `connect`s are refused,
+//! and a blocked `read` returns end-of-file once the bytes already
+//! received have been read, so a request sent before shutdown began is
+//! still read and answered `shutting_down` or served. Write sides stay
+//! open: the requester of `shutdown` gets `bye`, and requests in flight
+//! get their replies while the workers drain the queue. The accept loop
+//! registers a connection and checks the flag under the lock
+//! `begin_shutdown` takes, so a connection accepted as shutdown begins is
+//! either closed by it or dropped unserved.
+//!
+//! Each connection has a named thread (`tir-serve-conn`) that the accept
+//! loop joins after the connection has ended, at the next `accept`, so a
+//! finished thread's stack is unmapped while the daemon runs instead of at
+//! shutdown. A thread that cannot be started costs its one connection,
+//! logged and counted on `serve.conn_spawn_failures`.
 //!
 //! # Durability invariant
 //!
@@ -56,12 +85,14 @@
 
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{BufRead, BufReader, Write};
+use std::net::Shutdown;
+use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::thread::{Builder, JoinHandle};
 use std::time::{Duration, Instant};
 
 use tir::parser::parse_func;
@@ -85,13 +116,10 @@ const PH_QUEUE_WAIT: u64 = 2;
 const PH_TUNE: u64 = 3;
 const PH_RESPOND: u64 = 4;
 
-/// How often an idle connection thread checks the shutdown flag.
-const IDLE_POLL: Duration = Duration::from_millis(50);
 /// How long a connection may stall in the middle of one message before
-/// the server drops it (protects shutdown from half-written requests).
+/// the server drops it: the socket's read timeout, set once per
+/// connection. Between messages a timeout only restarts the idle wait.
 const MSG_STALL: Duration = Duration::from_secs(2);
-/// Accept-loop poll interval.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Daemon configuration. Construct with [`ServeConfig::new`] and adjust
 /// fields as needed.
@@ -157,8 +185,8 @@ pub enum StartError {
     /// detected corruption). The daemon refuses to start rather than
     /// silently discard tuned records.
     Db(DbError),
-    /// Socket setup failed (bind, stale-socket removal, nonblocking
-    /// mode).
+    /// Socket setup failed (bind, stale-socket removal, a handle on the
+    /// listener), or a daemon thread could not be started.
     Io(std::io::Error),
 }
 
@@ -177,10 +205,10 @@ impl std::error::Error for StartError {}
 /// the one way this module takes a lock or wakes from a condvar wait.
 /// `std` marks a mutex poisoned when a holder panics, and refusing the
 /// guard from then on would turn one panic into a daemon that fails every
-/// later request. The queue, the in-flight table and a job's result slot
-/// are each changed by one push, pop, insert, remove or store, so a panic
-/// cannot leave them half-changed; the database's durable state is its
-/// journal, which a restart replays.
+/// later request. The queue, the in-flight table, the socket registry and
+/// a job's result slot are each changed by one push, pop, insert, remove
+/// or store, so a panic cannot leave them half-changed; the database's
+/// durable state is its journal, which a restart replays.
 fn unpoisoned<G>(acquired: LockResult<G>) -> G {
     acquired.unwrap_or_else(PoisonError::into_inner)
 }
@@ -269,11 +297,60 @@ struct Shared {
     inflight: Mutex<HashMap<JobKey, Arc<Job>>>,
     queue: Mutex<BinaryHeap<QueueEntry>>,
     queue_cv: Condvar,
+    /// Written only by [`begin_shutdown`].
     shutdown: AtomicBool,
+    sockets: Mutex<Sockets>,
     collector: Collector,
     trace_stream: u64,
     rid: AtomicU64,
     job_seq: AtomicU64,
+}
+
+/// The sockets whose read sides [`begin_shutdown`] closes to wake the
+/// threads blocked on them.
+struct Sockets {
+    /// The listening socket, as a stream only to call `shutdown` on it.
+    listener: UnixStream,
+    /// Open connections by id; each thread removes its own when it ends.
+    conns: HashMap<u64, Arc<UnixStream>>,
+    next_id: u64,
+}
+
+/// A connection's entry in [`Sockets::conns`], removed when its thread
+/// ends, by return or by panic, so the registry never holds a finished
+/// connection's socket open.
+struct Registered {
+    shared: Arc<Shared>,
+    id: u64,
+}
+
+impl Drop for Registered {
+    fn drop(&mut self) {
+        unpoisoned(self.shared.sockets.lock())
+            .conns
+            .remove(&self.id);
+    }
+}
+
+/// Begins shutdown; calling it again is harmless. Sets the flag, wakes
+/// the idle workers, and closes the read side of the listener and of
+/// every open connection, so a blocked `accept` fails and a blocked read
+/// returns end-of-file after the bytes already received. Write sides stay
+/// open, so every request already read is still answered.
+fn begin_shutdown(shared: &Shared) {
+    {
+        // Under the queue lock, so no worker is between its flag check
+        // and its wait when the notification goes out.
+        let _queue = unpoisoned(shared.queue.lock());
+        shared.shutdown.store(true, Ordering::SeqCst);
+        shared.queue_cv.notify_all();
+    }
+    let sockets = unpoisoned(shared.sockets.lock());
+    // A socket whose peer has already gone has nothing to wake: ignored.
+    let _ = sockets.listener.shutdown(Shutdown::Read);
+    for conn in sockets.conns.values() {
+        let _ = conn.shutdown(Shutdown::Read);
+    }
 }
 
 /// A running daemon. Dropping the handle does **not** stop the daemon;
@@ -303,7 +380,12 @@ impl Server {
             Err(e) => return Err(StartError::Io(e)),
         }
         let listener = UnixListener::bind(&cfg.socket_path).map_err(StartError::Io)?;
-        listener.set_nonblocking(true).map_err(StartError::Io)?;
+        // `shutdown(2)` is a method of `UnixStream` alone; on this handle it
+        // closes the listener's read side, which wakes a blocked `accept`.
+        let listener_handle = listener
+            .try_clone()
+            .map(|l| UnixStream::from(OwnedFd::from(l)))
+            .map_err(StartError::Io)?;
 
         let collector = Collector::new();
         let trace_stream = collector.stream("serve");
@@ -325,27 +407,48 @@ impl Server {
             queue: Mutex::new(BinaryHeap::new()),
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            sockets: Mutex::new(Sockets {
+                listener: listener_handle,
+                conns: HashMap::new(),
+                next_id: 0,
+            }),
             collector,
             trace_stream,
             rid: AtomicU64::new(0),
             job_seq: AtomicU64::new(0),
         });
 
-        let workers = (0..shared.cfg.workers.max(1))
-            .map(|_| {
+        let mut workers = Vec::new();
+        let accept = (|| {
+            for _ in 0..shared.cfg.workers.max(1) {
                 let sh = shared.clone();
-                std::thread::spawn(move || worker_loop(&sh))
-            })
-            .collect();
-        let accept = {
+                workers.push(
+                    Builder::new()
+                        .name("tir-serve-worker".into())
+                        .spawn(move || worker_loop(&sh))?,
+                );
+            }
             let sh = shared.clone();
-            std::thread::spawn(move || accept_loop(&sh, listener))
-        };
-        Ok(Server {
-            shared,
-            accept,
-            workers,
-        })
+            Builder::new()
+                .name("tir-serve-accept".into())
+                .spawn(move || accept_loop(&sh, listener))
+        })();
+        match accept {
+            Ok(accept) => Ok(Server {
+                shared,
+                accept,
+                workers,
+            }),
+            Err(e) => {
+                // No daemon without all its threads: stop those started.
+                begin_shutdown(&shared);
+                for w in workers {
+                    let _ = w.join();
+                }
+                let _ = std::fs::remove_file(&shared.cfg.socket_path);
+                Err(StartError::Io(e))
+            }
+        }
     }
 
     /// The socket path clients should connect to.
@@ -356,8 +459,7 @@ impl Server {
     /// Requests shutdown without a client connection: stops accepting,
     /// lets workers drain the queue. Follow with [`Server::join`].
     pub fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        begin_shutdown(&self.shared);
     }
 
     /// Whether shutdown has been requested (by a client's `shutdown`,
@@ -374,7 +476,6 @@ impl Server {
     /// file, and returns the merged trace report.
     pub fn join(self) -> TraceReport {
         let _ = self.accept.join();
-        self.shared.queue_cv.notify_all();
         for w in self.workers {
             let _ = w.join();
         }
@@ -399,57 +500,85 @@ fn is_timeout(e: &std::io::Error) -> bool {
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: UnixListener) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let sh = shared.clone();
-                handlers.push(std::thread::spawn(move || {
-                    // An I/O error just drops this one connection.
-                    let _ = handle_conn(&sh, stream);
-                }));
-            }
-            Err(e) if is_timeout(&e) => std::thread::sleep(ACCEPT_POLL),
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            // `begin_shutdown` closed the listener's read side.
+            Err(_) if shared.shutdown.load(Ordering::SeqCst) => break,
             Err(e) => {
                 eprintln!("tir-serve: accept failed: {e}");
                 break;
             }
+        };
+        // A thread that has ended keeps its stack mapped until joined.
+        for ended in conns.extract_if(.., |h| h.is_finished()) {
+            let _ = ended.join();
         }
+        conns.extend(spawn_conn(shared, stream));
     }
-    for h in handlers {
+    for h in conns {
         let _ = h.join();
     }
 }
 
-fn handle_conn(shared: &Arc<Shared>, stream: UnixStream) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(IDLE_POLL))?;
-    let mut writer = stream.try_clone()?;
+/// Registers an accepted connection and starts its thread. The connection
+/// is dropped unserved when shutdown has begun (the flag is checked under
+/// the lock [`begin_shutdown`] takes, so no connection escapes both) or
+/// when no thread can be started.
+fn spawn_conn(shared: &Arc<Shared>, stream: UnixStream) -> Option<JoinHandle<()>> {
+    let stream = Arc::new(stream);
+    let id = {
+        let mut sockets = unpoisoned(shared.sockets.lock());
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
+        let id = sockets.next_id;
+        sockets.next_id += 1;
+        sockets.conns.insert(id, stream.clone());
+        id
+    };
+    let registered = Registered {
+        shared: shared.clone(),
+        id,
+    };
+    // On failure the closure is dropped, and with it the registration.
+    let spawned = Builder::new().name("tir-serve-conn".into()).spawn(move || {
+        // An I/O error just drops this one connection.
+        let _ = handle_conn(&registered.shared, &stream);
+    });
+    match spawned {
+        Ok(h) => Some(h),
+        Err(e) => {
+            eprintln!("tir-serve: cannot start a connection thread, connection dropped: {e}");
+            shared.collector.count("serve.conn_spawn_failures", 1);
+            None
+        }
+    }
+}
+
+fn handle_conn(shared: &Arc<Shared>, stream: &UnixStream) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(MSG_STALL))?;
+    let mut writer = stream;
     let mut reader = BufReader::new(stream);
     loop {
-        // Idle wait: poll for the next request or for shutdown.
+        // Idle wait for the next request; shutdown ends it with EOF.
         match reader.fill_buf() {
-            Ok([]) => return Ok(()), // clean EOF
+            Ok([]) => return Ok(()),
             Ok(_) => {}
-            Err(e) if is_timeout(&e) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                continue;
-            }
+            Err(e) if is_timeout(&e) => continue,
             Err(e) => return Err(e),
         }
-        // A message has started; allow a bounded mid-message stall so a
-        // wedged client cannot hang shutdown forever.
-        reader.get_ref().set_read_timeout(Some(MSG_STALL))?;
-        let msg = Request::read(&mut reader, shared.cfg.max_payload)?;
-        reader.get_ref().set_read_timeout(Some(IDLE_POLL))?;
-        let Some(msg) = msg else { return Ok(()) };
+        // A message has started: a stall longer than `MSG_STALL` between
+        // two of its fragments fails the read and drops the connection.
+        let Some(msg) = Request::read(&mut reader, shared.cfg.max_payload)? else {
+            return Ok(());
+        };
 
         let rid = shared.rid.fetch_add(1, Ordering::Relaxed);
         let (resp, last) = match msg {
             Ok(Request::Shutdown) => {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                shared.queue_cv.notify_all();
+                begin_shutdown(shared);
                 (Response::Bye, true)
             }
             Ok(req) => (handle_request(shared, req, rid), false),
@@ -936,8 +1065,7 @@ fn publish_with_retries(shared: &Arc<Shared>, entry: &JournalEntry) -> Result<()
         shared.collector.count("serve.db_save_failures", 1);
         if let DbError::Io(io) = &e {
             if FaultIo::is_crash_error(io) {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                shared.queue_cv.notify_all();
+                begin_shutdown(shared);
                 return Err(format!("database crashed during publish: {e}"));
             }
         }

@@ -1,6 +1,7 @@
 //! Concurrency and crash-recovery contracts of the serve daemon:
-//! N concurrent identical requests cost exactly one search, and a
-//! killed-and-restarted daemon answers from disk, warm and bit-identical.
+//! N concurrent identical requests cost exactly one search, a
+//! killed-and-restarted daemon answers from disk, warm and bit-identical,
+//! and shutdown wakes every thread blocked on a socket at once.
 
 use std::io::{BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -307,5 +308,105 @@ fn a_request_in_one_byte_writes_is_answered_and_a_stalled_one_is_dropped() {
     let mut c = Client::connect(&sock).expect("connect");
     c.shutdown().expect("shutdown");
     server.join();
+    let _ = std::fs::remove_file(&db);
+}
+
+/// Joins `server` on a helper thread and fails the test if `join` has not
+/// returned within five seconds: the daemon blocks in `accept` and `read`,
+/// so a thread shutdown fails to wake hangs instead of polling its way
+/// out, and that must fail the test rather than stall the suite. Returns
+/// how long `join` took.
+fn join_within_five_seconds(server: Server) -> Duration {
+    let t = Instant::now();
+    let (joined, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = joined.send(());
+    });
+    done.recv_timeout(Duration::from_secs(5))
+        .expect("Server::join did not return within 5 s: shutdown left a thread blocked");
+    t.elapsed()
+}
+
+/// Shutdown waits for no timer: idle connections and one that stopped half
+/// way through a request are woken at once, not after an idle poll or the
+/// two-second mid-message stall bound.
+#[test]
+fn shutdown_returns_at_once_with_idle_clients_and_a_half_written_request() {
+    let (sock, db) = tmp_paths("prompt-shutdown");
+    let server = Server::start(ServeConfig::new(&sock, &db)).expect("start");
+    let idle: Vec<Client> = (0..8)
+        .map(|_| {
+            let mut c = Client::connect_with(&sock, ReconnectPolicy::none()).expect("connect");
+            c.ping().expect("ping");
+            c
+        })
+        .collect();
+    let mut wire = Vec::new();
+    Request::Query {
+        machine: "gpu".into(),
+        strategy: "tensorir".into(),
+        func_text: gmm_text(),
+    }
+    .write(&mut wire)
+    .expect("in-memory write");
+    let mut half = UnixStream::connect(&sock).expect("connect");
+    Request::Ping.write(&mut half).expect("write");
+    let mut reader = BufReader::new(half.try_clone().expect("clone"));
+    assert_eq!(
+        Response::read(&mut reader).expect("no I/O error"),
+        Some(Ok(Response::Pong))
+    );
+    half.write_all(&wire[..wire.len() / 2]).expect("write");
+
+    let t = Instant::now();
+    let mut c = Client::connect(&sock).expect("connect");
+    c.shutdown().expect("shutdown");
+    join_within_five_seconds(server);
+    let waited = t.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "shutdown + join took {waited:?} with 8 idle clients and a half-written request"
+    );
+    drop(idle);
+    let _ = std::fs::remove_file(&db);
+}
+
+/// `request_shutdown` with no client connected wakes the blocked `accept`.
+#[test]
+fn request_shutdown_with_no_client_ends_join() {
+    let (sock, db) = tmp_paths("no-client-shutdown");
+    let server = Server::start(ServeConfig::new(&sock, &db)).expect("start");
+    server.request_shutdown();
+    join_within_five_seconds(server);
+    assert!(!sock.exists(), "join removes the socket file");
+    let _ = std::fs::remove_file(&db);
+}
+
+/// Once shutdown has begun a new connection is refused, or reads end of
+/// file; it is never left waiting for a reply.
+#[test]
+fn a_connect_after_shutdown_began_is_refused_or_reads_eof() {
+    let (sock, db) = tmp_paths("late-connect");
+    let server = Server::start(ServeConfig::new(&sock, &db)).expect("start");
+    server.request_shutdown();
+    if let Ok(mut conn) = UnixStream::connect(&sock) {
+        conn.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        // The write may fail already: the daemon never reads it.
+        let _ = Request::Ping.write(&mut conn);
+        let mut rest = Vec::new();
+        match conn.read_to_end(&mut rest) {
+            Ok(n) => assert_eq!(n, 0, "a late connection was answered: {rest:?}"),
+            Err(e) => assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "a late connection was left waiting: {e}"
+            ),
+        }
+    }
+    join_within_five_seconds(server);
     let _ = std::fs::remove_file(&db);
 }
