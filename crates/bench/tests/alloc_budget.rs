@@ -62,6 +62,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// copy only what they change (they allocated for every node they read)
 /// `apply` makes 1 167, 1 115 and 634 (1 709, 1 526 and 818 on the commit
 /// before); the budgets are those counts plus 10%.
+/// Since validation keeps no session, the C2D `gpu-scalar` `apply` makes
+/// 1 118 (1 107 while its validations went through one remembering
+/// session); `validate` lost the stack of open blocks only the session
+/// read, one allocation each, so the other two make 1 151 and 625 (1 152
+/// and 626). The budgets stay.
 /// `structural_hash` makes 2 on each: the encoder's two id maps, sized up
 /// front (8, 7 and 7 while they grew as the walk went, budget 9).
 const APPLY_GMM_GPU: u64 = 1_284;

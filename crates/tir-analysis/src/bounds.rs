@@ -36,7 +36,7 @@ use crate::walk::{self, Check, Scope};
 /// proven interval escapes `[0, shape[dim])`. An empty result means every
 /// access is statically in bounds.
 pub fn check_bounds(func: &PrimFunc) -> Vec<ValidationError> {
-    walk::run(func, &[Check::Bounds], None)
+    walk::run(func, &[Check::Bounds])
 }
 
 /// Reports every index of one access that may leave the buffer's shape.

@@ -12,10 +12,7 @@
 //! * [`mod@validate`] — the §3.3 validators: loop-nest validation via
 //!   quasi-affine iterator maps and threading validation, fed at loops and
 //!   blocks; producer-covers-consumer, fed concrete access boxes (kept by
-//!   the private `region` module). [`ValidationSession`] is the same
-//!   validation for a caller that asks again while one program evolves,
-//!   remembering the loop-nest verdict of every block whose inputs did not
-//!   change;
+//!   the private `region` module);
 //! * [`mod@bounds`] — interval propagation proving every buffer access in
 //!   bounds, refining through loop binders, block predicates, `if` and
 //!   `select` guards;
@@ -66,7 +63,7 @@ mod walk;
 pub use bounds::check_bounds;
 pub use racecheck::{check_races, check_scopes};
 pub use reduction::{detect_block_reduction, ReduceOp, ReductionInfo};
-pub use validate::{assert_valid, validate, ValidationError, ValidationSession};
+pub use validate::{assert_valid, validate, ValidationError};
 
 use tir::PrimFunc;
 
@@ -75,7 +72,7 @@ use tir::PrimFunc;
 /// of `func`, returning every diagnostic found, in that order.
 pub fn analyze(func: &PrimFunc) -> Vec<ValidationError> {
     use walk::Check::{Bounds, Cover, Nests, Races, Scopes};
-    walk::run(func, &[Nests, Cover, Bounds, Races, Scopes], None)
+    walk::run(func, &[Nests, Cover, Bounds, Races, Scopes])
 }
 
 /// [`analyze`] as a gate: `Ok(())` when the function passes every check.

@@ -126,7 +126,7 @@ fn by_buffer<'s, 'a>(
 /// [`ValidationError::WriteRace`] per (loop, buffer) pair the proof fails
 /// on.
 pub fn check_races(func: &PrimFunc) -> Vec<ValidationError> {
-    walk::run(func, &[Check::Races], None)
+    walk::run(func, &[Check::Races])
 }
 
 /// The race proof over the sites of one walk.
@@ -362,7 +362,7 @@ fn pair_disjoint(p: &Var, n: i64, s: &[Decomp], t: &[Decomp]) -> Result<(), Stri
 
 /// Checks memory-scope legality of every scoped buffer.
 pub fn check_scopes(func: &PrimFunc) -> Vec<ValidationError> {
-    walk::run(func, &[Check::Scopes], None)
+    walk::run(func, &[Check::Scopes])
 }
 
 /// The scope rules over the sites of one walk.

@@ -17,10 +17,8 @@
 //! loops, thread bindings and composed bindings off its scope; the cover
 //! check is handed access boxes. [`validate`] is that one walk feeding both.
 
-use std::hash::{Hash, Hasher};
-
 use tir::simplify::simplified;
-use tir::visit::{expr_any_var, expr_uses_var, ExprVisitor};
+use tir::visit::{expr_any_var, expr_uses_var};
 use tir::{
     BinOp, Block, BlockRealize, Buffer, Expr, For, ForKind, IterKind, MemScope, PrimFunc,
     ThreadTag, Var, WellFormedError,
@@ -209,161 +207,18 @@ impl std::error::Error for ValidationError {}
 /// Maximum threads per block enforced by threading validation.
 pub const MAX_THREADS_PER_BLOCK: i64 = 1024;
 
-/// An exact key: the bytes `Hash` implementations write, kept rather than
-/// mixed, so two keys are equal only if every hashed value is.
-#[derive(Default)]
-struct Key(Vec<u8>);
-
-impl Hasher for Key {
-    fn write(&mut self, bytes: &[u8]) {
-        self.0.extend_from_slice(bytes);
-    }
-
-    fn finish(&self) -> u64 {
-        0
-    }
-}
-
-impl ExprVisitor for Key {
-    fn visit_expr(&mut self, e: &Expr) {
-        std::mem::discriminant(e).hash(self);
-        match e {
-            Expr::Int(v, dtype) => (v, dtype).hash(self),
-            Expr::Float(v, dtype) => (v.to_bits(), dtype).hash(self),
-            Expr::Str(text) => text.hash(self),
-            Expr::Var(v) => v.hash(self),
-            Expr::Cast(dtype, _) => dtype.hash(self),
-            Expr::Bin(op, ..) => op.hash(self),
-            Expr::Cmp(op, ..) => op.hash(self),
-            Expr::Not(_) | Expr::Select { .. } => {}
-            Expr::Load { buffer, indices } => (buffer, indices.len()).hash(self),
-            Expr::Call { name, args, dtype } => (name, args.len(), dtype).hash(self),
-        }
-        self.walk_expr(e);
-    }
-}
-
-impl Key {
-    /// Rewrites the key to everything [`Nests::check_block_realize`] reads
-    /// of `br` under the loops of `scope`: identities (variable and buffer
-    /// ids), integers and the block's name, which its error texts carry.
-    /// The composed bindings of enclosing blocks enter as `parent`, the
-    /// remembered verdict they were taken from.
-    fn of_block(&mut self, parent: Option<usize>, scope: &Scope, br: &BlockRealize) {
-        let block = &br.block;
-        self.0.clear();
-        (parent, &block.name, block.init.is_some()).hash(self);
-        scope.nest().count().hash(self);
-        for l in scope.nest() {
-            l.hash(self);
-        }
-        (block.writes.len(), br.iter_values.len()).hash(self);
-        for key in ["tir.copy", "tir.atomic", "tir.cooperative"] {
-            block.annotations.contains_key(key).hash(self);
-        }
-        match block.annotations.get("tir.exec_scope") {
-            Some(tir::AnnValue::Str(scope)) => Some(scope),
-            _ => None,
-        }
-        .hash(self);
-        for w in &block.writes {
-            is_cooperative_scope(w.buffer.scope())
-                .then_some(&w.buffer)
-                .hash(self);
-        }
-        block.iter_vars.len().hash(self);
-        for iv in &block.iter_vars {
-            (&iv.var, iv.extent, iv.kind).hash(self);
-        }
-        for e in br.iter_values.iter().chain([&br.predicate]) {
-            self.visit_expr(e);
-        }
-    }
-}
-
 /// A block's bindings composed down to loop variables, one per binding:
 /// `None` where that is the binding as written ([`Scope::composed`]).
 pub(crate) type Composed = Vec<Option<Expr>>;
 
-/// One remembered verdict of [`Nests::check_block_realize`].
-struct Remembered {
-    key: Box<[u8]>,
-    errors: Vec<ValidationError>,
-    /// The composed bindings, while no walk holds them (see
-    /// [`Nests::enter_block`]). A `None` stands for the binding as written,
-    /// which the key pins.
-    composed: Composed,
-}
-
-/// Validation that remembers, for a caller that validates one program
-/// again and again while it evolves (a sketch speculating step by step).
-///
-/// [`ValidationSession::validate`] is [`validate`] — the same walk, the
-/// same per-loop checks and the same region-cover check on every call —
-/// except that a block whose loop-nest check would read exactly what it
-/// read in an earlier call of the session gets that call's errors
-/// replayed instead. What the check reads is written out as a key that
-/// is compared exactly: the loops above the block (variable, extent, kind — the
-/// thread stack derives from them), its name, bindings, predicate,
-/// iterators, whether it has an `init`, the four annotations the check
-/// looks at, the shared-scope buffers it writes, and which remembered
-/// verdict its enclosing block matched; a re-checked enclosing block is a
-/// new verdict, so everything nested in it is checked again. No primitive
-/// reports what it touched: a block is skipped because its inputs compare
-/// equal, and a program rolled back to an earlier state matches that
-/// state's verdicts again. Debug builds run the check on every match
-/// anyway and assert it says what was remembered. A session is meant to
-/// live as long as one candidate: nothing is shared between programs.
-#[derive(Default)]
-pub struct ValidationSession {
-    remembered: Vec<Remembered>,
-    key: Key,
-}
-
-impl ValidationSession {
-    /// [`validate`], skipping loop-nest checks whose inputs are unchanged
-    /// since an earlier call on this session.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors [`validate`] returns for `func`.
-    pub fn validate(&mut self, func: &PrimFunc) -> Result<(), Vec<ValidationError>> {
-        gate(walk::run(func, &VALIDATE, Some(self)))
-    }
-
-    /// The verdict remembered for what `check_block_realize` would read of
-    /// `br`, and whether it is new: pushed just now, still to be filled in.
-    fn verdict_of(
-        &mut self,
-        parent: Option<usize>,
-        scope: &Scope,
-        br: &BlockRealize,
-    ) -> (usize, bool) {
-        self.key.of_block(parent, scope, br);
-        if let Some(at) = (self.remembered.iter()).position(|r| *r.key == *self.key.0) {
-            return (at, false);
-        }
-        self.remembered.push(Remembered {
-            key: self.key.0.as_slice().into(),
-            errors: Vec::new(),
-            composed: Vec::new(),
-        });
-        (self.remembered.len() - 1, true)
-    }
-}
-
 /// Loop-nest and threading validation, fed by the walk at every loop and
 /// block it enters (while no loop of non-constant extent is around it).
 #[derive(Default)]
-pub(crate) struct Nests<'m> {
+pub(crate) struct Nests {
     pub(crate) errors: Vec<ValidationError>,
-    pub(crate) memo: Option<&'m mut ValidationSession>,
-    /// The remembered verdict, if there is one, of every block entered and
-    /// not yet left, innermost last.
-    open: Vec<Option<usize>>,
 }
 
-impl Nests<'_> {
+impl Nests {
     /// The per-loop checks, before `f` joins the loops of `scope`: a
     /// constant extent, no thread tag bound twice, the launch limit.
     pub(crate) fn enter_loop(&mut self, scope: &Scope, f: &For) {
@@ -392,48 +247,9 @@ impl Nests<'_> {
         }
     }
 
-    /// Validates `br` — or replays what the session remembers of it — and
-    /// returns its composed bindings for the walk to put on its stack.
-    pub(crate) fn enter_block(&mut self, scope: &Scope, br: &BlockRealize) -> Composed {
-        let first_error = self.errors.len();
-        // A block is keyed by the verdict of the block around it.
-        let parent = self.open.last().copied().flatten();
-        let verdict = (self.memo.as_deref_mut()).map(|memo| memo.verdict_of(parent, scope, br));
-        let composed = match (verdict, self.memo.as_deref_mut()) {
-            (Some((at, false)), Some(memo)) => {
-                let replayed = &memo.remembered[at].errors;
-                self.errors.extend(replayed.iter().cloned());
-                std::mem::take(&mut memo.remembered[at].composed)
-            }
-            _ => self.check_block_realize(scope, br),
-        };
-        if cfg!(debug_assertions) && matches!(verdict, Some((_, false))) {
-            let replayed = self.errors.split_off(first_error);
-            let fresh = self.check_block_realize(scope, br);
-            assert!(
-                fresh == composed && self.errors[first_error..] == replayed[..],
-                "the remembered verdict of block {} is stale",
-                br.block.name
-            );
-        }
-        if let (Some((at, true)), Some(memo)) = (verdict, self.memo.as_deref_mut()) {
-            memo.remembered[at].errors = self.errors[first_error..].to_vec();
-        }
-        self.open.push(verdict.map(|(at, _)| at));
-        composed
-    }
-
-    /// Leaves the innermost block: its composed bindings, back off the
-    /// walk's stack, go into the remembered verdict — moved, never copied.
-    pub(crate) fn exit_block(&mut self, composed: Composed) {
-        if let (Some(Some(at)), Some(memo)) = (self.open.pop(), self.memo.as_deref_mut()) {
-            memo.remembered[at].composed = composed;
-        }
-    }
-
     /// Validates one realize and returns the composed binding expressions
-    /// (over loop variables only).
-    fn check_block_realize(&mut self, scope: &Scope, br: &BlockRealize) -> Composed {
+    /// (over loop variables only), for the walk to put on its stack.
+    pub(crate) fn check_block_realize(&mut self, scope: &Scope, br: &BlockRealize) -> Composed {
         let block = &br.block;
         // Compose bindings through enclosing block boundaries.
         let composed: Composed = (br.iter_values.iter().map(|v| scope.composed(v))).collect();
@@ -613,16 +429,9 @@ pub(crate) fn split_and<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
     }
 }
 
-/// Checks that writes to every intermediate buffer cover all reads.
-///
-/// Function parameters are exempt (their contents come from the caller).
-pub fn check_region_cover(func: &PrimFunc) -> Vec<ValidationError> {
-    walk::run(func, &[Check::Cover], None)
-}
-
 /// Runs loop-nest validation and threading validation on a function.
 pub fn check_loop_nests(func: &PrimFunc) -> Vec<ValidationError> {
-    walk::run(func, &[Check::Nests], None)
+    walk::run(func, &[Check::Nests])
 }
 
 /// What [`validate`] checks, in one walk.
@@ -644,7 +453,7 @@ pub(crate) fn gate(errors: Vec<ValidationError>) -> Result<(), Vec<ValidationErr
 /// Returns every violation found; an empty `Ok(())` means the program
 /// passed loop-nest, threading, and region-cover validation.
 pub fn validate(func: &PrimFunc) -> Result<(), Vec<ValidationError>> {
-    gate(walk::run(func, &VALIDATE, None))
+    gate(walk::run(func, &VALIDATE))
 }
 
 /// Convenience: validates and panics with a readable message on failure.
@@ -667,7 +476,7 @@ pub fn assert_valid(func: &PrimFunc) {
 
 /// Returns true when the buffer lives in a scope that is shared across the
 /// threads of one GPU thread block — writes to it must be cooperative.
-pub fn is_cooperative_scope(scope: &MemScope) -> bool {
+pub(crate) fn is_cooperative_scope(scope: &MemScope) -> bool {
     matches!(scope, MemScope::Shared)
 }
 
@@ -972,7 +781,7 @@ mod tests {
                 .in_loop(i, 4);
         let consumer = tir::builder::compute("C", &c, |iv| b.load(vec![Expr::from(&iv[0])]));
         let f = PrimFunc::new("f", vec![a, c], Stmt::seq(vec![producer, consumer]));
-        let errors = check_region_cover(&f);
+        let errors = walk::run(&f, &[Check::Cover]);
         assert!(
             errors
                 .iter()
@@ -1090,180 +899,5 @@ mod atomic_tests {
                 .any(|e| matches!(e, ValidationError::ReductionOnParallelLoop { .. })),
             "{errors:?}"
         );
-    }
-}
-
-/// Remembered ≡ fresh on hand-built programs: each is valid at first and
-/// is then broken by one edit inside the same session, whose verdict must
-/// equal a fresh [`validate`] of the same program error for error. (Debug
-/// builds also re-run the check on every remembered block; these
-/// comparisons hold in release builds too, where nothing else does.)
-#[cfg(test)]
-mod session_tests {
-    use super::*;
-    use tir::builder::matmul_func;
-    use tir::{AnnValue, DataType, IterVar, Stmt};
-
-    /// Calls `f` on every statement below the root block, outermost first.
-    fn edit(func: &mut PrimFunc, f: &mut dyn FnMut(&mut Stmt)) {
-        fn walk(s: &mut Stmt, f: &mut dyn FnMut(&mut Stmt)) {
-            f(s);
-            s.children_mut().for_each(|child| walk(child, f));
-        }
-        walk(&mut func.root_block_mut().expect("root block").body, f);
-    }
-
-    /// The session's verdict, after checking it against a fresh one.
-    fn agreed(session: &mut ValidationSession, func: &PrimFunc) -> Vec<ValidationError> {
-        let remembered = session.validate(func);
-        assert_eq!(remembered, validate(func), "remembered != fresh on\n{func}");
-        remembered.err().unwrap_or_default()
-    }
-
-    /// A block `name` storing `out[v] = 0` for one spatial iterator `v`.
-    fn store_block(name: &str, out: &Buffer, extent: i64) -> Block {
-        let v = Var::int("v");
-        let body = Stmt::store(out.clone(), vec![Expr::from(&v)], Expr::f32(0.0));
-        let iter_vars = vec![IterVar::spatial(v, extent)];
-        Block::new(name, iter_vars, vec![], vec![out.full_region()], body)
-    }
-
-    #[test]
-    fn reduction_bound_to_a_parallel_loop() {
-        let mut func = matmul_func("mm", 8, 8, 8, DataType::float32());
-        let mut session = ValidationSession::default();
-        assert!(agreed(&mut session, &func).is_empty());
-        let verdicts = session.remembered.len();
-        assert!(agreed(&mut session, &func).is_empty());
-        assert_eq!(
-            session.remembered.len(),
-            verdicts,
-            "a second look re-checks nothing"
-        );
-        let set_reduce_loop = |func: &mut PrimFunc, kind: ForKind| {
-            edit(func, &mut |s| match s {
-                Stmt::For(l) if matches!(l.body, Stmt::BlockRealize(_)) => l.kind = kind,
-                _ => {}
-            })
-        };
-        set_reduce_loop(&mut func, ForKind::Parallel);
-        let errors = agreed(&mut session, &func);
-        assert!(
-            matches!(
-                errors[..],
-                [ValidationError::ReductionOnParallelLoop { .. }]
-            ),
-            "{errors:?}"
-        );
-        // Back to the first state: its verdicts are still there.
-        set_reduce_loop(&mut func, ForKind::Serial);
-        let verdicts = session.remembered.len();
-        assert!(agreed(&mut session, &func).is_empty());
-        assert_eq!(session.remembered.len(), verdicts);
-    }
-
-    #[test]
-    fn binding_beyond_its_domain_once_the_guard_is_gone() {
-        // v = i0 * 8 + i1 sweeps 32 points of a 30-wide domain.
-        let out = Buffer::new("O", DataType::float32(), vec![30]);
-        let (i0, i1) = (Var::int("i0"), Var::int("i1"));
-        let block = store_block("b", &out, 30);
-        let binding = Expr::from(&i0) * 8 + Expr::from(&i1);
-        let realize = BlockRealize::with_predicate(vec![binding.clone()], binding.lt(30), block);
-        let nest = Stmt::BlockRealize(Box::new(realize)).in_loops(vec![(i0, 4), (i1, 8)]);
-        let mut func = PrimFunc::new("f", vec![out], nest);
-        let mut session = ValidationSession::default();
-        assert!(agreed(&mut session, &func).is_empty());
-        edit(&mut func, &mut |s| {
-            if let Stmt::BlockRealize(br) = s {
-                br.predicate = Expr::true_();
-            }
-        });
-        let errors = agreed(&mut session, &func);
-        assert!(
-            matches!(errors[..], [ValidationError::DomainMismatch { .. }]),
-            "{errors:?}"
-        );
-    }
-
-    #[test]
-    fn cooperative_fetch_once_the_annotation_is_gone() {
-        let shared = Buffer::with_scope("S", DataType::float32(), vec![8], MemScope::Shared);
-        let (t, ax) = (Var::int("t"), Var::int("ax"));
-        let mut block = store_block("S_copy", &shared, 8);
-        (block.annotations).insert("tir.cooperative".into(), AnnValue::Int(32));
-        // The copy loops over `ax` inside a threadIdx loop it does not consume.
-        let realize = BlockRealize::new(vec![Expr::from(&ax)], block);
-        let inner = Stmt::BlockRealize(Box::new(realize)).in_loop(ax, 8);
-        let kind = ForKind::ThreadBinding(ThreadTag::ThreadIdxX);
-        let nest = Stmt::For(Box::new(tir::For::with_kind(t, 32, kind, inner)));
-        let mut func = PrimFunc::new("f", vec![], nest);
-        let mut session = ValidationSession::default();
-        assert!(agreed(&mut session, &func).is_empty());
-        edit(&mut func, &mut |s| {
-            if let Stmt::BlockRealize(br) = s {
-                br.block.annotations.remove("tir.cooperative");
-            }
-        });
-        let errors = agreed(&mut session, &func);
-        assert!(
-            matches!(errors[..], [ValidationError::CooperativeFetch { .. }]),
-            "{errors:?}"
-        );
-    }
-
-    /// An inner block bound through its parent's iterator: the parent's
-    /// loop is re-split legally, then only the parent's binding is broken.
-    /// Nothing the inner block holds itself changes in the second edit, and
-    /// it must be checked again all the same.
-    #[test]
-    fn nested_block_under_a_re_split_parent() {
-        let out = Buffer::new("O", DataType::float32(), vec![16]);
-        let (i, j) = (Var::int("i"), Var::int("j"));
-        let inner = store_block("inner", &out, 16);
-        let vo = Var::int("vo");
-        let inner = BlockRealize::new(vec![Expr::from(&vo) * 4 + Expr::from(&j)], inner);
-        let outer = Block::new(
-            "outer",
-            vec![IterVar::spatial(vo, 4)],
-            vec![],
-            vec![out.full_region()],
-            Stmt::BlockRealize(Box::new(inner)).in_loop(j, 4),
-        );
-        let outer = BlockRealize::new(vec![Expr::from(&i)], outer);
-        let nest = Stmt::BlockRealize(Box::new(outer)).in_loop(i.clone(), 4);
-        let mut func = PrimFunc::new("f", vec![out], nest);
-        let mut session = ValidationSession::default();
-        assert!(agreed(&mut session, &func).is_empty());
-
-        let (i0, i1) = (Var::int("i0"), Var::int("i1"));
-        let resplit = Expr::from(&i0) * 2 + Expr::from(&i1);
-        edit(&mut func, &mut |s| match s {
-            Stmt::For(l) if l.var == i => {
-                let mut body = std::mem::replace(&mut l.body, Stmt::Seq(vec![]));
-                if let Stmt::BlockRealize(br) = &mut body {
-                    br.iter_values = vec![resplit.clone()];
-                }
-                *s = body.in_loops(vec![(i0.clone(), 2), (i1.clone(), 2)]);
-            }
-            _ => {}
-        });
-        assert!(agreed(&mut session, &func).is_empty());
-
-        edit(&mut func, &mut |s| match s {
-            Stmt::BlockRealize(br) if br.block.name == "outer" => {
-                br.iter_values = vec![Expr::from(&i0) * 2 + Expr::from(&i1) * 2];
-            }
-            _ => {}
-        });
-        let errors = agreed(&mut session, &func);
-        let blames = |name: &str| {
-            errors.iter().any(|e| match e {
-                ValidationError::LoopNest { block, .. }
-                | ValidationError::DomainMismatch { block, .. } => block == name,
-                _ => false,
-            })
-        };
-        assert!(blames("outer") && blames("inner"), "{errors:?}");
     }
 }

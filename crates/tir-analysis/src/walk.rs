@@ -22,7 +22,7 @@ use tir_arith::bound::{bound_of, IntBound};
 
 use crate::racecheck::Site;
 use crate::region::AccessSet;
-use crate::validate::{Nests, ValidationError, ValidationSession};
+use crate::validate::{Nests, ValidationError};
 use crate::{bounds, racecheck};
 
 /// A check the walk can feed. The first two keep an interval environment
@@ -317,15 +317,15 @@ impl<'a> Scope<'a> {
 }
 
 #[derive(Default)]
-struct Walk<'a, 'm> {
+struct Walk<'a> {
     scope: Scope<'a>,
-    nests: Nests<'m>,
+    nests: Nests,
     cover: AccessSet<'a>,
     bounds: Vec<ValidationError>,
     sites: Vec<Site<'a>>,
 }
 
-impl<'a> Walk<'a, '_> {
+impl<'a> Walk<'a> {
     /// Whether loop-nest validation looks at what the walk enters next: it
     /// reports the outermost loop of non-constant extent and is silent
     /// below it. The other checks descend.
@@ -372,19 +372,17 @@ impl<'a> Walk<'a, '_> {
                     self.expr(v, Place::Binding);
                 }
                 self.expr(&br.predicate, Place::Predicate);
-                // The composed bindings: remembered or checked by loop-nest
-                // validation, or merely composed when only the race proof
-                // reads them.
-                let nests_on = self.nests_on();
-                let mut composed = if nests_on {
-                    self.nests.enter_block(&self.scope, br)
+                // The composed bindings: checked by loop-nest validation, or
+                // merely composed when only the race proof reads them.
+                let mut composed = if self.nests_on() {
+                    self.nests.check_block_realize(&self.scope, br)
                 } else if self.scope.on(Check::Races) {
                     (br.iter_values.iter().map(|v| self.scope.composed(v))).collect()
                 } else {
                     Vec::new()
                 };
                 // They go on the stack for everything nested and come back
-                // off it into the remembered verdict: moved, never copied.
+                // off it into the race proof's frame: moved, never copied.
                 // One that composing left as written is borrowed.
                 let base = self.scope.binds.len();
                 let vars = block.iter_vars.iter().map(|iv| iv.var.clone());
@@ -408,19 +406,16 @@ impl<'a> Walk<'a, '_> {
                 self.scope.blocks.pop();
                 self.scope.relax_depth -= usize::from(relaxing);
                 self.scope.undo(mark);
-                composed.extend(
-                    (self.scope.binds.drain(base..)).map(|(_, value)| match value {
-                        Cow::Borrowed(_) => None,
-                        Cow::Owned(value) => Some(value),
-                    }),
-                );
-                // The frame keeps them for the race proof; no session
-                // remembers verdicts while it runs ([`run`]).
                 if let Some(at) = frame {
-                    self.scope.leave_frame(at, std::mem::take(&mut composed));
-                }
-                if nests_on {
-                    self.nests.exit_block(composed);
+                    composed.extend((self.scope.binds.drain(base..)).map(
+                        |(_, value)| match value {
+                            Cow::Borrowed(_) => None,
+                            Cow::Owned(value) => Some(value),
+                        },
+                    ));
+                    self.scope.leave_frame(at, composed);
+                } else {
+                    self.scope.binds.truncate(base);
                 }
             }
             Stmt::Store {
@@ -499,22 +494,12 @@ impl<'a> Walk<'a, '_> {
 /// Walks `func` once, feeding `checks`, and returns their diagnostics in
 /// the order loop nests, region cover, bounds, races, scopes. Loop-nest
 /// validation starts with [`ValidationError::Malformed`] if the program is
-/// not well-formed. `memo` lets loop-nest validation replay verdicts it
-/// remembers.
-pub(crate) fn run(
-    func: &PrimFunc,
-    checks: &[Check],
-    memo: Option<&mut ValidationSession>,
-) -> Vec<ValidationError> {
+/// not well-formed.
+pub(crate) fn run(func: &PrimFunc, checks: &[Check]) -> Vec<ValidationError> {
     let mut walk = Walk::default();
-    walk.nests.memo = memo;
     for check in checks {
         walk.scope.on[*check as usize] = true;
     }
-    debug_assert!(
-        walk.nests.memo.is_none() || !walk.scope.on(Check::Races),
-        "the race proof's frames take the composed bindings a session remembers"
-    );
     if walk.scope.on(Check::Nests) {
         (walk.nests.errors).extend(tir::well_formed(func).err().map(ValidationError::Malformed));
     }

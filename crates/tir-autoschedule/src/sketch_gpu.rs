@@ -388,15 +388,6 @@ impl GpuScalarSketch {
     /// Builds the program of an effective form; reads nothing else.
     fn build(&self, form: &[Decision]) -> Result<PrimFunc, ScheduleError> {
         let mut sch = self.base.clone();
-        // Every validation of this candidate, speculative and final, goes
-        // through one session: a step re-checks the blocks it changed.
-        let mut validation = tir_analysis::ValidationSession::default();
-        let mut validate = |func: &PrimFunc| {
-            let verdict = validation.validate(func);
-            #[cfg(test)]
-            tests::assert_fresh_verdict(func, &verdict);
-            verdict
-        };
         for (b, f) in self.blocks.iter().zip(form.chunks(3)) {
             let (threads, step, k_factor) = (f[0][0], f[1][0], f[2][0]);
             let (name, n_spatial) = (&b.name, b.n_spatial);
@@ -441,9 +432,9 @@ impl GpuScalarSketch {
                 // index coefficients (e.g. T2D's flipped kernel) cannot be
                 // staged soundly, so keep a step only if the program still
                 // validates.
-                let mut attempt = |sch: &mut Schedule, f: &dyn Fn(&mut Schedule) -> bool| {
+                let attempt = |sch: &mut Schedule, f: &dyn Fn(&mut Schedule) -> bool| {
                     let backup = sch.clone();
-                    if !f(sch) || validate(sch.func()).is_err() {
+                    if !f(sch) || tir_analysis::validate(sch.func()).is_err() {
                         *sch = backup;
                     }
                 };
@@ -474,7 +465,8 @@ impl GpuScalarSketch {
                 }
             }
         }
-        validate(sch.func()).map_err(|e| ScheduleError::Invalid(format!("{}", e[0])))?;
+        tir_analysis::validate(sch.func())
+            .map_err(|e| ScheduleError::Invalid(format!("{}", e[0])))?;
         Ok(sch.into_func())
     }
 }
@@ -535,28 +527,15 @@ mod tests {
     use tir_tensorize::builtin_registry;
 
     thread_local! {
-        /// Session verdicts this thread compared against a fresh `validate`.
-        static VERDICTS_COMPARED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
         /// `aligned_cuts` results this thread compared against the old scan.
         static CUT_SCANS_COMPARED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
-    /// Called at every validation `GpuScalarSketch::apply` issues in a
-    /// test build, speculative (kept or rolled back) and final.
-    pub(super) fn assert_fresh_verdict(
-        func: &PrimFunc,
-        remembered: &Result<(), Vec<tir_analysis::ValidationError>>,
-    ) {
-        assert_eq!(*remembered, tir_analysis::validate(func), "on\n{func}");
-        VERDICTS_COMPARED.with(|c| c.set(c.get() + 1));
-    }
-
-    /// Equivalence (i) on the corpus of `tests/sketch_apply_golden.rs`
-    /// (every sketch of both targets, 40 seeded vectors each): whatever a
-    /// candidate's validation session answers, a fresh `validate` of the
-    /// same program answers, error for error.
+    /// Applies every sketch of both targets to the 40 seeded vectors of
+    /// `tests/sketch_apply_golden.rs`, so that every `aligned_cuts` call the
+    /// golden corpus makes is checked by [`assert_every_divisor_scan_agrees`].
     #[test]
-    fn remembered_validation_equals_fresh_validation_on_the_golden_corpus() {
+    fn aligned_cuts_equal_the_full_divisor_scan_on_the_golden_corpus() {
         let reg = builtin_registry();
         let targets = [
             (Machine::sim_gpu(), DataType::float16()),
@@ -570,12 +549,7 @@ mod tests {
                 for sketch in sketches {
                     for seed in 0..40 {
                         let d = sketch.sample(&mut StdRng::seed_from_u64(seed));
-                        // A fresh scalar sketch per vector: a shared one
-                        // answers a repeated form from its memo, unvalidated.
-                        let _ = match sketch.name() {
-                            "gpu-scalar" => GpuScalarSketch::new(&case.func).apply(&d),
-                            _ => sketch.apply(&d),
-                        };
+                        let _ = sketch.apply(&d);
                         vectors += 1;
                         scalar_vectors += usize::from(sketch.name() == "gpu-scalar");
                     }
@@ -583,11 +557,6 @@ mod tests {
             }
         }
         assert_eq!((vectors, scalar_vectors), (1280, 320));
-        // The final validation of every vector and the speculative ones of
-        // every block that reduces (fewer in a debug build, where
-        // auto-verify fails some staging steps before they are validated).
-        let compared = VERDICTS_COMPARED.with(std::cell::Cell::get);
-        assert!(compared >= 320 * 3, "only {compared} verdicts compared");
         // Two cut searches per scheduled scalar block, one per flat bind.
         let scans = CUT_SCANS_COMPARED.with(std::cell::Cell::get);
         assert!(scans >= 320 * 2, "only {scans} cut scans compared");

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use tir::visit::ExprVisitor;
-use tir::{AnnValue, Expr, ForKind, MemScope, PrimFunc, Stmt, ThreadTag};
+use tir::{AnnValue, Expr, ForKind, MemScope, PrimFunc, Stmt};
 
 use crate::machine::{Machine, MachineKind};
 
@@ -85,7 +85,9 @@ impl ExprVisitor for ExprCost<'_> {
 }
 
 impl Walker {
-    fn charge_exprs(&mut self, exprs: &[&Expr]) {
+    /// Charges the loads in `exprs` as traffic and returns their
+    /// arithmetic operations, per iteration.
+    fn charge_loads<'e>(&mut self, exprs: impl IntoIterator<Item = &'e Expr>) -> f64 {
         let mut c = ExprCost {
             ops: 0.0,
             traffic: &mut self.summary.traffic,
@@ -94,22 +96,15 @@ impl Walker {
         for e in exprs {
             c.visit_expr(e);
         }
-        let ops = c.ops * self.mult;
+        c.ops
+    }
+
+    fn charge_expr(&mut self, e: &Expr) {
+        let ops = self.charge_loads([e]) * self.mult;
         if self.vectorized {
             self.summary.vector_ops += ops;
         } else {
             self.summary.scalar_ops += ops;
-        }
-    }
-
-    fn charge_traffic_only(&mut self, exprs: &[Expr]) {
-        let mut c = ExprCost {
-            ops: 0.0,
-            traffic: &mut self.summary.traffic,
-            mult: self.mult,
-        };
-        for e in exprs {
-            c.visit_expr(e);
         }
     }
 
@@ -131,11 +126,11 @@ impl Walker {
                 // Index arithmetic is hidden by addressing modes / strength
                 // reduction on real hardware: charge traffic for any loads
                 // inside indices, but no ALU ops.
-                self.charge_traffic_only(indices);
-                self.charge_exprs(&[value]);
+                self.charge_loads(indices);
+                self.charge_expr(value);
                 self.charge_store(buffer);
             }
-            Stmt::Eval(e) => self.charge_exprs(&[e]),
+            Stmt::Eval(e) => self.charge_expr(e),
             Stmt::Seq(v) => {
                 for st in v {
                     self.walk(st);
@@ -146,7 +141,7 @@ impl Walker {
                 then_branch,
                 else_branch,
             } => {
-                self.charge_exprs(&[cond]);
+                self.charge_expr(cond);
                 self.walk(then_branch);
                 if let Some(e) = else_branch {
                     self.walk(e);
@@ -168,7 +163,6 @@ impl Walker {
                     ForKind::ThreadBinding(tag) => match tag {
                         t if t.is_block_idx() => self.grid *= extent,
                         t if t.is_thread_idx() => self.threads *= extent,
-                        ThreadTag::Vthread => {}
                         _ => {}
                     },
                     _ => {}
@@ -200,75 +194,67 @@ impl Walker {
                 };
                 let saved_mult = self.mult;
                 self.mult /= coop;
-                let _handled = self.walk_block_realize(br);
+                self.walk_block_realize(br);
                 self.mult = saved_mult;
             }
         }
     }
 
-    /// Returns true when the realize was fully handled (opaque intrinsic).
-    fn walk_block_realize(&mut self, br: &tir::BlockRealize) -> bool {
-        {
-            {
-                // Binding expressions are index arithmetic: cheap, ignored.
-                if let Some(AnnValue::Str(intrin)) = br.block.annotations.get("tir.tensor_intrin") {
-                    // One intrinsic invocation per block instance; traffic
-                    // charged from the block signature regions.
-                    let macs: f64 =
-                        br.block.iter_vars.iter().map(|_| 1.0).product::<f64>() * tile_macs(br);
-                    *self.summary.tensor_macs.entry(intrin.clone()).or_default() +=
-                        macs * self.mult;
-                    for region in br.block.reads.iter().chain(&br.block.writes) {
-                        let elems: f64 = region
-                            .region
-                            .iter()
-                            .map(|r| r.extent.as_int().unwrap_or(1).max(1) as f64)
-                            .product();
-                        *self
-                            .summary
-                            .traffic
-                            .entry(region.buffer.scope().clone())
-                            .or_default() +=
-                            elems * region.buffer.dtype().bytes() as f64 * self.mult;
-                    }
-                    if matches!(
-                        br.block.annotations.get("tir.exec_scope"),
-                        Some(AnnValue::Str(s)) if s == "warp"
-                    ) {
-                        self.warp_intrin = true;
-                    }
-                    return true; // opaque: do not descend
-                }
-                if let Some(init) = &br.block.init {
-                    // Init runs once per reduction sweep: approximate by
-                    // dividing out the reduction loop extents is complex;
-                    // charge it at 1/reduce_extent of the full multiplier.
-                    let reduce_extent: f64 = br
-                        .block
-                        .iter_vars
-                        .iter()
-                        .filter(|iv| iv.kind == tir::IterKind::Reduce)
-                        .map(|iv| iv.extent.max(1) as f64)
-                        .product();
-                    let saved = self.mult;
-                    self.mult /= reduce_extent.max(1.0);
-                    self.walk(init);
-                    self.mult = saved;
-                }
-                self.walk(&br.block.body);
+    /// Charges one realize: an opaque tensor intrinsic by its signature,
+    /// anything else by its init and body. Binding expressions are index
+    /// arithmetic: cheap, ignored.
+    fn walk_block_realize(&mut self, br: &tir::BlockRealize) {
+        if let Some(AnnValue::Str(intrin)) = br.block.annotations.get("tir.tensor_intrin") {
+            // One intrinsic invocation per block instance; traffic charged
+            // from the block signature regions.
+            *self.summary.tensor_macs.entry(intrin.clone()).or_default() +=
+                tile_macs(br) * self.mult;
+            for region in br.block.reads.iter().chain(&br.block.writes) {
+                let elems: f64 = region
+                    .region
+                    .iter()
+                    .map(|r| r.extent.as_int().unwrap_or(1).max(1) as f64)
+                    .product();
+                *self
+                    .summary
+                    .traffic
+                    .entry(region.buffer.scope().clone())
+                    .or_default() += elems * region.buffer.dtype().bytes() as f64 * self.mult;
             }
+            if matches!(
+                br.block.annotations.get("tir.exec_scope"),
+                Some(AnnValue::Str(s)) if s == "warp"
+            ) {
+                self.warp_intrin = true;
+            }
+            return; // opaque: do not descend
         }
-        false
+        if let Some(init) = &br.block.init {
+            // Init runs once per reduction sweep: charge it at
+            // 1/reduce_extent of the full multiplier.
+            let reduce_extent: f64 = br
+                .block
+                .iter_vars
+                .iter()
+                .filter(|iv| iv.kind == tir::IterKind::Reduce)
+                .map(|iv| iv.extent.max(1) as f64)
+                .product();
+            let saved = self.mult;
+            self.mult /= reduce_extent.max(1.0);
+            self.walk(init);
+            self.mult = saved;
+        }
+        self.walk(&br.block.body);
     }
 }
 
-/// MACs per instance of a tensorized block: the product of its per-tile
-/// iteration extents, derived from the write region times reduction depth.
+/// MACs per instance of a tensorized block, from the extents of its
+/// signature regions.
 fn tile_macs(br: &tir::BlockRealize) -> f64 {
-    // For a tensorized block, the signature's read regions describe the
-    // tile: MACs = |write tile| * reduction depth. We approximate the
-    // reduction depth as the extent product of read regions divided by the
-    // write region (exact for matmul-family intrinsics).
+    // For a tensorized block, the signature's regions describe the tile.
+    // A matmul tile has |A| = x*k, |B| = k*y and |C| = x*y, so
+    // |A| * |B| * |C| = (x*y*k)^2 and macs = sqrt(|A| * |B| * |C|), exact
+    // for matmul-family intrinsics. A block with one read counts it twice.
     let write_elems: f64 = br
         .block
         .writes
@@ -287,11 +273,6 @@ fn tile_macs(br: &tir::BlockRealize) -> f64 {
                 .product()
         })
         .unwrap_or(1.0);
-    // matmul tile: |A| = x*k, |C| = x*y -> depth k = |A|*|C| / (x^2*y*k)...
-    // Use depth = |A| / x where x = |C| / y; with square-ish intrinsic
-    // tiles the simple estimate depth = |A| * |C| / (|C| * x) reduces to
-    // |A| / x. To stay robust we use sqrt-free exact matmul algebra:
-    // macs = sqrt(|A| * |B| * |C|) when all three regions exist.
     let b_elems: f64 = br
         .block
         .reads

@@ -39,9 +39,7 @@ use tir::{
     ForKind, IterVar, MemScope, PrimFunc, Stmt, ThreadTag, Var,
 };
 use tir_analysis::validate::check_loop_nests;
-use tir_analysis::{
-    analyze, check_bounds, check_races, check_scopes, validate, ValidationError, ValidationSession,
-};
+use tir_analysis::{analyze, check_bounds, check_races, check_scopes, validate, ValidationError};
 use tir_autoschedule::{build_sketches, Strategy};
 use tir_exec::machine::Machine;
 use tir_rand::rngs::StdRng;
@@ -648,19 +646,6 @@ fn analyze_is_the_concatenation_of_its_checks() {
         let [validated, bounds, races, scopes, analyzed] = diagnostics(func);
         let parts = [validated, bounds, races, scopes].concat();
         assert_eq!(analyzed, parts, "{label}:\n{func}");
-    }
-}
-
-/// A session's first look at a program, and its second, say what a fresh
-/// `validate` says — also below a loop of non-constant extent, where
-/// nothing is remembered because nothing is checked.
-#[test]
-fn remembered_validation_agrees_on_the_hand_built_programs() {
-    for (label, func) in unit_test_programs().into_iter().chain(seam_programs()) {
-        let mut session = ValidationSession::default();
-        let fresh = validate(&func);
-        assert_eq!(session.validate(&func), fresh, "{label}: first look");
-        assert_eq!(session.validate(&func), fresh, "{label}: second look");
     }
 }
 
