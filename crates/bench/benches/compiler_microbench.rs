@@ -56,6 +56,37 @@ fn time_batches<R>(mut f: impl FnMut() -> R) -> (f64, u64) {
     (samples[samples.len() / 2], iters)
 }
 
+/// [`time_batches`] of `f` on what `setup` returns, with `setup` and the
+/// drops off the clock.
+fn time_batches_after<S, R>(
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(&S) -> R,
+) -> (f64, u64) {
+    let mut timed = |n: u64| -> u64 {
+        let mut ns = 0;
+        for _ in 0..n {
+            let s = setup();
+            let t = Instant::now();
+            let r = std::hint::black_box(f(&s));
+            ns += t.elapsed().as_nanos() as u64;
+            drop((r, s));
+        }
+        ns
+    };
+    // Warmup + calibration.
+    let start = Instant::now();
+    let (mut calib_iters, mut calib_ns) = (0u64, 0u64);
+    while start.elapsed().as_millis() < 50 {
+        calib_ns += timed(1);
+        calib_iters += 1;
+    }
+    let per_iter = calib_ns / calib_iters.max(1);
+    let iters = (20_000_000 / per_iter.max(1)).clamp(1, 1_000_000);
+    let mut samples: Vec<f64> = (0..7).map(|_| timed(iters) as f64 / iters as f64).collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    (samples[samples.len() / 2], iters)
+}
+
 /// Prints one row and returns its median.
 fn report(name: &str, median: f64, allocs: u64, iters: u64) -> f64 {
     println!("{name:<40} {median:>14.0} ns/iter {allocs:>7} allocs/iter  ({iters} iters x 7)");
@@ -166,11 +197,20 @@ fn bench_ir_passes() {
 /// `SketchRule::apply` on the full bench-suite shapes: what one candidate
 /// of the search costs to build. Each row times a cycle through 16 seeded
 /// decision vectors that apply cleanly, and counts the allocations of the
-/// first of them, so the count is the same on every run. `gpu-scalar`
-/// keeps what its `apply` built, so its row calls a fresh
-/// `GpuScalarSketch` each time and times a build: the sketch's
-/// construction (a schedule over the unscheduled program and the loop
-/// extents it reads) plus one `apply`.
+/// first of them, so the count is the same on every run.
+///
+/// The tensor rows hit no memo: `gpu-tensor` and `cpu-tensor` keep none,
+/// and every `apply` runs the steps a decision reads on the sketch's base.
+/// `gpu-scalar` keeps what its `apply` built, so its plain rows call a
+/// fresh `GpuScalarSketch` each time and time a whole build, no memo level
+/// hit: the sketch's construction (a schedule over the unscheduled program
+/// and the loop extents it reads) plus one `apply`.
+/// `schedule/sketch_apply_gpu_scalar_gmm_resumed` times only the `apply` of
+/// a sketch that has built the same vector under another reduction split:
+/// the form misses, its staged prefix hits, and the build resumes after
+/// the staging attempts: the `k` split, then the final `validate` unless
+/// the program is still the one a staging attempt validated (with no
+/// split, as for the first vector, whose allocations are counted).
 fn bench_sketch_apply() {
     use tir_autoschedule::sketch_gpu::GpuScalarSketch;
     use tir_autoschedule::{build_sketches, Decision, SketchRule, Strategy};
@@ -191,6 +231,12 @@ fn bench_sketch_apply() {
             "gpu-scalar",
             Machine::sim_gpu(),
             OpKind::C2D,
+        ),
+        (
+            "gpu_scalar_gmm",
+            "gpu-scalar",
+            Machine::sim_gpu(),
+            OpKind::GMM,
         ),
         (
             "cpu_tensor_gmm",
@@ -236,7 +282,57 @@ fn bench_sketch_apply() {
             allocs,
             iters,
         );
+        if row == "gpu_scalar_gmm" {
+            bench_resumed_scalar_build(&case.func, &decisions);
+        }
     }
+}
+
+/// The `_resumed` row of [`bench_sketch_apply`]: each vector is applied to
+/// a fresh sketch warmed, off the clock, with the vector under another
+/// reduction split that makes another form.
+fn bench_resumed_scalar_build(func: &tir::PrimFunc, decisions: &[Vec<tir_autoschedule::Decision>]) {
+    use tir_autoschedule::sketch_gpu::GpuScalarSketch;
+    use tir_autoschedule::SketchRule;
+
+    let probe = GpuScalarSketch::new(func);
+    let pairs: Vec<_> = (decisions.iter())
+        .map(|d| {
+            // The same thread counts and steps under every other split
+            // option (1, 2, 4, 8): `k = 2^j` becomes `2^((j + shift) % 4)`.
+            let warm = (1..4)
+                .map(|shift| {
+                    let k = |k: i64| 1 << ((k.trailing_zeros() + shift) % 4);
+                    (d.chunks(3))
+                        .flat_map(|b| [b[0].clone(), b[1].clone(), vec![k(b[2][0])]])
+                        .collect::<Vec<_>>()
+                })
+                .find(|w| probe.effective(w) != probe.effective(d))
+                .expect("a reduction split that makes another form");
+            (warm, d)
+        })
+        .collect();
+    let warmed = |(warm, _): &(Vec<_>, _)| {
+        let sketch = GpuScalarSketch::new(func);
+        let _ = sketch.apply(warm);
+        sketch
+    };
+    let mut next = 0usize;
+    let (median, iters) = time_batches_after(
+        || {
+            next = (next + 1) % pairs.len();
+            (warmed(&pairs[next]), next)
+        },
+        |(sketch, i)| sketch.apply(pairs[*i].1).unwrap(),
+    );
+    let sketch = warmed(&pairs[0]);
+    let (_, allocs) = counted(|| std::hint::black_box(sketch.apply(pairs[0].1).unwrap()));
+    report(
+        "schedule/sketch_apply_gpu_scalar_gmm_resumed",
+        median,
+        allocs,
+        iters,
+    );
 }
 
 /// A whole cold tune of GMM f16 on the GPU (`tune_workload`'s body, every

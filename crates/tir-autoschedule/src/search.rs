@@ -117,7 +117,10 @@
 //! sketch builds each schedule its decisions denote once and answers a
 //! repeated one from memory
 //! ([`GpuScalarSketch::effective`](crate::sketch_gpu::GpuScalarSketch::effective)).
-//! The search sees an `apply` call either way; the program it gets back is
+//! The same memo keeps, per block that ran staging attempts, the program
+//! after them, so a new schedule that shares the thread counts and steps up
+//! to that block resumes there instead of building from the start. The
+//! search sees an `apply` call either way; the program it gets back is
 //! still hashed and looked up here.
 //!
 //! # Fault tolerance

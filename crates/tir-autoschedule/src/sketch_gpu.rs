@@ -18,7 +18,7 @@ use std::sync::Mutex;
 
 use tir::{AnnValue, MemScope, PrimFunc, ThreadTag};
 use tir_schedule::{BlockRef, LoopRef, Schedule, ScheduleError};
-use tir_tensorize::{auto_tensorize, TensorIntrin};
+use tir_tensorize::{auto_tensorize, TensorIntrin, Tensorized};
 
 use crate::sketch::{Decision, DecisionKind, SketchRule};
 
@@ -85,14 +85,18 @@ pub(crate) fn gpu_flat_bind(
 /// The tensorized GPU sketch.
 pub struct GpuTensorSketch {
     name: String,
+    /// The auto-tensorized schedule with the steps no decision reads
+    /// already taken (see [`GpuTensorSketch::new`]).
     base: Schedule,
     outer_block: BlockRef,
     inner_block: BlockRef,
     dm_blocks: Vec<String>,
     input_staging: Vec<String>,
-    /// Other leaf blocks of the function (e.g. fused epilogues, padding
-    /// stages of T2D) that the tensorized part does not cover.
-    other_blocks: Vec<String>,
+    /// The step `new` could not take, when one failed: the position in
+    /// `dm_blocks` of the block it failed on, and its error. `apply`
+    /// returns the error on reaching that block, where it took the step
+    /// itself before `new` did.
+    unbound: Option<(usize, ScheduleError)>,
     has_batch: bool,
     tile_extents: Vec<i64>,
     /// Stage operands through shared memory (TensorIR) or not (AMOS-like).
@@ -103,6 +107,21 @@ impl GpuTensorSketch {
     /// Builds the sketch by auto-tensorizing `func`'s block `block_name`
     /// with `intrin`.
     ///
+    /// Then it takes, once, the steps of a candidate that no decision
+    /// reads: it flat-binds the output write-back, the AMOS-like variant's
+    /// ReIndex stages (TensorIR inlines them per candidate instead) and
+    /// every other leaf block (fused epilogues, padding stages; a failure
+    /// there leaves that block as far as it got, as `apply` always did).
+    /// `apply` keeps the steps a decision reads and runs them on the
+    /// result. Binding a data-movement block cannot fail on what
+    /// [`auto_tensorize`] builds: the block exists and its nest is a
+    /// perfect nest of serial loops of constant extent, which `fuse`,
+    /// `split` at a radix-aligned cut and `bind` all accept. Should one
+    /// fail all the same, the base stays as auto-tensorization left it
+    /// and every `apply` returns that error at the point it took the step
+    /// itself; the sketch is kept, so the other sketches' share of trials
+    /// does not move.
+    ///
     /// # Errors
     ///
     /// Fails when auto-tensorization fails.
@@ -112,7 +131,15 @@ impl GpuTensorSketch {
         intrin: &TensorIntrin,
         staged: bool,
     ) -> Result<Self, ScheduleError> {
-        let t = auto_tensorize(func, block_name, intrin)?;
+        Self::from_tensorized(auto_tensorize(func, block_name, intrin)?, intrin, staged)
+    }
+
+    /// [`GpuTensorSketch::new`] after auto-tensorization.
+    fn from_tensorized(
+        t: Tensorized,
+        intrin: &TensorIntrin,
+        staged: bool,
+    ) -> Result<Self, ScheduleError> {
         let loops = t.schedule.get_loops(&t.outer_block)?;
         let tile_extents: Vec<i64> = loops
             .iter()
@@ -127,18 +154,38 @@ impl GpuTensorSketch {
             .into_iter()
             .filter(|n| !known.contains(n))
             .collect();
+        // The write-back of the valid output region, and the AMOS-like
+        // variant's ReIndex stages, which stay global passes.
+        let mut base = t.schedule.clone();
+        let unbound = (t.data_movement_blocks.iter().enumerate())
+            .filter(|(_, name)| !(staged && name.ends_with("_reindex")))
+            .find_map(|(i, name)| {
+                let bound = (base.get_block(name)).and_then(|b| gpu_flat_bind(&mut base, &b, 128));
+                bound.err().map(|e| (i, e))
+            });
+        if unbound.is_some() {
+            base = t.schedule;
+        } else {
+            // Flat-bind the remaining leaf blocks so no part of the
+            // function runs serially on the host.
+            for name in &other_blocks {
+                if let Ok(block) = base.get_block(name) {
+                    let _ = gpu_flat_bind(&mut base, &block, 128);
+                }
+            }
+        }
         Ok(GpuTensorSketch {
             name: if staged {
                 format!("gpu-tensor[{}]", intrin.name)
             } else {
                 format!("gpu-tensor-nostage[{}]", intrin.name)
             },
-            base: t.schedule,
+            base,
             outer_block: t.outer_block,
             inner_block: t.inner_block,
             dm_blocks: t.data_movement_blocks,
             input_staging: t.input_staging,
-            other_blocks,
+            unbound,
             has_batch,
             tile_extents,
             staged,
@@ -241,28 +288,15 @@ impl SketchRule for GpuTensorSketch {
 
         // Data-movement blocks at function scope: ReIndex stages and the
         // write-back. TensorIR inlines the input ReIndex stages into their
-        // consumers (§4.2: "they will be inlined into consumers"); the
-        // AMOS-like variant keeps them as separate global passes.
-        for name in &self.dm_blocks {
-            if name.ends_with("_reindex") {
-                let block = sch.get_block(name)?;
-                if self.staged {
-                    sch.compute_inline(&block)?;
-                } else {
-                    gpu_flat_bind(&mut sch, &block, 128)?;
-                }
-            } else {
-                // The write-back of the valid output region.
-                let block = sch.get_block(name)?;
-                gpu_flat_bind(&mut sch, &block, 128)?;
+        // consumers (§4.2: "they will be inlined into consumers"); `new`
+        // has bound the others.
+        for (i, name) in self.dm_blocks.iter().enumerate() {
+            if let Some((_, e)) = self.unbound.as_ref().filter(|(at, _)| *at == i) {
+                return Err(e.clone());
             }
-        }
-
-        // Flat-bind any remaining leaf blocks (fused epilogues, padding
-        // stages) so no part of the function runs serially on the host.
-        for name in &self.other_blocks {
-            if let Ok(block) = sch.get_block(name) {
-                let _ = gpu_flat_bind(&mut sch, &block, 128);
+            if self.staged && name.ends_with("_reindex") {
+                let block = sch.get_block(name)?;
+                sch.compute_inline(&block)?;
             }
         }
         tir_analysis::validate(sch.func())
@@ -279,19 +313,45 @@ impl SketchRule for GpuTensorSketch {
 /// [`GpuScalarSketch::effective`] names what a vector denotes, and `apply`
 /// builds from that form alone and keeps the build, so a repeated form is
 /// answered from memory with what a fresh build would return: the same
-/// program or the same error. The memo lives as long as the sketch (one
-/// tune, when [`crate::build_sketches`] made it) and holds one entry per
-/// distinct form asked for. Callers cannot tell it is there, so a wrapper
-/// that forwards `apply` keeps it.
+/// program or the same error. A build also keeps, per block that ran
+/// staging attempts, the program after them, and a later form that shares
+/// the decisions up to that block's thread count and step resumes from
+/// it. The memo lives as long as the sketch (one tune, when
+/// [`crate::build_sketches`] made it) and holds one entry per distinct form
+/// and staged prefix asked for. Callers cannot tell it is there, so a
+/// wrapper that forwards `apply` keeps it.
 pub struct GpuScalarSketch {
     name: String,
     base: Schedule,
     /// Leaf blocks to schedule, in apply order.
     blocks: Vec<ScalarBlock>,
-    /// What `apply` built for each effective form it was asked for. Two
-    /// workers asking for a new form at once may both build it; the first
+    /// What builds kept, keyed by a form or one of its prefixes. Two
+    /// workers asking for a new key at once may both build it; the first
     /// to finish is kept, and the two builds are equal by construction.
-    built: Mutex<HashMap<Vec<Decision>, Result<PrimFunc, ScheduleError>>>,
+    memo: Mutex<HashMap<Vec<Decision>, Memo>>,
+}
+
+/// What [`GpuScalarSketch`]'s memo keeps under a key. A block's state after
+/// its staging attempts depends on the form only up to its own thread
+/// count and step: on `form[..3 * i + 2]` for block `i`. That length is
+/// never a multiple of three, so prefix keys never meet whole forms.
+enum Memo {
+    /// Under a whole effective form: what `apply` returns for it.
+    Built(Result<PrimFunc, ScheduleError>),
+    /// Under the prefix of a block that ran staging attempts: the state
+    /// after them, before the block's reduction split.
+    Staged(Staged),
+}
+
+/// A build's state after one block's staging attempts: the program, not
+/// the trace of the primitives that made it.
+#[derive(Clone)]
+struct Staged {
+    func: PrimFunc,
+    /// The block's first reduction loop, which its `k` split cuts.
+    reduce_loop: LoopRef,
+    /// `func` is exactly a program a passing staging `validate` accepted.
+    validated: bool,
 }
 
 /// A block of [`GpuScalarSketch`] and the loop extents its decisions are
@@ -345,7 +405,7 @@ impl GpuScalarSketch {
             name: "gpu-scalar".to_string(),
             base,
             blocks,
-            built: Mutex::default(),
+            memo: Mutex::default(),
         }
     }
 
@@ -385,10 +445,34 @@ impl GpuScalarSketch {
         Some(forms.collect())
     }
 
-    /// Builds the program of an effective form; reads nothing else.
+    /// The memo, also after a worker panicked holding it.
+    fn memo(&self) -> std::sync::MutexGuard<'_, HashMap<Vec<Decision>, Memo>> {
+        self.memo.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Builds the program of an effective form; reads nothing else. It
+    /// resumes from the deepest prefix of `form` a build staged, and stages
+    /// the prefixes of the blocks it runs staging attempts for.
     fn build(&self, form: &[Decision]) -> Result<PrimFunc, ScheduleError> {
-        let mut sch = self.base.clone();
-        for (b, f) in self.blocks.iter().zip(form.chunks(3)) {
+        // `validated`: the program is exactly one a passing staging
+        // `validate` accepted. Every rewrite clears it, a passing
+        // `validate` sets it, and a rollback restores it with the backup.
+        let (mut sch, mut validated, first) = match self.deepest_staged(form) {
+            Some((i, staged)) => {
+                let mut sch = Schedule::new(staged.func);
+                let mut validated = staged.validated;
+                split_reduction(
+                    &mut sch,
+                    &staged.reduce_loop,
+                    form[3 * i + 2][0],
+                    &mut validated,
+                );
+                (sch, validated, i + 1)
+            }
+            None => (self.base.clone(), false, 0),
+        };
+        let blocks = self.blocks.iter().zip(form.chunks(3)).enumerate();
+        for (i, (b, f)) in blocks.skip(first) {
             let (threads, step, k_factor) = (f[0][0], f[1][0], f[2][0]);
             let (name, n_spatial) = (&b.name, b.n_spatial);
             let block = sch.get_block(name)?;
@@ -407,6 +491,7 @@ impl GpuScalarSketch {
                 .get(n_spatial..(n_spatial + b.n_reduce).min(loops.len()))
                 .map(<[LoopRef]>::to_vec)
                 .unwrap_or_default();
+            validated = false;
             let fused = if spatial.len() > 1 {
                 sch.fuse(&spatial)?
             } else {
@@ -432,18 +517,22 @@ impl GpuScalarSketch {
                 // index coefficients (e.g. T2D's flipped kernel) cannot be
                 // staged soundly, so keep a step only if the program still
                 // validates.
-                let attempt = |sch: &mut Schedule, f: &dyn Fn(&mut Schedule) -> bool| {
-                    let backup = sch.clone();
-                    if !f(sch) || tir_analysis::validate(sch.func()).is_err() {
-                        *sch = backup;
+                let attempt = |sch: &mut Schedule,
+                               validated: &mut bool,
+                               f: &dyn Fn(&mut Schedule) -> bool| {
+                    let backup = (sch.clone(), *validated);
+                    if f(sch) && tir_analysis::validate(sch.func()).is_ok() {
+                        *validated = true;
+                    } else {
+                        (*sch, *validated) = backup;
                     }
                 };
-                attempt(&mut sch, &|s| {
+                attempt(&mut sch, &mut validated, &|s| {
                     s.cache_write(&block, MemScope::Local, Some(&parts[1]))
                         .is_ok()
                 });
                 for buf in read_bufs {
-                    attempt(&mut sch, &|s| match s.cache_read(
+                    attempt(&mut sch, &mut validated, &|s| match s.cache_read(
                         &block,
                         &buf,
                         MemScope::Shared,
@@ -458,16 +547,45 @@ impl GpuScalarSketch {
                         Err(_) => false,
                     });
                 }
+                let staged = Staged {
+                    func: sch.func().clone(),
+                    reduce_loop: reduce_loops[0].clone(),
+                    validated,
+                };
+                (self.memo().entry(form[..3 * i + 2].to_vec())).or_insert(Memo::Staged(staged));
                 // Optional serial two-level reduction split (after staging
                 // so the staging loop reference stays valid).
-                if k_factor > 1 {
-                    let _ = sch.split(&reduce_loops[0], &[-1, k_factor]);
-                }
+                split_reduction(&mut sch, &reduce_loops[0], k_factor, &mut validated);
             }
         }
-        tir_analysis::validate(sch.func())
-            .map_err(|e| ScheduleError::Invalid(format!("{}", e[0])))?;
+        if validated {
+            #[cfg(test)]
+            tests::assert_skipped_validate_passes(sch.func());
+        } else {
+            tir_analysis::validate(sch.func())
+                .map_err(|e| ScheduleError::Invalid(format!("{}", e[0])))?;
+        }
         Ok(sch.into_func())
+    }
+
+    /// The deepest block whose prefix of `form` the memo holds staged, and
+    /// its state.
+    fn deepest_staged(&self, form: &[Decision]) -> Option<(usize, Staged)> {
+        let memo = self.memo();
+        (0..self.blocks.len())
+            .rev()
+            .find_map(|i| match memo.get(&form[..3 * i + 2]) {
+                Some(Memo::Staged(staged)) => Some((i, staged.clone())),
+                _ => None,
+            })
+    }
+}
+
+/// The optional serial two-level split of a block's first reduction loop.
+/// A split that fails leaves the program as it was.
+fn split_reduction(sch: &mut Schedule, reduce_loop: &LoopRef, k_factor: i64, validated: &mut bool) {
+    if k_factor > 1 && sch.split(reduce_loop, &[-1, k_factor]).is_ok() {
+        *validated = false;
     }
 }
 
@@ -507,12 +625,14 @@ impl SketchRule for GpuScalarSketch {
                 self.blocks.len()
             ))
         })?;
-        let memo = || self.built.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(built) = memo().get(&form) {
+        if let Some(Memo::Built(built)) = self.memo().get(&form) {
             return built.clone();
         }
         let built = self.build(&form);
-        memo().entry(form).or_insert(built).clone()
+        match self.memo().entry(form).or_insert(Memo::Built(built)) {
+            Memo::Built(built) => built.clone(),
+            Memo::Staged(_) => unreachable!("a whole form is never a staged prefix"),
+        }
     }
 }
 
@@ -529,6 +649,8 @@ mod tests {
     thread_local! {
         /// `aligned_cuts` results this thread compared against the old scan.
         static CUT_SCANS_COMPARED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// Builds this thread re-validated after they skipped `validate`.
+        static SKIPPED_VALIDATES_CHECKED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
     /// Applies every sketch of both targets to the 40 seeded vectors of
@@ -583,6 +705,19 @@ mod tests {
         }
         assert_eq!(cuts, want, "extents {extents:?}, cap {cap}");
         CUT_SCANS_COMPARED.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Called by every build that skipped its final `validate` because a
+    /// staging attempt's passing `validate` saw exactly that program: the
+    /// program validates.
+    pub(super) fn assert_skipped_validate_passes(func: &PrimFunc) {
+        if let Err(e) = tir_analysis::validate(func) {
+            panic!(
+                "a build skipped the validate of an invalid program: {}",
+                e[0]
+            );
+        }
+        SKIPPED_VALIDATES_CHECKED.with(|c| c.set(c.get() + 1));
     }
 
     fn mm16(n: i64) -> PrimFunc {
@@ -689,10 +824,133 @@ mod tests {
             std::sync::Arc::ptr_eq(&fa.body, &fb.body),
             "b was built again"
         );
-        assert_eq!(sketch.built.lock().unwrap().len(), 1);
+        let built = |sketch: &GpuScalarSketch| {
+            (sketch.memo().values())
+                .filter(|m| matches!(m, Memo::Built(_)))
+                .count()
+        };
+        assert_eq!(built(&sketch), 1);
         let fc = sketch.apply(&c).expect("c");
         assert!(!std::sync::Arc::ptr_eq(&fa.body, &fc.body));
-        assert_eq!(sketch.built.lock().unwrap().len(), 2);
+        assert_eq!(built(&sketch), 2);
+    }
+
+    /// The `gpu-scalar` vectors of the golden corpus (seeds 0..40 of every
+    /// f16 operator) and of a two-block T2D, each on a sketch warmed first
+    /// with its own thread counts and steps under every reduction split
+    /// that makes another form: a build that resumes from the staged prefix
+    /// equals a fresh sketch's build, stream and text, or fails with its
+    /// error.
+    #[test]
+    fn a_form_resumed_from_a_staged_prefix_equals_a_fresh_build() {
+        let reg = builtin_registry();
+        let mut funcs: Vec<PrimFunc> = tir_workloads::bench_suite(DataType::float16())
+            .into_iter()
+            .map(|case| case.func)
+            .collect();
+        // Two blocks, and a first reduction loop (`kh`) a split of 2 divides.
+        funcs.push(tir_workloads::t2d(
+            1,
+            4,
+            4,
+            2,
+            4,
+            4,
+            4,
+            2,
+            DataType::float16(),
+        ));
+        let (mut vectors, mut resumed) = (0, 0);
+        for func in &funcs {
+            let sketches =
+                crate::build_sketches(func, &Machine::sim_gpu(), &reg, crate::Strategy::TensorIr);
+            let sampler = (sketches.iter())
+                .find(|s| s.name() == "gpu-scalar")
+                .expect("gpu-scalar sketch");
+            for seed in 0..40 {
+                let d = sampler.sample(&mut StdRng::seed_from_u64(seed));
+                let warm = GpuScalarSketch::new(func);
+                let form = warm.effective(&d).expect("a vector of the space");
+                for shift in 1..4 {
+                    let other_k: Vec<Decision> = (d.chunks(3))
+                        .flat_map(|b| [b[0].clone(), b[1].clone(), vec![rotate_k(b[2][0], shift)]])
+                        .collect();
+                    if warm.effective(&other_k).as_ref() != Some(&form) {
+                        let _ = warm.apply(&other_k);
+                    }
+                }
+                resumed += usize::from({
+                    let memo = warm.memo();
+                    (0..warm.blocks.len())
+                        .any(|i| matches!(memo.get(&form[..3 * i + 2]), Some(Memo::Staged(_))))
+                });
+                let (got, want) = (warm.apply(&d), GpuScalarSketch::new(func).apply(&d));
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(
+                            tir::structural::structural_stream(&got),
+                            tir::structural::structural_stream(&want),
+                            "{} seed {seed}: streams differ",
+                            func.name
+                        );
+                        assert_eq!(got.to_string(), want.to_string());
+                    }
+                    (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+                    (got, want) => panic!("{} seed {seed}: {got:?} vs {want:?}", func.name),
+                }
+                vectors += 1;
+            }
+        }
+        // Every GMM and T2D vector: the other operators' first reduction
+        // loops take no split, so their warm-up makes no other form.
+        assert_eq!((vectors, resumed), (360, 120));
+        let checked = SKIPPED_VALIDATES_CHECKED.with(std::cell::Cell::get);
+        assert!(checked > 0, "no build skipped its final validate");
+    }
+
+    /// The reduction split option `shift` places after `k` in 1, 2, 4, 8.
+    fn rotate_k(k: i64, shift: u32) -> i64 {
+        let options = [1, 2, 4, 8];
+        let at = options.iter().position(|&o| o == k).expect("a k option");
+        options[(at + shift as usize) % options.len()]
+    }
+
+    /// A data-movement block `new` cannot bind (a name no block has): the
+    /// sketch is kept, its base is auto-tensorization's, and every `apply`
+    /// returns the error where it took the step itself: after the steps a
+    /// decision reads, so their own errors come first.
+    #[test]
+    fn a_tensor_sketch_whose_fixed_bind_fails_returns_its_error_from_every_apply() {
+        let func = mm16(64);
+        let reg = builtin_registry();
+        let wmma = reg.get("wmma_16x16x16_f16").unwrap();
+        let missing = ScheduleError::BlockNotFound("gone_writeback".into());
+        for staged in [true, false] {
+            let mut t = auto_tensorize(&func, "C", wmma).expect("tensorizes");
+            t.data_movement_blocks.push("gone_writeback".into());
+            let unbound = tir::structural::structural_stream(t.schedule.func());
+            let broken = GpuTensorSketch::from_tensorized(t, wmma, staged).expect("kept");
+            assert_eq!(
+                tir::structural::structural_stream(broken.base.func()),
+                unbound
+            );
+            let sound = GpuTensorSketch::new(&func, "C", wmma, staged).expect("sketch");
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut reached = 0;
+            for _ in 0..40 {
+                let d = sound.sample(&mut rng);
+                let got = broken.apply(&d).expect_err("every apply fails").to_string();
+                match sound.apply(&d) {
+                    Ok(_) => {
+                        assert_eq!(got, missing.to_string());
+                        reached += 1;
+                    }
+                    Err(e @ ScheduleError::Precondition(_)) => assert_eq!(got, e.to_string()),
+                    Err(_) => {}
+                }
+            }
+            assert!(reached > 0, "no vector reached the failed step");
+        }
     }
 
     #[test]
