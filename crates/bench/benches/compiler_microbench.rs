@@ -114,7 +114,7 @@ fn bench_split_fuse_reorder() {
 /// that finds nothing left to do (both on a fresh copy, whose own cost is
 /// the `clone` row), the candidate-cache key, the validation every `apply`
 /// ends with, and the whole static verifier (what the measurement gate and
-/// a debug build's auto-verify run).
+/// `Schedule::verify` run).
 fn bench_ir_passes() {
     use tir::{Expr, Stmt, Var, VarMap};
     use tir_autoschedule::{build_sketches, Strategy};

@@ -6,10 +6,8 @@
 //! wall-clock cannot give on a shared 2-core VM. The counts are a pure
 //! function of the program and the decision vector: they must repeat
 //! exactly run to run and stay under the committed budget (measured after
-//! the IR passes were rewritten to work in place, +10%). The budgets
-//! describe the optimized build, where `Schedule` runs without auto-verify
-//! as the search does; a debug build re-verifies after every primitive, so
-//! there only the exact repetition is checked.
+//! the IR passes were rewritten to work in place, +10%). They are the same
+//! in a debug and an optimized build, and both enforce every budget.
 //!
 //! This is its own test binary because it installs the harness's counting
 //! `#[global_allocator]` (`tensorir_bench::alloc_count`), which counts only
@@ -179,9 +177,6 @@ fn candidate_allocations_repeat_and_stay_in_budget() {
             "{}: allocation counts do not repeat",
             row.name
         );
-        if cfg!(debug_assertions) {
-            continue;
-        }
         assert!(
             apply <= row.apply_budget,
             "{}: apply made {apply} allocations, budget {}",
@@ -458,7 +453,6 @@ fn sanitizer_allocates_no_shadow_outside_parallel_loops() {
 /// C2D f16 candidates, seeds from 0). The count is exact and repeats; the
 /// budget is the count measured once a refit sorted only the feature
 /// columns that can split (1 470; 1 477 when it sorted all 16), plus 10%.
-/// Only asserted in release, like the candidate budgets.
 const REFIT_32_SAMPLES: u64 = 1_617;
 
 #[test]
@@ -493,10 +487,8 @@ fn cost_model_refit_stays_in_budget() {
     let (allocs, again) = (refit(), refit());
     println!("CostModel::update of 32 samples: {allocs} allocations");
     assert_eq!(allocs, again, "allocation counts do not repeat");
-    if !cfg!(debug_assertions) {
-        assert!(
-            allocs <= REFIT_32_SAMPLES,
-            "a 32-sample refit made {allocs} allocations, budget {REFIT_32_SAMPLES}"
-        );
-    }
+    assert!(
+        allocs <= REFIT_32_SAMPLES,
+        "a 32-sample refit made {allocs} allocations, budget {REFIT_32_SAMPLES}"
+    );
 }

@@ -657,18 +657,6 @@ impl TuningDatabase {
         Ok(())
     }
 
-    /// Loads a database from `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Io`] if the file cannot be read (including when it
-    /// does not exist — use [`TuningDatabase::open`] to treat a missing
-    /// file as empty), [`DbError::Corrupt`] if it is malformed.
-    pub fn load(path: &Path) -> Result<Self, DbError> {
-        let text = std::fs::read_to_string(path)?;
-        Self::decode(&text)
-    }
-
     /// Opens a database: loads `path` if it exists, returns an empty
     /// database if it does not. A file that exists but is corrupt is
     /// still an error — silent data loss is never acceptable.

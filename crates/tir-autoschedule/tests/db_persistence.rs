@@ -1,4 +1,4 @@
-//! Persistence contract of the on-disk tuning database: a save/load
+//! Persistence contract of the on-disk tuning database: a save/open
 //! round trip is bit-identical (counters, records, fingerprints, every
 //! float), and damage to the file is a typed error — never a panic,
 //! never a silently empty database.
@@ -43,7 +43,7 @@ fn save_load_round_trip_is_bit_identical() {
     let path = tmp_path("roundtrip");
     let db = populated_db();
     db.save(&path).expect("save");
-    let loaded = TuningDatabase::load(&path).expect("load");
+    let loaded = TuningDatabase::open(&path).expect("open");
 
     // Counters survive.
     assert_eq!(loaded.hits(), db.hits());
@@ -86,7 +86,7 @@ fn truncated_file_is_a_typed_error() {
             broken.pop();
         }
         std::fs::write(&path, &broken).expect("write truncated");
-        match TuningDatabase::load(&path) {
+        match TuningDatabase::open(&path) {
             Err(DbError::Corrupt { .. }) => {}
             Ok(db) => panic!("truncation at {cut} silently loaded {} records", db.len()),
             Err(e) => panic!("truncation at {cut} gave the wrong error kind: {e}"),
@@ -111,7 +111,7 @@ fn corrupted_fields_are_typed_errors_with_offsets() {
     ];
     for (i, broken) in cases.iter().enumerate() {
         std::fs::write(&path, broken).expect("write corrupted");
-        match TuningDatabase::load(&path) {
+        match TuningDatabase::open(&path) {
             Err(DbError::Corrupt { reason, .. }) => {
                 assert!(!reason.is_empty(), "case {i}: reason must be populated");
             }
@@ -123,17 +123,11 @@ fn corrupted_fields_are_typed_errors_with_offsets() {
 }
 
 #[test]
-fn missing_file_load_vs_open() {
+fn a_missing_file_opens_empty_and_a_corrupt_one_is_refused() {
     let path = tmp_path("missing");
     let _ = std::fs::remove_file(&path);
-    // `load` of a missing file is an I/O error...
-    match TuningDatabase::load(&path) {
-        Err(DbError::Io(_)) => {}
-        Err(e) => panic!("load of a missing file gave the wrong error: {e}"),
-        Ok(_) => panic!("load of a missing file succeeded"),
-    }
-    // ...while `open` starts empty (first daemon start), but still
-    // refuses corrupt existing files.
+    // A missing file starts empty (first daemon start), but a corrupt
+    // existing file is still refused.
     let db = TuningDatabase::open(&path).expect("open missing");
     assert!(db.is_empty());
     std::fs::write(&path, "not a database\n").expect("write garbage");

@@ -154,7 +154,7 @@ impl Schedule {
         self.record(TraceStep::new(
             "blockize",
             vec![loop_ref.var().name().to_string().into()],
-        ))?;
+        ));
         self.get_block(&outer_name)
     }
 }

@@ -212,7 +212,7 @@ impl Schedule {
                     .unwrap_or_default()
                     .into(),
             ],
-        ))?;
+        ));
         self.get_block(&cache_name)
     }
 
@@ -273,7 +273,7 @@ impl Schedule {
                     .unwrap_or_default()
                     .into(),
             ],
-        ))?;
+        ));
         self.get_block(&wb_name)
     }
 }

@@ -417,7 +417,8 @@ impl Schedule {
                 block.name().into(),
                 loop_ref.var().name().to_string().into(),
             ],
-        ))
+        ));
+        Ok(())
     }
 
     /// Moves consumer `block` to the bottom of `loop_ref`'s body, shrinking
@@ -484,7 +485,8 @@ impl Schedule {
                 block.name().into(),
                 loop_ref.var().name().to_string().into(),
             ],
-        ))
+        ));
+        Ok(())
     }
 
     /// Inlines an elementwise producer block into its consumers: the block
@@ -585,7 +587,8 @@ impl Schedule {
             drop_alloc(body, &buffer);
             true
         });
-        self.record(TraceStep::new("compute_inline", vec![block.name().into()]))
+        self.record(TraceStep::new("compute_inline", vec![block.name().into()]));
+        Ok(())
     }
 
     /// Inlines an elementwise *consumer* into its producer: the consumer's
@@ -724,7 +727,8 @@ impl Schedule {
         self.record(TraceStep::new(
             "reverse_compute_inline",
             vec![block.name().into()],
-        ))
+        ));
+        Ok(())
     }
 
     /// An inline deletes the buffer it eliminates; a parameter's final
@@ -969,7 +973,7 @@ mod tests {
     /// Schedules `func` with `prepare`, then calls `inline`: an `Ok` must
     /// compute what `func` computed in its last `outputs` parameters, and
     /// the call must be refused. Each case here returned `Ok` and a wrong
-    /// answer, auto-verify on, before the refusals existed.
+    /// answer that the analyzer accepted, before the refusals existed.
     fn assert_inline_refused(
         func: tir::PrimFunc,
         outputs: usize,

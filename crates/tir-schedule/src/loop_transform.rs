@@ -116,7 +116,7 @@ impl Schedule {
         self.record(TraceStep::new(
             "split",
             vec![base_name.into(), factors.clone().into()],
-        ))?;
+        ));
         Ok(new_vars.into_iter().map(LoopRef).collect())
     }
 
@@ -199,7 +199,7 @@ impl Schedule {
         self.record(TraceStep::new(
             "fuse",
             vars.iter().map(|v| v.name().to_string().into()).collect(),
-        ))?;
+        ));
         Ok(LoopRef(fused))
     }
 
@@ -280,7 +280,8 @@ impl Schedule {
         self.record(TraceStep::new(
             "reorder",
             names.into_iter().map(Into::into).collect(),
-        ))
+        ));
+        Ok(())
     }
 
     fn set_loop_kind(
@@ -296,7 +297,8 @@ impl Schedule {
         self.record(TraceStep::new(
             prim,
             vec![loop_ref.var().name().to_string().into()],
-        ))
+        ));
+        Ok(())
     }
 
     /// Marks a loop parallel (CPU threads).
@@ -342,7 +344,8 @@ impl Schedule {
                 loop_ref.var().name().to_string().into(),
                 tag.as_str().into(),
             ],
-        ))
+        ));
+        Ok(())
     }
 
     /// Attaches an annotation to a loop.
@@ -364,7 +367,8 @@ impl Schedule {
                 key.into(),
                 ann_to_arg(&value_copy),
             ],
-        ))
+        ));
+        Ok(())
     }
 }
 

@@ -149,7 +149,7 @@ impl Schedule {
                 block.name().into(),
                 loop_ref.var().name().to_string().into(),
             ],
-        ))?;
+        ));
         self.get_block(&init_name)
     }
 }
@@ -311,7 +311,8 @@ impl Schedule {
         self.record(TraceStep::new(
             "merge_reduction",
             vec![init_block.name().into(), update_block.name().into()],
-        ))
+        ));
+        Ok(())
     }
 }
 

@@ -62,7 +62,8 @@ pub enum ScheduleError {
     LoopNotFound(String),
     /// The primitive's preconditions were not met.
     Precondition(String),
-    /// The transformed program failed validation.
+    /// The program failed the analyzer: returned by [`Schedule::verify`]
+    /// and by a sketch's final validation, never by a primitive.
     Invalid(String),
 }
 
@@ -107,17 +108,6 @@ pub(crate) fn precondition<T>(msg: impl Into<String>) -> Result<T> {
 pub struct Schedule {
     pub(crate) func: PrimFunc,
     pub(crate) trace: Trace,
-    /// When set, every primitive re-runs the whole-program analyzer
-    /// ([`tir_analysis::analyze`]) after applying itself, rolls back, and
-    /// returns [`ScheduleError::Invalid`] if the transformed program fails.
-    /// Defaults to on in debug builds (so the test suite exercises it) and
-    /// off in release builds (opt in with [`Schedule::set_auto_verify`]).
-    auto_verify: bool,
-    /// Body snapshot taken before the first structural rewrite since the
-    /// last committed primitive, and only while auto-verify is on: its one
-    /// reader is the roll-back in [`Schedule::record`]. Holding it keeps
-    /// the pre-primitive tree shared, so the rewrite works on a copy.
-    undo: Option<Arc<Stmt>>,
 }
 
 impl Schedule {
@@ -126,13 +116,13 @@ impl Schedule {
         Schedule {
             func,
             trace: Trace::default(),
-            auto_verify: cfg!(debug_assertions),
-            undo: None,
         }
     }
 
-    /// Re-runs the static analyzer (structural validation, bounds, race and
-    /// memory-scope checks) on the current program.
+    /// Runs the static analyzer (structural validation, bounds, race and
+    /// memory-scope checks) on the current program. Primitives check only
+    /// their own preconditions; this is the one way to ask whether the
+    /// whole schedule is legal.
     ///
     /// # Errors
     ///
@@ -148,39 +138,29 @@ impl Schedule {
         }
     }
 
-    /// Whether primitives automatically re-verify the program (see
-    /// [`Schedule::verify`]).
-    pub fn auto_verify(&self) -> bool {
-        self.auto_verify
-    }
-
-    /// Turns the after-every-primitive analyzer gate on or off. Tests that
-    /// deliberately build illegal schedules (to exercise downstream
-    /// validation) turn it off; release users can turn it on to debug a
-    /// schedule pipeline.
+    /// Kept only because `benchmark/` calls it with `false`, which does
+    /// nothing: primitives never run the analyzer. Use
+    /// [`Schedule::verify`] for its verdict.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `on` is `true`.
     pub fn set_auto_verify(&mut self, on: bool) {
-        self.auto_verify = on;
+        assert!(!on, "primitives do not verify; call Schedule::verify");
     }
 
     /// Runs one in-place rewrite of the body; `rewrite` reports whether it
     /// changed anything (it must leave the body untouched when it reports
     /// `false`). Primitives check every precondition on a borrow first and
     /// only then commit through here, so there is nothing to restore on
-    /// their error paths. The one exception is an auto-verify rejection,
-    /// which is only known after the fact: with auto-verify on, the first
-    /// rewrite of a primitive snapshots the body for [`Schedule::record`].
+    /// their error paths.
     ///
     /// Function bodies are shared between clones ([`PrimFunc::body`]); this
     /// is where a schedule un-shares its own: the first rewrite after a
-    /// `clone` (or after a snapshot) copies the tree, later ones find it
-    /// unique and write in place.
+    /// `clone` copies the tree, later ones find it unique and write in
+    /// place.
     pub(crate) fn mutate_body(&mut self, rewrite: impl FnOnce(&mut Stmt) -> bool) -> bool {
-        let snapshot = (self.auto_verify && self.undo.is_none()).then(|| self.func.body.clone());
-        let changed = rewrite(Arc::make_mut(&mut self.func.body));
-        if changed && snapshot.is_some() {
-            self.undo = snapshot;
-        }
-        changed
+        rewrite(Arc::make_mut(&mut self.func.body))
     }
 
     /// The current program.
@@ -198,24 +178,9 @@ impl Schedule {
         &self.trace
     }
 
-    /// Commits a successful primitive: pushes its trace step and, when
-    /// auto-verify is on, re-runs the analyzer on the transformed program.
-    /// A rejection pops the step, restores the pre-primitive body, and
-    /// surfaces as [`ScheduleError::Invalid`].
-    pub(crate) fn record(&mut self, step: TraceStep) -> Result<()> {
+    /// Commits a successful primitive: pushes its trace step.
+    pub(crate) fn record(&mut self, step: TraceStep) {
         self.trace.push(step);
-        if self.auto_verify {
-            if let Err(e) = self.verify() {
-                let len = self.trace.len();
-                self.trace.truncate(len - 1);
-                if let Some(body) = self.undo.take() {
-                    self.func.body = body;
-                }
-                return Err(e);
-            }
-        }
-        self.undo = None;
-        Ok(())
     }
 
     /// Looks up a block by name.
@@ -452,7 +417,8 @@ impl Schedule {
                 key.into(),
                 crate::loop_transform::ann_to_arg(&value_copy),
             ],
-        ))
+        ));
+        Ok(())
     }
 
     /// Finds a loop reference by its variable's *name* (first match in a
@@ -595,35 +561,6 @@ mod in_place_tests {
         sch.rewrite_loop(&loops[2], |_| Stmt::Seq(vec![]))
             .expect("rewrite");
         assert_eq!(format!("{:?}", root_body(&sch)), format!("{:?}", n[1]));
-    }
-
-    /// The undo snapshot exists only while auto-verify is on, is taken once
-    /// per primitive, and never for a rewrite that found nothing.
-    #[test]
-    fn undo_snapshot_only_under_auto_verify() {
-        let (n, loops) = nests(2);
-        let (_, ghost) = nests(1);
-        let mut sch = Schedule::new(PrimFunc::new("f", vec![], Stmt::seq(n)));
-
-        sch.set_auto_verify(false);
-        sch.rewrite_loop(&loops[0], |f| Stmt::For(Box::new(f)))
-            .expect("rewrite");
-        assert!(sch.undo.is_none(), "no snapshot with the gate off");
-
-        sch.set_auto_verify(true);
-        assert!(sch.rewrite_loop(&ghost[0], |_| Stmt::Seq(vec![])).is_err());
-        assert!(sch.undo.is_none(), "no snapshot for a missing target");
-        let before = sch.func().to_string();
-        sch.rewrite_loop(&loops[0], |f| Stmt::For(Box::new(f)))
-            .expect("rewrite");
-        sch.rewrite_loop(&loops[1], |_| Stmt::Seq(vec![]))
-            .expect("second rewrite of the same primitive");
-        let snapshot = sch.undo.as_ref().expect("snapshot under the gate");
-        let mut restored = sch.func().clone();
-        restored.body = snapshot.clone();
-        assert_eq!(restored.to_string(), before, "the first snapshot wins");
-        sch.record(TraceStep::new("test", vec![])).expect("record");
-        assert!(sch.undo.is_none(), "a committed primitive drops it");
     }
 }
 

@@ -104,11 +104,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
     }
-
-    /// Drops steps beyond `len` (transaction rollback).
-    pub(crate) fn truncate(&mut self, len: usize) {
-        self.steps.truncate(len);
-    }
 }
 
 impl fmt::Display for Trace {

@@ -235,7 +235,8 @@ struct Job {
     func: PrimFunc,
     trials: usize,
     rid: u64,
-    background: bool,
+    /// The record a background (budget-upgrade) re-tune starts from;
+    /// `None` for a cold tune.
     warm: Option<WarmStart>,
     enqueued_at: Instant,
     done: Mutex<Option<Result<Tuned, String>>>,
@@ -844,7 +845,6 @@ fn handle_tune(
                     func,
                     trials,
                     rid,
-                    background: false,
                     warm: None,
                     enqueued_at: Instant::now(),
                     done: Mutex::new(None),
@@ -937,7 +937,6 @@ fn enqueue_background(
         func: func.clone(),
         trials,
         rid,
-        background: true,
         warm: Some(warm),
         enqueued_at: Instant::now(),
         done: Mutex::new(None),
@@ -1023,7 +1022,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 }
             },
         };
-        if job.background {
+        if job.warm.is_some() {
             shared.collector.count("serve.background_done", 1);
         }
         unpoisoned(shared.inflight.lock()).remove(&job.key());
@@ -1146,7 +1145,6 @@ mod tests {
                 func: tir::builder::matmul_func("m", 16, 16, 16, tir::DataType::float32()),
                 trials: 1,
                 rid: seq,
-                background: false,
                 warm: None,
                 enqueued_at: Instant::now(),
                 done: Mutex::new(None),

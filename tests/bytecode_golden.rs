@@ -62,14 +62,11 @@ fn programs() -> &'static [(String, PrimFunc)] {
         for (n, (func, _)) in corpus::workload_families().into_iter().enumerate() {
             out.push((format!("family {n} {}", func.name), func));
         }
-        for (case, func) in corpus::random_pipelines(112, false).into_iter().enumerate() {
+        for (case, func) in corpus::random_pipelines(112).into_iter().enumerate() {
             out.push((format!("variant {case}"), func));
         }
         for (v, func) in corpus::gpu_pipelines().into_iter().enumerate() {
             out.push((format!("gpu variant {v}"), func));
-        }
-        for (case, func) in corpus::random_pipelines(96, true).into_iter().enumerate() {
-            out.push((format!("legal pipeline {case}"), func));
         }
         for (label, func, _) in corpus::illegal_mutants() {
             out.push((format!("mutant {label}"), func));

@@ -60,19 +60,19 @@ pub fn workload_families() -> Vec<(PrimFunc, u64)> {
 
 /// `count` seeded random schedule pipelines over an 8³ matmul
 /// (alternating f32 / f16): split / fuse / reorder / parallel / unroll,
-/// the transform mix of `schedule_semantics.rs`. With `gate_off` the
-/// auto-verify gate is off in every build profile and a primitive the
-/// analyzer would reject is kept, so the analyzer — not the gate — is what
-/// a suite tests. Inputs of case `c` are seeded `0xace + c`.
-pub fn random_pipelines(count: u64, gate_off: bool) -> Vec<PrimFunc> {
-    (random_pipeline_schedules(count, gate_off).into_iter())
+/// the transform mix of `schedule_semantics.rs`. A case is a prefix of any
+/// longer set's. None of the first 112 is illegal: every one passes the
+/// analyzer, and the illegal programs are [`illegal_mutants`]. Inputs of
+/// case `c` are seeded `0xace + c`.
+pub fn random_pipelines(count: u64) -> Vec<PrimFunc> {
+    (random_pipeline_schedules(count).into_iter())
         .map(Schedule::into_func)
         .collect()
 }
 
 /// The schedules behind [`random_pipelines`], each with the trace of the
 /// steps that applied (a step the program refused left no mark).
-pub fn random_pipeline_schedules(count: u64, gate_off: bool) -> Vec<Schedule> {
+pub fn random_pipeline_schedules(count: u64) -> Vec<Schedule> {
     let n = 8i64;
     let mut rng = StdRng::seed_from_u64(0x5eed);
     (0..count)
@@ -83,9 +83,6 @@ pub fn random_pipeline_schedules(count: u64, gate_off: bool) -> Vec<Schedule> {
                 DataType::float16()
             };
             let mut sch = Schedule::new(matmul_func("mm", n, n, n, dt));
-            if gate_off {
-                sch.set_auto_verify(false);
-            }
             let block = sch.get_block("C").unwrap();
             let len = rng.random_range(1usize..6);
             let ops: Vec<u8> = (0..len).map(|_| rng.random_range(0u8..5)).collect();
@@ -188,14 +185,13 @@ fn shift_first_store_index(s: &mut Stmt) -> bool {
 
 /// Nine deliberately-illegal mutants of an n³ matmul, n ∈ {4, 8, 16}: the
 /// reduction loop flipped to `Parallel`, bound to `threadIdx.x`, and the
-/// store index shifted out of range — built with the auto-verify gate off
-/// or by raw IR surgery. Inputs of size index `m` are seeded `0xbad + m`.
+/// store index shifted out of range — built with the primitives, which
+/// leave legality to the analyzer, or by raw IR surgery. Inputs of size index `m` are seeded `0xbad + m`.
 pub fn illegal_mutants() -> Vec<(String, PrimFunc, u64)> {
     let mut out = Vec::new();
     for (m, n) in [4i64, 8, 16].into_iter().enumerate() {
         for family in 0..3u8 {
             let mut sch = Schedule::new(matmul_func("mm", n, n, n, DataType::float32()));
-            sch.set_auto_verify(false);
             let block = sch.get_block("C").unwrap();
             let loops = sch.get_loops(&block).unwrap();
             let mut func;

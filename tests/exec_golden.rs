@@ -565,11 +565,8 @@ fn cases() -> Vec<Case> {
     for (n, (func, seed)) in corpus::workload_families().into_iter().enumerate() {
         out.push(case(format!("family {n} {}", func.name), func, seed));
     }
-    for (c, func) in (0u64..).zip(corpus::random_pipelines(112, false)) {
+    for (c, func) in (0u64..).zip(corpus::random_pipelines(112)) {
         out.push(case(format!("random pipeline {c}"), func, 0xace + c));
-    }
-    for (c, func) in (0u64..).zip(corpus::random_pipelines(96, true)) {
-        out.push(case(format!("ungated pipeline {c}"), func, 0xace + c));
     }
     for (v, func) in (0u64..).zip(corpus::gpu_pipelines()) {
         out.push(case(format!("gpu pipeline {v}"), func, 0xca0 + v));

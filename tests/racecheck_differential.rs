@@ -18,9 +18,8 @@
 //! The corpus: seeded random legal schedule pipelines over a matmul
 //! (mirroring `vm_differential.rs`), plus deliberately-illegal mutants
 //! (reduction loops flipped to `Parallel` / bound to `threadIdx`, store
-//! indices shifted out of range) built with the schedule auto-verify gate
-//! off or by raw IR surgery, so the analyzer — not the gate — is what's
-//! under test.
+//! indices shifted out of range) built with the schedule primitives, which
+//! check only their own preconditions, or by raw IR surgery.
 //!
 //! The last test closes the loop with the auto-tuner: a sketch family
 //! whose every candidate races is quarantined through
@@ -56,13 +55,12 @@ fn is_conviction(e: &ExecError) -> bool {
     matches!(e, ExecError::DataRace(_) | ExecError::OutOfBounds(_))
 }
 
-/// Random legal pipelines (the `vm_differential.rs` transform mix) with
-/// the auto-verify gate off, so the analyzer is exercised rather than
-/// presupposed: the static and dynamic verdicts must both be "legal".
+/// Random legal pipelines (the `vm_differential.rs` transform mix): the
+/// static and dynamic verdicts must both be "legal".
 #[test]
 fn legal_corpus_has_no_false_positives() {
     let mut false_positives: Vec<(u64, String)> = Vec::new();
-    for (case, func) in (0u64..).zip(corpus::random_pipelines(96, true)) {
+    for (case, func) in (0u64..).zip(corpus::random_pipelines(112)) {
         let diags = static_diagnostics(&func);
         let dynamic = sanitize(&func, 0xace + case);
         if let Err(e) = &dynamic {

@@ -58,14 +58,11 @@ fn optimizer_never_changes_a_sanitizer_verdict() {
     for (func, seed) in corpus::workload_families() {
         convicted += same_verdict(&func.name, &func, seed) as usize;
     }
-    for (case, func) in (0u64..).zip(corpus::random_pipelines(112, false)) {
+    for (case, func) in (0u64..).zip(corpus::random_pipelines(112)) {
         convicted += same_verdict(&format!("variant {case}"), &func, 0xace + case) as usize;
     }
     for (v, func) in (0u64..).zip(corpus::gpu_pipelines()) {
         convicted += same_verdict(&format!("gpu variant {v}"), &func, 0xca0 + v) as usize;
-    }
-    for (case, func) in (0u64..).zip(corpus::random_pipelines(96, true)) {
-        convicted += same_verdict(&format!("legal pipeline {case}"), &func, 0xace + case) as usize;
     }
     assert_eq!(convicted, 0, "a legal program was convicted");
     for (label, func, seed) in &corpus::illegal_mutants() {
@@ -82,7 +79,6 @@ fn optimizer_never_changes_a_sanitizer_verdict() {
 #[test]
 fn race_in_a_forwarded_nest_is_convicted_on_both() {
     let mut sch = Schedule::new(matmul_func("mm", 8, 8, 8, DataType::float32()));
-    sch.set_auto_verify(false);
     let block = sch.get_block("C").unwrap();
     let loops = sch.get_loops(&block).unwrap();
     let k = sch.split(&loops[2], &[2, -1]).unwrap();

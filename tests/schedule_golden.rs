@@ -310,7 +310,7 @@ fn pipeline_origin(scheduled: &PrimFunc) -> PrimFunc {
 /// The pipelines of `tests/corpus` whose every step is replayed, with the
 /// label of each.
 fn pipelines() -> Vec<(String, Schedule)> {
-    let random = (corpus::random_pipeline_schedules(48, true).into_iter())
+    let random = (corpus::random_pipeline_schedules(48).into_iter())
         .enumerate()
         .map(|(case, sch)| (format!("random pipeline {case}"), sch));
     let gpu = (corpus::gpu_pipeline_schedules().into_iter())
@@ -689,9 +689,9 @@ fn nests_where_the_descents_disagreed(func: &PrimFunc) -> bool {
     shape.found
 }
 
-/// Runs `call` on a copy of `base` with the analyzer gate off and, when it
-/// succeeds, once more with the gate on; returns the golden outcome and the
-/// scheduled copy. An `Err` must leave the copy as `base` was.
+/// Runs `call` on a copy of `base` and, when it succeeds, asks the analyzer
+/// about the result; returns the golden outcome and the scheduled copy. An
+/// `Err` must leave the copy as `base` was.
 fn outcome(
     program: &Program,
     base: &Schedule,
@@ -699,7 +699,6 @@ fn outcome(
     call: &Call,
 ) -> (String, Option<Schedule>) {
     let mut sch = base.clone();
-    sch.set_auto_verify(false);
     let text = match call(&mut sch) {
         Err(e) => {
             assert!(
@@ -723,22 +722,16 @@ fn outcome(
         "{}: a primitive built a loop or block inside an init, or a block below an if:\n{text}",
         program.label
     );
+    assert_eq!(
+        sch.trace().len(),
+        before.2 + 1,
+        "{}: a call is one primitive",
+        program.label
+    );
     let hashes = (fnv1a(text.bytes()), fnv1a(sch.trace().to_string().bytes()));
-    let mut gated = base.clone();
-    gated.set_auto_verify(true);
-    let verdict = match call(&mut gated) {
-        Ok(()) => {
-            assert_eq!(gated.func().to_string(), text, "{}", program.label);
-            "valid".to_string()
-        }
-        Err(e) => {
-            assert!(
-                state(&gated) == *before,
-                "{}: rejected with `{e}` but not rolled back",
-                program.label
-            );
-            format!("invalid {:016x}", fnv1a(e.to_string().bytes()))
-        }
+    let verdict = match sch.verify() {
+        Ok(()) => "valid".to_string(),
+        Err(e) => format!("invalid {:016x}", fnv1a(e.to_string().bytes())),
     };
     let line = format!("ok {:016x} {:016x} {verdict}", hashes.0, hashes.1);
     (line, Some(sch))
@@ -749,7 +742,6 @@ fn golden_text() -> String {
     for (label, recorded) in pipelines() {
         out.push_str(&format!("== every step of {label}\n"));
         let mut sch = Schedule::new(pipeline_origin(recorded.func()));
-        sch.set_auto_verify(false);
         for step in recorded.trace().steps() {
             sch.apply_trace_step(step).expect("a recorded step replays");
             assert_eq!(well_formed(sch.func()), Ok(()), "{label}: {step}");
@@ -819,9 +811,7 @@ fn only_seam_programs_nest_where_the_descents_disagreed() {
     for (n, (func, _)) in corpus::workload_families().into_iter().enumerate() {
         programs.push((format!("family {n}"), func));
     }
-    let pipelines = (corpus::random_pipelines(112, false).into_iter())
-        .chain(corpus::random_pipelines(96, true))
-        .chain(corpus::gpu_pipelines());
+    let pipelines = (corpus::random_pipelines(112).into_iter()).chain(corpus::gpu_pipelines());
     for (n, func) in pipelines.enumerate() {
         programs.push((format!("pipeline {n}"), func));
     }
@@ -885,7 +875,7 @@ fn children_agree_with_the_default_walk_and_find_stops_at_its_match() {
     let mut funcs: Vec<PrimFunc> = (programs().into_iter())
         .map(|p| p.base.into_func())
         .collect();
-    funcs.extend(corpus::random_pipelines(112, false));
+    funcs.extend(corpus::random_pipelines(112));
     funcs.extend(corpus::gpu_pipelines());
     funcs.extend(corpus::illegal_mutants().into_iter().map(|(_, f, _)| f));
     let mut statements = 0;

@@ -104,7 +104,7 @@ fn bench_suite_fuel_parity() {
 /// f16), mirroring the transform mix of `schedule_semantics.rs`.
 #[test]
 fn random_scheduled_variants_bit_exact() {
-    for (case, func) in corpus::random_pipelines(112, false).iter().enumerate() {
+    for (case, func) in corpus::random_pipelines(112).iter().enumerate() {
         backends_agree(func, 0xace + case as u64);
     }
 }
