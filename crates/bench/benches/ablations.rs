@@ -1,43 +1,27 @@
 //! Ablation studies for the design choices DESIGN.md §4 calls out:
 //!
-//! 1. data movement as first-class citizen (AutoCopy/shared staging vs the
-//!    AMOS-style fixed copies);
 //! 2. validation filtering inside evolutionary search (wasted measurement
 //!    budget without it);
-//! 3. the learned cost model (sample efficiency vs unranked measurement).
+//! 3. the learned cost model (ranking accuracy on held-out candidates);
+//! 4. the tuning database (a second compile of a model costs no search).
+//!
+//! Ablation 1, data movement as a first-class citizen (AutoCopy shared
+//! staging vs AMOS-style fixed copies), is the `vs_amos` column of Fig. 10
+//! in `paper_claims`: the same tunes, so it is not run twice.
 
-use tensorir_bench::{fmt_ms, print_table, registry};
+use tensorir_bench::{fmt_ms, print_table};
 use tir::DataType;
 use tir_autoschedule::sketch_gpu::GpuTensorSketch;
 use tir_autoschedule::{tune_with, SimMeasurer, Strategy, TuneOptions};
 use tir_exec::machine::Machine;
+use tir_tensorize::builtin_registry;
 use tir_workloads::{bench_suite, OpKind};
 
 fn main() {
     let machine = Machine::sim_gpu();
-    let intrins = registry();
+    let intrins = builtin_registry();
 
-    // --- Ablation 1: first-class data movement ---------------------------
     let suite = bench_suite(DataType::float16());
-    let mut rows = Vec::new();
-    for case in suite
-        .iter()
-        .filter(|c| matches!(c.kind, OpKind::GMM | OpKind::C2D | OpKind::C3D))
-    {
-        let staged = tensorir_bench::tune_case(case, &machine, &intrins, Strategy::TensorIr, 48);
-        let fixed = tensorir_bench::tune_case(case, &machine, &intrins, Strategy::Amos, 48);
-        rows.push(vec![
-            case.kind.label().to_string(),
-            fmt_ms(staged.best_time),
-            fmt_ms(fixed.best_time),
-            format!("{:.2}x", fixed.best_time / staged.best_time),
-        ]);
-    }
-    print_table(
-        "Ablation 1: AutoCopy shared-memory staging vs fixed data movement",
-        &["op", "staged (ms)", "fixed copies (ms)", "staging gain"],
-        &rows,
-    );
 
     // --- Ablation 2: validation filtering --------------------------------
     let func = tir::builder::matmul_func("mm", 512, 512, 512, DataType::float16());

@@ -12,17 +12,18 @@
 //! quarantined (first failure pays, structurally identical re-proposals
 //! are skipped for free).
 
-use tensorir_bench::{print_table, registry};
+use tensorir_bench::print_table;
 use tir_autoschedule::{
     build_sketches, tune_with, tune_workload, FaultInjector, FaultPlan, SketchRule, Strategy,
     TuneOptions,
 };
 use tir_exec::machine::Machine;
+use tir_tensorize::builtin_registry;
 use tir_workloads::{bench_suite, OpKind};
 
 fn main() {
     let machine = Machine::sim_gpu();
-    let intrins = registry();
+    let intrins = builtin_registry();
     let suite = bench_suite(tir::DataType::float16());
     let opts = TuneOptions {
         trials: 96,

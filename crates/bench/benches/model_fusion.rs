@@ -15,11 +15,12 @@
 
 use std::process::ExitCode;
 
-use tensorir_bench::{fmt_ms, print_table, registry, E2E_TRIALS};
+use tensorir_bench::{fmt_ms, print_table, E2E_TRIALS};
 use tir::DataType;
 use tir_autoschedule::{Strategy, TuneOptions};
 use tir_exec::Machine;
 use tir_graph::{bert_large, evaluate_model, evaluate_model_unfused, resnet50};
+use tir_tensorize::builtin_registry;
 use tir_trace::json::{self, Layout};
 
 struct Row {
@@ -36,7 +37,7 @@ struct Row {
 fn main() -> ExitCode {
     let check = std::env::args().any(|a| a == "--check");
     let machine = Machine::sim_gpu();
-    let intrins = registry();
+    let intrins = builtin_registry();
     let opts = TuneOptions {
         trials: E2E_TRIALS,
         ..Default::default()

@@ -33,12 +33,12 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use tensorir_bench::{print_table, registry};
+use tensorir_bench::print_table;
 use tir::DataType;
 use tir_autoschedule::{tune_workload, Strategy, TuneOptions};
 use tir_exec::machine::Machine;
 use tir_exec::TimeBreakdown;
-use tir_tensorize::IntrinRegistry;
+use tir_tensorize::{builtin_registry, IntrinRegistry};
 use tir_trace::json::{self, JsonWriter, Layout};
 use tir_workloads::{bench_suite, BenchCase, OpKind};
 
@@ -220,7 +220,7 @@ fn document(curves: &[Curve]) -> String {
 
 fn main() -> ExitCode {
     let check = std::env::args().any(|a| a == "--check");
-    let intrins = registry();
+    let intrins = builtin_registry();
     let measured = curves(&intrins, 1);
     let rows: Vec<Vec<String>> = measured.iter().map(Curve::cells).collect();
     print_table(

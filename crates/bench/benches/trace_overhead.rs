@@ -11,10 +11,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use tensorir_bench::{print_table, registry};
+use tensorir_bench::print_table;
 use tir::DataType;
 use tir_autoschedule::{tune_workload, Strategy, TuneOptions};
 use tir_exec::Machine;
+use tir_tensorize::builtin_registry;
 use tir_trace::Collector;
 use tir_workloads::ops;
 
@@ -24,7 +25,7 @@ const ROUNDS: usize = 3;
 fn run_once(trace: Option<Arc<Collector>>) -> f64 {
     let func = ops::gmm(128, 128, 128, DataType::float16(), DataType::float32());
     let machine = Machine::sim_gpu();
-    let intrins = registry();
+    let intrins = builtin_registry();
     let opts = TuneOptions {
         trials: 32,
         num_threads: 1,

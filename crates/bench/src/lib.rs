@@ -1,38 +1,21 @@
-//! Shared harness utilities for the figure/table reproduction benches.
+//! Shared harness utilities for the benches.
 //!
-//! Every `benches/figNN_*.rs` target is a custom-harness binary that runs
-//! the corresponding experiment on the simulated machines and prints the
-//! same rows/series the paper's figure reports. Absolute numbers come from
-//! the analytic simulator (DESIGN.md §1); the claims under reproduction
-//! are the *relative* ones — who wins, by roughly what factor, and where
-//! the crossovers fall.
+//! `benches/paper_claims.rs` runs the paper's evaluation (Figs. 10–14 and
+//! Table 1) on the simulated machines and checks each of its claims as a
+//! [`Claim`]. Absolute numbers come from the analytic simulator
+//! (DESIGN.md §1); the claims under reproduction are the *relative* ones:
+//! who wins, by roughly what factor, and where the crossovers fall.
 
 pub mod alloc_count;
 
-use tir_autoschedule::{oracle_time, tune_workload, Strategy, TuneOptions, TuneResult};
+use std::fmt;
+
+use tir_autoschedule::oracle_time;
 use tir_exec::machine::Machine;
-use tir_tensorize::{builtin_registry, IntrinRegistry};
 use tir_workloads::{BenchCase, OpKind};
 
-/// Default measurement budget for single-operator tuning.
-pub const SINGLE_OP_TRIALS: usize = 48;
 /// Default measurement budget per layer for end-to-end tuning.
 pub const E2E_TRIALS: usize = 16;
-
-/// Tunes one benchmark case under a strategy.
-pub fn tune_case(
-    case: &BenchCase,
-    machine: &Machine,
-    intrins: &IntrinRegistry,
-    strategy: Strategy,
-    trials: usize,
-) -> TuneResult {
-    let opts = TuneOptions {
-        trials,
-        ..Default::default()
-    };
-    tune_workload(&case.func, machine, intrins, strategy, &opts)
-}
 
 /// Vendor-library efficiency for a single operator: fraction of the tensor
 /// peak the library's hand-written kernel reaches, `None` = unsupported.
@@ -74,14 +57,6 @@ pub fn vendor_case_time(
     Some(oracle_time(case.macs as f64, min_bytes, peak, eff, machine))
 }
 
-/// Geometric mean of positive values.
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
-}
-
 /// Prints a fixed-width table with a title line.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
@@ -115,33 +90,75 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Formats a relative-speedup cell (e.g. `3.42x`), or `n/a`.
-pub fn fmt_speedup(v: Option<f64>) -> String {
-    match v {
-        Some(v) if v.is_finite() => format!("{v:.2}x"),
-        _ => "n/a".to_string(),
-    }
-}
-
 /// Formats seconds as milliseconds with 3 decimals.
 pub fn fmt_ms(t: f64) -> String {
     format!("{:.3}", t * 1e3)
 }
 
-/// The default intrinsic registry used by every experiment.
-pub fn registry() -> IntrinRegistry {
-    builtin_registry()
+/// The verdict a paper claim is expected to reach on this tree.
+#[derive(Clone, Copy, Debug)]
+pub enum Expect {
+    /// Every measured value lies in the paper's band.
+    Holds,
+    /// Some value lies outside it, for the stated reason.
+    Deviation(&'static str),
+}
+
+/// One claim of the paper's evaluation: the figure cells it reads, the
+/// band the paper gives, and the verdict expected. A value is compared
+/// unrounded against the closed band `[lo, hi]` (`hi` infinite: no upper
+/// end); an unsupported cell is NaN and lies in no band.
+#[derive(Debug)]
+pub struct Claim {
+    pub id: &'static str,
+    pub band: (f64, f64),
+    pub measured: Vec<f64>,
+    pub expect: Expect,
+}
+
+impl Claim {
+    /// Whether every measured value lies in the band.
+    pub fn holds(&self) -> bool {
+        let (lo, hi) = self.band;
+        self.measured.iter().all(|v| lo <= *v && *v <= hi)
+    }
+
+    /// Why the measured verdict is not the expected one; `None` if it is.
+    pub fn flipped(&self) -> Option<String> {
+        match (self.expect, self.holds()) {
+            (Expect::Holds, false) => Some(format!("expected to hold: {self}")),
+            (Expect::Deviation(_), true) => Some(format!("expected a deviation: {self}")),
+            _ => None,
+        }
+    }
+}
+
+/// `<id> <measured> in [lo, hi]: <verdict>`; several values print as
+/// their range.
+impl fmt::Display for Claim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let values = self.measured.iter().copied();
+        let (min, max) = (
+            values.clone().fold(f64::INFINITY, f64::min),
+            values.fold(f64::NEG_INFINITY, f64::max),
+        );
+        let measured = match self.measured.len() {
+            1 => format!("{min:.3}"),
+            _ => format!("{min:.3}..{max:.3}"),
+        };
+        let verdict = match (self.holds(), self.expect) {
+            (true, _) => "holds".to_string(),
+            (false, Expect::Deviation(why)) => format!("deviation: {why}"),
+            (false, Expect::Holds) => "deviation".to_string(),
+        };
+        let (lo, hi) = self.band;
+        write!(f, "{} {measured} in [{lo}, {hi}]: {verdict}", self.id)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn geomean_basics() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-    }
 
     #[test]
     fn vendor_support_matrix() {
@@ -153,9 +170,39 @@ mod tests {
         assert!(vendor_efficiency("ArmComputeLib", OpKind::T2D).is_none());
     }
 
+    fn claim(measured: f64, expect: Expect) -> Claim {
+        Claim {
+            id: "test",
+            band: (0.85, 1.05),
+            measured: vec![0.9, measured],
+            expect,
+        }
+    }
+
     #[test]
-    fn speedup_formatting() {
-        assert_eq!(fmt_speedup(Some(2.0)), "2.00x");
-        assert_eq!(fmt_speedup(None), "n/a");
+    fn an_expected_hold_measured_outside_its_band_fails() {
+        // Compared unrounded: 1.0524 prints as "105%" and is still above 1.05.
+        for measured in [1.0524, 0.8, f64::NAN] {
+            let flip = claim(measured, Expect::Holds).flipped();
+            assert!(flip.expect("must fail").contains("expected to hold"));
+        }
+    }
+
+    #[test]
+    fn an_expected_deviation_measured_inside_its_band_fails() {
+        for measured in [0.85, 1.0, 1.05] {
+            let flip = claim(measured, Expect::Deviation("why")).flipped();
+            assert!(flip.expect("must fail").contains("expected a deviation"));
+        }
+    }
+
+    #[test]
+    fn a_claim_whose_verdict_matches_passes() {
+        assert_eq!(claim(1.05, Expect::Holds).flipped(), None);
+        assert_eq!(claim(1.0524, Expect::Deviation("why")).flipped(), None);
+        assert_eq!(
+            claim(1.0524, Expect::Deviation("why")).to_string(),
+            "test 0.900..1.052 in [0.85, 1.05]: deviation: why"
+        );
     }
 }
