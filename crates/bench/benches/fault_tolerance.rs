@@ -129,6 +129,6 @@ fn main() {
     println!(" retried with capped exponential backoff and charged to tuning_cost_s;");
     println!(" the fault draws are a pure function of (seed, candidate, attempt), so");
     println!(" the search trajectory is bit-identical to the fault-free run at every");
-    println!(" thread count. deterministic failures are quarantined by structural");
+    println!(" farm width. deterministic failures are quarantined by structural");
     println!(" hash: zero retries, and re-proposals of a rejected program cost nothing.)");
 }

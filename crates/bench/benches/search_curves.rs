@@ -174,7 +174,7 @@ impl Curve {
     }
 }
 
-/// Every curve, tuned with `num_threads` workers.
+/// Every curve, tuned on a farm of `num_threads` simulated workers.
 fn curves(intrins: &IntrinRegistry, num_threads: usize) -> Vec<Curve> {
     let ceilings = census_ceilings();
     let mut out = Vec::new();

@@ -8,10 +8,9 @@
 //!   (tile sizes, widths) to the search;
 //! * [`search`] — one tune over a workload's sketches, an evolutionary
 //!   search of six stages (propose, materialize, score, select, measure,
-//!   learn) per sketch, with validation filtering, a
-//!   deterministic parallel candidate-evaluation pipeline (on the
-//!   crate-private fork-join helpers of `parallel.rs`), and a
-//!   structural-hash measurement cache;
+//!   learn) per sketch on the caller's thread, with validation filtering,
+//!   a simulated parallel measurement farm, and a structural-hash
+//!   measurement cache;
 //! * [`measure`] — the fallible measurement abstraction: the [`Measurer`]
 //!   backend trait, deterministic fault injection, and the
 //!   retry/backoff/outlier-rejection harness;
@@ -38,7 +37,6 @@ pub mod fault_io;
 pub mod feature;
 pub mod journal;
 pub mod measure;
-mod parallel;
 pub mod search;
 pub mod sketch;
 pub mod sketch_cpu;

@@ -131,8 +131,8 @@ pub struct MeasureCtx {
 /// A measurement backend: the interface between the search and the
 /// (simulated) hardware farm.
 ///
-/// `Send + Sync` so the search can fan measurements out across its worker
-/// pool; implementations must be deterministic functions of
+/// `Send + Sync` so one backend can serve tunes on several threads;
+/// implementations must be deterministic functions of
 /// `(func, machine, ctx)` for tuning runs to stay reproducible.
 pub trait Measurer: Send + Sync {
     /// Measures one candidate once, returning its execution time in
@@ -296,7 +296,7 @@ impl FaultPlan {
 ///
 /// Fault draws depend only on `(plan.seed, ctx.candidate, ctx.attempt)`,
 /// so a tuning run with faults is as reproducible as one without: any
-/// thread count, and a checkpoint/resume split at any generation, replay
+/// farm width, and a checkpoint/resume split at any generation, replay
 /// the identical fault history.
 #[derive(Clone, Debug)]
 pub struct FaultInjector<M> {
@@ -448,13 +448,13 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Where one measurement job writes its per-attempt trace events.
 ///
 /// The harness emits spans keyed by `(stream, generation, slot, attempt)`
-/// into a thread-local [`tir_trace::TraceBuffer`], so the merged report is
-/// deterministic at any thread count: the key is a pure function of the
-/// job's position in the batch, never of scheduling. All span times are
-/// *simulated* farm seconds (the quantities charged to `tuning_cost_s`),
-/// so traces are bit-identical across thread counts too.
+/// into the job's own [`tir_trace::TraceBuffer`], so the merged report is
+/// deterministic: the key is a pure function of the job's position in the
+/// batch, never of scheduling. All span times are *simulated* farm seconds
+/// (the quantities charged to `tuning_cost_s`), so traces are
+/// bit-identical across farm widths too.
 pub struct MeasureTrace<'a, 'c> {
-    /// The per-worker buffer events land in.
+    /// The job's buffer events land in.
     pub buf: &'a mut tir_trace::TraceBuffer<'c>,
     /// Trace stream of the owning search (one per `tune_with` call).
     pub stream: u64,
@@ -544,8 +544,7 @@ pub fn measure_with_retries(
         let ctx = MeasureCtx { candidate, attempt };
         attempt += 1;
         // A panicking measurement must fail this candidate, not abort
-        // the whole generation fan-out: convert the unwind into a
-        // retryable runner crash.
+        // the tune: convert the unwind into a retryable runner crash.
         let outcome = catch_unwind(AssertUnwindSafe(|| measurer.measure(func, machine, &ctx)))
             .unwrap_or_else(|p| Err(MeasureError::RunnerCrash(panic_message(p))));
         match outcome {

@@ -1,5 +1,5 @@
 //! Evolutionary search with a learned cost model, validation filtering
-//! (§4.4), and a parallel candidate-evaluation pipeline.
+//! (§4.4), and a simulated parallel measurement farm.
 //!
 //! The search samples random decision vectors for a sketch, evolves them by
 //! mutation and crossover, ranks unmeasured candidates with the GBDT cost
@@ -51,29 +51,23 @@
 //! are never fitted. The `search.refit` span stays with `learn`, counting
 //! the samples it buffers.
 //!
-//! # Parallel pipeline
+//! # The simulated measurement farm
 //!
-//! Candidate evaluation dominates tuning wall-clock, so every
-//! per-candidate step fans out across a thread pool (`parallel.rs`):
-//! decision sampling/mutation/crossover (`propose`), sketch instantiation
-//! with §3.3 validation, cost summarization and feature extraction
-//! (`materialize`), batched cost-model ranking (`score`), and simulated
-//! measurement (`measure`). The coordinator keeps only the sequential
-//! steps: deduplication, batch selection, accounting, elite maintenance,
-//! and cost-model refits.
+//! One search runs on its caller's thread: every stage is a plain loop in
+//! slot or rank order. What runs in parallel is the *simulated* farm that
+//! `num_threads` describes: each generation's batch of compile+profile
+//! jobs is spread over that many build+measure workers (as real tuners do
+//! with builder/runner pools), and `tuning_cost_s` accumulates the batch
+//! makespans. With one worker, the default, this is the serial sum that
+//! Table 1 reports. The farm's width changes only `tuning_cost_s`: the
+//! search trajectory is a pure function of the other options.
 //!
-//! Parallel runs are bit-for-bit deterministic: each population slot of
-//! each generation draws from its own generator seeded by
-//! `derive_seed(seed, [generation, slot])`, with the sketch's seed and
-//! generation, and all fan-out results are consumed in slot order, so the
-//! search trajectory is a pure function of `TuneOptions` — any thread
-//! count, including 1, replays it exactly.
-//!
-//! `num_threads` also sets the width of the *simulated* measurement farm:
-//! each generation's batch of compile+profile jobs is spread over that
-//! many build+measure workers (as real tuners do with builder/runner
-//! pools), and `tuning_cost_s` accumulates the batch makespans. With one
-//! worker this reduces to the serial sum that Table 1 reports.
+//! Each population slot of each generation draws from its own generator
+//! seeded by `derive_seed(seed, [generation, slot])`, with the sketch's
+//! seed and generation. A slot's proposal is a function of the sketch,
+//! the seed, the generation, the slot and the elites, never of what was
+//! drawn for another slot, so the search trajectory is a pure function of
+//! `TuneOptions` and a checkpoint replay (below) reproduces it.
 //!
 //! # Selection pulls, materialization follows
 //!
@@ -89,11 +83,7 @@
 //! non-quarantined slots. Such a generation materializes the population in
 //! slot order only up to the slot that completes the batch; everything
 //! after it is proposed (and entered in the dedup set) but never built.
-//! The sequential scan defines the semantics: with several workers slots
-//! are built in waves, and whatever a wave evaluated past the sequential
-//! stopping slot is dropped without being counted or traced, so results,
-//! trace reports and checkpoints are identical at every thread count. A
-//! model with a split, and `validate_before_measure: false` (invalid
+//! A model with a split, and `validate_before_measure: false` (invalid
 //! candidates rank first, so every slot matters), build the whole
 //! population. The search trajectory is the same either way; only
 //! `invalid_filtered` — invalid candidates among those *materialized* —
@@ -130,9 +120,11 @@
 //! wrapped in a [`crate::measure::FaultInjector`]) with capped
 //! exponential retry/backoff for transient failures, repeat-until-
 //! agreement outlier rejection for corrupt readings, and `catch_unwind`
-//! isolation so a panicking candidate fails alone. Candidates that fail
-//! *deterministically* (compile rejects) are quarantined by structural
-//! hash and never re-measured. All retry/backoff delay is charged to
+//! isolation so a panicking candidate fails alone. The same guard wraps
+//! each candidate's build and score: a panicking `SketchRule::apply`
+//! makes its candidate invalid, a panicking scorer ranks it neutrally.
+//! Candidates that fail *deterministically* (compile rejects) are
+//! quarantined by structural hash and never re-measured. All retry/backoff delay is charged to
 //! `tuning_cost_s`, preserving the key invariant: under any transient
 //! fault rate the search trajectory — `best`, `history`, every counter
 //! except `tuning_cost_s`/`retries`/`failed_measurements` — is
@@ -150,6 +142,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -166,16 +159,15 @@ use crate::checkpoint::MeasureLog;
 use crate::cost_model::CostModel;
 use crate::feature::features_of_summary;
 use crate::measure::{
-    measure_with_retries, MeasureError, MeasureOutcome, MeasureTrace, Measurer, RetryPolicy,
-    COMPILE_OVERHEAD_S,
+    measure_with_retries, panic_message, MeasureError, MeasureOutcome, MeasureTrace, Measurer,
+    RetryPolicy, COMPILE_OVERHEAD_S,
 };
-use crate::parallel::{effective_threads, parallel_map, try_parallel_map};
 use crate::sketch::{Decision, SketchRule};
 
 /// The phase spans a traced generation records, in key order: the span of
 /// phase `i` is keyed `Key::coord(stream, generation, i)`. Only
 /// `search.measure` carries simulated seconds — the *serial* sum of the
-/// batch's costs, which is thread-invariant (the thread-dependent makespan
+/// batch's costs, which does not depend on the farm's width (the makespan
 /// stays in `tuning_cost_s`; at one worker the two coincide). The CPU-side
 /// phases carry item counts instead of wall-clock, which would break
 /// byte-identical reports across machines and runs.
@@ -215,8 +207,8 @@ pub struct TuneOptions {
     /// Measurements per generation, taken from the top of the cost-model
     /// ranking (§4.4: the most promising candidates go to hardware).
     pub measure_per_generation: usize,
-    /// RNG seed. The whole search — serial or parallel — is a pure
-    /// function of this seed and the other options.
+    /// RNG seed. The whole search is a pure function of this seed and the
+    /// other options.
     pub seed: u64,
     /// Rank candidates with the learned cost model (vs. measuring in
     /// sample order). No bench turns this off today — ablation 3 of
@@ -227,12 +219,12 @@ pub struct TuneOptions {
     /// when false, invalid candidates consume measurement budget (the
     /// ablation case).
     pub validate_before_measure: bool,
-    /// Worker threads for the candidate-evaluation pipeline, and the
-    /// width of the simulated build+measure farm in the `tuning_cost_s`
-    /// accounting. `0` (the default) uses all available cores; `1` forces
-    /// the serial path. Any value finds the bit-identical best program
-    /// (see the module docs); only the accounted tuning cost shrinks with
-    /// more workers.
+    /// Simulated build+measure workers: the width of the measurement farm
+    /// in the `tuning_cost_s` accounting. `1` (the default) is the paper's
+    /// one-device setup; `0` is read as `1`. The search itself always runs
+    /// on the caller's thread, and any value finds the bit-identical best
+    /// program (see the module docs); only the accounted tuning cost
+    /// shrinks with more workers.
     pub num_threads: usize,
     /// Reuse measurements of structurally identical candidates via the
     /// structural-hash cache. Never changes the search result (the
@@ -269,9 +261,9 @@ pub struct TuneOptions {
     /// phase spans (`search.*`), per-attempt measurement events
     /// (`measure.*`), counters, and roofline attribution. Tracing never
     /// perturbs the search: `best`/`best_time`/`history` are bit-identical
-    /// with tracing on or off, at every thread count, and the merged
-    /// report itself is byte-identical at every thread count (all span
-    /// times are simulated seconds keyed by deterministic positions).
+    /// with tracing on or off, at every farm width, and the report itself
+    /// is byte-identical at every farm width (all span times are simulated
+    /// seconds keyed by deterministic positions).
     pub trace: Option<Arc<Collector>>,
 }
 
@@ -284,7 +276,7 @@ impl Default for TuneOptions {
             seed: 42,
             use_cost_model: true,
             validate_before_measure: true,
-            num_threads: 0,
+            num_threads: 1,
             use_candidate_cache: true,
             retry: RetryPolicy::default(),
             checkpoint_path: None,
@@ -326,9 +318,9 @@ pub struct TuneResult {
     pub wasted_measurements: usize,
     /// Simulated wall-clock cost of tuning: profiling time plus per-trial
     /// compilation overhead (the quantity Table 1 reports). Each batch is
-    /// distributed over `num_threads` build+measure workers, so this is
-    /// the sum of per-generation makespans; at one thread it is the plain
-    /// serial sum. Cache hits contribute nothing — the measurement is
+    /// distributed over `num_threads` simulated build+measure workers, so
+    /// this is the sum of per-generation makespans; at one worker it is the
+    /// plain serial sum. Cache hits contribute nothing — the measurement is
     /// reused, not repeated.
     pub tuning_cost_s: f64,
     /// Best-so-far of the whole tune after each unit of trial budget
@@ -424,7 +416,6 @@ struct Ctx<'a> {
     machine: &'a Machine,
     opts: &'a TuneOptions,
     measurer: &'a dyn Measurer,
-    threads: usize,
     trace: Option<&'a Collector>,
     stream: u64,
 }
@@ -466,7 +457,7 @@ struct SearchState {
     /// Elite pool of (decisions, measured time), in coordinator order.
     elites: Vec<(Vec<Decision>, f64)>,
     /// Structural-hash cache of completed measurements: features and
-    /// time. `materialize` reads it in parallel; `learn` adds to it.
+    /// time. `materialize` reads it; `learn` adds to it.
     cache: HashMap<u64, (Vec<f64>, f64)>,
     /// Structural hashes of deterministically failing candidates.
     quarantine: HashSet<u64>,
@@ -488,10 +479,10 @@ impl SearchState {
 /// `population` or `measure_per_generation`, search nothing and return
 /// [`TuneResult::default`].
 ///
-/// Deterministic for a given `opts`, including across `num_threads`
-/// values. Measurement failures are retried (transient), quarantined
-/// (deterministic), or counted as failed after exhaustion; all simulated
-/// delay lands in `tuning_cost_s`. Under a purely transient fault plan
+/// Deterministic for a given `opts`; `num_threads` changes only
+/// `tuning_cost_s`. Measurement failures are retried (transient),
+/// quarantined (deterministic), or counted as failed after exhaustion; all
+/// simulated delay lands in `tuning_cost_s`. Under a purely transient fault plan
 /// (a [`crate::measure::FaultInjector`]) the returned `best`/`history` are
 /// bit-identical to the fault-free run.
 pub fn tune_with(
@@ -512,7 +503,6 @@ pub fn tune_with(
         return TuneResult::default();
     }
     let trace = opts.trace.as_deref().filter(|c| c.is_enabled());
-    let threads = effective_threads(opts.num_threads);
     let mut result = TuneResult::default();
     // Seed the incumbent from a warm start (stored tuning record). The
     // trajectory is untouched: the incumbent only gates the
@@ -533,15 +523,13 @@ pub fn tune_with(
         if capped(generations) {
             break;
         }
-        // One trace stream per sketch, allocated by the coordinator so
-        // stream ids are deterministic regardless of thread count.
+        // One trace stream per sketch, in sketch order.
         let cx = Ctx {
             sketch,
             seed: opts.seed.wrapping_add(i as u64 * 101),
             machine,
             opts,
             measurer,
-            threads,
             trace,
             stream: trace.map_or(0, |c| c.stream(sketch.name())),
         };
@@ -570,7 +558,7 @@ pub fn tune_with(
             let ranks = model_ready && state.model.has_split();
             let prefix_scan = opts.validate_before_measure && !ranks;
             let stop_at = if prefix_scan { batch_size } else { usize::MAX };
-            let candidates = materialize(&cx, &mut state, &mut result, &population, stop_at);
+            let candidates = materialize(&cx, &state, &mut result, &population, stop_at);
             let scores = score(&cx, &state, &candidates, model_ready);
             let batch = select(&state, &candidates, &scores, batch_size);
             let readings = measure(&cx, &mut state, &batch, log.as_mut());
@@ -588,50 +576,52 @@ pub fn tune_with(
 
 /// Propose: one decision vector per population slot — a crossover of two
 /// elites then a mutation, a mutation of one elite, or a fresh sample —
-/// each from the generator of `(seed, generation, slot)`, so the outcome is
-/// independent of thread interleaving. Deduplicated in slot order against
-/// everything ever proposed; empty once the space is exhausted.
+/// each from the generator of `(seed, generation, slot)`. Deduplicated in
+/// slot order against everything ever proposed; empty once the space is
+/// exhausted.
 fn propose(cx: &Ctx, state: &mut SearchState) -> Vec<Vec<Decision>> {
     let (elites, generation) = (&state.elites, state.generation);
-    let slots: Vec<usize> = (0..cx.opts.population).collect();
-    let proposals = parallel_map(&slots, cx.threads, |_, &slot| {
-        let mut rng = StdRng::seed_from_u64(derive_seed(cx.seed, &[generation, slot as u64]));
-        let elite = |i: usize| &elites[i % elites.len()].0;
-        if elites.len() >= 2 && slot % 2 == 0 {
-            let crossed = cx.sketch.crossover(elite(slot), elite(slot + 1), &mut rng);
-            cx.sketch.mutate(&crossed, &mut rng)
-        } else if !elites.is_empty() && slot % 4 == 1 {
-            cx.sketch.mutate(elite(slot), &mut rng)
-        } else {
-            cx.sketch.sample(&mut rng)
-        }
-    });
-    let population: Vec<Vec<Decision>> = (proposals.into_iter())
+    let population: Vec<Vec<Decision>> = (0..cx.opts.population)
+        .map(|slot| {
+            let mut rng = StdRng::seed_from_u64(derive_seed(cx.seed, &[generation, slot as u64]));
+            let elite = |i: usize| &elites[i % elites.len()].0;
+            if elites.len() >= 2 && slot % 2 == 0 {
+                let crossed = cx.sketch.crossover(elite(slot), elite(slot + 1), &mut rng);
+                cx.sketch.mutate(&crossed, &mut rng)
+            } else if !elites.is_empty() && slot % 4 == 1 {
+                cx.sketch.mutate(elite(slot), &mut rng)
+            } else {
+                cx.sketch.sample(&mut rng)
+            }
+        })
         .filter(|d| state.seen.insert(d.clone()))
         .collect();
     if !population.is_empty() {
-        cx.span(generation, Phase::Evolve, 0.0, slots.len());
+        cx.span(generation, Phase::Evolve, 0.0, cx.opts.population);
         cx.count("search.proposed", population.len() as u64);
     }
     population
 }
 
+/// Runs one candidate's job; a panic fails that candidate alone and
+/// returns the panic's message.
+fn isolated<R>(job: impl FnOnce() -> R) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(job)).map_err(panic_message)
+}
+
 /// Materialize: build, validate, hash and — unless the cache may answer —
 /// summarize and extract features, in slot order until `stop_at`
-/// selectable candidates exist or the population ends. A wave holds as
-/// many slots as are certainly still needed (at least one per worker);
-/// whatever a parallel wave evaluated past the slot a sequential scan stops
-/// at is dropped uncounted, so every thread count sees the same prefix. A
-/// panic while building a candidate makes it invalid. Returns what was
-/// built, without the invalid candidates when validation filters them.
+/// selectable candidates exist or the population ends. A panic while
+/// building a candidate makes it invalid. Returns what was built, without
+/// the invalid candidates when validation filters them.
 fn materialize(
     cx: &Ctx,
-    state: &mut SearchState,
+    state: &SearchState,
     result: &mut TuneResult,
     population: &[Vec<Decision>],
     stop_at: usize,
 ) -> Vec<CandidateEval> {
-    let build = |_: usize, decisions: &Vec<Decision>| {
+    let build = |decisions: &[Decision]| {
         let func = cx.sketch.apply(decisions).ok()?;
         let hash = structural_hash(&func);
         let (features, cached) = match state.cache.get(&hash) {
@@ -647,21 +637,17 @@ fn materialize(
     };
     let mut evals: Vec<CandidateEval> = Vec::new();
     let mut selectable = 0usize;
-    while selectable < stop_at && evals.len() < population.len() {
-        let wave = (stop_at - selectable)
-            .max(cx.threads)
-            .min(population.len() - evals.len());
-        let slots = &population[evals.len()..][..wave];
-        let built = try_parallel_map(slots, cx.threads, build);
-        for (r, decisions) in built.into_iter().zip(slots) {
-            if selectable == stop_at {
-                break;
-            }
-            let (decisions, built) = (decisions.clone(), r.ok().flatten());
-            let eval = CandidateEval { decisions, built };
-            selectable += usize::from(eval.built.is_some() && !state.quarantined(&eval));
-            evals.push(eval);
+    for decisions in population {
+        if selectable == stop_at {
+            break;
         }
+        let built = isolated(|| build(decisions)).ok().flatten();
+        let eval = CandidateEval {
+            decisions: decisions.clone(),
+            built,
+        };
+        selectable += usize::from(eval.built.is_some() && !state.quarantined(&eval));
+        evals.push(eval);
     }
     let built = evals.iter().filter_map(|e| e.built.as_ref());
     let featurized = built.clone().filter(|b| b.cached.is_none()).count();
@@ -677,19 +663,24 @@ fn materialize(
     evals
 }
 
-/// Score: the cost model's prediction for every candidate, in parallel;
-/// 0 for all while the model is not ready. Without the validation filter
-/// an invalid candidate is indistinguishable from a promising one until it
-/// fails on the device, so it scores `f64::MAX / 2` and ranks first. A
-/// panicking scorer ranks its candidate neutrally (0).
+/// Score: the cost model's prediction for every candidate; 0 for all while
+/// the model is not ready. Without the validation filter an invalid
+/// candidate is indistinguishable from a promising one until it fails on
+/// the device, so it scores `f64::MAX / 2` and ranks first. A panicking
+/// scorer ranks its candidate neutrally (0).
 fn score(cx: &Ctx, state: &SearchState, candidates: &[CandidateEval], ready: bool) -> Vec<f64> {
-    let scores = try_parallel_map(candidates, cx.threads, |_, c| match &c.built {
-        Some(b) if ready => state.model.predict(&b.features),
-        Some(_) => 0.0,
-        None => f64::MAX / 2.0,
-    });
+    let scores = (candidates.iter())
+        .map(|c| {
+            isolated(|| match &c.built {
+                Some(b) if ready => state.model.predict(&b.features),
+                Some(_) => 0.0,
+                None => f64::MAX / 2.0,
+            })
+            .unwrap_or(0.0)
+        })
+        .collect();
     cx.span(state.generation, Phase::ModelRank, 0.0, candidates.len());
-    scores.into_iter().map(|r| r.unwrap_or(0.0)).collect()
+    scores
 }
 
 /// Select: the `batch_size` best-scored candidates, skipping quarantined
@@ -710,11 +701,12 @@ fn select<'c>(
 }
 
 /// Measure: every uncached valid member of the batch, in rank order,
-/// through the fault-tolerant harness on the worker farm. With a checkpoint
-/// log, what an earlier run logged for these jobs is replayed rank by rank,
-/// the farm takes over where the log stops, and the log gains the
-/// generation. Returns one reading per batch member: `None` for a cached or
-/// invalid one. Charges the batch makespan to the sketch's `tuning_cost_s`.
+/// through the fault-tolerant harness on the simulated farm. With a
+/// checkpoint log, what an earlier run logged for these jobs is replayed
+/// rank by rank, the farm takes over where the log stops, and the log gains
+/// the generation. Returns one reading per batch member: `None` for a
+/// cached or invalid one. Charges the batch makespan to the sketch's
+/// `tuning_cost_s`.
 fn measure(
     cx: &Ctx,
     state: &mut SearchState,
@@ -726,33 +718,31 @@ fn measure(
         .collect();
     let generation = state.generation;
     // The harness already converts panics into per-candidate RunnerCrash
-    // errors; `try_parallel_map` is the backstop for panics outside it.
+    // errors; `isolated` is the backstop for panics outside it.
+    let job = |rank: usize, b: &Built| {
+        // The trace key is the job's rank in the batch.
+        let mut buf = cx.trace.map(Collector::buffer);
+        let mut mt = buf.as_mut().map(|buf| MeasureTrace {
+            buf,
+            stream: cx.stream,
+            generation,
+            slot: rank as u64,
+        });
+        let retry = &cx.opts.retry;
+        measure_with_retries(cx.measurer, &b.func, cx.machine, b.hash, retry, mt.as_mut())
+    };
     let farm = |from: usize| -> Vec<MeasureOutcome> {
-        try_parallel_map(&jobs[from..], cx.threads, |rank, b| {
-            // The trace key is the job's rank in the batch — a pure
-            // function of the (deterministic) batch order, so the merged
-            // report is byte-identical at any thread count.
-            let mut buf = cx.trace.map(Collector::buffer);
-            let mut mt = buf.as_mut().map(|buf| MeasureTrace {
-                buf,
-                stream: cx.stream,
-                generation,
-                slot: (from + rank) as u64,
-            });
-            let retry = &cx.opts.retry;
-            measure_with_retries(cx.measurer, &b.func, cx.machine, b.hash, retry, mt.as_mut())
-        })
-        .into_iter()
-        .map(|r| {
-            r.unwrap_or_else(|msg| MeasureOutcome {
-                reading: Err(MeasureError::RunnerCrash(format!(
-                    "measurement worker panicked: {msg}"
-                ))),
-                cost_s: COMPILE_OVERHEAD_S,
-                retries: 0,
+        (jobs.iter().enumerate().skip(from))
+            .map(|(rank, b)| {
+                isolated(|| job(rank, b)).unwrap_or_else(|msg| MeasureOutcome {
+                    reading: Err(MeasureError::RunnerCrash(format!(
+                        "measurement panicked outside the harness: {msg}"
+                    ))),
+                    cost_s: COMPILE_OVERHEAD_S,
+                    retries: 0,
+                })
             })
-        })
-        .collect()
+            .collect()
     };
     let outcomes = match log {
         None => farm(0),
@@ -780,7 +770,7 @@ fn measure(
             None => c.built.is_none().then_some(COMPILE_OVERHEAD_S),
         })
         .collect();
-    state.tuning_cost_s += batch_makespan(&costs, cx.threads);
+    state.tuning_cost_s += batch_makespan(&costs, cx.opts.num_threads);
     let serial_s = batch_makespan(&costs, 1);
     cx.span(generation, Phase::Measure, serial_s, costs.len());
     readings
@@ -896,6 +886,8 @@ mod tests {
         assert_eq!(batch_makespan(&[1.0, 1.0, 1.0, 1.0], 4), 1.0);
         assert_eq!(batch_makespan(&[3.0, 1.0, 1.0, 1.0], 2), 3.0);
         assert_eq!(batch_makespan(&[], 4), 0.0);
+        // A farm of zero workers is read as one.
+        assert_eq!(batch_makespan(&[1.0, 2.0], 0), 3.0);
     }
 
     #[test]
@@ -1044,8 +1036,7 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_the_result() {
-        // The headline determinism guarantee of the parallel pipeline: a
-        // fixed seed replays the identical search at any thread count,
+        // A fixed seed replays the identical search at any farm width,
         // down to the bytes of the best program.
         let s = sketch();
         let machine = Machine::sim_gpu();
@@ -1084,6 +1075,66 @@ mod tests {
                 serial.tuning_cost_s
             );
         }
+    }
+
+    #[test]
+    fn a_panicking_apply_fails_its_candidate_alone() {
+        use crate::sketch::DecisionKind;
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        use tir_schedule::ScheduleError;
+
+        /// Refuses every third decision vector (by hash): with a panic, or
+        /// with an error.
+        struct Refusing<'a> {
+            inner: &'a dyn SketchRule,
+            panics: bool,
+        }
+        impl SketchRule for Refusing<'_> {
+            fn name(&self) -> &str {
+                self.inner.name()
+            }
+            fn space(&self) -> Vec<DecisionKind> {
+                self.inner.space()
+            }
+            fn apply(&self, decisions: &[Decision]) -> Result<PrimFunc, ScheduleError> {
+                let mut h = DefaultHasher::new();
+                decisions.hash(&mut h);
+                if h.finish().is_multiple_of(3) {
+                    if self.panics {
+                        panic!("apply exploded");
+                    }
+                    return Err(ScheduleError::Precondition("refused".into()));
+                }
+                self.inner.apply(decisions)
+            }
+        }
+
+        let s = sketch();
+        let machine = Machine::sim_gpu();
+        let opts = TuneOptions {
+            trials: 24,
+            ..Default::default()
+        };
+        let run = |panics: bool| {
+            let sketch = Refusing { inner: &s, panics };
+            tune_with(&[&sketch], &machine, &opts, &SimMeasurer)
+        };
+        let (panicked, refused) = (run(true), run(false));
+        assert!(refused.invalid_filtered > 0, "no decision was refused");
+        assert!(refused.best.is_some());
+        assert_eq!(panicked.invalid_filtered, refused.invalid_filtered);
+        assert_eq!(panicked.trials_measured, refused.trials_measured);
+        assert_eq!(panicked.cache_hits, refused.cache_hits);
+        assert_eq!(panicked.best_time.to_bits(), refused.best_time.to_bits());
+        assert_eq!(
+            panicked.tuning_cost_s.to_bits(),
+            refused.tuning_cost_s.to_bits()
+        );
+        assert_eq!(panicked.history, refused.history);
+        assert_eq!(
+            panicked.best.as_ref().map(|f| f.to_string()),
+            refused.best.as_ref().map(|f| f.to_string())
+        );
     }
 
     #[test]

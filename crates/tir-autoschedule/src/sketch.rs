@@ -111,8 +111,8 @@ pub fn sample_perfect_tile(extent: i64, parts: usize, rng: &mut StdRng) -> Decis
 
 /// A parameterized schedule generator.
 ///
-/// `Send + Sync` so the evolutionary search can share one sketch across
-/// its candidate-evaluation worker threads (see [`crate::search`]);
+/// `Send + Sync` so one sketch can serve tunes on several threads (a
+/// search itself runs on its caller's thread, see [`crate::search`]);
 /// implementations hold immutable structure, so this is free in practice.
 pub trait SketchRule: Send + Sync {
     /// Human-readable sketch name.
@@ -178,8 +178,7 @@ impl<'a> CountingSketch<'a> {
 
     /// `apply` calls so far.
     pub fn applies(&self) -> usize {
-        // `Relaxed`: a statistic, read after the search has joined its
-        // workers.
+        // `Relaxed`: a statistic, read after the search.
         self.applies.load(Ordering::Relaxed)
     }
 }

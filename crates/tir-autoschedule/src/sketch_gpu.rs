@@ -326,8 +326,9 @@ pub struct GpuScalarSketch {
     /// Leaf blocks to schedule, in apply order.
     blocks: Vec<ScalarBlock>,
     /// What builds kept, keyed by a form or one of its prefixes. Two
-    /// workers asking for a new key at once may both build it; the first
-    /// to finish is kept, and the two builds are equal by construction.
+    /// threads sharing the sketch and asking for a new key at once may both
+    /// build it; the first to finish is kept, and the two builds are equal
+    /// by construction.
     memo: Mutex<HashMap<Vec<Decision>, Memo>>,
 }
 
@@ -445,7 +446,7 @@ impl GpuScalarSketch {
         Some(forms.collect())
     }
 
-    /// The memo, also after a worker panicked holding it.
+    /// The memo, also after an `apply` panicked holding it.
     fn memo(&self) -> std::sync::MutexGuard<'_, HashMap<Vec<Decision>, Memo>> {
         self.memo.lock().unwrap_or_else(|e| e.into_inner())
     }

@@ -7,9 +7,9 @@
 //! storage, and the parallelism exposed by thread bindings. See DESIGN.md
 //! §1 for the substitution argument.
 //!
-//! [`Machine`] is immutable plain data (`Send + Sync`), so the
-//! auto-scheduler's parallel candidate-evaluation pipeline shares one
-//! model across all worker threads by reference.
+//! [`Machine`] is immutable plain data (`Send + Sync`), so tunes running
+//! on several threads (the tuning daemon's workers) share one model by
+//! reference.
 
 use std::collections::HashMap;
 

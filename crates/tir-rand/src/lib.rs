@@ -4,9 +4,8 @@
 //! actually uses: seeding from a `u64` and uniform sampling from integer
 //! ranges. Everything in this repository that consumes randomness
 //! (evolutionary search, sketch sampling, property tests) goes through this
-//! crate, so tuning runs are bit-for-bit reproducible from a seed — a hard
-//! requirement for the parallel candidate-evaluation pipeline, whose
-//! per-worker generators are derived from `TuneOptions::seed`.
+//! crate, so tuning runs are bit-for-bit reproducible from a seed: the
+//! search's per-slot generators are derived from `TuneOptions::seed`.
 //!
 //! The generator is xoshiro256** (Blackman & Vigna), seeded through
 //! SplitMix64; both are public-domain algorithms with well-studied
@@ -135,9 +134,9 @@ impl RngExt for rngs::StdRng {
 
 /// Derives an independent child seed from a parent seed and a stream index.
 ///
-/// Used by the parallel search to give every population slot its own
-/// generator: the result only depends on `(seed, indices)`, never on thread
-/// scheduling, so any thread count replays the identical search.
+/// Used by the search to give every population slot its own generator: the
+/// result only depends on `(seed, indices)`, never on what was drawn for
+/// another slot, so a checkpoint replay reproduces the identical search.
 pub fn derive_seed(seed: u64, indices: &[u64]) -> u64 {
     // SplitMix64-style mixing of the seed with each index.
     let mut x = seed ^ 0xA076_1D64_78BD_642F;

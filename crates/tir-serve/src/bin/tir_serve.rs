@@ -48,7 +48,7 @@ fn install_signal_handlers() {
 fn usage() -> ! {
     eprintln!(
         "usage: tir-serve --socket PATH --db PATH [--workers N] [--capacity N] \
-         [--threads N] [--max-payload BYTES] [--seed N] [--trace-out PATH]"
+         [--max-payload BYTES] [--seed N] [--trace-out PATH]"
     );
     std::process::exit(2)
 }
@@ -59,7 +59,6 @@ fn main() -> ExitCode {
     let mut trace_out: Option<String> = None;
     let mut cfg_workers = None;
     let mut cfg_capacity = None;
-    let mut cfg_threads = None;
     let mut cfg_max_payload = None;
     let mut cfg_seed = None;
 
@@ -76,7 +75,6 @@ fn main() -> ExitCode {
             "--trace-out" => trace_out = Some(args.next().unwrap_or_else(|| usage())),
             "--workers" => cfg_workers = Some(num(&mut args)),
             "--capacity" => cfg_capacity = Some(num(&mut args)),
-            "--threads" => cfg_threads = Some(num(&mut args)),
             "--max-payload" => cfg_max_payload = Some(num(&mut args)),
             "--seed" => cfg_seed = Some(num(&mut args) as u64),
             _ => usage(),
@@ -92,9 +90,6 @@ fn main() -> ExitCode {
     }
     if let Some(v) = cfg_capacity {
         cfg.queue_capacity = v;
-    }
-    if let Some(v) = cfg_threads {
-        cfg.tune_threads = v;
     }
     if let Some(v) = cfg_max_payload {
         cfg.max_payload = v;

@@ -140,10 +140,6 @@ pub struct ServeConfig {
     /// Maximum request payload (program text) in bytes; larger requests
     /// are rejected with [`RejectCode::PayloadTooLarge`].
     pub max_payload: usize,
-    /// `num_threads` passed to each search ([`TuneOptions`]); `1` keeps
-    /// individual tunes cheap and lets the worker pool provide the
-    /// parallelism.
-    pub tune_threads: usize,
     /// Search seed. All tunes served by one daemon use one seed, so
     /// equal requests produce bit-identical results.
     pub seed: u64,
@@ -161,7 +157,7 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A configuration with the default queue capacity (64), worker
-    /// count (2), payload cap (1 MiB), one search thread, and seed 42.
+    /// count (2), payload cap (1 MiB), and seed 42.
     pub fn new(socket_path: impl AsRef<Path>, db_path: impl AsRef<Path>) -> ServeConfig {
         ServeConfig {
             socket_path: socket_path.as_ref().to_path_buf(),
@@ -169,7 +165,6 @@ impl ServeConfig {
             queue_capacity: 64,
             workers: 2,
             max_payload: crate::protocol::DEFAULT_MAX_PAYLOAD,
-            tune_threads: 1,
             seed: 42,
             io_profile: IoProfile::Disk,
             journal_compact_bytes: JournaledDb::DEFAULT_COMPACT_THRESHOLD,
@@ -980,7 +975,6 @@ fn worker_loop(shared: &Arc<Shared>) {
         let t = Instant::now();
         let opts = TuneOptions {
             trials: job.trials,
-            num_threads: shared.cfg.tune_threads,
             seed: shared.cfg.seed,
             warm_start: job.warm.clone(),
             ..TuneOptions::default()

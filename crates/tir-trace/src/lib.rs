@@ -184,9 +184,9 @@ impl Inner {
 /// The thread-safe trace sink.
 ///
 /// Single-threaded sites record directly ([`Collector::span`],
-/// [`Collector::count`], [`Collector::observe`]); fan-out workers build a
-/// local [`TraceBuffer`] and flush it once, paying one lock per buffer
-/// instead of one per event. [`Collector::report`] merges and sorts
+/// [`Collector::count`], [`Collector::observe`]); a measurement job, or a
+/// thread sharing the collector, builds a local [`TraceBuffer`] and flushes
+/// it once, paying one lock per buffer instead of one per event. [`Collector::report`] merges and sorts
 /// everything into a deterministic [`TraceReport`].
 #[derive(Default)]
 pub struct Collector {

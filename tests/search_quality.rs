@@ -89,7 +89,7 @@ fn more_trials_never_hurt() {
 #[test]
 fn thread_count_invariance_end_to_end() {
     // The full workload path (multi-sketch, budget split) must find the
-    // byte-identical best program at any thread count.
+    // byte-identical best program at any farm width.
     let func = tir_workloads::gmm(128, 128, 128, DataType::float16(), DataType::float16());
     let machine = Machine::sim_gpu();
     let reg = builtin_registry();
@@ -103,6 +103,41 @@ fn thread_count_invariance_end_to_end() {
             num_threads: 1,
             ..Default::default()
         },
+    );
+    // The default options are the one-worker farm on every host: the same
+    // tune bit for bit, simulated tuning cost included, whatever the
+    // number of cores.
+    let default = tune_workload(
+        &func,
+        &machine,
+        &reg,
+        Strategy::TensorIr,
+        &TuneOptions {
+            trials: 24,
+            ..Default::default()
+        },
+    );
+    assert_eq!(
+        default.tuning_cost_s.to_bits(),
+        serial.tuning_cost_s.to_bits()
+    );
+    assert_eq!(default.best_time.to_bits(), serial.best_time.to_bits());
+    assert_eq!(default.history, serial.history);
+    assert_eq!(
+        (
+            default.trials_measured,
+            default.cache_hits,
+            default.invalid_filtered
+        ),
+        (
+            serial.trials_measured,
+            serial.cache_hits,
+            serial.invalid_filtered
+        )
+    );
+    assert_eq!(
+        default.best.as_ref().map(|f| f.to_string()),
+        serial.best.as_ref().map(|f| f.to_string())
     );
     let parallel = tune_workload(
         &func,

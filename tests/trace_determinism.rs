@@ -1,9 +1,9 @@
 //! Observability must be a pure observer: enabling tracing, and running
-//! the tuner at any worker-thread count, must leave the search result
-//! bit-identical, and the merged trace report itself must be
-//! byte-identical at every thread count (all recorded quantities are
-//! simulated, thread-invariant seconds; the merge order is a pure
-//! function of deterministic keys).
+//! the tuner at any simulated farm width (`num_threads`), must leave the
+//! search result bit-identical, and the merged trace report itself must be
+//! byte-identical at every farm width (all recorded quantities are
+//! simulated seconds that do not depend on the width; the merge order is a
+//! pure function of deterministic keys).
 
 use std::sync::Arc;
 
