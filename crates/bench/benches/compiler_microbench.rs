@@ -429,8 +429,8 @@ fn bench_search_tune() {
 }
 
 /// What `TuneOptions::checkpoint_path` costs a tune of the GMM f16
-/// gpu-tensor sketch, and what a resume costs. A checkpointed tune rewrites
-/// and fsyncs its file after every generation; `search/resume_*` is a run
+/// gpu-tensor sketch, and what a resume costs. A checkpointed tune appends
+/// and fsyncs one frame per generation; `search/resume_*` is a run
 /// killed at its last generation boundary and resumed — everything but the
 /// last generation comes from the checkpoint. The file lives in the
 /// bench's own target tmpdir.

@@ -7,17 +7,18 @@
 //! workload (same computation, shapes, and dtypes — names and variable
 //! identities ignored) has been tuned before.
 //!
-//! The database lives in memory and can be persisted to disk in a
-//! hand-rolled, line-oriented text format that reuses the discipline of
-//! [`crate::checkpoint`]: every `f64` is stored as the hex of its
-//! IEEE-754 bits (round-trips are bit-exact, including infinities),
-//! variable-length payloads (machine names, workload keys, program text)
-//! are byte-length-prefixed, the file ends with an `end` sentinel so
-//! truncation is detected, and writes go through
-//! [`crate::checkpoint::atomic_write`] (temp file + rename) so a crash
-//! mid-save can never leave a torn file behind. Any corruption is
-//! reported as a typed [`DbError`] — never a panic, never a silently
-//! empty database.
+//! The database lives in memory; [`crate::journal::JournaledDb`] persists
+//! it as a snapshot plus a write-ahead journal, both through
+//! [`crate::fault_io::JournalIo`]. The snapshot is this module's
+//! hand-rolled, line-oriented text format ([`TuningDatabase::encode`]):
+//! every `f64` is stored as the hex of its IEEE-754 bits (round-trips are
+//! bit-exact, including infinities), variable-length payloads (machine
+//! names, workload keys, program text) are byte-length-prefixed, and the
+//! file ends with an `end` sentinel so truncation is detected. It is only
+//! ever replaced whole, by [`crate::fault_io::JournalIo::replace`] (temp
+//! file + fsync + rename), so a crash mid-write can never leave a torn
+//! file behind. Any corruption is reported as a typed [`DbError`] — never
+//! a panic, never a silently empty database.
 //!
 //! # Wire-level guarantees
 //!
@@ -60,7 +61,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use tir::parser::parse_func;
@@ -70,7 +70,6 @@ use tir_exec::machine::Machine;
 use tir_tensorize::IntrinRegistry;
 
 use crate::baseline::{tune_workload, Strategy};
-use crate::checkpoint::atomic_write;
 use crate::search::{TuneOptions, TuneResult, WarmStart};
 
 /// Magic + version header of the on-disk format; bump on any change.
@@ -371,8 +370,8 @@ impl Stored {
 }
 
 /// A database of tuning records keyed by
-/// `(machine, strategy, workload key)`, with optional on-disk persistence
-/// (see the module docs for the format guarantees and the identity).
+/// `(machine, strategy, workload key)` (see the module docs for the
+/// on-disk format and the identity).
 #[derive(Default, Debug)]
 pub struct TuningDatabase {
     /// Workload key → the records of that workload, one per (machine,
@@ -629,48 +628,6 @@ impl TuningDatabase {
             return Err(c.corrupt("trailing garbage after `end` sentinel"));
         }
         Ok(db)
-    }
-
-    /// Persists the database atomically (temp file + rename, fsync'd):
-    /// a crash mid-save leaves either the complete previous file or the
-    /// complete new one, never a torn mix.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Io`] on filesystem failure.
-    ///
-    /// ```
-    /// use tir_autoschedule::database::TuningDatabase;
-    ///
-    /// let dir = std::env::temp_dir().join(format!("tir-db-doc-{}", std::process::id()));
-    /// std::fs::create_dir_all(&dir).unwrap();
-    /// let path = dir.join("tuning.db");
-    ///
-    /// let db = TuningDatabase::new();
-    /// db.save(&path).expect("save");
-    /// let reloaded = TuningDatabase::open(&path).expect("open");
-    /// assert_eq!(reloaded.encode(), db.encode());
-    /// # std::fs::remove_dir_all(&dir).ok();
-    /// ```
-    pub fn save(&self, path: &Path) -> Result<(), DbError> {
-        atomic_write(path, self.encode().as_bytes())?;
-        Ok(())
-    }
-
-    /// Opens a database: loads `path` if it exists, returns an empty
-    /// database if it does not. A file that exists but is corrupt is
-    /// still an error — silent data loss is never acceptable.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Io`] on read failure other than not-found,
-    /// [`DbError::Corrupt`] on malformation.
-    pub fn open(path: &Path) -> Result<Self, DbError> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => Self::decode(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Self::new()),
-            Err(e) => Err(DbError::Io(e)),
-        }
     }
 }
 

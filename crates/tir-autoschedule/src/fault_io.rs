@@ -1,10 +1,11 @@
-//! Fault-injectable storage I/O for the journaled tuning database.
+//! Fault-injectable storage I/O for every file the tuner persists: the
+//! tuning database's snapshot and write-ahead journal
+//! ([`crate::journal`]) and the tune checkpoint ([`crate::checkpoint`]).
 //!
-//! The write-ahead journal in [`crate::journal`] must stay consistent
-//! across crashes — a property that cannot be tested by waiting for real
-//! power failures. This module abstracts the handful of storage
-//! operations the journal performs behind the [`JournalIo`] trait, with
-//! two implementations:
+//! Both must stay consistent across crashes — a property that cannot be
+//! tested by waiting for real power failures. This module abstracts the
+//! handful of storage operations they perform behind the [`JournalIo`]
+//! trait, with two implementations:
 //!
 //! * [`DiskIo`] — the production implementation: plain `std::fs`
 //!   appends, `fsync`, atomic replace (write-temp + fsync + rename), and
@@ -16,8 +17,8 @@
 //!   torn records (a bit flip in the surviving tail), lost fsyncs
 //!   (appended-but-unsynced bytes vanish at the crash), transient I/O
 //!   errors, and **named crash points** — designated instants in the
-//!   publish/compaction path at which a simulated crash can be
-//!   scheduled.
+//!   publish, compaction and checkpoint paths at which a simulated crash
+//!   can be scheduled.
 //!
 //! # The crash model
 //!
@@ -111,8 +112,19 @@ impl JournalIo for DiskIo {
             .sync_all()
     }
 
+    /// The bytes land in a sibling temp file first (`<path>.<ext>.tmp`),
+    /// are fsynced, and only then renamed over `path`: on POSIX
+    /// filesystems the rename is atomic, so a process killed at any
+    /// instant leaves the complete old file or the complete new one. A
+    /// failure may leave the temp file behind, never a touched `path`.
     fn replace(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        crate::checkpoint::atomic_write(path, bytes)
+        let mut ext = path.extension().unwrap_or_default().to_os_string();
+        ext.push(".tmp");
+        let tmp = path.with_extension(ext);
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)
     }
 
     fn truncate(&mut self, path: &Path, len: u64) -> io::Result<()> {
@@ -171,10 +183,8 @@ impl FaultSpec {
     }
 }
 
-/// Which concrete backend a daemon should build — [`ServeConfig`] and
-/// tests pick declaratively so configurations stay `Clone`.
-///
-/// [`ServeConfig`]: https://docs.rs/tir-serve
+/// Which concrete backend a daemon should build — `tir_serve::server::ServeConfig`
+/// and tests pick declaratively so configurations stay `Clone`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub enum IoProfile {
     /// Production: [`DiskIo`].

@@ -78,6 +78,10 @@ pub const PUBLISH_CRASH_POINTS: &[&str] =
 /// Named crash points in the compaction path, in order.
 pub const COMPACT_CRASH_POINTS: &[&str] = &["compact.begin", "compact.pre_truncate", "compact.end"];
 
+/// Named crash points in a tune checkpoint's append of one generation
+/// ([`crate::checkpoint`]), in order.
+pub const CHECKPOINT_CRASH_POINTS: &[&str] = &["checkpoint.pre_fsync", "checkpoint.post_fsync"];
+
 /// FNV-1a 64-bit: dependency-free, stable, good enough to detect any
 /// single- or few-bit corruption in an entry payload.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -128,17 +132,6 @@ pub struct PublishOutcome {
     pub compacted: bool,
 }
 
-/// How one parse attempt of a journal entry failed, before tail/mid
-/// classification.
-enum EntryDamage {
-    /// The entry's frame cannot be trusted (malformed header, payload
-    /// running past EOF): its extent is unknown.
-    Unframed(String),
-    /// The entry is fully framed but its bytes are damaged (checksum
-    /// mismatch, invalid UTF-8): `end` is its exclusive end offset.
-    Framed(usize, String),
-}
-
 /// One record framed for the journal. Building it prints the program and
 /// checksums the payload — all of a publish that grows with the program —
 /// and needs nothing from the store, so a caller sharing the store behind
@@ -158,12 +151,13 @@ impl JournalEntry {
     /// Frames `record` for `(machine, strategy, key)`.
     pub fn new(machine: &str, strategy: Strategy, key: String, record: TuningRecord) -> Self {
         let best_text: Arc<str> = record.best.to_string().into();
-        let payload = encode_record(machine, strategy.label(), &key, &record, &best_text);
-        let framed = format!(
-            "entry {} {:016x}\n{payload}",
-            payload.len(),
-            fnv1a(payload.as_bytes())
-        );
+        let framed = frame(&encode_record(
+            machine,
+            strategy.label(),
+            &key,
+            &record,
+            &best_text,
+        ));
         JournalEntry {
             machine: machine.to_string(),
             strategy,
@@ -457,131 +451,119 @@ impl JournaledDb {
 /// valid prefix length)`; a torn tail shortens the valid prefix, while
 /// mid-file damage is a [`DbError::Corrupt`] at its byte offset.
 fn replay(db: &mut TuningDatabase, bytes: &[u8]) -> Result<(usize, usize), DbError> {
-    if bytes.is_empty() {
-        return Ok((0, 0));
-    }
-    let header_line = format!("{JOURNAL_HEADER}\n");
+    read_frames("journal", JOURNAL_HEADER, bytes, |payload, _| {
+        let mut cursor = Cursor {
+            text: payload,
+            pos: 0,
+        };
+        let decoded = decode_record(&mut cursor).map_err(|e| format!("entry payload: {e}"))?;
+        if !cursor.at_end() {
+            return Err("trailing bytes inside entry payload".to_string());
+        }
+        decoded.insert_into(db);
+        Ok(())
+    })
+}
+
+/// Frames `payload` as one entry: `entry <len> <fnv1a64>\n<payload>`.
+pub(crate) fn frame(payload: &str) -> String {
+    let sum = fnv1a(payload.as_bytes());
+    format!("entry {} {sum:016x}\n{payload}", payload.len())
+}
+
+/// Reads a framed file — the `header` line, then [`frame`]d entries —
+/// handing each whole entry's payload and exclusive end offset to
+/// `decode` in order. Returns `(entries decoded, valid prefix length)`.
+///
+/// A crash mid-append can only damage the last entry, so damage there — a
+/// torn entry, a checksum mismatch, a payload `decode` refuses — ends the
+/// valid prefix before it, as does a file torn inside its header line. Any
+/// other damage is a [`DbError::Corrupt`] naming `file` and the offset of
+/// the damaged entry: salvaging it would silently drop the entries after
+/// it.
+pub(crate) fn read_frames<'a>(
+    file: &str,
+    header: &str,
+    bytes: &'a [u8],
+    mut decode: impl FnMut(&'a str, usize) -> Result<(), String>,
+) -> Result<(usize, usize), DbError> {
+    let header_line = format!("{header}\n");
     if !bytes.starts_with(header_line.as_bytes()) {
-        // A journal torn inside its very first write is a strict prefix
-        // of the header line: salvage to empty. Anything else is not a
-        // journal of ours.
         if header_line.as_bytes().starts_with(bytes) {
             return Ok((0, 0));
         }
         let found = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
-        return Err(bad_header(
-            "journal",
-            &String::from_utf8_lossy(found),
-            JOURNAL_HEADER,
-        ));
+        return Err(bad_header(file, &String::from_utf8_lossy(found), header));
     }
-    let mut pos = header_line.len();
-    let mut replayed = 0usize;
+    let corrupt = |pos, reason| DbError::Corrupt {
+        offset: pos,
+        reason: format!("{file}: {reason}"),
+    };
+    let (mut pos, mut decoded) = (header_line.len(), 0);
     while pos < bytes.len() {
-        match parse_entry(db, bytes, pos) {
-            Ok(end) => {
-                replayed += 1;
-                pos = end;
-            }
-            Err(EntryDamage::Framed(end, reason)) if end == bytes.len() => {
-                // The damaged entry is the journal's last: the torn-tail
-                // signature of a crash mid-append. Salvage.
-                let _ = reason;
-                return Ok((replayed, pos));
-            }
-            Err(EntryDamage::Framed(_, reason)) => {
-                return Err(DbError::Corrupt {
-                    offset: pos,
-                    reason: format!("journal: {reason}"),
-                })
-            }
-            Err(EntryDamage::Unframed(reason)) => {
-                // The entry's extent is unknowable. If a later entry
-                // marker survives, records after the damage would be
-                // silently dropped by salvage — refuse instead. Only
-                // when nothing entry-like follows is this a torn tail.
-                let has_later_marker = bytes[pos..].windows(7).skip(1).any(|w| w == b"\nentry ");
-                if has_later_marker {
-                    return Err(DbError::Corrupt {
-                        offset: pos,
-                        reason: format!("journal: {reason} (valid entries follow the damage)"),
-                    });
+        match framed_at(bytes, pos) {
+            Ok((payload, end)) => match decode(payload, end) {
+                Ok(()) => {
+                    decoded += 1;
+                    pos = end;
                 }
-                return Ok((replayed, pos));
+                Err(_) if end == bytes.len() => break,
+                Err(reason) => return Err(corrupt(pos, reason)),
+            },
+            Err((Some(end), _)) if end == bytes.len() => break,
+            Err((Some(_), reason)) => return Err(corrupt(pos, reason)),
+            Err((None, reason)) => {
+                // The entry's extent is unknowable: only when nothing
+                // entry-like follows is this a torn tail.
+                if bytes[pos..].windows(7).skip(1).any(|w| w == b"\nentry ") {
+                    let reason = format!("{reason} (valid entries follow the damage)");
+                    return Err(corrupt(pos, reason));
+                }
+                break;
             }
         }
     }
-    Ok((replayed, pos))
+    Ok((decoded, pos))
 }
 
-/// Parses one journal entry at `pos`, inserting its record into `db`.
-/// Returns the entry's exclusive end offset.
-fn parse_entry(db: &mut TuningDatabase, bytes: &[u8], pos: usize) -> Result<usize, EntryDamage> {
+/// The payload and exclusive end offset of the entry at `pos`. A failure
+/// carries the entry's end offset when its frame is whole (its bytes are
+/// damaged) and `None` when its extent cannot be trusted.
+fn framed_at(bytes: &[u8], pos: usize) -> Result<(&str, usize), (Option<usize>, String)> {
     let rest = &bytes[pos..];
     let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
-        return Err(EntryDamage::Unframed(
-            "entry header truncated at end of file".to_string(),
+        return Err((None, "entry header truncated at end of file".to_string()));
+    };
+    let fields = std::str::from_utf8(&rest[..nl]).ok().and_then(|header| {
+        let (len, sum) = header.strip_prefix("entry ")?.split_once(' ')?;
+        Some((
+            len.parse::<usize>().ok()?,
+            u64::from_str_radix(sum, 16).ok()?,
+        ))
+    });
+    let Some((len, want_sum)) = fields else {
+        return Err((None, "expected `entry <len> <checksum>` header".to_string()));
+    };
+    let end = (nl + 1).checked_add(len).filter(|&end| end <= rest.len());
+    let Some(end) = end else {
+        return Err((
+            None,
+            format!("{len}-byte entry payload runs past end of file"),
         ));
     };
-    let header = &rest[..nl];
-    let fields: Vec<&[u8]> = header.split(|&b| b == b' ').collect();
-    let (payload_len, want_sum) = match fields.as_slice() {
-        [b"entry", len, sum] => {
-            let len = std::str::from_utf8(len)
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok());
-            let sum = std::str::from_utf8(sum)
-                .ok()
-                .and_then(|s| u64::from_str_radix(s, 16).ok());
-            match (len, sum) {
-                (Some(l), Some(s)) => (l, s),
-                _ => {
-                    return Err(EntryDamage::Unframed(
-                        "malformed entry header fields".to_string(),
-                    ))
-                }
-            }
-        }
-        _ => {
-            return Err(EntryDamage::Unframed(
-                "expected `entry <len> <checksum>` header".to_string(),
-            ))
-        }
-    };
-    let payload_start = nl + 1;
-    let Some(end) = payload_start.checked_add(payload_len) else {
-        return Err(EntryDamage::Unframed("entry length overflows".to_string()));
-    };
-    if end > rest.len() {
-        return Err(EntryDamage::Unframed(format!(
-            "{payload_len}-byte entry payload runs past end of file"
-        )));
-    }
-    let payload = &rest[payload_start..end];
+    let payload = &rest[nl + 1..end];
     let got_sum = fnv1a(payload);
     if got_sum != want_sum {
-        return Err(EntryDamage::Framed(
-            pos + end,
-            format!("entry checksum mismatch (want {want_sum:016x}, got {got_sum:016x})"),
-        ));
+        let reason = format!("entry checksum mismatch (want {want_sum:016x}, got {got_sum:016x})");
+        return Err((Some(pos + end), reason));
     }
-    // The checksum matched, so these are the encoder's exact bytes:
-    // any failure past this point is an encoder bug, reported as
-    // mid-file corruption regardless of position.
-    let text = std::str::from_utf8(payload).map_err(|_| {
-        EntryDamage::Framed(pos + end, "entry payload is not valid UTF-8".to_string())
+    let payload = std::str::from_utf8(payload).map_err(|_| {
+        (
+            Some(pos + end),
+            "entry payload is not valid UTF-8".to_string(),
+        )
     })?;
-    let mut cursor = Cursor { text, pos: 0 };
-    let decoded = decode_record(&mut cursor)
-        .map_err(|e| EntryDamage::Framed(pos + end, format!("entry payload: {e}")))?;
-    if !cursor.at_end() {
-        return Err(EntryDamage::Framed(
-            pos + end,
-            "trailing bytes inside entry payload".to_string(),
-        ));
-    }
-    decoded.insert_into(db);
-    Ok(pos + end)
+    Ok((payload, pos + end))
 }
 
 #[cfg(test)]

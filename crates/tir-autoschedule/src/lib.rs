@@ -16,10 +16,11 @@
 //!   retry/backoff/outlier-rejection harness;
 //! * [`checkpoint`] — generation-granularity checkpoint/resume of tuning
 //!   runs as a replayed measurement log, bit-identical to uninterrupted
-//!   runs;
+//!   runs, kept in the journal's framing;
 //! * [`journal`] / [`fault_io`] — the crash-consistent write-ahead journal
-//!   behind the tuning database, and the fault-injectable I/O layer that
-//!   lets a deterministic chaos harness prove its recovery guarantees;
+//!   behind the tuning database and its framing, and the fault-injectable
+//!   I/O layer that lets a deterministic chaos harness prove the recovery
+//!   guarantees of both files;
 //! * [`cost_model`] — a from-scratch gradient-boosted-tree cost model
 //!   trained online from simulator measurements;
 //! * [`feature`] — program feature extraction;
@@ -43,7 +44,6 @@ pub mod sketch_cpu;
 pub mod sketch_gpu;
 
 pub use baseline::{build_sketches, oracle_time, tune_workload, Strategy};
-pub use checkpoint::atomic_write;
 pub use cost_model::CostModel;
 pub use database::{workload_key, DbError, TuningDatabase, TuningRecord};
 pub use fault_io::{DiskIo, FaultIo, FaultSpec, IoProfile, JournalIo};

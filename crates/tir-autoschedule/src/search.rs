@@ -157,6 +157,7 @@ use tir_trace::{Collector, Key};
 
 use crate::checkpoint::MeasureLog;
 use crate::cost_model::CostModel;
+use crate::fault_io::DiskIo;
 use crate::feature::features_of_summary;
 use crate::measure::{
     measure_with_retries, panic_message, MeasureError, MeasureOutcome, MeasureTrace, Measurer,
@@ -513,7 +514,7 @@ pub fn tune_with(
     }
     let names: Vec<&str> = sketches.iter().map(|s| s.name()).collect();
     let mut log = (opts.checkpoint_path.as_ref())
-        .map(|p| MeasureLog::open(p, opts.seed, &machine.name, &names));
+        .map(|p| MeasureLog::open(Box::new(DiskIo), p, opts.seed, &machine.name, &names));
     // Every sketch gets an equal share, at least one trial, so a small
     // budget still covers every structure.
     let share = (opts.trials / sketches.len()).max(1);

@@ -667,42 +667,59 @@ fn resume_ignores_a_v2_checkpoint() {
     assert_older_format_is_ignored(v2, "v2");
 }
 
-/// A file cut short — at any of a few places, as a crash of a
-/// non-atomic writer would leave it — is ignored as a whole.
+/// A v3 file's context line and hashes are this run's own; its
+/// generations are lines after the context line, not frames.
+#[test]
+fn resume_ignores_a_v3_checkpoint() {
+    let v3 = include_bytes!("golden/checkpoint_v3.ckpt");
+    assert!(v3.starts_with(b"tir-autoschedule-checkpoint v3\n"));
+    assert_older_format_is_ignored(v3, "v3");
+}
+
+/// A file cut short inside generation k + 1 — as a crash mid-append leaves
+/// it — resumes exactly k generations and equals the uninterrupted run.
+/// Where the generations end is read off the files of runs killed after
+/// each of them, not parsed.
 #[test]
 fn resume_ignores_a_truncated_checkpoint() {
     let s = mm_sketch();
     let machine = Machine::sim_gpu();
     let base = TuneOptions {
-        trials: 16,
+        trials: 32,
         num_threads: 1,
         ..Default::default()
     };
     let clean = tune_with(&[&s], &machine, &base, &SimMeasurer);
     let path = ckpt_path("truncated.ckpt");
-    let _ = std::fs::remove_file(&path);
-    tune_with(
-        &[&s],
-        &machine,
-        &checkpointed(&base, &path, Some(1)),
-        &SimMeasurer,
-    );
+    let mut ends = Vec::new();
+    for k in 1.. {
+        let _ = std::fs::remove_file(&path);
+        let opts = checkpointed(&base, &path, Some(k));
+        let r = tune_with(&[&s], &machine, &opts, &SimMeasurer);
+        ends.push(std::fs::metadata(&path).expect("checkpoint written").len() as usize);
+        if budget_used(&r) == budget_used(&clean) {
+            break;
+        }
+    }
+    assert!(ends.len() >= 3, "a tune of several generations");
     let full = std::fs::read(&path).expect("checkpoint written");
-    for keep in [full.len() - 1, full.len() - 4, full.len() / 2, 10, 0] {
-        std::fs::write(&path, &full[..keep]).expect("write");
-        let r = tune_with(
-            &[&s],
-            &machine,
-            &checkpointed(&base, &path, None),
-            &SimMeasurer,
-        );
-        assert_eq!(
-            r.resumed_from_generation,
-            None,
-            "{keep} of {} bytes",
-            full.len()
-        );
-        assert_bit_identical(&clean, &r, "fresh run over a truncated checkpoint");
+    let mut start = 0;
+    for (k, &end) in ends.iter().enumerate() {
+        for keep in [start + 1, (start + end) / 2, end - 1] {
+            std::fs::write(&path, &full[..keep]).expect("write");
+            let r = tune_with(
+                &[&s],
+                &machine,
+                &checkpointed(&base, &path, None),
+                &SimMeasurer,
+            );
+            let want = Some(k as u64).filter(|&k| k > 0);
+            let what = format!("{keep} of {} bytes", full.len());
+            assert_eq!(r.resumed_from_generation, want, "{what}");
+            assert_bit_identical(&clean, &r, &what);
+            assert_eq!(std::fs::read(&path).expect("rewritten"), full, "{what}");
+        }
+        start = end;
     }
     let _ = std::fs::remove_file(&path);
 }

@@ -106,20 +106,21 @@ fn journal_of_three_entries_matches_golden() {
     let golden = std::fs::read(format!("{GOLDEN_DIR}/journal_3_entries.bin")).expect("golden");
     let (journal, compacted) = journal_then_compacted_snapshot();
     assert_eq!(journal, golden);
-    // The compacted snapshot is the same database, written by the other
-    // door (`DiskIo::replace` instead of `TuningDatabase::save`).
+    // The compacted snapshot is the same database.
     assert_eq!(String::from_utf8(compacted).expect("utf-8"), snapshot());
 }
 
 #[test]
 fn saved_snapshot_is_the_encoded_bytes() {
-    // `TuningDatabase::save` goes through the shared atomic write.
+    // `JournaledDb::compact` writes the snapshot through `DiskIo::replace`:
+    // the encoded bytes, and no temp file left behind.
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("codec-golden-save");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("tmpdir");
     let path = dir.join("tuning.db");
-    let db = TuningDatabase::decode(&snapshot()).expect("decodes");
-    db.save(&path).expect("save");
+    let (mut store, _) = JournaledDb::open(Box::new(DiskIo::new()), &path).expect("open");
+    *store.db_mut() = TuningDatabase::decode(&snapshot()).expect("decodes");
+    store.compact().expect("compact");
     assert_eq!(std::fs::read_to_string(&path).expect("read"), snapshot());
     assert!(
         !dir.join("tuning.db.tmp").exists(),

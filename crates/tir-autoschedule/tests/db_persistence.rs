@@ -1,12 +1,13 @@
-//! Persistence contract of the on-disk tuning database: a save/open
-//! round trip is bit-identical (counters, records, fingerprints, every
-//! float), and damage to the file is a typed error — never a panic,
-//! never a silently empty database.
+//! Persistence contract of the on-disk tuning database: a snapshot written
+//! by `JournaledDb::compact` and read back by `JournaledDb::open` is
+//! bit-identical (counters, records, fingerprints, every float), and damage
+//! to the file is a typed error — never a panic, never a silently empty
+//! database.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use tir::DataType;
-use tir_autoschedule::{DbError, Strategy, TuneOptions, TuningDatabase};
+use tir_autoschedule::{DbError, DiskIo, JournaledDb, Strategy, TuneOptions};
 use tir_exec::Machine;
 use tir_tensorize::builtin_registry;
 use tir_workloads::ops;
@@ -15,11 +16,18 @@ fn tmp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("tir-db-test-{name}-{}.db", std::process::id()))
 }
 
+fn open(path: &Path) -> Result<JournaledDb, DbError> {
+    JournaledDb::open(Box::new(DiskIo), path).map(|(store, _)| store)
+}
+
 /// A database with two tuned workloads (one GPU f16, one ARM int8) and
-/// non-trivial hit/miss counters.
-fn populated_db() -> TuningDatabase {
+/// non-trivial hit/miss counters, compacted into a snapshot at `path`: the
+/// store, whose in-memory database is the one written.
+fn populated_db(path: &Path) -> JournaledDb {
+    let _ = std::fs::remove_file(path);
+    let (mut store, _) = JournaledDb::open(Box::new(DiskIo), path).expect("open");
     let registry = builtin_registry();
-    let mut db = TuningDatabase::new();
+    let db = store.db_mut();
     let opts = TuneOptions {
         trials: 8,
         num_threads: 1,
@@ -35,15 +43,17 @@ fn populated_db() -> TuningDatabase {
     // and unequal to the record count's default relationship.
     db.tune_cached(&gmm_gpu, &gpu, &registry, Strategy::TensorIr, &opts);
     db.tune_cached(&gmm_arm, &arm, &registry, Strategy::TensorIr, &opts);
-    db
+    store.compact().expect("compact");
+    store
 }
 
 #[test]
-fn save_load_round_trip_is_bit_identical() {
+fn compact_open_round_trip_is_bit_identical() {
     let path = tmp_path("roundtrip");
-    let db = populated_db();
-    db.save(&path).expect("save");
-    let loaded = TuningDatabase::open(&path).expect("open");
+    let store = populated_db(&path);
+    let db = store.db();
+    let loaded = open(&path).expect("open");
+    let loaded = loaded.db();
 
     // Counters survive.
     assert_eq!(loaded.hits(), db.hits());
@@ -72,8 +82,7 @@ fn save_load_round_trip_is_bit_identical() {
 #[test]
 fn truncated_file_is_a_typed_error() {
     let path = tmp_path("truncated");
-    let db = populated_db();
-    db.save(&path).expect("save");
+    populated_db(&path);
     let text = std::fs::read_to_string(&path).expect("read back");
 
     // Chop the file at several points, including mid-record and just
@@ -86,9 +95,12 @@ fn truncated_file_is_a_typed_error() {
             broken.pop();
         }
         std::fs::write(&path, &broken).expect("write truncated");
-        match TuningDatabase::open(&path) {
+        match open(&path) {
             Err(DbError::Corrupt { .. }) => {}
-            Ok(db) => panic!("truncation at {cut} silently loaded {} records", db.len()),
+            Ok(store) => panic!(
+                "truncation at {cut} silently loaded {} records",
+                store.db().len()
+            ),
             Err(e) => panic!("truncation at {cut} gave the wrong error kind: {e}"),
         }
     }
@@ -98,8 +110,7 @@ fn truncated_file_is_a_typed_error() {
 #[test]
 fn corrupted_fields_are_typed_errors_with_offsets() {
     let path = tmp_path("corrupt");
-    let db = populated_db();
-    db.save(&path).expect("save");
+    populated_db(&path);
     let text = std::fs::read_to_string(&path).expect("read back");
 
     // A wrong header, a garbled counter, and a record count that
@@ -111,7 +122,7 @@ fn corrupted_fields_are_typed_errors_with_offsets() {
     ];
     for (i, broken) in cases.iter().enumerate() {
         std::fs::write(&path, broken).expect("write corrupted");
-        match TuningDatabase::open(&path) {
+        match open(&path) {
             Err(DbError::Corrupt { reason, .. }) => {
                 assert!(!reason.is_empty(), "case {i}: reason must be populated");
             }
@@ -128,10 +139,10 @@ fn a_missing_file_opens_empty_and_a_corrupt_one_is_refused() {
     let _ = std::fs::remove_file(&path);
     // A missing file starts empty (first daemon start), but a corrupt
     // existing file is still refused.
-    let db = TuningDatabase::open(&path).expect("open missing");
-    assert!(db.is_empty());
+    let store = open(&path).expect("open missing");
+    assert!(store.db().is_empty());
     std::fs::write(&path, "not a database\n").expect("write garbage");
-    match TuningDatabase::open(&path) {
+    match open(&path) {
         Err(DbError::Corrupt { .. }) => {}
         Err(e) => panic!("open of a corrupt file gave the wrong error: {e}"),
         Ok(_) => panic!("open of a corrupt file succeeded silently"),

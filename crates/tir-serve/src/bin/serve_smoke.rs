@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use tir::DataType;
 use tir_autoschedule::{
-    journal_path_for, DiskIo, JournaledDb, Strategy, TuningDatabase, TuningRecord,
+    journal_path_for, DiskIo, JournalIo, JournaledDb, Strategy, TuningDatabase, TuningRecord,
 };
 use tir_serve::client::{stats_field, Client, TuneReply};
 use tir_serve::protocol::Source;
@@ -345,7 +345,8 @@ fn publish_latency_bench() -> (f64, f64, f64) {
             record.clone(),
         );
     }
-    seed.save(&snap)
+    DiskIo
+        .replace(&snap, seed.encode().as_bytes())
         .unwrap_or_else(|e| fail(&format!("seeding the bench database: {e}")));
 
     // Journal flavor: publish is an O(1) append + fsync regardless of
@@ -375,7 +376,8 @@ fn publish_latency_bench() -> (f64, f64, f64) {
             record.clone(),
         );
         let t = Instant::now();
-        seed.save(&rewrite)
+        DiskIo
+            .replace(&rewrite, seed.encode().as_bytes())
             .unwrap_or_else(|e| fail(&format!("rewrite publish: {e}")));
         rewrite_lat.push(t.elapsed().as_secs_f64());
     }
