@@ -51,9 +51,9 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::database::{hex_f64, parse_hex_f64};
+use crate::database::parse_hex_f64;
 use crate::fault_io::JournalIo;
-use crate::journal::{frame, read_frames};
+use crate::journal::{frame_into, read_frames};
 use crate::measure::{MeasureError, MeasureOutcome};
 
 /// Magic + version header; bump the version on any format change.
@@ -83,10 +83,10 @@ pub(crate) struct MeasureLog {
     /// Bytes of the file that hold this run's log; 0 until a fresh start
     /// writes its first generation.
     saved: usize,
-    /// The file's length as last read or written; `usize::MAX` after a
-    /// failed append.
-    file_len: usize,
-    /// Frames of the generations not yet durably written.
+    /// Whether the file may hold bytes past `saved`.
+    stale_tail: bool,
+    /// What is not yet durably written: the frames of generations, after
+    /// the header and context frame on a fresh start.
     unsaved: String,
 }
 
@@ -109,7 +109,8 @@ impl MeasureLog {
             let _ = write!(context, " {} {sketch}", sketch.len());
         }
         context.push('\n');
-        let prefix = format!("{HEADER}\n{}", frame(&context));
+        let mut prefix = format!("{HEADER}\n");
+        frame_into(&mut prefix, &context);
         let bytes = (io.read(path).ok().flatten())
             .filter(|bytes| bytes.starts_with(prefix.as_bytes()))
             .unwrap_or_default();
@@ -136,7 +137,7 @@ impl MeasureLog {
             replayed: None,
             replayed_generations: 0,
             saved,
-            file_len: bytes.len(),
+            stale_tail: bytes.len() != saved,
             unsaved: String::new(),
         }
     }
@@ -189,7 +190,9 @@ impl MeasureLog {
             self.saved = end;
             return Ok(());
         }
-        let mut payload = format!("generation {}\n", jobs.len());
+        // Sized for retry counts below 10 000: one allocation.
+        let mut payload = String::with_capacity(24 + 64 * jobs.len());
+        let _ = writeln!(payload, "generation {}", jobs.len());
         for (hash, outcome) in jobs.iter().zip(outcomes) {
             let (kind, value) = match &outcome.reading {
                 Ok(t) => ("ok", t.to_bits()),
@@ -198,30 +201,31 @@ impl MeasureLog {
                 Err(MeasureError::RunnerCrash(_)) => ("crash", 0),
                 Err(MeasureError::CorruptReading { readings }) => ("corrupt", *readings as u64),
             };
+            let cost_s = outcome.cost_s.to_bits();
+            let retries = outcome.retries;
             let _ = writeln!(
                 payload,
-                "{hash:016x} {kind} {value:016x} {} {}",
-                hex_f64(outcome.cost_s),
-                outcome.retries
+                "{hash:016x} {kind} {value:016x} {cost_s:016x} {retries}"
             );
         }
-        self.unsaved.push_str(&frame(&payload));
+        if self.saved == 0 && self.unsaved.is_empty() {
+            self.unsaved.push_str(&self.prefix);
+        }
+        frame_into(&mut self.unsaved, &payload);
         if self.saved == 0 {
-            let whole = format!("{}{}", self.prefix, self.unsaved);
-            self.io.replace(&self.path, whole.as_bytes())?;
-            self.saved = whole.len();
+            self.io.replace(&self.path, self.unsaved.as_bytes())?;
         } else {
-            if self.file_len != self.saved {
+            if self.stale_tail {
                 self.io.truncate(&self.path, self.saved as u64)?;
             }
-            self.file_len = usize::MAX;
+            self.stale_tail = true;
             self.io.append(&self.path, self.unsaved.as_bytes())?;
             self.io.crash_point("checkpoint.pre_fsync")?;
             self.io.fsync(&self.path)?;
             self.io.crash_point("checkpoint.post_fsync")?;
-            self.saved += self.unsaved.len();
         }
-        self.file_len = self.saved;
+        self.saved += self.unsaved.len();
+        self.stale_tail = false;
         self.unsaved.clear();
         Ok(())
     }
@@ -280,6 +284,13 @@ mod tests {
 
     fn cleanup(path: &Path) {
         let _ = std::fs::remove_dir_all(path.parent().expect("tmp() nests the file"));
+    }
+
+    /// `payload` as one frame.
+    fn frame(payload: &str) -> String {
+        let mut framed = String::new();
+        frame_into(&mut framed, payload);
+        framed
     }
 
     /// The log at `path` of the tune [`sample`] belongs to.
@@ -419,6 +430,7 @@ mod tests {
         flipped[ends[0] - 10] ^= 0x01;
         let flipped = String::from_utf8(flipped).expect("still text");
         for (what, text) in [
+            ("empty file", String::new()),
             ("not a checkpoint", "not a checkpoint".to_string()),
             ("older version", full.replacen(" v4\n", " v3\n", 1)),
             ("torn inside the header", full[..10].to_string()),
@@ -457,9 +469,16 @@ mod tests {
         let (path, bytes, ends) = written("torn.ckpt");
         let prefix = open(&path).prefix.len();
         let full = String::from_utf8(bytes.clone()).expect("text");
+        // A torn append whose bit flip lowered the last frame's length
+        // digits: the frame ends, damaged, before the file does.
+        let last = &full[ends[1]..];
+        let len = last.len() - last.find('\n').expect("framed") - 1;
+        let shortened = format!("entry {} ", len - 1);
+        let shortened = last.replacen(&format!("entry {len} "), &shortened, 1);
         let mut tails = vec![
             (format!("{full}extra\n"), 3),
             (format!("{full}{}", frame("generation x\n")), 3),
+            (format!("{}{shortened}", &full[..ends[1]]), 2),
         ];
         for cut in prefix..bytes.len() {
             let whole = ends.iter().filter(|&&end| end <= cut).count();

@@ -55,6 +55,7 @@
 //! in an entry is detected, and the length prefix makes the valid
 //! prefix of a torn journal decidable without trusting damaged bytes.
 
+use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -151,13 +152,9 @@ impl JournalEntry {
     /// Frames `record` for `(machine, strategy, key)`.
     pub fn new(machine: &str, strategy: Strategy, key: String, record: TuningRecord) -> Self {
         let best_text: Arc<str> = record.best.to_string().into();
-        let framed = frame(&encode_record(
-            machine,
-            strategy.label(),
-            &key,
-            &record,
-            &best_text,
-        ));
+        let payload = encode_record(machine, strategy.label(), &key, &record, &best_text);
+        let mut framed = String::with_capacity(payload.len() + 32);
+        frame_into(&mut framed, &payload);
         JournalEntry {
             machine: machine.to_string(),
             strategy,
@@ -465,10 +462,11 @@ fn replay(db: &mut TuningDatabase, bytes: &[u8]) -> Result<(usize, usize), DbErr
     })
 }
 
-/// Frames `payload` as one entry: `entry <len> <fnv1a64>\n<payload>`.
-pub(crate) fn frame(payload: &str) -> String {
+/// Appends `payload` to `out` as one entry: `entry <len> <fnv1a64>\n<payload>`.
+pub(crate) fn frame_into(out: &mut String, payload: &str) {
     let sum = fnv1a(payload.as_bytes());
-    format!("entry {} {sum:016x}\n{payload}", payload.len())
+    let _ = writeln!(out, "entry {} {sum:016x}", payload.len());
+    out.push_str(payload);
 }
 
 /// Reads a framed file — the `header` line, then [`frame`]d entries —
@@ -477,10 +475,12 @@ pub(crate) fn frame(payload: &str) -> String {
 ///
 /// A crash mid-append can only damage the last entry, so damage there — a
 /// torn entry, a checksum mismatch, a payload `decode` refuses — ends the
-/// valid prefix before it, as does a file torn inside its header line. Any
-/// other damage is a [`DbError::Corrupt`] naming `file` and the offset of
-/// the damaged entry: salvaging it would silently drop the entries after
-/// it.
+/// valid prefix before it, as does a file torn inside its header line. A
+/// torn entry whose length digits took a bit flip ends before the end of
+/// the file, so a damaged frame with nothing entry-like after it is a torn
+/// tail too. Any other damage is a [`DbError::Corrupt`] naming `file` and
+/// the offset of the damaged entry: salvaging it would silently drop the
+/// entries after it.
 pub(crate) fn read_frames<'a>(
     file: &str,
     header: &str,
@@ -511,10 +511,9 @@ pub(crate) fn read_frames<'a>(
                 Err(reason) => return Err(corrupt(pos, reason)),
             },
             Err((Some(end), _)) if end == bytes.len() => break,
-            Err((Some(_), reason)) => return Err(corrupt(pos, reason)),
-            Err((None, reason)) => {
-                // The entry's extent is unknowable: only when nothing
-                // entry-like follows is this a torn tail.
+            // The damaged entry's extent is not to be trusted: only when
+            // nothing entry-like follows is this a torn tail.
+            Err((_, reason)) => {
                 if bytes[pos..].windows(7).skip(1).any(|w| w == b"\nentry ") {
                     let reason = format!("{reason} (valid entries follow the damage)");
                     return Err(corrupt(pos, reason));
@@ -697,7 +696,8 @@ mod tests {
             .publish("SimGPU", Strategy::TensorIr, key, rec)
             .unwrap();
         drop(store);
-        let mut bytes = std::fs::read(&jpath).unwrap();
+        let intact = std::fs::read(&jpath).unwrap();
+        let mut bytes = intact.clone();
         // Flip a bit inside the final entry's payload.
         let at = boundary + (bytes.len() - boundary) / 2;
         bytes[at] ^= 0x10;
@@ -708,6 +708,21 @@ mod tests {
             rep.salvaged(),
             "checksum failure on the last entry salvages"
         );
+        assert_eq!(reopened.db().len(), 2);
+        drop(reopened);
+        // A flip that lowers the final entry's length digits ends the
+        // entry, damaged, before the file ends: still a torn tail.
+        let last = std::str::from_utf8(&intact[boundary..]).unwrap();
+        let (header, payload) = last.split_once('\n').unwrap();
+        let shortened = format!("entry {} ", payload.len() - 1);
+        let shortened = last.replacen(&format!("entry {} ", payload.len()), &shortened, 1);
+        assert_ne!(shortened, last, "{header}");
+        let mut bytes = intact[..boundary].to_vec();
+        bytes.extend_from_slice(shortened.as_bytes());
+        std::fs::write(&jpath, &bytes).unwrap();
+        let (reopened, rep) = JournaledDb::open(Box::new(DiskIo::new()), &path).unwrap();
+        assert_eq!(rep.journal_replayed, 2);
+        assert_eq!(rep.salvaged_bytes, shortened.len());
         assert_eq!(reopened.db().len(), 2);
     }
 

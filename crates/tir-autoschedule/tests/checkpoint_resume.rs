@@ -677,7 +677,8 @@ fn resume_ignores_a_v3_checkpoint() {
 }
 
 /// A file cut short inside generation k + 1 — as a crash mid-append leaves
-/// it — resumes exactly k generations and equals the uninterrupted run.
+/// it — resumes exactly k generations and equals the uninterrupted run;
+/// an empty file is a fresh start.
 /// Where the generations end is read off the files of runs killed after
 /// each of them, not parsed.
 #[test]
@@ -705,7 +706,9 @@ fn resume_ignores_a_truncated_checkpoint() {
     let full = std::fs::read(&path).expect("checkpoint written");
     let mut start = 0;
     for (k, &end) in ends.iter().enumerate() {
-        for keep in [start + 1, (start + end) / 2, end - 1] {
+        // Generation 0's first cut is the empty file.
+        let first = if k == 0 { start } else { start + 1 };
+        for keep in [first, (start + end) / 2, end - 1] {
             std::fs::write(&path, &full[..keep]).expect("write");
             let r = tune_with(
                 &[&s],
