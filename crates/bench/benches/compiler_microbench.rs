@@ -428,12 +428,21 @@ fn bench_search_tune() {
     });
 }
 
+/// Pairs of one plain and one checkpointed tune behind each
+/// `search/checkpoint_overhead_*` row.
+const CHECKPOINT_PAIRS: usize = 21;
+
 /// What `TuneOptions::checkpoint_path` costs a tune of the GMM f16
-/// gpu-tensor sketch, and what a resume costs. A checkpointed tune appends
-/// and fsyncs one frame per generation; `search/resume_*` is a run
-/// killed at its last generation boundary and resumed — everything but the
-/// last generation comes from the checkpoint. The file lives in the
-/// bench's own target tmpdir.
+/// gpu-tensor sketch, and what a resume costs. A checkpointed tune writes
+/// its first generation's frame whole and appends and fsyncs one frame per
+/// later generation. `search/checkpoint_overhead_*` times
+/// [`CHECKPOINT_PAIRS`] pairs of one plain and one checkpointed tune back
+/// to back, the order alternating from pair to pair, and prints the median
+/// of the per-pair differences with its quartiles: a difference of two
+/// medians batched minutes apart drowns a few fsyncs in drift.
+/// `search/resume_*` is a run killed at its last generation boundary and
+/// resumed — everything but the last generation comes from the
+/// checkpoint. The file lives in the bench's own target tmpdir.
 fn bench_search_checkpoint() {
     use std::path::PathBuf;
     use tir_autoschedule::{
@@ -465,21 +474,52 @@ fn bench_search_checkpoint() {
             checkpoint_path: Some(live.clone()),
             ..plain.clone()
         };
-        let plain_ns = bench_function(&format!("search/tune_gmm_tensor_{trials}_plain"), || {
+        bench_function(&format!("search/tune_gmm_tensor_{trials}_plain"), || {
             tune_with(&[sketch.as_ref()], &machine, &plain, &SimMeasurer).trials_measured
         });
         let name = format!("search/tune_gmm_tensor_{trials}_checkpointed");
-        let checkpointed_ns = bench_function(&name, || {
+        bench_function(&name, || {
             let _ = std::fs::remove_file(&live);
             tune_with(&[sketch.as_ref()], &machine, &checkpointed, &SimMeasurer).trials_measured
         });
+        // One tune's ns; a checkpointed one starts from no file, off the
+        // clock, and leaves its file behind.
+        let time = |opts: &TuneOptions| {
+            if opts.checkpoint_path.is_some() {
+                let _ = std::fs::remove_file(&live);
+            }
+            let t = Instant::now();
+            std::hint::black_box(tune_with(&[sketch.as_ref()], &machine, opts, &SimMeasurer));
+            t.elapsed().as_nanos() as f64
+        };
+        let mut diffs: Vec<f64> = (0..CHECKPOINT_PAIRS)
+            .map(|pair| {
+                if pair % 2 == 0 {
+                    let plain_ns = time(&plain);
+                    time(&checkpointed) - plain_ns
+                } else {
+                    let checkpointed_ns = time(&checkpointed);
+                    checkpointed_ns - time(&plain)
+                }
+            })
+            .collect();
+        diffs.sort_by(f64::total_cmp);
+        let quantile = |q: f64| diffs[((diffs.len() - 1) as f64 * q).round() as usize] / 1e6;
+        let (q1, median, q3) = (quantile(0.25), quantile(0.5), quantile(0.75));
+        let verdict = if q1 <= 0.0 && q3 >= 0.0 {
+            "unresolved: the quartiles straddle zero"
+        } else {
+            "resolved"
+        };
+        let file = std::fs::read_to_string(&live).expect("a checkpointed tune left its file");
+        let generations = file.lines().filter(|l| l.starts_with("entry ")).count() - 1;
         println!(
-            "{:<40} {:>14.2} ms plain, {:.2} ms checkpointed ({:+.0}%), final checkpoint {} bytes",
+            "{:<40} {median:>+14.3} ms per tune, quartiles {q1:+.3} .. {q3:+.3} ms over \
+             {CHECKPOINT_PAIRS} pairs ({verdict}); {generations} generations: 1 written whole, \
+             {} appended + fsynced; final checkpoint {} bytes",
             format!("search/checkpoint_overhead_{trials}"),
-            plain_ns / 1e6,
-            checkpointed_ns / 1e6,
-            (checkpointed_ns / plain_ns - 1.0) * 100.0,
-            std::fs::metadata(&live).map_or(0, |m| m.len())
+            generations - 1,
+            file.len()
         );
 
         // The last generation boundary: the largest generation cap that

@@ -8,27 +8,26 @@
 //! identities ignored) has been tuned before.
 //!
 //! The database lives in memory; [`crate::journal::JournaledDb`] persists
-//! it as a snapshot plus a write-ahead journal, both through
-//! [`crate::fault_io::JournalIo`]. The snapshot is this module's
-//! hand-rolled, line-oriented text format ([`TuningDatabase::encode`]):
+//! it as one append-only file of framed, checksummed entries, through
+//! [`crate::fault_io::JournalIo`]. Each entry holds one record in this
+//! module's hand-rolled, line-oriented text form (`encode_record`):
 //! every `f64` is stored as the hex of its IEEE-754 bits (round-trips are
-//! bit-exact, including infinities), variable-length payloads (machine
-//! names, workload keys, program text) are byte-length-prefixed, and the
-//! file ends with an `end` sentinel so truncation is detected. It is only
-//! ever replaced whole, by [`crate::fault_io::JournalIo::replace`] (temp
-//! file + fsync + rename), so a crash mid-write can never leave a torn
-//! file behind. Any corruption is reported as a typed [`DbError`] — never
-//! a panic, never a silently empty database.
+//! bit-exact, including infinities), and variable-length payloads
+//! (machine names, workload keys, program text) are byte-length-prefixed.
+//! Any corruption is reported as a typed [`DbError`] — never a panic,
+//! never a silently empty database.
 //!
 //! # Wire-level guarantees
 //!
-//! * `decode(encode(db))` reproduces records, counters, and keys
-//!   bit-identically ([`TuningDatabase::encode`] sorts records, so the
-//!   encoded form itself is canonical: equal databases encode to equal
-//!   bytes).
+//! * A file written by [`TuningDatabase::encode`] (what a compaction
+//!   writes) reads back with every record and key bit-identical, and
+//!   `encode` sorts records, so the encoded form itself is canonical:
+//!   equal databases encode to equal bytes.
 //! * Programs are stored as their printed text and re-parsed on load;
 //!   the printer/parser round-trip is byte-exact for every program the
 //!   tuner can produce (property-tested in `crates/tir`).
+//! * Hit/miss counters live in memory only: they count one process's
+//!   lookups.
 //!
 //! # Identity
 //!
@@ -38,9 +37,9 @@
 //! walk. Two workloads share a record exactly when
 //! [`tir::structural::func_structural_eq`] holds, so no workload can be
 //! served another's record: there is nothing to collide. The key is what
-//! the snapshot, the journal, the wire protocol and the `&str`-keyed API
+//! the database file, the wire protocol and the `&str`-keyed API
 //! (`lookup`, `peek`, `insert`) carry, and its meaning is part of the
-//! format: the headers say `v2`. A `v1` file was keyed by the printed
+//! format: the header says `v2`. A `v1` file was keyed by the printed
 //! program with every word renamed, dtypes included, so its records cannot
 //! be re-keyed; it is refused with both headers named.
 //!
@@ -53,10 +52,8 @@
 //! use tir_autoschedule::database::TuningDatabase;
 //!
 //! let db = TuningDatabase::new();
-//! let encoded = db.encode();
-//! let decoded = TuningDatabase::decode(&encoded).expect("well-formed");
-//! assert_eq!(decoded.encode(), encoded);
-//! assert!(decoded.is_empty());
+//! assert_eq!(db.encode(), "tir-tuning-db-journal v2\n");
+//! assert!(db.is_empty());
 //! ```
 
 use std::collections::HashMap;
@@ -70,10 +67,8 @@ use tir_exec::machine::Machine;
 use tir_tensorize::IntrinRegistry;
 
 use crate::baseline::{tune_workload, Strategy};
+use crate::journal::{frame_into, JOURNAL_HEADER};
 use crate::search::{TuneOptions, TuneResult, WarmStart};
-
-/// Magic + version header of the on-disk format; bump on any change.
-const HEADER: &str = "tir-tuning-database v2";
 
 /// The key a workload's records are stored under: the lowercase hex of its
 /// structural stream, so two workloads share a key exactly when
@@ -138,9 +133,9 @@ impl TuningRecord {
 pub enum DbError {
     /// The file could not be read or written.
     Io(std::io::Error),
-    /// The file exists but does not hold a valid database: truncated,
-    /// bit-flipped, trailing garbage, an unknown strategy label, or a
-    /// stored program that no longer parses.
+    /// The file exists but does not hold a valid database: damaged
+    /// before its last entry, of another format or version, or holding an
+    /// unknown strategy label or a stored program that no longer parses.
     Corrupt {
         /// Byte offset at which decoding failed.
         offset: usize,
@@ -188,9 +183,8 @@ pub(crate) fn bad_header(file: &str, found: &str, expected: &str) -> DbError {
     }
 }
 
-/// Byte-offset cursor over the encoded text; every failure carries the
-/// offset it happened at. Shared with the journal decoder in
-/// [`crate::journal`], which rebases the offsets into the journal file.
+/// Byte-offset cursor over one entry's payload; every failure carries the
+/// offset it happened at.
 pub(crate) struct Cursor<'a> {
     pub(crate) text: &'a str,
     pub(crate) pos: usize,
@@ -242,9 +236,9 @@ impl<'a> Cursor<'a> {
 /// Encodes one record in the canonical `record …` block form: a header
 /// line with length prefixes and hex-bit floats, followed by four
 /// byte-length-prefixed blobs, the last being `best` — the printed text of
-/// `rec.best`, which the caller has in hand or prints once. Used verbatim
-/// by both the snapshot ([`TuningDatabase::encode`]) and the write-ahead
-/// journal ([`crate::journal`]) — one codec, two containers.
+/// `rec.best`, which the caller has in hand or prints once. The payload of
+/// every entry of the database file, whether a publish appended it or
+/// [`TuningDatabase::encode`] wrote it.
 pub(crate) fn encode_record(
     machine: &str,
     strategy: &str,
@@ -443,8 +437,8 @@ impl TuningDatabase {
     }
 
     /// The printed text of a stored record's best program, if the database
-    /// has it in hand (it was decoded from, or already encoded to, a
-    /// snapshot or journal entry). Never prints: a caller holding the
+    /// has it in hand (it was read from, or already written to, an entry
+    /// of the database file). Never prints: a caller holding the
     /// database behind a lock prints a `None` itself, outside it.
     pub fn best_text(&self, machine: &str, strategy: Strategy, key: &str) -> Option<Arc<str>> {
         find(&self.records, machine, strategy, key)?
@@ -556,78 +550,23 @@ impl TuningDatabase {
         result
     }
 
-    /// Encodes the database to its canonical textual form: records
-    /// sorted by key, so equal databases encode to equal bytes.
+    /// The database as a compacted file: the header line, then one
+    /// framed entry per record, sorted by (machine, strategy,
+    /// key), so equal databases encode to equal bytes. What
+    /// [`crate::journal::JournaledDb::compact`] writes; hit/miss counters
+    /// are not stored.
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        out.push_str(HEADER);
-        out.push('\n');
-        out.push_str(&format!("counters {} {}\n", self.hits, self.misses));
         let mut rows: Vec<(&str, &str, &str, &Stored)> = self
             .stored()
             .map(|(key, s)| (s.machine.as_str(), s.strategy.label(), key, s))
             .collect();
         rows.sort_by_key(|&(machine, strategy, key, _)| (machine, strategy, key));
-        out.push_str(&format!("records {}\n", rows.len()));
+        let mut out = format!("{JOURNAL_HEADER}\n");
         for (machine, strategy, key, s) in rows {
-            out.push_str(&encode_record(
-                machine,
-                strategy,
-                key,
-                &s.record,
-                s.best_text(),
-            ));
+            let payload = encode_record(machine, strategy, key, &s.record, s.best_text());
+            frame_into(&mut out, &payload);
         }
-        out.push_str("end\n");
         out
-    }
-
-    /// Decodes a database from its textual form.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Corrupt`] on any malformation: wrong header,
-    /// truncation, bad counts, an unknown strategy label, trailing
-    /// garbage, or a stored program that fails to parse.
-    pub fn decode(text: &str) -> Result<Self, DbError> {
-        let mut c = Cursor { text, pos: 0 };
-        let header = c.line()?;
-        if header != HEADER {
-            return Err(bad_header("snapshot", header, HEADER));
-        }
-        let mut db = TuningDatabase::new();
-        let counters = c.line()?;
-        let mut toks = counters.split_whitespace();
-        if toks.next() != Some("counters") {
-            return Err(c.corrupt("expected `counters` line"));
-        }
-        db.hits = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| c.corrupt("bad hits counter"))?;
-        db.misses = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| c.corrupt("bad misses counter"))?;
-        let records = c.line()?;
-        let mut toks = records.split_whitespace();
-        if toks.next() != Some("records") {
-            return Err(c.corrupt("expected `records` line"));
-        }
-        let n: usize = toks
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| c.corrupt("bad record count"))?;
-        for _ in 0..n {
-            decode_record(&mut c)?.insert_into(&mut db);
-        }
-        if c.line()? != "end" {
-            return Err(c.corrupt("missing `end` sentinel (truncated file?)"));
-        }
-        if !c.at_end() {
-            return Err(c.corrupt("trailing garbage after `end` sentinel"));
-        }
-        Ok(db)
     }
 }
 
@@ -783,10 +722,17 @@ mod tests {
         assert_eq!(peek_text(&db), None, "nothing printed yet");
         let encoded = db.encode();
         assert_eq!(peek_text(&db).as_deref(), Some(&*f.to_string()), "kept");
-        // A decoded database has every text in hand; a replaced record
-        // starts over.
-        let mut decoded = TuningDatabase::decode(&encoded).expect("decodes");
-        assert_eq!(peek_text(&decoded).as_deref(), Some(&*f.to_string()));
+        // A database read from its file has every text in hand; a replaced
+        // record starts over.
+        let dir = std::env::temp_dir().join(format!("tir-db-text-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tuning.db");
+        std::fs::write(&path, &encoded).unwrap();
+        let (mut store, _) =
+            crate::journal::JournaledDb::open(Box::new(crate::fault_io::DiskIo), &path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let decoded = store.db_mut();
+        assert_eq!(peek_text(decoded).as_deref(), Some(&*f.to_string()));
         let other = tir_workloads::gmm(32, 32, 64, dt, dt);
         let replacement = TuningRecord {
             best: other.clone(),
@@ -796,7 +742,7 @@ mod tests {
                 .clone()
         };
         decoded.insert("SimGPU", Strategy::TensorIr, key.clone(), replacement);
-        assert_eq!(peek_text(&decoded), None, "dropped with the old record");
+        assert_eq!(peek_text(decoded), None, "dropped with the old record");
         assert!(decoded.encode().contains(&other.to_string()));
     }
 

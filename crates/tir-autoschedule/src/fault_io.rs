@@ -1,6 +1,6 @@
 //! Fault-injectable storage I/O for every file the tuner persists: the
-//! tuning database's snapshot and write-ahead journal
-//! ([`crate::journal`]) and the tune checkpoint ([`crate::checkpoint`]).
+//! tuning database's one append-only file ([`crate::journal`]) and the
+//! tune checkpoint ([`crate::checkpoint`]).
 //!
 //! Both must stay consistent across crashes — a property that cannot be
 //! tested by waiting for real power failures. This module abstracts the
@@ -36,9 +36,9 @@
 //!
 //! Atomic replace is modeled as atomic *and* durable (its contract is
 //! write-temp + fsync + rename); directory-entry loss is deliberately
-//! out of scope. Truncation is likewise modeled as immediately durable —
-//! the journal's recovery replay is idempotent, so compaction
-//! correctness never depends on truncate ordering.
+//! out of scope. Truncation is likewise modeled as immediately durable:
+//! it only ever cuts a torn or unacknowledged tail, so no acknowledged
+//! byte depends on its ordering.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -47,8 +47,8 @@ use std::path::{Path, PathBuf};
 use tir_rand::rngs::StdRng;
 use tir_rand::{derive_seed, RngExt, SeedableRng};
 
-/// The storage operations the journaled database performs, in the order
-/// durability reasoning cares about. Every mutating call advances the
+/// The storage operations the database and the checkpoint perform, in the
+/// order durability reasoning cares about. Every mutating call advances the
 /// implementation's *op index*, the coordinate fault draws are keyed on.
 pub trait JournalIo: Send {
     /// Reads the full contents of `path`; `Ok(None)` when it does not
@@ -67,8 +67,8 @@ pub trait JournalIo: Send {
     /// exactly `bytes`, never a mix.
     fn replace(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()>;
 
-    /// Truncates `path` to its first `len` bytes (tail salvage and
-    /// journal reset after compaction).
+    /// Truncates `path` to its first `len` bytes: a torn tail's salvage, a
+    /// failed append's repair, a checkpoint's cut back to its own log.
     fn truncate(&mut self, path: &Path, len: u64) -> io::Result<()>;
 
     /// A named crash point. [`DiskIo`] ignores it; [`FaultIo`] crashes

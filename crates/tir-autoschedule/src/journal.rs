@@ -1,30 +1,28 @@
-//! Crash-consistent write-ahead journal for the tuning database.
+//! Crash-consistent storage of the tuning database: one append-only file.
 //!
 //! The tuning database is the fleet's durable asset: once an operator is
-//! tuned, every later request is answered warm from disk. Persisting it
-//! by rewriting the whole file per publish is O(db) *and* fragile — any
-//! damage used to be a fatal [`DbError::Corrupt`]. This module replaces
-//! rewrite-per-publish with the classic write-ahead-journal shape:
+//! tuned, every later request is answered warm from disk. It lives in one
+//! file at the database path, written and read in this module's framing:
 //!
-//! * the **snapshot** (`tir-tuning-database v2`, the existing format)
-//!   holds the database as of the last compaction, written atomically;
-//! * the **journal** (`<db path>.journal`, format
-//!   `tir-tuning-db-journal v2`) is append-only: each published record
-//!   becomes one length-prefixed, checksummed entry reusing the
-//!   snapshot's hex-bit `record` encoding — an O(1) append + fsync per
-//!   publish, regardless of database size;
-//! * **recovery** loads the snapshot, then replays the journal's valid
-//!   prefix. Tail-only damage (a torn final entry — the signature of a
-//!   crash mid-append) is *salvaged*: the torn tail is truncated and
-//!   every complete entry is kept. Damage in the middle of the journal
-//!   — which no crash of ours can produce — stays a typed
-//!   [`DbError::Corrupt`] with the byte offset;
-//! * **compaction** folds journal + memory state into a fresh snapshot
-//!   (atomic replace) and resets the journal — on shutdown, and inline
-//!   once the journal grows past [`JournaledDb::compact_threshold`].
-//!   Replay is idempotent (entries are keyed inserts), so a crash
-//!   between the snapshot write and the journal reset merely replays
-//!   records the snapshot already has.
+//! * the file is the `tir-tuning-db-journal v2` header line, then one
+//!   length-prefixed, checksummed entry per published record, each holding
+//!   the record's hex-bit `record` encoding ([`crate::database`]). A
+//!   publish is an O(1) append + fsync, regardless of database size;
+//! * **recovery** replays the file's valid prefix in order (a later entry
+//!   for the same record replaces an earlier one). Tail-only damage (a
+//!   torn final entry — the signature of a crash mid-append) is
+//!   *salvaged*: the torn tail is truncated and every complete entry is
+//!   kept. Damage before the final entry — which no crash of ours can
+//!   produce — is a typed [`DbError::Corrupt`] with the byte offset;
+//! * **compaction** rewrites the file as the header plus one entry per
+//!   record, sorted by (machine, strategy, key)
+//!   ([`TuningDatabase::encode`]), in one atomic
+//!   [`JournalIo::replace`] — on shutdown, and inline once this store has
+//!   appended more than [`JournaledDb::compact_threshold`] bytes since it
+//!   opened or last compacted the file. A crash before the rename leaves
+//!   the old file and one after it the new one; both hold every record.
+//!
+//! Hit/miss counters are not stored: they count one store's lifetime.
 //!
 //! # The durability invariant
 //!
@@ -41,7 +39,7 @@
 //! and under deterministic chaos (against
 //! [`crate::fault_io::FaultIo`]).
 //!
-//! # Journal entry framing
+//! # Entry framing
 //!
 //! ```text
 //! tir-tuning-db-journal v2\n
@@ -53,7 +51,14 @@
 //!
 //! The FNV-1a checksum covers the payload bytes, so a bit flip anywhere
 //! in an entry is detected, and the length prefix makes the valid
-//! prefix of a torn journal decidable without trusting damaged bytes.
+//! prefix of a torn file decidable without trusting damaged bytes. The
+//! tune checkpoint ([`crate::checkpoint`]) is the same container under
+//! its own header: `frame_into` writes every entry of both files and
+//! `read_frames` reads them.
+//!
+//! Files of the earlier two-file layout (a snapshot at the path plus this
+//! framing at `<path>.journal`) are refused by [`JournaledDb::open`], each
+//! by name, never read as an empty database.
 
 use std::fmt::Write as _;
 use std::io;
@@ -66,7 +71,7 @@ use crate::database::{
 };
 use crate::fault_io::JournalIo;
 
-/// Magic + version header of the journal file; bump on any change.
+/// Magic + version header of the database file; bump on any change.
 pub const JOURNAL_HEADER: &str = "tir-tuning-db-journal v2";
 
 /// Named crash points in the publish path, in order. The chaos harness
@@ -77,7 +82,7 @@ pub const PUBLISH_CRASH_POINTS: &[&str] =
     &["publish.begin", "publish.pre_fsync", "publish.post_fsync"];
 
 /// Named crash points in the compaction path, in order.
-pub const COMPACT_CRASH_POINTS: &[&str] = &["compact.begin", "compact.pre_truncate", "compact.end"];
+pub const COMPACT_CRASH_POINTS: &[&str] = &["compact.begin", "compact.end"];
 
 /// Named crash points in a tune checkpoint's append of one generation
 /// ([`crate::checkpoint`]), in order.
@@ -94,27 +99,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Derives the journal path that rides alongside a snapshot path:
-/// `tuning.db` → `tuning.db.journal`.
-pub fn journal_path_for(db_path: &Path) -> PathBuf {
-    let mut os = db_path.as_os_str().to_os_string();
-    os.push(".journal");
-    PathBuf::from(os)
-}
-
 /// What recovery found and did. Returned by [`JournaledDb::open`] so
 /// the daemon can log (and its stats can expose) exactly how the store
 /// came back.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Records loaded from the snapshot.
-    pub snapshot_records: usize,
-    /// Journal entries replayed on top of the snapshot.
+    /// Entries replayed from the file.
     pub journal_replayed: usize,
-    /// Bytes of torn journal tail truncated (0 on a clean boot).
+    /// Bytes of torn tail truncated (0 on a clean boot).
     pub salvaged_bytes: usize,
-    /// Valid journal bytes retained after recovery.
-    pub journal_bytes: usize,
 }
 
 impl RecoveryReport {
@@ -127,13 +120,13 @@ impl RecoveryReport {
 /// Outcome of one [`JournaledDb::publish`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PublishOutcome {
-    /// Bytes appended to the journal for this record.
+    /// Bytes appended to the file for this record.
     pub appended_bytes: usize,
     /// Whether this publish tripped the size threshold and compacted.
     pub compacted: bool,
 }
 
-/// One record framed for the journal. Building it prints the program and
+/// One record framed for the file. Building it prints the program and
 /// checksums the payload — all of a publish that grows with the program —
 /// and needs nothing from the store, so a caller sharing the store behind
 /// a lock builds the entry first and holds the lock only for
@@ -172,88 +165,85 @@ impl JournalEntry {
 }
 
 /// The persistent tuning database: an in-memory [`TuningDatabase`]
-/// backed by a snapshot file plus a write-ahead journal, all I/O
-/// indirected through a [`JournalIo`] so crash consistency is testable.
+/// backed by one append-only file, all I/O indirected through a
+/// [`JournalIo`] so crash consistency is testable.
 pub struct JournaledDb {
     db: TuningDatabase,
     io: Box<dyn JournalIo>,
-    snapshot_path: PathBuf,
-    journal_path: PathBuf,
-    /// Current journal length in bytes (0 when absent/reset).
+    path: PathBuf,
+    /// Length of the file's valid prefix, where the next entry goes (0
+    /// when the file is absent or empty).
+    file_bytes: usize,
+    /// Bytes appended since this store opened or last compacted the file.
     journal_bytes: usize,
-    /// Journal size past which a publish folds into the snapshot.
+    /// Appended bytes past which a publish compacts the file.
     pub compact_threshold: usize,
     /// Compactions performed over this store's lifetime.
     compactions: usize,
-    /// Threshold compactions that failed transiently (the journal keeps
+    /// Threshold compactions that failed transiently (the file keeps
     /// growing; durability is unaffected).
     compact_failures: usize,
-    /// Records whose journal append failed and that therefore live only
-    /// in memory — the degraded state. Cleared by a successful compact.
+    /// Records whose append failed and that therefore live only in
+    /// memory — the degraded state. Cleared by a successful compact.
     unjournaled: usize,
 }
 
 impl JournaledDb {
-    /// Default [`JournaledDb::compact_threshold`]: 256 KiB of journal.
+    /// Default [`JournaledDb::compact_threshold`]: 256 KiB appended.
     pub const DEFAULT_COMPACT_THRESHOLD: usize = 256 * 1024;
 
-    /// Opens (or creates) the store at `db_path`, running crash
-    /// recovery: load the snapshot, replay the journal's valid prefix,
-    /// salvage a torn tail.
+    /// Opens (or creates) the store at `path`, running crash recovery:
+    /// replay the file's valid prefix, salvage a torn tail.
     ///
     /// # Errors
     ///
-    /// [`DbError::Io`] on storage failure; [`DbError::Corrupt`] when
-    /// the snapshot is damaged anywhere, or the journal is damaged
-    /// *before* its final entry (tail-only damage is salvaged, not an
-    /// error).
+    /// [`DbError::Io`] on storage failure; [`DbError::Corrupt`] when the
+    /// file is damaged *before* its final entry (tail-only damage is
+    /// salvaged, not an error), when it is not a database file of this
+    /// version, and when a `<path>.journal` of the two-file layout sits
+    /// beside it.
     pub fn open(
         mut io: Box<dyn JournalIo>,
-        db_path: &Path,
+        path: &Path,
     ) -> Result<(JournaledDb, RecoveryReport), DbError> {
-        let snapshot_path = db_path.to_path_buf();
-        let journal_path = journal_path_for(db_path);
-        // The snapshot is written atomically, so damage there is real
-        // external corruption: strict, never salvaged.
-        let db = match io.read(&snapshot_path)? {
-            None => TuningDatabase::new(),
-            Some(bytes) => match String::from_utf8(bytes) {
-                Ok(text) => TuningDatabase::decode(&text)?,
-                Err(e) => {
-                    return Err(DbError::Corrupt {
-                        offset: e.utf8_error().valid_up_to(),
-                        reason: "snapshot is not valid UTF-8".to_string(),
-                    })
-                }
-            },
-        };
-        let mut store = JournaledDb {
+        let mut leftover = path.as_os_str().to_os_string();
+        leftover.push(".journal");
+        let leftover = PathBuf::from(leftover);
+        if io.read(&leftover)?.is_some() {
+            return Err(DbError::Corrupt {
+                offset: 0,
+                reason: format!(
+                    "{} is the journal of a `tir-tuning-database v2` snapshot (the two-file \
+                     layout) and may hold acknowledged records this build does not read: \
+                     move the file aside to start",
+                    leftover.display()
+                ),
+            });
+        }
+        let bytes = io.read(path)?.unwrap_or_default();
+        let mut db = TuningDatabase::new();
+        let (journal_replayed, valid_len) = replay(&mut db, &bytes)?;
+        let salvaged_bytes = bytes.len() - valid_len;
+        if salvaged_bytes > 0 {
+            // Drop the torn tail so the next append starts at an entry
+            // boundary.
+            io.truncate(path, valid_len as u64)?;
+        }
+        let store = JournaledDb {
             db,
             io,
-            snapshot_path,
-            journal_path,
+            path: path.to_path_buf(),
+            file_bytes: valid_len,
             journal_bytes: 0,
             compact_threshold: Self::DEFAULT_COMPACT_THRESHOLD,
             compactions: 0,
             compact_failures: 0,
             unjournaled: 0,
         };
-        let mut report = RecoveryReport {
-            snapshot_records: store.db.len(),
-            ..Default::default()
+        let report = RecoveryReport {
+            journal_replayed,
+            salvaged_bytes,
         };
-        if let Some(bytes) = store.io.read(&store.journal_path)? {
-            let (replayed, valid_len) = replay(&mut store.db, &bytes)?;
-            report.journal_replayed = replayed;
-            report.salvaged_bytes = bytes.len() - valid_len;
-            report.journal_bytes = valid_len;
-            if report.salvaged_bytes > 0 {
-                // Drop the torn tail so the next append starts at a
-                // record boundary.
-                store.io.truncate(&store.journal_path, valid_len as u64)?;
-            }
-            store.journal_bytes = valid_len;
-        }
         Ok((store, report))
     }
 
@@ -270,7 +260,9 @@ impl JournaledDb {
         &mut self.db
     }
 
-    /// Current journal size in bytes.
+    /// Bytes appended since this store opened or last compacted the file
+    /// — what [`JournaledDb::compact_threshold`] is compared with, not the
+    /// file's length.
     pub fn journal_bytes(&self) -> usize {
         self.journal_bytes
     }
@@ -285,19 +277,19 @@ impl JournaledDb {
         self.compact_failures
     }
 
-    /// Records held only in memory because their journal append failed
-    /// — the degraded state operators alarm on. Cleared to zero by the
-    /// first successful [`JournaledDb::compact`].
+    /// Records held only in memory because their append failed — the
+    /// degraded state operators alarm on. Cleared to zero by the first
+    /// successful [`JournaledDb::compact`].
     pub fn unjournaled(&self) -> usize {
         self.unjournaled
     }
 
-    /// Publishes one record durably: appends one journal entry, fsyncs,
-    /// and inserts it in memory — O(1) in the database size. On `Ok`, the
+    /// Publishes one record durably: appends one entry, fsyncs, and
+    /// inserts it in memory — O(1) in the database size. On `Ok`, the
     /// record survives any crash. The append tripping
-    /// [`JournaledDb::compact_threshold`] also folds the journal into
-    /// the snapshot (a transient compaction failure is *not* a publish
-    /// failure — the record is already durable; it is counted in
+    /// [`JournaledDb::compact_threshold`] also compacts the file (a
+    /// transient compaction failure is *not* a publish failure — the
+    /// record is already durable; it is counted in
     /// [`JournaledDb::compact_failures`]).
     ///
     /// On `Err`, the record is still present in memory but **not
@@ -312,7 +304,7 @@ impl JournaledDb {
     ///
     /// # Errors
     ///
-    /// [`DbError::Io`] when the append or fsync failed; the journal is
+    /// [`DbError::Io`] when the append or fsync failed; the file is
     /// best-effort repaired (truncated back to the last good boundary)
     /// so a *later* publish cannot leave damage mid-file.
     pub fn publish(
@@ -346,8 +338,8 @@ impl JournaledDb {
         let appended_bytes = self.append_durably(&entry.framed)?;
         self.insert_entry(entry);
         // A previously degraded record becomes durable with the rest of
-        // the memory state once a compaction folds it into the snapshot;
-        // force one on the next opportunity.
+        // the memory state once a compaction writes it; force one on the
+        // next opportunity.
         let over_threshold = self.journal_bytes > self.compact_threshold;
         let mut compacted = false;
         if over_threshold || self.unjournaled > 0 {
@@ -365,7 +357,7 @@ impl JournaledDb {
 
     /// Gives up on journaling `entry`: the record is kept in memory only
     /// and counted in [`JournaledDb::unjournaled`] — the degraded state —
-    /// until a compaction folds it into the snapshot.
+    /// until a compaction writes it.
     pub fn keep_unjournaled(&mut self, entry: &JournalEntry) {
         self.insert_entry(entry);
         self.unjournaled += 1;
@@ -381,27 +373,28 @@ impl JournaledDb {
         );
     }
 
-    /// Appends `entry` (with the journal header first when the journal
-    /// is empty) and fsyncs; returns bytes appended. On failure the
-    /// journal is repaired back to `journal_bytes` best-effort.
+    /// Appends `entry` (with the header first when the file is empty) and
+    /// fsyncs; returns bytes appended. On failure the file is repaired
+    /// back to `file_bytes` best-effort.
     fn append_durably(&mut self, entry: &str) -> Result<usize, DbError> {
         let io = &mut self.io;
         let mut run = || -> io::Result<usize> {
             io.crash_point("publish.begin")?;
             let mut bytes = Vec::with_capacity(entry.len() + 32);
-            if self.journal_bytes == 0 {
+            if self.file_bytes == 0 {
                 bytes.extend_from_slice(JOURNAL_HEADER.as_bytes());
                 bytes.push(b'\n');
             }
             bytes.extend_from_slice(entry.as_bytes());
-            io.append(&self.journal_path, &bytes)?;
+            io.append(&self.path, &bytes)?;
             io.crash_point("publish.pre_fsync")?;
-            io.fsync(&self.journal_path)?;
+            io.fsync(&self.path)?;
             io.crash_point("publish.post_fsync")?;
             Ok(bytes.len())
         };
         match run() {
             Ok(n) => {
+                self.file_bytes += n;
                 self.journal_bytes += n;
                 Ok(n)
             }
@@ -409,33 +402,27 @@ impl JournaledDb {
                 // A failed append may have left a partial entry behind;
                 // cutting back to the last good boundary keeps any
                 // damage tail-only (and recovery salvages tails).
-                let _ = self
-                    .io
-                    .truncate(&self.journal_path, self.journal_bytes as u64);
+                let _ = self.io.truncate(&self.path, self.file_bytes as u64);
                 Err(DbError::Io(e))
             }
         }
     }
 
-    /// Folds the journal into the snapshot: writes the full database
-    /// atomically, then resets the journal to empty. Also persists the
-    /// hit/miss counters (journal entries do not carry them). Clears
-    /// the degraded [`JournaledDb::unjournaled`] state — after a
-    /// successful compact, everything in memory is on disk.
+    /// Rewrites the file as the header plus one entry per record in
+    /// memory ([`TuningDatabase::encode`]), atomically. Clears the
+    /// degraded [`JournaledDb::unjournaled`] state — after a successful
+    /// compact, everything in memory is on disk.
     ///
     /// # Errors
     ///
-    /// [`DbError::Io`] on storage failure. The order (snapshot first,
-    /// journal reset second, replay idempotent) means a crash anywhere
-    /// inside loses nothing.
+    /// [`DbError::Io`] on storage failure. The file is replaced whole, so
+    /// a crash anywhere inside leaves the old file or the new one, and
+    /// loses nothing.
     pub fn compact(&mut self) -> Result<(), DbError> {
         self.io.crash_point("compact.begin")?;
-        let snapshot = self.db.encode();
-        self.io.replace(&self.snapshot_path, snapshot.as_bytes())?;
-        self.io.crash_point("compact.pre_truncate")?;
-        if self.journal_bytes > 0 {
-            self.io.truncate(&self.journal_path, 0)?;
-        }
+        let bytes = self.db.encode();
+        self.io.replace(&self.path, bytes.as_bytes())?;
+        self.file_bytes = bytes.len();
         self.journal_bytes = 0;
         self.compactions += 1;
         self.unjournaled = 0;
@@ -444,11 +431,11 @@ impl JournaledDb {
     }
 }
 
-/// Replays journal `bytes` into `db`. Returns `(entries replayed,
-/// valid prefix length)`; a torn tail shortens the valid prefix, while
-/// mid-file damage is a [`DbError::Corrupt`] at its byte offset.
+/// Replays the database file's `bytes` into `db`. Returns `(entries
+/// replayed, valid prefix length)`; a torn tail shortens the valid prefix,
+/// while mid-file damage is a [`DbError::Corrupt`] at its byte offset.
 fn replay(db: &mut TuningDatabase, bytes: &[u8]) -> Result<(usize, usize), DbError> {
-    read_frames("journal", JOURNAL_HEADER, bytes, |payload, _| {
+    read_frames("database", JOURNAL_HEADER, bytes, |payload, _| {
         let mut cursor = Cursor {
             text: payload,
             pos: 0,
@@ -469,7 +456,7 @@ pub(crate) fn frame_into(out: &mut String, payload: &str) {
     out.push_str(payload);
 }
 
-/// Reads a framed file — the `header` line, then [`frame`]d entries —
+/// Reads a framed file — the `header` line, then [`frame_into`] entries —
 /// handing each whole entry's payload and exclusive end offset to
 /// `decode` in order. Returns `(entries decoded, valid prefix length)`.
 ///
@@ -610,9 +597,11 @@ mod tests {
         assert_eq!(rep, RecoveryReport::default());
         publish_n(&mut store, 5);
         let want = store.db().encode();
-        assert!(store.journal_bytes() > 0, "publishes journal, not snapshot");
-        assert!(!path.exists(), "no compaction ran: no snapshot yet");
-        drop(store); // no clean shutdown — the journal alone must carry it
+        // A fresh file: every byte of it was appended by this store.
+        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+        assert_eq!(store.journal_bytes(), file_len);
+        assert_eq!(store.compactions(), 0);
+        drop(store); // no clean shutdown — the appended entries must carry it
         let (reopened, rep) = JournaledDb::open(Box::new(DiskIo::new()), &path).unwrap();
         assert_eq!(rep.journal_replayed, 5);
         assert_eq!(rep.salvaged_bytes, 0);
@@ -620,26 +609,34 @@ mod tests {
     }
 
     #[test]
-    fn compaction_folds_journal_into_snapshot() {
+    fn compaction_rewrites_the_file_sorted_and_appends_continue_it() {
         let path = tmpdb("compact");
         let (mut store, _) = JournaledDb::open(Box::new(DiskIo::new()), &path).unwrap();
         publish_n(&mut store, 4);
+        // The same record twice: the file holds both entries until a
+        // compaction keeps the later one.
+        let (key, rec) = record(3);
+        store
+            .publish("SimGPU", Strategy::TensorIr, key, rec)
+            .unwrap();
         let want = store.db().encode();
         store.compact().unwrap();
         assert_eq!(store.journal_bytes(), 0);
         assert_eq!(store.compactions(), 1);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), want);
-        // Journal resets; the next publish starts a fresh one.
+        assert!(want.starts_with(&format!("{JOURNAL_HEADER}\nentry ")));
+        // Later publishes append to the compacted file.
         let (key, rec) = record(9);
-        store
+        let appended = store
             .publish("SimGPU", Strategy::TensorIr, key, rec)
-            .unwrap();
-        assert!(store.journal_bytes() > 0);
+            .unwrap()
+            .appended_bytes;
+        assert_eq!(store.journal_bytes(), appended);
         let want = store.db().encode();
         drop(store);
         let (reopened, rep) = JournaledDb::open(Box::new(DiskIo::new()), &path).unwrap();
-        assert_eq!(rep.snapshot_records, 4);
-        assert_eq!(rep.journal_replayed, 1);
+        assert_eq!(rep.journal_replayed, 5);
+        assert_eq!(reopened.journal_bytes(), 0, "counted from the open");
         assert_eq!(reopened.db().encode(), want);
     }
 
@@ -658,7 +655,7 @@ mod tests {
         let path = tmpdb("torn-tail");
         let (mut store, _) = JournaledDb::open(Box::new(DiskIo::new()), &path).unwrap();
         publish_n(&mut store, 3);
-        let jpath = journal_path_for(&path);
+        let jpath = path.clone();
         let intact = store.journal_bytes();
         let (key, rec) = record(7);
         store
@@ -685,7 +682,7 @@ mod tests {
         let path = tmpdb("flip-tail");
         let (mut store, _) = JournaledDb::open(Box::new(DiskIo::new()), &path).unwrap();
         publish_n(&mut store, 2);
-        let jpath = journal_path_for(&path);
+        let jpath = path.clone();
         let boundary = {
             // Reconstruct where entry 2 starts: publish once more and
             // note the growth.
@@ -738,7 +735,7 @@ mod tests {
             store.journal_bytes()
         };
         publish_n(&mut store, 3);
-        let jpath = journal_path_for(&path);
+        let jpath = path.clone();
         drop(store);
         let mut bytes = std::fs::read(&jpath).unwrap();
         let header_len = JOURNAL_HEADER.len() + 1;
@@ -750,8 +747,8 @@ mod tests {
             Err(DbError::Corrupt { offset, reason }) => {
                 assert_eq!(offset, header_len, "offset points at the damaged entry");
                 assert!(
-                    reason.contains("journal"),
-                    "reason names the journal: {reason}"
+                    reason.contains("database"),
+                    "reason names the file: {reason}"
                 );
             }
             Ok(_) => panic!("mid-file damage must not salvage"),
@@ -760,20 +757,18 @@ mod tests {
     }
 
     #[test]
-    fn journal_torn_inside_its_header_salvages_to_empty() {
+    fn file_torn_inside_its_header_salvages_to_empty() {
         let path = tmpdb("torn-header");
-        let jpath = journal_path_for(&path);
-        std::fs::write(&jpath, &JOURNAL_HEADER.as_bytes()[..7]).unwrap();
+        std::fs::write(&path, &JOURNAL_HEADER.as_bytes()[..7]).unwrap();
         let (store, rep) = JournaledDb::open(Box::new(DiskIo::new()), &path).unwrap();
         assert_eq!(store.db().len(), 0);
         assert_eq!(rep.salvaged_bytes, 7);
     }
 
     #[test]
-    fn alien_journal_file_is_corrupt() {
+    fn alien_file_is_corrupt() {
         let path = tmpdb("alien");
-        let jpath = journal_path_for(&path);
-        std::fs::write(&jpath, "not a journal at all\n").unwrap();
+        std::fs::write(&path, "not a database at all\n").unwrap();
         assert!(matches!(
             JournaledDb::open(Box::new(DiskIo::new()), &path),
             Err(DbError::Corrupt { offset: 0, .. })
@@ -903,7 +898,7 @@ mod tests {
             .peek("SimGPU", Strategy::TensorIr, &key)
             .is_some());
         // The next successful publish forces a compaction, which folds
-        // the degraded record into the snapshot and clears the state.
+        // the degraded record into the file and clears the state.
         let (key2, rec2) = record(1);
         let outcome = store
             .publish("SimGPU", Strategy::TensorIr, key2, rec2)

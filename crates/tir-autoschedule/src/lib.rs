@@ -17,10 +17,10 @@
 //! * [`checkpoint`] — generation-granularity checkpoint/resume of tuning
 //!   runs as a replayed measurement log, bit-identical to uninterrupted
 //!   runs, kept in the journal's framing;
-//! * [`journal`] / [`fault_io`] — the crash-consistent write-ahead journal
-//!   behind the tuning database and its framing, and the fault-injectable
-//!   I/O layer that lets a deterministic chaos harness prove the recovery
-//!   guarantees of both files;
+//! * [`journal`] / [`fault_io`] — the tuning database's one crash-consistent,
+//!   append-only file and its framing (shared with the checkpoint), and the
+//!   fault-injectable I/O layer that lets a deterministic chaos harness
+//!   prove the recovery guarantees of both files;
 //! * [`cost_model`] — a from-scratch gradient-boosted-tree cost model
 //!   trained online from simulator measurements;
 //! * [`feature`] — program feature extraction;
@@ -47,7 +47,7 @@ pub use baseline::{build_sketches, oracle_time, tune_workload, Strategy};
 pub use cost_model::CostModel;
 pub use database::{workload_key, DbError, TuningDatabase, TuningRecord};
 pub use fault_io::{DiskIo, FaultIo, FaultSpec, IoProfile, JournalIo};
-pub use journal::{journal_path_for, JournalEntry, JournaledDb, PublishOutcome, RecoveryReport};
+pub use journal::{JournalEntry, JournaledDb, PublishOutcome, RecoveryReport};
 pub use measure::{
     measure_with_retries, FaultInjector, FaultPlan, MeasureCtx, MeasureError, MeasureOutcome,
     MeasureTrace, Measurer, RetryPolicy, SimMeasurer, VerifyingMeasurer,

@@ -447,15 +447,15 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Where one measurement job writes its per-attempt trace events.
 ///
-/// The harness emits spans keyed by `(stream, generation, slot, attempt)`
-/// into the job's own [`tir_trace::TraceBuffer`], so the merged report is
-/// deterministic: the key is a pure function of the job's position in the
-/// batch, never of scheduling. All span times are *simulated* farm seconds
+/// The harness records spans keyed by `(stream, generation, slot, attempt)`
+/// straight into the tune's [`tir_trace::Collector`], so the merged report
+/// is deterministic: the key is a pure function of the job's position in
+/// the batch, never of scheduling. All span times are *simulated* farm seconds
 /// (the quantities charged to `tuning_cost_s`), so traces are
 /// bit-identical across farm widths too.
-pub struct MeasureTrace<'a, 'c> {
-    /// The job's buffer events land in.
-    pub buf: &'a mut tir_trace::TraceBuffer<'c>,
+pub struct MeasureTrace<'a> {
+    /// The collector events land in.
+    pub collector: &'a tir_trace::Collector,
     /// Trace stream of the owning search (one per `tune_with` call).
     pub stream: u64,
     /// Generation the measured batch belongs to.
@@ -464,9 +464,9 @@ pub struct MeasureTrace<'a, 'c> {
     pub slot: u64,
 }
 
-impl MeasureTrace<'_, '_> {
-    fn span(&mut self, name: &str, attempt: u64, sim_s: f64) {
-        self.buf.span(
+impl MeasureTrace<'_> {
+    fn span(&self, name: &str, attempt: u64, sim_s: f64) {
+        self.collector.span(
             name,
             tir_trace::Key {
                 stream: self.stream,
@@ -532,7 +532,7 @@ pub fn measure_with_retries(
     machine: &Machine,
     candidate: u64,
     retry: &RetryPolicy,
-    mut trace: Option<&mut MeasureTrace<'_, '_>>,
+    trace: Option<&MeasureTrace<'_>>,
 ) -> MeasureOutcome {
     let need = measurer.min_agreeing_readings().max(1);
     let mut cost_s = 0.0f64;
@@ -550,13 +550,13 @@ pub fn measure_with_retries(
         match outcome {
             Ok(t) if t.is_finite() && t >= 0.0 => {
                 cost_s += t * PROFILE_REPEATS;
-                if let Some(tr) = trace.as_deref_mut() {
+                if let Some(tr) = trace {
                     tr.span("measure.profile", ctx.attempt, t * PROFILE_REPEATS);
                 }
                 if !compiled {
                     cost_s += COMPILE_OVERHEAD_S;
                     compiled = true;
-                    if let Some(tr) = trace.as_deref_mut() {
+                    if let Some(tr) = trace {
                         tr.span("measure.compile", ctx.attempt, COMPILE_OVERHEAD_S);
                     }
                 }
@@ -587,7 +587,7 @@ pub fn measure_with_retries(
                     Ok(_) => MeasureError::CorruptReading { readings: 1 },
                 };
                 cost_s += err.attempt_cost_s();
-                if let Some(tr) = trace.as_deref_mut() {
+                if let Some(tr) = trace {
                     tr.span(fault_span_name(&err), ctx.attempt, err.attempt_cost_s());
                 }
                 if !err.is_transient() || transient_retries >= retry.max_retries {
@@ -599,7 +599,7 @@ pub fn measure_with_retries(
                 }
                 transient_retries += 1;
                 cost_s += retry.backoff_s(transient_retries);
-                if let Some(tr) = trace.as_deref_mut() {
+                if let Some(tr) = trace {
                     tr.span(
                         "measure.backoff",
                         ctx.attempt,

@@ -722,15 +722,14 @@ fn measure(
     // errors; `isolated` is the backstop for panics outside it.
     let job = |rank: usize, b: &Built| {
         // The trace key is the job's rank in the batch.
-        let mut buf = cx.trace.map(Collector::buffer);
-        let mut mt = buf.as_mut().map(|buf| MeasureTrace {
-            buf,
+        let mt = cx.trace.map(|collector| MeasureTrace {
+            collector,
             stream: cx.stream,
             generation,
             slot: rank as u64,
         });
         let retry = &cx.opts.retry;
-        measure_with_retries(cx.measurer, &b.func, cx.machine, b.hash, retry, mt.as_mut())
+        measure_with_retries(cx.measurer, &b.func, cx.machine, b.hash, retry, mt.as_ref())
     };
     let farm = |from: usize| -> Vec<MeasureOutcome> {
         (jobs.iter().enumerate().skip(from))

@@ -1,21 +1,21 @@
-//! Golden bytes of the two on-disk database codecs: the snapshot
-//! (`TuningDatabase::encode`) and the write-ahead journal
-//! (`JournaledDb::publish`). Both store every `f64` as the hex of its
-//! bits and land on disk through the atomic write-temp + fsync + rename;
-//! the files under `tests/golden/` were recorded on the commit *before*
-//! those two helpers were merged into one implementation each, so a
-//! byte of drift in either codec fails here.
+//! Golden bytes of the tuning database's one on-disk format: a header line,
+//! then one framed, checksummed `record` entry per record. A store that
+//! publishes three records appends three entries to a fresh file
+//! (`JournaledDb::publish`); a compaction rewrites the file as the same
+//! entries sorted by (machine, strategy, key) (`TuningDatabase::encode`,
+//! through the atomic write-temp + fsync + rename). Every `f64` is stored
+//! as the hex of its bits. `tests/golden/journal_3_entries.bin` was
+//! recorded when the appended entries still went to a second file beside a
+//! snapshot, so a byte of drift in the entry codec fails here.
 //!
-//! Regenerate (only when a format is *meant* to change, together with its
-//! version header) with
+//! Regenerate (only when the format is *meant* to change, together with
+//! its version header) with
 //! `cargo test -p tir-autoschedule --test codec_golden -- --ignored`.
 
 use std::path::PathBuf;
 
 use tir::DataType;
-use tir_autoschedule::{
-    journal_path_for, DbError, DiskIo, JournaledDb, Strategy, TuningDatabase, TuningRecord,
-};
+use tir_autoschedule::{DbError, DiskIo, JournaledDb, Strategy, TuningDatabase, TuningRecord};
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
 
@@ -64,64 +64,100 @@ fn records() -> Vec<(&'static str, Strategy, String, TuningRecord)> {
     ]
 }
 
-fn snapshot() -> String {
-    let mut db = TuningDatabase::new();
-    for (machine, strategy, key, record) in records() {
-        db.insert(machine, strategy, key, record);
-    }
-    db.encode()
-}
-
-/// Snapshot-less store with the three records published in order: the
-/// bytes of its journal, and the snapshot a compaction then writes (which
-/// goes through `DiskIo::replace`).
-fn journal_then_compacted_snapshot() -> (Vec<u8>, Vec<u8>) {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("codec-golden");
+/// A fresh directory of the test's own, and the database path in it.
+fn tmp_db(tag: &str) -> (PathBuf, PathBuf) {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("codec-golden-{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("tmpdir");
-    let db_path = dir.join("tuning.db");
-    let (mut store, _) = JournaledDb::open(Box::new(DiskIo::new()), &db_path).expect("open");
+    let path = dir.join("tuning.db");
+    (dir, path)
+}
+
+/// A fresh store, in a directory tagged `tag`, with the three records
+/// published in order: the file's bytes, then the bytes a compaction
+/// leaves.
+fn published_then_compacted(tag: &str) -> (Vec<u8>, Vec<u8>) {
+    let (dir, path) = tmp_db(tag);
+    let (mut store, _) = JournaledDb::open(Box::new(DiskIo::new()), &path).expect("open");
     for (machine, strategy, key, record) in records() {
         store
             .publish(machine, strategy, key, record)
             .expect("publish");
     }
-    let journal = std::fs::read(journal_path_for(&db_path)).expect("journal written");
+    let published = std::fs::read(&path).expect("file written");
     store.compact().expect("compact");
-    let compacted = std::fs::read(&db_path).expect("snapshot written");
+    let compacted = std::fs::read(&path).expect("file rewritten");
     let _ = std::fs::remove_dir_all(&dir);
-    (journal, compacted)
+    (published, compacted)
 }
 
-#[test]
-fn db_snapshot_matches_golden_and_roundtrips() {
-    let golden = std::fs::read_to_string(format!("{GOLDEN_DIR}/db_snapshot.txt")).expect("golden");
-    assert_eq!(snapshot(), golden);
-    let decoded = TuningDatabase::decode(&golden).expect("golden decodes");
-    assert_eq!(decoded.encode(), golden, "decode → encode must be identity");
+/// The header line and the entries of a database file, each entry with its
+/// `entry <len> <sum>` line.
+fn entries(bytes: &[u8]) -> (&[u8], Vec<&[u8]>) {
+    let line_end = |at: usize| at + bytes[at..].iter().position(|&b| b == b'\n').unwrap() + 1;
+    let header_end = line_end(0);
+    let mut out = Vec::new();
+    let mut at = header_end;
+    while at < bytes.len() {
+        let payload = line_end(at);
+        let line = std::str::from_utf8(&bytes[at..payload]).unwrap();
+        let len: usize = line.split(' ').nth(1).unwrap().parse().unwrap();
+        out.push(&bytes[at..payload + len]);
+        at = payload + len;
+    }
+    (&bytes[..header_end], out)
+}
+
+/// `(machine, strategy, key)` of one entry: the first three blobs of its
+/// `record` block.
+fn identity(entry: &[u8]) -> (&str, &str, &str) {
+    let text = std::str::from_utf8(entry).unwrap();
+    let mut lines = text.lines().skip(2);
+    let mut next = || lines.next().unwrap();
+    (next(), next(), next())
 }
 
 #[test]
 fn journal_of_three_entries_matches_golden() {
     let golden = std::fs::read(format!("{GOLDEN_DIR}/journal_3_entries.bin")).expect("golden");
-    let (journal, compacted) = journal_then_compacted_snapshot();
-    assert_eq!(journal, golden);
-    // The compacted snapshot is the same database.
-    assert_eq!(String::from_utf8(compacted).expect("utf-8"), snapshot());
+    let (published, _) = published_then_compacted("golden");
+    assert_eq!(published, golden);
+}
+
+/// A compaction writes the same header and the same three entries, sorted
+/// by (machine, strategy, key), and they read back as the same database.
+#[test]
+fn compacted_file_is_the_published_entries_sorted() {
+    let (published, compacted) = published_then_compacted("sorted");
+    let (header, mut want) = entries(&published);
+    want.sort_by(|a, b| identity(a).cmp(&identity(b)));
+    assert_eq!(entries(&compacted), (header, want));
+    let mut db = TuningDatabase::new();
+    for (machine, strategy, key, record) in records() {
+        db.insert(machine, strategy, key, record);
+    }
+    assert_eq!(compacted, db.encode().as_bytes());
+
+    let (dir, path) = tmp_db("reopen");
+    std::fs::write(&path, &compacted).expect("write");
+    let (store, rep) = JournaledDb::open(Box::new(DiskIo::new()), &path).expect("open");
+    assert_eq!((rep.journal_replayed, rep.salvaged_bytes), (3, 0));
+    assert_eq!(store.db().encode().as_bytes(), compacted);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn saved_snapshot_is_the_encoded_bytes() {
-    // `JournaledDb::compact` writes the snapshot through `DiskIo::replace`:
-    // the encoded bytes, and no temp file left behind.
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("codec-golden-save");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    let path = dir.join("tuning.db");
+fn compaction_writes_the_encoded_bytes_and_no_temp_file() {
+    let (dir, path) = tmp_db("save");
     let (mut store, _) = JournaledDb::open(Box::new(DiskIo::new()), &path).expect("open");
-    *store.db_mut() = TuningDatabase::decode(&snapshot()).expect("decodes");
+    for (machine, strategy, key, record) in records() {
+        store.db_mut().insert(machine, strategy, key, record);
+    }
     store.compact().expect("compact");
-    assert_eq!(std::fs::read_to_string(&path).expect("read"), snapshot());
+    assert_eq!(
+        std::fs::read_to_string(&path).expect("read"),
+        store.db().encode()
+    );
     assert!(
         !dir.join("tuning.db.tmp").exists(),
         "temp file must be renamed"
@@ -129,52 +165,70 @@ fn saved_snapshot_is_the_encoded_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A `v1` file keyed its records by the printed program with every word
-/// renamed, dtypes included, so they cannot be re-keyed: `JournaledDb::open`
-/// refuses a `v1` snapshot and a `v1` journal, naming the header it found
-/// and the one it expected, and says what to do.
+/// Files this build cannot read are refused by name, with what to do,
+/// never opened as an empty database: a `v1` snapshot or journal (keyed by
+/// the printed program with every word renamed, dtypes included, so their
+/// records cannot be re-keyed), a `v2` snapshot of the two-file layout,
+/// and a journal of that layout left beside the path, which may hold
+/// acknowledged records.
 #[test]
-fn v1_snapshots_and_journals_are_refused_by_name() {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("codec-golden-v1");
-    let db_path = dir.join("tuning.db");
-    let v1 = |golden: &str, header: &str| {
-        let bytes = std::fs::read(format!("{GOLDEN_DIR}/{golden}")).expect("golden");
-        let (first, rest) = bytes.split_at(header.len());
-        assert_eq!(first, header.as_bytes());
-        [&header.as_bytes()[..header.len() - 1], b"1", rest].concat()
+fn old_files_are_refused_by_name() {
+    let (dir, path) = tmp_db("old");
+    let journal = std::fs::read(format!("{GOLDEN_DIR}/journal_3_entries.bin")).expect("golden");
+    let v1_journal = [b"tir-tuning-db-journal v1", &journal[24..]].concat();
+    let snapshot = |version: &str| {
+        format!("tir-tuning-database {version}\ncounters 0 0\nrecords 0\nend\n").into_bytes()
     };
+    let expected = "expected `tir-tuning-db-journal v2`";
     let cases = [
         (
-            db_path.clone(),
-            v1("db_snapshot.txt", "tir-tuning-database v2"),
-            "snapshot header is `tir-tuning-database v1`, expected `tir-tuning-database v2`",
+            path.clone(),
+            snapshot("v1"),
+            "database header is `tir-tuning-database v1`",
         ),
         (
-            journal_path_for(&db_path),
-            v1("journal_3_entries.bin", "tir-tuning-db-journal v2"),
-            "journal header is `tir-tuning-db-journal v1`, expected `tir-tuning-db-journal v2`",
+            path.clone(),
+            snapshot("v2"),
+            "database header is `tir-tuning-database v2`",
+        ),
+        (
+            path.clone(),
+            v1_journal,
+            "database header is `tir-tuning-db-journal v1`",
+        ),
+        (
+            dir.join("tuning.db.journal"),
+            journal,
+            "tuning.db.journal is the journal of a `tir-tuning-database v2` snapshot",
         ),
     ];
-    for (path, bytes, names) in cases {
+    for (file, bytes, names) in cases {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("tmpdir");
-        std::fs::write(&path, bytes).expect("write v1 file");
-        match JournaledDb::open(Box::new(DiskIo::new()), &db_path) {
+        std::fs::write(&file, bytes).expect("write old file");
+        match JournaledDb::open(Box::new(DiskIo::new()), &path) {
             Err(DbError::Corrupt { offset: 0, reason }) => {
                 assert!(reason.contains(names), "{reason}");
+                let leftover = file != path;
+                assert!(leftover || reason.contains(expected), "{reason}");
                 assert!(reason.contains("move the file aside"), "{reason}");
             }
             Err(e) => panic!("wrong error: {e}"),
-            Ok(_) => panic!("a v1 file was opened: {}", path.display()),
+            Ok(_) => panic!("an old file was opened: {}", file.display()),
         }
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            1,
+            "nothing written"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-#[ignore = "rewrites the golden files"]
+#[ignore = "rewrites the golden file"]
 fn regenerate_golden() {
-    std::fs::write(format!("{GOLDEN_DIR}/db_snapshot.txt"), snapshot()).expect("write snapshot");
-    let (journal, _) = journal_then_compacted_snapshot();
-    std::fs::write(format!("{GOLDEN_DIR}/journal_3_entries.bin"), journal).expect("write journal");
+    let (published, _) = published_then_compacted("regenerate");
+    std::fs::write(format!("{GOLDEN_DIR}/journal_3_entries.bin"), published)
+        .expect("write journal");
 }

@@ -1,13 +1,16 @@
-//! Persistence contract of the on-disk tuning database: a snapshot written
-//! by `JournaledDb::compact` and read back by `JournaledDb::open` is
-//! bit-identical (counters, records, fingerprints, every float), and damage
-//! to the file is a typed error — never a panic, never a silently empty
-//! database.
+//! Persistence contract of the on-disk tuning database, one file of framed
+//! entries: a file written by `JournaledDb::compact` and read back by
+//! `JournaledDb::open` holds every record bit for bit; a torn last entry
+//! is salvaged (the signature of a crash mid-append), any earlier damage
+//! is a typed error — never a panic, never a silently empty database; and
+//! a store compacts on the bytes it appended, not on the file's length.
 
 use std::path::{Path, PathBuf};
 
 use tir::DataType;
-use tir_autoschedule::{DbError, DiskIo, JournaledDb, Strategy, TuneOptions};
+use tir_autoschedule::{
+    DbError, DiskIo, JournaledDb, Strategy, TuneOptions, TuningDatabase, TuningRecord,
+};
 use tir_exec::Machine;
 use tir_tensorize::builtin_registry;
 use tir_workloads::ops;
@@ -21,7 +24,7 @@ fn open(path: &Path) -> Result<JournaledDb, DbError> {
 }
 
 /// A database with two tuned workloads (one GPU f16, one ARM int8) and
-/// non-trivial hit/miss counters, compacted into a snapshot at `path`: the
+/// non-trivial hit/miss counters, compacted into the file at `path`: the
 /// store, whose in-memory database is the one written.
 fn populated_db(path: &Path) -> JournaledDb {
     let _ = std::fs::remove_file(path);
@@ -39,12 +42,26 @@ fn populated_db(path: &Path) -> JournaledDb {
     let arm = Machine::sim_arm();
     let gmm_arm = ops::gmm(32, 32, 32, DataType::int8(), DataType::int32());
     db.tune_cached(&gmm_arm, &arm, &registry, Strategy::TensorIr, &opts);
-    // Two extra lookups so hits (2) and misses (2) are both non-zero
-    // and unequal to the record count's default relationship.
+    // Two extra lookups so hits (2) and misses (2) are both non-zero.
     db.tune_cached(&gmm_gpu, &gpu, &registry, Strategy::TensorIr, &opts);
     db.tune_cached(&gmm_arm, &arm, &registry, Strategy::TensorIr, &opts);
+    assert_eq!((db.hits(), db.misses()), (2, 2));
     store.compact().expect("compact");
     store
+}
+
+/// Where each entry of a database file ends, in order.
+fn entry_ends(bytes: &[u8]) -> Vec<usize> {
+    let line_end = |at: usize| at + bytes[at..].iter().position(|&b| b == b'\n').unwrap() + 1;
+    let mut ends = Vec::new();
+    let mut at = line_end(0);
+    while at < bytes.len() {
+        let payload = line_end(at);
+        let line = std::str::from_utf8(&bytes[at..payload]).unwrap();
+        at = payload + line.split(' ').nth(1).unwrap().parse::<usize>().unwrap();
+        ends.push(at);
+    }
+    ends
 }
 
 #[test]
@@ -55,9 +72,8 @@ fn compact_open_round_trip_is_bit_identical() {
     let loaded = open(&path).expect("open");
     let loaded = loaded.db();
 
-    // Counters survive.
-    assert_eq!(loaded.hits(), db.hits());
-    assert_eq!(loaded.misses(), db.misses());
+    // Counters count one store's lifetime: a fresh one starts at zero.
+    assert_eq!((loaded.hits(), loaded.misses()), (0, 0));
     assert_eq!(loaded.len(), db.len());
 
     // Every record survives bit-for-bit: fingerprint keys, program
@@ -79,56 +95,57 @@ fn compact_open_round_trip_is_bit_identical() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A compacted file cut anywhere inside entry k + 1 loads the k entries
+/// before it and reports the cut-off bytes, as a torn append would.
 #[test]
-fn truncated_file_is_a_typed_error() {
-    let path = tmp_path("truncated");
+fn a_cut_inside_an_entry_of_a_compacted_file_keeps_the_entries_before_it() {
+    let path = tmp_path("cut");
     populated_db(&path);
-    let text = std::fs::read_to_string(&path).expect("read back");
-
-    // Chop the file at several points, including mid-record and just
-    // before the `end` sentinel: every truncation must be detected.
-    for cut in [text.len() / 4, text.len() / 2, text.len() - 4] {
-        let mut broken = text[..cut].to_string();
-        // Keep the cut on a UTF-8 boundary (the format is ASCII except
-        // for program text, so this only matters mid-payload).
-        while !text.is_char_boundary(broken.len()) {
-            broken.pop();
-        }
-        std::fs::write(&path, &broken).expect("write truncated");
-        match open(&path) {
-            Err(DbError::Corrupt { .. }) => {}
-            Ok(store) => panic!(
-                "truncation at {cut} silently loaded {} records",
-                store.db().len()
-            ),
-            Err(e) => panic!("truncation at {cut} gave the wrong error kind: {e}"),
+    let bytes = std::fs::read(&path).expect("read back");
+    let ends = entry_ends(&bytes);
+    assert_eq!(ends.len(), 2);
+    let header = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let starts: Vec<usize> = std::iter::once(header)
+        .chain(ends.iter().copied())
+        .collect();
+    for k in 0..ends.len() {
+        let (start, end) = (starts[k], ends[k]);
+        for cut in [start + 1, (start + end) / 2, end - 1] {
+            std::fs::write(&path, &bytes[..cut]).expect("write cut file");
+            let (store, rep) = JournaledDb::open(Box::new(DiskIo), &path)
+                .unwrap_or_else(|e| panic!("cut at {cut} inside entry {}: {e}", k + 1));
+            assert_eq!(rep.journal_replayed, k, "cut at {cut}");
+            assert_eq!(rep.salvaged_bytes, cut - start, "cut at {cut}");
+            assert_eq!(store.db().len(), k, "cut at {cut}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, start);
         }
     }
     let _ = std::fs::remove_file(&path);
 }
 
+/// Damage before the last entry cannot be a torn append: salvaging it
+/// would drop the entries after it, so it is a typed error at the damaged
+/// entry's offset, and the file is left as it was.
 #[test]
-fn corrupted_fields_are_typed_errors_with_offsets() {
+fn damage_before_the_last_entry_is_a_typed_error_with_its_offset() {
     let path = tmp_path("corrupt");
     populated_db(&path);
-    let text = std::fs::read_to_string(&path).expect("read back");
-
-    // A wrong header, a garbled counter, and a record count that
-    // overstates the payload.
-    let cases = [
-        text.replacen("tir-tuning-database v2", "tir-tuning-database v9", 1),
-        text.replacen("counters", "confetti", 1),
-        text.replacen("records 2", "records 7", 1),
-    ];
-    for (i, broken) in cases.iter().enumerate() {
-        std::fs::write(&path, broken).expect("write corrupted");
+    let bytes = std::fs::read(&path).expect("read back");
+    let header = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let first_end = entry_ends(&bytes)[0];
+    for at in [header + 2, (header + first_end) / 2, first_end - 2] {
+        let mut broken = bytes.clone();
+        broken[at] ^= 0x01;
+        std::fs::write(&path, &broken).expect("write damaged file");
         match open(&path) {
-            Err(DbError::Corrupt { reason, .. }) => {
-                assert!(!reason.is_empty(), "case {i}: reason must be populated");
+            Err(DbError::Corrupt { offset, reason }) => {
+                assert_eq!(offset, header, "byte {at}: {reason}");
+                assert!(reason.starts_with("database: "), "byte {at}: {reason}");
             }
-            Ok(_) => panic!("case {i}: corruption loaded silently"),
-            Err(e) => panic!("case {i}: wrong error kind: {e}"),
+            Ok(_) => panic!("damage at byte {at} loaded silently"),
+            Err(e) => panic!("damage at byte {at} gave the wrong error kind: {e}"),
         }
+        assert_eq!(std::fs::read(&path).unwrap(), broken, "left as it was");
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -146,6 +163,68 @@ fn a_missing_file_opens_empty_and_a_corrupt_one_is_refused() {
         Err(DbError::Corrupt { .. }) => {}
         Err(e) => panic!("open of a corrupt file gave the wrong error: {e}"),
         Ok(_) => panic!("open of a corrupt file succeeded silently"),
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A record whose entry is about 8 KiB: a long key makes a file larger
+/// than the compaction threshold out of few programs.
+fn big_record(i: usize) -> (String, TuningRecord) {
+    let key = format!("{i:04}-{}", "k".repeat(8 << 10));
+    let record = TuningRecord {
+        best: tir::builder::matmul_func("mm", 16, 16, 16, DataType::float32()),
+        best_time: 1e-5,
+        trials: 4,
+        budget: 4,
+        tuning_cost_s: 0.5,
+    };
+    (key, record)
+}
+
+/// A store reopened on a file larger than the compaction threshold appends
+/// without compacting until it has itself appended more than the threshold;
+/// `journal_bytes` counts those bytes, never the file's length.
+#[test]
+fn a_reopened_large_file_compacts_on_bytes_appended_since_the_open() {
+    let path = tmp_path("threshold");
+    let _ = std::fs::remove_file(&path);
+    let threshold = JournaledDb::DEFAULT_COMPACT_THRESHOLD;
+    let mut seed = TuningDatabase::new();
+    for i in 0..40 {
+        let (key, record) = big_record(i);
+        seed.insert("SimGPU", Strategy::TensorIr, key, record);
+    }
+    let (mut store, _) = JournaledDb::open(Box::new(DiskIo), &path).expect("open");
+    *store.db_mut() = seed;
+    store.compact().expect("compact");
+    drop(store);
+    let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+    assert!(file_len > threshold, "{file_len} bytes");
+
+    let (mut store, rep) = JournaledDb::open(Box::new(DiskIo), &path).expect("reopen");
+    assert_eq!(
+        (rep.journal_replayed, store.compact_threshold),
+        (40, threshold)
+    );
+    assert_eq!(store.journal_bytes(), 0, "nothing appended since the open");
+    let mut appended = 0;
+    for i in 40.. {
+        let (key, record) = big_record(i);
+        let outcome = store
+            .publish("SimGPU", Strategy::TensorIr, key, record)
+            .expect("publish");
+        appended += outcome.appended_bytes;
+        if appended <= threshold {
+            assert!(!outcome.compacted, "compacted after {appended} bytes");
+            assert_eq!(store.journal_bytes(), appended);
+            let grown = std::fs::metadata(&path).unwrap().len() as usize;
+            assert_eq!(grown, file_len + appended, "appended, not rewritten");
+        } else {
+            assert!(outcome.compacted, "{appended} bytes appended");
+            assert_eq!((store.journal_bytes(), store.compactions()), (0, 1));
+            assert_eq!(store.db().len(), i + 1);
+            break;
+        }
     }
     let _ = std::fs::remove_file(&path);
 }

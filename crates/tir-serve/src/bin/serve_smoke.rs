@@ -18,9 +18,9 @@
 //!    previously tuned fingerprint must answer warm from disk,
 //!    bit-identical, with zero trials and zero cost (timed from
 //!    `Server::start` to the answer);
-//! 7. a publish-latency microbenchmark on a 4000-record database:
-//!    the journal's O(1) append vs the pre-journal full-snapshot
-//!    rewrite, p50 of each.
+//! 7. a publish-latency microbenchmark on a reopened 4000-record
+//!    database: an O(1) append vs a compaction, the whole-file rewrite
+//!    every publish cost before appends, p50 of each.
 //!
 //! With `--check` the emitted report is additionally validated (the CI
 //! gate): well-formed JSON, every `serve.*` lifecycle phase present,
@@ -31,9 +31,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use tir::DataType;
-use tir_autoschedule::{
-    journal_path_for, DiskIo, JournalIo, JournaledDb, Strategy, TuningDatabase, TuningRecord,
-};
+use tir_autoschedule::{DiskIo, JournaledDb, Strategy, TuningRecord};
 use tir_serve::client::{stats_field, Client, TuneReply};
 use tir_serve::protocol::Source;
 use tir_serve::server::{ServeConfig, Server};
@@ -49,9 +47,9 @@ const DEDUP_CLIENTS: usize = 8;
 const PUBLISH_DB_RECORDS: usize = 4000;
 /// Publishes timed per flavor in the microbenchmark.
 const PUBLISH_SAMPLES: usize = 32;
-/// `--check` gate: a journal append on a [`PUBLISH_DB_RECORDS`]-record
-/// database must beat the pre-journal full rewrite by at least this
-/// factor (the rewrite is O(records), the append O(1)).
+/// `--check` gate: an append on a [`PUBLISH_DB_RECORDS`]-record database
+/// must beat a compaction, the whole-file rewrite, by at least this factor
+/// (the rewrite is O(records), the append O(1)).
 const PUBLISH_SPEEDUP_GATE: f64 = 10.0;
 
 struct Config {
@@ -273,8 +271,8 @@ fn main() -> ExitCode {
         "serve-smoke: restart served the tuned record warm from disk in {restart_latency_s:.6}s"
     );
 
-    // 7. Publish-latency microbenchmark: O(1) journal append vs the
-    // pre-journal full-snapshot rewrite, both on a 1k-record database.
+    // 7. Publish-latency microbenchmark: O(1) append vs a whole-file
+    // rewrite, both on a reopened 4k-record database.
     let (journal_p50_s, rewrite_p50_s, publish_speedup) = publish_latency_bench();
     println!(
         "serve-smoke: publish on {PUBLISH_DB_RECORDS} records: journal append p50 \
@@ -307,27 +305,27 @@ fn main() -> ExitCode {
         });
     });
     let _ = std::fs::remove_file(&db);
-    let _ = std::fs::remove_file(journal_path_for(&db));
     let failures = cfg
         .check
         .then(|| check_report(&text_out, publish_speedup, &report));
     json::gate("serve-smoke", &cfg.out, &text_out, failures)
 }
 
-/// Times [`PUBLISH_SAMPLES`] publishes against a pre-seeded
-/// [`PUBLISH_DB_RECORDS`]-record database, once through the journal
-/// (O(1) append + fsync) and once through the pre-journal path (full
-/// snapshot rewrite per publish). Returns `(journal_p50_s,
-/// rewrite_p50_s, speedup)`.
+/// Times [`PUBLISH_SAMPLES`] publishes against a reopened
+/// [`PUBLISH_DB_RECORDS`]-record database, once as an append and fsync,
+/// O(1), and once as the rewrite every publish cost before appends
+/// ([`JournaledDb::compact`]: the whole file, atomically). The appends
+/// must not compact: the file is larger than the compaction threshold,
+/// but nothing near it was appended since the open. Returns
+/// `(journal_p50_s, rewrite_p50_s, speedup)`.
 fn publish_latency_bench() -> (f64, f64, f64) {
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let snap = dir.join(format!("tir-smoke-publish-{pid}.db"));
-    let journal = journal_path_for(&snap);
-    let rewrite = dir.join(format!("tir-smoke-rewrite-{pid}.db"));
-    for p in [&snap, &journal, &rewrite] {
-        let _ = std::fs::remove_file(p);
-    }
+    let path = std::env::temp_dir().join(format!("tir-smoke-publish-{}.db", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let open = || {
+        JournaledDb::open(Box::new(DiskIo), &path)
+            .unwrap_or_else(|e| fail(&format!("opening the bench database: {e}")))
+            .0
+    };
 
     let record = TuningRecord {
         best: ops::gmm(32, 32, 32, DataType::float16(), DataType::float32()),
@@ -336,55 +334,43 @@ fn publish_latency_bench() -> (f64, f64, f64) {
         budget: 16,
         tuning_cost_s: 0.25,
     };
-    let mut seed = TuningDatabase::new();
+    let mut seed = open();
     for i in 0..PUBLISH_DB_RECORDS {
-        seed.insert(
-            "gpu",
-            Strategy::TensorIr,
-            format!("bench-{i:04}"),
-            record.clone(),
-        );
+        let key = format!("bench-{i:04}");
+        seed.db_mut()
+            .insert("gpu", Strategy::TensorIr, key, record.clone());
     }
-    DiskIo
-        .replace(&snap, seed.encode().as_bytes())
+    seed.compact()
         .unwrap_or_else(|e| fail(&format!("seeding the bench database: {e}")));
+    drop(seed);
 
-    // Journal flavor: publish is an O(1) append + fsync regardless of
-    // database size. Compaction is pushed out of the way so the timer
-    // sees pure appends.
-    let (mut jdb, _) = JournaledDb::open(Box::new(DiskIo), &snap)
-        .unwrap_or_else(|e| fail(&format!("opening the bench database: {e}")));
-    jdb.compact_threshold = usize::MAX;
+    let mut jdb = open();
     let mut journal_lat = Vec::with_capacity(PUBLISH_SAMPLES);
     for s in 0..PUBLISH_SAMPLES {
         let key = format!("bench-extra-{s:04}");
         let rec = record.clone();
         let t = Instant::now();
-        jdb.publish("gpu", Strategy::TensorIr, key, rec)
+        let outcome = jdb
+            .publish("gpu", Strategy::TensorIr, key, rec)
             .unwrap_or_else(|e| fail(&format!("journal publish: {e}")));
         journal_lat.push(t.elapsed().as_secs_f64());
+        if outcome.compacted {
+            fail("an append to a reopened database compacted it");
+        }
     }
 
-    // Rewrite flavor: what every publish cost before the journal —
-    // re-encode and atomically rewrite the whole snapshot.
     let mut rewrite_lat = Vec::with_capacity(PUBLISH_SAMPLES);
     for s in 0..PUBLISH_SAMPLES {
-        seed.insert(
-            "gpu",
-            Strategy::TensorIr,
-            format!("bench-extra-{s:04}"),
-            record.clone(),
-        );
+        let key = format!("bench-rewrite-{s:04}");
+        jdb.db_mut()
+            .insert("gpu", Strategy::TensorIr, key, record.clone());
         let t = Instant::now();
-        DiskIo
-            .replace(&rewrite, seed.encode().as_bytes())
+        jdb.compact()
             .unwrap_or_else(|e| fail(&format!("rewrite publish: {e}")));
         rewrite_lat.push(t.elapsed().as_secs_f64());
     }
 
-    for p in [&snap, &journal, &rewrite] {
-        let _ = std::fs::remove_file(p);
-    }
+    let _ = std::fs::remove_file(&path);
     journal_lat.sort_by(f64::total_cmp);
     rewrite_lat.sort_by(f64::total_cmp);
     let journal_p50 = journal_lat[PUBLISH_SAMPLES / 2];

@@ -20,10 +20,10 @@
 //!   `serve-smoke` benchmark, the integration tests, and operators'
 //!   scripts.
 //!
-//! The database is a [`tir_autoschedule::JournaledDb`]: each publish
-//! appends one checksummed, fsynced entry to a write-ahead journal
-//! (O(1) in the database size) and a compaction folds the journal into
-//! the atomic-write snapshot on shutdown. A request is acknowledged
+//! The database is a [`tir_autoschedule::JournaledDb`], one append-only
+//! file: each publish appends one checksummed, fsynced entry (O(1) in the
+//! database size), and a compaction on shutdown rewrites the file as one
+//! entry per record, atomically. A request is acknowledged
 //! only after its record is fsynced, so a killed and restarted daemon —
 //! even one killed mid-append — answers every previously acknowledged
 //! fingerprint from disk, warm, bit-identically, with zero additional

@@ -72,15 +72,15 @@
 //! # Durability invariant
 //!
 //! The database is a [`JournaledDb`]: each publish appends one fsynced
-//! entry to a write-ahead journal (O(1) in the database size), and the
+//! entry to the database file (O(1) in the database size), and the
 //! requester is notified only **after** that append+fsync returned. So
 //! *acknowledged ⇒ durable*: a crash at any instant loses at most tunes
-//! that no client was told succeeded. A publish whose journal append
+//! that no client was told succeeded. A publish whose append
 //! fails transiently is retried ([`ServeConfig::save_retries`] attempts
 //! with doubling backoff); if all attempts fail, the record is kept in
 //! memory, the failure is counted on `serve.db_save_failures`, and the
 //! stats response reports `db_degraded: 1` until a later compaction
-//! folds the memory state into the snapshot — degradation is never
+//! rewrites the file from the memory state — degradation is never
 //! silent. See `docs/OPERATIONS.md` for the recovery runbook.
 
 use std::collections::{BinaryHeap, HashMap};
@@ -146,8 +146,9 @@ pub struct ServeConfig {
     /// Storage backend for the journaled database: [`IoProfile::Disk`]
     /// in production, [`IoProfile::Fault`] under the chaos harness.
     pub io_profile: IoProfile,
-    /// Journal size (bytes) past which a publish folds the journal into
-    /// the snapshot inline ([`JournaledDb::compact_threshold`]).
+    /// Bytes appended since the daemon opened or last compacted the
+    /// database file past which a publish compacts it inline
+    /// ([`JournaledDb::compact_threshold`]).
     pub journal_compact_bytes: usize,
     /// Attempts for one publish's journal append before the daemon
     /// gives up, keeps the record memory-only, and reports itself
@@ -467,17 +468,16 @@ impl Server {
     }
 
     /// Blocks until the daemon has shut down (a client sent `shutdown`
-    /// or [`Server::request_shutdown`] was called), persists the final
-    /// database state (including hit/miss counters), removes the socket
-    /// file, and returns the merged trace report.
+    /// or [`Server::request_shutdown`] was called), compacts the database
+    /// file, removes the socket file, and returns the merged trace report.
     pub fn join(self) -> TraceReport {
         let _ = self.accept.join();
         for w in self.workers {
             let _ = w.join();
         }
         {
-            // Fold the journal (and any degraded memory-only records)
-            // into the snapshot; also persists the hit/miss counters.
+            // Rewrite the file from memory, degraded memory-only records
+            // included.
             let mut db = unpoisoned(self.shared.db.lock());
             if let Err(e) = db.compact() {
                 eprintln!("tir-serve: final database compaction failed: {e}");
@@ -1200,7 +1200,6 @@ mod tests {
         assert_eq!(warm.best_time.to_bits(), cold.best_time.to_bits());
         client.shutdown().expect("shutdown");
         server.join();
-        let _ = std::fs::remove_file(tir_autoschedule::journal_path_for(&db));
         let _ = std::fs::remove_file(&db);
     }
 

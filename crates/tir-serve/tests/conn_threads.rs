@@ -44,6 +44,5 @@ fn one_shot_clients_leave_no_thread_stacks_mapped() {
     let mut c = Client::connect(&sock).expect("connect");
     c.shutdown().expect("shutdown");
     server.join();
-    let _ = std::fs::remove_file(tir_autoschedule::journal_path_for(&db));
     let _ = std::fs::remove_file(&db);
 }

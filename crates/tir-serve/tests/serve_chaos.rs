@@ -5,14 +5,14 @@
 //!
 //! * **Storage crashes** — the daemon runs against
 //!   [`IoProfile::Fault`], which simulates a power loss at every named
-//!   crash point in the publish/compaction path (and *inside* journal
-//!   appends, leaving short-written, bit-flipped fragments). A fresh
+//!   crash point in the publish/compaction path (and *inside* appends to
+//!   the database file, leaving short-written, bit-flipped fragments). A fresh
 //!   daemon is then started on the same files through the real
 //!   [`IoProfile::Disk`] backend, and the harness asserts the
 //!   durability invariant: every tune that was **acknowledged** before
 //!   the crash is served warm and bit-identical after restart, no
-//!   partial record survives, and torn journal tails salvage instead of
-//!   failing startup.
+//!   partial record survives, and torn tails salvage instead of failing
+//!   startup.
 //! * **Socket chaos** — clients that die mid-request, trickle one byte
 //!   at a time, or never finish their payload. One bad connection must
 //!   never wedge the daemon or starve well-behaved clients.
@@ -38,9 +38,6 @@ fn tmp_paths(name: &str) -> (PathBuf, PathBuf) {
     for p in [&sock, &db] {
         let _ = std::fs::remove_file(p);
     }
-    let mut journal = db.clone().into_os_string();
-    journal.push(".journal");
-    let _ = std::fs::remove_file(PathBuf::from(journal));
     (sock, db)
 }
 
@@ -173,6 +170,28 @@ fn crash_inside_journal_appends_salvages_torn_tails() {
         );
         // The torn tail (short write, possibly bit-flipped) must
         // salvage on restart — never DbError::Corrupt.
+        assert_recovered(&scenario, &sock, &db, &acked);
+        let _ = std::fs::remove_file(&db);
+    }
+    // The same on a compacted file: with every publish compacting, a
+    // publish is append, fsync, replace, so op 3 tears the entry appended
+    // to the file the first publish's compaction wrote.
+    for seed in [21u64, 22, 23] {
+        let scenario = format!("append-after-compaction-seed{seed}");
+        let (sock, db) = tmp_paths(&format!("tear-compacted-{seed}"));
+        let spec = FaultSpec {
+            seed,
+            crash_in_append: Some(3),
+            ..FaultSpec::default()
+        };
+        let mut cfg = chaos_cfg(&sock, &db, spec);
+        cfg.journal_compact_bytes = 1;
+        let acked = run_until_crash(cfg, &texts);
+        assert_eq!(
+            acked.len(),
+            1,
+            "{scenario}: the first publish was acknowledged"
+        );
         assert_recovered(&scenario, &sock, &db, &acked);
         let _ = std::fs::remove_file(&db);
     }

@@ -124,10 +124,4 @@ fn sigterm_and_sigint_drain_persist_and_restart_warm() {
     assert!(!sock.exists());
 
     let _ = std::fs::remove_file(&db);
-    let journal = {
-        let mut p = db.clone().into_os_string();
-        p.push(".journal");
-        PathBuf::from(p)
-    };
-    let _ = std::fs::remove_file(&journal);
 }

@@ -15,11 +15,11 @@
 //!   rejections, retries, VM instruction mix);
 //! * histograms — named distributions bucketed by **binary exponent** of
 //!   the observed value, so bucketing never depends on platform `libm`;
-//! * [`Collector`] — the thread-safe sink: workers record into per-thread
-//!   [`TraceBuffer`]s that are absorbed wholesale (one lock per buffer),
-//!   and [`Collector::report`] merges everything deterministically by
-//!   sorting spans on their keys — reports are **byte-identical at any
-//!   thread count**;
+//! * [`Collector`] — the thread-safe sink: every record call takes its
+//!   lock once, from a tune's one thread or from the daemon's many, and
+//!   [`Collector::report`] merges everything deterministically by sorting
+//!   spans on their keys — reports are **byte-identical whatever order
+//!   the records arrived in**;
 //! * [`TraceReport`] / [`TraceReport::write_json`] — the merged report,
 //!   written by the workspace's one JSON writer ([`json`], which also
 //!   holds the well-formedness checker and the artifacts' `--check` gate).
@@ -32,9 +32,9 @@
 //! * span durations are simulated seconds (or zero for pure-CPU phases,
 //!   which report item counts instead) — **never** wall-clock;
 //! * every span carries a unique [`Key`]; the report sorts by it, so the
-//!   arrival order of per-thread buffers cannot leak into the output;
+//!   order in which threads recorded cannot leak into the output;
 //! * counters and histogram buckets are `u64` sums — associative and
-//!   commutative, so merge order cannot change them;
+//!   commutative, so record order cannot change them;
 //! * stream ids are allocated by the (single-threaded) coordinator via
 //!   [`Collector::stream`], in deterministic order.
 //!
@@ -62,7 +62,7 @@ use json::{JsonWriter, Layout};
 /// locate the span in the search's iteration space; `seq` disambiguates
 /// multiple events from one site (e.g. measurement attempts). The merge
 /// sorts on the full tuple, so keys must be unique per span for the
-/// report to be byte-identical regardless of buffer arrival order.
+/// report to be byte-identical regardless of record order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Key {
     /// Logical sub-search id from [`Collector::stream`].
@@ -145,21 +145,6 @@ impl Histogram {
     }
 }
 
-/// Everything a thread records before flushing: spans, counter deltas,
-/// and histogram observations, buffered without locks.
-#[derive(Debug, Default)]
-struct Batch {
-    spans: Vec<Span>,
-    counts: Vec<(String, u64)>,
-    observations: Vec<(String, f64)>,
-}
-
-impl Batch {
-    fn is_empty(&self) -> bool {
-        self.spans.is_empty() && self.counts.is_empty() && self.observations.is_empty()
-    }
-}
-
 /// Merged collector state behind the lock.
 #[derive(Debug, Default)]
 struct Inner {
@@ -169,25 +154,11 @@ struct Inner {
     streams: Vec<(u64, String)>,
 }
 
-impl Inner {
-    fn absorb(&mut self, batch: Batch) {
-        self.spans.extend(batch.spans);
-        for (name, n) in batch.counts {
-            *self.counters.entry(name).or_default() += n;
-        }
-        for (name, v) in batch.observations {
-            self.histograms.entry(name).or_default().observe(v);
-        }
-    }
-}
-
 /// The thread-safe trace sink.
 ///
-/// Single-threaded sites record directly ([`Collector::span`],
-/// [`Collector::count`], [`Collector::observe`]); a measurement job, or a
-/// thread sharing the collector, builds a local [`TraceBuffer`] and flushes
-/// it once, paying one lock per buffer instead of one per event. [`Collector::report`] merges and sorts
-/// everything into a deterministic [`TraceReport`].
+/// Every site records directly ([`Collector::span`], [`Collector::count`],
+/// [`Collector::observe`]), one lock per event; [`Collector::report`]
+/// merges and sorts everything into a deterministic [`TraceReport`].
 #[derive(Default)]
 pub struct Collector {
     enabled: bool,
@@ -286,15 +257,6 @@ impl Collector {
             .observe(value);
     }
 
-    /// A lock-free per-thread buffer; flushed into the collector when
-    /// dropped (or explicitly via [`TraceBuffer::flush`]).
-    pub fn buffer(&self) -> TraceBuffer<'_> {
-        TraceBuffer {
-            collector: self,
-            batch: Batch::default(),
-        }
-    }
-
     /// Merges everything recorded so far into a deterministic report:
     /// spans sorted by `(key, name)`, counters and histograms by name,
     /// phases aggregated from spans in sorted order.
@@ -336,64 +298,6 @@ impl Collector {
     }
 }
 
-/// A per-thread (or per-candidate) event buffer: records without taking
-/// any lock, then flushes wholesale into its [`Collector`].
-#[derive(Debug)]
-pub struct TraceBuffer<'c> {
-    collector: &'c Collector,
-    batch: Batch,
-}
-
-impl TraceBuffer<'_> {
-    /// Buffers one span.
-    pub fn span(&mut self, name: &str, key: Key, sim_s: f64, items: u64) {
-        if !self.collector.enabled {
-            return;
-        }
-        self.batch.spans.push(Span {
-            name: name.to_string(),
-            key,
-            sim_s,
-            items,
-        });
-    }
-
-    /// Buffers a counter increment.
-    pub fn count(&mut self, name: &str, n: u64) {
-        if !self.collector.enabled || n == 0 {
-            return;
-        }
-        self.batch.counts.push((name.to_string(), n));
-    }
-
-    /// Buffers a histogram observation.
-    pub fn observe(&mut self, name: &str, value: f64) {
-        if !self.collector.enabled {
-            return;
-        }
-        self.batch.observations.push((name.to_string(), value));
-    }
-
-    /// Flushes the buffered events into the collector now (one lock).
-    pub fn flush(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.batch);
-        self.collector
-            .inner
-            .lock()
-            .expect("trace lock")
-            .absorb(batch);
-    }
-}
-
-impl Drop for TraceBuffer<'_> {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 /// Aggregated view of all spans sharing a name.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Phase {
@@ -410,7 +314,7 @@ pub struct Phase {
 /// A merged, deterministic snapshot of a [`Collector`].
 ///
 /// Two runs that record the same events — regardless of thread count or
-/// buffer flush order — produce byte-identical [`TraceReport::to_json`]
+/// record order — produce byte-identical [`TraceReport::to_json`]
 /// output.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceReport {
@@ -557,44 +461,27 @@ mod tests {
     }
 
     #[test]
-    fn buffers_merge_like_direct_records() {
-        let direct = Collector::new();
-        direct.span("p", Key::coord(1, 0, 0), 1.5, 2);
-        direct.count("c", 7);
-        direct.observe("h", 0.25);
-
-        let buffered = Collector::new();
-        {
-            let mut b = buffered.buffer();
-            b.span("p", Key::coord(1, 0, 0), 1.5, 2);
-            b.count("c", 7);
-            b.observe("h", 0.25);
-        } // drop flushes
-        assert_eq!(direct.report().to_json(), buffered.report().to_json());
-    }
-
-    #[test]
-    fn concurrent_buffers_are_deterministic() {
-        let run = |threads: usize| {
-            let c = Collector::new();
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let c = &c;
-                    s.spawn(move || {
-                        let mut b = c.buffer();
-                        for g in 0..8u64 {
-                            b.span("w", Key::coord(1, g, t as u64), 0.125 * g as f64, 1);
-                            b.count("n", 1);
-                            b.observe("v", g as f64);
-                        }
-                    });
-                }
-            });
-            c.report().to_json()
+    fn concurrent_records_are_deterministic() {
+        // The daemon's threads record into one collector at once: the
+        // report is the one a single thread recording the same events in
+        // any order writes.
+        let record = |c: &Collector, t: u64, g: u64| {
+            c.span("w", Key::coord(1, g, t), 0.125 * g as f64, 1);
+            c.count("n", 1);
+            c.observe("v", g as f64);
         };
-        // Same event set from 4 threads, twice: identical bytes (merge
-        // sorts on keys). Note each thread emits distinct seqs.
-        assert_eq!(run(4), run(4));
+        let concurrent = Collector::new();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let c = &concurrent;
+                s.spawn(move || (0..8).for_each(|g| record(c, t, g)));
+            }
+        });
+        let serial = Collector::new();
+        for g in (0..8).rev() {
+            (0..4).rev().for_each(|t| record(&serial, t, g));
+        }
+        assert_eq!(concurrent.report().to_json(), serial.report().to_json());
     }
 
     #[test]

@@ -12,7 +12,8 @@ use golden::fnv1a;
 use tir::structural::{func_structural_eq, structural_stream};
 use tir::{DataType, PrimFunc};
 use tir_autoschedule::{
-    build_sketches, workload_key, Strategy, TuneOptions, TuningDatabase, TuningRecord,
+    build_sketches, workload_key, DiskIo, JournaledDb, Strategy, TuneOptions, TuningDatabase,
+    TuningRecord,
 };
 use tir_exec::Machine;
 use tir_graph::fusion::{fuse_graph, singleton_groups};
@@ -220,19 +221,32 @@ fn scripted_sequence_counts_as_the_text_keyed_database_did() {
         .is_some());
     step(&db);
 
-    let encoded = db.encode();
+    // The file a compaction writes, and a store opened on it that carries
+    // on identically.
+    let dir = std::env::temp_dir().join(format!("tir-workload-identity-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let path = dir.join("tuning.db");
+    let (mut store, _) = JournaledDb::open(Box::new(DiskIo), &path).expect("open");
+    *store.db_mut() = db;
+    store.compact().expect("compact");
+    let compacted = std::fs::read(&path).expect("compacted file");
     println!(
-        "counts {counts:?}\nencode {} bytes, fnv1a {:#018x}",
-        encoded.len(),
-        fnv1a(encoded.bytes())
+        "counts {counts:?}\ncompacted file {} bytes, fnv1a {:#018x}",
+        compacted.len(),
+        fnv1a(compacted.iter().copied())
     );
     assert_eq!(counts, EXPECTED_COUNTS);
-    assert_eq!((encoded.len(), fnv1a(encoded.bytes())), EXPECTED_SNAPSHOT);
-    // And a decoded copy carries on identically.
-    let mut reloaded = TuningDatabase::decode(&encoded).expect("decodes");
-    reloaded.tune_cached(&renamed, &gpu, &reg, Strategy::TensorIr, &opts(16));
-    db.tune_cached(&renamed, &gpu, &reg, Strategy::TensorIr, &opts(16));
-    assert_eq!(reloaded.encode(), db.encode());
+    assert_eq!(
+        (compacted.len(), fnv1a(compacted.iter().copied())),
+        EXPECTED_COMPACTED
+    );
+    let (mut reloaded, _) = JournaledDb::open(Box::new(DiskIo), &path).expect("reopen");
+    let _ = std::fs::remove_dir_all(&dir);
+    for store in [&mut reloaded, &mut store] {
+        (store.db_mut()).tune_cached(&renamed, &gpu, &reg, Strategy::TensorIr, &opts(16));
+    }
+    assert_eq!(reloaded.db().encode(), store.db().encode());
 }
 
 /// `(hits, misses, len)` after each step of the script.
@@ -252,7 +266,8 @@ const EXPECTED_COUNTS: &[(usize, usize, usize)] = &[
     (6, 6, 5),
     (6, 6, 5),
 ];
-/// Length and FNV-1a of `encode()` after the script, recorded when the
-/// key became the structural stream (the text-keyed snapshot was
-/// 18 663 bytes).
-const EXPECTED_SNAPSHOT: (usize, u64) = (19_000, 0x2166_1c0e_d52c_8f66);
+/// Length and FNV-1a of the file a compaction writes after the script,
+/// recorded when the database became one file of framed entries. (The
+/// snapshot of the two-file layout was 19 000 bytes once the key became
+/// the structural stream, and the text-keyed one 18 663 bytes.)
+const EXPECTED_COMPACTED: (usize, u64) = (19_115, 0xf4c5_2562_70c7_332b);
